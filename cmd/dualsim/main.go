@@ -336,6 +336,10 @@ func cmdServe(args []string) error {
 	if err := srv.Listen(*addr); err != nil {
 		return err
 	}
+	// The signal handler goes in before the address line: that line is the
+	// readiness signal, and a SIGTERM sent right after it must drain.
+	ctx, stop := runContext()
+	defer stop()
 	// The bound address goes to stdout so scripts using -addr :0 can read
 	// the port back.
 	endpoints := "POST /query, GET /stats, GET /metrics"
@@ -344,8 +348,6 @@ func cmdServe(args []string) error {
 	}
 	fmt.Printf("serving %s on %s (%s)\n", *dbPath, srv.Addr(), endpoints)
 
-	ctx, stop := runContext()
-	defer stop()
 	<-ctx.Done()
 	stop() // further signals kill the process the usual way
 	fmt.Fprintf(os.Stderr, "draining (up to %v)...\n", *drainTimeout)

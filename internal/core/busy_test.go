@@ -114,9 +114,9 @@ func TestSharedPlanAcrossEngines(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRunPlanContextFuncPerRunCallback verifies the per-run callback
+// TestRunSpecPerRunCallback verifies the per-run callback (RunSpec.OnMatch)
 // overrides Options.OnMatch and is dropped after the run.
-func TestRunPlanContextFuncPerRunCallback(t *testing.T) {
+func TestRunSpecPerRunCallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 32, 150)
 	db := buildDB(t, g, 256)
@@ -132,11 +132,11 @@ func TestRunPlanContextFuncPerRunCallback(t *testing.T) {
 
 	var mu sync.Mutex
 	var rows int
-	res, err := e.RunPlanContextFunc(context.Background(), p, func(m []graph.VertexID) {
+	res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p, OnMatch: func(m []graph.VertexID) {
 		mu.Lock()
 		rows++
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -47,8 +46,9 @@ type Checkpoint struct {
 // database it is being resumed against (wrong K, cursor out of range).
 var ErrBadCheckpoint = errors.New("core: checkpoint does not match the plan or database")
 
-// RunSpec is the full description of one enumeration run, for callers that
-// need more than RunPlanContextFunc's positional arguments: resuming from a
+// RunSpec is the full description of one enumeration run
+// (Engine.RunSpecContext; Run, RunContext and RunPlanContext are shorthands
+// for the common cases): a per-run match callback, resuming from a
 // checkpoint, observing checkpoints as they are taken, or shedding the
 // prefetch pipeline for this run only (the serving layer's degraded mode).
 type RunSpec struct {
@@ -56,11 +56,16 @@ type RunSpec struct {
 	Plan *plan.Plan
 	// OnMatch overrides Options.OnMatch for this run; nil here means no
 	// embedding delivery (use Options.OnMatch via RunPlanContext when the
-	// engine-level callback is wanted).
+	// engine-level callback is wanted). Reusable engines — the server's
+	// pool hands one engine to many requests — need the callback per run,
+	// not fixed at engine construction.
 	OnMatch func(m []graph.VertexID)
 	// Resume, when non-nil, replays the run from the checkpoint: windows
 	// before the cursor are skipped entirely (no page reads), counts start
-	// from the checkpoint's totals.
+	// from the checkpoint's totals, and the remaining counts are
+	// bit-identical to what the interrupted run would have produced. The
+	// plan must be prepared from the same query (same K) over the same
+	// database; ErrBadCheckpoint (wrapped) otherwise.
 	Resume *Checkpoint
 	// OnCheckpoint, when non-nil, receives the frontier after every
 	// completed level-1 window, from the orchestrating goroutine (one call
@@ -87,15 +92,6 @@ type RunSpec struct {
 	// many batches land while it executes. An empty overlay is
 	// indistinguishable from nil — the base read path runs unchanged.
 	Overlay *delta.Snapshot
-}
-
-// ResumeContext replays a run from cp: enumeration restarts at the
-// checkpoint's level-1 cursor, totals start from the checkpoint's counts,
-// and the remaining counts are bit-identical to what the interrupted run
-// would have produced. The plan must be prepared from the same query (same
-// K) over the same database; ErrBadCheckpoint (wrapped) otherwise.
-func (e *Engine) ResumeContext(ctx context.Context, p *plan.Plan, cp Checkpoint) (*Result, error) {
-	return e.RunSpecContext(ctx, RunSpec{Plan: p, OnMatch: e.opts.OnMatch, Resume: &cp})
 }
 
 // validateResume checks cp against the plan and database before a resumed

@@ -70,7 +70,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 			// Resume from every boundary on the same engine.
 			for i, cp := range cps {
-				res, err := eng.ResumeContext(context.Background(), p, cp)
+				res, err := eng.RunSpecContext(context.Background(), RunSpec{Plan: p, Resume: &cp})
 				if err != nil {
 					t.Fatalf("resume from checkpoint %d: %v", i, err)
 				}
@@ -90,7 +90,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng2.Close()
-			res2, err := eng2.ResumeContext(context.Background(), p, mid)
+			res2, err := eng2.RunSpecContext(context.Background(), RunSpec{Plan: p, Resume: &mid})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestResumeSkipsCompletedWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
-	res, err := eng2.ResumeContext(context.Background(), p, cps[len(cps)-2])
+	res, err := eng2.RunSpecContext(context.Background(), RunSpec{Plan: p, Resume: &cps[len(cps)-2]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,16 +167,16 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 		{K: p.K, Cursor: db.NumVertices() + 1},
 		{K: p.K, Cursor: 0, Windows: -1},
 	} {
-		if _, err := eng.ResumeContext(context.Background(), p, cp); !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := eng.RunSpecContext(context.Background(), RunSpec{Plan: p, Resume: &cp}); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("checkpoint %+v: got %v, want ErrBadCheckpoint", cp, err)
 		}
 	}
 
 	// A terminal checkpoint resumes to an immediate, correct completion.
 	want := wantCount(t, g, graph.Triangle())
-	res, err := eng.ResumeContext(context.Background(), p, Checkpoint{
+	res, err := eng.RunSpecContext(context.Background(), RunSpec{Plan: p, Resume: &Checkpoint{
 		K: p.K, Cursor: db.NumVertices(), Windows: 3, Internal: want, External: 0,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

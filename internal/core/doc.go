@@ -3,17 +3,25 @@
 //
 // # How the engine maps to the paper
 //
-// Algorithm 1 (DUALSIM) corresponds to Engine.RunPlan plus
-// run.processLevel(0):
+// There is one window mechanism and a solo run is a cohort of one (solo =
+// sweep of one): Sweep is the only level-1 scan source, run.loadWindow the
+// only window loader, and Engine.RunSpecContext rides a private Sweep as its
+// single Rider exactly as internal/sharedscan rides a shared one with N.
+//
+// Algorithm 1 (DUALSIM) corresponds to Engine.RunSpecContext's loop over
+// Sweep.Load, Rider.ProcessWindow and Sweep.Release:
 //
 //	Lines 1-5  (preparation)            -> plan.Prepare (package plan)
-//	Line 6     (init candidate seqs)    -> RunPlan's candSeq{full:true} for
+//	Line 6     (init candidate seqs)    -> newRun's candSeq{full:true} for
 //	                                       every forest root
-//	Lines 7-10 (async level-1 window)   -> run.loadWindow: AsyncRead per
-//	                                       page; the callback merges records
-//	                                       (COMPUTECANDIDATESEQUENCES' data
-//	                                       side) while later reads proceed
-//	Line 13    (delegate external)      -> run.processLevel(l+1), with
+//	Lines 7-10 (async level-1 window)   -> Sweep.Load -> run.loadWindow:
+//	                                       one coalesced AsyncReadRun per
+//	                                       page stretch; the callback merges
+//	                                       records (COMPUTECANDIDATESEQUENCES'
+//	                                       data side) while later reads
+//	                                       proceed
+//	Line 13    (delegate external)      -> Rider.ProcessWindow ->
+//	                                       run.processLevel(1), with
 //	                                       last-level page tasks submitted
 //	                                       to the shared worker pool
 //	Line 14    (internal enumeration)   -> run.dispatchInternal +
@@ -22,7 +30,7 @@
 //	                                       internal and external tasks, so
 //	                                       idle workers drain whichever kind
 //	                                       remains
-//	Lines 15-16 (unpin, clear)          -> run.unloadWindow,
+//	Lines 15-16 (unpin, clear)          -> Sweep.Release (run.unloadWindow),
 //	                                       run.clearChildCandidates
 //
 // Algorithm 2 (DELEGATEEXTERNALSUBGRAPHENUMERATION) is processLevel for
@@ -54,7 +62,9 @@
 // I/O accounting invariants:
 //
 //   - windowIterator sizes windows so that pages not pinned by an outer
-//     window never exceed the level's frame budget (buffer.Allocate);
+//     window never exceed the level's frame budget (buffer.Allocate for a
+//     solo run; the half-pool/MaxRiders split for a cohort). With nothing
+//     pinned it yields the Sweep's level-1 partition;
 //   - a vertex's multi-page adjacency span is atomic within a window;
 //   - every page a window touches is pinned exactly once by that window
 //     and unpinned in unloadWindow; pages shared with outer windows are

@@ -389,37 +389,28 @@ func (e *Engine) RunContext(ctx context.Context, q *graph.Query) (*Result, error
 	return e.RunPlanContext(ctx, p)
 }
 
-// RunPlan executes a prepared plan (exposed for ablations that tweak plans).
-func (e *Engine) RunPlan(p *plan.Plan) (*Result, error) {
-	return e.RunPlanContext(context.Background(), p)
-}
-
-// RunPlanContext is RunPlan observing ctx and Options.Timeout.
+// RunPlanContext executes a prepared plan with the engine-level
+// Options.OnMatch callback, observing ctx and Options.Timeout.
 func (e *Engine) RunPlanContext(ctx context.Context, p *plan.Plan) (*Result, error) {
-	return e.RunPlanContextFunc(ctx, p, e.opts.OnMatch)
+	return e.RunSpecContext(ctx, RunSpec{Plan: p, OnMatch: e.opts.OnMatch})
 }
 
-// RunPlanContextFunc is RunPlanContext with a per-run match callback
-// overriding Options.OnMatch (nil disables embedding delivery for this run).
-// Reusable engines — the server's pool hands one engine to many requests —
-// need the callback per run, not fixed at engine construction. The plan may
-// be shared: execution never mutates it, so one cached *Plan can serve
-// concurrent runs on different engines.
-func (e *Engine) RunPlanContextFunc(ctx context.Context, p *plan.Plan, onMatch func(m []graph.VertexID)) (*Result, error) {
-	return e.RunSpecContext(ctx, RunSpec{Plan: p, OnMatch: onMatch})
-}
-
-// RunSpecContext executes spec (see RunSpec): RunPlanContextFunc plus
-// checkpoint resume, checkpoint delivery, and per-run prefetch shedding.
+// RunSpecContext executes spec (see RunSpec) as a sweep of one: the run
+// builds a private Sweep over its own level-1 budget, starting at the
+// resume cursor, and rides it alone — Load, ProcessWindow, Release per
+// window. The plan may be shared: execution never mutates it, so one
+// cached *Plan can serve concurrent runs on different engines.
 func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, error) {
 	p := spec.Plan
 	if p == nil {
 		return nil, fmt.Errorf("core: RunSpec without a plan")
 	}
+	cursor := 0
 	if spec.Resume != nil {
 		if err := e.validateResume(spec.Resume, p); err != nil {
 			return nil, err
 		}
+		cursor = spec.Resume.Cursor
 	}
 	if !e.running.CompareAndSwap(false, true) {
 		return nil, ErrEngineBusy
@@ -430,7 +421,9 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
 		defer cancel()
 	}
-	startExec := time.Now()
+	// The solo budget policy: the whole pool split over the plan's levels
+	// by the paper's allocation — level 1 (the sweep of one) gets alloc[0],
+	// the rider the rest.
 	var alloc []int
 	var err error
 	if e.opts.EqualAllocation {
@@ -441,118 +434,24 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 	if err != nil {
 		return nil, fmt.Errorf("core: allocating %d frames over %d levels: %w", e.frames, p.K, err)
 	}
-	if err := e.ensureSpanBudget(alloc); err != nil {
+	if err := ensureSpanBudget(alloc, e.frames, e.maxSpan); err != nil {
 		return nil, err
 	}
-	// Attribution: an explicit per-request scope from the server wins;
-	// Options.Profile covers direct engine users. The scope is installed
-	// on the buffer pool for the run — the engine owns the pool and runs
+	r := e.newRun(ctx, spec, alloc, !spec.DisablePrefetch)
+	// Attribution rides on the sweep: its run's scope (an explicit
+	// per-request scope from the server, or Options.Profile's) is installed
+	// on the buffer pool until release — the engine owns the pool and runs
 	// one query at a time, and all reads (foreground and prefetch) settle
 	// before the run returns, so attributed pages partition the global
 	// count exactly.
-	scope := spec.Scope
-	if scope == nil && e.opts.Profile {
-		scope = obs.NewScope(obs.NewTraceID())
+	s, err := e.newSweep(r, cursor)
+	if err != nil {
+		return nil, err
 	}
-	if scope != nil {
-		e.pool.SetAttribution(scope)
-		defer e.pool.SetAttribution(nil)
-	}
-
+	defer s.release()
 	statsBefore := e.pool.Stats()
-	e.em.runs.Inc()
-
-	// Carve the prefetch budget out of each level's allocation: the window
-	// iterator chops against winBudget while the carved-off frames hold the
-	// level's in-flight speculative pins, keeping the pool's worst-case pin
-	// count at sum(alloc) = frames. Two guards make the carve pay its way:
-	//
-	//   - at most an eighth of the level's allocation (and never past the
-	//     one-maximal-vertex floor) — shrinking a window budget multiplies
-	//     the level's window count and, through re-iteration, every level
-	//     below it, so a large bite costs far more in extra windows than
-	//     lookahead can hide;
-	//   - at least the pool's coalescing run size — the budget caps the
-	//     length of a speculative run, and runs shorter than the pool's
-	//     own pay a full simulated seek for a handful of pages, costing
-	//     more device time than they hide.
-	//
-	// Levels whose allocation cannot afford that band (in practice the
-	// starved inner levels, whose loads the last-level path already
-	// overlaps with enumeration) skip prefetch instead of degrading it.
-	winBudget := make([]int, len(alloc))
-	copy(winBudget, alloc)
-	var prefetch []*buffer.Prefetcher
-	if e.opts.PrefetchFrames > 0 && !spec.DisablePrefetch {
-		prefetch = make([]*buffer.Prefetcher, p.K)
-		for l := range alloc {
-			carve := e.opts.PrefetchFrames
-			if cap := alloc[l] / 8; carve > cap {
-				carve = cap
-			}
-			if max := alloc[l] - e.maxSpan; carve > max {
-				carve = max
-			}
-			if carve >= buffer.DefaultMaxRun {
-				winBudget[l] = alloc[l] - carve
-				prefetch[l] = buffer.NewPrefetcher(e.pool, carve)
-			}
-		}
-	}
-
-	r := &run{
-		ctx:          ctx,
-		e:            e,
-		p:            p,
-		k:            p.K,
-		alloc:        alloc,
-		winBudget:    winBudget,
-		prefetch:     prefetch,
-		cand:         make([][]candSeq, len(p.Groups)),
-		winData:      make([]*levelWindow, p.K),
-		onMatch:      spec.OnMatch,
-		onCheckpoint: spec.OnCheckpoint,
-		tracer:       e.tracer,
-		em:           e.em,
-		scope:        scope,
-		adaptive:     !e.opts.LinearOnlyIntersect,
-	}
-	if spec.Overlay != nil && !spec.Overlay.Empty() {
-		r.overlay = spec.Overlay
-	}
-	r.levelSpan = make([]uint64, p.K)
-	r.winSpan = make([]uint64, p.K)
-	r.querySpan = r.span()
-	var rootSpan uint64
-	if scope != nil {
-		rootSpan = scope.RootSpan()
-	}
-	r.emit(obs.Event{Event: "run_start", Levels: p.K, Frames: e.frames,
-		Span: r.querySpan, Parent: rootSpan})
-	if cp := spec.Resume; cp != nil {
-		// Start from the frontier: totals from the checkpoint, the level-1
-		// iterator from its cursor, window ordinals continuing where the
-		// interrupted run stopped. Windows before the cursor are never
-		// touched — no candidate work, no page reads.
-		r.resumeCursor = cp.Cursor
-		r.internalCount.Store(cp.Internal)
-		r.externalCount.Store(cp.External)
-		r.windows1 = cp.Windows
-	}
-	r.arenaPool.New = func() any { return graph.NewArena() }
-	for g := range r.cand {
-		r.cand[g] = make([]candSeq, p.K)
-		f := p.Groups[g].Forest
-		for l := 0; l < p.K; l++ {
-			if f.Parent[l] < 0 {
-				r.cand[g][l] = candSeq{full: true} // roots start with every vertex
-			}
-		}
-	}
-	r.windowsPer = make([]int, p.K)
-	r.windowsPer[0] = r.windows1 // ordinal continuity across a resume
-	r.workers = newWorkerPool(e.opts.Threads, e.em.workerSubmitted, e.em.workerCompleted)
-	defer r.workers.close()
+	rd := s.board(r, e.frames, e.opts.Threads)
+	defer rd.Close()
 
 	if e.opts.ProgressInterval > 0 && e.opts.ProgressWriter != nil {
 		// The reporter goroutine reads only atomics: engine counters
@@ -574,74 +473,151 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 		defer stop()
 	}
 
-	if err := r.processLevel(0); err != nil {
+	for i, n := 0, s.Windows(); i < n; i++ {
+		next := i + 1
+		if next == n {
+			next = -1
+		}
+		w, err := s.Load(ctx, i, next)
+		if err != nil {
+			return nil, err
+		}
+		err = rd.ProcessWindow(w)
+		s.Release(w)
+		if err != nil {
+			return nil, err
+		}
+	}
+	res, err := rd.Finish()
+	if err != nil {
 		return nil, err
 	}
-	if err := r.firstErr(); err != nil {
-		return nil, err
-	}
-
+	// Only a run that owned the pool can report its I/O as a pool delta.
 	statsAfter := e.pool.Stats()
-	total := r.internalCount.Load() + r.externalCount.Load()
-	r.emit(obs.Event{Event: "run_end", Count: total, DurUS: time.Since(startExec).Microseconds(),
-		Span: r.querySpan, Parent: rootSpan})
-	var profile *obs.CostProfile
-	if scope != nil {
-		pr := scope.Profile()
-		pr.PrepNS = p.PrepTime.Nanoseconds()
-		pr.ExecNS = time.Since(startExec).Nanoseconds()
-		profile = &pr
+	res.IO = buffer.Stats{
+		LogicalReads:  statsAfter.LogicalReads - statsBefore.LogicalReads,
+		PhysicalReads: statsAfter.PhysicalReads - statsBefore.PhysicalReads,
+		Hits:          statsAfter.Hits - statsBefore.Hits,
+		Evictions:     statsAfter.Evictions - statsBefore.Evictions,
+		PinWaitNanos:  statsAfter.PinWaitNanos - statsBefore.PinWaitNanos,
 	}
-	return &Result{
-		Count:    total,
-		Internal: r.internalCount.Load(),
-		External: r.externalCount.Load(),
-		Plan:     p,
-		PrepTime: p.PrepTime,
-		ExecTime: time.Since(startExec),
-		Resumed:  spec.Resume != nil,
-		IO: buffer.Stats{
-			LogicalReads:  statsAfter.LogicalReads - statsBefore.LogicalReads,
-			PhysicalReads: statsAfter.PhysicalReads - statsBefore.PhysicalReads,
-			Hits:          statsAfter.Hits - statsBefore.Hits,
-			Evictions:     statsAfter.Evictions - statsBefore.Evictions,
-			PinWaitNanos:  statsAfter.PinWaitNanos - statsBefore.PinWaitNanos,
-		},
-		Level1Windows:   r.windows1,
-		WindowsPerLevel: r.windowsPer,
-		BufferFrames:    e.frames,
-		IOWait:          r.ioWait,
-		WindowRetries:   r.windowRetries,
-		Metrics:         e.reg.Snapshot(),
-		Profile:         profile,
-	}, nil
+	return res, nil
 }
 
-// ensureSpanBudget raises every level's frame budget to the largest
-// adjacency-list span (windows load whole vertices, so a level must be able
-// to hold at least one), stealing frames from the richest levels. It fails
-// when the pool simply cannot hold one maximal vertex per level — the
-// remedy is a larger buffer.
-func (e *Engine) ensureSpanBudget(alloc []int) error {
-	if e.maxSpan*len(alloc) > e.frames {
+// newRun builds the state of one enumeration over alloc, the per-level
+// frame budgets: root candidates, resume totals, the pinned overlay, and —
+// when prefetch is set — each level's prefetch carve.
+func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int, prefetch bool) *run {
+	p := spec.Plan
+	scope := spec.Scope
+	if scope == nil && e.opts.Profile {
+		scope = obs.NewScope(obs.NewTraceID())
+	}
+	r := &run{
+		ctx:          ctx,
+		e:            e,
+		p:            p,
+		k:            p.K,
+		winBudget:    append([]int(nil), alloc...),
+		prefetch:     make([]*buffer.Prefetcher, p.K),
+		cand:         make([][]candSeq, len(p.Groups)),
+		winData:      make([]*levelWindow, p.K),
+		pathPinned:   make(map[storage.PageID]int),
+		onMatch:      spec.OnMatch,
+		onCheckpoint: spec.OnCheckpoint,
+		tracer:       e.tracer,
+		em:           e.em,
+		scope:        scope,
+		levelSpan:    make([]uint64, p.K),
+		winSpan:      make([]uint64, p.K),
+		winStart:     make([]time.Time, p.K),
+		windowsPer:   make([]int, p.K),
+		adaptive:     !e.opts.LinearOnlyIntersect,
+	}
+	if spec.Overlay != nil && !spec.Overlay.Empty() {
+		r.overlay = spec.Overlay
+	}
+	// Carve the prefetch budget out of each level's allocation: the window
+	// iterator chops against winBudget while the carved-off frames hold the
+	// level's in-flight speculative pins, keeping the pool's worst-case pin
+	// count at sum(alloc). Two guards make the carve pay its way:
+	//
+	//   - at most an eighth of the level's allocation (and never past the
+	//     one-maximal-vertex floor) — shrinking a window budget multiplies
+	//     the level's window count and, through re-iteration, every level
+	//     below it, so a large bite costs far more in extra windows than
+	//     lookahead can hide;
+	//   - at least the pool's coalescing run size — the budget caps the
+	//     length of a speculative run, and runs shorter than the pool's
+	//     own pay a full simulated seek for a handful of pages, costing
+	//     more device time than they hide.
+	//
+	// Levels whose allocation cannot afford that band (in practice the
+	// starved inner levels, whose loads the last-level path already
+	// overlaps with enumeration) skip prefetch instead of degrading it.
+	if prefetch {
+		for l := range alloc {
+			carve := e.opts.PrefetchFrames
+			if cap := alloc[l] / 8; carve > cap {
+				carve = cap
+			}
+			if max := alloc[l] - e.maxSpan; carve > max {
+				carve = max
+			}
+			if carve >= buffer.DefaultMaxRun {
+				r.winBudget[l] -= carve
+				r.prefetch[l] = buffer.NewPrefetcher(e.pool, carve)
+			}
+		}
+	}
+	if cp := spec.Resume; cp != nil {
+		// Start from the frontier: totals from the checkpoint, window
+		// ordinals continuing where the interrupted run stopped. Windows
+		// before the cursor are never touched — no candidate work, no page
+		// reads (the sweep of one starts its partition at the cursor).
+		r.resumed = true
+		r.internalCount.Store(cp.Internal)
+		r.externalCount.Store(cp.External)
+		r.windowsPer[0] = cp.Windows
+	}
+	r.arenaPool.New = func() any { return graph.NewArena() }
+	for g := range r.cand {
+		r.cand[g] = make([]candSeq, p.K)
+		f := p.Groups[g].Forest
+		for l := 0; l < p.K; l++ {
+			if f.Parent[l] < 0 {
+				r.cand[g][l] = candSeq{full: true} // roots start with every vertex
+			}
+		}
+	}
+	return r
+}
+
+// ensureSpanBudget raises every level's frame budget to maxSpan, the
+// largest adjacency-list span (windows load whole vertices, so a level must
+// be able to hold at least one), stealing frames from the richest levels.
+// It fails when total frames simply cannot hold one maximal vertex per
+// level — the remedy is a larger buffer.
+func ensureSpanBudget(alloc []int, total, maxSpan int) error {
+	if maxSpan*len(alloc) > total {
 		return fmt.Errorf("core: largest adjacency list spans %d pages but only %d frames are available for %d levels; increase the buffer size",
-			e.maxSpan, e.frames, len(alloc))
+			maxSpan, total, len(alloc))
 	}
 	for l := range alloc {
-		for alloc[l] < e.maxSpan {
+		for alloc[l] < maxSpan {
 			richest := -1
 			for j := range alloc {
-				if j != l && alloc[j] > e.maxSpan && (richest < 0 || alloc[j] > alloc[richest]) {
+				if j != l && alloc[j] > maxSpan && (richest < 0 || alloc[j] > alloc[richest]) {
 					richest = j
 				}
 			}
 			if richest < 0 {
-				return fmt.Errorf("core: cannot give level %d a %d-page window budget with %d frames; increase the buffer size",
-					l+1, e.maxSpan, e.frames)
+				return fmt.Errorf("core: cannot give level %d of %d a %d-page window budget from %d frames; increase the buffer size",
+					l+1, len(alloc), maxSpan, total)
 			}
-			take := alloc[richest] - e.maxSpan
-			if take > e.maxSpan-alloc[l] {
-				take = e.maxSpan - alloc[l]
+			take := alloc[richest] - maxSpan
+			if take > maxSpan-alloc[l] {
+				take = maxSpan - alloc[l]
 			}
 			alloc[richest] -= take
 			alloc[l] += take
@@ -661,17 +637,16 @@ func (e *Engine) Count(q *graph.Query) (uint64, error) {
 
 // run carries the state of one enumeration.
 type run struct {
-	ctx   context.Context
-	e     *Engine
-	p     *plan.Plan
-	k     int
-	alloc []int
+	ctx context.Context
+	e   *Engine
+	p   *plan.Plan
+	k   int
 	// winBudget is the per-level frame budget the window iterator chops
-	// against: alloc minus the level's prefetch carve.
+	// against: the level's allocation minus its prefetch carve.
 	winBudget []int
-	// prefetch holds each level's speculative next-window reader; nil (or a
-	// nil entry) when Options.PrefetchFrames is zero or the level's clamped
-	// carve is too small to coalesce (see the carve loop in Run).
+	// prefetch holds each level's speculative next-window reader; a nil
+	// entry when prefetching is off or the level's clamped carve is too
+	// small to coalesce (see the carve loop in newRun).
 	prefetch []*buffer.Prefetcher
 
 	// cand[g][l] is the candidate vertex sequence of group g's node at
@@ -704,6 +679,7 @@ type run struct {
 	// parent on their level's span.
 	levelSpan []uint64
 	winSpan   []uint64
+	winStart  []time.Time // open time of each level's current window
 
 	// adaptive selects the arena-backed intersection kernels; false
 	// reproduces the seed engine's probe-per-candidate matching
@@ -715,8 +691,9 @@ type run struct {
 
 	internalCount atomic.Uint64
 	externalCount atomic.Uint64
-	windows1      int
-	windowsPer    []int
+	// windowsPer counts window iterations per level (index 0 = level 1,
+	// continuing from the checkpoint's count on a resume).
+	windowsPer []int
 	// ioWait accumulates time the orchestrator spent blocked on window
 	// loads — the I/O cost the overlap strategy failed to hide.
 	ioWait time.Duration
@@ -729,9 +706,8 @@ type run struct {
 	// landing concurrently survives the clear.
 	err atomic.Pointer[runErrBox]
 
-	// resumeCursor is the level-1 candidate index enumeration starts from
-	// (zero for a fresh run).
-	resumeCursor int
+	// resumed reports a run replayed from a Checkpoint.
+	resumed bool
 	// onCheckpoint, when non-nil, receives the frontier after each
 	// completed level-1 window (orchestrator goroutine only).
 	onCheckpoint func(Checkpoint)

@@ -79,12 +79,27 @@ func mutateRandom(t *testing.T, st *delta.Store, g *graph.Graph, rng *rand.Rand,
 	return graph.MustNewGraph(n, list)
 }
 
+// runOverlay executes spec on a fresh engine with the smallest buffer the
+// engine accepts for 3 threads.
+func runOverlay(ctx context.Context, t *testing.T, db *storage.DB, spec RunSpec) (*Result, error) {
+	t.Helper()
+	e, err := NewEngine(db, Options{Threads: 3, BufferFrames: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	return e.RunSpecContext(ctx, spec)
+}
+
 // TestOverlayMatchesRebuild is the live-ingest correctness pin: an
 // enumeration over (base file + overlay snapshot) must produce counts
 // bit-identical to a from-scratch rebuild of the mutated graph — for
 // insert-only, delete-only, and mixed batches, plain and compressed base
 // files, across the paper queries, with small enough buffers to force
-// multi-window runs.
+// multi-window runs. Every overlay run is also interrupted at its 2nd
+// level-1 checkpoint and resumed on a fresh engine with the same snapshot:
+// the resume cursor and the overlay merge meet in the one window loader,
+// and the total must not move.
 func TestOverlayMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	base := randomGraph(rng, 80, 400)
@@ -108,6 +123,8 @@ func TestOverlayMatchesRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			small := buildDBOpts(t, base, 64, compress)
+			resumedArms := 0
 			for _, q := range graph.PaperQueries() {
 				p := mustPlan(t, q)
 				got, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p, Overlay: snap})
@@ -127,6 +144,36 @@ func TestOverlayMatchesRebuild(t *testing.T) {
 					t.Errorf("%s/%s/compress=%v: overlay count %d, brute force %d",
 						kind, q.Name(), compress, got.Count, bf)
 				}
+
+				// Resumed arm, on small pages and the tightest buffer (most
+				// level-1 windows): stop at the 2nd checkpoint, resume on a
+				// fresh engine.
+				var cps []Checkpoint
+				ctx, cancel := context.WithCancel(context.Background())
+				_, err = runOverlay(ctx, t, small, RunSpec{Plan: p, Overlay: snap, OnCheckpoint: func(cp Checkpoint) {
+					if cps = append(cps, cp); len(cps) == 2 {
+						cancel()
+					}
+				}})
+				cancel()
+				if err == nil {
+					continue // two windows or fewer: nothing left to resume
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s/%s/compress=%v interrupted overlay run: %v", kind, q.Name(), compress, err)
+				}
+				resumedArms++
+				res, err := runOverlay(context.Background(), t, small, RunSpec{Plan: p, Overlay: snap, Resume: &cps[1]})
+				if err != nil {
+					t.Fatalf("%s/%s/compress=%v resumed overlay run: %v", kind, q.Name(), compress, err)
+				}
+				if res.Count != got.Count {
+					t.Errorf("%s/%s/compress=%v: overlay run resumed at %+v counted %d, uninterrupted (== rebuilt == brute force) %d",
+						kind, q.Name(), compress, cps[1], res.Count, got.Count)
+				}
+			}
+			if resumedArms == 0 {
+				t.Errorf("%s/compress=%v: no overlay run outlived its 2nd checkpoint; the resumed arm is vacuous", kind, compress)
 			}
 			e.Close()
 			e2.Close()

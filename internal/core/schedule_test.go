@@ -1,0 +1,145 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"dualsim/internal/gen"
+	"dualsim/internal/graph"
+)
+
+// scheduleKey names one golden run: query, base-file encoding, and buffer
+// configuration.
+type scheduleKey struct {
+	query      string
+	compressed bool
+	frames     int
+	prefetch   int
+}
+
+// schedule is one pinned I/O schedule: level-1 windows, windows per level
+// (fmt.Sprint of Result.WindowsPerLevel), and pages physically read.
+type schedule struct {
+	l1       int
+	perLevel string
+	reads    uint64
+}
+
+func scheduleOf(res *Result) schedule {
+	return schedule{res.Level1Windows, fmt.Sprint(res.WindowsPerLevel), res.IO.PhysicalReads}
+}
+
+// Recorded on the commit before level 1 moved behind Sweep (PR 11's tree,
+// run.loadWindow + windowIterator at every level). One I/O worker makes the
+// pool's eviction order, and with it the physical read count, deterministic.
+var (
+	goldenFresh = map[scheduleKey]schedule{
+		{"q1-triangle", false, 40, 0}:        {9, "[9 132]", 1088},
+		{"q2-square", false, 40, 0}:          {13, "[13 111 1861]", 13177},
+		{"q3-chordalsquare", false, 40, 0}:   {9, "[9 132]", 1088},
+		{"q4-clique4", false, 40, 0}:         {13, "[13 111 740]", 5609},
+		{"q5-house", false, 40, 0}:           {13, "[13 111 1982]", 14878},
+		{"q1-triangle", false, 96, 16}:       {4, "[4 54]", 566},
+		{"q2-square", false, 96, 16}:         {5, "[5 19 328]", 2748},
+		{"q3-chordalsquare", false, 96, 16}:  {4, "[4 54]", 566},
+		{"q4-clique4", false, 96, 16}:        {5, "[5 19 150]", 1572},
+		{"q5-house", false, 96, 16}:          {5, "[5 19 348]", 3071},
+		{"q1-triangle", false, 4096, 0}:      {1, "[1 1]", 267},
+		{"q2-square", false, 4096, 0}:        {1, "[1 1 1]", 267},
+		{"q3-chordalsquare", false, 4096, 0}: {1, "[1 1]", 267},
+		{"q4-clique4", false, 4096, 0}:       {1, "[1 1 1]", 267},
+		{"q5-house", false, 4096, 0}:         {1, "[1 1 1]", 267},
+		{"q1-triangle", true, 40, 0}:         {4, "[4 40]", 272},
+		{"q2-square", true, 40, 0}:           {6, "[6 24 342]", 1683},
+		{"q3-chordalsquare", true, 40, 0}:    {4, "[4 40]", 272},
+		{"q4-clique4", true, 40, 0}:          {6, "[6 24 142]", 883},
+		{"q5-house", true, 40, 0}:            {6, "[6 24 363]", 1779},
+		{"q1-triangle", true, 96, 16}:        {2, "[2 12]", 152},
+		{"q2-square", true, 96, 16}:          {2, "[2 3 17]", 244},
+		{"q3-chordalsquare", true, 96, 16}:   {2, "[2 12]", 152},
+		{"q4-clique4", true, 96, 16}:         {2, "[2 3 10]", 213},
+		{"q5-house", true, 96, 16}:           {2, "[2 3 24]", 274},
+		{"q1-triangle", true, 4096, 0}:       {1, "[1 1]", 122},
+		{"q2-square", true, 4096, 0}:         {1, "[1 1 1]", 122},
+		{"q3-chordalsquare", true, 4096, 0}:  {1, "[1 1]", 122},
+		{"q4-clique4", true, 4096, 0}:        {1, "[1 1 1]", 122},
+		{"q5-house", true, 4096, 0}:          {1, "[1 1 1]", 122},
+	}
+	// Resumed from the second level-1 checkpoint on a fresh engine;
+	// configurations with fewer than three level-1 windows have no entry.
+	goldenResumed = map[scheduleKey]schedule{
+		{"q1-triangle", false, 40, 0}:       {9, "[9 78]", 674},
+		{"q2-square", false, 40, 0}:         {13, "[13 85 1325]", 9390},
+		{"q3-chordalsquare", false, 40, 0}:  {9, "[9 78]", 674},
+		{"q4-clique4", false, 40, 0}:        {13, "[13 85 550]", 4172},
+		{"q5-house", false, 40, 0}:          {13, "[13 85 1691]", 12602},
+		{"q1-triangle", false, 96, 16}:      {4, "[4 7]", 134},
+		{"q2-square", false, 96, 16}:        {5, "[5 7 53]", 515},
+		{"q3-chordalsquare", false, 96, 16}: {4, "[4 7]", 134},
+		{"q4-clique4", false, 96, 16}:       {5, "[5 7 20]", 338},
+		{"q5-house", false, 96, 16}:         {5, "[5 7 174]", 1437},
+		{"q1-triangle", true, 40, 0}:        {4, "[4 5]", 64},
+		{"q2-square", true, 40, 0}:          {6, "[6 9 67]", 398},
+		{"q3-chordalsquare", true, 40, 0}:   {4, "[4 5]", 64},
+		{"q4-clique4", true, 40, 0}:         {6, "[6 9 28]", 242},
+		{"q5-house", true, 40, 0}:           {6, "[6 9 176]", 840},
+	}
+)
+
+// TestWindowScheduleGolden pins the exact window/page schedule of solo
+// runs — not just the embedding counts — on a deterministic gen fixture:
+// the five paper queries × {plain, compressed} × a starved buffer (level 1
+// needs >= 3 windows), a mid-sized one with the prefetch carve and
+// lookahead engaged, and a roomy one (level 1 fits in one window); plus,
+// wherever level 1 has >= 3 windows, a run resumed from the second window
+// boundary. "The solo partition through Sweep == the solo iterator" means
+// these constants never change.
+func TestWindowScheduleGolden(t *testing.T) {
+	g := gen.ChungLu(600, 2400, 2.5, 7)
+	for _, compressed := range []bool{false, true} {
+		db := buildDB(t, g, 128)
+		if compressed {
+			db = buildCompressedDB(t, g, 128)
+		}
+		for _, cfg := range [][2]int{{40, 0}, {96, 16}, {4096, 0}} {
+			for _, q := range graph.PaperQueries() {
+				k := scheduleKey{q.Name(), compressed, cfg[0], cfg[1]}
+				p := mustPlan(t, q)
+				opts := Options{Threads: 2, IOWorkers: 1, BufferFrames: cfg[0], PrefetchFrames: cfg[1]}
+				run := func(spec RunSpec) *Result {
+					t.Helper()
+					e, err := NewEngine(db, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer e.Close()
+					res, err := e.RunSpecContext(context.Background(), spec)
+					if err != nil {
+						t.Fatalf("%+v: %v", k, err)
+					}
+					return res
+				}
+				var cps []Checkpoint
+				res := run(RunSpec{Plan: p, OnCheckpoint: func(cp Checkpoint) { cps = append(cps, cp) }})
+				if got, want := scheduleOf(res), goldenFresh[k]; got != want {
+					t.Errorf("%+v: schedule %+v, golden %+v", k, got, want)
+				}
+				want, ok := goldenResumed[k]
+				if ok != (len(cps) >= 3) {
+					t.Fatalf("%+v: %d checkpoints, resumed golden present = %v", k, len(cps), ok)
+				}
+				if !ok {
+					continue
+				}
+				res2 := run(RunSpec{Plan: p, Resume: &cps[1]})
+				if res2.Count != res.Count {
+					t.Errorf("%+v: resumed count %d, fresh %d", k, res2.Count, res.Count)
+				}
+				if got := scheduleOf(res2); got != want {
+					t.Errorf("%+v resumed: schedule %+v, golden %+v", k, got, want)
+				}
+			}
+		}
+	}
+}

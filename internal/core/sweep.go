@@ -4,22 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"dualsim/internal/buffer"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
-	"dualsim/internal/storage"
+	"dualsim/internal/plan"
 )
 
-// This file is the engine half of shared-scan multi-query execution (see
-// internal/sharedscan for the cohort scheduler): one Sweep owns the engine's
-// buffer pool and drives a single level-1 window cycle over the whole
-// vertex range, while any number of Riders — one per in-flight query —
-// evaluate their own v-group forests against each pinned window before the
-// sweep advances.
+// This file is the engine's level-1 scan source: one Sweep owns the buffer
+// pool and drives a single level-1 window cycle over the vertex range,
+// while its Riders — one per in-flight query — evaluate their own v-group
+// forests against each pinned window before the sweep advances. Every run
+// goes through it. A solo run (Engine.RunSpecContext) is a sweep of one:
+// a private sweep planned from the run's own budgets and resume cursor,
+// with the run as its single rider. A cohort (see internal/sharedscan for
+// the scheduler) is the same sweep with a plan-independent budget split
+// and any number of riders.
 //
 // The design leans on two engine invariants:
 //
@@ -33,15 +34,15 @@ import (
 //     i..m-1, 0..i-1 sums the same per-window tallies as a solo run, so
 //     rider counts are bit-identical to solo execution.
 
-// ErrRiderNotEligible reports a query the shared sweep cannot carry — a
-// resume replay (the cursor needs the solo iterator to honour it from the
-// start of the range), a live-ingest overlay (the shared window loader
-// reads the base file only), or a plan too deep for the per-rider frame
-// share. Callers fall back to a solo engine; nothing about the query is
-// wrong.
+// ErrRiderNotEligible reports a query a cohort sweep cannot carry: riders
+// of one sweep share one graph snapshot and one start, so a live-ingest
+// overlay or a resume cursor — which a solo run simply hands to its own
+// sweep of one — would have to hold for every other rider too; or the plan
+// is too deep for the per-rider frame share. Callers fall back to a solo
+// engine; nothing about the query is wrong.
 var ErrRiderNotEligible = errors.New("core: query not eligible for the shared sweep; run it solo")
 
-// WindowBounds is one level-1 window of the shared partition: vertex
+// WindowBounds is one level-1 window of the sweep's partition: vertex
 // indices [Lo, Hi) into the ascending full range.
 type WindowBounds struct {
 	// Lo is the first vertex index of the window.
@@ -65,32 +66,40 @@ type SweepOptions struct {
 	Scope *obs.Scope
 }
 
-// Sweep is a sharable level-1 scan source: the deterministic window
-// partition of the full vertex range plus the machinery to load, pin, and
-// release one window at a time against the engine's pool. A Sweep holds
-// the engine's run guard (the pool budget is planned for the sweep plus
-// its riders), so solo runs and sweeps exclude each other per engine.
+// scanOnly is the plan of a cohort sweep's own run: one level and no
+// v-groups, so the run loads level-1 windows and evaluates nothing.
+var scanOnly = &plan.Plan{K: 1}
+
+// Sweep is the level-1 scan source: the deterministic window partition of
+// the vertex range plus the load/pin/release cycle of one window at a time
+// against the engine's pool. Its loads run on r, the sweep's run — the
+// loader's error sink, overlay snapshot, prefetcher, attribution scope and
+// trace identity. For a solo run that is the query's own run (solo = sweep
+// of one, created by Engine.RunSpecContext under its run guard); NewSweep
+// gives a cohort sweep a scan-only run of its own and holds the engine's
+// run guard until Close, so solo runs and cohort sweeps exclude each other
+// per engine.
 //
 // A Sweep is driven by one orchestrating goroutine: Load/Release/NewRider/
 // Close are not concurrently safe. Riders process delivered windows from
 // their own goroutines.
 type Sweep struct {
-	e           *Engine
-	scope       *obs.Scope
-	bounds      []WindowBounds
-	budget      int // level-1 window budget (after the prefetch carve)
-	riderFrames int // deep-level frame share per rider
+	r       *run // the sweep's run; r.e is the engine
+	bounds  []WindowBounds
+	ordBase int // level-1 windows completed before bounds[0] (resume)
+
+	riderFrames int // deep-level frame share per cohort rider
 	maxRiders   int
-	pf          *buffer.Prefetcher
 	closed      bool
 }
 
-// NewSweep plans a shared scan: it takes the engine's run guard, splits the
-// frame budget (riders share half the pool for their deep levels, the
-// sweep's level-1 windows get the rest minus the usual prefetch carve), and
-// precomputes the level-1 partition. The partition is a pure function of
-// the database layout and the sweep budget, so it is identical across
-// sweeps of the same engine — the property late-join correctness rests on.
+// NewSweep plans a cohort scan: it takes the engine's run guard and applies
+// the cohort budget policy — riders share half the pool for their deep
+// levels, the sweep's level-1 windows get the rest minus the usual prefetch
+// carve. The partition is then a pure function of the database layout and
+// that budget, so it is identical across sweeps of the same engine and
+// independent of any rider's plan — the property late-join correctness
+// rests on.
 func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 	if opts.MaxRiders < 1 {
 		opts.MaxRiders = 1
@@ -105,84 +114,42 @@ func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 		return nil, fmt.Errorf("core: %d frames cannot give a shared sweep a %d-page level-1 budget beside %d riders; increase the buffer size",
 			e.frames, e.maxSpan, opts.MaxRiders)
 	}
-	// The same carve policy as a solo run: prefetch frames come out of the
-	// level-1 budget so the pool's worst-case pin count stays at e.frames.
-	carve := 0
-	if e.opts.PrefetchFrames > 0 {
-		carve = e.opts.PrefetchFrames
-		if cap := b1 / 8; carve > cap {
-			carve = cap
-		}
-		if max := b1 - e.maxSpan; carve > max {
-			carve = max
-		}
-		if carve < buffer.DefaultMaxRun {
-			carve = 0
-		}
-	}
-	bounds, err := levelOnePartition(e, b1-carve)
+	r := e.newRun(context.Background(), RunSpec{Plan: scanOnly, Scope: opts.Scope}, []int{b1}, true)
+	s, err := e.newSweep(r, 0)
 	if err != nil {
 		e.running.Store(false)
 		return nil, err
 	}
-	s := &Sweep{
-		e:           e,
-		scope:       opts.Scope,
-		bounds:      bounds,
-		budget:      b1 - carve,
-		riderFrames: riderShare,
-		maxRiders:   opts.MaxRiders,
+	s.riderFrames, s.maxRiders = riderShare, opts.MaxRiders
+	return s, nil
+}
+
+// newSweep builds the sweep whose loads run on r, partitioning the vertex
+// range from index start against r's level-1 window budget: the window
+// iterator with an empty path-pin set is the partition. The caller holds
+// the engine's run guard. r's scope becomes the pool's attribution sink
+// until release.
+func (e *Engine) newSweep(r *run, start int) (*Sweep, error) {
+	s := &Sweep{r: r, ordBase: r.windowsPer[0]}
+	it := windowIterator{r: r, merged: e.all, start: start}
+	for it.next() {
+		s.bounds = append(s.bounds, WindowBounds{Lo: it.curLo, Hi: it.curHi})
 	}
-	if carve > 0 {
-		s.pf = buffer.NewPrefetcher(e.pool, carve)
+	if err := r.firstErr(); err != nil {
+		return nil, err
 	}
-	if s.scope != nil {
-		e.pool.SetAttribution(s.scope)
+	if r.scope != nil {
+		e.pool.SetAttribution(r.scope)
 	}
 	return s, nil
 }
 
-// levelOnePartition replays the window iterator's budget walk over the full
-// vertex range with no outer pins — exactly the level-0 iteration of a solo
-// run with this budget — producing the fixed window list a sweep cycles.
-func levelOnePartition(e *Engine, budget int) ([]WindowBounds, error) {
-	all := e.all
-	var bounds []WindowBounds
-	i := 0
-	for i < len(all) {
-		newPages := make(map[storage.PageID]bool)
-		j := i
-		for j < len(all) {
-			first, last := e.db.SpanOf(all[j])
-			added := 0
-			for p := first; p <= last; p++ {
-				if !newPages[p] {
-					added++
-				}
-			}
-			if len(newPages)+added > budget {
-				if j == i {
-					return nil, fmt.Errorf("core: vertex %d spans %d pages, exceeding the %d-frame shared level-1 budget; increase the buffer size",
-						all[j], last-first+1, budget)
-				}
-				break
-			}
-			for p := first; p <= last; p++ {
-				newPages[p] = true
-			}
-			j++
-		}
-		bounds = append(bounds, WindowBounds{Lo: i, Hi: j})
-		i = j
-	}
-	return bounds, nil
-}
-
-// Windows returns the number of level-1 windows in the shared partition —
+// Windows returns the number of level-1 windows in the sweep's partition —
 // the cycle length every rider consumes exactly once.
 func (s *Sweep) Windows() int { return len(s.bounds) }
 
-// RiderFrames returns the deep-level frame share each rider plans against.
+// RiderFrames returns the deep-level frame share each cohort rider plans
+// against.
 func (s *Sweep) RiderFrames() int { return s.riderFrames }
 
 // Bounds returns the partition entry at index i.
@@ -194,301 +161,93 @@ func (s *Sweep) Bounds(i int) WindowBounds { return s.bounds[i] }
 type SweepWindow struct {
 	lw    *levelWindow
 	index int
+	ord   int // 1-based trace ordinal
 	verts []graph.VertexID
 }
 
 // Index returns the window's partition index.
 func (w *SweepWindow) Index() int { return w.index }
 
-// Pages returns the number of pages the window pinned.
+// Pages returns the number of pages the window pinned (valid until
+// Release).
 func (w *SweepWindow) Pages() int { return len(w.lw.pages) }
 
-// Load pins partition window idx: pages issued as coalesced ascending runs,
-// split records merged, the window sealed. Transient faults are retried
-// with the engine's window-retry budget (pages that loaded before a fault
-// are resident, so a retry re-reads only the failures). When the sweep has
-// a prefetch carve and next >= 0, the speculative round for partition
-// window next starts before Load returns, overlapping with the riders'
-// enumeration of this window.
+// Load pins partition window idx through the engine's one window loader
+// (run.loadWindowWithRetry on the sweep's run): pages issued as coalesced
+// ascending runs, split records merged, the run's overlay applied, the
+// window sealed, transient faults retried with the engine's window-retry
+// budget. When level 1 has a prefetch carve and next >= 0, the speculative
+// round for partition window next starts before Load returns, overlapping
+// with the riders' enumeration of this window. The window traces as
+// level 1 of the sweep's run: window_open and window_pinned (window_retry
+// on retries) here, window_close at Release.
 func (s *Sweep) Load(ctx context.Context, idx, next int) (*SweepWindow, error) {
+	r := s.r
+	r.ctx = ctx // a cohort sweep's loads observe each caller's context
+	if err := r.gate(); err != nil {
+		return nil, err
+	}
 	b := s.bounds[idx]
-	verts := s.e.all[b.Lo:b.Hi]
-	var lw *levelWindow
-	var err error
-	for attempt := 0; ; attempt++ {
-		lw, err = s.loadOnce(ctx, idx, verts)
-		if err == nil {
-			break
-		}
-		s.unpin(lw)
-		if attempt >= s.e.opts.WindowRetries || !storage.IsTransient(err) || ctx.Err() != nil {
-			return nil, err
-		}
-		s.e.em.windowRetries.Inc()
-		if s.scope != nil {
-			s.scope.WindowRetries.Add(1)
-		}
-		if s.e.tracer != nil {
-			s.emitEvent(obs.Event{Event: "sweep_window_retry", Level: 1, Window: idx + 1, Attempt: attempt + 1})
-		}
-		if !sleepBackoff(ctx, s.e.opts, attempt) {
-			return nil, ctx.Err()
-		}
-	}
-	if s.pf != nil && next >= 0 {
-		nb := s.bounds[next]
-		pids := s.peekPages(s.e.all[nb.Lo:nb.Hi], lw, s.pf.Budget())
-		if len(pids) > 0 {
-			n := s.pf.Start(ctx, pids)
-			s.e.em.prefetchIssued.Add(uint64(n))
-			if s.scope != nil && n > 0 {
-				s.scope.PrefetchIssued.Add(uint64(n))
-			}
-		}
-	}
-	return &SweepWindow{lw: lw, index: idx, verts: verts}, nil
-}
-
-// loadOnce is one load attempt: the sweep-side analogue of run.loadWindow,
-// minus per-plan window membership (riders slice their own candidate
-// sequences) and last-level dispatch (riders drive their own matching).
-func (s *Sweep) loadOnce(ctx context.Context, idx int, verts []graph.VertexID) (*levelWindow, error) {
-	lw := &levelWindow{
-		adj:         make(map[graph.VertexID][]graph.VertexID),
-		pinned:      make(map[storage.PageID]bool),
-		loadedPages: make(map[storage.PageID]*storage.Page),
-	}
-	if len(verts) > 0 {
-		lw.lo, lw.hi = verts[0], verts[len(verts)-1]
-	}
-	var pages []storage.PageID
-	seen := make(map[storage.PageID]bool)
-	for _, v := range verts {
-		first, last := s.e.db.SpanOf(v)
-		for p := first; p <= last; p++ {
-			if !seen[p] {
-				seen[p] = true
-				pages = append(pages, p)
-			}
-		}
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	lw.pages = pages
-
-	// Settle the speculative round first: correctly predicted pages are
-	// resident and turn the reads below into hits, and the speculative pins
-	// release before this window's own pins take their place.
-	if s.pf != nil {
-		useful, wasted := s.pf.Collect(func(pid storage.PageID) bool { return seen[pid] })
-		if useful > 0 {
-			s.e.em.prefetchUseful.Add(uint64(useful))
-			if s.scope != nil {
-				s.scope.PrefetchUseful.Add(uint64(useful))
-			}
-		}
-		if wasted > 0 {
-			s.e.em.prefetchWasted.Add(uint64(wasted))
-			if s.scope != nil {
-				s.scope.PrefetchWasted.Add(uint64(wasted))
-			}
-		}
-	}
-
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	onPage := func(pid storage.PageID, page *storage.Page, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		lw.pinned[pid] = true
-		lw.loadedPages[pid] = page
-		// Sweep windows always index decoded: riders read adj structurally
-		// (child candidates, internal enumeration) from every shared window.
-		crecs, cbytes := indexPageRecords(page, lw.adj, nil, false)
-		if crecs > 0 {
-			s.e.em.compressedRecs.Add(crecs)
-			s.e.em.compressedBytes.Add(cbytes)
-		}
-	}
-	for i := 0; i < len(pages); {
-		j := i + 1
-		for j < len(pages) && pages[j] == pages[j-1]+1 {
-			j++
-		}
-		wg.Add(j - i)
-		s.e.pool.AsyncReadRunContext(ctx, pages[i], j-i, &wg, onPage)
-		i = j
-	}
-	waitStart := time.Now()
-	wg.Wait()
-	wait := time.Since(waitStart)
-	s.e.em.ioWaitNanos.Add(uint64(wait.Nanoseconds()))
-	if s.scope != nil {
-		s.scope.IOWaitNanos.Add(uint64(wait.Nanoseconds()))
-	}
-	s.e.em.windowLoadUS.Observe(wait.Microseconds())
-	s.e.em.windowPages.Observe(int64(len(pages)))
-	if s.e.tracer != nil {
-		s.emitEvent(obs.Event{Event: "sweep_window_pinned", Level: 1, Window: idx + 1,
-			Pages: len(pages), DurUS: wait.Microseconds()})
-	}
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
+	w := &SweepWindow{index: idx, ord: s.ordBase + idx + 1, verts: r.e.all[b.Lo:b.Hi]}
+	r.openWindow(0, w.ord, w.verts)
+	lw, err := r.loadWindowWithRetry(0, w.verts, false, w.ord)
 	if err != nil {
-		return lw, err
+		return nil, err
 	}
-	// Merge split (multi-page) adjacency lists; the partition keeps a
-	// vertex's span inside one window, so all chunks are present for
-	// in-range vertices.
-	var split map[graph.VertexID][]graph.VertexID
-	for _, pid := range lw.pages {
-		page := lw.loadedPages[pid]
-		if page == nil {
-			continue
-		}
-		for i := range page.Records {
-			rec := &page.Records[i]
-			if rec.Continues || rec.Continuation {
-				if split == nil {
-					split = make(map[graph.VertexID][]graph.VertexID)
-				}
-				split[rec.Vertex] = appendRecord(split[rec.Vertex], rec)
-			}
-		}
+	w.lw = lw
+	if next >= 0 {
+		// The lookahead is the iterator's, replayed from the next window's
+		// first vertex.
+		r.startPrefetch(0, &windowIterator{r: r, merged: r.e.all, start: s.bounds[next].Lo}, lw)
 	}
-	for v, adj := range split {
-		if len(adj) == s.e.db.Degree(v) {
-			lw.adj[v] = adj
-		}
-	}
-	lw.sealed.Store(true)
-	return lw, nil
-}
-
-// peekPages returns the pages of the next partition window that will still
-// need a read once cur releases (ascending, truncated to max).
-func (s *Sweep) peekPages(verts []graph.VertexID, cur *levelWindow, max int) []storage.PageID {
-	if max <= 0 {
-		return nil
-	}
-	curSet := make(map[storage.PageID]bool, len(cur.pages))
-	for _, p := range cur.pages {
-		curSet[p] = true
-	}
-	seen := make(map[storage.PageID]bool)
-	var pids []storage.PageID
-	for _, v := range verts {
-		first, last := s.e.db.SpanOf(v)
-		for p := first; p <= last; p++ {
-			if !curSet[p] && !seen[p] {
-				seen[p] = true
-				pids = append(pids, p)
-			}
-		}
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	if len(pids) > max {
-		pids = pids[:max]
-	}
-	return pids
+	return w, nil
 }
 
 // Release unpins a delivered window. Every rider must have returned from
 // ProcessWindow first — their adjacency reads are only valid while the
 // sweep's pins hold the pages resident.
 func (s *Sweep) Release(w *SweepWindow) {
-	s.unpin(w.lw)
+	s.r.unloadWindow(w.lw)
+	s.r.closeWindow(0, w.ord)
 }
 
-func (s *Sweep) unpin(lw *levelWindow) {
-	if lw == nil {
-		return
+// release settles level 1's prefetcher and returns the pool's attribution
+// slot.
+func (s *Sweep) release() {
+	s.r.settlePrefetch(0)
+	if s.r.scope != nil {
+		s.r.e.pool.SetAttribution(nil)
 	}
-	for pid := range lw.pinned {
-		s.e.pool.Unpin(pid)
-	}
-	lw.pinned = nil
-	lw.loadedPages = nil
 }
 
-// Close settles the prefetcher, releases the pool's attribution slot, and
-// returns the engine's run guard. The sweep is unusable afterwards.
+// Close ends a cohort sweep: prefetcher settled, the pool's attribution
+// slot released, the engine's run guard returned. The sweep is unusable
+// afterwards.
 func (s *Sweep) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if s.pf != nil {
-		_, wasted := s.pf.Collect(nil)
-		if wasted > 0 {
-			s.e.em.prefetchWasted.Add(uint64(wasted))
-			if s.scope != nil {
-				s.scope.PrefetchWasted.Add(uint64(wasted))
-			}
-		}
-	}
-	if s.scope != nil {
-		s.e.pool.SetAttribution(nil)
-	}
-	s.e.running.Store(false)
-}
-
-func (s *Sweep) emitEvent(e obs.Event) {
-	if s.scope != nil {
-		e.TraceID = s.scope.TraceID()
-	}
-	s.e.tracer.Emit(e)
-}
-
-// sleepBackoff waits the attempt's window-level backoff (same schedule as a
-// solo run's sleepWindowBackoff), honouring ctx.
-func sleepBackoff(ctx context.Context, opts Options, attempt int) bool {
-	d := opts.WindowRetryBackoff
-	if d <= 0 {
-		d = 10 * time.Millisecond
-	}
-	max := opts.WindowRetryMaxBackoff
-	if max <= 0 {
-		max = 250 * time.Millisecond
-	}
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	if sleep := opts.WindowRetrySleep; sleep != nil {
-		sleep(d)
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	s.release()
+	s.r.e.running.Store(false)
 }
 
 // Rider is one query riding a Sweep: a full run state (own worker pool,
 // own deep-level budget, own scope and spans, own path pins) whose level-1
-// windows arrive pre-loaded from the sweep instead of being iterated and
-// pinned by the run itself. A rider consumes every partition window exactly
-// once, in cycle order from wherever it joined; commutativity of the
-// per-window tallies makes the total identical to a solo run.
+// windows arrive pinned from the sweep instead of being iterated by the run
+// itself. A rider consumes every partition window exactly once, in cycle
+// order from wherever it joined; commutativity of the per-window tallies
+// makes the total independent of the starting point. A solo run is the
+// single rider of its own sweep of one — there rd.r is also the sweep's
+// run, so the windows it evaluates were loaded, traced and paid for under
+// its own identity.
 type Rider struct {
 	s         *Sweep
 	r         *run
+	frames    int // pool share reported as Result.BufferFrames
 	startExec time.Time
 	rootSpan  uint64
+	levelEnd  func() // closes the level-1 span; nil once closed
 
 	// joinIndex is the partition index of the first window consumed (-1
 	// until then). Riders that join at index 0 emit checkpoints — their
@@ -500,137 +259,78 @@ type Rider struct {
 	closed      bool
 }
 
-// NewRider plans a rider for spec on the sweep. Resume specs and plans
-// whose deep levels cannot fit the per-rider frame share return
-// ErrRiderNotEligible (wrapped); the caller runs those solo. threads sizes
-// the rider's private worker pool (0 = engine threads divided by
-// MaxRiders).
+// NewRider plans a cohort rider for spec on the sweep, under the cohort
+// budget policy: the rider's deep levels split its frame share with the
+// usual strategy. Resume and overlay specs (riders of one sweep share one
+// snapshot and one start) and plans whose deep levels cannot fit the
+// per-rider frame share return ErrRiderNotEligible (wrapped); the caller
+// runs those solo. threads sizes the rider's private worker pool (0 =
+// engine threads divided by MaxRiders).
 func (s *Sweep) NewRider(ctx context.Context, spec RunSpec, threads int) (*Rider, error) {
-	p := spec.Plan
+	p, e := spec.Plan, s.r.e
 	if p == nil {
 		return nil, fmt.Errorf("core: RunSpec without a plan")
 	}
 	if spec.Resume != nil {
-		return nil, fmt.Errorf("%w: checkpoint resume needs the solo level-1 iterator", ErrRiderNotEligible)
+		return nil, fmt.Errorf("%w: a checkpoint resume starts mid-range, the sweep's riders share its start", ErrRiderNotEligible)
 	}
 	if spec.Overlay != nil && !spec.Overlay.Empty() {
-		return nil, fmt.Errorf("%w: live-ingest overlay needs the solo window loader", ErrRiderNotEligible)
+		return nil, fmt.Errorf("%w: a live-ingest overlay is one query's snapshot, the sweep's riders share its windows", ErrRiderNotEligible)
 	}
 	if threads <= 0 {
-		threads = s.e.opts.Threads / s.maxRiders
+		threads = e.opts.Threads / s.maxRiders
 		if threads < 1 {
 			threads = 1
 		}
 	}
-	// alloc[0] stays 0: the rider never iterates level 1 — the sweep owns
-	// those pins. Deep levels split the rider share with the usual strategy
-	// and must each hold one maximal vertex.
+	// alloc[0] stays 0: the rider never loads level 1 — the sweep owns
+	// those pins. Deep levels must each hold one maximal vertex.
 	alloc := make([]int, p.K)
 	if p.K > 1 {
 		deep, err := buffer.Allocate(s.riderFrames, p.K-1, threads)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRiderNotEligible, err)
+		if err == nil {
+			err = ensureSpanBudget(deep, s.riderFrames, e.maxSpan)
 		}
-		if err := ensureSpanBudgetSlice(deep, s.riderFrames, s.e.maxSpan); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrRiderNotEligible, err)
 		}
 		copy(alloc[1:], deep)
 	}
-	scope := spec.Scope
-	if scope == nil && s.e.opts.Profile {
-		scope = obs.NewScope(obs.NewTraceID())
-	}
-	winBudget := make([]int, len(alloc))
-	copy(winBudget, alloc)
-	r := &run{
-		ctx:          ctx,
-		e:            s.e,
-		p:            p,
-		k:            p.K,
-		alloc:        alloc,
-		winBudget:    winBudget,
-		cand:         make([][]candSeq, len(p.Groups)),
-		winData:      make([]*levelWindow, p.K),
-		onMatch:      spec.OnMatch,
-		onCheckpoint: spec.OnCheckpoint,
-		tracer:       s.e.tracer,
-		em:           s.e.em,
-		scope:        scope,
-		adaptive:     !s.e.opts.LinearOnlyIntersect,
-	}
-	r.levelSpan = make([]uint64, p.K)
-	r.winSpan = make([]uint64, p.K)
-	r.querySpan = r.span()
-	r.arenaPool.New = func() any { return graph.NewArena() }
-	for g := range r.cand {
-		r.cand[g] = make([]candSeq, p.K)
-		f := p.Groups[g].Forest
-		for l := 0; l < p.K; l++ {
-			if f.Parent[l] < 0 {
-				r.cand[g][l] = candSeq{full: true}
-			}
-		}
-	}
-	r.windowsPer = make([]int, p.K)
-	r.pathPinned = make(map[storage.PageID]int)
-	r.workers = newWorkerPool(threads, s.e.em.workerSubmitted, s.e.em.workerCompleted)
-	s.e.em.runs.Inc()
-	rd := &Rider{s: s, r: r, startExec: time.Now(), joinIndex: -1}
-	if scope != nil {
-		rd.rootSpan = scope.RootSpan()
-	}
-	r.emit(obs.Event{Event: "run_start", Levels: p.K, Frames: s.riderFrames,
-		Span: r.querySpan, Parent: rd.rootSpan})
-	return rd, nil
+	return s.board(e.newRun(ctx, spec, alloc, false), s.riderFrames, threads), nil
 }
 
-// ensureSpanBudgetSlice is ensureSpanBudget for a rider's deep levels:
-// every level must hold one maximal vertex, stealing from the richest.
-func ensureSpanBudgetSlice(alloc []int, total, maxSpan int) error {
-	if maxSpan*len(alloc) > total {
-		return fmt.Errorf("core: largest adjacency list spans %d pages but the rider share is %d frames for %d deep levels",
-			maxSpan, total, len(alloc))
+// board starts r as a rider of the sweep: worker pool up, the run counted
+// and traced (run_start, the level-1 span).
+func (s *Sweep) board(r *run, frames, threads int) *Rider {
+	r.workers = newWorkerPool(threads, r.em.workerSubmitted, r.em.workerCompleted)
+	r.em.runs.Inc()
+	rd := &Rider{s: s, r: r, frames: frames, startExec: time.Now(), joinIndex: -1}
+	r.querySpan = r.span()
+	if r.scope != nil {
+		rd.rootSpan = r.scope.RootSpan()
 	}
-	for l := range alloc {
-		for alloc[l] < maxSpan {
-			richest := -1
-			for j := range alloc {
-				if j != l && alloc[j] > maxSpan && (richest < 0 || alloc[j] > alloc[richest]) {
-					richest = j
-				}
-			}
-			if richest < 0 {
-				return fmt.Errorf("core: cannot give deep level %d a %d-page budget from %d rider frames", l+1, maxSpan, total)
-			}
-			take := alloc[richest] - maxSpan
-			if take > maxSpan-alloc[l] {
-				take = maxSpan - alloc[l]
-			}
-			alloc[richest] -= take
-			alloc[l] += take
-		}
-	}
-	return nil
+	r.emit(obs.Event{Event: "run_start", Levels: r.k, Frames: frames,
+		Span: r.querySpan, Parent: rd.rootSpan})
+	rd.levelEnd = r.openLevel(0)
+	return rd
 }
 
 // Done reports that the rider has consumed every partition window.
 func (rd *Rider) Done() bool { return rd.processed >= len(rd.s.bounds) }
 
 // SharedPages returns the pages of shared windows attributed to this rider
-// (logical consumption; the physical reads are charged to the sweep).
+// (logical consumption; the physical reads are charged to the sweep). Zero
+// for a solo run, whose reads are its own.
 func (rd *Rider) SharedPages() uint64 { return rd.sharedPages }
 
-// ProcessWindow evaluates the rider's plan against one delivered window:
-// the level-0 body of processLevel with the load replaced by a rider-local
-// view of the sweep's window. On return no rider task is running — the
-// sweep may release the window's pins.
+// ProcessWindow evaluates the rider's plan against one delivered window
+// (Algorithm 1 lines 11-16): child candidates, internal enumeration
+// overlapped with the external traversal of the deeper levels, settle. On
+// return no rider task is running — the sweep may release the window's
+// pins.
 func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 	r := rd.r
-	if err := r.ctx.Err(); err != nil {
-		r.fail(err)
-		return err
-	}
-	if err := r.firstErr(); err != nil {
+	if err := r.gate(); err != nil {
 		return err
 	}
 	if rd.joinIndex < 0 {
@@ -652,8 +352,9 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 	for g := range r.p.Groups {
 		lw.verts[g] = sliceRange(r.cand[g][0].slice(r.e.all), lw.lo, lw.hi)
 	}
-	// Path-pin accounting: deep-level windows treat the shared pages as
-	// free budget, exactly as a solo run treats its own level-1 pins.
+	// Path-pin accounting: deep-level windows treat the level-1 pages as
+	// free budget. (On a sweep of one the loader counted them on this same
+	// run already; the counts nest.)
 	for _, pid := range lw.pages {
 		r.pathPinned[pid]++
 	}
@@ -666,104 +367,117 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 		}
 	}
 	r.winData[0] = lw
-	ord := r.windowsPer[0] + 1
-	windowStart := time.Now()
-	r.winSpan[0] = r.span()
-	if r.tracer != nil {
-		r.emit(obs.Event{Event: "window_open", Level: 1, Window: ord, Verts: len(w.verts),
-			Lo: uint64(lw.lo), Hi: uint64(lw.hi), Span: r.winSpan[0], Parent: r.querySpan})
+	// A cohort rider evaluates a window loaded under the sweep's identity:
+	// it traces its own view of it and books the pages as shared
+	// consumption. A solo rider's window was opened and read by its own run.
+	ord, shared := r.windowsPer[0]+1, r != rd.s.r
+	if shared {
+		r.openWindow(0, ord, w.verts)
+		rd.sharedPages += uint64(len(lw.pages))
+		if r.scope != nil {
+			r.scope.SharedPages.Add(uint64(len(lw.pages)))
+		}
 	}
-	r.windowsPer[0]++
-	r.windows1++
-	r.em.windows.Inc()
+	r.countWindow(0)
 	r.em.windowsLevel1.Inc()
-	rd.sharedPages += uint64(len(lw.pages))
 	if r.scope != nil {
-		r.scope.Windows.Add(1)
 		r.scope.WindowsLevel1.Add(1)
-		r.scope.SharedPages.Add(uint64(len(lw.pages)))
 	}
 
 	if r.k == 1 {
 		// Single-level plans: the whole window is the internal area.
 		r.dispatchInternal(lw)
 		r.workers.drain()
-		r.settleWindowCounts(lw)
 	} else {
 		r.computeChildCandidates(0)
+		// Overlap internal enumeration with the external traversal.
 		r.dispatchInternal(lw)
-		if err := r.processLevel(1); err != nil {
-			// Internal tasks still reference lw; they must finish before
-			// the sweep releases the window's pins.
-			r.workers.drain()
+		err := r.processLevel(1)
+		// Internal tasks still reference lw; they must finish before the
+		// sweep releases the window's pins.
+		r.workers.drain()
+		if err != nil {
 			r.winData[0] = nil
 			releasePins()
 			return err
 		}
-		r.workers.drain()
-		r.settleWindowCounts(lw)
 		r.clearChildCandidates(0)
 	}
+	r.settleWindowCounts(lw)
 	r.winData[0] = nil
 	releasePins()
-	if r.tracer != nil {
-		r.emit(obs.Event{Event: "window_close", Level: 1, Window: ord,
-			DurUS: time.Since(windowStart).Microseconds(),
-			Span:  r.winSpan[0], Parent: r.querySpan})
+	if shared {
+		r.closeWindow(0, ord)
 	}
 	if err := r.firstErr(); err != nil {
 		return err
 	}
 	rd.processed++
 	if rd.joinIndex == 0 {
-		// The consumed prefix 0..index is exactly what a solo run would
-		// have completed: the frontier is a valid solo resume cursor.
+		// The frontier is settled: deeper windows are exhausted, the worker
+		// pool is drained, counts are merged, and the consumed prefix is
+		// exactly what a solo run from the sweep's start would have
+		// completed. This boundary is the run's recovery point.
 		r.emitCheckpoint(rd.s.bounds[w.index].Hi)
 	}
 	return nil
 }
 
-// Finish settles the rider into a Result (the shared-scan analogue of
-// RunSpecContext's tail). The pool I/O deltas stay zero — physical reads
-// are owned by the sweep; the rider's consumption is SharedPages.
+// Finish settles the rider into a Result — the engine's one Result
+// constructor. IO stays zero: a rider cannot tell its reads from the pool's
+// (RunSpecContext, which owns the pool for its run, fills it in; a cohort's
+// physical reads are the sweep scope's, the rider's consumption is
+// SharedPages).
 func (rd *Rider) Finish() (*Result, error) {
 	r := rd.r
 	if err := r.firstErr(); err != nil {
 		return nil, err
 	}
-	total := r.internalCount.Load() + r.externalCount.Load()
-	r.emit(obs.Event{Event: "run_end", Count: total, DurUS: time.Since(rd.startExec).Microseconds(),
+	rd.endLevel()
+	internal, external := r.internalCount.Load(), r.externalCount.Load()
+	exec := time.Since(rd.startExec)
+	r.emit(obs.Event{Event: "run_end", Count: internal + external, DurUS: exec.Microseconds(),
 		Span: r.querySpan, Parent: rd.rootSpan})
 	var profile *obs.CostProfile
 	if r.scope != nil {
 		pr := r.scope.Profile()
 		pr.PrepNS = r.p.PrepTime.Nanoseconds()
-		pr.ExecNS = time.Since(rd.startExec).Nanoseconds()
+		pr.ExecNS = exec.Nanoseconds()
 		profile = &pr
 	}
 	return &Result{
-		Count:           total,
-		Internal:        r.internalCount.Load(),
-		External:        r.externalCount.Load(),
+		Count:           internal + external,
+		Internal:        internal,
+		External:        external,
 		Plan:            r.p,
 		PrepTime:        r.p.PrepTime,
-		ExecTime:        time.Since(rd.startExec),
-		Level1Windows:   r.windows1,
+		ExecTime:        exec,
+		Resumed:         r.resumed,
+		Level1Windows:   r.windowsPer[0],
 		WindowsPerLevel: r.windowsPer,
-		BufferFrames:    rd.s.riderFrames,
+		BufferFrames:    rd.frames,
 		IOWait:          r.ioWait,
 		WindowRetries:   r.windowRetries,
-		Metrics:         rd.s.e.reg.Snapshot(),
+		Metrics:         rd.r.e.reg.Snapshot(),
 		Profile:         profile,
 	}, nil
 }
 
-// Close releases the rider's worker pool. Idempotent; call after Finish or
-// after abandoning a failed rider.
+func (rd *Rider) endLevel() {
+	if rd.levelEnd != nil {
+		rd.levelEnd()
+		rd.levelEnd = nil
+	}
+}
+
+// Close releases the rider's worker pool (and closes its level-1 span if
+// Finish never did). Idempotent; call after Finish or after abandoning a
+// failed rider.
 func (rd *Rider) Close() {
 	if rd.closed {
 		return
 	}
 	rd.closed = true
+	rd.endLevel()
 	rd.r.workers.close()
 }

@@ -56,68 +56,30 @@ type levelWindow struct {
 	external atomic.Uint64
 }
 
-// processLevel drives the merged-window iteration at level l (Algorithm 1
-// lines 7-16 for l == 0, Algorithm 2 otherwise). Windows at level l nest
-// inside the current windows of all earlier levels.
+// processLevel drives the merged-window iteration at level l >= 1
+// (Algorithm 2). Windows at level l nest inside the current windows of all
+// earlier levels. Level 1 is not iterated here: its windows arrive pinned
+// from the run's Sweep (Algorithm 1 lines 7-16 are Sweep.Load,
+// Rider.ProcessWindow and Sweep.Release).
 func (r *run) processLevel(l int) error {
-	if r.pathPinned == nil {
-		r.pathPinned = make(map[storage.PageID]int)
-	}
-	merged := r.mergedCandidates(l)
-	iter := windowIterator{r: r, level: l, merged: merged}
-	if l == 0 && r.resumeCursor > 0 {
-		// Resume: skip every level-1 window before the checkpoint cursor.
-		// Level 1 is always a forest root, so merged is the full vertex
-		// range and the cursor is an engine-independent vertex index.
-		start := r.resumeCursor
-		if start > len(merged) {
-			start = len(merged)
-		}
-		iter.start = start
-	}
+	iter := windowIterator{r: r, level: l, merged: r.mergedCandidates(l)}
 	// Settle the level's speculative reads on every exit path (error,
 	// cancellation, level exhausted): leftover pins must be released before
 	// the caller unloads outer windows or the run returns.
 	defer r.settlePrefetch(l)
-	// Attributed runs trace each processLevel invocation as a level span
-	// nested under the enclosing window (or the query span at level 1).
-	if lvlSpan := r.span(); lvlSpan != 0 {
-		parent := r.querySpan
-		if l > 0 {
-			parent = r.winSpan[l-1]
-		}
-		r.levelSpan[l] = lvlSpan
-		levelStart := time.Now()
-		r.emit(obs.Event{Event: "level_start", Level: l + 1, Span: lvlSpan, Parent: parent})
-		defer func() {
-			r.emit(obs.Event{Event: "level_end", Level: l + 1, Span: lvlSpan, Parent: parent,
-				DurUS: time.Since(levelStart).Microseconds()})
-		}()
-	}
+	defer r.openLevel(l)()
+	lastLevel := l == r.k-1
 	for iter.next() {
 		// Cancellation gate: every window iteration at every level checks
 		// the run's context, so a cancel stops the traversal within one
 		// window regardless of depth.
-		if err := r.ctx.Err(); err != nil {
-			r.fail(err)
-			return err
-		}
-		if err := r.firstErr(); err != nil {
+		if err := r.gate(); err != nil {
 			return err
 		}
 		verts := iter.windowVerts()
 		ord := r.windowsPer[l] + 1 // 1-based window ordinal at this level
-		windowStart := time.Now()
-		r.winSpan[l] = r.span()
-		if r.tracer != nil {
-			ev := obs.Event{Event: "window_open", Level: l + 1, Window: ord, Verts: len(verts),
-				Span: r.winSpan[l], Parent: r.levelSpan[l]}
-			if len(verts) > 0 {
-				ev.Lo, ev.Hi = uint64(verts[0]), uint64(verts[len(verts)-1])
-			}
-			r.emit(ev)
-		}
-		lw, err := r.loadWindowWithRetry(l, verts, l == r.k-1 && r.k > 1, ord)
+		r.openWindow(l, ord, verts)
+		lw, err := r.loadWindowWithRetry(l, verts, lastLevel, ord)
 		if err != nil {
 			return err
 		}
@@ -125,78 +87,100 @@ func (r *run) processLevel(l int) error {
 		// Speculate on the level's next window while this one is enumerated:
 		// its page set is computable from the iterator without loading.
 		r.startPrefetch(l, &iter, lw)
-		r.windowsPer[l]++
-		if l == 0 {
-			r.windows1++
-		}
-		r.em.windows.Inc()
-		if l == 0 {
-			r.em.windowsLevel1.Inc()
-		}
-		if r.scope != nil {
-			r.scope.Windows.Add(1)
-			if l == 0 {
-				r.scope.WindowsLevel1.Add(1)
-			}
-		}
+		r.countWindow(l)
 
-		if l == r.k-1 {
-			if r.k > 1 {
-				// Last level: matching already dispatched page-by-page as
-				// reads completed (loadWindow); handle split vertices.
-				r.dispatchSplitVertices(lw)
-				drainStart := time.Now()
-				r.workers.drain()
-				if r.tracer != nil {
-					r.emit(obs.Event{Event: "external_enum", Level: l + 1, Window: ord,
-						Verts: len(verts), DurUS: time.Since(drainStart).Microseconds(),
-						Span: r.winSpan[l]})
-				}
-			} else {
-				// Single-level plans: the whole window is the internal area.
-				r.dispatchInternal(lw)
-				r.workers.drain()
+		if lastLevel {
+			// Matching already dispatched page-by-page as reads completed
+			// (loadWindow); handle split vertices.
+			r.dispatchSplitVertices(lw)
+			drainStart := time.Now()
+			r.workers.drain()
+			if r.tracer != nil {
+				r.emit(obs.Event{Event: "external_enum", Level: l + 1, Window: ord,
+					Verts: len(verts), DurUS: time.Since(drainStart).Microseconds(),
+					Span: r.winSpan[l]})
 			}
 			r.settleWindowCounts(lw)
 		} else {
 			r.computeChildCandidates(l)
-			if l == 0 {
-				// Overlap internal enumeration with the external traversal.
-				r.dispatchInternal(lw)
-			}
 			if err := r.processLevel(l + 1); err != nil {
-				if l == 0 {
-					// Internal tasks still reference lw; let them finish
-					// before the pins go.
-					r.workers.drain()
-				}
-				r.unloadWindow(l, lw)
+				r.unloadWindow(lw)
 				return err
-			}
-			if l == 0 {
-				r.workers.drain() // internal tasks may still be running
-				r.settleWindowCounts(lw)
 			}
 			r.clearChildCandidates(l)
 		}
-		r.unloadWindow(l, lw)
-		if r.tracer != nil {
-			r.emit(obs.Event{Event: "window_close", Level: l + 1, Window: ord,
-				DurUS: time.Since(windowStart).Microseconds(),
-				Span:  r.winSpan[l], Parent: r.levelSpan[l]})
-		}
+		r.unloadWindow(lw)
+		r.closeWindow(l, ord)
 		if err := r.firstErr(); err != nil {
 			return err
-		}
-		if l == 0 {
-			// The frontier is settled: deeper windows are exhausted, the
-			// worker pool is drained, counts are merged. This boundary is
-			// the run's recovery point.
-			r.emitCheckpoint(iter.start)
 		}
 	}
 	r.winData[l] = nil
 	return nil
+}
+
+// gate is the per-window cancellation and failure check: a dead context
+// fails the run, and a failed run stops at the next window boundary.
+func (r *run) gate() error {
+	if err := r.ctx.Err(); err != nil {
+		r.fail(err)
+		return err
+	}
+	return r.firstErr()
+}
+
+// openLevel opens level l's span (attributed runs only), nested under the
+// enclosing window or, at level 1, the query span; the returned function
+// closes it.
+func (r *run) openLevel(l int) func() {
+	span := r.span()
+	if span == 0 {
+		return func() {}
+	}
+	parent := r.querySpan
+	if l > 0 {
+		parent = r.winSpan[l-1]
+	}
+	r.levelSpan[l] = span
+	start := time.Now()
+	r.emit(obs.Event{Event: "level_start", Level: l + 1, Span: span, Parent: parent})
+	return func() {
+		r.emit(obs.Event{Event: "level_end", Level: l + 1, Span: span, Parent: parent,
+			DurUS: time.Since(start).Microseconds()})
+	}
+}
+
+// openWindow mints the span of level l's window ord and traces window_open;
+// closeWindow traces the matching window_close.
+func (r *run) openWindow(l, ord int, verts []graph.VertexID) {
+	r.winSpan[l] = r.span()
+	r.winStart[l] = time.Now()
+	if r.tracer == nil {
+		return
+	}
+	ev := obs.Event{Event: "window_open", Level: l + 1, Window: ord, Verts: len(verts),
+		Span: r.winSpan[l], Parent: r.levelSpan[l]}
+	if len(verts) > 0 {
+		ev.Lo, ev.Hi = uint64(verts[0]), uint64(verts[len(verts)-1])
+	}
+	r.emit(ev)
+}
+
+func (r *run) closeWindow(l, ord int) {
+	if r.tracer != nil {
+		r.emit(obs.Event{Event: "window_close", Level: l + 1, Window: ord,
+			DurUS: time.Since(r.winStart[l]).Microseconds(),
+			Span:  r.winSpan[l], Parent: r.levelSpan[l]})
+	}
+}
+
+// countWindow books one window iteration at level l.
+func (r *run) countWindow(l int) {
+	r.windowsPer[l]++
+	r.em.windows.Inc()
+	if r.scope != nil {
+		r.scope.Windows.Add(1)
+	}
 }
 
 // settleWindowCounts merges a completed window's task-local counts into the
@@ -234,7 +218,7 @@ func (r *run) emitCheckpoint(cursor int) {
 	r.onCheckpoint(Checkpoint{
 		K:        r.k,
 		Cursor:   cursor,
-		Windows:  r.windows1,
+		Windows:  r.windowsPer[0],
 		Internal: r.internalCount.Load(),
 		External: r.externalCount.Load(),
 	})
@@ -443,10 +427,10 @@ func (it *windowIterator) peekNextPages(cur *levelWindow, max int) []storage.Pag
 // the speculation survives the last level's eviction churn until the
 // window transition collects it.
 func (r *run) startPrefetch(l int, it *windowIterator, lw *levelWindow) {
-	if r.prefetch == nil || r.prefetch[l] == nil {
+	pf := r.prefetch[l]
+	if pf == nil {
 		return
 	}
-	pf := r.prefetch[l]
 	pids := it.peekNextPages(lw, pf.Budget())
 	if len(pids) == 0 {
 		return
@@ -458,33 +442,45 @@ func (r *run) startPrefetch(l int, it *windowIterator, lw *levelWindow) {
 	}
 }
 
-// settlePrefetch cancels and releases whatever the level's prefetcher still
-// holds, counting it all as wasted (the window-skip / error-exit path).
-func (r *run) settlePrefetch(l int) {
-	if r.prefetch == nil || r.prefetch[l] == nil {
+// collectPrefetch settles the level's speculative round, classifying its
+// pages with useful (nil: all wasted) and booking both tallies.
+func (r *run) collectPrefetch(l int, useful func(storage.PageID) bool) {
+	pf := r.prefetch[l]
+	if pf == nil {
 		return
 	}
-	_, wasted := r.prefetch[l].Collect(nil)
-	if wasted > 0 {
-		r.em.prefetchWasted.Add(uint64(wasted))
+	nUseful, nWasted := pf.Collect(useful)
+	if nUseful > 0 {
+		r.em.prefetchUseful.Add(uint64(nUseful))
 		if r.scope != nil {
-			r.scope.PrefetchWasted.Add(uint64(wasted))
+			r.scope.PrefetchUseful.Add(uint64(nUseful))
+		}
+	}
+	if nWasted > 0 {
+		r.em.prefetchWasted.Add(uint64(nWasted))
+		if r.scope != nil {
+			r.scope.PrefetchWasted.Add(uint64(nWasted))
 		}
 	}
 }
 
-// loadWindowWithRetry is loadWindow plus whole-window recovery: a transient
-// fault that survived the read-level retry budget drains the window's
-// already-dispatched tasks, discards its pins and partial counts, clears
-// the run error it caused, backs off (exponentially, bounded, observing the
-// run context), and reloads the same window — up to Options.WindowRetries
-// times. Retries are cheap on the I/O side: pages whose loads succeeded
+// settlePrefetch cancels and releases whatever the level's prefetcher still
+// holds, counting it all as wasted (the window-skip / error-exit path).
+func (r *run) settlePrefetch(l int) { r.collectPrefetch(l, nil) }
+
+// loadWindowWithRetry is the engine's one window loader — deep levels call
+// it from processLevel, level 1 from Sweep.Load on the sweep's run — with
+// whole-window recovery: a transient fault that survived the read-level
+// retry budget drains the window's already-dispatched tasks (deep last
+// levels only), discards its pins and partial counts, clears the run error
+// it caused, backs off (exponentially, bounded, observing the run context),
+// and reloads the same window — up to Options.WindowRetries times. Retries are cheap on the I/O side: pages whose loads succeeded
 // before the fault are still resident in the buffer pool, so a retry
 // re-reads only the pages that actually failed. Permanent errors
 // (corruption, cancellation, budget misfits) are returned immediately.
 func (r *run) loadWindowWithRetry(l int, verts []graph.VertexID, lastLevel bool, ord int) (*levelWindow, error) {
 	for attempt := 0; ; attempt++ {
-		lw, err := r.loadWindow(l, verts, lastLevel)
+		lw, err := r.loadWindow(l, verts, lastLevel, ord)
 		if err == nil {
 			return lw, nil
 		}
@@ -493,7 +489,7 @@ func (r *run) loadWindowWithRetry(l int, verts []graph.VertexID, lastLevel bool,
 		if lastLevel {
 			r.workers.drain()
 		}
-		r.unloadWindow(l, lw)
+		r.unloadWindow(lw)
 		lw.internal.Store(0)
 		lw.external.Store(0)
 		if attempt >= r.e.opts.WindowRetries || !storage.IsTransient(err) || r.ctx.Err() != nil {
@@ -554,13 +550,18 @@ func (r *run) sleepWindowBackoff(attempt int) bool {
 	}
 }
 
-// loadWindow pins every page needed by the window's vertices, builds the
-// merged adjacency map, and splits the window per group. When lastLevel is
-// set, complete records are dispatched to the matching workers as each page
-// load completes, overlapping CPU with the remaining I/O. On error the
-// window is returned alongside it still holding its pins — the caller
-// (loadWindowWithRetry) drains in-flight tasks before unloading it.
-func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool) (*levelWindow, error) {
+// loadWindow is one load attempt: it pins every page needed by the window's
+// vertices (the only place window reads are issued), builds the merged
+// adjacency map with the run's overlay folded in, and splits the window per
+// group. What callers differ in arrives as state of the run it is called
+// on: the error sink (the run's error box), the pinned overlay snapshot,
+// and the level's prefetcher. When lastLevel is set (deep levels only),
+// compressed records keep their zero-copy spans and complete records are
+// dispatched to the matching workers as each page load completes,
+// overlapping CPU with the remaining I/O. On error the window is returned
+// alongside it still holding its pins — the caller (loadWindowWithRetry)
+// drains in-flight tasks before unloading it.
+func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int) (*levelWindow, error) {
 	lw := &levelWindow{
 		verts:       make([][]graph.VertexID, len(r.p.Groups)),
 		adj:         make(map[graph.VertexID][]graph.VertexID),
@@ -592,21 +593,7 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool) (*levelW
 	// reads: pages the prediction got right are still resident and turn the
 	// reads below into buffer hits; the speculative pins are released first
 	// so the pool's worst case stays within the level's allocation.
-	if r.prefetch != nil && r.prefetch[l] != nil {
-		useful, wasted := r.prefetch[l].Collect(func(pid storage.PageID) bool { return seen[pid] })
-		if useful > 0 {
-			r.em.prefetchUseful.Add(uint64(useful))
-			if r.scope != nil {
-				r.scope.PrefetchUseful.Add(uint64(useful))
-			}
-		}
-		if wasted > 0 {
-			r.em.prefetchWasted.Add(uint64(wasted))
-			if r.scope != nil {
-				r.scope.PrefetchWasted.Add(uint64(wasted))
-			}
-		}
-	}
+	r.collectPrefetch(l, func(pid storage.PageID) bool { return seen[pid] })
 
 	// Window membership per group: the intersection of the group's candidate
 	// sequence with the merged window range, precomputed so last-level
@@ -667,7 +654,7 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool) (*levelW
 	r.em.windowLoadUS.Observe(wait.Microseconds())
 	r.em.windowPages.Observe(int64(len(pages)))
 	if r.tracer != nil {
-		r.emit(obs.Event{Event: "window_pinned", Level: l + 1, Window: r.windowsPer[l] + 1,
+		r.emit(obs.Event{Event: "window_pinned", Level: l + 1, Window: ord,
 			Pages: len(pages), DurUS: wait.Microseconds(), Span: r.winSpan[l]})
 	}
 	if err := r.firstErr(); err != nil {
@@ -872,8 +859,7 @@ func (r *run) dispatchSplitVertices(lw *levelWindow) {
 // unloadWindow releases the window: path-pin accounting covers every page
 // the window asked for, but only successfully loaded pages hold a buffer
 // pin (loads can fail mid-window).
-func (r *run) unloadWindow(l int, lw *levelWindow) {
-	_ = l
+func (r *run) unloadWindow(lw *levelWindow) {
 	for _, pid := range lw.pages {
 		r.pathPinned[pid]--
 		if r.pathPinned[pid] == 0 {
