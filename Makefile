@@ -7,7 +7,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null)
 LDFLAGS := -X dualsim/internal/buildinfo.Version=$(VERSION) \
            -X dualsim/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: build test race vet fmt lint check bench-module bench bench-book bench-book-check metrics-doc metrics-doc-check smoke-serve soak clean
+.PHONY: build test race vet fmt lint check bench-module bench metrics-doc metrics-doc-check smoke-serve soak clean
 
 build:
 	$(GO) build -ldflags "$(LDFLAGS)" ./...
@@ -28,8 +28,13 @@ fmt:
 # revive's `exported` rule), gated to the packages whose exported surface
 # doubles as the paper-concept glossary, and the metrics-doc staleness
 # gate (every registered metric must be documented in docs/METRICS.md).
+# Last, the serving binary must not link the comparison systems (the
+# MapReduce and Pregel simulators and the baselines built on them); those
+# belong to cmd/bench.
 lint: vet metrics-doc-check
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
+	@if $(GO) list -deps ./cmd/dualsim | grep -E 'internal/(mr|pregel|baseline)'; then \
+		echo "cmd/dualsim links a comparison system; move the caller to cmd/bench" >&2; exit 1; fi
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
 # (every counter/gauge/histogram the server registers, plus the paper
@@ -60,17 +65,6 @@ bench-module:
 # quiet machine for real numbers).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# bench-book regenerates docs/BENCHMARKS.md (the committed benchmark book)
-# from a fresh run of the kernel and window-enumeration benchmarks. Run on
-# a quiet machine and commit the result whenever those benchmarks change.
-bench-book:
-	$(GO) run ./cmd/benchbook -write
-
-# bench-book-check fails if the committed book's benchmark set no longer
-# matches what the code produces (CI's staleness gate; numbers may differ).
-bench-book-check:
-	$(GO) run ./cmd/benchbook -check -raw bench-raw.txt
 
 # smoke-serve exercises the query service end to end: build, serve the
 # karate-club database on a free port, query it over HTTP, SIGTERM, and

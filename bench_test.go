@@ -7,23 +7,16 @@ package dualsim
 // experiments at full reproduction scale and prints the paper-style tables.
 
 import (
-	"context"
-	"errors"
 	"io"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	"dualsim/internal/core"
 	"dualsim/internal/dataset"
 	"dualsim/internal/exp"
-	"dualsim/internal/faultdb"
-	"dualsim/internal/gen"
 	"dualsim/internal/graph"
-	"dualsim/internal/plan"
 	"dualsim/internal/rbi"
-	"dualsim/internal/sharedscan"
 	"dualsim/internal/storage"
 )
 
@@ -157,8 +150,7 @@ func BenchmarkEnumerate(b *testing.B) {
 
 // --- intersection kernel micro-benchmarks ------------------------------------
 //
-// These feed docs/BENCHMARKS.md (make bench-book). Each benchmark fixes a
-// list-length shape and compares the three pairwise kernels; the adaptive
+// Each benchmark fixes a list-length shape and compares the three pairwise kernels; the adaptive
 // entry shows which kernel the dispatch picks for that shape.
 
 // benchIntersectLists builds two sorted duplicate-free lists. The large
@@ -296,274 +288,6 @@ func BenchmarkIntersectKWay(b *testing.B) {
 	})
 }
 
-// BenchmarkWindowEnum is the tentpole's acceptance benchmark: 4-clique
-// enumeration over the planted-hub skewed fixture with the whole database
-// buffered, so in-window enumeration (not I/O) dominates. The 4-clique
-// exercises every kernel: pairwise (2 red neighbors) and k-way (3 red
-// neighbors) ivory intersections over hub-length adjacency lists. "seed"
-// reproduces the seed engine's linear-merge kernels and static per-window
-// partitioning; "adaptive" is the default engine (galloping/k-way kernels +
-// bounded work-stealing). docs/BENCHMARKS.md records the measured ratio.
-func BenchmarkWindowEnum(b *testing.B) {
-	g := gen.PlantedHubs(30000, 24, 2500, 99)
-	dir := b.TempDir()
-	path := filepath.Join(dir, "hubs.db")
-	bstats, err := storage.BuildFromGraph(path, g, storage.BuildOptions{PageSize: 4096, TempDir: dir})
-	if err != nil {
-		b.Fatal(err)
-	}
-	db, err := storage.Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { db.Close() })
-
-	// The same fixture stored delta+varint compressed with skip tables —
-	// the tentpole comparison. bytes/edge comes from a full file scan
-	// (storage.FileStats.AdjBytes) and is attached to every variant's row
-	// so the book can derive the plain→compressed reduction.
-	cpath := filepath.Join(dir, "hubs-c.db")
-	if _, err := storage.BuildFromGraph(cpath, g, storage.BuildOptions{PageSize: 4096, TempDir: dir, Compress: true}); err != nil {
-		b.Fatal(err)
-	}
-	cdb, err := storage.Open(cpath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { cdb.Close() })
-	bytesPerEdge := func(d *storage.DB) float64 {
-		st, err := d.Stats()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return float64(st.AdjBytes) / float64(d.NumEdges())
-	}
-	plainBPE, compBPE := bytesPerEdge(db), bytesPerEdge(cdb)
-
-	runOn := func(b *testing.B, d *storage.DB, bpe float64, opts core.Options) {
-		b.Helper()
-		opts.Threads = 4
-		opts.BufferFraction = 1.0
-		eng, err := core.NewEngine(d, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer eng.Close()
-		// Warm the buffer pool so every timed iteration measures in-window
-		// enumeration, not first-touch I/O.
-		if _, err := eng.Run(graph.Clique4()); err != nil {
-			b.Fatal(err)
-		}
-		var windows int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := eng.Run(graph.Clique4())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Count == 0 {
-				b.Fatal("suspicious zero count")
-			}
-			windows = 0
-			for _, w := range res.WindowsPerLevel {
-				windows += w
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(bpe, "bytes/edge")
-		b.ReportMetric(float64(windows), "windows/run")
-	}
-	run := func(b *testing.B, opts core.Options) {
-		b.Helper()
-		runOn(b, db, plainBPE, opts)
-	}
-	b.Run("seed", func(b *testing.B) {
-		run(b, core.Options{LinearOnlyIntersect: true, StaticPartition: true})
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		run(b, core.Options{})
-	})
-	b.Run("kernels-only", func(b *testing.B) {
-		run(b, core.Options{StaticPartition: true})
-	})
-	b.Run("stealing-only", func(b *testing.B) {
-		run(b, core.Options{LinearOnlyIntersect: true})
-	})
-	// Compressed-storage variants on the identical fixture: "compressed" is
-	// the default engine over the compressed database (last-level windows
-	// keep encoded spans and the compressed-domain kernels consume them in
-	// place); "compressed-eager" ablates the kernels by decoding every
-	// record at window-load time, isolating the storage win from the
-	// compute win. Counts are bit-identical across all four storage/kernel
-	// combinations (asserted by TestAdaptiveMatchesSeedCounts).
-	b.Run("compressed", func(b *testing.B) {
-		runOn(b, cdb, compBPE, core.Options{})
-	})
-	b.Run("compressed-eager", func(b *testing.B) {
-		runOn(b, cdb, compBPE, core.Options{EagerDecode: true})
-	})
-	// Attribution overhead: the full default engine with per-query cost
-	// attribution on (every hot-path counter also lands in an obs.Scope).
-	// The delta against "adaptive" is the price of observability; the
-	// attribution-off price is one nil check per increment site and is
-	// bounded at <=2% by the acceptance criteria.
-	b.Run("adaptive-attributed", func(b *testing.B) {
-		run(b, core.Options{Profile: true})
-	})
-
-	// I/O-bound variants: HDD-like simulated latency and a buffer far
-	// smaller than the database, so every run churns windows and the
-	// cross-window prefetch pipeline has device time to hide. The reported
-	// io_wait_ms/op metric is the orchestrator time blocked in loadWindow —
-	// the before/after number for the prefetch story in docs/EXPERIMENTS.md.
-	runIO := func(b *testing.B, prefetch int) {
-		b.Helper()
-		eng, err := core.NewEngine(db, core.Options{
-			Threads:        4,
-			BufferFrames:   176,
-			PrefetchFrames: prefetch,
-			PerPageLatency: 200 * time.Microsecond,
-			SeekLatency:    2 * time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer eng.Close()
-		var ioWait time.Duration
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := eng.Run(graph.Clique4())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Count == 0 {
-				b.Fatal("suspicious zero count")
-			}
-			ioWait += res.IOWait
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(ioWait.Milliseconds())/float64(b.N), "io_wait_ms/op")
-	}
-	b.Run("io-nopfetch", func(b *testing.B) { runIO(b, 0) })
-	b.Run("io-prefetch", func(b *testing.B) { runIO(b, 16) })
-
-	// Survivability variant: the same I/O-bound configuration on a device
-	// injecting seeded transient-fault bursts (correlated failures, the
-	// kind that outlive the read-retry budget and force whole-window
-	// recoveries). window_retries/op is how many window retries each run
-	// absorbed; the time/op gap against io-nopfetch is the price of
-	// surviving them (failed attempts re-read only the faulted window,
-	// not the run).
-	b.Run("io-faulted", func(b *testing.B) {
-		fdb := faultdb.Wrap(db, faultdb.Options{Seed: 7}).Chaos(faultdb.ChaosSchedule{
-			FaultRate:  0.005,
-			BurstEvery: 300,
-			BurstLen:   40,
-			BurstRate:  0.6,
-		})
-		eng, err := core.NewEngine(fdb, core.Options{
-			Threads:        4,
-			BufferFrames:   176,
-			PerPageLatency: 200 * time.Microsecond,
-			SeekLatency:    2 * time.Millisecond,
-			Retry: &storage.RetryPolicy{
-				MaxRetries: 1,
-				Sleep:      func(time.Duration) {},
-			},
-			WindowRetries:    64,
-			WindowRetrySleep: func(time.Duration) {},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer eng.Close()
-		var retries uint64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := eng.Run(graph.Clique4())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Count == 0 {
-				b.Fatal("suspicious zero count")
-			}
-			retries += res.WindowRetries
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(retries)/float64(b.N), "window_retries/op")
-	})
-
-	// Shared-scan variants: the serving policy comparison behind -share-scan.
-	// Both run 4 identical 4-clique queries against the same global budget of
-	// 1.5x the database (so deep-level reads stay resident while the level-1
-	// partition still splits into several windows). "solo-4q" is the "N small
-	// buffers" policy — each query gets its own engine with a quarter of the
-	// budget; "shared-4q" boards all 4 on one cohort engine holding the
-	// undivided budget and sweeps once. Pools start cold every iteration, so
-	// the pages/query metric is the physical cost of one arrival, and the
-	// solo:shared ratio is the amortization the cohort buys (docs/BENCHMARKS.md
-	// records the derived line).
-	sharedFrames := bstats.NumPages * 3 / 2
-	b.Run("solo-4q", func(b *testing.B) {
-		var pages uint64
-		for i := 0; i < b.N; i++ {
-			for q := 0; q < 4; q++ {
-				eng, err := core.NewEngine(db, core.Options{Threads: 4, BufferFrames: sharedFrames / 4})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := eng.Run(graph.Clique4())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Count == 0 {
-					b.Fatal("suspicious zero count")
-				}
-				pages += eng.PoolStats().PhysicalReads
-				eng.Close()
-			}
-		}
-		b.ReportMetric(float64(pages)/float64(b.N*4), "pages/query")
-	})
-	b.Run("shared-4q", func(b *testing.B) {
-		p, err := plan.Prepare(graph.Clique4(), plan.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var pages uint64
-		for i := 0; i < b.N; i++ {
-			eng, err := core.NewEngine(db, core.Options{Threads: 4, BufferFrames: sharedFrames})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sched := sharedscan.New(eng, sharedscan.Options{MaxRiders: 4, FormationWait: 2 * time.Millisecond})
-			var wg sync.WaitGroup
-			errs := make([]error, 4)
-			for q := 0; q < 4; q++ {
-				wg.Add(1)
-				go func(q int) {
-					defer wg.Done()
-					res, err := sched.Run(context.Background(), core.RunSpec{Plan: p})
-					if err == nil && res.Count == 0 {
-						err = errors.New("suspicious zero count")
-					}
-					errs[q] = err
-				}(q)
-			}
-			wg.Wait()
-			sched.Close()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			pages += eng.PoolStats().PhysicalReads
-			eng.Close()
-		}
-		b.ReportMetric(float64(pages)/float64(b.N*4), "pages/query")
-	})
-}
-
 // --- ablation benches (design choices from DESIGN.md §5) ----------------------
 
 // BenchmarkAblationBufferAllocation compares the paper's buffer allocation
@@ -574,17 +298,6 @@ func BenchmarkAblationBufferAllocation(b *testing.B) {
 	})
 	b.Run("equal", func(b *testing.B) {
 		benchEngineQuery(b, graph.Triangle(), core.Options{EqualAllocation: true})
-	})
-}
-
-// BenchmarkAblationMatchingOrder compares the Cartesian-minimizing global
-// matching order with the worst one (Figure 4(a) vs 4(b)).
-func BenchmarkAblationMatchingOrder(b *testing.B) {
-	b.Run("best", func(b *testing.B) {
-		benchEngineQuery(b, graph.House(), core.Options{})
-	})
-	b.Run("worst", func(b *testing.B) {
-		benchEngineQuery(b, graph.House(), core.Options{WorstOrder: true})
 	})
 }
 

@@ -3,18 +3,20 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"dualsim/internal/baseline/psgl"
 	"dualsim/internal/baseline/ttj"
 	"dualsim/internal/core"
+	"dualsim/internal/graph"
 	"dualsim/internal/storage"
 )
 
 // cmdCompare runs DUALSIM, TwinTwigJoin, and PSgL on the same edge list and
-// prints a comparison — the paper's experiment on the user's own graph.
-func cmdCompare(args []string) error {
+// prints a comparison to w — the paper's experiment on the user's own graph.
+func cmdCompare(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	edges := fs.String("edges", "", "edge-list text file (u v per line)")
 	qspec := fs.String("q", "q1", "query: q1..q5 or edge list 0-1,1-2,...")
@@ -26,7 +28,7 @@ func cmdCompare(args []string) error {
 	if *edges == "" {
 		return fmt.Errorf("compare: -edges is required")
 	}
-	q, err := parseQuery(*qspec)
+	q, err := graph.ParseQuerySpec(*qspec)
 	if err != nil {
 		return err
 	}
@@ -35,7 +37,7 @@ func cmdCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("graph: %d vertices, %d edge lines; query %s\n\n", n, m, q.Name())
+	fmt.Fprintf(w, "graph: %d vertices, %d edge lines; query %s\n\n", n, m, q.Name())
 
 	tmp, err := os.MkdirTemp("", "dualsim-compare-")
 	if err != nil {
@@ -66,7 +68,7 @@ func cmdCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-14s %12s  count=%d  (preprocess %v, %d page reads, %d-frame buffer)\n",
+	fmt.Fprintf(w, "%-14s %12s  count=%d  (preprocess %v, %d page reads, %d-frame buffer)\n",
 		"DUALSIM", res.ExecTime.Round(time.Microsecond), res.Count, buildTime.Round(time.Millisecond),
 		res.IO.PhysicalReads, res.BufferFrames)
 
@@ -80,26 +82,26 @@ func cmdCompare(args []string) error {
 	if cnt, stats, err := ttj.Run(g, q, ttj.Options{
 		Workers: *workers, TempDir: tmp, MemoryPerWorker: memory,
 	}); err != nil {
-		fmt.Printf("%-14s failed: %v\n", "TwinTwigJoin", err)
+		fmt.Fprintf(w, "%-14s failed: %v\n", "TwinTwigJoin", err)
 	} else {
 		mark := ""
 		if cnt != res.Count {
 			mark = "  COUNT MISMATCH"
 		}
-		fmt.Printf("%-14s %12s  count=%d  (%d intermediate results)%s\n",
+		fmt.Fprintf(w, "%-14s %12s  count=%d  (%d intermediate results)%s\n",
 			"TwinTwigJoin", stats.Elapsed.Round(time.Microsecond), cnt, stats.TotalIntermediate, mark)
 	}
 
 	if cnt, stats, err := psgl.Run(g, q, psgl.Options{
 		Workers: *workers, MemoryPerWorker: memory,
 	}); err != nil {
-		fmt.Printf("%-14s failed: %v\n", "PSgL", err)
+		fmt.Fprintf(w, "%-14s failed: %v\n", "PSgL", err)
 	} else {
 		mark := ""
 		if cnt != res.Count {
 			mark = "  COUNT MISMATCH"
 		}
-		fmt.Printf("%-14s %12s  count=%d  (%d partial instances)%s\n",
+		fmt.Fprintf(w, "%-14s %12s  count=%d  (%d partial instances)%s\n",
 			"PSgL", stats.Elapsed.Round(time.Microsecond), cnt, stats.PartialInstances, mark)
 	}
 	return nil

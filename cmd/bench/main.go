@@ -6,6 +6,8 @@
 //	bench -exp all                  # everything, in paper order
 //	bench -exp fig11 -scale 0.3     # one experiment at a larger scale
 //	bench -list                     # show available experiments
+//	bench compare -edges edges.txt -q q4 [-workers N] [-mem MiB]
+//	                                # DUALSIM vs TTJ vs PSgL on your own graph
 package main
 
 import (
@@ -17,6 +19,13 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "compare" {
+		if err := cmdCompare(os.Args[2:], os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 	name := flag.String("exp", "all", "experiment to run (see -list)")
 	list := flag.Bool("list", false, "list available experiments")
 	scale := flag.Float64("scale", 0.15, "dataset scale factor")

@@ -5,12 +5,11 @@
 //
 //	dualsim build  -edges edges.txt -db graph.db [-pagesize 4096] [-compress]
 //	dualsim run    -db graph.db -q q1 [-threads 4] [-buffer 0.15] [-timeout 30s] [-print]
-//	               [-json] [-profile] [-eager-decode] [-metrics-addr :8080] [-trace events.jsonl] [-progress 1s]
+//	               [-json] [-profile] [-metrics-addr :8080] [-trace events.jsonl] [-progress 1s]
 //	dualsim serve  -db graph.db -addr :8372 [-engines 4] [-queue 16] [-row-limit 100000]
 //	               [-trace spans.jsonl] [-slow-query 500ms]
 //	dualsim stats  -db graph.db
 //	dualsim verify -db graph.db
-//	dualsim compare -edges edges.txt -q q4    # DUALSIM vs TTJ vs PSgL
 //	dualsim -version
 //
 // Queries are q1 (triangle), q2 (square), q3 (chordal square), q4
@@ -60,8 +59,6 @@ func main() {
 		err = cmdStats(os.Args[2:])
 	case "verify":
 		err = cmdVerify(os.Args[2:])
-	case "compare":
-		err = cmdCompare(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "-h", "--help", "help":
@@ -113,7 +110,7 @@ func usageTo(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   dualsim build  -edges <edges.txt> -db <graph.db> [-pagesize N] [-compress]
   dualsim run    -db <graph.db> -q <q1..q5|edge list> [-threads N] [-buffer F] [-frames N] [-prefetch N] [-timeout D]
-                 [-retries N] [-print] [-json] [-profile] [-eager-decode] [-metrics-addr :8080] [-trace events.jsonl] [-progress 1s]
+                 [-retries N] [-print] [-json] [-profile] [-metrics-addr :8080] [-trace events.jsonl] [-progress 1s]
   dualsim serve  -db <graph.db> [-addr :8372] [-engines N] [-queue N] [-queue-wait D] [-row-limit N]
                  [-plan-cache N] [-buffer F] [-frames N] [-prefetch N] [-threads N] [-drain-timeout D]
                  [-trace spans.jsonl] [-slow-query D] [-slowlog-size N] [-slowlog-top N]
@@ -122,7 +119,6 @@ func usageTo(w io.Writer) {
   dualsim -version
   dualsim stats  -db <graph.db>
   dualsim verify -db <graph.db>
-  dualsim compare -edges <edges.txt> -q <query> [-workers N] [-mem MiB]
 
 "query" is an alias for "run". Exit codes: 3 corruption, 4 I/O error,
 124 timeout, 130 interrupted.`)
@@ -162,7 +158,6 @@ func cmdQuery(args []string) error {
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	retries := fs.Int("retries", 0, "retry transient read failures up to N times (0 = no retry layer)")
 	windowRetries := fs.Int("window-retries", 0, "reload a window up to N times when a transient fault outlives -retries (0 = off)")
-	eagerDecode := fs.Bool("eager-decode", false, "decode compressed adjacency at page-parse time instead of running the compressed-domain kernels (ablation)")
 	print := fs.Bool("print", false, "print each embedding")
 	profile := fs.Bool("profile", false, "attribute costs to the run and print a per-query cost profile")
 	jsonOut := fs.Bool("json", false, "emit the result and metrics snapshot as one JSON object on stdout")
@@ -189,7 +184,6 @@ func cmdQuery(args []string) error {
 		PrefetchFrames:   *prefetch,
 		Timeout:          *timeout,
 		WindowRetries:    *windowRetries,
-		EagerDecode:      *eagerDecode,
 		MetricsAddr:      *metricsAddr,
 		Profile:          *profile,
 		ProgressInterval: *progress,

@@ -169,7 +169,7 @@ func TestUsageListsAllSubcommands(t *testing.T) {
 	var buf strings.Builder
 	usageTo(&buf)
 	out := buf.String()
-	for _, sub := range []string{"build", "run", "serve", "stats", "verify", "compare"} {
+	for _, sub := range []string{"build", "run", "serve", "stats", "verify"} {
 		if !strings.Contains(out, "dualsim "+sub) {
 			t.Errorf("usage does not list subcommand %q:\n%s", sub, out)
 		}

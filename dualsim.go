@@ -33,6 +33,7 @@ import (
 	"dualsim/internal/core"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
+	"dualsim/internal/plan"
 	"dualsim/internal/rbi"
 	"dualsim/internal/storage"
 )
@@ -280,17 +281,6 @@ type Options struct {
 	// UseMVC selects minimum vertex covers instead of minimum connected
 	// vertex covers for the red query graph.
 	UseMVC bool
-	// EqualAllocation divides the buffer equally among levels (OPT's
-	// strategy; the paper's allocation is the default).
-	EqualAllocation bool
-	// WorstOrder picks the Cartesian-maximizing global matching order
-	// (ablation).
-	WorstOrder bool
-	// EagerDecode decodes every compressed adjacency record at page-parse
-	// time instead of keeping zero-copy compressed spans for the
-	// compressed-domain intersection kernels (the default). Counts are
-	// identical either way; this is the decode-then-intersect ablation.
-	EagerDecode bool
 	// PerPageLatency and SeekLatency simulate device characteristics for
 	// experiments.
 	PerPageLatency time.Duration
@@ -306,12 +296,9 @@ type Options struct {
 	// WindowRetries, when positive, adds whole-window recovery above the
 	// read-level retries: a transient fault that exhausts Retry's budget
 	// discards the window's partial work (counts stay exact) and reloads
-	// the window up to this many times before failing the run.
+	// the window up to this many times before failing the run, backing
+	// off 10ms doubling to 250ms between attempts.
 	WindowRetries int
-	// WindowRetryBackoff is the first window-retry delay (default 50ms),
-	// doubling per attempt up to WindowRetryMaxBackoff (default 2s).
-	WindowRetryBackoff    time.Duration
-	WindowRetryMaxBackoff time.Duration
 	// MetricsAddr, when non-empty, serves the engine's metrics over HTTP
 	// for the engine's lifetime: /metrics (Prometheus text format),
 	// /debug/vars (JSON snapshot) and /debug/pprof. Use ":0" to bind a
@@ -351,25 +338,20 @@ func (o Options) coreOptions() core.Options {
 		pw = os.Stderr
 	}
 	return core.Options{
-		Threads:               o.Threads,
-		BufferFrames:          o.BufferFrames,
-		BufferFraction:        o.BufferFraction,
-		PrefetchFrames:        o.PrefetchFrames,
-		CoverMode:             mode,
-		EqualAllocation:       o.EqualAllocation,
-		WorstOrder:            o.WorstOrder,
-		EagerDecode:           o.EagerDecode,
-		PerPageLatency:        o.PerPageLatency,
-		SeekLatency:           o.SeekLatency,
-		Timeout:               o.Timeout,
-		Retry:                 o.Retry,
-		WindowRetries:         o.WindowRetries,
-		WindowRetryBackoff:    o.WindowRetryBackoff,
-		WindowRetryMaxBackoff: o.WindowRetryMaxBackoff,
-		Tracer:                tracer,
-		Profile:               o.Profile,
-		ProgressInterval:      o.ProgressInterval,
-		ProgressWriter:        pw,
+		Threads:          o.Threads,
+		BufferFrames:     o.BufferFrames,
+		BufferFraction:   o.BufferFraction,
+		PrefetchFrames:   o.PrefetchFrames,
+		CoverMode:        mode,
+		PerPageLatency:   o.PerPageLatency,
+		SeekLatency:      o.SeekLatency,
+		Timeout:          o.Timeout,
+		Retry:            o.Retry,
+		WindowRetries:    o.WindowRetries,
+		Tracer:           tracer,
+		Profile:          o.Profile,
+		ProgressInterval: o.ProgressInterval,
+		ProgressWriter:   pw,
 	}
 }
 
@@ -511,14 +493,10 @@ func (d *DB) Enumerate(q *Query, opt Options, fn func(Embedding)) (*Result, erro
 
 // EnumerateContext is Enumerate observing ctx (see Engine.RunContext).
 func (d *DB) EnumerateContext(ctx context.Context, q *Query, opt Options, fn func(Embedding)) (*Result, error) {
-	var mu sync.Mutex
 	copts := opt.coreOptions()
-	copts.OnMatch = func(m []graph.VertexID) {
-		cp := make(Embedding, len(m))
-		copy(cp, m)
-		mu.Lock()
-		fn(cp)
-		mu.Unlock()
+	p, err := plan.Prepare(q, plan.Options{CoverMode: copts.CoverMode})
+	if err != nil {
+		return nil, err
 	}
 	eng, err := core.NewEngine(d.db, copts)
 	if err != nil {
@@ -532,7 +510,14 @@ func (d *DB) EnumerateContext(ctx context.Context, q *Query, opt Options, fn fun
 		}
 		defer srv.Close()
 	}
-	res, err := eng.RunContext(ctx, q)
+	var mu sync.Mutex
+	res, err := eng.RunSpecContext(ctx, core.RunSpec{Plan: p, OnMatch: func(m []graph.VertexID) {
+		cp := make(Embedding, len(m))
+		copy(cp, m)
+		mu.Lock()
+		fn(cp)
+		mu.Unlock()
+	}})
 	if err != nil {
 		return nil, err
 	}

@@ -115,7 +115,7 @@ func TestSharedPlanAcrossEngines(t *testing.T) {
 }
 
 // TestRunSpecPerRunCallback verifies the per-run callback (RunSpec.OnMatch)
-// overrides Options.OnMatch and is dropped after the run.
+// sees every embedding and is dropped after the run.
 func TestRunSpecPerRunCallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, 32, 150)

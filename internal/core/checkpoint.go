@@ -54,11 +54,9 @@ var ErrBadCheckpoint = errors.New("core: checkpoint does not match the plan or d
 type RunSpec struct {
 	// Plan is the prepared plan to execute (required).
 	Plan *plan.Plan
-	// OnMatch overrides Options.OnMatch for this run; nil here means no
-	// embedding delivery (use Options.OnMatch via RunPlanContext when the
-	// engine-level callback is wanted). Reusable engines — the server's
-	// pool hands one engine to many requests — need the callback per run,
-	// not fixed at engine construction.
+	// OnMatch, when non-nil, is invoked for every embedding with the
+	// mapping m (query vertex -> data vertex). It is called concurrently
+	// from multiple workers and the slice is reused; copy it if retained.
 	OnMatch func(m []graph.VertexID)
 	// Resume, when non-nil, replays the run from the checkpoint: windows
 	// before the cursor are skipped entirely (no page reads), counts start

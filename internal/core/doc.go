@@ -45,9 +45,9 @@
 // Algorithms 4-5 (EXTVERTEXMAPPING / RECEXTVERTEXMAPPING) are extMapPage /
 // extDescend in match.go: the last level's vertex comes from the freshly
 // loaded page, the remaining levels are matched in descending level order
-// using intersections of already-assigned vertices' adjacency lists
-// (m.connectedLists), each candidate checked against the node's current
-// window and the total order. A complete position assignment expands into
+// using one k-way intersection (graph.Arena) of the node's current window
+// with already-assigned vertices' adjacency lists, each candidate checked
+// against the total order. A complete position assignment expands into
 // one embedding per full-order query sequence of the v-group
 // (expandSequences), after which matchNonRed assigns black vertices by
 // scanning one red adjacency list and ivory vertices by intersecting

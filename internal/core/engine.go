@@ -36,29 +36,10 @@ type Options struct {
 	BufferFraction float64
 	// CoverMode selects MCVC (default) or MVC red vertices.
 	CoverMode rbi.CoverMode
-	// EqualAllocation divides the buffer equally among levels (the OPT
-	// strategy) instead of the paper's allocation. Ablation only.
+	// EqualAllocation divides the buffer equally among levels instead of
+	// the paper's allocation: the OPT comparator (internal/baseline/opt)
+	// and Figure 17 run with it.
 	EqualAllocation bool
-	// WorstOrder picks the Cartesian-maximizing global matching order.
-	// Ablation only.
-	WorstOrder bool
-	// LinearOnlyIntersect disables the adaptive intersection kernels:
-	// candidates are probed one binary search at a time as in the seed
-	// engine, with no galloping, no k-way materialization, and no scratch
-	// arena. Ablation only (BenchmarkWindowEnum's seed variant).
-	LinearOnlyIntersect bool
-	// EagerDecode decodes every compressed adjacency record at page-parse
-	// time, as the pre-compression engine did, instead of keeping
-	// zero-copy compressed spans in last-level windows for the
-	// compressed-domain kernels. Counts are identical either way; the
-	// modern default (zero value) decodes at most the candidates that
-	// survive intersection. Ablation only.
-	EagerDecode bool
-	// StaticPartition disables bounded work-stealing: internal enumeration
-	// work is chunked once per window and never rebalanced, so a skewed
-	// high-degree candidate region stalls its window on one worker.
-	// Ablation only (BenchmarkWindowEnum's seed variant).
-	StaticPartition bool
 	// IOWorkers is the number of asynchronous I/O goroutines (default 4).
 	IOWorkers int
 	// PrefetchFrames enables the cross-window prefetch pipeline: while a
@@ -92,22 +73,13 @@ type Options struct {
 	// and reloads the same window instead of failing the run. Pages that
 	// loaded before the fault are still resident, so a retry re-reads only
 	// the pages that actually failed. Zero disables window retry; permanent
-	// errors (corruption, out-of-range) are never retried.
+	// errors (corruption, out-of-range) are never retried. Retries back off
+	// from windowRetryBackoff, doubling up to windowRetryMaxBackoff, so one
+	// window stalls at most WindowRetries * windowRetryMaxBackoff plus the
+	// read-level budget per attempt — see TestRetryBackoffComposition.
 	WindowRetries int
-	// WindowRetryBackoff is the delay before the first window retry,
-	// doubling per attempt up to WindowRetryMaxBackoff (defaults
-	// 10ms / 250ms). The total stall of one window is therefore bounded by
-	// WindowRetries * WindowRetryMaxBackoff plus the read-level budget per
-	// attempt — see TestRetryBackoffComposition.
-	WindowRetryBackoff time.Duration
-	// WindowRetryMaxBackoff caps the per-attempt window backoff.
-	WindowRetryMaxBackoff time.Duration
 	// WindowRetrySleep replaces the context-aware backoff wait (tests).
 	WindowRetrySleep func(time.Duration)
-	// OnMatch, when non-nil, is invoked for every embedding with the
-	// mapping m (query vertex -> data vertex). It is called concurrently
-	// from multiple workers and the slice is reused; copy it if retained.
-	OnMatch func(m []graph.VertexID)
 	// Metrics, when non-nil, is the registry the engine registers its
 	// metrics into (share one across engines to aggregate); when nil the
 	// engine creates a private registry, retrievable with Registry().
@@ -253,7 +225,7 @@ func NewEngine(db Database, opts Options) (*Engine, error) {
 		IOWorkers:      opts.IOWorkers,
 		PerPageLatency: opts.PerPageLatency,
 		SeekLatency:    opts.SeekLatency,
-		LazyParse:      !opts.EagerDecode,
+		LazyParse:      true,
 	})
 	if err != nil {
 		return nil, err
@@ -382,17 +354,17 @@ func (e *Engine) Run(q *graph.Query) (*Result, error) {
 // every pin, and returns ctx.Err(). A run abandoned this way leaves the
 // engine reusable.
 func (e *Engine) RunContext(ctx context.Context, q *graph.Query) (*Result, error) {
-	p, err := plan.Prepare(q, plan.Options{CoverMode: e.opts.CoverMode, WorstOrder: e.opts.WorstOrder})
+	p, err := plan.Prepare(q, plan.Options{CoverMode: e.opts.CoverMode})
 	if err != nil {
 		return nil, err
 	}
 	return e.RunPlanContext(ctx, p)
 }
 
-// RunPlanContext executes a prepared plan with the engine-level
-// Options.OnMatch callback, observing ctx and Options.Timeout.
+// RunPlanContext executes a prepared plan, observing ctx and
+// Options.Timeout.
 func (e *Engine) RunPlanContext(ctx context.Context, p *plan.Plan) (*Result, error) {
-	return e.RunSpecContext(ctx, RunSpec{Plan: p, OnMatch: e.opts.OnMatch})
+	return e.RunSpecContext(ctx, RunSpec{Plan: p})
 }
 
 // RunSpecContext executes spec (see RunSpec) as a sweep of one: the run
@@ -532,7 +504,6 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int, prefetch
 		winSpan:      make([]uint64, p.K),
 		winStart:     make([]time.Time, p.K),
 		windowsPer:   make([]int, p.K),
-		adaptive:     !e.opts.LinearOnlyIntersect,
 	}
 	if spec.Overlay != nil && !spec.Overlay.Empty() {
 		r.overlay = spec.Overlay
@@ -681,10 +652,6 @@ type run struct {
 	winSpan   []uint64
 	winStart  []time.Time // open time of each level's current window
 
-	// adaptive selects the arena-backed intersection kernels; false
-	// reproduces the seed engine's probe-per-candidate matching
-	// (Options.LinearOnlyIntersect).
-	adaptive bool
 	// arenaPool recycles intersection arenas across enumeration tasks, so
 	// steady state performs no per-task scratch allocation.
 	arenaPool sync.Pool

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"dualsim/internal/graph"
+	"dualsim/internal/plan"
 	"dualsim/internal/rbi"
 	"dualsim/internal/storage"
 )
@@ -244,22 +246,22 @@ func TestEngineOnMatchEmitsValidEmbeddings(t *testing.T) {
 	var mu sync.Mutex
 	var seen [][]graph.VertexID
 	db := buildDB(t, g, 256)
-	e, err := NewEngine(db, Options{
-		Threads:      3,
-		BufferFrames: 24,
-		OnMatch: func(m []graph.VertexID) {
-			cp := make([]graph.VertexID, len(m))
-			copy(cp, m)
-			mu.Lock()
-			seen = append(seen, cp)
-			mu.Unlock()
-		},
-	})
+	e, err := NewEngine(db, Options{Threads: 3, BufferFrames: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	res, err := e.Run(q)
+	p, err := plan.Prepare(q, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p, OnMatch: func(m []graph.VertexID) {
+		cp := make([]graph.VertexID, len(m))
+		copy(cp, m)
+		mu.Lock()
+		seen = append(seen, cp)
+		mu.Unlock()
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +302,6 @@ func TestEngineMVCAndAblationsAgree(t *testing.T) {
 		for _, opts := range []Options{
 			{Threads: 2, BufferFrames: 32, CoverMode: rbi.MVC},
 			{Threads: 2, BufferFrames: 32, EqualAllocation: true},
-			{Threads: 2, BufferFrames: 32, WorstOrder: true},
 		} {
 			e, err := NewEngine(db, opts)
 			if err != nil {
@@ -314,6 +315,24 @@ func TestEngineMVCAndAblationsAgree(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s opts %+v: count %d, want %d", q.Name(), opts, got, want)
 			}
+		}
+		// The Cartesian-maximizing matching order is a planner knob only:
+		// the engine must count the same from a plan prepared that way.
+		p, err := plan.Prepare(q, plan.Options{WorstOrder: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(db, Options{Threads: 2, BufferFrames: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RunPlanContext(context.Background(), p)
+		e.Close()
+		if err != nil {
+			t.Fatalf("%s worst order: %v", q.Name(), err)
+		}
+		if res.Count != want {
+			t.Fatalf("%s worst order: count %d, want %d", q.Name(), res.Count, want)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"dualsim/internal/graph"
 	"dualsim/internal/rbi"
 	"dualsim/internal/storage"
@@ -49,10 +47,8 @@ type matcher struct {
 	mapping []graph.VertexID // query vertex -> data vertex
 	qMask   uint32           // mapped query vertices
 
-	// arena is the task's adaptive-intersection scratch (depth-indexed, no
-	// per-candidate allocation). Nil on the seed path
-	// (Options.LinearOnlyIntersect), which probes candidates one binary
-	// search at a time instead of materializing intersections.
+	// arena is the task's intersection scratch (depth-indexed, no
+	// per-candidate allocation), borrowed from the run's pool until flush.
 	arena *graph.Arena
 
 	localInternal uint64
@@ -60,17 +56,14 @@ type matcher struct {
 }
 
 func (r *run) newMatcher(lw *levelWindow, internal bool) *matcher {
-	m := &matcher{
+	return &matcher{
 		r:        r,
 		lw:       lw,
 		internal: internal,
 		pos2v:    make([]graph.VertexID, r.k),
 		mapping:  make([]graph.VertexID, r.p.Query.NumVertices()),
+		arena:    r.arenaPool.Get().(*graph.Arena),
 	}
-	if r.adaptive {
-		m.arena = r.arenaPool.Get().(*graph.Arena)
-	}
-	return m
 }
 
 // flush publishes the task's local counters into its window's accumulators
@@ -86,36 +79,34 @@ func (m *matcher) flush() {
 	if m.localExternal > 0 {
 		m.lw.external.Add(m.localExternal)
 	}
-	if m.arena != nil {
-		st := m.arena.TakeStats()
-		sc := m.r.scope
-		if st.Linear > 0 {
-			m.r.em.intersectLinear.Add(st.Linear)
-			if sc != nil {
-				sc.IntersectLin.Add(st.Linear)
-			}
+	st := m.arena.TakeStats()
+	sc := m.r.scope
+	if st.Linear > 0 {
+		m.r.em.intersectLinear.Add(st.Linear)
+		if sc != nil {
+			sc.IntersectLin.Add(st.Linear)
 		}
-		if st.Gallop > 0 {
-			m.r.em.intersectGallop.Add(st.Gallop)
-			if sc != nil {
-				sc.IntersectGal.Add(st.Gallop)
-			}
-		}
-		if st.KWay > 0 {
-			m.r.em.intersectKWay.Add(st.KWay)
-			if sc != nil {
-				sc.IntersectKWay.Add(st.KWay)
-			}
-		}
-		if st.Compressed > 0 {
-			m.r.em.intersectCompressed.Add(st.Compressed)
-		}
-		if st.SkipSeeks > 0 {
-			m.r.em.skipSeeks.Add(st.SkipSeeks)
-		}
-		m.r.arenaPool.Put(m.arena)
-		m.arena = nil
 	}
+	if st.Gallop > 0 {
+		m.r.em.intersectGallop.Add(st.Gallop)
+		if sc != nil {
+			sc.IntersectGal.Add(st.Gallop)
+		}
+	}
+	if st.KWay > 0 {
+		m.r.em.intersectKWay.Add(st.KWay)
+		if sc != nil {
+			sc.IntersectKWay.Add(st.KWay)
+		}
+	}
+	if st.Compressed > 0 {
+		m.r.em.intersectCompressed.Add(st.Compressed)
+	}
+	if st.SkipSeeks > 0 {
+		m.r.em.skipSeeks.Add(st.SkipSeeks)
+	}
+	m.r.arenaPool.Put(m.arena)
+	m.arena = nil
 }
 
 // adjOfPos returns the adjacency list of the data vertex assigned to
@@ -287,10 +278,9 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, c
 
 // extDescend assigns the node at the given level (descending to 0) and
 // recurses; at level < 0 the red match is complete (Algorithm 2's
-// EXTVERTEXMAPPING). On the adaptive path the candidates for pos are
-// materialized once per parent assignment as the k-way intersection of the
-// node's window with every connected position's adjacency list; the seed
-// path probes the shortest list candidate-by-candidate.
+// EXTVERTEXMAPPING). The candidates for pos are materialized once per parent
+// assignment as the k-way intersection of the node's window with every
+// connected position's adjacency list.
 func (r *run) extDescend(m *matcher, level int) {
 	if level < 0 {
 		if m.allInternal() {
@@ -303,128 +293,43 @@ func (r *run) extDescend(m *matcher, level int) {
 	window := r.winData[level].verts[m.g]
 	vg := r.p.Groups[m.g]
 
-	if m.arena != nil {
-		// U_CON lists plus the window itself form one k-way intersection.
-		// When the connected last-level record is still a compressed span
-		// (lazy parse), it becomes the kernel's compressed operand instead
-		// of a decoded list: the decoded sides fold first, and only their
-		// survivors are probed against the span via skip-pointer seeks.
-		lists := m.arena.Lists(level, r.k+1)
-		lists = append(lists, window)
-		compOperand := false
-		for p := 0; p < r.k; p++ {
-			if m.posMask&(1<<uint(p)) == 0 {
-				continue
-			}
-			if !vg.HasTopologyEdge(r.k, p, pos) {
-				continue
-			}
-			if m.lastAdj == nil && m.lastComp.Count > 0 && m.pos2v[p] == m.lastV {
-				compOperand = true
-				continue
-			}
-			lists = append(lists, m.adjOfPos(p))
-		}
-		if compOperand {
-			for _, v := range m.arena.IntersectKC(level, lists, m.lastComp) {
-				if !m.orderOK(pos, v) {
-					continue
-				}
-				m.assign(pos, v)
-				r.extDescend(m, level-1)
-				m.unassign(pos)
-			}
-			return
-		}
-		if len(lists) == 1 {
-			// No assigned neighbor: scan the node's whole current window.
-			for _, v := range window {
-				if !m.orderOK(pos, v) {
-					continue
-				}
-				m.assign(pos, v)
-				r.extDescend(m, level-1)
-				m.unassign(pos)
-			}
-			return
-		}
-		for _, v := range m.arena.IntersectK(level, lists) {
-			if !m.orderOK(pos, v) {
-				continue
-			}
-			m.assign(pos, v)
-			r.extDescend(m, level-1)
-			m.unassign(pos)
-		}
-		return
-	}
-
-	// Seed path: iterate the shortest connected list, probing the rest.
-	base, others := m.connectedLists(vg, pos)
-	if base == nil {
-		// No assigned neighbor: scan the node's whole current window.
-		for _, v := range window {
-			if !m.orderOK(pos, v) {
-				continue
-			}
-			m.assign(pos, v)
-			r.extDescend(m, level-1)
-			m.unassign(pos)
-		}
-		return
-	}
-	for _, v := range base {
-		if !graph.ContainsSorted(window, v) {
+	// U_CON lists plus the window itself form one k-way intersection.
+	// When the connected last-level record is still a compressed span
+	// (lazy parse), it becomes the kernel's compressed operand instead
+	// of a decoded list: the decoded sides fold first, and only their
+	// survivors are probed against the span via skip-pointer seeks.
+	lists := m.arena.Lists(level, r.k+1)
+	lists = append(lists, window)
+	compOperand := false
+	for p := 0; p < r.k; p++ {
+		if m.posMask&(1<<uint(p)) == 0 {
 			continue
 		}
+		if !vg.HasTopologyEdge(r.k, p, pos) {
+			continue
+		}
+		if m.lastAdj == nil && m.lastComp.Count > 0 && m.pos2v[p] == m.lastV {
+			compOperand = true
+			continue
+		}
+		lists = append(lists, m.adjOfPos(p))
+	}
+	// With no assigned neighbor the node's whole current window is scanned.
+	cands := window
+	switch {
+	case compOperand:
+		cands = m.arena.IntersectKC(level, lists, m.lastComp)
+	case len(lists) > 1:
+		cands = m.arena.IntersectK(level, lists)
+	}
+	for _, v := range cands {
 		if !m.orderOK(pos, v) {
-			continue
-		}
-		if !containsAll(others, v) {
 			continue
 		}
 		m.assign(pos, v)
 		r.extDescend(m, level-1)
 		m.unassign(pos)
 	}
-}
-
-// connectedLists gathers the adjacency lists of assigned positions adjacent
-// to pos in the group topology, returning the shortest as the iteration
-// base and the rest for membership checks. base == nil means U_CON is
-// empty. Seed-path only: it allocates the others header per call (the
-// adaptive path gathers into the arena instead).
-func (m *matcher) connectedLists(vg interface {
-	HasTopologyEdge(k, p, pp int) bool
-}, pos int) (base []graph.VertexID, others [][]graph.VertexID) {
-	k := m.r.k
-	for p := 0; p < k; p++ {
-		if m.posMask&(1<<uint(p)) == 0 {
-			continue
-		}
-		if !vg.HasTopologyEdge(k, p, pos) {
-			continue
-		}
-		adj := m.adjOfPos(p)
-		if base == nil || len(adj) < len(base) {
-			if base != nil {
-				others = append(others, base)
-			}
-			base = adj
-		} else {
-			others = append(others, adj)
-		}
-	}
-	return base, others
-}
-
-func containsAll(lists [][]graph.VertexID, v graph.VertexID) bool {
-	for _, l := range lists {
-		if !graph.ContainsSorted(l, v) {
-			return false
-		}
-	}
-	return true
 }
 
 func (m *matcher) assign(pos int, v graph.VertexID) {
@@ -457,12 +362,11 @@ func (r *run) internalEnumerate(g int, verts []graph.VertexID, lw *levelWindow) 
 	m := r.newMatcher(lw, true)
 	m.g = g
 	pos0 := r.p.MatchingOrder[0]
-	steal := !r.e.opts.StaticPartition
 	for i := 0; i < len(verts); i++ {
 		if r.ctx.Err() != nil {
 			break // cancellation: abandon the rest of the chunk
 		}
-		if steal && len(verts)-i >= minStealSpan && r.workers.hungry() {
+		if len(verts)-i >= minStealSpan && r.workers.hungry() {
 			mid := i + (len(verts)-i)/2
 			if mid > i {
 				rest := verts[mid:]
@@ -483,10 +387,9 @@ func (r *run) internalEnumerate(g int, verts []graph.VertexID, lw *levelWindow) 
 }
 
 // intDescend assigns levels 1..k-1 in ascending order, restricted to the
-// internal window. The adaptive path materializes the candidates for pos as
-// the intersection of the connected positions' adjacency lists, each first
-// clipped to the window's [lo, hi] ID range; the seed path probes the
-// shortest list candidate-by-candidate.
+// internal window. The candidates for pos are the intersection of the
+// connected positions' adjacency lists, each first clipped to the window's
+// [lo, hi] ID range.
 func (r *run) intDescend(m *matcher, level int) {
 	if level == r.k {
 		r.expandSequences(m, true)
@@ -496,62 +399,25 @@ func (r *run) intDescend(m *matcher, level int) {
 	vg := r.p.Groups[m.g]
 	lo, hi := m.lw.lo, m.lw.hi
 
-	if m.arena != nil {
-		lists := m.arena.Lists(level, r.k)
-		for p := 0; p < r.k; p++ {
-			if m.posMask&(1<<uint(p)) == 0 {
-				continue
-			}
-			if !vg.HasTopologyEdge(r.k, p, pos) {
-				continue
-			}
-			// Clip to the internal window: the intersection is a subset of
-			// every input, so clipping each list clips the result.
-			lists = append(lists, sliceRange(m.adjOfPos(p), lo, hi))
-		}
-		if len(lists) == 0 {
-			for _, v := range m.lw.verts[m.g] {
-				if !m.orderOK(pos, v) {
-					continue
-				}
-				m.assign(pos, v)
-				r.intDescend(m, level+1)
-				m.unassign(pos)
-			}
-			return
-		}
-		for _, v := range m.arena.IntersectK(level, lists) {
-			if !m.orderOK(pos, v) {
-				continue
-			}
-			m.assign(pos, v)
-			r.intDescend(m, level+1)
-			m.unassign(pos)
-		}
-		return
-	}
-
-	base, others := m.connectedLists(vg, pos)
-	if base == nil {
-		for _, v := range m.lw.verts[m.g] {
-			if !m.orderOK(pos, v) {
-				continue
-			}
-			m.assign(pos, v)
-			r.intDescend(m, level+1)
-			m.unassign(pos)
-		}
-		return
-	}
-	start := sort.Search(len(base), func(i int) bool { return base[i] >= lo })
-	for _, v := range base[start:] {
-		if v > hi {
-			break
-		}
-		if !m.orderOK(pos, v) {
+	lists := m.arena.Lists(level, r.k)
+	for p := 0; p < r.k; p++ {
+		if m.posMask&(1<<uint(p)) == 0 {
 			continue
 		}
-		if !containsAll(others, v) {
+		if !vg.HasTopologyEdge(r.k, p, pos) {
+			continue
+		}
+		// Clip to the internal window: the intersection is a subset of
+		// every input, so clipping each list clips the result.
+		lists = append(lists, sliceRange(m.adjOfPos(p), lo, hi))
+	}
+	// With no assigned neighbor the whole internal window is scanned.
+	cands := m.lw.verts[m.g]
+	if len(lists) > 0 {
+		cands = m.arena.IntersectK(level, lists)
+	}
+	for _, v := range cands {
+		if !m.orderOK(pos, v) {
 			continue
 		}
 		m.assign(pos, v)
@@ -580,9 +446,7 @@ func (r *run) expandSequences(m *matcher, internal bool) {
 // black vertices scan their red neighbor's adjacency list, ivory vertices
 // intersect the lists of their red neighbors (§5.2). No I/O is performed —
 // every needed adjacency list is already in the buffer. The kernel shape is
-// fixed at plan time (rbi.KernelHint); on the adaptive path ivory
-// candidates are materialized by the smallest-first adaptive intersection,
-// while the seed path probes with per-candidate binary searches.
+// fixed at plan time (rbi.KernelHint).
 func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	if idx == len(r.p.RBI.NonRed) {
 		if internal {
@@ -598,49 +462,20 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	u := r.p.RBI.NonRed[idx]
 	reds := r.p.RBI.RedNeighbors[u]
 
-	if m.arena != nil {
-		var cands []graph.VertexID
-		if r.p.RBI.Hints[u] == rbi.HintScan {
-			// Black vertex: candidates are the one red neighbor's list.
-			cands = m.adjOfData(m.mapping[reds[0]])
-		} else {
-			// Ivory vertex: pairwise or k-way adaptive intersection.
-			depth := r.k + idx
-			lists := m.arena.Lists(depth, len(reds))
-			for _, rq := range reds {
-				lists = append(lists, m.adjOfData(m.mapping[rq]))
-			}
-			cands = m.arena.IntersectK(depth, lists)
+	var cands []graph.VertexID
+	if r.p.RBI.Hints[u] == rbi.HintScan {
+		// Black vertex: candidates are the one red neighbor's list.
+		cands = m.adjOfData(m.mapping[reds[0]])
+	} else {
+		// Ivory vertex: pairwise or k-way adaptive intersection.
+		depth := r.k + idx
+		lists := m.arena.Lists(depth, len(reds))
+		for _, rq := range reds {
+			lists = append(lists, m.adjOfData(m.mapping[rq]))
 		}
-		for _, v := range cands {
-			if !m.nonRedOK(u, v) {
-				continue
-			}
-			m.mapping[u] = v
-			m.qMask |= 1 << uint(u)
-			r.matchNonRed(m, idx+1, internal)
-			m.qMask &^= 1 << uint(u)
-		}
-		return
+		cands = m.arena.IntersectK(depth, lists)
 	}
-
-	var base []graph.VertexID
-	var others [][]graph.VertexID
-	for _, rq := range reds {
-		adj := m.adjOfData(m.mapping[rq])
-		if base == nil || len(adj) < len(base) {
-			if base != nil {
-				others = append(others, base)
-			}
-			base = adj
-		} else {
-			others = append(others, adj)
-		}
-	}
-	for _, v := range base {
-		if !containsAll(others, v) {
-			continue
-		}
+	for _, v := range cands {
 		if !m.nonRedOK(u, v) {
 			continue
 		}

@@ -40,13 +40,10 @@ func skewedGraph(rng *rand.Rand, n, hubs, span int) *graph.Graph {
 	return g
 }
 
-// TestAdaptiveMatchesSeedCounts runs every paper query and a skewed fixture
-// through all combinations of {adaptive, seed-kernel} x {stealing, static}
-// x {plain, compressed database} x {compressed-domain, eager-decode} and
-// requires identical counts — the engine-level cross-check that the kernel
-// rewrite, the scheduler rewrite, and the compressed-domain path change
-// performance only.
-func TestAdaptiveMatchesSeedCounts(t *testing.T) {
+// TestEngineMatchesBruteForceMatrix runs every paper query on a skewed
+// fixture through {plain, compressed database} x {default, prefetch at
+// three buffer sizes} and requires the brute-force count from each.
+func TestEngineMatchesBruteForceMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := skewedGraph(rng, 400, 6, 120)
 	rg, _ := graph.ReorderByDegree(g)
@@ -61,20 +58,12 @@ func TestAdaptiveMatchesSeedCounts(t *testing.T) {
 			want := graph.CountOccurrences(rg, q)
 			for _, opt := range []Options{
 				{Threads: 3},
-				{Threads: 3, LinearOnlyIntersect: true},
-				{Threads: 3, StaticPartition: true},
-				{Threads: 3, LinearOnlyIntersect: true, StaticPartition: true},
-				// Decode dimension: the compressed-domain kernels and the
-				// decode-at-parse ablation must agree bit for bit, on both
-				// encodings and on the seed kernel path too.
-				{Threads: 3, EagerDecode: true},
-				{Threads: 3, EagerDecode: true, LinearOnlyIntersect: true},
 				// Prefetch dimension: speculative cross-window reads must change
 				// I/O timing only, never counts — with the default buffer and
 				// with smaller ones whose carve shrinks the foreground windows.
 				{Threads: 3, PrefetchFrames: 16},
 				{Threads: 3, PrefetchFrames: 16, BufferFrames: 96},
-				{Threads: 3, PrefetchFrames: 8, BufferFrames: 128, StaticPartition: true},
+				{Threads: 3, PrefetchFrames: 8, BufferFrames: 128},
 			} {
 				e, err := NewEngine(db.db, opt)
 				if err != nil {
@@ -86,18 +75,17 @@ func TestAdaptiveMatchesSeedCounts(t *testing.T) {
 					t.Fatalf("%s/%s: %v", db.name, q.Name(), err)
 				}
 				if got != want {
-					t.Fatalf("%s/%s (linearOnly=%v static=%v eager=%v prefetch=%d): engine %d, brute force %d",
-						db.name, q.Name(), opt.LinearOnlyIntersect, opt.StaticPartition, opt.EagerDecode, opt.PrefetchFrames, got, want)
+					t.Fatalf("%s/%s (prefetch=%d frames=%d): engine %d, brute force %d",
+						db.name, q.Name(), opt.PrefetchFrames, opt.BufferFrames, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestCompressedKernelCountersExported checks that a default run on a
-// compressed database exercises the compressed-domain path (records, bytes,
-// in-place intersections) and that the eager-decode ablation records no
-// compressed-domain kernel activity while still counting records loaded.
+// TestCompressedKernelCountersExported checks that a run on a compressed
+// database exercises the compressed-domain path (records, bytes, in-place
+// intersections).
 func TestCompressedKernelCountersExported(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	g := skewedGraph(rng, 400, 6, 120)
@@ -119,28 +107,10 @@ func TestCompressedKernelCountersExported(t *testing.T) {
 	if c["dualsim_intersect_compressed_total"] == 0 {
 		t.Errorf("compressed-domain kernel never ran on a compressed database: %v", c)
 	}
-
-	e, err = NewEngine(db, Options{Threads: 2, EagerDecode: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = e.Run(graph.Triangle())
-	e.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c = res.Metrics.Counters
-	if c["dualsim_intersect_compressed_total"] != 0 {
-		t.Errorf("eager decode still ran %d compressed-domain intersections", c["dualsim_intersect_compressed_total"])
-	}
-	if c["dualsim_compressed_records_total"] == 0 {
-		t.Errorf("eager decode stopped counting compressed records loaded: %v", c)
-	}
 }
 
-// TestKernelCountersExported checks that a default run on the skewed
-// fixture records kernel selections (including galloping, given hub-vs-ring
-// skew) and that the seed path records none.
+// TestKernelCountersExported checks that a run on the skewed fixture
+// records kernel selections (including galloping, given hub-vs-ring skew).
 func TestKernelCountersExported(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := skewedGraph(rng, 300, 5, 100)
@@ -162,20 +132,6 @@ func TestKernelCountersExported(t *testing.T) {
 	}
 	if c["dualsim_intersect_gallop_total"] == 0 {
 		t.Errorf("skewed fixture never picked the galloping kernel: %v", c)
-	}
-
-	e, err = NewEngine(db, Options{Threads: 2, LinearOnlyIntersect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = e.Run(graph.Triangle())
-	e.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c = res.Metrics.Counters
-	if n := c["dualsim_intersect_linear_total"] + c["dualsim_intersect_gallop_total"] + c["dualsim_intersect_kway_total"]; n != 0 {
-		t.Errorf("seed path recorded %d kernel selections, want 0", n)
 	}
 }
 
@@ -219,29 +175,23 @@ func TestWorkerPoolHungry(t *testing.T) {
 }
 
 // TestStealSplitsOnSkew drives a window whose internal enumeration work is
-// concentrated in a few hub candidates and requires at least one
-// work-stealing split to be recorded; the static ablation must record none.
+// concentrated in a few hub candidates and looks for a recorded
+// work-stealing split.
 func TestStealSplitsOnSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := skewedGraph(rng, 600, 6, 200)
 	db := buildDB(t, g, 4096)
 
-	run := func(static bool) uint64 {
-		e, err := NewEngine(db, Options{Threads: 4, StaticPartition: static, BufferFrames: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		res, err := e.Run(graph.Triangle())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Metrics.Counters["dualsim_steal_splits_total"]
+	e, err := NewEngine(db, Options{Threads: 4, BufferFrames: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := run(true); n != 0 {
-		t.Fatalf("static partitioning recorded %d splits, want 0", n)
+	defer e.Close()
+	res, err := e.Run(graph.Triangle())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := run(false); n == 0 {
+	if res.Metrics.Counters["dualsim_steal_splits_total"] == 0 {
 		t.Log("no splits on skewed fixture (pool never drained mid-window); acceptable but unexpected")
 	}
 }

@@ -25,10 +25,9 @@ type levelWindow struct {
 	// comp maps last-level window vertices whose records arrived as
 	// zero-copy compressed spans (lazy parse) to those spans: the
 	// compressed-domain kernels consume them in place, decoding at most
-	// the candidates that survive intersection. Nil for non-last levels
-	// (and under Options.EagerDecode), where adj holds everything
-	// decoded. The spans alias pinned frame buffers — valid exactly as
-	// long as the window's pins, like adj itself.
+	// the candidates that survive intersection. Nil for non-last levels,
+	// where adj holds everything decoded. The spans alias pinned frame
+	// buffers — valid exactly as long as the window's pins, like adj itself.
 	comp map[graph.VertexID]graph.CompressedAdj
 	// lo..hi is the merged window's vertex ID range.
 	lo, hi graph.VertexID
@@ -518,23 +517,23 @@ func (r *run) loadWindowWithRetry(l int, verts []graph.VertexID, lastLevel bool,
 	}
 }
 
+// The window-level retry backoff: the delay before the first retry and the
+// cap it doubles up to.
+const (
+	windowRetryBackoff    = 10 * time.Millisecond
+	windowRetryMaxBackoff = 250 * time.Millisecond
+)
+
 // sleepWindowBackoff waits the attempt's window-level backoff (0-based,
-// doubling from WindowRetryBackoff up to WindowRetryMaxBackoff), honouring
+// doubling from windowRetryBackoff up to windowRetryMaxBackoff), honouring
 // the run context. Reports false when the context ended first.
 func (r *run) sleepWindowBackoff(attempt int) bool {
-	d := r.e.opts.WindowRetryBackoff
-	if d <= 0 {
-		d = 10 * time.Millisecond
-	}
-	max := r.e.opts.WindowRetryMaxBackoff
-	if max <= 0 {
-		max = 250 * time.Millisecond
-	}
-	for i := 0; i < attempt && d < max; i++ {
+	d := windowRetryBackoff
+	for i := 0; i < attempt && d < windowRetryMaxBackoff; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > windowRetryMaxBackoff {
+		d = windowRetryMaxBackoff
 	}
 	if sleep := r.e.opts.WindowRetrySleep; sleep != nil {
 		sleep(d)
@@ -913,11 +912,9 @@ func (r *run) clearChildCandidates(l int) {
 }
 
 // dispatchInternal schedules internal subgraph enumeration over the level-0
-// window, chunked so workers share it. With work-stealing enabled (the
-// default) chunks are coarse — one per thread per group — because running
-// tasks re-split whenever the queue drains; the static ablation reproduces
-// the seed's fixed 4x-oversubscribed partitioning, which is the whole
-// balancing story in that mode.
+// window, chunked so workers share it. Chunks are coarse — one per thread per
+// group — because running tasks re-split whenever the queue drains (see
+// internalEnumerate).
 func (r *run) dispatchInternal(lw *levelWindow) {
 	if r.tracer != nil {
 		verts := 0
@@ -927,16 +924,12 @@ func (r *run) dispatchInternal(lw *levelWindow) {
 		r.emit(obs.Event{Event: "internal_enum", Level: 1, Window: r.windowsPer[0], Verts: verts,
 			Span: r.winSpan[0]})
 	}
-	chunksPer := r.e.opts.Threads * 4
-	if !r.e.opts.StaticPartition {
-		chunksPer = r.e.opts.Threads
-	}
 	for g := range r.p.Groups {
 		verts := lw.verts[g]
 		if len(verts) == 0 {
 			continue
 		}
-		chunks := chunksPer
+		chunks := r.e.opts.Threads
 		if chunks > len(verts) {
 			chunks = len(verts)
 		}

@@ -136,13 +136,13 @@ func TestWindowRetryDoesNotRetryCorruption(t *testing.T) {
 // TestRetryBackoffComposition (ISSUE 6 satellite): the read-level and
 // window-level backoffs compose with a bounded total wait — per window,
 // read backoff is capped at attempts*MaxRetries*MaxDelay and window backoff
-// at the geometric sum clipped to WindowRetryMaxBackoff.
+// at the geometric sum clipped to windowRetryMaxBackoff.
 func TestRetryBackoffComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	g := randomGraph(rng, 120, 700)
 	db := buildDB(t, g, 256)
 
-	const windowRetries, maxRetries = 3, 2
+	const windowRetries, maxRetries = 6, 2
 	const maxDelay = 4 * time.Millisecond
 	var readSleep, windowSleep atomic.Int64
 	fdb := faultdb.Wrap(db, faultdb.Options{}).TransientPages(1<<30, 0)
@@ -155,10 +155,8 @@ func TestRetryBackoffComposition(t *testing.T) {
 			MaxDelay:   maxDelay,
 			Sleep:      func(d time.Duration) { readSleep.Add(int64(d)) },
 		},
-		WindowRetries:         windowRetries,
-		WindowRetryBackoff:    2 * time.Millisecond,
-		WindowRetryMaxBackoff: 8 * time.Millisecond,
-		WindowRetrySleep:      func(d time.Duration) { windowSleep.Add(int64(d)) },
+		WindowRetries:    windowRetries,
+		WindowRetrySleep: func(d time.Duration) { windowSleep.Add(int64(d)) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +169,13 @@ func TestRetryBackoffComposition(t *testing.T) {
 	if got, want := fdb.PageReads(0), int64((windowRetries+1)*(maxRetries+1)); got != want {
 		t.Fatalf("page 0 read %d times, want exactly %d", got, want)
 	}
-	// Window backoff is deterministic: attempts back off 2, 4, 8 ms.
-	if got, want := time.Duration(windowSleep.Load()), 14*time.Millisecond; got != want {
+	// Window backoff is deterministic: it doubles from windowRetryBackoff
+	// and the last of the six attempts is clipped to windowRetryMaxBackoff.
+	var want time.Duration
+	for i, d := 0, windowRetryBackoff; i < windowRetries; i, d = i+1, 2*d {
+		want += min(d, windowRetryMaxBackoff)
+	}
+	if got := time.Duration(windowSleep.Load()); got != want {
 		t.Fatalf("window backoff slept %v, want exactly %v", got, want)
 	}
 	// Read backoff is jittered but hard-capped per sleep by MaxDelay.

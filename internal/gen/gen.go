@@ -186,8 +186,7 @@ func SampleVertices(g *graph.Graph, frac float64, seed int64) *graph.Graph {
 // hub. After degree reordering the hubs occupy the top of the vertex order,
 // concentrating enumeration work in a narrow candidate range — the
 // adversarial case for static work partitioning and for linear-merge
-// intersections (hub adjacency lists dwarf background ones). Used by
-// BenchmarkWindowEnum and the work-stealing tests.
+// intersections (hub adjacency lists dwarf background ones).
 func PlantedHubs(n, hubs, span int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	base := n - hubs

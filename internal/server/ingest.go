@@ -332,7 +332,6 @@ func (s *Server) compactOnce() (bool, error) {
 func (s *Server) rebuildCohort(db core.Database) error {
 	opts := s.cfg.Engine
 	opts.Metrics = s.reg
-	opts.OnMatch = nil
 	opts.Threads = s.cfg.Engine.Threads * s.cfg.Engines
 	ce, err := core.NewEngine(db, opts)
 	if err != nil {

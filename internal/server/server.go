@@ -129,7 +129,7 @@ type Config struct {
 	CompactEvery int
 	// CompactCompress stores compacted files delta-varint compressed.
 	CompactCompress bool
-	// Engine is the per-engine template. Metrics, OnMatch and buffer sizing
+	// Engine is the per-engine template. Metrics and buffer sizing
 	// are managed by the server (buffer fields are reinterpreted as the
 	// global budget; Threads defaults to GOMAXPROCS/Engines).
 	Engine core.Options
@@ -305,7 +305,6 @@ func New(db core.Database, cfg Config) (*Server, error) {
 		// same resources N solo engines would have had combined.
 		opts := cfg.Engine
 		opts.Metrics = reg
-		opts.OnMatch = nil
 		opts.Threads = cfg.Engine.Threads * cfg.Engines
 		ce, err := core.NewEngine(db, opts)
 		if err != nil {
@@ -353,7 +352,6 @@ func New(db core.Database, cfg Config) (*Server, error) {
 func (s *Server) newEngine() (*core.Engine, error) {
 	opts := s.cfg.Engine
 	opts.Metrics = s.reg
-	opts.OnMatch = nil
 	if opts.BufferFrames > 0 {
 		opts.BufferFrames /= s.cfg.Engines
 	} else if opts.BufferFraction > 0 {
@@ -534,12 +532,12 @@ func (s *Server) closeEngines() {
 // the stable plan key resume tokens are bound to, and whether the plan
 // came from the cache.
 func (s *Server) planFor(q *graph.Query) (*plan.Plan, []int, string, bool, error) {
-	popts := plan.Options{CoverMode: s.cfg.Engine.CoverMode, WorstOrder: s.cfg.Engine.WorstOrder}
+	popts := plan.Options{CoverMode: s.cfg.Engine.CoverMode}
 	if q.NumVertices() > maxCanonicalVertices {
 		// Cache-bypassed queries still need a plan key for resume tokens;
 		// the spec name plus planner knobs is stable across requests that
 		// send the same query body.
-		key := fmt.Sprintf("name:%s|k=%d|cover=%d|worst=%v", q.Name(), q.NumVertices(), popts.CoverMode, popts.WorstOrder)
+		key := fmt.Sprintf("name:%s|k=%d|cover=%d", q.Name(), q.NumVertices(), popts.CoverMode)
 		p, err := plan.Prepare(q, popts)
 		return p, identityPerm(q.NumVertices()), key, false, err
 	}
@@ -547,7 +545,7 @@ func (s *Server) planFor(q *graph.Query) (*plan.Plan, []int, string, bool, error
 	if err != nil {
 		return nil, nil, "", false, err
 	}
-	key := fmt.Sprintf("%s|cover=%d|worst=%v", code, popts.CoverMode, popts.WorstOrder)
+	key := fmt.Sprintf("%s|cover=%d", code, popts.CoverMode)
 	// Prepare on the canonical representative, so every isomorphic query
 	// maps onto the same plan and the same embedding remapping rule.
 	// GetOrBuild collapses concurrent misses on one key into a single
