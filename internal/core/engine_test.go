@@ -430,17 +430,6 @@ func TestUnionSorted(t *testing.T) {
 	}
 }
 
-func TestDedupSorted(t *testing.T) {
-	in := []graph.VertexID{1, 1, 2, 2, 2, 3}
-	got := dedupSorted(in)
-	if len(got) != 3 {
-		t.Fatalf("dedup = %v", got)
-	}
-	if got := dedupSorted(nil); len(got) != 0 {
-		t.Fatalf("dedup(nil) = %v", got)
-	}
-}
-
 func TestEnginePageSizeSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	g := randomGraph(rng, 120, 700)

@@ -26,20 +26,13 @@ type matcher struct {
 	lastComp graph.CompressedAdj
 	lastDec  []graph.VertexID // reusable decode scratch for lastComp
 
-	// pageAdj, when non-nil, replaces lw.adj lookups for this task: the
-	// task started while its window was still loading (lw.sealed unset), so
-	// lw.adj is being written concurrently by other pages' load callbacks
-	// and must not be read. It holds the task's own page's complete
-	// records, the only lw.adj entries such a task may legitimately need
-	// (anything else it touches lives in a sealed outer-level window).
-	// Lazily parsed compressed records sit in pageComp instead and decode
-	// into pageAdj on first use.
-	pageAdj  map[graph.VertexID][]graph.VertexID
-	pageComp map[graph.VertexID]graph.CompressedAdj
-	// compCache memoizes on-demand decodes of the sealed window's
-	// compressed spans (lw.comp) — the rare fallthrough when a non-red
-	// match needs a last-level neighbor other than lastV.
-	compCache map[graph.VertexID][]graph.VertexID
+	// own, when non-nil, is the one page of lw this task may read: the task
+	// started while its window was still loading (lw.sealed unset), so other
+	// pages' load callbacks are still writing their ordinals of the index
+	// and the side table does not exist yet. Its own page's complete records
+	// are all such a task can legitimately need from lw — anything else it
+	// touches lives in a sealed outer-level window.
+	own *storage.Page
 
 	pos2v   []graph.VertexID
 	posMask uint32 // assigned positions
@@ -117,8 +110,8 @@ func (m *matcher) adjOfPos(pos int) []graph.VertexID {
 }
 
 // adjOfData resolves the adjacency list of an assigned (hence resident)
-// data vertex, decoding compressed last-level records on demand (memoized,
-// so each record decodes at most once per task).
+// data vertex: the task's own last-level record (decoded on first use,
+// once), else the first window on the path that indexes it.
 func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
 	if !m.internal && v == m.lastV {
 		if m.lastAdj == nil && m.lastComp.Count > 0 {
@@ -127,43 +120,22 @@ func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
 		}
 		return m.lastAdj
 	}
-	if m.internal {
-		return m.lw.adj[v]
-	}
-	for l := 0; l < m.r.k-1; l++ {
-		if wd := m.r.winData[l]; wd != nil {
-			if adj, ok := wd.adj[v]; ok {
-				return adj
+	pid := m.r.e.db.PageOf(v)
+	if !m.internal {
+		for l := 0; l < m.r.k-1; l++ {
+			if wd := m.r.winData[l]; wd != nil {
+				if adj, ok := wd.adjOf(pid, v); ok {
+					return adj
+				}
 			}
 		}
-	}
-	if m.pageAdj != nil {
-		// Unsealed window: lw.adj is still being written concurrently.
-		if adj, ok := m.pageAdj[v]; ok {
+		if m.own != nil {
+			adj, _ := (&windowPage{page: m.own}).adjOf(v)
 			return adj
 		}
-		if c, ok := m.pageComp[v]; ok {
-			adj := c.AppendTo(nil)
-			m.pageAdj[v] = adj // memoize for the rest of the task
-			return adj
-		}
-		return nil
 	}
-	if adj, ok := m.lw.adj[v]; ok {
-		return adj
-	}
-	if c, ok := m.lw.comp[v]; ok {
-		if adj, ok := m.compCache[v]; ok {
-			return adj
-		}
-		adj := c.AppendTo(nil)
-		if m.compCache == nil {
-			m.compCache = make(map[graph.VertexID][]graph.VertexID)
-		}
-		m.compCache[v] = adj
-		return adj
-	}
-	return nil
+	adj, _ := m.lw.adjOf(pid, v)
+	return adj
 }
 
 // orderOK checks the total-order constraints between a candidate v for
@@ -189,8 +161,10 @@ func (m *matcher) orderOK(pos int, v graph.VertexID) bool {
 func (m *matcher) allInternal() bool {
 	wd := m.r.winData[0]
 	for p := 0; p < m.r.k; p++ {
-		v := m.pos2v[p]
-		if v < wd.lo || v > wd.hi {
+		if m.posMask&(1<<uint(p)) == 0 {
+			continue
+		}
+		if v := m.pos2v[p]; v < wd.lo || v > wd.hi {
 			return false
 		}
 	}
@@ -208,35 +182,19 @@ func (r *run) extMapPage(page *storage.Page, lw *levelWindow) {
 	}
 	m := r.newMatcher(lw, false)
 	if !lw.sealed.Load() {
-		// The window is still loading: restrict adjacency lookups to this
-		// page's own complete records (see matcher.pageAdj). The sealed
-		// flag's release/acquire pairing makes a true load prove every
-		// lw.adj write has completed. Compressed records stay undecoded in
-		// pageComp until (if ever) a lookup needs them.
-		m.pageAdj = make(map[graph.VertexID][]graph.VertexID, len(page.Records))
-		for i := range page.Records {
-			rec := &page.Records[i]
-			if rec.Continues || rec.Continuation {
-				continue
-			}
-			if rec.Adj == nil && rec.CompBytes > 0 {
-				if m.pageComp == nil {
-					m.pageComp = make(map[graph.VertexID]graph.CompressedAdj)
-				}
-				m.pageComp[rec.Vertex] = rec.Comp
-			} else {
-				m.pageAdj[rec.Vertex] = rec.Adj
-			}
-		}
+		// The window is still loading: restrict lookups in it to this page
+		// (see matcher.own). The sealed flag's release/acquire pairing makes
+		// a true load prove every write to the index has completed.
+		m.own = page
 	}
 	for i := range page.Records {
 		rec := &page.Records[i]
 		if rec.Continues || rec.Continuation {
-			continue // handled by dispatchSplitVertices after the window loads
+			continue // rooted from the side table after the seal (loadWindow)
 		}
 		if r.overlay != nil && r.overlay.Of(rec.Vertex) != nil {
 			// The on-disk record predates the overlay; the merged list in
-			// lw.adj is authoritative (rooted by dispatchOverlayVertices).
+			// the side table is authoritative, and rooted from there.
 			continue
 		}
 		if r.ctx.Err() != nil {
@@ -247,7 +205,8 @@ func (r *run) extMapPage(page *storage.Page, lw *levelWindow) {
 	m.flush()
 }
 
-// extMapVertex handles one multi-page vertex with its merged adjacency.
+// extMapVertex roots the external traversal at one side-table vertex — a
+// multi-page or overlay-mutated one — with its merged adjacency.
 func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWindow) {
 	if r.doomed() {
 		return
@@ -283,10 +242,13 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, c
 // connected position's adjacency list.
 func (r *run) extDescend(m *matcher, level int) {
 	if level < 0 {
-		if m.allInternal() {
-			return // counted by the internal enumeration of this window
-		}
 		r.expandSequences(m, false)
+		return
+	}
+	if level == 0 && m.allInternal() {
+		// Every deeper position is inside the internal area and a level-1
+		// candidate always is: whatever this subtree completes, the internal
+		// enumeration of this window counts. Stop before intersecting.
 		return
 	}
 	pos := r.p.MatchingOrder[level]

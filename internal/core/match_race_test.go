@@ -5,32 +5,53 @@ import (
 	"testing"
 
 	"dualsim/internal/graph"
+	"dualsim/internal/storage"
 )
+
+// firstPages is a Database that answers only the directory lookup the
+// window index starts from.
+type firstPages struct {
+	Database
+	of map[graph.VertexID]storage.PageID
+}
+
+func (d firstPages) PageOf(v graph.VertexID) storage.PageID { return d.of[v] }
 
 // TestAdjOfDataUnsealedWindowContract pins the invariant behind the
 // loadWindow data-race fix: a matcher created for a still-loading window
-// (extMapPage sets pageAdj when lw.sealed is unset) must never read
-// lw.adj — not even on a lookup miss — because load callbacks of other
-// pages are writing that map under their own mutex. The test runs a
-// concurrent writer exactly like loadWindow's onPage and exercises every
-// adjOfData resolution path; the seed's fallthrough to m.lw.adj[v] makes
-// this fail under -race.
+// (extMapPage sets own when lw.sealed is unset) must read nothing of that
+// window but its own page — not even on a lookup miss — because the load
+// callbacks of other pages are writing their ordinals of the index, and the
+// orchestrator its side table, without any lock. The test runs such a
+// writer and exercises every adjOfData resolution path; consulting
+// lw.loaded or lw.side from the unsealed task fails under -race.
 func TestAdjOfDataUnsealedWindowContract(t *testing.T) {
-	lw := &levelWindow{adj: make(map[graph.VertexID][]graph.VertexID)}
-	outer := &levelWindow{adj: map[graph.VertexID][]graph.VertexID{7: {1, 2}}}
+	page := func(id storage.PageID, first graph.VertexID, adjs ...[]graph.VertexID) *storage.Page {
+		p := &storage.Page{ID: id}
+		for i, adj := range adjs {
+			p.Records = append(p.Records, storage.Record{Vertex: first + graph.VertexID(i), Adj: adj})
+		}
+		return p
+	}
+	outer := &levelWindow{pages: []storage.PageID{0}, loaded: []windowPage{
+		{page: page(0, 7, []graph.VertexID{1, 2})},
+	}}
 	outer.sealed.Store(true)
-	r := &run{k: 2, winData: []*levelWindow{outer, lw}}
+	own := page(1, 3, []graph.VertexID{4, 5}, []graph.VertexID{6})
+	lw := &levelWindow{pages: []storage.PageID{1, 2}, loaded: []windowPage{{page: own}, {}}}
+	db := firstPages{of: map[graph.VertexID]storage.PageID{7: 0, 3: 1, 4: 1, 9: 1, 42: 2}}
+	r := &run{e: &Engine{db: db}, k: 2, winData: []*levelWindow{outer, lw}}
 	m := &matcher{
 		r:       r,
 		lw:      lw,
 		lastV:   9,
 		lastAdj: []graph.VertexID{1},
-		pageAdj: map[graph.VertexID][]graph.VertexID{3: {4, 5}},
+		own:     own,
 	}
 
-	// Concurrent load callback: lw.adj is written under loadWindow's local
-	// mutex, which the matcher does not (and must not need to) hold.
-	var mu sync.Mutex
+	// The concurrent rest of the load: another page's callback filling its
+	// ordinal, then the orchestrator's side table.
+	other := page(2, 42, []graph.VertexID{8})
 	done := make(chan struct{})
 	started := make(chan struct{})
 	var wg sync.WaitGroup
@@ -43,9 +64,8 @@ func TestAdjOfDataUnsealedWindowContract(t *testing.T) {
 				return
 			default:
 			}
-			mu.Lock()
-			lw.adj[graph.VertexID(i%64)] = []graph.VertexID{graph.VertexID(i)}
-			mu.Unlock()
+			lw.loaded[1] = windowPage{page: other}
+			lw.side = []sideEntry{{v: 42, adj: []graph.VertexID{graph.VertexID(i)}}}
 			if i == 0 {
 				close(started)
 			}
@@ -63,9 +83,9 @@ func TestAdjOfDataUnsealedWindowContract(t *testing.T) {
 		if adj := m.adjOfData(3); len(adj) != 2 {
 			t.Fatalf("own-page lookup = %v", adj)
 		}
-		// The interesting case: a vertex on no resolved source. Pre-seal the
-		// only legal answer is "unknown" (nil); consulting lw.adj here is the
-		// race the fix removed.
+		// The interesting case: a vertex on another page of the unsealed
+		// window. The only legal answer is "unknown" (nil); reading that
+		// page's ordinal or the side table here is the race the fix removed.
 		if adj := m.adjOfData(42); adj != nil {
 			t.Fatalf("unsealed miss returned %v", adj)
 		}

@@ -72,7 +72,7 @@ func registerEngineMetrics(reg *obs.Registry, pool *buffer.Pool, retry *storage.
 		windowsLevel1: reg.Counter("dualsim_windows_level1_total", "level-1 (internal area) window iterations"),
 		embInternal:   reg.Counter("dualsim_embeddings_internal_total", "embeddings whose red match was entirely inside the internal area"),
 		embExternal:   reg.Counter("dualsim_embeddings_external_total", "embeddings found by the external traversal"),
-		ioWaitNanos:   reg.Counter("dualsim_io_wait_nanos_total", "orchestrator time blocked on window page loads (I/O not hidden by overlap)"),
+		ioWaitNanos:   reg.Counter("dualsim_io_wait_nanos_total", "orchestrator time blocked on window page loads: device reads, pin waits and per-page indexing not hidden by overlap; page callbacks never wait for an enumeration worker, so no matching time is in it"),
 
 		checkpoints:   reg.Counter("dualsim_checkpoints_taken_total", "window-boundary checkpoints delivered to run callbacks"),
 		windowRetries: reg.Counter("dualsim_window_retries_total", "whole-window retries after a transient fault outlived the read-level retry budget"),

@@ -79,11 +79,10 @@ func TestPrefetchPoolNeverOverflows(t *testing.T) {
 }
 
 // TestExtMapPageLoadRace is the regression test for the loadWindow data
-// race fixed in this PR: on the last level, extMapPage tasks are submitted
-// as soon as their page lands, while later pages' load callbacks are still
-// writing lw.adj. The seed read lw.adj from those tasks without holding
-// the load mutex; now a task that starts before the window is sealed
-// restricts itself to its own page's complete records. Multiple I/O
+// race: on the last level, extMapPage tasks are submitted as soon as their
+// page lands, while later pages' load callbacks are still writing their
+// ordinals of the window index. A task that starts before the window is
+// sealed restricts itself to its own page's complete records. Multiple I/O
 // workers plus per-page latency stagger the callbacks so the overlap
 // actually happens. Run with -race.
 func TestExtMapPageLoadRace(t *testing.T) {

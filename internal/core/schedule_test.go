@@ -45,11 +45,11 @@ var (
 		{"q3-chordalsquare", false, 96, 16}:  {4, "[4 54]", 566},
 		{"q4-clique4", false, 96, 16}:        {5, "[5 19 150]", 1572},
 		{"q5-house", false, 96, 16}:          {5, "[5 19 348]", 3071},
-		{"q1-triangle", false, 4096, 0}:      {1, "[1 1]", 267},
-		{"q2-square", false, 4096, 0}:        {1, "[1 1 1]", 267},
-		{"q3-chordalsquare", false, 4096, 0}: {1, "[1 1]", 267},
-		{"q4-clique4", false, 4096, 0}:       {1, "[1 1 1]", 267},
-		{"q5-house", false, 4096, 0}:         {1, "[1 1 1]", 267},
+		{"q1-triangle", false, 4096, 0}:      {1, "[1 0]", 267},
+		{"q2-square", false, 4096, 0}:        {1, "[1 0 0]", 267},
+		{"q3-chordalsquare", false, 4096, 0}: {1, "[1 0]", 267},
+		{"q4-clique4", false, 4096, 0}:       {1, "[1 0 0]", 267},
+		{"q5-house", false, 4096, 0}:         {1, "[1 0 0]", 267},
 		{"q1-triangle", true, 40, 0}:         {4, "[4 40]", 272},
 		{"q2-square", true, 40, 0}:           {6, "[6 24 342]", 1683},
 		{"q3-chordalsquare", true, 40, 0}:    {4, "[4 40]", 272},
@@ -60,11 +60,11 @@ var (
 		{"q3-chordalsquare", true, 96, 16}:   {2, "[2 12]", 152},
 		{"q4-clique4", true, 96, 16}:         {2, "[2 3 10]", 213},
 		{"q5-house", true, 96, 16}:           {2, "[2 3 24]", 274},
-		{"q1-triangle", true, 4096, 0}:       {1, "[1 1]", 122},
-		{"q2-square", true, 4096, 0}:         {1, "[1 1 1]", 122},
-		{"q3-chordalsquare", true, 4096, 0}:  {1, "[1 1]", 122},
-		{"q4-clique4", true, 4096, 0}:        {1, "[1 1 1]", 122},
-		{"q5-house", true, 4096, 0}:          {1, "[1 1 1]", 122},
+		{"q1-triangle", true, 4096, 0}:       {1, "[1 0]", 122},
+		{"q2-square", true, 4096, 0}:         {1, "[1 0 0]", 122},
+		{"q3-chordalsquare", true, 4096, 0}:  {1, "[1 0]", 122},
+		{"q4-clique4", true, 4096, 0}:        {1, "[1 0 0]", 122},
+		{"q5-house", true, 4096, 0}:          {1, "[1 0 0]", 122},
 	}
 	// Resumed from the second level-1 checkpoint on a fresh engine;
 	// configurations with fewer than three level-1 windows have no entry.
@@ -87,11 +87,50 @@ var (
 	}
 )
 
+// goldenTally is each configuration's Internal/External split, recorded on
+// the commit before the engine stopped descending into subtrees that can
+// only complete internal matches: pruning may skip work, never move an
+// embedding between the two tallies. Resumed runs settle the same totals
+// (the checkpoint carries the consumed prefix's), so one table serves both.
+var goldenTally = map[scheduleKey][2]uint64{
+	{"q1-triangle", false, 40, 0}:        {184, 788},
+	{"q2-square", false, 40, 0}:          {159, 12696},
+	{"q3-chordalsquare", false, 40, 0}:   {2606, 5651},
+	{"q4-clique4", false, 40, 0}:         {26, 260},
+	{"q5-house", false, 40, 0}:           {14838, 245698},
+	{"q1-triangle", false, 96, 16}:       {304, 668},
+	{"q2-square", false, 96, 16}:         {679, 12176},
+	{"q3-chordalsquare", false, 96, 16}:  {5341, 2916},
+	{"q4-clique4", false, 96, 16}:        {67, 219},
+	{"q5-house", false, 96, 16}:          {61482, 199054},
+	{"q1-triangle", false, 4096, 0}:      {972, 0},
+	{"q2-square", false, 4096, 0}:        {12855, 0},
+	{"q3-chordalsquare", false, 4096, 0}: {8257, 0},
+	{"q4-clique4", false, 4096, 0}:       {286, 0},
+	{"q5-house", false, 4096, 0}:         {260536, 0},
+	{"q1-triangle", true, 40, 0}:         {360, 612},
+	{"q2-square", true, 40, 0}:           {2150, 10705},
+	{"q3-chordalsquare", true, 40, 0}:    {5643, 2614},
+	{"q4-clique4", true, 40, 0}:          {200, 86},
+	{"q5-house", true, 40, 0}:            {69512, 191024},
+	{"q1-triangle", true, 96, 16}:        {640, 332},
+	{"q2-square", true, 96, 16}:          {9258, 3597},
+	{"q3-chordalsquare", true, 96, 16}:   {7866, 391},
+	{"q4-clique4", true, 96, 16}:         {272, 14},
+	{"q5-house", true, 96, 16}:           {226921, 33615},
+	{"q1-triangle", true, 4096, 0}:       {972, 0},
+	{"q2-square", true, 4096, 0}:         {12855, 0},
+	{"q3-chordalsquare", true, 4096, 0}:  {8257, 0},
+	{"q4-clique4", true, 4096, 0}:        {286, 0},
+	{"q5-house", true, 4096, 0}:          {260536, 0},
+}
+
 // TestWindowScheduleGolden pins the exact window/page schedule of solo
 // runs — not just the embedding counts — on a deterministic gen fixture:
 // the five paper queries × {plain, compressed} × a starved buffer (level 1
 // needs >= 3 windows), a mid-sized one with the prefetch carve and
-// lookahead engaged, and a roomy one (level 1 fits in one window); plus,
+// lookahead engaged, and a roomy one (level 1 fits in one window, which is
+// then all internal area: no deeper level is visited); plus,
 // wherever level 1 has >= 3 windows, a run resumed from the second window
 // boundary. "The solo partition through Sweep == the solo iterator" means
 // these constants never change.
@@ -125,6 +164,9 @@ func TestWindowScheduleGolden(t *testing.T) {
 				if got, want := scheduleOf(res), goldenFresh[k]; got != want {
 					t.Errorf("%+v: schedule %+v, golden %+v", k, got, want)
 				}
+				if got, want := [2]uint64{res.Internal, res.External}, goldenTally[k]; got != want {
+					t.Errorf("%+v: internal/external %v, golden %v", k, got, want)
+				}
 				want, ok := goldenResumed[k]
 				if ok != (len(cps) >= 3) {
 					t.Fatalf("%+v: %d checkpoints, resumed golden present = %v", k, len(cps), ok)
@@ -138,6 +180,9 @@ func TestWindowScheduleGolden(t *testing.T) {
 				}
 				if got := scheduleOf(res2); got != want {
 					t.Errorf("%+v resumed: schedule %+v, golden %+v", k, got, want)
+				}
+				if got, want := [2]uint64{res2.Internal, res2.External}, goldenTally[k]; got != want {
+					t.Errorf("%+v resumed: internal/external %v, golden %v", k, got, want)
 				}
 			}
 		}

@@ -156,7 +156,7 @@ func (s *Sweep) RiderFrames() int { return s.riderFrames }
 func (s *Sweep) Bounds(i int) WindowBounds { return s.bounds[i] }
 
 // SweepWindow is one loaded, pinned, sealed level-1 window, delivered to
-// every rider before Release. Riders read its adjacency map concurrently;
+// every rider before Release. Riders read its index concurrently;
 // the sweep owns its buffer pins.
 type SweepWindow struct {
 	lw    *levelWindow
@@ -336,17 +336,17 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 	if rd.joinIndex < 0 {
 		rd.joinIndex = w.index
 	}
-	// Rider-local view: shared read-only adjacency and page identity, own
-	// group membership, own window-local tallies, no pins of its own
-	// (pinned nil — the sweep owns the buffer pins).
+	// Rider-local view: the shared read-only index, own group membership,
+	// own window-local tallies. It is never unloaded — the sweep owns the
+	// buffer pins.
 	src := w.lw
 	lw := &levelWindow{
-		verts:       make([][]graph.VertexID, len(r.p.Groups)),
-		adj:         src.adj,
-		lo:          src.lo,
-		hi:          src.hi,
-		pages:       src.pages,
-		loadedPages: src.loadedPages,
+		verts:  make([][]graph.VertexID, len(r.p.Groups)),
+		lo:     src.lo,
+		hi:     src.hi,
+		pages:  src.pages,
+		loaded: src.loaded,
+		side:   src.side,
 	}
 	lw.sealed.Store(true)
 	for g := range r.p.Groups {
@@ -384,8 +384,10 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 		r.scope.WindowsLevel1.Add(1)
 	}
 
-	if r.k == 1 {
-		// Single-level plans: the whole window is the internal area.
+	if r.k == 1 || len(w.verts) == len(r.e.all) {
+		// The whole window is the internal area — a single-level plan, or a
+		// window spanning the entire vertex range, outside of which no red
+		// vertex can lie: nothing is external, so no deeper level is visited.
 		r.dispatchInternal(lw)
 		r.workers.drain()
 	} else {

@@ -1,48 +1,45 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dualsim/internal/delta"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
 	"dualsim/internal/storage"
 )
 
-// levelWindow is the currently loaded merged vertex/page window at a level.
+// levelWindow is the currently loaded merged vertex/page window at a level:
+// a flat index over its pinned pages. The builder writes one record per
+// vertex per page in vertex-ID order (isolated vertices included), so a
+// page's records are a dense run of IDs and a vertex resolves without
+// hashing — directory (db.PageOf) → page ordinal (ordinalOf) → slot
+// (v − page.Records[0].Vertex) — with side for the few lists no single
+// record holds.
 type levelWindow struct {
 	// verts[g] is group g's current vertex window (sorted): the slice of
 	// its candidate sequence falling inside the merged window.
 	verts [][]graph.VertexID
-	// adj maps each window vertex to its full adjacency list (sublists
-	// merged). Read-only once built. Last-level windows leave lazily
-	// parsed compressed records out of this map — they live in comp.
-	adj map[graph.VertexID][]graph.VertexID
-	// comp maps last-level window vertices whose records arrived as
-	// zero-copy compressed spans (lazy parse) to those spans: the
-	// compressed-domain kernels consume them in place, decoding at most
-	// the candidates that survive intersection. Nil for non-last levels,
-	// where adj holds everything decoded. The spans alias pinned frame
-	// buffers — valid exactly as long as the window's pins, like adj itself.
-	comp map[graph.VertexID]graph.CompressedAdj
 	// lo..hi is the merged window's vertex ID range.
 	lo, hi graph.VertexID
-	// pages are the pages the window needs (path-pin accounting covers all
-	// of them); pinned records the subset whose loads succeeded and that
-	// therefore hold a buffer pin to release.
+	// pages are the pages the window needs, ascending (path-pin accounting
+	// covers all of them); loaded is parallel to it.
 	pages  []storage.PageID
-	pinned map[storage.PageID]bool
-	// loaded pages by ID for the last-level split-vertex pass.
-	loadedPages map[storage.PageID]*storage.Page
+	loaded []windowPage
+	// side lists, ascending by vertex, the adjacency lists that are not one
+	// record of one page: multi-page vertices, concatenated, and
+	// overlay-mutated vertices, merged (buildSide). It shadows the pages.
+	side []sideEntry
 	// sealed is set (with release semantics) once every page load completed
-	// and split records were merged: from then on adj is read-only. Until
-	// then adj is concurrently written by load callbacks, and last-level
-	// page tasks already running must restrict themselves to their own
-	// page's records (matcher.pageAdj) instead of reading adj.
+	// and side is built: from then on the index is read-only. Until then
+	// other pages' load callbacks are still writing their ordinals, and
+	// last-level page tasks already running must restrict themselves to
+	// their own page's records (matcher.own).
 	sealed atomic.Bool
 
 	// internal/external accumulate the embeddings found by tasks attached
@@ -53,6 +50,83 @@ type levelWindow struct {
 	// count.
 	internal atomic.Uint64
 	external atomic.Uint64
+}
+
+// windowPage is one ordinal of a window's index. Until the seal only the
+// page's own load callback writes it.
+type windowPage struct {
+	// page is the pinned page; nil when its load failed (nothing to unpin).
+	page *storage.Page
+	// decoded holds, by slot, the decoded views of the page's lazily parsed
+	// compressed records (one slab per page). Non-last levels only, which
+	// read adjacency structurally; nil for pages without such records and
+	// on last-level windows, whose spans feed the compressed-domain kernels.
+	decoded [][]graph.VertexID
+	// queued reports that the page's last-level matching task was queued
+	// before the seal; the orchestrator dispatches the others after it.
+	queued bool
+}
+
+// sideEntry is one vertex's adjacency list in a window's side table.
+type sideEntry struct {
+	v   graph.VertexID
+	adj []graph.VertexID
+}
+
+// ordinalOf returns pid's index in lw.pages, or -1. Windows are mostly
+// contiguous page runs, so pid's offset from the first page is tried before
+// the binary search.
+func (lw *levelWindow) ordinalOf(pid storage.PageID) int {
+	if len(lw.pages) == 0 || pid < lw.pages[0] {
+		return -1
+	}
+	if o := int(pid - lw.pages[0]); o < len(lw.pages) && lw.pages[o] == pid {
+		return o
+	}
+	if o, ok := slices.BinarySearch(lw.pages, pid); ok {
+		return o
+	}
+	return -1
+}
+
+// adjOf resolves the full adjacency list of v, whose first page is pid, in
+// a sealed window; ok is false when the window does not hold it.
+func (lw *levelWindow) adjOf(pid storage.PageID, v graph.VertexID) (adj []graph.VertexID, ok bool) {
+	if len(lw.side) > 0 {
+		if i, ok := slices.BinarySearchFunc(lw.side, v, func(e sideEntry, v graph.VertexID) int {
+			return cmp.Compare(e.v, v)
+		}); ok {
+			return lw.side[i].adj, true
+		}
+	}
+	o := lw.ordinalOf(pid)
+	if o < 0 {
+		return nil, false
+	}
+	return lw.loaded[o].adjOf(v)
+}
+
+// adjOf resolves v among the page's complete records. Chunks of multi-page
+// vertices never match: merged lists live in the window's side table.
+func (wp *windowPage) adjOf(v graph.VertexID) (adj []graph.VertexID, ok bool) {
+	if wp.page == nil || len(wp.page.Records) == 0 || v < wp.page.Records[0].Vertex {
+		return nil, false
+	}
+	i := int(v - wp.page.Records[0].Vertex)
+	if i >= len(wp.page.Records) {
+		return nil, false
+	}
+	rec := &wp.page.Records[i]
+	if rec.Continues || rec.Continuation {
+		return nil, false
+	}
+	if wp.decoded != nil && wp.decoded[i] != nil {
+		return wp.decoded[i], true
+	}
+	// Decodes only a last-level span: matching hands those to the kernels
+	// as they are (extMapPage), so just the overlay merge and a lookup of
+	// some vertex other than the task's own root come this way with one.
+	return rec.Decoded(nil), true
 }
 
 // processLevel drives the merged-window iteration at level l >= 1
@@ -89,9 +163,8 @@ func (r *run) processLevel(l int) error {
 		r.countWindow(l)
 
 		if lastLevel {
-			// Matching already dispatched page-by-page as reads completed
-			// (loadWindow); handle split vertices.
-			r.dispatchSplitVertices(lw)
+			// Matching was dispatched page by page as reads completed and
+			// finished off after the seal (loadWindow).
 			drainStart := time.Now()
 			r.workers.drain()
 			if r.tracer != nil {
@@ -330,7 +403,10 @@ func (it *windowIterator) next() bool {
 	}
 	r := it.r
 	budget := r.winBudget[it.level]
-	newPages := make(map[storage.PageID]bool)
+	// merged ascends and spans are monotone in the vertex ID, so the window's
+	// own page set is a count plus the first page not yet considered.
+	count := 0
+	var next storage.PageID
 	i := it.start
 	for i < len(it.merged) {
 		v := it.merged[i]
@@ -338,12 +414,12 @@ func (it *windowIterator) next() bool {
 		// Count pages this vertex adds beyond the path-pinned set and the
 		// window's own set.
 		added := 0
-		for p := first; p <= last; p++ {
-			if r.pathPinned[p] == 0 && !newPages[p] {
+		for p := max(first, next); p <= last; p++ {
+			if r.pathPinned[p] == 0 {
 				added++
 			}
 		}
-		if len(newPages)+added > budget {
+		if count+added > budget {
 			if i == it.start {
 				r.fail(fmt.Errorf("core: vertex %d spans %d pages, exceeding the %d-frame budget of level %d; increase the buffer size",
 					v, last-first+1, budget, it.level+1))
@@ -351,11 +427,8 @@ func (it *windowIterator) next() bool {
 			}
 			break
 		}
-		for p := first; p <= last; p++ {
-			if r.pathPinned[p] == 0 {
-				newPages[p] = true
-			}
-		}
+		count += added
+		next = max(next, last+1)
 		i++
 	}
 	it.curLo, it.curHi = it.start, i
@@ -372,49 +445,40 @@ func (it *windowIterator) windowVerts() []graph.VertexID {
 // position, treating the current window's own path pins (cur) as already
 // released — they will be by the time the next window loads. Only pages
 // that will actually need a read are returned (pages held by outer-level
-// windows stay resident), ascending, truncated to max. Returns nil when
+// windows stay resident), ascending, truncated to limit. Returns nil when
 // the level is exhausted.
-func (it *windowIterator) peekNextPages(cur *levelWindow, max int) []storage.PageID {
-	if it.start >= len(it.merged) || max <= 0 {
+func (it *windowIterator) peekNextPages(cur *levelWindow, limit int) []storage.PageID {
+	if it.start >= len(it.merged) || limit <= 0 {
 		return nil
 	}
 	r := it.r
 	budget := r.winBudget[it.level]
-	curSet := make(map[storage.PageID]bool, len(cur.pages))
-	for _, p := range cur.pages {
-		curSet[p] = true
-	}
 	// effective path-pin count once the current window unloads
 	free := func(p storage.PageID) bool {
 		n := r.pathPinned[p]
-		if curSet[p] {
+		if cur.ordinalOf(p) >= 0 {
 			n--
 		}
 		return n == 0
 	}
-	newPages := make(map[storage.PageID]bool)
 	var pages []storage.PageID
+	var next storage.PageID
 	for i := it.start; i < len(it.merged); i++ {
 		first, last := r.e.db.SpanOf(it.merged[i])
-		added := 0
-		for p := first; p <= last; p++ {
-			if free(p) && !newPages[p] {
-				added++
-			}
-		}
-		if len(newPages)+added > budget {
-			break
-		}
-		for p := first; p <= last; p++ {
-			if free(p) && !newPages[p] {
-				newPages[p] = true
+		mark := len(pages)
+		for p := max(first, next); p <= last; p++ {
+			if free(p) {
 				pages = append(pages, p)
 			}
 		}
+		if len(pages) > budget {
+			pages = pages[:mark]
+			break
+		}
+		next = max(next, last+1)
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	if len(pages) > max {
-		pages = pages[:max]
+	if len(pages) > limit {
+		pages = pages[:limit]
 	}
 	return pages
 }
@@ -550,49 +614,42 @@ func (r *run) sleepWindowBackoff(attempt int) bool {
 }
 
 // loadWindow is one load attempt: it pins every page needed by the window's
-// vertices (the only place window reads are issued), builds the merged
-// adjacency map with the run's overlay folded in, and splits the window per
-// group. What callers differ in arrives as state of the run it is called
-// on: the error sink (the run's error box), the pinned overlay snapshot,
-// and the level's prefetcher. When lastLevel is set (deep levels only),
-// compressed records keep their zero-copy spans and complete records are
-// dispatched to the matching workers as each page load completes,
-// overlapping CPU with the remaining I/O. On error the window is returned
-// alongside it still holding its pins — the caller (loadWindowWithRetry)
-// drains in-flight tasks before unloading it.
+// vertices (the only place window reads are issued), builds the window's
+// index — each page callback its own ordinal, without a lock, then the side
+// table with the run's overlay folded in — and splits the window per group.
+// What callers differ in arrives as state of the run it is called on: the
+// error sink (the run's error box), the pinned overlay snapshot, and the
+// level's prefetcher. When lastLevel is set (deep levels only), compressed
+// records keep their zero-copy spans and every page is handed to the
+// matching workers as its load completes, queue permitting, overlapping CPU
+// with the remaining I/O; the rest is dispatched after the seal, so on
+// return all of the window's matching is queued. On error the window is
+// returned alongside it still holding its pins — the caller
+// (loadWindowWithRetry) drains in-flight tasks before unloading it.
 func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int) (*levelWindow, error) {
-	lw := &levelWindow{
-		verts:       make([][]graph.VertexID, len(r.p.Groups)),
-		adj:         make(map[graph.VertexID][]graph.VertexID),
-		pinned:      make(map[storage.PageID]bool),
-		loadedPages: make(map[storage.PageID]*storage.Page),
-	}
-	if lastLevel {
-		lw.comp = make(map[graph.VertexID]graph.CompressedAdj)
-	}
+	lw := &levelWindow{verts: make([][]graph.VertexID, len(r.p.Groups))}
 	if len(verts) > 0 {
 		lw.lo, lw.hi = verts[0], verts[len(verts)-1]
 	}
-	// Page list: union of vertex spans, ascending (sequential issue order).
-	var pages []storage.PageID
-	seen := make(map[storage.PageID]bool)
+	// Page list: union of the vertex spans. verts ascend and spans are
+	// monotone in the vertex ID, so the list comes out ascending (sequential
+	// issue order) with the first page not yet listed as the only state.
+	var next storage.PageID
 	for _, v := range verts {
 		first, last := r.e.db.SpanOf(v)
-		for p := first; p <= last; p++ {
-			if !seen[p] {
-				seen[p] = true
-				pages = append(pages, p)
-			}
+		for p := max(first, next); p <= last; p++ {
+			lw.pages = append(lw.pages, p)
 		}
+		next = max(next, last+1)
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	lw.pages = pages
+	pages := lw.pages
+	lw.loaded = make([]windowPage, len(pages))
 
 	// Settle the level's speculative round before issuing this window's
 	// reads: pages the prediction got right are still resident and turn the
 	// reads below into buffer hits; the speculative pins are released first
 	// so the pool's worst case stays within the level's allocation.
-	r.collectPrefetch(l, func(pid storage.PageID) bool { return seen[pid] })
+	r.collectPrefetch(l, func(pid storage.PageID) bool { return lw.ordinalOf(pid) >= 0 })
 
 	// Window membership per group: the intersection of the group's candidate
 	// sequence with the merged window range, precomputed so last-level
@@ -603,29 +660,32 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int)
 
 	// With a live-ingest overlay, pre-seal dispatch is off: a record's
 	// on-disk adjacency may be stale, and the merged view exists only
-	// after applyOverlay runs under the seal. Page tasks are dispatched
+	// after buildSide runs under the seal. Page tasks are dispatched
 	// post-seal instead — the overlap with I/O is lost for mutated runs,
 	// the price of reading one consistent graph version.
 	eager := lastLevel && r.overlay == nil
-	var mu sync.Mutex
 	var wg sync.WaitGroup
 	onPage := func(pid storage.PageID, page *storage.Page, err error) {
 		if err != nil {
 			r.fail(err)
 			return
 		}
-		mu.Lock()
-		lw.pinned[pid] = true
-		lw.loadedPages[pid] = page
-		crecs, cbytes := indexPageRecords(page, lw.adj, lw.comp, lastLevel)
-		mu.Unlock()
+		wp := &lw.loaded[lw.ordinalOf(pid)]
+		wp.page = page
+		crecs, cbytes, err := wp.index(!lastLevel)
+		if err != nil {
+			r.fail(err)
+			return
+		}
 		if crecs > 0 {
 			r.em.compressedRecs.Add(crecs)
 			r.em.compressedBytes.Add(cbytes)
 		}
 		if eager {
-			// Overlap: match complete records while later pages load.
-			r.workers.submit(func() { r.extMapPage(page, lw) })
+			// Overlap: match complete records while later pages load. An I/O
+			// worker never waits for a queue slot — a page the full queue
+			// refuses is matched after the seal.
+			wp.queued = r.workers.trySubmit(func() { r.extMapPage(page, lw) })
 		}
 	}
 	// Issue maximal contiguous runs: the pool serves each with one simulated
@@ -659,169 +719,112 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int)
 	if err := r.firstErr(); err != nil {
 		return lw, err
 	}
-	// Merge split adjacency lists (multi-page vertices) for window vertices.
-	r.mergeSplitRecords(lw)
-	// Fold the live-ingest overlay in: every mutated vertex indexed by this
-	// window gets its merged (base ∪ adds) \ tombstones adjacency, at every
-	// level — child candidates, internal enumeration, and descent-time
-	// lookups all read lw.adj. Runs after mergeSplitRecords (whose
-	// degree check is against the base directory) and before the seal.
-	r.applyOverlay(lw)
-	// Seal: adj is complete and read-only from here on. Already-dispatched
-	// page tasks that observed the window unsealed keep using their own
-	// page's records; everything dispatched after this point reads adj.
+	r.buildSide(lw)
+	// Seal: the index is complete and read-only from here on. Page tasks
+	// that observed the window unsealed keep to their own page's records;
+	// everything dispatched after this point reads the whole index.
 	lw.sealed.Store(true)
-	if lastLevel && r.overlay != nil {
-		// The overlay suppressed pre-seal dispatch; match every page now
-		// that adj is merged and sealed. Mutated vertices are rooted
-		// separately (extMapPage skips them — their record adjacency is
-		// stale), except split vertices, which dispatchSplitVertices roots
-		// from the merged lw.adj like any other split record.
-		for _, pid := range lw.pages {
-			page := lw.loadedPages[pid]
-			if page == nil {
-				continue
+	if lastLevel {
+		// Match the pages not queued before the seal — all of them under an
+		// overlay, otherwise those the full queue refused — and then the side
+		// table's vertices, which page tasks skip: no single record holds
+		// their list.
+		for o := range lw.loaded {
+			if wp := &lw.loaded[o]; !wp.queued {
+				r.workers.submit(func() { r.extMapPage(wp.page, lw) })
 			}
-			r.workers.submit(func() { r.extMapPage(page, lw) })
 		}
-		r.dispatchOverlayVertices(lw)
+		for _, e := range lw.side {
+			r.workers.submit(func() { r.extMapVertex(e.v, e.adj, lw) })
+		}
 	}
 	return lw, nil
 }
 
-// applyOverlay rewrites the adjacency index of every overlay-mutated vertex
-// the window loaded: compressed spans of mutated vertices decode first
-// (a compressed operand cannot represent the merged list), then the
-// overlay applies. Vertices whose records live on the window's pages but
-// outside the vertex window are merged too — descent-time lookups resolve
-// any indexed vertex through lw.adj, and all of them must agree on the
-// graph version. No-op without an overlay.
-func (r *run) applyOverlay(lw *levelWindow) {
-	if r.overlay == nil {
-		return
+// index checks that the page's records are the dense ascending run of vertex
+// IDs the slot arithmetic relies on and, when decode is set, decodes its
+// lazily parsed compressed records into one slab. Returns the page's
+// compressed record and payload byte counts for the window-load metrics.
+func (wp *windowPage) index(decode bool) (crecs, cbytes uint64, err error) {
+	recs := wp.page.Records
+	lazy := func(rec *storage.Record) bool {
+		return rec.Adj == nil && rec.CompBytes > 0 && !rec.Continues && !rec.Continuation
 	}
-	merged := uint64(0)
-	r.overlay.Vertices(func(v graph.VertexID, _ *delta.VertexDelta) {
-		base, ok := lw.adj[v]
-		if !ok {
-			if comp, cok := lw.comp[v]; cok {
-				base = comp.AppendTo(nil)
-				delete(lw.comp, v)
-			} else {
-				return // not indexed by this window
-			}
+	total := 0
+	for i := range recs {
+		rec := &recs[i]
+		if rec.Vertex != recs[0].Vertex+graph.VertexID(i) {
+			return 0, 0, &storage.CorruptPageError{Page: wp.page.ID,
+				Reason: fmt.Sprintf("slot %d holds vertex %d: records are not a dense vertex-ID run from %d", i, rec.Vertex, recs[0].Vertex)}
 		}
-		lw.adj[v] = r.overlay.Apply(v, base)
-		merged++
-	})
-	if merged > 0 {
-		r.em.overlayVertices.Add(merged)
-	}
-}
-
-// dispatchOverlayVertices roots last-level matching for overlay-mutated
-// vertices with complete (single-page) records — extMapPage skipped them
-// because their on-disk record is stale. Their merged adjacency comes from
-// lw.adj; split mutated vertices are excluded (dispatchSplitVertices roots
-// those from the same merged map).
-func (r *run) dispatchOverlayVertices(lw *levelWindow) {
-	rooted := make(map[graph.VertexID]bool)
-	for _, pid := range lw.pages {
-		page := lw.loadedPages[pid]
-		if page == nil {
-			continue
-		}
-		for i := range page.Records {
-			rec := &page.Records[i]
-			if rec.Continues || rec.Continuation || rooted[rec.Vertex] {
-				continue
-			}
-			if r.overlay.Of(rec.Vertex) == nil {
-				continue
-			}
-			v := rec.Vertex
-			adj, ok := lw.adj[v]
-			if !ok {
-				continue
-			}
-			rooted[v] = true
-			r.workers.submit(func() { r.extMapVertex(v, adj, lw) })
-		}
-	}
-}
-
-// indexPageRecords adds a loaded page's complete records to a window's
-// adjacency index. Lazily parsed compressed records either keep their
-// zero-copy span in comp (last-level windows, where the compressed-domain
-// kernels consume them in place) or decode into a page-shared slab (every
-// other level reads adj structurally: child candidates, internal
-// enumeration, clipping). Returns the page's compressed record and payload
-// byte counts for the window-load metrics; callers hold the window lock.
-func indexPageRecords(page *storage.Page, adj map[graph.VertexID][]graph.VertexID, comp map[graph.VertexID]graph.CompressedAdj, keepCompressed bool) (crecs, cbytes uint64) {
-	var slab []graph.VertexID
-	if !keepCompressed {
-		total := 0
-		for i := range page.Records {
-			rec := &page.Records[i]
-			if rec.Adj == nil && rec.CompBytes > 0 && !rec.Continues && !rec.Continuation {
-				total += rec.Comp.Count
-			}
-		}
-		if total > 0 {
-			slab = make([]graph.VertexID, 0, total)
-		}
-	}
-	for i := range page.Records {
-		rec := &page.Records[i]
 		if rec.CompBytes > 0 {
 			crecs++
 			cbytes += uint64(rec.CompBytes)
 		}
-		if rec.Continues || rec.Continuation {
-			continue // merged after the window loads (mergeSplitRecords)
+		if lazy(rec) {
+			total += rec.Comp.Count
 		}
-		if rec.Adj == nil && rec.CompBytes > 0 {
-			if keepCompressed {
-				comp[rec.Vertex] = rec.Comp
-			} else {
-				start := len(slab)
-				slab = rec.Comp.AppendTo(slab)
-				adj[rec.Vertex] = slab[start:len(slab):len(slab)]
-			}
-			continue
-		}
-		adj[rec.Vertex] = rec.Adj
 	}
-	return crecs, cbytes
+	if !decode || total == 0 {
+		return crecs, cbytes, nil
+	}
+	slab := make([]graph.VertexID, 0, total)
+	wp.decoded = make([][]graph.VertexID, len(recs))
+	for i := range recs {
+		if rec := &recs[i]; lazy(rec) {
+			start := len(slab)
+			slab = rec.Comp.AppendTo(slab)
+			wp.decoded[i] = slab[start:len(slab):len(slab)]
+		}
+	}
+	return crecs, cbytes, nil
 }
 
-// mergeSplitRecords assembles adjacency lists that span multiple pages into
-// lw.adj. Window chopping keeps a vertex's span inside one window, so all
-// chunks are present. Split chunks always decode — a multi-page list is
-// reassembled by concatenation, which a compressed span cannot represent.
-func (r *run) mergeSplitRecords(lw *levelWindow) {
-	var split map[graph.VertexID][]graph.VertexID
-	for _, pid := range lw.pages {
-		page := lw.loadedPages[pid]
-		if page == nil {
-			continue
-		}
-		for i := range page.Records {
-			rec := &page.Records[i]
-			if rec.Continues || rec.Continuation {
-				if split == nil {
-					split = make(map[graph.VertexID][]graph.VertexID)
+// buildSide fills the window's side table in one ascending pass over its
+// pages, between the last page callback and the seal. A multi-page vertex
+// gets its chunks concatenated: window chopping keeps a vertex's span inside
+// one window, so all of them are present, and they always decode — a
+// compressed span cannot represent a concatenation. Under a live-ingest
+// overlay every mutated vertex with a record here gets its merged
+// (base ∪ adds) \ tombstones list, inside the vertex window or not:
+// descent-time lookups resolve any indexed vertex, and all of them must
+// agree on the graph version.
+func (r *run) buildSide(lw *levelWindow) {
+	var split sideEntry // the multi-page vertex being assembled
+	mutated := uint64(0)
+	for o := range lw.loaded {
+		wp := &lw.loaded[o]
+		for i := range wp.page.Records {
+			rec := &wp.page.Records[i]
+			v := rec.Vertex
+			dirty := r.overlay != nil && r.overlay.Of(v) != nil
+			var adj []graph.VertexID
+			switch {
+			case rec.Continues || rec.Continuation:
+				if split.v != v || !rec.Continuation {
+					split = sideEntry{v: v}
 				}
-				split[rec.Vertex] = appendRecord(split[rec.Vertex], rec)
+				split.adj = appendRecord(split.adj, rec)
+				if rec.Continues || len(split.adj) != r.e.db.Degree(v) {
+					// More chunks follow, or the list starts on a page outside
+					// the window — then so does the vertex, never matched here.
+					continue
+				}
+				adj = split.adj
+			case dirty:
+				adj, _ = wp.adjOf(v)
+			default:
+				continue
 			}
+			if dirty {
+				adj = r.overlay.Apply(v, adj)
+				mutated++
+			}
+			lw.side = append(lw.side, sideEntry{v, adj})
 		}
 	}
-	for v, adj := range split {
-		if len(adj) == r.e.db.Degree(v) {
-			lw.adj[v] = adj
-		}
-		// Incomplete merges belong to vertices outside the window (their
-		// remaining chunks live on unpinned pages); they are never matched.
+	if mutated > 0 {
+		r.em.overlayVertices.Add(mutated)
 	}
 }
 
@@ -834,42 +837,21 @@ func appendRecord(dst []graph.VertexID, rec *storage.Record) []graph.VertexID {
 	return append(dst, rec.Adj...)
 }
 
-// dispatchSplitVertices schedules last-level matching for vertices whose
-// records span pages (excluded from the per-page fast path).
-func (r *run) dispatchSplitVertices(lw *levelWindow) {
-	for _, pid := range lw.pages {
-		page := lw.loadedPages[pid]
-		if page == nil {
-			continue
-		}
-		for _, rec := range page.Records {
-			if rec.Continues && !rec.Continuation {
-				v := rec.Vertex
-				adj, ok := lw.adj[v]
-				if !ok {
-					continue // outside the window
-				}
-				r.workers.submit(func() { r.extMapVertex(v, adj, lw) })
-			}
-		}
-	}
-}
-
 // unloadWindow releases the window: path-pin accounting covers every page
 // the window asked for, but only successfully loaded pages hold a buffer
 // pin (loads can fail mid-window).
 func (r *run) unloadWindow(lw *levelWindow) {
-	for _, pid := range lw.pages {
+	for o, pid := range lw.pages {
 		r.pathPinned[pid]--
 		if r.pathPinned[pid] == 0 {
 			delete(r.pathPinned, pid)
 		}
-		if lw.pinned[pid] {
+		if lw.loaded[o].page != nil {
 			r.e.pool.Unpin(pid)
 		}
 	}
 	lw.pages = nil
-	lw.pinned = nil
+	lw.loaded = nil
 }
 
 // computeChildCandidates fills cand[g][child] for every child of each
@@ -884,7 +866,7 @@ func (r *run) computeChildCandidates(l int) {
 			posChild := r.p.MatchingOrder[childLevel]
 			var out []graph.VertexID
 			for _, v := range lw.verts[g] {
-				adj := lw.adj[v]
+				adj, _ := lw.adjOf(r.e.db.PageOf(v), v)
 				if posChild > posParent {
 					i := sort.Search(len(adj), func(i int) bool { return adj[i] > v })
 					out = append(out, adj[i:]...)
@@ -893,8 +875,8 @@ func (r *run) computeChildCandidates(l int) {
 					out = append(out, adj[:i]...)
 				}
 			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			out = dedupSorted(out)
+			slices.Sort(out)
+			out = slices.Compact(out)
 			r.em.candSize.Observe(int64(len(out)))
 			r.cand[g][childLevel] = candSeq{list: out}
 		}
@@ -950,17 +932,4 @@ func sliceRange(list []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
 	i := sort.Search(len(list), func(i int) bool { return list[i] >= lo })
 	j := sort.Search(len(list), func(j int) bool { return list[j] > hi })
 	return list[i:j]
-}
-
-func dedupSorted(list []graph.VertexID) []graph.VertexID {
-	if len(list) < 2 {
-		return list
-	}
-	out := list[:1]
-	for _, v := range list[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

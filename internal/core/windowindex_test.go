@@ -1,0 +1,152 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+	"time"
+
+	"dualsim/internal/delta"
+	"dualsim/internal/graph"
+)
+
+// TestResidentWindowInternalOnly pins the resident regime: when level 1's
+// share of the buffer holds the whole graph, it is one window spanning every
+// vertex, so every embedding is internal and the engine visits no deeper
+// level at all — no child candidates, no second window over the same pages —
+// while counts stay bit-identical to brute force and every page is read
+// exactly once. Paper queries plus three random connected ones, plain and
+// compressed base files, with and without a live-ingest overlay.
+func TestResidentWindowInternalOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(181))
+	base := randomGraph(rng, 70, 320)
+	queries := graph.PaperQueries()
+	for i := 0; i < 3; i++ {
+		queries = append(queries, randomConnectedQuery(rng, 3+rng.Intn(3)))
+	}
+	for _, compress := range []bool{false, true} {
+		for _, overlay := range []bool{false, true} {
+			db := buildDBOpts(t, base, 128, compress)
+			want, spec := base, RunSpec{}
+			if overlay {
+				st := delta.NewStore(base.NumVertices(), db.Epoch())
+				want = mutateRandom(t, st, base, rng, 1, "mixed")
+				spec.Overlay = st.Snapshot()
+			}
+			for _, q := range queries {
+				e, err := NewEngine(db, Options{Threads: 2, BufferFrames: 4 * db.NumPages()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.Plan = mustPlan(t, q)
+				res, err := e.RunSpecContext(context.Background(), spec)
+				e.Close()
+				if err != nil {
+					t.Fatalf("%s compress=%v overlay=%v: %v", q, compress, overlay, err)
+				}
+				if count := graph.CountOccurrences(want, q); res.Count != count || res.External != 0 {
+					t.Errorf("%s compress=%v overlay=%v: count %d (external %d), brute force %d",
+						q, compress, overlay, res.Count, res.External, count)
+				}
+				for l, n := range res.WindowsPerLevel {
+					if (l == 0) != (n == 1) || (l > 0 && n != 0) {
+						t.Errorf("%s compress=%v overlay=%v: windows per level %v, want one at level 1 only",
+							q, compress, overlay, res.WindowsPerLevel)
+						break
+					}
+				}
+				if res.IO.PhysicalReads != uint64(db.NumPages()) {
+					t.Errorf("%s compress=%v overlay=%v: %d physical reads of %d pages",
+						q, compress, overlay, res.IO.PhysicalReads, db.NumPages())
+				}
+			}
+		}
+	}
+}
+
+// TestWindowIndexConcurrentBuild stresses the lock-free index build: four
+// I/O workers deliver a window's pages concurrently, each callback writing
+// its own ordinal while last-level page tasks already match against theirs;
+// 128-byte pages split every hub across many pages, so the side table, the
+// post-seal dispatch of refused pages and the unsealed-task restriction are
+// all on the path, with and without an overlay. Counts must equal brute
+// force. Run with -race -count=20 (make check does).
+func TestWindowIndexConcurrentBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(182))
+	base := skewedGraph(rng, 260, 5, 90)
+	queries := []*graph.Query{graph.Triangle(), graph.PaperQueries()[3]} // q1, q4
+	for _, compress := range []bool{false, true} {
+		for _, overlay := range []bool{false, true} {
+			db := buildDBOpts(t, base, 128, compress)
+			want, spec := base, RunSpec{}
+			if overlay {
+				st := delta.NewStore(base.NumVertices(), db.Epoch())
+				want = mutateRandom(t, st, base, rng, 6, "mixed")
+				spec.Overlay = st.Snapshot()
+			}
+			e, err := NewEngine(db, Options{
+				Threads:        3,
+				IOWorkers:      4,
+				BufferFrames:   db.NumPages() / 3,
+				PerPageLatency: 5 * time.Microsecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				spec.Plan = mustPlan(t, q)
+				res, err := e.RunSpecContext(context.Background(), spec)
+				if err != nil {
+					t.Fatalf("%s compress=%v overlay=%v: %v", q.Name(), compress, overlay, err)
+				}
+				if res.WindowsPerLevel[0] < 2 {
+					t.Fatalf("%s compress=%v overlay=%v: %v windows per level, want a multi-window run",
+						q.Name(), compress, overlay, res.WindowsPerLevel)
+				}
+				if count := graph.CountOccurrences(want, q); res.Count != count {
+					t.Errorf("%s compress=%v overlay=%v: count %d, brute force %d",
+						q.Name(), compress, overlay, res.Count, count)
+				}
+			}
+			e.Close()
+		}
+	}
+}
+
+// TestWindowIndexLoadAllocs: loading a resident level-1 window allocates per
+// page (the ordinal array, a decode slab per compressed page), never per
+// record — the index addresses records where the pages already hold them.
+func TestWindowIndexLoadAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(183))
+	g := randomGraph(rng, 4000, 9000)
+	for _, compress := range []bool{false, true} {
+		db := buildDBOpts(t, g, 4096, compress)
+		e, err := NewEngine(db, Options{Threads: 1, BufferFrames: 2*db.NumPages() + 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := e.NewSweep(SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Windows() != 1 {
+			t.Fatalf("compress=%v: %d level-1 windows, want a resident graph", compress, s.Windows())
+		}
+		load := func() {
+			w, err := s.Load(context.Background(), 0, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Release(w)
+		}
+		load() // every later pin is a hit
+		allocs := testing.AllocsPerRun(10, load)
+		pages, records := float64(db.NumPages()), float64(db.NumVertices())
+		if limit := 24 + 2*pages; allocs > limit || limit > records/4 {
+			t.Errorf("compress=%v: %.0f allocations per load of %.0f pages holding %.0f records (limit %.0f)",
+				compress, allocs, pages, records, limit)
+		}
+		s.Close()
+		e.Close()
+	}
+}

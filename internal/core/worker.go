@@ -71,9 +71,10 @@ func newWorkerPool(threads int, submitted, completed *obs.Counter) *workerPool {
 	return p
 }
 
-// submit schedules a task. Tasks must not call submit (a full channel would
-// deadlock the pool while draining) — from inside a task use trySubmit,
-// which never blocks.
+// submit schedules a task, waiting for a queue slot. Only the run's
+// orchestrator may call it: a task that blocked here would deadlock the pool
+// while draining, and an I/O worker would stall page loads behind
+// enumeration — both use trySubmit, which never blocks.
 func (p *workerPool) submit(task func()) {
 	p.submitted.Inc()
 	p.pending.Add(1)
@@ -81,9 +82,10 @@ func (p *workerPool) submit(task func()) {
 }
 
 // trySubmit schedules a task without ever blocking: it reports false (and
-// schedules nothing) when the channel is full. Safe to call from inside a
-// running task — the caller's own pending count keeps the WaitGroup
-// non-zero, so the Add here cannot race a drain at zero.
+// schedules nothing) when the channel is full. The Add here cannot race a
+// drain at zero: a running task's own pending count keeps the WaitGroup
+// non-zero, and a window's page callbacks run while the orchestrator — the
+// only goroutine that drains — is still waiting for them in loadWindow.
 func (p *workerPool) trySubmit(task func()) bool {
 	p.pending.Add(1)
 	select {

@@ -498,6 +498,13 @@ func (s *Server) accountResume(resume *core.Checkpoint, err error) {
 // row-limit truncation. The stream is bounded by the row limit; hitting it
 // (or losing the client) cancels the run through its context, which
 // releases every buffer pin and returns the engine clean.
+//
+// Rows are flushed to the client together, not one write(2) each: with the
+// first row, and with any row written streamFlushInterval or more after the
+// previous flush. Resume-token lines and the final line flush at once, and a
+// checkpoint flushes rows still waiting, so none waits longer than one
+// level-1 window. A lost client cancels the run through the request
+// context, or at the first write after the flush that failed.
 func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req QueryRequest,
 	q *graph.Query, perm []int, planKey string, cached bool,
 	spec core.RunSpec, probe bool,
@@ -515,6 +522,14 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 
 	var mu sync.Mutex
 	var rows uint64
+	var lastFlush time.Time // zero until the first row goes out
+	unflushed := false
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+		lastFlush, unflushed = time.Now(), false
+	}
 	truncated := false
 	clientGone := false
 	spec.OnMatch = func(m []graph.VertexID) {
@@ -539,8 +554,9 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 			cancelRun()
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
+		unflushed = true
+		if time.Since(lastFlush) >= streamFlushInterval {
+			flush()
 		}
 		rows++
 		s.sm.rowsStreamed.Inc()
@@ -563,6 +579,9 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 		mu.Lock()
 		defer mu.Unlock()
 		lastToken = tok
+		if unflushed && !clientGone {
+			flush()
+		}
 		if s.cfg.ResumeTokenEvery < 0 || truncated || clientGone {
 			return
 		}
@@ -578,9 +597,7 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 			cancelRun()
 			return
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		flush()
 	}
 
 	res, err := run(runCtx, spec)
@@ -637,10 +654,12 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 		b, _ := json.Marshal(errorResponse{Error: err.Error(), ResumeToken: lastToken})
 		_, _ = w.Write(append(b, '\n'))
 	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	flush()
 }
+
+// streamFlushInterval is how long after a flush further streamed rows are
+// held back to go out together (see streamEmbeddings).
+const streamFlushInterval = 2 * time.Millisecond
 
 // statusOf maps a finished stream to its slow-log status.
 func statusOf(truncated bool) string {

@@ -515,3 +515,94 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// flushLog is a ResponseWriter that records how much of the body had been
+// written at each Flush, and when the first one happened.
+type flushLog struct {
+	header  http.Header
+	body    bytes.Buffer
+	flushed []int // body length at each flush
+	first   time.Time
+}
+
+func (f *flushLog) Header() http.Header         { return f.header }
+func (f *flushLog) WriteHeader(int)             {}
+func (f *flushLog) Write(b []byte) (int, error) { return f.body.Write(b) }
+func (f *flushLog) Flush() {
+	if len(f.flushed) == 0 {
+		f.first = time.Now()
+	}
+	f.flushed = append(f.flushed, f.body.Len())
+}
+
+// TestStreamCoalescedFlushes drives an embeddings stream through a recording
+// ResponseWriter. Rows share flushes instead of paying one each, yet nothing
+// a client waits for is held back: the first row is flushed alone while the
+// latency-injected run still has most of its time to go, every resume-token
+// line is flushed the moment it is written, and the trailer ends the stream
+// flushed. Buffering loses and repeats nothing: every triangle arrives once.
+func TestStreamCoalescedFlushes(t *testing.T) {
+	db := buildCompleteDB(t, 32, 256) // 4960 triangles
+	s, err := New(db, Config{
+		Engines:  1,
+		RowLimit: 1_000_000,
+		// A small buffer makes several level-1 windows (a token line each);
+		// the per-page latency stretches the run well past the first row.
+		Engine: core.Options{Threads: 1, BufferFrames: 10, PerPageLatency: 500 * time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	body, _ := json.Marshal(QueryRequest{Query: "q1", Mode: "embeddings"})
+	req, err := http.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &flushLog{header: http.Header{}}
+	s.Handler().ServeHTTP(rec, req)
+	end := time.Now()
+
+	rows, tokens, offset := 0, 0, 0
+	seen := make(map[string]bool)
+	flushedAt := make(map[int]bool, len(rec.flushed))
+	for _, n := range rec.flushed {
+		flushedAt[n] = true
+	}
+	lines := bytes.SplitAfter(rec.body.Bytes(), []byte("\n"))
+	for i, line := range lines {
+		offset += len(line)
+		switch {
+		case len(line) == 0:
+		case line[0] == '[':
+			rows++
+			if seen[string(line)] {
+				t.Errorf("row %s streamed twice", line)
+			}
+			seen[string(line)] = true
+			if rows == 1 && (len(rec.flushed) == 0 || rec.flushed[0] != offset) {
+				t.Errorf("first flush at byte %v, first row ends at %d", rec.flushed, offset)
+			}
+		case bytes.Contains(line, []byte(`"done":true`)):
+			if i != len(lines)-2 || !flushedAt[offset] {
+				t.Errorf("trailer at line %d of %d, flushed=%v", i, len(lines), flushedAt[offset])
+			}
+		case bytes.Contains(line, []byte(`"resume_token"`)):
+			tokens++
+			if !flushedAt[offset] {
+				t.Errorf("resume-token line ending at byte %d was not flushed when written", offset)
+			}
+		default:
+			t.Fatalf("unexpected line %q", line)
+		}
+	}
+	if rows != 4960 || tokens < 2 {
+		t.Fatalf("rows=%d tokens=%d", rows, tokens)
+	}
+	if len(rec.flushed) > rows/4 {
+		t.Errorf("%d flushes for %d rows: not coalesced", len(rec.flushed), rows)
+	}
+	if ahead := end.Sub(rec.first); ahead < 20*time.Millisecond {
+		t.Errorf("first row flushed only %v before the run ended", ahead)
+	}
+}
