@@ -30,14 +30,17 @@ fmt:
 # gate (every registered metric must be documented in docs/METRICS.md).
 # The serving binary must not link the comparison systems (the MapReduce
 # and Pregel simulators and the baselines built on them); those belong to
-# cmd/bench. Last, the window index stays flat and lock-free: no mutex and no
-# per-vertex hash map in the window loader or the matcher.
+# cmd/bench. Last, the window index stays flat and lock-free — no mutex and no
+# per-vertex hash map in the window loader or the matcher — and the hot path
+# searches with slices.BinarySearch, not sort.Search's closure per probe.
 lint: vet metrics-doc-check
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
 	@if $(GO) list -deps ./cmd/dualsim | grep -E 'internal/(mr|pregel|baseline)'; then \
 		echo "cmd/dualsim links a comparison system; move the caller to cmd/bench" >&2; exit 1; fi
 	@if grep -nE 'sync\.Mutex|map\[graph\.VertexID\]' internal/core/window.go internal/core/match.go; then \
 		echo "the window index is a flat array each page callback writes its own slot of: no mutex, no per-vertex map" >&2; exit 1; fi
+	@if grep -nF 'sort.Search(' internal/core/window.go internal/core/match.go; then \
+		echo "the window loader and the matcher search with slices.BinarySearch: no closure per probe" >&2; exit 1; fi
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
 # (every counter/gauge/histogram the server registers, plus the paper
@@ -54,10 +57,11 @@ metrics-doc-check:
 # plus the race-enabled test suite (the robustness tests exercise concurrent
 # cancellation paths that only -race can vouch for) and a stress pass over
 # the window index, which I/O workers build without a lock while matching
-# tasks already read it.
+# tasks already read it, and the per-assignment list cache, which is per task
+# and must never outlive a window's pins.
 check: lint bench-module
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden' ./internal/core
+	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds' ./internal/core
 
 # bench-module vets and tests benchmark/, which is its own Go module
 # (replace dualsim => ../): the root ./... patterns never compile it, so

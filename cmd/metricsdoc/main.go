@@ -135,7 +135,7 @@ var paperNotes = []struct{ pattern, note string }{
 	{"dualsim_window_retries_total", "whole-window recoveries absorbed without losing exactness (§6b)"},
 	{"dualsim_resumes_*", "resume-token outcomes (§6b); the stale_epoch label counts tokens invalidated by live ingest"},
 	{"dualsim_ingest_*", "live ingest: edge-mutation batches entering the delta overlay (the mutable-graph extension of §4's static layout)"},
-	{"dualsim_data_epoch", "monotone mutation clock: every query, plan, and resume token is pinned to one epoch"},
+	{"dualsim_data_epoch", "monotone mutation clock: every query and resume token is pinned to one epoch"},
 	{"dualsim_delta_overlay_vertices", "overlay size awaiting compaction — the memory cost of mutability over the immutable base file"},
 	{"dualsim_compactions_total", "overlay folds into a fresh base file: mutability amortized back to §4's sequential layout"},
 	{"dualsim_compaction_errors_total", "failed folds (overlay retained, base file unchanged)"},

@@ -11,9 +11,16 @@ import "fmt"
 //   - the final third is divided equally among the middle levels;
 //   - with two levels (triangulation) all remaining frames go to level 1.
 //
+// That rule is written for a buffer far below the graph. pages, when
+// positive, is the database's page count: whenever the frames beside it
+// still give every deeper level one, level 1 gets exactly pages — the whole
+// graph in one window, never more, frames beyond the graph are useless to
+// it — and the surplus is split over the deeper levels by the rule above.
+// Below that, and with pages 0, the paper's split is returned unchanged.
+//
 // Every level is guaranteed at least one frame. The slice is indexed by
 // level-1 (alloc[0] is level 1).
-func Allocate(total, levels, threads int) ([]int, error) {
+func Allocate(total, levels, threads, pages int) ([]int, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("buffer: need at least 1 level, got %d", levels)
 	}
@@ -22,6 +29,17 @@ func Allocate(total, levels, threads int) ([]int, error) {
 	}
 	if total < levels {
 		return nil, fmt.Errorf("buffer: %d frames cannot serve %d levels", total, levels)
+	}
+	if pages > 0 && total-pages >= levels-1 {
+		alloc := []int{pages}
+		if levels > 1 {
+			deep, err := Allocate(total-pages, levels-1, threads, 0)
+			if err != nil {
+				return nil, err
+			}
+			alloc = append(alloc, deep...)
+		}
+		return alloc, nil
 	}
 	alloc := make([]int, levels)
 	if levels == 1 {

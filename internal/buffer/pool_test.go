@@ -287,7 +287,7 @@ func TestPageContentMatchesDB(t *testing.T) {
 
 func TestAllocatePaperStrategy(t *testing.T) {
 	// Triangle (2 levels): everything except the async frames goes to L1.
-	a, err := Allocate(100, 2, 4)
+	a, err := Allocate(100, 2, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestAllocatePaperStrategy(t *testing.T) {
 		t.Fatalf("2-level alloc = %v", a)
 	}
 	// 3 levels: last = 2*threads, first = 2/3 of rest.
-	a, err = Allocate(100, 3, 2)
+	a, err = Allocate(100, 3, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,16 +309,48 @@ func TestAllocatePaperStrategy(t *testing.T) {
 		t.Fatalf("alloc %v does not sum to 100", a)
 	}
 	// Single level.
-	a, err = Allocate(10, 1, 2)
+	a, err = Allocate(10, 1, 2, 0)
 	if err != nil || a[0] != 10 {
 		t.Fatalf("1-level alloc = %v err=%v", a, err)
 	}
 	// Errors.
-	if _, err := Allocate(2, 3, 1); err == nil {
+	if _, err := Allocate(2, 3, 1, 0); err == nil {
 		t.Fatal("too few frames accepted")
 	}
-	if _, err := Allocate(10, 0, 1); err == nil {
+	if _, err := Allocate(10, 0, 1, 0); err == nil {
 		t.Fatal("zero levels accepted")
+	}
+}
+
+// TestAllocateResident: told the database's page count, Allocate gives
+// level 1 exactly the graph once the frames beside it cover one per deeper
+// level, splits the surplus by the paper's rule, and otherwise returns the
+// paper's split untouched.
+func TestAllocateResident(t *testing.T) {
+	for _, tc := range []struct {
+		total, levels, threads, pages int
+		want                          string
+	}{
+		{155, 3, 2, 129, "[129 22 4]"}, // surplus 26: last 4, the rest to level 2
+		{155, 2, 2, 129, "[129 26]"},   // the paper's split would give level 1 151
+		{131, 3, 2, 129, "[129 1 1]"},  // exactly at the threshold
+		{130, 3, 2, 129, "[84 42 4]"},  // one frame short: unchanged
+		{100, 3, 2, 129, "[64 32 4]"},  // pages > total: unchanged
+		{100, 3, 2, 0, "[64 32 4]"},    // page count unknown: unchanged
+		{500, 4, 2, 129, "[129 244 123 4]"},
+		{200, 1, 2, 129, "[129]"}, // one level never takes more than the graph
+		{100, 1, 2, 129, "[100]"},
+	} {
+		a, err := Allocate(tc.total, tc.levels, tc.threads, tc.pages)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		if got := fmt.Sprint(a); got != tc.want {
+			t.Errorf("Allocate(%d, %d, %d, %d) = %s, want %s", tc.total, tc.levels, tc.threads, tc.pages, got, tc.want)
+		}
+		if paper, _ := Allocate(tc.total, tc.levels, tc.threads, 0); a[0] != tc.pages && fmt.Sprint(paper) != fmt.Sprint(a) {
+			t.Errorf("%+v: %v is neither resident nor the paper's split %v", tc, a, paper)
+		}
 	}
 }
 
@@ -327,7 +359,7 @@ func TestAllocateQuickInvariants(t *testing.T) {
 		total := int(total16%500) + 1
 		levels := int(levels8%5) + 1
 		threads := int(threads8%8) + 1
-		a, err := Allocate(total, levels, threads)
+		a, err := Allocate(total, levels, threads, 0)
 		if err != nil {
 			return total < levels*2 || levels > total // only plausibly-small cases may fail
 		}
@@ -374,7 +406,7 @@ func TestLatencySimulationRuns(t *testing.T) {
 }
 
 func ExampleAllocate() {
-	alloc, _ := Allocate(60, 3, 2)
+	alloc, _ := Allocate(60, 3, 2, 0)
 	fmt.Println(alloc)
 	// Output: [37 19 4]
 }

@@ -395,18 +395,29 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 	}
 	// The solo budget policy: the whole pool split over the plan's levels
 	// by the paper's allocation — level 1 (the sweep of one) gets alloc[0],
-	// the rider the rest.
+	// the rider the rest. When the graph fits beside one maximal vertex per
+	// deeper level, level 1 takes exactly the graph (one window spanning
+	// every vertex, enumerated as internal only) and the span floors are
+	// settled among the deeper levels alone.
 	var alloc []int
 	var err error
+	resident := 0
 	if e.opts.EqualAllocation {
 		alloc, err = buffer.AllocateEqual(e.frames, p.K)
 	} else {
-		alloc, err = buffer.Allocate(e.frames, p.K, e.opts.Threads)
+		if pages := e.db.NumPages(); e.frames-pages >= (p.K-1)*e.maxSpan {
+			resident = pages
+		}
+		alloc, err = buffer.Allocate(e.frames, p.K, e.opts.Threads, resident)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: allocating %d frames over %d levels: %w", e.frames, p.K, err)
 	}
-	if err := ensureSpanBudget(alloc, e.frames, e.maxSpan); err != nil {
+	deep := alloc
+	if resident > 0 {
+		deep = alloc[1:]
+	}
+	if err := ensureSpanBudget(deep, e.frames-resident, e.maxSpan); err != nil {
 		return nil, err
 	}
 	r := e.newRun(ctx, spec, alloc, !spec.DisablePrefetch)
@@ -525,9 +536,14 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int, prefetch
 	//
 	// Levels whose allocation cannot afford that band (in practice the
 	// starved inner levels, whose loads the last-level path already
-	// overlaps with enumeration) skip prefetch instead of degrading it.
+	// overlaps with enumeration) skip prefetch instead of degrading it, and
+	// so does a level that holds the whole graph: its one window has no
+	// successor to speculate on.
 	if prefetch {
 		for l := range alloc {
+			if alloc[l] >= e.db.NumPages() {
+				continue
+			}
 			carve := e.opts.PrefetchFrames
 			if cap := alloc[l] / 8; carve > cap {
 				carve = cap
@@ -551,7 +567,7 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int, prefetch
 		r.externalCount.Store(cp.External)
 		r.windowsPer[0] = cp.Windows
 	}
-	r.arenaPool.New = func() any { return graph.NewArena() }
+	r.matchers.New = r.allocMatcher
 	for g := range r.cand {
 		r.cand[g] = make([]candSeq, p.K)
 		f := p.Groups[g].Forest
@@ -652,9 +668,10 @@ type run struct {
 	winSpan   []uint64
 	winStart  []time.Time // open time of each level's current window
 
-	// arenaPool recycles intersection arenas across enumeration tasks, so
-	// steady state performs no per-task scratch allocation.
-	arenaPool sync.Pool
+	// matchers recycles matchers — slices and intersection arena included —
+	// across enumeration tasks, so steady state performs no per-task
+	// allocation.
+	matchers sync.Pool
 
 	internalCount atomic.Uint64
 	externalCount atomic.Uint64

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/bits"
+
 	"dualsim/internal/graph"
 	"dualsim/internal/rbi"
 	"dualsim/internal/storage"
@@ -9,7 +12,8 @@ import (
 // matcher carries the per-task state of vertex-level mapping: the data
 // vertex assigned to each position, the query-vertex mapping being expanded,
 // the task's intersection arena, and local counters flushed when the task
-// ends.
+// ends. Matchers are pooled per run (run.matchers): a task borrows one,
+// slices and arena included, until flush.
 type matcher struct {
 	r  *run
 	lw *levelWindow // level-0 window (internal) or last-level window (external)
@@ -36,26 +40,44 @@ type matcher struct {
 
 	pos2v   []graph.VertexID
 	posMask uint32 // assigned positions
+	// posAdj[p] is the resolved adjacency list of position p's vertex while
+	// adjMask has bit p: filled on first use (adjOfPos), dropped when p is
+	// assigned anew or the task takes a new root, so the directory → ordinal
+	// → slot walk runs once per assignment. The lists alias pinned pages and
+	// never outlive the task — a matcher leaves the pool with adjMask clear.
+	posAdj  [][]graph.VertexID
+	adjMask uint32
 
 	mapping []graph.VertexID // query vertex -> data vertex
 	qMask   uint32           // mapped query vertices
+	qPos    []int            // red query vertex -> its position in the sequence being expanded
 
-	// arena is the task's intersection scratch (depth-indexed, no
-	// per-candidate allocation), borrowed from the run's pool until flush.
+	// arena is the matcher's intersection scratch (depth-indexed, no
+	// per-candidate allocation).
 	arena *graph.Arena
 
 	localInternal uint64
 	localExternal uint64
 }
 
+// newMatcher borrows a matcher from the run's pool for one task over lw.
 func (r *run) newMatcher(lw *levelWindow, internal bool) *matcher {
+	m := r.matchers.Get().(*matcher)
+	m.lw, m.internal, m.own, m.adjMask = lw, internal, nil, 0
+	m.localInternal, m.localExternal = 0, 0
+	return m
+}
+
+// allocMatcher is the pool's constructor.
+func (r *run) allocMatcher() any {
+	n := r.p.Query.NumVertices()
 	return &matcher{
-		r:        r,
-		lw:       lw,
-		internal: internal,
-		pos2v:    make([]graph.VertexID, r.k),
-		mapping:  make([]graph.VertexID, r.p.Query.NumVertices()),
-		arena:    r.arenaPool.Get().(*graph.Arena),
+		r:       r,
+		pos2v:   make([]graph.VertexID, r.k),
+		posAdj:  make([][]graph.VertexID, r.k),
+		mapping: make([]graph.VertexID, n),
+		qPos:    make([]int, n),
+		arena:   graph.NewArena(),
 	}
 }
 
@@ -63,8 +85,8 @@ func (r *run) newMatcher(lw *levelWindow, internal bool) *matcher {
 // (merged into the run totals and engine metrics only when the window
 // completes — see settleWindowCounts; window-local counts are what makes
 // whole-window retry idempotent) and the arena's kernel-selection counts
-// into the registry. Batching per task keeps the per-embedding hot path
-// free of shared-cacheline traffic.
+// into the registry, then returns the matcher to the pool. Batching per
+// task keeps the per-embedding hot path free of shared-cacheline traffic.
 func (m *matcher) flush() {
 	if m.localInternal > 0 {
 		m.lw.internal.Add(m.localInternal)
@@ -98,15 +120,17 @@ func (m *matcher) flush() {
 	if st.SkipSeeks > 0 {
 		m.r.em.skipSeeks.Add(st.SkipSeeks)
 	}
-	m.r.arenaPool.Put(m.arena)
-	m.arena = nil
+	m.r.matchers.Put(m)
 }
 
 // adjOfPos returns the adjacency list of the data vertex assigned to
-// position pos.
+// position pos, resolving it on the first request after the assignment.
 func (m *matcher) adjOfPos(pos int) []graph.VertexID {
-	v := m.pos2v[pos]
-	return m.adjOfData(v)
+	if bit := uint32(1) << uint(pos); m.adjMask&bit == 0 {
+		m.posAdj[pos] = m.adjOfData(m.pos2v[pos])
+		m.adjMask |= bit
+	}
+	return m.posAdj[pos]
 }
 
 // adjOfData resolves the adjacency list of an assigned (hence resident)
@@ -138,22 +162,42 @@ func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
 	return adj
 }
 
-// orderOK checks the total-order constraints between a candidate v for
-// position pos and every already-assigned position.
-func (m *matcher) orderOK(pos int, v graph.VertexID) bool {
-	for p := 0; p < m.r.k; p++ {
-		if m.posMask&(1<<uint(p)) == 0 || p == pos {
-			continue
-		}
-		if p < pos {
-			if !(m.pos2v[p] < v) {
-				return false
-			}
-		} else if !(v < m.pos2v[p]) {
-			return false
-		}
+// posBounds returns the inclusive ID interval the total order leaves open
+// for position pos: above the nearest assigned position below it and below
+// the nearest one above (assigned positions ascend with their vertices, so
+// the nearest are the tightest). lo > hi means no vertex qualifies.
+func (m *matcher) posBounds(pos int) (lo, hi int64) {
+	hi = math.MaxUint32
+	if below := m.posMask & (1<<uint(pos) - 1); below != 0 {
+		lo = int64(m.pos2v[bits.Len32(below)-1]) + 1
 	}
-	return true
+	if above := m.posMask >> uint(pos+1); above != 0 {
+		hi = int64(m.pos2v[pos+1+bits.TrailingZeros32(above)]) - 1
+	}
+	return lo, hi
+}
+
+// poBounds is posBounds for the non-red vertex plan.RBI.NonRed[idx]: the
+// interval its partial orders to already-mapped query vertices leave open.
+func (m *matcher) poBounds(idx int) (lo, hi int64) {
+	hi = math.MaxUint32
+	b := &m.r.p.NonRedBounds[idx]
+	for _, q := range b.Lower {
+		lo = max(lo, int64(m.mapping[q])+1)
+	}
+	for _, q := range b.Upper {
+		hi = min(hi, int64(m.mapping[q])-1)
+	}
+	return lo, hi
+}
+
+// clip is sliceRange over a non-empty interval from posBounds/poBounds. The
+// whole ID space — a node nothing bounds — costs no look at the list.
+func clip(list []graph.VertexID, lo, hi int64) []graph.VertexID {
+	if lo == 0 && hi == math.MaxUint32 {
+		return list
+	}
+	return sliceRange(list, graph.VertexID(lo), graph.VertexID(hi))
 }
 
 // allInternal reports whether every assigned position lies in the current
@@ -230,7 +274,7 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, c
 		m.g = g
 		m.lastV, m.lastAdj, m.lastComp = v, adj, comp
 		m.pos2v[pos] = v
-		m.posMask = 1 << uint(pos)
+		m.posMask, m.adjMask = 1<<uint(pos), 0
 		r.extDescend(m, last-1)
 	}
 }
@@ -239,7 +283,9 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, c
 // recurses; at level < 0 the red match is complete (Algorithm 2's
 // EXTVERTEXMAPPING). The candidates for pos are materialized once per parent
 // assignment as the k-way intersection of the node's window with every
-// connected position's adjacency list.
+// connected position's adjacency list, each first clipped to the interval the
+// total order leaves open — what a post-filter would discard is never
+// intersected.
 func (r *run) extDescend(m *matcher, level int) {
 	if level < 0 {
 		r.expandSequences(m, false)
@@ -252,7 +298,11 @@ func (r *run) extDescend(m *matcher, level int) {
 		return
 	}
 	pos := r.p.MatchingOrder[level]
-	window := r.winData[level].verts[m.g]
+	lo, hi := m.posBounds(pos)
+	if lo > hi {
+		return
+	}
+	window := clip(r.winData[level].verts[m.g], lo, hi)
 	vg := r.p.Groups[m.g]
 
 	// U_CON lists plus the window itself form one k-way intersection.
@@ -274,7 +324,7 @@ func (r *run) extDescend(m *matcher, level int) {
 			compOperand = true
 			continue
 		}
-		lists = append(lists, m.adjOfPos(p))
+		lists = append(lists, clip(m.adjOfPos(p), lo, hi))
 	}
 	// With no assigned neighbor the node's whole current window is scanned.
 	cands := window
@@ -285,9 +335,6 @@ func (r *run) extDescend(m *matcher, level int) {
 		cands = m.arena.IntersectK(level, lists)
 	}
 	for _, v := range cands {
-		if !m.orderOK(pos, v) {
-			continue
-		}
 		m.assign(pos, v)
 		r.extDescend(m, level-1)
 		m.unassign(pos)
@@ -297,6 +344,7 @@ func (r *run) extDescend(m *matcher, level int) {
 func (m *matcher) assign(pos int, v graph.VertexID) {
 	m.pos2v[pos] = v
 	m.posMask |= 1 << uint(pos)
+	m.adjMask &^= 1 << uint(pos)
 }
 
 func (m *matcher) unassign(pos int) {
@@ -342,7 +390,7 @@ func (r *run) internalEnumerate(g int, verts []graph.VertexID, lw *levelWindow) 
 			}
 		}
 		m.pos2v[pos0] = verts[i]
-		m.posMask = 1 << uint(pos0)
+		m.posMask, m.adjMask = 1<<uint(pos0), 0
 		r.intDescend(m, 1)
 	}
 	m.flush()
@@ -351,7 +399,7 @@ func (r *run) internalEnumerate(g int, verts []graph.VertexID, lw *levelWindow) 
 // intDescend assigns levels 1..k-1 in ascending order, restricted to the
 // internal window. The candidates for pos are the intersection of the
 // connected positions' adjacency lists, each first clipped to the window's
-// [lo, hi] ID range.
+// ID range narrowed by the total order (posBounds).
 func (r *run) intDescend(m *matcher, level int) {
 	if level == r.k {
 		r.expandSequences(m, true)
@@ -359,7 +407,11 @@ func (r *run) intDescend(m *matcher, level int) {
 	}
 	pos := r.p.MatchingOrder[level]
 	vg := r.p.Groups[m.g]
-	lo, hi := m.lw.lo, m.lw.hi
+	lo, hi := m.posBounds(pos)
+	lo, hi = max(lo, int64(m.lw.lo)), min(hi, int64(m.lw.hi))
+	if lo > hi {
+		return
+	}
 
 	lists := m.arena.Lists(level, r.k)
 	for p := 0; p < r.k; p++ {
@@ -371,17 +423,14 @@ func (r *run) intDescend(m *matcher, level int) {
 		}
 		// Clip to the internal window: the intersection is a subset of
 		// every input, so clipping each list clips the result.
-		lists = append(lists, sliceRange(m.adjOfPos(p), lo, hi))
+		lists = append(lists, clip(m.adjOfPos(p), lo, hi))
 	}
 	// With no assigned neighbor the whole internal window is scanned.
-	cands := m.lw.verts[m.g]
+	cands := clip(m.lw.verts[m.g], lo, hi)
 	if len(lists) > 0 {
 		cands = m.arena.IntersectK(level, lists)
 	}
 	for _, v := range cands {
-		if !m.orderOK(pos, v) {
-			continue
-		}
 		m.assign(pos, v)
 		r.intDescend(m, level+1)
 		m.unassign(pos)
@@ -398,6 +447,7 @@ func (r *run) expandSequences(m *matcher, internal bool) {
 		m.qMask = 0
 		for pos, qv := range seq {
 			m.mapping[qv] = m.pos2v[pos]
+			m.qPos[qv] = pos
 			m.qMask |= 1 << uint(qv)
 		}
 		r.matchNonRed(m, 0, internal)
@@ -406,9 +456,11 @@ func (r *run) expandSequences(m *matcher, internal bool) {
 
 // matchNonRed extends the current red mapping over plan.RBI.NonRed[idx:]:
 // black vertices scan their red neighbor's adjacency list, ivory vertices
-// intersect the lists of their red neighbors (§5.2). No I/O is performed —
-// every needed adjacency list is already in the buffer. The kernel shape is
-// fixed at plan time (rbi.KernelHint).
+// intersect the lists of their red neighbors (§5.2), read through the
+// neighbors' positions (adjOfPos) and clipped to what the partial orders
+// leave open (poBounds). No I/O is performed — every needed adjacency list is
+// already in the buffer. The kernel shape is fixed at plan time
+// (rbi.KernelHint).
 func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	if idx == len(r.p.RBI.NonRed) {
 		if internal {
@@ -423,22 +475,26 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	}
 	u := r.p.RBI.NonRed[idx]
 	reds := r.p.RBI.RedNeighbors[u]
+	lo, hi := m.poBounds(idx)
+	if lo > hi {
+		return
+	}
 
 	var cands []graph.VertexID
 	if r.p.RBI.Hints[u] == rbi.HintScan {
 		// Black vertex: candidates are the one red neighbor's list.
-		cands = m.adjOfData(m.mapping[reds[0]])
+		cands = clip(m.adjOfPos(m.qPos[reds[0]]), lo, hi)
 	} else {
 		// Ivory vertex: pairwise or k-way adaptive intersection.
 		depth := r.k + idx
 		lists := m.arena.Lists(depth, len(reds))
 		for _, rq := range reds {
-			lists = append(lists, m.adjOfData(m.mapping[rq]))
+			lists = append(lists, clip(m.adjOfPos(m.qPos[rq]), lo, hi))
 		}
 		cands = m.arena.IntersectK(depth, lists)
 	}
 	for _, v := range cands {
-		if !m.nonRedOK(u, v) {
+		if !m.nonRedOK(v) {
 			continue
 		}
 		m.mapping[u] = v
@@ -448,28 +504,13 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	}
 }
 
-// nonRedOK checks injectivity and the partial orders for assigning data
-// vertex v to non-red query vertex u.
-func (m *matcher) nonRedOK(u int, v graph.VertexID) bool {
+// nonRedOK checks injectivity for assigning data vertex v to a non-red query
+// vertex (the partial orders were applied to the candidates: poBounds).
+func (m *matcher) nonRedOK(v graph.VertexID) bool {
 	n := m.r.p.Query.NumVertices()
 	for qv := 0; qv < n; qv++ {
-		if m.qMask&(1<<uint(qv)) == 0 {
-			continue
-		}
-		if m.mapping[qv] == v {
+		if m.qMask&(1<<uint(qv)) != 0 && m.mapping[qv] == v {
 			return false
-		}
-	}
-	for _, c := range m.r.p.PO {
-		switch {
-		case c.Lo == u && m.qMask&(1<<uint(c.Hi)) != 0:
-			if !(v < m.mapping[c.Hi]) {
-				return false
-			}
-		case c.Hi == u && m.qMask&(1<<uint(c.Lo)) != 0:
-			if !(m.mapping[c.Lo] < v) {
-				return false
-			}
 		}
 	}
 	return true

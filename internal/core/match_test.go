@@ -1,0 +1,176 @@
+package core
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dualsim/internal/graph"
+)
+
+// orderOKOracle and poOKOracle are the post-filters the matcher applied to
+// every candidate before order bounds replaced them (matcher.orderOK and the
+// partial-order loop of matcher.nonRedOK), kept verbatim as the reference
+// the bounds are checked against.
+func orderOKOracle(m *matcher, pos int, v graph.VertexID) bool {
+	for p := 0; p < m.r.k; p++ {
+		if m.posMask&(1<<uint(p)) == 0 || p == pos {
+			continue
+		}
+		if p < pos {
+			if !(m.pos2v[p] < v) {
+				return false
+			}
+		} else if !(v < m.pos2v[p]) {
+			return false
+		}
+	}
+	return true
+}
+
+func poOKOracle(m *matcher, u int, v graph.VertexID) bool {
+	for _, c := range m.r.p.PO {
+		switch {
+		case c.Lo == u && m.qMask&(1<<uint(c.Hi)) != 0:
+			if !(v < m.mapping[c.Hi]) {
+				return false
+			}
+		case c.Hi == u && m.qMask&(1<<uint(c.Lo)) != 0:
+			if !(m.mapping[c.Lo] < v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// boundIDs are the vertex IDs the bound tests draw from: both ends of the ID
+// space, their neighbors, and a few in between.
+var boundIDs = []graph.VertexID{0, 1, 2, 7, 8, 9, 1000, math.MaxUint32 - 1, math.MaxUint32}
+
+// checkBounds requires [lo, hi] to hold exactly the IDs ok admits, both by
+// membership and through clip, the way the matcher applies it.
+func checkBounds(t *testing.T, what string, lo, hi int64, ok func(graph.VertexID) bool) {
+	t.Helper()
+	var want []graph.VertexID
+	for _, v := range boundIDs {
+		if in := lo <= int64(v) && int64(v) <= hi; in != ok(v) {
+			t.Fatalf("%s: bounds [%d, %d] admit %d = %v, the post-filter says %v", what, lo, hi, v, in, ok(v))
+		}
+		if ok(v) {
+			want = append(want, v)
+		}
+	}
+	if lo > hi {
+		return // the matcher returns before clipping an empty interval
+	}
+	if got := clip(boundIDs, lo, hi); !slices.Equal(got, want) {
+		t.Fatalf("%s: clip to [%d, %d] = %v, want %v", what, lo, hi, got, want)
+	}
+}
+
+// TestOrderBoundsMatchPostFilters: posBounds and poBounds describe exactly
+// the candidates orderOK and nonRedOK's partial-order loop used to let
+// through — for every set of ascending assigned positions over IDs that
+// include 0 and MaxUint32, and for every non-red vertex of the paper queries
+// and random ones under arbitrary mappings of the vertices matched before it.
+func TestOrderBoundsMatchPostFilters(t *testing.T) {
+	rng := rand.New(rand.NewSource(193))
+	for iter := 0; iter < 2000; iter++ {
+		k := 2 + rng.Intn(5)
+		m := &matcher{r: &run{k: k}, pos2v: make([]graph.VertexID, k)}
+		// Assigned positions hold ascending vertices: the invariant every
+		// assignment made within its bounds preserves.
+		ids := slices.Clone(boundIDs)
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		m.posMask = uint32(rng.Intn(1 << uint(k)))
+		assigned := ids[:k]
+		slices.Sort(assigned)
+		copy(m.pos2v, assigned)
+		for pos := 0; pos < k; pos++ {
+			if m.posMask&(1<<uint(pos)) != 0 {
+				continue
+			}
+			lo, hi := m.posBounds(pos)
+			checkBounds(t, "position", lo, hi, func(v graph.VertexID) bool { return orderOKOracle(m, pos, v) })
+		}
+	}
+
+	queries := graph.PaperQueries()
+	for i := 0; i < 20; i++ {
+		queries = append(queries, randomConnectedQuery(rng, 3+rng.Intn(3)))
+	}
+	bounded := 0
+	for _, q := range queries {
+		p := mustPlan(t, q)
+		m := &matcher{r: &run{p: p, k: p.K}, mapping: make([]graph.VertexID, q.NumVertices())}
+		for _, u := range p.RBI.Red {
+			m.qMask |= 1 << uint(u)
+		}
+		for idx, u := range p.RBI.NonRed {
+			if b := p.NonRedBounds[idx]; len(b.Lower)+len(b.Upper) > 0 {
+				bounded++
+			}
+			for iter := 0; iter < 200; iter++ {
+				for qv := range m.mapping {
+					m.mapping[qv] = boundIDs[rng.Intn(len(boundIDs))]
+				}
+				lo, hi := m.poBounds(idx)
+				checkBounds(t, q.Name(), lo, hi, func(v graph.VertexID) bool { return poOKOracle(m, u, v) })
+			}
+			m.qMask |= 1 << uint(u)
+		}
+	}
+	if bounded == 0 {
+		t.Fatal("no non-red vertex with a partial order: the fixture does not exercise poBounds")
+	}
+}
+
+// TestMatcherPooled: a task borrows its matcher — struct, slices, arena and
+// the per-assignment list cache — from the run's pool, so in steady state a
+// task allocates nothing and a run's allocations do not grow with the number
+// of tasks its windows are cut into. Measured on a resident q1 run's real
+// task body, one root per task.
+func TestMatcherPooled(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(194)), 400, 2400)
+	db := buildDB(t, g, 512)
+	e, err := NewEngine(db, Options{Threads: 1, BufferFrames: 4 * db.NumPages()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	s, err := e.NewSweep(SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rd, err := s.NewRider(context.Background(), RunSpec{Plan: mustPlan(t, graph.Triangle())}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	w, err := s.Load(context.Background(), 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release(w)
+	// The rider-local view of the window, as ProcessWindow builds it.
+	lw := &levelWindow{verts: [][]graph.VertexID{e.all}, lo: w.lw.lo, hi: w.lw.hi,
+		pages: w.lw.pages, loaded: w.lw.loaded, side: w.lw.side}
+	lw.sealed.Store(true)
+	tasks := func() {
+		for i := range e.all {
+			rd.r.internalEnumerate(0, e.all[i:i+1], lw)
+		}
+	}
+	tasks() // grow the arena once
+	if lw.internal.Load() != graph.CountOccurrences(g, graph.Triangle()) {
+		t.Fatalf("%d triangles from %d single-root tasks, brute force %d",
+			lw.internal.Load(), len(e.all), graph.CountOccurrences(g, graph.Triangle()))
+	}
+	if allocs := testing.AllocsPerRun(5, tasks); allocs != 0 && !raceEnabled {
+		t.Errorf("%.0f allocations over %d tasks, want none", allocs, len(e.all))
+	}
+}

@@ -287,7 +287,7 @@ func (s *Sweep) NewRider(ctx context.Context, spec RunSpec, threads int) (*Rider
 	// those pins. Deep levels must each hold one maximal vertex.
 	alloc := make([]int, p.K)
 	if p.K > 1 {
-		deep, err := buffer.Allocate(s.riderFrames, p.K-1, threads)
+		deep, err := buffer.Allocate(s.riderFrames, p.K-1, threads, 0)
 		if err == nil {
 			err = ensureSpanBudget(deep, s.riderFrames, e.maxSpan)
 		}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -867,11 +866,12 @@ func (r *run) computeChildCandidates(l int) {
 			var out []graph.VertexID
 			for _, v := range lw.verts[g] {
 				adj, _ := lw.adjOf(r.e.db.PageOf(v), v)
+				// Lists are duplicate-free and never hold their own vertex,
+				// so v's insertion point splits smaller from larger neighbors.
+				i, _ := slices.BinarySearch(adj, v)
 				if posChild > posParent {
-					i := sort.Search(len(adj), func(i int) bool { return adj[i] > v })
 					out = append(out, adj[i:]...)
 				} else {
-					i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
 					out = append(out, adj[:i]...)
 				}
 			}
@@ -927,9 +927,20 @@ func (r *run) dispatchInternal(lw *levelWindow) {
 	}
 }
 
-// sliceRange returns the subslice of sorted list with values in [lo, hi].
+// sliceRange returns the subslice of the sorted duplicate-free list with
+// values in [lo, hi]. An end already inside the range costs one comparison,
+// not a search: most calls cut one side only.
 func sliceRange(list []graph.VertexID, lo, hi graph.VertexID) []graph.VertexID {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= lo })
-	j := sort.Search(len(list), func(j int) bool { return list[j] > hi })
-	return list[i:j]
+	if n := len(list); n > 0 && list[0] < lo {
+		i, _ := slices.BinarySearch(list, lo)
+		list = list[i:]
+	}
+	if n := len(list); n > 0 && list[n-1] > hi {
+		j, found := slices.BinarySearch(list, hi)
+		if found {
+			j++
+		}
+		list = list[:j]
+	}
+	return list
 }

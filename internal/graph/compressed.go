@@ -320,7 +320,8 @@ func (cu *CompCursor) SeekGE(target VertexID) (v VertexID, ok bool) {
 // longer, each element of a is located by SeekGE (skip-gallop, decoding
 // only the blocks that candidates land in); when a is much longer, the
 // compressed side is streamed and a is galloped; otherwise both sides walk
-// in a linear merge. Kernel choices and skip seeks are recorded in stats
+// in a linear merge, the compressed side from the block a[0] falls in.
+// Kernel choices and skip seeks are recorded in stats
 // when it is non-nil.
 func IntersectCompressed(a []VertexID, c CompressedAdj, dst []VertexID, stats *IntersectStats) []VertexID {
 	cu := c.Cursor()
@@ -381,6 +382,11 @@ func IntersectCompressed(a []VertexID, c CompressedAdj, dst []VertexID, stats *I
 		if stats != nil {
 			stats.Linear++
 			stats.Compressed++
+		}
+		// Start where a starts: a is often a clipped suffix whose first entry
+		// lies blocks into the span (a no-op without a skip table).
+		if len(a) > 0 {
+			cu.SeekGE(a[0])
 		}
 		i := 0
 		v, ok := cu.Next()

@@ -175,6 +175,39 @@ func TestIntersectCompressedMatchesDecoded(t *testing.T) {
 	}
 }
 
+// TestIntersectCompressedClippedOperand: a clipped suffix against a long span
+// — the operand order bounds leave — takes the linear-merge arm (the lengths
+// are within the gallop ratio) and must enter the span through the skip
+// table at the block a[0] falls in, not decode from the first entry.
+func TestIntersectCompressedClippedOperand(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	cadj := sortedRandom(rng, 1000, 4000)
+	c := mustParse(t, cadj)
+	whole := sortedRandom(rng, 1500, 4000)
+	for _, from := range []VertexID{0, 1000, 3000, 3999, 4000} {
+		i := 0
+		for i < len(whole) && whole[i] < from {
+			i++
+		}
+		a := whole[i:]
+		var stats IntersectStats
+		got := IntersectCompressed(a, c, nil, &stats)
+		want := IntersectSortedLinear(a, cadj, nil)
+		if len(got) != len(want) {
+			t.Fatalf("a from %d: %d results, want %d", from, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("a from %d: result %d = %d, want %d", from, j, got[j], want[j])
+			}
+		}
+		if linear := len(a) > 0 && c.Count < gallopRatio*len(a); linear && from >= 1000 && (stats.Linear != 1 || stats.SkipSeeks == 0) {
+			t.Errorf("a from %d (%d entries): Linear=%d SkipSeeks=%d, want the merge to seek to its start",
+				from, len(a), stats.Linear, stats.SkipSeeks)
+		}
+	}
+}
+
 // TestIntersectCompressedInPlace verifies the documented dst=a[:0] aliasing
 // contract across all three dispatch arms.
 func TestIntersectCompressedInPlace(t *testing.T) {

@@ -28,12 +28,6 @@ type Cache struct {
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 	shared    atomic.Uint64
-
-	// dataEpoch is the data epoch entries are valid for. Entries are stamped
-	// with the epoch observed when their build started; a lookup that finds
-	// an entry stamped with a different epoch drops it and reports a miss, so
-	// plans never outlive the graph snapshot they were prepared against.
-	dataEpoch atomic.Uint64
 }
 
 // flightCall tracks one in-progress plan build; concurrent misses on the
@@ -45,9 +39,8 @@ type flightCall struct {
 }
 
 type cacheEntry struct {
-	key   string
-	plan  *Plan
-	epoch uint64
+	key  string
+	plan *Plan
 }
 
 // NewCache returns a cache holding at most capacity plans (minimum 1).
@@ -71,16 +64,12 @@ func NewCache(capacity int) *Cache {
 // receive the error and the next call retries. build runs without the
 // cache lock held, so distinct keys build in parallel.
 func (c *Cache) GetOrBuild(key string, build func() (*Plan, error)) (*Plan, bool, error) {
-	epoch := c.dataEpoch.Load()
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		if ent := el.Value.(*cacheEntry); ent.epoch == epoch {
-			c.lru.MoveToFront(el)
-			c.hits.Add(1)
-			c.mu.Unlock()
-			return ent.plan, false, nil
-		}
-		c.dropLocked(el)
+		c.lru.MoveToFront(el)
+		c.hits.Add(1)
+		c.mu.Unlock()
+		return el.Value.(*cacheEntry).plan, false, nil
 	}
 	if fc, ok := c.flight[key]; ok {
 		c.shared.Add(1)
@@ -102,14 +91,12 @@ func (c *Cache) GetOrBuild(key string, build func() (*Plan, error)) (*Plan, bool
 	if fc.err != nil {
 		return nil, true, fc.err
 	}
-	c.putAt(key, fc.plan, epoch)
+	c.Put(key, fc.plan)
 	return fc.plan, true, nil
 }
 
-// Get returns the cached plan for key, marking it most recently used. An
-// entry stamped with a stale data epoch is dropped and reported as a miss.
+// Get returns the cached plan for key, marking it most recently used.
 func (c *Cache) Get(key string) (*Plan, bool) {
-	epoch := c.dataEpoch.Load()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -117,58 +104,28 @@ func (c *Cache) Get(key string) (*Plan, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	ent := el.Value.(*cacheEntry)
-	if ent.epoch != epoch {
-		c.dropLocked(el)
-		c.misses.Add(1)
-		return nil, false
-	}
 	c.lru.MoveToFront(el)
 	c.hits.Add(1)
-	return ent.plan, true
+	return el.Value.(*cacheEntry).plan, true
 }
 
 // Put stores p under key, evicting the least recently used entry when full.
-// Storing an existing key refreshes its plan, recency, and epoch stamp.
+// Storing an existing key refreshes its plan and recency.
 func (c *Cache) Put(key string, p *Plan) {
-	c.putAt(key, p, c.dataEpoch.Load())
-}
-
-func (c *Cache) putAt(key string, p *Plan, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.plan = p
-		ent.epoch = epoch
+		el.Value.(*cacheEntry).plan = p
 		c.lru.MoveToFront(el)
 		return
 	}
 	for c.lru.Len() >= c.cap {
 		oldest := c.lru.Back()
-		c.dropLocked(oldest)
+		c.lru.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		c.evictions.Add(1)
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, plan: p, epoch: epoch})
-}
-
-// dropLocked removes el from the LRU and index, counting an eviction.
-// Callers hold c.mu.
-func (c *Cache) dropLocked(el *list.Element) {
-	c.lru.Remove(el)
-	delete(c.entries, el.Value.(*cacheEntry).key)
-	c.evictions.Add(1)
-}
-
-// SetEpoch advances the data epoch entries must match. Existing entries are
-// invalidated lazily: the next lookup of a stale entry drops it (counted as
-// an eviction) and reports a miss, forcing a rebuild against current data.
-func (c *Cache) SetEpoch(epoch uint64) {
-	c.dataEpoch.Store(epoch)
-}
-
-// Epoch returns the cache's current data epoch.
-func (c *Cache) Epoch() uint64 {
-	return c.dataEpoch.Load()
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, plan: p})
 }
 
 // Len returns the number of cached plans.

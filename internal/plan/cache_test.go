@@ -170,64 +170,3 @@ func TestGetOrBuildErrorNotCached(t *testing.T) {
 		t.Fatalf("retry after failed build: p=%v err=%v", p, err)
 	}
 }
-
-// TestCacheEpochGuard: bumping the data epoch invalidates existing entries
-// lazily — the next lookup rebuilds, the stale entry is dropped and counted
-// as an eviction. Entries stamped at the current epoch stay hot.
-func TestCacheEpochGuard(t *testing.T) {
-	c := NewCache(4)
-	builds := 0
-	build := func() (*Plan, error) {
-		builds++
-		return Prepare(graph.Triangle(), Options{})
-	}
-	p1, built, err := c.GetOrBuild("tri", build)
-	if err != nil || !built {
-		t.Fatalf("initial build: built=%v err=%v", built, err)
-	}
-	// Same epoch: hit, no rebuild.
-	if p, built, _ := c.GetOrBuild("tri", build); built || p != p1 {
-		t.Fatalf("same-epoch lookup rebuilt (built=%v)", built)
-	}
-	if _, ok := c.Get("tri"); !ok {
-		t.Fatal("same-epoch Get missed")
-	}
-
-	c.SetEpoch(7)
-	if got := c.Epoch(); got != 7 {
-		t.Fatalf("Epoch() = %d, want 7", got)
-	}
-	// Stale entry: Get drops it and reports a miss + eviction.
-	preEvict := c.Stats().Evictions
-	if _, ok := c.Get("tri"); ok {
-		t.Fatal("Get returned a plan stamped with a stale epoch")
-	}
-	if got := c.Stats().Evictions; got != preEvict+1 {
-		t.Fatalf("evictions = %d, want %d (stale drop counted)", got, preEvict+1)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("stale entry still cached (len=%d)", c.Len())
-	}
-
-	// GetOrBuild after a bump rebuilds and restamps at the new epoch.
-	p2, built, err := c.GetOrBuild("tri", build)
-	if err != nil || !built {
-		t.Fatalf("post-bump build: built=%v err=%v", built, err)
-	}
-	if builds != 2 {
-		t.Fatalf("builder ran %d times, want 2", builds)
-	}
-	if p, built, _ := c.GetOrBuild("tri", build); built || p != p2 {
-		t.Fatalf("post-bump second lookup rebuilt (built=%v)", built)
-	}
-
-	// A stale entry found by GetOrBuild itself is also dropped and rebuilt.
-	c.SetEpoch(8)
-	preEvict = c.Stats().Evictions
-	if _, built, _ := c.GetOrBuild("tri", build); !built {
-		t.Fatal("GetOrBuild reused a stale-epoch entry")
-	}
-	if got := c.Stats().Evictions; got != preEvict+1 {
-		t.Fatalf("evictions = %d, want %d", got, preEvict+1)
-	}
-}

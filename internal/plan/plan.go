@@ -55,6 +55,9 @@ type Plan struct {
 	PO []graph.PartialOrder
 	// RBI is the colored query graph.
 	RBI *rbi.Graph
+	// NonRedBounds[i] names the partial orders that bound RBI.NonRed[i] when
+	// it is matched.
+	NonRedBounds []OrderBounds
 	// K is the number of red vertices (= forest levels).
 	K int
 	// PosOfRed maps a red query vertex's index in RBI.Red to nothing —
@@ -70,6 +73,36 @@ type Plan struct {
 	Cartesians int
 	// PrepTime is the elapsed preparation time (the paper's Table 6).
 	PrepTime time.Duration
+}
+
+// OrderBounds lists, for one non-red query vertex u, the query vertices
+// already mapped when u is matched — every red vertex and the non-red ones
+// before u — that a partial order ties to u: m(q) < m(u) for q in Lower,
+// m(u) < m(q) for q in Upper. Both empty means nothing bounds u.
+type OrderBounds struct {
+	Lower, Upper []int
+}
+
+// nonRedBounds computes Plan.NonRedBounds: matching follows rg.NonRed, so
+// which ends of po are mapped at each step is known here.
+func nonRedBounds(rg *rbi.Graph, po []graph.PartialOrder) []OrderBounds {
+	out := make([]OrderBounds, len(rg.NonRed))
+	var mapped uint32
+	for _, u := range rg.Red {
+		mapped |= 1 << uint(u)
+	}
+	for i, u := range rg.NonRed {
+		for _, c := range po {
+			if c.Hi == u && mapped&(1<<uint(c.Lo)) != 0 {
+				out[i].Lower = append(out[i].Lower, c.Lo)
+			}
+			if c.Lo == u && mapped&(1<<uint(c.Hi)) != 0 {
+				out[i].Upper = append(out[i].Upper, c.Hi)
+			}
+		}
+		mapped |= 1 << uint(u)
+	}
+	return out
 }
 
 // Options configures preparation.
@@ -89,7 +122,7 @@ func Prepare(q *graph.Query, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Query: q, PO: po, RBI: rg, K: len(rg.Red)}
+	p := &Plan{Query: q, PO: po, RBI: rg, NonRedBounds: nonRedBounds(rg, po), K: len(rg.Red)}
 	if p.K > 10 {
 		return nil, fmt.Errorf("plan: %d red vertices; the dual approach enumerates K! sequences and is intended for small queries", p.K)
 	}

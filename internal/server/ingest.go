@@ -56,8 +56,8 @@ type CompactResponse struct {
 }
 
 // handleEdges is POST /edges: decode the body as one or more EdgeOp
-// objects, apply them as a single atomic batch, stamp the new epoch into
-// the base file's superblock, and invalidate cached plans.
+// objects, apply them as a single atomic batch, and stamp the new epoch into
+// the base file's superblock.
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -125,16 +125,16 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// advanceEpoch publishes the store's current epoch: the plan cache drops
-// entries prepared against older data, and the base file's superblock is
-// stamped so tooling (and the compactor's output) can see how far the
-// content on disk lags the truth. stampMu serializes concurrent batches
-// so a slower writer can never publish an older epoch over a newer one.
+// advanceEpoch publishes the store's current epoch: the base file's
+// superblock is stamped so tooling (and the compactor's output) can see how
+// far the content on disk lags the truth. Cached plans are untouched —
+// plan.Prepare reads nothing from the data; resume tokens carry the epoch
+// guard. stampMu serializes concurrent batches so a slower writer can never
+// publish an older epoch over a newer one.
 func (s *Server) advanceEpoch() {
 	s.stampMu.Lock()
 	defer s.stampMu.Unlock()
 	epoch := s.store.Epoch()
-	s.cache.SetEpoch(epoch)
 	if sdb, ok := s.database().(*storage.DB); ok {
 		if err := storage.StampEpoch(sdb.Path(), epoch); err != nil {
 			log.Printf("dualsim/server: stamping epoch %d: %v", epoch, err)

@@ -62,8 +62,9 @@ func mustIngest(t *testing.T, addr string, ops []EdgeOp) IngestResponse {
 }
 
 // TestLiveIngestMutatesCounts: POST /edges changes what queries see, each
-// batch advances the data epoch, cached plans are rebuilt across the
-// bump, and the ingest counters surface in /stats and /metrics.
+// batch advances the data epoch, cached plans survive the bump (a plan
+// reads nothing from the data), and the ingest counters surface in /stats
+// and /metrics.
 func TestLiveIngestMutatesCounts(t *testing.T) {
 	db := buildCompleteDB(t, 8, 256) // C(8,3) = 56 triangles
 	s := newTestServer(t, db, mutableCfg())
@@ -88,12 +89,8 @@ func TestLiveIngestMutatesCounts(t *testing.T) {
 	if qr.DataEpoch != 1 {
 		t.Errorf("data epoch after delete = %d, want 1", qr.DataEpoch)
 	}
-	if qr.PlanCached {
-		t.Error("plan survived the epoch bump (want rebuild)")
-	}
-	// Same epoch: the rebuilt plan is now cached again.
-	if qr := countQuery(t, s.Addr(), "q1"); !qr.PlanCached {
-		t.Error("plan not cached on second same-epoch query")
+	if !qr.PlanCached {
+		t.Error("plan rebuilt across the epoch bump (want the cached plan)")
 	}
 
 	// Reinserting restores the base graph exactly (idempotent overlay).

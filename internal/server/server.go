@@ -117,8 +117,7 @@ type Config struct {
 	// Mutable enables live ingest: POST /edges applies edge inserts and
 	// deletes to an in-memory delta overlay, every subsequent query merges
 	// the overlay into its window loads, and each applied batch advances
-	// the data epoch (invalidating cached plans and outstanding resume
-	// tokens). The base file on disk is untouched until compaction.
+	// the data epoch (invalidating outstanding resume tokens). The base file on disk is untouched until compaction.
 	Mutable bool
 	// CompactEvery, with Mutable, is the overlay-op threshold that kicks a
 	// background compaction: the overlay is folded into a fresh database
@@ -329,7 +328,6 @@ func New(db core.Database, cfg Config) (*Server, error) {
 			epoch = sdb.Epoch()
 		}
 		s.store = delta.NewStore(db.NumVertices(), epoch)
-		s.cache.SetEpoch(epoch)
 	}
 	s.cache.Register(reg)
 	s.sm = registerServerMetrics(reg, s)

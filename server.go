@@ -93,8 +93,8 @@ type ServerConfig struct {
 	// batch) applies edge inserts/deletes to an in-memory delta overlay
 	// that every subsequent query merges into its window loads. Each
 	// applied batch advances the data epoch — reported by every query as
-	// "data_epoch" — which invalidates cached plans and outstanding
-	// resume tokens (cross-epoch resumes get 409).
+	// "data_epoch" — which invalidates outstanding resume tokens
+	// (cross-epoch resumes get 409).
 	Mutable bool
 	// CompactEvery is the overlay-op threshold that triggers a background
 	// compaction: the overlay is folded into a fresh database file that
