@@ -31,8 +31,9 @@ fmt:
 # The serving binary must not link the comparison systems (the MapReduce
 # and Pregel simulators and the baselines built on them); those belong to
 # cmd/bench. Last, the window index stays flat and lock-free — no mutex and no
-# per-vertex hash map in the window loader or the matcher — and the hot path
-# searches with slices.BinarySearch, not sort.Search's closure per probe.
+# per-vertex hash map in the window loader or the matcher — the hot path
+# searches with slices.BinarySearch, not sort.Search's closure per probe, and
+# no speculative read path comes back (scripts/inert_names.sh).
 lint: vet metrics-doc-check
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
 	@if $(GO) list -deps ./cmd/dualsim | grep -E 'internal/(mr|pregel|baseline)'; then \
@@ -41,6 +42,7 @@ lint: vet metrics-doc-check
 		echo "the window index is a flat array each page callback writes its own slot of: no mutex, no per-vertex map" >&2; exit 1; fi
 	@if grep -nF 'sort.Search(' internal/core/window.go internal/core/match.go; then \
 		echo "the window loader and the matcher search with slices.BinarySearch: no closure per probe" >&2; exit 1; fi
+	@./scripts/inert_names.sh
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
 # (every counter/gauge/histogram the server registers, plus the paper

@@ -362,7 +362,7 @@ func BenchmarkBruteForceReference(b *testing.B) {
 }
 
 // BenchmarkAblationOverlap quantifies the CPU/I-O overlap: with simulated
-// device latency, four async I/O workers prefetching pages while
+// device latency, four async I/O workers loading pages while
 // enumeration proceeds should beat a single serialized reader.
 func BenchmarkAblationOverlap(b *testing.B) {
 	lat := core.Options{PerPageLatency: 30 * time.Microsecond, SeekLatency: 150 * time.Microsecond}

@@ -109,10 +109,10 @@ func usage() { usageTo(os.Stderr) }
 func usageTo(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   dualsim build  -edges <edges.txt> -db <graph.db> [-pagesize N] [-compress]
-  dualsim run    -db <graph.db> -q <q1..q5|edge list> [-threads N] [-buffer F] [-frames N] [-prefetch N] [-timeout D]
+  dualsim run    -db <graph.db> -q <q1..q5|edge list> [-threads N] [-buffer F] [-frames N] [-timeout D]
                  [-retries N] [-print] [-json] [-profile] [-metrics-addr :8080] [-trace events.jsonl] [-progress 1s]
   dualsim serve  -db <graph.db> [-addr :8372] [-engines N] [-queue N] [-queue-wait D] [-row-limit N]
-                 [-plan-cache N] [-buffer F] [-frames N] [-prefetch N] [-threads N] [-drain-timeout D]
+                 [-plan-cache N] [-buffer F] [-frames N] [-threads N] [-drain-timeout D]
                  [-trace spans.jsonl] [-slow-query D] [-slowlog-size N] [-slowlog-top N]
                  [-share-scan] [-cohort-riders N] [-cohort-wait D]
                  [-mutable] [-compact-every N] [-compact-compress]
@@ -154,7 +154,6 @@ func cmdQuery(args []string) error {
 	threads := fs.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	buffer := fs.Float64("buffer", 0.15, "buffer size as a fraction of the database")
 	frames := fs.Int("frames", 0, "buffer frames (overrides -buffer)")
-	prefetch := fs.Int("prefetch", 0, "frames per level carved out for cross-window prefetch (0 = off)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	retries := fs.Int("retries", 0, "retry transient read failures up to N times (0 = no retry layer)")
 	windowRetries := fs.Int("window-retries", 0, "reload a window up to N times when a transient fault outlives -retries (0 = off)")
@@ -181,7 +180,6 @@ func cmdQuery(args []string) error {
 		Threads:          *threads,
 		BufferFraction:   *buffer,
 		BufferFrames:     *frames,
-		PrefetchFrames:   *prefetch,
 		Timeout:          *timeout,
 		WindowRetries:    *windowRetries,
 		MetricsAddr:      *metricsAddr,
@@ -260,7 +258,6 @@ func cmdServe(args []string) error {
 	planCache := fs.Int("plan-cache", 0, "plan cache entries (0 = 64)")
 	buffer := fs.Float64("buffer", 0.15, "global buffer budget as a fraction of the database, divided across engines")
 	frames := fs.Int("frames", 0, "global buffer budget in frames (overrides -buffer), divided across engines")
-	prefetch := fs.Int("prefetch", 0, "frames per level carved out for cross-window prefetch, per engine (0 = off)")
 	threads := fs.Int("threads", 0, "worker threads per engine (0 = GOMAXPROCS/engines)")
 	retries := fs.Int("retries", 0, "retry transient read failures up to N times (0 = no retry layer)")
 	windowRetries := fs.Int("window-retries", 0, "reload a window up to N times when a transient fault outlives -retries (0 = off)")
@@ -290,7 +287,6 @@ func cmdServe(args []string) error {
 		Threads:        *threads,
 		BufferFraction: *buffer,
 		BufferFrames:   *frames,
-		PrefetchFrames: *prefetch,
 		WindowRetries:  *windowRetries,
 	}
 	if *retries > 0 {

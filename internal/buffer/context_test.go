@@ -102,7 +102,7 @@ func TestAsyncReadContextCanceled(t *testing.T) {
 	var errs []error
 	for pid := 0; pid < db.NumPages(); pid++ {
 		wg.Add(1)
-		p.AsyncReadContext(ctx, storage.PageID(pid), &wg, func(page *storage.Page, err error) {
+		p.AsyncReadRunContext(ctx, storage.PageID(pid), 1, &wg, func(_ storage.PageID, page *storage.Page, err error) {
 			mu.Lock()
 			defer mu.Unlock()
 			if page != nil {
@@ -145,7 +145,7 @@ func TestAsyncReadContextMixedCancellation(t *testing.T) {
 	for pid := 0; pid < db.NumPages(); pid++ {
 		wg.Add(1)
 		pid := storage.PageID(pid)
-		p.AsyncReadContext(ctx, pid, &wg, func(page *storage.Page, err error) {
+		p.AsyncReadRunContext(ctx, pid, 1, &wg, func(_ storage.PageID, page *storage.Page, err error) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch {

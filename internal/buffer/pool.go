@@ -1,8 +1,9 @@
 // Package buffer implements the memory buffer manager used by the DUALSIM
 // engine: a fixed pool of page frames with pin/unpin semantics, an
-// asynchronous read scheduler with completion callbacks (the paper's
-// AsyncRead), I/O statistics, and the buffer allocation strategies from
-// Section 5 (paper strategy and the equal split used by OPT).
+// asynchronous scheduler of coalesced page runs with completion callbacks
+// (the paper's AsyncRead), I/O statistics, and the buffer allocation
+// strategies from Section 5 (paper strategy and the equal split used by
+// OPT). Every read, synchronous or not, is served by serveRun.
 package buffer
 
 import (
@@ -41,8 +42,7 @@ var ErrNoFreeFrame = errors.New("buffer: all frames pinned")
 
 // DefaultMaxRun is the run-coalescing cap applied when Options.MaxRun is
 // zero: the page count one I/O request serves with a single simulated
-// seek. Exported so budget policies elsewhere (the engine's prefetch
-// carve) can refuse configurations too small to coalesce.
+// seek.
 const DefaultMaxRun = 8
 
 // Options configures a Pool.
@@ -96,9 +96,8 @@ type frame struct {
 	buf   []byte
 }
 
-// ioRequest is one unit of scheduled asynchronous I/O: n consecutive pages
-// starting at pid (n == 1 for the classic AsyncRead). cb runs once per
-// page, in ascending page order.
+// ioRequest is one unit of I/O: n consecutive pages starting at pid. cb runs
+// once per page, in ascending page order.
 type ioRequest struct {
 	ctx context.Context
 	pid storage.PageID
@@ -142,8 +141,8 @@ type Pool struct {
 	// shutMu serializes request enqueue against Close: senders hold the read
 	// half across the closed-check and the channel send, Close takes the
 	// write half around closing ioq, so a send can never hit a closed
-	// channel (the AsyncRead-vs-Close panic fixed in PR 5). Workers never
-	// take it, so a sender blocked on a full queue still drains.
+	// channel. Workers never take it, so a sender blocked on a full queue
+	// still drains.
 	shutMu sync.RWMutex
 
 	// runBufs recycles the scratch buffers multi-page device requests read
@@ -195,9 +194,6 @@ func (p *Pool) Close() {
 	p.shutMu.Unlock()
 	p.ioWG.Wait()
 }
-
-// Capacity returns the frame count.
-func (p *Pool) Capacity() int { return p.opts.Frames }
 
 // SetAttribution installs (or with nil clears) the query attribution
 // scope that pin/read stats mirror into. The engine calls it at run
@@ -261,85 +257,17 @@ func (p *Pool) Pin(pid storage.PageID) (*storage.Page, error) {
 	return p.PinContext(context.Background(), pid)
 }
 
-// PinContext is Pin observing cancellation: a canceled context is checked
-// before any work and again before the physical read, so a canceled caller
-// never starts new I/O (an in-flight read is never interrupted — it is one
-// bounded page transfer, and abandoning it would leak the frame). On
-// cancellation the pin is fully released and ctx.Err() returned.
-func (p *Pool) PinContext(ctx context.Context, pid storage.PageID) (*storage.Page, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// PinContext is Pin observing cancellation. It is AsyncReadRunContext for a
+// run of one, served on the caller's goroutine instead of an I/O worker's:
+// same counters, same pin, same errors (ErrPoolClosed after Close included).
+func (p *Pool) PinContext(ctx context.Context, pid storage.PageID) (page *storage.Page, err error) {
+	if p.closed.Load() {
+		return nil, ErrPoolClosed
 	}
-	sc := p.attr.Load()
-	p.logical.Add(1)
-	if sc != nil {
-		sc.LogicalReads.Add(1)
-	}
-	p.mu.Lock()
-	if idx, ok := p.table[pid]; ok {
-		f := &p.frames[idx]
-		f.pins++
-		ready := f.ready
-		p.mu.Unlock()
-		// Fast path: the page is already loaded. Only a pin that actually
-		// blocks on an in-flight load pays for the clock reads.
-		select {
-		case <-ready:
-		default:
-			waitStart := time.Now()
-			<-ready
-			d := uint64(time.Since(waitStart))
-			p.pinWait.Add(d)
-			if sc != nil {
-				sc.PinWaitNanos.Add(d)
-			}
-		}
-		if f.err != nil {
-			err := f.err
-			p.Unpin(pid)
-			return nil, err
-		}
-		p.hits.Add(1)
-		if sc != nil {
-			sc.BufferHits.Add(1)
-		}
-		return f.page, nil
-	}
-	idx, err := p.acquireFrameLocked()
-	if err != nil {
-		p.mu.Unlock()
-		return nil, err
-	}
-	f := &p.frames[idx]
-	f.pid = pid
-	f.pins = 1
-	f.err = nil
-	f.page = nil
-	f.ready = make(chan struct{})
-	if f.buf == nil {
-		f.buf = make([]byte, p.reader.PageSize())
-	}
-	p.table[pid] = idx
-	p.mu.Unlock()
-
-	loadErr := p.simulateLatency(ctx, pid)
-	if loadErr == nil {
-		loadErr = p.reader.ReadPageInto(pid, f.buf)
-		if loadErr == nil {
-			f.page, loadErr = p.parsePage(f.buf)
-		}
-		p.physical.Add(1)
-		if sc != nil {
-			sc.PagesRead.Add(1)
-		}
-	}
-	f.err = loadErr
-	close(f.ready)
-	if loadErr != nil {
-		p.Unpin(pid)
-		return nil, loadErr
-	}
-	return f.page, nil
+	p.serveRun(ctx, pid, 1, nil, func(_ storage.PageID, pg *storage.Page, e error) {
+		page, err = pg, e
+	})
+	return page, err
 }
 
 // Unpin releases one pin on pid. Unpinning a page that is not resident or
@@ -403,16 +331,10 @@ func (p *Pool) acquireFrameLocked() (int, error) {
 	return 0, ErrNoFreeFrame
 }
 
-// simulateLatency sleeps the configured device delay for a single-page
-// read, waking early (and returning ctx.Err) if the context is canceled
-// mid-sleep.
-func (p *Pool) simulateLatency(ctx context.Context, pid storage.PageID) error {
-	return p.simulateRunLatency(ctx, pid, 1)
-}
-
-// simulateRunLatency charges a run of n consecutive physical page reads
-// starting at first: n per-page transfer delays but at most one seek —
-// the amortization sequential run coalescing exists to buy.
+// simulateRunLatency sleeps the configured device delay of n consecutive
+// physical page reads starting at first: n per-page transfer delays but at
+// most one seek — the amortization sequential run coalescing exists to buy.
+// It wakes early, returning ctx.Err(), if the context is canceled mid-sleep.
 func (p *Pool) simulateRunLatency(ctx context.Context, first storage.PageID, n int) error {
 	if p.opts.PerPageLatency == 0 && p.opts.SeekLatency == 0 {
 		return ctx.Err()
@@ -439,7 +361,7 @@ func (p *Pool) simulateRunLatency(ctx context.Context, first storage.PageID, n i
 	}
 }
 
-// ErrPoolClosed is delivered to AsyncRead callbacks issued after Close.
+// ErrPoolClosed is what a read issued after Close fails with.
 var ErrPoolClosed = errors.New("buffer: pool closed")
 
 // enqueue submits req to the I/O workers, returning false when the pool is
@@ -455,46 +377,21 @@ func (p *Pool) enqueue(req ioRequest) bool {
 	return true
 }
 
-// AsyncRead schedules a read of pid; cb runs in an I/O worker goroutine once
-// the page is pinned (or failed). The page stays pinned across the callback
-// and until the caller Unpins it — mirroring the paper's AsyncRead whose
-// callback (ComputeCandidateSequences / ExtVertexMapping) processes the page
-// while further reads proceed. wg, if non-nil, is Done when cb returns.
-// After Close, the callback fires immediately with ErrPoolClosed.
-func (p *Pool) AsyncRead(pid storage.PageID, wg *sync.WaitGroup, cb func(*storage.Page, error)) {
-	p.AsyncReadContext(context.Background(), pid, wg, cb)
-}
-
-// AsyncReadContext is AsyncRead bound to ctx: a request whose context is
-// already canceled when a worker dequeues it is not read — the callback
-// fires with ctx.Err() and no page. This drains queued I/O promptly on
-// cancellation instead of finishing a window's worth of stale reads.
-func (p *Pool) AsyncReadContext(ctx context.Context, pid storage.PageID, wg *sync.WaitGroup, cb func(*storage.Page, error)) {
-	var pcb func(storage.PageID, *storage.Page, error)
-	if cb != nil {
-		pcb = func(_ storage.PageID, page *storage.Page, err error) { cb(page, err) }
-	}
-	if !p.enqueue(ioRequest{ctx: ctx, pid: pid, n: 1, cb: pcb, wg: wg}) {
-		if cb != nil {
-			cb(nil, ErrPoolClosed)
-		}
-		if wg != nil {
-			wg.Done()
-		}
-	}
-}
-
 // AsyncReadRunContext schedules the n consecutive pages [first, first+n) as
-// coalesced run requests: cb runs once per page, in ascending page order
-// within each request, with each page pinned exactly as by AsyncReadContext
-// (the caller Unpins pages delivered without error). Contiguous
-// non-resident stretches are read with a single simulated seek — and a
-// single device request when the reader implements RunReader — so a
-// sequential window load pays one positioning delay instead of n. Runs
-// longer than Options.MaxRun are split across several requests (possibly
-// served by different workers). wg, if non-nil, must have been Add(n)'d; it
-// is Done once per page. After Close every callback fires immediately with
-// ErrPoolClosed.
+// coalesced run requests — the paper's AsyncRead, a run at a time: cb runs
+// in an I/O worker goroutine once per page, in ascending page order within
+// each request, with the page pinned across the callback and until the
+// caller Unpins it (pages delivered with an error hold no pin), so the
+// callback processes one page while further reads proceed. A request whose
+// context is already canceled when a worker dequeues it is not read: its
+// callbacks fire with ctx.Err() and no page, draining queued I/O promptly
+// on cancellation. Contiguous non-resident stretches are read with a single
+// simulated seek — and a single device request when the reader implements
+// RunReader — so a sequential window load pays one positioning delay
+// instead of n. Runs longer than Options.MaxRun are split across several
+// requests (possibly served by different workers). wg, if non-nil, must
+// have been Add(n)'d; it is Done once per page. After Close every callback
+// fires immediately with ErrPoolClosed.
 func (p *Pool) AsyncReadRunContext(ctx context.Context, first storage.PageID, n int, wg *sync.WaitGroup, cb func(storage.PageID, *storage.Page, error)) {
 	for n > 0 {
 		chunk := n
@@ -520,26 +417,7 @@ func (p *Pool) AsyncReadRunContext(ctx context.Context, first storage.PageID, n 
 func (p *Pool) ioWorker() {
 	defer p.ioWG.Done()
 	for req := range p.ioq {
-		if req.n <= 1 {
-			p.servePage(req)
-		} else {
-			p.serveRun(req)
-		}
-	}
-}
-
-// servePage serves a single-page request: pin (loading if absent), deliver.
-func (p *Pool) servePage(req ioRequest) {
-	var page *storage.Page
-	err := req.ctx.Err()
-	if err == nil {
-		page, err = p.PinContext(req.ctx, req.pid)
-	}
-	if req.cb != nil {
-		req.cb(req.pid, page, err)
-	}
-	if req.wg != nil {
-		req.wg.Done()
+		p.serveRun(req.ctx, req.pid, req.n, req.wg, req.cb)
 	}
 }
 
@@ -551,18 +429,28 @@ type runSlot struct {
 	err  error
 }
 
-// serveRun serves a coalesced run request in three phases: classify every
-// page under the pool lock (hit, frame acquired for load, or error), read
-// each maximal contiguous stretch of loads with one seek, then deliver the
-// callbacks in page order. Failure handling per page matches PinContext:
-// a page that cannot be loaded is delivered with its error and no pin.
-func (p *Pool) serveRun(req ioRequest) {
-	slots := make([]runSlot, req.n)
-	ctxErr := req.ctx.Err()
+// serveRun is the pool's one read path. It serves the run request
+// [first, first+n), with wg and cb as in AsyncReadRunContext, in three
+// phases: classify every page under the pool lock (hit, frame acquired for
+// load, or error), read each maximal contiguous stretch of loads with one
+// seek, then deliver the callbacks in page order. A canceled context is
+// seen before any work and again before each stretch's physical read, so a
+// canceled caller never starts new I/O; a read in flight is never
+// interrupted (it is one bounded transfer, and abandoning it would leak the
+// frame). A page that cannot be loaded is delivered with its error and no
+// pin.
+func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sync.WaitGroup, cb func(storage.PageID, *storage.Page, error)) {
+	// A request is at most MaxRun pages; the default fits the stack.
+	var stack [DefaultMaxRun]runSlot
+	slots := stack[:min(n, len(stack))]
+	if n > len(stack) {
+		slots = make([]runSlot, n)
+	}
+	ctxErr := ctx.Err()
 	sc := p.attr.Load()
 	p.mu.Lock()
 	for i := range slots {
-		pid := req.pid + storage.PageID(i)
+		pid := first + storage.PageID(i)
 		if ctxErr != nil {
 			slots[i].err = ctxErr
 			continue
@@ -595,21 +483,21 @@ func (p *Pool) serveRun(req ioRequest) {
 	}
 	p.mu.Unlock()
 
-	for i := 0; i < req.n; {
+	for i := 0; i < n; {
 		if !slots[i].load {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < req.n && slots[j].load {
+		for j < n && slots[j].load {
 			j++
 		}
-		p.readStretch(req.ctx, req.pid+storage.PageID(i), slots[i:j])
+		p.readStretch(ctx, first+storage.PageID(i), slots[i:j])
 		i = j
 	}
 
 	for i := range slots {
-		pid := req.pid + storage.PageID(i)
+		pid := first + storage.PageID(i)
 		s := slots[i]
 		var page *storage.Page
 		err := s.err
@@ -640,11 +528,11 @@ func (p *Pool) serveRun(req ioRequest) {
 				page = nil
 			}
 		}
-		if req.cb != nil {
-			req.cb(pid, page, err)
+		if cb != nil {
+			cb(pid, page, err)
 		}
-		if req.wg != nil {
-			req.wg.Done()
+		if wg != nil {
+			wg.Done()
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -167,7 +168,7 @@ func TestAsyncReadBatch(t *testing.T) {
 	got := map[storage.PageID]bool{}
 	for pid := 0; pid < db.NumPages(); pid++ {
 		wg.Add(1)
-		p.AsyncRead(storage.PageID(pid), &wg, func(page *storage.Page, err error) {
+		p.AsyncReadRunContext(context.Background(), storage.PageID(pid), 1, &wg, func(_ storage.PageID, page *storage.Page, err error) {
 			if err != nil {
 				t.Errorf("async read: %v", err)
 				return
@@ -421,7 +422,7 @@ func TestAsyncReadAfterClose(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var got error
-	p.AsyncRead(0, &wg, func(_ *storage.Page, err error) { got = err })
+	p.AsyncReadRunContext(context.Background(), 0, 1, &wg, func(_ storage.PageID, _ *storage.Page, err error) { got = err })
 	wg.Wait()
 	if !errors.Is(got, ErrPoolClosed) {
 		t.Fatalf("want ErrPoolClosed, got %v", got)

@@ -235,9 +235,9 @@ func (r pageOnlyReader) ReadPageInto(pid storage.PageID, buf []byte) error {
 func (r pageOnlyReader) PageSize() int { return r.db.PageSize() }
 func (r pageOnlyReader) NumPages() int { return r.db.NumPages() }
 
-// TestCloseAsyncReadStress is the regression test for the shutdown race
-// fixed in this PR: AsyncReadContext used to check closed and then send on
-// ioq without synchronization, so a concurrent Close could close the
+// TestCloseAsyncReadStress is the regression test for the shutdown race:
+// the enqueue used to check closed and then send on ioq without
+// synchronization, so a concurrent Close could close the
 // channel between the two steps and panic "send on closed channel". With
 // shutMu the send either wins (request served before workers exit) or
 // loses (callback fires with ErrPoolClosed); it never panics. Run with
@@ -268,7 +268,7 @@ func TestCloseAsyncReadStress(t *testing.T) {
 				<-start
 				for j := 0; j < perSender; j++ {
 					pid := storage.PageID((s + j) % 4)
-					p.AsyncRead(pid, &wg, func(page *storage.Page, err error) {
+					p.AsyncReadRunContext(context.Background(), pid, 1, &wg, func(_ storage.PageID, page *storage.Page, err error) {
 						mu.Lock()
 						delivered++
 						if err == nil {
@@ -512,4 +512,78 @@ func TestFailedLoadFreesFrame(t *testing.T) {
 		t.Fatalf("evictions = %d, want 0 (failed load frees, not evicts)", st.Evictions)
 	}
 	p.Unpin(0)
+}
+
+// TestPinIsRunOfOne holds the two entry points to one path: Pin and an
+// asynchronous run of one must leave the same counters, the same pins and
+// the same error behind, whatever the page's state.
+func TestPinIsRunOfOne(t *testing.T) {
+	db := testDB(t, 200, 800, 128, 27)
+	needPages(t, db, 3)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	pinOther := func(p *Pool) {
+		for _, pid := range []storage.PageID{1, 2} {
+			if _, err := p.Pin(pid); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type outcome struct {
+		stats  Stats
+		pinned int
+		page   storage.PageID
+		err    error
+	}
+	const none = ^storage.PageID(0)
+	entries := map[string]func(*Pool, context.Context) (*storage.Page, error){
+		"pin": func(p *Pool, ctx context.Context) (*storage.Page, error) { return p.PinContext(ctx, 0) },
+		"run": func(p *Pool, ctx context.Context) (page *storage.Page, err error) {
+			var wg sync.WaitGroup
+			wg.Add(1)
+			p.AsyncReadRunContext(ctx, 0, 1, &wg, func(_ storage.PageID, pg *storage.Page, e error) { page, err = pg, e })
+			wg.Wait()
+			return page, err
+		},
+	}
+	for _, c := range []struct {
+		name    string
+		ctx     context.Context
+		prepare func(*Pool) // the pool's state before page 0 is read
+		want    outcome
+	}{
+		{"miss", context.Background(), func(*Pool) {},
+			outcome{Stats{LogicalReads: 1, PhysicalReads: 1}, 1, 0, nil}},
+		{"hit", context.Background(), func(p *Pool) {
+			if _, err := p.Pin(0); err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(0)
+		}, outcome{Stats{LogicalReads: 1, Hits: 1}, 1, 0, nil}},
+		{"no free frame", context.Background(), pinOther,
+			outcome{Stats{LogicalReads: 1}, 2, none, ErrNoFreeFrame}},
+		{"canceled", canceled, func(*Pool) {},
+			outcome{Stats{}, 0, none, context.Canceled}},
+		{"closed", context.Background(), (*Pool).Close,
+			outcome{Stats{}, 0, none, ErrPoolClosed}},
+	} {
+		for name, read := range entries {
+			p, err := NewPool(db, Options{Frames: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.prepare(p)
+			p.ResetStats()
+			got := outcome{page: none}
+			page, err := read(p, c.ctx)
+			if page != nil {
+				got.page = page.ID
+			}
+			got.stats, got.pinned, got.err = p.Stats(), p.PinnedCount(), err
+			if got != c.want {
+				t.Errorf("%s via %s: %+v, want %+v", c.name, name, got, c.want)
+			}
+			p.Close()
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func TestStatsRaceFree(t *testing.T) {
 				pid := storage.PageID((seed*31 + i) % n)
 				var ioWG sync.WaitGroup
 				ioWG.Add(1)
-				p.AsyncRead(pid, &ioWG, func(page *storage.Page, err error) {
+				p.AsyncReadRunContext(context.Background(), pid, 1, &ioWG, func(_ storage.PageID, _ *storage.Page, err error) {
 					if err == nil {
 						p.Unpin(pid)
 					}

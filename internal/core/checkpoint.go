@@ -21,8 +21,8 @@ import (
 // produces bit-identical remaining counts. Counts are invariant under
 // window chopping (each embedding is counted exactly once, by the level-1
 // window containing its first matching-order position), so resuming is
-// correct even under a different buffer budget or prefetch setting, where
-// the window boundaries after the cursor fall elsewhere.
+// correct even under a different buffer budget, where the window boundaries
+// after the cursor fall elsewhere.
 type Checkpoint struct {
 	// K is the plan's red vertex count; a resume is rejected unless it
 	// matches the plan it resumes.
@@ -49,8 +49,8 @@ var ErrBadCheckpoint = errors.New("core: checkpoint does not match the plan or d
 // RunSpec is the full description of one enumeration run
 // (Engine.RunSpecContext; Run, RunContext and RunPlanContext are shorthands
 // for the common cases): a per-run match callback, resuming from a
-// checkpoint, observing checkpoints as they are taken, or shedding the
-// prefetch pipeline for this run only (the serving layer's degraded mode).
+// checkpoint, observing checkpoints as they are taken, attribution, or a
+// live-ingest overlay.
 type RunSpec struct {
 	// Plan is the prepared plan to execute (required).
 	Plan *plan.Plan
@@ -69,12 +69,6 @@ type RunSpec struct {
 	// completed level-1 window, from the orchestrating goroutine (one call
 	// at a time, never concurrently). The value is safe to retain.
 	OnCheckpoint func(Checkpoint)
-	// DisablePrefetch runs without the cross-window prefetch pipeline even
-	// when Options.PrefetchFrames is set: the carved frames return to the
-	// foreground window budget. This is the first thing the serving
-	// layer's circuit breaker sheds under fault pressure — speculation
-	// multiplies reads against a device that is already failing them.
-	DisablePrefetch bool
 	// Scope, when non-nil, attributes this run's cost (pages read, I/O
 	// wait, kernel mix, ...) to one query: every hot-path counter mirrors
 	// into it alongside the global registry, trace events carry its trace

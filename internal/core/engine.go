@@ -42,18 +42,7 @@ type Options struct {
 	EqualAllocation bool
 	// IOWorkers is the number of asynchronous I/O goroutines (default 4).
 	IOWorkers int
-	// PrefetchFrames enables the cross-window prefetch pipeline: while a
-	// window is enumerated, up to this many frames per level speculatively
-	// hold leading pages of the level's *next* window, issued from the
-	// window iterator's lookahead and kept pinned until the window
-	// transition claims them. The budget is carved out of each level's
-	// frame allocation so prefetch can never starve the foreground path
-	// into ErrNoFreeFrame. The carve is clamped to an eighth of the
-	// level's allocation (and the one-maximal-vertex floor), and a level
-	// only participates when the clamped carve still reaches the pool's
-	// coalescing run size — smaller speculative reads pay a full seek for
-	// a handful of pages, so starved levels skip prefetch rather than
-	// shrink their windows into seek storms. Zero disables prefetching.
+	// PrefetchFrames has no effect; ROADMAP 5(d) removes it.
 	PrefetchFrames int
 	// PerPageLatency simulates per-page device transfer latency.
 	PerPageLatency time.Duration
@@ -298,16 +287,8 @@ func (e *Engine) PoolStats() buffer.Stats { return e.pool.Stats() }
 // whole fleet — read one, do not sum.
 type EnumStats struct {
 	// IOWaitNanos is orchestrator time blocked on window page loads — the
-	// I/O the overlap (and now the prefetch pipeline) failed to hide.
+	// I/O the overlap failed to hide.
 	IOWaitNanos uint64
-	// PrefetchIssued counts pages speculatively requested for upcoming
-	// windows.
-	PrefetchIssued uint64
-	// PrefetchUseful counts issued pages the next window actually needed.
-	PrefetchUseful uint64
-	// PrefetchWasted counts the mispredicted, canceled, or failed
-	// remainder; Issued = Useful + Wasted once a run settles.
-	PrefetchWasted uint64
 	// CheckpointsTaken counts window-boundary checkpoints delivered to run
 	// callbacks.
 	CheckpointsTaken uint64
@@ -328,9 +309,6 @@ type EnumStats struct {
 func (e *Engine) EnumStats() EnumStats {
 	return EnumStats{
 		IOWaitNanos:       e.em.ioWaitNanos.Value(),
-		PrefetchIssued:    e.em.prefetchIssued.Value(),
-		PrefetchUseful:    e.em.prefetchUseful.Value(),
-		PrefetchWasted:    e.em.prefetchWasted.Value(),
 		CheckpointsTaken:  e.em.checkpoints.Value(),
 		WindowRetries:     e.em.windowRetries.Value(),
 		CompressedRecords: e.em.compressedRecs.Value(),
@@ -420,13 +398,12 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 	if err := ensureSpanBudget(deep, e.frames-resident, e.maxSpan); err != nil {
 		return nil, err
 	}
-	r := e.newRun(ctx, spec, alloc, !spec.DisablePrefetch)
+	r := e.newRun(ctx, spec, alloc)
 	// Attribution rides on the sweep: its run's scope (an explicit
 	// per-request scope from the server, or Options.Profile's) is installed
 	// on the buffer pool until release — the engine owns the pool and runs
-	// one query at a time, and all reads (foreground and prefetch) settle
-	// before the run returns, so attributed pages partition the global
-	// count exactly.
+	// one query at a time, and all reads settle before the run returns, so
+	// attributed pages partition the global count exactly.
 	s, err := e.newSweep(r, cursor)
 	if err != nil {
 		return nil, err
@@ -456,12 +433,8 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 		defer stop()
 	}
 
-	for i, n := 0, s.Windows(); i < n; i++ {
-		next := i + 1
-		if next == n {
-			next = -1
-		}
-		w, err := s.Load(ctx, i, next)
+	for i := 0; i < s.Windows(); i++ {
+		w, err := s.Load(ctx, i, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -488,9 +461,8 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 }
 
 // newRun builds the state of one enumeration over alloc, the per-level
-// frame budgets: root candidates, resume totals, the pinned overlay, and —
-// when prefetch is set — each level's prefetch carve.
-func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int, prefetch bool) *run {
+// frame budgets: root candidates, resume totals and the pinned overlay.
+func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 	p := spec.Plan
 	scope := spec.Scope
 	if scope == nil && e.opts.Profile {
@@ -501,8 +473,7 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int, prefetch
 		e:            e,
 		p:            p,
 		k:            p.K,
-		winBudget:    append([]int(nil), alloc...),
-		prefetch:     make([]*buffer.Prefetcher, p.K),
+		winBudget:    alloc,
 		cand:         make([][]candSeq, len(p.Groups)),
 		winData:      make([]*levelWindow, p.K),
 		pathPinned:   make(map[storage.PageID]int),
@@ -518,44 +489,6 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int, prefetch
 	}
 	if spec.Overlay != nil && !spec.Overlay.Empty() {
 		r.overlay = spec.Overlay
-	}
-	// Carve the prefetch budget out of each level's allocation: the window
-	// iterator chops against winBudget while the carved-off frames hold the
-	// level's in-flight speculative pins, keeping the pool's worst-case pin
-	// count at sum(alloc). Two guards make the carve pay its way:
-	//
-	//   - at most an eighth of the level's allocation (and never past the
-	//     one-maximal-vertex floor) — shrinking a window budget multiplies
-	//     the level's window count and, through re-iteration, every level
-	//     below it, so a large bite costs far more in extra windows than
-	//     lookahead can hide;
-	//   - at least the pool's coalescing run size — the budget caps the
-	//     length of a speculative run, and runs shorter than the pool's
-	//     own pay a full simulated seek for a handful of pages, costing
-	//     more device time than they hide.
-	//
-	// Levels whose allocation cannot afford that band (in practice the
-	// starved inner levels, whose loads the last-level path already
-	// overlaps with enumeration) skip prefetch instead of degrading it, and
-	// so does a level that holds the whole graph: its one window has no
-	// successor to speculate on.
-	if prefetch {
-		for l := range alloc {
-			if alloc[l] >= e.db.NumPages() {
-				continue
-			}
-			carve := e.opts.PrefetchFrames
-			if cap := alloc[l] / 8; carve > cap {
-				carve = cap
-			}
-			if max := alloc[l] - e.maxSpan; carve > max {
-				carve = max
-			}
-			if carve >= buffer.DefaultMaxRun {
-				r.winBudget[l] -= carve
-				r.prefetch[l] = buffer.NewPrefetcher(e.pool, carve)
-			}
-		}
 	}
 	if cp := spec.Resume; cp != nil {
 		// Start from the frontier: totals from the checkpoint, window
@@ -629,12 +562,8 @@ type run struct {
 	p   *plan.Plan
 	k   int
 	// winBudget is the per-level frame budget the window iterator chops
-	// against: the level's allocation minus its prefetch carve.
+	// against: the level's allocation.
 	winBudget []int
-	// prefetch holds each level's speculative next-window reader; a nil
-	// entry when prefetching is off or the level's clamped carve is too
-	// small to coalesce (see the carve loop in newRun).
-	prefetch []*buffer.Prefetcher
 
 	// cand[g][l] is the candidate vertex sequence of group g's node at
 	// level l, valid while its parent's current window is set.

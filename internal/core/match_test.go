@@ -151,7 +151,7 @@ func TestMatcherPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	w, err := s.Load(context.Background(), 0, -1)
+	w, err := s.Load(context.Background(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

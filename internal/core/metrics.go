@@ -25,13 +25,6 @@ type engineMetrics struct {
 	checkpoints   *obs.Counter
 	windowRetries *obs.Counter
 
-	// Prefetch-pipeline counters: pages speculatively requested for the
-	// next window, pages the next window actually needed, and the
-	// mispredicted/canceled/failed remainder.
-	prefetchIssued *obs.Counter
-	prefetchUseful *obs.Counter
-	prefetchWasted *obs.Counter
-
 	windowLoadUS *obs.Histogram // per-window I/O wait to pin all pages (µs)
 	windowPages  *obs.Histogram // pages per merged window
 	candSize     *obs.Histogram // candidate list length per v-group child
@@ -76,10 +69,6 @@ func registerEngineMetrics(reg *obs.Registry, pool *buffer.Pool, retry *storage.
 
 		checkpoints:   reg.Counter("dualsim_checkpoints_taken_total", "window-boundary checkpoints delivered to run callbacks"),
 		windowRetries: reg.Counter("dualsim_window_retries_total", "whole-window retries after a transient fault outlived the read-level retry budget"),
-
-		prefetchIssued: reg.Counter("dualsim_prefetch_issued_total", "pages speculatively requested for upcoming windows"),
-		prefetchUseful: reg.Counter("dualsim_prefetch_useful_total", "prefetched pages the next window actually needed"),
-		prefetchWasted: reg.Counter("dualsim_prefetch_wasted_total", "prefetched pages mispredicted, canceled, or failed"),
 
 		windowLoadUS: reg.Histogram("dualsim_window_load_us", "per-window I/O wait to pin all pages, microseconds"),
 		windowPages:  reg.Histogram("dualsim_window_pages", "pages per merged window"),

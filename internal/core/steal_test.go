@@ -41,8 +41,8 @@ func skewedGraph(rng *rand.Rand, n, hubs, span int) *graph.Graph {
 }
 
 // TestEngineMatchesBruteForceMatrix runs every paper query on a skewed
-// fixture through {plain, compressed database} x {default, prefetch at
-// three buffer sizes} and requires the brute-force count from each.
+// fixture through {plain, compressed database} x {the default buffer, 96
+// and 128 frames} and requires the brute-force count from each.
 func TestEngineMatchesBruteForceMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := skewedGraph(rng, 400, 6, 120)
@@ -58,12 +58,8 @@ func TestEngineMatchesBruteForceMatrix(t *testing.T) {
 			want := graph.CountOccurrences(rg, q)
 			for _, opt := range []Options{
 				{Threads: 3},
-				// Prefetch dimension: speculative cross-window reads must change
-				// I/O timing only, never counts — with the default buffer and
-				// with smaller ones whose carve shrinks the foreground windows.
-				{Threads: 3, PrefetchFrames: 16},
-				{Threads: 3, PrefetchFrames: 16, BufferFrames: 96},
-				{Threads: 3, PrefetchFrames: 8, BufferFrames: 128},
+				{Threads: 3, BufferFrames: 96},
+				{Threads: 3, BufferFrames: 128},
 			} {
 				e, err := NewEngine(db.db, opt)
 				if err != nil {
@@ -75,8 +71,8 @@ func TestEngineMatchesBruteForceMatrix(t *testing.T) {
 					t.Fatalf("%s/%s: %v", db.name, q.Name(), err)
 				}
 				if got != want {
-					t.Fatalf("%s/%s (prefetch=%d frames=%d): engine %d, brute force %d",
-						db.name, q.Name(), opt.PrefetchFrames, opt.BufferFrames, got, want)
+					t.Fatalf("%s/%s (frames=%d): engine %d, brute force %d",
+						db.name, q.Name(), opt.BufferFrames, got, want)
 				}
 			}
 		}

@@ -73,8 +73,8 @@ var scanOnly = &plan.Plan{K: 1}
 // Sweep is the level-1 scan source: the deterministic window partition of
 // the vertex range plus the load/pin/release cycle of one window at a time
 // against the engine's pool. Its loads run on r, the sweep's run — the
-// loader's error sink, overlay snapshot, prefetcher, attribution scope and
-// trace identity. For a solo run that is the query's own run (solo = sweep
+// loader's error sink, overlay snapshot, attribution scope and trace
+// identity. For a solo run that is the query's own run (solo = sweep
 // of one, created by Engine.RunSpecContext under its run guard); NewSweep
 // gives a cohort sweep a scan-only run of its own and holds the engine's
 // run guard until Close, so solo runs and cohort sweeps exclude each other
@@ -95,11 +95,10 @@ type Sweep struct {
 
 // NewSweep plans a cohort scan: it takes the engine's run guard and applies
 // the cohort budget policy — riders share half the pool for their deep
-// levels, the sweep's level-1 windows get the rest minus the usual prefetch
-// carve. The partition is then a pure function of the database layout and
-// that budget, so it is identical across sweeps of the same engine and
-// independent of any rider's plan — the property late-join correctness
-// rests on.
+// levels, the sweep's level-1 windows get the rest. The partition is then a
+// pure function of the database layout and that budget, so it is identical
+// across sweeps of the same engine and independent of any rider's plan —
+// the property late-join correctness rests on.
 func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 	if opts.MaxRiders < 1 {
 		opts.MaxRiders = 1
@@ -114,7 +113,7 @@ func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 		return nil, fmt.Errorf("core: %d frames cannot give a shared sweep a %d-page level-1 budget beside %d riders; increase the buffer size",
 			e.frames, e.maxSpan, opts.MaxRiders)
 	}
-	r := e.newRun(context.Background(), RunSpec{Plan: scanOnly, Scope: opts.Scope}, []int{b1}, true)
+	r := e.newRun(context.Background(), RunSpec{Plan: scanOnly, Scope: opts.Scope}, []int{b1})
 	s, err := e.newSweep(r, 0)
 	if err != nil {
 		e.running.Store(false)
@@ -176,12 +175,10 @@ func (w *SweepWindow) Pages() int { return len(w.lw.pages) }
 // (run.loadWindowWithRetry on the sweep's run): pages issued as coalesced
 // ascending runs, split records merged, the run's overlay applied, the
 // window sealed, transient faults retried with the engine's window-retry
-// budget. When level 1 has a prefetch carve and next >= 0, the speculative
-// round for partition window next starts before Load returns, overlapping
-// with the riders' enumeration of this window. The window traces as
-// level 1 of the sweep's run: window_open and window_pinned (window_retry
-// on retries) here, window_close at Release.
-func (s *Sweep) Load(ctx context.Context, idx, next int) (*SweepWindow, error) {
+// budget. The window traces as level 1 of the sweep's run: window_open and
+// window_pinned (window_retry on retries) here, window_close at Release.
+// The third parameter has no effect; ROADMAP 5(d) removes it.
+func (s *Sweep) Load(ctx context.Context, idx, _ int) (*SweepWindow, error) {
 	r := s.r
 	r.ctx = ctx // a cohort sweep's loads observe each caller's context
 	if err := r.gate(); err != nil {
@@ -195,11 +192,6 @@ func (s *Sweep) Load(ctx context.Context, idx, next int) (*SweepWindow, error) {
 		return nil, err
 	}
 	w.lw = lw
-	if next >= 0 {
-		// The lookahead is the iterator's, replayed from the next window's
-		// first vertex.
-		r.startPrefetch(0, &windowIterator{r: r, merged: r.e.all, start: s.bounds[next].Lo}, lw)
-	}
 	return w, nil
 }
 
@@ -211,18 +203,15 @@ func (s *Sweep) Release(w *SweepWindow) {
 	s.r.closeWindow(0, w.ord)
 }
 
-// release settles level 1's prefetcher and returns the pool's attribution
-// slot.
+// release returns the pool's attribution slot.
 func (s *Sweep) release() {
-	s.r.settlePrefetch(0)
 	if s.r.scope != nil {
 		s.r.e.pool.SetAttribution(nil)
 	}
 }
 
-// Close ends a cohort sweep: prefetcher settled, the pool's attribution
-// slot released, the engine's run guard returned. The sweep is unusable
-// afterwards.
+// Close ends a cohort sweep: the pool's attribution slot released, the
+// engine's run guard returned. The sweep is unusable afterwards.
 func (s *Sweep) Close() {
 	if s.closed {
 		return
@@ -296,7 +285,7 @@ func (s *Sweep) NewRider(ctx context.Context, spec RunSpec, threads int) (*Rider
 		}
 		copy(alloc[1:], deep)
 	}
-	return s.board(e.newRun(ctx, spec, alloc, false), s.riderFrames, threads), nil
+	return s.board(e.newRun(ctx, spec, alloc), s.riderFrames, threads), nil
 }
 
 // board starts r as a rider of the sweep: worker pool up, the run counted

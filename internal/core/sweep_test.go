@@ -81,7 +81,7 @@ func TestSweepRidersMatchSolo(t *testing.T) {
 		riders = append(riders, rd)
 	}
 	for i := 0; i < w; i++ {
-		sw, err := s.Load(ctx, i, (i+1)%w)
+		sw, err := s.Load(ctx, i, 0)
 		if err != nil {
 			t.Fatalf("Load(%d): %v", i, err)
 		}
@@ -158,7 +158,7 @@ func TestSweepLateJoinEarlyFinish(t *testing.T) {
 	}
 	serve := func(idx int, riders ...*Rider) {
 		t.Helper()
-		sw, err := s.Load(ctx, idx, (idx+1)%w)
+		sw, err := s.Load(ctx, idx, 0)
 		if err != nil {
 			t.Fatalf("Load(%d): %v", idx, err)
 		}

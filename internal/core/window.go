@@ -135,10 +135,6 @@ func (wp *windowPage) adjOf(v graph.VertexID) (adj []graph.VertexID, ok bool) {
 // Rider.ProcessWindow and Sweep.Release).
 func (r *run) processLevel(l int) error {
 	iter := windowIterator{r: r, level: l, merged: r.mergedCandidates(l)}
-	// Settle the level's speculative reads on every exit path (error,
-	// cancellation, level exhausted): leftover pins must be released before
-	// the caller unloads outer windows or the run returns.
-	defer r.settlePrefetch(l)
 	defer r.openLevel(l)()
 	lastLevel := l == r.k-1
 	for iter.next() {
@@ -156,9 +152,6 @@ func (r *run) processLevel(l int) error {
 			return err
 		}
 		r.winData[l] = lw
-		// Speculate on the level's next window while this one is enumerated:
-		// its page set is computable from the iterator without loading.
-		r.startPrefetch(l, &iter, lw)
 		r.countWindow(l)
 
 		if lastLevel {
@@ -439,97 +432,6 @@ func (it *windowIterator) windowVerts() []graph.VertexID {
 	return it.merged[it.curLo:it.curHi]
 }
 
-// peekNextPages predicts the page set of the level's next window without
-// advancing the iterator: it replays next()'s budget walk from the current
-// position, treating the current window's own path pins (cur) as already
-// released — they will be by the time the next window loads. Only pages
-// that will actually need a read are returned (pages held by outer-level
-// windows stay resident), ascending, truncated to limit. Returns nil when
-// the level is exhausted.
-func (it *windowIterator) peekNextPages(cur *levelWindow, limit int) []storage.PageID {
-	if it.start >= len(it.merged) || limit <= 0 {
-		return nil
-	}
-	r := it.r
-	budget := r.winBudget[it.level]
-	// effective path-pin count once the current window unloads
-	free := func(p storage.PageID) bool {
-		n := r.pathPinned[p]
-		if cur.ordinalOf(p) >= 0 {
-			n--
-		}
-		return n == 0
-	}
-	var pages []storage.PageID
-	var next storage.PageID
-	for i := it.start; i < len(it.merged); i++ {
-		first, last := r.e.db.SpanOf(it.merged[i])
-		mark := len(pages)
-		for p := max(first, next); p <= last; p++ {
-			if free(p) {
-				pages = append(pages, p)
-			}
-		}
-		if len(pages) > budget {
-			pages = pages[:mark]
-			break
-		}
-		next = max(next, last+1)
-	}
-	if len(pages) > limit {
-		pages = pages[:limit]
-	}
-	return pages
-}
-
-// startPrefetch begins the level's speculative round for the window after
-// lw, if the level has a prefetcher and the iterator has more vertices.
-// The round covers the leading pages of the next window's predicted page
-// set, clipped to the carved budget — the prefetcher pins what it loads so
-// the speculation survives the last level's eviction churn until the
-// window transition collects it.
-func (r *run) startPrefetch(l int, it *windowIterator, lw *levelWindow) {
-	pf := r.prefetch[l]
-	if pf == nil {
-		return
-	}
-	pids := it.peekNextPages(lw, pf.Budget())
-	if len(pids) == 0 {
-		return
-	}
-	n := pf.Start(r.ctx, pids)
-	r.em.prefetchIssued.Add(uint64(n))
-	if r.scope != nil && n > 0 {
-		r.scope.PrefetchIssued.Add(uint64(n))
-	}
-}
-
-// collectPrefetch settles the level's speculative round, classifying its
-// pages with useful (nil: all wasted) and booking both tallies.
-func (r *run) collectPrefetch(l int, useful func(storage.PageID) bool) {
-	pf := r.prefetch[l]
-	if pf == nil {
-		return
-	}
-	nUseful, nWasted := pf.Collect(useful)
-	if nUseful > 0 {
-		r.em.prefetchUseful.Add(uint64(nUseful))
-		if r.scope != nil {
-			r.scope.PrefetchUseful.Add(uint64(nUseful))
-		}
-	}
-	if nWasted > 0 {
-		r.em.prefetchWasted.Add(uint64(nWasted))
-		if r.scope != nil {
-			r.scope.PrefetchWasted.Add(uint64(nWasted))
-		}
-	}
-}
-
-// settlePrefetch cancels and releases whatever the level's prefetcher still
-// holds, counting it all as wasted (the window-skip / error-exit path).
-func (r *run) settlePrefetch(l int) { r.collectPrefetch(l, nil) }
-
 // loadWindowWithRetry is the engine's one window loader — deep levels call
 // it from processLevel, level 1 from Sweep.Load on the sweep's run — with
 // whole-window recovery: a transient fault that survived the read-level
@@ -617,14 +519,14 @@ func (r *run) sleepWindowBackoff(attempt int) bool {
 // index — each page callback its own ordinal, without a lock, then the side
 // table with the run's overlay folded in — and splits the window per group.
 // What callers differ in arrives as state of the run it is called on: the
-// error sink (the run's error box), the pinned overlay snapshot, and the
-// level's prefetcher. When lastLevel is set (deep levels only), compressed
-// records keep their zero-copy spans and every page is handed to the
-// matching workers as its load completes, queue permitting, overlapping CPU
-// with the remaining I/O; the rest is dispatched after the seal, so on
-// return all of the window's matching is queued. On error the window is
-// returned alongside it still holding its pins — the caller
-// (loadWindowWithRetry) drains in-flight tasks before unloading it.
+// error sink (the run's error box) and the pinned overlay snapshot. When
+// lastLevel is set (deep levels only), compressed records keep their
+// zero-copy spans and every page is handed to the matching workers as its
+// load completes, queue permitting, overlapping CPU with the remaining I/O;
+// the rest is dispatched after the seal, so on return all of the window's
+// matching is queued. On error the window is returned alongside it still
+// holding its pins — the caller (loadWindowWithRetry) drains in-flight tasks
+// before unloading it.
 func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int) (*levelWindow, error) {
 	lw := &levelWindow{verts: make([][]graph.VertexID, len(r.p.Groups))}
 	if len(verts) > 0 {
@@ -643,12 +545,6 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int)
 	}
 	pages := lw.pages
 	lw.loaded = make([]windowPage, len(pages))
-
-	// Settle the level's speculative round before issuing this window's
-	// reads: pages the prediction got right are still resident and turn the
-	// reads below into buffer hits; the speculative pins are released first
-	// so the pool's worst case stays within the level's allocation.
-	r.collectPrefetch(l, func(pid storage.PageID) bool { return lw.ordinalOf(pid) >= 0 })
 
 	// Window membership per group: the intersection of the group's candidate
 	// sequence with the merged window range, precomputed so last-level

@@ -133,7 +133,7 @@ func TestWindowIndexLoadAllocs(t *testing.T) {
 			t.Fatalf("compress=%v: %d level-1 windows, want a resident graph", compress, s.Windows())
 		}
 		load := func() {
-			w, err := s.Load(context.Background(), 0, -1)
+			w, err := s.Load(context.Background(), 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,5 +148,40 @@ func TestWindowIndexLoadAllocs(t *testing.T) {
 		}
 		s.Close()
 		e.Close()
+	}
+}
+
+// TestExtMapPageLoadRace is the regression test for the loadWindow data
+// race: on the last level, extMapPage tasks are submitted as soon as their
+// page lands, while later pages' load callbacks are still writing their
+// ordinals of the window index. A task that starts before the window is
+// sealed restricts itself to its own page's complete records. Multiple I/O
+// workers plus per-page latency stagger the callbacks so the overlap
+// actually happens. Run with -race.
+func TestExtMapPageLoadRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := skewedGraph(rng, 500, 6, 150)
+	db := buildDB(t, g, 256) // small pages: many load callbacks per window
+	rg, _ := graph.ReorderByDegree(g)
+	want := graph.CountOccurrences(rg, graph.Triangle())
+
+	e, err := NewEngine(db, Options{
+		Threads:        4,
+		IOWorkers:      4,
+		BufferFrames:   96,
+		PerPageLatency: 20 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 5; i++ {
+		got, err := e.Count(graph.Triangle())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("run %d: engine %d, brute force %d", i, got, want)
+		}
 	}
 }

@@ -69,12 +69,9 @@ type Config struct {
 	// BreakerWindow is how many settled run outcomes the pool circuit
 	// breaker remembers (default 8).
 	BreakerWindow int
-	// BreakerMinSamples is how many outcomes must accumulate before the
-	// ratios below apply (default 4).
+	// BreakerMinSamples is how many outcomes must accumulate before
+	// BreakerOpenRatio applies (default 4).
 	BreakerMinSamples int
-	// BreakerShedRatio is the transient-fault fraction at which the pool
-	// degrades: new runs shed their prefetch budget (default 0.25).
-	BreakerShedRatio float64
 	// BreakerOpenRatio is the fraction at which the breaker opens and the
 	// service rejects fast with Retry-After (default 0.5).
 	BreakerOpenRatio float64
@@ -158,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerMinSamples <= 0 {
 		c.BreakerMinSamples = 4
-	}
-	if c.BreakerShedRatio <= 0 {
-		c.BreakerShedRatio = 0.25
 	}
 	if c.BreakerOpenRatio <= 0 {
 		c.BreakerOpenRatio = 0.5
@@ -277,7 +271,6 @@ func New(db core.Database, cfg Config) (*Server, error) {
 		br: newBreaker(breakerConfig{
 			window:     cfg.BreakerWindow,
 			minSamples: cfg.BreakerMinSamples,
-			shedRatio:  cfg.BreakerShedRatio,
 			openRatio:  cfg.BreakerOpenRatio,
 			cooldown:   cfg.BreakerCooldown,
 		}),
@@ -689,7 +682,7 @@ func registerServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	reg.CounterFunc("dualsim_resumes_total", "resume attempts by outcome (ok + rejected)", func() uint64 {
 		return sm.resumesOK.Value() + sm.resumesRejected.Value()
 	})
-	reg.GaugeFunc("dualsim_breaker_state", "pool breaker state: 0 closed, 1 shed, 2 open, 3 half-open", func() float64 {
+	reg.GaugeFunc("dualsim_breaker_state", "pool breaker state: 0 closed, 2 open, 3 half-open", func() float64 {
 		st, _ := s.br.snapshot()
 		return float64(st)
 	})

@@ -278,7 +278,7 @@ func (s *Scheduler) runSweep(sweep *core.Sweep) {
 			}
 			continue
 		}
-		sw, err := sweep.Load(s.baseCtx, idx, (idx+1)%w)
+		sw, err := sweep.Load(s.baseCtx, idx, 0)
 		if err != nil {
 			// The window itself failed (past the retry budget): every
 			// attached rider shares the failure; waiting riders never saw
