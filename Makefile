@@ -59,11 +59,12 @@ metrics-doc-check:
 # plus the race-enabled test suite (the robustness tests exercise concurrent
 # cancellation paths that only -race can vouch for) and a stress pass over
 # the window index, which I/O workers build without a lock while matching
-# tasks already read it, and the per-assignment list cache, which is per task
-# and must never outlive a window's pins.
+# tasks already read it — overlay-merged lists included: each page's callback
+# merges and queues its own page — and the per-assignment list cache, which
+# is per task and must never outlive a window's pins.
 check: lint bench-module
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds' ./internal/core
+	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayPreSealDispatch' ./internal/core
 
 # bench-module vets and tests benchmark/, which is its own Go module
 # (replace dualsim => ../): the root ./... patterns never compile it, so

@@ -138,7 +138,7 @@ var paperNotes = []struct{ pattern, note string }{
 	{"dualsim_delta_overlay_vertices", "overlay size awaiting compaction — the memory cost of mutability over the immutable base file"},
 	{"dualsim_compactions_total", "overlay folds into a fresh base file: mutability amortized back to §4's sequential layout"},
 	{"dualsim_compaction_errors_total", "failed folds (overlay retained, base file unchanged)"},
-	{"dualsim_overlay_merged_vertices_total", "window loads that merged live-ingest deltas into the adjacency before enumeration"},
+	{"dualsim_overlay_merged_vertices_total", "page loads that merged live-ingest deltas into the adjacency before any task could read the page"},
 	{"dualsim_breaker_*", "pool health: 0 closed / 2 open / 3 half-open (§6b)"},
 	{"dualsim_slow_queries_total", "per-query attribution: completed queries at/over the slow-log threshold"},
 	{"dualsim_build_info", "build identity (version/commit labels, constant 1)"},

@@ -575,9 +575,9 @@ type run struct {
 	pathPinned map[storage.PageID]int
 	// overlay is the live-ingest snapshot this run enumerates against, or
 	// nil for the pure base-file path (never non-nil-but-empty: RunSpec
-	// normalization drops empty snapshots). When set, loadWindow merges it
-	// into every window before sealing and last-level matching dispatches
-	// only after the seal, so every adjacency read sees the mutated graph.
+	// normalization drops empty snapshots). When set, every page's load
+	// callback merges it into the records it touches before any task can see
+	// the page, so every adjacency read sees the mutated graph.
 	overlay *delta.Snapshot
 
 	workers *workerPool

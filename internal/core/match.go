@@ -6,7 +6,6 @@ import (
 
 	"dualsim/internal/graph"
 	"dualsim/internal/rbi"
-	"dualsim/internal/storage"
 )
 
 // matcher carries the per-task state of vertex-level mapping: the data
@@ -34,9 +33,10 @@ type matcher struct {
 	// started while its window was still loading (lw.sealed unset), so other
 	// pages' load callbacks are still writing their ordinals of the index
 	// and the side table does not exist yet. Its own page's complete records
-	// are all such a task can legitimately need from lw — anything else it
-	// touches lives in a sealed outer-level window.
-	own *storage.Page
+	// — overlay-merged where the run's snapshot touches them — are all such
+	// a task can legitimately need from lw: anything else it touches lives
+	// in a sealed outer-level window.
+	own *windowPage
 
 	pos2v   []graph.VertexID
 	posMask uint32 // assigned positions
@@ -154,7 +154,7 @@ func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
 			}
 		}
 		if m.own != nil {
-			adj, _ := (&windowPage{page: m.own}).adjOf(v)
+			adj, _ := m.own.adjOf(v)
 			return adj
 		}
 	}
@@ -218,9 +218,10 @@ func (m *matcher) allInternal() bool {
 // --- external enumeration -------------------------------------------------
 
 // extMapPage runs EXTVERTEXMAPPING for every complete record of a
-// just-loaded last-level page. Invoked on a worker while later pages of the
+// just-loaded last-level page, rooted at its overlay-merged list where the
+// run's snapshot touches it. Invoked on a worker while later pages of the
 // window may still be loading.
-func (r *run) extMapPage(page *storage.Page, lw *levelWindow) {
+func (r *run) extMapPage(wp *windowPage, lw *levelWindow) {
 	if r.doomed() {
 		return
 	}
@@ -229,28 +230,28 @@ func (r *run) extMapPage(page *storage.Page, lw *levelWindow) {
 		// The window is still loading: restrict lookups in it to this page
 		// (see matcher.own). The sealed flag's release/acquire pairing makes
 		// a true load prove every write to the index has completed.
-		m.own = page
+		m.own = wp
 	}
-	for i := range page.Records {
-		rec := &page.Records[i]
+	for i := range wp.page.Records {
+		rec := &wp.page.Records[i]
 		if rec.Continues || rec.Continuation {
 			continue // rooted from the side table after the seal (loadWindow)
-		}
-		if r.overlay != nil && r.overlay.Of(rec.Vertex) != nil {
-			// The on-disk record predates the overlay; the merged list in
-			// the side table is authoritative, and rooted from there.
-			continue
 		}
 		if r.ctx.Err() != nil {
 			break // cancellation: abandon the rest of the page
 		}
-		r.extMapRecord(m, rec.Vertex, rec.Adj, rec.Comp)
+		if wp.lists != nil && wp.lists[i].set {
+			// Nothing is decoded on a last-level page: this is a merged list.
+			r.extMapRecord(m, rec.Vertex, wp.lists[i].adj, graph.CompressedAdj{})
+		} else {
+			r.extMapRecord(m, rec.Vertex, rec.Adj, rec.Comp)
+		}
 	}
 	m.flush()
 }
 
 // extMapVertex roots the external traversal at one side-table vertex — a
-// multi-page or overlay-mutated one — with its merged adjacency.
+// multi-page one — with its concatenated adjacency.
 func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWindow) {
 	if r.doomed() {
 		return

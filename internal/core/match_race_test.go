@@ -20,7 +20,8 @@ func (d firstPages) PageOf(v graph.VertexID) storage.PageID { return d.of[v] }
 // TestAdjOfDataUnsealedWindowContract pins the invariant behind the
 // loadWindow data-race fix: a matcher created for a still-loading window
 // (extMapPage sets own when lw.sealed is unset) must read nothing of that
-// window but its own page — not even on a lookup miss — because the load
+// window but its own page — its records and their overlay-merged lists,
+// complete before the task was queued — not even on a lookup miss, because the load
 // callbacks of other pages are writing their ordinals of the index, and the
 // orchestrator its side table, without any lock. The test runs such a
 // writer and exercises every adjOfData resolution path; consulting
@@ -37,16 +38,20 @@ func TestAdjOfDataUnsealedWindowContract(t *testing.T) {
 		{page: page(0, 7, []graph.VertexID{1, 2})},
 	}}
 	outer.sealed.Store(true)
-	own := page(1, 3, []graph.VertexID{4, 5}, []graph.VertexID{6})
-	lw := &levelWindow{pages: []storage.PageID{1, 2}, loaded: []windowPage{{page: own}, {}}}
-	db := firstPages{of: map[graph.VertexID]storage.PageID{7: 0, 3: 1, 4: 1, 9: 1, 42: 2}}
+	// The task's own page: vertex 3 overlay-merged (one neighbour added),
+	// vertex 4 tombstoned to empty, vertex 5 untouched.
+	own := page(1, 3, []graph.VertexID{4, 5}, []graph.VertexID{6}, []graph.VertexID{3})
+	lw := &levelWindow{pages: []storage.PageID{1, 2}, loaded: []windowPage{{page: own, lists: []slotList{
+		{adj: []graph.VertexID{4, 5, 8}, set: true}, {set: true}, {},
+	}}, {}}}
+	db := firstPages{of: map[graph.VertexID]storage.PageID{7: 0, 3: 1, 4: 1, 5: 1, 9: 1, 42: 2}}
 	r := &run{e: &Engine{db: db}, k: 2, winData: []*levelWindow{outer, lw}}
 	m := &matcher{
 		r:       r,
 		lw:      lw,
 		lastV:   9,
 		lastAdj: []graph.VertexID{1},
-		own:     own,
+		own:     &lw.loaded[0],
 	}
 
 	// The concurrent rest of the load: another page's callback filling its
@@ -80,8 +85,14 @@ func TestAdjOfDataUnsealedWindowContract(t *testing.T) {
 		if adj := m.adjOfData(7); len(adj) != 2 {
 			t.Fatalf("outer-window lookup = %v", adj)
 		}
-		if adj := m.adjOfData(3); len(adj) != 2 {
-			t.Fatalf("own-page lookup = %v", adj)
+		if adj := m.adjOfData(3); len(adj) != 3 {
+			t.Fatalf("own-page merged lookup = %v", adj)
+		}
+		if adj := m.adjOfData(4); len(adj) != 0 {
+			t.Fatalf("own-page lookup of a vertex merged to empty = %v: fell through to the on-disk record", adj)
+		}
+		if adj := m.adjOfData(5); len(adj) != 1 {
+			t.Fatalf("own-page unmerged lookup = %v", adj)
 		}
 		// The interesting case: a vertex on another page of the unsealed
 		// window. The only legal answer is "unknown" (nil); reading that

@@ -51,7 +51,9 @@ type engineMetrics struct {
 	stealSplits *obs.Counter
 	// overlayVertices counts vertices whose window adjacency was merged
 	// with the live-ingest overlay (counted per window load — one vertex
-	// appearing in many windows counts once per window).
+	// appearing in many windows counts once per window). Added from each
+	// page's load callback for the records it merged, and from buildSide for
+	// mutated multi-page vertices.
 	overlayVertices *obs.Counter
 }
 
@@ -87,7 +89,7 @@ func registerEngineMetrics(reg *obs.Registry, pool *buffer.Pool, retry *storage.
 		compressedBytes:     reg.Counter("dualsim_compressed_bytes_total", "on-disk bytes of compressed adjacency payloads loaded into windows"),
 		skipSeeks:           reg.Counter("dualsim_compressed_skip_seeks_total", "skip-table seeks taken by compressed-domain galloping (SeekGE block jumps)"),
 
-		overlayVertices: reg.Counter("dualsim_overlay_merged_vertices_total", "window-loaded vertices whose adjacency was merged with the live-ingest overlay"),
+		overlayVertices: reg.Counter("dualsim_overlay_merged_vertices_total", "mutated records merged with the live-ingest overlay per window load, added by each page's load callback (multi-page vertices after the last one)"),
 	}
 	reg.CounterFunc("dualsim_embeddings_total", "embeddings found (internal + external)", func() uint64 {
 		return em.embInternal.Value() + em.embExternal.Value()

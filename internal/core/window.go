@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dualsim/internal/delta"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
 	"dualsim/internal/storage"
@@ -30,15 +31,15 @@ type levelWindow struct {
 	// covers all of them); loaded is parallel to it.
 	pages  []storage.PageID
 	loaded []windowPage
-	// side lists, ascending by vertex, the adjacency lists that are not one
-	// record of one page: multi-page vertices, concatenated, and
-	// overlay-mutated vertices, merged (buildSide). It shadows the pages.
+	// side lists, ascending by vertex, the adjacency lists no single record
+	// holds: multi-page vertices, their chunks concatenated and the run's
+	// overlay applied (buildSide). Most windows have none.
 	side []sideEntry
 	// sealed is set (with release semantics) once every page load completed
 	// and side is built: from then on the index is read-only. Until then
 	// other pages' load callbacks are still writing their ordinals, and
 	// last-level page tasks already running must restrict themselves to
-	// their own page's records (matcher.own).
+	// their own page (matcher.own).
 	sealed atomic.Bool
 
 	// internal/external accumulate the embeddings found by tasks attached
@@ -56,14 +57,30 @@ type levelWindow struct {
 type windowPage struct {
 	// page is the pinned page; nil when its load failed (nothing to unpin).
 	page *storage.Page
-	// decoded holds, by slot, the decoded views of the page's lazily parsed
-	// compressed records (one slab per page). Non-last levels only, which
-	// read adjacency structurally; nil for pages without such records and
-	// on last-level windows, whose spans feed the compressed-domain kernels.
-	decoded [][]graph.VertexID
+	// lists holds, by slot, the adjacency lists that stand in for the page's
+	// on-disk records (one slab per page): the decoded views of lazily parsed
+	// compressed records — non-last levels only, which read adjacency
+	// structurally; last-level spans feed the compressed-domain kernels — and,
+	// on every level, the overlay-merged lists of the complete records the
+	// run's snapshot touches. nil for a page with neither. It lives here, per
+	// run and window, because the pooled *storage.Page is shared with runs at
+	// other snapshots.
+	lists []slotList
+	// split reports a Continues/Continuation record on the page: a chunk of
+	// a multi-page vertex, assembled into the side table after the loads.
+	split bool
 	// queued reports that the page's last-level matching task was queued
 	// before the seal; the orchestrator dispatches the others after it.
 	queued bool
+}
+
+// slotList is one slot of windowPage.lists. set tells a record merged to the
+// empty list (every neighbour tombstoned), which must not fall through to
+// its on-disk record, from a slot nothing stands in for; the length of adj
+// cannot.
+type slotList struct {
+	adj []graph.VertexID
+	set bool
 }
 
 // sideEntry is one vertex's adjacency list in a window's side table.
@@ -105,8 +122,9 @@ func (lw *levelWindow) adjOf(pid storage.PageID, v graph.VertexID) (adj []graph.
 	return lw.loaded[o].adjOf(v)
 }
 
-// adjOf resolves v among the page's complete records. Chunks of multi-page
-// vertices never match: merged lists live in the window's side table.
+// adjOf resolves v among the page's complete records, in the run's graph
+// version. Chunks of multi-page vertices never match: their lists live in
+// the window's side table.
 func (wp *windowPage) adjOf(v graph.VertexID) (adj []graph.VertexID, ok bool) {
 	if wp.page == nil || len(wp.page.Records) == 0 || v < wp.page.Records[0].Vertex {
 		return nil, false
@@ -119,12 +137,12 @@ func (wp *windowPage) adjOf(v graph.VertexID) (adj []graph.VertexID, ok bool) {
 	if rec.Continues || rec.Continuation {
 		return nil, false
 	}
-	if wp.decoded != nil && wp.decoded[i] != nil {
-		return wp.decoded[i], true
+	if wp.lists != nil && wp.lists[i].set {
+		return wp.lists[i].adj, true
 	}
 	// Decodes only a last-level span: matching hands those to the kernels
-	// as they are (extMapPage), so just the overlay merge and a lookup of
-	// some vertex other than the task's own root come this way with one.
+	// as they are (extMapPage), so just a lookup of some vertex other than
+	// the task's own root comes this way with one.
 	return rec.Decoded(nil), true
 }
 
@@ -516,8 +534,9 @@ func (r *run) sleepWindowBackoff(attempt int) bool {
 
 // loadWindow is one load attempt: it pins every page needed by the window's
 // vertices (the only place window reads are issued), builds the window's
-// index — each page callback its own ordinal, without a lock, then the side
-// table with the run's overlay folded in — and splits the window per group.
+// index — each page callback its own ordinal, the run's overlay merged into
+// the records it touches, without a lock; then the side table of multi-page
+// vertices — and splits the window per group.
 // What callers differ in arrives as state of the run it is called on: the
 // error sink (the run's error box) and the pinned overlay snapshot. When
 // lastLevel is set (deep levels only), compressed records keep their
@@ -553,12 +572,6 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int)
 		lw.verts[g] = sliceRange(r.cand[g][l].slice(r.e.all), lw.lo, lw.hi)
 	}
 
-	// With a live-ingest overlay, pre-seal dispatch is off: a record's
-	// on-disk adjacency may be stale, and the merged view exists only
-	// after buildSide runs under the seal. Page tasks are dispatched
-	// post-seal instead — the overlap with I/O is lost for mutated runs,
-	// the price of reading one consistent graph version.
-	eager := lastLevel && r.overlay == nil
 	var wg sync.WaitGroup
 	onPage := func(pid storage.PageID, page *storage.Page, err error) {
 		if err != nil {
@@ -567,20 +580,15 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int)
 		}
 		wp := &lw.loaded[lw.ordinalOf(pid)]
 		wp.page = page
-		crecs, cbytes, err := wp.index(!lastLevel)
-		if err != nil {
+		if err := r.indexPage(wp, !lastLevel); err != nil {
 			r.fail(err)
 			return
 		}
-		if crecs > 0 {
-			r.em.compressedRecs.Add(crecs)
-			r.em.compressedBytes.Add(cbytes)
-		}
-		if eager {
+		if lastLevel {
 			// Overlap: match complete records while later pages load. An I/O
 			// worker never waits for a queue slot — a page the full queue
 			// refuses is matched after the seal.
-			wp.queued = r.workers.trySubmit(func() { r.extMapPage(page, lw) })
+			wp.queued = r.workers.trySubmit(func() { r.extMapPage(wp, lw) })
 		}
 	}
 	// Issue maximal contiguous runs: the pool serves each with one simulated
@@ -620,13 +628,12 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int)
 	// everything dispatched after this point reads the whole index.
 	lw.sealed.Store(true)
 	if lastLevel {
-		// Match the pages not queued before the seal — all of them under an
-		// overlay, otherwise those the full queue refused — and then the side
-		// table's vertices, which page tasks skip: no single record holds
-		// their list.
+		// Match the pages the full queue refused before the seal, and then
+		// the side table's vertices, which page tasks skip: no single record
+		// holds their list.
 		for o := range lw.loaded {
 			if wp := &lw.loaded[o]; !wp.queued {
-				r.workers.submit(func() { r.extMapPage(wp.page, lw) })
+				r.workers.submit(func() { r.extMapPage(wp, lw) })
 			}
 		}
 		for _, e := range lw.side {
@@ -636,90 +643,113 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int)
 	return lw, nil
 }
 
-// index checks that the page's records are the dense ascending run of vertex
-// IDs the slot arithmetic relies on and, when decode is set, decodes its
-// lazily parsed compressed records into one slab. Returns the page's
-// compressed record and payload byte counts for the window-load metrics.
-func (wp *windowPage) index(decode bool) (crecs, cbytes uint64, err error) {
+// indexPage checks that the page's records are the dense ascending run of
+// vertex IDs the slot arithmetic relies on, notes whether any is a chunk of a
+// multi-page vertex, and fills wp.lists: (base ∪ adds) \ tombstones for every
+// complete record the run's overlay touches, in the vertex window or not —
+// descent-time lookups resolve any indexed vertex, and all of them must agree
+// on the graph version — and, when decode is set, the decoded view of every
+// other lazily parsed compressed record. It runs in the page's own load
+// callback, so the page is complete before any task can see it, and books
+// the page's compressed records and merged vertices.
+func (r *run) indexPage(wp *windowPage, decode bool) error {
 	recs := wp.page.Records
-	lazy := func(rec *storage.Record) bool {
-		return rec.Adj == nil && rec.CompBytes > 0 && !rec.Continues && !rec.Continuation
+	// standIn reports how rec is listed: merged with d, decoded, or not at all.
+	standIn := func(rec *storage.Record) (d *delta.VertexDelta, lazy bool) {
+		if rec.Continues || rec.Continuation {
+			return nil, false
+		}
+		if r.overlay != nil {
+			d = r.overlay.Of(rec.Vertex)
+		}
+		return d, rec.Adj == nil && rec.CompBytes > 0 && (decode || d != nil)
 	}
+	var crecs, cbytes, mutated uint64
 	total := 0
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Vertex != recs[0].Vertex+graph.VertexID(i) {
-			return 0, 0, &storage.CorruptPageError{Page: wp.page.ID,
+			return &storage.CorruptPageError{Page: wp.page.ID,
 				Reason: fmt.Sprintf("slot %d holds vertex %d: records are not a dense vertex-ID run from %d", i, rec.Vertex, recs[0].Vertex)}
 		}
 		if rec.CompBytes > 0 {
 			crecs++
 			cbytes += uint64(rec.CompBytes)
 		}
-		if lazy(rec) {
+		wp.split = wp.split || rec.Continues || rec.Continuation
+		if d, lazy := standIn(rec); d != nil {
+			total += rec.Count() + len(d.Add)
+			mutated++
+		} else if lazy {
 			total += rec.Comp.Count
 		}
 	}
-	if !decode || total == 0 {
-		return crecs, cbytes, nil
-	}
-	slab := make([]graph.VertexID, 0, total)
-	wp.decoded = make([][]graph.VertexID, len(recs))
-	for i := range recs {
-		if rec := &recs[i]; lazy(rec) {
-			start := len(slab)
-			slab = rec.Comp.AppendTo(slab)
-			wp.decoded[i] = slab[start:len(slab):len(slab)]
-		}
-	}
-	return crecs, cbytes, nil
-}
-
-// buildSide fills the window's side table in one ascending pass over its
-// pages, between the last page callback and the seal. A multi-page vertex
-// gets its chunks concatenated: window chopping keeps a vertex's span inside
-// one window, so all of them are present, and they always decode — a
-// compressed span cannot represent a concatenation. Under a live-ingest
-// overlay every mutated vertex with a record here gets its merged
-// (base ∪ adds) \ tombstones list, inside the vertex window or not:
-// descent-time lookups resolve any indexed vertex, and all of them must
-// agree on the graph version.
-func (r *run) buildSide(lw *levelWindow) {
-	var split sideEntry // the multi-page vertex being assembled
-	mutated := uint64(0)
-	for o := range lw.loaded {
-		wp := &lw.loaded[o]
-		for i := range wp.page.Records {
-			rec := &wp.page.Records[i]
-			v := rec.Vertex
-			dirty := r.overlay != nil && r.overlay.Of(v) != nil
-			var adj []graph.VertexID
-			switch {
-			case rec.Continues || rec.Continuation:
-				if split.v != v || !rec.Continuation {
-					split = sideEntry{v: v}
-				}
-				split.adj = appendRecord(split.adj, rec)
-				if rec.Continues || len(split.adj) != r.e.db.Degree(v) {
-					// More chunks follow, or the list starts on a page outside
-					// the window — then so does the vertex, never matched here.
-					continue
-				}
-				adj = split.adj
-			case dirty:
-				adj, _ = wp.adjOf(v)
-			default:
-				continue
-			}
-			if dirty {
-				adj = r.overlay.Apply(v, adj)
-				mutated++
-			}
-			lw.side = append(lw.side, sideEntry{v, adj})
-		}
+	if crecs > 0 {
+		r.em.compressedRecs.Add(crecs)
+		r.em.compressedBytes.Add(cbytes)
 	}
 	if mutated > 0 {
 		r.em.overlayVertices.Add(mutated)
+	} else if total == 0 {
+		return nil // nothing to list (a record decoding to nothing resolves empty as it is)
+	}
+	slab := make([]graph.VertexID, 0, total)
+	var scratch []graph.VertexID // a compressed record decoded to be merged
+	wp.lists = make([]slotList, len(recs))
+	for i := range recs {
+		rec := &recs[i]
+		d, lazy := standIn(rec)
+		start := len(slab)
+		switch {
+		case d != nil && lazy:
+			scratch = rec.Comp.AppendTo(scratch[:0])
+			slab = d.AppendMerged(slab, scratch)
+		case d != nil:
+			slab = d.AppendMerged(slab, rec.Adj)
+		case lazy:
+			slab = rec.Comp.AppendTo(slab)
+		default:
+			continue
+		}
+		wp.lists[i] = slotList{adj: slab[start:len(slab):len(slab)], set: true}
+	}
+	return nil
+}
+
+// buildSide fills the window's side table in one ascending pass over the
+// pages holding chunks of multi-page vertices, between the last page callback
+// and the seal. The chunks are concatenated — window chopping keeps a
+// vertex's span inside one window, so all of them are present, and they
+// always decode: a compressed span cannot represent a concatenation — and
+// the run's overlay applied to the whole list.
+func (r *run) buildSide(lw *levelWindow) {
+	var split sideEntry // the multi-page vertex being assembled
+	for o := range lw.loaded {
+		wp := &lw.loaded[o]
+		if !wp.split {
+			continue
+		}
+		for i := range wp.page.Records {
+			rec := &wp.page.Records[i]
+			if !rec.Continues && !rec.Continuation {
+				continue
+			}
+			v := rec.Vertex
+			if split.v != v || !rec.Continuation {
+				split = sideEntry{v: v}
+			}
+			split.adj = appendRecord(split.adj, rec)
+			if rec.Continues || len(split.adj) != r.e.db.Degree(v) {
+				// More chunks follow, or the list starts on a page outside
+				// the window — then so does the vertex, never matched here.
+				continue
+			}
+			if r.overlay != nil && r.overlay.Of(v) != nil {
+				split.adj = r.overlay.Apply(v, split.adj)
+				r.em.overlayVertices.Inc()
+			}
+			lw.side = append(lw.side, split)
+		}
 	}
 }
 

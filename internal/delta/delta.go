@@ -13,11 +13,19 @@
 // batch bumps the data epoch, a monotone uint64 that names graph versions:
 // resume tokens and cached plans are valid only at the epoch they were
 // minted at.
+//
+// Representation: the vertex set is fixed (NewStore(numVertices, …)), so a
+// Snapshot is an array indexed by vertex ID, cut into fixed-size chunks
+// behind a chunk table. A lookup is two index operations, and successive
+// snapshots share every chunk a batch did not write: a batch copies the
+// chunk table (numVertices / chunkSize pointers), the chunks its ops touch
+// and the Add/Del lists it changes — nothing that grows with the overlay's
+// width.
 package delta
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,19 +53,37 @@ type VertexDelta struct {
 	Del []graph.VertexID
 }
 
+// chunkSize is the number of consecutive vertex IDs one copy-on-write chunk
+// covers: small enough that a batch of 50 scattered ops copies tens of
+// kilobytes at most (a 256-byte chunk per touched vertex), large enough that
+// the chunk table, copied whole per batch, is 1/32 of the vertex count.
+// Measured on 10 000 vertices, a 50-op batch costs 25–30 µs on an empty
+// store at 64 per chunk and 16–17 µs at 32 or 16.
+const (
+	chunkShift = 5
+	chunkSize  = 1 << chunkShift
+)
+
+// chunk holds the overlays of chunkSize consecutive vertices, nil where
+// unmutated. Published chunks are immutable.
+type chunk [chunkSize]*VertexDelta
+
 // Snapshot is an immutable point-in-time view of the overlay. It is safe
 // for concurrent use by any number of readers and stays valid (and
 // unchanged) after later batches are applied to the Store.
 type Snapshot struct {
 	epoch uint64
-	verts map[graph.VertexID]*VertexDelta
-	adds  uint64
-	dels  uint64
+	// chunks[v>>chunkShift][v%chunkSize] is v's overlay; a nil chunk holds
+	// no mutated vertex.
+	chunks []*chunk
+	verts  int // mutated vertices
+	adds   uint64
+	dels   uint64
 }
 
-// emptySnapshot is the epoch-0 view shared by all fresh stores.
-func emptySnapshot(epoch uint64) *Snapshot {
-	return &Snapshot{epoch: epoch, verts: map[graph.VertexID]*VertexDelta{}}
+// emptySnapshot is the overlay-free view of a graph of numVertices vertices.
+func emptySnapshot(numVertices int, epoch uint64) *Snapshot {
+	return &Snapshot{epoch: epoch, chunks: make([]*chunk, (numVertices+chunkSize-1)>>chunkShift)}
 }
 
 // Epoch returns the data epoch this snapshot observes.
@@ -65,10 +91,10 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // Empty reports whether the snapshot carries no mutations; enumeration
 // over an empty snapshot is byte-for-byte the base-file read path.
-func (s *Snapshot) Empty() bool { return len(s.verts) == 0 }
+func (s *Snapshot) Empty() bool { return s.verts == 0 }
 
 // Len returns the number of vertices with a non-empty overlay.
-func (s *Snapshot) Len() int { return len(s.verts) }
+func (s *Snapshot) Len() int { return s.verts }
 
 // Adds returns the live inserted-edge-endpoint count (each undirected
 // insert contributes two: one per endpoint).
@@ -79,13 +105,25 @@ func (s *Snapshot) Dels() uint64 { return s.dels }
 
 // Of returns the overlay for v, or nil when v is unmutated. The returned
 // value and its slices are shared and must not be modified.
-func (s *Snapshot) Of(v graph.VertexID) *VertexDelta { return s.verts[v] }
+func (s *Snapshot) Of(v graph.VertexID) *VertexDelta {
+	if i := int(v >> chunkShift); i < len(s.chunks) && s.chunks[i] != nil {
+		return s.chunks[i][v%chunkSize]
+	}
+	return nil
+}
 
-// Vertices calls f for every mutated vertex, in unspecified order. The
+// Vertices calls f for every mutated vertex, in ascending ID order. The
 // VertexDelta is shared and must not be modified.
 func (s *Snapshot) Vertices(f func(v graph.VertexID, d *VertexDelta)) {
-	for v, d := range s.verts {
-		f(v, d)
+	for i, c := range s.chunks {
+		if c == nil {
+			continue
+		}
+		for j, d := range c {
+			if d != nil {
+				f(graph.VertexID(i<<chunkShift+j), d)
+			}
+		}
 	}
 }
 
@@ -94,38 +132,37 @@ func (s *Snapshot) Vertices(f func(v graph.VertexID, d *VertexDelta)) {
 // aliases base. For an unmutated vertex it returns base unchanged (no
 // copy), so callers must treat the result as read-only.
 func (s *Snapshot) Apply(v graph.VertexID, base []graph.VertexID) []graph.VertexID {
-	d := s.verts[v]
+	d := s.Of(v)
 	if d == nil {
 		return base
 	}
-	out := make([]graph.VertexID, 0, len(base)+len(d.Add))
-	i, j := 0, 0
-	emit := func(w graph.VertexID) {
-		if !containsSorted(d.Del, w) {
-			out = append(out, w)
-		}
-	}
-	for i < len(base) && j < len(d.Add) {
+	return d.AppendMerged(make([]graph.VertexID, 0, len(base)+len(d.Add)), base)
+}
+
+// AppendMerged appends (base ∪ Add) \ Del to dst, ascending, in one linear
+// pass over the three sorted lists, and returns the extended slice (the
+// form a window load fills one slab per page through). base must be sorted
+// ascending and is only read; dst[:len(dst)] is left as it was.
+func (d *VertexDelta) AppendMerged(dst, base []graph.VertexID) []graph.VertexID {
+	add, del := d.Add, d.Del
+	for len(base) > 0 || len(add) > 0 {
+		var w graph.VertexID
 		switch {
-		case base[i] < d.Add[j]:
-			emit(base[i])
-			i++
-		case base[i] > d.Add[j]:
-			emit(d.Add[j])
-			j++
-		default:
-			emit(base[i])
-			i++
-			j++
+		case len(add) == 0 || (len(base) > 0 && base[0] < add[0]):
+			w, base = base[0], base[1:]
+		case len(base) == 0 || add[0] < base[0]:
+			w, add = add[0], add[1:]
+		default: // in both: emitted once
+			w, base, add = base[0], base[1:], add[1:]
+		}
+		for len(del) > 0 && del[0] < w {
+			del = del[1:]
+		}
+		if len(del) == 0 || del[0] != w {
+			dst = append(dst, w)
 		}
 	}
-	for ; i < len(base); i++ {
-		emit(base[i])
-	}
-	for ; j < len(d.Add); j++ {
-		emit(d.Add[j])
-	}
-	return out
+	return dst
 }
 
 // Degree returns the merged degree of v given its base degree — the length
@@ -134,7 +171,7 @@ func (s *Snapshot) Apply(v graph.VertexID, base []graph.VertexID) []graph.Vertex
 // a subset of base ∪ Add), which Store.Apply cannot check; the engine uses
 // it for budgeting, not correctness.
 func (s *Snapshot) Degree(v graph.VertexID, baseDegree int) int {
-	d := s.verts[v]
+	d := s.Of(v)
 	if d == nil {
 		return baseDegree
 	}
@@ -148,11 +185,10 @@ type Store struct {
 	numVertices int
 	cur         atomic.Pointer[Snapshot]
 
-	batches   atomic.Uint64
-	ops       atomic.Uint64
-	rejected  atomic.Uint64
-	rebases   atomic.Uint64
-	lastEmpty atomic.Bool
+	batches  atomic.Uint64
+	ops      atomic.Uint64
+	rejected atomic.Uint64
+	rebases  atomic.Uint64
 }
 
 // NewStore returns an empty store over a graph of numVertices vertices,
@@ -160,8 +196,7 @@ type Store struct {
 // never regress across restarts).
 func NewStore(numVertices int, epoch uint64) *Store {
 	st := &Store{numVertices: numVertices}
-	st.cur.Store(emptySnapshot(epoch))
-	st.lastEmpty.Store(true)
+	st.cur.Store(emptySnapshot(numVertices, epoch))
 	return st
 }
 
@@ -211,69 +246,66 @@ func (st *Store) Apply(ops []Op) (uint64, error) {
 	defer st.mu.Unlock()
 	old := st.cur.Load()
 	next := &Snapshot{
-		epoch: old.epoch + 1,
-		verts: make(map[graph.VertexID]*VertexDelta, len(old.verts)+len(ops)),
-		adds:  old.adds,
-		dels:  old.dels,
-	}
-	for v, d := range old.verts {
-		next.verts[v] = d
+		epoch:  old.epoch + 1,
+		chunks: slices.Clone(old.chunks),
+		verts:  old.verts,
+		adds:   old.adds,
+		dels:   old.dels,
 	}
 	for _, op := range ops {
-		next.applyHalf(op.Insert, op.U, op.V)
-		next.applyHalf(op.Insert, op.V, op.U)
+		next.applyHalf(old, op.Insert, op.U, op.V)
+		next.applyHalf(old, op.Insert, op.V, op.U)
 	}
-	next.prune()
 	st.cur.Store(next)
 	st.batches.Add(1)
 	st.ops.Add(uint64(len(ops)))
-	st.lastEmpty.Store(next.Empty())
 	return next.epoch, nil
 }
 
-// applyHalf records one direction of an undirected mutation on a snapshot
-// still under construction, copying the touched VertexDelta on first write
-// so published snapshots stay frozen.
-func (s *Snapshot) applyHalf(insert bool, v, w graph.VertexID) {
-	d := s.verts[v]
-	if d == nil {
-		d = &VertexDelta{}
-	} else {
-		d = &VertexDelta{
-			Add: append([]graph.VertexID(nil), d.Add...),
-			Del: append([]graph.VertexID(nil), d.Del...),
-		}
+// applyHalf records one direction of an undirected mutation on s, a
+// snapshot under construction from old. Copy-on-write at two levels keeps
+// published snapshots frozen: a chunk still shared with old is cloned on its
+// first write, and a written VertexDelta is always a fresh value whose
+// changed list is a fresh slice (insertSorted and removeSorted never write
+// their input). Every op leaves w in one of v's two lists, so a written
+// overlay is never empty: only Rebase drains vertices.
+func (s *Snapshot) applyHalf(old *Snapshot, insert bool, v, w graph.VertexID) {
+	i := v >> chunkShift
+	switch c := s.chunks[i]; {
+	case c == nil:
+		s.chunks[i] = new(chunk)
+	case c == old.chunks[i]:
+		clone := *c
+		s.chunks[i] = &clone
 	}
+	slot := &s.chunks[i][v%chunkSize]
+	var d VertexDelta
+	if *slot != nil {
+		d = **slot
+	} else {
+		s.verts++
+	}
+	var removed, inserted bool
 	if insert {
-		var removed bool
 		d.Del, removed = removeSorted(d.Del, w)
-		if removed {
-			s.dels--
-		}
-		if ins := insertSorted(&d.Add, w); ins {
-			s.adds++
-		}
+		d.Add, inserted = insertSorted(d.Add, w)
+		s.dels -= count(removed)
+		s.adds += count(inserted)
 	} else {
-		var removed bool
 		d.Add, removed = removeSorted(d.Add, w)
-		if removed {
-			s.adds--
-		}
-		if ins := insertSorted(&d.Del, w); ins {
-			s.dels++
-		}
+		d.Del, inserted = insertSorted(d.Del, w)
+		s.adds -= count(removed)
+		s.dels += count(inserted)
 	}
-	s.verts[v] = d
+	*slot = &d
 }
 
-// prune drops vertices whose overlay became empty (insert-then-delete
-// within the accumulated history), keeping Empty()/Len() meaningful.
-func (s *Snapshot) prune() {
-	for v, d := range s.verts {
-		if len(d.Add) == 0 && len(d.Del) == 0 {
-			delete(s.verts, v)
-		}
+// count is 1 for true, 0 for false.
+func count(b bool) uint64 {
+	if b {
+		return 1
 	}
+	return 0
 }
 
 // Rebase subtracts a compacted snapshot from the current overlay: every
@@ -286,65 +318,57 @@ func (st *Store) Rebase(folded *Snapshot) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	old := st.cur.Load()
-	next := &Snapshot{
-		epoch: old.epoch,
-		verts: make(map[graph.VertexID]*VertexDelta, len(old.verts)),
-	}
-	for v, d := range old.verts {
-		f := folded.verts[v]
-		if f == nil {
-			next.verts[v] = d
+	next := emptySnapshot(st.numVertices, old.epoch)
+	for i, c := range old.chunks {
+		if c == nil {
+			continue
+		}
+		var nc *chunk
+		for j, d := range c {
+			if d == nil {
+				continue
+			}
+			if f := folded.Of(graph.VertexID(i<<chunkShift + j)); f != nil {
+				d = &VertexDelta{
+					Add: subtractSorted(d.Add, f.Add),
+					Del: subtractSorted(d.Del, f.Del),
+				}
+				if len(d.Add) == 0 && len(d.Del) == 0 {
+					continue
+				}
+			}
+			if nc == nil {
+				nc = new(chunk)
+				next.chunks[i] = nc
+			}
+			nc[j] = d
+			next.verts++
 			next.adds += uint64(len(d.Add))
 			next.dels += uint64(len(d.Del))
-			continue
 		}
-		nd := &VertexDelta{
-			Add: subtractSorted(d.Add, f.Add),
-			Del: subtractSorted(d.Del, f.Del),
-		}
-		if len(nd.Add) == 0 && len(nd.Del) == 0 {
-			continue
-		}
-		next.verts[v] = nd
-		next.adds += uint64(len(nd.Add))
-		next.dels += uint64(len(nd.Del))
 	}
 	st.cur.Store(next)
 	st.rebases.Add(1)
-	st.lastEmpty.Store(next.Empty())
 }
 
-// containsSorted reports whether sorted slice a contains x.
-func containsSorted(a []graph.VertexID, x graph.VertexID) bool {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= x })
-	return i < len(a) && a[i] == x
-}
-
-// insertSorted inserts x into the sorted set *a, reporting whether it was
-// absent (and therefore inserted).
-func insertSorted(a *[]graph.VertexID, x graph.VertexID) bool {
-	s := *a
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	if i < len(s) && s[i] == x {
-		return false
+// insertSorted returns the sorted set a with x in it, reporting whether x
+// was absent (and therefore inserted). The input slice is never modified.
+func insertSorted(a []graph.VertexID, x graph.VertexID) ([]graph.VertexID, bool) {
+	i, found := slices.BinarySearch(a, x)
+	if found {
+		return a, false
 	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = x
-	*a = s
-	return true
+	return slices.Concat(a[:i], []graph.VertexID{x}, a[i:]), true
 }
 
 // removeSorted removes x from the sorted set a, reporting whether it was
 // present. The input slice is never modified.
 func removeSorted(a []graph.VertexID, x graph.VertexID) ([]graph.VertexID, bool) {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= x })
-	if i >= len(a) || a[i] != x {
+	i, found := slices.BinarySearch(a, x)
+	if !found {
 		return a, false
 	}
-	out := make([]graph.VertexID, 0, len(a)-1)
-	out = append(out, a[:i]...)
-	return append(out, a[i+1:]...), true
+	return slices.Concat(a[:i], a[i+1:]), true
 }
 
 // subtractSorted returns a \ b for sorted sets, never aliasing a.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -101,7 +102,7 @@ func TestBuildAdjacency(t *testing.T) {
 	db, _ := buildTemp(t, g, BuildOptions{PageSize: 256})
 	_ = perm
 	for v := 0; v < db.NumVertices(); v++ {
-		adj, err := db.Adjacency(graph.VertexID(v))
+		adj, err := adjacencyOf(db, graph.VertexID(v))
 		if err != nil {
 			t.Fatalf("Adjacency(%d): %v", v, err)
 		}
@@ -134,7 +135,7 @@ func TestBuildLargeAdjacencySpansPages(t *testing.T) {
 	if last <= first {
 		t.Fatalf("hub should span multiple pages: [%d,%d]", first, last)
 	}
-	adj, err := db.Adjacency(hub)
+	adj, err := adjacencyOf(db, hub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestBuildIsolatedVertices(t *testing.T) {
 	for v := 0; v < db.NumVertices(); v++ {
 		if db.Degree(graph.VertexID(v)) == 0 {
 			iso++
-			if adj, err := db.Adjacency(graph.VertexID(v)); err != nil || len(adj) != 0 {
+			if adj, err := adjacencyOf(db, graph.VertexID(v)); err != nil || len(adj) != 0 {
 				t.Fatalf("isolated vertex %d: adj=%v err=%v", v, adj, err)
 			}
 		}
@@ -376,4 +377,28 @@ func TestDBStats(t *testing.T) {
 	if st.FillFactor <= 0 || st.FillFactor > 1.05 {
 		t.Errorf("fill factor %.2f out of range", st.FillFactor)
 	}
+}
+
+// adjacencyOf reads v's full adjacency list the slow, obviously correct way
+// — every page of its span, every record naming v, checked against the
+// directory's degree — as the reference the builder and the compactor are
+// tested against.
+func adjacencyOf(db *DB, v graph.VertexID) ([]graph.VertexID, error) {
+	first, last := db.SpanOf(v)
+	var out []graph.VertexID
+	for pid := first; pid <= last; pid++ {
+		p, err := db.ReadPage(pid)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range p.Records {
+			if r.Vertex == v {
+				out = append(out, r.Adj...)
+			}
+		}
+	}
+	if len(out) != db.Degree(v) {
+		return nil, fmt.Errorf("storage: vertex %d adjacency %d entries, directory says %d", v, len(out), db.Degree(v))
+	}
+	return out, nil
 }

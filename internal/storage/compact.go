@@ -16,16 +16,23 @@ type MergedAdjFunc func(v graph.VertexID, base []graph.VertexID) []graph.VertexI
 
 // mutatedSource adapts (base DB + overlay merge) into an EdgeSource: it
 // streams every vertex's merged adjacency and emits each undirected edge
-// once (u < w). Build re-reads the source twice (degree pass, sort pass);
-// page re-reads ride the OS page cache.
+// once (u < w). Build re-reads the source twice (degree pass, sort pass).
+// Vertices are visited in ascending ID order and the file stores them in
+// that order, so each pass walks the base file page by page: every page is
+// read and parsed once per pass.
 type mutatedSource struct {
 	db    *DB
+	read  func(PageID) (*Page, error) // db.ReadPage, or a test's counting wrapper
 	apply MergedAdjFunc
+
+	page *Page            // the page the walk stands on (nil before the first read)
+	slot int              // first record of page not yet passed
+	base []graph.VertexID // base adjacency scratch
 
 	next graph.VertexID   // next vertex to load
 	cur  graph.VertexID   // vertex whose forward edges are being drained
-	adj  []graph.VertexID // merged adjacency of cur, filtered to > cur
-	i    int
+	adj  []graph.VertexID // merged adjacency of cur; may alias base
+	i    int              // next entry of adj to emit, past those <= cur
 }
 
 // NumVertices returns the vertex count (fixed until a rebuild).
@@ -34,8 +41,37 @@ func (s *mutatedSource) NumVertices() int { return s.db.NumVertices() }
 // Reset rewinds the stream to the first vertex.
 func (s *mutatedSource) Reset() error {
 	s.next, s.cur, s.i = 0, 0, 0
-	s.adj = s.adj[:0]
+	s.adj, s.page = nil, nil
 	return nil
+}
+
+// baseAdjacency returns v's full adjacency list in the base file, the
+// chunks of a multi-page vertex concatenated as the walk crosses its pages.
+// Calls between two Resets must ask for ascending vertices; the result is
+// valid until the next call.
+func (s *mutatedSource) baseAdjacency(v graph.VertexID) ([]graph.VertexID, error) {
+	first, last := s.db.SpanOf(v)
+	s.base = s.base[:0]
+	for pid := first; pid <= last; pid++ {
+		if s.page == nil || s.page.ID != pid {
+			p, err := s.read(pid)
+			if err != nil {
+				return nil, err
+			}
+			s.page, s.slot = p, 0
+		}
+		recs := s.page.Records
+		for s.slot < len(recs) && recs[s.slot].Vertex < v {
+			s.slot++
+		}
+		if s.slot < len(recs) && recs[s.slot].Vertex == v {
+			s.base = append(s.base, recs[s.slot].Adj...)
+		}
+	}
+	if len(s.base) != s.db.Degree(v) {
+		return nil, fmt.Errorf("storage: vertex %d adjacency %d entries, directory says %d", v, len(s.base), s.db.Degree(v))
+	}
+	return s.base, nil
 }
 
 // Next returns the next undirected edge of the mutated graph.
@@ -51,19 +87,15 @@ func (s *mutatedSource) Next() (graph.VertexID, graph.VertexID, error) {
 		}
 		v := s.next
 		s.next++
-		base, err := s.db.Adjacency(v)
+		base, err := s.baseAdjacency(v)
 		if err != nil {
 			return 0, 0, err
 		}
-		merged := s.apply(v, base)
-		s.cur = v
-		s.adj = s.adj[:0]
-		for _, w := range merged {
-			if w > v {
-				s.adj = append(s.adj, w)
-			}
+		// The merged list ascends: the forward edges are its tail above v.
+		s.cur, s.adj, s.i = v, s.apply(v, base), 0
+		for s.i < len(s.adj) && s.adj[s.i] <= v {
+			s.i++
 		}
-		s.i = 0
 	}
 }
 
@@ -80,7 +112,7 @@ func Compact(dstPath string, db *DB, apply MergedAdjFunc, epoch uint64, opt Buil
 	}
 	opt.SkipReorder = true
 	opt.AppendFraction = 0
-	st, err := Build(dstPath, &mutatedSource{db: db, apply: apply}, opt)
+	st, err := Build(dstPath, &mutatedSource{db: db, read: db.ReadPage, apply: apply}, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -169,13 +171,113 @@ func TestCompactSwapFile(t *testing.T) {
 	if ndb.Epoch() != 1 {
 		t.Fatalf("epoch = %d, want 1", ndb.Epoch())
 	}
-	adj, err := ndb.Adjacency(0)
+	adj, err := adjacencyOf(ndb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range adj {
 		if w == 1 {
 			t.Fatal("deleted edge (0,1) survived the swap")
+		}
+	}
+}
+
+// TestCompactPageWalk pins the compactor's page-by-page walk of the base
+// file on the layouts where a walk can go wrong — a hub whose last chunk
+// ends exactly on a page boundary (the next vertex starts a fresh page), a
+// hub ending mid-page, isolated vertices in the middle and at the tail —
+// under an overlay that tombstones out of both hubs, grows one, empties a
+// vertex, attaches an isolated one, and carries a Del absent from base and
+// an Add already in it. The output must be byte-identical to what the
+// per-vertex DB.Adjacency walk this one replaced produced (hashes recorded
+// on that code), and every base page must be read exactly once per Build
+// pass.
+func TestCompactPageWalk(t *testing.T) {
+	const n = 96
+	var edges [][2]graph.VertexID
+	edge := func(u, w int) { edges = append(edges, [2]graph.VertexID{graph.VertexID(u), graph.VertexID(w)}) }
+	for w := 1; w <= 52; w++ {
+		edge(0, w) // 52 entries: two full 128-byte pages
+	}
+	for w := 2; w <= 71; w++ {
+		edge(1, w)
+	}
+	for v := 2; v <= 70; v += 2 {
+		edge(v, v+1)
+	}
+	for v := 3; v+7 <= 71; v += 3 {
+		edge(v, v+7)
+	}
+	for v := 80; v < 90; v++ { // a ring; 72..79 and 90..95 are isolated
+		edge(v, 80+(v+1-80)%10)
+	}
+	g, err := graph.NewGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []delta.Op{
+		{Insert: false, U: 0, V: 5}, {Insert: false, U: 0, V: 52}, {Insert: false, U: 1, V: 2},
+		{Insert: true, U: 0, V: 60},
+		{Insert: false, U: 80, V: 81}, {Insert: false, U: 80, V: 89}, // 80 merges to empty
+		{Insert: true, U: 95, V: 3}, {Insert: true, U: 95, V: 90}, // 95 was isolated
+		{Insert: false, U: 10, V: 90}, {Insert: true, U: 2, V: 3}, // absent Del, present Add
+	}
+	for _, tc := range []struct {
+		compress bool
+		pageSize int
+		golden   string
+	}{
+		{false, 128, "7723d348e9536a8cd800bbd508e22fbe24574604db65e4b02c918b8feda631da"},
+		{true, 64, "d350b48b6a393932af0a929a87dc1f955c6ade16322843d899954b5a921642c2"},
+	} {
+		dir := t.TempDir()
+		base := filepath.Join(dir, "base.db")
+		if _, err := BuildFromGraph(base, g, BuildOptions{PageSize: tc.pageSize, SkipReorder: true, Compress: tc.compress}); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if _, last := db.SpanOf(0); last == 0 {
+			t.Fatalf("compress=%v: vertex 0 fits one page; the fixture has no multi-page vertex", tc.compress)
+		}
+		if !tc.compress && (db.Degree(0) != 2*MaxEntriesPerPage(tc.pageSize) || db.PageOf(1) != 2) {
+			t.Fatalf("vertex 0 (degree %d) does not end on a page boundary: vertex 1 starts on page %d", db.Degree(0), db.PageOf(1))
+		}
+		st := delta.NewStore(n, db.Epoch())
+		for i := 0; i < len(ops); i += 3 {
+			if _, err := st.Apply(ops[i:min(i+3, len(ops))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := st.Snapshot()
+
+		out := filepath.Join(dir, "out.db")
+		if _, err := Compact(out, db, snap.Apply, snap.Epoch(), BuildOptions{Compress: tc.compress}); err != nil {
+			t.Fatal(err)
+		}
+		image, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(image)); got != tc.golden {
+			t.Errorf("compress=%v: compacted file hashes to %s, the per-vertex walk wrote %s", tc.compress, got, tc.golden)
+		}
+
+		reads := map[PageID]int{}
+		src := &mutatedSource{db: db, apply: snap.Apply, read: func(pid PageID) (*Page, error) {
+			reads[pid]++
+			return db.ReadPage(pid)
+		}}
+		if _, err := Build(filepath.Join(dir, "counted.db"), src, BuildOptions{PageSize: tc.pageSize, SkipReorder: true, Compress: tc.compress}); err != nil {
+			t.Fatal(err)
+		}
+		for pid := 0; pid < db.NumPages(); pid++ {
+			if got := reads[PageID(pid)]; got != 2 {
+				t.Errorf("compress=%v: page %d read %d times over Build's two passes, want 2", tc.compress, pid, got)
+			}
 		}
 	}
 }

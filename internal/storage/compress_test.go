@@ -155,11 +155,11 @@ func TestCompressedBuildCrossValidates(t *testing.T) {
 	}
 	defer dbp.Close()
 	for v := 0; v < dbp.NumVertices(); v++ {
-		a, err := dbp.Adjacency(graph.VertexID(v))
+		a, err := adjacencyOf(dbp, graph.VertexID(v))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := dbc.Adjacency(graph.VertexID(v))
+		b, err := adjacencyOf(dbc, graph.VertexID(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestCompressedHubSpansPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	hub := graph.VertexID(300)
-	adj, err := db.Adjacency(hub)
+	adj, err := adjacencyOf(db, hub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +364,11 @@ func TestCrossReadV2(t *testing.T) {
 				tc.fixture, old.NumVertices(), nu.NumVertices(), old.NumEdges(), nu.NumEdges())
 		}
 		for v := 0; v < old.NumVertices(); v++ {
-			a, err := old.Adjacency(graph.VertexID(v))
+			a, err := adjacencyOf(old, graph.VertexID(v))
 			if err != nil {
 				t.Fatalf("%s: vertex %d: %v", tc.fixture, v, err)
 			}
-			b, err := nu.Adjacency(graph.VertexID(v))
+			b, err := adjacencyOf(nu, graph.VertexID(v))
 			if err != nil {
 				t.Fatal(err)
 			}

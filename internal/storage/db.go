@@ -229,29 +229,6 @@ func (db *DB) ReadPage(pid PageID) (*Page, error) {
 	return ParsePage(buf)
 }
 
-// Adjacency reads the full adjacency list of v, following continuation
-// records across pages. Intended for tools and tests; the engine reads
-// whole pages through the buffer pool instead.
-func (db *DB) Adjacency(v graph.VertexID) ([]graph.VertexID, error) {
-	first, last := db.SpanOf(v)
-	var out []graph.VertexID
-	for pid := first; pid <= last; pid++ {
-		p, err := db.ReadPage(pid)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range p.Records {
-			if r.Vertex == v {
-				out = append(out, r.Adj...)
-			}
-		}
-	}
-	if len(out) != db.Degree(v) {
-		return nil, fmt.Errorf("storage: vertex %d adjacency %d entries, directory says %d", v, len(out), db.Degree(v))
-	}
-	return out, nil
-}
-
 // LoadGraph reads the whole database into an in-memory graph. Used by tests
 // and the in-memory baselines.
 func (db *DB) LoadGraph() (*graph.Graph, error) {
