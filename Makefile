@@ -31,17 +31,24 @@ fmt:
 # The serving binary must not link the comparison systems (the MapReduce
 # and Pregel simulators and the baselines built on them); those belong to
 # cmd/bench. Last, the window index stays flat and lock-free — no mutex and no
-# per-vertex hash map in the window loader or the matcher — the hot path
-# searches with slices.BinarySearch, not sort.Search's closure per probe, and
-# no speculative read path comes back (scripts/inert_names.sh).
+# per-vertex hash map in the window loader, the last-level stream (its
+# permits and hand-offs travel one channel) or the matcher — the hot path
+# searches with slices.BinarySearch, not sort.Search's closure per probe,
+# candidates are unioned through the scratch set, not sorted, reads have one
+# issuer (run.issueRuns holds core's only AsyncReadRunContext call), and no
+# speculative read path comes back (scripts/inert_names.sh).
 lint: vet metrics-doc-check
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
 	@if $(GO) list -deps ./cmd/dualsim | grep -E 'internal/(mr|pregel|baseline)'; then \
 		echo "cmd/dualsim links a comparison system; move the caller to cmd/bench" >&2; exit 1; fi
-	@if grep -nE 'sync\.Mutex|map\[graph\.VertexID\]' internal/core/window.go internal/core/match.go; then \
+	@if grep -nE 'sync\.Mutex|map\[graph\.VertexID\]' internal/core/window.go internal/core/stream.go internal/core/match.go; then \
 		echo "the window index is a flat array each page callback writes its own slot of: no mutex, no per-vertex map" >&2; exit 1; fi
-	@if grep -nF 'sort.Search(' internal/core/window.go internal/core/match.go; then \
+	@if grep -nF 'sort.Search(' internal/core/window.go internal/core/stream.go internal/core/match.go; then \
 		echo "the window loader and the matcher search with slices.BinarySearch: no closure per probe" >&2; exit 1; fi
+	@if grep -nF 'slices.Sort' internal/core/window.go; then \
+		echo "candidate sequences are unioned through the run's scratch set (vertexSet): nothing to sort" >&2; exit 1; fi
+	@if [ "$$(cat $$(ls internal/core/*.go | grep -v _test.go) | grep -c 'AsyncReadRunContext(')" != 1 ]; then \
+		echo "run.issueRuns is the one issuer of reads: exactly one AsyncReadRunContext call in internal/core" >&2; exit 1; fi
 	@./scripts/inert_names.sh
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
@@ -60,11 +67,13 @@ metrics-doc-check:
 # cancellation paths that only -race can vouch for) and a stress pass over
 # the window index, which I/O workers build without a lock while matching
 # tasks already read it — overlay-merged lists included: each page's callback
-# merges and queues its own page — and the per-assignment list cache, which
-# is per task and must never outlive a window's pins.
+# merges and queues its own page — the streamed last level, whose pages are
+# matched and unpinned in whatever order reads land and tasks end, and the
+# per-assignment list cache, which is per task and must never outlive a
+# window's pins.
 check: lint bench-module
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayPreSealDispatch' ./internal/core
+	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayStreamDispatch|TestStream' ./internal/core
 
 # bench-module vets and tests benchmark/, which is its own Go module
 # (replace dualsim => ../): the root ./... patterns never compile it, so

@@ -6,7 +6,12 @@ import "fmt"
 // using the paper's buffer allocation strategy (Section 5.3):
 //
 //   - the last level gets 2 × threads frames (one for the page being
-//     processed, one for the asynchronous read in flight, per thread);
+//     processed, one for the asynchronous read in flight, per thread) — it
+//     needs no more because it streams: the engine matches each of its
+//     pages as it lands and unpins it when that ends (core's streamPass),
+//     refilling once half of these frames are free, so this is a bound on
+//     pages in flight, not a window size, and Equation 1's M / (|V_R| − 1)
+//     region per level is what the remaining levels really share;
 //   - two thirds of the remaining frames go to level 1 (the internal area);
 //   - the final third is divided equally among the middle levels;
 //   - with two levels (triangulation) all remaining frames go to level 1.

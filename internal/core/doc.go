@@ -5,8 +5,10 @@
 //
 // There is one window mechanism and a solo run is a cohort of one (solo =
 // sweep of one): Sweep is the only level-1 scan source, run.loadWindow the
-// only window loader, and Engine.RunSpecContext rides a private Sweep as its
-// single Rider exactly as internal/sharedscan rides a shared one with N.
+// only window loader, run.streamPass the only last-level pass, run.issueRuns
+// the only issuer of reads, and Engine.RunSpecContext rides a private Sweep
+// as its single Rider exactly as internal/sharedscan rides a shared one
+// with N.
 //
 // Algorithm 1 (DUALSIM) corresponds to Engine.RunSpecContext's loop over
 // Sweep.Load, Rider.ProcessWindow and Sweep.Release:
@@ -23,7 +25,8 @@
 //	Line 13    (delegate external)      -> Rider.ProcessWindow ->
 //	                                       run.processLevel(1), with
 //	                                       last-level page tasks submitted
-//	                                       to the shared worker pool
+//	                                       to the shared worker pool as
+//	                                       their pages land (stream.go)
 //	Line 14    (internal enumeration)   -> run.dispatchInternal +
 //	                                       run.internalEnumerate
 //	Thread morphing                     -> one workerPool executes both
@@ -34,7 +37,11 @@
 //	                                       run.clearChildCandidates
 //
 // Algorithm 2 (DELEGATEEXTERNALSUBGRAPHENUMERATION) is processLevel for
-// l >= 1: iterate merged windows, recurse until the last level, then match.
+// l >= 1: iterate merged windows and recurse; the last level is not chopped
+// into windows but streamed (streamLevel) — one pass over its merged
+// candidate pages per window of the level above, each page matched by its
+// own task as it lands and unpinned when that task ends, within the 2 ×
+// threads frames the paper's allocation gives a level that streams.
 //
 // Algorithm 3 (COMPUTECANDIDATESEQUENCES) is split between loadWindow
 // (collecting each window vertex's adjacency list) and
@@ -46,8 +53,8 @@
 // extDescend in match.go: the last level's vertex comes from the freshly
 // loaded page, the remaining levels are matched in descending level order
 // using one k-way intersection (graph.Arena) of the node's current window
-// with already-assigned vertices' adjacency lists, each candidate checked
-// against the total order. A complete position assignment expands into
+// with already-assigned vertices' adjacency lists, each clipped beforehand
+// to what the total order and the window's ID range leave open. A complete position assignment expands into
 // one embedding per full-order query sequence of the v-group
 // (expandSequences), after which matchNonRed assigns black vertices by
 // scanning one red adjacency list and ivory vertices by intersecting
@@ -64,10 +71,15 @@
 //   - windowIterator sizes windows so that pages not pinned by an outer
 //     window never exceed the level's frame budget (buffer.Allocate for a
 //     solo run; the half-pool/MaxRiders split for a cohort). With nothing
-//     pinned it yields the Sweep's level-1 partition;
-//   - a vertex's multi-page adjacency span is atomic within a window;
+//     pinned it yields the Sweep's level-1 partition; a last-level pass
+//     keeps to the same budget by issuing a read only against a free frame
+//     of it (stream.issue);
+//   - a vertex's multi-page adjacency span is atomic within a window, and
+//     stays pinned within a pass until its last chunk has landed;
 //   - every page a window touches is pinned exactly once by that window
-//     and unpinned in unloadWindow; pages shared with outer windows are
-//     re-pinned cheaply (buffer hits) and release correctly on error paths
-//     via levelWindow.pinned.
+//     and unpinned in unloadWindow, every page of a pass once per pass and
+//     unpinned when its matching ends; pages shared with outer windows are
+//     re-pinned cheaply (buffer hits), take no frame of the budget, and
+//     release correctly on error paths (a failed load unloads its window, a
+//     failed pass everything it still holds).
 package core

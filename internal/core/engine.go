@@ -116,12 +116,18 @@ type Result struct {
 	// window loop.
 	Level1Windows int
 	// WindowsPerLevel counts window iterations at every level (index 0 =
-	// level 1). Deeper levels multiply, so these explain the I/O curve.
+	// level 1). Middle levels multiply, so these explain the I/O curve. The
+	// last level is not chopped into windows: its entry counts streamed
+	// passes, one per window of the level above it (a resumed run counts
+	// those of the windows it still had to do). All zero below level 1 when
+	// the one level-1 window spans the whole vertex range.
 	WindowsPerLevel []int
 	// BufferFrames is the pool capacity used.
 	BufferFrames int
 	// IOWait is orchestrator time blocked on page loads — the I/O cost not
-	// hidden behind enumeration work (the paper's overlap target).
+	// hidden behind enumeration work (the paper's overlap target). Inside a
+	// last-level pass that is time blocked while a read is outstanding; a
+	// pass waiting for matching tasks alone is not waiting for I/O.
 	IOWait time.Duration
 	// Resumed reports that the run replayed from a Checkpoint; Count then
 	// includes the checkpoint's settled totals.
@@ -410,7 +416,7 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 	}
 	defer s.release()
 	statsBefore := e.pool.Stats()
-	rd := s.board(r, e.frames, e.opts.Threads)
+	rd := s.board(r, e.frames)
 	defer rd.Close()
 
 	if e.opts.ProgressInterval > 0 && e.opts.ProgressWriter != nil {
@@ -561,13 +567,17 @@ type run struct {
 	e   *Engine
 	p   *plan.Plan
 	k   int
-	// winBudget is the per-level frame budget the window iterator chops
-	// against: the level's allocation.
+	// winBudget is the per-level frame budget: what the window iterator
+	// chops against and, at the last level, what a streamed pass may hold
+	// pinned at once — the level's allocation.
 	winBudget []int
 
 	// cand[g][l] is the candidate vertex sequence of group g's node at
 	// level l, valid while its parent's current window is set.
 	cand [][]candSeq
+	// set is the scratch the candidate sequences are unioned through
+	// (candSet).
+	set vertexSet
 	// winData[l] describes the currently loaded window at level l.
 	winData []*levelWindow
 	// pathPinned tracks pages pinned by the current recursion path (page ->
@@ -605,10 +615,12 @@ type run struct {
 	internalCount atomic.Uint64
 	externalCount atomic.Uint64
 	// windowsPer counts window iterations per level (index 0 = level 1,
-	// continuing from the checkpoint's count on a resume).
+	// continuing from the checkpoint's count on a resume; the last level
+	// counts streamed passes).
 	windowsPer []int
 	// ioWait accumulates time the orchestrator spent blocked on window
-	// loads — the I/O cost the overlap strategy failed to hide.
+	// loads and on the reads of last-level passes — the I/O cost the overlap
+	// strategy failed to hide.
 	ioWait time.Duration
 	// windowRetries counts whole-window retries this run absorbed.
 	windowRetries uint64

@@ -414,22 +414,6 @@ func TestSliceRange(t *testing.T) {
 	}
 }
 
-func TestUnionSorted(t *testing.T) {
-	a := []graph.VertexID{1, 3, 5}
-	b := []graph.VertexID{2, 3, 6}
-	c := []graph.VertexID{5, 7}
-	got := unionSorted([][]graph.VertexID{a, b, c})
-	want := []graph.VertexID{1, 2, 3, 5, 6, 7}
-	if len(got) != len(want) {
-		t.Fatalf("union = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("union = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestEnginePageSizeSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	g := randomGraph(rng, 120, 700)
@@ -461,7 +445,7 @@ func TestEngineDeterministicWindows(t *testing.T) {
 }
 
 func TestMergedCandidatesOrdering(t *testing.T) {
-	// Ensure unionSorted output feeds windows in ascending page order,
+	// Ensure the merged candidates feed windows in ascending page order,
 	// which the sequential-scan claim depends on.
 	rng := rand.New(rand.NewSource(67))
 	g := randomGraph(rng, 200, 1000)
@@ -557,10 +541,16 @@ func TestWindowsPerLevelReported(t *testing.T) {
 	if res.WindowsPerLevel[0] != res.Level1Windows {
 		t.Fatalf("level-1 counts disagree: %v vs %d", res.WindowsPerLevel, res.Level1Windows)
 	}
-	// Deeper levels iterate at least once per parent window.
-	for l := 1; l < res.Plan.K; l++ {
+	// Middle levels iterate at least once per parent window; the last level
+	// is not chopped at all — it streams, one pass per window above it.
+	last := res.Plan.K - 1
+	for l := 1; l < last; l++ {
 		if res.WindowsPerLevel[l] < res.WindowsPerLevel[l-1] {
-			t.Fatalf("windows should not shrink with depth: %v", res.WindowsPerLevel)
+			t.Fatalf("windows should not shrink with depth above the last level: %v", res.WindowsPerLevel)
 		}
+	}
+	if res.WindowsPerLevel[last] != res.WindowsPerLevel[last-1] {
+		t.Fatalf("last-level passes %d, want one per window of the level above: %v",
+			res.WindowsPerLevel[last], res.WindowsPerLevel)
 	}
 }

@@ -24,18 +24,18 @@ type matcher struct {
 	// lastComp is the current last-level record's compressed span when it
 	// arrived undecoded (lazy parse); lastAdj is then nil until a decoded
 	// view is actually needed, at which point it is materialized once into
-	// lastDec (memoized per record — see adjOfData). The compressed-domain
-	// descend consumes lastComp in place instead.
+	// lastDec (memoized per record — see adjOfData). The root's first
+	// intersection consumes lastComp in place instead (extDescend).
 	lastComp graph.CompressedAdj
 	lastDec  []graph.VertexID // reusable decode scratch for lastComp
 
-	// own, when non-nil, is the one page of lw this task may read: the task
-	// started while its window was still loading (lw.sealed unset), so other
-	// pages' load callbacks are still writing their ordinals of the index
-	// and the side table does not exist yet. Its own page's complete records
-	// — overlay-merged where the run's snapshot touches them — are all such
-	// a task can legitimately need from lw: anything else it touches lives
-	// in a sealed outer-level window.
+	// own is the one page of lw a last-level page task may read (nil for the
+	// task of a multi-page vertex, which reads none): the task runs while
+	// the rest of its pass is still landing, other pages' load callbacks
+	// writing their ordinals of the index. Its own page's complete records —
+	// overlay-merged where the run's snapshot touches them — are all such a
+	// task can legitimately need from lw: anything else it touches lives in
+	// the loaded window of an outer level.
 	own *windowPage
 
 	pos2v   []graph.VertexID
@@ -145,21 +145,22 @@ func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
 		return m.lastAdj
 	}
 	pid := m.r.e.db.PageOf(v)
-	if !m.internal {
-		for l := 0; l < m.r.k-1; l++ {
-			if wd := m.r.winData[l]; wd != nil {
-				if adj, ok := wd.adjOf(pid, v); ok {
-					return adj
-				}
+	if m.internal {
+		adj, _ := m.lw.adjOf(pid, v)
+		return adj
+	}
+	for l := 0; l < m.r.k-1; l++ {
+		if wd := m.r.winData[l]; wd != nil {
+			if adj, ok := wd.adjOf(pid, v); ok {
+				return adj
 			}
 		}
-		if m.own != nil {
-			adj, _ := m.own.adjOf(v)
-			return adj
-		}
 	}
-	adj, _ := m.lw.adjOf(pid, v)
-	return adj
+	if m.own != nil {
+		adj, _ := m.own.adjOf(v)
+		return adj
+	}
+	return nil
 }
 
 // posBounds returns the inclusive ID interval the total order leaves open
@@ -218,24 +219,20 @@ func (m *matcher) allInternal() bool {
 // --- external enumeration -------------------------------------------------
 
 // extMapPage runs EXTVERTEXMAPPING for every complete record of a
-// just-loaded last-level page, rooted at its overlay-merged list where the
+// just-landed last-level page, rooted at its overlay-merged list where the
 // run's snapshot touches it. Invoked on a worker while later pages of the
-// window may still be loading.
+// pass are still loading: lookups in the pass are restricted to this page
+// (see matcher.own).
 func (r *run) extMapPage(wp *windowPage, lw *levelWindow) {
 	if r.doomed() {
 		return
 	}
 	m := r.newMatcher(lw, false)
-	if !lw.sealed.Load() {
-		// The window is still loading: restrict lookups in it to this page
-		// (see matcher.own). The sealed flag's release/acquire pairing makes
-		// a true load prove every write to the index has completed.
-		m.own = wp
-	}
+	m.own = wp
 	for i := range wp.page.Records {
 		rec := &wp.page.Records[i]
 		if rec.Continues || rec.Continuation {
-			continue // rooted from the side table after the seal (loadWindow)
+			continue // rooted once, when the vertex's last chunk lands (stream.root)
 		}
 		if r.ctx.Err() != nil {
 			break // cancellation: abandon the rest of the page
@@ -250,8 +247,8 @@ func (r *run) extMapPage(wp *windowPage, lw *levelWindow) {
 	m.flush()
 }
 
-// extMapVertex roots the external traversal at one side-table vertex — a
-// multi-page one — with its concatenated adjacency.
+// extMapVertex roots the external traversal at one multi-page vertex with
+// its concatenated adjacency.
 func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWindow) {
 	if r.doomed() {
 		return
@@ -262,9 +259,10 @@ func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWind
 }
 
 // extMapRecord roots the external traversal at one last-level record. adj
-// may be nil when the record arrived as a compressed span (comp); the
-// descend then runs the compressed-domain kernel against it, and a decoded
-// view is materialized only if some deeper level asks for it (adjOfData).
+// may be nil when the record arrived as a compressed span (comp); the first
+// intersection then runs the compressed-domain kernel against it, and a
+// decoded view is materialized only if something survives to ask for it
+// (adjOfData).
 func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, comp graph.CompressedAdj) {
 	last := r.k - 1
 	pos := r.p.MatchingOrder[last]
@@ -285,8 +283,8 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, c
 // EXTVERTEXMAPPING). The candidates for pos are materialized once per parent
 // assignment as the k-way intersection of the node's window with every
 // connected position's adjacency list, each first clipped to the interval the
-// total order leaves open — what a post-filter would discard is never
-// intersected.
+// total order leaves open inside the window's ID range — what a post-filter
+// would discard, and what the window cannot hold, is never intersected.
 func (r *run) extDescend(m *matcher, level int) {
 	if level < 0 {
 		r.expandSequences(m, false)
@@ -299,18 +297,23 @@ func (r *run) extDescend(m *matcher, level int) {
 		return
 	}
 	pos := r.p.MatchingOrder[level]
+	wd := r.winData[level]
 	lo, hi := m.posBounds(pos)
+	lo, hi = max(lo, int64(wd.lo)), min(hi, int64(wd.hi))
 	if lo > hi {
 		return
 	}
-	window := clip(r.winData[level].verts[m.g], lo, hi)
+	window := clip(wd.verts[m.g], lo, hi)
 	vg := r.p.Groups[m.g]
 
-	// U_CON lists plus the window itself form one k-way intersection.
-	// When the connected last-level record is still a compressed span
-	// (lazy parse), it becomes the kernel's compressed operand instead
-	// of a decoded list: the decoded sides fold first, and only their
-	// survivors are probed against the span via skip-pointer seeks.
+	// U_CON lists plus the window itself form one k-way intersection. A
+	// last-level record that is still a compressed span (lazy parse) is the
+	// kernel's compressed operand for its root's first intersection only:
+	// the decoded sides fold first and just their survivors are probed
+	// against the span via skip-pointer seeks, so a record nothing survives
+	// is never decoded. Whatever does survive reads the record decoded —
+	// once per root (adjOfData) — instead of walking the span again for
+	// every assignment above it.
 	lists := m.arena.Lists(level, r.k+1)
 	lists = append(lists, window)
 	compOperand := false
@@ -321,8 +324,8 @@ func (r *run) extDescend(m *matcher, level int) {
 		if !vg.HasTopologyEdge(r.k, p, pos) {
 			continue
 		}
-		if m.lastAdj == nil && m.lastComp.Count > 0 && m.pos2v[p] == m.lastV {
-			compOperand = true
+		if level == r.k-2 && m.lastAdj == nil && m.lastComp.Count > 0 {
+			compOperand = true // p is the root's position: nothing else is assigned
 			continue
 		}
 		lists = append(lists, clip(m.adjOfPos(p), lo, hi))

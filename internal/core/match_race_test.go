@@ -17,16 +17,15 @@ type firstPages struct {
 
 func (d firstPages) PageOf(v graph.VertexID) storage.PageID { return d.of[v] }
 
-// TestAdjOfDataUnsealedWindowContract pins the invariant behind the
-// loadWindow data-race fix: a matcher created for a still-loading window
-// (extMapPage sets own when lw.sealed is unset) must read nothing of that
-// window but its own page — its records and their overlay-merged lists,
-// complete before the task was queued — not even on a lookup miss, because the load
-// callbacks of other pages are writing their ordinals of the index, and the
-// orchestrator its side table, without any lock. The test runs such a
-// writer and exercises every adjOfData resolution path; consulting
-// lw.loaded or lw.side from the unsealed task fails under -race.
-func TestAdjOfDataUnsealedWindowContract(t *testing.T) {
+// TestAdjOfDataStreamPageContract pins the invariant a streamed last-level
+// pass rests on: a page task (extMapPage sets own) runs while the rest of
+// its pass is still landing, so it must read nothing of the pass but its own
+// page — its records and their overlay-merged lists, complete before the
+// task was queued — not even on a lookup miss, because the load callbacks of
+// other pages are writing their ordinals of the index without any lock. The
+// test runs such a writer and exercises every adjOfData resolution path;
+// consulting lw.loaded or lw.side from the page task fails under -race.
+func TestAdjOfDataStreamPageContract(t *testing.T) {
 	page := func(id storage.PageID, first graph.VertexID, adjs ...[]graph.VertexID) *storage.Page {
 		p := &storage.Page{ID: id}
 		for i, adj := range adjs {
@@ -37,7 +36,6 @@ func TestAdjOfDataUnsealedWindowContract(t *testing.T) {
 	outer := &levelWindow{pages: []storage.PageID{0}, loaded: []windowPage{
 		{page: page(0, 7, []graph.VertexID{1, 2})},
 	}}
-	outer.sealed.Store(true)
 	// The task's own page: vertex 3 overlay-merged (one neighbour added),
 	// vertex 4 tombstoned to empty, vertex 5 untouched.
 	own := page(1, 3, []graph.VertexID{4, 5}, []graph.VertexID{6}, []graph.VertexID{3})
@@ -54,8 +52,8 @@ func TestAdjOfDataUnsealedWindowContract(t *testing.T) {
 		own:     &lw.loaded[0],
 	}
 
-	// The concurrent rest of the load: another page's callback filling its
-	// ordinal, then the orchestrator's side table.
+	// The concurrent rest of the pass: another page's callback filling its
+	// ordinal (and, for good measure, a side table no pass builds).
 	other := page(2, 42, []graph.VertexID{8})
 	done := make(chan struct{})
 	started := make(chan struct{})
@@ -94,11 +92,11 @@ func TestAdjOfDataUnsealedWindowContract(t *testing.T) {
 		if adj := m.adjOfData(5); len(adj) != 1 {
 			t.Fatalf("own-page unmerged lookup = %v", adj)
 		}
-		// The interesting case: a vertex on another page of the unsealed
-		// window. The only legal answer is "unknown" (nil); reading that
-		// page's ordinal or the side table here is the race the fix removed.
+		// The interesting case: a vertex on another page of the pass. The
+		// only legal answer is "unknown" (nil); reading that page's ordinal
+		// or the side table here is a race.
 		if adj := m.adjOfData(42); adj != nil {
-			t.Fatalf("unsealed miss returned %v", adj)
+			t.Fatalf("a miss outside the task's own page returned %v", adj)
 		}
 	}
 	close(done)

@@ -146,7 +146,7 @@ func TestMatcherPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rd, err := s.NewRider(context.Background(), RunSpec{Plan: mustPlan(t, graph.Triangle())}, 1)
+	rd, err := s.NewRider(context.Background(), RunSpec{Plan: mustPlan(t, graph.Triangle())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,6 @@ func TestMatcherPooled(t *testing.T) {
 	// The rider-local view of the window, as ProcessWindow builds it.
 	lw := &levelWindow{verts: [][]graph.VertexID{e.all}, lo: w.lw.lo, hi: w.lw.hi,
 		pages: w.lw.pages, loaded: w.lw.loaded, side: w.lw.side}
-	lw.sealed.Store(true)
 	tasks := func() {
 		for i := range e.all {
 			rd.r.internalEnumerate(0, e.all[i:i+1], lw)

@@ -63,17 +63,17 @@ type engineMetrics struct {
 func registerEngineMetrics(reg *obs.Registry, pool *buffer.Pool, retry *storage.RetryReader) *engineMetrics {
 	em := &engineMetrics{
 		runs:          reg.Counter("dualsim_runs_total", "enumeration runs started"),
-		windows:       reg.Counter("dualsim_windows_total", "merged vertex/page windows processed across all levels"),
+		windows:       reg.Counter("dualsim_windows_total", "merged vertex/page windows processed across all levels (the last level counts one streamed pass per window above it)"),
 		windowsLevel1: reg.Counter("dualsim_windows_level1_total", "level-1 (internal area) window iterations"),
 		embInternal:   reg.Counter("dualsim_embeddings_internal_total", "embeddings whose red match was entirely inside the internal area"),
 		embExternal:   reg.Counter("dualsim_embeddings_external_total", "embeddings found by the external traversal"),
-		ioWaitNanos:   reg.Counter("dualsim_io_wait_nanos_total", "orchestrator time blocked on window page loads: device reads, pin waits and per-page indexing not hidden by overlap; page callbacks never wait for an enumeration worker, so no matching time is in it"),
+		ioWaitNanos:   reg.Counter("dualsim_io_wait_nanos_total", "orchestrator time blocked on page loads — a window's, or a last-level pass's while one of its reads is outstanding: device reads, pin waits and per-page indexing not hidden by overlap; page callbacks never wait for an enumeration worker and a pass blocked on matching alone is not counted, so no matching time is in it"),
 
 		checkpoints:   reg.Counter("dualsim_checkpoints_taken_total", "window-boundary checkpoints delivered to run callbacks"),
 		windowRetries: reg.Counter("dualsim_window_retries_total", "whole-window retries after a transient fault outlived the read-level retry budget"),
 
-		windowLoadUS: reg.Histogram("dualsim_window_load_us", "per-window I/O wait to pin all pages, microseconds"),
-		windowPages:  reg.Histogram("dualsim_window_pages", "pages per merged window"),
+		windowLoadUS: reg.Histogram("dualsim_window_load_us", "per-window (last level: per-pass) I/O wait to pin all pages, microseconds"),
+		windowPages:  reg.Histogram("dualsim_window_pages", "pages per merged window (last level: per streamed pass)"),
 		candSize:     reg.Histogram("dualsim_candidate_size", "candidate vertex sequence length per v-group child"),
 
 		workerSubmitted: reg.Counter("dualsim_worker_tasks_submitted_total", "enumeration tasks submitted to the worker pool"),

@@ -225,12 +225,12 @@ func TestOverlayRiderNotEligible(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := RunSpec{Plan: mustPlan(t, graph.Triangle()), Overlay: st.Snapshot()}
-	if _, err := s.NewRider(context.Background(), spec, 1); !errors.Is(err, ErrRiderNotEligible) {
+	if _, err := s.NewRider(context.Background(), spec); !errors.Is(err, ErrRiderNotEligible) {
 		t.Fatalf("overlay spec: err = %v, want ErrRiderNotEligible", err)
 	}
 	// An empty snapshot is eligible: it is the base graph.
 	empty := delta.NewStore(g.NumVertices(), 0).Snapshot()
-	r, err := s.NewRider(context.Background(), RunSpec{Plan: mustPlan(t, graph.Triangle()), Overlay: empty}, 1)
+	r, err := s.NewRider(context.Background(), RunSpec{Plan: mustPlan(t, graph.Triangle()), Overlay: empty})
 	if err != nil {
 		t.Fatalf("empty overlay spec: %v", err)
 	}
@@ -265,20 +265,21 @@ func TestOverlayIsolatedVertexGainsEdges(t *testing.T) {
 	}
 }
 
-// TestOverlayPreSealDispatch pins the overlay on the engine's one ordering:
+// TestOverlayStreamDispatch pins the overlay on the engine's one ordering:
 // every page's load callback merges the snapshot into the records it touches
 // and queues the page's last-level task at once, while other pages of the
-// window are still loading — an overlay run overlaps matching with the load
+// pass are still loading — an overlay run overlaps matching with the load
 // like a base run. Four I/O workers with a per-page latency stagger the
 // callbacks; plain and compressed files at three buffer sizes (one maximal
 // vertex per level, half the graph, the resident regime) run q1, q3 and q4
 // under an overlay holding every shape the merge treats differently: a
-// multi-page hub mutated (side table + overlay), a vertex tombstoned to
+// multi-page hub mutated (side table above the last level, rooted from its
+// concatenated chunks in a pass; the overlay applied either way), a vertex tombstoned to
 // empty (its on-disk record must not show through), an isolated vertex
 // attached, a Del absent from base and an Add already in it. Counts must
 // equal brute force on the rebuilt graph. Run with -race -count=20 (make
 // check does).
-func TestOverlayPreSealDispatch(t *testing.T) {
+func TestOverlayStreamDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	const bg, hubs, n = 300, 4, 310 // 304..309 are isolated
 	edges := map[[2]graph.VertexID]bool{}

@@ -9,20 +9,23 @@ import (
 )
 
 // residentBelow is the schedule of each run one frame short of the resident
-// threshold (pages + one maximal vertex per deeper level), recorded on the
-// commit before buffer.Allocate learned the page count: below the threshold
-// the paper's split — and with it every window and page read — is unchanged.
+// threshold (pages + one maximal vertex per deeper level). Level-1 and
+// middle-level windows and the reads were recorded on the commit before
+// buffer.Allocate learned the page count: below the threshold the paper's
+// split — and with it every window and page read — is unchanged. The last
+// level's entry (passes, one per window above it) and the requests were
+// re-recorded when the last level became a stream.
 var residentBelow = map[scheduleKey]schedule{
-	{"q1-triangle", false, 273}:      {2, "[2 1]", 267},
-	{"q2-square", false, 280}:        {2, "[2 2 2]", 267},
-	{"q3-chordalsquare", false, 273}: {2, "[2 1]", 267},
-	{"q4-clique4", false, 280}:       {2, "[2 2 2]", 267},
-	{"q5-house", false, 280}:         {2, "[2 2 27]", 267},
-	{"q1-triangle", true, 123}:       {2, "[2 2]", 122},
-	{"q2-square", true, 125}:         {2, "[2 3 12]", 122},
-	{"q3-chordalsquare", true, 123}:  {2, "[2 2]", 122},
-	{"q4-clique4", true, 125}:        {2, "[2 3 2]", 122},
-	{"q5-house", true, 125}:          {2, "[2 3 31]", 122},
+	{"q1-triangle", false, 273}:      {2, "[2 2]", 501, 267},
+	{"q2-square", false, 280}:        {2, "[2 2 2]", 871, 267},
+	{"q3-chordalsquare", false, 273}: {2, "[2 2]", 501, 267},
+	{"q4-clique4", false, 280}:       {2, "[2 2 2]", 819, 267},
+	{"q5-house", false, 280}:         {2, "[2 2 2]", 1089, 267},
+	{"q1-triangle", true, 123}:       {2, "[2 2]", 228, 122},
+	{"q2-square", true, 125}:         {2, "[2 3 3]", 510, 122},
+	{"q3-chordalsquare", true, 123}:  {2, "[2 2]", 228, 122},
+	{"q4-clique4", true, 125}:        {2, "[2 3 3]", 374, 122},
+	{"q5-house", true, 125}:          {2, "[2 3 3]", 616, 122},
 }
 
 // TestResidentAllocation pins the resident rule of the solo budget policy on
@@ -64,7 +67,7 @@ func TestResidentAllocation(t *testing.T) {
 					t.Errorf("%+v: count %d, want %d", k, res.Count, want)
 				}
 				if frames < threshold {
-					if got, golden := scheduleOf(res), residentBelow[k]; got != golden {
+					if got, golden := scheduleOf(res), residentBelow[k]; !got.within(golden) {
 						t.Errorf("%+v: schedule %+v below the threshold, parent's %+v", k, got, golden)
 					}
 					continue

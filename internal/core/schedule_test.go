@@ -18,73 +18,92 @@ type scheduleKey struct {
 }
 
 // schedule is one pinned I/O schedule: level-1 windows, windows per level
-// (fmt.Sprint of Result.WindowsPerLevel), and pages physically read.
+// (fmt.Sprint of Result.WindowsPerLevel; the last entry counts streamed
+// passes), pages asked of the pool, and pages physically read.
 type schedule struct {
 	l1       int
 	perLevel string
+	requests uint64
 	reads    uint64
 }
 
 func scheduleOf(res *Result) schedule {
-	return schedule{res.Level1Windows, fmt.Sprint(res.WindowsPerLevel), res.IO.PhysicalReads}
+	return schedule{res.Level1Windows, fmt.Sprint(res.WindowsPerLevel), res.IO.LogicalReads, res.IO.PhysicalReads}
 }
 
-// Recorded on the commit before level 1 moved behind Sweep (PR 11's tree,
-// run.loadWindow + windowIterator at every level); the 96-frame rows on the
-// last commit that could carve speculative-read frames out of a level's
-// window budget, run there with the carve off. One I/O worker makes the
-// pool's eviction order, and with it the physical read count, deterministic.
+// within reports whether the run kept to the golden schedule: the same
+// windows and the same page requests — what the engine decides — and no more
+// physical reads. Which of the requests hit is the pool's doing: a streamed
+// last level unpins its pages in the order their matching ends, so the few
+// unpinned pages a pass leaves behind in the pool, and with them a handful
+// of later hits, vary with timing. reads is therefore a ceiling.
+func (got schedule) within(golden schedule) bool {
+	return got.l1 == golden.l1 && got.perLevel == golden.perLevel &&
+		got.requests == golden.requests && got.reads <= golden.reads
+}
+
+// Level-1 and middle-level windows and the reads ceilings were recorded on
+// the commit before level 1 moved behind Sweep (PR 11's tree, run.loadWindow
+// + windowIterator at every level; the 96-frame rows on the last commit that
+// could carve speculative-read frames out of a level's window budget, run
+// there with the carve off) and have held since: the ceiling is what a last
+// level chopped into windows read. The last entry of each windows-per-level
+// list and the requests were re-recorded, on purpose, when the last level
+// became a stream: one pass per window of the level above (fresh runs; a
+// resumed run counts the passes of the windows it still had to do), each
+// asking for a page once where consecutive windows used to ask twice for the
+// page they met on. One I/O worker makes the order of requests deterministic.
 var (
 	goldenFresh = map[scheduleKey]schedule{
-		{"q1-triangle", false, 40}:        {9, "[9 132]", 1088},
-		{"q2-square", false, 40}:          {13, "[13 111 1861]", 13177},
-		{"q3-chordalsquare", false, 40}:   {9, "[9 132]", 1088},
-		{"q4-clique4", false, 40}:         {13, "[13 111 740]", 5609},
-		{"q5-house", false, 40}:           {13, "[13 111 1982]", 14878},
-		{"q1-triangle", false, 96}:        {3, "[3 43]", 533},
-		{"q2-square", false, 96}:          {5, "[5 19 328]", 2748},
-		{"q3-chordalsquare", false, 96}:   {3, "[3 43]", 533},
-		{"q4-clique4", false, 96}:         {5, "[5 19 150]", 1572},
-		{"q5-house", false, 96}:           {5, "[5 19 348]", 3071},
-		{"q1-triangle", false, 4096}:      {1, "[1 0]", 267},
-		{"q2-square", false, 4096}:        {1, "[1 0 0]", 267},
-		{"q3-chordalsquare", false, 4096}: {1, "[1 0]", 267},
-		{"q4-clique4", false, 4096}:       {1, "[1 0 0]", 267},
-		{"q5-house", false, 4096}:         {1, "[1 0 0]", 267},
-		{"q1-triangle", true, 40}:         {4, "[4 40]", 272},
-		{"q2-square", true, 40}:           {6, "[6 24 342]", 1683},
-		{"q3-chordalsquare", true, 40}:    {4, "[4 40]", 272},
-		{"q4-clique4", true, 40}:          {6, "[6 24 142]", 883},
-		{"q5-house", true, 40}:            {6, "[6 24 363]", 1779},
-		{"q1-triangle", true, 96}:         {2, "[2 9]", 152},
-		{"q2-square", true, 96}:           {2, "[2 3 17]", 244},
-		{"q3-chordalsquare", true, 96}:    {2, "[2 9]", 152},
-		{"q4-clique4", true, 96}:          {2, "[2 3 10]", 213},
-		{"q5-house", true, 96}:            {2, "[2 3 24]", 274},
-		{"q1-triangle", true, 4096}:       {1, "[1 0]", 122},
-		{"q2-square", true, 4096}:         {1, "[1 0 0]", 122},
-		{"q3-chordalsquare", true, 4096}:  {1, "[1 0]", 122},
-		{"q4-clique4", true, 4096}:        {1, "[1 0 0]", 122},
-		{"q5-house", true, 4096}:          {1, "[1 0 0]", 122},
+		{"q1-triangle", false, 40}:        {9, "[9 9]", 1239, 1088},
+		{"q2-square", false, 40}:          {13, "[13 111 111]", 15429, 13177},
+		{"q3-chordalsquare", false, 40}:   {9, "[9 9]", 1239, 1088},
+		{"q4-clique4", false, 40}:         {13, "[13 111 111]", 6365, 5609},
+		{"q5-house", false, 40}:           {13, "[13 111 111]", 17242, 14878},
+		{"q1-triangle", false, 96}:        {3, "[3 3]", 730, 533},
+		{"q2-square", false, 96}:          {5, "[5 19 19]", 4133, 2748},
+		{"q3-chordalsquare", false, 96}:   {3, "[3 3]", 730, 533},
+		{"q4-clique4", false, 96}:         {5, "[5 19 19]", 2215, 1572},
+		{"q5-house", false, 96}:           {5, "[5 19 19]", 4576, 3071},
+		{"q1-triangle", false, 4096}:      {1, "[1 0]", 267, 267},
+		{"q2-square", false, 4096}:        {1, "[1 0 0]", 267, 267},
+		{"q3-chordalsquare", false, 4096}: {1, "[1 0]", 267, 267},
+		{"q4-clique4", false, 4096}:       {1, "[1 0 0]", 267, 267},
+		{"q5-house", false, 4096}:         {1, "[1 0 0]", 267, 267},
+		{"q1-triangle", true, 40}:         {4, "[4 4]", 364, 272},
+		{"q2-square", true, 40}:           {6, "[6 24 24]", 2380, 1683},
+		{"q3-chordalsquare", true, 40}:    {4, "[4 4]", 364, 272},
+		{"q4-clique4", true, 40}:          {6, "[6 24 24]", 1185, 883},
+		{"q5-house", true, 40}:            {6, "[6 24 24]", 2570, 1779},
+		{"q1-triangle", true, 96}:         {2, "[2 2]", 253, 152},
+		{"q2-square", true, 96}:           {2, "[2 3 3]", 550, 244},
+		{"q3-chordalsquare", true, 96}:    {2, "[2 2]", 253, 152},
+		{"q4-clique4", true, 96}:          {2, "[2 3 3]", 439, 213},
+		{"q5-house", true, 96}:            {2, "[2 3 3]", 609, 274},
+		{"q1-triangle", true, 4096}:       {1, "[1 0]", 122, 122},
+		{"q2-square", true, 4096}:         {1, "[1 0 0]", 122, 122},
+		{"q3-chordalsquare", true, 4096}:  {1, "[1 0]", 122, 122},
+		{"q4-clique4", true, 4096}:        {1, "[1 0 0]", 122, 122},
+		{"q5-house", true, 4096}:          {1, "[1 0 0]", 122, 122},
 	}
 	// Resumed from the second level-1 checkpoint on a fresh engine;
 	// configurations with fewer than three level-1 windows have no entry.
 	goldenResumed = map[scheduleKey]schedule{
-		{"q1-triangle", false, 40}:      {9, "[9 78]", 674},
-		{"q2-square", false, 40}:        {13, "[13 85 1325]", 9390},
-		{"q3-chordalsquare", false, 40}: {9, "[9 78]", 674},
-		{"q4-clique4", false, 40}:       {13, "[13 85 550]", 4172},
-		{"q5-house", false, 40}:         {13, "[13 85 1691]", 12602},
-		{"q1-triangle", false, 96}:      {3, "[3 1]", 89},
-		{"q2-square", false, 96}:        {5, "[5 7 53]", 515},
-		{"q3-chordalsquare", false, 96}: {3, "[3 1]", 89},
-		{"q4-clique4", false, 96}:       {5, "[5 7 20]", 338},
-		{"q5-house", false, 96}:         {5, "[5 7 174]", 1437},
-		{"q1-triangle", true, 40}:       {4, "[4 5]", 64},
-		{"q2-square", true, 40}:         {6, "[6 9 67]", 398},
-		{"q3-chordalsquare", true, 40}:  {4, "[4 5]", 64},
-		{"q4-clique4", true, 40}:        {6, "[6 9 28]", 242},
-		{"q5-house", true, 40}:          {6, "[6 9 176]", 840},
+		{"q1-triangle", false, 40}:      {9, "[9 7]", 801, 674},
+		{"q2-square", false, 40}:        {13, "[13 85 85]", 11233, 9390},
+		{"q3-chordalsquare", false, 40}: {9, "[9 7]", 801, 674},
+		{"q4-clique4", false, 40}:       {13, "[13 85 85]", 4818, 4172},
+		{"q5-house", false, 40}:         {13, "[13 85 85]", 14500, 12602},
+		{"q1-triangle", false, 96}:      {3, "[3 1]", 161, 89},
+		{"q2-square", false, 96}:        {5, "[5 7 7]", 1085, 515},
+		{"q3-chordalsquare", false, 96}: {3, "[3 1]", 161, 89},
+		{"q4-clique4", false, 96}:       {5, "[5 7 7]", 682, 338},
+		{"q5-house", false, 96}:         {5, "[5 7 7]", 2034, 1437},
+		{"q1-triangle", true, 40}:       {4, "[4 2]", 108, 64},
+		{"q2-square", true, 40}:         {6, "[6 9 9]", 722, 398},
+		{"q3-chordalsquare", true, 40}:  {4, "[4 2]", 108, 64},
+		{"q4-clique4", true, 40}:        {6, "[6 9 9]", 421, 242},
+		{"q5-house", true, 40}:          {6, "[6 9 9]", 1181, 840},
 	}
 )
 
@@ -127,13 +146,14 @@ var goldenTally = map[scheduleKey][2]uint64{
 }
 
 // TestWindowScheduleGolden pins the exact window/page schedule of solo
-// runs — not just the embedding counts — on a deterministic gen fixture:
+// runs — not just the embedding counts; see schedule.within for what exact
+// means for physical reads — on a deterministic gen fixture:
 // the five paper queries × {plain, compressed} × a starved buffer (level 1
 // needs >= 3 windows), a mid-sized one, and a roomy one (level 1 fits in one window, which is
 // then all internal area: no deeper level is visited); plus,
 // wherever level 1 has >= 3 windows, a run resumed from the second window
 // boundary. "The solo partition through Sweep == the solo iterator" means
-// these constants never change.
+// the level-1 constants never change.
 func TestWindowScheduleGolden(t *testing.T) {
 	g := gen.ChungLu(600, 2400, 2.5, 7)
 	for _, compressed := range []bool{false, true} {
@@ -161,7 +181,7 @@ func TestWindowScheduleGolden(t *testing.T) {
 				}
 				var cps []Checkpoint
 				res := run(RunSpec{Plan: p, OnCheckpoint: func(cp Checkpoint) { cps = append(cps, cp) }})
-				if got, want := scheduleOf(res), goldenFresh[k]; got != want {
+				if got, want := scheduleOf(res), goldenFresh[k]; !got.within(want) {
 					t.Errorf("%+v: schedule %+v, golden %+v", k, got, want)
 				}
 				if got, want := [2]uint64{res.Internal, res.External}, goldenTally[k]; got != want {
@@ -178,7 +198,7 @@ func TestWindowScheduleGolden(t *testing.T) {
 				if res2.Count != res.Count {
 					t.Errorf("%+v: resumed count %d, fresh %d", k, res2.Count, res.Count)
 				}
-				if got := scheduleOf(res2); got != want {
+				if got := scheduleOf(res2); !got.within(want) {
 					t.Errorf("%+v resumed: schedule %+v, golden %+v", k, got, want)
 				}
 				if got, want := [2]uint64{res2.Internal, res2.External}, goldenTally[k]; got != want {

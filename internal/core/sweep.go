@@ -154,7 +154,7 @@ func (s *Sweep) RiderFrames() int { return s.riderFrames }
 // Bounds returns the partition entry at index i.
 func (s *Sweep) Bounds(i int) WindowBounds { return s.bounds[i] }
 
-// SweepWindow is one loaded, pinned, sealed level-1 window, delivered to
+// SweepWindow is one loaded, pinned level-1 window, delivered to
 // every rider before Release. Riders read its index concurrently;
 // the sweep owns its buffer pins.
 type SweepWindow struct {
@@ -173,9 +173,8 @@ func (w *SweepWindow) Pages() int { return len(w.lw.pages) }
 
 // Load pins partition window idx through the engine's one window loader
 // (run.loadWindowWithRetry on the sweep's run): pages issued as coalesced
-// ascending runs, split records merged, the run's overlay applied, the
-// window sealed, transient faults retried with the engine's window-retry
-// budget. The window traces as level 1 of the sweep's run: window_open and
+// ascending runs, split records merged, the run's overlay applied,
+// transient faults retried with the engine's window-retry budget. The window traces as level 1 of the sweep's run: window_open and
 // window_pinned (window_retry on retries) here, window_close at Release.
 // The third parameter has no effect; ROADMAP 5(d) removes it.
 func (s *Sweep) Load(ctx context.Context, idx, _ int) (*SweepWindow, error) {
@@ -187,7 +186,9 @@ func (s *Sweep) Load(ctx context.Context, idx, _ int) (*SweepWindow, error) {
 	b := s.bounds[idx]
 	w := &SweepWindow{index: idx, ord: s.ordBase + idx + 1, verts: r.e.all[b.Lo:b.Hi]}
 	r.openWindow(0, w.ord, w.verts)
-	lw, err := r.loadWindowWithRetry(0, w.verts, false, w.ord)
+	lw, err := r.loadWindowWithRetry(0, w.ord, func() (*levelWindow, error) {
+		return r.loadWindow(0, w.verts, w.ord)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -250,12 +251,13 @@ type Rider struct {
 
 // NewRider plans a cohort rider for spec on the sweep, under the cohort
 // budget policy: the rider's deep levels split its frame share with the
-// usual strategy. Resume and overlay specs (riders of one sweep share one
-// snapshot and one start) and plans whose deep levels cannot fit the
-// per-rider frame share return ErrRiderNotEligible (wrapped); the caller
-// runs those solo. threads sizes the rider's private worker pool (0 =
-// engine threads divided by MaxRiders).
-func (s *Sweep) NewRider(ctx context.Context, spec RunSpec, threads int) (*Rider, error) {
+// usual strategy, sized for its share of the engine's threads. Its worker
+// pool has all of them: riders of one sweep advance in lock step, so a
+// rider whose window is done leaves its cores to the ones still matching.
+// Resume and overlay specs (riders of one sweep share one snapshot and one
+// start) and plans whose deep levels cannot fit the per-rider frame share
+// return ErrRiderNotEligible (wrapped); the caller runs those solo.
+func (s *Sweep) NewRider(ctx context.Context, spec RunSpec) (*Rider, error) {
 	p, e := spec.Plan, s.r.e
 	if p == nil {
 		return nil, fmt.Errorf("core: RunSpec without a plan")
@@ -266,17 +268,11 @@ func (s *Sweep) NewRider(ctx context.Context, spec RunSpec, threads int) (*Rider
 	if spec.Overlay != nil && !spec.Overlay.Empty() {
 		return nil, fmt.Errorf("%w: a live-ingest overlay is one query's snapshot, the sweep's riders share its windows", ErrRiderNotEligible)
 	}
-	if threads <= 0 {
-		threads = e.opts.Threads / s.maxRiders
-		if threads < 1 {
-			threads = 1
-		}
-	}
 	// alloc[0] stays 0: the rider never loads level 1 — the sweep owns
 	// those pins. Deep levels must each hold one maximal vertex.
 	alloc := make([]int, p.K)
 	if p.K > 1 {
-		deep, err := buffer.Allocate(s.riderFrames, p.K-1, threads, 0)
+		deep, err := buffer.Allocate(s.riderFrames, p.K-1, max(1, e.opts.Threads/s.maxRiders), 0)
 		if err == nil {
 			err = ensureSpanBudget(deep, s.riderFrames, e.maxSpan)
 		}
@@ -285,13 +281,13 @@ func (s *Sweep) NewRider(ctx context.Context, spec RunSpec, threads int) (*Rider
 		}
 		copy(alloc[1:], deep)
 	}
-	return s.board(e.newRun(ctx, spec, alloc), s.riderFrames, threads), nil
+	return s.board(e.newRun(ctx, spec, alloc), s.riderFrames), nil
 }
 
 // board starts r as a rider of the sweep: worker pool up, the run counted
 // and traced (run_start, the level-1 span).
-func (s *Sweep) board(r *run, frames, threads int) *Rider {
-	r.workers = newWorkerPool(threads, r.em.workerSubmitted, r.em.workerCompleted)
+func (s *Sweep) board(r *run, frames int) *Rider {
+	r.workers = newWorkerPool(r.e.opts.Threads, r.em.workerSubmitted, r.em.workerCompleted)
 	r.em.runs.Inc()
 	rd := &Rider{s: s, r: r, frames: frames, startExec: time.Now(), joinIndex: -1}
 	r.querySpan = r.span()
@@ -337,7 +333,6 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 		loaded: src.loaded,
 		side:   src.side,
 	}
-	lw.sealed.Store(true)
 	for g := range r.p.Groups {
 		lw.verts[g] = sliceRange(r.cand[g][0].slice(r.e.all), lw.lo, lw.hi)
 	}

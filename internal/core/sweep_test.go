@@ -74,7 +74,7 @@ func TestSweepRidersMatchSolo(t *testing.T) {
 	scopes := make([]*obs.Scope, len(queries))
 	for i, q := range queries {
 		scopes[i] = obs.NewScope("")
-		rd, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, q), Scope: scopes[i]}, 2)
+		rd, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, q), Scope: scopes[i]})
 		if err != nil {
 			t.Fatalf("NewRider(%s): %v", q.Name(), err)
 		}
@@ -148,11 +148,11 @@ func TestSweepLateJoinEarlyFinish(t *testing.T) {
 
 	ctx := context.Background()
 	var cpA, cpB int
-	a, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, tri), OnCheckpoint: func(Checkpoint) { cpA++ }}, 2)
+	a, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, tri), OnCheckpoint: func(Checkpoint) { cpA++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, tri), OnCheckpoint: func(Checkpoint) { cpB++ }}, 2)
+	b, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, tri), OnCheckpoint: func(Checkpoint) { cpB++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSweepRiderEligibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := s.NewRider(context.Background(),
-		RunSpec{Plan: mustPlan(t, tri), Resume: &Checkpoint{}}, 1); !errors.Is(err, ErrRiderNotEligible) {
+		RunSpec{Plan: mustPlan(t, tri), Resume: &Checkpoint{}}); !errors.Is(err, ErrRiderNotEligible) {
 		t.Fatalf("resume spec: err = %v, want ErrRiderNotEligible", err)
 	}
 	if _, err := e.NewSweep(SweepOptions{}); !errors.Is(err, ErrEngineBusy) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // unionSortedSeed is the seed's union: repeatedly scan every list head for
 // the global minimum — O(n·k) for k lists of n total elements. Kept as the
-// reference the merge-tree rewrite is checked against.
+// reference the scratch-set read-out is checked against.
 func unionSortedSeed(lists [][]graph.VertexID) []graph.VertexID {
 	total := 0
 	for _, l := range lists {
@@ -61,13 +62,26 @@ func randomSortedLists(rng *rand.Rand, k, maxLen, valRange int) [][]graph.Vertex
 	return lists
 }
 
+// unionSorted unions lists the way the engine does (run.mergedCandidates,
+// run.computeChildCandidates): every list marked in set, the marks read out.
+func unionSorted(set *vertexSet, lists [][]graph.VertexID) []graph.VertexID {
+	for _, l := range lists {
+		set.add(l)
+	}
+	return set.drain()
+}
+
+// TestUnionSortedMatchesSeed checks the read-out against the seed's scan on
+// random overlapping lists, through one set reused across all trials: a
+// drain that left a mark behind would surface in the next union.
 func TestUnionSortedMatchesSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	set := newVertexSet(60)
 	for trial := 0; trial < 200; trial++ {
 		k := 2 + rng.Intn(9)
 		lists := randomSortedLists(rng, k, 40, 60)
 		want := unionSortedSeed(lists)
-		got := unionSorted(lists)
+		got := unionSorted(&set, lists)
 		if len(want) == 0 && len(got) == 0 {
 			continue
 		}
@@ -78,32 +92,12 @@ func TestUnionSortedMatchesSeed(t *testing.T) {
 	}
 }
 
-func TestUnionSortedEdgeCases(t *testing.T) {
-	if got := unionSorted(nil); got != nil {
-		t.Fatalf("union of nothing = %v", got)
-	}
-	one := []graph.VertexID{1, 3, 5}
-	if got := unionSorted([][]graph.VertexID{one}); len(got) != 3 {
-		t.Fatalf("single-list union = %v", got)
-	}
-	// Identical lists collapse to one copy.
-	got := unionSorted([][]graph.VertexID{one, one, one})
-	if !reflect.DeepEqual(got, one) {
-		t.Fatalf("union of identical lists = %v", got)
-	}
-	// Inputs must not be modified (groups keep their candidate sequences).
-	a := []graph.VertexID{1, 2, 9}
-	b := []graph.VertexID{2, 4}
-	unionSorted([][]graph.VertexID{a, b})
-	if a[0] != 1 || a[1] != 2 || a[2] != 9 || b[0] != 2 || b[1] != 4 {
-		t.Fatal("unionSorted modified its inputs")
-	}
-}
-
-// TestUnionSortedOverlayCases pins the hardening the live-ingest overlay
-// relies on: empty lists anywhere in the input (a fully-tombstoned overlay
-// list merges to nothing), all-empty input, and the no-aliasing contract —
-// the result's backing array must be fresh, because overlay-merged lists
+// TestUnionSortedOverlayCases is the table of the scratch-set read-out:
+// empty lists anywhere in the input (a fully-tombstoned overlay list merges
+// to nothing), all-empty and no input, duplicates within and across lists,
+// the IDs at the ends of the set and on either side of a word boundary, the
+// inputs left as they were, the set left empty, and the no-aliasing contract
+// — the result's backing array must be fresh, because overlay-merged lists
 // are retained read-only by the window that produced them.
 func TestUnionSortedOverlayCases(t *testing.T) {
 	v := func(xs ...int) []graph.VertexID {
@@ -115,52 +109,72 @@ func TestUnionSortedOverlayCases(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
+		n     int // |V|
 		lists [][]graph.VertexID
 	}{
-		{"all empty", [][]graph.VertexID{{}, nil, {}}},
-		{"one empty among two", [][]graph.VertexID{v(1, 3), nil}},
-		{"empty sandwiched", [][]graph.VertexID{v(2, 4), {}, v(1, 4, 9)}},
-		{"leading empties", [][]graph.VertexID{nil, nil, nil, v(7)}},
-		{"tombstoned to empty mid-merge", [][]graph.VertexID{v(1), {}, v(1), {}, v(2)}},
-		{"single nonempty among empties", [][]graph.VertexID{{}, v(5, 6), {}}},
-		{"odd tail after filtering", [][]graph.VertexID{v(1, 2), {}, v(2, 3), v(3, 4)}},
-		{"disjoint", [][]graph.VertexID{v(1, 2), v(10, 11), v(20)}},
+		{"nothing", 30, nil},
+		{"all empty", 30, [][]graph.VertexID{{}, nil, {}}},
+		{"one empty among two", 30, [][]graph.VertexID{v(1, 3), nil}},
+		{"empty sandwiched", 30, [][]graph.VertexID{v(2, 4), {}, v(1, 4, 9)}},
+		{"leading empties", 30, [][]graph.VertexID{nil, nil, nil, v(7)}},
+		{"tombstoned to empty mid-merge", 30, [][]graph.VertexID{v(1), {}, v(1), {}, v(2)}},
+		{"single nonempty among empties", 30, [][]graph.VertexID{{}, v(5, 6), {}}},
+		{"odd tail after filtering", 30, [][]graph.VertexID{v(1, 2), {}, v(2, 3), v(3, 4)}},
+		{"disjoint", 30, [][]graph.VertexID{v(1, 2), v(10, 11), v(20)}},
+		{"single list", 30, [][]graph.VertexID{v(1, 3, 5)}},
+		{"identical lists", 30, [][]graph.VertexID{v(1, 3, 5), v(1, 3, 5), v(1, 3, 5)}},
+		{"duplicate across lists", 30, [][]graph.VertexID{v(1, 2, 9), v(2, 4), v(4, 9)}},
+		{"word boundary and both ends", 130, [][]graph.VertexID{v(0, 63, 129), v(64, 129), v(0, 64)}},
+		{"last id ends a word", 128, [][]graph.VertexID{v(63, 127), v(0, 127)}},
+		{"last id alone in its word", 65, [][]graph.VertexID{v(64), v(0)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			before := make([][]graph.VertexID, len(tc.lists))
+			for i, l := range tc.lists {
+				before[i] = slices.Clone(l)
+			}
+			set := newVertexSet(tc.n)
 			want := unionSortedSeed(tc.lists)
-			got := unionSorted(tc.lists)
+			got := unionSorted(&set, tc.lists)
 			if len(want) == 0 {
-				if len(got) != 0 {
-					t.Fatalf("got %v, want empty", got)
+				if got != nil {
+					t.Fatalf("got %v, want nil", got)
 				}
 				return
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("got %v, want %v", got, want)
 			}
-			// No-aliasing: the result must not share a backing array with
-			// any input (appending to the result must not clobber a list
-			// the window retains).
+			// Inputs must not be modified (groups keep their candidate
+			// sequences), and the result must not share a backing array
+			// with any of them (appending to the result must not clobber a
+			// list the window retains).
 			for i, l := range tc.lists {
-				if len(l) > 0 && len(got) > 0 && &got[0] == &l[0] {
+				if !slices.Equal(l, before[i]) {
+					t.Fatalf("input %d modified: %v, was %v", i, l, before[i])
+				}
+				if len(l) > 0 && &got[0] == &l[0] {
 					t.Fatalf("result aliases input %d", i)
 				}
+			}
+			if again := set.drain(); again != nil {
+				t.Fatalf("the set still held %v after the read-out", again)
 			}
 		})
 	}
 }
 
-// BenchmarkUnionSorted compares the merge tree against the seed scan as the
-// group count grows — the seed degrades linearly in k, the tree
-// logarithmically.
+// BenchmarkUnionSorted compares the scratch-set read-out against the seed
+// scan as the group count grows.
 func BenchmarkUnionSorted(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
 	for _, k := range []int{2, 4, 8, 16} {
 		lists := randomSortedLists(rng, k, 2000, 10000)
-		b.Run(fmt.Sprintf("tree/k=%d", k), func(b *testing.B) {
+		set := newVertexSet(10000)
+		b.Run(fmt.Sprintf("set/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				unionSorted(lists)
+				unionSorted(&set, lists)
 			}
 		})
 		b.Run(fmt.Sprintf("seed/k=%d", k), func(b *testing.B) {

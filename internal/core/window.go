@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -20,42 +21,45 @@ import (
 // page's records are a dense run of IDs and a vertex resolves without
 // hashing — directory (db.PageOf) → page ordinal (ordinalOf) → slot
 // (v − page.Records[0].Vertex) — with side for the few lists no single
-// record holds.
+// record holds. A last-level pass (stream.go) uses the same structure for
+// the pages it streams through, of which only a budget's worth is loaded at
+// any moment and each is read by its own task alone.
 type levelWindow struct {
 	// verts[g] is group g's current vertex window (sorted): the slice of
-	// its candidate sequence falling inside the merged window.
+	// its candidate sequence falling inside the merged window (all of it, in
+	// a pass).
 	verts [][]graph.VertexID
-	// lo..hi is the merged window's vertex ID range.
+	// lo..hi is the merged window's vertex ID range (unset in a pass, which
+	// nothing descends from).
 	lo, hi graph.VertexID
 	// pages are the pages the window needs, ascending (path-pin accounting
-	// covers all of them); loaded is parallel to it.
+	// covers all of a loaded window's); loaded is parallel to it.
 	pages  []storage.PageID
 	loaded []windowPage
 	// side lists, ascending by vertex, the adjacency lists no single record
 	// holds: multi-page vertices, their chunks concatenated and the run's
-	// overlay applied (buildSide). Most windows have none.
+	// overlay applied (buildSide). Most windows have none, and a last-level
+	// pass never has one: it roots each such vertex once, as its last chunk
+	// lands (stream.go).
 	side []sideEntry
-	// sealed is set (with release semantics) once every page load completed
-	// and side is built: from then on the index is read-only. Until then
-	// other pages' load callbacks are still writing their ordinals, and
-	// last-level page tasks already running must restrict themselves to
-	// their own page (matcher.own).
-	sealed atomic.Bool
 
 	// internal/external accumulate the embeddings found by tasks attached
 	// to this window. Keeping counts window-local until the window
 	// completes makes whole-window retry idempotent: a failed attempt's
 	// partial counts are simply never merged into the run totals
-	// (settleWindowCounts), so re-dispatching the window cannot double
-	// count.
+	// (settleWindowCounts), so re-dispatching the window — or re-running
+	// the pass — cannot double count.
 	internal atomic.Uint64
 	external atomic.Uint64
 }
 
-// windowPage is one ordinal of a window's index. Until the seal only the
-// page's own load callback writes it.
+// windowPage is one ordinal of a window's index. Only the page's own load
+// callback writes it; nothing reads it before that callback has returned — a
+// window is handed on once every page has landed, a last-level pass hands
+// each page to its own task (matcher.own).
 type windowPage struct {
-	// page is the pinned page; nil when its load failed (nothing to unpin).
+	// page is the pinned page; nil when its load failed (nothing to unpin)
+	// or, in a pass, before it has landed and after it was released.
 	page *storage.Page
 	// lists holds, by slot, the adjacency lists that stand in for the page's
 	// on-disk records (one slab per page): the decoded views of lazily parsed
@@ -67,11 +71,9 @@ type windowPage struct {
 	// other snapshots.
 	lists []slotList
 	// split reports a Continues/Continuation record on the page: a chunk of
-	// a multi-page vertex, assembled into the side table after the loads.
+	// a multi-page vertex, assembled into the side table after the loads
+	// (buildSide walks only these pages).
 	split bool
-	// queued reports that the page's last-level matching task was queued
-	// before the seal; the orchestrator dispatches the others after it.
-	queued bool
 }
 
 // slotList is one slot of windowPage.lists. set tells a record merged to the
@@ -106,7 +108,7 @@ func (lw *levelWindow) ordinalOf(pid storage.PageID) int {
 }
 
 // adjOf resolves the full adjacency list of v, whose first page is pid, in
-// a sealed window; ok is false when the window does not hold it.
+// a loaded window; ok is false when the window does not hold it.
 func (lw *levelWindow) adjOf(pid storage.PageID, v graph.VertexID) (adj []graph.VertexID, ok bool) {
 	if len(lw.side) > 0 {
 		if i, ok := slices.BinarySearchFunc(lw.side, v, func(e sideEntry, v graph.VertexID) int {
@@ -146,15 +148,19 @@ func (wp *windowPage) adjOf(v graph.VertexID) (adj []graph.VertexID, ok bool) {
 	return rec.Decoded(nil), true
 }
 
-// processLevel drives the merged-window iteration at level l >= 1
-// (Algorithm 2). Windows at level l nest inside the current windows of all
-// earlier levels. Level 1 is not iterated here: its windows arrive pinned
-// from the run's Sweep (Algorithm 1 lines 7-16 are Sweep.Load,
-// Rider.ProcessWindow and Sweep.Release).
+// processLevel drives the external traversal at level l >= 1 (Algorithm 2).
+// A middle level iterates merged windows nested inside the current windows
+// of all earlier levels, computing the next level's candidates from each;
+// the last level is not chopped into windows at all — it streams, one pass
+// per window of the level above (streamLevel). Level 1 is not iterated
+// here: its windows arrive pinned from the run's Sweep (Algorithm 1 lines
+// 7-16 are Sweep.Load, Rider.ProcessWindow and Sweep.Release).
 func (r *run) processLevel(l int) error {
+	if l == r.k-1 {
+		return r.streamLevel()
+	}
 	iter := windowIterator{r: r, level: l, merged: r.mergedCandidates(l)}
 	defer r.openLevel(l)()
-	lastLevel := l == r.k-1
 	for iter.next() {
 		// Cancellation gate: every window iteration at every level checks
 		// the run's context, so a cancel stops the traversal within one
@@ -165,33 +171,21 @@ func (r *run) processLevel(l int) error {
 		verts := iter.windowVerts()
 		ord := r.windowsPer[l] + 1 // 1-based window ordinal at this level
 		r.openWindow(l, ord, verts)
-		lw, err := r.loadWindowWithRetry(l, verts, lastLevel, ord)
+		lw, err := r.loadWindowWithRetry(l, ord, func() (*levelWindow, error) {
+			return r.loadWindow(l, verts, ord)
+		})
 		if err != nil {
 			return err
 		}
 		r.winData[l] = lw
 		r.countWindow(l)
-
-		if lastLevel {
-			// Matching was dispatched page by page as reads completed and
-			// finished off after the seal (loadWindow).
-			drainStart := time.Now()
-			r.workers.drain()
-			if r.tracer != nil {
-				r.emit(obs.Event{Event: "external_enum", Level: l + 1, Window: ord,
-					Verts: len(verts), DurUS: time.Since(drainStart).Microseconds(),
-					Span: r.winSpan[l]})
-			}
-			r.settleWindowCounts(lw)
-		} else {
-			r.computeChildCandidates(l)
-			if err := r.processLevel(l + 1); err != nil {
-				r.unloadWindow(lw)
-				return err
-			}
-			r.clearChildCandidates(l)
-		}
+		r.computeChildCandidates(l)
+		err = r.processLevel(l + 1)
+		r.clearChildCandidates(l)
 		r.unloadWindow(lw)
+		if err != nil {
+			return err
+		}
 		r.closeWindow(l, ord)
 		if err := r.firstErr(); err != nil {
 			return err
@@ -307,7 +301,8 @@ func (r *run) emitCheckpoint(cursor int) {
 }
 
 // mergedCandidates returns the merged candidate vertex sequence for level l:
-// the sorted union of every group's candidate sequence.
+// the sorted union of every group's candidate sequence, taken through the
+// run's scratch set when more than one group has any.
 func (r *run) mergedCandidates(l int) []graph.VertexID {
 	var lists [][]graph.VertexID
 	for g := range r.cand {
@@ -325,72 +320,69 @@ func (r *run) mergedCandidates(l int) []graph.VertexID {
 	case 1:
 		return lists[0]
 	}
-	return unionSorted(lists)
+	set := r.candSet()
+	for _, list := range lists {
+		set.add(list)
+	}
+	return set.drain()
 }
 
-// unionSorted merges k sorted candidate lists into one sorted deduplicated
-// list by balanced pairwise rounds (a merge tree): each element moves
-// through O(log k) two-way merges instead of being compared against every
-// list head per output element as in the seed's linear best-of-k scan —
-// O(n log k) total versus O(n·k). The inputs are not modified, and the
-// result never aliases any input's backing array — overlay-merged lists
-// feed this merge and are retained read-only by the window, so an aliased
-// result could be mutated behind the window's back by a caller appending
-// to it. Empty inputs (a fully-tombstoned overlay list among them) are
-// skipped up front; all-empty input yields nil.
-func unionSorted(lists [][]graph.VertexID) []graph.VertexID {
-	// Drop empty lists first: the merge tree below would carry an empty
-	// operand through every round, and a single surviving list must still
-	// be copied (not returned) to keep the no-aliasing contract.
-	nonEmpty := lists[:0:0]
-	for _, l := range lists {
-		if len(l) > 0 {
-			nonEmpty = append(nonEmpty, l)
-		}
+// vertexSet is the run's scratch set over the vertex IDs, one bit each: the
+// one way candidate sequences are unioned. add marks ascending lists, drain
+// reads the marks out ascending — duplicate-free by construction, in a slice
+// of its own that aliases no input — and leaves the set empty. Only the
+// words add touched are visited, so a small union over a large graph costs
+// what it spans. Orchestrator only.
+type vertexSet struct {
+	words []uint64
+	// lo, hi bound the touched words: words[lo:hi]; lo >= hi when empty.
+	lo, hi int
+}
+
+// newVertexSet returns an empty set over the IDs below n.
+func newVertexSet(n int) vertexSet {
+	words := make([]uint64, (n+63)/64)
+	return vertexSet{words: words, lo: len(words)}
+}
+
+// candSet returns the run's scratch set, empty, made on first use.
+func (r *run) candSet() *vertexSet {
+	if r.set.words == nil {
+		r.set = newVertexSet(len(r.e.all))
 	}
-	switch len(nonEmpty) {
-	case 0:
+	return &r.set
+}
+
+// add marks every vertex of list, which ascends.
+func (s *vertexSet) add(list []graph.VertexID) {
+	if len(list) == 0 {
+		return
+	}
+	s.lo = min(s.lo, int(list[0]>>6))
+	s.hi = max(s.hi, int(list[len(list)-1]>>6)+1)
+	for _, v := range list {
+		s.words[v>>6] |= 1 << (v & 63)
+	}
+}
+
+// drain returns the marked vertices ascending (nil when there are none) and
+// clears them.
+func (s *vertexSet) drain() []graph.VertexID {
+	if s.lo >= s.hi {
 		return nil
-	case 1:
-		return append([]graph.VertexID(nil), nonEmpty[0]...)
 	}
-	work := make([][]graph.VertexID, len(nonEmpty))
-	copy(work, nonEmpty)
-	for len(work) > 1 {
-		next := work[: 0 : (len(work)+1)/2]
-		for i := 0; i+1 < len(work); i += 2 {
-			next = append(next, mergeUnion2(work[i], work[i+1]))
-		}
-		if len(work)%2 == 1 {
-			// The odd tail rides to the next round unmerged. It can never
-			// become the result directly: rounds shrink n to ceil(n/2), so
-			// from n >= 2 the final round always has exactly two operands
-			// and ends in a fresh mergeUnion2 allocation.
-			next = append(next, work[len(work)-1])
-		}
-		work = next
+	n := 0
+	for _, w := range s.words[s.lo:s.hi] {
+		n += bits.OnesCount64(w)
 	}
-	return work[0]
-}
-
-// mergeUnion2 merges two sorted lists, dropping duplicates (within and
-// across inputs). The result is freshly allocated; a and b are read-only.
-func mergeUnion2(a, b []graph.VertexID) []graph.VertexID {
-	out := make([]graph.VertexID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v graph.VertexID
-		if j >= len(b) || (i < len(a) && a[i] <= b[j]) {
-			v = a[i]
-			i++
-		} else {
-			v = b[j]
-			j++
+	out := make([]graph.VertexID, 0, n)
+	for i := s.lo; i < s.hi; i++ {
+		for w := s.words[i]; w != 0; w &= w - 1 {
+			out = append(out, graph.VertexID(i<<6+bits.TrailingZeros64(w)))
 		}
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
-		}
+		s.words[i] = 0
 	}
+	s.lo, s.hi = len(s.words), 0
 	return out
 }
 
@@ -450,30 +442,24 @@ func (it *windowIterator) windowVerts() []graph.VertexID {
 	return it.merged[it.curLo:it.curHi]
 }
 
-// loadWindowWithRetry is the engine's one window loader — deep levels call
-// it from processLevel, level 1 from Sweep.Load on the sweep's run — with
-// whole-window recovery: a transient fault that survived the read-level
-// retry budget drains the window's already-dispatched tasks (deep last
-// levels only), discards its pins and partial counts, clears the run error
-// it caused, backs off (exponentially, bounded, observing the run context),
-// and reloads the same window — up to Options.WindowRetries times. Retries are cheap on the I/O side: pages whose loads succeeded
-// before the fault are still resident in the buffer pool, so a retry
-// re-reads only the pages that actually failed. Permanent errors
-// (corruption, cancellation, budget misfits) are returned immediately.
-func (r *run) loadWindowWithRetry(l int, verts []graph.VertexID, lastLevel bool, ord int) (*levelWindow, error) {
+// loadWindowWithRetry runs load — one attempt at a window (loadWindow: deep
+// levels from processLevel, level 1 from Sweep.Load on the sweep's run) or at
+// a last-level pass (streamPass), which on failure leaves nothing pinned,
+// nothing queued and nothing counted — with whole-window recovery: a
+// transient fault that survived the read-level retry budget clears the run
+// error it caused, backs off (exponentially, bounded, observing the run
+// context), and runs the same load again — up to Options.WindowRetries
+// times. A window's retry is cheap on the I/O side: pages whose loads
+// succeeded before the fault are still resident in the buffer pool, so it
+// re-reads only the pages that actually failed; a pass re-reads what its
+// budget has since evicted. Permanent errors (corruption, cancellation,
+// budget misfits) are returned immediately.
+func (r *run) loadWindowWithRetry(l, ord int, load func() (*levelWindow, error)) (*levelWindow, error) {
 	for attempt := 0; ; attempt++ {
-		lw, err := r.loadWindow(l, verts, lastLevel, ord)
+		lw, err := load()
 		if err == nil {
 			return lw, nil
 		}
-		// The failed attempt's tasks may still be running against lw; they
-		// must finish before the pins are released and the counts dropped.
-		if lastLevel {
-			r.workers.drain()
-		}
-		r.unloadWindow(lw)
-		lw.internal.Store(0)
-		lw.external.Store(0)
 		if attempt >= r.e.opts.WindowRetries || !storage.IsTransient(err) || r.ctx.Err() != nil {
 			return nil, err
 		}
@@ -532,42 +518,25 @@ func (r *run) sleepWindowBackoff(attempt int) bool {
 	}
 }
 
-// loadWindow is one load attempt: it pins every page needed by the window's
-// vertices (the only place window reads are issued), builds the window's
-// index — each page callback its own ordinal, the run's overlay merged into
-// the records it touches, without a lock; then the side table of multi-page
-// vertices — and splits the window per group.
+// loadWindow is one load attempt at a window of a level above the last: it
+// pins every page needed by the window's vertices, builds the window's index
+// — each page callback its own ordinal, the run's overlay merged into the
+// records it touches, lazily parsed records decoded, without a lock; then
+// the side table of multi-page vertices — and splits the window per group.
 // What callers differ in arrives as state of the run it is called on: the
-// error sink (the run's error box) and the pinned overlay snapshot. When
-// lastLevel is set (deep levels only), compressed records keep their
-// zero-copy spans and every page is handed to the matching workers as its
-// load completes, queue permitting, overlapping CPU with the remaining I/O;
-// the rest is dispatched after the seal, so on return all of the window's
-// matching is queued. On error the window is returned alongside it still
-// holding its pins — the caller (loadWindowWithRetry) drains in-flight tasks
-// before unloading it.
-func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int) (*levelWindow, error) {
+// error sink (the run's error box) and the pinned overlay snapshot. On error
+// the window is already unloaded.
+func (r *run) loadWindow(l int, verts []graph.VertexID, ord int) (*levelWindow, error) {
 	lw := &levelWindow{verts: make([][]graph.VertexID, len(r.p.Groups))}
 	if len(verts) > 0 {
 		lw.lo, lw.hi = verts[0], verts[len(verts)-1]
 	}
-	// Page list: union of the vertex spans. verts ascend and spans are
-	// monotone in the vertex ID, so the list comes out ascending (sequential
-	// issue order) with the first page not yet listed as the only state.
-	var next storage.PageID
-	for _, v := range verts {
-		first, last := r.e.db.SpanOf(v)
-		for p := max(first, next); p <= last; p++ {
-			lw.pages = append(lw.pages, p)
-		}
-		next = max(next, last+1)
-	}
+	lw.pages = r.pageList(verts)
 	pages := lw.pages
 	lw.loaded = make([]windowPage, len(pages))
 
 	// Window membership per group: the intersection of the group's candidate
-	// sequence with the merged window range, precomputed so last-level
-	// callbacks can run before all pages land.
+	// sequence with the merged window range.
 	for g := range r.p.Groups {
 		lw.verts[g] = sliceRange(r.cand[g][l].slice(r.e.all), lw.lo, lw.hi)
 	}
@@ -580,67 +549,74 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, lastLevel bool, ord int)
 		}
 		wp := &lw.loaded[lw.ordinalOf(pid)]
 		wp.page = page
-		if err := r.indexPage(wp, !lastLevel); err != nil {
+		if err := r.indexPage(wp, true); err != nil {
 			r.fail(err)
-			return
-		}
-		if lastLevel {
-			// Overlap: match complete records while later pages load. An I/O
-			// worker never waits for a queue slot — a page the full queue
-			// refuses is matched after the seal.
-			wp.queued = r.workers.trySubmit(func() { r.extMapPage(wp, lw) })
 		}
 	}
-	// Issue maximal contiguous runs: the pool serves each with one simulated
-	// seek (one device request under a RunReader), delivering pages in order.
+	for _, pid := range pages {
+		r.pathPinned[pid]++
+	}
+	wg.Add(len(pages))
+	r.issueRuns(pages, &wg, onPage)
+	waitStart := time.Now()
+	wg.Wait()
+	r.bookLoad(l, ord, len(pages), time.Since(waitStart))
+	if err := r.firstErr(); err != nil {
+		r.unloadWindow(lw)
+		return nil, err
+	}
+	r.buildSide(lw)
+	return lw, nil
+}
+
+// pageList returns the pages holding the adjacency lists of verts: the union
+// of the vertex spans. verts ascend and spans are monotone in the vertex ID,
+// so the list comes out ascending (sequential issue order) with the first
+// page not yet listed as the only state.
+func (r *run) pageList(verts []graph.VertexID) []storage.PageID {
+	var pages []storage.PageID
+	var next storage.PageID
+	for _, v := range verts {
+		first, last := r.e.db.SpanOf(v)
+		for p := max(first, next); p <= last; p++ {
+			pages = append(pages, p)
+		}
+		next = max(next, last+1)
+	}
+	return pages
+}
+
+// issueRuns is the engine's one issuer of reads: it schedules pages, which
+// ascend, as maximal contiguous runs — the pool serves each with one
+// simulated seek (one device request under a RunReader) and delivers its
+// pages in order to cb on an I/O worker, pinned. Both callers read for the
+// window that is open and nothing else: loadWindow all of a window's pages at
+// once, streamPass a last-level pass's pages as its frame budget frees up.
+func (r *run) issueRuns(pages []storage.PageID, wg *sync.WaitGroup, cb func(storage.PageID, *storage.Page, error)) {
 	for i := 0; i < len(pages); {
 		j := i + 1
 		for j < len(pages) && pages[j] == pages[j-1]+1 {
 			j++
 		}
-		for _, pid := range pages[i:j] {
-			r.pathPinned[pid]++
-		}
-		wg.Add(j - i)
-		r.e.pool.AsyncReadRunContext(r.ctx, pages[i], j-i, &wg, onPage)
+		r.e.pool.AsyncReadRunContext(r.ctx, pages[i], j-i, wg, cb)
 		i = j
 	}
-	waitStart := time.Now()
-	wg.Wait()
-	wait := time.Since(waitStart)
+}
+
+// bookLoad accounts one window load (or last-level pass) of the given page
+// count during which the orchestrator spent wait blocked on reads.
+func (r *run) bookLoad(l, ord, pages int, wait time.Duration) {
 	r.ioWait += wait
 	r.em.ioWaitNanos.Add(uint64(wait.Nanoseconds()))
 	if r.scope != nil {
 		r.scope.IOWaitNanos.Add(uint64(wait.Nanoseconds()))
 	}
 	r.em.windowLoadUS.Observe(wait.Microseconds())
-	r.em.windowPages.Observe(int64(len(pages)))
+	r.em.windowPages.Observe(int64(pages))
 	if r.tracer != nil {
 		r.emit(obs.Event{Event: "window_pinned", Level: l + 1, Window: ord,
-			Pages: len(pages), DurUS: wait.Microseconds(), Span: r.winSpan[l]})
+			Pages: pages, DurUS: wait.Microseconds(), Span: r.winSpan[l]})
 	}
-	if err := r.firstErr(); err != nil {
-		return lw, err
-	}
-	r.buildSide(lw)
-	// Seal: the index is complete and read-only from here on. Page tasks
-	// that observed the window unsealed keep to their own page's records;
-	// everything dispatched after this point reads the whole index.
-	lw.sealed.Store(true)
-	if lastLevel {
-		// Match the pages the full queue refused before the seal, and then
-		// the side table's vertices, which page tasks skip: no single record
-		// holds their list.
-		for o := range lw.loaded {
-			if wp := &lw.loaded[o]; !wp.queued {
-				r.workers.submit(func() { r.extMapPage(wp, lw) })
-			}
-		}
-		for _, e := range lw.side {
-			r.workers.submit(func() { r.extMapVertex(e.v, e.adj, lw) })
-		}
-	}
-	return lw, nil
 }
 
 // indexPage checks that the page's records are the dense ascending run of
@@ -782,27 +758,28 @@ func (r *run) unloadWindow(lw *levelWindow) {
 // computeChildCandidates fills cand[g][child] for every child of each
 // group's node at level l from the group's current vertex window, applying
 // the total-order pruning of Lemma 1: if the child's position follows
-// (precedes) the parent's, only larger (smaller) neighbors qualify.
+// (precedes) the parent's, only larger (smaller) neighbors qualify. The
+// qualifying neighbours are marked in the run's scratch set and read out
+// ascending: no sort, no duplicates to drop.
 func (r *run) computeChildCandidates(l int) {
 	lw := r.winData[l]
+	set := r.candSet()
 	for g, vg := range r.p.Groups {
 		for _, childLevel := range vg.Forest.Children[l] {
 			posParent := r.p.MatchingOrder[l]
 			posChild := r.p.MatchingOrder[childLevel]
-			var out []graph.VertexID
 			for _, v := range lw.verts[g] {
 				adj, _ := lw.adjOf(r.e.db.PageOf(v), v)
 				// Lists are duplicate-free and never hold their own vertex,
 				// so v's insertion point splits smaller from larger neighbors.
 				i, _ := slices.BinarySearch(adj, v)
 				if posChild > posParent {
-					out = append(out, adj[i:]...)
+					set.add(adj[i:])
 				} else {
-					out = append(out, adj[:i]...)
+					set.add(adj[:i])
 				}
 			}
-			slices.Sort(out)
-			out = slices.Compact(out)
+			out := set.drain()
 			r.em.candSize.Observe(int64(len(out)))
 			r.cand[g][childLevel] = candSeq{list: out}
 		}

@@ -68,9 +68,10 @@ func TestResidentWindowInternalOnly(t *testing.T) {
 // I/O workers deliver a window's pages concurrently, each callback writing
 // its own ordinal while last-level page tasks already match against theirs;
 // 128-byte pages split every hub across many pages, so the side table, the
-// post-seal dispatch of refused pages and the unsealed-task restriction are
-// all on the path, with and without an overlay. Counts must equal brute
-// force. Run with -race -count=20 (make check does).
+// hand-over of refused tasks, the rooting of multi-page candidates inside a
+// pass and the page tasks' own-page restriction are all on the path, with
+// and without an overlay. Counts must equal brute force. Run with -race
+// -count=20 (make check does).
 func TestWindowIndexConcurrentBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(182))
 	base := skewedGraph(rng, 260, 5, 90)
@@ -151,13 +152,13 @@ func TestWindowIndexLoadAllocs(t *testing.T) {
 	}
 }
 
-// TestExtMapPageLoadRace is the regression test for the loadWindow data
-// race: on the last level, extMapPage tasks are submitted as soon as their
-// page lands, while later pages' load callbacks are still writing their
-// ordinals of the window index. A task that starts before the window is
-// sealed restricts itself to its own page's complete records. Multiple I/O
-// workers plus per-page latency stagger the callbacks so the overlap
-// actually happens. Run with -race.
+// TestExtMapPageLoadRace is the regression test for a data race between
+// loading and matching: on the last level, extMapPage tasks are submitted as
+// soon as their page lands, while later pages' load callbacks are still
+// writing their ordinals of the pass's index. A page task restricts itself
+// to its own page's complete records. Multiple I/O workers plus per-page
+// latency stagger the callbacks so the overlap actually happens. Run with
+// -race.
 func TestExtMapPageLoadRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := skewedGraph(rng, 500, 6, 150)

@@ -72,7 +72,10 @@ func newWorkerPool(threads int, submitted, completed *obs.Counter) *workerPool {
 }
 
 // submit schedules a task, waiting for a queue slot. Only the run's
-// orchestrator may call it: a task that blocked here would deadlock the pool
+// orchestrator may call it — for a window's internal chunks, and inside a
+// last-level pass for a multi-page vertex or a page task trySubmit refused
+// (reports to the pass are buffered, so nothing waits on the orchestrator
+// while it waits here): a task that blocked here would deadlock the pool
 // while draining, and an I/O worker would stall page loads behind
 // enumeration — both use trySubmit, which never blocks.
 func (p *workerPool) submit(task func()) {
@@ -82,10 +85,13 @@ func (p *workerPool) submit(task func()) {
 }
 
 // trySubmit schedules a task without ever blocking: it reports false (and
-// schedules nothing) when the channel is full. The Add here cannot race a
-// drain at zero: a running task's own pending count keeps the WaitGroup
-// non-zero, and a window's page callbacks run while the orchestrator — the
-// only goroutine that drains — is still waiting for them in loadWindow.
+// schedules nothing) when the channel is full; the caller — a running task
+// splitting its range, or a last-level page callback, which then hands the
+// task to the orchestrator — copes. The Add here cannot race a drain at
+// zero: a running task's own pending count keeps the WaitGroup non-zero,
+// and a pass's page callbacks run while the orchestrator — the only
+// goroutine that drains — is still serving that pass (stream.run), which
+// ends only after every callback has reported.
 func (p *workerPool) trySubmit(task func()) bool {
 	p.pending.Add(1)
 	select {

@@ -42,9 +42,6 @@ type Options struct {
 	// loads its first window, letting near-simultaneous arrivals board
 	// together instead of trickling in one window apart (default 0).
 	FormationWait time.Duration
-	// RiderThreads sizes each rider's private worker pool (0 = engine
-	// threads divided by MaxRiders).
-	RiderThreads int
 	// Metrics, when non-nil, receives the cohort metric family
 	// (dualsim_cohort_*, dualsim_shared_*, dualsim_sweep_pages_read_total).
 	Metrics *obs.Registry
@@ -339,7 +336,7 @@ func (s *Scheduler) admit(sweep *core.Sweep, current int) []*activeRider {
 		if !pr.claimed.CompareAndSwap(false, true) {
 			continue // waiter gave up before admission
 		}
-		rd, err := sweep.NewRider(pr.ctx, pr.spec, s.opts.RiderThreads)
+		rd, err := sweep.NewRider(pr.ctx, pr.spec)
 		if err != nil {
 			pr.done <- outcome{nil, err}
 			continue
