@@ -35,8 +35,10 @@ fmt:
 # permits and hand-offs travel one channel) or the matcher — the hot path
 # searches with slices.BinarySearch, not sort.Search's closure per probe,
 # candidates are unioned through the scratch set, not sorted, reads have one
-# issuer (run.issueRuns holds core's only AsyncReadRunContext call), and no
-# speculative read path comes back (scripts/inert_names.sh).
+# issuer (run.issueRuns holds core's only AsyncReadRunContext call), a cohort
+# rider's budgets have one source (cohortBudget.levels holds sweep.go's only
+# buffer.Allocate call: boarding calls the deal, it keeps no copy of the
+# split), and no speculative read path comes back (scripts/inert_names.sh).
 lint: vet metrics-doc-check
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
 	@if $(GO) list -deps ./cmd/dualsim | grep -E 'internal/(mr|pregel|baseline)'; then \
@@ -49,6 +51,8 @@ lint: vet metrics-doc-check
 		echo "candidate sequences are unioned through the run's scratch set (vertexSet): nothing to sort" >&2; exit 1; fi
 	@if [ "$$(cat $$(ls internal/core/*.go | grep -v _test.go) | grep -c 'AsyncReadRunContext(')" != 1 ]; then \
 		echo "run.issueRuns is the one issuer of reads: exactly one AsyncReadRunContext call in internal/core" >&2; exit 1; fi
+	@if [ "$$(grep -c 'buffer\.Allocate(' internal/core/sweep.go)" != 1 ]; then \
+		echo "rider budgets have one source: exactly one buffer.Allocate call in internal/core/sweep.go (cohortBudget.levels)" >&2; exit 1; fi
 	@./scripts/inert_names.sh
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
@@ -70,10 +74,12 @@ metrics-doc-check:
 # merges and queues its own page — the streamed last level, whose pages are
 # matched and unpinned in whatever order reads land and tasks end, and the
 # per-assignment list cache, which is per task and must never outlive a
-# window's pins.
+# window's pins — and the cohort deal: budgets rewritten at every window
+# boundary while riders board and leave, in a pool of exactly the frames
+# dealt.
 check: lint bench-module
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayStreamDispatch|TestStream' ./internal/core
+	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayStreamDispatch|TestStream|TestDealSplit|TestCohortDealExactBudget|TestSweepLateJoinEarlyFinish' ./internal/core ./internal/sharedscan
 
 # bench-module vets and tests benchmark/, which is its own Go module
 # (replace dualsim => ../): the root ./... patterns never compile it, so

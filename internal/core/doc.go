@@ -70,7 +70,9 @@
 //
 //   - windowIterator sizes windows so that pages not pinned by an outer
 //     window never exceed the level's frame budget (buffer.Allocate for a
-//     solo run; the half-pool/MaxRiders split for a cohort). With nothing
+//     solo run; for a cohort rider what the last window boundary dealt it,
+//     the deals of one boundary summing to no more than the cohort's deep
+//     pool — cohortBudget). With nothing
 //     pinned it yields the Sweep's level-1 partition; a last-level pass
 //     keeps to the same budget by issuing a read only against a free frame
 //     of it (stream.issue);

@@ -416,7 +416,7 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 	}
 	defer s.release()
 	statsBefore := e.pool.Stats()
-	rd := s.board(r, e.frames)
+	rd := (&Rider{s: s, r: r, frames: e.frames}).board()
 	defer rd.Close()
 
 	if e.opts.ProgressInterval > 0 && e.opts.ProgressWriter != nil {

@@ -284,7 +284,10 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, c
 // assignment as the k-way intersection of the node's window with every
 // connected position's adjacency list, each first clipped to the interval the
 // total order leaves open inside the window's ID range — what a post-filter
-// would discard, and what the window cannot hold, is never intersected.
+// would discard, and what the window cannot hold, is never intersected. The
+// window of a forest root (level 1 always) is that ID range itself, every
+// vertex of it: a list clipped to the interval already is its intersection
+// with the window, which then is no operand at all.
 func (r *run) extDescend(m *matcher, level int) {
 	if level < 0 {
 		r.expandSequences(m, false)
@@ -303,19 +306,17 @@ func (r *run) extDescend(m *matcher, level int) {
 	if lo > hi {
 		return
 	}
-	window := clip(wd.verts[m.g], lo, hi)
 	vg := r.p.Groups[m.g]
 
-	// U_CON lists plus the window itself form one k-way intersection. A
-	// last-level record that is still a compressed span (lazy parse) is the
-	// kernel's compressed operand for its root's first intersection only:
-	// the decoded sides fold first and just their survivors are probed
-	// against the span via skip-pointer seeks, so a record nothing survives
-	// is never decoded. Whatever does survive reads the record decoded —
-	// once per root (adjOfData) — instead of walking the span again for
-	// every assignment above it.
+	// The U_CON lists, and the window unless they stand in for it, form one
+	// k-way intersection. A last-level record that is still a compressed span
+	// (lazy parse) is the kernel's compressed operand for its root's first
+	// intersection only: the decoded sides fold first and just their
+	// survivors are probed against the span via skip-pointer seeks, so a
+	// record nothing survives is never decoded. Whatever does survive reads
+	// the record decoded — once per root (adjOfData) — instead of walking the
+	// span again for every assignment above it.
 	lists := m.arena.Lists(level, r.k+1)
-	lists = append(lists, window)
 	compOperand := false
 	for p := 0; p < r.k; p++ {
 		if m.posMask&(1<<uint(p)) == 0 {
@@ -330,13 +331,16 @@ func (r *run) extDescend(m *matcher, level int) {
 		}
 		lists = append(lists, clip(m.adjOfPos(p), lo, hi))
 	}
-	// With no assigned neighbor the node's whole current window is scanned.
-	cands := window
-	switch {
-	case compOperand:
+	// With no assigned neighbor the node's whole current window is scanned,
+	// and a compressed span needs one decoded side to be probed with.
+	if len(lists) == 0 || !r.cand[m.g][level].full {
+		lists = append(lists, clip(wd.verts[m.g], lo, hi))
+	}
+	var cands []graph.VertexID
+	if compOperand {
 		cands = m.arena.IntersectKC(level, lists, m.lastComp)
-	case len(lists) > 1:
-		cands = m.arena.IntersectK(level, lists)
+	} else {
+		cands = m.arena.IntersectK(level, lists) // a single list is returned as it is
 	}
 	for _, v := range cands {
 		m.assign(pos, v)

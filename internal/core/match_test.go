@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"dualsim/internal/graph"
+	"dualsim/internal/plan"
+	"dualsim/internal/rbi"
 )
 
 // orderOKOracle and poOKOracle are the post-filters the matcher applied to
@@ -171,5 +173,68 @@ func TestMatcherPooled(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(5, tasks); allocs != 0 && !raceEnabled {
 		t.Errorf("%.0f allocations over %d tasks, want none", allocs, len(e.all))
+	}
+}
+
+// TestForestRootWindowNotIntersected covers the operand extDescend leaves out:
+// the window of a node whose candidates are every vertex — level 1 always, a
+// deeper forest root too — is an ID interval, so the clipped lists of the
+// connected positions stand in for it. Below the buffer, plain and compressed,
+// over plans with each shape the elision meets: a connected level-1 node (q1,
+// q5; on the compressed file q1's only other operand is the root's compressed
+// span, which keeps the window as its decoded side), a level-1 node nothing is
+// connected to (q2's two red vertices under MVC are not adjacent: the window
+// is scanned as before) and a full middle-level root beside groups where that
+// level has a parent (q2 with every vertex red). Counts equal brute force, and
+// the galloping kernel runs strictly less often than it did on the parent
+// commit, whose counts on this fixture are recorded here — exactly as often
+// where the window stays an operand.
+func TestForestRootWindowNotIntersected(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(23)), 400, 2400)
+	for _, layout := range []struct {
+		pageSize     int
+		compress     bool
+		parentGallop []uint64 // per case, at fe017a0
+		kept         []bool   // the window stays an operand: nothing may change
+	}{
+		{256, false, []uint64{1046, 30589, 5480, 147824}, []bool{false, false, true, false}},
+		{128, true, []uint64{605, 27160, 5480, 125326}, []bool{true, false, true, false}},
+	} {
+		db := buildDBOpts(t, g, layout.pageSize, layout.compress)
+		for i, c := range []struct {
+			q    *graph.Query
+			mode rbi.CoverMode
+		}{
+			{graph.Triangle(), rbi.MCVC},
+			{graph.House(), rbi.MCVC},
+			{graph.Square(), rbi.MVC},
+			{graph.Square(), rbi.AllRed},
+		} {
+			p, err := plan.Prepare(c.q, plan.Options{CoverMode: c.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(db, Options{Threads: 2, BufferFrames: db.NumPages() / 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p})
+			e.Close()
+			if err != nil {
+				t.Fatalf("%s/%v compress=%v: %v", c.q.Name(), c.mode, layout.compress, err)
+			}
+			if want := graph.CountOccurrences(g, c.q); res.Count != want {
+				t.Errorf("%s/%v compress=%v: count %d, brute force %d", c.q.Name(), c.mode, layout.compress, res.Count, want)
+			}
+			if res.WindowsPerLevel[0] < 2 || res.External == 0 {
+				t.Errorf("%s/%v compress=%v: windows %v, %d external: the run never left the buffer",
+					c.q.Name(), c.mode, layout.compress, res.WindowsPerLevel, res.External)
+			}
+			gallop, parent := res.Metrics.Counters["dualsim_intersect_gallop_total"], layout.parentGallop[i]
+			if layout.kept[i] && gallop != parent || !layout.kept[i] && gallop >= parent {
+				t.Errorf("%s/%v compress=%v: %d galloping intersections, the parent made %d (window kept: %v)",
+					c.q.Name(), c.mode, layout.compress, gallop, parent, layout.kept[i])
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dualsim/internal/buffer"
@@ -19,8 +20,9 @@ import (
 // goes through it. A solo run (Engine.RunSpecContext) is a sweep of one:
 // a private sweep planned from the run's own budgets and resume cursor,
 // with the run as its single rider. A cohort (see internal/sharedscan for
-// the scheduler) is the same sweep with a plan-independent budget split
-// and any number of riders.
+// the scheduler) is the same sweep with a plan-independent level-1 budget,
+// any number of riders, and the frames below level 1 dealt among the riders
+// on board at every window boundary (cohortBudget).
 //
 // The design leans on two engine invariants:
 //
@@ -38,8 +40,9 @@ import (
 // of one sweep share one graph snapshot and one start, so a live-ingest
 // overlay or a resume cursor — which a solo run simply hands to its own
 // sweep of one — would have to hold for every other rider too; or the plan
-// is too deep for the per-rider frame share. Callers fall back to a solo
-// engine; nothing about the query is wrong.
+// is too deep for the equal share of the deep pool, the least a deal may
+// leave a rider whose seats are all taken by plans as deep (cohortBudget).
+// Callers fall back to a solo engine; nothing about the query is wrong.
 var ErrRiderNotEligible = errors.New("core: query not eligible for the shared sweep; run it solo")
 
 // WindowBounds is one level-1 window of the sweep's partition: vertex
@@ -53,9 +56,13 @@ type WindowBounds struct {
 
 // SweepOptions configures Engine.NewSweep.
 type SweepOptions struct {
-	// MaxRiders bounds concurrent riders; the pool's frames are split into
-	// a level-1 sweep budget and MaxRiders equal deep-level shares, so the
-	// worst-case pin count never exceeds the pool (default 1).
+	// MaxRiders bounds concurrent riders (default 1). It fixes the split of
+	// the pool's frames into the sweep's level-1 budget and the deep pool —
+	// MaxRiders equal shares of half the frames — that every window boundary
+	// deals among the riders on board: the deals of one boundary never sum
+	// to more than the deep pool, so the worst-case pin count never exceeds
+	// the buffer, and no rider with a middle level is dealt less than the
+	// equal share it was admitted on.
 	MaxRiders int
 	// Scope, when non-nil, receives the sweep's attribution: it is
 	// installed as the pool's attribution sink for the sweep's lifetime,
@@ -88,17 +95,106 @@ type Sweep struct {
 	bounds  []WindowBounds
 	ordBase int // level-1 windows completed before bounds[0] (resume)
 
-	riderFrames int // deep-level frame share per cohort rider
-	maxRiders   int
-	closed      bool
+	// budget deals the frames below level 1 among riders, the cohort's riders
+	// on board in boarding order (both zero on a solo run's sweep of one, whose
+	// rider holds the run's own allocation).
+	budget cohortBudget
+	riders []*Rider
+	closed bool
+}
+
+// cohortBudget is the frame policy of a cohort sweep, fixed by (frames,
+// MaxRiders, Threads, maxSpan) alone: level 1 keeps frames − pool, and every
+// level-1 window boundary deals pool among the riders on board as a pure
+// function of their depths — never of who boarded first or when. What a
+// frame is worth decides the deal (§5.3, Equation 1): a last level streams
+// through 2 × threads frames and gains nothing from more, a middle level
+// makes fewer windows — each a whole last-level pass — with every frame it
+// gets.
+type cohortBudget struct {
+	// share is the equal share, pool / MaxRiders: what a full cohort of
+	// middle-level riders leaves each of them, hence the eligibility test
+	// (a plan that cannot run in share is not admitted) and the floor of
+	// every such rider's deal.
+	share int
+	// pool is the frames the deals of one boundary may sum to.
+	pool int
+	// threadShare sizes a rider's last-level stream: its part of the
+	// engine's threads when every seat is taken.
+	threadShare int
+	// maxSpan is the largest adjacency list in pages: the least any level
+	// can work with.
+	maxSpan int
+}
+
+func newCohortBudget(frames, maxRiders, threads, maxSpan int) cohortBudget {
+	share := (frames / 2) / maxRiders
+	return cohortBudget{share: share, pool: maxRiders * share,
+		threadShare: max(1, threads/maxRiders), maxSpan: maxSpan}
+}
+
+// levels splits frames over the k − 1 deep levels of a k-level plan by the
+// paper's allocation, each level raised to one maximal vertex: the one
+// source of a cohort rider's budgets, at admission (frames = share) and in
+// every deal.
+func (c cohortBudget) levels(frames, k int) ([]int, error) {
+	if k == 1 {
+		return nil, nil
+	}
+	deep, err := buffer.Allocate(frames, k-1, c.threadShare, 0)
+	if err == nil {
+		err = ensureSpanBudget(deep, frames, c.maxSpan)
+	}
+	return deep, err
+}
+
+// deal splits the pool among riders of the given plan depths, all of them
+// admitted (levels(share, k) holds): a one-level rider takes nothing; a
+// two-level rider, whose only deep level is the stream, keeps what a stream
+// can use — 2 × threadShare frames, one maximal vertex at least, its share
+// at most — while a rider with a middle level is on board to use the rest,
+// its whole share otherwise; the riders with a middle level divide equally
+// everything else: what empty seats, one- and two-level riders leave, never
+// less than share each.
+func (c cohortBudget) deal(depths []int) ([][]int, error) {
+	twoLevel, middle := 0, 0
+	for _, k := range depths {
+		switch {
+		case k == 2:
+			twoLevel++
+		case k > 2:
+			middle++
+		}
+	}
+	stream, deep := c.share, 0
+	if middle > 0 {
+		stream = min(c.share, max(2*c.threadShare, c.maxSpan))
+		deep = (c.pool - twoLevel*stream) / middle
+	}
+	out := make([][]int, len(depths))
+	for i, k := range depths {
+		frames := 0
+		switch {
+		case k == 2:
+			frames = stream
+		case k > 2:
+			frames = deep
+		}
+		var err error
+		if out[i], err = c.levels(frames, k); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // NewSweep plans a cohort scan: it takes the engine's run guard and applies
-// the cohort budget policy — riders share half the pool for their deep
-// levels, the sweep's level-1 windows get the rest. The partition is then a
-// pure function of the database layout and that budget, so it is identical
-// across sweeps of the same engine and independent of any rider's plan —
-// the property late-join correctness rests on.
+// the cohort budget policy — half the pool, in MaxRiders equal shares, is
+// the deep pool dealt among the riders on board at every window boundary
+// (cohortBudget), the sweep's level-1 windows get the rest. The partition is
+// then a pure function of the database layout and that level-1 budget, so it
+// is identical across sweeps of the same engine and independent of any
+// rider's plan or deal — the property late-join correctness rests on.
 func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 	if opts.MaxRiders < 1 {
 		opts.MaxRiders = 1
@@ -106,8 +202,8 @@ func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 	if !e.running.CompareAndSwap(false, true) {
 		return nil, ErrEngineBusy
 	}
-	riderShare := (e.frames / 2) / opts.MaxRiders
-	b1 := e.frames - opts.MaxRiders*riderShare
+	budget := newCohortBudget(e.frames, opts.MaxRiders, e.opts.Threads, e.maxSpan)
+	b1 := e.frames - budget.pool
 	if b1 < e.maxSpan {
 		e.running.Store(false)
 		return nil, fmt.Errorf("core: %d frames cannot give a shared sweep a %d-page level-1 budget beside %d riders; increase the buffer size",
@@ -119,7 +215,7 @@ func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 		e.running.Store(false)
 		return nil, err
 	}
-	s.riderFrames, s.maxRiders = riderShare, opts.MaxRiders
+	s.budget = budget
 	return s, nil
 }
 
@@ -147,10 +243,6 @@ func (e *Engine) newSweep(r *run, start int) (*Sweep, error) {
 // the cycle length every rider consumes exactly once.
 func (s *Sweep) Windows() int { return len(s.bounds) }
 
-// RiderFrames returns the deep-level frame share each cohort rider plans
-// against.
-func (s *Sweep) RiderFrames() int { return s.riderFrames }
-
 // Bounds returns the partition entry at index i.
 func (s *Sweep) Bounds(i int) WindowBounds { return s.bounds[i] }
 
@@ -176,13 +268,17 @@ func (w *SweepWindow) Pages() int { return len(w.lw.pages) }
 // ascending runs, split records merged, the run's overlay applied,
 // transient faults retried with the engine's window-retry budget. The window traces as level 1 of the sweep's run: window_open and
 // window_pinned (window_retry on retries) here, window_close at Release.
-// The third parameter has no effect; ROADMAP 5(d) removes it.
+// A load is the window boundary: no rider task is running and nothing below
+// level 1 is pinned, so a cohort's deep pool is dealt anew among the riders
+// on board first (deal). The third parameter has no effect; ROADMAP 5(d)
+// removes it.
 func (s *Sweep) Load(ctx context.Context, idx, _ int) (*SweepWindow, error) {
 	r := s.r
 	r.ctx = ctx // a cohort sweep's loads observe each caller's context
 	if err := r.gate(); err != nil {
 		return nil, err
 	}
+	s.deal()
 	b := s.bounds[idx]
 	w := &SweepWindow{index: idx, ord: s.ordBase + idx + 1, verts: r.e.all[b.Lo:b.Hi]}
 	r.openWindow(0, w.ord, w.verts)
@@ -194,6 +290,33 @@ func (s *Sweep) Load(ctx context.Context, idx, _ int) (*SweepWindow, error) {
 	}
 	w.lw = lw
 	return w, nil
+}
+
+// deal writes the boundary's budgets (cohortBudget.deal over the depths on
+// board) into the riders' runs, before the orchestrator starts their
+// ProcessWindow goroutines. A solo run's sweep of one has no riders on its
+// list and is never dealt.
+func (s *Sweep) deal() {
+	depths := make([]int, len(s.riders))
+	for i, rd := range s.riders {
+		depths[i] = rd.r.k
+	}
+	budgets, err := s.budget.deal(depths)
+	for i, rd := range s.riders {
+		if err != nil {
+			rd.r.fail(err) // unreachable for admitted riders: a deal is never below the share
+			continue
+		}
+		copy(rd.r.winBudget[1:], budgets[i])
+		rd.frames = max(rd.frames, sum(budgets[i]))
+	}
+}
+
+func sum(xs []int) (n int) {
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
 
 // Release unpins a delivered window. Every rider must have returned from
@@ -223,18 +346,20 @@ func (s *Sweep) Close() {
 }
 
 // Rider is one query riding a Sweep: a full run state (own worker pool,
-// own deep-level budget, own scope and spans, own path pins) whose level-1
-// windows arrive pinned from the sweep instead of being iterated by the run
-// itself. A rider consumes every partition window exactly once, in cycle
-// order from wherever it joined; commutativity of the per-window tallies
-// makes the total independent of the starting point. A solo run is the
+// own deep-level budget — on a cohort whatever the last boundary dealt it,
+// a function of the depths riding beside it — own scope and spans, own path
+// pins) whose level-1 windows arrive pinned from the sweep instead of being
+// iterated by the run itself. A rider consumes every partition window
+// exactly once, in cycle order from wherever it joined; commutativity of the
+// per-window tallies makes the total independent of the starting point, and
+// their being window-local makes it independent of the deals. A solo run is the
 // single rider of its own sweep of one — there rd.r is also the sweep's
 // run, so the windows it evaluates were loaded, traced and paid for under
 // its own identity.
 type Rider struct {
 	s         *Sweep
 	r         *run
-	frames    int // pool share reported as Result.BufferFrames
+	frames    int // Result.BufferFrames: the pool (solo) or the largest deal the rider had
 	startExec time.Time
 	rootSpan  uint64
 	levelEnd  func() // closes the level-1 span; nil once closed
@@ -249,14 +374,17 @@ type Rider struct {
 	closed      bool
 }
 
-// NewRider plans a cohort rider for spec on the sweep, under the cohort
-// budget policy: the rider's deep levels split its frame share with the
-// usual strategy, sized for its share of the engine's threads. Its worker
-// pool has all of them: riders of one sweep advance in lock step, so a
-// rider whose window is done leaves its cores to the ones still matching.
-// Resume and overlay specs (riders of one sweep share one snapshot and one
-// start) and plans whose deep levels cannot fit the per-rider frame share
-// return ErrRiderNotEligible (wrapped); the caller runs those solo.
+// NewRider boards a cohort rider for spec on the sweep. Its deep levels run
+// in what the cohort's deals give it (cohortBudget.deal): the first at once,
+// with the riders already on board, the next at every window boundary
+// (Load), until Close takes it off the list. Its worker pool has all of the
+// engine's threads: riders of one sweep advance in lock step, so a rider
+// whose window is done leaves its cores to the ones still matching. Resume
+// and overlay specs (riders of one sweep share one snapshot and one start)
+// and plans whose deep levels cannot fit the equal share — the least a deal
+// may leave them — return ErrRiderNotEligible (wrapped); the caller runs
+// those solo. Like Load, NewRider and Rider.Close belong to the sweep's
+// orchestrating goroutine.
 func (s *Sweep) NewRider(ctx context.Context, spec RunSpec) (*Rider, error) {
 	p, e := spec.Plan, s.r.e
 	if p == nil {
@@ -268,33 +396,29 @@ func (s *Sweep) NewRider(ctx context.Context, spec RunSpec) (*Rider, error) {
 	if spec.Overlay != nil && !spec.Overlay.Empty() {
 		return nil, fmt.Errorf("%w: a live-ingest overlay is one query's snapshot, the sweep's riders share its windows", ErrRiderNotEligible)
 	}
-	// alloc[0] stays 0: the rider never loads level 1 — the sweep owns
-	// those pins. Deep levels must each hold one maximal vertex.
-	alloc := make([]int, p.K)
-	if p.K > 1 {
-		deep, err := buffer.Allocate(s.riderFrames, p.K-1, max(1, e.opts.Threads/s.maxRiders), 0)
-		if err == nil {
-			err = ensureSpanBudget(deep, s.riderFrames, e.maxSpan)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRiderNotEligible, err)
-		}
-		copy(alloc[1:], deep)
+	if _, err := s.budget.levels(s.budget.share, p.K); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrRiderNotEligible, err)
 	}
-	return s.board(e.newRun(ctx, spec, alloc), s.riderFrames), nil
+	// winBudget[0] stays 0: the rider never loads level 1 — the sweep owns
+	// those pins.
+	rd := &Rider{s: s, r: e.newRun(ctx, spec, make([]int, p.K))}
+	s.riders = append(s.riders, rd)
+	s.deal()
+	return rd.board(), nil
 }
 
-// board starts r as a rider of the sweep: worker pool up, the run counted
-// and traced (run_start, the level-1 span).
-func (s *Sweep) board(r *run, frames int) *Rider {
+// board starts the rider: worker pool up, the run counted and traced
+// (run_start with the frames it boards on, the level-1 span).
+func (rd *Rider) board() *Rider {
+	r := rd.r
 	r.workers = newWorkerPool(r.e.opts.Threads, r.em.workerSubmitted, r.em.workerCompleted)
 	r.em.runs.Inc()
-	rd := &Rider{s: s, r: r, frames: frames, startExec: time.Now(), joinIndex: -1}
+	rd.startExec, rd.joinIndex = time.Now(), -1
 	r.querySpan = r.span()
 	if r.scope != nil {
 		rd.rootSpan = r.scope.RootSpan()
 	}
-	r.emit(obs.Event{Event: "run_start", Levels: r.k, Frames: frames,
+	r.emit(obs.Event{Event: "run_start", Levels: r.k, Frames: rd.frames,
 		Span: r.querySpan, Parent: rd.rootSpan})
 	rd.levelEnd = r.openLevel(0)
 	return rd
@@ -457,8 +581,8 @@ func (rd *Rider) endLevel() {
 }
 
 // Close releases the rider's worker pool (and closes its level-1 span if
-// Finish never did). Idempotent; call after Finish or after abandoning a
-// failed rider.
+// Finish never did) and takes a cohort rider off its sweep's list. Idempotent;
+// call after Finish or after abandoning a failed rider.
 func (rd *Rider) Close() {
 	if rd.closed {
 		return
@@ -466,4 +590,7 @@ func (rd *Rider) Close() {
 	rd.closed = true
 	rd.endLevel()
 	rd.r.workers.close()
+	if i := slices.Index(rd.s.riders, rd); i >= 0 {
+		rd.s.riders = slices.Delete(rd.s.riders, i, i+1) // off board: the next deal divides its frames
+	}
 }

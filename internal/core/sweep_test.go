@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"dualsim/internal/graph"
@@ -131,10 +133,13 @@ func TestSweepRidersMatchSolo(t *testing.T) {
 // rider that boards at window 1 consumes 1..w-1 then wraps to 0, the
 // window-0 rider detaches one boundary earlier, and both totals are
 // bit-identical to solo. Checkpoint emission follows the join rule: only
-// the window-0 rider has a solo-meaningful cursor.
+// the window-0 rider has a solo-meaningful cursor. Then a rider with a middle
+// level rides the same sweep alone, beside a two-level rider, and alone
+// again: every boundary deals it what the table says for who is on board,
+// and its count is the solo run's whatever schedule that made.
 func TestSweepLateJoinEarlyFinish(t *testing.T) {
-	tri := graph.Triangle()
-	e, solo := sweepFixture(t, 96, []*graph.Query{tri})
+	tri, clique := graph.Triangle(), graph.Clique4()
+	e, solo := sweepFixture(t, 96, []*graph.Query{tri, clique})
 
 	s, err := e.NewSweep(SweepOptions{MaxRiders: 2})
 	if err != nil {
@@ -206,6 +211,62 @@ func TestSweepLateJoinEarlyFinish(t *testing.T) {
 	if cpB != 0 {
 		t.Errorf("late joiner emitted %d checkpoints, want 0", cpB)
 	}
+
+	// 96 frames, 2 seats, 4 threads, single-page vertices: a pool of 48, a
+	// stream of 4.
+	if e.maxSpan != 1 {
+		t.Fatalf("fixture has %d-page vertices; the budgets below assume 1", e.maxSpan)
+	}
+	alone, beside := []int{0, 44, 4}, []int{0, 40, 4}
+	d, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, clique)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var two *Rider
+	for i := 0; i < w; i++ {
+		want := alone
+		if i == 1 {
+			// A two-level rider boards for one window and is abandoned.
+			if two, err = s.NewRider(ctx, RunSpec{Plan: mustPlan(t, tri)}); err != nil {
+				t.Fatal(err)
+			}
+			want = beside
+		}
+		sw, err := s.Load(ctx, i, 0)
+		if err != nil {
+			t.Fatalf("Load(%d): %v", i, err)
+		}
+		if got := d.r.winBudget; !slices.Equal(got, want) {
+			t.Errorf("window %d: the deep rider was dealt %v, want %v", i, got, want)
+		}
+		if i == 1 {
+			if got := two.r.winBudget; !slices.Equal(got, []int{0, 4}) {
+				t.Errorf("window %d: the two-level rider was dealt %v beside a middle level, want [0 4]", i, got)
+			}
+			if err := two.ProcessWindow(sw); err != nil {
+				t.Fatal(err)
+			}
+			two.Close()
+		}
+		if err := d.ProcessWindow(sw); err != nil {
+			t.Fatalf("ProcessWindow(%d): %v", i, err)
+		}
+		s.Release(sw)
+	}
+	resD, err := d.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resD.Count != solo[clique.Name()] {
+		t.Errorf("dealt rider counted %d, solo %d", resD.Count, solo[clique.Name()])
+	}
+	if resD.BufferFrames != 48 {
+		t.Errorf("dealt rider reports %d frames, want its largest deal, 48", resD.BufferFrames)
+	}
+	if n := e.PinnedFrames(); n != 0 {
+		t.Errorf("%d frames still pinned", n)
+	}
 }
 
 // TestSweepRiderEligibility: resume specs bounce with ErrRiderNotEligible
@@ -231,5 +292,114 @@ func TestSweepRiderEligibility(t *testing.T) {
 	s.Close()
 	if _, err := e.Run(tri); err != nil {
 		t.Fatalf("solo run after sweep close: %v", err)
+	}
+}
+
+// TestDealSplit pins the cohort deal as a pure function: the rows the issue
+// sized it on, then its invariants over every admissible cohort of
+// frames 8–64 × MaxRiders 1–4 × Threads 1–4 × maxSpan 1–3 × every multiset of
+// depths 1–4 that fits the seats.
+func TestDealSplit(t *testing.T) {
+	for _, row := range []struct {
+		frames, maxRiders, threads, maxSpan int
+		depths                              []int
+		want                                [][]int
+	}{
+		{22, 2, 2, 1, []int{2, 3}, [][]int{{2}, {6, 2}}}, // concurrent_mix: q1 or q3 beside q4
+		{22, 2, 2, 1, []int{3}, [][]int{{8, 2}}},         // q4 alone: the empty seat's share too
+		{22, 2, 2, 1, []int{2}, [][]int{{5}}},            // nobody to use the rest: the share
+		{22, 2, 2, 1, []int{2, 2}, [][]int{{5}, {5}}},
+		{22, 2, 2, 1, []int{3, 3}, [][]int{{3, 2}, {3, 2}}}, // a full deep cohort: the parent's split
+		{22, 2, 2, 1, []int{1, 3}, [][]int{nil, {8, 2}}},
+		{64, 4, 4, 2, []int{2, 2, 4}, [][]int{{2}, {2}, {17, 9, 2}}},
+		{64, 4, 4, 3, []int{2, 3, 3}, [][]int{{3}, {11, 3}, {11, 3}}}, // every stream holds one maximal vertex
+	} {
+		c := newCohortBudget(row.frames, row.maxRiders, row.threads, row.maxSpan)
+		got, err := c.deal(row.depths)
+		if err != nil {
+			t.Fatalf("%+v: %v", row, err)
+		}
+		if !reflect.DeepEqual(got, row.want) {
+			t.Errorf("deal(%d frames, %d seats, %d threads, span %d, depths %v) = %v, want %v",
+				row.frames, row.maxRiders, row.threads, row.maxSpan, row.depths, got, row.want)
+		}
+	}
+
+	deals := 0
+	for frames := 8; frames <= 64; frames++ {
+		for maxRiders := 1; maxRiders <= 4; maxRiders++ {
+			for threads := 1; threads <= 4; threads++ {
+				for maxSpan := 1; maxSpan <= 3; maxSpan++ {
+					c := newCohortBudget(frames, maxRiders, threads, maxSpan)
+					var admitted []int // the depths NewRider lets on board
+					for k := 1; k <= 4; k++ {
+						if _, err := c.levels(c.share, k); err == nil {
+							admitted = append(admitted, k)
+						}
+					}
+					var walk func(depths []int)
+					walk = func(depths []int) {
+						checkDeal(t, c, depths)
+						deals++
+						if len(depths) == maxRiders {
+							return
+						}
+						for _, k := range admitted {
+							if n := len(depths); n == 0 || k >= depths[n-1] {
+								walk(append(depths[:n:n], k))
+							}
+						}
+					}
+					walk(nil)
+				}
+			}
+		}
+	}
+	if deals < 10000 {
+		t.Fatalf("only %d deals checked", deals)
+	}
+}
+
+// checkDeal holds one deal to the invariants of cohortBudget.
+func checkDeal(t *testing.T, c cohortBudget, depths []int) {
+	t.Helper()
+	got, err := c.deal(depths)
+	if err != nil {
+		t.Fatalf("%+v %v: an admitted cohort cannot be dealt: %v", c, depths, err)
+	}
+	if again, _ := c.deal(depths); !reflect.DeepEqual(got, again) {
+		t.Fatalf("%+v %v: dealt %v, then %v", c, depths, got, again)
+	}
+	total, middle := 0, false
+	for _, k := range depths {
+		middle = middle || k > 2
+	}
+	for i, k := range depths {
+		if len(got[i]) != k-1 {
+			t.Fatalf("%+v %v: rider %d has budgets %v for %d deep levels", c, depths, i, got[i], k-1)
+		}
+		for _, b := range got[i] {
+			if b < c.maxSpan {
+				t.Errorf("%+v %v: rider %d dealt %v, a level below one maximal vertex", c, depths, i, got[i])
+			}
+		}
+		n := sum(got[i])
+		total += n
+		floor, _ := c.levels(c.share, k)
+		switch {
+		case k > 2 && n < sum(floor):
+			t.Errorf("%+v %v: rider %d dealt %v, below the %v it was admitted on", c, depths, i, got[i], floor)
+		case k == 2 && !middle && n != c.share:
+			t.Errorf("%+v %v: two-level rider %d dealt %v with nobody to use the rest of its share", c, depths, i, got[i])
+		case k == 2 && n > c.share:
+			t.Errorf("%+v %v: two-level rider %d dealt %v, above its share", c, depths, i, got[i])
+		}
+		// A rider's deal is a function of the depths beside it, not of its seat.
+		if j := slices.Index(depths, k); !reflect.DeepEqual(got[i], got[j]) {
+			t.Errorf("%+v %v: riders %d and %d have one depth and deals %v, %v", c, depths, j, i, got[j], got[i])
+		}
+	}
+	if total > c.pool {
+		t.Errorf("%+v %v: dealt %v, %d frames of a pool of %d", c, depths, got, total, c.pool)
 	}
 }

@@ -323,7 +323,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// run executes the spec: solo on the acquired engine, or as a cohort
 	// rider. A bounced rider (ErrNotEligible — the plan is too deep for
-	// the rider frame share, or the scheduler is closing) falls back to a
+	// the equal share of the cohort's deep pool, or the scheduler is
+	// closing) falls back to a
 	// late solo admission so the client never sees an eligibility error.
 	run := func(ctx context.Context, sp core.RunSpec) (*core.Result, error) {
 		if eng != nil {

@@ -27,16 +27,22 @@ import (
 
 // ErrNotEligible marks failures the caller should resolve by running the
 // query on a solo engine instead: resume replays, plans too deep for the
-// rider frame share, a closed scheduler, or a sweep that failed for
+// equal share of the deep pool (the least a deal may leave a rider, see
+// Options.MaxRiders), a closed scheduler, or a sweep that failed for
 // reasons unrelated to the query. It aliases core.ErrRiderNotEligible so
 // one errors.Is check covers both layers.
 var ErrNotEligible = core.ErrRiderNotEligible
 
 // Options configures a Scheduler.
 type Options struct {
-	// MaxRiders bounds cohort size (default 4). The cohort engine's frames
-	// are split between the sweep's level-1 budget and MaxRiders deep-level
-	// shares, so admission above the bound waits for a seat.
+	// MaxRiders bounds cohort size (default 4); admission above the bound
+	// waits for a seat. It also fixes the frame split: the sweep's level-1
+	// budget, and a deep pool of MaxRiders equal shares that the sweep deals
+	// among the riders on board at every window boundary (core.SweepOptions)
+	// — a last-level stream keeps what it can use, the riders with a middle
+	// level divide the rest. The deals of a boundary never exceed the pool,
+	// and a rider with a middle level is never dealt less than the equal
+	// share it was admitted on.
 	MaxRiders int
 	// FormationWait is the admission-batching delay before a fresh sweep
 	// loads its first window, letting near-simultaneous arrivals board
@@ -169,6 +175,8 @@ type activeRider struct {
 	pr    *pendingRider
 	rider *core.Rider
 	err   error
+	// booked is the rider's SharedPages already added to the cohort ledger.
+	booked uint64
 }
 
 // Run executes spec as a cohort rider and blocks until the rider's cycle
@@ -297,7 +305,13 @@ func (s *Scheduler) runSweep(sweep *core.Sweep) {
 			}()
 		}
 		wg.Wait()
-		s.sharedPages.Add(uint64(sw.Pages()) * uint64(len(riders)))
+		// The ledger is what the riders booked: one that returned at its gate
+		// (cancelled, or failed already) consumed nothing of this window.
+		for _, ar := range riders {
+			now := ar.rider.SharedPages()
+			s.sharedPages.Add(now - ar.booked)
+			ar.booked = now
+		}
 		sweep.Release(sw)
 		kept := riders[:0]
 		for _, ar := range riders {

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dualsim/internal/buffer"
 	"dualsim/internal/core"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
@@ -16,11 +18,12 @@ import (
 	"dualsim/internal/storage"
 )
 
-func buildDB(t *testing.T, g *graph.Graph, pageSize int) *storage.DB {
+func buildDB(t *testing.T, g *graph.Graph, opts storage.BuildOptions) *storage.DB {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.db")
-	if _, err := storage.BuildFromGraph(path, g, storage.BuildOptions{PageSize: pageSize, TempDir: dir}); err != nil {
+	opts.TempDir = dir
+	if _, err := storage.BuildFromGraph(path, g, opts); err != nil {
 		t.Fatal(err)
 	}
 	db, err := storage.Open(path)
@@ -78,11 +81,14 @@ func soloBaseline(t *testing.T, db *storage.DB, frames int, queries []*graph.Que
 // TestSchedulerConcurrentCountsMatchSolo runs a mixed batch of concurrent
 // queries through the scheduler and checks every count is bit-identical to
 // its solo baseline, the cohort counters move, and the attribution
-// invariant holds (sweep scope owns exactly the pool's physical reads).
+// invariant holds (sweep scope owns exactly the pool's physical reads). One
+// more rider is cancelled between its first window and its second, where it
+// returns at its gate: the cohort ledger counts what riders booked, so
+// dualsim_shared_pages_total stays the sum of the riders' SharedPages.
 func TestSchedulerConcurrentCountsMatchSolo(t *testing.T) {
 	const frames = 96
 	g := randomGraph(42, 2000, 8000)
-	db := buildDB(t, g, 256)
+	db := buildDB(t, g, storage.BuildOptions{PageSize: 256})
 	queries := []*graph.Query{graph.Triangle(), graph.Square(), graph.House()}
 	solo, _ := soloBaseline(t, db, frames, queries)
 
@@ -99,16 +105,38 @@ func TestSchedulerConcurrentCountsMatchSolo(t *testing.T) {
 	var wg sync.WaitGroup
 	results := make([]*core.Result, n)
 	errs := make([]error, n)
+	scopes := make([]*obs.Scope, n+1)
+	for i := range scopes {
+		scopes[i] = obs.NewScope("")
+	}
+	// The rider to cancel starts the sweep, so it boards at window 0 and its
+	// first window ends in a checkpoint: cancelling there lets that window
+	// settle and fails the rider at the gate of the next.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancelledErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, cancelledErr = sched.Run(ctx, core.RunSpec{Plan: mustPlan(t, queries[0]), Scope: scopes[n],
+			OnCheckpoint: func(core.Checkpoint) { cancel() }})
+	}()
+	for sched.Stats().RidersTotal == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			q := queries[i%len(queries)]
 			results[i], errs[i] = sched.Run(context.Background(),
-				core.RunSpec{Plan: mustPlan(t, q), Scope: obs.NewScope("")})
+				core.RunSpec{Plan: mustPlan(t, q), Scope: scopes[i]})
 		}(i)
 	}
 	wg.Wait()
+	if !errors.Is(cancelledErr, context.Canceled) {
+		t.Fatalf("cancelled rider: err = %v, want context.Canceled", cancelledErr)
+	}
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("rider %d: %v", i, errs[i])
@@ -119,8 +147,8 @@ func TestSchedulerConcurrentCountsMatchSolo(t *testing.T) {
 		}
 	}
 	st := sched.Stats()
-	if st.RidersTotal != n {
-		t.Errorf("riders_total = %d, want %d", st.RidersTotal, n)
+	if st.RidersTotal != n+1 {
+		t.Errorf("riders_total = %d, want %d", st.RidersTotal, n+1)
 	}
 	if st.ActiveRiders != 0 {
 		t.Errorf("active_riders = %d after drain, want 0", st.ActiveRiders)
@@ -130,6 +158,16 @@ func TestSchedulerConcurrentCountsMatchSolo(t *testing.T) {
 	}
 	if got, want := st.SweepPagesRead, eng.PoolStats().PhysicalReads; got != want {
 		t.Errorf("sweep-owned pages_read = %d, pool physical reads = %d", got, want)
+	}
+	var booked uint64
+	for _, sc := range scopes {
+		booked += sc.SharedPages.Load()
+	}
+	if scopes[n].SharedPages.Load() == 0 {
+		t.Error("the cancelled rider booked no shared window before its cancel")
+	}
+	if got := reg.Snapshot().Counters["dualsim_shared_pages_total"]; got != booked || st.SharedPages != booked {
+		t.Errorf("dualsim_shared_pages_total = %d (stats %d), the riders booked %d", got, st.SharedPages, booked)
 	}
 }
 
@@ -145,7 +183,7 @@ func TestSchedulerConcurrentCountsMatchSolo(t *testing.T) {
 func TestSchedulerSharedReadsSublinear(t *testing.T) {
 	const frames = 640 // fixture is 394 pages; level-1 budget still splits the cycle
 	g := randomGraph(7, 2000, 8000)
-	db := buildDB(t, g, 256)
+	db := buildDB(t, g, storage.BuildOptions{PageSize: 256})
 	tri := graph.Triangle()
 	solo, soloPages := soloBaseline(t, db, frames, []*graph.Query{tri})
 	if soloPages == 0 {
@@ -194,7 +232,7 @@ func TestSchedulerSharedReadsSublinear(t *testing.T) {
 // queue cleanly, and Close refuses new work.
 func TestSchedulerLifecycle(t *testing.T) {
 	g := randomGraph(3, 500, 2000)
-	db := buildDB(t, g, 256)
+	db := buildDB(t, g, storage.BuildOptions{PageSize: 256})
 	eng, err := core.NewEngine(db, core.Options{Threads: 2, BufferFrames: 96})
 	if err != nil {
 		t.Fatal(err)
@@ -224,4 +262,114 @@ func TestSchedulerLifecycle(t *testing.T) {
 		t.Fatalf("closed scheduler: err = %v, want ErrNotEligible", err)
 	}
 	sched.Close() // idempotent
+}
+
+// dealGraph is the fixture of the cohort deal: a sparse random graph with two
+// hubs whose lists span pages on both layouts below, so every level of every
+// deal has to hold a multi-page vertex.
+func dealGraph() *graph.Graph {
+	const n = 160
+	rng := rand.New(rand.NewSource(23))
+	var edges [][2]graph.VertexID
+	add := func(u, v int) {
+		if u != v {
+			edges = append(edges, [2]graph.VertexID{graph.VertexID(u), graph.VertexID(v)})
+		}
+	}
+	for i := 0; i < 4*n; i++ {
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	for _, hub := range []int{40, 110} {
+		for i := 0; i < 60; i++ {
+			add(hub, rng.Intn(n))
+		}
+	}
+	add(40, 110)
+	return graph.MustNewGraph(n, edges)
+}
+
+// TestCohortDealExactBudget rides q1, q4, q5 and q2 — a stream only, and
+// three plans with a middle level — through the scheduler in a pool that
+// holds exactly the cohort's frames, at the tightest admissible size: the
+// equal share is one maximal vertex per deep level. Riders ask for seats a
+// window or two apart (and, with 2 seats, wait for one), so riders board and
+// leave at different boundaries and every deal shrinks and grows mid-cycle;
+// four I/O workers with a per-page latency land pages out of order. A deal
+// that summed to one frame more than the pool would fail a run with
+// buffer.ErrNoFreeFrame. Counts must equal brute force and nothing may stay
+// pinned. Run with -race -count=20 (make check does).
+func TestCohortDealExactBudget(t *testing.T) {
+	g := dealGraph()
+	qs := graph.PaperQueries()
+	queries := []*graph.Query{qs[0], qs[3], qs[4], qs[1]} // q1, q4, q5, q2
+	want := make([]uint64, len(queries))
+	plans := make([]*plan.Plan, len(queries))
+	for i, q := range queries {
+		want[i], plans[i] = graph.CountOccurrences(g, q), mustPlan(t, q)
+	}
+	for _, layout := range []struct {
+		pageSize int
+		compress bool
+	}{{128, false}, {64, true}} {
+		db := buildDB(t, g, storage.BuildOptions{PageSize: layout.pageSize, SkipReorder: true, Compress: layout.compress})
+		maxSpan := 0
+		for v := 0; v < db.NumVertices(); v++ {
+			first, last := db.SpanOf(graph.VertexID(v))
+			maxSpan = max(maxSpan, int(last-first)+1)
+		}
+		if maxSpan < 2 {
+			t.Fatalf("pageSize=%d: no multi-page vertex", layout.pageSize)
+		}
+		for _, maxRiders := range []int{2, 4} {
+			share := 2 * maxSpan // one maximal vertex for each deep level of q4, q5 and q2
+			frames := 2 * maxRiders * share
+			eng, err := core.NewEngine(db, core.Options{Threads: 2, IOWorkers: 4, BufferFrames: frames,
+				PerPageLatency: 5 * time.Microsecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.BufferFrames() != frames || frames >= db.NumPages() {
+				t.Fatalf("pageSize=%d seats=%d: asked for %d frames of %d pages, the engine holds %d; the pool must hold exactly the budget, below the graph",
+					layout.pageSize, maxRiders, frames, db.NumPages(), eng.BufferFrames())
+			}
+			sched := New(eng, Options{MaxRiders: maxRiders})
+			var wg sync.WaitGroup
+			var grown atomic.Bool // a rider with a middle level was dealt more than the equal share
+			for round := 0; round < 2; round++ {
+				for i := range queries {
+					i := (i + round) % len(queries)
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						res, err := sched.Run(context.Background(), core.RunSpec{Plan: plans[i]})
+						switch {
+						case errors.Is(err, buffer.ErrNoFreeFrame):
+							t.Errorf("pageSize=%d seats=%d %s: a deal overran the pool: %v", layout.pageSize, maxRiders, queries[i].Name(), err)
+						case err != nil:
+							t.Errorf("pageSize=%d seats=%d %s: %v", layout.pageSize, maxRiders, queries[i].Name(), err)
+						case res.Count != want[i]:
+							t.Errorf("pageSize=%d seats=%d %s: count %d (windows %v), brute force %d",
+								layout.pageSize, maxRiders, queries[i].Name(), res.Count, res.WindowsPerLevel, want[i])
+						case plans[i].K > 2 && res.BufferFrames > share:
+							grown.Store(true)
+						}
+					}()
+					// The next rider asks for a seat a boundary or two later.
+					next := sched.Stats().SharedWindows + uint64(1+i%2)
+					for wait := time.Now(); sched.Stats().SharedWindows < next && time.Since(wait) < time.Second; {
+						time.Sleep(50 * time.Microsecond)
+					}
+				}
+			}
+			wg.Wait()
+			sched.Close()
+			if !grown.Load() {
+				t.Errorf("pageSize=%d seats=%d: no rider with a middle level was ever dealt more than the equal share", layout.pageSize, maxRiders)
+			}
+			if n := eng.PinnedFrames(); n != 0 {
+				t.Errorf("pageSize=%d seats=%d: %d frames still pinned", layout.pageSize, maxRiders, n)
+			}
+			eng.Close()
+		}
+	}
 }
