@@ -76,10 +76,13 @@ metrics-doc-check:
 # per-assignment list cache, which is per task and must never outlive a
 # window's pins — and the cohort deal: budgets rewritten at every window
 # boundary while riders board and leave, in a pool of exactly the frames
-# dealt.
+# dealt — and the delivery of embeddings: task-local batches handed to the
+# row hook from every worker at once, each row once (a retried pass
+# included), a window's rows before its checkpoint, the server's cut at the
+# row limit inside a batch, the library's one-caller-at-a-time contract.
 check: lint bench-module
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayStreamDispatch|TestStream|TestDealSplit|TestCohortDealExactBudget|TestSweepLateJoinEarlyFinish' ./internal/core ./internal/sharedscan
+	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayStreamDispatch|TestStream|TestDealSplit|TestCohortDealExactBudget|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestEnumerateContract' ./internal/core ./internal/sharedscan ./internal/server .
 
 # bench-module vets and tests benchmark/, which is its own Go module
 # (replace dualsim => ../): the root ./... patterns never compile it, so

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -160,6 +161,33 @@ func TestCmdQueryHumanOutput(t *testing.T) {
 	}
 	if want := "query q1-triangle: 2 occurrences"; !strings.Contains(out, want) {
 		t.Errorf("output %q missing %q", out, want)
+	}
+}
+
+// TestCmdQueryPrint: `run -print` writes one line per embedding, in
+// fmt.Println's form, before the summary.
+func TestCmdQueryPrint(t *testing.T) {
+	dbPath := buildTestDB(t)
+	var cmdErr error
+	out := captureStdout(t, func() {
+		cmdErr = cmdQuery([]string{"-db", dbPath, "-q", "q1", "-frames", "8", "-print"})
+	})
+	if cmdErr != nil {
+		t.Fatal(cmdErr)
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	rows := map[string]bool{}
+	for _, line := range lines {
+		if strings.HasPrefix(line, "[") {
+			var a, b, c int
+			if _, err := fmt.Sscanf(line, "[%d %d %d]", &a, &b, &c); err != nil {
+				t.Errorf("row %q is not a printed triangle: %v", line, err)
+			}
+			rows[line] = true
+		}
+	}
+	if len(rows) != 2 || !strings.Contains(out, "query q1-triangle: 2 occurrences") {
+		t.Errorf("want two distinct triangles and the summary, got:\n%s", out)
 	}
 }
 

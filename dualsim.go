@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -503,12 +504,15 @@ func (d *DB) EnumerateContext(ctx context.Context, q *Query, opt Options, fn fun
 		defer srv.Close()
 	}
 	var mu sync.Mutex
-	res, err := eng.RunSpecContext(ctx, core.RunSpec{Plan: p, OnMatch: func(m []graph.VertexID) {
-		cp := make(Embedding, len(m))
-		copy(cp, m)
+	res, err := eng.RunSpecContext(ctx, core.RunSpec{Plan: p, OnRows: func(rows []graph.VertexID, width int) {
+		// One copy and one lock per batch: each embedding is fn's own, cut
+		// to its width so that an append to one cannot reach the next.
+		own := slices.Clone(rows)
 		mu.Lock()
-		fn(cp)
-		mu.Unlock()
+		defer mu.Unlock()
+		for ; len(own) > 0; own = own[width:] {
+			fn(Embedding(own[:width:width]))
+		}
 	}})
 	if err != nil {
 		return nil, err

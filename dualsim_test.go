@@ -11,8 +11,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"dualsim/internal/graph"
 )
 
 func randomEdges(rng *rand.Rand, n, m int) [][2]VertexID {
@@ -116,6 +121,65 @@ func TestEnumerateCallback(t *testing.T) {
 	for _, m := range got {
 		if len(m) != 3 {
 			t.Fatalf("embedding %v has wrong arity", m)
+		}
+	}
+}
+
+// TestEnumerateContract holds Enumerate to what its comment promises now
+// that embeddings arrive from the engine in batches: under four threads fn is
+// never entered by two goroutines at once, every Embedding is fn's own — all
+// are kept, one is appended to, and after the run they are still exactly the
+// brute-force embeddings, each once — and printed the way `dualsim run
+// -print` prints them they are, line for line, a permutation of what one
+// fmt.Println per brute-force embedding writes. Run with -race -count=20
+// (make check does).
+func TestEnumerateContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	n := 200
+	edges := randomEdges(rng, n, 1500)
+	// SkipReorder: the embeddings are in the edge list's own vertex IDs.
+	db := buildAndOpen(t, n, edges, BuildOptions{PageSize: 256, SkipReorder: true})
+	g, err := graph.NewGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*Query{Triangle(), House()} {
+		var want []string
+		graph.BruteForceEnumerate(g, q, graph.SymmetryBreak(q), func(m []VertexID) bool {
+			want = append(want, fmt.Sprintln(m))
+			return true
+		})
+		slices.Sort(want)
+
+		var inside atomic.Bool
+		var overlaps int
+		var kept []Embedding
+		res, err := db.Enumerate(q, Options{Threads: 4, BufferFrames: 24}, func(m Embedding) {
+			if !inside.CompareAndSwap(false, true) {
+				overlaps++
+			}
+			kept = append(kept, m)
+			_ = append(m, ^VertexID(0)) // must not reach the next embedding of the batch
+			runtime.Gosched()           // give a second caller its chance
+			inside.Store(false)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if overlaps > 0 {
+			t.Errorf("%s: fn entered %d times while another call was inside", q.Name(), overlaps)
+		}
+		if res.Level1Windows < 2 {
+			t.Fatalf("%s: %d level-1 windows, want several", q.Name(), res.Level1Windows)
+		}
+		got := make([]string, len(kept))
+		for i, m := range kept {
+			got[i] = fmt.Sprintln(m)
+		}
+		slices.Sort(got)
+		if uint64(len(got)) != res.Count || !slices.Equal(got, want) {
+			t.Errorf("%s: %d embeddings kept for a count of %d, brute force %d; as printed they are not the same lines",
+				q.Name(), len(got), res.Count, len(want))
 		}
 	}
 }

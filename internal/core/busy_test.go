@@ -114,7 +114,7 @@ func TestSharedPlanAcrossEngines(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRunSpecPerRunCallback verifies the per-run callback (RunSpec.OnMatch)
+// TestRunSpecPerRunCallback verifies the per-run callback (RunSpec.OnRows)
 // sees every embedding and is dropped after the run.
 func TestRunSpecPerRunCallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -132,9 +132,9 @@ func TestRunSpecPerRunCallback(t *testing.T) {
 
 	var mu sync.Mutex
 	var rows int
-	res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p, OnMatch: func(m []graph.VertexID) {
+	res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p, OnRows: func(batch []graph.VertexID, width int) {
 		mu.Lock()
-		rows++
+		rows += len(batch) / width
 		mu.Unlock()
 	}})
 	if err != nil {

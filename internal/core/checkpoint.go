@@ -48,16 +48,27 @@ var ErrBadCheckpoint = errors.New("core: checkpoint does not match the plan or d
 
 // RunSpec is the full description of one enumeration run
 // (Engine.RunSpecContext; Run, RunContext and RunPlanContext are shorthands
-// for the common cases): a per-run match callback, resuming from a
+// for the common cases): a per-run row callback, resuming from a
 // checkpoint, observing checkpoints as they are taken, attribution, or a
 // live-ingest overlay.
 type RunSpec struct {
 	// Plan is the prepared plan to execute (required).
 	Plan *plan.Plan
-	// OnMatch, when non-nil, is invoked for every embedding with the
-	// mapping m (query vertex -> data vertex). It is called concurrently
-	// from multiple workers and the slice is reused; copy it if retained.
-	OnMatch func(m []graph.VertexID)
+	// OnRows, when non-nil, receives the run's embeddings in batches:
+	// len(rows)/width of them back to back, width the plan's query vertex
+	// count, the data vertex of query vertex i in row j at rows[j*width+i].
+	// rows is the calling task's own buffer — valid only during the call,
+	// copy what is retained — and calls arrive concurrently from the run's
+	// workers. One call never mixes two tasks, hence never two windows; the
+	// order of rows and of calls is otherwise unspecified. A task hands over
+	// what it holds when it ends and the worker pool drains before a window
+	// settles, so every row of a level-1 window has been handed over before
+	// that window's OnCheckpoint — the order a resume relies on. A run that
+	// succeeds hands over every embedding exactly once, window and pass
+	// retries included (a retried last-level pass matches again what an
+	// earlier attempt delivered, for its tallies alone); a run that fails
+	// or is cancelled has handed over some of them, none twice.
+	OnRows func(rows []graph.VertexID, width int)
 	// Resume, when non-nil, replays the run from the checkpoint: windows
 	// before the cursor are skipped entirely (no page reads), counts start
 	// from the checkpoint's totals, and the remaining counts are

@@ -483,7 +483,7 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 		cand:         make([][]candSeq, len(p.Groups)),
 		winData:      make([]*levelWindow, p.K),
 		pathPinned:   make(map[storage.PageID]int),
-		onMatch:      spec.OnMatch,
+		onRows:       spec.OnRows,
 		onCheckpoint: spec.OnCheckpoint,
 		tracer:       e.tracer,
 		em:           e.em,
@@ -637,7 +637,9 @@ type run struct {
 	// completed level-1 window (orchestrator goroutine only).
 	onCheckpoint func(Checkpoint)
 
-	onMatch func([]graph.VertexID)
+	// onRows, when non-nil, is handed the embeddings a task found, a batch
+	// at a time (RunSpec.OnRows; matcher.handRows).
+	onRows func(rows []graph.VertexID, width int)
 }
 
 // emit forwards e to the run's tracer, stamping the scope's trace ID so

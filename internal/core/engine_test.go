@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -255,18 +256,19 @@ func TestEngineOnMatchEmitsValidEmbeddings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p, OnMatch: func(m []graph.VertexID) {
-		cp := make([]graph.VertexID, len(m))
-		copy(cp, m)
+	res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p, OnRows: func(rows []graph.VertexID, width int) {
+		cp := slices.Clone(rows)
 		mu.Lock()
-		seen = append(seen, cp)
+		for ; len(cp) > 0; cp = cp[width:] {
+			seen = append(seen, cp[:width])
+		}
 		mu.Unlock()
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if uint64(len(seen)) != res.Count {
-		t.Fatalf("OnMatch called %d times, count %d", len(seen), res.Count)
+		t.Fatalf("OnRows delivered %d rows, count %d", len(seen), res.Count)
 	}
 	// Validate each embedding and global uniqueness.
 	keys := map[string]bool{}

@@ -58,13 +58,31 @@ type matcher struct {
 
 	localInternal uint64
 	localExternal uint64
+
+	// deliver says the task's embeddings go to the run's row hook: the run
+	// has one, and the task is not a retried pass matching again what an
+	// earlier attempt handed over (see sentTasks). rows then collects them,
+	// back to back, until it holds rowCap of them or the task ends. rowCap
+	// doubles from one row to rowBatch with every handover and stays with the
+	// pooled matcher, so a run's first row leaves alone and its steady state
+	// is full batches.
+	deliver bool
+	rows    []graph.VertexID
+	rowCap  int
 }
+
+// rowBatch is the most embeddings a task collects before it hands them to
+// the run's row hook: enough that what the hook does once per call (a lock, a
+// write) is paid a few times per thousand rows, little enough that a batch
+// stays in cache and a consumer never waits long for rows that exist.
+const rowBatch = 512
 
 // newMatcher borrows a matcher from the run's pool for one task over lw.
 func (r *run) newMatcher(lw *levelWindow, internal bool) *matcher {
 	m := r.matchers.Get().(*matcher)
 	m.lw, m.internal, m.own, m.adjMask = lw, internal, nil, 0
 	m.localInternal, m.localExternal = 0, 0
+	m.deliver = r.onRows != nil
 	return m
 }
 
@@ -78,16 +96,29 @@ func (r *run) allocMatcher() any {
 		mapping: make([]graph.VertexID, n),
 		qPos:    make([]int, n),
 		arena:   graph.NewArena(),
+		rowCap:  1,
 	}
 }
 
-// flush publishes the task's local counters into its window's accumulators
-// (merged into the run totals and engine metrics only when the window
-// completes — see settleWindowCounts; window-local counts are what makes
-// whole-window retry idempotent) and the arena's kernel-selection counts
-// into the registry, then returns the matcher to the pool. Batching per
-// task keeps the per-embedding hot path free of shared-cacheline traffic.
+// handRows hands the embeddings collected so far to the run's row hook and
+// takes the buffer back.
+func (m *matcher) handRows() {
+	m.r.onRows(m.rows, len(m.mapping))
+	m.rows = m.rows[:0]
+	m.rowCap = min(2*m.rowCap, rowBatch)
+}
+
+// flush hands over the rows the task still holds, publishes its local
+// counters into its window's accumulators (merged into the run totals and
+// engine metrics only when the window completes — see settleWindowCounts;
+// window-local counts are what makes whole-window retry idempotent) and the
+// arena's kernel-selection counts into the registry, then returns the matcher
+// to the pool. Batching per task keeps the per-embedding hot path free of
+// shared-cacheline traffic.
 func (m *matcher) flush() {
+	if len(m.rows) > 0 {
+		m.handRows()
+	}
 	if m.localInternal > 0 {
 		m.lw.internal.Add(m.localInternal)
 	}
@@ -222,13 +253,15 @@ func (m *matcher) allInternal() bool {
 // just-landed last-level page, rooted at its overlay-merged list where the
 // run's snapshot touches it. Invoked on a worker while later pages of the
 // pass are still loading: lookups in the pass are restricted to this page
-// (see matcher.own).
-func (r *run) extMapPage(wp *windowPage, lw *levelWindow) {
+// (see matcher.own). mute matches for the tallies alone: an earlier attempt at
+// the pass handed this page's rows over.
+func (r *run) extMapPage(wp *windowPage, lw *levelWindow, mute bool) {
 	if r.doomed() {
 		return
 	}
 	m := r.newMatcher(lw, false)
 	m.own = wp
+	m.deliver = m.deliver && !mute
 	for i := range wp.page.Records {
 		rec := &wp.page.Records[i]
 		if rec.Continues || rec.Continuation {
@@ -248,12 +281,13 @@ func (r *run) extMapPage(wp *windowPage, lw *levelWindow) {
 }
 
 // extMapVertex roots the external traversal at one multi-page vertex with
-// its concatenated adjacency.
-func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWindow) {
+// its concatenated adjacency (mute as in extMapPage).
+func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWindow, mute bool) {
 	if r.doomed() {
 		return
 	}
 	m := r.newMatcher(lw, false)
+	m.deliver = m.deliver && !mute
 	r.extMapRecord(m, v, adj, graph.CompressedAdj{})
 	m.flush()
 }
@@ -476,8 +510,11 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 		} else {
 			m.localExternal++
 		}
-		if m.r.onMatch != nil {
-			m.r.onMatch(m.mapping)
+		if m.deliver {
+			m.rows = append(m.rows, m.mapping...)
+			if len(m.rows) >= m.rowCap*len(m.mapping) {
+				m.handRows()
+			}
 		}
 		return
 	}

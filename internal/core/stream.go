@@ -33,8 +33,12 @@ func (r *run) streamLevel() error {
 	}
 	ord := r.windowsPer[l] + 1
 	r.openWindow(l, ord, merged)
+	var sent *sentTasks
+	if r.onRows != nil {
+		sent = new(sentTasks)
+	}
 	lw, err := r.loadWindowWithRetry(l, ord, func() (*levelWindow, error) {
-		return r.streamPass(l, ord, merged)
+		return r.streamPass(l, ord, merged, sent)
 	})
 	if err != nil {
 		return err
@@ -48,6 +52,17 @@ func (r *run) streamLevel() error {
 	r.closeWindow(l, ord)
 	return r.firstErr()
 }
+
+// sentTasks is what the attempts of one pass share when the run has a row
+// hook: which matching tasks — pages by ordinal, then the multi-page
+// candidates in span order; every attempt plans the same ones — have ended.
+// A task runs to its end even while a transient fault fails its attempt, and
+// hands over every row it found before it reports that end; the attempt's
+// tallies are dropped, the rows are out. A later attempt therefore matches
+// such a task again for its tallies alone (matcher.deliver off), and a run
+// that absorbs the fault has still delivered every row once. Orchestrator
+// only, like everything of a pass but its channel.
+type sentTasks struct{ ended []bool }
 
 // stream is the state of one attempt at a last-level pass. Everything but
 // events belongs to the run's orchestrator: I/O workers and matching tasks
@@ -67,6 +82,8 @@ type stream struct {
 	// page one landing, one refused task and one task end, per span one task
 	// end.
 	events chan streamEvent
+	// sent is the pass's record of delivered tasks, nil without a row hook.
+	sent *sentTasks
 
 	free   int // frames of the level's budget not pinned by the pass
 	next   int // first ordinal not yet issued
@@ -86,8 +103,9 @@ type streamSpan struct {
 }
 
 // streamEvent is one report to the orchestrator: a refused matching task to
-// queue (task set), the end of a matching task (done; ord is its page, -1 for
-// a span's), or else the landing of page ord, indexed and ready when ok.
+// queue (task set), the end of a matching task (done; ord is its page, the
+// page count plus its index for a span's), or else the landing of page ord,
+// indexed and ready when ok.
 type streamEvent struct {
 	ord  int
 	ok   bool
@@ -97,13 +115,14 @@ type streamEvent struct {
 
 // streamPass is one attempt at a pass over merged. On failure everything it
 // issued has landed, every task it queued has ended, nothing stays pinned
-// and its tallies are dropped with it — what makes a retry idempotent.
-func (r *run) streamPass(l, ord int, merged []graph.VertexID) (*levelWindow, error) {
+// and its tallies are dropped with it; the rows its tasks handed over are
+// remembered in sent — what makes a retry idempotent.
+func (r *run) streamPass(l, ord int, merged []graph.VertexID, sent *sentTasks) (*levelWindow, error) {
 	lw := &levelWindow{verts: make([][]graph.VertexID, len(r.p.Groups))}
 	for g := range r.p.Groups {
 		lw.verts[g] = r.cand[g][l].slice(r.e.all)
 	}
-	s := &stream{r: r, lw: lw, free: r.winBudget[l]}
+	s := &stream{r: r, lw: lw, sent: sent, free: r.winBudget[l]}
 	s.plan(merged)
 	err := s.run()
 	r.bookLoad(l, ord, len(lw.pages), s.wait)
@@ -138,7 +157,13 @@ func (s *stream) plan(merged []graph.VertexID) {
 		}
 	}
 	s.events = make(chan streamEvent, 3*len(lw.pages)+len(s.spans))
+	if s.sent != nil && s.sent.ended == nil {
+		s.sent.ended = make([]bool, len(lw.pages)+len(s.spans))
+	}
 }
+
+// muted reports whether an earlier attempt at the pass saw task i end.
+func (s *stream) muted(i int) bool { return s.sent != nil && s.sent.ended[i] }
 
 // run drives the pass: issue while the budget allows, otherwise serve the
 // next report. Reads are issued once half the budget is free (or the rest of
@@ -230,8 +255,9 @@ func (s *stream) onPage(pid storage.PageID, page *storage.Page, err error) {
 	if err != nil {
 		return
 	}
+	mute := s.muted(o) // written by the orchestrator, but not before this task ends
 	task := func() {
-		r.extMapPage(wp, lw)
+		r.extMapPage(wp, lw, mute)
 		s.events <- streamEvent{ord: o, done: true}
 	}
 	if !r.workers.trySubmit(task) {
@@ -246,8 +272,11 @@ func (s *stream) handle(ev streamEvent) {
 		s.r.workers.submit(ev.task)
 	case ev.done:
 		s.tasks--
-		if ev.ord >= 0 {
+		if ev.ord < len(s.lw.pages) {
 			s.release(ev.ord)
+		}
+		if s.sent != nil {
+			s.sent.ended[ev.ord] = true
 		}
 	default:
 		s.landed++
@@ -259,9 +288,8 @@ func (s *stream) handle(ev streamEvent) {
 			return cmp.Compare(sp.last, o)
 		})
 		for ; i < len(s.spans) && s.spans[i].first <= ev.ord; i++ {
-			sp := &s.spans[i]
-			if sp.missing--; sp.missing == 0 {
-				s.root(sp)
+			if s.spans[i].missing--; s.spans[i].missing == 0 {
+				s.root(i)
 			}
 		}
 	}
@@ -285,8 +313,8 @@ func (s *stream) release(o int) {
 // list is assembled the way a window's side table is — chunks concatenated,
 // the overlay applied to the whole — from the span's pages alone. The list is
 // a copy, so the span is released before the task is even queued.
-func (s *stream) root(sp *streamSpan) {
-	r, lw := s.r, s.lw
+func (s *stream) root(i int) {
+	r, lw, sp := s.r, s.lw, &s.spans[i]
 	span := levelWindow{loaded: lw.loaded[sp.first : sp.last+1]}
 	r.buildSide(&span)
 	for o := sp.first; o <= sp.last; o++ {
@@ -299,9 +327,11 @@ func (s *stream) root(sp *streamSpan) {
 		return
 	}
 	e := span.side[0]
+	id := len(lw.pages) + i
+	mute := s.muted(id)
 	s.tasks++
 	r.workers.submit(func() {
-		r.extMapVertex(e.v, e.adj, lw)
-		s.events <- streamEvent{ord: -1, done: true}
+		r.extMapVertex(e.v, e.adj, lw, mute)
+		s.events <- streamEvent{ord: id, done: true}
 	})
 }

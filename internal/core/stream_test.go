@@ -152,9 +152,10 @@ func streamFaultTarget(t *testing.T, db *storage.DB, q *graph.Query, opts Option
 
 // TestStreamFaultMidPass: a transient fault on a page whose first reader is a
 // last-level pass is absorbed by re-running that pass — the failed attempt's
-// tallies dropped, its pins released — with the count unchanged; a permanent
-// fault on the same page fails the run on that read with nothing left
-// pinned.
+// tallies dropped, its pins released, the rows its tasks handed over not
+// handed over again — with the count unchanged and every embedding delivered
+// exactly once; a permanent fault on the same page fails the run on that read
+// with nothing left pinned.
 func TestStreamFaultMidPass(t *testing.T) {
 	g := streamGraph()
 	q := graph.Triangle()
@@ -166,7 +167,10 @@ func TestStreamFaultMidPass(t *testing.T) {
 		t.Fatalf("clean run counted %d, brute force %d", want, graph.CountOccurrences(g, q))
 	}
 
-	t.Run("transient", func(t *testing.T) {
+	// transient runs q with one transient fault on the page streamFaultTarget
+	// picks for it, a row hook set.
+	transient := func(t *testing.T, q *graph.Query, opts Options) {
+		want, target := streamFaultTarget(t, db, q, opts)
 		fdb := faultdb.Wrap(db, faultdb.Options{}).TransientPages(1, target)
 		var trace bytes.Buffer
 		tracer := obs.NewJSONLTracer(&trace)
@@ -177,13 +181,19 @@ func TestStreamFaultMidPass(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		res, err := e.Run(q)
+		p := mustPlan(t, q)
+		var sink rowSink
+		res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p, OnRows: sink.onRows})
 		if err != nil {
 			t.Fatalf("the pass retry should have absorbed the fault: %v", err)
 		}
 		if res.Count != want {
 			t.Errorf("count %d after a retried pass, want %d", res.Count, want)
 		}
+		if uint64(sink.n) != res.Count {
+			t.Errorf("%d rows handed over for a count of %d: a retried pass delivers no row twice", sink.n, res.Count)
+		}
+		requireRowsBelow(t, q.Name(), sink.seen, bruteRows(g, p), g.NumVertices())
 		if err := tracer.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -200,6 +210,12 @@ func TestStreamFaultMidPass(t *testing.T) {
 		if n := e.PinnedFrames(); n != 0 {
 			t.Errorf("%d frames still pinned after a retried pass", n)
 		}
+	}
+	t.Run("transient", func(t *testing.T) { transient(t, q, opts) })
+	t.Run("transient q4", func(t *testing.T) {
+		o := opts
+		o.BufferFrames = 4 * maxSpan // three levels: the pass runs under two windows
+		transient(t, graph.PaperQueries()[3], o)
 	})
 
 	t.Run("permanent", func(t *testing.T) {

@@ -519,7 +519,12 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 	if shared {
 		r.closeWindow(0, ord)
 	}
-	if err := r.firstErr(); err != nil {
+	// The gate, not just the error: a task that meets a dead context leaves
+	// the rest of its chunk without failing the run, and a row hook that has
+	// cancelled the run drops what arrives after. Neither may pass for a
+	// completed window — a settled count, a checkpoint beyond rows never
+	// delivered.
+	if err := r.gate(); err != nil {
 		return err
 	}
 	rd.processed++

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dualsim/internal/buildinfo"
@@ -497,12 +499,14 @@ func (s *Server) accountResume(resume *core.Checkpoint, err error) {
 // (or losing the client) cancels the run through its context, which
 // releases every buffer pin and returns the engine clean.
 //
-// Rows are flushed to the client together, not one write(2) each: with the
-// first row, and with any row written streamFlushInterval or more after the
-// previous flush. Resume-token lines and the final line flush at once, and a
-// checkpoint flushes rows still waiting, so none waits longer than one
-// level-1 window. A lost client cancels the run through the request
-// context, or at the first write after the flush that failed.
+// Rows reach the response a batch at a time (rowStream.onRows) and are
+// flushed to the client together, not one write(2) each: with the first
+// batch — a run's first is its first row alone — and with any batch written
+// streamFlushInterval or more after the previous flush. Resume-token lines
+// and the final line flush at once, and a checkpoint flushes rows still
+// waiting, so none waits longer than one level-1 window. A lost client
+// cancels the run through the request context, or at the first write after
+// the flush that failed.
 func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req QueryRequest,
 	q *graph.Query, perm []int, planKey string, cached bool,
 	spec core.RunSpec, probe bool,
@@ -516,71 +520,29 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	var mu sync.Mutex
-	var rows uint64
-	var lastFlush time.Time // zero until the first row goes out
-	unflushed := false
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-		lastFlush, unflushed = time.Now(), false
-	}
-	truncated := false
-	clientGone := false
-	spec.OnMatch = func(m []graph.VertexID) {
-		mu.Lock()
-		defer mu.Unlock()
-		if truncated || clientGone {
-			return
-		}
-		// Remap from the plan's (canonical) labeling to the request's: the
-		// data vertex for query vertex v sits at position perm[v].
-		row := make([]graph.VertexID, len(m))
-		for v := range row {
-			row[v] = m[perm[v]]
-		}
-		line, err := json.Marshal(row)
-		if err != nil {
-			return
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			clientGone = true
-			s.sm.disconnects.Inc()
-			cancelRun()
-			return
-		}
-		unflushed = true
-		if time.Since(lastFlush) >= streamFlushInterval {
-			flush()
-		}
-		rows++
-		s.sm.rowsStreamed.Inc()
-		if rows >= uint64(limit) {
-			truncated = true
-			cancelRun()
-		}
-	}
+	rs := &rowStream{sm: s.sm, w: w, perm: perm, limit: uint64(limit), cancelRun: cancelRun}
+	rs.flusher, _ = w.(http.Flusher)
+	spec.OnRows = rs.onRows
 
 	// Checkpoints arrive from the run's orchestrator at level-1 window
-	// boundaries, where counts are settled and deeper windows are closed.
-	// lastToken is retained even when the periodic record is suppressed
-	// (cadence, disconnect) so error lines and truncated trailers can still
-	// hand the client a restart point.
+	// boundaries, where counts are settled, deeper windows are closed and
+	// every row of the window has been through onRows. lastToken is retained
+	// even when the periodic record is suppressed (cadence, disconnect) so
+	// error lines and truncated trailers can still hand the client a restart
+	// point. A window that dropped a row never gets here: the drop follows
+	// the cancel, and a cancelled window fails its run instead of settling.
 	var lastToken string
 	sinceToken := 0
 	spec.OnCheckpoint = func(cp core.Checkpoint) {
 		tok := s.tokens.encode(resumePayload{V: resumeTokenVersion, Plan: planKey, CP: cp,
 			Trace: attr.traceID, Epoch: attr.epoch})
-		mu.Lock()
-		defer mu.Unlock()
+		rs.mu.Lock()
+		defer rs.mu.Unlock()
 		lastToken = tok
-		if unflushed && !clientGone {
-			flush()
+		if rs.unflushed && !rs.clientGone {
+			rs.flush()
 		}
-		if s.cfg.ResumeTokenEvery < 0 || truncated || clientGone {
+		if s.cfg.ResumeTokenEvery < 0 || rs.truncated || rs.clientGone {
 			return
 		}
 		sinceToken++
@@ -590,29 +552,30 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 		sinceToken = 0
 		line, _ := json.Marshal(resumeTokenLine{ResumeToken: tok})
 		if _, err := w.Write(append(line, '\n')); err != nil {
-			clientGone = true
-			s.sm.disconnects.Inc()
-			cancelRun()
+			rs.lostClient()
 			return
 		}
-		flush()
+		rs.flush()
 	}
 
 	res, err := run(runCtx, spec)
 	s.recordRunOutcome(res, err, probe)
 	s.accountResume(spec.Resume, err)
-	mu.Lock()
-	defer mu.Unlock()
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rows, truncated := rs.rows, rs.truncated
 	switch {
 	case err == nil:
-		s.settleQuery(attr, q.Name(), rows, statusOf(truncated), nil)
+		// Not truncated: the cut cancels the run before its window can
+		// settle, so a run that reaches the limit fails with the context's
+		// error even when the limit is the count.
+		s.settleQuery(attr, q.Name(), rows, "ok", nil)
 		trailer := QueryResponse{
 			Query:            q.Name(),
 			Count:            res.Count,
 			Internal:         res.Internal,
 			External:         res.External,
 			Rows:             rows,
-			Truncated:        truncated,
 			PlanCached:       cached,
 			PrepNS:           res.PrepTime.Nanoseconds(),
 			ExecNS:           res.ExecTime.Nanoseconds(),
@@ -637,12 +600,12 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 			Profile: attr.profile(nil), Done: true}
 		b, _ := json.Marshal(trailer)
 		_, _ = w.Write(append(b, '\n'))
-	case clientGone || r.Context().Err() != nil:
+	case rs.clientGone || r.Context().Err() != nil:
 		// Nobody is listening; nothing to write. If the disconnect surfaced
 		// through the request context rather than a failed write, it has not
 		// been counted yet.
 		s.settleQuery(attr, q.Name(), rows, "error", err)
-		if !clientGone {
+		if !rs.clientGone {
 			s.sm.disconnects.Inc()
 		}
 	default:
@@ -652,19 +615,115 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 		b, _ := json.Marshal(errorResponse{Error: err.Error(), ResumeToken: lastToken})
 		_, _ = w.Write(append(b, '\n'))
 	}
-	flush()
+	rs.flush()
 }
 
 // streamFlushInterval is how long after a flush further streamed rows are
 // held back to go out together (see streamEmbeddings).
 const streamFlushInterval = 2 * time.Millisecond
 
-// statusOf maps a finished stream to its slow-log status.
-func statusOf(truncated bool) string {
-	if truncated {
-		return "truncated"
+// rowStream is the response side of one embeddings stream: what the run's
+// workers, its orchestrator (checkpoints) and the handler share. mu guards
+// the writer and every field below it.
+type rowStream struct {
+	sm        *serverMetrics
+	w         http.ResponseWriter
+	flusher   http.Flusher // nil when the writer cannot flush
+	perm      []int        // request labeling: query vertex v's data vertex is at perm[v] of a row
+	limit     uint64
+	cancelRun context.CancelFunc
+
+	// stopped is truncated || clientGone, set with them under mu and read by
+	// the workers without it: a batch that arrives after either is dropped
+	// before it is encoded.
+	stopped atomic.Bool
+
+	mu         sync.Mutex
+	rows       uint64
+	lastFlush  time.Time // zero until the first batch goes out
+	unflushed  bool
+	truncated  bool
+	clientGone bool
+}
+
+// lineBufs recycles the buffers batches are encoded into. A new one holds a
+// full batch of a small query outright; anything wider grows it once.
+var lineBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 16<<10)
+	return &b
+}}
+
+// onRows is the run's row hook (core.RunSpec.OnRows): it encodes a batch on
+// the worker that found it, relabeled to the request's vertex numbering, and
+// takes the stream's lock once for what has to be serial — the cut at the row
+// limit, the write, the flush rule and the counters. Nothing here costs a
+// row an allocation, a lock or a look at the clock.
+func (rs *rowStream) onRows(rows []graph.VertexID, width int) {
+	if rs.stopped.Load() {
+		return
 	}
-	return "ok"
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
+	line := (*buf)[:0]
+	for row := rows; len(row) > 0; row = row[width:] {
+		line = append(line, '[')
+		for v, at := range rs.perm {
+			if v > 0 {
+				line = append(line, ',')
+			}
+			line = strconv.AppendUint(line, uint64(row[at]), 10)
+		}
+		line = append(line, ']', '\n')
+	}
+	*buf = line
+
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.stopped.Load() {
+		return // stopped while this batch was being encoded
+	}
+	n := uint64(len(rows) / width)
+	last := n >= rs.limit-rs.rows // the batch reaches the limit: cut it there
+	if last {
+		n = rs.limit - rs.rows
+		end := 0
+		for i := uint64(0); i < n; i++ {
+			end += bytes.IndexByte(line[end:], '\n') + 1
+		}
+		line = line[:end]
+	}
+	if _, err := rs.w.Write(line); err != nil {
+		rs.lostClient()
+		return
+	}
+	rs.rows += n
+	rs.sm.rowsStreamed.Add(n)
+	rs.unflushed = true
+	if time.Since(rs.lastFlush) >= streamFlushInterval {
+		rs.flush()
+	}
+	if last {
+		rs.truncated = true
+		rs.stopped.Store(true)
+		rs.cancelRun()
+	}
+}
+
+// flush pushes what has been written to the client. Callers hold mu.
+func (rs *rowStream) flush() {
+	if rs.flusher != nil {
+		rs.flusher.Flush()
+	}
+	rs.lastFlush, rs.unflushed = time.Now(), false
+}
+
+// lostClient books a write the client no longer took and cancels the run.
+// Callers hold mu.
+func (rs *rowStream) lostClient() {
+	rs.clientGone = true
+	rs.stopped.Store(true)
+	rs.sm.disconnects.Inc()
+	rs.cancelRun()
 }
 
 // writeRunError maps run failures onto HTTP statuses: client cancellations

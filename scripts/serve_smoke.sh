@@ -2,8 +2,9 @@
 # serve_smoke.sh — end-to-end smoke test of `dualsim serve`.
 #
 # Builds the CLI, builds a database from testdata/karate.txt, starts the
-# query service on a free port, queries it over HTTP, checks the metrics
-# endpoint, then delivers SIGTERM and requires a clean (exit 0) drain.
+# query service on a free port, queries it over HTTP — a count, then the
+# embeddings as a stream — checks the metrics endpoint, then delivers SIGTERM
+# and requires a clean (exit 0) drain.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,6 +51,24 @@ case "$resp" in
 *"\"count\":$expected"*) ;;
 *)
     echo "FAIL: response does not carry count=$expected" >&2
+    exit 1
+    ;;
+esac
+
+echo "== stream"
+# Every embedding once, as a row of its own, then the trailer.
+stream=$(curl -sSN -X POST "http://$addr/query" -d '{"query":"q1","mode":"embeddings"}')
+rows=$(printf '%s\n' "$stream" | grep -c '^\[' || true)
+distinct=$(printf '%s\n' "$stream" | grep '^\[' | sort -u | wc -l | tr -d ' ')
+echo "$rows rows, $distinct distinct"
+if [ "$rows" != "$expected" ] || [ "$distinct" != "$expected" ]; then
+    echo "FAIL: streamed $rows rows ($distinct distinct), want $expected" >&2
+    exit 1
+fi
+case "$(printf '%s\n' "$stream" | tail -n 1)" in
+*'"done":true'*) ;;
+*)
+    echo "FAIL: the stream does not end in a done trailer" >&2
     exit 1
     ;;
 esac
