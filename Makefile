@@ -79,10 +79,12 @@ metrics-doc-check:
 # dealt — and the delivery of embeddings: task-local batches handed to the
 # row hook from every worker at once, each row once (a retried pass
 # included), a window's rows before its checkpoint, the server's cut at the
-# row limit inside a batch, the library's one-caller-at-a-time contract.
+# row limit inside a batch, the library's one-caller-at-a-time contract —
+# and cohort boarding: a fresh sweep starts at once, so concurrent arrivals
+# share its reads only by late join, which the sublinear-pages tests pin.
 check: lint bench-module
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayStreamDispatch|TestStream|TestDealSplit|TestCohortDealExactBudget|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestEnumerateContract' ./internal/core ./internal/sharedscan ./internal/server .
+	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayStreamDispatch|TestStream|TestDealSplit|TestCohortDealExactBudget|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestEnumerateContract|TestSchedulerSharedReadsSublinear|TestE2ESharedScanSublinearPages' ./internal/core ./internal/sharedscan ./internal/server .
 
 # bench-module vets and tests benchmark/, which is its own Go module
 # (replace dualsim => ../): the root ./... patterns never compile it, so

@@ -112,10 +112,9 @@ func usageTo(w io.Writer) {
   dualsim run    -db <graph.db> -q <q1..q5|edge list> [-threads N] [-buffer F] [-frames N] [-timeout D]
                  [-retries N] [-print] [-json] [-profile] [-metrics-addr :8080] [-trace events.jsonl] [-progress 1s]
   dualsim serve  -db <graph.db> [-addr :8372] [-engines N] [-queue N] [-queue-wait D] [-row-limit N]
-                 [-plan-cache N] [-buffer F] [-frames N] [-threads N] [-drain-timeout D]
-                 [-trace spans.jsonl] [-slow-query D] [-slowlog-size N] [-slowlog-top N]
-                 [-share-scan] [-cohort-riders N] [-cohort-wait D]
-                 [-mutable] [-compact-every N] [-compact-compress]
+                 [-buffer F] [-frames N] [-threads N] [-drain-timeout D]
+                 [-trace spans.jsonl] [-slow-query D] [-share-scan] [-cohort-riders N]
+                 [-mutable] [-compact-every N]
   dualsim -version
   dualsim stats  -db <graph.db>
   dualsim verify -db <graph.db>
@@ -255,24 +254,17 @@ func cmdServe(args []string) error {
 	queue := fs.Int("queue", 0, "admission queue depth (0 = 4x engines)")
 	queueWait := fs.Duration("queue-wait", 0, "max time a queued request waits for an engine (0 = 2s)")
 	rowLimit := fs.Int("row-limit", 0, "cap on streamed embedding rows per request (0 = 100000)")
-	planCache := fs.Int("plan-cache", 0, "plan cache entries (0 = 64)")
 	buffer := fs.Float64("buffer", 0.15, "global buffer budget as a fraction of the database, divided across engines")
 	frames := fs.Int("frames", 0, "global buffer budget in frames (overrides -buffer), divided across engines")
 	threads := fs.Int("threads", 0, "worker threads per engine (0 = GOMAXPROCS/engines)")
 	retries := fs.Int("retries", 0, "retry transient read failures up to N times (0 = no retry layer)")
 	windowRetries := fs.Int("window-retries", 0, "reload a window up to N times when a transient fault outlives -retries (0 = off)")
-	resumeEvery := fs.Int("resume-every", 0, "emit a resume_token record every Nth checkpoint in embeddings streams (0 = every checkpoint, <0 = suppress)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "circuit-breaker open -> half-open delay (0 = 1s)")
 	traceFile := fs.String("trace", "", "write the service-wide JSONL span trace to this file (flushed on drain)")
 	slowQuery := fs.Duration("slow-query", 0, "slow-query log threshold (0 = 500ms, negative = record all)")
-	slowlogSize := fs.Int("slowlog-size", 0, "slow-query ring entries (0 = 64)")
-	slowlogTop := fs.Int("slowlog-top", 0, "heaviest-queries-by-pages leaderboard size (0 = 8)")
 	shareScan := fs.Bool("share-scan", false, "share one level-1 window sweep across concurrent queries (one big buffer, N riders)")
 	cohortRiders := fs.Int("cohort-riders", 0, "max queries riding one shared sweep (0 = 4; needs -share-scan)")
-	cohortWait := fs.Duration("cohort-wait", 0, "how long a fresh cohort holds the doors for more riders (0 = 10ms)")
 	mutable := fs.Bool("mutable", false, "enable live ingest: POST /edges applies edge inserts/deletes via a delta overlay, bumping the data epoch")
-	compactEvery := fs.Int("compact-every", 0, "overlay ops that trigger a background compaction into a fresh file (0 = manual via POST /admin/compact; needs -mutable)")
-	compactCompress := fs.Bool("compact-compress", false, "store compacted files delta+varint compressed")
+	compactEvery := fs.Int("compact-every", 0, "overlay ops that trigger a background compaction into a fresh file, in the db's own encoding (0 = manual via POST /admin/compact; needs -mutable)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to let in-flight queries finish after SIGTERM")
 	fs.Parse(args)
 	if *dbPath == "" {
@@ -293,23 +285,16 @@ func cmdServe(args []string) error {
 		engOpts.Retry = &dualsim.RetryPolicy{MaxRetries: *retries}
 	}
 	cfg := dualsim.ServerConfig{
-		Engines:             *engines,
-		QueueDepth:          *queue,
-		QueueWait:           *queueWait,
-		RowLimit:            *rowLimit,
-		PlanCacheSize:       *planCache,
-		ResumeTokenEvery:    *resumeEvery,
-		BreakerCooldown:     *breakerCooldown,
-		SlowQueryThreshold:  *slowQuery,
-		SlowLogSize:         *slowlogSize,
-		SlowLogTopK:         *slowlogTop,
-		ShareScan:           *shareScan,
-		CohortMaxRiders:     *cohortRiders,
-		CohortFormationWait: *cohortWait,
-		Mutable:             *mutable,
-		CompactEvery:        *compactEvery,
-		CompactCompress:     *compactCompress,
-		Engine:              engOpts,
+		Engines:            *engines,
+		QueueDepth:         *queue,
+		QueueWait:          *queueWait,
+		RowLimit:           *rowLimit,
+		SlowQueryThreshold: *slowQuery,
+		ShareScan:          *shareScan,
+		CohortMaxRiders:    *cohortRiders,
+		Mutable:            *mutable,
+		CompactEvery:       *compactEvery,
+		Engine:             engOpts,
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dualsim/internal/graph"
 )
@@ -404,6 +405,39 @@ func TestTraceWriterOption(t *testing.T) {
 	if res.Metrics == nil || res.Metrics.Counters["dualsim_embeddings_total"] != res.Count {
 		t.Errorf("metrics snapshot inconsistent with result: %+v", res.Metrics)
 	}
+}
+
+// TestNewServerRejectsEngineSinks: the engine template of a ServerConfig may
+// not set the sinks a Server has its own equivalent of — a per-engine
+// tracer would shadow ServerConfig.TraceWriter, progress would print for
+// every served run — and the refusal names the equivalent.
+func TestNewServerRejectsEngineSinks(t *testing.T) {
+	db := buildAndOpen(t, 50, randomEdges(rand.New(rand.NewSource(7)), 50, 200), BuildOptions{PageSize: 256})
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"MetricsAddr", Options{MetricsAddr: "127.0.0.1:0"}, "GET /metrics"},
+		{"TraceWriter", Options{TraceWriter: io.Discard}, "ServerConfig.TraceWriter"},
+		{"ProgressInterval", Options{ProgressInterval: time.Second}, "GET /stats"},
+		{"ProgressWriter", Options{ProgressWriter: io.Discard}, "GET /stats"},
+	} {
+		srv, err := db.NewServer(ServerConfig{Engines: 1, Engine: tc.opts})
+		if err == nil {
+			srv.Close()
+			t.Errorf("Engine.%s set: NewServer accepted it", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "Engine."+tc.name) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Engine.%s set: error %q does not name the field and %s", tc.name, err, tc.want)
+		}
+	}
+	srv, err := db.NewServer(ServerConfig{Engines: 1, TraceWriter: io.Discard, Engine: Options{Threads: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
 }
 
 func readEdges(t *testing.T, path string) [][2]VertexID {

@@ -359,7 +359,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !streaming {
 		res, err := run(runCtx, spec)
 		probeArmed = false
-		s.recordRunOutcome(res, err, probe)
+		s.recordRunOutcome(err, probe)
 		s.accountResume(resume, err)
 		if err != nil {
 			s.settleQuery(attr, q.Name(), 0, "error", err)
@@ -456,19 +456,14 @@ func (s *Server) emitSpan(e obs.Event) {
 	}
 }
 
-// recordRunOutcome feeds one settled run back to the breaker. Transient
-// storage faults are device trouble; a successful run whose buffer
-// pin-wait crossed the configured pressure threshold counts the same way.
+// recordRunOutcome feeds one settled run back to the breaker: a success is
+// a healthy outcome, a transient storage fault is device trouble.
 // Cancellations and corruption say nothing about device health — neutral,
 // though a probe slot still has to be released.
-func (s *Server) recordRunOutcome(res *core.Result, err error, probe bool) {
+func (s *Server) recordRunOutcome(err error, probe bool) {
 	switch {
-	case err == nil:
-		fault := s.cfg.BreakerPinWait > 0 && res != nil &&
-			time.Duration(res.IO.PinWaitNanos) >= s.cfg.BreakerPinWait
-		s.br.record(fault, probe)
-	case storage.IsTransient(err):
-		s.br.record(true, probe)
+	case err == nil || storage.IsTransient(err):
+		s.br.record(err != nil, probe)
 	default:
 		if probe {
 			s.br.cancelProbe()
@@ -492,8 +487,8 @@ func (s *Server) accountResume(resume *core.Checkpoint, err error) {
 
 // streamEmbeddings runs the query and writes one NDJSON line per embedding
 // ([v0,v1,...], query vertex i -> data vertex), then a QueryResponse
-// trailer. Every ResumeTokenEvery completed level-1 windows it interleaves
-// a {"resume_token": ...} record — an opaque signed checkpoint the client
+// trailer. After every completed level-1 window it interleaves a
+// {"resume_token": ...} record — an opaque signed checkpoint the client
 // can resubmit to continue the stream after a fault, a disconnect, or a
 // row-limit truncation. The stream is bounded by the row limit; hitting it
 // (or losing the client) cancels the run through its context, which
@@ -503,8 +498,8 @@ func (s *Server) accountResume(resume *core.Checkpoint, err error) {
 // flushed to the client together, not one write(2) each: with the first
 // batch — a run's first is its first row alone — and with any batch written
 // streamFlushInterval or more after the previous flush. Resume-token lines
-// and the final line flush at once, and a checkpoint flushes rows still
-// waiting, so none waits longer than one level-1 window. A lost client
+// and the final line flush at once, with any rows still waiting, so none
+// waits longer than one level-1 window. A lost client
 // cancels the run through the request context, or at the first write after
 // the flush that failed.
 func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req QueryRequest,
@@ -527,29 +522,20 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 	// Checkpoints arrive from the run's orchestrator at level-1 window
 	// boundaries, where counts are settled, deeper windows are closed and
 	// every row of the window has been through onRows. lastToken is retained
-	// even when the periodic record is suppressed (cadence, disconnect) so
-	// error lines and truncated trailers can still hand the client a restart
+	// even when the record is not written (truncation, disconnect) so error
+	// lines and truncated trailers can still hand the client a restart
 	// point. A window that dropped a row never gets here: the drop follows
 	// the cancel, and a cancelled window fails its run instead of settling.
 	var lastToken string
-	sinceToken := 0
 	spec.OnCheckpoint = func(cp core.Checkpoint) {
 		tok := s.tokens.encode(resumePayload{V: resumeTokenVersion, Plan: planKey, CP: cp,
 			Trace: attr.traceID, Epoch: attr.epoch})
 		rs.mu.Lock()
 		defer rs.mu.Unlock()
 		lastToken = tok
-		if rs.unflushed && !rs.clientGone {
-			rs.flush()
-		}
-		if s.cfg.ResumeTokenEvery < 0 || rs.truncated || rs.clientGone {
+		if rs.truncated || rs.clientGone {
 			return
 		}
-		sinceToken++
-		if sinceToken < s.cfg.ResumeTokenEvery {
-			return
-		}
-		sinceToken = 0
 		line, _ := json.Marshal(resumeTokenLine{ResumeToken: tok})
 		if _, err := w.Write(append(line, '\n')); err != nil {
 			rs.lostClient()
@@ -559,7 +545,7 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 	}
 
 	res, err := run(runCtx, spec)
-	s.recordRunOutcome(res, err, probe)
+	s.recordRunOutcome(err, probe)
 	s.accountResume(spec.Resume, err)
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -727,13 +713,16 @@ func (rs *rowStream) lostClient() {
 }
 
 // writeRunError maps run failures onto HTTP statuses: client cancellations
-// produce no body (the peer is gone), deadline hits are 504, a rejected
-// resume checkpoint is 409, storage corruption and I/O trouble are 500
-// with the typed message.
+// produce no body (the peer is gone), a rider bounced to a full solo queue
+// is refused like any other saturated request (429), deadline hits are 504,
+// a rejected resume checkpoint is 409, storage corruption and I/O trouble
+// are 500 with the typed message.
 func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case r.Context().Err() != nil:
 		s.sm.disconnects.Inc()
+	case errors.Is(err, errQueueFull):
+		s.reject(w, "admission queue full")
 	case errors.Is(err, core.ErrBadCheckpoint):
 		writeError(w, http.StatusConflict, "resume rejected: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):

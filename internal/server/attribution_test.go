@@ -273,8 +273,6 @@ func TestQuerySpansAndSlowlog(t *testing.T) {
 		Engines:            1,
 		TraceWriter:        &trace,
 		SlowQueryThreshold: -1, // record everything
-		SlowLogSize:        8,
-		SlowLogTopK:        4,
 		Engine:             core.Options{Threads: 1, BufferFrames: 8},
 	})
 

@@ -27,21 +27,22 @@ func breakerStateName(s int32) string {
 	}
 }
 
-// breakerConfig tunes the pool breaker; zero fields take the defaults set
-// in Config.withDefaults.
+// breakerConfig tunes a breaker.
 type breakerConfig struct {
 	window     int           // outcomes remembered (sliding ring)
 	minSamples int           // outcomes required before openRatio applies
 	openRatio  float64       // fault fraction that opens the breaker
 	cooldown   time.Duration // open -> half-open delay
-	now        func() time.Time
 }
 
+// poolBreaker is the service's breaker: once 4 outcomes are in, it opens
+// when half of the last 8 were faults, and probes again a second later.
+var poolBreaker = breakerConfig{window: 8, minSamples: 4, openRatio: 0.5, cooldown: time.Second}
+
 // breaker is the per-pool circuit breaker. It watches run outcomes — a
-// transient-fault failure, or a successful run whose buffer pin-wait
-// crossed the configured pressure threshold, counts as a fault — over a
-// sliding window, opens (reject-fast with Retry-After) when too many of
-// them are, then recovers through single half-open probes.
+// transient-fault failure counts as a fault — over a sliding window, opens
+// (reject-fast with Retry-After) when too many of them are, then recovers
+// through single half-open probes.
 type breaker struct {
 	cfg breakerConfig
 
@@ -55,9 +56,6 @@ type breaker struct {
 }
 
 func newBreaker(cfg breakerConfig) *breaker {
-	if cfg.now == nil {
-		cfg.now = time.Now
-	}
 	return &breaker{cfg: cfg, outcomes: make([]bool, cfg.window)}
 }
 
@@ -69,7 +67,7 @@ func (b *breaker) allow() (ok bool, probe bool, retryAfter time.Duration) {
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerOpen:
-		since := b.cfg.now().Sub(b.openedAt)
+		since := time.Since(b.openedAt)
 		if since < b.cfg.cooldown {
 			return false, false, b.cfg.cooldown - since
 		}
@@ -137,7 +135,7 @@ func (b *breaker) cancelProbe() {
 // trip opens the breaker; callers hold b.mu.
 func (b *breaker) trip() {
 	b.state = breakerOpen
-	b.openedAt = b.cfg.now()
+	b.openedAt = time.Now()
 	b.probing = false
 	b.trips++
 }

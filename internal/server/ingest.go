@@ -14,7 +14,6 @@ import (
 	"dualsim/internal/core"
 	"dualsim/internal/delta"
 	"dualsim/internal/graph"
-	"dualsim/internal/sharedscan"
 	"dualsim/internal/storage"
 )
 
@@ -240,10 +239,7 @@ func (s *Server) compactOnce() (bool, error) {
 	live := sdb.Path()
 	tmp := live + ".compact"
 	defer os.Remove(tmp)
-	opt := storage.BuildOptions{
-		Compress: s.cfg.CompactCompress,
-		TempDir:  filepath.Dir(live),
-	}
+	opt := storage.BuildOptions{TempDir: filepath.Dir(live)}
 	if _, err := storage.Compact(tmp, sdb, snap.Apply, snap.Epoch(), opt); err != nil {
 		return fail(err)
 	}
@@ -330,18 +326,10 @@ func (s *Server) compactOnce() (bool, error) {
 // Close; arrivals racing the swap bounce to the solo pool (ErrNotEligible
 // fallback) rather than erroring.
 func (s *Server) rebuildCohort(db core.Database) error {
-	opts := s.cfg.Engine
-	opts.Metrics = s.reg
-	opts.Threads = s.cfg.Engine.Threads * s.cfg.Engines
-	ce, err := core.NewEngine(db, opts)
+	ce, newSched, err := s.newCohort(db)
 	if err != nil {
 		return fmt.Errorf("server: rebuilding cohort engine over compacted db: %w", err)
 	}
-	newSched := sharedscan.New(ce, sharedscan.Options{
-		MaxRiders:     s.cfg.CohortMaxRiders,
-		FormationWait: s.cfg.CohortFormationWait,
-		Metrics:       s.reg,
-	})
 	s.mu.Lock()
 	oldSched, oldCE := s.sched, s.cohortEng
 	s.sched, s.cohortEng = newSched, ce

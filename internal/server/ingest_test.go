@@ -371,6 +371,68 @@ func TestCompactionFoldsOverlayLive(t *testing.T) {
 	}
 }
 
+// TestCompactionKeepsEncoding: a Mutable server over a compressed base folds
+// its overlay into a file that is compressed too — every record of the
+// swapped file — and the folded server answers as a rebuild of the mutated
+// graph does.
+func TestCompactionKeepsEncoding(t *testing.T) {
+	const n = 12
+	var all, folded [][2]graph.VertexID // K12, and K12 less (0,1) and (2,3)
+	for u := graph.VertexID(0); u < n; u++ {
+		for w := u + 1; w < n; w++ {
+			e := [2]graph.VertexID{u, w}
+			all = append(all, e)
+			if e != [2]graph.VertexID{0, 1} && e != [2]graph.VertexID{2, 3} {
+				folded = append(folded, e)
+			}
+		}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "live.db")
+	if _, err := storage.BuildFromGraph(path, graph.MustNewGraph(n, all), storage.BuildOptions{PageSize: 256, TempDir: dir, SkipReorder: true, Compress: true}); err != nil {
+		t.Fatal(err)
+	}
+	db, err := storage.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	s := newTestServer(t, db, mutableCfg())
+	mustIngest(t, s.Addr(), []EdgeOp{{Op: "delete", U: 0, V: 1}, {Op: "delete", U: 2, V: 3}})
+
+	resp, err := http.Post("http://"+s.Addr()+"/admin/compact", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cr CompactResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if !cr.Compacted {
+		t.Fatalf("compact reply %+v, want compacted", cr)
+	}
+	swapped, err := storage.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer swapped.Close()
+	st, err := swapped.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CompressedRecs != st.Records {
+		t.Errorf("compacted file: %d of %d records compressed, want all", st.CompressedRecs, st.Records)
+	}
+
+	rebuilt := newTestServer(t, buildMutableDB(t, graph.MustNewGraph(n, folded), 256), mutableCfg())
+	for _, q := range []string{"q1", clique4Spec, "0-1,1-2,2-3,0-3"} {
+		if got, want := countQuery(t, s.Addr(), q).Count, countQuery(t, rebuilt.Addr(), q).Count; got != want {
+			t.Errorf("%s: folded server counts %d, a rebuild %d", q, got, want)
+		}
+	}
+}
+
 // TestChaosIngestSoak (make soak / CI soak job): concurrent mutators,
 // queries, and compactions race for SOAK_SECONDS under -race, with each
 // mutator owning a disjoint edge set so the settled graph is

@@ -25,11 +25,14 @@ const clique4Spec = "0-1,0-2,0-3,1-2,1-3,2-3"
 
 // newFaultServer is newTestServer over an arbitrary core.Database (a
 // faultdb wrapper in every test here).
-func newFaultServer(t *testing.T, db core.Database, cfg Config) *Server {
+func newFaultServer(t *testing.T, db core.Database, cfg Config, br ...breakerConfig) *Server {
 	t.Helper()
 	s, err := New(db, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range br { // a test's own breaker tuning, before any request
+		s.br = newBreaker(c)
 	}
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -439,14 +442,8 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	// and injected faults actually fire.
 	db := buildCompleteDB(t, 32, 256)
 	fdb := faultdb.Wrap(db, faultdb.Options{})
-	s := newFaultServer(t, fdb, Config{
-		Engines:           1,
-		BreakerWindow:     4,
-		BreakerMinSamples: 2,
-		BreakerOpenRatio:  0.6,
-		BreakerCooldown:   50 * time.Millisecond,
-		Engine:            fastFaultTolerant(0),
-	})
+	s := newFaultServer(t, fdb, Config{Engines: 1, Engine: fastFaultTolerant(0)},
+		breakerConfig{window: 4, minSamples: 2, openRatio: 0.6, cooldown: 50 * time.Millisecond})
 	want := countQuery(t, s.Addr(), "q1").Count
 
 	// Device dies: every read fails transiently, runs fail after the retry
@@ -576,13 +573,11 @@ func TestPoolCapacityAfterRetryExhaustion(t *testing.T) {
 	db := buildCompleteDB(t, 16, 256)
 	fdb := faultdb.Wrap(db, faultdb.Options{}).TransientPages(1<<30, 0)
 	const engines = 2
-	s := newFaultServer(t, fdb, Config{
-		Engines: engines,
-		// Breaker thresholds out of reach: this test is about the pool, not
-		// admission.
-		BreakerMinSamples: 1 << 30,
-		Engine:            fastFaultTolerant(1),
-	})
+	// Breaker thresholds out of reach: this test is about the pool, not
+	// admission.
+	br := poolBreaker
+	br.minSamples = 1 << 30
+	s := newFaultServer(t, fdb, Config{Engines: engines, Engine: fastFaultTolerant(1)}, br)
 
 	for i := 0; i < 6; i++ {
 		resp, err := postQuery(t, s.Addr(), QueryRequest{Query: "q1"})

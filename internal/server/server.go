@@ -42,6 +42,14 @@ import (
 // bypass the cache and pay Prepare per request.
 const maxCanonicalVertices = 10
 
+// Sizes nothing has needed to vary: the plan cache's LRU entries, and the
+// slow-query ring and its top-K-by-pages leaderboard.
+const (
+	planCacheSize = 64
+	slowLogSize   = 64
+	slowLogTopK   = 8
+)
+
 // Config sizes the service. The zero value serves with conservative
 // defaults: 2 engines, a queue of 4x the pool, 2s queue wait, 100k rows.
 type Config struct {
@@ -59,38 +67,11 @@ type Config struct {
 	// RowLimit caps embeddings rows streamed per request; requests may ask
 	// for less via limit. Runs are cancelled once the cap is reached.
 	RowLimit int
-	// PlanCacheSize bounds the canonical-form plan cache (LRU entries).
-	PlanCacheSize int
-	// ResumeTokenEvery is the resume-token cadence of an embeddings
-	// stream: a {"resume_token": ...} record is written after every N
-	// completed level-1 windows (default 1; negative disables tokens).
-	// Error lines and truncated trailers always carry the last token.
-	ResumeTokenEvery int
-	// BreakerWindow is how many settled run outcomes the pool circuit
-	// breaker remembers (default 8).
-	BreakerWindow int
-	// BreakerMinSamples is how many outcomes must accumulate before
-	// BreakerOpenRatio applies (default 4).
-	BreakerMinSamples int
-	// BreakerOpenRatio is the fraction at which the breaker opens and the
-	// service rejects fast with Retry-After (default 0.5).
-	BreakerOpenRatio float64
-	// BreakerCooldown is the open -> half-open delay; recovery then rides
-	// on single probe requests (default 1s).
-	BreakerCooldown time.Duration
-	// BreakerPinWait, when positive, treats a successful run whose buffer
-	// pin-wait exceeded it as breaker pressure (a fault outcome). Zero
-	// disables the pin-wait input.
-	BreakerPinWait time.Duration
 	// SlowQueryThreshold is the duration (queue wait + run) at which a
 	// completed query enters the slow-query ring (default 500ms; negative
 	// records every query). The top-K-by-pages-read leaderboard is
 	// independent of the threshold.
 	SlowQueryThreshold time.Duration
-	// SlowLogSize bounds the slow-query ring (default 64).
-	SlowLogSize int
-	// SlowLogTopK bounds the pages-read leaderboard (default 8).
-	SlowLogTopK int
 	// TraceWriter, when non-nil, receives the JSONL span stream of every
 	// request: query/plan spans emitted at admission plus the engine's
 	// run/level/window spans, all stamped with the request's trace ID. The
@@ -106,11 +87,9 @@ type Config struct {
 	// is the cohort-vs-solo policy knob.
 	ShareScan bool
 	// CohortMaxRiders bounds how many queries ride one sweep concurrently
-	// (default 4). Arrivals beyond it queue for the next window boundary.
+	// (default 4). A fresh sweep loads its first window at once; later
+	// arrivals, and those beyond the bound, board at a window boundary.
 	CohortMaxRiders int
-	// CohortFormationWait delays a fresh sweep's first window so
-	// near-simultaneous arrivals board together (default 10ms).
-	CohortFormationWait time.Duration
 	// Mutable enables live ingest: POST /edges applies edge inserts and
 	// deletes to an in-memory delta overlay, every subsequent query merges
 	// the overlay into its window loads, and each applied batch advances
@@ -121,10 +100,9 @@ type Config struct {
 	// file which atomically replaces the live one, engines are migrated,
 	// and the folded ops drain from the overlay. 0 disables automatic
 	// compaction (POST /admin/compact still triggers one on demand).
-	// Compaction requires the base to be a *storage.DB.
+	// Compaction requires the base to be a *storage.DB, and keeps its page
+	// size and record encoding.
 	CompactEvery int
-	// CompactCompress stores compacted files delta-varint compressed.
-	CompactCompress bool
 	// Engine is the per-engine template. Metrics and buffer sizing
 	// are managed by the server (buffer fields are reinterpreted as the
 	// global budget; Threads defaults to GOMAXPROCS/Engines).
@@ -144,42 +122,13 @@ func (c Config) withDefaults() Config {
 	if c.RowLimit <= 0 {
 		c.RowLimit = 100_000
 	}
-	if c.PlanCacheSize <= 0 {
-		c.PlanCacheSize = 64
-	}
-	if c.ResumeTokenEvery == 0 {
-		c.ResumeTokenEvery = 1
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 8
-	}
-	if c.BreakerMinSamples <= 0 {
-		c.BreakerMinSamples = 4
-	}
-	if c.BreakerOpenRatio <= 0 {
-		c.BreakerOpenRatio = 0.5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
-	}
 	if c.SlowQueryThreshold == 0 {
 		c.SlowQueryThreshold = 500 * time.Millisecond
 	} else if c.SlowQueryThreshold < 0 {
 		c.SlowQueryThreshold = 0
 	}
-	if c.SlowLogSize <= 0 {
-		c.SlowLogSize = 64
-	}
-	if c.SlowLogTopK <= 0 {
-		c.SlowLogTopK = 8
-	}
 	if c.CohortMaxRiders <= 0 {
 		c.CohortMaxRiders = 4
-	}
-	if c.CohortFormationWait == 0 {
-		c.CohortFormationWait = 10 * time.Millisecond
-	} else if c.CohortFormationWait < 0 {
-		c.CohortFormationWait = 0
 	}
 	if c.Engine.Threads <= 0 {
 		c.Engine.Threads = runtime.GOMAXPROCS(0) / c.Engines
@@ -263,22 +212,17 @@ func New(db core.Database, cfg Config) (*Server, error) {
 	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	s := &Server{
-		db:     db,
-		cfg:    cfg,
-		reg:    reg,
-		cache:  plan.NewCache(cfg.PlanCacheSize),
-		tokens: tokens,
-		br: newBreaker(breakerConfig{
-			window:     cfg.BreakerWindow,
-			minSamples: cfg.BreakerMinSamples,
-			openRatio:  cfg.BreakerOpenRatio,
-			cooldown:   cfg.BreakerCooldown,
-		}),
+		db:         db,
+		cfg:        cfg,
+		reg:        reg,
+		cache:      plan.NewCache(planCacheSize),
+		tokens:     tokens,
+		br:         newBreaker(poolBreaker),
 		slots:      make(chan *core.Engine, cfg.Engines),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 		start:      time.Now(),
-		slowlog:    obs.NewSlowLog(cfg.SlowQueryThreshold, cfg.SlowLogSize, cfg.SlowLogTopK),
+		slowlog:    obs.NewSlowLog(cfg.SlowQueryThreshold, slowLogSize, slowLogTopK),
 		trc:        cfg.Engine.Tracer,
 	}
 	for i := 0; i < cfg.Engines; i++ {
@@ -292,25 +236,14 @@ func New(db core.Database, cfg Config) (*Server, error) {
 		s.slots <- e
 	}
 	if cfg.ShareScan {
-		// The cohort engine is "one big buffer, N riders": the undivided
-		// global budget and the full thread allowance, so a cohort has the
-		// same resources N solo engines would have had combined.
-		opts := cfg.Engine
-		opts.Metrics = reg
-		opts.Threads = cfg.Engine.Threads * cfg.Engines
-		ce, err := core.NewEngine(db, opts)
+		ce, sched, err := s.newCohort(db)
 		if err != nil {
 			baseCancel()
 			s.closeEngines()
 			return nil, fmt.Errorf("server: building cohort engine: %w", err)
 		}
 		s.engines = append(s.engines, ce)
-		s.cohortEng = ce
-		s.sched = sharedscan.New(ce, sharedscan.Options{
-			MaxRiders:     cfg.CohortMaxRiders,
-			FormationWait: cfg.CohortFormationWait,
-			Metrics:       reg,
-		})
+		s.cohortEng, s.sched = ce, sched
 	}
 	if cfg.Mutable {
 		// The overlay's epoch continues the base file's: a freshly opened
@@ -349,6 +282,21 @@ func (s *Server) newEngine() (*core.Engine, error) {
 		opts.BufferFraction /= float64(s.cfg.Engines)
 	}
 	return core.NewEngine(s.database(), opts)
+}
+
+// newCohort builds the shared-scan engine over db and the scheduler that
+// owns it. The cohort engine is "one big buffer, N riders": the undivided
+// global budget and the full thread allowance, so a cohort has the same
+// resources N solo engines would have had combined.
+func (s *Server) newCohort(db core.Database) (*core.Engine, *sharedscan.Scheduler, error) {
+	opts := s.cfg.Engine
+	opts.Metrics = s.reg
+	opts.Threads *= s.cfg.Engines
+	ce, err := core.NewEngine(db, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ce, sharedscan.New(ce, sharedscan.Options{MaxRiders: s.cfg.CohortMaxRiders, Metrics: s.reg}), nil
 }
 
 // database returns the current base database. Stable for the life of the

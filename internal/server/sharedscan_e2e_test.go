@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -16,15 +17,13 @@ import (
 // available for fallback.
 func sharedScanConfig() Config {
 	return Config{
-		Engines:             2,
-		QueueDepth:          32,
-		QueueWait:           30 * time.Second,
-		ShareScan:           true,
-		CohortMaxRiders:     4,
-		CohortFormationWait: 50 * time.Millisecond,
-		SlowQueryThreshold:  -1, // record every rider in the slow log
-		SlowLogSize:         64,
-		Engine:              core.Options{Threads: 2, BufferFrames: 64},
+		Engines:            2,
+		QueueDepth:         32,
+		QueueWait:          30 * time.Second,
+		ShareScan:          true,
+		CohortMaxRiders:    4,
+		SlowQueryThreshold: -1, // record every rider in the slow log
+		Engine:             core.Options{Threads: 2, BufferFrames: 64},
 	}
 }
 
@@ -154,5 +153,67 @@ func TestE2ESharedScanSublinearPages(t *testing.T) {
 	// slow log (threshold < 0 records all).
 	if st.SlowLog.Observed != 36 {
 		t.Errorf("slow log observed %d queries, want 36", st.SlowLog.Observed)
+	}
+}
+
+// TestBouncedRiderQueueFullIs429: a rider bounced to the solo pool (its plan
+// is too deep for the cohort's rider share) that finds the admission queue
+// full is refused like any other saturated request — 429 + Retry-After, and
+// booked once under dualsim_server_rejected_queue_full_total — not answered
+// with a 500.
+func TestBouncedRiderQueueFullIs429(t *testing.T) {
+	db := buildCompleteDB(t, 16, 256)
+	// 8 frames and 4 seats leave each rider one deep frame: a triangle
+	// boards, the 4-clique (two deep levels) bounces to the one-engine pool.
+	s := newTestServer(t, db, Config{
+		Engines:         1,
+		QueueDepth:      1,
+		ShareScan:       true,
+		CohortMaxRiders: 4,
+		Engine:          core.Options{Threads: 1, BufferFrames: 8},
+	})
+	eng, err := s.acquire(context.Background()) // saturate the pool
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first bounced rider takes the one queue place and waits there.
+	waiter := make(chan QueryResponse, 1)
+	go func() {
+		resp, err := postQuery(t, s.Addr(), QueryRequest{Query: clique4Spec})
+		if err != nil {
+			t.Error(err)
+			waiter <- QueryResponse{}
+			return
+		}
+		waiter <- decodeQueryResponse(t, resp)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); s.waiters.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the bounced rider never queued for a solo engine")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	resp, err := postQuery(t, s.Addr(), QueryRequest{Query: clique4Spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("bounced rider on a full queue: status %d, Retry-After %q: %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if got := s.sm.rejectedFull.Value(); got != 1 {
+		t.Errorf("rejected_queue_full = %d, want 1", got)
+	}
+	if got := s.sm.cohortFallbacks.Value(); got != 2 {
+		t.Errorf("cohort fallbacks = %d, want 2 (both 4-cliques bounced)", got)
+	}
+
+	s.release(eng)
+	if qr := <-waiter; qr.Count != 1820 { // C(16,4)
+		t.Errorf("queued bounced rider count = %d, want 1820", qr.Count)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dualsim/internal/core"
 	"dualsim/internal/obs"
@@ -44,10 +43,6 @@ type Options struct {
 	// and a rider with a middle level is never dealt less than the equal
 	// share it was admitted on.
 	MaxRiders int
-	// FormationWait is the admission-batching delay before a fresh sweep
-	// loads its first window, letting near-simultaneous arrivals board
-	// together instead of trickling in one window apart (default 0).
-	FormationWait time.Duration
 	// Metrics, when non-nil, receives the cohort metric family
 	// (dualsim_cohort_*, dualsim_shared_*, dualsim_sweep_pages_read_total).
 	Metrics *obs.Registry
@@ -243,14 +238,6 @@ func (s *Scheduler) sweepLoop() {
 			s.drainPending(fmt.Errorf("%w: %v", ErrNotEligible, err))
 		} else {
 			s.sweeps.Add(1)
-			if w := s.opts.FormationWait; w > 0 {
-				t := time.NewTimer(w)
-				select {
-				case <-t.C:
-				case <-s.baseCtx.Done():
-				}
-				t.Stop()
-			}
 			s.runSweep(sweep)
 			sweep.Close()
 		}

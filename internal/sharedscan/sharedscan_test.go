@@ -98,7 +98,7 @@ func TestSchedulerConcurrentCountsMatchSolo(t *testing.T) {
 	}
 	defer eng.Close()
 	reg := obs.NewRegistry()
-	sched := New(eng, Options{MaxRiders: 4, FormationWait: 25 * time.Millisecond, Metrics: reg})
+	sched := New(eng, Options{MaxRiders: 4, Metrics: reg})
 	defer sched.Close()
 
 	const n = 9 // 3 waves of 3 shapes — exercises late join and re-admission
@@ -195,7 +195,7 @@ func TestSchedulerSharedReadsSublinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	sched := New(eng, Options{MaxRiders: 4, FormationWait: 50 * time.Millisecond})
+	sched := New(eng, Options{MaxRiders: 4})
 	defer sched.Close()
 
 	const n = 4

@@ -105,11 +105,17 @@ func (s *mutatedSource) Next() (graph.VertexID, graph.VertexID, error) {
 // the new superblock. The source file is untouched; the caller swaps the
 // result in with SwapFile once every reader has been moved over, then
 // drains the folded overlay from the live delta store. opt.PageSize
-// defaults to db's page size; opt.SkipReorder is forced.
+// defaults to db's page size; opt.SkipReorder is forced, and so is
+// opt.Compress: the folded file keeps db's record encoding.
 func Compact(dstPath string, db *DB, apply MergedAdjFunc, epoch uint64, opt BuildOptions) (*BuildStats, error) {
 	if opt.PageSize == 0 {
 		opt.PageSize = db.PageSize()
 	}
+	compressed, err := db.compressed()
+	if err != nil {
+		return nil, err
+	}
+	opt.Compress = compressed
 	opt.SkipReorder = true
 	opt.AppendFraction = 0
 	st, err := Build(dstPath, &mutatedSource{db: db, read: db.ReadPage, apply: apply}, opt)
@@ -120,6 +126,25 @@ func Compact(dstPath string, db *DB, apply MergedAdjFunc, epoch uint64, opt Buil
 		return nil, err
 	}
 	return st, nil
+}
+
+// compressed reports the encoding db's records are stored in. Build writes
+// every record of a file in one encoding, so the first non-empty record
+// tells (an empty one carries no payload to tell by); a file without edges
+// reads as plain.
+func (db *DB) compressed() (bool, error) {
+	for pid := 0; pid < db.NumPages(); pid++ {
+		p, err := db.ReadPage(PageID(pid))
+		if err != nil {
+			return false, err
+		}
+		for _, r := range p.Records {
+			if len(r.Adj) > 0 {
+				return r.CompBytes > 0, nil
+			}
+		}
+	}
+	return false, nil
 }
 
 // SwapFile atomically replaces the live database file at livePath with the

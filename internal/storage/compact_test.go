@@ -137,6 +137,61 @@ func TestCompactFoldsOverlay(t *testing.T) {
 	}
 }
 
+// TestCompactKeepsEncoding: the folded file is written in the base file's
+// record encoding, whatever opt.Compress says — plain stays plain and
+// compressed stays compressed. Vertex 0 is isolated and stays first, so the
+// encoding has to be read past an empty record, which carries no payload.
+func TestCompactKeepsEncoding(t *testing.T) {
+	var edges [][2]graph.VertexID
+	for u := 1; u < 12; u++ {
+		for w := u + 1; w < 12; w++ {
+			edges = append(edges, [2]graph.VertexID{graph.VertexID(u), graph.VertexID(w)})
+		}
+	}
+	g := graph.MustNewGraph(12, edges)
+	for _, tc := range []struct{ base, asked bool }{
+		{false, false}, {false, true}, // plain -> plain
+		{true, true}, {true, false}, // compressed -> compressed
+	} {
+		dir := t.TempDir()
+		base := filepath.Join(dir, "base.db")
+		if _, err := BuildFromGraph(base, g, BuildOptions{PageSize: MinPageSize, SkipReorder: true, Compress: tc.base}); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := delta.NewStore(12, 0)
+		if _, err := st.Apply([]delta.Op{{Insert: false, U: 1, V: 2}, {Insert: true, U: 0, V: 5}}); err != nil {
+			t.Fatal(err)
+		}
+		snap := st.Snapshot()
+		out := filepath.Join(dir, "out.db")
+		if _, err := Compact(out, db, snap.Apply, snap.Epoch(), BuildOptions{Compress: tc.asked}); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+		cdb, err := Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := cdb.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if tc.base {
+			want = stats.Records
+		}
+		if stats.CompressedRecs != want {
+			t.Errorf("base compressed=%v, asked %v: %d of %d records compressed, want %d",
+				tc.base, tc.asked, stats.CompressedRecs, stats.Records, want)
+		}
+		cdb.Close()
+	}
+}
+
 // TestCompactSwapFile exercises the rename swap: the live path serves the
 // compacted content afterwards.
 func TestCompactSwapFile(t *testing.T) {

@@ -2,6 +2,7 @@ package dualsim
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -37,25 +38,6 @@ type ServerConfig struct {
 	// RowLimit caps embeddings rows streamed per request; requests may ask
 	// for less via "limit". Hitting the cap cancels the run.
 	RowLimit int
-	// PlanCacheSize bounds the canonical-form plan cache (LRU entries).
-	PlanCacheSize int
-	// ResumeTokenEvery controls resumable streaming: every Nth level-1
-	// checkpoint is surfaced in the NDJSON stream as a {"resume_token"}
-	// record a client can POST back (field "resume_token") to continue a
-	// broken stream from the last completed window. Default 1 (every
-	// checkpoint); negative suppresses the in-stream records (a token is
-	// still attached to truncation trailers and error lines).
-	ResumeTokenEvery int
-	// Breaker tunes the per-pool circuit breaker. Run outcomes feed a
-	// sliding window; past BreakerOpenRatio of faults the service rejects
-	// fast with 429 + Retry-After until a half-open probe succeeds.
-	BreakerWindow     int           // outcomes remembered (default 8)
-	BreakerMinSamples int           // outcomes before the ratio applies (default 4)
-	BreakerOpenRatio  float64       // reject-fast threshold (default 0.5)
-	BreakerCooldown   time.Duration // open -> half-open delay (default 1s)
-	// BreakerPinWait, when positive, also counts a successful run whose
-	// buffer pin-wait exceeded this duration as a fault (pressure signal).
-	BreakerPinWait time.Duration
 	// TraceWriter, when non-nil, receives the service-wide JSONL span trace:
 	// every request's query/plan spans plus the engine's run/level/window
 	// spans, all carrying the request's trace ID (echoed to clients in the
@@ -67,10 +49,6 @@ type ServerConfig struct {
 	// GET /debug/slowlog (summary in GET /stats). Zero means the 500ms
 	// default; negative records every query.
 	SlowQueryThreshold time.Duration
-	// SlowLogSize bounds the slow-query ring (default 64); SlowLogTopK the
-	// heaviest-by-pages-read leaderboard (default 8).
-	SlowLogSize int
-	SlowLogTopK int
 	// ShareScan enables shared-scan execution: instead of "N small buffers"
 	// (one engine per query, budget split N ways), compatible concurrent
 	// queries board one cohort engine holding the UNDIVIDED global budget
@@ -80,12 +58,10 @@ type ServerConfig struct {
 	// rider seat) fall back to the solo pool transparently. Counts are
 	// bit-identical to solo execution either way.
 	ShareScan bool
-	// CohortMaxRiders caps riders per shared sweep (default 4).
+	// CohortMaxRiders caps riders per shared sweep (default 4). A fresh
+	// sweep starts at once; later arrivals board at its next window
+	// boundary.
 	CohortMaxRiders int
-	// CohortFormationWait is how long a freshly formed cohort holds the
-	// doors for more riders before sweeping (default 10ms; late arrivals
-	// still board at the next window boundary).
-	CohortFormationWait time.Duration
 	// Mutable enables live ingest: POST /edges (single JSON object or an
 	// NDJSON stream of {"op","u","v"} objects; one body = one atomic
 	// batch) applies edge inserts/deletes to an in-memory delta overlay
@@ -98,14 +74,15 @@ type ServerConfig struct {
 	// compaction: the overlay is folded into a fresh database file that
 	// atomically replaces the live one (in-flight queries finish on the
 	// old file), and the folded ops drain from the overlay. 0 disables
-	// automatic compaction; POST /admin/compact folds on demand.
+	// automatic compaction; POST /admin/compact folds on demand. A folded
+	// file keeps the database's page size and record encoding.
 	CompactEvery int
-	// CompactCompress stores compacted files delta-varint compressed.
-	CompactCompress bool
 	// Engine is the per-engine template. Buffer sizing is reinterpreted as
 	// the global budget; Threads defaults to GOMAXPROCS divided across the
-	// pool. MetricsAddr, TraceWriter and progress options are ignored here —
-	// the Server serves /metrics itself, on its own mux.
+	// pool. The Server has its own sinks for what MetricsAddr, TraceWriter,
+	// ProgressInterval and ProgressWriter would configure — its handler
+	// serves /metrics and /stats, TraceWriter above takes the trace — so
+	// NewServer refuses a template that sets any of the four.
 	Engine Options
 }
 
@@ -136,29 +113,32 @@ type Server struct {
 // NewServer builds the service over the database. It does not bind a
 // listener: call Listen, or mount Handler on a server of your own.
 func (d *DB) NewServer(cfg ServerConfig) (*Server, error) {
+	const progress = "a Server reports progress at GET /stats and GET /metrics"
+	for _, sink := range []struct {
+		set        bool
+		field, use string
+	}{
+		{cfg.Engine.MetricsAddr != "", "MetricsAddr", "a Server serves GET /metrics from its own Handler"},
+		{cfg.Engine.TraceWriter != nil, "TraceWriter", "set ServerConfig.TraceWriter instead"},
+		{cfg.Engine.ProgressInterval != 0, "ProgressInterval", progress},
+		{cfg.Engine.ProgressWriter != nil, "ProgressWriter", progress},
+	} {
+		if sink.set {
+			return nil, fmt.Errorf("dualsim: ServerConfig.Engine.%s is set; %s", sink.field, sink.use)
+		}
+	}
 	srv, err := server.New(d.db, server.Config{
-		Engines:             cfg.Engines,
-		QueueDepth:          cfg.QueueDepth,
-		QueueWait:           cfg.QueueWait,
-		RowLimit:            cfg.RowLimit,
-		PlanCacheSize:       cfg.PlanCacheSize,
-		ResumeTokenEvery:    cfg.ResumeTokenEvery,
-		BreakerWindow:       cfg.BreakerWindow,
-		BreakerMinSamples:   cfg.BreakerMinSamples,
-		BreakerOpenRatio:    cfg.BreakerOpenRatio,
-		BreakerCooldown:     cfg.BreakerCooldown,
-		BreakerPinWait:      cfg.BreakerPinWait,
-		TraceWriter:         cfg.TraceWriter,
-		SlowQueryThreshold:  cfg.SlowQueryThreshold,
-		SlowLogSize:         cfg.SlowLogSize,
-		SlowLogTopK:         cfg.SlowLogTopK,
-		ShareScan:           cfg.ShareScan,
-		CohortMaxRiders:     cfg.CohortMaxRiders,
-		CohortFormationWait: cfg.CohortFormationWait,
-		Mutable:             cfg.Mutable,
-		CompactEvery:        cfg.CompactEvery,
-		CompactCompress:     cfg.CompactCompress,
-		Engine:              cfg.Engine.coreOptions(),
+		Engines:            cfg.Engines,
+		QueueDepth:         cfg.QueueDepth,
+		QueueWait:          cfg.QueueWait,
+		RowLimit:           cfg.RowLimit,
+		TraceWriter:        cfg.TraceWriter,
+		SlowQueryThreshold: cfg.SlowQueryThreshold,
+		ShareScan:          cfg.ShareScan,
+		CohortMaxRiders:    cfg.CohortMaxRiders,
+		Mutable:            cfg.Mutable,
+		CompactEvery:       cfg.CompactEvery,
+		Engine:             cfg.Engine.coreOptions(),
 	})
 	if err != nil {
 		return nil, err
