@@ -38,7 +38,10 @@ fmt:
 # issuer (run.issueRuns holds core's only AsyncReadRunContext call), a cohort
 # rider's budgets have one source (cohortBudget.levels holds sweep.go's only
 # buffer.Allocate call: boarding calls the deal, it keeps no copy of the
-# split), and no speculative read path comes back (scripts/inert_names.sh).
+# split), no speculative read path comes back (scripts/inert_names.sh), and
+# no second decode path either: a compressed page is decoded as it is parsed,
+# and only benchmark/, internal/graph and internal/storage name the
+# compressed-domain operand (scripts/one_decode_path.sh).
 lint: vet metrics-doc-check
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
 	@if $(GO) list -deps ./cmd/dualsim | grep -E 'internal/(mr|pregel|baseline)'; then \
@@ -54,6 +57,7 @@ lint: vet metrics-doc-check
 	@if [ "$$(grep -c 'buffer\.Allocate(' internal/core/sweep.go)" != 1 ]; then \
 		echo "rider budgets have one source: exactly one buffer.Allocate call in internal/core/sweep.go (cohortBudget.levels)" >&2; exit 1; fi
 	@./scripts/inert_names.sh
+	@./scripts/one_decode_path.sh
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
 # (every counter/gauge/histogram the server registers, plus the paper

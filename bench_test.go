@@ -214,43 +214,6 @@ func BenchmarkIntersectSkewed(b *testing.B) { benchIntersectShape(b, 64, 65536) 
 // skew test matrix (1-vs-10^6).
 func BenchmarkIntersectExtreme(b *testing.B) { benchIntersectShape(b, 4, 1<<20) }
 
-// BenchmarkIntersectCompressed: the skewed shape (64 vs 65536) with the hub
-// list stored delta+varint compressed. "decode-then-intersect" pays a full
-// decode of the hub list before the plain adaptive kernel runs;
-// "compressed-domain" gallops over the encoded bytes via the skip table and
-// never materializes the list. Alloc counts matter as much as time here:
-// the compressed-domain path must not allocate per intersection.
-func BenchmarkIntersectCompressed(b *testing.B) {
-	small, large := benchIntersectLists(64, 65536)
-	payload, hasSkips := graph.AppendCompressed(nil, large)
-	comp, err := graph.ParseCompressed(payload, len(large), hasSkips)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]graph.VertexID, 0, len(small))
-	b.Run("decode-then-intersect", func(b *testing.B) {
-		b.ReportAllocs()
-		scratch := make([]graph.VertexID, 0, len(large))
-		for i := 0; i < b.N; i++ {
-			scratch = comp.AppendTo(scratch[:0])
-			dst = graph.IntersectSorted(small, scratch, dst)
-		}
-		if len(dst) == 0 {
-			b.Fatal("empty intersection; fixture broken")
-		}
-	})
-	b.Run("compressed-domain", func(b *testing.B) {
-		b.ReportAllocs()
-		var st graph.IntersectStats
-		for i := 0; i < b.N; i++ {
-			dst = graph.IntersectCompressed(small, comp, dst, &st)
-		}
-		if len(dst) == 0 {
-			b.Fatal("empty intersection; fixture broken")
-		}
-	})
-}
-
 // BenchmarkIntersectKWay: a 4-list ivory intersection, smallest-first
 // adaptive (arena) vs folding pairwise linear merges in given order.
 func BenchmarkIntersectKWay(b *testing.B) {

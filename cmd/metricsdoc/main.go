@@ -122,11 +122,9 @@ var paperNotes = []struct{ pattern, note string }{
 	{"dualsim_embeddings_internal_total", "internal/external split of intermediate results (Table 4)"},
 	{"dualsim_embeddings_external_total", "internal/external split of intermediate results (Table 4)"},
 	{"dualsim_embeddings_total", "occurrences found (exactly-once)"},
-	{"dualsim_intersect_compressed_total", "compressed-domain kernel: intersections consuming a delta/skip-encoded operand without decoding (§4's storage layout made a kernel operand)"},
 	{"dualsim_intersect_*", "adaptive kernel mix: linear merge vs galloping vs k-way"},
 	{"dualsim_compressed_records_total", "compressed adjacency records entering windows — the share of Equation 1's I/O served from the compact encoding"},
 	{"dualsim_compressed_bytes_total", "on-disk bytes of compressed adjacency loaded; with pages_read, the bytes-per-edge win of the encoding"},
-	{"dualsim_compressed_skip_seeks_total", "skip-pointer block jumps: galloping over compressed lists without sequential decode"},
 	{"dualsim_steal_*", "work-stealing activity — parallel speedup headroom (Figure 16)"},
 	{"dualsim_worker_*", "parallel speedup headroom (Figure 16): a drained queue means workers starve"},
 	{"dualsim_retry_*", "resilient read path recovery activity (§6b)"},

@@ -60,13 +60,6 @@ type Options struct {
 	// Longer AsyncReadRunContext runs are split so a single run cannot
 	// monopolize an I/O worker while the others sit idle.
 	MaxRun int
-	// LazyParse parses pages with storage.ParsePageLazy: records stored
-	// compressed keep zero-copy payload views (Record.Comp) aliasing the
-	// frame buffer instead of decoding, so the compressed-domain kernels
-	// can operate on them in place. A lazily parsed page is valid only
-	// while its frame stays pinned — exactly the pin discipline the engine
-	// already follows for every page it touches.
-	LazyParse bool
 }
 
 // Stats counts buffer activity. Retrieved with Pool.Stats.
@@ -87,13 +80,15 @@ type Stats struct {
 	CoalescedPages uint64
 }
 
+// frame holds one parsed page. It keeps no page image: storage.ParsePage
+// decodes every record, so the page aliases nothing of the bytes it was
+// parsed from.
 type frame struct {
 	pid   storage.PageID
 	pins  int
 	page  *storage.Page
 	err   error
 	ready chan struct{}
-	buf   []byte
 }
 
 // ioRequest is one unit of I/O: n consecutive pages starting at pid. cb runs
@@ -145,10 +140,9 @@ type Pool struct {
 	// still drains.
 	shutMu sync.RWMutex
 
-	// runBufs recycles the scratch buffers multi-page device requests read
-	// into; each page image is copied into its frame's own buffer before
-	// parsing, so the scratch never outlives the request even when lazy
-	// parsing keeps zero-copy spans into the parsed buffer.
+	// runBufs recycles the scratch buffers device requests read into: pages
+	// are parsed straight out of it, and a parsed page keeps no reference to
+	// it, so the scratch never outlives the request.
 	runBufs sync.Pool
 }
 
@@ -475,9 +469,6 @@ func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sy
 		f.err = nil
 		f.page = nil
 		f.ready = make(chan struct{})
-		if f.buf == nil {
-			f.buf = make([]byte, p.reader.PageSize())
-		}
 		p.table[pid] = idx
 		slots[i] = runSlot{idx: idx, load: true}
 	}
@@ -538,10 +529,10 @@ func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sy
 }
 
 // readStretch physically loads the consecutive pages claimed by slots (all
-// marked load), charging one seek for the whole stretch. With a RunReader
-// the stretch is one device request into pooled scratch; otherwise pages
-// are read back to back into their frames. Each frame's err/page is set
-// and its ready channel closed.
+// marked load), charging one seek for the whole stretch, into pooled scratch:
+// one device request with a RunReader, otherwise pages read back to back.
+// Each page is parsed straight out of the scratch; its frame's err/page is
+// set and its ready channel closed.
 func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []runSlot) {
 	n := len(slots)
 	sc := p.attr.Load()
@@ -554,30 +545,22 @@ func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []ru
 		}
 	}
 	err := p.simulateRunLatency(ctx, first, n)
+	ps := p.reader.PageSize()
+	buf := p.takeRunBuf(n * ps)
+	defer p.putRunBuf(buf)
 	if err == nil && n > 1 && p.runReader != nil {
-		ps := p.reader.PageSize()
-		buf := p.takeRunBuf(n * ps)
-		if rerr := p.runReader.ReadPagesInto(first, buf); rerr != nil {
-			err = rerr
-		} else {
+		if err = p.runReader.ReadPagesInto(first, buf); err == nil {
 			for i := range slots {
 				f := &p.frames[slots[i].idx]
-				// Copy the page image into the frame's own buffer before
-				// parsing: the run scratch is recycled via putRunBuf, so a
-				// lazily parsed page's zero-copy spans must alias frame
-				// memory, never the scratch.
-				copy(f.buf, buf[i*ps:(i+1)*ps])
-				f.page, f.err = p.parsePage(f.buf)
+				f.page, f.err = storage.ParsePage(buf[i*ps : (i+1)*ps])
 				p.physical.Add(1)
 				close(f.ready)
 			}
 			if sc != nil {
 				sc.PagesRead.Add(uint64(n))
 			}
-			p.putRunBuf(buf)
 			return
 		}
-		p.putRunBuf(buf)
 	}
 	if err != nil {
 		for i := range slots {
@@ -587,11 +570,12 @@ func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []ru
 		}
 		return
 	}
+	img := buf[:ps]
 	for i := range slots {
 		f := &p.frames[slots[i].idx]
-		rerr := p.reader.ReadPageInto(first+storage.PageID(i), f.buf)
+		rerr := p.reader.ReadPageInto(first+storage.PageID(i), img)
 		if rerr == nil {
-			f.page, rerr = p.parsePage(f.buf)
+			f.page, rerr = storage.ParsePage(img)
 		}
 		f.err = rerr
 		p.physical.Add(1)
@@ -602,20 +586,8 @@ func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []ru
 	}
 }
 
-// parsePage parses a page image that is owned by a frame buffer, honoring
-// the pool's LazyParse option. Lazy pages keep zero-copy compressed spans
-// into that buffer, so callers must only pass frame-owned memory.
-func (p *Pool) parsePage(buf []byte) (*storage.Page, error) {
-	if p.opts.LazyParse {
-		return storage.ParsePageLazy(buf)
-	}
-	return storage.ParsePage(buf)
-}
-
 // takeRunBuf returns a scratch buffer of exactly size bytes, recycled via
-// runBufs when a previous request's buffer is large enough. Page images are
-// always copied out of the scratch into frame buffers before parsing, so
-// the scratch never outlives the request.
+// runBufs when a previous request's buffer is large enough.
 func (p *Pool) takeRunBuf(size int) []byte {
 	if b, ok := p.runBufs.Get().([]byte); ok && cap(b) >= size {
 		return b[:size]

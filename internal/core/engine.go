@@ -220,7 +220,6 @@ func NewEngine(db Database, opts Options) (*Engine, error) {
 		IOWorkers:      opts.IOWorkers,
 		PerPageLatency: opts.PerPageLatency,
 		SeekLatency:    opts.SeekLatency,
-		LazyParse:      true,
 	})
 	if err != nil {
 		return nil, err
@@ -302,13 +301,10 @@ type EnumStats struct {
 	// fault outlived the read-level retry budget.
 	WindowRetries uint64
 	// CompressedRecords counts compressed adjacency records loaded into
-	// windows (per window load, regardless of parse mode).
+	// windows (per window load; each is decoded as its page is parsed).
 	CompressedRecords uint64
 	// CompressedBytes counts the on-disk payload bytes of those records.
 	CompressedBytes uint64
-	// SkipSeeks counts skip-table block jumps taken by compressed-domain
-	// galloping (CompCursor.SeekGE).
-	SkipSeeks uint64
 }
 
 // EnumStats returns the engine's cumulative enumeration counters.
@@ -319,7 +315,6 @@ func (e *Engine) EnumStats() EnumStats {
 		WindowRetries:     e.em.windowRetries.Value(),
 		CompressedRecords: e.em.compressedRecs.Value(),
 		CompressedBytes:   e.em.compressedBytes.Value(),
-		SkipSeeks:         e.em.skipSeeks.Value(),
 	}
 }
 

@@ -21,13 +21,6 @@ type matcher struct {
 	internal bool
 	lastV    graph.VertexID
 	lastAdj  []graph.VertexID
-	// lastComp is the current last-level record's compressed span when it
-	// arrived undecoded (lazy parse); lastAdj is then nil until a decoded
-	// view is actually needed, at which point it is materialized once into
-	// lastDec (memoized per record — see adjOfData). The root's first
-	// intersection consumes lastComp in place instead (extDescend).
-	lastComp graph.CompressedAdj
-	lastDec  []graph.VertexID // reusable decode scratch for lastComp
 
 	// own is the one page of lw a last-level page task may read (nil for the
 	// task of a multi-page vertex, which reads none): the task runs while
@@ -145,12 +138,6 @@ func (m *matcher) flush() {
 			sc.IntersectKWay.Add(st.KWay)
 		}
 	}
-	if st.Compressed > 0 {
-		m.r.em.intersectCompressed.Add(st.Compressed)
-	}
-	if st.SkipSeeks > 0 {
-		m.r.em.skipSeeks.Add(st.SkipSeeks)
-	}
 	m.r.matchers.Put(m)
 }
 
@@ -165,14 +152,10 @@ func (m *matcher) adjOfPos(pos int) []graph.VertexID {
 }
 
 // adjOfData resolves the adjacency list of an assigned (hence resident)
-// data vertex: the task's own last-level record (decoded on first use,
-// once), else the first window on the path that indexes it.
+// data vertex: the task's own last-level record, else the first window on
+// the path that indexes it.
 func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
 	if !m.internal && v == m.lastV {
-		if m.lastAdj == nil && m.lastComp.Count > 0 {
-			m.lastDec = m.lastComp.AppendTo(m.lastDec[:0])
-			m.lastAdj = m.lastDec
-		}
 		return m.lastAdj
 	}
 	pid := m.r.e.db.PageOf(v)
@@ -270,12 +253,11 @@ func (r *run) extMapPage(wp *windowPage, lw *levelWindow, mute bool) {
 		if r.ctx.Err() != nil {
 			break // cancellation: abandon the rest of the page
 		}
+		adj := rec.Adj
 		if wp.lists != nil && wp.lists[i].set {
-			// Nothing is decoded on a last-level page: this is a merged list.
-			r.extMapRecord(m, rec.Vertex, wp.lists[i].adj, graph.CompressedAdj{})
-		} else {
-			r.extMapRecord(m, rec.Vertex, rec.Adj, rec.Comp)
+			adj = wp.lists[i].adj // overlay-merged
 		}
+		r.extMapRecord(m, rec.Vertex, adj)
 	}
 	m.flush()
 }
@@ -288,16 +270,12 @@ func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWind
 	}
 	m := r.newMatcher(lw, false)
 	m.deliver = m.deliver && !mute
-	r.extMapRecord(m, v, adj, graph.CompressedAdj{})
+	r.extMapRecord(m, v, adj)
 	m.flush()
 }
 
-// extMapRecord roots the external traversal at one last-level record. adj
-// may be nil when the record arrived as a compressed span (comp); the first
-// intersection then runs the compressed-domain kernel against it, and a
-// decoded view is materialized only if something survives to ask for it
-// (adjOfData).
-func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, comp graph.CompressedAdj) {
+// extMapRecord roots the external traversal at one last-level record.
+func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID) {
 	last := r.k - 1
 	pos := r.p.MatchingOrder[last]
 	for g := range r.p.Groups {
@@ -305,7 +283,7 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, c
 			continue
 		}
 		m.g = g
-		m.lastV, m.lastAdj, m.lastComp = v, adj, comp
+		m.lastV, m.lastAdj = v, adj
 		m.pos2v[pos] = v
 		m.posMask, m.adjMask = 1<<uint(pos), 0
 		r.extDescend(m, last-1)
@@ -343,15 +321,8 @@ func (r *run) extDescend(m *matcher, level int) {
 	vg := r.p.Groups[m.g]
 
 	// The U_CON lists, and the window unless they stand in for it, form one
-	// k-way intersection. A last-level record that is still a compressed span
-	// (lazy parse) is the kernel's compressed operand for its root's first
-	// intersection only: the decoded sides fold first and just their
-	// survivors are probed against the span via skip-pointer seeks, so a
-	// record nothing survives is never decoded. Whatever does survive reads
-	// the record decoded — once per root (adjOfData) — instead of walking the
-	// span again for every assignment above it.
+	// k-way intersection.
 	lists := m.arena.Lists(level, r.k+1)
-	compOperand := false
 	for p := 0; p < r.k; p++ {
 		if m.posMask&(1<<uint(p)) == 0 {
 			continue
@@ -359,23 +330,13 @@ func (r *run) extDescend(m *matcher, level int) {
 		if !vg.HasTopologyEdge(r.k, p, pos) {
 			continue
 		}
-		if level == r.k-2 && m.lastAdj == nil && m.lastComp.Count > 0 {
-			compOperand = true // p is the root's position: nothing else is assigned
-			continue
-		}
 		lists = append(lists, clip(m.adjOfPos(p), lo, hi))
 	}
-	// With no assigned neighbor the node's whole current window is scanned,
-	// and a compressed span needs one decoded side to be probed with.
+	// With no assigned neighbor the node's whole current window is scanned.
 	if len(lists) == 0 || !r.cand[m.g][level].full {
 		lists = append(lists, clip(wd.verts[m.g], lo, hi))
 	}
-	var cands []graph.VertexID
-	if compOperand {
-		cands = m.arena.IntersectKC(level, lists, m.lastComp)
-	} else {
-		cands = m.arena.IntersectK(level, lists) // a single list is returned as it is
-	}
+	cands := m.arena.IntersectK(level, lists) // a single list is returned as it is
 	for _, v := range cands {
 		m.assign(pos, v)
 		r.extDescend(m, level-1)

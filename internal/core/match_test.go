@@ -181,8 +181,7 @@ func TestMatcherPooled(t *testing.T) {
 // deeper forest root too — is an ID interval, so the clipped lists of the
 // connected positions stand in for it. Below the buffer, plain and compressed,
 // over plans with each shape the elision meets: a connected level-1 node (q1,
-// q5; on the compressed file q1's only other operand is the root's compressed
-// span, which keeps the window as its decoded side), a level-1 node nothing is
+// q5), a level-1 node nothing is
 // connected to (q2's two red vertices under MVC are not adjacent: the window
 // is scanned as before) and a full middle-level root beside groups where that
 // level has a parent (q2 with every vertex red). Counts equal brute force, and
@@ -198,7 +197,7 @@ func TestForestRootWindowNotIntersected(t *testing.T) {
 		kept         []bool   // the window stays an operand: nothing may change
 	}{
 		{256, false, []uint64{1046, 30589, 5480, 147824}, []bool{false, false, true, false}},
-		{128, true, []uint64{605, 27160, 5480, 125326}, []bool{true, false, true, false}},
+		{128, true, []uint64{605, 27160, 5480, 125326}, []bool{false, false, true, false}},
 	} {
 		db := buildDBOpts(t, g, layout.pageSize, layout.compress)
 		for i, c := range []struct {

@@ -37,14 +37,10 @@ type engineMetrics struct {
 	intersectLinear *obs.Counter
 	intersectGallop *obs.Counter
 	intersectKWay   *obs.Counter
-	// Compressed-domain counters: intersections that consumed a compressed
-	// operand without decoding it, records/bytes of compressed adjacency
-	// loaded into windows (counted per window load, both parse modes), and
-	// skip-table seeks performed by compressed-domain galloping.
-	intersectCompressed *obs.Counter
-	compressedRecs      *obs.Counter
-	compressedBytes     *obs.Counter
-	skipSeeks           *obs.Counter
+	// Records/bytes of compressed adjacency loaded into windows (counted per
+	// window load).
+	compressedRecs  *obs.Counter
+	compressedBytes *obs.Counter
 	// stealSplits counts bounded work-stealing range splits: a running
 	// enumeration task saw the queue drained and handed off half of its
 	// remaining candidate range (each split spawns exactly one stolen task).
@@ -84,10 +80,8 @@ func registerEngineMetrics(reg *obs.Registry, pool *buffer.Pool, retry *storage.
 		intersectKWay:   reg.Counter("dualsim_intersect_kway_total", "smallest-first k-way (>=3 list) intersections"),
 		stealSplits:     reg.Counter("dualsim_steal_splits_total", "work-stealing range splits (each spawns one stolen enumeration task)"),
 
-		intersectCompressed: reg.Counter("dualsim_intersect_compressed_total", "intersections that consumed a compressed adjacency operand in place (no decode)"),
-		compressedRecs:      reg.Counter("dualsim_compressed_records_total", "compressed adjacency records loaded into windows (counted per window load)"),
-		compressedBytes:     reg.Counter("dualsim_compressed_bytes_total", "on-disk bytes of compressed adjacency payloads loaded into windows"),
-		skipSeeks:           reg.Counter("dualsim_compressed_skip_seeks_total", "skip-table seeks taken by compressed-domain galloping (SeekGE block jumps)"),
+		compressedRecs:  reg.Counter("dualsim_compressed_records_total", "compressed adjacency records loaded into windows (counted per window load)"),
+		compressedBytes: reg.Counter("dualsim_compressed_bytes_total", "on-disk bytes of compressed adjacency payloads loaded into windows"),
 
 		overlayVertices: reg.Counter("dualsim_overlay_merged_vertices_total", "mutated records merged with the live-ingest overlay per window load, added by each page's load callback (multi-page vertices after the last one)"),
 	}

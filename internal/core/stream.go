@@ -246,7 +246,7 @@ func (s *stream) onPage(pid storage.PageID, page *storage.Page, err error) {
 	wp := &lw.loaded[o]
 	if err == nil {
 		wp.page = page
-		err = r.indexPage(wp, false)
+		err = r.indexPage(wp)
 	}
 	if err != nil {
 		r.fail(err)

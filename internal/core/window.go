@@ -61,14 +61,11 @@ type windowPage struct {
 	// page is the pinned page; nil when its load failed (nothing to unpin)
 	// or, in a pass, before it has landed and after it was released.
 	page *storage.Page
-	// lists holds, by slot, the adjacency lists that stand in for the page's
-	// on-disk records (one slab per page): the decoded views of lazily parsed
-	// compressed records — non-last levels only, which read adjacency
-	// structurally; last-level spans feed the compressed-domain kernels — and,
-	// on every level, the overlay-merged lists of the complete records the
-	// run's snapshot touches. nil for a page with neither. It lives here, per
-	// run and window, because the pooled *storage.Page is shared with runs at
-	// other snapshots.
+	// lists holds, by slot, the overlay-merged lists that stand in for the
+	// page's complete records the run's snapshot touches (one slab per page);
+	// nil for a page it does not touch. It lives here, per run and window,
+	// because the pooled *storage.Page is shared with runs at other
+	// snapshots.
 	lists []slotList
 	// split reports a Continues/Continuation record on the page: a chunk of
 	// a multi-page vertex, assembled into the side table after the loads
@@ -142,10 +139,7 @@ func (wp *windowPage) adjOf(v graph.VertexID) (adj []graph.VertexID, ok bool) {
 	if wp.lists != nil && wp.lists[i].set {
 		return wp.lists[i].adj, true
 	}
-	// Decodes only a last-level span: matching hands those to the kernels
-	// as they are (extMapPage), so just a lookup of some vertex other than
-	// the task's own root comes this way with one.
-	return rec.Decoded(nil), true
+	return rec.Adj, true
 }
 
 // processLevel drives the external traversal at level l >= 1 (Algorithm 2).
@@ -521,7 +515,7 @@ func (r *run) sleepWindowBackoff(attempt int) bool {
 // loadWindow is one load attempt at a window of a level above the last: it
 // pins every page needed by the window's vertices, builds the window's index
 // — each page callback its own ordinal, the run's overlay merged into the
-// records it touches, lazily parsed records decoded, without a lock; then
+// records it touches, without a lock; then
 // the side table of multi-page vertices — and splits the window per group.
 // What callers differ in arrives as state of the run it is called on: the
 // error sink (the run's error box) and the pinned overlay snapshot. On error
@@ -549,7 +543,7 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, ord int) (*levelWindow, 
 		}
 		wp := &lw.loaded[lw.ordinalOf(pid)]
 		wp.page = page
-		if err := r.indexPage(wp, true); err != nil {
+		if err := r.indexPage(wp); err != nil {
 			r.fail(err)
 		}
 	}
@@ -624,21 +618,17 @@ func (r *run) bookLoad(l, ord, pages int, wait time.Duration) {
 // multi-page vertex, and fills wp.lists: (base ∪ adds) \ tombstones for every
 // complete record the run's overlay touches, in the vertex window or not —
 // descent-time lookups resolve any indexed vertex, and all of them must agree
-// on the graph version — and, when decode is set, the decoded view of every
-// other lazily parsed compressed record. It runs in the page's own load
-// callback, so the page is complete before any task can see it, and books
-// the page's compressed records and merged vertices.
-func (r *run) indexPage(wp *windowPage, decode bool) error {
+// on the graph version. It runs in the page's own load callback, so the page
+// is complete before any task can see it, and books the page's compressed
+// records and merged vertices.
+func (r *run) indexPage(wp *windowPage) error {
 	recs := wp.page.Records
-	// standIn reports how rec is listed: merged with d, decoded, or not at all.
-	standIn := func(rec *storage.Record) (d *delta.VertexDelta, lazy bool) {
-		if rec.Continues || rec.Continuation {
-			return nil, false
+	// merged returns the overlay delta rec is listed with, nil for none.
+	merged := func(rec *storage.Record) *delta.VertexDelta {
+		if r.overlay == nil || rec.Continues || rec.Continuation {
+			return nil
 		}
-		if r.overlay != nil {
-			d = r.overlay.Of(rec.Vertex)
-		}
-		return d, rec.Adj == nil && rec.CompBytes > 0 && (decode || d != nil)
+		return r.overlay.Of(rec.Vertex)
 	}
 	var crecs, cbytes, mutated uint64
 	total := 0
@@ -653,41 +643,27 @@ func (r *run) indexPage(wp *windowPage, decode bool) error {
 			cbytes += uint64(rec.CompBytes)
 		}
 		wp.split = wp.split || rec.Continues || rec.Continuation
-		if d, lazy := standIn(rec); d != nil {
-			total += rec.Count() + len(d.Add)
+		if d := merged(rec); d != nil {
+			total += len(rec.Adj) + len(d.Add)
 			mutated++
-		} else if lazy {
-			total += rec.Comp.Count
 		}
 	}
 	if crecs > 0 {
 		r.em.compressedRecs.Add(crecs)
 		r.em.compressedBytes.Add(cbytes)
 	}
-	if mutated > 0 {
-		r.em.overlayVertices.Add(mutated)
-	} else if total == 0 {
-		return nil // nothing to list (a record decoding to nothing resolves empty as it is)
+	if mutated == 0 {
+		return nil
 	}
+	r.em.overlayVertices.Add(mutated)
 	slab := make([]graph.VertexID, 0, total)
-	var scratch []graph.VertexID // a compressed record decoded to be merged
 	wp.lists = make([]slotList, len(recs))
 	for i := range recs {
-		rec := &recs[i]
-		d, lazy := standIn(rec)
-		start := len(slab)
-		switch {
-		case d != nil && lazy:
-			scratch = rec.Comp.AppendTo(scratch[:0])
-			slab = d.AppendMerged(slab, scratch)
-		case d != nil:
-			slab = d.AppendMerged(slab, rec.Adj)
-		case lazy:
-			slab = rec.Comp.AppendTo(slab)
-		default:
-			continue
+		if d := merged(&recs[i]); d != nil {
+			start := len(slab)
+			slab = d.AppendMerged(slab, recs[i].Adj)
+			wp.lists[i] = slotList{adj: slab[start:len(slab):len(slab)], set: true}
 		}
-		wp.lists[i] = slotList{adj: slab[start:len(slab):len(slab)], set: true}
 	}
 	return nil
 }
@@ -695,9 +671,8 @@ func (r *run) indexPage(wp *windowPage, decode bool) error {
 // buildSide fills the window's side table in one ascending pass over the
 // pages holding chunks of multi-page vertices, between the last page callback
 // and the seal. The chunks are concatenated — window chopping keeps a
-// vertex's span inside one window, so all of them are present, and they
-// always decode: a compressed span cannot represent a concatenation — and
-// the run's overlay applied to the whole list.
+// vertex's span inside one window, so all of them are present — and the
+// run's overlay applied to the whole list.
 func (r *run) buildSide(lw *levelWindow) {
 	var split sideEntry // the multi-page vertex being assembled
 	for o := range lw.loaded {
@@ -714,7 +689,7 @@ func (r *run) buildSide(lw *levelWindow) {
 			if split.v != v || !rec.Continuation {
 				split = sideEntry{v: v}
 			}
-			split.adj = appendRecord(split.adj, rec)
+			split.adj = append(split.adj, rec.Adj...)
 			if rec.Continues || len(split.adj) != r.e.db.Degree(v) {
 				// More chunks follow, or the list starts on a page outside
 				// the window — then so does the vertex, never matched here.
@@ -727,15 +702,6 @@ func (r *run) buildSide(lw *levelWindow) {
 			lw.side = append(lw.side, split)
 		}
 	}
-}
-
-// appendRecord appends a record's adjacency entries to dst, decoding a
-// lazily parsed compressed chunk in the process.
-func appendRecord(dst []graph.VertexID, rec *storage.Record) []graph.VertexID {
-	if rec.Adj == nil && rec.CompBytes > 0 {
-		return rec.Comp.AppendTo(dst)
-	}
-	return append(dst, rec.Adj...)
 }
 
 // unloadWindow releases the window: path-pin accounting covers every page

@@ -1,22 +1,22 @@
 package graph
 
-// Compressed-domain adjacency operands.
+// Compressed adjacency payloads.
 //
 // The storage layer delta-varint-encodes sorted adjacency lists (see
-// docs/STORAGE.md for the byte layout). Historically every read decoded a
-// record into a fresh []VertexID before any kernel touched it, so the
-// adaptive intersection kernels above never saw the compressed form. This
-// file makes the compressed payload a first-class kernel operand:
+// docs/STORAGE.md for the byte layout); this file owns that layout:
 //
-//   - CompressedAdj is a zero-copy view of one record's payload (skip
-//     table + delta stream), validated once at parse time;
+//   - AppendCompressed and MaxCompressedEntries write it and size it;
+//   - DecodeCompressed is how the engine reads it: one walk validates a
+//     record and appends its entries to the page's slab, so a page is
+//     decoded once, as it lands, and matching sees plain lists only;
 //   - a skip table — one (lastValue, byteOffset) entry per SkipInterval
-//     deltas — lets a cursor SeekGE past whole blocks without decoding
-//     them, which is what makes galloping possible without full decode;
-//   - IntersectCompressed reuses the 16x-skew dispatch of IntersectSorted
-//     against a compressed operand, and Arena.IntersectKC folds a
-//     compressed operand into the smallest-first k-way intersection,
-//     decoding at most the candidates that survive the decoded lists.
+//     deltas — is checked by that walk against the stream it indexes;
+//   - CompressedAdj, ParseCompressed, CompCursor and IntersectCompressed
+//     are the compressed-domain operand: a zero-copy view validated by the
+//     same walk, a cursor that seeks through the skip table without
+//     decoding, and the 16x-skew dispatch of IntersectSorted against it.
+//     Nothing in the engine reads a page this way; they are kept for the
+//     parse and kernel micro-benchmarks.
 //
 // Encoding lives here rather than in storage so the byte layout has one
 // authority (storage imports graph, not vice versa).
@@ -24,6 +24,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // SkipInterval is the number of adjacency entries per skip block. A skip
@@ -155,54 +156,84 @@ func MaxCompressedEntries(adj []VertexID, maxBytes int) (n, bytes int) {
 // pair are checked against the walk — so cursors over the returned view
 // can assume well-formed input. The view aliases payload.
 func ParseCompressed(payload []byte, count int, hasSkips bool) (CompressedAdj, error) {
+	c, _, err := walkCompressed(payload, count, hasSkips, nil, false)
+	return c, err
+}
+
+// DecodeCompressed validates a compressed payload exactly as ParseCompressed
+// does and, in the same walk, appends its count entries to dst. The result
+// aliases nothing of payload. On error dst comes back with its length
+// unchanged.
+func DecodeCompressed(dst []VertexID, payload []byte, count int, hasSkips bool) ([]VertexID, error) {
+	_, dst, err := walkCompressed(payload, count, hasSkips, dst, true)
+	return dst, err
+}
+
+// walkCompressed is the one validating walk over a payload: ParseCompressed
+// keeps the view, DecodeCompressed (decode set) the values.
+func walkCompressed(payload []byte, count int, hasSkips bool, dst []VertexID, decode bool) (CompressedAdj, []VertexID, error) {
 	c := CompressedAdj{Count: count}
 	data := payload
 	if hasSkips {
 		if count <= SkipInterval {
-			return c, fmt.Errorf("skip table on %d-entry list (max %d without one)", count, SkipInterval)
+			return c, dst, fmt.Errorf("skip table on %d-entry list (max %d without one)", count, SkipInterval)
 		}
 		if len(payload) < 2 {
-			return c, fmt.Errorf("payload %d bytes, too short for skip-table header", len(payload))
+			return c, dst, fmt.Errorf("payload %d bytes, too short for skip-table header", len(payload))
 		}
 		nSkips := int(binary.LittleEndian.Uint16(payload))
 		if want := (count - 1) / SkipInterval; nSkips != want {
-			return c, fmt.Errorf("skip table has %d entries, want %d for %d-entry list", nSkips, want, count)
+			return c, dst, fmt.Errorf("skip table has %d entries, want %d for %d-entry list", nSkips, want, count)
 		}
 		tableLen := nSkips * skipEntrySize
 		if len(payload) < 2+tableLen {
-			return c, fmt.Errorf("payload %d bytes, too short for %d skip entries", len(payload), nSkips)
+			return c, dst, fmt.Errorf("payload %d bytes, too short for %d skip entries", len(payload), nSkips)
 		}
 		c.Skips = payload[2 : 2+tableLen]
 		data = payload[2+tableLen:]
 	}
 	c.Data = data
-	prev := uint32(0)
+	var out []VertexID // the decoded entries, written in place
+	if decode {
+		dst = slices.Grow(dst, count)
+		out = dst[len(dst) : len(dst)+count]
+	}
+	prev := uint32(0) // the first delta is absolute: 0 + d
 	pos := 0
-	for i := 0; i < count; i++ {
-		if i > 0 && i%SkipInterval == 0 && len(c.Skips) > 0 {
+	// One block of SkipInterval deltas at a time: a skip entry is checked
+	// where its block starts.
+	for i := 0; i < count; {
+		if i > 0 && len(c.Skips) > 0 {
 			e := (i/SkipInterval - 1) * skipEntrySize
 			lastVal := binary.LittleEndian.Uint32(c.Skips[e:])
 			off := int(binary.LittleEndian.Uint16(c.Skips[e+4:]))
 			if lastVal != prev || off != pos {
-				return c, fmt.Errorf("skip entry %d is (val=%d off=%d), stream says (val=%d off=%d)",
+				return c, dst, fmt.Errorf("skip entry %d is (val=%d off=%d), stream says (val=%d off=%d)",
 					i/SkipInterval-1, lastVal, off, prev, pos)
 			}
 		}
-		d, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return c, fmt.Errorf("corrupt varint at entry %d", i)
-		}
-		pos += n
-		if i == 0 {
-			prev = uint32(d)
-		} else {
-			prev += uint32(d)
+		for end := min(i+SkipInterval, count); i < end; i++ {
+			// Most deltas of a degree-ordered list fit one byte.
+			if pos < len(data) && data[pos] < 0x80 {
+				prev += uint32(data[pos])
+				pos++
+			} else {
+				d, n := binary.Uvarint(data[pos:])
+				if n <= 0 {
+					return c, dst, fmt.Errorf("corrupt varint at entry %d", i)
+				}
+				pos += n
+				prev += uint32(d)
+			}
+			if decode {
+				out[i] = VertexID(prev)
+			}
 		}
 	}
 	if pos != len(data) {
-		return c, fmt.Errorf("%d trailing bytes after %d entries", len(data)-pos, count)
+		return c, dst, fmt.Errorf("%d trailing bytes after %d entries", len(data)-pos, count)
 	}
-	return c, nil
+	return c, dst[:len(dst)+len(out)], nil
 }
 
 // AppendTo fully decodes the list, appending to dst (callers pass reusable
@@ -237,7 +268,7 @@ type CompCursor struct {
 	prev    uint32 // value of the last decoded entry (valid when idx > 0)
 	pending bool   // prev was found by SeekGE and not yet consumed by Next
 	// SkipSeeks counts skip-table-guided jumps, flushed into
-	// IntersectStats.SkipSeeks by the kernels (dualsim_skip_seeks_total).
+	// IntersectStats.SkipSeeks by IntersectCompressed.
 	SkipSeeks uint64
 }
 
@@ -407,29 +438,4 @@ func IntersectCompressed(a []VertexID, c CompressedAdj, dst []VertexID, stats *I
 		stats.SkipSeeks += cu.SkipSeeks
 	}
 	return dst
-}
-
-// IntersectKC is IntersectK with one additional compressed operand: the
-// decoded lists are folded smallest-first as usual, and the surviving
-// candidates — never more than the smallest decoded list — are then
-// located in the compressed operand, so at most those candidates' blocks
-// are decoded. With no decoded lists the operand is decoded outright into
-// depth's scratch. Result validity and reordering semantics are those of
-// IntersectK.
-func (ar *Arena) IntersectKC(depth int, lists [][]VertexID, c CompressedAdj) []VertexID {
-	lv := ar.level(depth)
-	switch len(lists) {
-	case 0:
-		lv.a = c.AppendTo(lv.a[:0])
-		return lv.a
-	case 1:
-		lv.a = IntersectCompressed(lists[0], c, lv.a[:0], &ar.Stats)
-		return lv.a
-	}
-	cur := ar.IntersectK(depth, lists)
-	if len(cur) == 0 {
-		return cur
-	}
-	// cur lives in lv.a or lv.b; in-place append is safe (writes trail reads).
-	return IntersectCompressed(cur, c, cur[:0], &ar.Stats)
 }

@@ -44,13 +44,19 @@ func TestCompressedRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, SkipInterval - 1, SkipInterval, SkipInterval + 1, 100, 1000} {
 		adj := sortedRandom(rng, n, 10*n+10)
 		c := mustParse(t, adj)
-		got := c.AppendTo(nil)
-		if len(got) != len(adj) {
-			t.Fatalf("n=%d: decoded %d entries", n, len(got))
+		payload, withSkips := AppendCompressed(nil, adj)
+		fused, err := DecodeCompressed([]VertexID{7}, payload, n, withSkips)
+		if err != nil {
+			t.Fatalf("n=%d: DecodeCompressed: %v", n, err)
 		}
-		for i := range adj {
-			if got[i] != adj[i] {
-				t.Fatalf("n=%d: entry %d = %d, want %d", n, i, got[i], adj[i])
+		for name, got := range map[string][]VertexID{"AppendTo": c.AppendTo(nil), "DecodeCompressed": fused[1:]} {
+			if len(got) != len(adj) {
+				t.Fatalf("n=%d: %s decoded %d entries", n, name, len(got))
+			}
+			for i := range adj {
+				if got[i] != adj[i] {
+					t.Fatalf("n=%d: %s entry %d = %d, want %d", n, name, i, got[i], adj[i])
+				}
 			}
 		}
 		if (len(c.Skips) > 0) != (n > SkipInterval) {
@@ -133,6 +139,9 @@ func TestParseCompressedRejectsCorruption(t *testing.T) {
 			mut := tc.mut(append([]byte(nil), payload...))
 			if _, err := ParseCompressed(mut, len(adj), true); err == nil {
 				t.Fatal("corrupt payload accepted")
+			}
+			if _, err := DecodeCompressed(nil, mut, len(adj), true); err == nil {
+				t.Fatal("corrupt payload decoded")
 			}
 		})
 	}
@@ -229,45 +238,6 @@ func TestIntersectCompressedInPlace(t *testing.T) {
 	}
 }
 
-func TestIntersectKCMatchesIntersectK(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ar := NewArena()
-	for trial := 0; trial < 50; trial++ {
-		nLists := rng.Intn(4) // 0..3 decoded lists
-		span := 2000
-		lists := make([][]VertexID, nLists)
-		for i := range lists {
-			lists[i] = sortedRandom(rng, 50+rng.Intn(400), span)
-		}
-		cadj := sortedRandom(rng, 50+rng.Intn(800), span)
-		c := mustParse(t, cadj)
-
-		// Reference: decode the operand, intersect everything with IntersectK.
-		ref := NewArena()
-		all := make([][]VertexID, 0, nLists+1)
-		for _, l := range lists {
-			all = append(all, append([]VertexID(nil), l...))
-		}
-		all = append(all, append([]VertexID(nil), cadj...))
-		want := ref.IntersectK(0, all)
-
-		work := make([][]VertexID, nLists)
-		copy(work, lists)
-		got := ar.IntersectKC(0, work, c)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (k=%d): %d results, want %d", trial, nLists, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (k=%d): result %d = %d, want %d", trial, nLists, i, got[i], want[i])
-			}
-		}
-	}
-	if ar.Stats.Compressed == 0 || ar.Stats.SkipSeeks == 0 {
-		t.Fatalf("stats not recorded: %+v", ar.Stats)
-	}
-}
-
 func TestMaxCompressedEntriesMatchesEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	adj := sortedRandom(rng, 400, 8000)
@@ -287,4 +257,53 @@ func TestMaxCompressedEntriesMatchesEncoder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkIntersectCompressed: a 64-entry list against a 65536-entry hub
+// stored delta+varint compressed. "decode-then-intersect" is the engine's
+// path: the validating walk decodes the hub (as a page parse does), then the
+// plain adaptive kernel runs; "compressed-domain" gallops over the encoded
+// bytes via the skip table and never materializes the list. Neither may
+// allocate per intersection.
+func BenchmarkIntersectCompressed(b *testing.B) {
+	small := make([]VertexID, 64)
+	for i := range small {
+		small[i] = VertexID(i * 2048)
+		if i%3 == 0 {
+			small[i]++ // odd: a miss
+		}
+	}
+	large := make([]VertexID, 65536)
+	for i := range large {
+		large[i] = VertexID(2 * i)
+	}
+	payload, hasSkips := AppendCompressed(nil, large)
+	comp, err := ParseCompressed(payload, len(large), hasSkips)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]VertexID, 0, len(small))
+	b.Run("decode-then-intersect", func(b *testing.B) {
+		b.ReportAllocs()
+		scratch := make([]VertexID, 0, len(large))
+		for i := 0; i < b.N; i++ {
+			if scratch, err = DecodeCompressed(scratch[:0], payload, len(large), hasSkips); err != nil {
+				b.Fatal(err)
+			}
+			dst = IntersectSorted(small, scratch, dst[:0])
+		}
+		if len(dst) == 0 {
+			b.Fatal("empty intersection; fixture broken")
+		}
+	})
+	b.Run("compressed-domain", func(b *testing.B) {
+		b.ReportAllocs()
+		var st IntersectStats
+		for i := 0; i < b.N; i++ {
+			dst = IntersectCompressed(small, comp, dst[:0], &st)
+		}
+		if len(dst) == 0 {
+			b.Fatal("empty intersection; fixture broken")
+		}
+	})
 }

@@ -134,7 +134,7 @@ type IntersectStats struct {
 	// steps are also counted in Linear/Gallop.
 	KWay uint64
 	// Compressed counts intersections that consumed a compressed operand
-	// without full decode (IntersectCompressed / IntersectKC); the kernel
+	// without full decode (IntersectCompressed); the kernel
 	// they dispatched to is also counted in Linear/Gallop.
 	Compressed uint64
 	// SkipSeeks counts skip-table-guided cursor jumps inside compressed

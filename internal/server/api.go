@@ -762,11 +762,9 @@ type StatsResponse struct {
 	CoalescedRuns  uint64 `json:"coalesced_runs"`
 	CoalescedPages uint64 `json:"coalesced_pages"`
 	// Compressed-storage counters: compressed adjacency records/bytes
-	// loaded into windows and skip-table seeks taken by the
-	// compressed-domain kernels (fleet-wide via the shared registry).
+	// loaded into windows (fleet-wide via the shared registry).
 	CompressedRecords uint64 `json:"compressed_records"`
 	CompressedBytes   uint64 `json:"compressed_bytes"`
-	SkipSeeks         uint64 `json:"skip_seeks"`
 	// Resilience counters: checkpoint/resume activity, whole-window retry
 	// absorptions, and the pool circuit breaker's state machine.
 	CheckpointsTaken uint64 `json:"checkpoints_taken"`
@@ -872,7 +870,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 		CompressedRecords: enum.CompressedRecords,
 		CompressedBytes:   enum.CompressedBytes,
-		SkipSeeks:         enum.SkipSeeks,
 
 		CheckpointsTaken: enum.CheckpointsTaken,
 		WindowRetries:    enum.WindowRetries,

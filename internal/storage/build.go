@@ -61,6 +61,9 @@ func Build(path string, src EdgeSource, opt BuildOptions) (*BuildStats, error) {
 	if opt.PageSize < MinPageSize {
 		return nil, fmt.Errorf("storage: page size %d below minimum %d", opt.PageSize, MinPageSize)
 	}
+	if opt.PageSize > MaxPageSize {
+		return nil, fmt.Errorf("storage: page size %d above the format's limit of %d (slot offsets and lengths are uint16)", opt.PageSize, MaxPageSize)
+	}
 	n := src.NumVertices()
 	if n <= 0 {
 		return nil, fmt.Errorf("storage: source has no vertices")

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dualsim/internal/graph"
@@ -67,6 +68,28 @@ func TestBuildAndOpenRoundTrip(t *testing.T) {
 		b := graph.CountOccurrences(rg, q)
 		if a != b {
 			t.Fatalf("%s: count %d on disk vs %d in memory", q.Name(), b, a)
+		}
+	}
+}
+
+// TestBuildPageSizeLimit: slot offsets and lengths are uint16, so a page of
+// 64 KiB is the largest whose every byte a slot can address. Build writes and
+// reads back full pages of exactly that size, and refuses a larger one rather
+// than write a file no reader can parse.
+func TestBuildPageSizeLimit(t *testing.T) {
+	g := randomTestGraph(rand.New(rand.NewSource(13)), 2000, 20000)
+	for _, compress := range []bool{false, true} {
+		db, _ := buildTemp(t, g, BuildOptions{PageSize: 65536, Compress: compress})
+		if err := db.VerifyIntegrity(); err != nil {
+			t.Fatalf("compress=%v, 64 KiB pages: %v", compress, err)
+		}
+		if _, err := db.LoadGraph(); err != nil {
+			t.Fatalf("compress=%v, 64 KiB pages: %v", compress, err)
+		}
+		dir := t.TempDir()
+		_, err := BuildFromGraph(filepath.Join(dir, "big.db"), g, BuildOptions{PageSize: 131072, Compress: compress, TempDir: dir})
+		if err == nil || !strings.Contains(err.Error(), "65536") {
+			t.Fatalf("compress=%v, 128 KiB pages: Build returned %v, want an error naming the 65536-byte limit", compress, err)
 		}
 	}
 }

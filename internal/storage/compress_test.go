@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -289,6 +290,126 @@ func TestCorruptSkipTableRejected(t *testing.T) {
 	// Sanity: the pristine image still parses.
 	if _, err := ParsePage(pristine); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mixedPage writes a page of ascending vertices whose records are drawn at
+// random: raw or compressed, from empty to long enough for a skip table, with
+// small and large gaps, until the page is full. It returns the image and the
+// lists written.
+func mixedPage(rng *rand.Rand, pageSize int) ([]byte, [][]graph.VertexID) {
+	w := NewPageWriter(pageSize, PageID(rng.Intn(100)))
+	var lists [][]graph.VertexID
+	for v := graph.VertexID(rng.Intn(50)); ; v++ {
+		adj := make([]graph.VertexID, rng.Intn(3*graph.SkipInterval))
+		next := uint32(rng.Intn(1000))
+		for i := range adj {
+			adj[i] = graph.VertexID(next)
+			next += 1 + uint32(rng.Intn(1+rng.Intn(70000)))
+		}
+		var ok bool
+		if rng.Intn(3) == 0 {
+			ok = w.Add(v, adj, false, false)
+		} else {
+			ok = w.AddCompressed(v, adj, false, false)
+		}
+		if !ok {
+			return append([]byte(nil), w.Bytes()...), lists
+		}
+		lists = append(lists, adj)
+	}
+}
+
+// parsersAgree parses buf with ParsePage and with ParsePageLazy and fails t
+// unless both accept or both reject it, and, when both accept, each record
+// decoded in the fused walk equals its lazy view decoded afterwards. It
+// returns the fused parse (nil when rejected).
+func parsersAgree(t *testing.T, buf []byte) *Page {
+	t.Helper()
+	fused, ferr := ParsePage(buf)
+	lazy, lerr := ParsePageLazy(buf)
+	if (ferr == nil) != (lerr == nil) {
+		t.Fatalf("ParsePage err=%v, ParsePageLazy err=%v: one parser accepts what the other rejects", ferr, lerr)
+	}
+	if ferr != nil {
+		return nil
+	}
+	if fused.ID != lazy.ID || len(fused.Records) != len(lazy.Records) {
+		t.Fatalf("page %d with %d records, lazily page %d with %d", fused.ID, len(fused.Records), lazy.ID, len(lazy.Records))
+	}
+	for i := range fused.Records {
+		f, l := &fused.Records[i], &lazy.Records[i]
+		if f.Comp.Count != 0 || f.Comp.Data != nil || f.Count() != len(f.Adj) {
+			t.Fatalf("slot %d: the fused walk kept a compressed view", i)
+		}
+		if f.Vertex != l.Vertex || f.CompBytes != l.CompBytes || f.Continues != l.Continues || f.Continuation != l.Continuation {
+			t.Fatalf("slot %d: fused %+v, lazy %+v", i, *f, *l)
+		}
+		if dec := l.Decoded(nil); !slices.Equal(f.Adj, dec) {
+			t.Fatalf("slot %d: fused walk decoded %v, lazy view %v", i, f.Adj, dec)
+		}
+	}
+	return fused
+}
+
+// TestParsePageFusedMatchesLazy: decoding a compressed record inside its
+// validating walk changes nothing a reader sees. On random mixed pages, with
+// and without skip tables, ParsePage returns exactly what ParsePageLazy plus
+// Record.Decoded does; on the same pages with a byte flipped, a record
+// truncated or a skip entry tampered with (checksum fixed up, so only the
+// structural checks stand between the page and a reader), the two accept and
+// reject the same images, and every truncated or tampered one is rejected.
+func TestParsePageFusedMatchesLazy(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	skipped := 0
+	for trial := 0; trial < 40; trial++ {
+		pristine, lists := mixedPage(rng, []int{512, 4096}[trial%2])
+		p := parsersAgree(t, pristine)
+		if p == nil || len(p.Records) != len(lists) {
+			t.Fatalf("trial %d: pristine page rejected or short", trial)
+		}
+		for i, rec := range p.Records {
+			if !slices.Equal(rec.Adj, lists[i]) {
+				t.Fatalf("trial %d slot %d: decoded %v, wrote %v", trial, i, rec.Adj, lists[i])
+			}
+		}
+		tamper := func(name string, mustReject bool, mut func(buf []byte)) {
+			t.Helper()
+			buf := append([]byte(nil), pristine...)
+			mut(buf)
+			rewriteChecksum(buf)
+			if parsersAgree(t, buf) != nil && mustReject {
+				t.Fatalf("trial %d: %s accepted", trial, name)
+			}
+		}
+		free := int(binary.LittleEndian.Uint16(pristine[6:]))
+		for k := 0; k < 64; k++ {
+			off := pageHeaderSize + rng.Intn(free-pageHeaderSize)
+			tamper("byte flip", false, func(buf []byte) { buf[off] ^= byte(1 + rng.Intn(255)) })
+		}
+		for i := range lists {
+			slot := len(pristine) - (i+1)*slotSize
+			off := int(binary.LittleEndian.Uint16(pristine[slot:]))
+			flags := pristine[off+4]
+			if flags&flagCompressed == 0 || len(lists[i]) == 0 {
+				continue
+			}
+			tamper("truncated record", true, func(buf []byte) {
+				binary.LittleEndian.PutUint16(buf[slot+2:], binary.LittleEndian.Uint16(buf[slot+2:])-1)
+			})
+			if flags&flagSkips == 0 {
+				continue
+			}
+			skipped++
+			table := off + recordHeaderSize
+			entries := int(binary.LittleEndian.Uint16(pristine[table:]))
+			for b := 0; b < 2+entries*6; b++ {
+				tamper("skip entry", true, func(buf []byte) { buf[table+b] ^= 0x10 })
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no record carried a skip table")
 	}
 }
 

@@ -1,14 +1,18 @@
 package storage
 
 import (
+	"math/rand"
+	"path/filepath"
 	"testing"
 
+	"dualsim/internal/gen"
 	"dualsim/internal/graph"
 )
 
 // FuzzParsePage hardens the page parser against arbitrary bytes: it must
 // either return an error or a structurally valid page — never panic or
-// over-read.
+// over-read — and the fused walk (ParsePage) must accept exactly what the
+// lazy one (ParsePageLazy) accepts, decoding what it would decode.
 func FuzzParsePage(f *testing.F) {
 	// Seed with valid pages of both encodings.
 	w := NewPageWriter(256, 1)
@@ -20,18 +24,35 @@ func FuzzParsePage(f *testing.F) {
 	ws := NewPageWriter(1024, 3)
 	ws.AddCompressed(9, longTestAdj(120), false, false) // skip-listed record
 	f.Add(append([]byte(nil), ws.Bytes()...))
+	// Full compressed pages: random mixed records, and pages of a built
+	// compressed file.
+	rng := rand.New(rand.NewSource(28))
+	for _, size := range []int{512, 1024} {
+		img, _ := mixedPage(rng, size)
+		f.Add(img)
+	}
+	dir := f.TempDir()
+	path := filepath.Join(dir, "seed.db")
+	if _, err := BuildFromGraph(path, gen.PlantedHubs(300, 4, 120, 28), BuildOptions{PageSize: 256, Compress: true, TempDir: dir}); err != nil {
+		f.Fatal(err)
+	}
+	db, err := Open(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer db.Close()
+	for pid := 0; pid < db.NumPages(); pid += 7 {
+		img := make([]byte, db.PageSize())
+		if err := db.ReadPageInto(PageID(pid), img); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
 	f.Add(make([]byte, 256))
 	f.Add([]byte{1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ParsePage(data)
-		if err != nil {
-			return
-		}
-		for _, rec := range p.Records {
-			_ = rec.Vertex
-			_ = len(rec.Adj)
-		}
+		parsersAgree(t, data)
 	})
 }
 

@@ -57,6 +57,11 @@ const (
 // must not spill into data page 0.
 const MinPageSize = superblockSize
 
+// MaxPageSize is the largest supported page size: slot offsets and lengths,
+// freeStart and entry counts are uint16, so no byte of a larger page could
+// be addressed.
+const MaxPageSize = 1 << 16
+
 // DefaultPageSize is used when BuildOptions.PageSize is zero.
 const DefaultPageSize = 4096
 
@@ -64,13 +69,14 @@ const DefaultPageSize = 4096
 type Record struct {
 	// Vertex is the vertex this sublist belongs to.
 	Vertex graph.VertexID
-	// Adj is the decoded adjacency sublist. Under ParsePageLazy, records
-	// stored compressed leave Adj nil and carry the raw payload in Comp;
-	// every other case (raw records, ParsePage) decodes into Adj.
+	// Adj is the decoded adjacency sublist. ParsePage decodes every record
+	// into it, stored compressed or not; only ParsePageLazy leaves it nil
+	// for a compressed record, which then carries Comp instead.
 	Adj []graph.VertexID
 	// Comp is the validated zero-copy view of a compressed record's
-	// payload, set only by ParsePageLazy. Its slices alias the page
-	// buffer and are valid only as long as that buffer is.
+	// payload, set by ParsePageLazy alone: the engine never parses lazily.
+	// Its slices alias the page buffer and are valid only as long as that
+	// buffer is.
 	Comp graph.CompressedAdj
 	// CompBytes is the on-disk payload size in bytes when the record was
 	// stored compressed, 0 for raw records. It is set in both parse
@@ -207,17 +213,20 @@ func (w *PageWriter) Bytes() []byte {
 	return w.buf
 }
 
-// ParsePage decodes a page image. Adjacency slices are decoded copies and do
-// not alias buf; all records of a page share one backing slab, so parsing a
-// page costs a constant number of allocations regardless of record count.
+// ParsePage decodes a page image. Each compressed record is validated and
+// decoded in one walk (graph.DecodeCompressed: every check ParseCompressed
+// makes), straight into the page's slab. Adjacency slices are decoded copies:
+// the page aliases nothing of buf, which the caller may reuse at once. All
+// records of a page share the slab, so parsing a page costs a constant
+// number of allocations regardless of record count.
 func ParsePage(buf []byte) (*Page, error) { return parsePage(buf, false) }
 
 // ParsePageLazy parses like ParsePage but leaves records stored compressed
-// as validated zero-copy views (Record.Comp) instead of decoding them, so
-// the compressed-domain kernels can consume the payload in place. Raw
-// records still decode into the shared slab. The returned views alias buf:
-// the caller must keep buf alive (and unmodified) for as long as the page
-// is used — in the engine, the pinned buffer-pool frame guarantees this.
+// as validated zero-copy views (Record.Comp) instead of decoding them; raw
+// records still decode into the shared slab. The views alias buf, which the
+// caller must keep alive and unmodified for as long as the page is used.
+// The engine reads pages with ParsePage only; this is the comparator of the
+// parse micro-benchmark and of the compressed-domain kernels.
 func ParsePageLazy(buf []byte) (*Page, error) { return parsePage(buf, true) }
 
 func parsePage(buf []byte, lazy bool) (*Page, error) {
@@ -281,18 +290,19 @@ func parsePage(buf []byte, lazy bool) (*Page, error) {
 		count := int(binary.LittleEndian.Uint16(buf[off+6:]))
 		if flags&flagCompressed != 0 {
 			payload := buf[off+recordHeaderSize : off+length]
-			c, err := graph.ParseCompressed(payload, count, flags&flagSkips != 0)
+			skips := flags&flagSkips != 0
+			var err error
+			if lazy {
+				rec.Comp, err = graph.ParseCompressed(payload, count, skips)
+			} else {
+				start := len(slab)
+				slab, err = graph.DecodeCompressed(slab, payload, count, skips)
+				rec.Adj = slab[start:len(slab):len(slab)]
+			}
 			if err != nil {
 				return nil, &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d: %v", i, err)}
 			}
 			rec.CompBytes = len(payload)
-			if lazy {
-				rec.Comp = c
-			} else {
-				start := len(slab)
-				slab = c.AppendTo(slab)
-				rec.Adj = slab[start:len(slab):len(slab)]
-			}
 			p.Records = append(p.Records, rec)
 			continue
 		}
