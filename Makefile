@@ -41,7 +41,10 @@ fmt:
 # split), no speculative read path comes back (scripts/inert_names.sh), and
 # no second decode path either: a compressed page is decoded as it is parsed,
 # and only benchmark/, internal/graph and internal/storage name the
-# compressed-domain operand (scripts/one_decode_path.sh).
+# compressed-domain operand (scripts/one_decode_path.sh). Finally, one retry
+# layer: the engine fails a run on any error, and classifying a fault as worth
+# another attempt belongs to storage.RetryReader, so non-test internal/core
+# calls no IsTransient.
 lint: vet metrics-doc-check
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
 	@if $(GO) list -deps ./cmd/dualsim | grep -E 'internal/(mr|pregel|baseline)'; then \
@@ -58,6 +61,8 @@ lint: vet metrics-doc-check
 		echo "rider budgets have one source: exactly one buffer.Allocate call in internal/core/sweep.go (cohortBudget.levels)" >&2; exit 1; fi
 	@./scripts/inert_names.sh
 	@./scripts/one_decode_path.sh
+	@if grep -nF 'IsTransient(' $$(ls internal/core/*.go | grep -v _test.go); then \
+		echo "one retry layer: storage.RetryReader absorbs transient faults, the engine fails a run on any error (no IsTransient in internal/core)" >&2; exit 1; fi
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
 # (every counter/gauge/histogram the server registers, plus the paper
@@ -81,14 +86,16 @@ metrics-doc-check:
 # window's pins — and the cohort deal: budgets rewritten at every window
 # boundary while riders board and leave, in a pool of exactly the frames
 # dealt — and the delivery of embeddings: task-local batches handed to the
-# row hook from every worker at once, each row once (a retried pass
-# included), a window's rows before its checkpoint, the server's cut at the
-# row limit inside a batch, the library's one-caller-at-a-time contract —
-# and cohort boarding: a fresh sweep starts at once, so concurrent arrivals
-# share its reads only by late join, which the sublinear-pages tests pin.
+# row hook from every worker at once, each row once, a window's rows before
+# its checkpoint, the server's cut at the row limit inside a batch, the
+# library's one-caller-at-a-time contract — and cohort boarding: a fresh
+# sweep starts at once, so concurrent arrivals share its reads only by late
+# join, which the sublinear-pages tests pin — and a faulted cohort: a read
+# error reaches every rider on board while their tasks are matching, and
+# nothing may stay pinned.
 check: lint bench-module
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayStreamDispatch|TestStream|TestDealSplit|TestCohortDealExactBudget|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestEnumerateContract|TestSchedulerSharedReadsSublinear|TestE2ESharedScanSublinearPages' ./internal/core ./internal/sharedscan ./internal/server .
+	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayStreamDispatch|TestStream|TestDealSplit|TestCohortDealExactBudget|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestEnumerateContract|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestE2ESharedScanSublinearPages' ./internal/core ./internal/sharedscan ./internal/server .
 
 # bench-module vets and tests benchmark/, which is its own Go module
 # (replace dualsim => ../): the root ./... patterns never compile it, so

@@ -155,7 +155,6 @@ func cmdQuery(args []string) error {
 	frames := fs.Int("frames", 0, "buffer frames (overrides -buffer)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	retries := fs.Int("retries", 0, "retry transient read failures up to N times (0 = no retry layer)")
-	windowRetries := fs.Int("window-retries", 0, "reload a window up to N times when a transient fault outlives -retries (0 = off)")
 	print := fs.Bool("print", false, "print each embedding")
 	profile := fs.Bool("profile", false, "attribute costs to the run and print a per-query cost profile")
 	jsonOut := fs.Bool("json", false, "emit the result and metrics snapshot as one JSON object on stdout")
@@ -180,7 +179,6 @@ func cmdQuery(args []string) error {
 		BufferFraction:   *buffer,
 		BufferFrames:     *frames,
 		Timeout:          *timeout,
-		WindowRetries:    *windowRetries,
 		MetricsAddr:      *metricsAddr,
 		Profile:          *profile,
 		ProgressInterval: *progress,
@@ -233,9 +231,6 @@ func cmdQuery(args []string) error {
 	fmt.Printf("prep %v, exec %v, %d physical reads, %d frames, %d level-1 windows, %d red vertices in %d v-groups\n",
 		res.PrepTime, res.ExecTime, res.PhysicalReads, res.BufferFrames, res.Level1Windows,
 		res.RedVertices, res.VGroups)
-	if res.WindowRetries > 0 {
-		fmt.Printf("recovered from transient faults via %d window retries\n", res.WindowRetries)
-	}
 	if res.Profile != nil {
 		fmt.Println("--- cost profile ---")
 		res.Profile.WriteReport(os.Stdout)
@@ -258,7 +253,6 @@ func cmdServe(args []string) error {
 	frames := fs.Int("frames", 0, "global buffer budget in frames (overrides -buffer), divided across engines")
 	threads := fs.Int("threads", 0, "worker threads per engine (0 = GOMAXPROCS/engines)")
 	retries := fs.Int("retries", 0, "retry transient read failures up to N times (0 = no retry layer)")
-	windowRetries := fs.Int("window-retries", 0, "reload a window up to N times when a transient fault outlives -retries (0 = off)")
 	traceFile := fs.String("trace", "", "write the service-wide JSONL span trace to this file (flushed on drain)")
 	slowQuery := fs.Duration("slow-query", 0, "slow-query log threshold (0 = 500ms, negative = record all)")
 	shareScan := fs.Bool("share-scan", false, "share one level-1 window sweep across concurrent queries (one big buffer, N riders)")
@@ -279,7 +273,6 @@ func cmdServe(args []string) error {
 		Threads:        *threads,
 		BufferFraction: *buffer,
 		BufferFrames:   *frames,
-		WindowRetries:  *windowRetries,
 	}
 	if *retries > 0 {
 		engOpts.Retry = &dualsim.RetryPolicy{MaxRetries: *retries}

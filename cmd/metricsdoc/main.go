@@ -129,7 +129,6 @@ var paperNotes = []struct{ pattern, note string }{
 	{"dualsim_worker_*", "parallel speedup headroom (Figure 16): a drained queue means workers starve"},
 	{"dualsim_retry_*", "resilient read path recovery activity (§6b)"},
 	{"dualsim_checkpoints_taken_total", "checkpoint cadence of the failure-domain layers (§6b)"},
-	{"dualsim_window_retries_total", "whole-window recoveries absorbed without losing exactness (§6b)"},
 	{"dualsim_resumes_*", "resume-token outcomes (§6b); the stale_epoch label counts tokens invalidated by live ingest"},
 	{"dualsim_ingest_*", "live ingest: edge-mutation batches entering the delta overlay (the mutable-graph extension of §4's static layout)"},
 	{"dualsim_data_epoch", "monotone mutation clock: every query and resume token is pinned to one epoch"},

@@ -285,14 +285,9 @@ type Options struct {
 	// Retry, when non-nil, turns on the resilient read path: transient
 	// device faults are retried with exponential backoff and jitter, and
 	// checksum mismatches are re-read once (torn-read tolerance) before
-	// surfacing a *CorruptPageError.
+	// surfacing a *CorruptPageError. It is the engine's only recovery: a
+	// read error that outlives it fails the run.
 	Retry *RetryPolicy
-	// WindowRetries, when positive, adds whole-window recovery above the
-	// read-level retries: a transient fault that exhausts Retry's budget
-	// discards the window's partial work (counts stay exact) and reloads
-	// the window up to this many times before failing the run, backing
-	// off 10ms doubling to 250ms between attempts.
-	WindowRetries int
 	// MetricsAddr, when non-empty, serves the engine's metrics over HTTP
 	// for the engine's lifetime: /metrics (Prometheus text format),
 	// /debug/vars (JSON snapshot) and /debug/pprof. Use ":0" to bind a
@@ -340,7 +335,6 @@ func (o Options) coreOptions() core.Options {
 		SeekLatency:      o.SeekLatency,
 		Timeout:          o.Timeout,
 		Retry:            o.Retry,
-		WindowRetries:    o.WindowRetries,
 		Tracer:           tracer,
 		Profile:          o.Profile,
 		ProgressInterval: o.ProgressInterval,
@@ -370,9 +364,6 @@ type Result struct {
 	// v-group sequences.
 	RedVertices int `json:"red_vertices"`
 	VGroups     int `json:"v_groups"`
-	// WindowRetries counts whole-window recoveries this run absorbed
-	// (always zero unless Options.WindowRetries is set).
-	WindowRetries uint64 `json:"window_retries,omitempty"`
 	// Metrics is a snapshot of the engine's metric registry at the end of
 	// the run; counters are cumulative across runs of one engine.
 	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
@@ -468,7 +459,6 @@ func publicResult(res *core.Result) *Result {
 		Level1Windows: res.Level1Windows,
 		RedVertices:   res.Plan.K,
 		VGroups:       len(res.Plan.Groups),
-		WindowRetries: res.WindowRetries,
 		Metrics:       res.Metrics,
 		Profile:       res.Profile,
 	}

@@ -64,10 +64,9 @@ type RunSpec struct {
 	// what it holds when it ends and the worker pool drains before a window
 	// settles, so every row of a level-1 window has been handed over before
 	// that window's OnCheckpoint — the order a resume relies on. A run that
-	// succeeds hands over every embedding exactly once, window and pass
-	// retries included (a retried last-level pass matches again what an
-	// earlier attempt delivered, for its tallies alone); a run that fails
-	// or is cancelled has handed over some of them, none twice.
+	// succeeds hands over every embedding exactly once: no window or pass
+	// is ever matched twice. A run that fails or is cancelled has handed
+	// over some of them, none twice.
 	OnRows func(rows []graph.VertexID, width int)
 	// Resume, when non-nil, replays the run from the checkpoint: windows
 	// before the cursor are skipped entirely (no page reads), counts start

@@ -54,21 +54,9 @@ type Options struct {
 	Timeout time.Duration
 	// Retry, when non-nil, wraps the page read path in a
 	// storage.RetryReader with this policy, absorbing transient device
-	// faults and torn reads before they reach the engine.
+	// faults and torn reads before they reach the engine. It is the
+	// engine's only recovery: a read error that outlives it fails the run.
 	Retry *storage.RetryPolicy
-	// WindowRetries bounds whole-window retries: when a transient fault
-	// survives the read-level Retry budget mid-window, the engine drains
-	// the window's tasks, discards its partial counts and pins, backs off,
-	// and reloads the same window instead of failing the run. Pages that
-	// loaded before the fault are still resident, so a retry re-reads only
-	// the pages that actually failed. Zero disables window retry; permanent
-	// errors (corruption, out-of-range) are never retried. Retries back off
-	// from windowRetryBackoff, doubling up to windowRetryMaxBackoff, so one
-	// window stalls at most WindowRetries * windowRetryMaxBackoff plus the
-	// read-level budget per attempt — see TestRetryBackoffComposition.
-	WindowRetries int
-	// WindowRetrySleep replaces the context-aware backoff wait (tests).
-	WindowRetrySleep func(time.Duration)
 	// Metrics, when non-nil, is the registry the engine registers its
 	// metrics into (share one across engines to aggregate); when nil the
 	// engine creates a private registry, retrievable with Registry().
@@ -132,10 +120,6 @@ type Result struct {
 	// Resumed reports that the run replayed from a Checkpoint; Count then
 	// includes the checkpoint's settled totals.
 	Resumed bool
-	// WindowRetries counts whole-window retry attempts this run absorbed
-	// (transient faults that survived the read-level budget but not the
-	// window-level one).
-	WindowRetries uint64
 	// Metrics is a snapshot of the engine's metric registry at the end of
 	// the run. Counters are cumulative across runs of one engine.
 	Metrics *obs.Snapshot
@@ -297,9 +281,6 @@ type EnumStats struct {
 	// CheckpointsTaken counts window-boundary checkpoints delivered to run
 	// callbacks.
 	CheckpointsTaken uint64
-	// WindowRetries counts whole-window retries absorbed after a transient
-	// fault outlived the read-level retry budget.
-	WindowRetries uint64
 	// CompressedRecords counts compressed adjacency records loaded into
 	// windows (per window load; each is decoded as its page is parsed).
 	CompressedRecords uint64
@@ -312,7 +293,6 @@ func (e *Engine) EnumStats() EnumStats {
 	return EnumStats{
 		IOWaitNanos:       e.em.ioWaitNanos.Value(),
 		CheckpointsTaken:  e.em.checkpoints.Value(),
-		WindowRetries:     e.em.windowRetries.Value(),
 		CompressedRecords: e.em.compressedRecs.Value(),
 		CompressedBytes:   e.em.compressedBytes.Value(),
 	}
@@ -617,14 +597,11 @@ type run struct {
 	// loads and on the reads of last-level passes — the I/O cost the overlap
 	// strategy failed to hide.
 	ioWait time.Duration
-	// windowRetries counts whole-window retries this run absorbed.
-	windowRetries uint64
 
-	// err is the run's first failure. Boxed so the window-retry path can
-	// absorb a transient fault with a CAS back to nil: the box pointer
-	// identifies exactly the failure being absorbed, and a different error
-	// landing concurrently survives the clear.
-	err atomic.Pointer[runErrBox]
+	// err is the run's first failure, set once (fail) by whichever of the
+	// orchestrator, an I/O callback or a task meets it first. Every error
+	// fails the run.
+	err atomic.Pointer[error]
 
 	// resumed reports a run replayed from a Checkpoint.
 	resumed bool
@@ -659,38 +636,18 @@ func (r *run) span() uint64 {
 	return r.scope.NextSpanID()
 }
 
-type runErrBox struct{ err error }
-
 func (r *run) fail(err error) {
 	if err == nil {
 		return
 	}
-	r.err.CompareAndSwap(nil, &runErrBox{err: err})
+	r.err.CompareAndSwap(nil, &err)
 }
 
 func (r *run) firstErr() error {
-	if b := r.err.Load(); b != nil {
-		return b.err
+	if p := r.err.Load(); p != nil {
+		return *p
 	}
 	return nil
-}
-
-// doomed reports whether the run error, if any, is certain to fail the run.
-// Enumeration tasks may skip their work only in that case: a transient fault
-// can still be absorbed by a window retry (loadWindowWithRetry), and a task
-// that skipped on a later-absorbed error is never re-dispatched — the
-// surviving run would settle an undercount.
-func (r *run) doomed() bool {
-	err := r.firstErr()
-	return err != nil && !storage.IsTransient(err)
-}
-
-// absorbErr clears the run error iff it is still exactly the failure the
-// window-retry path decided to absorb. Safe because every writer that could
-// have stored this box (the failed window's load callbacks and tasks) has
-// completed by the time the retry path drained and unloaded the window.
-func (r *run) absorbErr(b *runErrBox) bool {
-	return r.err.CompareAndSwap(b, nil)
 }
 
 // candSeq is a candidate vertex sequence: either the full vertex range or an

@@ -53,12 +53,10 @@ type matcher struct {
 	localExternal uint64
 
 	// deliver says the task's embeddings go to the run's row hook: the run
-	// has one, and the task is not a retried pass matching again what an
-	// earlier attempt handed over (see sentTasks). rows then collects them,
-	// back to back, until it holds rowCap of them or the task ends. rowCap
-	// doubles from one row to rowBatch with every handover and stays with the
-	// pooled matcher, so a run's first row leaves alone and its steady state
-	// is full batches.
+	// has one. rows then collects them, back to back, until it holds rowCap
+	// of them or the task ends. rowCap doubles from one row to rowBatch with
+	// every handover and stays with the pooled matcher, so a run's first row
+	// leaves alone and its steady state is full batches.
 	deliver bool
 	rows    []graph.VertexID
 	rowCap  int
@@ -103,11 +101,10 @@ func (m *matcher) handRows() {
 
 // flush hands over the rows the task still holds, publishes its local
 // counters into its window's accumulators (merged into the run totals and
-// engine metrics only when the window completes — see settleWindowCounts;
-// window-local counts are what makes whole-window retry idempotent) and the
-// arena's kernel-selection counts into the registry, then returns the matcher
-// to the pool. Batching per task keeps the per-embedding hot path free of
-// shared-cacheline traffic.
+// engine metrics only when the window completes — see settleWindowCounts)
+// and the arena's kernel-selection counts into the registry, then returns
+// the matcher to the pool. Batching per task keeps the per-embedding hot path
+// free of shared-cacheline traffic.
 func (m *matcher) flush() {
 	if len(m.rows) > 0 {
 		m.handRows()
@@ -236,15 +233,13 @@ func (m *matcher) allInternal() bool {
 // just-landed last-level page, rooted at its overlay-merged list where the
 // run's snapshot touches it. Invoked on a worker while later pages of the
 // pass are still loading: lookups in the pass are restricted to this page
-// (see matcher.own). mute matches for the tallies alone: an earlier attempt at
-// the pass handed this page's rows over.
-func (r *run) extMapPage(wp *windowPage, lw *levelWindow, mute bool) {
-	if r.doomed() {
+// (see matcher.own).
+func (r *run) extMapPage(wp *windowPage, lw *levelWindow) {
+	if r.firstErr() != nil {
 		return
 	}
 	m := r.newMatcher(lw, false)
 	m.own = wp
-	m.deliver = m.deliver && !mute
 	for i := range wp.page.Records {
 		rec := &wp.page.Records[i]
 		if rec.Continues || rec.Continuation {
@@ -263,13 +258,12 @@ func (r *run) extMapPage(wp *windowPage, lw *levelWindow, mute bool) {
 }
 
 // extMapVertex roots the external traversal at one multi-page vertex with
-// its concatenated adjacency (mute as in extMapPage).
-func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWindow, mute bool) {
-	if r.doomed() {
+// its concatenated adjacency.
+func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWindow) {
+	if r.firstErr() != nil {
 		return
 	}
 	m := r.newMatcher(lw, false)
-	m.deliver = m.deliver && !mute
 	r.extMapRecord(m, v, adj)
 	m.flush()
 }
@@ -369,7 +363,7 @@ const minStealSpan = 2
 // remaining range as a new task, so one skewed high-degree candidate region
 // cannot stall the window on a single worker.
 func (r *run) internalEnumerate(g int, verts []graph.VertexID, lw *levelWindow) {
-	if r.doomed() {
+	if r.firstErr() != nil {
 		return
 	}
 	m := r.newMatcher(lw, true)

@@ -19,11 +19,9 @@ type engineMetrics struct {
 	embExternal   *obs.Counter
 	ioWaitNanos   *obs.Counter
 
-	// Survivability counters: window-boundary checkpoints delivered to a
-	// run's OnCheckpoint callback, and whole-window retries absorbed after
-	// a transient fault outlived the read-level retry budget.
-	checkpoints   *obs.Counter
-	windowRetries *obs.Counter
+	// checkpoints counts window-boundary checkpoints delivered to a run's
+	// OnCheckpoint callback.
+	checkpoints *obs.Counter
 
 	windowLoadUS *obs.Histogram // per-window I/O wait to pin all pages (µs)
 	windowPages  *obs.Histogram // pages per merged window
@@ -65,8 +63,7 @@ func registerEngineMetrics(reg *obs.Registry, pool *buffer.Pool, retry *storage.
 		embExternal:   reg.Counter("dualsim_embeddings_external_total", "embeddings found by the external traversal"),
 		ioWaitNanos:   reg.Counter("dualsim_io_wait_nanos_total", "orchestrator time blocked on page loads — a window's, or a last-level pass's while one of its reads is outstanding: device reads, pin waits and per-page indexing not hidden by overlap; page callbacks never wait for an enumeration worker and a pass blocked on matching alone is not counted, so no matching time is in it"),
 
-		checkpoints:   reg.Counter("dualsim_checkpoints_taken_total", "window-boundary checkpoints delivered to run callbacks"),
-		windowRetries: reg.Counter("dualsim_window_retries_total", "whole-window retries after a transient fault outlived the read-level retry budget"),
+		checkpoints: reg.Counter("dualsim_checkpoints_taken_total", "window-boundary checkpoints delivered to run callbacks"),
 
 		windowLoadUS: reg.Histogram("dualsim_window_load_us", "per-window (last level: per-pass) I/O wait to pin all pages, microseconds"),
 		windowPages:  reg.Histogram("dualsim_window_pages", "pages per merged window (last level: per streamed pass)"),

@@ -33,13 +33,7 @@ func (r *run) streamLevel() error {
 	}
 	ord := r.windowsPer[l] + 1
 	r.openWindow(l, ord, merged)
-	var sent *sentTasks
-	if r.onRows != nil {
-		sent = new(sentTasks)
-	}
-	lw, err := r.loadWindowWithRetry(l, ord, func() (*levelWindow, error) {
-		return r.streamPass(l, ord, merged, sent)
-	})
+	lw, err := r.streamPass(l, ord, merged)
 	if err != nil {
 		return err
 	}
@@ -53,21 +47,10 @@ func (r *run) streamLevel() error {
 	return r.firstErr()
 }
 
-// sentTasks is what the attempts of one pass share when the run has a row
-// hook: which matching tasks — pages by ordinal, then the multi-page
-// candidates in span order; every attempt plans the same ones — have ended.
-// A task runs to its end even while a transient fault fails its attempt, and
-// hands over every row it found before it reports that end; the attempt's
-// tallies are dropped, the rows are out. A later attempt therefore matches
-// such a task again for its tallies alone (matcher.deliver off), and a run
-// that absorbs the fault has still delivered every row once. Orchestrator
-// only, like everything of a pass but its channel.
-type sentTasks struct{ ended []bool }
-
-// stream is the state of one attempt at a last-level pass. Everything but
-// events belongs to the run's orchestrator: I/O workers and matching tasks
-// report to it through the channel and it alone pins, unpins and counts, so
-// the pass needs no lock and no atomic.
+// stream is the state of one last-level pass. Everything but events belongs
+// to the run's orchestrator: I/O workers and matching tasks report to it
+// through the channel and it alone pins, unpins and counts, so the pass needs
+// no lock and no atomic.
 type stream struct {
 	r  *run
 	lw *levelWindow // the pass: per-group candidates, page list, tallies
@@ -82,8 +65,6 @@ type stream struct {
 	// page one landing, one refused task and one task end, per span one task
 	// end.
 	events chan streamEvent
-	// sent is the pass's record of delivered tasks, nil without a row hook.
-	sent *sentTasks
 
 	free   int // frames of the level's budget not pinned by the pass
 	next   int // first ordinal not yet issued
@@ -113,16 +94,16 @@ type streamEvent struct {
 	task func()
 }
 
-// streamPass is one attempt at a pass over merged. On failure everything it
-// issued has landed, every task it queued has ended, nothing stays pinned
-// and its tallies are dropped with it; the rows its tasks handed over are
-// remembered in sent — what makes a retry idempotent.
-func (r *run) streamPass(l, ord int, merged []graph.VertexID, sent *sentTasks) (*levelWindow, error) {
+// streamPass is the pass over merged. A read error has already outlived the
+// read path's retry budget (Options.Retry) and fails the run: on failure
+// everything the pass issued has landed, every task it queued has ended and
+// nothing stays pinned.
+func (r *run) streamPass(l, ord int, merged []graph.VertexID) (*levelWindow, error) {
 	lw := &levelWindow{verts: make([][]graph.VertexID, len(r.p.Groups))}
 	for g := range r.p.Groups {
 		lw.verts[g] = r.cand[g][l].slice(r.e.all)
 	}
-	s := &stream{r: r, lw: lw, sent: sent, free: r.winBudget[l]}
+	s := &stream{r: r, lw: lw, free: r.winBudget[l]}
 	s.plan(merged)
 	err := s.run()
 	r.bookLoad(l, ord, len(lw.pages), s.wait)
@@ -157,13 +138,7 @@ func (s *stream) plan(merged []graph.VertexID) {
 		}
 	}
 	s.events = make(chan streamEvent, 3*len(lw.pages)+len(s.spans))
-	if s.sent != nil && s.sent.ended == nil {
-		s.sent.ended = make([]bool, len(lw.pages)+len(s.spans))
-	}
 }
-
-// muted reports whether an earlier attempt at the pass saw task i end.
-func (s *stream) muted(i int) bool { return s.sent != nil && s.sent.ended[i] }
 
 // run drives the pass: issue while the budget allows, otherwise serve the
 // next report. Reads are issued once half the budget is free (or the rest of
@@ -255,9 +230,8 @@ func (s *stream) onPage(pid storage.PageID, page *storage.Page, err error) {
 	if err != nil {
 		return
 	}
-	mute := s.muted(o) // written by the orchestrator, but not before this task ends
 	task := func() {
-		r.extMapPage(wp, lw, mute)
+		r.extMapPage(wp, lw)
 		s.events <- streamEvent{ord: o, done: true}
 	}
 	if !r.workers.trySubmit(task) {
@@ -274,9 +248,6 @@ func (s *stream) handle(ev streamEvent) {
 		s.tasks--
 		if ev.ord < len(s.lw.pages) {
 			s.release(ev.ord)
-		}
-		if s.sent != nil {
-			s.sent.ended[ev.ord] = true
 		}
 	default:
 		s.landed++
@@ -328,10 +299,9 @@ func (s *stream) root(i int) {
 	}
 	e := span.side[0]
 	id := len(lw.pages) + i
-	mute := s.muted(id)
 	s.tasks++
 	r.workers.submit(func() {
-		r.extMapVertex(e.v, e.adj, lw, mute)
+		r.extMapVertex(e.v, e.adj, lw)
 		s.events <- streamEvent{ord: id, done: true}
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -11,7 +10,6 @@ import (
 
 	"dualsim/internal/faultdb"
 	"dualsim/internal/graph"
-	"dualsim/internal/obs"
 	"dualsim/internal/storage"
 )
 
@@ -151,17 +149,14 @@ func streamFaultTarget(t *testing.T, db *storage.DB, q *graph.Query, opts Option
 }
 
 // TestStreamFaultMidPass: a transient fault on a page whose first reader is a
-// last-level pass is absorbed by re-running that pass — the failed attempt's
-// tallies dropped, its pins released, the rows its tasks handed over not
-// handed over again — with the count unchanged and every embedding delivered
-// exactly once; a permanent fault on the same page fails the run on that read
-// with nothing left pinned.
+// last-level pass is absorbed by the read path's retry, with the count
+// unchanged and every embedding delivered exactly once; a permanent fault on
+// the same page fails the run on that read with nothing left pinned.
 func TestStreamFaultMidPass(t *testing.T) {
 	g := streamGraph()
 	q := graph.Triangle()
 	db, maxSpan := streamDB(t, g, 128, false)
-	opts := Options{Threads: 2, IOWorkers: 2, BufferFrames: 3 * maxSpan,
-		WindowRetries: 2, WindowRetrySleep: func(time.Duration) {}}
+	opts := Options{Threads: 2, IOWorkers: 2, BufferFrames: 3 * maxSpan, Retry: fastRetry(2, 1)}
 	want, target := streamFaultTarget(t, db, q, opts)
 	if want != graph.CountOccurrences(g, q) {
 		t.Fatalf("clean run counted %d, brute force %d", want, graph.CountOccurrences(g, q))
@@ -172,11 +167,7 @@ func TestStreamFaultMidPass(t *testing.T) {
 	transient := func(t *testing.T, q *graph.Query, opts Options) {
 		want, target := streamFaultTarget(t, db, q, opts)
 		fdb := faultdb.Wrap(db, faultdb.Options{}).TransientPages(1, target)
-		var trace bytes.Buffer
-		tracer := obs.NewJSONLTracer(&trace)
-		o := opts
-		o.Tracer = tracer
-		e, err := NewEngine(fdb, o)
+		e, err := NewEngine(fdb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,30 +176,20 @@ func TestStreamFaultMidPass(t *testing.T) {
 		var sink rowSink
 		res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p, OnRows: sink.onRows})
 		if err != nil {
-			t.Fatalf("the pass retry should have absorbed the fault: %v", err)
+			t.Fatalf("the read retry should have absorbed the fault: %v", err)
 		}
 		if res.Count != want {
-			t.Errorf("count %d after a retried pass, want %d", res.Count, want)
+			t.Errorf("count %d after a retried read, want %d", res.Count, want)
 		}
 		if uint64(sink.n) != res.Count {
-			t.Errorf("%d rows handed over for a count of %d: a retried pass delivers no row twice", sink.n, res.Count)
+			t.Errorf("%d rows handed over for a count of %d", sink.n, res.Count)
 		}
 		requireRowsBelow(t, q.Name(), sink.seen, bruteRows(g, p), g.NumVertices())
-		if err := tracer.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var levels []int
-		for _, ev := range parseTrace(t, &trace) {
-			if ev.Event == "window_retry" {
-				levels = append(levels, ev.Level)
-			}
-		}
-		if res.WindowRetries != 1 || len(levels) != 1 || levels[0] != res.Plan.K {
-			t.Errorf("%d window retries at levels %v, want one, of the last level (%d)",
-				res.WindowRetries, levels, res.Plan.K)
+		if st := e.RetryStats(); st.Recovered != 1 || st.Exhausted != 0 {
+			t.Errorf("retry layer %+v, want the one fault recovered at the read", st)
 		}
 		if n := e.PinnedFrames(); n != 0 {
-			t.Errorf("%d frames still pinned after a retried pass", n)
+			t.Errorf("%d frames still pinned after a faulted pass", n)
 		}
 	}
 	t.Run("transient", func(t *testing.T) { transient(t, q, opts) })

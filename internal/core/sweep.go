@@ -264,10 +264,10 @@ func (w *SweepWindow) Index() int { return w.index }
 func (w *SweepWindow) Pages() int { return len(w.lw.pages) }
 
 // Load pins partition window idx through the engine's one window loader
-// (run.loadWindowWithRetry on the sweep's run): pages issued as coalesced
-// ascending runs, split records merged, the run's overlay applied,
-// transient faults retried with the engine's window-retry budget. The window traces as level 1 of the sweep's run: window_open and
-// window_pinned (window_retry on retries) here, window_close at Release.
+// (run.loadWindow on the sweep's run): pages issued as coalesced ascending
+// runs, split records merged, the run's overlay applied. The window traces as
+// level 1 of the sweep's run: window_open and window_pinned here,
+// window_close at Release.
 // A load is the window boundary: no rider task is running and nothing below
 // level 1 is pinned, so a cohort's deep pool is dealt anew among the riders
 // on board first (deal). The third parameter has no effect; ROADMAP 5(d)
@@ -282,9 +282,7 @@ func (s *Sweep) Load(ctx context.Context, idx, _ int) (*SweepWindow, error) {
 	b := s.bounds[idx]
 	w := &SweepWindow{index: idx, ord: s.ordBase + idx + 1, verts: r.e.all[b.Lo:b.Hi]}
 	r.openWindow(0, w.ord, w.verts)
-	lw, err := r.loadWindowWithRetry(0, w.ord, func() (*levelWindow, error) {
-		return r.loadWindow(0, w.verts, w.ord)
-	})
+	lw, err := r.loadWindow(0, w.verts, w.ord)
 	if err != nil {
 		return nil, err
 	}
@@ -572,7 +570,6 @@ func (rd *Rider) Finish() (*Result, error) {
 		WindowsPerLevel: r.windowsPer,
 		BufferFrames:    rd.frames,
 		IOWait:          r.ioWait,
-		WindowRetries:   r.windowRetries,
 		Metrics:         rd.r.e.reg.Snapshot(),
 		Profile:         profile,
 	}, nil

@@ -44,11 +44,9 @@ type levelWindow struct {
 	side []sideEntry
 
 	// internal/external accumulate the embeddings found by tasks attached
-	// to this window. Keeping counts window-local until the window
-	// completes makes whole-window retry idempotent: a failed attempt's
-	// partial counts are simply never merged into the run totals
-	// (settleWindowCounts), so re-dispatching the window — or re-running
-	// the pass — cannot double count.
+	// to this window, merged into the run totals and the engine's embedding
+	// metrics only once the window completes (settleWindowCounts), so a
+	// failed or cancelled window adds nothing to either.
 	internal atomic.Uint64
 	external atomic.Uint64
 }
@@ -165,9 +163,7 @@ func (r *run) processLevel(l int) error {
 		verts := iter.windowVerts()
 		ord := r.windowsPer[l] + 1 // 1-based window ordinal at this level
 		r.openWindow(l, ord, verts)
-		lw, err := r.loadWindowWithRetry(l, ord, func() (*levelWindow, error) {
-			return r.loadWindow(l, verts, ord)
-		})
+		lw, err := r.loadWindow(l, verts, ord)
 		if err != nil {
 			return err
 		}
@@ -254,9 +250,8 @@ func (r *run) countWindow(l int) {
 }
 
 // settleWindowCounts merges a completed window's task-local counts into the
-// run totals and the engine's cumulative metrics. Counts of a window that
-// failed (and is being retried or abandoned) are never settled — that is
-// the idempotence contract of loadWindowWithRetry.
+// run totals and the engine's cumulative metrics. A window that failed is
+// never settled.
 func (r *run) settleWindowCounts(lw *levelWindow) {
 	if n := lw.internal.Swap(0); n > 0 {
 		r.internalCount.Add(n)
@@ -436,90 +431,16 @@ func (it *windowIterator) windowVerts() []graph.VertexID {
 	return it.merged[it.curLo:it.curHi]
 }
 
-// loadWindowWithRetry runs load — one attempt at a window (loadWindow: deep
-// levels from processLevel, level 1 from Sweep.Load on the sweep's run) or at
-// a last-level pass (streamPass), which on failure leaves nothing pinned,
-// nothing queued and nothing counted — with whole-window recovery: a
-// transient fault that survived the read-level retry budget clears the run
-// error it caused, backs off (exponentially, bounded, observing the run
-// context), and runs the same load again — up to Options.WindowRetries
-// times. A window's retry is cheap on the I/O side: pages whose loads
-// succeeded before the fault are still resident in the buffer pool, so it
-// re-reads only the pages that actually failed; a pass re-reads what its
-// budget has since evicted. Permanent errors (corruption, cancellation,
-// budget misfits) are returned immediately.
-func (r *run) loadWindowWithRetry(l, ord int, load func() (*levelWindow, error)) (*levelWindow, error) {
-	for attempt := 0; ; attempt++ {
-		lw, err := load()
-		if err == nil {
-			return lw, nil
-		}
-		if attempt >= r.e.opts.WindowRetries || !storage.IsTransient(err) || r.ctx.Err() != nil {
-			return nil, err
-		}
-		// Absorb exactly the failure this attempt caused; a different error
-		// that landed concurrently (cancellation, a corrupt page on another
-		// path) survives and fails the run on the next gate.
-		box := r.err.Load()
-		if box == nil || box.err != err || !r.absorbErr(box) {
-			return nil, err
-		}
-		r.windowRetries++
-		r.em.windowRetries.Inc()
-		if r.scope != nil {
-			r.scope.WindowRetries.Add(1)
-		}
-		if r.tracer != nil {
-			r.emit(obs.Event{Event: "window_retry", Level: l + 1, Window: ord, Attempt: attempt + 1,
-				Span: r.winSpan[l]})
-		}
-		if !r.sleepWindowBackoff(attempt) {
-			r.fail(r.ctx.Err())
-			return nil, r.ctx.Err()
-		}
-	}
-}
-
-// The window-level retry backoff: the delay before the first retry and the
-// cap it doubles up to.
-const (
-	windowRetryBackoff    = 10 * time.Millisecond
-	windowRetryMaxBackoff = 250 * time.Millisecond
-)
-
-// sleepWindowBackoff waits the attempt's window-level backoff (0-based,
-// doubling from windowRetryBackoff up to windowRetryMaxBackoff), honouring
-// the run context. Reports false when the context ended first.
-func (r *run) sleepWindowBackoff(attempt int) bool {
-	d := windowRetryBackoff
-	for i := 0; i < attempt && d < windowRetryMaxBackoff; i++ {
-		d *= 2
-	}
-	if d > windowRetryMaxBackoff {
-		d = windowRetryMaxBackoff
-	}
-	if sleep := r.e.opts.WindowRetrySleep; sleep != nil {
-		sleep(d)
-		return r.ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-r.ctx.Done():
-		return false
-	}
-}
-
-// loadWindow is one load attempt at a window of a level above the last: it
-// pins every page needed by the window's vertices, builds the window's index
-// — each page callback its own ordinal, the run's overlay merged into the
-// records it touches, without a lock; then
-// the side table of multi-page vertices — and splits the window per group.
-// What callers differ in arrives as state of the run it is called on: the
-// error sink (the run's error box) and the pinned overlay snapshot. On error
-// the window is already unloaded.
+// loadWindow loads a window of a level above the last — deep levels from
+// processLevel, level 1 from Sweep.Load on the sweep's run: it pins every
+// page needed by the window's vertices, builds the window's index — each page
+// callback its own ordinal, the run's overlay merged into the records it
+// touches, without a lock; then the side table of multi-page vertices — and
+// splits the window per group. What callers differ in arrives as state of the
+// run it is called on: the error sink (run.err) and the pinned overlay
+// snapshot. A read error here has already outlived the read path's retry
+// budget (Options.Retry) and fails the run; on error the window is already
+// unloaded.
 func (r *run) loadWindow(l int, verts []graph.VertexID, ord int) (*levelWindow, error) {
 	lw := &levelWindow{verts: make([][]graph.VertexID, len(r.p.Groups))}
 	if len(verts) > 0 {

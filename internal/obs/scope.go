@@ -43,7 +43,6 @@ type Scope struct {
 	IntersectGal  atomic.Uint64 // galloping kernel invocations
 	IntersectKWay atomic.Uint64 // k-way kernel invocations
 	StealSplits   atomic.Uint64
-	WindowRetries atomic.Uint64
 	Checkpoints   atomic.Uint64
 	EmbInternal   atomic.Uint64 // embeddings found in internal areas
 	EmbExternal   atomic.Uint64 // embeddings found across windows
@@ -115,7 +114,6 @@ type CostProfile struct {
 	IntersectGallop uint64 `json:"intersect_gallop,omitempty"`
 	IntersectKWay   uint64 `json:"intersect_kway,omitempty"`
 	StealSplits     uint64 `json:"steal_splits,omitempty"`
-	WindowRetries   uint64 `json:"window_retries,omitempty"`
 	Checkpoints     uint64 `json:"checkpoints,omitempty"`
 
 	EmbInternal uint64 `json:"embeddings_internal"`
@@ -145,7 +143,6 @@ func (s *Scope) Profile() CostProfile {
 		IntersectGallop: s.IntersectGal.Load(),
 		IntersectKWay:   s.IntersectKWay.Load(),
 		StealSplits:     s.StealSplits.Load(),
-		WindowRetries:   s.WindowRetries.Load(),
 		Checkpoints:     s.Checkpoints.Load(),
 		EmbInternal:     s.EmbInternal.Load(),
 		EmbExternal:     s.EmbExternal.Load(),
@@ -181,9 +178,8 @@ func (p *CostProfile) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "windows          %d  (level-1 %d)\n", p.Windows, p.WindowsLevel1)
 	fmt.Fprintf(w, "kernel mix       linear %d, gallop %d, k-way %d  (steal splits %d)\n",
 		p.IntersectLinear, p.IntersectGallop, p.IntersectKWay, p.StealSplits)
-	if p.WindowRetries > 0 || p.Checkpoints > 0 {
-		fmt.Fprintf(w, "resilience       window retries %d, checkpoints %d\n",
-			p.WindowRetries, p.Checkpoints)
+	if p.Checkpoints > 0 {
+		fmt.Fprintf(w, "resilience       checkpoints %d\n", p.Checkpoints)
 	}
 	fmt.Fprintf(w, "embeddings       internal %d, external %d\n", p.EmbInternal, p.EmbExternal)
 }

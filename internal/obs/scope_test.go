@@ -74,7 +74,6 @@ func TestScopeProfile(t *testing.T) {
 	sc.IntersectGal.Add(7)
 	sc.IntersectKWay.Add(1)
 	sc.StealSplits.Add(2)
-	sc.WindowRetries.Add(1)
 	sc.Checkpoints.Add(3)
 	sc.EmbInternal.Add(40)
 	sc.EmbExternal.Add(2)
@@ -86,7 +85,7 @@ func TestScopeProfile(t *testing.T) {
 		CoalescedRuns: 2, CoalescedPages: 8,
 		Windows: 5, WindowsLevel1: 3,
 		IntersectLinear: 6, IntersectGallop: 7, IntersectKWay: 1,
-		StealSplits: 2, WindowRetries: 1, Checkpoints: 3,
+		StealSplits: 2, Checkpoints: 3,
 		EmbInternal: 40, EmbExternal: 2,
 	}
 	if p != want {
@@ -105,7 +104,7 @@ func TestCostProfileWriteReport(t *testing.T) {
 		CoalescedRuns: 5, CoalescedPages: 50,
 		Windows: 9, WindowsLevel1: 3,
 		IntersectLinear: 1, IntersectGallop: 2, IntersectKWay: 3,
-		WindowRetries: 1, Checkpoints: 4,
+		Checkpoints: 4,
 		EmbInternal: 7, EmbExternal: 8,
 	}
 	var b strings.Builder
@@ -115,7 +114,7 @@ func TestCostProfileWriteReport(t *testing.T) {
 		"deadbeef", "queue wait", "2ms", "prep", "1s",
 		"pages read       100", "75.0%", "coalesced runs   5",
 		"windows          9", "linear 1, gallop 2, k-way 3",
-		"window retries 1, checkpoints 4", "internal 7, external 8",
+		"resilience       checkpoints 4", "internal 7, external 8",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)

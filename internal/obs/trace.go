@@ -16,7 +16,6 @@ import (
 //	run_start     {levels, frames}
 //	window_open   {level, window, lo, hi, pages}
 //	window_pinned {level, window, pages, dur_us}   // I/O wait to pin the window (last level: of the streamed pass)
-//	window_retry  {level, window, attempt}         // whole-window reload (or pass re-run) after a transient fault
 //	internal_enum {level, window, verts}           // internal area dispatched
 //	external_enum {level, window, verts, dur_us}   // last-level pass streamed and matched
 //	window_close  {level, window, dur_us}

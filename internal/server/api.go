@@ -60,9 +60,6 @@ type QueryResponse struct {
 	// Resumed reports the run replayed from a resume_token checkpoint;
 	// Count then includes the checkpoint's settled totals.
 	Resumed bool `json:"resumed,omitempty"`
-	// WindowRetries counts whole-window retries the run absorbed
-	// (transient faults that outlived the read-level retry budget).
-	WindowRetries uint64 `json:"window_retries,omitempty"`
 	// SharedPages is nonzero when the query ran as a shared-scan cohort
 	// rider: pages of sweep-loaded windows it consumed without paying
 	// their physical reads (PhysicalReads covers the whole pool; the
@@ -110,6 +107,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// maxQueryBody bounds a POST /query body (read through http.MaxBytesReader):
+// a query spec and its options are a few hundred bytes.
+const maxQueryBody = 1 << 20
+
+// writeTooLarge answers 413, naming the bound, when err is a request body
+// read past its http.MaxBytesReader limit, and reports whether it did.
+func writeTooLarge(w http.ResponseWriter, err error) bool {
+	var mbe *http.MaxBytesError
+	if !errors.As(err, &mbe) {
+		return false
+	}
+	writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
+	return true
 }
 
 // reject emits the 429 saturation reply. Retry-After is a best-effort hint:
@@ -166,8 +178,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		if !writeTooLarge(w, err) {
+			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		}
 		return
 	}
 	if req.Query == "" {
@@ -378,7 +392,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			QueueNS:          queueNS,
 			PhysicalReads:    res.IO.PhysicalReads,
 			Resumed:          res.Resumed,
-			WindowRetries:    res.WindowRetries,
 			SharedPages:      scope.SharedPages.Load(),
 			DataEpoch:        dataEpoch,
 			TraceID:          traceID,
@@ -568,7 +581,6 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 			QueueNS:          queueNS,
 			PhysicalReads:    res.IO.PhysicalReads,
 			Resumed:          res.Resumed,
-			WindowRetries:    res.WindowRetries,
 			SharedPages:      attr.scope.SharedPages.Load(),
 			DataEpoch:        attr.epoch,
 			TraceID:          attr.traceID,
@@ -765,10 +777,9 @@ type StatsResponse struct {
 	// loaded into windows (fleet-wide via the shared registry).
 	CompressedRecords uint64 `json:"compressed_records"`
 	CompressedBytes   uint64 `json:"compressed_bytes"`
-	// Resilience counters: checkpoint/resume activity, whole-window retry
-	// absorptions, and the pool circuit breaker's state machine.
+	// Resilience counters: checkpoint/resume activity and the pool circuit
+	// breaker's state machine.
 	CheckpointsTaken uint64 `json:"checkpoints_taken"`
-	WindowRetries    uint64 `json:"window_retries"`
 	ResumesOK        uint64 `json:"resumes_ok"`
 	ResumesRejected  uint64 `json:"resumes_rejected"`
 	BreakerState     string `json:"breaker_state"`
@@ -872,7 +883,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		CompressedBytes:   enum.CompressedBytes,
 
 		CheckpointsTaken: enum.CheckpointsTaken,
-		WindowRetries:    enum.WindowRetries,
 		ResumesOK:        s.sm.resumesOK.Value(),
 		ResumesRejected:  s.sm.resumesRejected.Value(),
 		BreakerState:     breakerStateName(brState),

@@ -22,6 +22,11 @@ import (
 // one client hold the ingest path (and the handler's memory) hostage.
 const maxIngestBatch = 100_000
 
+// maxIngestBody bounds a POST /edges body (read through http.MaxBytesReader):
+// room for maxIngestBatch ops of 64 bytes, more than the longest compact op
+// with in-range endpoints takes, its newline included.
+const maxIngestBody = maxIngestBatch * 64
+
 // EdgeOp is one mutation in a POST /edges body: a single JSON object, or
 // a stream of them (NDJSON / concatenated JSON). The whole body is ONE
 // atomic batch — it applies entirely or not at all, and bumps the data
@@ -67,7 +72,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 
 	n := s.database().NumVertices()
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	var ops []delta.Op
 	for {
 		var eo EdgeOp
@@ -75,7 +80,9 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			break
 		} else if err != nil {
 			s.sm.ingestRejected.Inc()
-			writeError(w, http.StatusBadRequest, "bad edge op %d: %v", len(ops), err)
+			if !writeTooLarge(w, err) {
+				writeError(w, http.StatusBadRequest, "bad edge op %d: %v", len(ops), err)
+			}
 			return
 		}
 		var insert bool

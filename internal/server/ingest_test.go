@@ -173,6 +173,8 @@ func TestIngestValidation(t *testing.T) {
 	reject("self loop", `{"u":3,"v":3}`, http.StatusBadRequest)
 	// A batch with one bad op among good ones must not partially apply.
 	reject("mixed batch", `{"u":0,"v":1}{"u":5,"v":5}`, http.StatusBadRequest)
+	// A valid op padded past the body bound is refused before it is decoded.
+	reject("padded op", `{"u":0,"v":1}`+strings.Repeat(" ", maxIngestBody), http.StatusRequestEntityTooLarge)
 
 	if st := getStats(t, s.Addr()); st.DataEpoch != 0 || st.Ingest.Batches != 0 {
 		t.Errorf("rejected batches moved state: epoch=%d batches=%d", st.DataEpoch, st.Ingest.Batches)
@@ -180,8 +182,8 @@ func TestIngestValidation(t *testing.T) {
 	if qr := countQuery(t, s.Addr(), "q1"); qr.Count != 56 {
 		t.Errorf("count after rejected batches = %d, want 56", qr.Count)
 	}
-	if v := metricValue(t, s.Addr(), "dualsim_ingest_rejected_total"); v == 0 {
-		t.Error("dualsim_ingest_rejected_total = 0 after rejections")
+	if v := metricValue(t, s.Addr(), "dualsim_ingest_rejected_total"); v != 8 {
+		t.Errorf("dualsim_ingest_rejected_total = %v after 8 rejections", v)
 	}
 	// An immutable server has no ingest route at all.
 	s2 := newTestServer(t, buildCompleteDB(t, 8, 256), Config{Engines: 1, Engine: core.Options{Threads: 1, BufferFrames: 64}})

@@ -41,19 +41,17 @@ func newFaultServer(t *testing.T, db core.Database, cfg Config, br ...breakerCon
 	return s
 }
 
-// fastFaultTolerant is the engine template the resilience tests share:
-// both retry layers enabled with no real sleeping.
-func fastFaultTolerant(windowRetries int) core.Options {
+// fastFaultTolerant is the engine template the resilience tests share: the
+// read retry layer with a budget of maxRetries and no real sleeping.
+func fastFaultTolerant(maxRetries int) core.Options {
 	return core.Options{
 		Threads:      1,
 		BufferFrames: 8,
 		Retry: &storage.RetryPolicy{
-			MaxRetries: 1,
+			MaxRetries: maxRetries,
 			CRCRetries: 2,
 			Sleep:      func(time.Duration) {},
 		},
-		WindowRetries:    windowRetries,
-		WindowRetrySleep: func(time.Duration) {},
 	}
 }
 
@@ -288,7 +286,7 @@ func resilienceCfg() Config {
 	return Config{
 		Engines:  1,
 		RowLimit: 1_000_000,
-		Engine:   fastFaultTolerant(2),
+		Engine:   fastFaultTolerant(5),
 	}
 }
 
@@ -374,7 +372,7 @@ func TestChaosMatrixFaultedResumeExactCounts(t *testing.T) {
 // TestChaosSoak (make soak / CI soak job) runs seeded chaos schedules —
 // background transient faults, bursts, torn reads, latency spikes —
 // through the full server path for a time-boxed interval (SOAK_SECONDS,
-// default 2). Every iteration must converge, through the retry layers and
+// default 2). Every iteration must converge, through the read retry layer and
 // token resume, to exactly the seed count. The iteration's seed is in
 // every failure message, and an iteration is reproducible by seed because
 // each one gets a freshly seeded fault wrapper and server.
@@ -408,7 +406,7 @@ func TestChaosSoak(t *testing.T) {
 		s := newFaultServer(t, fdb, Config{
 			Engines:  1,
 			RowLimit: 1_000_000,
-			Engine:   fastFaultTolerant(2),
+			Engine:   fastFaultTolerant(5),
 		})
 		first := readFullStream(t, s.Addr(), spec)
 		// Chaos stays armed while resuming; past half the attempt budget the
@@ -442,7 +440,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	// and injected faults actually fire.
 	db := buildCompleteDB(t, 32, 256)
 	fdb := faultdb.Wrap(db, faultdb.Options{})
-	s := newFaultServer(t, fdb, Config{Engines: 1, Engine: fastFaultTolerant(0)},
+	s := newFaultServer(t, fdb, Config{Engines: 1, Engine: fastFaultTolerant(1)},
 		breakerConfig{window: 4, minSamples: 2, openRatio: 0.6, cooldown: 50 * time.Millisecond})
 	want := countQuery(t, s.Addr(), "q1").Count
 
@@ -566,7 +564,7 @@ func TestResumeTokenRejection(t *testing.T) {
 }
 
 // TestPoolCapacityAfterRetryExhaustion (ISSUE 6 satellite): back-to-back
-// runs that exhaust both retry layers must not leak pool capacity — every
+// runs that exhaust the read retry budget must not leak pool capacity — every
 // engine returns to the slots channel clean (no recycling), and the healed
 // pool serves correct counts.
 func TestPoolCapacityAfterRetryExhaustion(t *testing.T) {
@@ -577,7 +575,7 @@ func TestPoolCapacityAfterRetryExhaustion(t *testing.T) {
 	// admission.
 	br := poolBreaker
 	br.minSamples = 1 << 30
-	s := newFaultServer(t, fdb, Config{Engines: engines, Engine: fastFaultTolerant(1)}, br)
+	s := newFaultServer(t, fdb, Config{Engines: engines, Engine: fastFaultTolerant(3)}, br)
 
 	for i := 0; i < 6; i++ {
 		resp, err := postQuery(t, s.Addr(), QueryRequest{Query: "q1"})

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -490,28 +491,34 @@ func TestExpiredDrainCancelsRuns(t *testing.T) {
 	}
 }
 
-// TestBadRequests covers the 400 family.
+// TestBadRequests covers the 400 family, and the 413 of a body past its
+// bound — a valid query behind more whitespace than that — which names it.
 func TestBadRequests(t *testing.T) {
 	db := buildCompleteDB(t, 6, 256)
 	s := newTestServer(t, db, Config{Engines: 1, Engine: core.Options{Threads: 1, BufferFrames: 64}})
 	for _, tc := range []struct {
 		name string
 		body string
+		want int
 	}{
-		{"empty body", ""},
-		{"no query", `{}`},
-		{"bad spec", `{"query":"zzz"}`},
-		{"disconnected", `{"query":"0-1,2-3"}`},
-		{"bad mode", `{"query":"q1","mode":"explode"}`},
+		{"empty body", "", http.StatusBadRequest},
+		{"no query", `{}`, http.StatusBadRequest},
+		{"bad spec", `{"query":"zzz"}`, http.StatusBadRequest},
+		{"disconnected", `{"query":"0-1,2-3"}`, http.StatusBadRequest},
+		{"bad mode", `{"query":"q1","mode":"explode"}`, http.StatusBadRequest},
+		{"padded past the bound", strings.Repeat(" ", maxQueryBody) + `{"query":"q1"}`, http.StatusRequestEntityTooLarge},
 	} {
 		resp, err := http.Post("http://"+s.Addr()+"/query", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, resp.StatusCode, tc.want, b)
+		}
+		if tc.want == http.StatusRequestEntityTooLarge && !strings.Contains(string(b), strconv.Itoa(maxQueryBody)) {
+			t.Errorf("%s: %s does not name the %d-byte bound", tc.name, b, maxQueryBody)
 		}
 	}
 }

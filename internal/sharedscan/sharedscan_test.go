@@ -12,6 +12,7 @@ import (
 
 	"dualsim/internal/buffer"
 	"dualsim/internal/core"
+	"dualsim/internal/faultdb"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
 	"dualsim/internal/plan"
@@ -372,4 +373,176 @@ func TestCohortDealExactBudget(t *testing.T) {
 			eng.Close()
 		}
 	}
+}
+
+// boardInOrder starts specs[0], whose rider starts the sweep, and holds the
+// sweep's first page read until each later spec is queued, one at a time:
+// specs[0] rides from window 0 alone, the next spec boards at window 1 and
+// any further one waits for a seat. hold is the OnRead hook of the
+// scheduler's database; the outcomes come back in spec order.
+func boardInOrder(t *testing.T, sched *Scheduler, hold *readHold, specs ...core.RunSpec) []outcome {
+	t.Helper()
+	out := make([]outcome, len(specs))
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := sched.Run(context.Background(), specs[i])
+			out[i] = outcome{res, err}
+		}()
+		if i == 0 {
+			<-hold.held
+			continue
+		}
+		for queued := 0; queued < i; time.Sleep(50 * time.Microsecond) {
+			sched.mu.Lock()
+			queued = len(sched.pending)
+			sched.mu.Unlock()
+		}
+	}
+	close(hold.release)
+	wg.Wait()
+	return out
+}
+
+// readHold blocks the first page read of its database until release closes.
+type readHold struct{ held, release chan struct{} }
+
+func newReadHold() *readHold {
+	return &readHold{held: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (h *readHold) onRead(n int64, _ storage.PageID) {
+	if n == 1 {
+		close(h.held)
+		<-h.release
+	}
+}
+
+// TestSchedulerFaults: a cohort has no recovery of its own, the read path's
+// retry budget is all that stands between a faulty page and the riders on the
+// sweep. (a) A transient fault on a level-1 page within the budget is absorbed:
+// every rider counts what it counts solo. (b) A permanent fault on a level-1
+// page fails every rider on board with the injected fault and bounces the one
+// still waiting for a seat to a solo engine; nothing stays pinned, and once
+// the device heals the next sweep answers exactly. (c) A permanent fault on the
+// first read of a page that only a rider's deep level is reading at that
+// moment fails that rider alone; the sweep and the other rider go on. The
+// one-level edge query starts every sweep: its rider reads nothing below
+// level 1, so the only reads of window 0 are the sweep's own.
+func TestSchedulerFaults(t *testing.T) {
+	const frames = 48
+	g := randomGraph(11, 500, 2000)
+	db := buildDB(t, g, storage.BuildOptions{PageSize: 256})
+	edge := graph.MustNewQuery("edge", 2, [][2]int{{0, 1}})
+	tri := graph.Triangle()
+	solo, _ := soloBaseline(t, db, frames, []*graph.Query{edge, tri})
+	spec := func(q *graph.Query) core.RunSpec { return core.RunSpec{Plan: mustPlan(t, q)} }
+
+	cohort := func(t *testing.T, fdb *faultdb.DB) (*core.Engine, *Scheduler) {
+		t.Helper()
+		eng, err := core.NewEngine(fdb, core.Options{Threads: 2, BufferFrames: frames,
+			Retry: &storage.RetryPolicy{MaxRetries: 3, Sleep: func(time.Duration) {}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := New(eng, Options{MaxRiders: 2})
+		t.Cleanup(func() {
+			sched.Close()
+			eng.Close()
+		})
+		return eng, sched
+	}
+	wantSolo := func(t *testing.T, o outcome, q *graph.Query) {
+		t.Helper()
+		if o.err != nil {
+			t.Fatalf("%s: %v", q.Name(), o.err)
+		}
+		if o.res.Count != solo[q.Name()] {
+			t.Errorf("%s: count %d, solo %d", q.Name(), o.res.Count, solo[q.Name()])
+		}
+	}
+
+	// The level-1 partition: a rider that starts a sweep checkpoints at the
+	// end of every window.
+	var ends []int
+	_, sched := cohort(t, faultdb.Wrap(db, faultdb.Options{}))
+	first := spec(edge)
+	first.OnCheckpoint = func(cp core.Checkpoint) { ends = append(ends, cp.Cursor) }
+	if _, err := sched.Run(context.Background(), first); err != nil {
+		t.Fatal(err)
+	}
+	lastPageOf := func(w int) storage.PageID {
+		_, last := db.SpanOf(graph.VertexID(ends[w] - 1))
+		return last
+	}
+	lastPage := storage.PageID(db.NumPages() - 1)
+	if len(ends) < 3 || lastPageOf(1) == lastPageOf(0) || lastPageOf(1) >= lastPage {
+		t.Fatalf("fixture: %d level-1 windows ending before vertices %v; want three or more, window 1's last page past window 0's and before page %d",
+			len(ends), ends, lastPage)
+	}
+	win1 := lastPageOf(1) // read first by the sweep's load of window 1
+
+	t.Run("transient level-1 page", func(t *testing.T) {
+		hold := newReadHold()
+		fdb := faultdb.Wrap(db, faultdb.Options{OnRead: hold.onRead}).TransientPages(2, win1)
+		eng, sched := cohort(t, fdb)
+		out := boardInOrder(t, sched, hold, spec(edge), spec(tri))
+		wantSolo(t, out[0], edge)
+		wantSolo(t, out[1], tri)
+		if st := eng.RetryStats(); st.Recovered != 1 {
+			t.Errorf("retry layer %+v, want the one faulty read recovered", st)
+		}
+		if n := eng.PinnedFrames(); n != 0 {
+			t.Errorf("%d frames still pinned", n)
+		}
+	})
+
+	t.Run("permanent level-1 page", func(t *testing.T) {
+		hold := newReadHold()
+		fdb := faultdb.Wrap(db, faultdb.Options{OnRead: hold.onRead}).FailPages(nil, win1)
+		eng, sched := cohort(t, fdb)
+		out := boardInOrder(t, sched, hold, spec(edge), spec(tri), spec(tri))
+		for i, o := range out[:2] {
+			if !errors.Is(o.err, faultdb.ErrInjected) {
+				t.Errorf("rider %d on board: err %v, want the injected fault", i, o.err)
+			}
+		}
+		if !errors.Is(out[2].err, ErrNotEligible) {
+			t.Errorf("waiting rider: err %v, want ErrNotEligible", out[2].err)
+		}
+		if n := eng.PinnedFrames(); n != 0 {
+			t.Errorf("%d frames still pinned after the failed sweep", n)
+		}
+		fdb.Heal()
+		for _, q := range []*graph.Query{edge, tri} {
+			res, err := sched.Run(context.Background(), spec(q))
+			wantSolo(t, outcome{res, err}, q)
+		}
+	})
+
+	t.Run("permanent deep-level read", func(t *testing.T) {
+		hold := newReadHold()
+		var fdb *faultdb.DB
+		var failed atomic.Bool
+		fdb = faultdb.Wrap(db, faultdb.Options{OnRead: func(n int64, pid storage.PageID) {
+			hold.onRead(n, pid)
+			if pid == lastPage && failed.CompareAndSwap(false, true) {
+				fdb.Heal() // this read still fails: the schedule was taken before the hook
+			}
+		}}).FailPages(nil, lastPage)
+		eng, sched := cohort(t, fdb)
+		out := boardInOrder(t, sched, hold, spec(edge), spec(tri))
+		wantSolo(t, out[0], edge)
+		if !errors.Is(out[1].err, faultdb.ErrInjected) {
+			t.Errorf("the rider whose deep level read page %d: err %v, want the injected fault", lastPage, out[1].err)
+		}
+		if got := fdb.PageReads(lastPage); got < 2 {
+			t.Errorf("page %d read %d times: the sweep never read it after the rider's failed read", lastPage, got)
+		}
+		if n := eng.PinnedFrames(); n != 0 {
+			t.Errorf("%d frames still pinned", n)
+		}
+	})
 }
