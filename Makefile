@@ -44,7 +44,10 @@ fmt:
 # compressed-domain operand (scripts/one_decode_path.sh). Finally, one retry
 # layer: the engine fails a run on any error, and classifying a fault as worth
 # another attempt belongs to storage.RetryReader, so non-test internal/core
-# calls no IsTransient.
+# calls no IsTransient. And one ledger (scripts/one_ledger.sh): every run has
+# an attribution scope, so internal/core tests none for nil, and the pool and
+# retry counters are registry counters every engine settles into, so no
+# CounterFunc reads them off one engine's pool.
 lint: vet metrics-doc-check
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
 	@if $(GO) list -deps ./cmd/dualsim | grep -E 'internal/(mr|pregel|baseline)'; then \
@@ -63,6 +66,7 @@ lint: vet metrics-doc-check
 	@./scripts/one_decode_path.sh
 	@if grep -nF 'IsTransient(' $$(ls internal/core/*.go | grep -v _test.go); then \
 		echo "one retry layer: storage.RetryReader absorbs transient faults, the engine fails a run on any error (no IsTransient in internal/core)" >&2; exit 1; fi
+	@./scripts/one_ledger.sh
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
 # (every counter/gauge/histogram the server registers, plus the paper

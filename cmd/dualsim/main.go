@@ -14,7 +14,8 @@
 //
 // Queries are q1 (triangle), q2 (square), q3 (chordal square), q4
 // (4-clique), q5 (house), or an explicit edge list like "0-1,1-2,0-2".
-// "query" is an alias for "run".
+// "query" is an alias for "run". Every run is attributed: -profile prints
+// its cost profile. -timeout bounds a run through its context.
 //
 // Exit codes: 0 success, 1 generic error, 2 usage, 3 corruption detected,
 // 4 I/O error, 124 run timed out, 130 interrupted (Ctrl-C).
@@ -156,7 +157,7 @@ func cmdQuery(args []string) error {
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	retries := fs.Int("retries", 0, "retry transient read failures up to N times (0 = no retry layer)")
 	print := fs.Bool("print", false, "print each embedding")
-	profile := fs.Bool("profile", false, "attribute costs to the run and print a per-query cost profile")
+	profile := fs.Bool("profile", false, "print the run's per-query cost profile")
 	jsonOut := fs.Bool("json", false, "emit the result and metrics snapshot as one JSON object on stdout")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run")
 	traceFile := fs.String("trace", "", "write a JSONL window/stage trace to this file")
@@ -178,9 +179,7 @@ func cmdQuery(args []string) error {
 		Threads:          *threads,
 		BufferFraction:   *buffer,
 		BufferFrames:     *frames,
-		Timeout:          *timeout,
 		MetricsAddr:      *metricsAddr,
-		Profile:          *profile,
 		ProgressInterval: *progress,
 	}
 	if *retries > 0 {
@@ -197,6 +196,11 @@ func cmdQuery(args []string) error {
 
 	ctx, stop := runContext()
 	defer stop()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 
 	var res *dualsim.Result
 	if *print {
@@ -220,6 +224,9 @@ func cmdQuery(args []string) error {
 	}
 	if err != nil {
 		return err
+	}
+	if !*profile {
+		res.Profile = nil // every run is attributed; -profile prints it
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

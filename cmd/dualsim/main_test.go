@@ -191,6 +191,19 @@ func TestCmdQueryPrint(t *testing.T) {
 	}
 }
 
+// TestCmdQueryTimeoutExit: a run that outlives -timeout fails with the
+// context's deadline, which the process reports as exit code 124.
+func TestCmdQueryTimeoutExit(t *testing.T) {
+	dbPath := buildTestDB(t)
+	var cmdErr error
+	captureStdout(t, func() {
+		cmdErr = cmdQuery([]string{"-db", dbPath, "-q", "q1", "-frames", "8", "-timeout", "1ns"})
+	})
+	if got := exitCode(cmdErr); got != exitTimeout {
+		t.Errorf("run past -timeout: err %v, exit code %d, want %d", cmdErr, got, exitTimeout)
+	}
+}
+
 // TestUsageListsAllSubcommands keeps the usage text in sync with the
 // dispatcher: every subcommand main routes must be advertised.
 func TestUsageListsAllSubcommands(t *testing.T) {

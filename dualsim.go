@@ -64,9 +64,9 @@ type (
 	// written to Options.TraceWriter. See its field docs for the event
 	// vocabulary (run_start, window_open, ..., run_end).
 	TraceEvent = obs.Event
-	// CostProfile is the per-query attributed cost breakdown produced when
-	// Options.Profile is set (Result.Profile) or a server request asks for
-	// POST /query?profile=1: time split (queue/prep/exec/io-wait/pin-wait),
+	// CostProfile is the per-query attributed cost breakdown of every run
+	// (Result.Profile), and of a served query that asks for it with POST
+	// /query?profile=1: time split (queue/prep/exec/io-wait/pin-wait),
 	// pages read, window behaviour, kernel mix, resilience.
 	CostProfile = obs.CostProfile
 )
@@ -279,9 +279,6 @@ type Options struct {
 	// experiments.
 	PerPageLatency time.Duration
 	SeekLatency    time.Duration
-	// Timeout bounds each run; zero means no deadline. RunContext callers
-	// get whichever is stricter, their context or this.
-	Timeout time.Duration
 	// Retry, when non-nil, turns on the resilient read path: transient
 	// device faults are retried with exponential backoff and jitter, and
 	// checksum mismatches are re-read once (torn-read tolerance) before
@@ -298,11 +295,6 @@ type Options struct {
 	// effectively free — when nil. The engine buffers and flushes the
 	// trace on Close, so the final events of the last run are never lost.
 	TraceWriter io.Writer
-	// Profile, when true, attributes every cost counter (pages read, I/O
-	// wait, kernel mix, ...) to each run and returns the breakdown as
-	// Result.Profile. Off by default; the attribution path costs one
-	// pointer comparison per counter when disabled.
-	Profile bool
 	// ProgressInterval, when positive, prints a progress line (windows
 	// done/estimated, pages read, embeddings) every interval during a run,
 	// to ProgressWriter (default os.Stderr).
@@ -333,10 +325,8 @@ func (o Options) coreOptions() core.Options {
 		CoverMode:        mode,
 		PerPageLatency:   o.PerPageLatency,
 		SeekLatency:      o.SeekLatency,
-		Timeout:          o.Timeout,
 		Retry:            o.Retry,
 		Tracer:           tracer,
-		Profile:          o.Profile,
 		ProgressInterval: o.ProgressInterval,
 		ProgressWriter:   pw,
 	}
@@ -367,8 +357,8 @@ type Result struct {
 	// Metrics is a snapshot of the engine's metric registry at the end of
 	// the run; counters are cumulative across runs of one engine.
 	Metrics *MetricsSnapshot `json:"metrics,omitempty"`
-	// Profile is the run's attributed cost breakdown, present when
-	// Options.Profile was set. Unlike Metrics it covers THIS run only.
+	// Profile is the run's attributed cost breakdown, always set. Unlike
+	// Metrics it covers THIS run only.
 	Profile *CostProfile `json:"profile,omitempty"`
 }
 
@@ -422,9 +412,9 @@ func (e *Engine) Run(q *Query) (*Result, error) {
 	return e.RunContext(context.Background(), q)
 }
 
-// RunContext is Run observing ctx: cancellation (or the Options.Timeout
-// deadline) stops the traversal promptly, releases every buffer pin, and
-// returns ctx.Err(). The engine stays usable afterwards.
+// RunContext is Run observing ctx: cancellation (or ctx's deadline, the way
+// to bound a run) stops the traversal promptly, releases every buffer pin,
+// and returns ctx.Err(). The engine stays usable afterwards.
 func (e *Engine) RunContext(ctx context.Context, q *Query) (*Result, error) {
 	res, err := e.eng.RunContext(ctx, q)
 	if err != nil {

@@ -126,8 +126,8 @@ type Pool struct {
 	// attr is the active query's attribution scope, installed by the
 	// engine for the duration of a run (the engine runs one query at a
 	// time and owns this pool exclusively, so a single slot suffices).
-	// Stat increments mirror into it when non-nil; the disabled path
-	// costs one atomic pointer load per pool operation.
+	// Stat increments mirror into it when non-nil; it is nil between runs,
+	// when pins outside any run are counted by the pool alone.
 	attr atomic.Pointer[obs.Scope]
 
 	ioq    chan ioRequest

@@ -79,11 +79,12 @@ type RunSpec struct {
 	// completed level-1 window, from the orchestrating goroutine (one call
 	// at a time, never concurrently). The value is safe to retain.
 	OnCheckpoint func(Checkpoint)
-	// Scope, when non-nil, attributes this run's cost (pages read, I/O
-	// wait, kernel mix, ...) to one query: every hot-path counter mirrors
-	// into it alongside the global registry, trace events carry its trace
-	// ID and span hierarchy, and Result.Profile reports the rendered
-	// total. The serving layer creates one per request at HTTP admission.
+	// Scope attributes this run's cost (pages read, I/O wait, kernel mix,
+	// ...) to one query: every hot-path counter mirrors into it alongside
+	// the global registry, trace events carry its trace ID and span
+	// hierarchy, and Result.Profile and Result.IO report the rendered
+	// total. The serving layer creates one per request at HTTP admission;
+	// when nil, the run mints its own.
 	Scope *obs.Scope
 	// Overlay, when non-nil and non-empty, runs the enumeration against
 	// the mutated graph (base page file + live-ingest delta): every

@@ -49,25 +49,16 @@ type Options struct {
 	// SeekLatency simulates device positioning latency, charged once per
 	// read request regardless of its page count.
 	SeekLatency time.Duration
-	// Timeout bounds each run; zero means no deadline. RunContext callers
-	// get whichever is stricter, their context or this.
-	Timeout time.Duration
 	// Retry, when non-nil, wraps the page read path in a
 	// storage.RetryReader with this policy, absorbing transient device
 	// faults and torn reads before they reach the engine. It is the
 	// engine's only recovery: a read error that outlives it fails the run.
 	Retry *storage.RetryPolicy
 	// Metrics, when non-nil, is the registry the engine registers its
-	// metrics into (share one across engines to aggregate); when nil the
+	// metrics into: every engine on one registry counts into the same
+	// counters, the pool's and the retry layer's included. When nil the
 	// engine creates a private registry, retrievable with Registry().
 	Metrics *obs.Registry
-	// Profile attributes every run into a per-query obs.Scope and returns
-	// the rendered cost profile in Result.Profile. Runs handed an explicit
-	// RunSpec.Scope (the server's per-request scopes) are attributed
-	// regardless; this flag covers direct Engine users and the CLI's
-	// `run -profile`. Off, attribution costs one nil check per counter
-	// site.
-	Profile bool
 	// Tracer, when non-nil, receives window/stage lifecycle events (and
 	// retry-layer recovery events when Retry is set). Nil disables tracing
 	// at the cost of one pointer comparison per emit site.
@@ -98,7 +89,10 @@ type Result struct {
 	PrepTime time.Duration
 	// ExecTime is the enumeration phase duration.
 	ExecTime time.Duration
-	// IO holds the buffer activity during execution.
+	// IO holds the buffer activity attributed to the run's scope. A cohort
+	// rider's reads are its sweep's, so its IO is zero. Evictions reads 0:
+	// an eviction cannot be attributed to one query, and no caller reads it
+	// (dualsim_buffer_evictions_total counts them).
 	IO buffer.Stats
 	// Level1Windows counts iterations of the outermost (internal area)
 	// window loop.
@@ -124,8 +118,8 @@ type Result struct {
 	// the run. Counters are cumulative across runs of one engine.
 	Metrics *obs.Snapshot
 	// Profile is this run's attributed cost profile — the per-query slice
-	// of the global counters plus the time breakdown. Nil unless the run
-	// carried an attribution scope (RunSpec.Scope or Options.Profile).
+	// of the global counters plus the time breakdown, read from the run's
+	// scope (RunSpec.Scope, or one the run minted). Never nil.
 	Profile *obs.CostProfile
 }
 
@@ -225,7 +219,7 @@ func NewEngine(db Database, opts Options) (*Engine, error) {
 	}
 	return &Engine{
 		db: db, pool: pool, retry: retry, opts: opts, frames: frames, all: all, maxSpan: maxSpan,
-		reg: reg, em: registerEngineMetrics(reg, pool, retry), tracer: opts.Tracer,
+		reg: reg, em: registerEngineMetrics(reg), tracer: opts.Tracer,
 	}, nil
 }
 
@@ -242,6 +236,11 @@ func (e *Engine) RetryStats() storage.RetryStats {
 	}
 	return e.retry.Stats()
 }
+
+// settle moves what the engine's pool and retry reader counted since the
+// last settle into the registry. Called under the run guard, at every
+// level-1 window boundary and at the end of every run or sweep.
+func (e *Engine) settle() { e.em.settle(e.pool.Stats(), e.RetryStats()) }
 
 // Close releases the engine's buffer pool and flushes the tracer (if the
 // configured Tracer buffers, e.g. obs.JSONLTracer), so the final spans of
@@ -264,11 +263,6 @@ func (e *Engine) BufferFrames() int { return e.frames }
 // which the serving layer treats as grounds to recycle the engine.
 func (e *Engine) PinnedFrames() int { return e.pool.PinnedCount() }
 
-// PoolStats returns the buffer pool's cumulative counters. The serving
-// layer aggregates these across its engine pool for the shared /metrics
-// endpoint.
-func (e *Engine) PoolStats() buffer.Stats { return e.pool.Stats() }
-
 // EnumStats is a point-in-time view of the engine's cumulative enumeration
 // counters that the serving layer surfaces in GET /stats. When several
 // engines share one obs.Registry (Options.Metrics), the underlying
@@ -278,6 +272,11 @@ type EnumStats struct {
 	// IOWaitNanos is orchestrator time blocked on window page loads — the
 	// I/O the overlap failed to hide.
 	IOWaitNanos uint64
+	// CoalescedRuns counts the pools' multi-page stretches served with one
+	// simulated seek, as settled at level-1 window boundaries.
+	CoalescedRuns uint64
+	// CoalescedPages counts the pages those stretches covered.
+	CoalescedPages uint64
 	// CheckpointsTaken counts window-boundary checkpoints delivered to run
 	// callbacks.
 	CheckpointsTaken uint64
@@ -292,6 +291,8 @@ type EnumStats struct {
 func (e *Engine) EnumStats() EnumStats {
 	return EnumStats{
 		IOWaitNanos:       e.em.ioWaitNanos.Value(),
+		CoalescedRuns:     e.em.coalescedRuns.Value(),
+		CoalescedPages:    e.em.coalescedPages.Value(),
 		CheckpointsTaken:  e.em.checkpoints.Value(),
 		CompressedRecords: e.em.compressedRecs.Value(),
 		CompressedBytes:   e.em.compressedBytes.Value(),
@@ -308,10 +309,9 @@ func (e *Engine) Run(q *graph.Query) (*Result, error) {
 	return e.RunContext(context.Background(), q)
 }
 
-// RunContext is Run observing ctx: cancellation (or the Options.Timeout
-// deadline) stops the traversal at the next window or queued read, releases
-// every pin, and returns ctx.Err(). A run abandoned this way leaves the
-// engine reusable.
+// RunContext is Run observing ctx: cancellation (or ctx's deadline) stops
+// the traversal at the next window or queued read, releases every pin, and
+// returns ctx.Err(). A run abandoned this way leaves the engine reusable.
 func (e *Engine) RunContext(ctx context.Context, q *graph.Query) (*Result, error) {
 	p, err := plan.Prepare(q, plan.Options{CoverMode: e.opts.CoverMode})
 	if err != nil {
@@ -320,8 +320,7 @@ func (e *Engine) RunContext(ctx context.Context, q *graph.Query) (*Result, error
 	return e.RunPlanContext(ctx, p)
 }
 
-// RunPlanContext executes a prepared plan, observing ctx and
-// Options.Timeout.
+// RunPlanContext executes a prepared plan, observing ctx.
 func (e *Engine) RunPlanContext(ctx context.Context, p *plan.Plan) (*Result, error) {
 	return e.RunSpecContext(ctx, RunSpec{Plan: p})
 }
@@ -347,11 +346,6 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 		return nil, ErrEngineBusy
 	}
 	defer e.running.Store(false)
-	if e.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
-		defer cancel()
-	}
 	// The solo budget policy: the whole pool split over the plan's levels
 	// by the paper's allocation — level 1 (the sweep of one) gets alloc[0],
 	// the rider the rest. When the graph fits beside one maximal vertex per
@@ -380,35 +374,27 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 		return nil, err
 	}
 	r := e.newRun(ctx, spec, alloc)
-	// Attribution rides on the sweep: its run's scope (an explicit
-	// per-request scope from the server, or Options.Profile's) is installed
-	// on the buffer pool until release — the engine owns the pool and runs
-	// one query at a time, and all reads settle before the run returns, so
-	// attributed pages partition the global count exactly.
+	// Attribution rides on the sweep: its run's scope is installed on the
+	// buffer pool until release — the engine owns the pool and runs one query
+	// at a time, and all reads settle before the run returns, so attributed
+	// pages partition the global count exactly.
 	s, err := e.newSweep(r, cursor)
 	if err != nil {
 		return nil, err
 	}
 	defer s.release()
-	statsBefore := e.pool.Stats()
 	rd := (&Rider{s: s, r: r, frames: e.frames}).board()
 	defer rd.Close()
 
 	if e.opts.ProgressInterval > 0 && e.opts.ProgressWriter != nil {
-		// The reporter goroutine reads only atomics: engine counters
-		// (with the pre-run baseline subtracted) and the run's embedding
-		// counts. Level-1 window count is estimated from the level's frame
-		// budget; path-pin sharing makes actual windows somewhat fewer.
-		l1Before := e.em.windowsLevel1.Value()
-		estL1 := (e.db.NumPages() + alloc[0] - 1) / alloc[0]
-		if estL1 < 1 {
-			estL1 = 1
-		}
+		// The reporter goroutine reads only atomics: the run's scope and its
+		// embedding counts. Level-1 window count is estimated from the
+		// level's frame budget; path-pin sharing makes actual windows
+		// somewhat fewer.
+		estL1 := max(1, (e.db.NumPages()+alloc[0]-1)/alloc[0])
 		stop := obs.StartProgress(e.opts.ProgressWriter, e.opts.ProgressInterval, func() string {
-			st := e.pool.Stats()
 			return fmt.Sprintf("dualsim: windows %d/~%d, pages read %d, embeddings %d",
-				e.em.windowsLevel1.Value()-l1Before, estL1,
-				st.PhysicalReads-statsBefore.PhysicalReads,
+				r.scope.WindowsLevel1.Load(), estL1, r.scope.PagesRead.Load(),
 				r.internalCount.Load()+r.externalCount.Load())
 		})
 		defer stop()
@@ -425,29 +411,16 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 			return nil, err
 		}
 	}
-	res, err := rd.Finish()
-	if err != nil {
-		return nil, err
-	}
-	// Only a run that owned the pool can report its I/O as a pool delta.
-	statsAfter := e.pool.Stats()
-	res.IO = buffer.Stats{
-		LogicalReads:  statsAfter.LogicalReads - statsBefore.LogicalReads,
-		PhysicalReads: statsAfter.PhysicalReads - statsBefore.PhysicalReads,
-		Hits:          statsAfter.Hits - statsBefore.Hits,
-		Evictions:     statsAfter.Evictions - statsBefore.Evictions,
-		PinWaitNanos:  statsAfter.PinWaitNanos - statsBefore.PinWaitNanos,
-	}
-	return res, nil
+	return rd.Finish()
 }
 
 // newRun builds the state of one enumeration over alloc, the per-level
-// frame budgets: root candidates, resume totals and the pinned overlay.
+// frame budgets: root candidates, resume totals, the pinned overlay and the
+// attribution scope — the spec's, or one minted for the run.
 func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 	p := spec.Plan
-	scope := spec.Scope
-	if scope == nil && e.opts.Profile {
-		scope = obs.NewScope(obs.NewTraceID())
+	if spec.Scope == nil {
+		spec.Scope = obs.NewScope(obs.NewTraceID())
 	}
 	r := &run{
 		ctx:          ctx,
@@ -462,7 +435,7 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 		onCheckpoint: spec.OnCheckpoint,
 		tracer:       e.tracer,
 		em:           e.em,
-		scope:        scope,
+		scope:        spec.Scope,
 		levelSpan:    make([]uint64, p.K),
 		winSpan:      make([]uint64, p.K),
 		winStart:     make([]time.Time, p.K),
@@ -568,11 +541,10 @@ type run struct {
 	workers *workerPool
 	tracer  obs.Tracer     // nil when tracing is disabled
 	em      *engineMetrics // never nil
-	// scope, when non-nil, is the query attribution sink every counter
-	// site mirrors into (see obs.Scope); nil means attribution is off and
-	// each site pays one pointer comparison.
+	// scope is the query attribution sink every counter site mirrors into
+	// (see obs.Scope).
 	scope *obs.Scope
-	// querySpan is the root span ID of this run's trace (0 without scope).
+	// querySpan is the root span ID of this run's trace.
 	querySpan uint64
 	// levelSpan[l] / winSpan[l] are the span IDs of the open level and
 	// window spans at level l, maintained by the orchestrator only:
@@ -593,10 +565,6 @@ type run struct {
 	// continuing from the checkpoint's count on a resume; the last level
 	// counts streamed passes).
 	windowsPer []int
-	// ioWait accumulates time the orchestrator spent blocked on window
-	// loads and on the reads of last-level passes — the I/O cost the overlap
-	// strategy failed to hide.
-	ioWait time.Duration
 
 	// err is the run's first failure, set once (fail) by whichever of the
 	// orchestrator, an I/O callback or a task meets it first. Every error
@@ -615,25 +583,14 @@ type run struct {
 }
 
 // emit forwards e to the run's tracer, stamping the scope's trace ID so
-// every event of an attributed run carries its query identity. Span IDs
-// are filled by the call sites that mint them; unattributed runs emit the
-// PR 2 event shapes unchanged.
+// every event of a run carries its query identity. Span IDs are filled by
+// the call sites that mint them.
 func (r *run) emit(e obs.Event) {
 	if r.tracer == nil {
 		return
 	}
-	if r.scope != nil {
-		e.TraceID = r.scope.TraceID()
-	}
+	e.TraceID = r.scope.TraceID()
 	r.tracer.Emit(e)
-}
-
-// span mints a child span ID when the run is attributed; 0 otherwise.
-func (r *run) span() uint64 {
-	if r.scope == nil {
-		return 0
-	}
-	return r.scope.NextSpanID()
 }
 
 func (r *run) fail(err error) {

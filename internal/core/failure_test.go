@@ -351,19 +351,21 @@ func TestRunContextCancelMidRun(t *testing.T) {
 }
 
 func TestOptionsTimeout(t *testing.T) {
-	// A latency spike that makes the run exceed Options.Timeout must turn
-	// into context.DeadlineExceeded, with the pool clean afterwards.
+	// A latency spike that makes the run outlive its context's deadline must
+	// turn into context.DeadlineExceeded, with the pool clean afterwards.
 	rng := rand.New(rand.NewSource(86))
 	g := randomGraph(rng, 200, 1400)
 	db := buildDB(t, g, 128)
 	fdb := faultdb.Wrap(db, faultdb.Options{}).Latency(5*time.Millisecond, 1)
 
-	eng, err := NewEngine(fdb, Options{Threads: 2, BufferFrames: 16, Timeout: 20 * time.Millisecond})
+	eng, err := NewEngine(fdb, Options{Threads: 2, BufferFrames: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	_, err = eng.Run(graph.Clique4())
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err = eng.RunContext(ctx, graph.Clique4())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}

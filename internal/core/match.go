@@ -119,21 +119,15 @@ func (m *matcher) flush() {
 	sc := m.r.scope
 	if st.Linear > 0 {
 		m.r.em.intersectLinear.Add(st.Linear)
-		if sc != nil {
-			sc.IntersectLin.Add(st.Linear)
-		}
+		sc.IntersectLin.Add(st.Linear)
 	}
 	if st.Gallop > 0 {
 		m.r.em.intersectGallop.Add(st.Gallop)
-		if sc != nil {
-			sc.IntersectGal.Add(st.Gallop)
-		}
+		sc.IntersectGal.Add(st.Gallop)
 	}
 	if st.KWay > 0 {
 		m.r.em.intersectKWay.Add(st.KWay)
-		if sc != nil {
-			sc.IntersectKWay.Add(st.KWay)
-		}
+		sc.IntersectKWay.Add(st.KWay)
 	}
 	m.r.matchers.Put(m)
 }
@@ -379,9 +373,7 @@ func (r *run) internalEnumerate(g int, verts []graph.VertexID, lw *levelWindow) 
 				rest := verts[mid:]
 				if r.workers.trySubmit(func() { r.internalEnumerate(g, rest, lw) }) {
 					r.em.stealSplits.Inc()
-					if r.scope != nil {
-						r.scope.StealSplits.Add(1)
-					}
+					r.scope.StealSplits.Add(1)
 					verts = verts[:mid]
 				}
 			}

@@ -7,10 +7,13 @@ import (
 )
 
 // engineMetrics holds the engine's registered metric handles. Counters are
-// cumulative across runs of one engine; Result.Metrics snapshots them at
-// the end of each run. Hot-path increments happen at window granularity or
-// batched per worker task, so the cost is negligible (see
-// BenchmarkEnumerate ±5% acceptance in ISSUE 2).
+// cumulative and live in the registry, so every engine on one registry (a
+// server's pool, its cohort engine, their replacements after a compaction or
+// a recycle) counts into the same ones; Result.Metrics snapshots them at the
+// end of each run. Hot-path increments happen at window granularity or
+// batched per worker task. The buffer pool and the retry reader keep their
+// own atomics; settle moves what they counted into the registry at every
+// level-1 window boundary and at the end of every run or sweep.
 type engineMetrics struct {
 	runs          *obs.Counter
 	windows       *obs.Counter
@@ -49,12 +52,20 @@ type engineMetrics struct {
 	// page's load callback for the records it merged, and from buildSide for
 	// mutated multi-page vertices.
 	overlayVertices *obs.Counter
+
+	// The pool's and the retry layer's counters, as settled.
+	pagesRead, logicalReads, bufferHits, evictions, pinWaitNanos *obs.Counter
+	coalescedRuns, coalescedPages                                *obs.Counter
+	retries, crcRereads, recovered, exhausted                    *obs.Counter
+	// settledPool and settledRetry are this engine's pool and retry reader
+	// counts as of its last settle. Written under the engine's run guard.
+	settledPool  buffer.Stats
+	settledRetry storage.RetryStats
 }
 
-// registerEngineMetrics wires the engine's components into reg. The buffer
-// pool and retry reader keep their own atomic counters; those surface as
-// func-backed metrics read at render time, avoiding double bookkeeping.
-func registerEngineMetrics(reg *obs.Registry, pool *buffer.Pool, retry *storage.RetryReader) *engineMetrics {
+// registerEngineMetrics wires the engine's metrics into reg, sharing any that
+// another engine on reg registered first.
+func registerEngineMetrics(reg *obs.Registry) *engineMetrics {
 	em := &engineMetrics{
 		runs:          reg.Counter("dualsim_runs_total", "enumeration runs started"),
 		windows:       reg.Counter("dualsim_windows_total", "merged vertex/page windows processed across all levels (the last level counts one streamed pass per window above it)"),
@@ -81,6 +92,19 @@ func registerEngineMetrics(reg *obs.Registry, pool *buffer.Pool, retry *storage.
 		compressedBytes: reg.Counter("dualsim_compressed_bytes_total", "on-disk bytes of compressed adjacency payloads loaded into windows"),
 
 		overlayVertices: reg.Counter("dualsim_overlay_merged_vertices_total", "mutated records merged with the live-ingest overlay per window load, added by each page's load callback (multi-page vertices after the last one)"),
+
+		pagesRead:      reg.Counter("dualsim_pages_read_total", "pages physically read from the device, settled at level-1 window boundaries"),
+		logicalReads:   reg.Counter("dualsim_logical_reads_total", "buffer pin requests, hit or miss, settled at level-1 window boundaries"),
+		bufferHits:     reg.Counter("dualsim_buffer_hits_total", "pin requests satisfied without I/O, settled at level-1 window boundaries"),
+		evictions:      reg.Counter("dualsim_buffer_evictions_total", "buffer frames recycled, settled at level-1 window boundaries"),
+		pinWaitNanos:   reg.Counter("dualsim_buffer_pin_wait_nanos_total", "time pinners blocked on in-flight page loads, settled at level-1 window boundaries"),
+		coalescedRuns:  reg.Counter("dualsim_coalesced_runs_total", "multi-page stretches served with a single simulated seek, settled at level-1 window boundaries"),
+		coalescedPages: reg.Counter("dualsim_coalesced_pages_total", "pages covered by coalesced run reads, settled at level-1 window boundaries"),
+
+		retries:    reg.Counter("dualsim_retry_retries_total", "transient-failure read re-attempts, settled at level-1 window boundaries"),
+		crcRereads: reg.Counter("dualsim_retry_crc_rereads_total", "checksum-mismatch re-reads (torn-read tolerance), settled at level-1 window boundaries"),
+		recovered:  reg.Counter("dualsim_retry_recovered_total", "reads that failed at least once but succeeded, settled at level-1 window boundaries"),
+		exhausted:  reg.Counter("dualsim_retry_exhausted_total", "reads that failed even after the full retry budget, settled at level-1 window boundaries"),
 	}
 	reg.CounterFunc("dualsim_embeddings_total", "embeddings found (internal + external)", func() uint64 {
 		return em.embInternal.Value() + em.embExternal.Value()
@@ -88,49 +112,30 @@ func registerEngineMetrics(reg *obs.Registry, pool *buffer.Pool, retry *storage.
 	reg.GaugeFunc("dualsim_worker_queue_depth", "enumeration tasks submitted but not yet completed", func() float64 {
 		return float64(em.workerSubmitted.Value()) - float64(em.workerCompleted.Value())
 	})
-
-	reg.CounterFunc("dualsim_pages_read_total", "pages physically read from the device", func() uint64 {
-		return pool.Stats().PhysicalReads
-	})
-	reg.CounterFunc("dualsim_logical_reads_total", "buffer pin requests (hit or miss)", func() uint64 {
-		return pool.Stats().LogicalReads
-	})
-	reg.CounterFunc("dualsim_buffer_hits_total", "pin requests satisfied without I/O", func() uint64 {
-		return pool.Stats().Hits
-	})
-	reg.CounterFunc("dualsim_buffer_evictions_total", "buffer frames recycled", func() uint64 {
-		return pool.Stats().Evictions
-	})
-	reg.CounterFunc("dualsim_buffer_pin_wait_nanos_total", "time pinners blocked on in-flight page loads", func() uint64 {
-		return pool.Stats().PinWaitNanos
-	})
-	reg.CounterFunc("dualsim_coalesced_runs_total", "multi-page stretches served with a single simulated seek", func() uint64 {
-		return pool.Stats().CoalescedRuns
-	})
-	reg.CounterFunc("dualsim_coalesced_pages_total", "pages covered by coalesced run reads", func() uint64 {
-		return pool.Stats().CoalescedPages
-	})
 	reg.GaugeFunc("dualsim_buffer_hit_ratio", "buffer hits / logical reads", func() float64 {
-		st := pool.Stats()
-		if st.LogicalReads == 0 {
+		logical := em.logicalReads.Value()
+		if logical == 0 {
 			return 0
 		}
-		return float64(st.Hits) / float64(st.LogicalReads)
+		return float64(em.bufferHits.Value()) / float64(logical)
 	})
-
-	if retry != nil {
-		reg.CounterFunc("dualsim_retry_retries_total", "transient-failure read re-attempts", func() uint64 {
-			return retry.Stats().Retries
-		})
-		reg.CounterFunc("dualsim_retry_crc_rereads_total", "checksum-mismatch re-reads (torn-read tolerance)", func() uint64 {
-			return retry.Stats().CRCRereads
-		})
-		reg.CounterFunc("dualsim_retry_recovered_total", "reads that failed at least once but succeeded", func() uint64 {
-			return retry.Stats().Recovered
-		})
-		reg.CounterFunc("dualsim_retry_exhausted_total", "reads that failed even after the full retry budget", func() uint64 {
-			return retry.Stats().Exhausted
-		})
-	}
 	return em
+}
+
+// settle adds what the engine's pool and retry reader counted since the
+// last settle to the registry's counters.
+func (em *engineMetrics) settle(st buffer.Stats, rt storage.RetryStats) {
+	was, wasRetry := em.settledPool, em.settledRetry
+	em.pagesRead.Add(st.PhysicalReads - was.PhysicalReads)
+	em.logicalReads.Add(st.LogicalReads - was.LogicalReads)
+	em.bufferHits.Add(st.Hits - was.Hits)
+	em.evictions.Add(st.Evictions - was.Evictions)
+	em.pinWaitNanos.Add(st.PinWaitNanos - was.PinWaitNanos)
+	em.coalescedRuns.Add(st.CoalescedRuns - was.CoalescedRuns)
+	em.coalescedPages.Add(st.CoalescedPages - was.CoalescedPages)
+	em.retries.Add(rt.Retries - wasRetry.Retries)
+	em.crcRereads.Add(rt.CRCRereads - wasRetry.CRCRereads)
+	em.recovered.Add(rt.Recovered - wasRetry.Recovered)
+	em.exhausted.Add(rt.Exhausted - wasRetry.Exhausted)
+	em.settledPool, em.settledRetry = st, rt
 }

@@ -192,12 +192,14 @@ func TestResultMetricsSnapshot(t *testing.T) {
 }
 
 // TestSharedRegistryAcrossEngines checks Options.Metrics lets callers
-// aggregate several engines into one registry and serve it.
+// aggregate several engines into one registry and serve it: the pool's
+// counters included, which outlive the engine that counted them.
 func TestSharedRegistryAcrossEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGraph(rng, 100, 400)
 	db := buildDB(t, g, 256)
 	reg := obs.NewRegistry()
+	var pages uint64
 	for i := 0; i < 2; i++ {
 		e, err := NewEngine(db, Options{Threads: 1, BufferFrames: 32, Metrics: reg})
 		if err != nil {
@@ -206,13 +208,18 @@ func TestSharedRegistryAcrossEngines(t *testing.T) {
 		if e.Registry() != reg {
 			t.Fatal("engine did not adopt the shared registry")
 		}
-		if _, err := e.Run(graph.Triangle()); err != nil {
+		res, err := e.Run(graph.Triangle())
+		if err != nil {
 			t.Fatal(err)
 		}
+		pages += res.IO.PhysicalReads
 		e.Close()
 	}
 	if got := reg.Snapshot().Counters["dualsim_runs_total"]; got != 2 {
 		t.Errorf("shared registry runs_total = %d, want 2", got)
+	}
+	if got := reg.Snapshot().Counters["dualsim_pages_read_total"]; got != pages || pages == 0 {
+		t.Errorf("shared registry pages_read_total = %d, the two runs read %d", got, pages)
 	}
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -220,6 +227,37 @@ func TestSharedRegistryAcrossEngines(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "dualsim_windows_total") {
 		t.Error("prometheus render missing dualsim_windows_total")
+	}
+}
+
+// TestDirectRunAttributed: a direct run, handed no scope, is attributed
+// all the same — its Result.Profile is set, its pages are the run's
+// physical reads, and those are what dualsim_pages_read_total moved by.
+func TestDirectRunAttributed(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	db := buildDB(t, randomGraph(rng, 150, 700), 128)
+	e, err := NewEngine(db, Options{Threads: 2, BufferFrames: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for run := 0; run < 2; run++ {
+		before := e.Registry().Snapshot().Counters["dualsim_pages_read_total"]
+		res, err := e.Run(graph.Triangle())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Profile == nil {
+			t.Fatalf("run %d: Result.Profile is nil", run)
+		}
+		delta := e.Registry().Snapshot().Counters["dualsim_pages_read_total"] - before
+		if p := res.Profile.PagesRead; p == 0 || p != res.IO.PhysicalReads || p != delta {
+			t.Errorf("run %d: profile pages_read %d, IO.PhysicalReads %d, dualsim_pages_read_total delta %d",
+				run, p, res.IO.PhysicalReads, delta)
+		}
+		if res.Profile.LogicalReads != res.IO.LogicalReads || res.Profile.IOWaitNS != res.IOWait.Nanoseconds() {
+			t.Errorf("run %d: profile %+v disagrees with IO %+v / IOWait %v", run, *res.Profile, res.IO, res.IOWait)
+		}
 	}
 }
 

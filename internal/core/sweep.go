@@ -64,12 +64,12 @@ type SweepOptions struct {
 	// the buffer, and no rider with a middle level is dealt less than the
 	// equal share it was admitted on.
 	MaxRiders int
-	// Scope, when non-nil, receives the sweep's attribution: it is
-	// installed as the pool's attribution sink for the sweep's lifetime,
-	// so every physical page read of the cohort — the shared level-1 loads
-	// and the riders' deep-level misses — is charged once, to the sweep.
-	// Riders attribute their consumption of shared windows through their
-	// own scopes' SharedPages instead.
+	// Scope receives the sweep's attribution (when nil the sweep mints
+	// one): it is installed as the pool's attribution sink for the sweep's
+	// lifetime, so every physical page read of the cohort — the shared
+	// level-1 loads and the riders' deep-level misses — is charged once, to
+	// the sweep. Riders attribute their consumption of shared windows
+	// through their own scopes' SharedPages instead.
 	Scope *obs.Scope
 }
 
@@ -233,9 +233,7 @@ func (e *Engine) newSweep(r *run, start int) (*Sweep, error) {
 	if err := r.firstErr(); err != nil {
 		return nil, err
 	}
-	if r.scope != nil {
-		e.pool.SetAttribution(r.scope)
-	}
+	e.pool.SetAttribution(r.scope)
 	return s, nil
 }
 
@@ -319,17 +317,19 @@ func sum(xs []int) (n int) {
 
 // Release unpins a delivered window. Every rider must have returned from
 // ProcessWindow first — their adjacency reads are only valid while the
-// sweep's pins hold the pages resident.
+// sweep's pins hold the pages resident. The window boundary is where the
+// pool's and the retry layer's counts settle into the registry.
 func (s *Sweep) Release(w *SweepWindow) {
 	s.r.unloadWindow(w.lw)
 	s.r.closeWindow(0, w.ord)
+	s.r.e.settle()
 }
 
-// release returns the pool's attribution slot.
+// release returns the pool's attribution slot and settles the counts of the
+// run's last reads.
 func (s *Sweep) release() {
-	if s.r.scope != nil {
-		s.r.e.pool.SetAttribution(nil)
-	}
+	s.r.e.pool.SetAttribution(nil)
+	s.r.e.settle()
 }
 
 // Close ends a cohort sweep: the pool's attribution slot released, the
@@ -366,10 +366,9 @@ type Rider struct {
 	// until then). Riders that join at index 0 emit checkpoints — their
 	// consumed prefix is exactly the solo iterator's; late joiners have no
 	// solo-meaningful cursor and stay silent.
-	joinIndex   int
-	processed   int
-	sharedPages uint64
-	closed      bool
+	joinIndex int
+	processed int
+	closed    bool
 }
 
 // NewRider boards a cohort rider for spec on the sweep. Its deep levels run
@@ -412,10 +411,7 @@ func (rd *Rider) board() *Rider {
 	r.workers = newWorkerPool(r.e.opts.Threads, r.em.workerSubmitted, r.em.workerCompleted)
 	r.em.runs.Inc()
 	rd.startExec, rd.joinIndex = time.Now(), -1
-	r.querySpan = r.span()
-	if r.scope != nil {
-		rd.rootSpan = r.scope.RootSpan()
-	}
+	r.querySpan, rd.rootSpan = r.scope.NextSpanID(), r.scope.RootSpan()
 	r.emit(obs.Event{Event: "run_start", Levels: r.k, Frames: rd.frames,
 		Span: r.querySpan, Parent: rd.rootSpan})
 	rd.levelEnd = r.openLevel(0)
@@ -425,10 +421,10 @@ func (rd *Rider) board() *Rider {
 // Done reports that the rider has consumed every partition window.
 func (rd *Rider) Done() bool { return rd.processed >= len(rd.s.bounds) }
 
-// SharedPages returns the pages of shared windows attributed to this rider
-// (logical consumption; the physical reads are charged to the sweep). Zero
-// for a solo run, whose reads are its own.
-func (rd *Rider) SharedPages() uint64 { return rd.sharedPages }
+// SharedPages returns the pages of shared windows attributed to this rider's
+// scope (logical consumption; the physical reads are charged to the sweep).
+// Zero for a solo run, whose reads are its own.
+func (rd *Rider) SharedPages() uint64 { return rd.r.scope.SharedPages.Load() }
 
 // ProcessWindow evaluates the rider's plan against one delivered window
 // (Algorithm 1 lines 11-16): child candidates, internal enumeration
@@ -479,16 +475,11 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 	ord, shared := r.windowsPer[0]+1, r != rd.s.r
 	if shared {
 		r.openWindow(0, ord, w.verts)
-		rd.sharedPages += uint64(len(lw.pages))
-		if r.scope != nil {
-			r.scope.SharedPages.Add(uint64(len(lw.pages)))
-		}
+		r.scope.SharedPages.Add(uint64(len(lw.pages)))
 	}
 	r.countWindow(0)
 	r.em.windowsLevel1.Inc()
-	if r.scope != nil {
-		r.scope.WindowsLevel1.Add(1)
-	}
+	r.scope.WindowsLevel1.Add(1)
 
 	if r.k == 1 || len(w.verts) == len(r.e.all) {
 		// The whole window is the internal area — a single-level plan, or a
@@ -537,10 +528,10 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 }
 
 // Finish settles the rider into a Result — the engine's one Result
-// constructor. IO stays zero: a rider cannot tell its reads from the pool's
-// (RunSpecContext, which owns the pool for its run, fills it in; a cohort's
-// physical reads are the sweep scope's, the rider's consumption is
-// SharedPages).
+// constructor. IO, IOWait and Profile are read from the run's scope: a solo
+// run's scope is the pool's attribution sink for the whole run, a cohort
+// rider's is not (the sweep's scope pays the physical reads, the rider's
+// consumption is SharedPages), so its IO is zero.
 func (rd *Rider) Finish() (*Result, error) {
 	r := rd.r
 	if err := r.firstErr(); err != nil {
@@ -551,13 +542,9 @@ func (rd *Rider) Finish() (*Result, error) {
 	exec := time.Since(rd.startExec)
 	r.emit(obs.Event{Event: "run_end", Count: internal + external, DurUS: exec.Microseconds(),
 		Span: r.querySpan, Parent: rd.rootSpan})
-	var profile *obs.CostProfile
-	if r.scope != nil {
-		pr := r.scope.Profile()
-		pr.PrepNS = r.p.PrepTime.Nanoseconds()
-		pr.ExecNS = exec.Nanoseconds()
-		profile = &pr
-	}
+	pr := r.scope.Profile()
+	pr.PrepNS = r.p.PrepTime.Nanoseconds()
+	pr.ExecNS = exec.Nanoseconds()
 	return &Result{
 		Count:           internal + external,
 		Internal:        internal,
@@ -569,9 +556,17 @@ func (rd *Rider) Finish() (*Result, error) {
 		Level1Windows:   r.windowsPer[0],
 		WindowsPerLevel: r.windowsPer,
 		BufferFrames:    rd.frames,
-		IOWait:          r.ioWait,
-		Metrics:         rd.r.e.reg.Snapshot(),
-		Profile:         profile,
+		IO: buffer.Stats{
+			LogicalReads:   pr.LogicalReads,
+			PhysicalReads:  pr.PagesRead,
+			Hits:           pr.BufferHits,
+			PinWaitNanos:   uint64(pr.PinWaitNS),
+			CoalescedRuns:  pr.CoalescedRuns,
+			CoalescedPages: pr.CoalescedPages,
+		},
+		IOWait:  time.Duration(pr.IOWaitNS),
+		Metrics: rd.r.e.reg.Snapshot(),
+		Profile: &pr,
 	}, nil
 }
 

@@ -116,8 +116,8 @@ func TestSweepRidersMatchSolo(t *testing.T) {
 	}
 	s.Close()
 	// Every physical read of the cohort was charged to the sweep's scope.
-	if got, want := sweepScope.PagesRead.Load(), e.PoolStats().PhysicalReads; got != want {
-		t.Errorf("sweep scope pages_read = %d, pool physical reads = %d", got, want)
+	if got, want := sweepScope.PagesRead.Load(), e.Registry().Snapshot().Counters["dualsim_pages_read_total"]; got != want {
+		t.Errorf("sweep scope pages_read = %d, dualsim_pages_read_total = %d", got, want)
 	}
 	// The engine is released: a solo run works again and still agrees.
 	res, err := e.Run(graph.Triangle())

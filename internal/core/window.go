@@ -195,14 +195,10 @@ func (r *run) gate() error {
 	return r.firstErr()
 }
 
-// openLevel opens level l's span (attributed runs only), nested under the
-// enclosing window or, at level 1, the query span; the returned function
-// closes it.
+// openLevel opens level l's span, nested under the enclosing window or, at
+// level 1, the query span; the returned function closes it.
 func (r *run) openLevel(l int) func() {
-	span := r.span()
-	if span == 0 {
-		return func() {}
-	}
+	span := r.scope.NextSpanID()
 	parent := r.querySpan
 	if l > 0 {
 		parent = r.winSpan[l-1]
@@ -219,7 +215,7 @@ func (r *run) openLevel(l int) func() {
 // openWindow mints the span of level l's window ord and traces window_open;
 // closeWindow traces the matching window_close.
 func (r *run) openWindow(l, ord int, verts []graph.VertexID) {
-	r.winSpan[l] = r.span()
+	r.winSpan[l] = r.scope.NextSpanID()
 	r.winStart[l] = time.Now()
 	if r.tracer == nil {
 		return
@@ -244,9 +240,7 @@ func (r *run) closeWindow(l, ord int) {
 func (r *run) countWindow(l int) {
 	r.windowsPer[l]++
 	r.em.windows.Inc()
-	if r.scope != nil {
-		r.scope.Windows.Add(1)
-	}
+	r.scope.Windows.Add(1)
 }
 
 // settleWindowCounts merges a completed window's task-local counts into the
@@ -256,16 +250,12 @@ func (r *run) settleWindowCounts(lw *levelWindow) {
 	if n := lw.internal.Swap(0); n > 0 {
 		r.internalCount.Add(n)
 		r.em.embInternal.Add(n)
-		if r.scope != nil {
-			r.scope.EmbInternal.Add(n)
-		}
+		r.scope.EmbInternal.Add(n)
 	}
 	if n := lw.external.Swap(0); n > 0 {
 		r.externalCount.Add(n)
 		r.em.embExternal.Add(n)
-		if r.scope != nil {
-			r.scope.EmbExternal.Add(n)
-		}
+		r.scope.EmbExternal.Add(n)
 	}
 }
 
@@ -277,9 +267,7 @@ func (r *run) emitCheckpoint(cursor int) {
 		return
 	}
 	r.em.checkpoints.Inc()
-	if r.scope != nil {
-		r.scope.Checkpoints.Add(1)
-	}
+	r.scope.Checkpoints.Add(1)
 	r.onCheckpoint(Checkpoint{
 		K:        r.k,
 		Cursor:   cursor,
@@ -521,11 +509,8 @@ func (r *run) issueRuns(pages []storage.PageID, wg *sync.WaitGroup, cb func(stor
 // bookLoad accounts one window load (or last-level pass) of the given page
 // count during which the orchestrator spent wait blocked on reads.
 func (r *run) bookLoad(l, ord, pages int, wait time.Duration) {
-	r.ioWait += wait
 	r.em.ioWaitNanos.Add(uint64(wait.Nanoseconds()))
-	if r.scope != nil {
-		r.scope.IOWaitNanos.Add(uint64(wait.Nanoseconds()))
-	}
+	r.scope.IOWaitNanos.Add(uint64(wait.Nanoseconds()))
 	r.em.windowLoadUS.Observe(wait.Microseconds())
 	r.em.windowPages.Observe(int64(pages))
 	if r.tracer != nil {

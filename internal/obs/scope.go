@@ -7,21 +7,23 @@ import (
 	"time"
 )
 
-// Scope is a per-query attribution sink. The engine installs one on itself
-// and on its buffer pool for the duration of a run, and every hot-path
-// counter increments both the process-global registry and the scope, so
-// cost (pages read, I/O wait, kernel mix, ...) can be attributed to the
-// query that incurred it rather than to the process.
+// Scope is a per-query attribution sink. Every run has one — the caller's
+// (the server mints one per request) or one the run mints for itself — and
+// the engine installs it on its buffer pool for the duration of the run.
+// Every hot-path counter increments the scope beside the process-global
+// registry, so cost (pages read, I/O wait, kernel mix, ...) is attributed
+// to the query that incurred it rather than to the process.
 //
 // All fields are atomics: the buffer pool's I/O workers and the
-// enumeration workers increment concurrently with the orchestrator. A nil
-// *Scope means attribution is off; increment sites guard on nil, so the
-// disabled path costs one pointer comparison (the ≤2%-overhead budget).
+// enumeration workers increment concurrently with the orchestrator. The
+// pool, which also serves pins outside any run, mirrors into its scope only
+// while one is installed.
 //
 // The engine runs one query at a time and owns its pool exclusively, and
 // all physical reads settle before a run returns; together these guarantee
 // the sum of per-query attributed pages equals the global
-// dualsim_pages_read_total delta exactly.
+// dualsim_pages_read_total delta exactly — across engines sharing one
+// registry, and across an engine's replacement.
 type Scope struct {
 	traceID string
 	spanSeq atomic.Uint64

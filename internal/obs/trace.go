@@ -33,7 +33,7 @@ import (
 type Event struct {
 	TS      string `json:"ts,omitempty"` // RFC3339Nano, stamped by the tracer
 	Event   string `json:"event"`
-	TraceID string `json:"trace,omitempty"`  // query-scoped trace ID (HTTP admission or -profile)
+	TraceID string `json:"trace,omitempty"`  // query-scoped trace ID (minted at HTTP admission, or by the run)
 	Span    uint64 `json:"span,omitempty"`   // span ID, unique within the trace
 	Parent  uint64 `json:"parent,omitempty"` // parent span ID (0 = root)
 	Level   int    `json:"level,omitempty"`

@@ -62,8 +62,8 @@ type QueryResponse struct {
 	Resumed bool `json:"resumed,omitempty"`
 	// SharedPages is nonzero when the query ran as a shared-scan cohort
 	// rider: pages of sweep-loaded windows it consumed without paying
-	// their physical reads (PhysicalReads covers the whole pool; the
-	// rider's own attributed pages_read is 0 — the sweep owns the I/O).
+	// their physical reads (PhysicalReads, the rider's own attributed
+	// pages_read, is 0 — the sweep owns the I/O).
 	SharedPages uint64 `json:"shared_pages,omitempty"`
 	// ResumeToken is set on a truncated embeddings trailer: resubmitting
 	// the query with it continues from the last completed window instead
@@ -281,10 +281,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// window cadence and the run context, not the queue-wait deadline.
 	// Everything else takes the solo path: bounded queue, bounded wait,
 	// per-request deadline.
+	attr := &queryAttribution{
+		traceID:     traceID,
+		scope:       scope,
+		querySpan:   querySpan,
+		resumedFrom: resumedFrom,
+		wantProfile: wantProfile,
+		start:       reqStart,
+		epoch:       dataEpoch,
+	}
 	sched := s.scheduler()
 	useCohort := sched != nil && resume == nil && (snap == nil || snap.Empty())
 	var eng *core.Engine // nil while riding the shared sweep
-	var queueNS int64
 	if useCohort {
 		if int(s.cohortInflight.Add(1)) > s.cfg.CohortMaxRiders+s.cfg.QueueDepth {
 			s.cohortInflight.Add(-1)
@@ -294,30 +302,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		defer s.cohortInflight.Add(-1)
 	} else {
-		queueWait := s.cfg.QueueWait
-		if req.QueueWaitMS > 0 {
-			if d := time.Duration(req.QueueWaitMS) * time.Millisecond; d < queueWait {
-				queueWait = d
-			}
-		}
-		waitCtx, cancelWait := context.WithTimeout(r.Context(), queueWait)
-		queueStart := time.Now()
-		var aerr error
-		eng, aerr = s.acquire(waitCtx)
-		cancelWait()
-		if aerr != nil {
-			switch {
-			case errors.Is(aerr, errQueueFull):
-				s.reject(w, "admission queue full")
-			case errors.Is(aerr, context.DeadlineExceeded):
-				s.sm.rejectedWait.Inc()
-				s.reject(w, fmt.Sprintf("no engine free within %v", queueWait))
-			default: // client gave up while queued
-				s.sm.disconnects.Inc()
-			}
+		if eng, err = s.admitSolo(r.Context(), req, attr); err != nil {
+			s.writeRunError(w, r, err)
 			return
 		}
-		queueNS = time.Since(queueStart).Nanoseconds()
 		defer s.release(eng)
 	}
 	s.sm.active.Add(1)
@@ -340,8 +328,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// run executes the spec: solo on the acquired engine, or as a cohort
 	// rider. A bounced rider (ErrNotEligible — the plan is too deep for
 	// the equal share of the cohort's deep pool, or the scheduler is
-	// closing) falls back to a
-	// late solo admission so the client never sees an eligibility error.
+	// closing) falls back to a late solo admission, under the same queue
+	// wait as any solo request, so the client never sees an eligibility
+	// error.
 	run := func(ctx context.Context, sp core.RunSpec) (*core.Result, error) {
 		if eng != nil {
 			return eng.RunSpecContext(ctx, sp)
@@ -349,7 +338,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res, err := sched.Run(ctx, sp)
 		if err != nil && errors.Is(err, sharedscan.ErrNotEligible) {
 			s.sm.cohortFallbacks.Inc()
-			solo, aerr := s.acquire(ctx)
+			solo, aerr := s.admitSolo(ctx, req, attr)
 			if aerr != nil {
 				return nil, aerr
 			}
@@ -357,17 +346,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return solo.RunSpecContext(ctx, sp)
 		}
 		return res, err
-	}
-
-	attr := queryAttribution{
-		traceID:     traceID,
-		scope:       scope,
-		querySpan:   querySpan,
-		resumedFrom: resumedFrom,
-		wantProfile: wantProfile,
-		start:       reqStart,
-		queueNS:     queueNS,
-		epoch:       dataEpoch,
 	}
 
 	if !streaming {
@@ -389,7 +367,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			PlanCached:       cached,
 			PrepNS:           res.PrepTime.Nanoseconds(),
 			ExecNS:           res.ExecTime.Nanoseconds(),
-			QueueNS:          queueNS,
+			QueueNS:          attr.queueNS,
 			PhysicalReads:    res.IO.PhysicalReads,
 			Resumed:          res.Resumed,
 			SharedPages:      scope.SharedPages.Load(),
@@ -414,18 +392,20 @@ type queryAttribution struct {
 	resumedFrom string
 	wantProfile bool
 	start       time.Time
-	queueNS     int64
+	// queueNS is the time spent waiting for a solo engine: at admission, or
+	// after a bounce from the cohort.
+	queueNS int64
 	// epoch is the data epoch pinned at admission: stamped into resume
 	// tokens minted by this run and echoed as the response's DataEpoch.
 	epoch uint64
 }
 
 // profile returns the cost profile to attach to a response: the engine's
-// (when the run finished and produced one) or a direct scope snapshot
+// (when the run finished) or a direct scope snapshot
 // (cancelled/failed runs — attribution still settled before the engine
 // returned), with the server-side queue wait filled in. Nil unless the
 // request asked for a profile.
-func (a queryAttribution) profile(fromRun *obs.CostProfile) *obs.CostProfile {
+func (a *queryAttribution) profile(fromRun *obs.CostProfile) *obs.CostProfile {
 	if !a.wantProfile {
 		return nil
 	}
@@ -441,7 +421,7 @@ func (a queryAttribution) profile(fromRun *obs.CostProfile) *obs.CostProfile {
 
 // settleQuery closes out one request's observability: emits the query_end
 // span and records the query in the slow log with its attributed costs.
-func (s *Server) settleQuery(attr queryAttribution, query string, rows uint64, status string, err error) {
+func (s *Server) settleQuery(attr *queryAttribution, query string, rows uint64, status string, err error) {
 	dur := time.Since(attr.start)
 	s.emitSpan(obs.Event{Event: "query_end", TraceID: attr.traceID,
 		Span: attr.querySpan, DurUS: dur.Microseconds()})
@@ -519,9 +499,8 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 	q *graph.Query, perm []int, planKey string, cached bool,
 	spec core.RunSpec, probe bool,
 	run func(context.Context, core.RunSpec) (*core.Result, error),
-	runCtx context.Context, cancelRun context.CancelFunc, attr queryAttribution) {
+	runCtx context.Context, cancelRun context.CancelFunc, attr *queryAttribution) {
 
-	queueNS := attr.queueNS
 	limit := s.cfg.RowLimit
 	if req.Limit > 0 && req.Limit < limit {
 		limit = req.Limit
@@ -578,7 +557,7 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 			PlanCached:       cached,
 			PrepNS:           res.PrepTime.Nanoseconds(),
 			ExecNS:           res.ExecTime.Nanoseconds(),
-			QueueNS:          queueNS,
+			QueueNS:          attr.queueNS,
 			PhysicalReads:    res.IO.PhysicalReads,
 			Resumed:          res.Resumed,
 			SharedPages:      attr.scope.SharedPages.Load(),
@@ -593,7 +572,7 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 	case truncated:
 		s.settleQuery(attr, q.Name(), rows, "truncated", nil)
 		trailer := QueryResponse{Query: q.Name(), Rows: rows, Truncated: true, PlanCached: cached,
-			QueueNS: queueNS, ResumeToken: lastToken, DataEpoch: attr.epoch,
+			QueueNS: attr.queueNS, ResumeToken: lastToken, DataEpoch: attr.epoch,
 			TraceID: attr.traceID, ResumedFromTrace: attr.resumedFrom,
 			Profile: attr.profile(nil), Done: true}
 		b, _ := json.Marshal(trailer)
@@ -724,17 +703,18 @@ func (rs *rowStream) lostClient() {
 	rs.cancelRun()
 }
 
-// writeRunError maps run failures onto HTTP statuses: client cancellations
-// produce no body (the peer is gone), a rider bounced to a full solo queue
-// is refused like any other saturated request (429), deadline hits are 504,
+// writeRunError maps admission and run failures onto HTTP statuses: client
+// cancellations produce no body (the peer is gone), a request the solo pool
+// refuses — its queue full, or no engine free within its queue wait, bounced
+// riders included — is 429 with Retry-After, deadline hits are 504,
 // a rejected resume checkpoint is 409, storage corruption and I/O trouble
 // are 500 with the typed message.
 func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case r.Context().Err() != nil:
 		s.sm.disconnects.Inc()
-	case errors.Is(err, errQueueFull):
-		s.reject(w, "admission queue full")
+	case errors.Is(err, errQueueFull), errors.Is(err, errQueueWait):
+		s.reject(w, err.Error())
 	case errors.Is(err, core.ErrBadCheckpoint):
 		writeError(w, http.StatusConflict, "resume rejected: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):
@@ -767,9 +747,9 @@ type StatsResponse struct {
 	PlanCache     plan.CacheStats `json:"plan_cache"`
 	Draining      bool            `json:"draining"`
 	UptimeSeconds float64         `json:"uptime_seconds"`
-	// I/O-pipeline counters: orchestrator time blocked on window loads
-	// (shared across the engine fleet via the common registry) and the
-	// pool's run coalescing activity (summed over engines).
+	// I/O-pipeline counters, fleet-wide through the common registry:
+	// orchestrator time blocked on window loads and the pools' run
+	// coalescing activity (settled at level-1 window boundaries).
 	IOWaitNS       uint64 `json:"io_wait_ns"`
 	CoalescedRuns  uint64 `json:"coalesced_runs"`
 	CoalescedPages uint64 `json:"coalesced_pages"`
@@ -822,18 +802,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	db := s.db
 	sched := s.sched
 	engines := len(s.engines)
-	// The engines share one registry, so enumeration counters (io_wait,
-	// compressed_*) are fleet-wide on any member — read one, never sum. Pool
-	// counters are per engine and are summed.
+	// The engines share one registry, so their counters are fleet-wide on
+	// any member: read one, never sum.
 	var enum core.EnumStats
 	if engines > 0 {
 		enum = s.engines[0].EnumStats()
-	}
-	var coRuns, coPages uint64
-	for _, e := range s.engines {
-		st := e.PoolStats()
-		coRuns += st.CoalescedRuns
-		coPages += st.CoalescedPages
 	}
 	s.mu.Unlock()
 	brState, brTrips := s.br.snapshot()
@@ -876,8 +849,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Draining:       s.draining.Load(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
 		IOWaitNS:       enum.IOWaitNanos,
-		CoalescedRuns:  coRuns,
-		CoalescedPages: coPages,
+		CoalescedRuns:  enum.CoalescedRuns,
+		CoalescedPages: enum.CoalescedPages,
 
 		CompressedRecords: enum.CompressedRecords,
 		CompressedBytes:   enum.CompressedBytes,

@@ -16,6 +16,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -151,14 +152,17 @@ type Server struct {
 	br     *breaker
 
 	mu      sync.Mutex     // guards engines (recycling swaps entries)
-	engines []*core.Engine // all pool members, for metric aggregation
+	engines []*core.Engine // all pool members, the cohort engine included
 	slots   chan *core.Engine
 	waiters atomic.Int64
 
 	// Shared-scan cohort execution (nil unless Config.ShareScan): the
 	// cohort engine holds the FULL global buffer budget and is listed in
 	// engines (aggregate metrics, closeEngines) but never enters slots —
-	// the scheduler owns it exclusively. Both fields are guarded by mu:
+	// the scheduler owns it exclusively. Every engine counts into reg, the
+	// pool's and the retry layer's counters included, so /metrics is
+	// fleet-wide and survives the engines that compaction and recycling
+	// replace. Both fields are guarded by mu:
 	// compaction retires them and installs replacements over the new file.
 	sched          *sharedscan.Scheduler
 	cohortEng      *core.Engine
@@ -257,7 +261,6 @@ func New(db core.Database, cfg Config) (*Server, error) {
 	}
 	s.cache.Register(reg)
 	s.sm = registerServerMetrics(reg, s)
-	s.registerAggregatePoolMetrics()
 	buildinfo.Register(reg)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /query", s.handleQuery)
@@ -314,52 +317,6 @@ func (s *Server) scheduler() *sharedscan.Scheduler {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sched
-}
-
-// registerAggregatePoolMetrics re-registers the buffer-pool metric families
-// to sum over every pool member. Each engine's registration points the
-// func-backed families at its own pool (last writer wins); with several
-// engines sharing one registry the service needs the fleet-wide view.
-func (s *Server) registerAggregatePoolMetrics() {
-	sum := func(f func(e *core.Engine) uint64) func() uint64 {
-		return func() uint64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			var t uint64
-			for _, e := range s.engines {
-				t += f(e)
-			}
-			return t
-		}
-	}
-	s.reg.CounterFunc("dualsim_pages_read_total", "pages physically read from the device (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().PhysicalReads }))
-	s.reg.CounterFunc("dualsim_logical_reads_total", "buffer pin requests, hit or miss (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().LogicalReads }))
-	s.reg.CounterFunc("dualsim_buffer_hits_total", "pin requests satisfied without I/O (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().Hits }))
-	s.reg.CounterFunc("dualsim_buffer_evictions_total", "buffer frames recycled (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().Evictions }))
-	s.reg.CounterFunc("dualsim_buffer_pin_wait_nanos_total", "time pinners blocked on in-flight loads (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().PinWaitNanos }))
-	s.reg.CounterFunc("dualsim_coalesced_runs_total", "multi-page stretches served with one simulated seek (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().CoalescedRuns }))
-	s.reg.CounterFunc("dualsim_coalesced_pages_total", "pages covered by coalesced run reads (all engines)",
-		sum(func(e *core.Engine) uint64 { return e.PoolStats().CoalescedPages }))
-	s.reg.GaugeFunc("dualsim_buffer_hit_ratio", "buffer hits / logical reads (all engines)", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		var hits, logical uint64
-		for _, e := range s.engines {
-			st := e.PoolStats()
-			hits += st.Hits
-			logical += st.LogicalReads
-		}
-		if logical == 0 {
-			return 0
-		}
-		return float64(hits) / float64(logical)
-	})
 }
 
 // Handler returns the service's mux: POST /query, GET /stats, /metrics,
@@ -507,8 +464,34 @@ func identityPerm(n int) []int {
 	return p
 }
 
-// errQueueFull distinguishes immediate saturation from queue-wait expiry.
-var errQueueFull = fmt.Errorf("server: admission queue full")
+// errQueueFull and errQueueWait are the solo pool's refusals: immediate
+// saturation, and a queue wait that expired before an engine came free.
+var (
+	errQueueFull = errors.New("admission queue full")
+	errQueueWait = errors.New("no engine free")
+)
+
+// admitSolo admits a request to the solo pool within its queue wait — the
+// server's QueueWait, or less when the request asks (queue_wait_ms) — and
+// adds the time it waited to attr.queueNS. A refusal is errQueueFull or
+// errQueueWait (booked under rejectedWait); a caller whose ctx ended while
+// queued gets ctx's error.
+func (s *Server) admitSolo(ctx context.Context, req QueryRequest, attr *queryAttribution) (*core.Engine, error) {
+	queueWait := s.cfg.QueueWait
+	if d := time.Duration(req.QueueWaitMS) * time.Millisecond; d > 0 && d < queueWait {
+		queueWait = d
+	}
+	waitCtx, cancel := context.WithTimeout(ctx, queueWait)
+	defer cancel()
+	start := time.Now()
+	e, err := s.acquire(waitCtx)
+	attr.queueNS += time.Since(start).Nanoseconds()
+	if err != nil && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+		s.sm.rejectedWait.Inc()
+		err = fmt.Errorf("%w within %v", errQueueWait, queueWait)
+	}
+	return e, err
+}
 
 // acquire admits the request to the engine pool: an idle engine if one is
 // free, else a bounded wait governed by ctx. Returns errQueueFull when the

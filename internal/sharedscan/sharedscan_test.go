@@ -55,6 +55,12 @@ func mustPlan(t *testing.T, q *graph.Query) *plan.Plan {
 	return p
 }
 
+// pagesRead is the engine's dualsim_pages_read_total: its pool's physical
+// reads, as settled at the last window boundary or sweep end.
+func pagesRead(e *core.Engine) uint64 {
+	return e.Registry().Snapshot().Counters["dualsim_pages_read_total"]
+}
+
 // soloBaseline runs each query once on a fresh engine and returns counts
 // plus the physical reads of a single solo run of queries[0].
 func soloBaseline(t *testing.T, db *storage.DB, frames int, queries []*graph.Query) (map[string]uint64, uint64) {
@@ -72,7 +78,7 @@ func soloBaseline(t *testing.T, db *storage.DB, frames int, queries []*graph.Que
 		}
 		counts[q.Name()] = res.Count
 		if i == 0 {
-			firstPages = e.PoolStats().PhysicalReads
+			firstPages = pagesRead(e)
 		}
 		e.Close()
 	}
@@ -157,8 +163,8 @@ func TestSchedulerConcurrentCountsMatchSolo(t *testing.T) {
 	if st.Sweeps == 0 || st.SharedWindows == 0 || st.SharedPages == 0 {
 		t.Errorf("cohort counters did not move: %+v", st)
 	}
-	if got, want := st.SweepPagesRead, eng.PoolStats().PhysicalReads; got != want {
-		t.Errorf("sweep-owned pages_read = %d, pool physical reads = %d", got, want)
+	if got, want := st.SweepPagesRead, pagesRead(eng); got != want {
+		t.Errorf("sweep-owned pages_read = %d, dualsim_pages_read_total = %d", got, want)
 	}
 	var booked uint64
 	for _, sc := range scopes {
@@ -219,7 +225,7 @@ func TestSchedulerSharedReadsSublinear(t *testing.T) {
 			t.Errorf("rider %d: count %d, solo %d", i, results[i].Count, solo[tri.Name()])
 		}
 	}
-	cohortPages := eng.PoolStats().PhysicalReads
+	cohortPages := pagesRead(eng)
 	if float64(cohortPages) >= 1.5*float64(soloPages) {
 		t.Errorf("4 cohorted queries read %d pages, solo run reads %d: %.2fx >= 1.5x",
 			cohortPages, soloPages, float64(cohortPages)/float64(soloPages))
