@@ -7,7 +7,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null)
 LDFLAGS := -X dualsim/internal/buildinfo.Version=$(VERSION) \
            -X dualsim/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: build test race vet fmt lint check bench-module bench metrics-doc metrics-doc-check smoke-serve soak clean
+.PHONY: build test race stress vet fmt lint check bench-module bench metrics-doc metrics-doc-check smoke-serve soak clean
 
 build:
 	$(GO) build -ldflags "$(LDFLAGS)" ./...
@@ -24,7 +24,8 @@ vet:
 fmt:
 	gofmt -l .
 
-# lint runs vet plus the in-repo godoc linter (a stdlib stand-in for
+# lint is every static guard, in one place (CI's test job runs it too): vet,
+# gofmt, the in-repo godoc linter (a stdlib stand-in for
 # revive's `exported` rule), gated to the packages whose exported surface
 # doubles as the paper-concept glossary, and the metrics-doc staleness
 # gate (every registered metric must be documented in docs/METRICS.md).
@@ -49,6 +50,7 @@ fmt:
 # retry counters are registry counters every engine settles into, so no
 # CounterFunc reads them off one engine's pool.
 lint: vet metrics-doc-check
+	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l . >&2; echo "gofmt: the files above are not formatted" >&2; exit 1; fi
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
 	@if $(GO) list -deps ./cmd/dualsim | grep -E 'internal/(mr|pregel|baseline)'; then \
 		echo "cmd/dualsim links a comparison system; move the caller to cmd/bench" >&2; exit 1; fi
@@ -80,26 +82,29 @@ metrics-doc-check:
 	$(GO) run ./cmd/metricsdoc -check
 
 # check is the full pre-commit gate: static analysis, the benchmark module,
-# plus the race-enabled test suite (the robustness tests exercise concurrent
-# cancellation paths that only -race can vouch for) and a stress pass over
-# the window index, which I/O workers build without a lock while matching
-# tasks already read it — overlay-merged lists included: each page's callback
-# merges and queues its own page — the streamed last level, whose pages are
-# matched and unpinned in whatever order reads land and tasks end, and the
-# per-assignment list cache, which is per task and must never outlive a
-# window's pins — and the cohort deal: budgets rewritten at every window
-# boundary while riders board and leave, in a pool of exactly the frames
-# dealt — and the delivery of embeddings: task-local batches handed to the
-# row hook from every worker at once, each row once, a window's rows before
-# its checkpoint, the server's cut at the row limit inside a batch, the
-# library's one-caller-at-a-time contract — and cohort boarding: a fresh
-# sweep starts at once, so concurrent arrivals share its reads only by late
-# join, which the sublinear-pages tests pin — and a faulted cohort: a read
-# error reaches every rider on board while their tasks are matching, and
-# nothing may stay pinned.
-check: lint bench-module
-	$(GO) test -race ./...
-	$(GO) test -race -count=20 -run 'ResidentWindow|WindowIndex|WindowScheduleGolden|ResidentAllocation|OrderBounds|OverlayStreamDispatch|TestStream|TestDealSplit|TestCohortDealExactBudget|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestEnumerateContract|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestE2ESharedScanSublinearPages' ./internal/core ./internal/sharedscan ./internal/server .
+# the race-enabled test suite (the robustness tests exercise concurrent
+# cancellation paths that only -race can vouch for) and the stress pass.
+check: lint bench-module race stress
+
+# stress is the -race -count=20 pass, and STRESS_RUN its one test set (CI's
+# race job runs this target). The differential oracle leads it: every draw
+# builds window indexes that I/O workers write without a lock while matching
+# tasks read them (overlay-merged lists included), streams the last level,
+# whose pages are matched and unpinned in whatever order reads land and tasks
+# end, fills the per-assignment list cache, which must never outlive a
+# window's pins, and hands rows to the row hook from every worker at once;
+# its rider draws board a shared sweep beside companions, so budgets are
+# dealt at every window boundary while riders board and leave, and its
+# permanent-fault rider draws fail a cohort while its tasks are matching.
+# Beside it ride what the oracle does not draw: the window-index contracts,
+# the overlay stream dispatch of a hub, a fault and a cancel inside a
+# streamed pass, the deal's tables, late join with early finish, the row
+# hook's order against checkpoints, the library's one-caller Enumerate, the
+# server's limit cut and flushes, the sublinear-pages pins (concurrent
+# riders share a sweep only by late join) and the faulted scheduler.
+STRESS_RUN = TestDifferentialAllModes|TestWindowIndex|TestResidentWindowInternalOnly|TestOverlayStreamDispatch|TestStreamFaultMidPass|TestStreamCancelMidPass|TestDealSplit|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestCohortDealExactBudget|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestEnumerateContract|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestStreamCoalescedFlushes|TestE2ESharedScanSublinearPages
+stress:
+	$(GO) test -race -count=20 -run '$(STRESS_RUN)' ./internal/core ./internal/sharedscan ./internal/server .
 
 # bench-module vets and tests benchmark/, which is its own Go module
 # (replace dualsim => ../): the root ./... patterns never compile it, so
@@ -120,20 +125,23 @@ bench:
 smoke-serve:
 	./scripts/serve_smoke.sh
 
-# soak runs the seeded chaos matrix and time-boxed chaos soaks under -race:
+# soak runs the seeded chaos matrix, time-boxed chaos soaks and the
+# differential oracle on fresh seeds under -race:
 # mid-query transient faults, bursts, torn reads, and latency spikes are
 # injected through the server's end-to-end path, and every faulted +
 # resumed query must produce exactly the fault-free counts. The ingest soak
 # adds concurrent mutators + compactions and requires the settled counts to
-# match a from-scratch rebuild. Failures print the offending seed;
-# reproduce one with
+# match a from-scratch rebuild. The oracle draws whole execution
+# configurations (TestDifferentialAllModes). Failures print the offending
+# seed; reproduce one with
 #   go test -race -run TestChaosSoak ./internal/server -v   (same seed base)
+#   go test ./internal/core -run 'TestDifferentialAllModes/seed=N$$'
 # Tune the time box with SOAK_SECONDS (default 20 here).
 SOAK_SECONDS ?= 20
 soak:
 	SOAK_SECONDS=$(SOAK_SECONDS) $(GO) test -race -count=1 -v \
-		-run 'TestChaosMatrixFaultedResumeExactCounts|TestChaosSoak|TestChaosIngestSoak' \
-		./internal/server
+		-run 'TestChaosMatrixFaultedResumeExactCounts|TestChaosSoak|TestChaosIngestSoak|TestDifferentialAllModes' \
+		./internal/server ./internal/core
 
 clean:
 	$(GO) clean ./...

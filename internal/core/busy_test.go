@@ -74,46 +74,6 @@ func TestEngineConcurrentRunsDefined(t *testing.T) {
 	}
 }
 
-// TestSharedPlanAcrossEngines runs one prepared plan concurrently on several
-// engines (the plan cache's sharing pattern); under -race this verifies
-// execution never mutates the plan.
-func TestSharedPlanAcrossEngines(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := randomGraph(rng, 48, 300)
-	db := buildDB(t, g, 256)
-	p, err := plan.Prepare(graph.ChordalSquare(), plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rg, _ := graph.ReorderByDegree(g)
-	want := graph.CountOccurrences(rg, graph.ChordalSquare())
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e, err := NewEngine(db, Options{Threads: 2, BufferFrames: 64})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer e.Close()
-			for r := 0; r < 3; r++ {
-				res, err := e.RunPlanContext(context.Background(), p)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if res.Count != want {
-					t.Errorf("shared plan count %d, want %d", res.Count, want)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestRunSpecPerRunCallback verifies the per-run callback (RunSpec.OnRows)
 // sees every embedding and is dropped after the run.
 func TestRunSpecPerRunCallback(t *testing.T) {

@@ -56,64 +56,6 @@ func TestEngineSurfacesReadErrors(t *testing.T) {
 	}
 }
 
-func TestEngineRecoversAfterTransientFailure(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	g := randomGraph(rng, 120, 700)
-	db := buildDB(t, g, 256)
-	boom := errors.New("transient failure")
-	fdb := faultdb.Wrap(db, faultdb.Options{}).FailAfter(2, boom)
-
-	eng, err := NewEngine(fdb, Options{Threads: 2, BufferFrames: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if _, err := eng.Run(graph.Triangle()); !errors.Is(err, boom) {
-		t.Fatalf("expected failure, got %v", err)
-	}
-	// Heal the device: the same engine must complete the query correctly
-	// (no leaked pins or stale candidate state).
-	fdb.Heal()
-	res, err := eng.Run(graph.Triangle())
-	if err != nil {
-		t.Fatalf("after healing: %v", err)
-	}
-	if want := wantCount(t, g, graph.Triangle()); res.Count != want {
-		t.Fatalf("after healing: count %d, want %d", res.Count, want)
-	}
-}
-
-func TestEngineRetryAbsorbsTransientFaults(t *testing.T) {
-	// A fail-then-heal schedule on several pages must be invisible to the
-	// caller when the retry layer is on: one run, correct count, no manual
-	// re-run.
-	rng := rand.New(rand.NewSource(80))
-	g := randomGraph(rng, 150, 900)
-	db := buildDB(t, g, 128)
-	fdb := faultdb.Wrap(db, faultdb.Options{}).
-		TransientPages(2, 0, 1, storage.PageID(db.NumPages()-1))
-
-	eng, err := NewEngine(fdb, Options{Threads: 2, BufferFrames: 24, Retry: fastRetry(3, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	res, err := eng.Run(graph.Triangle())
-	if err != nil {
-		t.Fatalf("run with transient faults: %v", err)
-	}
-	if want := wantCount(t, g, graph.Triangle()); res.Count != want {
-		t.Fatalf("count %d, want %d", res.Count, want)
-	}
-	st := eng.RetryStats()
-	if st.Retries == 0 || st.Recovered == 0 {
-		t.Fatalf("retry layer saw no recoveries: %+v", st)
-	}
-	if st.Exhausted != 0 {
-		t.Fatalf("unexpected exhaustion: %+v", st)
-	}
-}
-
 func TestEngineRetryExhaustion(t *testing.T) {
 	// A page that never heals must exhaust the budget and surface the
 	// transient cause, not hang or succeed.
@@ -172,33 +114,6 @@ func TestEngineCorruptPageSurfacesTypedError(t *testing.T) {
 	if got := fdb.PageReads(bad); got != crcRetries+1 {
 		t.Fatalf("page %d read %d times, want exactly %d (1 + %d CRC re-reads)",
 			bad, got, crcRetries+1, crcRetries)
-	}
-}
-
-func TestEngineTornReadHeals(t *testing.T) {
-	// A one-shot bit flip (torn read) must be healed by the CRC re-read:
-	// the run completes with the correct count.
-	rng := rand.New(rand.NewSource(83))
-	g := randomGraph(rng, 150, 900)
-	db := buildDB(t, g, 128)
-	fdb := faultdb.Wrap(db, faultdb.Options{}).
-		BitFlipOnce(0, storage.PageID(db.NumPages()-1))
-
-	eng, err := NewEngine(fdb, Options{Threads: 2, BufferFrames: 24, Retry: fastRetry(3, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	res, err := eng.Run(graph.Triangle())
-	if err != nil {
-		t.Fatalf("run with torn reads: %v", err)
-	}
-	if want := wantCount(t, g, graph.Triangle()); res.Count != want {
-		t.Fatalf("count %d, want %d", res.Count, want)
-	}
-	st := eng.RetryStats()
-	if st.CRCRereads == 0 || st.Recovered == 0 {
-		t.Fatalf("torn reads were not healed by re-reads: %+v", st)
 	}
 }
 

@@ -171,7 +171,7 @@ func TestMatcherPooled(t *testing.T) {
 		t.Fatalf("%d triangles from %d single-root tasks, brute force %d",
 			lw.internal.Load(), len(e.all), graph.CountOccurrences(g, graph.Triangle()))
 	}
-	if allocs := testing.AllocsPerRun(5, tasks); allocs != 0 && !raceEnabled {
+	if allocs := testing.AllocsPerRun(5, tasks); allocs != 0 && !RaceEnabled {
 		t.Errorf("%.0f allocations over %d tasks, want none", allocs, len(e.all))
 	}
 }

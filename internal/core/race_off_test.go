@@ -2,4 +2,4 @@
 
 package core
 
-const raceEnabled = false
+const RaceEnabled = false

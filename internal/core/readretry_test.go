@@ -16,41 +16,6 @@ import (
 // that m read retries under w whole-window reloads gave it; the budgets below
 // are written that way.
 
-// TestReadRetryAbsorbsTransientFault: pages that fail their first three reads
-// are absorbed at the read, across a multi-window run, with exact counts and
-// nothing left pinned.
-func TestReadRetryAbsorbsTransientFault(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	g := randomGraph(rng, 150, 900)
-	db := buildDB(t, g, 128)
-	want := wantCount(t, g, graph.Clique4())
-
-	fdb := faultdb.Wrap(db, faultdb.Options{}).TransientPages(3, 0, 5)
-	eng, err := NewEngine(fdb, Options{
-		Threads:      2,
-		BufferFrames: 16,
-		Retry:        fastRetry((1+1)*(3+1)-1, 1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	res, err := eng.Run(graph.Clique4())
-	if err != nil {
-		t.Fatalf("the read retry should have absorbed the fault: %v", err)
-	}
-	if res.Count != want {
-		t.Fatalf("count = %d, want %d", res.Count, want)
-	}
-	if st := eng.RetryStats(); st.Recovered == 0 || st.Exhausted != 0 {
-		t.Fatalf("retry layer %+v, want the faults recovered and none exhausted", st)
-	}
-	if eng.PinnedFrames() != 0 {
-		t.Fatalf("%d frames still pinned after a faulted run", eng.PinnedFrames())
-	}
-}
-
 // TestReadRetryExhaustionFails: a fault that never heals fails the run after
 // exactly MaxRetries+1 reads of the page, surfaces as transient, and leaves
 // the engine clean and reusable.
@@ -121,37 +86,5 @@ func TestReadRetryDoesNotRetryCorruption(t *testing.T) {
 	}
 	if got := fdb.PageReads(0); got != 2 {
 		t.Fatalf("page 0 read %d times, want 2 (one read, one CRC re-read)", got)
-	}
-}
-
-// TestReadRetryUnderRandomFaults: a seeded storm failing 30 % of reads, under
-// four threads, is absorbed at the read and every seed counts exactly.
-func TestReadRetryUnderRandomFaults(t *testing.T) {
-	rng := rand.New(rand.NewSource(86))
-	g := randomGraph(rng, 150, 900)
-	db := buildDB(t, g, 128)
-	want := wantCount(t, g, graph.Clique4())
-
-	for seed := int64(0); seed < 8; seed++ {
-		fdb := faultdb.Wrap(db, faultdb.Options{Seed: 5000 + seed}).FailRandom(0.30, nil)
-		eng, err := NewEngine(fdb, Options{
-			Threads:      4,
-			BufferFrames: 16,
-			Retry:        fastRetry((3+1)*(64+1)-1, 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(graph.Clique4())
-		eng.Close()
-		if err != nil {
-			t.Fatalf("seed %d: the read retry should have absorbed the storm: %v", seed, err)
-		}
-		if res.Count != want {
-			t.Fatalf("seed %d: count = %d, want %d", seed, res.Count, want)
-		}
-		if fdb.Stats().Injected == 0 {
-			t.Fatalf("seed %d: fixture injected no faults; the test is vacuous", seed)
-		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dualsim/internal/graph"
-	"dualsim/internal/plan"
 )
 
 // extendedShapes are query graphs beyond the paper's q1-q5, chosen to
@@ -51,66 +50,6 @@ func TestEngineExtendedShapes(t *testing.T) {
 		want := graph.CountOccurrences(rg, q)
 		if got != want {
 			t.Fatalf("%s: engine %d, brute force %d", q.Name(), got, want)
-		}
-	}
-}
-
-func TestEngineCartesianPlans(t *testing.T) {
-	// Shapes whose plans genuinely contain Cartesian products must still
-	// count correctly under tight buffers (the all-vertices candidate path).
-	var carts []*graph.Query
-	for _, q := range extendedShapes() {
-		p, err := plan.Prepare(q, plan.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", q.Name(), err)
-		}
-		if p.Cartesians > 0 {
-			carts = append(carts, q)
-		}
-	}
-	if len(carts) == 0 {
-		t.Skip("no extended shape yields a Cartesian plan; covered elsewhere")
-	}
-	rng := rand.New(rand.NewSource(405))
-	g := randomGraph(rng, 60, 240)
-	db := buildDB(t, g, 128)
-	rg, _ := graph.ReorderByDegree(g)
-	for _, q := range carts {
-		e, err := NewEngine(db, Options{Threads: 2, BufferFrames: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.Count(q)
-		e.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", q.Name(), err)
-		}
-		if want := graph.CountOccurrences(rg, q); got != want {
-			t.Fatalf("%s (cartesian plan): engine %d, brute force %d", q.Name(), got, want)
-		}
-	}
-}
-
-func TestEngineRandomQueriesQuickStyle(t *testing.T) {
-	// Random connected 4-5 vertex queries, random graphs: the engine and
-	// the reference must agree. This is the repository's deepest invariant.
-	rng := rand.New(rand.NewSource(406))
-	for trial := 0; trial < 10; trial++ {
-		q := randomConnectedQuery(rng, 4+rng.Intn(2))
-		g := randomGraph(rng, 50+rng.Intn(50), 200+rng.Intn(200))
-		db := buildDB(t, g, 256)
-		rg, _ := graph.ReorderByDegree(g)
-		e, err := NewEngine(db, Options{Threads: 1 + rng.Intn(3), BufferFrames: 20 + rng.Intn(20)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.Count(q)
-		e.Close()
-		if err != nil {
-			t.Fatalf("trial %d %s: %v", trial, q.String(), err)
-		}
-		if want := graph.CountOccurrences(rg, q); got != want {
-			t.Fatalf("trial %d %s: engine %d, brute force %d", trial, q.String(), got, want)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dualsim/internal/graph"
-	"dualsim/internal/obs"
 	"dualsim/internal/plan"
 )
 
@@ -51,82 +50,6 @@ func mustPlan(t *testing.T, q *graph.Query) *plan.Plan {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// TestSweepRidersMatchSolo drives three different query shapes through one
-// shared sweep and checks every rider's count is bit-identical to its solo
-// run, and that attribution lands where the contract says: physical reads
-// on the sweep's scope, zero on the riders, SharedPages on the riders.
-func TestSweepRidersMatchSolo(t *testing.T) {
-	queries := []*graph.Query{graph.Triangle(), graph.Square(), graph.House()}
-	e, solo := sweepFixture(t, 96, queries)
-
-	sweepScope := obs.NewScope("sweep")
-	s, err := e.NewSweep(SweepOptions{MaxRiders: 3, Scope: sweepScope})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := s.Windows()
-	if w < 3 {
-		t.Fatalf("fixture too small: %d level-1 windows, want >= 3", w)
-	}
-
-	ctx := context.Background()
-	var riders []*Rider
-	scopes := make([]*obs.Scope, len(queries))
-	for i, q := range queries {
-		scopes[i] = obs.NewScope("")
-		rd, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, q), Scope: scopes[i]})
-		if err != nil {
-			t.Fatalf("NewRider(%s): %v", q.Name(), err)
-		}
-		riders = append(riders, rd)
-	}
-	for i := 0; i < w; i++ {
-		sw, err := s.Load(ctx, i, 0)
-		if err != nil {
-			t.Fatalf("Load(%d): %v", i, err)
-		}
-		for _, rd := range riders {
-			if err := rd.ProcessWindow(sw); err != nil {
-				t.Fatalf("ProcessWindow(%d): %v", i, err)
-			}
-		}
-		s.Release(sw)
-	}
-	for i, rd := range riders {
-		if !rd.Done() {
-			t.Fatalf("rider %d not done after %d windows", i, w)
-		}
-		res, err := rd.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := queries[i].Name()
-		if res.Count != solo[name] {
-			t.Errorf("%s: rider count %d, solo %d", name, res.Count, solo[name])
-		}
-		if got := scopes[i].PagesRead.Load(); got != 0 {
-			t.Errorf("%s: rider attributed %d physical reads, want 0 (sweep owns I/O)", name, got)
-		}
-		if rd.SharedPages() == 0 || scopes[i].SharedPages.Load() != rd.SharedPages() {
-			t.Errorf("%s: shared pages rider=%d scope=%d", name, rd.SharedPages(), scopes[i].SharedPages.Load())
-		}
-		rd.Close()
-	}
-	s.Close()
-	// Every physical read of the cohort was charged to the sweep's scope.
-	if got, want := sweepScope.PagesRead.Load(), e.Registry().Snapshot().Counters["dualsim_pages_read_total"]; got != want {
-		t.Errorf("sweep scope pages_read = %d, dualsim_pages_read_total = %d", got, want)
-	}
-	// The engine is released: a solo run works again and still agrees.
-	res, err := e.Run(graph.Triangle())
-	if err != nil {
-		t.Fatalf("solo run after sweep: %v", err)
-	}
-	if res.Count != solo[graph.Triangle().Name()] {
-		t.Errorf("post-sweep solo count %d, want %d", res.Count, solo[graph.Triangle().Name()])
-	}
 }
 
 // TestSweepLateJoinEarlyFinish exercises the merry-go-round lifecycle: a

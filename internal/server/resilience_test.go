@@ -563,6 +563,86 @@ func TestResumeTokenRejection(t *testing.T) {
 	}
 }
 
+// doubleStarSpec is the double star S(a, b) as an edge list: adjacent
+// centres 0 and 1, a leaves on 0 and b on 1. With a+b = 9 it has 11
+// vertices, one more than the plan cache canonicalizes.
+func doubleStarSpec(a, b int) string {
+	edges := []string{"0-1"}
+	for i := 0; i < a+b; i++ {
+		centre := 0
+		if i >= a {
+			centre = 1
+		}
+		edges = append(edges, fmt.Sprintf("%d-%d", centre, 2+i))
+	}
+	return strings.Join(edges, ",")
+}
+
+// TestResumeTokenBindsLargeQuery: a query above the canonicalization bound
+// bypasses the plan cache, and its resume token must still resume only that
+// query. S(1,8) and S(4,5) have 11 vertices and two red vertices each, so a
+// checkpoint of one fits the other's plan shape; the token of a limit-cut
+// S(1,8) stream must resume S(1,8) to its exact count and be refused (409)
+// for S(4,5) and for a relabelled spelling of S(1,8).
+func TestResumeTokenBindsLargeQuery(t *testing.T) {
+	// 30 gadgets S(9,9): 600 vertices. S(1,8) occurs 2·9·9 = 162 times in
+	// one, S(4,5) 2·C(9,4)·C(9,5) = 31 752 times.
+	var edges [][2]graph.VertexID
+	for g := 0; g < 30; g++ {
+		c0, c1 := graph.VertexID(20*g), graph.VertexID(20*g+1)
+		edges = append(edges, [2]graph.VertexID{c0, c1})
+		for i := graph.VertexID(0); i < 9; i++ {
+			edges = append(edges, [2]graph.VertexID{c0, c0 + 2 + i}, [2]graph.VertexID{c1, c0 + 11 + i})
+		}
+	}
+	dir := t.TempDir()
+	path := dir + "/stars.db"
+	if _, err := storage.BuildFromGraph(path, graph.MustNewGraph(600, edges),
+		storage.BuildOptions{PageSize: 128, TempDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	db, err := storage.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	s := newFaultServer(t, db, Config{Engines: 1, RowLimit: 1_000_000,
+		Engine: core.Options{Threads: 1, BufferFrames: 24}})
+
+	s18, s45 := doubleStarSpec(1, 8), doubleStarSpec(4, 5)
+	// S(1,8) with its centres swapped: the same query, spelled differently.
+	s81 := doubleStarSpec(8, 1)
+	resp, err := postQuery(t, s.Addr(), QueryRequest{Query: s18, Mode: "embeddings", Limit: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := readResumableStream(t, resp.Body)
+	resp.Body.Close()
+	if !cut.done || !cut.trailer.Truncated || cut.trailer.ResumeToken == "" {
+		t.Fatalf("limit-cut stream must carry a resume token: done=%v err=%q trailer=%+v", cut.done, cut.errMsg, cut.trailer)
+	}
+	tok := cut.trailer.ResumeToken
+	for _, spec := range []string{s45, s81} {
+		resp, err := postQuery(t, s.Addr(), QueryRequest{Query: spec, ResumeToken: tok})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("token of %s redeemed by %s: status %d (%s), want 409", s18, spec, resp.StatusCode, body)
+		}
+	}
+	resp, err = postQuery(t, s.Addr(), QueryRequest{Query: s18, ResumeToken: tok})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qr := decodeQueryResponse(t, resp); resp.StatusCode != http.StatusOK || !qr.Resumed || qr.Count != 4860 {
+		t.Errorf("token redeemed by its own query: status %d, resumed %v, count %d, want 200, true, 4860",
+			resp.StatusCode, qr.Resumed, qr.Count)
+	}
+}
+
 // TestPoolCapacityAfterRetryExhaustion (ISSUE 6 satellite): back-to-back
 // runs that exhaust the read retry budget must not leak pool capacity — every
 // engine returns to the slots channel clean (no recycling), and the healed

@@ -23,6 +23,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -430,10 +431,11 @@ func (s *Server) closeEngines() {
 func (s *Server) planFor(q *graph.Query) (*plan.Plan, []int, string, bool, error) {
 	popts := plan.Options{CoverMode: s.cfg.Engine.CoverMode}
 	if q.NumVertices() > maxCanonicalVertices {
-		// Cache-bypassed queries still need a plan key for resume tokens;
-		// the spec name plus planner knobs is stable across requests that
-		// send the same query body.
-		key := fmt.Sprintf("name:%s|k=%d|cover=%d", q.Name(), q.NumVertices(), popts.CoverMode)
+		// Cache-bypassed queries still need a plan key for resume tokens.
+		// The name cannot be it (every edge-list spec is "custom"): the key
+		// is the query's own edge list, so a token resumes only the query
+		// it was minted for — a relabelled spelling of it gets 409.
+		key := fmt.Sprintf("edges:%s|cover=%d", edgeListKey(q), popts.CoverMode)
 		p, err := plan.Prepare(q, popts)
 		return p, identityPerm(q.NumVertices()), key, false, err
 	}
@@ -454,6 +456,17 @@ func (s *Server) planFor(q *graph.Query) (*plan.Plan, []int, string, bool, error
 		return nil, nil, "", false, err
 	}
 	return p, perm, key, !built, nil
+}
+
+// edgeListKey spells q as its vertex count and its edge list, which
+// graph.Query keeps normalized (lo, hi) and sorted.
+func edgeListKey(q *graph.Query) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "n=%d", q.NumVertices())
+	for _, e := range q.Edges() {
+		fmt.Fprintf(&b, ",%d-%d", e[0], e[1])
+	}
+	return b.String()
 }
 
 func identityPerm(n int) []int {

@@ -14,7 +14,6 @@ import (
 	"dualsim/internal/core"
 	"dualsim/internal/faultdb"
 	"dualsim/internal/graph"
-	"dualsim/internal/obs"
 	"dualsim/internal/plan"
 	"dualsim/internal/storage"
 )
@@ -83,99 +82,6 @@ func soloBaseline(t *testing.T, db *storage.DB, frames int, queries []*graph.Que
 		e.Close()
 	}
 	return counts, firstPages
-}
-
-// TestSchedulerConcurrentCountsMatchSolo runs a mixed batch of concurrent
-// queries through the scheduler and checks every count is bit-identical to
-// its solo baseline, the cohort counters move, and the attribution
-// invariant holds (sweep scope owns exactly the pool's physical reads). One
-// more rider is cancelled between its first window and its second, where it
-// returns at its gate: the cohort ledger counts what riders booked, so
-// dualsim_shared_pages_total stays the sum of the riders' SharedPages.
-func TestSchedulerConcurrentCountsMatchSolo(t *testing.T) {
-	const frames = 96
-	g := randomGraph(42, 2000, 8000)
-	db := buildDB(t, g, storage.BuildOptions{PageSize: 256})
-	queries := []*graph.Query{graph.Triangle(), graph.Square(), graph.House()}
-	solo, _ := soloBaseline(t, db, frames, queries)
-
-	eng, err := core.NewEngine(db, core.Options{Threads: 4, BufferFrames: frames})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	reg := obs.NewRegistry()
-	sched := New(eng, Options{MaxRiders: 4, Metrics: reg})
-	defer sched.Close()
-
-	const n = 9 // 3 waves of 3 shapes — exercises late join and re-admission
-	var wg sync.WaitGroup
-	results := make([]*core.Result, n)
-	errs := make([]error, n)
-	scopes := make([]*obs.Scope, n+1)
-	for i := range scopes {
-		scopes[i] = obs.NewScope("")
-	}
-	// The rider to cancel starts the sweep, so it boards at window 0 and its
-	// first window ends in a checkpoint: cancelling there lets that window
-	// settle and fails the rider at the gate of the next.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var cancelledErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, cancelledErr = sched.Run(ctx, core.RunSpec{Plan: mustPlan(t, queries[0]), Scope: scopes[n],
-			OnCheckpoint: func(core.Checkpoint) { cancel() }})
-	}()
-	for sched.Stats().RidersTotal == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := queries[i%len(queries)]
-			results[i], errs[i] = sched.Run(context.Background(),
-				core.RunSpec{Plan: mustPlan(t, q), Scope: scopes[i]})
-		}(i)
-	}
-	wg.Wait()
-	if !errors.Is(cancelledErr, context.Canceled) {
-		t.Fatalf("cancelled rider: err = %v, want context.Canceled", cancelledErr)
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("rider %d: %v", i, errs[i])
-		}
-		name := queries[i%len(queries)].Name()
-		if results[i].Count != solo[name] {
-			t.Errorf("rider %d (%s): count %d, solo %d", i, name, results[i].Count, solo[name])
-		}
-	}
-	st := sched.Stats()
-	if st.RidersTotal != n+1 {
-		t.Errorf("riders_total = %d, want %d", st.RidersTotal, n+1)
-	}
-	if st.ActiveRiders != 0 {
-		t.Errorf("active_riders = %d after drain, want 0", st.ActiveRiders)
-	}
-	if st.Sweeps == 0 || st.SharedWindows == 0 || st.SharedPages == 0 {
-		t.Errorf("cohort counters did not move: %+v", st)
-	}
-	if got, want := st.SweepPagesRead, pagesRead(eng); got != want {
-		t.Errorf("sweep-owned pages_read = %d, dualsim_pages_read_total = %d", got, want)
-	}
-	var booked uint64
-	for _, sc := range scopes {
-		booked += sc.SharedPages.Load()
-	}
-	if scopes[n].SharedPages.Load() == 0 {
-		t.Error("the cancelled rider booked no shared window before its cancel")
-	}
-	if got := reg.Snapshot().Counters["dualsim_shared_pages_total"]; got != booked || st.SharedPages != booked {
-		t.Errorf("dualsim_shared_pages_total = %d (stats %d), the riders booked %d", got, st.SharedPages, booked)
-	}
 }
 
 // TestSchedulerSharedReadsSublinear is the paper's amortization claim at
