@@ -48,7 +48,11 @@ fmt:
 # calls no IsTransient. And one ledger (scripts/one_ledger.sh): every run has
 # an attribution scope, so internal/core tests none for nil, and the pool and
 # retry counters are registry counters every engine settles into, so no
-# CounterFunc reads them off one engine's pool.
+# CounterFunc reads them off one engine's pool (nor off one scheduler's sweep
+# for the cohort family). And one engine generation per database file:
+# non-test internal/server builds engines at one call site (the generation's
+# constructor) and sleeps nowhere, so a compaction swaps a whole generation
+# and waits on its requests, never polls engines over one at a time.
 lint: vet metrics-doc-check
 	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l . >&2; echo "gofmt: the files above are not formatted" >&2; exit 1; fi
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
@@ -69,6 +73,10 @@ lint: vet metrics-doc-check
 	@if grep -nF 'IsTransient(' $$(ls internal/core/*.go | grep -v _test.go); then \
 		echo "one retry layer: storage.RetryReader absorbs transient faults, the engine fails a run on any error (no IsTransient in internal/core)" >&2; exit 1; fi
 	@./scripts/one_ledger.sh
+	@if [ "$$(cat $$(ls internal/server/*.go | grep -v _test.go) | grep -c 'core\.NewEngine(')" != 1 ]; then \
+		echo "one engine generation per database file: exactly one core.NewEngine call in non-test internal/server (the generation's constructor)" >&2; exit 1; fi
+	@if grep -nF 'time.Sleep(' $$(ls internal/server/*.go | grep -v _test.go); then \
+		echo "a compaction waits on the old generation's requests: no time.Sleep in non-test internal/server" >&2; exit 1; fi
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
 # (every counter/gauge/histogram the server registers, plus the paper
@@ -101,8 +109,10 @@ check: lint bench-module race stress
 # streamed pass, the deal's tables, late join with early finish, the row
 # hook's order against checkpoints, the library's one-caller Enumerate, the
 # server's limit cut and flushes, the sublinear-pages pins (concurrent
-# riders share a sweep only by late join) and the faulted scheduler.
-STRESS_RUN = TestDifferentialAllModes|TestWindowIndex|TestResidentWindowInternalOnly|TestOverlayStreamDispatch|TestStreamFaultMidPass|TestStreamCancelMidPass|TestDealSplit|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestCohortDealExactBudget|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestEnumerateContract|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestStreamCoalescedFlushes|TestE2ESharedScanSublinearPages
+# riders share a sweep only by late join), the faulted scheduler, and a
+# generation swap under a riding query (a compaction publishes new engines
+# while a cohort rider finishes on the old ones).
+STRESS_RUN = TestDifferentialAllModes|TestWindowIndex|TestResidentWindowInternalOnly|TestOverlayStreamDispatch|TestStreamFaultMidPass|TestStreamCancelMidPass|TestDealSplit|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestCohortDealExactBudget|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestEnumerateContract|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestStreamCoalescedFlushes|TestE2ESharedScanSublinearPages|TestRiderFinishesAcrossCompaction
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS_RUN)' ./internal/core ./internal/sharedscan ./internal/server .
 

@@ -252,9 +252,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// DB returns the underlying database.
-func (e *Engine) DB() Database { return e.db }
-
 // BufferFrames returns the pool capacity in pages.
 func (e *Engine) BufferFrames() int { return e.frames }
 
@@ -262,45 +259,6 @@ func (e *Engine) BufferFrames() int { return e.frames }
 // between runs; a non-zero value after a run returned indicates a pin leak,
 // which the serving layer treats as grounds to recycle the engine.
 func (e *Engine) PinnedFrames() int { return e.pool.PinnedCount() }
-
-// EnumStats is a point-in-time view of the engine's cumulative enumeration
-// counters that the serving layer surfaces in GET /stats. When several
-// engines share one obs.Registry (Options.Metrics), the underlying
-// counters are shared too, so any engine's EnumStats already reflects the
-// whole fleet — read one, do not sum.
-type EnumStats struct {
-	// IOWaitNanos is orchestrator time blocked on window page loads — the
-	// I/O the overlap failed to hide.
-	IOWaitNanos uint64
-	// CoalescedRuns counts the pools' multi-page stretches served with one
-	// simulated seek, as settled at level-1 window boundaries.
-	CoalescedRuns uint64
-	// CoalescedPages counts the pages those stretches covered.
-	CoalescedPages uint64
-	// CheckpointsTaken counts window-boundary checkpoints delivered to run
-	// callbacks.
-	CheckpointsTaken uint64
-	// CompressedRecords counts compressed adjacency records loaded into
-	// windows (per window load; each is decoded as its page is parsed).
-	CompressedRecords uint64
-	// CompressedBytes counts the on-disk payload bytes of those records.
-	CompressedBytes uint64
-}
-
-// EnumStats returns the engine's cumulative enumeration counters.
-func (e *Engine) EnumStats() EnumStats {
-	return EnumStats{
-		IOWaitNanos:       e.em.ioWaitNanos.Value(),
-		CoalescedRuns:     e.em.coalescedRuns.Value(),
-		CoalescedPages:    e.em.coalescedPages.Value(),
-		CheckpointsTaken:  e.em.checkpoints.Value(),
-		CompressedRecords: e.em.compressedRecs.Value(),
-		CompressedBytes:   e.em.compressedBytes.Value(),
-	}
-}
-
-// Busy reports whether a run is in flight.
-func (e *Engine) Busy() bool { return e.running.Load() }
 
 // Run enumerates all occurrences of q and returns statistics. Safe to call
 // repeatedly; an overlapping Run on the same Engine returns ErrEngineBusy

@@ -45,14 +45,9 @@ import (
 // Callers fall back to a solo engine; nothing about the query is wrong.
 var ErrRiderNotEligible = errors.New("core: query not eligible for the shared sweep; run it solo")
 
-// WindowBounds is one level-1 window of the sweep's partition: vertex
-// indices [Lo, Hi) into the ascending full range.
-type WindowBounds struct {
-	// Lo is the first vertex index of the window.
-	Lo int
-	// Hi is one past the last vertex index of the window.
-	Hi int
-}
+// windowBounds is one level-1 window of the sweep's partition: vertex
+// indices [lo, hi) into the ascending full range.
+type windowBounds struct{ lo, hi int }
 
 // SweepOptions configures Engine.NewSweep.
 type SweepOptions struct {
@@ -92,7 +87,7 @@ var scanOnly = &plan.Plan{K: 1}
 // their own goroutines.
 type Sweep struct {
 	r       *run // the sweep's run; r.e is the engine
-	bounds  []WindowBounds
+	bounds  []windowBounds
 	ordBase int // level-1 windows completed before bounds[0] (resume)
 
 	// budget deals the frames below level 1 among riders, the cohort's riders
@@ -228,7 +223,7 @@ func (e *Engine) newSweep(r *run, start int) (*Sweep, error) {
 	s := &Sweep{r: r, ordBase: r.windowsPer[0]}
 	it := windowIterator{r: r, merged: e.all, start: start}
 	for it.next() {
-		s.bounds = append(s.bounds, WindowBounds{Lo: it.curLo, Hi: it.curHi})
+		s.bounds = append(s.bounds, windowBounds{lo: it.curLo, hi: it.curHi})
 	}
 	if err := r.firstErr(); err != nil {
 		return nil, err
@@ -240,9 +235,6 @@ func (e *Engine) newSweep(r *run, start int) (*Sweep, error) {
 // Windows returns the number of level-1 windows in the sweep's partition —
 // the cycle length every rider consumes exactly once.
 func (s *Sweep) Windows() int { return len(s.bounds) }
-
-// Bounds returns the partition entry at index i.
-func (s *Sweep) Bounds(i int) WindowBounds { return s.bounds[i] }
 
 // SweepWindow is one loaded, pinned level-1 window, delivered to
 // every rider before Release. Riders read its index concurrently;
@@ -278,7 +270,7 @@ func (s *Sweep) Load(ctx context.Context, idx, _ int) (*SweepWindow, error) {
 	}
 	s.deal()
 	b := s.bounds[idx]
-	w := &SweepWindow{index: idx, ord: s.ordBase + idx + 1, verts: r.e.all[b.Lo:b.Hi]}
+	w := &SweepWindow{index: idx, ord: s.ordBase + idx + 1, verts: r.e.all[b.lo:b.hi]}
 	r.openWindow(0, w.ord, w.verts)
 	lw, err := r.loadWindow(0, w.verts, w.ord)
 	if err != nil {
@@ -522,7 +514,7 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 		// pool is drained, counts are merged, and the consumed prefix is
 		// exactly what a solo run from the sweep's start would have
 		// completed. This boundary is the run's recovery point.
-		r.emitCheckpoint(rd.s.bounds[w.index].Hi)
+		r.emitCheckpoint(rd.s.bounds[w.index].hi)
 	}
 	return nil
 }

@@ -227,6 +227,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Enter the current generation before pinning the overlay: a compaction
+	// rebases the overlay only after every request admitted to the old file
+	// has left it, so this snapshot never lacks an op the file lacks. The
+	// deferred Done runs after every deferred release below.
+	g := s.enter()
+	defer g.runs.Done()
+
 	// Pin the live-ingest overlay for the whole run: the query enumerates
 	// base file + exactly this snapshot, so mutations applied mid-run do
 	// not shift its counts, and the epoch it reports is the one it saw.
@@ -290,8 +297,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		start:       reqStart,
 		epoch:       dataEpoch,
 	}
-	sched := s.scheduler()
-	useCohort := sched != nil && resume == nil && (snap == nil || snap.Empty())
+	useCohort := g.sched != nil && resume == nil && (snap == nil || snap.Empty())
 	var eng *core.Engine // nil while riding the shared sweep
 	if useCohort {
 		if int(s.cohortInflight.Add(1)) > s.cfg.CohortMaxRiders+s.cfg.QueueDepth {
@@ -302,11 +308,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		defer s.cohortInflight.Add(-1)
 	} else {
-		if eng, err = s.admitSolo(r.Context(), req, attr); err != nil {
+		if eng, err = s.admitSolo(r.Context(), g, req, attr); err != nil {
 			s.writeRunError(w, r, err)
 			return
 		}
-		defer s.release(eng)
+		defer s.release(g, eng)
 	}
 	s.sm.active.Add(1)
 	defer s.sm.active.Add(-1)
@@ -327,22 +333,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// run executes the spec: solo on the acquired engine, or as a cohort
 	// rider. A bounced rider (ErrNotEligible — the plan is too deep for
-	// the equal share of the cohort's deep pool, or the scheduler is
-	// closing) falls back to a late solo admission, under the same queue
-	// wait as any solo request, so the client never sees an eligibility
-	// error.
+	// the equal share of the cohort's deep pool) falls back to a late solo
+	// admission in its own generation, under the same queue wait as any
+	// solo request, so the client never sees an eligibility error.
 	run := func(ctx context.Context, sp core.RunSpec) (*core.Result, error) {
 		if eng != nil {
 			return eng.RunSpecContext(ctx, sp)
 		}
-		res, err := sched.Run(ctx, sp)
+		res, err := g.sched.Run(ctx, sp)
 		if err != nil && errors.Is(err, sharedscan.ErrNotEligible) {
 			s.sm.cohortFallbacks.Inc()
-			solo, aerr := s.admitSolo(ctx, req, attr)
+			solo, aerr := s.admitSolo(ctx, g, req, attr)
 			if aerr != nil {
 				return nil, aerr
 			}
-			defer s.release(solo)
+			defer s.release(g, solo)
 			return solo.RunSpecContext(ctx, sp)
 		}
 		return res, err
@@ -733,10 +738,13 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error
 
 // StatsResponse is the GET /stats payload.
 type StatsResponse struct {
-	Vertices      int             `json:"vertices"`
-	Edges         uint64          `json:"edges"`
-	Pages         int             `json:"pages"`
-	PageSize      int             `json:"page_size"`
+	Vertices int    `json:"vertices"`
+	Edges    uint64 `json:"edges"`
+	Pages    int    `json:"pages"`
+	PageSize int    `json:"page_size"`
+	// Engines is the configured pool size, the cohort engine included;
+	// EnginesIdle counts the pool engines of the current generation not
+	// running a query.
 	Engines       int             `json:"engines"`
 	EnginesIdle   int             `json:"engines_idle"`
 	QueueDepth    int             `json:"queue_depth"`
@@ -798,24 +806,18 @@ type IngestStats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	db := s.db
-	sched := s.sched
-	engines := len(s.engines)
-	// The engines share one registry, so their counters are fleet-wide on
-	// any member: read one, never sum.
-	var enum core.EnumStats
-	if engines > 0 {
-		enum = s.engines[0].EnumStats()
-	}
-	s.mu.Unlock()
+	g := s.current()
 	brState, brTrips := s.br.snapshot()
 	buildVersion, buildCommit := buildinfo.Info()
+	// Every engine counts into the registry, so its counters are fleet-wide.
+	counters := s.reg.Snapshot().Counters
 	slowSummary := s.slowlog.Snapshot()
 	slowSummary.Recent = nil // summary only; ring served by /debug/slowlog
+	engines := s.cfg.Engines
 	var cohort *sharedscan.Stats
-	if sched != nil {
-		st := sched.Stats()
+	if g.sched != nil {
+		engines++
+		st := g.sched.Stats()
 		cohort = &st
 	}
 	var ingest *IngestStats
@@ -834,12 +836,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, StatsResponse{
-		Vertices:       db.NumVertices(),
-		Edges:          db.NumEdges(),
-		Pages:          db.NumPages(),
-		PageSize:       db.PageSize(),
+		Vertices:       g.db.NumVertices(),
+		Edges:          g.db.NumEdges(),
+		Pages:          g.db.NumPages(),
+		PageSize:       g.db.PageSize(),
 		Engines:        engines,
-		EnginesIdle:    len(s.slots),
+		EnginesIdle:    len(g.slots),
 		QueueDepth:     int(s.waiters.Load()),
 		QueueCapacity:  s.cfg.QueueDepth,
 		Requests:       s.sm.requests.Value(),
@@ -848,14 +850,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		PlanCache:      s.cache.Stats(),
 		Draining:       s.draining.Load(),
 		UptimeSeconds:  time.Since(s.start).Seconds(),
-		IOWaitNS:       enum.IOWaitNanos,
-		CoalescedRuns:  enum.CoalescedRuns,
-		CoalescedPages: enum.CoalescedPages,
+		IOWaitNS:       counters["dualsim_io_wait_nanos_total"],
+		CoalescedRuns:  counters["dualsim_coalesced_runs_total"],
+		CoalescedPages: counters["dualsim_coalesced_pages_total"],
 
-		CompressedRecords: enum.CompressedRecords,
-		CompressedBytes:   enum.CompressedBytes,
+		CompressedRecords: counters["dualsim_compressed_records_total"],
+		CompressedBytes:   counters["dualsim_compressed_bytes_total"],
 
-		CheckpointsTaken: enum.CheckpointsTaken,
+		CheckpointsTaken: counters["dualsim_checkpoints_taken_total"],
 		ResumesOK:        s.sm.resumesOK.Value(),
 		ResumesRejected:  s.sm.resumesRejected.Value(),
 		BreakerState:     breakerStateName(brState),
@@ -864,7 +866,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		BuildVersion:     buildVersion,
 		BuildCommit:      buildCommit,
 		SlowLog:          slowSummary,
-		ShareScan:        sched != nil,
+		ShareScan:        g.sched != nil,
 		Cohort:           cohort,
 		DataEpoch:        s.dataEpoch(),
 		Ingest:           ingest,

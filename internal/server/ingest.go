@@ -9,9 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"time"
 
-	"dualsim/internal/core"
 	"dualsim/internal/delta"
 	"dualsim/internal/graph"
 	"dualsim/internal/storage"
@@ -71,7 +69,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	n := s.database().NumVertices()
+	n := s.current().db.NumVertices()
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	var ops []delta.Op
 	for {
@@ -141,7 +139,7 @@ func (s *Server) advanceEpoch() {
 	s.stampMu.Lock()
 	defer s.stampMu.Unlock()
 	epoch := s.store.Epoch()
-	if sdb, ok := s.database().(*storage.DB); ok {
+	if sdb, ok := s.current().db.(*storage.DB); ok {
 		if err := storage.StampEpoch(sdb.Path(), epoch); err != nil {
 			log.Printf("dualsim/server: stamping epoch %d: %v", epoch, err)
 		}
@@ -155,7 +153,7 @@ func (s *Server) dataEpoch() uint64 {
 	if s.store != nil {
 		return s.store.Epoch()
 	}
-	if sdb, ok := s.database().(*storage.DB); ok {
+	if sdb, ok := s.current().db.(*storage.DB); ok {
 		return sdb.Epoch()
 	}
 	return 0
@@ -184,15 +182,19 @@ func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 }
 
 // maybeCompact kicks a background compaction once the overlay has
-// absorbed CompactEvery ops since the last fold.
+// absorbed CompactEvery ops since the last fold. The compaction joins the
+// drain barrier before the calling handler leaves it, so Drain and Close
+// wait for it and close whatever generation it publishes.
 func (s *Server) maybeCompact() {
 	if s.cfg.CompactEvery <= 0 || s.opsSinceCompact.Load() < uint64(s.cfg.CompactEvery) {
 		return
 	}
-	if _, ok := s.database().(*storage.DB); !ok {
+	if _, ok := s.current().db.(*storage.DB); !ok {
 		return
 	}
+	s.inflight.Add(1)
 	go func() {
+		defer s.inflight.Done()
 		if _, err := s.compactOnce(); err != nil && !errors.Is(err, errCompactBusy) {
 			log.Printf("dualsim/server: background compaction: %v", err)
 		}
@@ -202,27 +204,30 @@ func (s *Server) maybeCompact() {
 var errCompactBusy = errors.New("server: compaction already in progress")
 
 // compactOnce folds the overlay snapshot into a fresh database file and
-// swaps it live. The protocol, in order:
+// swaps it live, one generation for the next. The protocol, in order:
 //
 //  1. Snapshot the overlay at epoch E; build the folded file NEXT TO the
 //     live one and stamp it with E.
 //  2. rename(2) it over the live path. Open descriptors keep reading the
 //     old inode, so in-flight runs finish against the graph they started
 //     on; only this step is a point of no return, and it is atomic.
-//  3. Open the new file and migrate the pool one engine at a time as each
-//     returns to the slots channel. During migration queries run on a MIX
-//     of old and new engines — both are correct, because applying the
-//     still-undrained overlay to the folded file is idempotent: inserts
-//     it already contains and deletes it already lacks are no-ops.
-//  4. Retire the shared-scan scheduler (riders drain; arrivals bounce to
-//     the solo pool and are counted as fallbacks) and rebuild it over the
-//     new file.
-//  5. Rebase the overlay: subtract exactly the folded snapshot, keeping
-//     ops applied after E. The epoch does not move — compaction changes
-//     the representation, not the data.
+//  3. Open the new file and build the next generation over it — every
+//     engine, the cohort's included. If any step fails, what was built is
+//     closed and the current generation keeps serving, its overlay whole:
+//     the next compaction folds the old base plus the overlay again.
+//  4. Publish the new generation: requests admitted from here on run on
+//     the folded file, merging the still-undrained overlay, which is
+//     idempotent there — inserts it already contains and deletes it
+//     already lacks are no-ops.
+//  5. Wait for every request admitted to the old generation (queued
+//     waiters and cohort riders included) to return its engines, then
+//     close the old generation.
+//  6. Rebase the overlay: subtract exactly the folded snapshot, keeping
+//     ops applied after E, and close the old file. The epoch does not
+//     move — compaction changes the representation, not the data.
 //
-// The overlay is only rebased after every engine reads the folded file,
-// so no window can miss a mutation; until then the idempotent overlay
+// The overlay is only rebased once no request reads the old file, so no
+// window can miss a mutation; until then the idempotent overlay
 // double-covers the folded ops.
 func (s *Server) compactOnce() (bool, error) {
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -230,9 +235,10 @@ func (s *Server) compactOnce() (bool, error) {
 	}
 	defer s.compacting.Store(false)
 
-	sdb, ok := s.database().(*storage.DB)
+	old := s.current()
+	sdb, ok := old.db.(*storage.DB)
 	if !ok {
-		return false, fmt.Errorf("server: base %T is not compactable", s.database())
+		return false, fmt.Errorf("server: base %T is not compactable", old.db)
 	}
 	snap := s.store.Snapshot()
 	if snap.Empty() {
@@ -260,98 +266,21 @@ func (s *Server) compactOnce() (bool, error) {
 		// and the next compaction folds base+overlay again (idempotent).
 		return fail(fmt.Errorf("server: reopening compacted db: %w", err))
 	}
+	next, err := s.newGeneration(ndb)
+	if err != nil {
+		ndb.Close()
+		return fail(fmt.Errorf("server: building engines over compacted db: %w", err))
+	}
 
-	// Point all future engine builds at the new file, then migrate.
 	s.mu.Lock()
-	s.db = ndb
-	pending := make(map[*core.Engine]bool, len(s.engines))
-	for _, e := range s.engines {
-		if e != s.cohortEng {
-			pending[e] = true
-		}
-	}
+	s.gen = next
 	s.mu.Unlock()
-
-	for len(pending) > 0 {
-		e := <-s.slots
-		if !pending[e] {
-			// Already migrated (or a fresh replacement from the leaky-engine
-			// path). Hand it back and let queries use it while the stragglers
-			// finish their runs.
-			s.slots <- e
-			s.mu.Lock()
-			for p := range pending {
-				found := false
-				for _, cur := range s.engines {
-					if cur == p {
-						found = true
-						break
-					}
-				}
-				if !found {
-					delete(pending, p) // retired by release() mid-migration
-				}
-			}
-			s.mu.Unlock()
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		delete(pending, e)
-		ne, err := s.newEngine()
-		if err != nil {
-			// Keep serving on the old engine; the overlay still covers it.
-			s.slots <- e
-			return fail(fmt.Errorf("server: rebuilding engine over compacted db: %w", err))
-		}
-		s.mu.Lock()
-		for i, old := range s.engines {
-			if old == e {
-				s.engines[i] = ne
-				break
-			}
-		}
-		s.mu.Unlock()
-		e.Close()
-		s.slots <- ne
-	}
-
-	if s.scheduler() != nil {
-		if err := s.rebuildCohort(ndb); err != nil {
-			return fail(err)
-		}
-	}
+	old.runs.Wait()
+	old.close()
 
 	s.store.Rebase(snap)
 	s.opsSinceCompact.Store(0)
 	s.compactions.Add(1)
 	sdb.Close()
 	return true, nil
-}
-
-// rebuildCohort retires the shared-scan scheduler and its engine and
-// installs replacements over db. Riders on the old sweep drain through
-// Close; arrivals racing the swap bounce to the solo pool (ErrNotEligible
-// fallback) rather than erroring.
-func (s *Server) rebuildCohort(db core.Database) error {
-	ce, newSched, err := s.newCohort(db)
-	if err != nil {
-		return fmt.Errorf("server: rebuilding cohort engine over compacted db: %w", err)
-	}
-	s.mu.Lock()
-	oldSched, oldCE := s.sched, s.cohortEng
-	s.sched, s.cohortEng = newSched, ce
-	for i, e := range s.engines {
-		if e == oldCE {
-			s.engines[i] = ce
-			break
-		}
-	}
-	s.mu.Unlock()
-	if oldSched != nil {
-		oldSched.Close()
-	}
-	if oldCE != nil {
-		oldCE.Close()
-	}
-	return nil
 }

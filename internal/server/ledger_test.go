@@ -71,7 +71,7 @@ func TestPoolCountersSurviveEngineSwaps(t *testing.T) {
 
 	// A sweep that closes with its window still loaded leaves pins behind:
 	// the engine goes back to the pool leaky and is replaced.
-	eng, err := s.acquire(context.Background())
+	eng, err := s.acquire(context.Background(), s.current())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPoolCountersSurviveEngineSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw.Close()
-	s.release(eng)
+	s.release(s.current(), eng)
 	if got := s.sm.recycled.Value(); got != 1 {
 		t.Fatalf("engines recycled = %d, want 1", got)
 	}
@@ -113,7 +113,7 @@ func TestRetryCountersSumOverEngines(t *testing.T) {
 	// fails on its first read, which the first engine pays; the second
 	// engine's first read is failed once on purpose.
 	for round := 0; round < 2; round++ {
-		held, err := s.acquire(context.Background())
+		held, err := s.acquire(context.Background(), s.current())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,18 +123,22 @@ func TestRetryCountersSumOverEngines(t *testing.T) {
 		if qr := countQuery(t, s.Addr(), "q1"); qr.Count != 560 {
 			t.Errorf("round %d: count %d, want 560", round, qr.Count)
 		}
-		s.release(held)
+		s.release(s.current(), held)
 	}
 	var sum uint64
-	s.mu.Lock()
-	for i, e := range s.engines {
-		r := e.RetryStats().Retries
+	g := s.current()
+	engines := make([]*core.Engine, cfg.Engines)
+	for i := range engines {
+		engines[i] = <-g.slots
+		r := engines[i].RetryStats().Retries
 		if r == 0 {
 			t.Errorf("engine %d retried nothing", i)
 		}
 		sum += r
 	}
-	s.mu.Unlock()
+	for _, e := range engines {
+		g.slots <- e
+	}
 	if got := metricValue(t, s.Addr(), "dualsim_retry_retries_total"); got != float64(sum) {
 		t.Errorf("dualsim_retry_retries_total = %v, the engines retried %d", got, sum)
 	}
@@ -154,11 +158,11 @@ func TestBouncedRiderHonoursQueueWait(t *testing.T) {
 		CohortMaxRiders: 4,
 		Engine:          core.Options{Threads: 1, BufferFrames: 8},
 	})
-	eng, err := s.acquire(context.Background()) // hold the whole pool
+	eng, err := s.acquire(context.Background(), s.current()) // hold the whole pool
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.release(eng)
+	defer s.release(s.current(), eng)
 
 	req, err := json.Marshal(QueryRequest{Query: clique4Spec, QueueWaitMS: 50})
 	if err != nil {

@@ -670,10 +670,10 @@ func TestPoolCapacityAfterRetryExhaustion(t *testing.T) {
 	}
 	// release() runs after the response body completes; give it a beat.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(s.slots) != engines && time.Now().Before(deadline) {
+	for len(s.current().slots) != engines && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := len(s.slots); got != engines {
+	if got := len(s.current().slots); got != engines {
 		t.Fatalf("pool capacity = %d after retry exhaustion, want %d", got, engines)
 	}
 	if got := s.sm.recycled.Value(); got != 0 {
@@ -714,11 +714,11 @@ func TestDisconnectReturnsCleanEngine(t *testing.T) {
 	resp.Body.Close() // vanish mid-run, while window loads are in flight
 
 	select {
-	case eng := <-s.slots:
+	case eng := <-s.current().slots:
 		if pins := eng.PinnedFrames(); pins != 0 {
 			t.Errorf("engine returned with %d pinned frames", pins)
 		}
-		s.slots <- eng
+		s.current().slots <- eng
 	case <-time.After(15 * time.Second):
 		t.Fatal("engine never returned to the pool after disconnect")
 	}

@@ -99,11 +99,13 @@ type Config struct {
 	Mutable bool
 	// CompactEvery, with Mutable, is the overlay-op threshold that kicks a
 	// background compaction: the overlay is folded into a fresh database
-	// file which atomically replaces the live one, engines are migrated,
-	// and the folded ops drain from the overlay. 0 disables automatic
-	// compaction (POST /admin/compact still triggers one on demand).
-	// Compaction requires the base to be a *storage.DB, and keeps its page
-	// size and record encoding.
+	// file which atomically replaces the live one, the next engine
+	// generation is built over it and published, requests admitted to the
+	// old generation (cohort riders included) finish on the old file, and
+	// only then do its engines close and the folded ops drain from the
+	// overlay. 0 disables automatic compaction (POST /admin/compact still
+	// triggers one on demand). Compaction requires the base to be a
+	// *storage.DB, and keeps its page size and record encoding.
 	CompactEvery int
 	// Engine is the per-engine template. Metrics and buffer sizing
 	// are managed by the server (buffer fields are reinterpreted as the
@@ -144,7 +146,6 @@ func (c Config) withDefaults() Config {
 // Server is the query service. Create with New, expose with Listen (or
 // mount Handler yourself), stop with Drain (graceful) or Close (abrupt).
 type Server struct {
-	db  core.Database
 	cfg Config
 	reg *obs.Registry
 
@@ -152,21 +153,11 @@ type Server struct {
 	tokens *tokenCodec
 	br     *breaker
 
-	mu      sync.Mutex     // guards engines (recycling swaps entries)
-	engines []*core.Engine // all pool members, the cohort engine included
-	slots   chan *core.Engine
+	mu      sync.Mutex  // guards gen: compaction publishes a successor
+	gen     *generation // the database file new requests run on
 	waiters atomic.Int64
-
-	// Shared-scan cohort execution (nil unless Config.ShareScan): the
-	// cohort engine holds the FULL global buffer budget and is listed in
-	// engines (aggregate metrics, closeEngines) but never enters slots —
-	// the scheduler owns it exclusively. Every engine counts into reg, the
-	// pool's and the retry layer's counters included, so /metrics is
-	// fleet-wide and survives the engines that compaction and recycling
-	// replace. Both fields are guarded by mu:
-	// compaction retires them and installs replacements over the new file.
-	sched          *sharedscan.Scheduler
-	cohortEng      *core.Engine
+	// cohortInflight counts cohort-routed requests: at most CohortMaxRiders
+	// riding plus QueueDepth boarding, 429 beyond.
 	cohortInflight atomic.Int64
 
 	// Live ingest (nil unless Config.Mutable): the delta overlay every
@@ -197,6 +188,22 @@ type Server struct {
 	trc obs.Tracer
 }
 
+// generation is one database file and the engines that read it: the solo
+// pool's slots and, with ShareScan, the cohort engine its scheduler owns.
+// Every request enters the current generation once, at admission, and
+// leaves it (runs.Done) after it has returned every engine it took, so a
+// compaction can publish a successor over the folded file, wait for the
+// old generation's requests — queued waiters and cohort riders included —
+// and only then close it. Every engine counts into the server's registry,
+// so /metrics is fleet-wide and survives the swap.
+type generation struct {
+	db     core.Database
+	slots  chan *core.Engine
+	cohort *core.Engine          // nil without ShareScan
+	sched  *sharedscan.Scheduler // owns cohort; nil without ShareScan
+	runs   sync.WaitGroup
+}
+
 // New builds the service over db (any core.Database — *storage.DB in
 // production, a faultdb wrapper in the chaos harness): the engine pool
 // (dividing the configured buffer budget), the plan cache, the resume-token
@@ -217,38 +224,20 @@ func New(db core.Database, cfg Config) (*Server, error) {
 	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	s := &Server{
-		db:         db,
 		cfg:        cfg,
 		reg:        reg,
 		cache:      plan.NewCache(planCacheSize),
 		tokens:     tokens,
 		br:         newBreaker(poolBreaker),
-		slots:      make(chan *core.Engine, cfg.Engines),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 		start:      time.Now(),
 		slowlog:    obs.NewSlowLog(cfg.SlowQueryThreshold, slowLogSize, slowLogTopK),
 		trc:        cfg.Engine.Tracer,
 	}
-	for i := 0; i < cfg.Engines; i++ {
-		e, err := s.newEngine()
-		if err != nil {
-			baseCancel()
-			s.closeEngines()
-			return nil, fmt.Errorf("server: building engine %d/%d: %w", i+1, cfg.Engines, err)
-		}
-		s.engines = append(s.engines, e)
-		s.slots <- e
-	}
-	if cfg.ShareScan {
-		ce, sched, err := s.newCohort(db)
-		if err != nil {
-			baseCancel()
-			s.closeEngines()
-			return nil, fmt.Errorf("server: building cohort engine: %w", err)
-		}
-		s.engines = append(s.engines, ce)
-		s.cohortEng, s.sched = ce, sched
+	if s.gen, err = s.newGeneration(db); err != nil {
+		baseCancel()
+		return nil, err
 	}
 	if cfg.Mutable {
 		// The overlay's epoch continues the base file's: a freshly opened
@@ -275,49 +264,83 @@ func New(db core.Database, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newEngine builds one pool member with its share of the global budget,
-// over the CURRENT database (compaction swaps s.db under mu).
-func (s *Server) newEngine() (*core.Engine, error) {
+// newGeneration builds the engines over db: Engines pool members, each with
+// its share of the global budget, and with ShareScan the cohort engine and
+// its scheduler. On failure it closes what it built.
+func (s *Server) newGeneration(db core.Database) (*generation, error) {
+	g := &generation{db: db, slots: make(chan *core.Engine, s.cfg.Engines)}
+	for i := 0; i < s.cfg.Engines; i++ {
+		e, err := s.newEngine(db, false)
+		if err != nil {
+			g.close()
+			return nil, fmt.Errorf("server: building engine %d/%d: %w", i+1, s.cfg.Engines, err)
+		}
+		g.slots <- e
+	}
+	if s.cfg.ShareScan {
+		ce, err := s.newEngine(db, true)
+		if err != nil {
+			g.close()
+			return nil, fmt.Errorf("server: building cohort engine: %w", err)
+		}
+		g.cohort = ce
+		g.sched = sharedscan.New(ce, sharedscan.Options{MaxRiders: s.cfg.CohortMaxRiders, Metrics: s.reg})
+	}
+	return g, nil
+}
+
+// newEngine builds one engine over db. A pool member gets its share of the
+// global budget; the cohort engine is "one big buffer, N riders": the
+// undivided budget and the full thread allowance, the resources N solo
+// engines would have had combined.
+func (s *Server) newEngine(db core.Database, cohort bool) (*core.Engine, error) {
 	opts := s.cfg.Engine
 	opts.Metrics = s.reg
-	if opts.BufferFrames > 0 {
+	switch {
+	case cohort:
+		opts.Threads *= s.cfg.Engines
+	case opts.BufferFrames > 0:
 		opts.BufferFrames /= s.cfg.Engines
-	} else if opts.BufferFraction > 0 {
+	case opts.BufferFraction > 0:
 		opts.BufferFraction /= float64(s.cfg.Engines)
 	}
-	return core.NewEngine(s.database(), opts)
+	return core.NewEngine(db, opts)
 }
 
-// newCohort builds the shared-scan engine over db and the scheduler that
-// owns it. The cohort engine is "one big buffer, N riders": the undivided
-// global budget and the full thread allowance, so a cohort has the same
-// resources N solo engines would have had combined.
-func (s *Server) newCohort(db core.Database) (*core.Engine, *sharedscan.Scheduler, error) {
-	opts := s.cfg.Engine
-	opts.Metrics = s.reg
-	opts.Threads *= s.cfg.Engines
-	ce, err := core.NewEngine(db, opts)
-	if err != nil {
-		return nil, nil, err
+// close closes the scheduler first (its sweeps hold pins on the cohort
+// engine until their riders detach), then the cohort engine, then every
+// engine the slots hold: after runs.Wait, every engine the generation owns.
+func (g *generation) close() {
+	if g.sched != nil {
+		g.sched.Close()
 	}
-	return ce, sharedscan.New(ce, sharedscan.Options{MaxRiders: s.cfg.CohortMaxRiders, Metrics: s.reg}), nil
+	if g.cohort != nil {
+		g.cohort.Close()
+	}
+	for {
+		select {
+		case e := <-g.slots:
+			e.Close()
+		default:
+			return
+		}
+	}
 }
 
-// database returns the current base database. Stable for the life of the
-// server unless compaction swaps in a freshly folded file.
-func (s *Server) database() core.Database {
+// current returns the generation new requests run on.
+func (s *Server) current() *generation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.db
+	return s.gen
 }
 
-// scheduler returns the current shared-scan scheduler (nil without
-// ShareScan). Compaction retires and replaces it, so callers capture it
-// once per request rather than re-reading s.sched.
-func (s *Server) scheduler() *sharedscan.Scheduler {
+// enter admits a request to the current generation: until the matching
+// g.runs.Done, a compaction waits before closing g.
+func (s *Server) enter() *generation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sched
+	s.gen.runs.Add(1)
+	return s.gen
 }
 
 // Handler returns the service's mux: POST /query, GET /stats, /metrics,
@@ -374,8 +397,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		_ = s.hsrv.Shutdown(shutCtx)
 	}
 	s.baseCancel()
-	s.closeSched()
-	s.closeEngines()
+	s.current().close()
 	s.flushTracer()
 	return err
 }
@@ -389,8 +411,7 @@ func (s *Server) Close() error {
 		_ = s.hsrv.Close()
 	}
 	s.inflight.Wait()
-	s.closeSched()
-	s.closeEngines()
+	s.current().close()
 	s.flushTracer()
 	return nil
 }
@@ -403,24 +424,6 @@ func (s *Server) flushTracer() {
 	if f, ok := s.trc.(obs.Flusher); ok {
 		_ = f.Flush()
 	}
-}
-
-// closeSched stops the cohort scheduler (no-op without ShareScan). Must
-// run after the in-flight barrier and before closeEngines: sweeps hold
-// buffer pins on the cohort engine until their riders detach.
-func (s *Server) closeSched() {
-	if sched := s.scheduler(); sched != nil {
-		sched.Close()
-	}
-}
-
-func (s *Server) closeEngines() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.engines {
-		e.Close()
-	}
-	s.engines = nil
 }
 
 // planFor resolves q to an executable plan: canonicalize, consult the
@@ -484,12 +487,12 @@ var (
 	errQueueWait = errors.New("no engine free")
 )
 
-// admitSolo admits a request to the solo pool within its queue wait — the
+// admitSolo admits a request to g's solo pool within its queue wait — the
 // server's QueueWait, or less when the request asks (queue_wait_ms) — and
 // adds the time it waited to attr.queueNS. A refusal is errQueueFull or
 // errQueueWait (booked under rejectedWait); a caller whose ctx ended while
 // queued gets ctx's error.
-func (s *Server) admitSolo(ctx context.Context, req QueryRequest, attr *queryAttribution) (*core.Engine, error) {
+func (s *Server) admitSolo(ctx context.Context, g *generation, req QueryRequest, attr *queryAttribution) (*core.Engine, error) {
 	queueWait := s.cfg.QueueWait
 	if d := time.Duration(req.QueueWaitMS) * time.Millisecond; d > 0 && d < queueWait {
 		queueWait = d
@@ -497,7 +500,7 @@ func (s *Server) admitSolo(ctx context.Context, req QueryRequest, attr *queryAtt
 	waitCtx, cancel := context.WithTimeout(ctx, queueWait)
 	defer cancel()
 	start := time.Now()
-	e, err := s.acquire(waitCtx)
+	e, err := s.acquire(waitCtx, g)
 	attr.queueNS += time.Since(start).Nanoseconds()
 	if err != nil && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
 		s.sm.rejectedWait.Inc()
@@ -506,12 +509,12 @@ func (s *Server) admitSolo(ctx context.Context, req QueryRequest, attr *queryAtt
 	return e, err
 }
 
-// acquire admits the request to the engine pool: an idle engine if one is
+// acquire admits the request to g's engine pool: an idle engine if one is
 // free, else a bounded wait governed by ctx. Returns errQueueFull when the
 // queue bound is hit, ctx.Err() when the wait expires or the client leaves.
-func (s *Server) acquire(ctx context.Context) (*core.Engine, error) {
+func (s *Server) acquire(ctx context.Context, g *generation) (*core.Engine, error) {
 	select {
-	case e := <-s.slots:
+	case e := <-g.slots:
 		return e, nil
 	default:
 	}
@@ -523,7 +526,7 @@ func (s *Server) acquire(ctx context.Context) (*core.Engine, error) {
 	defer s.waiters.Add(-1)
 	start := time.Now()
 	select {
-	case e := <-s.slots:
+	case e := <-g.slots:
 		s.sm.queueWaitUS.Observe(time.Since(start).Microseconds())
 		return e, nil
 	case <-ctx.Done():
@@ -531,34 +534,22 @@ func (s *Server) acquire(ctx context.Context) (*core.Engine, error) {
 	}
 }
 
-// release returns an engine to the pool. An engine that came back with
+// release returns an engine to g's pool. An engine that came back with
 // pinned frames leaked a pin (a bug, or a run unwound abnormally); it is
-// closed and replaced rather than recycled, so one bad run cannot shrink
-// effective capacity for every later tenant.
-func (s *Server) release(e *core.Engine) {
+// closed and replaced over g's database rather than recycled, so one bad
+// run cannot shrink effective capacity for every later tenant.
+func (s *Server) release(g *generation, e *core.Engine) {
 	if e.PinnedFrames() > 0 {
 		s.sm.recycled.Inc()
-		ne, err := s.newEngine()
-		s.mu.Lock()
-		for i, old := range s.engines {
-			if old == e {
-				if err == nil {
-					s.engines[i] = ne
-				} else {
-					s.engines = append(s.engines[:i], s.engines[i+1:]...)
-				}
-				break
-			}
-		}
-		s.mu.Unlock()
 		e.Close()
+		ne, err := s.newEngine(g.db, false)
 		if err != nil {
-			log.Printf("dualsim/server: replacing leaky engine failed, pool shrinks to %d: %v", len(s.slots), err)
+			log.Printf("dualsim/server: replacing leaky engine failed, pool shrinks to %d: %v", len(g.slots), err)
 			return
 		}
 		e = ne
 	}
-	s.slots <- e
+	g.slots <- e
 }
 
 // serverMetrics is the dualsim_server_* family.
@@ -638,7 +629,7 @@ func registerServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		return float64(s.waiters.Load())
 	})
 	reg.GaugeFunc("dualsim_server_engines_idle", "pool engines not running a query", func() float64 {
-		return float64(len(s.slots))
+		return float64(len(s.current().slots))
 	})
 	reg.GaugeFunc("dualsim_server_draining", "1 while the server refuses new work", func() float64 {
 		if s.draining.Load() {

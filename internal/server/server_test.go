@@ -178,7 +178,7 @@ func TestSaturationQueueReject(t *testing.T) {
 	})
 
 	// Hold the only engine.
-	eng, err := s.acquire(context.Background())
+	eng, err := s.acquire(context.Background(), s.current())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestSaturationQueueReject(t *testing.T) {
 	}
 
 	// Release the engine: the queued waiter must complete correctly.
-	s.release(eng)
+	s.release(s.current(), eng)
 	qr := <-waiterDone
 	if qr.Count != 56 { // C(8,3)
 		t.Errorf("queued waiter count = %d, want 56", qr.Count)
@@ -372,11 +372,11 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 
 	// The engine must return to the pool, clean.
 	select {
-	case eng := <-s.slots:
+	case eng := <-s.current().slots:
 		if pins := eng.PinnedFrames(); pins != 0 {
 			t.Errorf("engine returned with %d pinned frames", pins)
 		}
-		s.slots <- eng
+		s.current().slots <- eng
 	case <-time.After(10 * time.Second):
 		t.Fatal("engine never returned to the pool after client disconnect")
 	}

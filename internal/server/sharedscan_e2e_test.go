@@ -172,7 +172,7 @@ func TestBouncedRiderQueueFullIs429(t *testing.T) {
 		CohortMaxRiders: 4,
 		Engine:          core.Options{Threads: 1, BufferFrames: 8},
 	})
-	eng, err := s.acquire(context.Background()) // saturate the pool
+	eng, err := s.acquire(context.Background(), s.current()) // saturate the pool
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestBouncedRiderQueueFullIs429(t *testing.T) {
 		t.Errorf("cohort fallbacks = %d, want 2 (both 4-cliques bounced)", got)
 	}
 
-	s.release(eng)
+	s.release(s.current(), eng)
 	if qr := <-waiter; qr.Count != 1820 { // C(16,4)
 		t.Errorf("queued bounced rider count = %d, want 1820", qr.Count)
 	}

@@ -86,11 +86,11 @@ func TestStreamLimitCutsInsideBatch(t *testing.T) {
 	}
 	resp.Body.Close()
 	select {
-	case eng := <-s.slots:
+	case eng := <-s.current().slots:
 		if pins := eng.PinnedFrames(); pins != 0 {
 			t.Errorf("engine returned with %d pinned frames", pins)
 		}
-		s.slots <- eng
+		s.current().slots <- eng
 	case <-time.After(10 * time.Second):
 		t.Fatal("engine never returned to the pool after the client left")
 	}

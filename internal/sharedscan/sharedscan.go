@@ -66,12 +66,18 @@ type Scheduler struct {
 	closed  bool
 	loopWG  sync.WaitGroup
 
-	active atomic.Int64
-	sweeps atomic.Uint64
-
-	sharedWindows *obs.Counter
-	sharedPages   *obs.Counter
-	ridersTotal   *obs.Counter
+	// The cohort family lives in the registry, shared by every scheduler on
+	// it, so a server's counters survive the schedulers a compaction
+	// replaces, and riders of a retiring one still count in active.
+	active         *obs.Gauge
+	sweeps         *obs.Counter
+	sharedWindows  *obs.Counter
+	sharedPages    *obs.Counter
+	ridersTotal    *obs.Counter
+	sweepPagesRead *obs.Counter
+	// settledPages is sweepScope's PagesRead as of the last settle. Written
+	// by the sweep loop only.
+	settledPages uint64
 }
 
 // Stats is a point-in-time cohort snapshot for GET /stats.
@@ -114,42 +120,41 @@ func New(eng *core.Engine, opts Options) *Scheduler {
 		sweepScope: obs.NewScope(obs.NewTraceID()),
 		baseCtx:    ctx,
 		cancel:     cancel,
+		active:     reg.Gauge("dualsim_cohort_size", "riders currently attached to the shared sweep"),
+		sweeps:     reg.Counter("dualsim_cohort_sweeps_total", "shared sweeps started"),
 		sharedWindows: reg.Counter("dualsim_shared_windows_total",
 			"level-1 windows loaded once by the shared sweep and served to every attached rider"),
 		sharedPages: reg.Counter("dualsim_shared_pages_total",
 			"shared-window pages attributed to riders (resident consumption; the physical reads are the sweep's)"),
 		ridersTotal: reg.Counter("dualsim_cohort_riders_total",
 			"queries admitted into a shared-scan cohort"),
+		sweepPagesRead: reg.Counter("dualsim_sweep_pages_read_total",
+			"physical page reads owned by the shared sweep (each cohort page charged once), settled at window releases and sweep ends"),
 	}
-	reg.GaugeFunc("dualsim_cohort_size", "riders currently attached to the shared sweep", func() float64 {
-		return float64(s.active.Load())
-	})
-	reg.CounterFunc("dualsim_cohort_sweeps_total", "shared sweeps started", func() uint64 {
-		return s.sweeps.Load()
-	})
-	reg.CounterFunc("dualsim_sweep_pages_read_total",
-		"physical page reads owned by the shared sweep (each cohort page charged once)", func() uint64 {
-			return s.sweepScope.PagesRead.Load()
-		})
 	return s
 }
 
-// Stats returns the cohort snapshot.
+// Stats returns the cohort snapshot: the registry's cohort family, what
+// every scheduler on it counted.
 func (s *Scheduler) Stats() Stats {
 	return Stats{
 		MaxRiders:      s.opts.MaxRiders,
-		ActiveRiders:   int(s.active.Load()),
+		ActiveRiders:   int(s.active.Value()),
 		RidersTotal:    s.ridersTotal.Value(),
-		Sweeps:         s.sweeps.Load(),
+		Sweeps:         s.sweeps.Value(),
 		SharedWindows:  s.sharedWindows.Value(),
 		SharedPages:    s.sharedPages.Value(),
-		SweepPagesRead: s.sweepScope.PagesRead.Load(),
+		SweepPagesRead: s.sweepPagesRead.Value(),
 	}
 }
 
-// SweepScope returns the persistent sweep attribution scope — the owner of
-// every physical read a cohort performs.
-func (s *Scheduler) SweepScope() *obs.Scope { return s.sweepScope }
+// settle adds the sweep's physical reads since the last settle to the
+// registry, after each window release and at each sweep's end.
+func (s *Scheduler) settle() {
+	now := s.sweepScope.PagesRead.Load()
+	s.sweepPagesRead.Add(now - s.settledPages)
+	s.settledPages = now
+}
 
 type outcome struct {
 	res *core.Result
@@ -237,9 +242,10 @@ func (s *Scheduler) sweepLoop() {
 			// this database). Bounce everyone to solo execution.
 			s.drainPending(fmt.Errorf("%w: %v", ErrNotEligible, err))
 		} else {
-			s.sweeps.Add(1)
+			s.sweeps.Inc()
 			s.runSweep(sweep)
 			sweep.Close()
+			s.settle()
 		}
 		s.mu.Lock()
 		if len(s.pending) == 0 || s.closed {
@@ -300,6 +306,7 @@ func (s *Scheduler) runSweep(sweep *core.Sweep) {
 			ar.booked = now
 		}
 		sweep.Release(sw)
+		s.settle()
 		kept := riders[:0]
 		for _, ar := range riders {
 			switch {

@@ -72,8 +72,10 @@ type ServerConfig struct {
 	Mutable bool
 	// CompactEvery is the overlay-op threshold that triggers a background
 	// compaction: the overlay is folded into a fresh database file that
-	// atomically replaces the live one (in-flight queries finish on the
-	// old file), and the folded ops drain from the overlay. 0 disables
+	// atomically replaces the live one, a whole new set of engines is
+	// built over it and serves every later request, and in-flight queries
+	// — cohort riders included — finish on the old file before its engines
+	// close and the folded ops drain from the overlay. 0 disables
 	// automatic compaction; POST /admin/compact folds on demand. A folded
 	// file keeps the database's page size and record encoding.
 	CompactEvery int
