@@ -52,7 +52,11 @@ fmt:
 # for the cohort family). And one engine generation per database file:
 # non-test internal/server builds engines at one call site (the generation's
 # constructor) and sleeps nowhere, so a compaction swaps a whole generation
-# and waits on its requests, never polls engines over one at a time.
+# and waits on its requests, never polls engines over one at a time. Last, a
+# compaction is one sequential rewrite, never a rebuild: non-test
+# internal/storage/compact.go calls neither Build nor StampEpoch and names no
+# EdgeSource (one walk of the base file feeds the page writer, and the
+# superblock it writes already carries the epoch).
 lint: vet metrics-doc-check
 	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l . >&2; echo "gofmt: the files above are not formatted" >&2; exit 1; fi
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
@@ -77,6 +81,8 @@ lint: vet metrics-doc-check
 		echo "one engine generation per database file: exactly one core.NewEngine call in non-test internal/server (the generation's constructor)" >&2; exit 1; fi
 	@if grep -nF 'time.Sleep(' $$(ls internal/server/*.go | grep -v _test.go); then \
 		echo "a compaction waits on the old generation's requests: no time.Sleep in non-test internal/server" >&2; exit 1; fi
+	@if grep -nE 'Build\(|StampEpoch\(|EdgeSource' internal/storage/compact.go; then \
+		echo "a compaction is one sequential rewrite, never a rebuild: no Build, StampEpoch or EdgeSource in internal/storage/compact.go" >&2; exit 1; fi
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
 # (every counter/gauge/histogram the server registers, plus the paper

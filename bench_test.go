@@ -7,6 +7,7 @@ package dualsim
 // experiments at full reproduction scale and prints the paper-style tables.
 
 import (
+	"context"
 	"io"
 	"path/filepath"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"dualsim/internal/dataset"
 	"dualsim/internal/exp"
 	"dualsim/internal/graph"
+	"dualsim/internal/plan"
 	"dualsim/internal/rbi"
 	"dualsim/internal/storage"
 )
@@ -94,6 +96,12 @@ func benchDB(b *testing.B, scale float64) *storage.DB {
 
 func benchEngineQuery(b *testing.B, q *graph.Query, opts core.Options) {
 	b.Helper()
+	benchEnginePlan(b, q, plan.Options{}, opts)
+}
+
+// benchEnginePlan is benchEngineQuery with the plan prepared under popts.
+func benchEnginePlan(b *testing.B, q *graph.Query, popts plan.Options, opts core.Options) {
+	b.Helper()
 	db := benchDB(b, 0.1)
 	if opts.Threads == 0 {
 		opts.Threads = 2
@@ -104,7 +112,11 @@ func benchEngineQuery(b *testing.B, q *graph.Query, opts core.Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := eng.Run(q)
+		p, err := plan.Prepare(q, popts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := eng.RunPlanContext(context.Background(), p)
 		eng.Close()
 		if err != nil {
 			b.Fatal(err)
@@ -270,13 +282,13 @@ func BenchmarkAblationBufferAllocation(b *testing.B) {
 // all (all 4 vertices matched by traversal — a full extra level).
 func BenchmarkAblationRBI(b *testing.B) {
 	b.Run("mcvc", func(b *testing.B) {
-		benchEngineQuery(b, graph.Square(), core.Options{CoverMode: rbi.MCVC})
+		benchEnginePlan(b, graph.Square(), plan.Options{CoverMode: rbi.MCVC}, core.Options{})
 	})
 	b.Run("mvc", func(b *testing.B) {
-		benchEngineQuery(b, graph.Square(), core.Options{CoverMode: rbi.MVC})
+		benchEnginePlan(b, graph.Square(), plan.Options{CoverMode: rbi.MVC}, core.Options{})
 	})
 	b.Run("allred", func(b *testing.B) {
-		benchEngineQuery(b, graph.Square(), core.Options{CoverMode: rbi.AllRed})
+		benchEnginePlan(b, graph.Square(), plan.Options{CoverMode: rbi.AllRed}, core.Options{})
 	})
 }
 

@@ -35,7 +35,6 @@ import (
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
 	"dualsim/internal/plan"
-	"dualsim/internal/rbi"
 	"dualsim/internal/storage"
 )
 
@@ -121,8 +120,6 @@ type BuildOptions struct {
 	PageSize int
 	// TempDir holds external-sort run files (default: system temp).
 	TempDir string
-	// RunSize is the number of edge records per in-memory sort run.
-	RunSize int
 	// SkipReorder keeps original vertex IDs instead of degree ordering.
 	SkipReorder bool
 	// AppendFraction leaves the top fraction of vertices unsorted,
@@ -147,7 +144,6 @@ func (o BuildOptions) internal() storage.BuildOptions {
 	return storage.BuildOptions{
 		PageSize:       o.PageSize,
 		TempDir:        o.TempDir,
-		RunSize:        o.RunSize,
 		SkipReorder:    o.SkipReorder,
 		AppendFraction: o.AppendFraction,
 		Compress:       o.Compress,
@@ -272,9 +268,6 @@ type Options struct {
 	BufferFraction float64
 	// PrefetchFrames has no effect; ROADMAP 5(d) removes it.
 	PrefetchFrames int
-	// UseMVC selects minimum vertex covers instead of minimum connected
-	// vertex covers for the red query graph.
-	UseMVC bool
 	// PerPageLatency and SeekLatency simulate device characteristics for
 	// experiments.
 	PerPageLatency time.Duration
@@ -306,10 +299,6 @@ type Options struct {
 // coreOptions lowers the public options onto the engine's, wiring the
 // observability plumbing (tracer, progress destination).
 func (o Options) coreOptions() core.Options {
-	mode := rbi.MCVC
-	if o.UseMVC {
-		mode = rbi.MVC
-	}
 	var tracer obs.Tracer
 	if o.TraceWriter != nil {
 		tracer = obs.NewJSONLTracer(o.TraceWriter)
@@ -322,7 +311,6 @@ func (o Options) coreOptions() core.Options {
 		Threads:          o.Threads,
 		BufferFrames:     o.BufferFrames,
 		BufferFraction:   o.BufferFraction,
-		CoverMode:        mode,
 		PerPageLatency:   o.PerPageLatency,
 		SeekLatency:      o.SeekLatency,
 		Retry:            o.Retry,
@@ -467,7 +455,7 @@ func (d *DB) Enumerate(q *Query, opt Options, fn func(Embedding)) (*Result, erro
 // EnumerateContext is Enumerate observing ctx (see Engine.RunContext).
 func (d *DB) EnumerateContext(ctx context.Context, q *Query, opt Options, fn func(Embedding)) (*Result, error) {
 	copts := opt.coreOptions()
-	p, err := plan.Prepare(q, plan.Options{CoverMode: copts.CoverMode})
+	p, err := plan.Prepare(q, plan.Options{})
 	if err != nil {
 		return nil, err
 	}

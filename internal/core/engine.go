@@ -20,7 +20,6 @@ import (
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
 	"dualsim/internal/plan"
-	"dualsim/internal/rbi"
 	"dualsim/internal/storage"
 )
 
@@ -34,8 +33,6 @@ type Options struct {
 	// BufferFraction sizes the buffer as a fraction of the database's page
 	// count (default 0.15, the paper's default buffer budget).
 	BufferFraction float64
-	// CoverMode selects MCVC (default) or MVC red vertices.
-	CoverMode rbi.CoverMode
 	// EqualAllocation divides the buffer equally among levels instead of
 	// the paper's allocation: the OPT comparator (internal/baseline/opt)
 	// and Figure 17 run with it.
@@ -271,7 +268,7 @@ func (e *Engine) Run(q *graph.Query) (*Result, error) {
 // the traversal at the next window or queued read, releases every pin, and
 // returns ctx.Err(). A run abandoned this way leaves the engine reusable.
 func (e *Engine) RunContext(ctx context.Context, q *graph.Query) (*Result, error) {
-	p, err := plan.Prepare(q, plan.Options{CoverMode: e.opts.CoverMode})
+	p, err := plan.Prepare(q, plan.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -89,40 +89,33 @@ func TestEngineMVCAndAblationsAgree(t *testing.T) {
 	rg, _ := graph.ReorderByDegree(g)
 	for _, q := range []*graph.Query{graph.Square(), graph.House()} {
 		want := graph.CountOccurrences(rg, q)
-		for _, opts := range []Options{
-			{Threads: 2, BufferFrames: 32, CoverMode: rbi.MVC},
-			{Threads: 2, BufferFrames: 32, EqualAllocation: true},
+		// MVC red sets and the Cartesian-maximizing matching order are
+		// planner knobs only: the engine must count the same from a plan
+		// prepared either way, and under the equal buffer split.
+		for _, c := range []struct {
+			popts plan.Options
+			opts  Options
+		}{
+			{plan.Options{CoverMode: rbi.MVC}, Options{Threads: 2, BufferFrames: 32}},
+			{plan.Options{}, Options{Threads: 2, BufferFrames: 32, EqualAllocation: true}},
+			{plan.Options{WorstOrder: true}, Options{Threads: 2, BufferFrames: 32}},
 		} {
-			e, err := NewEngine(db, opts)
+			p, err := plan.Prepare(q, c.popts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.Count(q)
+			e, err := NewEngine(db, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.RunPlanContext(context.Background(), p)
 			e.Close()
 			if err != nil {
-				t.Fatalf("%s opts %+v: %v", q.Name(), opts, err)
+				t.Fatalf("%s plan %+v opts %+v: %v", q.Name(), c.popts, c.opts, err)
 			}
-			if got != want {
-				t.Fatalf("%s opts %+v: count %d, want %d", q.Name(), opts, got, want)
+			if res.Count != want {
+				t.Fatalf("%s plan %+v opts %+v: count %d, want %d", q.Name(), c.popts, c.opts, res.Count, want)
 			}
-		}
-		// The Cartesian-maximizing matching order is a planner knob only:
-		// the engine must count the same from a plan prepared that way.
-		p, err := plan.Prepare(q, plan.Options{WorstOrder: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(db, Options{Threads: 2, BufferFrames: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.RunPlanContext(context.Background(), p)
-		e.Close()
-		if err != nil {
-			t.Fatalf("%s worst order: %v", q.Name(), err)
-		}
-		if res.Count != want {
-			t.Fatalf("%s worst order: count %d, want %d", q.Name(), res.Count, want)
 		}
 	}
 }

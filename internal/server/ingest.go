@@ -8,7 +8,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"path/filepath"
 
 	"dualsim/internal/delta"
 	"dualsim/internal/graph"
@@ -206,8 +205,8 @@ var errCompactBusy = errors.New("server: compaction already in progress")
 // compactOnce folds the overlay snapshot into a fresh database file and
 // swaps it live, one generation for the next. The protocol, in order:
 //
-//  1. Snapshot the overlay at epoch E; build the folded file NEXT TO the
-//     live one and stamp it with E.
+//  1. Snapshot the overlay at epoch E; write the folded file NEXT TO the
+//     live one, in one pass over the live file, its superblock carrying E.
 //  2. rename(2) it over the live path. Open descriptors keep reading the
 //     old inode, so in-flight runs finish against the graph they started
 //     on; only this step is a point of no return, and it is atomic.
@@ -252,8 +251,7 @@ func (s *Server) compactOnce() (bool, error) {
 	live := sdb.Path()
 	tmp := live + ".compact"
 	defer os.Remove(tmp)
-	opt := storage.BuildOptions{TempDir: filepath.Dir(live)}
-	if _, err := storage.Compact(tmp, sdb, snap.Apply, snap.Epoch(), opt); err != nil {
+	if _, err := storage.Compact(tmp, sdb, snap.Apply, snap.Epoch(), storage.BuildOptions{}); err != nil {
 		return fail(err)
 	}
 	if err := storage.SwapFile(tmp, live); err != nil {

@@ -432,28 +432,26 @@ func (s *Server) flushTracer() {
 // the stable plan key resume tokens are bound to, and whether the plan
 // came from the cache.
 func (s *Server) planFor(q *graph.Query) (*plan.Plan, []int, string, bool, error) {
-	popts := plan.Options{CoverMode: s.cfg.Engine.CoverMode}
 	if q.NumVertices() > maxCanonicalVertices {
 		// Cache-bypassed queries still need a plan key for resume tokens.
 		// The name cannot be it (every edge-list spec is "custom"): the key
 		// is the query's own edge list, so a token resumes only the query
 		// it was minted for — a relabelled spelling of it gets 409.
-		key := fmt.Sprintf("edges:%s|cover=%d", edgeListKey(q), popts.CoverMode)
-		p, err := plan.Prepare(q, popts)
+		key := "edges:" + edgeListKey(q)
+		p, err := plan.Prepare(q, plan.Options{})
 		return p, identityPerm(q.NumVertices()), key, false, err
 	}
-	code, canon, perm, err := graph.CanonicalQuery(q, q.Name())
+	key, canon, perm, err := graph.CanonicalQuery(q, q.Name())
 	if err != nil {
 		return nil, nil, "", false, err
 	}
-	key := fmt.Sprintf("%s|cover=%d", code, popts.CoverMode)
 	// Prepare on the canonical representative, so every isomorphic query
 	// maps onto the same plan and the same embedding remapping rule.
 	// GetOrBuild collapses concurrent misses on one key into a single
 	// Prepare (singleflight) — under shared-scan admission batches, N
 	// arrivals of the same query cost one plan build, not N.
 	p, built, err := s.cache.GetOrBuild(key, func() (*plan.Plan, error) {
-		return plan.Prepare(canon, popts)
+		return plan.Prepare(canon, plan.Options{})
 	})
 	if err != nil {
 		return nil, nil, "", false, err

@@ -16,7 +16,7 @@ import (
 type BuildOptions struct {
 	// PageSize is the slotted-page size in bytes (default DefaultPageSize).
 	PageSize int
-	// TempDir holds external-sort run files (default: alongside the DB).
+	// TempDir holds external-sort run files (default os.TempDir()).
 	TempDir string
 	// RunSize is the number of directed pairs per in-memory sort run
 	// (default 1<<20). Small values force real multi-run external sorts.
@@ -94,11 +94,7 @@ func Build(path string, src EdgeSource, opt BuildOptions) (*BuildStats, error) {
 	perm := buildPerm(deg, opt)
 
 	// Pass 2: externally sort relabeled directed pairs.
-	tempDir := opt.TempDir
-	if tempDir == "" {
-		tempDir = os.TempDir()
-	}
-	sorter := newExternalSorter(tempDir, opt.RunSize)
+	sorter := newExternalSorter(opt.TempDir, opt.RunSize)
 	if err := src.Reset(); err != nil {
 		return nil, err
 	}
@@ -123,65 +119,20 @@ func Build(path string, src EdgeSource, opt BuildOptions) (*BuildStats, error) {
 	}
 
 	// Merge into pages.
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: create db: %w", err)
-	}
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<18)
-	// Reserve the superblock page.
-	if _, err := w.Write(make([]byte, opt.PageSize)); err != nil {
-		return nil, err
-	}
-
-	pw := newDBPageWriter(w, opt.PageSize, n)
-	pw.compress = opt.Compress
-	err = sorter.merge(func(u, v graph.VertexID) error { return pw.addEdge(u, v) })
+	pw, err := createDB(path, opt.PageSize, n, opt.Compress)
 	if err != nil {
 		return nil, err
 	}
-	if err := pw.finish(); err != nil {
+	defer pw.f.Close()
+	if err := sorter.merge(pw.addEdge); err != nil {
 		return nil, err
 	}
-
-	// Directory.
-	dirOffset := int64(opt.PageSize) * int64(pw.numPages+1)
-	for v := 0; v < n; v++ {
-		var rec [12]byte
-		binary.LittleEndian.PutUint32(rec[0:], uint32(pw.dir[v].FirstPage))
-		binary.LittleEndian.PutUint32(rec[4:], pw.dir[v].Span)
-		binary.LittleEndian.PutUint32(rec[8:], pw.dir[v].Degree)
-		if _, err := w.Write(rec[:]); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
+	st, err := pw.commit(0, start)
+	if err != nil {
 		return nil, err
 	}
-
-	// Superblock.
-	sb := superblock{
-		pageSize:    uint32(opt.PageSize),
-		numVertices: uint32(n),
-		numEdges:    pw.directedRecords / 2,
-		numPages:    uint32(pw.numPages),
-		maxDegree:   uint32(pw.maxDegree),
-		dirOffset:   uint64(dirOffset),
-	}
-	if err := sb.writeTo(f); err != nil {
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		return nil, err
-	}
-	return &BuildStats{
-		NumVertices: n,
-		NumEdges:    pw.directedRecords / 2,
-		NumPages:    pw.numPages,
-		MaxDegree:   pw.maxDegree,
-		SortRuns:    sorter.numRuns(),
-		Elapsed:     time.Since(start),
-	}, nil
+	st.SortRuns = sorter.numRuns()
+	return st, nil
 }
 
 // buildPerm computes the relabeling permutation (perm[old] = new).
@@ -224,9 +175,12 @@ type vertexLoc struct {
 	Degree    uint32
 }
 
-// dbPageWriter packs the merged adjacency stream into pages, emitting empty
-// records for isolated vertices so every vertex has a directory entry.
+// dbPageWriter packs adjacency lists, in vertex order, into the pages of a
+// new database file, emitting empty records for isolated vertices so every
+// vertex has a directory entry. Build feeds it edge by edge (addEdge),
+// Compact list by list (writeVertex); commit finishes the file.
 type dbPageWriter struct {
+	f               *os.File
 	w               *bufio.Writer
 	pw              *PageWriter
 	pageSize        int
@@ -242,19 +196,31 @@ type dbPageWriter struct {
 	nextVertex int // next vertex that must receive a record
 }
 
-func newDBPageWriter(w *bufio.Writer, pageSize, n int) *dbPageWriter {
+// createDB creates the database file at path and returns the writer that
+// fills it, positioned past the reserved superblock page.
+func createDB(path string, pageSize, n int, compress bool) (*dbPageWriter, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("storage: create db: %w", err)
+	}
+	w := bufio.NewWriterSize(f, 1<<18)
+	if _, err := w.Write(make([]byte, pageSize)); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return &dbPageWriter{
+		f:        f,
 		w:        w,
 		pw:       NewPageWriter(pageSize, 0),
 		pageSize: pageSize,
+		compress: compress,
 		n:        n,
 		dir:      make([]vertexLoc, n),
 		cur:      graph.VertexID(n), // sentinel: nothing accumulated
-	}
+	}, nil
 }
 
 func (b *dbPageWriter) addEdge(u, v graph.VertexID) error {
-	b.directedRecords++
 	if b.cur != u {
 		if err := b.flushVertex(); err != nil {
 			return err
@@ -275,11 +241,7 @@ func (b *dbPageWriter) flushVertex() error {
 	if err := b.fillIsolated(int(b.cur)); err != nil {
 		return err
 	}
-	if err := b.writeVertex(b.cur, b.curAdj); err != nil {
-		return err
-	}
-	b.nextVertex = int(b.cur) + 1
-	return nil
+	return b.writeVertex(b.cur, b.curAdj)
 }
 
 func (b *dbPageWriter) fillIsolated(upto int) error {
@@ -288,17 +250,16 @@ func (b *dbPageWriter) fillIsolated(upto int) error {
 			return err
 		}
 	}
-	if upto > b.nextVertex {
-		b.nextVertex = upto
-	}
 	return nil
 }
 
+// writeVertex writes v's whole list; vertices must come in ascending order,
+// each once.
 func (b *dbPageWriter) writeVertex(v graph.VertexID, adj []graph.VertexID) error {
-	if len(adj) > b.maxDegree {
-		b.maxDegree = len(adj)
-	}
+	b.maxDegree = max(b.maxDegree, len(adj))
+	b.directedRecords += uint64(len(adj))
 	b.dir[v].Degree = uint32(len(adj))
+	b.nextVertex = int(v) + 1
 	if b.compress {
 		return b.writeVertexCompressed(v, adj)
 	}
@@ -409,14 +370,53 @@ func (b *dbPageWriter) flushPage() error {
 	return nil
 }
 
-func (b *dbPageWriter) finish() error {
+// commit writes the vertex addEdge is accumulating, empty records for the
+// vertices not yet written, the last page, the vertex directory and the
+// superblock, stamped with epoch, then syncs the file once.
+func (b *dbPageWriter) commit(epoch uint64, start time.Time) (*BuildStats, error) {
 	if err := b.flushVertex(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := b.fillIsolated(b.n); err != nil {
-		return err
+		return nil, err
 	}
-	return b.flushPage()
+	if err := b.flushPage(); err != nil {
+		return nil, err
+	}
+	var rec [12]byte
+	for _, loc := range b.dir {
+		binary.LittleEndian.PutUint32(rec[0:], uint32(loc.FirstPage))
+		binary.LittleEndian.PutUint32(rec[4:], loc.Span)
+		binary.LittleEndian.PutUint32(rec[8:], loc.Degree)
+		if _, err := b.w.Write(rec[:]); err != nil {
+			return nil, err
+		}
+	}
+	if err := b.w.Flush(); err != nil {
+		return nil, err
+	}
+	sb := superblock{
+		pageSize:    uint32(b.pageSize),
+		numVertices: uint32(b.n),
+		numEdges:    b.directedRecords / 2,
+		numPages:    uint32(b.numPages),
+		maxDegree:   uint32(b.maxDegree),
+		dirOffset:   uint64(b.pageSize) * uint64(b.numPages+1),
+		epoch:       epoch,
+	}
+	if err := sb.writeTo(b.f); err != nil {
+		return nil, err
+	}
+	if err := b.f.Sync(); err != nil {
+		return nil, err
+	}
+	return &BuildStats{
+		NumVertices: b.n,
+		NumEdges:    b.directedRecords / 2,
+		NumPages:    b.numPages,
+		MaxDegree:   b.maxDegree,
+		Elapsed:     time.Since(start),
+	}, nil
 }
 
 // BuildFromGraph is a convenience wrapper writing g to path.

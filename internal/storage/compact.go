@@ -1,64 +1,62 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
+	"time"
 
 	"dualsim/internal/graph"
 )
 
 // MergedAdjFunc merges one vertex's base adjacency with the live-ingest
-// overlay: it returns (base ∪ adds) \ tombstones, sorted ascending. The
-// compactor calls it once per vertex; returning base unchanged means the
-// vertex is unmutated. delta.Snapshot.Apply has this signature.
+// overlay: it returns (base ∪ adds) \ tombstones. The compactor calls it
+// once per vertex, in ascending vertex order, and writes the result as the
+// vertex's list unchanged; returning base means the vertex is unmutated.
+// The merged lists must form a simple undirected graph: each list sorted
+// ascending and duplicate-free, v never in its own list, and w in v's list
+// exactly when v is in w's. delta.Snapshot.Apply has this signature and
+// keeps this contract (Store.Apply records every op on both endpoints and
+// refuses U == V).
 type MergedAdjFunc func(v graph.VertexID, base []graph.VertexID) []graph.VertexID
 
-// mutatedSource adapts (base DB + overlay merge) into an EdgeSource: it
-// streams every vertex's merged adjacency and emits each undirected edge
-// once (u < w). Build re-reads the source twice (degree pass, sort pass).
-// Vertices are visited in ascending ID order and the file stores them in
-// that order, so each pass walks the base file page by page: every page is
-// read and parsed once per pass.
-type mutatedSource struct {
-	db    *DB
-	read  func(PageID) (*Page, error) // db.ReadPage, or a test's counting wrapper
-	apply MergedAdjFunc
+// baseWalk reads a database file page by page in vertex order. Vertices are
+// stored in ascending ID order, so asking for ascending vertices reads and
+// parses every page exactly once.
+type baseWalk struct {
+	db   *DB
+	read func(PageID, []byte) error // db.ReadPageInto, or a test's counting wrapper
 
-	page *Page            // the page the walk stands on (nil before the first read)
+	buf  []byte           // raw image of page
+	page *Page            // the page the walk stands on
 	slot int              // first record of page not yet passed
-	base []graph.VertexID // base adjacency scratch
-
-	next graph.VertexID   // next vertex to load
-	cur  graph.VertexID   // vertex whose forward edges are being drained
-	adj  []graph.VertexID // merged adjacency of cur; may alias base
-	i    int              // next entry of adj to emit, past those <= cur
+	base []graph.VertexID // adjacency scratch
 }
 
-// NumVertices returns the vertex count (fixed until a rebuild).
-func (s *mutatedSource) NumVertices() int { return s.db.NumVertices() }
-
-// Reset rewinds the stream to the first vertex.
-func (s *mutatedSource) Reset() error {
-	s.next, s.cur, s.i = 0, 0, 0
-	s.adj, s.page = nil, nil
+// load reads and parses page pid, moving the walk onto it.
+func (s *baseWalk) load(pid PageID) error {
+	if err := s.read(pid, s.buf); err != nil {
+		return err
+	}
+	p, err := ParsePage(s.buf)
+	if err != nil {
+		return err
+	}
+	s.page, s.slot = p, 0
 	return nil
 }
 
-// baseAdjacency returns v's full adjacency list in the base file, the
-// chunks of a multi-page vertex concatenated as the walk crosses its pages.
-// Calls between two Resets must ask for ascending vertices; the result is
-// valid until the next call.
-func (s *mutatedSource) baseAdjacency(v graph.VertexID) ([]graph.VertexID, error) {
+// adjacency returns v's full adjacency list in the base file, the chunks of
+// a multi-page vertex concatenated as the walk crosses its pages. Calls must
+// ask for ascending vertices; the result is valid until the next call.
+func (s *baseWalk) adjacency(v graph.VertexID) ([]graph.VertexID, error) {
 	first, last := s.db.SpanOf(v)
 	s.base = s.base[:0]
 	for pid := first; pid <= last; pid++ {
-		if s.page == nil || s.page.ID != pid {
-			p, err := s.read(pid)
-			if err != nil {
+		if s.page.ID != pid {
+			if err := s.load(pid); err != nil {
 				return nil, err
 			}
-			s.page, s.slot = p, 0
 		}
 		recs := s.page.Records
 		for s.slot < len(recs) && recs[s.slot].Vertex < v {
@@ -74,77 +72,54 @@ func (s *mutatedSource) baseAdjacency(v graph.VertexID) ([]graph.VertexID, error
 	return s.base, nil
 }
 
-// Next returns the next undirected edge of the mutated graph.
-func (s *mutatedSource) Next() (graph.VertexID, graph.VertexID, error) {
-	for {
-		if s.i < len(s.adj) {
-			w := s.adj[s.i]
-			s.i++
-			return s.cur, w, nil
-		}
-		if int(s.next) >= s.db.NumVertices() {
-			return 0, 0, io.EOF
-		}
-		v := s.next
-		s.next++
-		base, err := s.baseAdjacency(v)
-		if err != nil {
-			return 0, 0, err
-		}
-		// The merged list ascends: the forward edges are its tail above v.
-		s.cur, s.adj, s.i = v, s.apply(v, base), 0
-		for s.i < len(s.adj) && s.adj[s.i] <= v {
-			s.i++
-		}
-	}
-}
-
 // Compact rewrites db with the overlay folded in as a fresh database file
-// at dstPath, preserving vertex IDs (no degree relabeling — directory
-// positions are the overlay's coordinate system) and stamping epoch into
-// the new superblock. The source file is untouched; the caller swaps the
-// result in with SwapFile once every reader has been moved over, then
-// drains the folded overlay from the live delta store. opt.PageSize
-// defaults to db's page size; opt.SkipReorder is forced, and so is
-// opt.Compress: the folded file keeps db's record encoding.
+// at dstPath, in one sequential pass: it walks db's pages once in vertex
+// order, merges each vertex's list with apply and hands it to the page
+// writer Build uses, then writes the directory and a superblock stamped
+// with epoch and syncs once. Vertex IDs are preserved (no degree
+// relabeling — directory positions are the overlay's coordinate system),
+// nothing is sorted and no file but dstPath is created. The folded file
+// keeps db's page size and record encoding, so opt is not read; the
+// parameter stays for existing callers. Any read error, or a base list
+// that disagrees with db's directory, fails the compaction. The source file
+// is untouched; the caller swaps the result in with SwapFile once every
+// reader has been moved over, then drains the folded overlay from the live
+// delta store.
 func Compact(dstPath string, db *DB, apply MergedAdjFunc, epoch uint64, opt BuildOptions) (*BuildStats, error) {
-	if opt.PageSize == 0 {
-		opt.PageSize = db.PageSize()
-	}
-	compressed, err := db.compressed()
-	if err != nil {
-		return nil, err
-	}
-	opt.Compress = compressed
-	opt.SkipReorder = true
-	opt.AppendFraction = 0
-	st, err := Build(dstPath, &mutatedSource{db: db, read: db.ReadPage, apply: apply}, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := StampEpoch(dstPath, epoch); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return compact(dstPath, &baseWalk{db: db, read: db.ReadPageInto}, apply, epoch)
 }
 
-// compressed reports the encoding db's records are stored in. Build writes
-// every record of a file in one encoding, so the first non-empty record
-// tells (an empty one carries no payload to tell by); a file without edges
-// reads as plain.
-func (db *DB) compressed() (bool, error) {
-	for pid := 0; pid < db.NumPages(); pid++ {
-		p, err := db.ReadPage(PageID(pid))
+func compact(dstPath string, s *baseWalk, apply MergedAdjFunc, epoch uint64) (*BuildStats, error) {
+	start := time.Now()
+	s.buf = make([]byte, s.db.PageSize())
+	// Page 0 holds vertex 0, so the walk starts there anyway. Build writes
+	// every record of a file in one encoding, empty records included, so
+	// the page's first record tells which.
+	if err := s.load(0); err != nil {
+		return nil, err
+	}
+	pw, err := createDB(dstPath, s.db.PageSize(), s.db.NumVertices(), len(s.page.Records) > 0 && firstRecordCompressed(s.buf))
+	if err != nil {
+		return nil, err
+	}
+	defer pw.f.Close()
+	for v := graph.VertexID(0); int(v) < s.db.NumVertices(); v++ {
+		base, err := s.adjacency(v)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		for _, r := range p.Records {
-			if len(r.Adj) > 0 {
-				return r.CompBytes > 0, nil
-			}
+		if err := pw.writeVertex(v, apply(v, base)); err != nil {
+			return nil, err
 		}
 	}
-	return false, nil
+	return pw.commit(epoch, start)
+}
+
+// firstRecordCompressed reports whether the first record of a parsed page
+// image carries flagCompressed.
+func firstRecordCompressed(buf []byte) bool {
+	off := int(binary.LittleEndian.Uint16(buf[len(buf)-slotSize:]))
+	return buf[off+4]&flagCompressed != 0
 }
 
 // SwapFile atomically replaces the live database file at livePath with the

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"dualsim/internal/graph"
@@ -16,11 +15,10 @@ import (
 // spilled to temporary files and a k-way heap merge — the preprocessing cost
 // the paper reports in Table 3 (O(n_p log n_p) I/O).
 type externalSorter struct {
-	tempDir string
-	runSize int // pairs per in-memory run
+	tempDir string // "" is os.TempDir()
+	runSize int    // pairs per in-memory run
 	buf     [][2]graph.VertexID
 	runs    []string
-	nextRun int
 }
 
 func newExternalSorter(tempDir string, runSize int) *externalSorter {
@@ -49,12 +47,13 @@ func (s *externalSorter) spill() error {
 		}
 		return s.buf[i][1] < s.buf[j][1]
 	})
-	path := filepath.Join(s.tempDir, fmt.Sprintf("run-%06d.bin", s.nextRun))
-	s.nextRun++
-	f, err := os.Create(path)
+	// A unique name: builds sharing a temp dir must not clobber each
+	// other's runs.
+	f, err := os.CreateTemp(s.tempDir, "dualsim-run-*.bin")
 	if err != nil {
 		return fmt.Errorf("storage: create run file: %w", err)
 	}
+	path := f.Name()
 	w := bufio.NewWriterSize(f, 1<<16)
 	var rec [8]byte
 	for _, e := range s.buf {
