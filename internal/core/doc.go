@@ -58,7 +58,9 @@
 // one embedding per full-order query sequence of the v-group
 // (expandSequences), after which matchNonRed assigns black vertices by
 // scanning one red adjacency list and ivory vertices by intersecting
-// several — no I/O, since every needed list is pinned.
+// several — no I/O, since every needed list is pinned. Without a row hook
+// the plan's tail of interchangeable non-red vertices is counted with one
+// binomial instead of enumerated (countTail).
 //
 // Deduplication between internal and external enumeration follows the
 // paper: level-1 candidate sequences cover all vertices, so the level-1

@@ -555,6 +555,18 @@ func (r *run) fail(err error) {
 	r.err.CompareAndSwap(nil, &err)
 }
 
+// countOverflow is the error of a run whose embedding count does not fit in
+// 64 bits (where says at which tally): the run fails rather than wraps.
+func (r *run) countOverflow(where string) error {
+	return fmt.Errorf("core: %s: the embedding count overflows 64 bits%s", r.p.Query.Name(), where)
+}
+
+// addCount adds n to a shared tally and reports whether the sum still fits
+// in 64 bits. Adding 0 touches nothing.
+func addCount(t *atomic.Uint64, n uint64) bool {
+	return n == 0 || t.Add(n) >= n
+}
+
 func (r *run) firstErr() error {
 	if p := r.err.Load(); p != nil {
 		return *p

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -109,11 +110,8 @@ func (m *matcher) flush() {
 	if len(m.rows) > 0 {
 		m.handRows()
 	}
-	if m.localInternal > 0 {
-		m.lw.internal.Add(m.localInternal)
-	}
-	if m.localExternal > 0 {
-		m.lw.external.Add(m.localExternal)
+	if !addCount(&m.lw.internal, m.localInternal) || !addCount(&m.lw.external, m.localExternal) {
+		m.r.fail(m.r.countOverflow(" in a window"))
 	}
 	st := m.arena.TakeStats()
 	sc := m.r.scope
@@ -449,7 +447,8 @@ func (r *run) expandSequences(m *matcher, internal bool) {
 // neighbors' positions (adjOfPos) and clipped to what the partial orders
 // leave open (poBounds). No I/O is performed — every needed adjacency list is
 // already in the buffer. The kernel shape is fixed at plan time
-// (rbi.KernelHint).
+// (rbi.KernelHint). A task without a row hook stops at the plan's tail and
+// counts it (countTail); rows are enumerated to the last vertex.
 func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	if idx == len(r.p.RBI.NonRed) {
 		if internal {
@@ -485,6 +484,11 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 		}
 		cands = m.arena.IntersectK(depth, lists)
 	}
+	// An empty list needs no count: the loop below adds nothing either.
+	if !m.deliver && len(cands) > 0 && idx == len(r.p.RBI.NonRed)-r.p.Tail {
+		r.countTail(m, u, cands, internal)
+		return
+	}
 	for _, v := range cands {
 		if !m.nonRedOK(v) {
 			continue
@@ -494,6 +498,50 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 		r.matchNonRed(m, idx+1, internal)
 		m.qMask &^= 1 << uint(u)
 	}
+}
+
+// countTail adds the embeddings that complete the current mapping over the
+// plan's tail (plan.Plan.Tail), whose first vertex u has the candidates
+// cands: the tail's members take ascending distinct vertices from the n
+// candidates no mapped query vertex holds, C(n, Tail) ways. A vertex mapped
+// to one of u's red neighbors is not looked up: there are no self-loops, so
+// it is not on that neighbor's list. A count that does not fit in 64 bits,
+// or that takes the task's tally past them, fails the run.
+func (r *run) countTail(m *matcher, u int, cands []graph.VertexID, internal bool) {
+	n := uint64(len(cands))
+	for qv, v := range m.mapping {
+		if m.qMask&(1<<uint(qv)) != 0 && !r.p.Query.HasEdge(u, qv) && graph.ContainsSorted(cands, v) {
+			n--
+		}
+	}
+	c, ok := binomial(n, uint64(r.p.Tail))
+	tally := &m.localExternal
+	if internal {
+		tally = &m.localInternal
+	}
+	var carry uint64
+	if *tally, carry = bits.Add64(*tally, c, 0); !ok || carry != 0 {
+		r.fail(r.countOverflow(fmt.Sprintf(" at a red match with C(%d, %d) embeddings", n, r.p.Tail)))
+	}
+}
+
+// binomial returns C(n, k) for k ≥ 1, or false when it exceeds 64 bits. Step
+// i turns C(n-k+i-1, i-1) into C(n-k+i, i), which grows with i, so the first
+// step whose 128-bit product divided by i does not fit is an overflow of the
+// result too. C(n, 1) takes no division.
+func binomial(n, k uint64) (uint64, bool) {
+	if k > n {
+		return 0, true
+	}
+	c := n - k + 1 // C(n-k+1, 1)
+	for i := uint64(2); i <= k; i++ {
+		hi, lo := bits.Mul64(c, n-k+i)
+		if hi >= i {
+			return 0, false
+		}
+		c, _ = bits.Div64(hi, lo, i)
+	}
+	return c, true
 }
 
 // nonRedOK checks injectivity for assigning data vertex v to a non-red query

@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"dualsim/internal/gen"
 	"dualsim/internal/graph"
 	"dualsim/internal/plan"
 	"dualsim/internal/rbi"
@@ -187,7 +192,10 @@ func TestMatcherPooled(t *testing.T) {
 // level has a parent (q2 with every vertex red). Counts equal brute force, and
 // the galloping kernel runs strictly less often than it did on the parent
 // commit, whose counts on this fixture are recorded here — exactly as often
-// where the window stays an operand.
+// where the window stays an operand. The kept case runs with a row hook: a
+// count run stops at q2/MVC's two-vertex tail (plan.Plan.Tail) and makes 2 101
+// galloping intersections on both layouts, the enumeration path the elision
+// is about makes the parent's 5 480.
 func TestForestRootWindowNotIntersected(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(23)), 400, 2400)
 	for _, layout := range []struct {
@@ -217,7 +225,11 @@ func TestForestRootWindowNotIntersected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p})
+			spec := RunSpec{Plan: p}
+			if layout.kept[i] {
+				spec.OnRows = func([]graph.VertexID, int) {}
+			}
+			res, err := e.RunSpecContext(context.Background(), spec)
 			e.Close()
 			if err != nil {
 				t.Fatalf("%s/%v compress=%v: %v", c.q.Name(), c.mode, layout.compress, err)
@@ -234,6 +246,152 @@ func TestForestRootWindowNotIntersected(t *testing.T) {
 				t.Errorf("%s/%v compress=%v: %d galloping intersections, the parent made %d (window kept: %v)",
 					c.q.Name(), c.mode, layout.compress, gallop, parent, layout.kept[i])
 			}
+		}
+	}
+}
+
+// TestTailCounted: a count run adds C(n, Tail) where the plan's tail starts
+// (countTail), a run with a row hook enumerates the tail's rows. On planted
+// hubs, over the plans with the longest tails — Star(3) (three black leaves),
+// the 3-page book (three ivory pages on one spine) and K2,3 under MCVC (a
+// two-vertex tail) and MVC (three) — plain and compressed, resident and below
+// the buffer, both count what brute force counts, and the rows are the
+// brute-force embeddings, each once.
+func TestTailCounted(t *testing.T) {
+	g := gen.PlantedHubs(300, 4, 40, 36)
+	book := graph.MustNewQuery("book3", 5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}, {0, 4}, {1, 4}})
+	k23 := graph.MustNewQuery("k2,3", 5, [][2]int{{0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}})
+	type query struct {
+		q    *graph.Query
+		mode rbi.CoverMode
+	}
+	for _, c := range []query{{graph.Star("s3", 3), rbi.MCVC}, {book, rbi.MCVC}, {k23, rbi.MCVC}, {k23, rbi.MVC}} {
+		p, err := plan.Prepare(c.q, plan.Options{CoverMode: c.mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Tail < 2 {
+			t.Fatalf("%s/%v: tail %d, want at least 2", c.q.Name(), c.mode, p.Tail)
+		}
+		want := map[string]bool{}
+		graph.BruteForceEnumerate(g, c.q, graph.SymmetryBreak(c.q), func(m []graph.VertexID) bool {
+			want[fmt.Sprint(m)] = true
+			return true
+		})
+		if len(want) == 0 {
+			t.Fatalf("%s: no embedding in the fixture", c.q.Name())
+		}
+		t.Logf("%s/%v: tail %d, %d embeddings", c.q.Name(), c.mode, p.Tail, len(want))
+		for _, compress := range []bool{false, true} {
+			db := buildDBOpts(t, g, 256, compress)
+			for _, resident := range []bool{false, true} {
+				for _, rows := range []bool{false, true} {
+					what := fmt.Sprintf("%s/%v compress=%v resident=%v rows=%v", c.q.Name(), c.mode, compress, resident, rows)
+					frames := db.NumPages() / 3
+					if resident {
+						frames = 4 * db.NumPages()
+					}
+					e, err := NewEngine(db, Options{Threads: 2, BufferFrames: frames})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var mu sync.Mutex
+					seen := map[string]bool{}
+					spec := RunSpec{Plan: p}
+					if rows {
+						spec.OnRows = func(batch []graph.VertexID, width int) {
+							mu.Lock()
+							defer mu.Unlock()
+							for ; len(batch) > 0; batch = batch[width:] {
+								k := fmt.Sprint(batch[:width])
+								if !want[k] || seen[k] {
+									t.Errorf("%s: row %s handed over twice or not an embedding", what, k)
+								}
+								seen[k] = true
+							}
+						}
+					}
+					res, err := e.RunSpecContext(context.Background(), spec)
+					e.Close()
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if res.Count != uint64(len(want)) || rows && len(seen) != len(want) {
+						t.Errorf("%s: count %d, %d rows, brute force %d", what, res.Count, len(seen), len(want))
+					}
+					// Star(3) has one red vertex, so nothing of it is external.
+					if left := res.WindowsPerLevel[0] >= 2 && (p.K == 1 || res.External > 0); left == resident {
+						t.Errorf("%s: windows %v, %d external", what, res.WindowsPerLevel, res.External)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTailCountOverflow: a count that does not fit in 64 bits fails the run,
+// naming the query, instead of wrapping — or enumerating the embeddings.
+// Star(5) on a star of 40 000 leaves has C(40 000, 5) ≈ 8.5e20 at its one red
+// match. On two hubs sharing 17 000 leaves each red match's C(17 000, 5) ≈
+// 1.18e19 fits but the two together do not: resident, one task adds both;
+// below the buffer, the run adds up windows that hold one hub each. One hub
+// alone counts exactly, above 2^63.
+func TestTailCountOverflow(t *testing.T) {
+	star := func(hubs, leaves int) *graph.Graph {
+		var edges [][2]graph.VertexID
+		for h := 0; h < hubs; h++ {
+			for l := 0; l < leaves; l++ {
+				edges = append(edges, [2]graph.VertexID{graph.VertexID(h), graph.VertexID(hubs + l)})
+			}
+		}
+		return graph.MustNewGraph(hubs+leaves, edges)
+	}
+	for _, c := range []struct {
+		hubs, leaves int
+		want         string // an error's text, or the count
+	}{
+		{1, 40_000, "C(40000, 5)"},
+		{2, 17_000, "overflows 64 bits"},
+		{1, 17_000, "11825183016171253400"},
+	} {
+		db := buildDB(t, star(c.hubs, c.leaves), 4096)
+		// Resident, and a quarter of the pages: the hubs' lists then go to
+		// different windows.
+		for _, frames := range []int{4 * db.NumPages(), db.NumPages()/4 + 8} {
+			what := fmt.Sprintf("%d hubs of %d leaves, %d frames", c.hubs, c.leaves, frames)
+			e, err := NewEngine(db, Options{Threads: 2, BufferFrames: frames})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Enumerating instead would not end: the deadline turns that into a failure.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			res, err := e.RunSpecContext(ctx, RunSpec{Plan: mustPlan(t, graph.Star("s5", 5))})
+			cancel()
+			e.Close()
+			switch {
+			case err != nil && !(strings.Contains(err.Error(), "s5") && strings.Contains(err.Error(), c.want)):
+				t.Errorf("%s: %v, want an overflow naming s5 and %s", what, err, c.want)
+			case err == nil && fmt.Sprint(res.Count) != c.want:
+				t.Errorf("%s: count %d, want %s", what, res.Count, c.want)
+			}
+		}
+	}
+}
+
+// TestBinomialExact pins binomial at the edges of 64 bits: C(67, 33) is the
+// largest central binomial that fits, C(68, 34) the first that does not.
+func TestBinomialExact(t *testing.T) {
+	for _, c := range []struct {
+		n, k, want uint64
+		ok         bool
+	}{
+		{0, 1, 0, true}, {5, 1, 5, true}, {3, 5, 0, true}, {68, 2, 2278, true},
+		{40_000, 4, 106650667399990000, true}, {40_000, 5, 0, false},
+		{67, 33, 14226520737620288370, true}, {68, 34, 0, false},
+		{math.MaxUint64, 1, math.MaxUint64, true}, {1 << 32, 2, 9223372034707292160, true},
+	} {
+		if got, ok := binomial(c.n, c.k); got != c.want || ok != c.ok {
+			t.Errorf("binomial(%d, %d) = %d, %v; want %d, %v", c.n, c.k, got, ok, c.want, c.ok)
 		}
 	}
 }

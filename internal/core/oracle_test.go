@@ -671,6 +671,9 @@ func check(t *testing.T, d draw, cov *coverage) {
 	if o.p.Cartesians > 0 {
 		cov.add("cartesian plan")
 	}
+	if o.p.Tail >= 2 { // a count run counts the tail, a row run enumerates it
+		cov.add(fmt.Sprintf("tail>=2 rows=%v", d.rows))
+	}
 	for _, k := range []string{"graph:" + d.kind, "mode:" + d.mode, fmt.Sprintf("compress=%v", d.compress),
 		fmt.Sprintf("reorder=%v", d.reorder), fmt.Sprintf("threads=%d", d.threads), fmt.Sprintf("rows=%v", d.rows)} {
 		cov.add(k)
@@ -803,6 +806,7 @@ func TestDifferentialAllModes(t *testing.T) {
 		cov.require(t, "graph:random", "graph:hubs", "graph:bipartite", "graph:chunglu", "graph:tiny",
 			"compress=true", "compress=false", "reorder=true", "reorder=false", "threads=1", "threads=4",
 			"mode:solo", "mode:kill", "mode:rider", "resident", "multi-window", "cartesian plan", "rows=true",
+			"tail>=2 rows=false", "tail>=2 rows=true",
 			"overlay empty=false", "overlay empty=true", "rode", "rode beside companions", "refused rider",
 			"resumed:kill/", "resumed:solo/permanent", "faulted cohort",
 			"absorbed "+pages, "absorbed "+storm, "absorbed "+torn)

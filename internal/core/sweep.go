@@ -531,6 +531,9 @@ func (rd *Rider) Finish() (*Result, error) {
 	}
 	rd.endLevel()
 	internal, external := r.internalCount.Load(), r.externalCount.Load()
+	if internal+external < internal {
+		return nil, r.countOverflow("")
+	}
 	exec := time.Since(rd.startExec)
 	r.emit(obs.Event{Event: "run_end", Count: internal + external, DurUS: exec.Microseconds(),
 		Span: r.querySpan, Parent: rd.rootSpan})

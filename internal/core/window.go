@@ -247,16 +247,14 @@ func (r *run) countWindow(l int) {
 // run totals and the engine's cumulative metrics. A window that failed is
 // never settled.
 func (r *run) settleWindowCounts(lw *levelWindow) {
-	if n := lw.internal.Swap(0); n > 0 {
-		r.internalCount.Add(n)
-		r.em.embInternal.Add(n)
-		r.scope.EmbInternal.Add(n)
+	in, ex := lw.internal.Swap(0), lw.external.Swap(0)
+	if !addCount(&r.internalCount, in) || !addCount(&r.externalCount, ex) {
+		r.fail(r.countOverflow(""))
 	}
-	if n := lw.external.Swap(0); n > 0 {
-		r.externalCount.Add(n)
-		r.em.embExternal.Add(n)
-		r.scope.EmbExternal.Add(n)
-	}
+	r.em.embInternal.Add(in)
+	r.scope.EmbInternal.Add(in)
+	r.em.embExternal.Add(ex)
+	r.scope.EmbExternal.Add(ex)
 }
 
 // emitCheckpoint delivers the current frontier to the run's checkpoint

@@ -58,6 +58,13 @@ type Plan struct {
 	// NonRedBounds[i] names the partial orders that bound RBI.NonRed[i] when
 	// it is matched.
 	NonRedBounds []OrderBounds
+	// Tail is the length of the longest suffix of RBI.NonRed whose vertices
+	// are interchangeable: the same red neighbors, and bounds that are the
+	// first member's plus every earlier member as a Lower (see tailLen). A
+	// count that reaches the tail adds C(n, Tail) for the n candidates its
+	// first vertex has left instead of enumerating them. 0 when every vertex
+	// is red.
+	Tail int
 	// K is the number of red vertices (= forest levels).
 	K int
 	// PosOfRed maps a red query vertex's index in RBI.Red to nothing —
@@ -87,10 +94,7 @@ type OrderBounds struct {
 // which ends of po are mapped at each step is known here.
 func nonRedBounds(rg *rbi.Graph, po []graph.PartialOrder) []OrderBounds {
 	out := make([]OrderBounds, len(rg.NonRed))
-	var mapped uint32
-	for _, u := range rg.Red {
-		mapped |= 1 << uint(u)
-	}
+	mapped := mask(rg.Red)
 	for i, u := range rg.NonRed {
 		for _, c := range po {
 			if c.Hi == u && mapped&(1<<uint(c.Lo)) != 0 {
@@ -103,6 +107,34 @@ func nonRedBounds(rg *rbi.Graph, po []graph.PartialOrder) []OrderBounds {
 		mapped |= 1 << uint(u)
 	}
 	return out
+}
+
+// tailLen computes Plan.Tail. The tail grows backwards from the last
+// non-red vertex while the vertex before its first member has that member's
+// neighbors (all red: non-red vertices are independent) and Upper, and that member's Lower is the vertex's plus the
+// vertex itself. Every member then picks from one candidate list, each
+// strictly above the one before, so the tail's tuples are the Tail-subsets of
+// that list.
+func tailLen(rg *rbi.Graph, bounds []OrderBounds) int {
+	i := len(rg.NonRed) - 1 // the tail's first member
+	for ; i > 0; i-- {
+		w, u := rg.NonRed[i-1], rg.NonRed[i]
+		if rg.Query.AdjMask(w) != rg.Query.AdjMask(u) ||
+			mask(bounds[i].Upper) != mask(bounds[i-1].Upper) ||
+			mask(bounds[i].Lower) != mask(bounds[i-1].Lower)|1<<uint(w) {
+			break
+		}
+	}
+	return len(rg.NonRed) - max(i, 0)
+}
+
+// mask is the bit set of the query vertices vs.
+func mask(vs []int) uint32 {
+	var m uint32
+	for _, v := range vs {
+		m |= 1 << uint(v)
+	}
+	return m
 }
 
 // Options configures preparation.
@@ -123,6 +155,7 @@ func Prepare(q *graph.Query, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Query: q, PO: po, RBI: rg, NonRedBounds: nonRedBounds(rg, po), K: len(rg.Red)}
+	p.Tail = tailLen(rg, p.NonRedBounds)
 	if p.K > 10 {
 		return nil, fmt.Errorf("plan: %d red vertices; the dual approach enumerates K! sequences and is intended for small queries", p.K)
 	}

@@ -225,3 +225,50 @@ func TestSingleRedVertex(t *testing.T) {
 		t.Fatalf("star forest: %+v", f)
 	}
 }
+
+// TestTailLength pins Plan.Tail, the run of trailing non-red vertices a count
+// stops at: they share their red neighbors and their bounds chain them in
+// NonRed order, so their tuples are subsets of one candidate list.
+func TestTailLength(t *testing.T) {
+	book := graph.MustNewQuery("book3", 5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}, {0, 4}, {1, 4}})
+	k23 := graph.MustNewQuery("k2,3", 5, [][2]int{{0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}})
+	for _, c := range []struct {
+		q    *graph.Query
+		mode rbi.CoverMode
+		want int
+	}{
+		{graph.Triangle(), rbi.MCVC, 1},
+		{graph.Square(), rbi.MCVC, 1},
+		{graph.Square(), rbi.MVC, 2},
+		{graph.ChordalSquare(), rbi.MCVC, 2},
+		{graph.Clique4(), rbi.MCVC, 1},
+		{graph.House(), rbi.MCVC, 1}, // its two non-red vertices have different red neighbors
+		{graph.Star("s3", 3), rbi.MCVC, 3},
+		{book, rbi.MCVC, 3},
+		{k23, rbi.MCVC, 2},
+		{k23, rbi.MVC, 3},
+		{graph.Triangle(), rbi.AllRed, 0},
+	} {
+		p, err := Prepare(c.q, Options{CoverMode: c.mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Tail != c.want {
+			t.Errorf("%s/%v: tail %d, want %d (non-red %v, bounds %v)", c.q.Name(), c.mode, p.Tail, c.want, p.RBI.NonRed, p.NonRedBounds)
+		}
+	}
+
+	// Vertices 2 and 3 share the red neighbors {0, 1}, and 3 is bounded below
+	// by 2, but only 2 is bounded above by 0: the tail is 3 alone.
+	p := &Plan{
+		RBI: &rbi.Graph{
+			Query:        graph.MustNewQuery("book2", 4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}}),
+			NonRed:       []int{2, 3},
+			RedNeighbors: [][]int{nil, nil, {0, 1}, {0, 1}},
+		},
+		NonRedBounds: []OrderBounds{{Upper: []int{0}}, {Lower: []int{2}}},
+	}
+	if got := tailLen(p.RBI, p.NonRedBounds); got != 1 {
+		t.Errorf("tail %d where the Upper bounds differ, want 1", got)
+	}
+}
