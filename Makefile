@@ -101,7 +101,10 @@ metrics-doc-check:
 check: lint bench-module race stress
 
 # stress is the -race -count=20 pass, and STRESS_RUN its one test set (CI's
-# race job runs this target). The differential oracle leads it: every draw
+# race job runs this target). The two oracles lead it. The serving oracle's
+# race seeds put concurrent HTTP clients, a writer, compactions that swap the
+# engine generation under running requests (a riding count among them) and
+# device faults through one server. The differential oracle: every draw
 # builds window indexes that I/O workers write without a lock while matching
 # tasks read them (overlay-merged lists included), streams the last level,
 # whose pages are matched and unpinned in whatever order reads land and tasks
@@ -115,10 +118,8 @@ check: lint bench-module race stress
 # streamed pass, the deal's tables, late join with early finish, the row
 # hook's order against checkpoints, the library's one-caller Enumerate, the
 # server's limit cut and flushes, the sublinear-pages pins (concurrent
-# riders share a sweep only by late join), the faulted scheduler, and a
-# generation swap under a riding query (a compaction publishes new engines
-# while a cohort rider finishes on the old ones).
-STRESS_RUN = TestDifferentialAllModes|TestWindowIndex|TestResidentWindowInternalOnly|TestOverlayStreamDispatch|TestStreamFaultMidPass|TestStreamCancelMidPass|TestDealSplit|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestCohortDealExactBudget|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestEnumerateContract|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestStreamCoalescedFlushes|TestE2ESharedScanSublinearPages|TestRiderFinishesAcrossCompaction
+# riders share a sweep only by late join) and the faulted scheduler.
+STRESS_RUN = TestServingOracle|TestDifferentialAllModes|TestWindowIndex|TestResidentWindowInternalOnly|TestOverlayStreamDispatch|TestStreamFaultMidPass|TestStreamCancelMidPass|TestDealSplit|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestCohortDealExactBudget|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestEnumerateContract|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestStreamCoalescedFlushes|TestE2ESharedScanSublinearPages
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS_RUN)' ./internal/core ./internal/sharedscan ./internal/server .
 
@@ -141,22 +142,20 @@ bench:
 smoke-serve:
 	./scripts/serve_smoke.sh
 
-# soak runs the seeded chaos matrix, time-boxed chaos soaks and the
-# differential oracle on fresh seeds under -race:
-# mid-query transient faults, bursts, torn reads, and latency spikes are
-# injected through the server's end-to-end path, and every faulted +
-# resumed query must produce exactly the fault-free counts. The ingest soak
-# adds concurrent mutators + compactions and requires the settled counts to
-# match a from-scratch rebuild. The oracle draws whole execution
-# configurations (TestDifferentialAllModes). Failures print the offending
-# seed; reproduce one with
-#   go test -race -run TestChaosSoak ./internal/server -v   (same seed base)
+# soak runs both oracles on fresh seeds under -race for SOAK_SECONDS each:
+# the serving oracle draws whole server configurations and concurrent HTTP
+# schedules — faults, live ingest, compactions, resumes — and checks every
+# reply against brute force at its data epoch (TestServingOracle); the
+# differential oracle draws whole execution configurations of the engine
+# (TestDifferentialAllModes). Failures print the offending seed; reproduce
+# one with
+#   go test ./internal/server -run 'TestServingOracle/seed=N$$'
 #   go test ./internal/core -run 'TestDifferentialAllModes/seed=N$$'
 # Tune the time box with SOAK_SECONDS (default 20 here).
 SOAK_SECONDS ?= 20
 soak:
 	SOAK_SECONDS=$(SOAK_SECONDS) $(GO) test -race -count=1 -v \
-		-run 'TestChaosMatrixFaultedResumeExactCounts|TestChaosSoak|TestChaosIngestSoak|TestDifferentialAllModes' \
+		-run 'TestServingOracle|TestDifferentialAllModes' \
 		./internal/server ./internal/core
 
 clean:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -9,8 +8,6 @@ import (
 	"time"
 
 	"dualsim/internal/graph"
-	"dualsim/internal/plan"
-	"dualsim/internal/rbi"
 	"dualsim/internal/storage"
 )
 
@@ -79,44 +76,6 @@ func TestEngineInternalExternalSplit(t *testing.T) {
 	if res.Internal == 0 || res.External == 0 {
 		t.Errorf("expected both internal (%d) and external (%d) subgraphs with a small buffer",
 			res.Internal, res.External)
-	}
-}
-
-func TestEngineMVCAndAblationsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	g := randomGraph(rng, 120, 700)
-	db := buildDB(t, g, 256)
-	rg, _ := graph.ReorderByDegree(g)
-	for _, q := range []*graph.Query{graph.Square(), graph.House()} {
-		want := graph.CountOccurrences(rg, q)
-		// MVC red sets and the Cartesian-maximizing matching order are
-		// planner knobs only: the engine must count the same from a plan
-		// prepared either way, and under the equal buffer split.
-		for _, c := range []struct {
-			popts plan.Options
-			opts  Options
-		}{
-			{plan.Options{CoverMode: rbi.MVC}, Options{Threads: 2, BufferFrames: 32}},
-			{plan.Options{}, Options{Threads: 2, BufferFrames: 32, EqualAllocation: true}},
-			{plan.Options{WorstOrder: true}, Options{Threads: 2, BufferFrames: 32}},
-		} {
-			p, err := plan.Prepare(q, c.popts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := NewEngine(db, c.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.RunPlanContext(context.Background(), p)
-			e.Close()
-			if err != nil {
-				t.Fatalf("%s plan %+v opts %+v: %v", q.Name(), c.popts, c.opts, err)
-			}
-			if res.Count != want {
-				t.Fatalf("%s plan %+v opts %+v: count %d, want %d", q.Name(), c.popts, c.opts, res.Count, want)
-			}
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"dualsim/internal/graph"
-	"dualsim/internal/rbi"
 )
 
 // matcher carries the per-task state of vertex-level mapping: the data
@@ -446,8 +445,8 @@ func (r *run) expandSequences(m *matcher, internal bool) {
 // intersect the lists of their red neighbors (§5.2), read through the
 // neighbors' positions (adjOfPos) and clipped to what the partial orders
 // leave open (poBounds). No I/O is performed — every needed adjacency list is
-// already in the buffer. The kernel shape is fixed at plan time
-// (rbi.KernelHint). A task without a row hook stops at the plan's tail and
+// already in the buffer. The kernel shape follows the red-neighbour count the
+// plan fixed: one list is scanned, two or more intersected. A task without a row hook stops at the plan's tail and
 // counts it (countTail); rows are enumerated to the last vertex.
 func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	if idx == len(r.p.RBI.NonRed) {
@@ -472,7 +471,7 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	}
 
 	var cands []graph.VertexID
-	if r.p.RBI.Hints[u] == rbi.HintScan {
+	if len(reds) == 1 {
 		// Black vertex: candidates are the one red neighbor's list.
 		cands = clip(m.adjOfPos(m.qPos[reds[0]]), lo, hi)
 	} else {

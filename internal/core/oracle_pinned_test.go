@@ -6,6 +6,7 @@ import (
 
 	"dualsim/internal/gen"
 	"dualsim/internal/graph"
+	"dualsim/internal/rbi"
 )
 
 // Pinned draws: each test below was a hand-written count matrix over one
@@ -191,4 +192,34 @@ func TestSharedPlanAcrossEngines(t *testing.T) {
 	d := pinned(random(11, 48, 300), graph.ChordalSquare(), 256, 2, 64)
 	d.mode, d.companions = rider, []*graph.Query{nil, nil}
 	pin(t, d, "rode beside companions")
+}
+
+// Shapes beyond q1–q5: Cartesian forests (paths, stars, cycles), large
+// automorphism groups (butterfly, K5) and asymmetric ones (paw, bull, kite).
+func TestEngineExtendedShapes(t *testing.T) {
+	for _, q := range []*graph.Query{
+		graph.Path("path4", 4), graph.Path("path5", 5), graph.Star("star4", 4),
+		graph.Cycle("cycle5", 5), graph.Cycle("cycle6", 6), graph.Clique("k5", 5),
+		graph.MustNewQuery("paw", 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}),
+		graph.MustNewQuery("bull", 5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}, {1, 4}}),
+		graph.MustNewQuery("butterfly", 5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}}),
+		graph.MustNewQuery("kite", 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {2, 4}}),
+		graph.MustNewQuery("gem", 5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 0}, {4, 1}, {4, 2}, {4, 3}}),
+	} {
+		t.Run(q.Name(), func(t *testing.T) { pin(t, pinned(random(404, 90, 450), q, 256, 2, 28)) })
+	}
+}
+
+// MVC red sets, the Cartesian-maximizing matching order and the equal buffer
+// split are planner and engine knobs only: the count may not move.
+func TestEngineMVCAndAblationsAgree(t *testing.T) {
+	for _, q := range []*graph.Query{graph.Square(), graph.House()} {
+		for _, knob := range []string{"cover=MVC", "worst=true", "equal=true"} {
+			t.Run(q.Name()+"/"+knob, func(t *testing.T) {
+				d := pinned(random(61, 120, 700), q, 256, 2, 32)
+				d.cover, d.worst, d.equal = map[string]rbi.CoverMode{"cover=MVC": rbi.MVC}[knob], knob == "worst=true", knob == "equal=true"
+				pin(t, d, knob)
+			})
+		}
+	}
 }

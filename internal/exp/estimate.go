@@ -42,7 +42,7 @@ func EstimateTTJIntermediate(g *graph.Graph, q *graph.Query) (float64, error) {
 		}
 		v := float64(len(matched))
 		edges := float64(q.InducedEdgeCount(mask))
-		aut := float64(len(graph.Automorphisms(inducedQuery(q, mask))))
+		aut := float64(graph.AutomorphismCount(inducedQuery(q, mask)))
 		est := math.Pow(n, v) * math.Pow(p, edges) / aut
 		total += est
 	}

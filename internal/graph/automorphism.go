@@ -1,50 +1,5 @@
 package graph
 
-// Automorphisms returns every automorphism of q as a permutation slice
-// (perm[i] = image of vertex i). The identity is always included. Query
-// graphs are tiny (|V_q| <= 16, in practice <= 6), so a pruned backtracking
-// search over permutations is more than fast enough.
-func Automorphisms(q *Query) [][]int {
-	n := q.NumVertices()
-	perm := make([]int, n)
-	used := make([]bool, n)
-	var out [][]int
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		deg[i] = q.Degree(i)
-	}
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			cp := make([]int, n)
-			copy(cp, perm)
-			out = append(out, cp)
-			return
-		}
-		for img := 0; img < n; img++ {
-			if used[img] || deg[img] != deg[i] {
-				continue
-			}
-			ok := true
-			for j := 0; j < i; j++ {
-				if q.HasEdge(i, j) != q.HasEdge(img, perm[j]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			perm[i] = img
-			used[img] = true
-			rec(i + 1)
-			used[img] = false
-		}
-	}
-	rec(0)
-	return out
-}
-
 // PartialOrder is a symmetry-breaking constraint: in every reported
 // embedding m, the data vertex m(Lo) must precede m(Hi) in the total order
 // (i.e. have a smaller ID after degree reordering).
@@ -59,49 +14,125 @@ type PartialOrder struct {
 // Grochow & Kellis [12] also used by PSgL and TwinTwigJoin: repeatedly pick
 // the vertex with the largest orbit under the remaining automorphism group,
 // constrain it below every other member of its orbit, and restrict the group
-// to the stabilizer of that vertex. With the returned constraints every
-// unordered occurrence of q is reported exactly once.
+// to the stabilizer of that vertex (see stabilizerChain). With the returned
+// constraints every unordered occurrence of q is reported exactly once.
 func SymmetryBreak(q *Query) []PartialOrder {
-	auts := Automorphisms(q)
 	var po []PartialOrder
-	for len(auts) > 1 {
-		// Compute orbits under the remaining group.
-		n := q.NumVertices()
-		orbit := make([]map[int]bool, n)
-		for i := 0; i < n; i++ {
-			orbit[i] = map[int]bool{}
+	for _, orbit := range stabilizerChain(q) {
+		for _, w := range orbit[1:] {
+			po = append(po, PartialOrder{Lo: orbit[0], Hi: w})
 		}
-		for _, a := range auts {
-			for i := 0; i < n; i++ {
-				orbit[i][a[i]] = true
-			}
-		}
-		// Pick the anchor: smallest vertex among those with the largest orbit.
-		best, bestSize := -1, 1
-		for i := 0; i < n; i++ {
-			if len(orbit[i]) > bestSize {
-				best, bestSize = i, len(orbit[i])
-			}
-		}
-		if best < 0 {
-			break // all orbits trivial yet |Aut|>1: cannot happen for simple graphs
-		}
-		for w := range orbit[best] {
-			if w != best {
-				po = append(po, PartialOrder{Lo: best, Hi: w})
-			}
-		}
-		// Stabilizer of the anchor.
-		var next [][]int
-		for _, a := range auts {
-			if a[best] == best {
-				next = append(next, a)
-			}
-		}
-		auts = next
 	}
 	sortPartialOrders(po)
 	return po
+}
+
+// AutomorphismCount returns |Aut(q)|: by the orbit-stabilizer theorem, the
+// product of the orbit sizes along the stabilizer chain (at most
+// MaxQueryVertices! < 2^64).
+func AutomorphismCount(q *Query) uint64 {
+	count := uint64(1)
+	for _, orbit := range stabilizerChain(q) {
+		count *= uint64(len(orbit))
+	}
+	return count
+}
+
+// stabilizerChain walks Aut(q)'s chain of point stabilizers without listing
+// the group, which has up to n! members: at each step the anchor is the
+// smallest vertex with the largest orbit under the automorphisms that fix
+// every earlier anchor, and the chain ends when every such orbit is trivial.
+// It returns each anchor's orbit in ascending order, the anchor first.
+func stabilizerChain(q *Query) [][]int {
+	n := q.NumVertices()
+	s := &orbitSearch{q: q, forced: make([]int, n), img: make([]int, n), order: make([]int, 0, n)}
+	var chain [][]int
+	for {
+		var best []int
+		var inOrbit uint32
+		for v := 0; v < n; v++ {
+			if inOrbit&(1<<uint(v)) != 0 {
+				continue
+			}
+			orbit := []int{v}
+			for w := v + 1; w < n; w++ {
+				if inOrbit&(1<<uint(w)) == 0 && q.Degree(w) == q.Degree(v) && s.mapsTo(v, w) {
+					inOrbit |= 1 << uint(w)
+					orbit = append(orbit, w)
+				}
+			}
+			if len(orbit) > len(best) {
+				best = orbit
+			}
+		}
+		if len(best) < 2 {
+			return chain
+		}
+		chain = append(chain, best)
+		s.anchors = append(s.anchors, best[0])
+	}
+}
+
+// orbitSearch asks whether some automorphism of q fixes every anchor and
+// maps v to w. It is a first-hit backtracking search: the anchors and v are
+// placed first, then each vertex with the most placed neighbours, on an
+// unused vertex of its degree whose adjacency to the placed images is its own
+// to the placed vertices. The slices are scratch, reused from one question to
+// the next.
+type orbitSearch struct {
+	q       *Query
+	anchors []int
+	forced  []int // forced[x] is x's image when it is fixed, else -1
+	img     []int
+	order   []int
+}
+
+func (s *orbitSearch) mapsTo(v, w int) bool {
+	q, n := s.q, s.q.NumVertices()
+	for i := range s.forced {
+		s.forced[i] = -1
+	}
+	s.order = append(append(s.order[:0], s.anchors...), v)
+	var placed uint32
+	for _, a := range s.anchors {
+		s.forced[a], placed = a, placed|1<<uint(a)
+	}
+	s.forced[v], placed = w, placed|1<<uint(v)
+	for len(s.order) < n {
+		next, most := -1, -1
+		for x := 0; x < n; x++ {
+			if c := popcount(q.AdjMask(x) & placed); placed&(1<<uint(x)) == 0 && c > most {
+				next, most = x, c
+			}
+		}
+		s.order, placed = append(s.order, next), placed|1<<uint(next)
+	}
+	return s.place(0, 0)
+}
+
+// place maps s.order[i:] given the images of s.order[:i], which use the
+// vertices in used.
+func (s *orbitSearch) place(i int, used uint32) bool {
+	if i == len(s.order) {
+		return true
+	}
+	q, x := s.q, s.order[i]
+candidates:
+	for y := 0; y < q.NumVertices(); y++ {
+		if used&(1<<uint(y)) != 0 || q.Degree(y) != q.Degree(x) || s.forced[x] >= 0 && s.forced[x] != y {
+			continue
+		}
+		for _, z := range s.order[:i] {
+			if q.HasEdge(x, z) != q.HasEdge(y, s.img[z]) {
+				continue candidates
+			}
+		}
+		s.img[x] = y
+		if s.place(i+1, used|1<<uint(y)) {
+			return true
+		}
+	}
+	return false
 }
 
 func sortPartialOrders(po []PartialOrder) {

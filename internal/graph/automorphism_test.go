@@ -1,9 +1,54 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// Automorphisms returns every automorphism of q as a permutation slice
+// (perm[i] = image of vertex i), the identity included: the brute-force
+// reference stabilizerChain is checked against. It lists up to n! members.
+func Automorphisms(q *Query) [][]int {
+	n := q.NumVertices()
+	perm := make([]int, n)
+	used := make([]bool, n)
+	var out [][]int
+	deg := make([]int, n)
+	for i := 0; i < n; i++ {
+		deg[i] = q.Degree(i)
+	}
+	var rec func(i int)
+	rec = func(i int) {
+		if i == n {
+			cp := make([]int, n)
+			copy(cp, perm)
+			out = append(out, cp)
+			return
+		}
+		for img := 0; img < n; img++ {
+			if used[img] || deg[img] != deg[i] {
+				continue
+			}
+			ok := true
+			for j := 0; j < i; j++ {
+				if q.HasEdge(i, j) != q.HasEdge(img, perm[j]) {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			perm[i] = img
+			used[img] = true
+			rec(i + 1)
+			used[img] = false
+		}
+	}
+	rec(0)
+	return out
+}
 
 func TestAutomorphismCounts(t *testing.T) {
 	cases := []struct {
@@ -98,5 +143,82 @@ func TestPOAllows(t *testing.T) {
 	// Reverse argument order.
 	if POAllows(po, 1, 3, 0, 5) {
 		t.Errorf("(qb,qa) ordering should still enforce the constraint")
+	}
+}
+
+// referenceSymmetryBreak is the orbit-fixing construction over the listed
+// group: the reference stabilizerChain is held to.
+func referenceSymmetryBreak(q *Query) ([]PartialOrder, uint64) {
+	auts := Automorphisms(q)
+	count := uint64(len(auts))
+	n := q.NumVertices()
+	var po []PartialOrder
+	for len(auts) > 1 {
+		orbit := make([]map[int]bool, n)
+		for i := range orbit {
+			orbit[i] = map[int]bool{}
+			for _, a := range auts {
+				orbit[i][a[i]] = true
+			}
+		}
+		best := 0
+		for i := 1; i < n; i++ {
+			if len(orbit[i]) > len(orbit[best]) {
+				best = i
+			}
+		}
+		for w := range orbit[best] {
+			if w != best {
+				po = append(po, PartialOrder{Lo: best, Hi: w})
+			}
+		}
+		var next [][]int
+		for _, a := range auts {
+			if a[best] == best {
+				next = append(next, a)
+			}
+		}
+		auts = next
+	}
+	sortPartialOrders(po)
+	return po, count
+}
+
+// TestStabilizerChainMatchesGroup: the partial orders and |Aut| the
+// stabilizer chain yields are those of the listed group, on every connected
+// query of up to 6 vertices and on random ones of 7 and 8.
+func TestStabilizerChainMatchesGroup(t *testing.T) {
+	var queries []*Query
+	for n := 1; n <= 6; n++ {
+		var pairs [][2]int
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				pairs = append(pairs, [2]int{a, b})
+			}
+		}
+		for mask := 0; mask < 1<<len(pairs); mask++ {
+			var edges [][2]int
+			for bit, p := range pairs {
+				if mask&(1<<bit) != 0 {
+					edges = append(edges, p)
+				}
+			}
+			if q, err := NewQuery("all", n, edges); err == nil {
+				queries = append(queries, q)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 300; i++ {
+		queries = append(queries, randomConnectedQuery(rng, 7+i%2))
+	}
+	for _, q := range queries {
+		wantPO, wantAut := referenceSymmetryBreak(q)
+		if po := SymmetryBreak(q); fmt.Sprint(po) != fmt.Sprint(wantPO) {
+			t.Fatalf("%v: partial orders %v, the listed group gives %v", q.Edges(), po, wantPO)
+		}
+		if aut := AutomorphismCount(q); aut != wantAut {
+			t.Fatalf("%v: |Aut| %d, the listed group has %d", q.Edges(), aut, wantAut)
+		}
 	}
 }

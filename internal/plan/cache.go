@@ -82,16 +82,19 @@ func (c *Cache) GetOrBuild(key string, build func() (*Plan, error)) (*Plan, bool
 	c.flight[key] = fc
 	c.mu.Unlock()
 
+	// The entry goes in before the flight comes out, so a lookup in between
+	// finds one of them and never builds the plan a second time.
 	fc.plan, fc.err = build()
-	close(fc.done)
-
+	if fc.err == nil {
+		c.Put(key, fc.plan)
+	}
 	c.mu.Lock()
 	delete(c.flight, key)
 	c.mu.Unlock()
+	close(fc.done)
 	if fc.err != nil {
 		return nil, true, fc.err
 	}
-	c.Put(key, fc.plan)
 	return fc.plan, true, nil
 }
 

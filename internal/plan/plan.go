@@ -67,9 +67,9 @@ type Plan struct {
 	Tail int
 	// K is the number of red vertices (= forest levels).
 	K int
-	// PosOfRed maps a red query vertex's index in RBI.Red to nothing —
-	// positions are ranks in the sorted data tuple; red vertices move
-	// between positions per sequence. Retained: RedVertex[i] is RBI.Red[i].
+	// Groups are the v-group sequences. A position is a rank in the sorted
+	// data tuple, not a red vertex: red vertices move between positions from
+	// one sequence to the next.
 	Groups []*VGroup
 	// MatchingOrder[l] is the position (0-based rank) matched at level l.
 	MatchingOrder []int
@@ -292,49 +292,62 @@ func buildForest(vg *VGroup, mo []int, k int) *Forest {
 	return f
 }
 
-// chooseMatchingOrder evaluates every permutation of positions and returns
-// the one minimizing total Cartesian products (roots beyond the level-0
-// root, summed over groups). K is tiny, so exhaustive search is negligible
-// next to the enumeration itself, as the paper argues.
+// chooseMatchingOrder returns the matching order that minimizes total
+// Cartesian products (roots beyond the level-0 root, summed over groups), or
+// with worst maximizes them, and that total. Whether a position is a root
+// depends only on the set S of positions matched before it — a root has no
+// topology neighbour in S — so a DP over the 2^K prefix sets stands in for a
+// search over the K! orders: roots[p][S] counts the groups in which p is a
+// root after S, and rest[S] is the best total for the positions outside S.
+// Of several optima it returns the lexicographically first.
 func chooseMatchingOrder(groups []*VGroup, k int, worst bool) ([]int, int) {
-	best := make([]int, k)
-	bestScore := -1
-	perm := make([]int, k)
-	used := make([]bool, k)
-	var rec func(l int)
-	rec = func(l int) {
-		if l == k {
-			score := 0
-			for _, vg := range groups {
-				f := buildForest(vg, perm, k)
-				score += f.Roots - 1
+	full := 1<<uint(k) - 1
+	roots := make([][]int, k)
+	for p := range roots {
+		// Count each group at the positions that are not p's neighbours, then
+		// sum over supersets: p is a root after S iff S avoids its neighbours.
+		r := make([]int, full+1)
+		for _, vg := range groups {
+			nb := 0
+			for pp := 0; pp < k; pp++ {
+				if pp != p && vg.HasTopologyEdge(k, p, pp) {
+					nb |= 1 << uint(pp)
+				}
 			}
-			better := false
-			if bestScore < 0 {
-				better = true
-			} else if worst {
-				better = score > bestScore
-			} else {
-				better = score < bestScore
-			}
-			if better {
-				bestScore = score
-				copy(best, perm)
-			}
-			return
+			r[full&^nb]++
 		}
-		for p := 0; p < k; p++ {
-			if used[p] {
-				continue
+		for b := 0; b < k; b++ {
+			for set := full; set >= 0; set-- {
+				if set&(1<<uint(b)) == 0 {
+					r[set] += r[set|1<<uint(b)]
+				}
 			}
-			used[p] = true
-			perm[l] = p
-			rec(l + 1)
-			used[p] = false
+		}
+		roots[p] = r
+	}
+	sign := 1
+	if worst {
+		sign = -1
+	}
+	rest := make([]int, full+1)
+	for set := full - 1; set >= 0; set-- {
+		rest[set] = -1
+		for p := 0; p < k; p++ {
+			if c := roots[p][set] + rest[set|1<<uint(p)]; set&(1<<uint(p)) == 0 && (rest[set] < 0 || sign*c < sign*rest[set]) {
+				rest[set] = c
+			}
 		}
 	}
-	rec(0)
-	return best, bestScore
+	order := make([]int, 0, k)
+	for set := 0; set != full; {
+		for p := 0; p < k; p++ {
+			if set&(1<<uint(p)) == 0 && roots[p][set]+rest[set|1<<uint(p)] == rest[set] {
+				order, set = append(order, p), set|1<<uint(p)
+				break
+			}
+		}
+	}
+	return order, rest[0] - len(groups)
 }
 
 // NumFullOrderSequences returns the total sequence count across groups.

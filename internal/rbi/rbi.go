@@ -52,45 +52,6 @@ const (
 	AllRed
 )
 
-// KernelHint tells the engine which candidate-computation kernel fits a
-// non-red query vertex. The coloring fixes the shape of the computation at
-// plan time (paper §5.2: black vertices scan, ivory vertices intersect);
-// the hint carries that shape to internal/core, which picks the concrete
-// adaptive kernel (linear merge vs galloping) at run time from the actual
-// adjacency-list lengths (see internal/graph's intersection kernels).
-type KernelHint uint8
-
-// Kernel hints assigned by Transform. Red vertices get HintNone (they are
-// matched by disk traversal, not candidate computation).
-const (
-	// HintNone marks red vertices: no candidate kernel applies.
-	HintNone KernelHint = iota
-	// HintScan marks black vertices: candidates are the single red
-	// neighbor's adjacency list, no intersection needed.
-	HintScan
-	// HintPairwise marks ivory vertices with exactly two red neighbors:
-	// one adaptive pairwise intersection.
-	HintPairwise
-	// HintKWay marks ivory vertices with three or more red neighbors:
-	// smallest-first progressive k-way intersection.
-	HintKWay
-)
-
-// String implements fmt.Stringer.
-func (h KernelHint) String() string {
-	switch h {
-	case HintNone:
-		return "none"
-	case HintScan:
-		return "scan"
-	case HintPairwise:
-		return "pairwise"
-	case HintKWay:
-		return "kway"
-	}
-	return fmt.Sprintf("KernelHint(%d)", uint8(h))
-}
-
 // Graph is the RBI query graph: a coloring of the query's vertices plus the
 // derived structures the planner needs.
 type Graph struct {
@@ -104,10 +65,6 @@ type Graph struct {
 	// RedNeighbors[u] lists, for non-red u, its red neighbors (all neighbors
 	// are red). Indexed by query vertex; nil for red vertices.
 	RedNeighbors [][]int
-	// Hints[u] is the candidate-computation kernel shape for query vertex u
-	// (HintNone for red vertices). Derived from the coloring: black → scan,
-	// ivory → pairwise or k-way intersection by red-neighbor count.
-	Hints []KernelHint
 	// InternalPO is the subset of the partial orders with both endpoints red
 	// (these prune full-order query sequences).
 	InternalPO []graph.PartialOrder
@@ -132,7 +89,6 @@ func Transform(q *graph.Query, po []graph.PartialOrder, mode CoverMode) (*Graph,
 		Query:        q,
 		Colors:       make([]Color, n),
 		RedNeighbors: make([][]int, n),
-		Hints:        make([]KernelHint, n),
 	}
 	for v := 0; v < n; v++ {
 		if cover&(1<<uint(v)) != 0 {
@@ -150,15 +106,10 @@ func Transform(q *graph.Query, po []graph.PartialOrder, mode CoverMode) (*Graph,
 		}
 		g.RedNeighbors[v] = reds
 		switch {
-		case len(reds) >= 3:
+		case len(reds) >= 2:
 			g.Colors[v] = Ivory
-			g.Hints[v] = HintKWay
-		case len(reds) == 2:
-			g.Colors[v] = Ivory
-			g.Hints[v] = HintPairwise
 		case len(reds) == 1:
 			g.Colors[v] = Black
-			g.Hints[v] = HintScan
 		default:
 			return nil, fmt.Errorf("rbi: non-red vertex %d has no red neighbor (query disconnected?)", v)
 		}

@@ -184,33 +184,3 @@ func TestCoverModeString(t *testing.T) {
 		t.Error("Color.String broken")
 	}
 }
-
-// TestKernelHints pins the hint derivation: red → none, black → scan, ivory
-// → pairwise (2 red neighbors) or k-way (>= 3). Star(4) makes every leaf
-// black; Clique4 makes its one non-red vertex a 3-red-neighbor ivory.
-func TestKernelHints(t *testing.T) {
-	for _, q := range graph.PaperQueries() {
-		g := transform(t, q, MCVC)
-		for v := 0; v < q.NumVertices(); v++ {
-			want := HintNone
-			switch {
-			case g.Colors[v] == Black:
-				want = HintScan
-			case g.Colors[v] == Ivory && len(g.RedNeighbors[v]) == 2:
-				want = HintPairwise
-			case g.Colors[v] == Ivory:
-				want = HintKWay
-			}
-			if g.Hints[v] != want {
-				t.Errorf("%s vertex %d (%v, %d reds): hint %v, want %v",
-					q.Name(), v, g.Colors[v], len(g.RedNeighbors[v]), g.Hints[v], want)
-			}
-		}
-	}
-	if g := transform(t, graph.Star("s4", 4), MCVC); g.Hints[1] != HintScan {
-		t.Errorf("star leaf: hint %v, want scan", g.Hints[1])
-	}
-	if g := transform(t, graph.Clique4(), MCVC); len(g.NonRed) != 1 || g.Hints[g.NonRed[0]] != HintKWay {
-		t.Errorf("clique4 non-red: hints %v (nonred %v), want one k-way", g.Hints, g.NonRed)
-	}
-}

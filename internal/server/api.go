@@ -364,24 +364,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.settleQuery(attr, q.Name(), res.Count, "ok", nil)
-		writeJSON(w, http.StatusOK, QueryResponse{
-			Query:            q.Name(),
-			Count:            res.Count,
-			Internal:         res.Internal,
-			External:         res.External,
-			PlanCached:       cached,
-			PrepNS:           res.PrepTime.Nanoseconds(),
-			ExecNS:           res.ExecTime.Nanoseconds(),
-			QueueNS:          attr.queueNS,
-			PhysicalReads:    res.IO.PhysicalReads,
-			Resumed:          res.Resumed,
-			SharedPages:      scope.SharedPages.Load(),
-			DataEpoch:        dataEpoch,
-			TraceID:          traceID,
-			ResumedFromTrace: resumedFrom,
-			Profile:          attr.profile(res.Profile),
-			Done:             true,
-		})
+		writeJSON(w, http.StatusOK, attr.reply(q.Name(), cached, res))
 		return
 	}
 	probeArmed = false // streamEmbeddings settles the probe
@@ -422,6 +405,29 @@ func (a *queryAttribution) profile(fromRun *obs.CostProfile) *obs.CostProfile {
 	}
 	pr.QueueNS = a.queueNS
 	return &pr
+}
+
+// reply is the answer of a finished run: the count-mode reply, and with Rows
+// set the trailer of a completed stream.
+func (a *queryAttribution) reply(query string, cached bool, res *core.Result) QueryResponse {
+	return QueryResponse{
+		Query:            query,
+		Count:            res.Count,
+		Internal:         res.Internal,
+		External:         res.External,
+		PlanCached:       cached,
+		PrepNS:           res.PrepTime.Nanoseconds(),
+		ExecNS:           res.ExecTime.Nanoseconds(),
+		QueueNS:          a.queueNS,
+		PhysicalReads:    res.IO.PhysicalReads,
+		Resumed:          res.Resumed,
+		SharedPages:      a.scope.SharedPages.Load(),
+		DataEpoch:        a.epoch,
+		TraceID:          a.traceID,
+		ResumedFromTrace: a.resumedFrom,
+		Profile:          a.profile(res.Profile),
+		Done:             true,
+	}
 }
 
 // settleQuery closes out one request's observability: emits the query_end
@@ -553,25 +559,8 @@ func (s *Server) streamEmbeddings(w http.ResponseWriter, r *http.Request, req Qu
 		// settle, so a run that reaches the limit fails with the context's
 		// error even when the limit is the count.
 		s.settleQuery(attr, q.Name(), rows, "ok", nil)
-		trailer := QueryResponse{
-			Query:            q.Name(),
-			Count:            res.Count,
-			Internal:         res.Internal,
-			External:         res.External,
-			Rows:             rows,
-			PlanCached:       cached,
-			PrepNS:           res.PrepTime.Nanoseconds(),
-			ExecNS:           res.ExecTime.Nanoseconds(),
-			QueueNS:          attr.queueNS,
-			PhysicalReads:    res.IO.PhysicalReads,
-			Resumed:          res.Resumed,
-			SharedPages:      attr.scope.SharedPages.Load(),
-			DataEpoch:        attr.epoch,
-			TraceID:          attr.traceID,
-			ResumedFromTrace: attr.resumedFrom,
-			Profile:          attr.profile(res.Profile),
-			Done:             true,
-		}
+		trailer := attr.reply(q.Name(), cached, res)
+		trailer.Rows = rows
 		b, _ := json.Marshal(trailer)
 		_, _ = w.Write(append(b, '\n'))
 	case truncated:

@@ -4,12 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"sync"
 	"testing"
-	"time"
 
 	"dualsim/internal/core"
 	"dualsim/internal/obs"
@@ -23,167 +19,6 @@ func postQueryProfile(t *testing.T, addr string, req QueryRequest) (*http.Respon
 		t.Fatal(err)
 	}
 	return http.Post("http://"+addr+"/query?profile=1", "application/json", bytes.NewReader(body))
-}
-
-// TestE2EAttributionPagesExact is the acceptance scenario for per-query
-// attribution: 32 concurrent clients (count and streaming modes mixed,
-// multiple windows per run) each ask for their cost profile, and the sum
-// of attributed pages_read across the queries plus the shared sweep's own
-// pages (zero without ShareScan) must equal the global
-// dualsim_pages_read_total delta EXACTLY — every physical read belongs to
-// exactly one owner. Run under -race in CI.
-func TestE2EAttributionPagesExact(t *testing.T) {
-	t.Run("solo", func(t *testing.T) { testAttributionPagesExact(t, false) })
-	t.Run("shared", func(t *testing.T) { testAttributionPagesExact(t, true) })
-}
-
-func testAttributionPagesExact(t *testing.T, shareScan bool) {
-	db := buildCompleteDB(t, 16, 256) // C(16,3) = 560 triangles
-	s := newTestServer(t, db, Config{
-		Engines:    4,
-		QueueDepth: 32,
-		QueueWait:  30 * time.Second,
-		ShareScan:  shareScan,
-		// Small global budget -> several windows per run, so attribution
-		// covers window reloads, not just a one-shot scan.
-		Engine: core.Options{Threads: 2, BufferFrames: 64},
-	})
-
-	before := metricValue(t, s.Addr(), "dualsim_pages_read_total")
-	var sweepBefore uint64
-	if shareScan {
-		st := getStats(t, s.Addr())
-		if !st.ShareScan || st.Cohort == nil {
-			t.Fatalf("/stats missing cohort fields: share_scan=%v cohort=%v", st.ShareScan, st.Cohort)
-		}
-		sweepBefore = st.Cohort.SweepPagesRead
-	}
-
-	const clients = 32
-	var wg sync.WaitGroup
-	attributed := make([]uint64, clients)
-	errs := make([]error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			streaming := i%4 == 3 // a quarter of the load exercises the NDJSON path
-			req := QueryRequest{Query: "q1"}
-			if streaming {
-				req.Mode = "embeddings"
-			}
-			resp, err := postQueryProfile(t, s.Addr(), req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(resp.Body)
-				errs[i] = fmt.Errorf("client %d: status %d: %s", i, resp.StatusCode, b)
-				return
-			}
-			headerTrace := resp.Header.Get("X-Dualsim-Trace-Id")
-			if headerTrace == "" {
-				errs[i] = fmt.Errorf("client %d: no X-Dualsim-Trace-Id header", i)
-				return
-			}
-			var qr QueryResponse
-			if streaming {
-				sr := readResumableStream(t, resp.Body)
-				if !sr.done {
-					errs[i] = fmt.Errorf("client %d: stream ended without trailer (%s)", i, sr.errMsg)
-					return
-				}
-				qr = sr.trailer
-			} else {
-				if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-					errs[i] = fmt.Errorf("client %d: %v", i, err)
-					return
-				}
-			}
-			if qr.Count != 560 {
-				errs[i] = fmt.Errorf("client %d: count %d, want 560", i, qr.Count)
-				return
-			}
-			if qr.TraceID != headerTrace {
-				errs[i] = fmt.Errorf("client %d: trailer trace %q != header trace %q", i, qr.TraceID, headerTrace)
-				return
-			}
-			if qr.Profile == nil {
-				errs[i] = fmt.Errorf("client %d: ?profile=1 but no profile in response", i)
-				return
-			}
-			if qr.Profile.TraceID != headerTrace {
-				errs[i] = fmt.Errorf("client %d: profile trace %q != %q", i, qr.Profile.TraceID, headerTrace)
-				return
-			}
-			// A warm buffer pool can serve a later client entirely from
-			// cache (PagesRead == 0) — that IS correct attribution; what
-			// must never be zero is the logical work. Cohort riders charge
-			// logical reads to the sweep instead and report their window
-			// consumption as shared_pages.
-			if qr.Profile.Windows == 0 {
-				errs[i] = fmt.Errorf("client %d: empty attribution %+v", i, qr.Profile)
-				return
-			}
-			if shareScan {
-				if qr.Profile.SharedPages == 0 || qr.SharedPages != qr.Profile.SharedPages {
-					errs[i] = fmt.Errorf("client %d: cohort rider shared_pages resp=%d profile=%d, want > 0 and equal",
-						i, qr.SharedPages, qr.Profile.SharedPages)
-					return
-				}
-			} else if qr.Profile.LogicalReads == 0 {
-				errs[i] = fmt.Errorf("client %d: empty attribution %+v", i, qr.Profile)
-				return
-			}
-			if qr.Profile.ExecNS <= 0 {
-				errs[i] = fmt.Errorf("client %d: profile exec_ns = %d", i, qr.Profile.ExecNS)
-			}
-			attributed[i] = qr.Profile.PagesRead
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var sum uint64
-	for _, p := range attributed {
-		sum += p
-	}
-	// The sweep's trailing prefetch I/O can settle just after the last
-	// rider's response, so re-read until the books balance.
-	var delta, sweepOwned uint64
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		after := metricValue(t, s.Addr(), "dualsim_pages_read_total")
-		delta = uint64(after - before)
-		sweepOwned = 0
-		if shareScan {
-			st := getStats(t, s.Addr())
-			if st.Cohort == nil || st.Cohort.RidersTotal == 0 {
-				t.Fatalf("cohort saw no riders: %+v", st.Cohort)
-			}
-			sweepOwned = st.Cohort.SweepPagesRead - sweepBefore
-		}
-		if delta == sum+sweepOwned || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if delta != sum+sweepOwned {
-		t.Errorf("attribution leak: global pages_read delta %d != per-query %d + sweep-owned %d",
-			delta, sum, sweepOwned)
-	}
-	if shareScan && sweepOwned == 0 {
-		t.Error("sweep owned no pages under ShareScan")
-	}
-	if sum+sweepOwned == 0 {
-		t.Error("no pages attributed at all")
-	}
 }
 
 // TestProfileTraceResumeRoundTrip checks trace identity survives the

@@ -24,77 +24,6 @@ func postCompact(addr string) (int, string, error) {
 	return resp.StatusCode, string(b), err
 }
 
-// TestRiderFinishesAcrossCompaction: a cohort rider on board when a
-// compaction swaps the database file finishes on the old file — 200 with the
-// count of the epoch it was admitted at — instead of being cancelled with
-// its sweep, and it never bounces to the solo pool.
-func TestRiderFinishesAcrossCompaction(t *testing.T) {
-	db := buildCompleteDB(t, 40, 256)
-	s := newTestServer(t, db, Config{
-		Engines:   2,
-		ShareScan: true,
-		Mutable:   true,
-		Engine:    core.Options{Threads: 2, BufferFrames: 24, PerPageLatency: 3 * time.Millisecond},
-	})
-
-	type reply struct {
-		status int
-		qr     QueryResponse
-		body   string
-		err    error
-	}
-	rider := make(chan reply, 1)
-	go func() {
-		resp, err := postQuery(t, s.Addr(), QueryRequest{Query: "q4"})
-		if err != nil {
-			rider <- reply{err: err}
-			return
-		}
-		if resp.StatusCode != http.StatusOK {
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			rider <- reply{status: resp.StatusCode, body: string(b)}
-			return
-		}
-		rider <- reply{status: resp.StatusCode, qr: decodeQueryResponse(t, resp)}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.current().sched.Stats().ActiveRiders == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("the rider never boarded")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	fallbacks := s.sm.cohortFallbacks.Value()
-
-	if ir := mustIngest(t, s.Addr(), []EdgeOp{{Op: "delete", U: 0, V: 1}}); ir.Epoch != 1 {
-		t.Fatalf("delete batch epoch = %d, want 1", ir.Epoch)
-	}
-	compacted := make(chan reply, 1)
-	go func() {
-		status, body, err := postCompact(s.Addr())
-		compacted <- reply{status: status, body: body, err: err}
-	}()
-
-	r := <-rider
-	if r.err != nil || r.status != http.StatusOK {
-		t.Fatalf("rider across the compaction: status %d, err %v: %s", r.status, r.err, r.body)
-	}
-	if r.qr.Count != 91390 || r.qr.DataEpoch != 0 { // C(40,4)
-		t.Errorf("rider: count %d at epoch %d, want 91390 at 0", r.qr.Count, r.qr.DataEpoch)
-	}
-	if c := <-compacted; c.err != nil || c.status != http.StatusOK {
-		t.Fatalf("compaction: status %d, err %v: %s", c.status, c.err, c.body)
-	}
-	if got := s.sm.cohortFallbacks.Value(); got != fallbacks {
-		t.Errorf("cohort fallbacks %d -> %d: the compaction bounced the rider", fallbacks, got)
-	}
-	// A 4-clique through edge 0-1 is one of the C(38,2) pairs of the others.
-	if qr := countQuery(t, s.Addr(), "q4"); qr.Count != 91390-703 || qr.DataEpoch != 1 {
-		t.Errorf("after the compaction: count %d at epoch %d, want %d at 1", qr.Count, qr.DataEpoch, 91390-703)
-	}
-}
-
 // TestCohortCountersSurviveCompaction: the cohort's sweep and sweep-page
 // counters are registry counters every scheduler adds to, so the scheduler a
 // compaction replaces takes nothing with it, and the attribution ledger —

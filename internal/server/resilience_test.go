@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -66,7 +65,8 @@ type streamResult struct {
 
 // readResumableStream consumes an embeddings stream that may contain
 // interleaved {"resume_token": ...} records and may end in an error line
-// instead of a trailer.
+// instead of a trailer. It reports a malformed line with t.Errorf, so that
+// client goroutines may call it too.
 func readResumableStream(t *testing.T, body io.Reader) streamResult {
 	t.Helper()
 	var res streamResult
@@ -80,7 +80,7 @@ func readResumableStream(t *testing.T, body io.Reader) streamResult {
 		if line[0] == '[' {
 			var row []graph.VertexID
 			if err := json.Unmarshal(line, &row); err != nil {
-				t.Fatalf("bad row %q: %v", line, err)
+				t.Errorf("bad row %q: %v", line, err)
 			}
 			res.rows = append(res.rows, row)
 			continue
@@ -91,7 +91,7 @@ func readResumableStream(t *testing.T, body io.Reader) streamResult {
 			QueryResponse
 		}
 		if err := json.Unmarshal(line, &obj); err != nil {
-			t.Fatalf("bad object line %q: %v", line, err)
+			t.Errorf("bad object line %q: %v", line, err)
 		}
 		if obj.ResumeToken != "" {
 			res.lastToken = obj.ResumeToken
@@ -106,7 +106,7 @@ func readResumableStream(t *testing.T, body io.Reader) streamResult {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		t.Fatalf("reading stream: %v", err)
+		t.Errorf("reading stream: %v", err)
 	}
 	return res
 }
@@ -212,222 +212,12 @@ func resumeToCompletion(t *testing.T, addr, spec string, first streamResult, max
 	return unique, cur.trailer, attempts
 }
 
-// TestResumeTokenRoundTrip is the happy-path tentpole e2e: a stream killed
-// mid-run by a permanent injected fault hands back a resume token; the
-// resumed stream (a) reports the exact seed count, (b) replays only
-// windows at/after the checkpoint — its dualsim_pages_read_total delta is
-// strictly below a full run's — and (c) the row union across both
-// attempts is exactly the full embedding set.
-func TestResumeTokenRoundTrip(t *testing.T) {
-	db := buildCompleteDB(t, 32, 256)
-	fdb := faultdb.Wrap(db, faultdb.Options{})
-	s := newFaultServer(t, fdb, resilienceCfg())
-	want := countQuery(t, s.Addr(), "q1").Count // C(32,3) = 4960
-	if want != 4960 {
-		t.Fatalf("seed count = %d, want 4960", want)
-	}
-
-	// Steady-state reads of one full run (the pool is warm after the
-	// baseline above, so this delta is the per-run re-read cost).
-	before := metricValue(t, s.Addr(), "dualsim_pages_read_total")
-	full := readFullStream(t, s.Addr(), "q1")
-	fullReads := metricValue(t, s.Addr(), "dualsim_pages_read_total") - before
-	if !full.done || full.trailer.Count != want {
-		t.Fatalf("clean stream: done=%v trailer=%+v", full.done, full.trailer)
-	}
-	if full.lastToken == "" {
-		t.Fatal("clean stream carried no resume tokens; need >= 2 level-1 windows (shrink BufferFrames)")
-	}
-	if fullReads == 0 {
-		t.Fatal("full run re-read nothing; buffer too large for the resume-delta assertion")
-	}
-
-	// Kill a run ~3/4 through its reads with a permanent fault (no retry
-	// layer absorbs it), then resume from the token on the error line.
-	reads0 := fdb.Reads()
-	fdb.FailNth(reads0+int64(fullReads*3/4), fmt.Errorf("injected mid-run device loss"))
-	resp, err := postQuery(t, s.Addr(), QueryRequest{Query: "q1", Mode: "embeddings"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	killed := readResumableStream(t, resp.Body)
-	resp.Body.Close()
-	if killed.done {
-		t.Fatal("kill point never fired; the stream completed")
-	}
-	if killed.errMsg == "" || killed.lastToken == "" {
-		t.Fatalf("killed stream: errMsg=%q lastToken=%q (want both set)", killed.errMsg, killed.lastToken)
-	}
-
-	before = metricValue(t, s.Addr(), "dualsim_pages_read_total")
-	unique, trailer, _ := resumeToCompletion(t, s.Addr(), "q1", killed, 5, nil)
-	resumeReads := metricValue(t, s.Addr(), "dualsim_pages_read_total") - before
-	if trailer.Count != want {
-		t.Fatalf("resumed count = %d, want %d", trailer.Count, want)
-	}
-	if !trailer.Resumed {
-		t.Error("resumed trailer does not report resumed=true")
-	}
-	if len(unique) != int(want) {
-		t.Fatalf("union of rows = %d unique, want %d", len(unique), want)
-	}
-	if resumeReads >= fullReads {
-		t.Fatalf("resumed run read %v pages, full run reads %v: resume replayed completed windows",
-			resumeReads, fullReads)
-	}
-	t.Logf("resume read %.0f of %.0f full-run pages", resumeReads, fullReads)
-	if st := getStats(t, s.Addr()); st.ResumesOK == 0 || st.CheckpointsTaken == 0 {
-		t.Errorf("stats: resumes_ok=%d checkpoints_taken=%d, want both > 0", st.ResumesOK, st.CheckpointsTaken)
-	}
-}
-
 // resilienceCfg is the shared single-engine resilience config.
 func resilienceCfg() Config {
 	return Config{
 		Engines:  1,
 		RowLimit: 1_000_000,
 		Engine:   fastFaultTolerant(5),
-	}
-}
-
-func readFullStream(t *testing.T, addr, spec string) streamResult {
-	t.Helper()
-	resp, err := postQuery(t, addr, QueryRequest{Query: spec, Mode: "embeddings"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("stream %q: status %d: %s", spec, resp.StatusCode, b)
-	}
-	return readResumableStream(t, resp.Body)
-}
-
-// TestChaosMatrixFaultedResumeExactCounts is the acceptance kill-point
-// matrix: 8 kill points spread across the read sequence x 2 query shapes.
-// Each point kills a streaming run with a permanent injected fault at an
-// exact global read, resumes from the handed-back token, and requires the
-// final count to equal the seed count exactly and the row union to be the
-// complete embedding set.
-func TestChaosMatrixFaultedResumeExactCounts(t *testing.T) {
-	db := buildCompleteDB(t, 32, 256)
-	fdb := faultdb.Wrap(db, faultdb.Options{})
-	s := newFaultServer(t, fdb, resilienceCfg())
-
-	shapes := []struct {
-		spec string
-		want uint64
-	}{
-		{"q1", 4960},         // C(32,3)
-		{clique4Spec, 35960}, // C(32,4)
-	}
-	const killPoints = 8
-	for _, shape := range shapes {
-		// Steady-state per-run reads for this shape (pool warm after this).
-		countQuery(t, s.Addr(), shape.spec)
-		r0 := fdb.Reads()
-		if got := countQuery(t, s.Addr(), shape.spec).Count; got != shape.want {
-			t.Fatalf("%s seed count = %d, want %d", shape.spec, got, shape.want)
-		}
-		perRun := fdb.Reads() - r0
-		if perRun < killPoints {
-			t.Fatalf("%s re-reads only %d pages per run; matrix needs >= %d", shape.spec, perRun, killPoints)
-		}
-		for i := 1; i <= killPoints; i++ {
-			off := perRun * int64(i) / (killPoints + 2)
-			if off < 1 {
-				off = 1
-			}
-			fdb.Heal()
-			injected0 := fdb.Stats().Injected
-			fdb.FailNth(fdb.Reads()+off, fmt.Errorf("matrix kill %d/%d", i, killPoints))
-			resp, err := postQuery(t, s.Addr(), QueryRequest{Query: shape.spec, Mode: "embeddings"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			killed := readResumableStream(t, resp.Body)
-			resp.Body.Close()
-			if fdb.Stats().Injected == injected0 {
-				t.Fatalf("%s kill %d (read offset %d) never fired", shape.spec, i, off)
-			}
-			if killed.done {
-				t.Fatalf("%s kill %d: stream completed despite the injected fault", shape.spec, i)
-			}
-			fdb.Heal()
-			unique, trailer, _ := resumeToCompletion(t, s.Addr(), shape.spec, killed, 4, nil)
-			if trailer.Count != shape.want {
-				t.Errorf("%s kill %d: resumed count = %d, want %d", shape.spec, i, trailer.Count, shape.want)
-			}
-			if len(unique) != int(shape.want) {
-				t.Errorf("%s kill %d: row union = %d unique, want %d", shape.spec, i, len(unique), shape.want)
-			}
-		}
-	}
-	if st := getStats(t, s.Addr()); st.ResumesOK == 0 {
-		t.Errorf("matrix recorded no accepted resumes: %+v", st)
-	}
-}
-
-// TestChaosSoak (make soak / CI soak job) runs seeded chaos schedules —
-// background transient faults, bursts, torn reads, latency spikes —
-// through the full server path for a time-boxed interval (SOAK_SECONDS,
-// default 2). Every iteration must converge, through the read retry layer and
-// token resume, to exactly the seed count. The iteration's seed is in
-// every failure message, and an iteration is reproducible by seed because
-// each one gets a freshly seeded fault wrapper and server.
-func TestChaosSoak(t *testing.T) {
-	soak := 2 * time.Second
-	if v := os.Getenv("SOAK_SECONDS"); v != "" {
-		secs, err := strconv.Atoi(v)
-		if err != nil {
-			t.Fatalf("bad SOAK_SECONDS %q: %v", v, err)
-		}
-		soak = time.Duration(secs) * time.Second
-	}
-	db := buildCompleteDB(t, 32, 256)
-	wants := map[string]uint64{"q1": 4960, clique4Spec: 35960}
-	specs := []string{"q1", clique4Spec}
-
-	start := time.Now()
-	for iter := 0; iter == 0 || time.Since(start) < soak; iter++ {
-		seed := int64(90_000 + iter)
-		spec := specs[iter%len(specs)]
-		want := wants[spec]
-		fdb := faultdb.Wrap(db, faultdb.Options{Seed: seed}).Chaos(faultdb.ChaosSchedule{
-			FaultRate:  0.02,
-			BurstEvery: 400,
-			BurstLen:   40,
-			BurstRate:  0.35,
-			TornRate:   0.01,
-			SlowRate:   0.005,
-			SlowDelay:  100 * time.Microsecond,
-		})
-		s := newFaultServer(t, fdb, Config{
-			Engines:  1,
-			RowLimit: 1_000_000,
-			Engine:   fastFaultTolerant(5),
-		})
-		first := readFullStream(t, s.Addr(), spec)
-		// Chaos stays armed while resuming; past half the attempt budget the
-		// storm is lifted so the iteration provably terminates.
-		unique, trailer, attempts := resumeToCompletion(t, s.Addr(), spec, first, 30, func(attempt int) {
-			if attempt > 15 {
-				fdb.Heal()
-			}
-		})
-		if trailer.Count != want {
-			t.Fatalf("soak seed %d (%s): count = %d, want %d", seed, spec, trailer.Count, want)
-		}
-		if len(unique) != int(want) {
-			t.Fatalf("soak seed %d (%s): row union = %d unique, want %d", seed, spec, len(unique), want)
-		}
-		if testing.Verbose() {
-			st := fdb.Stats()
-			t.Logf("soak seed %d (%s): %d resumes, %d injected faults, %d torn, %d delayed, attempts=%d",
-				seed, spec, attempts, st.Injected, st.Flipped, st.Delayed, attempts)
-		}
-		s.Close()
 	}
 }
 
