@@ -69,6 +69,54 @@ func TestPinContextCancelDuringLatency(t *testing.T) {
 	p.Unpin(0)
 }
 
+// TestPinContextCancelSparesWaiters: a caller canceled while its load sleeps
+// the device delay gets its cancellation, but a caller waiting on the same
+// frame gets the page.
+func TestPinContextCancelSparesWaiters(t *testing.T) {
+	db := testDB(t, 100, 300, 256, 25)
+	p, err := NewPool(db, Options{Frames: 4, PerPageLatency: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	pins := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if idx, ok := p.table[0]; ok {
+			return p.frames[idx].pins
+		}
+		return 0
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	loader, waiter := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := p.PinContext(ctx, 0)
+		loader <- err
+	}()
+	for pins() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() {
+		_, err := p.PinContext(context.Background(), 0)
+		waiter <- err
+	}()
+	for pins() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-loader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the canceled loader: want context.Canceled, got %v", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("the waiter failed with the loader's cancellation: %v", err)
+	}
+	p.Unpin(0)
+	if p.PinnedCount() != 0 {
+		t.Fatalf("%d pinned frames left", p.PinnedCount())
+	}
+}
+
 func TestPinContextDeadline(t *testing.T) {
 	db := testDB(t, 100, 300, 256, 22)
 	p, err := NewPool(db, Options{Frames: 4, PerPageLatency: time.Second})

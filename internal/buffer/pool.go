@@ -328,10 +328,10 @@ func (p *Pool) acquireFrameLocked() (int, error) {
 // simulateRunLatency sleeps the configured device delay of n consecutive
 // physical page reads starting at first: n per-page transfer delays but at
 // most one seek — the amortization sequential run coalescing exists to buy.
-// It wakes early, returning ctx.Err(), if the context is canceled mid-sleep.
-func (p *Pool) simulateRunLatency(ctx context.Context, first storage.PageID, n int) error {
+// It wakes early if the context is canceled mid-sleep.
+func (p *Pool) simulateRunLatency(ctx context.Context, first storage.PageID, n int) {
 	if p.opts.PerPageLatency == 0 && p.opts.SeekLatency == 0 {
-		return ctx.Err()
+		return
 	}
 	last := p.lastRead.Swap(int64(first) + int64(n) - 1)
 	d := time.Duration(n) * p.opts.PerPageLatency
@@ -339,19 +339,17 @@ func (p *Pool) simulateRunLatency(ctx context.Context, first storage.PageID, n i
 		d += p.opts.SeekLatency
 	}
 	if d <= 0 {
-		return ctx.Err()
+		return
 	}
 	if ctx.Done() == nil {
 		time.Sleep(d)
-		return nil
+		return
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return nil
 	case <-ctx.Done():
-		return ctx.Err()
 	}
 }
 
@@ -427,12 +425,13 @@ type runSlot struct {
 // [first, first+n), with wg and cb as in AsyncReadRunContext, in three
 // phases: classify every page under the pool lock (hit, frame acquired for
 // load, or error), read each maximal contiguous stretch of loads with one
-// seek, then deliver the callbacks in page order. A canceled context is
-// seen before any work and again before each stretch's physical read, so a
-// canceled caller never starts new I/O; a read in flight is never
-// interrupted (it is one bounded transfer, and abandoning it would leak the
-// frame). A page that cannot be loaded is delivered with its error and no
-// pin.
+// seek, then deliver the callbacks in page order. A context canceled before
+// any work starts no I/O. One canceled later cuts its simulated device delay
+// short but still completes its transfers (each is bounded): other callers
+// may already wait on those frames, and a frame must not fail them with a
+// cancellation that is not theirs. The canceled caller is handed its
+// context's error, and no pin, for the pages it loaded. A page that cannot
+// be loaded is delivered with its error and no pin.
 func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sync.WaitGroup, cb func(storage.PageID, *storage.Page, error)) {
 	// A request is at most MaxRun pages; the default fits the stack.
 	var stack [DefaultMaxRun]runSlot
@@ -514,6 +513,9 @@ func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sy
 				}
 			}
 			page, err = f.page, f.err
+			if err == nil && s.load {
+				err = ctx.Err()
+			}
 			if err != nil {
 				p.Unpin(pid)
 				page = nil
@@ -544,29 +546,22 @@ func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []ru
 			sc.CoalescedPages.Add(uint64(n))
 		}
 	}
-	err := p.simulateRunLatency(ctx, first, n)
+	p.simulateRunLatency(ctx, first, n)
 	ps := p.reader.PageSize()
 	buf := p.takeRunBuf(n * ps)
 	defer p.putRunBuf(buf)
-	if err == nil && n > 1 && p.runReader != nil {
-		if err = p.runReader.ReadPagesInto(first, buf); err == nil {
-			for i := range slots {
-				f := &p.frames[slots[i].idx]
-				f.page, f.err = storage.ParsePage(buf[i*ps : (i+1)*ps])
-				p.physical.Add(1)
-				close(f.ready)
-			}
-			if sc != nil {
-				sc.PagesRead.Add(uint64(n))
-			}
-			return
-		}
-	}
-	if err != nil {
+	if n > 1 && p.runReader != nil {
+		err := p.runReader.ReadPagesInto(first, buf)
 		for i := range slots {
 			f := &p.frames[slots[i].idx]
-			f.err = err
+			if f.err = err; err == nil {
+				f.page, f.err = storage.ParsePage(buf[i*ps : (i+1)*ps])
+				p.physical.Add(1)
+			}
 			close(f.ready)
+		}
+		if sc != nil && err == nil {
+			sc.PagesRead.Add(uint64(n))
 		}
 		return
 	}

@@ -207,9 +207,11 @@ var errCompactBusy = errors.New("server: compaction already in progress")
 //
 //  1. Snapshot the overlay at epoch E; write the folded file NEXT TO the
 //     live one, in one pass over the live file, its superblock carrying E.
-//  2. rename(2) it over the live path. Open descriptors keep reading the
-//     old inode, so in-flight runs finish against the graph they started
-//     on; only this step is a point of no return, and it is atomic.
+//  2. rename(2) it over the live path, under the stamp lock, restamping it
+//     with the current epoch if batches landed since E. Open descriptors
+//     keep reading the old inode, so in-flight runs finish against the
+//     graph they started on; only this step is a point of no return, and
+//     it is atomic.
 //  3. Open the new file and build the next generation over it — every
 //     engine, the cohort's included. If any step fails, what was built is
 //     closed and the current generation keeps serving, its overlay whole:
@@ -254,7 +256,17 @@ func (s *Server) compactOnce() (bool, error) {
 	if _, err := storage.Compact(tmp, sdb, snap.Apply, snap.Epoch(), storage.BuildOptions{}); err != nil {
 		return fail(err)
 	}
-	if err := storage.SwapFile(tmp, live); err != nil {
+	// A batch applied since the snapshot stamped its epoch into the file
+	// being replaced; the folded one carries the snapshot's until restamped.
+	s.stampMu.Lock()
+	err := storage.SwapFile(tmp, live)
+	if epoch := s.store.Epoch(); err == nil && epoch > snap.Epoch() {
+		if serr := storage.StampEpoch(live, epoch); serr != nil {
+			log.Printf("dualsim/server: stamping epoch %d: %v", epoch, serr)
+		}
+	}
+	s.stampMu.Unlock()
+	if err != nil {
 		return fail(err)
 	}
 	ndb, err := storage.Open(live)
