@@ -33,7 +33,10 @@ fmt:
 # and Pregel simulators and the baselines built on them); those belong to
 # cmd/bench. Last, the window index stays flat and lock-free — no mutex and no
 # per-vertex hash map in the window loader, the last-level stream (its
-# permits and hand-offs travel one channel) or the matcher — the hot path
+# permits and hand-offs travel one channel) or the matcher — the matcher
+# resolves lists through each page's slot index (storage.Page.List: a list
+# and its forward split in one read of the index), never through a
+# storage.Record, so internal/core/match.go names no .Records[; the hot path
 # searches with slices.BinarySearch, not sort.Search's closure per probe,
 # candidates are unioned through the scratch set, not sorted, reads have one
 # issuer (run.issueRuns holds core's only AsyncReadRunContext call), a cohort
@@ -64,6 +67,8 @@ lint: vet metrics-doc-check
 		echo "cmd/dualsim links a comparison system; move the caller to cmd/bench" >&2; exit 1; fi
 	@if grep -nE 'sync\.Mutex|map\[graph\.VertexID\]' internal/core/window.go internal/core/stream.go internal/core/match.go; then \
 		echo "the window index is a flat array each page callback writes its own slot of: no mutex, no per-vertex map" >&2; exit 1; fi
+	@if grep -nF '.Records[' internal/core/match.go; then \
+		echo "the matcher resolves lists through the page's slot index (storage.Page.List), not its records: no .Records[ in internal/core/match.go" >&2; exit 1; fi
 	@if grep -nF 'sort.Search(' internal/core/window.go internal/core/stream.go internal/core/match.go; then \
 		echo "the window loader and the matcher search with slices.BinarySearch: no closure per probe" >&2; exit 1; fi
 	@if grep -nF 'slices.Sort' internal/core/window.go; then \

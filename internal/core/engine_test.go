@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -228,5 +229,39 @@ func TestWindowsPerLevelReported(t *testing.T) {
 	if res.WindowsPerLevel[last] != res.WindowsPerLevel[last-1] {
 		t.Fatalf("last-level passes %d, want one per window of the level above: %v",
 			res.WindowsPerLevel[last], res.WindowsPerLevel)
+	}
+}
+
+// TestLargeCliqueTopology is the regression test for plans of K ≥ 9
+// positions, whose position pairs once indexed Topology bits p·K+p′ that
+// shifted out of the 64-bit word: a K-clique missing the edge {0, 1}, with 5
+// leaves on each of 0 and 1 and 10 on 2, counted 10-cliques as 10 and
+// 11-cliques as 1 on K11 (brute force 2 and 0), and 57 and 11 on K12 (21 and
+// 2). Counts must equal brute force.
+func TestLargeCliqueTopology(t *testing.T) {
+	for _, n := range []int{11, 12} {
+		var edges [][2]graph.VertexID
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if u != 0 || v != 1 {
+					edges = append(edges, [2]graph.VertexID{graph.VertexID(u), graph.VertexID(v)})
+				}
+			}
+		}
+		leaf := graph.VertexID(n)
+		for hub, leaves := range []int{5, 5, 10} {
+			for i := 0; i < leaves; i++ {
+				edges = append(edges, [2]graph.VertexID{graph.VertexID(hub), leaf})
+				leaf++
+			}
+		}
+		g := graph.MustNewGraph(int(leaf), edges)
+		for _, k := range []int{10, 11} {
+			q := graph.Clique(fmt.Sprintf("k%d", k), k)
+			res := runOnce(t, g, q, Options{Threads: 2}, 4096)
+			if want := graph.CountOccurrences(g, q); res.Count != want {
+				t.Errorf("K%d minus an edge: %d %d-cliques, brute force %d", n, res.Count, k, want)
+			}
+		}
 	}
 }

@@ -18,9 +18,10 @@ type matcher struct {
 	lw *levelWindow // level-0 window (internal) or last-level window (external)
 	g  int          // current group
 
-	internal bool
-	lastV    graph.VertexID
-	lastAdj  []graph.VertexID
+	internal  bool
+	lastV     graph.VertexID
+	lastAdj   []graph.VertexID
+	lastSplit int // lastAdj's forward split
 
 	// own is the one page of lw a last-level page task may read (nil for the
 	// task of a multi-page vertex, which reads none): the task runs while
@@ -34,12 +35,14 @@ type matcher struct {
 	pos2v   []graph.VertexID
 	posMask uint32 // assigned positions
 	// posAdj[p] is the resolved adjacency list of position p's vertex while
-	// adjMask has bit p: filled on first use (adjOfPos), dropped when p is
-	// assigned anew or the task takes a new root, so the directory → ordinal
-	// → slot walk runs once per assignment. The lists alias pinned pages and
-	// never outlive the task — a matcher leaves the pool with adjMask clear.
-	posAdj  [][]graph.VertexID
-	adjMask uint32
+	// adjMask has bit p, and posSplit[p] its forward split: filled on first
+	// use (clipPos), dropped when p is assigned anew or the task takes a new
+	// root, so the directory → ordinal → slot walk runs once per assignment.
+	// The lists alias pinned pages and never outlive the task — a matcher
+	// leaves the pool with adjMask clear.
+	posAdj   [][]graph.VertexID
+	posSplit []int
+	adjMask  uint32
 
 	mapping []graph.VertexID // query vertex -> data vertex
 	qMask   uint32           // mapped query vertices
@@ -81,13 +84,14 @@ func (r *run) newMatcher(lw *levelWindow, internal bool) *matcher {
 func (r *run) allocMatcher() any {
 	n := r.p.Query.NumVertices()
 	return &matcher{
-		r:       r,
-		pos2v:   make([]graph.VertexID, r.k),
-		posAdj:  make([][]graph.VertexID, r.k),
-		mapping: make([]graph.VertexID, n),
-		qPos:    make([]int, n),
-		arena:   graph.NewArena(),
-		rowCap:  1,
+		r:        r,
+		pos2v:    make([]graph.VertexID, r.k),
+		posAdj:   make([][]graph.VertexID, r.k),
+		posSplit: make([]int, r.k),
+		mapping:  make([]graph.VertexID, n),
+		qPos:     make([]int, n),
+		arena:    graph.NewArena(),
+		rowCap:   1,
 	}
 }
 
@@ -129,40 +133,50 @@ func (m *matcher) flush() {
 	m.r.matchers.Put(m)
 }
 
-// adjOfPos returns the adjacency list of the data vertex assigned to
-// position pos, resolving it on the first request after the assignment.
-func (m *matcher) adjOfPos(pos int) []graph.VertexID {
+// clipPos returns the adjacency list of the data vertex assigned to
+// position pos — resolved on the first request after the assignment —
+// clipped to [lo, hi], a non-empty interval. A bound on either side of that
+// vertex starts the clip at the list's forward split: positions ascend with
+// their vertices, so a descent's own bounds always lie on one side, and a
+// clip at the vertex itself costs no search at all.
+func (m *matcher) clipPos(pos int, lo, hi int64) []graph.VertexID {
 	if bit := uint32(1) << uint(pos); m.adjMask&bit == 0 {
-		m.posAdj[pos] = m.adjOfData(m.pos2v[pos])
+		m.posAdj[pos], m.posSplit[pos] = m.resolve(m.pos2v[pos])
 		m.adjMask |= bit
 	}
-	return m.posAdj[pos]
+	list := m.posAdj[pos]
+	if own := int64(m.pos2v[pos]); lo > own {
+		list = list[m.posSplit[pos]:]
+	} else if hi < own {
+		list = list[:m.posSplit[pos]]
+	}
+	return clip(list, lo, hi)
 }
 
-// adjOfData resolves the adjacency list of an assigned (hence resident)
-// data vertex: the task's own last-level record, else the first window on
-// the path that indexes it.
-func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
+// resolve returns the adjacency list of an assigned (hence resident) data
+// vertex and its forward split: the task's own last-level record, else the
+// first window on the path that indexes it.
+func (m *matcher) resolve(v graph.VertexID) ([]graph.VertexID, int) {
 	if !m.internal && v == m.lastV {
-		return m.lastAdj
+		return m.lastAdj, m.lastSplit
 	}
 	pid := m.r.e.db.PageOf(v)
 	if m.internal {
-		adj, _ := m.lw.adjOf(pid, v)
-		return adj
+		adj, split, _ := m.lw.adjOf(pid, v)
+		return adj, split
 	}
 	for l := 0; l < m.r.k-1; l++ {
 		if wd := m.r.winData[l]; wd != nil {
-			if adj, ok := wd.adjOf(pid, v); ok {
-				return adj
+			if adj, split, ok := wd.adjOf(pid, v); ok {
+				return adj, split
 			}
 		}
 	}
 	if m.own != nil {
-		adj, _ := m.own.adjOf(v)
-		return adj
+		adj, split, _ := m.own.adjOf(v)
+		return adj, split
 	}
-	return nil
+	return nil, 0
 }
 
 // posBounds returns the inclusive ID interval the total order leaves open
@@ -231,36 +245,33 @@ func (r *run) extMapPage(wp *windowPage, lw *levelWindow) {
 	}
 	m := r.newMatcher(lw, false)
 	m.own = wp
-	for i := range wp.page.Records {
-		rec := &wp.page.Records[i]
-		if rec.Continues || rec.Continuation {
-			continue // rooted once, when the vertex's last chunk lands (stream.root)
+	for i, first := 0, wp.page.First(); i < wp.page.Slots(); i++ {
+		adj, split, ok := wp.list(i) // overlay-merged where the snapshot touches it
+		if !ok {
+			continue // a chunk: rooted once, when the vertex's last chunk lands (stream.root)
 		}
 		if r.ctx.Err() != nil {
 			break // cancellation: abandon the rest of the page
 		}
-		adj := rec.Adj
-		if wp.lists != nil && wp.lists[i].set {
-			adj = wp.lists[i].adj // overlay-merged
-		}
-		r.extMapRecord(m, rec.Vertex, adj)
+		r.extMapRecord(m, first+graph.VertexID(i), adj, split)
 	}
 	m.flush()
 }
 
 // extMapVertex roots the external traversal at one multi-page vertex with
 // its concatenated adjacency.
-func (r *run) extMapVertex(v graph.VertexID, adj []graph.VertexID, lw *levelWindow) {
+func (r *run) extMapVertex(e sideEntry, lw *levelWindow) {
 	if r.firstErr() != nil {
 		return
 	}
 	m := r.newMatcher(lw, false)
-	r.extMapRecord(m, v, adj)
+	r.extMapRecord(m, e.v, e.adj, e.split)
 	m.flush()
 }
 
-// extMapRecord roots the external traversal at one last-level record.
-func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID) {
+// extMapRecord roots the external traversal at one last-level record whose
+// list adj has the given forward split.
+func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, split int) {
 	last := r.k - 1
 	pos := r.p.MatchingOrder[last]
 	for g := range r.p.Groups {
@@ -268,7 +279,7 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID) {
 			continue
 		}
 		m.g = g
-		m.lastV, m.lastAdj = v, adj
+		m.lastV, m.lastAdj, m.lastSplit = v, adj, split
 		m.pos2v[pos] = v
 		m.posMask, m.adjMask = 1<<uint(pos), 0
 		r.extDescend(m, last-1)
@@ -312,10 +323,10 @@ func (r *run) extDescend(m *matcher, level int) {
 		if m.posMask&(1<<uint(p)) == 0 {
 			continue
 		}
-		if !vg.HasTopologyEdge(r.k, p, pos) {
+		if !vg.HasTopologyEdge(p, pos) {
 			continue
 		}
-		lists = append(lists, clip(m.adjOfPos(p), lo, hi))
+		lists = append(lists, m.clipPos(p, lo, hi))
 	}
 	// With no assigned neighbor the node's whole current window is scanned.
 	if len(lists) == 0 || !r.cand[m.g][level].full {
@@ -404,17 +415,19 @@ func (r *run) intDescend(m *matcher, level int) {
 		if m.posMask&(1<<uint(p)) == 0 {
 			continue
 		}
-		if !vg.HasTopologyEdge(r.k, p, pos) {
+		if !vg.HasTopologyEdge(p, pos) {
 			continue
 		}
 		// Clip to the internal window: the intersection is a subset of
 		// every input, so clipping each list clips the result.
-		lists = append(lists, clip(m.adjOfPos(p), lo, hi))
+		lists = append(lists, m.clipPos(p, lo, hi))
 	}
 	// With no assigned neighbor the whole internal window is scanned.
-	cands := clip(m.lw.verts[m.g], lo, hi)
+	var cands []graph.VertexID
 	if len(lists) > 0 {
 		cands = m.arena.IntersectK(level, lists)
+	} else {
+		cands = clip(m.lw.verts[m.g], lo, hi)
 	}
 	for _, v := range cands {
 		m.assign(pos, v)
@@ -443,7 +456,7 @@ func (r *run) expandSequences(m *matcher, internal bool) {
 // matchNonRed extends the current red mapping over plan.RBI.NonRed[idx:]:
 // black vertices scan their red neighbor's adjacency list, ivory vertices
 // intersect the lists of their red neighbors (§5.2), read through the
-// neighbors' positions (adjOfPos) and clipped to what the partial orders
+// neighbors' positions (clipPos) and clipped to what the partial orders
 // leave open (poBounds). No I/O is performed — every needed adjacency list is
 // already in the buffer. The kernel shape follows the red-neighbour count the
 // plan fixed: one list is scanned, two or more intersected. A task without a row hook stops at the plan's tail and
@@ -473,13 +486,13 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	var cands []graph.VertexID
 	if len(reds) == 1 {
 		// Black vertex: candidates are the one red neighbor's list.
-		cands = clip(m.adjOfPos(m.qPos[reds[0]]), lo, hi)
+		cands = m.clipPos(m.qPos[reds[0]], lo, hi)
 	} else {
 		// Ivory vertex: pairwise or k-way adaptive intersection.
 		depth := r.k + idx
 		lists := m.arena.Lists(depth, len(reds))
 		for _, rq := range reds {
-			lists = append(lists, clip(m.adjOfPos(m.qPos[rq]), lo, hi))
+			lists = append(lists, m.clipPos(m.qPos[rq], lo, hi))
 		}
 		cands = m.arena.IntersectK(depth, lists)
 	}

@@ -17,21 +17,27 @@ type firstPages struct {
 
 func (d firstPages) PageOf(v graph.VertexID) storage.PageID { return d.of[v] }
 
+// adjOfData is the list matcher.resolve returns for v, without its split.
+func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
+	adj, _ := m.resolve(v)
+	return adj
+}
+
 // TestAdjOfDataStreamPageContract pins the invariant a streamed last-level
 // pass rests on: a page task (extMapPage sets own) runs while the rest of
 // its pass is still landing, so it must read nothing of the pass but its own
 // page — its records and their overlay-merged lists, complete before the
 // task was queued — not even on a lookup miss, because the load callbacks of
 // other pages are writing their ordinals of the index without any lock. The
-// test runs such a writer and exercises every adjOfData resolution path;
+// test runs such a writer and exercises every resolve path;
 // consulting lw.loaded or lw.side from the page task fails under -race.
 func TestAdjOfDataStreamPageContract(t *testing.T) {
 	page := func(id storage.PageID, first graph.VertexID, adjs ...[]graph.VertexID) *storage.Page {
-		p := &storage.Page{ID: id}
+		var recs []storage.Record
 		for i, adj := range adjs {
-			p.Records = append(p.Records, storage.Record{Vertex: first + graph.VertexID(i), Adj: adj})
+			recs = append(recs, storage.Record{Vertex: first + graph.VertexID(i), Adj: adj})
 		}
-		return p
+		return storage.NewPage(id, recs)
 	}
 	outer := &levelWindow{pages: []storage.PageID{0}, loaded: []windowPage{
 		{page: page(0, 7, []graph.VertexID{1, 2})},

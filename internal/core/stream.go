@@ -301,7 +301,7 @@ func (s *stream) root(i int) {
 	id := len(lw.pages) + i
 	s.tasks++
 	r.workers.submit(func() {
-		r.extMapVertex(e.v, e.adj, lw)
+		r.extMapVertex(e, lw)
 		s.events <- streamEvent{ord: id, done: true}
 	})
 }

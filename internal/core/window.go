@@ -20,10 +20,14 @@ import (
 // vertex per page in vertex-ID order (isolated vertices included), so a
 // page's records are a dense run of IDs and a vertex resolves without
 // hashing — directory (db.PageOf) → page ordinal (ordinalOf) → slot
-// (v − page.Records[0].Vertex) — with side for the few lists no single
-// record holds. A last-level pass (stream.go) uses the same structure for
-// the pages it streams through, of which only a budget's worth is loaded at
-// any moment and each is read by its own task alone.
+// (v − page.First()) → the page's slot index (storage.Page.List), which
+// gives the list and its forward split in one read of the index — with side
+// for the few lists no single record holds. Every resolved list carries its
+// split (the index of its first neighbour above its own vertex), so a clip
+// at either side of that vertex starts there instead of searching. A
+// last-level pass (stream.go) uses the same structure for the pages it
+// streams through, of which only a budget's worth is loaded at any moment
+// and each is read by its own task alone.
 type levelWindow struct {
 	// verts[g] is group g's current vertex window (sorted): the slice of
 	// its candidate sequence falling inside the merged window (all of it, in
@@ -65,25 +69,36 @@ type windowPage struct {
 	// because the pooled *storage.Page is shared with runs at other
 	// snapshots.
 	lists []slotList
-	// split reports a Continues/Continuation record on the page: a chunk of
-	// a multi-page vertex, assembled into the side table after the loads
+	// chunked reports a Continues/Continuation record on the page: a chunk
+	// of a multi-page vertex, assembled into the side table after the loads
 	// (buildSide walks only these pages).
-	split bool
+	chunked bool
 }
 
-// slotList is one slot of windowPage.lists. set tells a record merged to the
-// empty list (every neighbour tombstoned), which must not fall through to
-// its on-disk record, from a slot nothing stands in for; the length of adj
-// cannot.
+// slotList is one slot of windowPage.lists: the merged list and its forward
+// split. set tells a record merged to the empty list (every neighbour
+// tombstoned), which must not fall through to its on-disk record, from a
+// slot nothing stands in for; the length of adj cannot.
 type slotList struct {
-	adj []graph.VertexID
-	set bool
+	adj   []graph.VertexID
+	split int
+	set   bool
 }
 
-// sideEntry is one vertex's adjacency list in a window's side table.
+// sideEntry is one vertex's adjacency list in a window's side table, and its
+// forward split.
 type sideEntry struct {
-	v   graph.VertexID
-	adj []graph.VertexID
+	v     graph.VertexID
+	adj   []graph.VertexID
+	split int
+}
+
+// forwardSplit returns the index of the first neighbour of v above v in adj,
+// which ascends: lists are duplicate-free and never hold their own vertex, so
+// v's insertion point splits smaller from larger neighbours.
+func forwardSplit(adj []graph.VertexID, v graph.VertexID) int {
+	i, _ := slices.BinarySearch(adj, v)
+	return i
 }
 
 // ordinalOf returns pid's index in lw.pages, or -1. Windows are mostly
@@ -103,18 +118,19 @@ func (lw *levelWindow) ordinalOf(pid storage.PageID) int {
 }
 
 // adjOf resolves the full adjacency list of v, whose first page is pid, in
-// a loaded window; ok is false when the window does not hold it.
-func (lw *levelWindow) adjOf(pid storage.PageID, v graph.VertexID) (adj []graph.VertexID, ok bool) {
+// a loaded window, and its forward split; ok is false when the window does
+// not hold it.
+func (lw *levelWindow) adjOf(pid storage.PageID, v graph.VertexID) (adj []graph.VertexID, split int, ok bool) {
 	if len(lw.side) > 0 {
 		if i, ok := slices.BinarySearchFunc(lw.side, v, func(e sideEntry, v graph.VertexID) int {
 			return cmp.Compare(e.v, v)
 		}); ok {
-			return lw.side[i].adj, true
+			return lw.side[i].adj, lw.side[i].split, true
 		}
 	}
 	o := lw.ordinalOf(pid)
 	if o < 0 {
-		return nil, false
+		return nil, 0, false
 	}
 	return lw.loaded[o].adjOf(v)
 }
@@ -122,22 +138,30 @@ func (lw *levelWindow) adjOf(pid storage.PageID, v graph.VertexID) (adj []graph.
 // adjOf resolves v among the page's complete records, in the run's graph
 // version. Chunks of multi-page vertices never match: their lists live in
 // the window's side table.
-func (wp *windowPage) adjOf(v graph.VertexID) (adj []graph.VertexID, ok bool) {
-	if wp.page == nil || len(wp.page.Records) == 0 || v < wp.page.Records[0].Vertex {
-		return nil, false
+func (wp *windowPage) adjOf(v graph.VertexID) (adj []graph.VertexID, split int, ok bool) {
+	if wp.page == nil {
+		return nil, 0, false
 	}
-	i := int(v - wp.page.Records[0].Vertex)
-	if i >= len(wp.page.Records) {
-		return nil, false
+	i, ok := wp.page.Slot(v)
+	if !ok {
+		return nil, 0, false
 	}
-	rec := &wp.page.Records[i]
-	if rec.Continues || rec.Continuation {
-		return nil, false
+	return wp.list(i)
+}
+
+// list returns slot i's list and forward split through the page's slot
+// index, overlay-merged where the run's snapshot touches it; ok is false for
+// a chunk of a multi-page vertex.
+func (wp *windowPage) list(i int) (adj []graph.VertexID, split int, ok bool) {
+	adj, split, chunk := wp.page.List(i)
+	if chunk {
+		return nil, 0, false
 	}
 	if wp.lists != nil && wp.lists[i].set {
-		return wp.lists[i].adj, true
+		l := &wp.lists[i]
+		return l.adj, l.split, true
 	}
-	return rec.Adj, true
+	return adj, split, true
 }
 
 // processLevel drives the external traversal at level l >= 1 (Algorithm 2).
@@ -546,7 +570,7 @@ func (r *run) indexPage(wp *windowPage) error {
 			crecs++
 			cbytes += uint64(rec.CompBytes)
 		}
-		wp.split = wp.split || rec.Continues || rec.Continuation
+		wp.chunked = wp.chunked || rec.Continues || rec.Continuation
 		if d := merged(rec); d != nil {
 			total += len(rec.Adj) + len(d.Add)
 			mutated++
@@ -566,7 +590,8 @@ func (r *run) indexPage(wp *windowPage) error {
 		if d := merged(&recs[i]); d != nil {
 			start := len(slab)
 			slab = d.AppendMerged(slab, recs[i].Adj)
-			wp.lists[i] = slotList{adj: slab[start:len(slab):len(slab)], set: true}
+			adj := slab[start:len(slab):len(slab)]
+			wp.lists[i] = slotList{adj: adj, split: forwardSplit(adj, recs[i].Vertex), set: true}
 		}
 	}
 	return nil
@@ -578,10 +603,10 @@ func (r *run) indexPage(wp *windowPage) error {
 // vertex's span inside one window, so all of them are present — and the
 // run's overlay applied to the whole list.
 func (r *run) buildSide(lw *levelWindow) {
-	var split sideEntry // the multi-page vertex being assembled
+	var cur sideEntry // the multi-page vertex being assembled
 	for o := range lw.loaded {
 		wp := &lw.loaded[o]
-		if !wp.split {
+		if !wp.chunked {
 			continue
 		}
 		for i := range wp.page.Records {
@@ -590,20 +615,21 @@ func (r *run) buildSide(lw *levelWindow) {
 				continue
 			}
 			v := rec.Vertex
-			if split.v != v || !rec.Continuation {
-				split = sideEntry{v: v}
+			if cur.v != v || !rec.Continuation {
+				cur = sideEntry{v: v}
 			}
-			split.adj = append(split.adj, rec.Adj...)
-			if rec.Continues || len(split.adj) != r.e.db.Degree(v) {
+			cur.adj = append(cur.adj, rec.Adj...)
+			if rec.Continues || len(cur.adj) != r.e.db.Degree(v) {
 				// More chunks follow, or the list starts on a page outside
 				// the window — then so does the vertex, never matched here.
 				continue
 			}
 			if r.overlay != nil && r.overlay.Of(v) != nil {
-				split.adj = r.overlay.Apply(v, split.adj)
+				cur.adj = r.overlay.Apply(v, cur.adj)
 				r.em.overlayVertices.Inc()
 			}
-			lw.side = append(lw.side, split)
+			cur.split = forwardSplit(cur.adj, v)
+			lw.side = append(lw.side, cur)
 		}
 	}
 }
@@ -639,10 +665,7 @@ func (r *run) computeChildCandidates(l int) {
 			posParent := r.p.MatchingOrder[l]
 			posChild := r.p.MatchingOrder[childLevel]
 			for _, v := range lw.verts[g] {
-				adj, _ := lw.adjOf(r.e.db.PageOf(v), v)
-				// Lists are duplicate-free and never hold their own vertex,
-				// so v's insertion point splits smaller from larger neighbors.
-				i, _ := slices.BinarySearch(adj, v)
+				adj, i, _ := lw.adjOf(r.e.db.PageOf(v), v)
 				if posChild > posParent {
 					set.add(adj[i:])
 				} else {

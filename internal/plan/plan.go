@@ -18,8 +18,9 @@ import (
 // sequences that share a position topology (Definition 3) and therefore
 // match exactly the same ordered data vertex tuples.
 type VGroup struct {
-	// Topology has bit p*K+p' set (p < p') when positions p and p' must be
-	// adjacent in the data graph.
+	// Topology has bit topoBit(p, p') set when positions p and p' must be
+	// adjacent in the data graph: one bit per unordered pair, 45 for the
+	// largest K Prepare accepts.
 	Topology uint64
 	// Sequences holds the class members: Sequences[s][pos] is the query
 	// vertex matched at sorted rank pos.
@@ -31,11 +32,17 @@ type VGroup struct {
 
 // HasTopologyEdge reports whether the group's topology requires positions p
 // and p' to be adjacent.
-func (vg *VGroup) HasTopologyEdge(k, p, pp int) bool {
+func (vg *VGroup) HasTopologyEdge(p, pp int) bool {
+	return vg.Topology&topoBit(p, pp) != 0
+}
+
+// topoBit is the Topology bit of the distinct positions p and p': the
+// triangular index of the pair, p'(p'−1)/2 + p for p < p'.
+func topoBit(p, pp int) uint64 {
 	if p > pp {
 		p, pp = pp, p
 	}
-	return vg.Topology&(1<<uint(p*k+pp)) != 0
+	return 1 << uint(pp*(pp-1)/2+p)
 }
 
 // Forest is a v-group forest: level l (0-based) holds the position
@@ -240,7 +247,7 @@ func groupSequences(q *graph.Query, seqs [][]int, k int) []*VGroup {
 		for p := 0; p < k; p++ {
 			for pp := p + 1; pp < k; pp++ {
 				if q.HasEdge(s[p], s[pp]) {
-					topo |= 1 << uint(p*k+pp)
+					topo |= topoBit(p, pp)
 				}
 			}
 		}
@@ -273,7 +280,7 @@ func buildForest(vg *VGroup, mo []int, k int) *Forest {
 		pos := mo[l]
 		parent := -1
 		for pl := 0; pl < l; pl++ {
-			if vg.HasTopologyEdge(k, mo[pl], pos) {
+			if vg.HasTopologyEdge(mo[pl], pos) {
 				if parent < 0 || f.Depth[pl] > f.Depth[parent] ||
 					(f.Depth[pl] == f.Depth[parent] && pl > parent) {
 					parent = pl
@@ -310,7 +317,7 @@ func chooseMatchingOrder(groups []*VGroup, k int, worst bool) ([]int, int) {
 		for _, vg := range groups {
 			nb := 0
 			for pp := 0; pp < k; pp++ {
-				if pp != p && vg.HasTopologyEdge(k, p, pp) {
+				if pp != p && vg.HasTopologyEdge(p, pp) {
 					nb |= 1 << uint(pp)
 				}
 			}

@@ -105,7 +105,7 @@ func TestTopologyMatchesSequences(t *testing.T) {
 			for _, seq := range vg.Sequences {
 				for a := 0; a < p.K; a++ {
 					for b := a + 1; b < p.K; b++ {
-						if q.HasEdge(seq[a], seq[b]) != vg.HasTopologyEdge(p.K, a, b) {
+						if q.HasEdge(seq[a], seq[b]) != vg.HasTopologyEdge(a, b) {
 							t.Errorf("%s group %d: seq %v disagrees with topology at (%d,%d)",
 								q.Name(), gi, seq, a, b)
 						}
@@ -150,7 +150,7 @@ func TestForestInvariants(t *testing.T) {
 					t.Errorf("%s group %d: parent %d >= level %d", q.Name(), gi, par, l)
 				}
 				// Parent edge must exist in the topology.
-				if !vg.HasTopologyEdge(p.K, p.MatchingOrder[par], p.MatchingOrder[l]) {
+				if !vg.HasTopologyEdge(p.MatchingOrder[par], p.MatchingOrder[l]) {
 					t.Errorf("%s group %d: forest edge (%d,%d) not in topology", q.Name(), gi, par, l)
 				}
 				if f.Depth[l] != f.Depth[par]+1 {

@@ -60,7 +60,7 @@ func TestPrepareQuickInvariants(t *testing.T) {
 				// Topology agreement.
 				for a := 0; a < p.K; a++ {
 					for b := a + 1; b < p.K; b++ {
-						if q.HasEdge(s[a], s[b]) != vg.HasTopologyEdge(p.K, a, b) {
+						if q.HasEdge(s[a], s[b]) != vg.HasTopologyEdge(a, b) {
 							return false
 						}
 					}
@@ -74,7 +74,7 @@ func TestPrepareQuickInvariants(t *testing.T) {
 				if f.Parent[l] >= l {
 					return false
 				}
-				if f.Parent[l] >= 0 && !vg.HasTopologyEdge(p.K, p.MatchingOrder[f.Parent[l]], p.MatchingOrder[l]) {
+				if f.Parent[l] >= 0 && !vg.HasTopologyEdge(p.MatchingOrder[f.Parent[l]], p.MatchingOrder[l]) {
 					return false
 				}
 			}

@@ -322,8 +322,9 @@ func mixedPage(rng *rand.Rand, pageSize int) ([]byte, [][]graph.VertexID) {
 
 // parsersAgree parses buf with ParsePage and with ParsePageLazy and fails t
 // unless both accept or both reject it, and, when both accept, each record
-// decoded in the fused walk equals its lazy view decoded afterwards. It
-// returns the fused parse (nil when rejected).
+// decoded in the fused walk equals its lazy view decoded afterwards, and the
+// fused parse's slot index agrees with its records (checkIndex). It returns
+// the fused parse (nil when rejected).
 func parsersAgree(t *testing.T, buf []byte) *Page {
 	t.Helper()
 	fused, ferr := ParsePage(buf)
@@ -349,6 +350,7 @@ func parsersAgree(t *testing.T, buf []byte) *Page {
 			t.Fatalf("slot %d: fused walk decoded %v, lazy view %v", i, f.Adj, dec)
 		}
 	}
+	checkIndex(t, fused)
 	return fused
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"dualsim/internal/graph"
 )
@@ -114,6 +115,92 @@ type Page struct {
 	ID PageID
 	// Records are the adjacency records stored on the page, in slot order.
 	Records []Record
+
+	// first is Records[0].Vertex. slab holds every record's decoded list
+	// back to back, and index, in the same allocation right after it, the
+	// slot index the matcher resolves lists through: per slot its list's
+	// start in slab and a meta word (the list's forward split, chunkMark
+	// for a chunk of a multi-page vertex), then slab's end once, so slot i
+	// is index[2i : 2i+3]. A page parsed lazily, or built without NewPage,
+	// has no index and resolves nothing.
+	first graph.VertexID
+	slab  []graph.VertexID
+	index []graph.VertexID // offsets and meta words, not vertices
+}
+
+// chunkMark flags a slot's meta word when the record is a chunk of a
+// multi-page vertex (Continues or Continuation): no single record holds
+// that list. A split never reaches it: a sublist has at most 65 535 entries.
+const chunkMark = 1 << 31
+
+// indexWords is the length of the slot index of a page of nrec records.
+func indexWords(nrec int) int { return 2*nrec + 1 }
+
+// NewPage returns a page holding recs, indexed as ParsePage indexes a parsed
+// page: the records' lists are copied into one slab, which their Adj then
+// alias. Each list must ascend.
+func NewPage(id PageID, recs []Record) *Page {
+	total := 0
+	for i := range recs {
+		total += len(recs[i].Adj)
+	}
+	slab := make([]graph.VertexID, 0, total+indexWords(len(recs)))
+	index := slab[total : total+indexWords(len(recs))]
+	for i := range recs {
+		start := len(slab)
+		slab = append(slab, recs[i].Adj...)
+		recs[i].Adj = slab[start:len(slab):len(slab)]
+		split, _ := slices.BinarySearch(recs[i].Adj, recs[i].Vertex)
+		setSlot(index, i, start, split, &recs[i])
+	}
+	p := &Page{ID: id, Records: recs}
+	p.attachIndex(slab, index)
+	return p
+}
+
+// setSlot writes slot i of a page's index: the start of rec's list in the
+// slab, and its forward split and chunk mark.
+func setSlot(index []graph.VertexID, i, start, split int, rec *Record) {
+	meta := graph.VertexID(split)
+	if rec.Continues || rec.Continuation {
+		meta |= chunkMark
+	}
+	index[2*i], index[2*i+1] = graph.VertexID(start), meta
+}
+
+// attachIndex completes the slot index of the page's records — every slot
+// set, each record's Adj aliasing slab, whose spare capacity index is —
+// with the slab's end.
+func (p *Page) attachIndex(slab, index []graph.VertexID) {
+	index[len(index)-1] = graph.VertexID(len(slab))
+	p.slab, p.index = slab, index
+	if len(p.Records) > 0 {
+		p.first = p.Records[0].Vertex
+	}
+}
+
+// Slots returns the number of slots the page's index resolves: its record
+// count, or 0 for a page without an index.
+func (p *Page) Slots() int { return len(p.index) / 2 }
+
+// First returns the vertex of the page's first record.
+func (p *Page) First() graph.VertexID { return p.first }
+
+// Slot returns the slot of v's record on a page whose records are the dense
+// ascending vertex-ID run from First, or false when v is outside that run.
+func (p *Page) Slot(v graph.VertexID) (int, bool) {
+	i := int(v - p.first)
+	return i, v >= p.first && i < p.Slots()
+}
+
+// List returns slot i's decoded list, its forward split — list[:split] are
+// the neighbours below the record's vertex, list[split:] those above — and
+// whether the record is a chunk of a multi-page vertex, whose sublist is not
+// its vertex's list. It reads 12 bytes of the index, not the Record.
+func (p *Page) List(i int) (list []graph.VertexID, split int, chunk bool) {
+	ix := p.index[2*i : 2*i+3 : 2*i+3]
+	meta := ix[1]
+	return p.slab[ix[0]:ix[2]:ix[2]], int(meta &^ chunkMark), meta&chunkMark != 0
 }
 
 // MaxEntriesPerPage returns how many adjacency entries fit in a fresh page
@@ -218,7 +305,8 @@ func (w *PageWriter) Bytes() []byte {
 // makes), straight into the page's slab. Adjacency slices are decoded copies:
 // the page aliases nothing of buf, which the caller may reuse at once. All
 // records of a page share the slab, so parsing a page costs a constant
-// number of allocations regardless of record count.
+// number of allocations regardless of record count, and the slab's spare
+// capacity holds the page's slot index (Page.List).
 func ParsePage(buf []byte) (*Page, error) { return parsePage(buf, false) }
 
 // ParsePageLazy parses like ParsePage but leaves records stored compressed
@@ -277,7 +365,11 @@ func parsePage(buf []byte, lazy bool) (*Page, error) {
 			}
 		}
 	}
-	slab := make([]graph.VertexID, 0, total)
+	slab := make([]graph.VertexID, 0, total+indexWords(nrec))
+	var index []graph.VertexID // the slot index, in the slab's spare capacity
+	if !lazy {
+		index = slab[total : total+indexWords(nrec)]
+	}
 	p.Records = make([]Record, 0, nrec)
 	for i := 0; i < nrec; i++ {
 		slotOff := len(buf) - (i+1)*slotSize
@@ -298,6 +390,10 @@ func parsePage(buf []byte, lazy bool) (*Page, error) {
 				start := len(slab)
 				slab, err = graph.DecodeCompressed(slab, payload, count, skips)
 				rec.Adj = slab[start:len(slab):len(slab)]
+				if err == nil {
+					split, _ := slices.BinarySearch(rec.Adj, rec.Vertex)
+					setSlot(index, i, start, split, &rec)
+				}
 			}
 			if err != nil {
 				return nil, &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d: %v", i, err)}
@@ -306,14 +402,24 @@ func parsePage(buf []byte, lazy bool) (*Page, error) {
 			p.Records = append(p.Records, rec)
 			continue
 		}
-		start := len(slab)
+		start, split := len(slab), 0
 		q := off + recordHeaderSize
 		for j := 0; j < count; j++ {
-			slab = append(slab, graph.VertexID(binary.LittleEndian.Uint32(buf[q:])))
+			x := graph.VertexID(binary.LittleEndian.Uint32(buf[q:]))
+			if x < rec.Vertex {
+				split++ // the forward split, counted while decoding
+			}
+			slab = append(slab, x)
 			q += 4
 		}
 		rec.Adj = slab[start:len(slab):len(slab)]
+		if !lazy {
+			setSlot(index, i, start, split, &rec)
+		}
 		p.Records = append(p.Records, rec)
+	}
+	if !lazy {
+		p.attachIndex(slab, index)
 	}
 	return p, nil
 }

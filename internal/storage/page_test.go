@@ -2,10 +2,13 @@ package storage
 
 import (
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"dualsim/internal/gen"
 	"dualsim/internal/graph"
 )
 
@@ -206,5 +209,100 @@ func TestChecksumQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkIndex fails t unless p's slot index agrees with its records: every
+// slot resolves to exactly its record's list, aliasing the same slab and
+// capped at its end; its split is the index of the first neighbour above
+// the record's vertex (where the list ascends without holding that vertex,
+// as every built list does); its chunk mark — the "not held" answer — is
+// set exactly on a chunk of a multi-page vertex; and, where the records are
+// a dense vertex-ID run, each vertex's slot is its record's and the IDs
+// beside the run have none. It reports whether the run is dense.
+func checkIndex(t *testing.T, p *Page) bool {
+	t.Helper()
+	if p.Slots() != len(p.Records) {
+		t.Fatalf("page %d: %d slots for %d records", p.ID, p.Slots(), len(p.Records))
+	}
+	dense := true
+	for i := range p.Records {
+		rec := &p.Records[i]
+		adj, split, chunk := p.List(i)
+		if !slices.Equal(adj, rec.Adj) || cap(adj) != len(adj) || (len(adj) > 0 && &adj[0] != &rec.Adj[0]) {
+			t.Fatalf("page %d slot %d: index resolves %v (cap %d), record holds %v", p.ID, i, adj, cap(adj), rec.Adj)
+		}
+		if chunk != (rec.Continues || rec.Continuation) {
+			t.Fatalf("page %d slot %d: chunk mark %v on a record continues=%v continuation=%v",
+				p.ID, i, chunk, rec.Continues, rec.Continuation)
+		}
+		if slices.IsSorted(adj) && !slices.Contains(adj, rec.Vertex) {
+			above := 0
+			for above < len(adj) && adj[above] < rec.Vertex {
+				above++
+			}
+			if split != above {
+				t.Fatalf("page %d slot %d: split %d, first neighbour above vertex %d at %d of %v",
+					p.ID, i, split, rec.Vertex, above, adj)
+			}
+		}
+		dense = dense && rec.Vertex == p.Records[0].Vertex+graph.VertexID(i)
+	}
+	if !dense || len(p.Records) == 0 {
+		return dense
+	}
+	for i := range p.Records {
+		if s, ok := p.Slot(p.Records[i].Vertex); !ok || s != i {
+			t.Fatalf("page %d: vertex %d resolves to slot %d (%v), want %d", p.ID, p.Records[i].Vertex, s, ok, i)
+		}
+	}
+	first := p.First()
+	if _, ok := p.Slot(first + graph.VertexID(len(p.Records))); ok {
+		t.Fatalf("page %d: the vertex past its run has a slot", p.ID)
+	}
+	if _, ok := p.Slot(first - 1); ok && first > 0 {
+		t.Fatalf("page %d: the vertex before its run has a slot", p.ID)
+	}
+	return true
+}
+
+// TestPageIndexBuilds checks the slot index of every page of a plain and a
+// compressed build in which hubs span several pages, as parsed (ParsePage)
+// and as rebuilt from the same records (NewPage, the constructor of
+// hand-built pages): the builder writes dense vertex-ID runs, so every
+// vertex resolves to its own slot, and every chunk is marked.
+func TestPageIndexBuilds(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "index.db")
+		if _, err := BuildFromGraph(path, gen.PlantedHubs(600, 4, 400, 38), BuildOptions{PageSize: 256, Compress: compress, TempDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks := 0
+		for pid := 0; pid < db.NumPages(); pid++ {
+			p, err := db.ReadPage(PageID(pid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !checkIndex(t, p) {
+				t.Fatalf("compress=%v page %d: records are not a dense vertex-ID run", compress, pid)
+			}
+			recs := slices.Clone(p.Records)
+			for i := range recs {
+				recs[i].Adj = slices.Clone(recs[i].Adj)
+				if recs[i].Continues || recs[i].Continuation {
+					chunks++
+				}
+			}
+			checkIndex(t, NewPage(p.ID, recs))
+		}
+		db.Close()
+		if chunks == 0 {
+			t.Fatalf("compress=%v: no multi-page vertex in the build", compress)
+		}
 	}
 }
