@@ -36,7 +36,10 @@ fmt:
 # permits and hand-offs travel one channel) or the matcher — the matcher
 # resolves lists through each page's slot index (storage.Page.List: a list
 # and its forward split in one read of the index), never through a
-# storage.Record, so internal/core/match.go names no .Records[; the hot path
+# storage.Record, and a page read builds none: each buffer frame parses into
+# the decoded page it keeps (storage.ParsePageInto), so non-test
+# internal/core and internal/buffer name no .Records and internal/buffer
+# calls no storage.ParsePage; the hot path
 # searches with slices.BinarySearch, not sort.Search's closure per probe,
 # candidates are unioned through the scratch set, not sorted, reads have one
 # issuer (run.issueRuns holds core's only AsyncReadRunContext call), a cohort
@@ -67,8 +70,10 @@ lint: vet metrics-doc-check
 		echo "cmd/dualsim links a comparison system; move the caller to cmd/bench" >&2; exit 1; fi
 	@if grep -nE 'sync\.Mutex|map\[graph\.VertexID\]' internal/core/window.go internal/core/stream.go internal/core/match.go; then \
 		echo "the window index is a flat array each page callback writes its own slot of: no mutex, no per-vertex map" >&2; exit 1; fi
-	@if grep -nF '.Records[' internal/core/match.go; then \
-		echo "the matcher resolves lists through the page's slot index (storage.Page.List), not its records: no .Records[ in internal/core/match.go" >&2; exit 1; fi
+	@if grep -nE '\.Records\b' $$(ls internal/core/*.go internal/buffer/*.go | grep -v _test.go); then \
+		echo "pages are read through their slot index (storage.Page.List, Chunk): no .Records in non-test internal/core or internal/buffer" >&2; exit 1; fi
+	@if grep -nF 'storage.ParsePage(' $$(ls internal/buffer/*.go | grep -v _test.go); then \
+		echo "a frame parses into the decoded page it keeps (storage.ParsePageInto): no storage.ParsePage in non-test internal/buffer" >&2; exit 1; fi
 	@if grep -nF 'sort.Search(' internal/core/window.go internal/core/stream.go internal/core/match.go; then \
 		echo "the window loader and the matcher search with slices.BinarySearch: no closure per probe" >&2; exit 1; fi
 	@if grep -nF 'slices.Sort' internal/core/window.go; then \
@@ -118,13 +123,15 @@ check: lint bench-module race stress
 # its rider draws board a shared sweep beside companions, so budgets are
 # dealt at every window boundary while riders board and leave, and its
 # permanent-fault rider draws fail a cohort while its tasks are matching.
+# A pinned rider draw at the engine's frame floor has frames parse page after
+# page into the memory they keep while riders pin and unpin around them.
 # Beside it ride what the oracle does not draw: the window-index contracts,
 # the overlay stream dispatch of a hub, a fault and a cancel inside a
 # streamed pass, the deal's tables, late join with early finish, the row
 # hook's order against checkpoints, the library's one-caller Enumerate, the
 # server's limit cut and flushes, the sublinear-pages pins (concurrent
 # riders share a sweep only by late join) and the faulted scheduler.
-STRESS_RUN = TestServingOracle|TestDifferentialAllModes|TestWindowIndex|TestResidentWindowInternalOnly|TestOverlayStreamDispatch|TestStreamFaultMidPass|TestStreamCancelMidPass|TestDealSplit|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestCohortDealExactBudget|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestEnumerateContract|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestStreamCoalescedFlushes|TestE2ESharedScanSublinearPages
+STRESS_RUN = TestServingOracle|TestDifferentialAllModes|TestFrameReuseRidersAtFloor|TestWindowIndex|TestResidentWindowInternalOnly|TestOverlayStreamDispatch|TestStreamFaultMidPass|TestStreamCancelMidPass|TestDealSplit|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestCohortDealExactBudget|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestEnumerateContract|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestStreamCoalescedFlushes|TestE2ESharedScanSublinearPages
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS_RUN)' ./internal/core ./internal/sharedscan ./internal/server .
 

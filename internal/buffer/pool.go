@@ -80,13 +80,19 @@ type Stats struct {
 	CoalescedPages uint64
 }
 
-// frame holds one parsed page. It keeps no page image: storage.ParsePage
-// decodes every record, so the page aliases nothing of the bytes it was
-// parsed from.
+// frame holds one parsed page. It keeps no page image: the parse decodes
+// every record, so the page aliases nothing of the bytes it was parsed from.
+// It owns its decoded page, mem: every load parses into that memory
+// (storage.ParsePageInto), which grows only when a larger page arrives, so
+// the pool's page memory is frames × decoded page bytes, allocated once per
+// frame, and a physical read in steady state allocates none of it.
 type frame struct {
-	pid   storage.PageID
-	pins  int
+	pid  storage.PageID
+	pins int
+	// page is &mem while the frame holds a loaded page; nil while a load
+	// runs and after one failed.
 	page  *storage.Page
+	mem   storage.Page
 	err   error
 	ready chan struct{}
 }
@@ -142,8 +148,10 @@ type Pool struct {
 
 	// runBufs recycles the scratch buffers device requests read into: pages
 	// are parsed straight out of it, and a parsed page keeps no reference to
-	// it, so the scratch never outlives the request.
-	runBufs sync.Pool
+	// it, so the scratch never outlives the request. It holds one per I/O
+	// worker and one more, so the workers' reads reuse theirs for good; a
+	// request that finds none free reads into a buffer of its own.
+	runBufs chan []byte
 }
 
 // NewPool creates a pool over reader with opts.Frames frames.
@@ -158,12 +166,13 @@ func NewPool(reader PageReader, opts Options) (*Pool, error) {
 		opts.MaxRun = DefaultMaxRun
 	}
 	p := &Pool{
-		reader: reader,
-		opts:   opts,
-		frames: make([]frame, opts.Frames),
-		table:  make(map[storage.PageID]int, opts.Frames),
-		free:   make([]int, 0, opts.Frames),
-		ioq:    make(chan ioRequest, 4*opts.IOWorkers),
+		reader:  reader,
+		opts:    opts,
+		frames:  make([]frame, opts.Frames),
+		table:   make(map[storage.PageID]int, opts.Frames),
+		free:    make([]int, 0, opts.Frames),
+		ioq:     make(chan ioRequest, 4*opts.IOWorkers),
+		runBufs: make(chan []byte, opts.IOWorkers+1),
 	}
 	p.runReader, _ = reader.(RunReader)
 	p.lastRead.Store(-2)
@@ -247,6 +256,9 @@ func (p *Pool) PinnedCount() int {
 
 // Pin fetches page pid, reading it if absent, and holds it in memory until
 // a matching Unpin. The returned page is shared and must not be modified.
+// It is valid only while pinned: the page, and every slice taken from it
+// (Page.List), is its frame's memory, which the frame's next load
+// overwrites once the last pin is gone. Copy what must outlive the pin.
 func (p *Pool) Pin(pid storage.PageID) (*storage.Page, error) {
 	return p.PinContext(context.Background(), pid)
 }
@@ -383,7 +395,8 @@ func (p *Pool) enqueue(req ioRequest) bool {
 // instead of n. Runs longer than Options.MaxRun are split across several
 // requests (possibly served by different workers). wg, if non-nil, must
 // have been Add(n)'d; it is Done once per page. After Close every callback
-// fires immediately with ErrPoolClosed.
+// fires immediately with ErrPoolClosed. A delivered page is valid only while
+// pinned, as with Pin: its frame's next load overwrites it after Unpin.
 func (p *Pool) AsyncReadRunContext(ctx context.Context, first storage.PageID, n int, wg *sync.WaitGroup, cb func(storage.PageID, *storage.Page, error)) {
 	for n > 0 {
 		chunk := n
@@ -466,7 +479,7 @@ func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sy
 		f.pid = pid
 		f.pins = 1
 		f.err = nil
-		f.page = nil
+		f.page = nil // f.mem is parsed into once the load runs
 		f.ready = make(chan struct{})
 		p.table[pid] = idx
 		slots[i] = runSlot{idx: idx, load: true}
@@ -533,8 +546,9 @@ func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sy
 // readStretch physically loads the consecutive pages claimed by slots (all
 // marked load), charging one seek for the whole stretch, into pooled scratch:
 // one device request with a RunReader, otherwise pages read back to back.
-// Each page is parsed straight out of the scratch; its frame's err/page is
-// set and its ready channel closed.
+// Each page is parsed straight out of the scratch into its frame's own
+// memory (frame.parse); its frame's err/page is set and its ready channel
+// closed.
 func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []runSlot) {
 	n := len(slots)
 	sc := p.attr.Load()
@@ -555,7 +569,7 @@ func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []ru
 		for i := range slots {
 			f := &p.frames[slots[i].idx]
 			if f.err = err; err == nil {
-				f.page, f.err = storage.ParsePage(buf[i*ps : (i+1)*ps])
+				f.err = f.parse(buf[i*ps : (i+1)*ps])
 				p.physical.Add(1)
 			}
 			close(f.ready)
@@ -570,7 +584,7 @@ func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []ru
 		f := &p.frames[slots[i].idx]
 		rerr := p.reader.ReadPageInto(first+storage.PageID(i), img)
 		if rerr == nil {
-			f.page, rerr = storage.ParsePage(img)
+			rerr = f.parse(img)
 		}
 		f.err = rerr
 		p.physical.Add(1)
@@ -581,14 +595,34 @@ func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []ru
 	}
 }
 
-// takeRunBuf returns a scratch buffer of exactly size bytes, recycled via
-// runBufs when a previous request's buffer is large enough.
-func (p *Pool) takeRunBuf(size int) []byte {
-	if b, ok := p.runBufs.Get().([]byte); ok && cap(b) >= size {
-		return b[:size]
+// parse parses a page image into the frame's own memory and, on success,
+// publishes it as the frame's page. The caller owns the frame's load.
+func (f *frame) parse(img []byte) error {
+	if err := storage.ParsePageInto(&f.mem, img); err != nil {
+		return err
 	}
-	return make([]byte, size)
+	f.page = &f.mem
+	return nil
 }
 
-// putRunBuf returns a scratch buffer to the recycle pool.
-func (p *Pool) putRunBuf(buf []byte) { p.runBufs.Put(buf[:cap(buf)]) }
+// takeRunBuf returns a scratch buffer of exactly size bytes, recycled via
+// runBufs when a free one is large enough.
+func (p *Pool) takeRunBuf(size int) []byte {
+	select {
+	case b := <-p.runBufs:
+		if cap(b) >= size {
+			return b[:size]
+		}
+	default:
+	}
+	return make([]byte, size, max(size, p.opts.MaxRun*p.reader.PageSize()))
+}
+
+// putRunBuf returns a scratch buffer to runBufs, or drops it when they are
+// full.
+func (p *Pool) putRunBuf(buf []byte) {
+	select {
+	case p.runBufs <- buf:
+	default:
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -279,8 +280,20 @@ func TestPageContentMatchesDB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Records) != len(want.Records) {
-			t.Fatalf("page %d: %d records via pool, %d direct", pid, len(got.Records), len(want.Records))
+		// A pooled page has no Records: it is read through its slot index,
+		// parsed into a frame that held other pages before.
+		if got.ID != want.ID || got.Slots() != len(want.Records) {
+			t.Fatalf("page %d: page %d with %d slots via pool, page %d with %d records direct",
+				pid, got.ID, got.Slots(), want.ID, len(want.Records))
+		}
+		for i, rec := range want.Records {
+			adj, _, _ := got.List(i)
+			continues, continuation := got.Chunk(i)
+			if got.First()+graph.VertexID(i) != rec.Vertex || !slices.Equal(adj, rec.Adj) ||
+				continues != rec.Continues || continuation != rec.Continuation {
+				t.Fatalf("page %d slot %d: vertex %d %v (continues=%v continuation=%v) via pool, %+v direct",
+					pid, i, got.First()+graph.VertexID(i), adj, continues, continuation, rec)
+			}
 		}
 		p.Unpin(storage.PageID(pid))
 	}

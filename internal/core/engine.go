@@ -384,6 +384,7 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 		k:            p.K,
 		winBudget:    alloc,
 		cand:         make([][]candSeq, len(p.Groups)),
+		candBuf:      make([][][]graph.VertexID, len(p.Groups)),
 		winData:      make([]*levelWindow, p.K),
 		pathPinned:   make(map[storage.PageID]int),
 		onRows:       spec.OnRows,
@@ -412,6 +413,7 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 	r.matchers.New = r.allocMatcher
 	for g := range r.cand {
 		r.cand[g] = make([]candSeq, p.K)
+		r.candBuf[g] = make([][]graph.VertexID, p.K)
 		f := p.Groups[g].Forest
 		for l := 0; l < p.K; l++ {
 			if f.Parent[l] < 0 {
@@ -481,6 +483,10 @@ type run struct {
 	// set is the scratch the candidate sequences are unioned through
 	// (candSet).
 	set vertexSet
+	// candBuf[g][l] is the memory cand[g][l]'s list is drained into when a
+	// window of its parent's level computes it (computeChildCandidates), and
+	// handed back when that window is done (clearChildCandidates).
+	candBuf [][][]graph.VertexID
 	// winData[l] describes the currently loaded window at level l.
 	winData []*levelWindow
 	// pathPinned tracks pages pinned by the current recursion path (page ->

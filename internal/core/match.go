@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"dualsim/internal/graph"
 )
@@ -32,6 +33,10 @@ type matcher struct {
 	// the loaded window of an outer level.
 	own *windowPage
 
+	// cursor[g] is group g's position in lw.verts[g] for the last-level
+	// records a task roots, which ascend (seek, inGroup).
+	cursor []int
+
 	pos2v   []graph.VertexID
 	posMask uint32 // assigned positions
 	// posAdj[p] is the resolved adjacency list of position p's vertex while
@@ -39,7 +44,8 @@ type matcher struct {
 	// use (clipPos), dropped when p is assigned anew or the task takes a new
 	// root, so the directory → ordinal → slot walk runs once per assignment.
 	// The lists alias pinned pages and never outlive the task — a matcher
-	// leaves the pool with adjMask clear.
+	// leaves the pool with adjMask clear: a page's lists are its buffer
+	// frame's memory, which the frame's next load overwrites once unpinned.
 	posAdj   [][]graph.VertexID
 	posSplit []int
 	adjMask  uint32
@@ -85,6 +91,7 @@ func (r *run) allocMatcher() any {
 	n := r.p.Query.NumVertices()
 	return &matcher{
 		r:        r,
+		cursor:   make([]int, len(r.p.Groups)),
 		pos2v:    make([]graph.VertexID, r.k),
 		posAdj:   make([][]graph.VertexID, r.k),
 		posSplit: make([]int, r.k),
@@ -234,6 +241,18 @@ func (m *matcher) allInternal() bool {
 
 // --- external enumeration -------------------------------------------------
 
+// canceled reports whether done, the run's Done channel taken once per task,
+// is closed: a receive that never blocks, where ctx.Err would take the
+// context's lock, which every worker of the run shares.
+func canceled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // extMapPage runs EXTVERTEXMAPPING for every complete record of a
 // just-landed last-level page, rooted at its overlay-merged list where the
 // run's snapshot touches it. Invoked on a worker while later pages of the
@@ -245,12 +264,15 @@ func (r *run) extMapPage(wp *windowPage, lw *levelWindow) {
 	}
 	m := r.newMatcher(lw, false)
 	m.own = wp
-	for i, first := 0, wp.page.First(); i < wp.page.Slots(); i++ {
+	done := r.ctx.Done()
+	first := wp.page.First()
+	m.seek(first)
+	for i := 0; i < wp.page.Slots(); i++ {
 		adj, split, ok := wp.list(i) // overlay-merged where the snapshot touches it
 		if !ok {
 			continue // a chunk: rooted once, when the vertex's last chunk lands (stream.root)
 		}
-		if r.ctx.Err() != nil {
+		if canceled(done) {
 			break // cancellation: abandon the rest of the page
 		}
 		r.extMapRecord(m, first+graph.VertexID(i), adj, split)
@@ -265,17 +287,39 @@ func (r *run) extMapVertex(e sideEntry, lw *levelWindow) {
 		return
 	}
 	m := r.newMatcher(lw, false)
+	m.seek(e.v)
 	r.extMapRecord(m, e.v, e.adj, e.split)
 	m.flush()
 }
 
+// seek places every group's cursor at the first of its pass candidates not
+// below v, the first vertex the task roots.
+func (m *matcher) seek(v graph.VertexID) {
+	for g := range m.cursor {
+		m.cursor[g], _ = slices.BinarySearch(m.lw.verts[g], v)
+	}
+}
+
+// inGroup reports whether v is one of group g's pass candidates, moving the
+// group's cursor forward to it: a task roots its records in ascending vertex
+// order from where seek placed the cursors, so no call searches.
+func (m *matcher) inGroup(g int, v graph.VertexID) bool {
+	verts, c := m.lw.verts[g], m.cursor[g]
+	for c < len(verts) && verts[c] < v {
+		c++
+	}
+	m.cursor[g] = c
+	return c < len(verts) && verts[c] == v
+}
+
 // extMapRecord roots the external traversal at one last-level record whose
-// list adj has the given forward split.
+// list adj has the given forward split; v is above every vertex the task
+// rooted before.
 func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, split int) {
 	last := r.k - 1
 	pos := r.p.MatchingOrder[last]
 	for g := range r.p.Groups {
-		if !graph.ContainsSorted(m.lw.verts[g], v) {
+		if !m.inGroup(g, v) {
 			continue
 		}
 		m.g = g
@@ -371,8 +415,9 @@ func (r *run) internalEnumerate(g int, verts []graph.VertexID, lw *levelWindow) 
 	m := r.newMatcher(lw, true)
 	m.g = g
 	pos0 := r.p.MatchingOrder[0]
+	done := r.ctx.Done()
 	for i := 0; i < len(verts); i++ {
-		if r.ctx.Err() != nil {
+		if canceled(done) {
 			break // cancellation: abandon the rest of the chunk
 		}
 		if len(verts)-i >= minStealSpan && r.workers.hungry() {

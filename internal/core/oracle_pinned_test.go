@@ -223,3 +223,14 @@ func TestEngineMVCAndAblationsAgree(t *testing.T) {
 		}
 	}
 }
+
+// Frame reuse under concurrent riders: at the engine's frame floor nearly
+// every load evicts, so frames parse page after page into the decoded memory
+// they keep while riders beside the draw pin, match and unpin pages of their
+// own. Under -race, a page read after its unpin is reported against the next
+// load into its frame.
+func TestFrameReuseRidersAtFloor(t *testing.T) {
+	d := pinned(random(43, 200, 900), graph.Triangle(), 128, 4, 0)
+	d.mode, d.companions = rider, []*graph.Query{graph.Square(), graph.House()}
+	pin(t, d, "rode beside companions")
+}

@@ -221,9 +221,8 @@ func (s *stream) onPage(pid storage.PageID, page *storage.Page, err error) {
 	wp := &lw.loaded[o]
 	if err == nil {
 		wp.page = page
-		err = r.indexPage(wp)
-	}
-	if err != nil {
+		r.indexPage(wp)
+	} else {
 		r.fail(err)
 	}
 	s.events <- streamEvent{ord: o, ok: err == nil}

@@ -68,7 +68,7 @@ func unionSorted(set *vertexSet, lists [][]graph.VertexID) []graph.VertexID {
 	for _, l := range lists {
 		set.add(l)
 	}
-	return set.drain()
+	return set.drain(nil)
 }
 
 // TestUnionSortedMatchesSeed checks the read-out against the seed's scan on
@@ -158,7 +158,7 @@ func TestUnionSortedOverlayCases(t *testing.T) {
 					t.Fatalf("result aliases input %d", i)
 				}
 			}
-			if again := set.drain(); again != nil {
+			if again := set.drain(nil); again != nil {
 				t.Fatalf("the set still held %v after the read-out", again)
 			}
 		})

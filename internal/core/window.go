@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dualsim/internal/delta"
 	"dualsim/internal/graph"
 	"dualsim/internal/obs"
 	"dualsim/internal/storage"
@@ -61,7 +60,9 @@ type levelWindow struct {
 // each page to its own task (matcher.own).
 type windowPage struct {
 	// page is the pinned page; nil when its load failed (nothing to unpin)
-	// or, in a pass, before it has landed and after it was released.
+	// or, in a pass, before it has landed and after it was released. It is
+	// its buffer frame's memory, which the frame's next load overwrites: it
+	// and every list taken from it are read only while the pin is held.
 	page *storage.Page
 	// lists holds, by slot, the overlay-merged lists that stand in for the
 	// page's complete records the run's snapshot touches (one slab per page);
@@ -323,15 +324,15 @@ func (r *run) mergedCandidates(l int) []graph.VertexID {
 	for _, list := range lists {
 		set.add(list)
 	}
-	return set.drain()
+	return set.drain(nil)
 }
 
 // vertexSet is the run's scratch set over the vertex IDs, one bit each: the
 // one way candidate sequences are unioned. add marks ascending lists, drain
-// reads the marks out ascending — duplicate-free by construction, in a slice
-// of its own that aliases no input — and leaves the set empty. Only the
-// words add touched are visited, so a small union over a large graph costs
-// what it spans. Orchestrator only.
+// reads the marks out ascending — duplicate-free by construction, into the
+// memory it is handed, which aliases no input — and leaves the set empty.
+// Only the words add touched are visited, so a small union over a large graph
+// costs what it spans. Orchestrator only.
 type vertexSet struct {
 	words []uint64
 	// lo, hi bound the touched words: words[lo:hi]; lo >= hi when empty.
@@ -364,17 +365,18 @@ func (s *vertexSet) add(list []graph.VertexID) {
 	}
 }
 
-// drain returns the marked vertices ascending (nil when there are none) and
-// clears them.
-func (s *vertexSet) drain() []graph.VertexID {
+// drain returns the marked vertices ascending in dst's memory, grown when
+// they do not fit (dst[:0] when there are none), and clears them.
+func (s *vertexSet) drain(dst []graph.VertexID) []graph.VertexID {
+	out := dst[:0]
 	if s.lo >= s.hi {
-		return nil
+		return out
 	}
 	n := 0
 	for _, w := range s.words[s.lo:s.hi] {
 		n += bits.OnesCount64(w)
 	}
-	out := make([]graph.VertexID, 0, n)
+	out = slices.Grow(out, n)
 	for i := s.lo; i < s.hi; i++ {
 		for w := s.words[i]; w != 0; w &= w - 1 {
 			out = append(out, graph.VertexID(i<<6+bits.TrailingZeros64(w)))
@@ -474,9 +476,7 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, ord int) (*levelWindow, 
 		}
 		wp := &lw.loaded[lw.ordinalOf(pid)]
 		wp.page = page
-		if err := r.indexPage(wp); err != nil {
-			r.fail(err)
-		}
+		r.indexPage(wp)
 	}
 	for _, pid := range pages {
 		r.pathPinned[pid]++
@@ -541,67 +541,59 @@ func (r *run) bookLoad(l, ord, pages int, wait time.Duration) {
 	}
 }
 
-// indexPage checks that the page's records are the dense ascending run of
-// vertex IDs the slot arithmetic relies on, notes whether any is a chunk of a
-// multi-page vertex, and fills wp.lists: (base ∪ adds) \ tombstones for every
+// indexPage notes whether any of the page's records is a chunk of a
+// multi-page vertex and fills wp.lists: (base ∪ adds) \ tombstones for every
 // complete record the run's overlay touches, in the vertex window or not —
 // descent-time lookups resolve any indexed vertex, and all of them must agree
-// on the graph version. It runs in the page's own load callback, so the page
-// is complete before any task can see it, and books the page's compressed
-// records and merged vertices.
-func (r *run) indexPage(wp *windowPage) error {
-	recs := wp.page.Records
-	// merged returns the overlay delta rec is listed with, nil for none.
-	merged := func(rec *storage.Record) *delta.VertexDelta {
-		if r.overlay == nil || rec.Continues || rec.Continuation {
-			return nil
-		}
-		return r.overlay.Of(rec.Vertex)
+// on the graph version. It reads the page through its slot index: the pool's
+// parse has already checked that the records are the dense vertex-ID run the
+// slot arithmetic relies on. It runs in the page's own load callback, so the
+// page is complete before any task can see it, and books the page's
+// compressed records and merged vertices. The merged lists are copies: like
+// every list taken from a page, the page's own are valid only while pinned.
+func (r *run) indexPage(wp *windowPage) {
+	p := wp.page
+	if crecs, cbytes := p.Compressed(); crecs > 0 {
+		r.em.compressedRecs.Add(uint64(crecs))
+		r.em.compressedBytes.Add(uint64(cbytes))
 	}
-	var crecs, cbytes, mutated uint64
+	first := p.First()
+	var mutated uint64
 	total := 0
-	for i := range recs {
-		rec := &recs[i]
-		if rec.Vertex != recs[0].Vertex+graph.VertexID(i) {
-			return &storage.CorruptPageError{Page: wp.page.ID,
-				Reason: fmt.Sprintf("slot %d holds vertex %d: records are not a dense vertex-ID run from %d", i, rec.Vertex, recs[0].Vertex)}
+	for i := 0; i < p.Slots(); i++ {
+		adj, _, chunk := p.List(i)
+		wp.chunked = wp.chunked || chunk
+		if chunk || r.overlay == nil {
+			continue
 		}
-		if rec.CompBytes > 0 {
-			crecs++
-			cbytes += uint64(rec.CompBytes)
-		}
-		wp.chunked = wp.chunked || rec.Continues || rec.Continuation
-		if d := merged(rec); d != nil {
-			total += len(rec.Adj) + len(d.Add)
+		if d := r.overlay.Of(first + graph.VertexID(i)); d != nil {
+			total += len(adj) + len(d.Add)
 			mutated++
 		}
 	}
-	if crecs > 0 {
-		r.em.compressedRecs.Add(crecs)
-		r.em.compressedBytes.Add(cbytes)
-	}
 	if mutated == 0 {
-		return nil
+		return
 	}
 	r.em.overlayVertices.Add(mutated)
 	slab := make([]graph.VertexID, 0, total)
-	wp.lists = make([]slotList, len(recs))
-	for i := range recs {
-		if d := merged(&recs[i]); d != nil {
+	wp.lists = make([]slotList, p.Slots())
+	for i := range wp.lists {
+		adj, _, chunk := p.List(i)
+		v := first + graph.VertexID(i)
+		if d := r.overlay.Of(v); d != nil && !chunk {
 			start := len(slab)
-			slab = d.AppendMerged(slab, recs[i].Adj)
-			adj := slab[start:len(slab):len(slab)]
-			wp.lists[i] = slotList{adj: adj, split: forwardSplit(adj, recs[i].Vertex), set: true}
+			slab = d.AppendMerged(slab, adj)
+			merged := slab[start:len(slab):len(slab)]
+			wp.lists[i] = slotList{adj: merged, split: forwardSplit(merged, v), set: true}
 		}
 	}
-	return nil
 }
 
 // buildSide fills the window's side table in one ascending pass over the
 // pages holding chunks of multi-page vertices, between the last page callback
-// and the seal. The chunks are concatenated — window chopping keeps a
-// vertex's span inside one window, so all of them are present — and the
-// run's overlay applied to the whole list.
+// and the seal. The chunks are concatenated into a list of the window's own —
+// window chopping keeps a vertex's span inside one window, so all of them are
+// present — and the run's overlay applied to the whole list.
 func (r *run) buildSide(lw *levelWindow) {
 	var cur sideEntry // the multi-page vertex being assembled
 	for o := range lw.loaded {
@@ -609,17 +601,19 @@ func (r *run) buildSide(lw *levelWindow) {
 		if !wp.chunked {
 			continue
 		}
-		for i := range wp.page.Records {
-			rec := &wp.page.Records[i]
-			if !rec.Continues && !rec.Continuation {
+		p := wp.page
+		for i := 0; i < p.Slots(); i++ {
+			adj, _, chunk := p.List(i)
+			if !chunk {
 				continue
 			}
-			v := rec.Vertex
-			if cur.v != v || !rec.Continuation {
+			continues, continuation := p.Chunk(i)
+			v := p.First() + graph.VertexID(i)
+			if cur.v != v || !continuation {
 				cur = sideEntry{v: v}
 			}
-			cur.adj = append(cur.adj, rec.Adj...)
-			if rec.Continues || len(cur.adj) != r.e.db.Degree(v) {
+			cur.adj = append(cur.adj, adj...)
+			if continues || len(cur.adj) != r.e.db.Degree(v) {
 				// More chunks follow, or the list starts on a page outside
 				// the window — then so does the vertex, never matched here.
 				continue
@@ -672,7 +666,7 @@ func (r *run) computeChildCandidates(l int) {
 					set.add(adj[:i])
 				}
 			}
-			out := set.drain()
+			out := set.drain(r.candBuf[g][childLevel])
 			r.em.candSize.Observe(int64(len(out)))
 			r.cand[g][childLevel] = candSeq{list: out}
 		}
@@ -680,10 +674,12 @@ func (r *run) computeChildCandidates(l int) {
 }
 
 // clearChildCandidates resets the candidate sequences computed by
-// computeChildCandidates(l), freeing their memory between windows.
+// computeChildCandidates(l) and hands their memory back to the run, for the
+// next window's.
 func (r *run) clearChildCandidates(l int) {
 	for g, vg := range r.p.Groups {
 		for _, childLevel := range vg.Forest.Children[l] {
+			r.candBuf[g][childLevel] = r.cand[g][childLevel].list[:0]
 			r.cand[g][childLevel] = candSeq{}
 		}
 	}

@@ -156,38 +156,40 @@ func MaxCompressedEntries(adj []VertexID, maxBytes int) (n, bytes int) {
 // pair are checked against the walk — so cursors over the returned view
 // can assume well-formed input. The view aliases payload.
 func ParseCompressed(payload []byte, count int, hasSkips bool) (CompressedAdj, error) {
-	c, _, err := walkCompressed(payload, count, hasSkips, nil, false)
+	c, _, _, err := walkCompressed(payload, count, hasSkips, nil, false, 0)
 	return c, err
 }
 
 // DecodeCompressed validates a compressed payload exactly as ParseCompressed
-// does and, in the same walk, appends its count entries to dst. The result
-// aliases nothing of payload. On error dst comes back with its length
-// unchanged.
-func DecodeCompressed(dst []VertexID, payload []byte, count int, hasSkips bool) ([]VertexID, error) {
-	_, dst, err := walkCompressed(payload, count, hasSkips, dst, true)
-	return dst, err
+// does and, in the same walk, appends its count entries to dst and counts
+// those below v — for an ascending list, the index of its first entry not
+// below v. The result aliases nothing of payload. On error dst comes back
+// with its length unchanged.
+func DecodeCompressed(dst []VertexID, payload []byte, count int, hasSkips bool, v VertexID) (out []VertexID, below int, err error) {
+	_, dst, below, err = walkCompressed(payload, count, hasSkips, dst, true, v)
+	return dst, below, err
 }
 
 // walkCompressed is the one validating walk over a payload: ParseCompressed
-// keeps the view, DecodeCompressed (decode set) the values.
-func walkCompressed(payload []byte, count int, hasSkips bool, dst []VertexID, decode bool) (CompressedAdj, []VertexID, error) {
+// keeps the view, DecodeCompressed (decode set) the values and the count of
+// those below v.
+func walkCompressed(payload []byte, count int, hasSkips bool, dst []VertexID, decode bool, v VertexID) (CompressedAdj, []VertexID, int, error) {
 	c := CompressedAdj{Count: count}
 	data := payload
 	if hasSkips {
 		if count <= SkipInterval {
-			return c, dst, fmt.Errorf("skip table on %d-entry list (max %d without one)", count, SkipInterval)
+			return c, dst, 0, fmt.Errorf("skip table on %d-entry list (max %d without one)", count, SkipInterval)
 		}
 		if len(payload) < 2 {
-			return c, dst, fmt.Errorf("payload %d bytes, too short for skip-table header", len(payload))
+			return c, dst, 0, fmt.Errorf("payload %d bytes, too short for skip-table header", len(payload))
 		}
 		nSkips := int(binary.LittleEndian.Uint16(payload))
 		if want := (count - 1) / SkipInterval; nSkips != want {
-			return c, dst, fmt.Errorf("skip table has %d entries, want %d for %d-entry list", nSkips, want, count)
+			return c, dst, 0, fmt.Errorf("skip table has %d entries, want %d for %d-entry list", nSkips, want, count)
 		}
 		tableLen := nSkips * skipEntrySize
 		if len(payload) < 2+tableLen {
-			return c, dst, fmt.Errorf("payload %d bytes, too short for %d skip entries", len(payload), nSkips)
+			return c, dst, 0, fmt.Errorf("payload %d bytes, too short for %d skip entries", len(payload), nSkips)
 		}
 		c.Skips = payload[2 : 2+tableLen]
 		data = payload[2+tableLen:]
@@ -199,7 +201,7 @@ func walkCompressed(payload []byte, count int, hasSkips bool, dst []VertexID, de
 		out = dst[len(dst) : len(dst)+count]
 	}
 	prev := uint32(0) // the first delta is absolute: 0 + d
-	pos := 0
+	pos, below := 0, 0
 	// One block of SkipInterval deltas at a time: a skip entry is checked
 	// where its block starts.
 	for i := 0; i < count; {
@@ -208,7 +210,7 @@ func walkCompressed(payload []byte, count int, hasSkips bool, dst []VertexID, de
 			lastVal := binary.LittleEndian.Uint32(c.Skips[e:])
 			off := int(binary.LittleEndian.Uint16(c.Skips[e+4:]))
 			if lastVal != prev || off != pos {
-				return c, dst, fmt.Errorf("skip entry %d is (val=%d off=%d), stream says (val=%d off=%d)",
+				return c, dst, 0, fmt.Errorf("skip entry %d is (val=%d off=%d), stream says (val=%d off=%d)",
 					i/SkipInterval-1, lastVal, off, prev, pos)
 			}
 		}
@@ -220,20 +222,23 @@ func walkCompressed(payload []byte, count int, hasSkips bool, dst []VertexID, de
 			} else {
 				d, n := binary.Uvarint(data[pos:])
 				if n <= 0 {
-					return c, dst, fmt.Errorf("corrupt varint at entry %d", i)
+					return c, dst, 0, fmt.Errorf("corrupt varint at entry %d", i)
 				}
 				pos += n
 				prev += uint32(d)
 			}
 			if decode {
 				out[i] = VertexID(prev)
+				if VertexID(prev) < v {
+					below++
+				}
 			}
 		}
 	}
 	if pos != len(data) {
-		return c, dst, fmt.Errorf("%d trailing bytes after %d entries", len(data)-pos, count)
+		return c, dst, 0, fmt.Errorf("%d trailing bytes after %d entries", len(data)-pos, count)
 	}
-	return c, dst[:len(dst)+len(out)], nil
+	return c, dst[:len(dst)+len(out)], below, nil
 }
 
 // AppendTo fully decodes the list, appending to dst (callers pass reusable

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -45,7 +46,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 		adj := sortedRandom(rng, n, 10*n+10)
 		c := mustParse(t, adj)
 		payload, withSkips := AppendCompressed(nil, adj)
-		fused, err := DecodeCompressed([]VertexID{7}, payload, n, withSkips)
+		fused, _, err := DecodeCompressed([]VertexID{7}, payload, n, withSkips, 0)
 		if err != nil {
 			t.Fatalf("n=%d: DecodeCompressed: %v", n, err)
 		}
@@ -61,6 +62,14 @@ func TestCompressedRoundTrip(t *testing.T) {
 		}
 		if (len(c.Skips) > 0) != (n > SkipInterval) {
 			t.Fatalf("n=%d: skip table presence = %v", n, len(c.Skips) > 0)
+		}
+		// The count below a vertex, taken while decoding, is its insertion
+		// point: the forward split of a list that does not hold it.
+		for _, v := range []VertexID{0, VertexID(rng.Intn(10*n + 11)), VertexID(10*n + 10)} {
+			_, below, err := DecodeCompressed(nil, payload, n, withSkips, v)
+			if want, _ := slices.BinarySearch(adj, v); err != nil || below != want {
+				t.Fatalf("n=%d: %d entries below %d (err %v), want %d", n, below, v, err, want)
+			}
 		}
 	}
 }
@@ -140,7 +149,7 @@ func TestParseCompressedRejectsCorruption(t *testing.T) {
 			if _, err := ParseCompressed(mut, len(adj), true); err == nil {
 				t.Fatal("corrupt payload accepted")
 			}
-			if _, err := DecodeCompressed(nil, mut, len(adj), true); err == nil {
+			if _, _, err := DecodeCompressed(nil, mut, len(adj), true, 0); err == nil {
 				t.Fatal("corrupt payload decoded")
 			}
 		})
@@ -287,7 +296,7 @@ func BenchmarkIntersectCompressed(b *testing.B) {
 		b.ReportAllocs()
 		scratch := make([]VertexID, 0, len(large))
 		for i := 0; i < b.N; i++ {
-			if scratch, err = DecodeCompressed(scratch[:0], payload, len(large), hasSkips); err != nil {
+			if scratch, _, err = DecodeCompressed(scratch[:0], payload, len(large), hasSkips, 0); err != nil {
 				b.Fatal(err)
 			}
 			dst = IntersectSorted(small, scratch, dst[:0])

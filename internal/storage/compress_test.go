@@ -323,8 +323,9 @@ func mixedPage(rng *rand.Rand, pageSize int) ([]byte, [][]graph.VertexID) {
 // parsersAgree parses buf with ParsePage and with ParsePageLazy and fails t
 // unless both accept or both reject it, and, when both accept, each record
 // decoded in the fused walk equals its lazy view decoded afterwards, and the
-// fused parse's slot index agrees with its records (checkIndex). It returns
-// the fused parse (nil when rejected).
+// fused parse's slot index agrees with its records (checkIndex). The pool's
+// parse must agree too (intoAgrees). It returns the fused parse (nil when
+// rejected).
 func parsersAgree(t *testing.T, buf []byte) *Page {
 	t.Helper()
 	fused, ferr := ParsePage(buf)
@@ -351,7 +352,68 @@ func parsersAgree(t *testing.T, buf []byte) *Page {
 		}
 	}
 	checkIndex(t, fused)
+	intoAgrees(t, buf, fused)
 	return fused
+}
+
+// intoAgrees parses buf with ParsePageInto into a page that already holds
+// another image, and fails t unless it rejects what ParsePage rejected
+// (fused nil) and what is not a dense vertex-ID run, and otherwise resolves
+// every slot — list, split and chunk bits — and counts the compressed records
+// exactly as fused does, with no Records.
+func intoAgrees(t *testing.T, buf []byte, fused *Page) {
+	t.Helper()
+	w := NewPageWriter(MinPageSize, 9)
+	w.Add(1, []graph.VertexID{0, 2}, false, false)
+	w.Add(2, []graph.VertexID{1}, false, false)
+	into := &Page{}
+	if err := ParsePageInto(into, w.Bytes()); err != nil {
+		t.Fatalf("ParsePageInto of a valid page: %v", err)
+	}
+	err := ParsePageInto(into, buf)
+	if fused == nil {
+		if err == nil {
+			t.Fatalf("ParsePageInto accepts what ParsePage rejects")
+		}
+		return
+	}
+	dense := true
+	for i := range fused.Records {
+		dense = dense && fused.Records[i].Vertex == fused.Records[0].Vertex+graph.VertexID(i)
+	}
+	var cerr *CorruptPageError
+	if !dense {
+		if !errors.As(err, &cerr) {
+			t.Fatalf("ParsePageInto of a page that is not a dense vertex-ID run: err=%v, want a CorruptPageError", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("ParsePageInto rejects what ParsePage accepts: %v", err)
+	}
+	if into.ID != fused.ID || into.Slots() != fused.Slots() || into.Records != nil || (into.Slots() > 0 && into.First() != fused.First()) {
+		t.Fatalf("ParsePageInto: page %d, %d slots from %d (records %v); ParsePage: page %d, %d slots from %d",
+			into.ID, into.Slots(), into.First(), into.Records != nil, fused.ID, fused.Slots(), fused.First())
+	}
+	recs, bytes := 0, 0
+	for i := range fused.Records {
+		rec := &fused.Records[i]
+		adj, split, chunk := into.List(i)
+		wadj, wsplit, wchunk := fused.List(i)
+		if !slices.Equal(adj, wadj) || split != wsplit || chunk != wchunk {
+			t.Fatalf("slot %d: ParsePageInto resolves (%v, %d, %v), ParsePage (%v, %d, %v)", i, adj, split, chunk, wadj, wsplit, wchunk)
+		}
+		if c, cn := into.Chunk(i); c != rec.Continues || cn != rec.Continuation {
+			t.Fatalf("slot %d: chunk bits (%v, %v), record continues=%v continuation=%v", i, c, cn, rec.Continues, rec.Continuation)
+		}
+		if rec.CompBytes > 0 {
+			recs++
+			bytes += rec.CompBytes
+		}
+	}
+	if r, b := into.Compressed(); r != recs || b != bytes {
+		t.Fatalf("ParsePageInto counts %d compressed records of %d bytes, the records %d of %d", r, b, recs, bytes)
+	}
 }
 
 // TestParsePageFusedMatchesLazy: decoding a compressed record inside its

@@ -113,25 +113,37 @@ func (r *Record) Decoded(dst []graph.VertexID) []graph.VertexID {
 type Page struct {
 	// ID is the page's position in the file.
 	ID PageID
-	// Records are the adjacency records stored on the page, in slot order.
+	// Records are the adjacency records stored on the page, in slot order,
+	// for the cold readers: ParsePage, ParsePageLazy and NewPage fill it. A
+	// page parsed by ParsePageInto — the buffer pool's read path — has none
+	// and is read through its slot index alone (Slots, List, Chunk).
 	Records []Record
 
-	// first is Records[0].Vertex. slab holds every record's decoded list
-	// back to back, and index, in the same allocation right after it, the
-	// slot index the matcher resolves lists through: per slot its list's
-	// start in slab and a meta word (the list's forward split, chunkMark
-	// for a chunk of a multi-page vertex), then slab's end once, so slot i
-	// is index[2i : 2i+3]. A page parsed lazily, or built without NewPage,
-	// has no index and resolves nothing.
+	// first is slot 0's vertex. slab holds every record's decoded list back
+	// to back, and index, in the same allocation right after it, the slot
+	// index lists resolve through: per slot its list's start in slab and a
+	// meta word (the list's forward split, and the chunk bits
+	// metaContinues and metaContinuation), then slab's end once, so slot i
+	// is index[2i : 2i+3]. slab's capacity is the whole allocation, which
+	// ParsePageInto parses the next image into. A page parsed lazily, or
+	// built without NewPage, has no index and resolves nothing.
 	first graph.VertexID
 	slab  []graph.VertexID
 	index []graph.VertexID // offsets and meta words, not vertices
+	// compRecs and compBytes count the records with a compressed payload and
+	// its bytes (Compressed).
+	compRecs, compBytes int
 }
 
-// chunkMark flags a slot's meta word when the record is a chunk of a
-// multi-page vertex (Continues or Continuation): no single record holds
-// that list. A split never reaches it: a sublist has at most 65 535 entries.
-const chunkMark = 1 << 31
+// The chunk bits of a slot's meta word: the record continues on the next
+// page, or continues the previous page's — either way it is a chunk of a
+// multi-page vertex, and no single record holds that list. A split never
+// reaches them: a sublist has at most 65 535 entries.
+const (
+	metaContinues    = 1 << 31
+	metaContinuation = 1 << 30
+	metaChunk        = metaContinues | metaContinuation
+)
 
 // indexWords is the length of the slot index of a page of nrec records.
 func indexWords(nrec int) int { return 2*nrec + 1 }
@@ -146,37 +158,43 @@ func NewPage(id PageID, recs []Record) *Page {
 	}
 	slab := make([]graph.VertexID, 0, total+indexWords(len(recs)))
 	index := slab[total : total+indexWords(len(recs))]
+	p := &Page{ID: id, Records: recs}
 	for i := range recs {
 		start := len(slab)
 		slab = append(slab, recs[i].Adj...)
 		recs[i].Adj = slab[start:len(slab):len(slab)]
 		split, _ := slices.BinarySearch(recs[i].Adj, recs[i].Vertex)
-		setSlot(index, i, start, split, &recs[i])
+		setSlot(index, i, start, split, recs[i].Continues, recs[i].Continuation)
+		if recs[i].CompBytes > 0 {
+			p.compRecs++
+			p.compBytes += recs[i].CompBytes
+		}
 	}
-	p := &Page{ID: id, Records: recs}
+	if len(recs) > 0 {
+		p.first = recs[0].Vertex
+	}
 	p.attachIndex(slab, index)
 	return p
 }
 
-// setSlot writes slot i of a page's index: the start of rec's list in the
-// slab, and its forward split and chunk mark.
-func setSlot(index []graph.VertexID, i, start, split int, rec *Record) {
+// setSlot writes slot i of a page's index: the start of its list in the
+// slab, and its forward split and chunk bits.
+func setSlot(index []graph.VertexID, i, start, split int, continues, continuation bool) {
 	meta := graph.VertexID(split)
-	if rec.Continues || rec.Continuation {
-		meta |= chunkMark
+	if continues {
+		meta |= metaContinues
+	}
+	if continuation {
+		meta |= metaContinuation
 	}
 	index[2*i], index[2*i+1] = graph.VertexID(start), meta
 }
 
-// attachIndex completes the slot index of the page's records — every slot
-// set, each record's Adj aliasing slab, whose spare capacity index is —
-// with the slab's end.
+// attachIndex completes the slot index — every slot set, the lists in slab,
+// whose spare capacity index is — with the slab's end.
 func (p *Page) attachIndex(slab, index []graph.VertexID) {
 	index[len(index)-1] = graph.VertexID(len(slab))
 	p.slab, p.index = slab, index
-	if len(p.Records) > 0 {
-		p.first = p.Records[0].Vertex
-	}
 }
 
 // Slots returns the number of slots the page's index resolves: its record
@@ -200,8 +218,19 @@ func (p *Page) Slot(v graph.VertexID) (int, bool) {
 func (p *Page) List(i int) (list []graph.VertexID, split int, chunk bool) {
 	ix := p.index[2*i : 2*i+3 : 2*i+3]
 	meta := ix[1]
-	return p.slab[ix[0]:ix[2]:ix[2]], int(meta &^ chunkMark), meta&chunkMark != 0
+	return p.slab[ix[0]:ix[2]:ix[2]], int(meta &^ metaChunk), meta&metaChunk != 0
 }
+
+// Chunk returns slot i's chunk bits: whether its vertex's list continues on
+// the next page, and whether the record continues the previous page's.
+func (p *Page) Chunk(i int) (continues, continuation bool) {
+	meta := p.index[2*i+1]
+	return meta&metaContinues != 0, meta&metaContinuation != 0
+}
+
+// Compressed returns how many of the page's records carry a compressed
+// payload (Record.CompBytes > 0), and its bytes in all.
+func (p *Page) Compressed() (records, bytes int) { return p.compRecs, p.compBytes }
 
 // MaxEntriesPerPage returns how many adjacency entries fit in a fresh page
 // of the given size alongside a single record.
@@ -306,51 +335,84 @@ func (w *PageWriter) Bytes() []byte {
 // the page aliases nothing of buf, which the caller may reuse at once. All
 // records of a page share the slab, so parsing a page costs a constant
 // number of allocations regardless of record count, and the slab's spare
-// capacity holds the page's slot index (Page.List).
-func ParsePage(buf []byte) (*Page, error) { return parsePage(buf, false) }
+// capacity holds the page's slot index (Page.List). It is the cold readers'
+// parse (verification, statistics, compaction): it also builds Records.
+func ParsePage(buf []byte) (*Page, error) {
+	p := &Page{}
+	if err := p.parse(buf, parseRecords); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
 // ParsePageLazy parses like ParsePage but leaves records stored compressed
 // as validated zero-copy views (Record.Comp) instead of decoding them; raw
 // records still decode into the shared slab. The views alias buf, which the
 // caller must keep alive and unmodified for as long as the page is used.
-// The engine reads pages with ParsePage only; this is the comparator of the
-// parse micro-benchmark and of the compressed-domain kernels.
-func ParsePageLazy(buf []byte) (*Page, error) { return parsePage(buf, true) }
-
-func parsePage(buf []byte, lazy bool) (*Page, error) {
-	if len(buf) < MinPageSize {
-		return nil, fmt.Errorf("storage: page buffer %d bytes, below minimum %d", len(buf), MinPageSize)
+// The engine never parses lazily; this is the comparator of the parse
+// micro-benchmark and of the compressed-domain kernels.
+func ParsePageLazy(buf []byte) (*Page, error) {
+	p := &Page{}
+	if err := p.parse(buf, parseLazy); err != nil {
+		return nil, err
 	}
-	p := &Page{ID: PageID(binary.LittleEndian.Uint32(buf[0:]))}
+	return p, nil
+}
+
+// ParsePageInto parses a page image into p, reusing its memory — the buffer
+// pool's read path. It validates and decodes exactly as ParsePage does, but
+// builds only the slot index, its chunk bits and the compressed totals, no
+// Records, and the decode slab is allocated only when the image needs more
+// than p's holds. The records must be a dense ascending vertex-ID run (the
+// builder writes one record per vertex per page), since the index is
+// addressed by vertex: a page that is not is rejected as corrupt. Whatever
+// was read from p before is overwritten, and on error p holds nothing
+// usable until a parse succeeds.
+func ParsePageInto(p *Page, buf []byte) error { return p.parse(buf, parseIndex) }
+
+// parseMode selects what parse builds besides the checks every mode makes.
+type parseMode uint8
+
+const (
+	parseIndex   parseMode = iota // slot index only, dense run required (ParsePageInto)
+	parseRecords                  // slot index and Records (ParsePage)
+	parseLazy                     // Records with compressed views, no index (ParsePageLazy)
+)
+
+// parse is the one decode loop of every parse mode.
+func (p *Page) parse(buf []byte, mode parseMode) error {
+	if len(buf) < MinPageSize {
+		return fmt.Errorf("storage: page buffer %d bytes, below minimum %d", len(buf), MinPageSize)
+	}
+	p.ID = PageID(binary.LittleEndian.Uint32(buf[0:]))
 	stored := binary.LittleEndian.Uint32(buf[checksumOffset:])
 	if sum := pageChecksum(buf); sum != stored {
-		return nil, &CorruptPageError{Page: p.ID, StoredCRC: stored, ComputedCRC: sum, Reason: "checksum mismatch"}
+		return &CorruptPageError{Page: p.ID, StoredCRC: stored, ComputedCRC: sum, Reason: "checksum mismatch"}
 	}
 	nrec := int(binary.LittleEndian.Uint16(buf[4:]))
 	freeStart := int(binary.LittleEndian.Uint16(buf[6:]))
 	slotBase := len(buf) - nrec*slotSize
 	if slotBase < freeStart || freeStart < pageHeaderSize {
-		return nil, &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("corrupt header (nrec=%d freeStart=%d)", nrec, freeStart)}
+		return &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("corrupt header (nrec=%d freeStart=%d)", nrec, freeStart)}
 	}
 	// Pass 1: validate slot framing and size the decode slab — entries that
-	// will materialize as []VertexID (raw always; compressed only when
-	// decoding eagerly).
+	// will materialize as []VertexID (raw always; compressed unless lazy).
 	total := 0
 	for i := 0; i < nrec; i++ {
 		slotOff := len(buf) - (i+1)*slotSize
 		off := int(binary.LittleEndian.Uint16(buf[slotOff:]))
 		length := int(binary.LittleEndian.Uint16(buf[slotOff+2:]))
 		if off+length > slotBase || off < pageHeaderSize || length < recordHeaderSize {
-			return nil, &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d out of bounds (off=%d len=%d)", i, off, length)}
+			return &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d out of bounds (off=%d len=%d)", i, off, length)}
 		}
 		flags := buf[off+4]
 		count := int(binary.LittleEndian.Uint16(buf[off+6:]))
 		if flags&flagCompressed == 0 {
 			if flags&flagSkips != 0 {
-				return nil, &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d: skip flag on raw record", i)}
+				return &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d: skip flag on raw record", i)}
 			}
 			if recordHeaderSize+4*count != length {
-				return nil, &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d count %d disagrees with length %d", i, count, length)}
+				return &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d count %d disagrees with length %d", i, count, length)}
 			}
 			total += count
 		} else {
@@ -358,70 +420,86 @@ func parsePage(buf []byte, lazy bool) (*Page, error) {
 			// entry count; checking here keeps the slab pre-allocation
 			// honest against hostile counts.
 			if count > length-recordHeaderSize {
-				return nil, &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d: %d entries claimed in a %d-byte payload", i, count, length-recordHeaderSize)}
+				return &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d: %d entries claimed in a %d-byte payload", i, count, length-recordHeaderSize)}
 			}
-			if !lazy {
+			if mode != parseLazy {
 				total += count
 			}
 		}
 	}
-	slab := make([]graph.VertexID, 0, total+indexWords(nrec))
-	var index []graph.VertexID // the slot index, in the slab's spare capacity
-	if !lazy {
-		index = slab[total : total+indexWords(nrec)]
+	words := total
+	if mode != parseLazy {
+		words += indexWords(nrec)
 	}
-	p.Records = make([]Record, 0, nrec)
+	slab := p.slab[:0]
+	if cap(slab) < words {
+		slab = make([]graph.VertexID, 0, words)
+	}
+	var index []graph.VertexID // the slot index, in the slab's spare capacity
+	if mode != parseLazy {
+		index = slab[total:words]
+	}
+	p.Records, p.index, p.first = nil, nil, 0 // resolves nothing until it succeeds
+	p.slab = slab                             // kept for the next parse if this one fails
+	if mode != parseIndex {
+		p.Records = make([]Record, 0, nrec)
+	}
+	p.compRecs, p.compBytes = 0, 0
 	for i := 0; i < nrec; i++ {
 		slotOff := len(buf) - (i+1)*slotSize
 		off := int(binary.LittleEndian.Uint16(buf[slotOff:]))
 		length := int(binary.LittleEndian.Uint16(buf[slotOff+2:]))
-		rec := Record{Vertex: graph.VertexID(binary.LittleEndian.Uint32(buf[off:]))}
+		v := graph.VertexID(binary.LittleEndian.Uint32(buf[off:]))
+		if i == 0 {
+			p.first = v
+		} else if mode == parseIndex && v != p.first+graph.VertexID(i) {
+			return &CorruptPageError{Page: p.ID,
+				Reason: fmt.Sprintf("slot %d holds vertex %d: records are not a dense vertex-ID run from %d", i, v, p.first)}
+		}
 		flags := buf[off+4]
-		rec.Continues = flags&flagContinues != 0
-		rec.Continuation = flags&flagContinuation != 0
+		continues, continuation := flags&flagContinues != 0, flags&flagContinuation != 0
 		count := int(binary.LittleEndian.Uint16(buf[off+6:]))
+		rec := Record{Vertex: v, Continues: continues, Continuation: continuation}
+		start, split := len(slab), 0
+		payload := buf[off+recordHeaderSize : off+length]
 		if flags&flagCompressed != 0 {
-			payload := buf[off+recordHeaderSize : off+length]
 			skips := flags&flagSkips != 0
 			var err error
-			if lazy {
+			if mode == parseLazy {
 				rec.Comp, err = graph.ParseCompressed(payload, count, skips)
 			} else {
-				start := len(slab)
-				slab, err = graph.DecodeCompressed(slab, payload, count, skips)
-				rec.Adj = slab[start:len(slab):len(slab)]
-				if err == nil {
-					split, _ := slices.BinarySearch(rec.Adj, rec.Vertex)
-					setSlot(index, i, start, split, &rec)
-				}
+				slab, split, err = graph.DecodeCompressed(slab, payload, count, skips, v)
 			}
 			if err != nil {
-				return nil, &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d: %v", i, err)}
+				return &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d: %v", i, err)}
 			}
-			rec.CompBytes = len(payload)
+			if rec.CompBytes = len(payload); rec.CompBytes > 0 {
+				p.compRecs++ // counted as Record.CompBytes tells them: a payload
+				p.compBytes += rec.CompBytes
+			}
+		} else {
+			for q := 0; q+4 <= len(payload); q += 4 {
+				x := graph.VertexID(binary.LittleEndian.Uint32(payload[q:]))
+				if x < v {
+					split++ // the forward split, counted while decoding
+				}
+				slab = append(slab, x)
+			}
+		}
+		if mode != parseLazy {
+			setSlot(index, i, start, split, continues, continuation)
+		}
+		if mode != parseIndex {
+			if rec.CompBytes == 0 || mode != parseLazy {
+				rec.Adj = slab[start:len(slab):len(slab)]
+			}
 			p.Records = append(p.Records, rec)
-			continue
 		}
-		start, split := len(slab), 0
-		q := off + recordHeaderSize
-		for j := 0; j < count; j++ {
-			x := graph.VertexID(binary.LittleEndian.Uint32(buf[q:]))
-			if x < rec.Vertex {
-				split++ // the forward split, counted while decoding
-			}
-			slab = append(slab, x)
-			q += 4
-		}
-		rec.Adj = slab[start:len(slab):len(slab)]
-		if !lazy {
-			setSlot(index, i, start, split, &rec)
-		}
-		p.Records = append(p.Records, rec)
 	}
-	if !lazy {
+	if mode != parseLazy {
 		p.attachIndex(slab, index)
 	}
-	return p, nil
+	return nil
 }
 
 // Vertices returns the distinct vertices that have a record on the page, in

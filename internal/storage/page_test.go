@@ -232,9 +232,9 @@ func checkIndex(t *testing.T, p *Page) bool {
 		if !slices.Equal(adj, rec.Adj) || cap(adj) != len(adj) || (len(adj) > 0 && &adj[0] != &rec.Adj[0]) {
 			t.Fatalf("page %d slot %d: index resolves %v (cap %d), record holds %v", p.ID, i, adj, cap(adj), rec.Adj)
 		}
-		if chunk != (rec.Continues || rec.Continuation) {
-			t.Fatalf("page %d slot %d: chunk mark %v on a record continues=%v continuation=%v",
-				p.ID, i, chunk, rec.Continues, rec.Continuation)
+		if c, cn := p.Chunk(i); chunk != (rec.Continues || rec.Continuation) || c != rec.Continues || cn != rec.Continuation {
+			t.Fatalf("page %d slot %d: chunk mark %v (bits %v, %v) on a record continues=%v continuation=%v",
+				p.ID, i, chunk, c, cn, rec.Continues, rec.Continuation)
 		}
 		if slices.IsSorted(adj) && !slices.Contains(adj, rec.Vertex) {
 			above := 0
