@@ -36,9 +36,12 @@ fmt:
 # permits and hand-offs travel one channel) or the matcher — the matcher
 # resolves lists through each page's slot index (storage.Page.List: a list
 # and its forward split in one read of the index), never through a
-# storage.Record, and a page read builds none: each buffer frame parses into
-# the decoded page it keeps (storage.ParsePageInto), so non-test
-# internal/core and internal/buffer name no .Records and internal/buffer
+# storage.Record, and no reader of the page file builds one: each buffer
+# frame parses into the decoded page it keeps (storage.ParsePageInto), and so
+# do the whole-file scans (verification, stats, LoadGraph) and compaction's
+# walk, so non-test internal/core, internal/buffer, internal/server, cmd/ and
+# internal/storage/{db,compact}.go name no .Records or Record (FileStats'
+# record count, read as st.Records, is not a page's) and internal/buffer
 # calls no storage.ParsePage; the hot path
 # searches with slices.BinarySearch, not sort.Search's closure per probe,
 # candidates are unioned through the scratch set, not sorted, reads have one
@@ -70,8 +73,8 @@ lint: vet metrics-doc-check
 		echo "cmd/dualsim links a comparison system; move the caller to cmd/bench" >&2; exit 1; fi
 	@if grep -nE 'sync\.Mutex|map\[graph\.VertexID\]' internal/core/window.go internal/core/stream.go internal/core/match.go; then \
 		echo "the window index is a flat array each page callback writes its own slot of: no mutex, no per-vertex map" >&2; exit 1; fi
-	@if grep -nE '\.Records\b' $$(ls internal/core/*.go internal/buffer/*.go | grep -v _test.go); then \
-		echo "pages are read through their slot index (storage.Page.List, Chunk): no .Records in non-test internal/core or internal/buffer" >&2; exit 1; fi
+	@if grep -nE '\.Records\b|\bRecord\{|storage\.Record\b' internal/storage/db.go internal/storage/compact.go $$(ls internal/core/*.go internal/buffer/*.go internal/server/*.go cmd/*/*.go | grep -v _test.go) | grep -vE '\bst\.Records\b'; then \
+		echo "pages are read through their slot index (storage.Page.List, Chunk): no .Records or Record in non-test internal/core, internal/buffer, internal/server, cmd/ or internal/storage/{db,compact}.go (st.Records, FileStats' record count, excepted)" >&2; exit 1; fi
 	@if grep -nF 'storage.ParsePage(' $$(ls internal/buffer/*.go | grep -v _test.go); then \
 		echo "a frame parses into the decoded page it keeps (storage.ParsePageInto): no storage.ParsePage in non-test internal/buffer" >&2; exit 1; fi
 	@if grep -nF 'sort.Search(' internal/core/window.go internal/core/stream.go internal/core/match.go; then \

@@ -370,24 +370,20 @@ func cmdVerify(args []string) error {
 	}
 	defer db.Close()
 
-	// Physical pass first: every page is read and checksummed, and ALL bad
-	// pages are reported (not just the first), so an operator sees the full
-	// extent of the damage in one run.
+	// One pass: every page is read and validated — checksum, framing, a
+	// dense vertex-ID run — and checked against the pages before it and the
+	// directory. ALL unreadable or corrupt pages are reported (not just the
+	// first), each with its own reason, so an operator sees the full extent
+	// of the damage in one run.
 	rep := db.VerifyPages()
 	fmt.Printf("scanned %d pages\n", rep.PagesScanned)
 	for _, ce := range rep.Corrupt {
-		fmt.Printf("page %d: checksum mismatch (stored %08x, computed %08x)\n",
-			ce.Page, ce.StoredCRC, ce.ComputedCRC)
+		fmt.Println(ce)
 	}
 	for _, ioe := range rep.IOErrors {
 		fmt.Printf("page %d: unreadable: %v\n", ioe.Page, ioe.Err)
 	}
 	if err := rep.Err(); err != nil {
-		return err
-	}
-
-	// Structural pass: directory spans, record ordering, adjacency bounds.
-	if err := db.Verify(); err != nil {
 		return err
 	}
 	fmt.Println("ok")

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -201,6 +203,59 @@ func TestCmdQueryTimeoutExit(t *testing.T) {
 	})
 	if got := exitCode(cmdErr); got != exitTimeout {
 		t.Errorf("run past -timeout: err %v, exit code %d, want %d", cmdErr, got, exitTimeout)
+	}
+}
+
+// TestCmdVerifyNamesReason runs `verify` on a clean file, then on the same
+// file with the second record of page 0 moved off the page's dense vertex-ID
+// run and the page checksum written over the damage, so only the structural
+// checks can tell: the page must be named with that reason, not as a
+// checksum mismatch, and the command must exit as corruption.
+func TestCmdVerifyNamesReason(t *testing.T) {
+	dbPath := buildTestDB(t)
+	var err error
+	out := captureStdout(t, func() { err = cmdVerify([]string{"-db", dbPath}) })
+	if err != nil || !strings.HasSuffix(out, "ok\n") {
+		t.Fatalf("clean file: err %v, output:\n%s", err, out)
+	}
+
+	db, err := dualsim.Open(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pageSize := db.PageSize()
+	db.Close()
+	f, err := os.OpenFile(dbPath, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Data page 0 follows the superblock's page. Its slots grow backward
+	// from the page end (offset uint16, length uint16), a record starts with
+	// its vertex (uint32), and the CRC-32 at offset 8 covers the page with
+	// that field zeroed.
+	page := make([]byte, pageSize)
+	if _, err := f.ReadAt(page, int64(pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint16(page[4:]) < 2 {
+		t.Fatal("page 0 holds fewer than two records")
+	}
+	off := binary.LittleEndian.Uint16(page[pageSize-8:])
+	binary.LittleEndian.PutUint32(page[off:], binary.LittleEndian.Uint32(page[off:])+7)
+	binary.LittleEndian.PutUint32(page[8:], 0)
+	binary.LittleEndian.PutUint32(page[8:], crc32.ChecksumIEEE(page))
+	if _, err := f.WriteAt(page, int64(pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	out = captureStdout(t, func() { err = cmdVerify([]string{"-db", dbPath}) })
+	if got := exitCode(err); got != exitCorrupt {
+		t.Errorf("corrupt file: err %v, exit code %d, want %d", err, got, exitCorrupt)
+	}
+	if !strings.Contains(out, "page 0 corrupt: slot 1 holds vertex") || !strings.Contains(out, "not a dense vertex-ID run") ||
+		strings.Contains(out, "checksum") {
+		t.Errorf("corrupt file: page 0 not named by its reason:\n%s", out)
 	}
 }
 

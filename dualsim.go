@@ -222,11 +222,13 @@ func (d *DB) PageSize() int { return d.db.PageSize() }
 // Degree returns d(v).
 func (d *DB) Degree(v VertexID) int { return d.db.Degree(v) }
 
-// Verify re-reads the whole database and checks structural invariants.
+// Verify checks the whole database as VerifyPages does and returns its first
+// failure, or nil.
 func (d *DB) Verify() error { return d.db.VerifyIntegrity() }
 
-// VerifyPages reads and validates every page, collecting all failures by
-// family (corruption vs I/O) instead of stopping at the first.
+// VerifyPages reads every page once, validates it and checks it against the
+// pages before it and the directory, collecting all failures by family
+// (corruption vs I/O) instead of stopping at the first.
 func (d *DB) VerifyPages() *VerifyReport { return d.db.VerifyPages() }
 
 // Path returns the path of the underlying database file.
@@ -266,7 +268,7 @@ type Options struct {
 	// BufferFraction sizes the buffer as a fraction of the database's
 	// pages (default 0.15, the paper's default).
 	BufferFraction float64
-	// PrefetchFrames has no effect; ROADMAP 5(d) removes it.
+	// PrefetchFrames has no effect; ROADMAP item 10(2) removes it.
 	PrefetchFrames int
 	// PerPageLatency and SeekLatency simulate device characteristics for
 	// experiments.

@@ -271,12 +271,16 @@ func TestPageContentMatchesDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	buf := make([]byte, db.PageSize())
 	for pid := 0; pid < db.NumPages(); pid++ {
 		got, err := p.Pin(storage.PageID(pid))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := db.ReadPage(storage.PageID(pid))
+		if err := db.ReadPageInto(storage.PageID(pid), buf); err != nil {
+			t.Fatal(err)
+		}
+		want, err := storage.ParsePage(buf)
 		if err != nil {
 			t.Fatal(err)
 		}

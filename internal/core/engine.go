@@ -39,7 +39,7 @@ type Options struct {
 	EqualAllocation bool
 	// IOWorkers is the number of asynchronous I/O goroutines (default 4).
 	IOWorkers int
-	// PrefetchFrames has no effect; ROADMAP 5(d) removes it.
+	// PrefetchFrames has no effect; ROADMAP item 10(2) removes it.
 	PrefetchFrames int
 	// PerPageLatency simulates per-page device transfer latency.
 	PerPageLatency time.Duration

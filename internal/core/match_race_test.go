@@ -33,11 +33,15 @@ func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
 // consulting lw.loaded or lw.side from the page task fails under -race.
 func TestAdjOfDataStreamPageContract(t *testing.T) {
 	page := func(id storage.PageID, first graph.VertexID, adjs ...[]graph.VertexID) *storage.Page {
-		var recs []storage.Record
+		w := storage.NewPageWriter(256, id)
 		for i, adj := range adjs {
-			recs = append(recs, storage.Record{Vertex: first + graph.VertexID(i), Adj: adj})
+			w.Add(first+graph.VertexID(i), adj, false, false)
 		}
-		return storage.NewPage(id, recs)
+		p := &storage.Page{}
+		if err := storage.ParsePageInto(p, w.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
 	outer := &levelWindow{pages: []storage.PageID{0}, loaded: []windowPage{
 		{page: page(0, 7, []graph.VertexID{1, 2})},

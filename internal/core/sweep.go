@@ -260,7 +260,7 @@ func (w *SweepWindow) Pages() int { return len(w.lw.pages) }
 // window_close at Release.
 // A load is the window boundary: no rider task is running and nothing below
 // level 1 is pinned, so a cohort's deep pool is dealt anew among the riders
-// on board first (deal). The third parameter has no effect; ROADMAP 5(d)
+// on board first (deal). The third parameter has no effect; ROADMAP item 10(2)
 // removes it.
 func (s *Sweep) Load(ctx context.Context, idx, _ int) (*SweepWindow, error) {
 	r := s.r

@@ -108,8 +108,8 @@ type CostProfile struct {
 	// Window behaviour.
 	Windows        uint64 `json:"windows"`
 	WindowsLevel1  uint64 `json:"windows_level1"`
-	PrefetchIssued uint64 `json:"prefetch_issued,omitempty"` // no effect, never set; ROADMAP 5(d) removes it
-	PrefetchUseful uint64 `json:"prefetch_useful,omitempty"` // no effect, never set; ROADMAP 5(d) removes it
+	PrefetchIssued uint64 `json:"prefetch_issued,omitempty"` // no effect, never set; ROADMAP item 10(2) removes it
+	PrefetchUseful uint64 `json:"prefetch_useful,omitempty"` // no effect, never set; ROADMAP item 10(2) removes it
 
 	// Enumeration kernel mix and resilience.
 	IntersectLinear uint64 `json:"intersect_linear,omitempty"`

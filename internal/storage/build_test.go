@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -171,14 +173,13 @@ func TestBuildLargeAdjacencySpansPages(t *testing.T) {
 	// Continuation flags: first chunk not continuation, later chunks are.
 	sawCont := false
 	for pid := first; pid <= last; pid++ {
-		p, err := db.ReadPage(pid)
+		p, err := readPage(db, pid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range p.Records {
-			if r.Vertex == hub && r.Continuation {
-				sawCont = true
-			}
+		if i, ok := p.Slot(hub); ok {
+			_, continuation := p.Chunk(i)
+			sawCont = sawCont || continuation
 		}
 	}
 	if !sawCont {
@@ -326,10 +327,71 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
+// TestOpenValidatesDirectory: Open refuses a superblock or directory it
+// cannot trust — a page size outside [MinPageSize, MaxPageSize], a directory
+// that overruns the file (checked before it is allocated), a zero span, a
+// span past the last page — instead of handing readers a vertex whose pages
+// do not exist.
+func TestOpenValidatesDirectory(t *testing.T) {
+	g := graph.MustNewGraph(6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
+	dir := t.TempDir()
+	pristine := filepath.Join(dir, "pristine.db")
+	if _, err := BuildFromGraph(pristine, g, BuildOptions{PageSize: 128, TempDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(pristine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirOffset := int(binary.LittleEndian.Uint64(image[32:]))
+	numPages := binary.LittleEndian.Uint32(image[24:])
+	for _, tc := range []struct {
+		name string
+		mut  func(img []byte) []byte
+	}{
+		{"page size above MaxPageSize", func(img []byte) []byte {
+			binary.LittleEndian.PutUint32(img[8:], 2*MaxPageSize)
+			return img
+		}},
+		{"page size 0", func(img []byte) []byte { binary.LittleEndian.PutUint32(img[8:], 0); return img }},
+		{"truncated directory", func(img []byte) []byte { return img[:len(img)-5] }},
+		{"directory past the file", func(img []byte) []byte {
+			binary.LittleEndian.PutUint64(img[32:], uint64(len(img)))
+			return img
+		}},
+		{"vertex count beyond the directory", func(img []byte) []byte {
+			binary.LittleEndian.PutUint32(img[12:], 1<<30)
+			return img
+		}},
+		{"zero span", func(img []byte) []byte {
+			binary.LittleEndian.PutUint32(img[dirOffset+12*3+4:], 0)
+			return img
+		}},
+		{"span past the last page", func(img []byte) []byte {
+			binary.LittleEndian.PutUint32(img[dirOffset+12*5:], numPages)
+			return img
+		}},
+	} {
+		path := filepath.Join(dir, "bad.db")
+		if err := os.WriteFile(path, tc.mut(slices.Clone(image)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if db, err := Open(path); err == nil {
+			db.Close()
+			t.Errorf("%s: Open accepted the file", tc.name)
+		}
+	}
+	db, err := Open(pristine)
+	if err != nil {
+		t.Fatalf("pristine file: %v", err)
+	}
+	db.Close()
+}
+
 func TestReadPageErrors(t *testing.T) {
 	g := graph.MustNewGraph(4, [][2]graph.VertexID{{0, 1}, {2, 3}})
 	db, _ := buildTemp(t, g, BuildOptions{PageSize: 128})
-	if _, err := db.ReadPage(PageID(db.NumPages())); err == nil {
+	if err := db.ReadPageInto(PageID(db.NumPages()), make([]byte, db.PageSize())); err == nil {
 		t.Error("out-of-range page accepted")
 	}
 	if err := db.ReadPageInto(0, make([]byte, 10)); err == nil {
@@ -362,27 +424,6 @@ func TestBuildTruncatedFileDetected(t *testing.T) {
 	}
 }
 
-func TestPageGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := randomTestGraph(rng, 60, 200)
-	db, _ := buildTemp(t, g, BuildOptions{PageSize: 128})
-	pg, err := db.PageGraph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pg) != db.NumPages() {
-		t.Fatalf("page graph size %d, want %d", len(pg), db.NumPages())
-	}
-	// Every adjacency target must be a valid page.
-	for pid, adj := range pg {
-		for _, q := range adj {
-			if int(q) >= db.NumPages() {
-				t.Fatalf("page %d links to invalid page %d", pid, q)
-			}
-		}
-	}
-}
-
 func TestDBStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := randomTestGraph(rng, 150, 800)
@@ -402,22 +443,31 @@ func TestDBStats(t *testing.T) {
 	}
 }
 
+// readPage reads and parses page pid as the file's readers do
+// (ParsePageInto).
+func readPage(db *DB, pid PageID) (*Page, error) {
+	buf, p := make([]byte, db.PageSize()), &Page{}
+	if err := db.ReadPageInto(pid, buf); err != nil {
+		return nil, err
+	}
+	return p, ParsePageInto(p, buf)
+}
+
 // adjacencyOf reads v's full adjacency list the slow, obviously correct way
-// — every page of its span, every record naming v, checked against the
-// directory's degree — as the reference the builder and the compactor are
-// tested against.
+// — every page of its span read on its own, v's slot on each, checked
+// against the directory's degree — as the reference the builder and the
+// compactor are tested against.
 func adjacencyOf(db *DB, v graph.VertexID) ([]graph.VertexID, error) {
 	first, last := db.SpanOf(v)
 	var out []graph.VertexID
 	for pid := first; pid <= last; pid++ {
-		p, err := db.ReadPage(pid)
+		p, err := readPage(db, pid)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range p.Records {
-			if r.Vertex == v {
-				out = append(out, r.Adj...)
-			}
+		if i, ok := p.Slot(v); ok {
+			list, _, _ := p.List(i)
+			out = append(out, list...)
 		}
 	}
 	if len(out) != db.Degree(v) {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"time"
@@ -22,15 +21,21 @@ type MergedAdjFunc func(v graph.VertexID, base []graph.VertexID) []graph.VertexI
 
 // baseWalk reads a database file page by page in vertex order. Vertices are
 // stored in ascending ID order, so asking for ascending vertices reads and
-// parses every page exactly once.
+// parses every page exactly once, each into the same buffer and page.
 type baseWalk struct {
 	db   *DB
 	read func(PageID, []byte) error // db.ReadPageInto, or a test's counting wrapper
 
 	buf  []byte           // raw image of page
-	page *Page            // the page the walk stands on
-	slot int              // first record of page not yet passed
+	page *Page            // the page the walk stands on, parsed by ParsePageInto
 	base []graph.VertexID // adjacency scratch
+}
+
+// start allocates the walk's page memory, once for the whole file, and moves
+// the walk onto page 0, which holds vertex 0.
+func (s *baseWalk) start() error {
+	s.buf, s.page = make([]byte, s.db.PageSize()), pageFor(s.db.PageSize())
+	return s.load(0)
 }
 
 // load reads and parses page pid, moving the walk onto it.
@@ -38,12 +43,7 @@ func (s *baseWalk) load(pid PageID) error {
 	if err := s.read(pid, s.buf); err != nil {
 		return err
 	}
-	p, err := ParsePage(s.buf)
-	if err != nil {
-		return err
-	}
-	s.page, s.slot = p, 0
-	return nil
+	return ParsePageInto(s.page, s.buf)
 }
 
 // adjacency returns v's full adjacency list in the base file, the chunks of
@@ -58,12 +58,9 @@ func (s *baseWalk) adjacency(v graph.VertexID) ([]graph.VertexID, error) {
 				return nil, err
 			}
 		}
-		recs := s.page.Records
-		for s.slot < len(recs) && recs[s.slot].Vertex < v {
-			s.slot++
-		}
-		if s.slot < len(recs) && recs[s.slot].Vertex == v {
-			s.base = append(s.base, recs[s.slot].Adj...)
+		if i, ok := s.page.Slot(v); ok {
+			list, _, _ := s.page.List(i)
+			s.base = append(s.base, list...)
 		}
 	}
 	if len(s.base) != s.db.Degree(v) {
@@ -91,14 +88,12 @@ func Compact(dstPath string, db *DB, apply MergedAdjFunc, epoch uint64, opt Buil
 
 func compact(dstPath string, s *baseWalk, apply MergedAdjFunc, epoch uint64) (*BuildStats, error) {
 	start := time.Now()
-	s.buf = make([]byte, s.db.PageSize())
-	// Page 0 holds vertex 0, so the walk starts there anyway. Build writes
-	// every record of a file in one encoding, empty records included, so
-	// the page's first record tells which.
-	if err := s.load(0); err != nil {
+	// Build writes every record of a file in one encoding, empty records
+	// included, so page 0's first record tells which.
+	if err := s.start(); err != nil {
 		return nil, err
 	}
-	pw, err := createDB(dstPath, s.db.PageSize(), s.db.NumVertices(), len(s.page.Records) > 0 && firstRecordCompressed(s.buf))
+	pw, err := createDB(dstPath, s.db.PageSize(), s.db.NumVertices(), s.page.Slots() > 0 && firstRecordCompressed(s.buf))
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +113,7 @@ func compact(dstPath string, s *baseWalk, apply MergedAdjFunc, epoch uint64) (*B
 // firstRecordCompressed reports whether the first record of a parsed page
 // image carries flagCompressed.
 func firstRecordCompressed(buf []byte) bool {
-	off := int(binary.LittleEndian.Uint16(buf[len(buf)-slotSize:]))
+	off, _ := slotRecord(buf, 0)
 	return buf[off+4]&flagCompressed != 0
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dualsim/internal/delta"
+	"dualsim/internal/gen"
 	"dualsim/internal/graph"
 )
 
@@ -347,6 +348,34 @@ func TestCompactPageWalk(t *testing.T) {
 			if got := reads[PageID(pid)]; got != 1 {
 				t.Errorf("compress=%v: page %d read %d times by one compaction, want 1", tc.compress, pid, got)
 			}
+		}
+	}
+}
+
+// TestCompactWalkAllocs: compaction's walk allocates its page memory once
+// per file — a second walk over every vertex of a file whose hubs span
+// several pages, plain and compressed, allocates nothing.
+func TestCompactWalkAllocs(t *testing.T) {
+	g := gen.PlantedHubs(600, 4, 400, 38)
+	for _, compress := range []bool{false, true} {
+		db, _ := buildTemp(t, g, BuildOptions{PageSize: 256, Compress: compress})
+		walk := &baseWalk{db: db, read: db.ReadPageInto}
+		if err := walk.start(); err != nil {
+			t.Fatal(err)
+		}
+		walkAll := func() {
+			for v := graph.VertexID(0); int(v) < db.NumVertices(); v++ {
+				if _, err := walk.adjacency(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := walk.load(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		walkAll()
+		if avg := testing.AllocsPerRun(3, walkAll); avg != 0 {
+			t.Errorf("compress=%v: a walk over %d pages allocates %.0f times", compress, db.NumPages(), avg)
 		}
 	}
 }

@@ -234,33 +234,25 @@ func TestAddCompressedSkipRecordRoundTrip(t *testing.T) {
 	if buf[pageHeaderSize+4]&flagSkips == 0 {
 		t.Fatal("long compressed record has no skip table flag")
 	}
-	for _, mode := range []struct {
-		name  string
-		parse func([]byte) (*Page, error)
-	}{{"eager", ParsePage}, {"lazy", ParsePageLazy}} {
-		p, err := mode.parse(buf)
-		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
-		}
-		r := &p.Records[0]
-		if r.Count() != len(adj) || r.CompBytes == 0 {
-			t.Fatalf("%s: count=%d compBytes=%d", mode.name, r.Count(), r.CompBytes)
-		}
-		got := r.Decoded(nil)
-		for i := range adj {
-			if got[i] != adj[i] {
-				t.Fatalf("%s: entry %d = %d, want %d", mode.name, i, got[i], adj[i])
-			}
-		}
-		if mode.name == "lazy" {
-			if r.Adj != nil {
-				t.Fatal("lazy parse decoded the record")
-			}
-			// The view must alias the page image (zero-copy).
-			if len(r.Comp.Data) == 0 || &r.Comp.Data[0] != &buf[pageHeaderSize+recordHeaderSize+2+6*((len(adj)-1)/graph.SkipInterval)] {
-				t.Fatal("lazy view does not alias the page buffer")
-			}
-		}
+	eager, err := ParsePage(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := &eager.Records[0]; r.CompBytes == 0 || !slices.Equal(r.Adj, adj) {
+		t.Fatalf("eager: compBytes=%d, decoded %d of %d entries", r.CompBytes, len(r.Adj), len(adj))
+	}
+	lazy, err := ParsePageLazy(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &lazy.Records[0]
+	if r.Adj != nil || r.CompBytes == 0 || r.Comp.Count != len(adj) || !slices.Equal(r.Comp.AppendTo(nil), adj) {
+		t.Fatalf("lazy: decoded %v, compBytes=%d, view of %d entries decoding to the list: %v",
+			r.Adj != nil, r.CompBytes, r.Comp.Count, slices.Equal(r.Comp.AppendTo(nil), adj))
+	}
+	// The view must alias the page image (zero-copy).
+	if len(r.Comp.Data) == 0 || &r.Comp.Data[0] != &buf[pageHeaderSize+recordHeaderSize+2+6*((len(adj)-1)/graph.SkipInterval)] {
+		t.Fatal("lazy view does not alias the page buffer")
 	}
 }
 
@@ -320,49 +312,16 @@ func mixedPage(rng *rand.Rand, pageSize int) ([]byte, [][]graph.VertexID) {
 	}
 }
 
-// parsersAgree parses buf with ParsePage and with ParsePageLazy and fails t
-// unless both accept or both reject it, and, when both accept, each record
-// decoded in the fused walk equals its lazy view decoded afterwards, and the
-// fused parse's slot index agrees with its records (checkIndex). The pool's
-// parse must agree too (intoAgrees). It returns the fused parse (nil when
-// rejected).
+// parsersAgree parses buf with ParsePage, with ParsePageLazy and with
+// ParsePageInto into a page that already holds another image, and fails t
+// unless all three accept or all three reject it, and, when they accept,
+// both indexes agree with the lazy parse's records (checkIndex) and
+// ParsePage's Records are the lazy ones decoded, each list aliasing its
+// slot's. It returns ParsePage's page (nil when rejected).
 func parsersAgree(t *testing.T, buf []byte) *Page {
 	t.Helper()
-	fused, ferr := ParsePage(buf)
+	eager, eerr := ParsePage(buf)
 	lazy, lerr := ParsePageLazy(buf)
-	if (ferr == nil) != (lerr == nil) {
-		t.Fatalf("ParsePage err=%v, ParsePageLazy err=%v: one parser accepts what the other rejects", ferr, lerr)
-	}
-	if ferr != nil {
-		return nil
-	}
-	if fused.ID != lazy.ID || len(fused.Records) != len(lazy.Records) {
-		t.Fatalf("page %d with %d records, lazily page %d with %d", fused.ID, len(fused.Records), lazy.ID, len(lazy.Records))
-	}
-	for i := range fused.Records {
-		f, l := &fused.Records[i], &lazy.Records[i]
-		if f.Comp.Count != 0 || f.Comp.Data != nil || f.Count() != len(f.Adj) {
-			t.Fatalf("slot %d: the fused walk kept a compressed view", i)
-		}
-		if f.Vertex != l.Vertex || f.CompBytes != l.CompBytes || f.Continues != l.Continues || f.Continuation != l.Continuation {
-			t.Fatalf("slot %d: fused %+v, lazy %+v", i, *f, *l)
-		}
-		if dec := l.Decoded(nil); !slices.Equal(f.Adj, dec) {
-			t.Fatalf("slot %d: fused walk decoded %v, lazy view %v", i, f.Adj, dec)
-		}
-	}
-	checkIndex(t, fused)
-	intoAgrees(t, buf, fused)
-	return fused
-}
-
-// intoAgrees parses buf with ParsePageInto into a page that already holds
-// another image, and fails t unless it rejects what ParsePage rejected
-// (fused nil) and what is not a dense vertex-ID run, and otherwise resolves
-// every slot — list, split and chunk bits — and counts the compressed records
-// exactly as fused does, with no Records.
-func intoAgrees(t *testing.T, buf []byte, fused *Page) {
-	t.Helper()
 	w := NewPageWriter(MinPageSize, 9)
 	w.Add(1, []graph.VertexID{0, 2}, false, false)
 	w.Add(2, []graph.VertexID{1}, false, false)
@@ -370,50 +329,31 @@ func intoAgrees(t *testing.T, buf []byte, fused *Page) {
 	if err := ParsePageInto(into, w.Bytes()); err != nil {
 		t.Fatalf("ParsePageInto of a valid page: %v", err)
 	}
-	err := ParsePageInto(into, buf)
-	if fused == nil {
-		if err == nil {
-			t.Fatalf("ParsePageInto accepts what ParsePage rejects")
+	ierr := ParsePageInto(into, buf)
+	if (eerr == nil) != (lerr == nil) || (eerr == nil) != (ierr == nil) {
+		t.Fatalf("ParsePage err=%v, ParsePageLazy err=%v, ParsePageInto err=%v: one parse accepts what another rejects", eerr, lerr, ierr)
+	}
+	if eerr != nil {
+		return nil
+	}
+	checkIndex(t, into, lazy)
+	checkIndex(t, eager, lazy)
+	if into.Records != nil || len(eager.Records) != len(lazy.Records) {
+		t.Fatalf("ParsePageInto built records (%v); ParsePage %d records, ParsePageLazy %d", into.Records != nil, len(eager.Records), len(lazy.Records))
+	}
+	for i := range eager.Records {
+		e, l := &eager.Records[i], &lazy.Records[i]
+		if e.Comp.Count != 0 || e.Comp.Data != nil {
+			t.Fatalf("slot %d: ParsePage kept a compressed view", i)
 		}
-		return
-	}
-	dense := true
-	for i := range fused.Records {
-		dense = dense && fused.Records[i].Vertex == fused.Records[0].Vertex+graph.VertexID(i)
-	}
-	var cerr *CorruptPageError
-	if !dense {
-		if !errors.As(err, &cerr) {
-			t.Fatalf("ParsePageInto of a page that is not a dense vertex-ID run: err=%v, want a CorruptPageError", err)
+		if e.Vertex != l.Vertex || e.CompBytes != l.CompBytes || e.Continues != l.Continues || e.Continuation != l.Continuation {
+			t.Fatalf("slot %d: eager %+v, lazy %+v", i, *e, *l)
 		}
-		return
-	}
-	if err != nil {
-		t.Fatalf("ParsePageInto rejects what ParsePage accepts: %v", err)
-	}
-	if into.ID != fused.ID || into.Slots() != fused.Slots() || into.Records != nil || (into.Slots() > 0 && into.First() != fused.First()) {
-		t.Fatalf("ParsePageInto: page %d, %d slots from %d (records %v); ParsePage: page %d, %d slots from %d",
-			into.ID, into.Slots(), into.First(), into.Records != nil, fused.ID, fused.Slots(), fused.First())
-	}
-	recs, bytes := 0, 0
-	for i := range fused.Records {
-		rec := &fused.Records[i]
-		adj, split, chunk := into.List(i)
-		wadj, wsplit, wchunk := fused.List(i)
-		if !slices.Equal(adj, wadj) || split != wsplit || chunk != wchunk {
-			t.Fatalf("slot %d: ParsePageInto resolves (%v, %d, %v), ParsePage (%v, %d, %v)", i, adj, split, chunk, wadj, wsplit, wchunk)
-		}
-		if c, cn := into.Chunk(i); c != rec.Continues || cn != rec.Continuation {
-			t.Fatalf("slot %d: chunk bits (%v, %v), record continues=%v continuation=%v", i, c, cn, rec.Continues, rec.Continuation)
-		}
-		if rec.CompBytes > 0 {
-			recs++
-			bytes += rec.CompBytes
+		if adj, _, _ := eager.List(i); !slices.Equal(e.Adj, adj) || (len(adj) > 0 && &e.Adj[0] != &adj[0]) {
+			t.Fatalf("slot %d: record holds %v, its slot resolves %v", i, e.Adj, adj)
 		}
 	}
-	if r, b := into.Compressed(); r != recs || b != bytes {
-		t.Fatalf("ParsePageInto counts %d compressed records of %d bytes, the records %d of %d", r, b, recs, bytes)
-	}
+	return eager
 }
 
 // TestParsePageFusedMatchesLazy: decoding a compressed record inside its
@@ -479,8 +419,9 @@ func TestParsePageFusedMatchesLazy(t *testing.T) {
 
 // TestParsePageAllocs pins the decode path's allocation behavior: one page
 // parse is a constant number of allocations (page, record slice, shared
-// slab) no matter how many records it holds, and decoding a lazy record
-// into caller scratch allocates nothing.
+// slab) no matter how many records it holds, a parse into a page that held
+// the image before allocates none, and decoding a lazy record into caller
+// scratch allocates nothing.
 func TestParsePageAllocs(t *testing.T) {
 	w := NewPageWriter(4096, 1)
 	for v := graph.VertexID(0); ; v++ {
@@ -499,6 +440,14 @@ func TestParsePageAllocs(t *testing.T) {
 	}); avg > 3 {
 		t.Errorf("eager parse: %.1f allocs/op, want <= 3", avg)
 	}
+	into := &Page{}
+	if avg := testing.AllocsPerRun(50, func() {
+		if err := ParsePageInto(into, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("parse into a reused page: %.1f allocs/op, want 0", avg)
+	}
 	p, err := ParsePageLazy(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +455,7 @@ func TestParsePageAllocs(t *testing.T) {
 	scratch := make([]graph.VertexID, 0, 64)
 	if avg := testing.AllocsPerRun(50, func() {
 		for i := range p.Records {
-			scratch = p.Records[i].Decoded(scratch[:0])
+			scratch = p.Records[i].Comp.AppendTo(scratch[:0])
 		}
 	}); avg != 0 {
 		t.Errorf("lazy decode into scratch: %.1f allocs/op, want 0", avg)

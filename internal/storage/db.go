@@ -112,34 +112,57 @@ type DB struct {
 	dir []vertexLoc
 }
 
-// Open opens a database file built with Build.
+// Open opens a database file built with Build. It checks the superblock and
+// the directory before trusting them: the page size within
+// [MinPageSize, MaxPageSize], the directory inside the file (before
+// allocating it), and every entry's span at least one page, ending before
+// the last data page.
 func Open(path string) (*DB, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open db: %w", err)
 	}
-	sb, err := readSuperblock(f)
+	db, err := open(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if sb.pageSize < MinPageSize {
-		f.Close()
-		return nil, fmt.Errorf("storage: corrupt page size %d", sb.pageSize)
+	return db, nil
+}
+
+func open(f *os.File) (*DB, error) {
+	sb, err := readSuperblock(f)
+	if err != nil {
+		return nil, err
 	}
-	dirBytes := make([]byte, 12*int64(sb.numVertices))
+	if sb.pageSize < MinPageSize || sb.pageSize > MaxPageSize {
+		return nil, fmt.Errorf("storage: corrupt page size %d (supported: %d..%d)", sb.pageSize, MinPageSize, MaxPageSize)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("storage: open db: %w", err)
+	}
+	dirLen := 12 * uint64(sb.numVertices)
+	if size := uint64(fi.Size()); sb.dirOffset > size || dirLen > size-sb.dirOffset {
+		return nil, fmt.Errorf("storage: directory of %d vertices at offset %d overruns the %d-byte file", sb.numVertices, sb.dirOffset, size)
+	}
+	dirBytes := make([]byte, dirLen)
 	if _, err := f.ReadAt(dirBytes, int64(sb.dirOffset)); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("storage: read directory: %w", err)
 	}
 	dir := make([]vertexLoc, sb.numVertices)
 	for v := range dir {
 		o := 12 * v
-		dir[v] = vertexLoc{
+		loc := vertexLoc{
 			FirstPage: PageID(binary.LittleEndian.Uint32(dirBytes[o:])),
 			Span:      binary.LittleEndian.Uint32(dirBytes[o+4:]),
 			Degree:    binary.LittleEndian.Uint32(dirBytes[o+8:]),
 		}
+		if loc.Span == 0 || uint64(loc.FirstPage)+uint64(loc.Span) > uint64(sb.numPages) {
+			return nil, fmt.Errorf("storage: corrupt directory entry for vertex %d: span %d from page %d in a file of %d pages",
+				v, loc.Span, loc.FirstPage, sb.numPages)
+		}
+		dir[v] = loc
 	}
 	return &DB{f: f, sb: *sb, dir: dir}, nil
 }
@@ -220,104 +243,52 @@ func (db *DB) ReadPagesInto(first PageID, buf []byte) error {
 	return nil
 }
 
-// ReadPage reads and parses page pid.
-func (db *DB) ReadPage(pid PageID) (*Page, error) {
-	buf := make([]byte, db.PageSize())
-	if err := db.ReadPageInto(pid, buf); err != nil {
-		return nil, err
+// scan reads and parses every page in order, each into one buffer and one
+// page allocated once for the whole scan (ParsePageInto), and hands visit the
+// page, its raw image and the read or parse error; the page holds nothing
+// usable when err is set. The scan stops at the first error visit returns.
+func (db *DB) scan(visit func(pid PageID, p *Page, buf []byte, err error) error) error {
+	buf, p := make([]byte, db.PageSize()), pageFor(db.PageSize())
+	for pid := PageID(0); int(pid) < db.NumPages(); pid++ {
+		err := db.ReadPageInto(pid, buf)
+		if err == nil {
+			err = ParsePageInto(p, buf)
+		}
+		if err := visit(pid, p, buf, err); err != nil {
+			return err
+		}
 	}
-	return ParsePage(buf)
+	return nil
 }
 
 // LoadGraph reads the whole database into an in-memory graph. Used by tests
 // and the in-memory baselines.
 func (db *DB) LoadGraph() (*graph.Graph, error) {
 	var edges [][2]graph.VertexID
-	for pid := 0; pid < db.NumPages(); pid++ {
-		p, err := db.ReadPage(PageID(pid))
+	err := db.scan(func(_ PageID, p *Page, _ []byte, err error) error {
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, r := range p.Records {
-			for _, w := range r.Adj {
-				if r.Vertex < w {
-					edges = append(edges, [2]graph.VertexID{r.Vertex, w})
+		for i := 0; i < p.Slots(); i++ {
+			v := p.First() + graph.VertexID(i)
+			list, _, _ := p.List(i)
+			for _, w := range list {
+				if v < w {
+					edges = append(edges, [2]graph.VertexID{v, w})
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return graph.NewGraph(db.NumVertices(), edges)
 }
 
-// PageGraph returns, for each page, the set of pages reachable by a single
-// data edge (the page graph of Figure 1). Used by tests and stats.
-func (db *DB) PageGraph() ([][]PageID, error) {
-	out := make([][]PageID, db.NumPages())
-	for pid := 0; pid < db.NumPages(); pid++ {
-		p, err := db.ReadPage(PageID(pid))
-		if err != nil {
-			return nil, err
-		}
-		seen := map[PageID]bool{}
-		for _, r := range p.Records {
-			for _, w := range r.Adj {
-				seen[db.PageOf(w)] = true
-			}
-		}
-		adj := make([]PageID, 0, len(seen))
-		for q := range seen {
-			adj = append(adj, q)
-		}
-		sortPageIDs(adj)
-		out[pid] = adj
-	}
-	return out, nil
-}
-
-func sortPageIDs(a []PageID) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// VerifyIntegrity re-reads every page and checks structural invariants:
-// parseability, vertex order monotone across pages, directory consistency,
-// and adjacency symmetry. Returns the first problem found.
-func (db *DB) VerifyIntegrity() error {
-	prev := graph.VertexID(0)
-	first := true
-	degrees := make([]uint32, db.NumVertices())
-	for pid := 0; pid < db.NumPages(); pid++ {
-		p, err := db.ReadPage(PageID(pid))
-		if err != nil {
-			return err
-		}
-		if p.ID != PageID(pid) {
-			return fmt.Errorf("storage: page %d claims ID %d", pid, p.ID)
-		}
-		for _, r := range p.Records {
-			if !first && r.Vertex < prev {
-				return fmt.Errorf("storage: vertex order violated at page %d (%d after %d)", pid, r.Vertex, prev)
-			}
-			prev = r.Vertex
-			first = false
-			if !r.Continuation {
-				if db.PageOf(r.Vertex) != PageID(pid) {
-					return fmt.Errorf("storage: directory says P(%d)=%d but record starts at %d", r.Vertex, db.PageOf(r.Vertex), pid)
-				}
-			}
-			degrees[r.Vertex] += uint32(len(r.Adj))
-		}
-	}
-	for v := range degrees {
-		if degrees[v] != uint32(db.Degree(graph.VertexID(v))) {
-			return fmt.Errorf("storage: vertex %d has %d entries on disk, directory says %d", v, degrees[v], db.Degree(graph.VertexID(v)))
-		}
-	}
-	return nil
-}
+// VerifyIntegrity checks the whole database as VerifyPages does and returns
+// its most significant failure (VerifyReport.Err), or nil.
+func (db *DB) VerifyIntegrity() error { return db.VerifyPages().Err() }
 
 // VerifyReport summarizes a page-level database scan: how many pages were
 // read and which failed, split by failure family so tools can distinguish
@@ -343,30 +314,64 @@ func (r *VerifyReport) Err() error {
 	return nil
 }
 
-// VerifyPages reads and validates every page, collecting all failures
-// instead of stopping at the first (a corrupt page must not hide later
-// ones). Structural invariants across pages are VerifyIntegrity's job.
+// VerifyPages reads every page once and checks it: it must be readable and
+// parse (ParsePageInto: checksum, framing, a dense vertex-ID run), carry its
+// own ID, and agree with the pages before it and the directory — vertices
+// ascend across pages, a vertex's first record is on the page the directory
+// names, and its entries sum to its directory degree. Every page that cannot
+// be read or parsed is reported, so a corrupt page does not hide later ones.
+// The cross-page checks stop at the first failure of any kind (after it they
+// would only echo it) and report theirs as a CorruptPageError naming the page
+// they found it on, the directory's first page of the vertex for a degree.
 func (db *DB) VerifyPages() *VerifyReport {
 	rep := &VerifyReport{}
-	buf := make([]byte, db.PageSize())
-	for pid := 0; pid < db.NumPages(); pid++ {
+	degrees := make([]uint32, db.NumVertices())
+	prev, whole := graph.VertexID(0), true // whole: no failure yet, the cross-page checks stand
+	corrupt := func(pid PageID, format string, args ...any) *CorruptPageError {
+		return &CorruptPageError{Page: pid, Reason: fmt.Sprintf(format, args...)}
+	}
+	db.scan(func(pid PageID, p *Page, _ []byte, err error) error {
 		rep.PagesScanned++
-		if err := db.ReadPageInto(PageID(pid), buf); err != nil {
-			var ioe *IOError
-			if errors.As(err, &ioe) {
-				rep.IOErrors = append(rep.IOErrors, ioe)
-			} else {
-				rep.IOErrors = append(rep.IOErrors, &IOError{Page: PageID(pid), Op: "read", Err: err})
-			}
-			continue
+		if err == nil && p.ID != pid {
+			err = corrupt(pid, "page claims ID %d", p.ID)
 		}
-		if _, err := ParsePage(buf); err != nil {
-			var ce *CorruptPageError
-			if errors.As(err, &ce) {
-				rep.Corrupt = append(rep.Corrupt, ce)
-			} else {
-				rep.Corrupt = append(rep.Corrupt, &CorruptPageError{Page: PageID(pid), Reason: err.Error()})
+		for i := 0; err == nil && whole && i < p.Slots(); i++ {
+			v := p.First() + graph.VertexID(i)
+			_, continuation := p.Chunk(i)
+			switch {
+			case int(v) >= len(degrees):
+				err = corrupt(pid, "vertex %d outside the directory's %d vertices", v, len(degrees))
+			case v < prev:
+				err = corrupt(pid, "vertex order violated (%d after %d)", v, prev)
+			case !continuation && db.PageOf(v) != pid:
+				err = corrupt(pid, "directory says P(%d)=%d but its record starts here", v, db.PageOf(v))
+			default:
+				list, _, _ := p.List(i)
+				degrees[v] += uint32(len(list))
+				prev = v
 			}
+		}
+		if err == nil {
+			return nil
+		}
+		whole = false
+		var ioe *IOError
+		var ce *CorruptPageError
+		switch {
+		case errors.As(err, &ioe):
+			rep.IOErrors = append(rep.IOErrors, ioe)
+		case errors.As(err, &ce):
+			rep.Corrupt = append(rep.Corrupt, ce)
+		default:
+			rep.IOErrors = append(rep.IOErrors, &IOError{Page: pid, Op: "read", Err: err})
+		}
+		return nil
+	})
+	for v := 0; whole && v < len(degrees); v++ {
+		if want := db.dir[v].Degree; degrees[v] != want {
+			rep.Corrupt = append(rep.Corrupt, corrupt(db.dir[v].FirstPage,
+				"vertex %d has %d entries on disk, directory says %d", v, degrees[v], want))
+			break
 		}
 	}
 	return rep
@@ -399,35 +404,32 @@ type FileStats struct {
 func (db *DB) Stats() (*FileStats, error) {
 	st := &FileStats{Pages: db.NumPages(), PageSize: db.PageSize()}
 	var usedBytes, availBytes int64
-	split := map[graph.VertexID]bool{}
-	buf := make([]byte, db.PageSize())
-	for pid := 0; pid < db.NumPages(); pid++ {
-		if err := db.ReadPageInto(PageID(pid), buf); err != nil {
-			return nil, err
-		}
-		p, err := ParsePage(buf)
+	err := db.scan(func(_ PageID, p *Page, buf []byte, err error) error {
 		if err != nil {
-			return nil, err
+			return err
 		}
 		availBytes += int64(db.PageSize() - pageHeaderSize)
-		for _, r := range p.Records {
-			st.Records++
-			if r.Continues || r.Continuation {
-				split[r.Vertex] = true
+		recs, _ := p.Compressed()
+		st.Records += p.Slots()
+		st.CompressedRecs += recs
+		for i := 0; i < p.Slots(); i++ {
+			// A vertex spans pages when its first chunk continues.
+			if continues, continuation := p.Chunk(i); continues && !continuation {
+				st.SplitVertices++
 			}
-			if r.CompBytes > 0 {
-				st.CompressedRecs++
-				st.AdjBytes += int64(r.CompBytes)
-			} else {
-				st.AdjBytes += int64(4 * len(r.Adj))
-			}
-			// Slot array bytes (the record area is accounted via freeStart).
-			usedBytes += int64(slotSize)
+			// A record's payload is its length past the header: 4 bytes per
+			// entry raw, the encoded size (skip table included) compressed.
+			_, length := slotRecord(buf, i)
+			st.AdjBytes += int64(length - recordHeaderSize)
 		}
-		// Record area: freeStart covers headers and payload of every record.
-		usedBytes += int64(int(binary.LittleEndian.Uint16(buf[6:])) - pageHeaderSize)
+		// Slot array bytes, and the record area up to freeStart, which covers
+		// headers and payload of every record.
+		usedBytes += int64(slotSize*p.Slots() + int(binary.LittleEndian.Uint16(buf[6:])) - pageHeaderSize)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	st.SplitVertices = len(split)
 	if availBytes > 0 {
 		st.FillFactor = float64(usedBytes) / float64(availBytes)
 	}

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 
 	"dualsim/internal/graph"
 )
@@ -66,22 +65,23 @@ const MaxPageSize = 1 << 16
 // DefaultPageSize is used when BuildOptions.PageSize is zero.
 const DefaultPageSize = 4096
 
-// Record is one (vertex, adjacency sublist) entry parsed from a page.
+// Record is one (vertex, adjacency sublist) entry parsed from a page. No
+// reader of the page file builds one: ParsePage and ParsePageLazy return them
+// for benchmark/'s record count and the lazy-parse comparison alone, and
+// ROADMAP item 1(c) deletes them with ParsePageLazy.
 type Record struct {
 	// Vertex is the vertex this sublist belongs to.
 	Vertex graph.VertexID
-	// Adj is the decoded adjacency sublist. ParsePage decodes every record
-	// into it, stored compressed or not; only ParsePageLazy leaves it nil
-	// for a compressed record, which then carries Comp instead.
+	// Adj is the decoded adjacency sublist. ParsePage fills it from the slot
+	// index for every record; only ParsePageLazy leaves it nil for a
+	// compressed record, which then carries Comp instead.
 	Adj []graph.VertexID
 	// Comp is the validated zero-copy view of a compressed record's
-	// payload, set by ParsePageLazy alone: the engine never parses lazily.
-	// Its slices alias the page buffer and are valid only as long as that
-	// buffer is.
+	// payload, set by ParsePageLazy alone. Its slices alias the page buffer
+	// and are valid only as long as that buffer is.
 	Comp graph.CompressedAdj
 	// CompBytes is the on-disk payload size in bytes when the record was
-	// stored compressed, 0 for raw records. It is set in both parse
-	// modes and feeds dualsim_compressed_{records,bytes}_total.
+	// stored compressed, 0 for raw records. It is set in both parses.
 	CompBytes int
 	// Continues is set when the adjacency list continues on the next page.
 	Continues bool
@@ -89,34 +89,14 @@ type Record struct {
 	Continuation bool
 }
 
-// Count returns the number of adjacency entries in the sublist regardless
-// of parse mode.
-func (r *Record) Count() int {
-	if r.Adj == nil && r.CompBytes > 0 {
-		return r.Comp.Count
-	}
-	return len(r.Adj)
-}
-
-// Decoded returns the record's adjacency sublist, decoding a lazily
-// parsed compressed record by appending to dst (pass reusable scratch;
-// dst may be nil). Already-decoded records return Adj directly and
-// ignore dst.
-func (r *Record) Decoded(dst []graph.VertexID) []graph.VertexID {
-	if r.Adj == nil && r.CompBytes > 0 {
-		return r.Comp.AppendTo(dst)
-	}
-	return r.Adj
-}
-
 // Page is a parsed data page.
 type Page struct {
 	// ID is the page's position in the file.
 	ID PageID
 	// Records are the adjacency records stored on the page, in slot order,
-	// for the cold readers: ParsePage, ParsePageLazy and NewPage fill it. A
-	// page parsed by ParsePageInto — the buffer pool's read path — has none
-	// and is read through its slot index alone (Slots, List, Chunk).
+	// filled by ParsePage and ParsePageLazy only (see Record). A page parsed
+	// by ParsePageInto — every reader of the page file — has none and is
+	// read through its slot index alone (Slots, List, Chunk).
 	Records []Record
 
 	// first is slot 0's vertex. slab holds every record's decoded list back
@@ -125,8 +105,8 @@ type Page struct {
 	// meta word (the list's forward split, and the chunk bits
 	// metaContinues and metaContinuation), then slab's end once, so slot i
 	// is index[2i : 2i+3]. slab's capacity is the whole allocation, which
-	// ParsePageInto parses the next image into. A page parsed lazily, or
-	// built without NewPage, has no index and resolves nothing.
+	// ParsePageInto parses the next image into. A page parsed lazily has no
+	// index and resolves nothing.
 	first graph.VertexID
 	slab  []graph.VertexID
 	index []graph.VertexID // offsets and meta words, not vertices
@@ -148,33 +128,13 @@ const (
 // indexWords is the length of the slot index of a page of nrec records.
 func indexWords(nrec int) int { return 2*nrec + 1 }
 
-// NewPage returns a page holding recs, indexed as ParsePage indexes a parsed
-// page: the records' lists are copied into one slab, which their Adj then
-// alias. Each list must ascend.
-func NewPage(id PageID, recs []Record) *Page {
-	total := 0
-	for i := range recs {
-		total += len(recs[i].Adj)
-	}
-	slab := make([]graph.VertexID, 0, total+indexWords(len(recs)))
-	index := slab[total : total+indexWords(len(recs))]
-	p := &Page{ID: id, Records: recs}
-	for i := range recs {
-		start := len(slab)
-		slab = append(slab, recs[i].Adj...)
-		recs[i].Adj = slab[start:len(slab):len(slab)]
-		split, _ := slices.BinarySearch(recs[i].Adj, recs[i].Vertex)
-		setSlot(index, i, start, split, recs[i].Continues, recs[i].Continuation)
-		if recs[i].CompBytes > 0 {
-			p.compRecs++
-			p.compBytes += recs[i].CompBytes
-		}
-	}
-	if len(recs) > 0 {
-		p.first = recs[0].Vertex
-	}
-	p.attachIndex(slab, index)
-	return p
+// pageFor returns an empty page whose slab holds the parse of any image of
+// pageSize bytes, so ParsePageInto never grows it: every entry takes at least
+// one byte of payload for its one word, every record 12 bytes of header and
+// slot for its two index words, and the page header's 12 bytes cover the
+// index's closing word.
+func pageFor(pageSize int) *Page {
+	return &Page{slab: make([]graph.VertexID, 0, pageSize)}
 }
 
 // setSlot writes slot i of a page's index: the start of its list in the
@@ -188,13 +148,6 @@ func setSlot(index []graph.VertexID, i, start, split int, continues, continuatio
 		meta |= metaContinuation
 	}
 	index[2*i], index[2*i+1] = graph.VertexID(start), meta
-}
-
-// attachIndex completes the slot index — every slot set, the lists in slab,
-// whose spare capacity index is — with the slab's end.
-func (p *Page) attachIndex(slab, index []graph.VertexID) {
-	index[len(index)-1] = graph.VertexID(len(slab))
-	p.slab, p.index = slab, index
 }
 
 // Slots returns the number of slots the page's index resolves: its record
@@ -329,28 +282,34 @@ func (w *PageWriter) Bytes() []byte {
 	return w.buf
 }
 
-// ParsePage decodes a page image. Each compressed record is validated and
-// decoded in one walk (graph.DecodeCompressed: every check ParseCompressed
-// makes), straight into the page's slab. Adjacency slices are decoded copies:
-// the page aliases nothing of buf, which the caller may reuse at once. All
-// records of a page share the slab, so parsing a page costs a constant
-// number of allocations regardless of record count, and the slab's spare
-// capacity holds the page's slot index (Page.List). It is the cold readers'
-// parse (verification, statistics, compaction): it also builds Records.
+// ParsePage parses a page image into a fresh page (ParsePageInto) and fills
+// its Records from the slot index: each record's Adj aliases the page's
+// slab, not buf, which the caller may reuse at once.
 func ParsePage(buf []byte) (*Page, error) {
 	p := &Page{}
-	if err := p.parse(buf, parseRecords); err != nil {
+	if err := ParsePageInto(p, buf); err != nil {
 		return nil, err
+	}
+	p.Records = make([]Record, p.Slots())
+	for i := range p.Records {
+		rec := &p.Records[i]
+		rec.Vertex = p.first + graph.VertexID(i)
+		rec.Adj, _, _ = p.List(i)
+		rec.Continues, rec.Continuation = p.Chunk(i)
+		if off, length := slotRecord(buf, i); buf[off+4]&flagCompressed != 0 {
+			rec.CompBytes = length - recordHeaderSize
+		}
 	}
 	return p, nil
 }
 
-// ParsePageLazy parses like ParsePage but leaves records stored compressed
-// as validated zero-copy views (Record.Comp) instead of decoding them; raw
+// ParsePageLazy parses like ParsePageInto, under the same checks, but leaves
+// records stored compressed as validated zero-copy views (Record.Comp)
+// instead of decoding them, and builds Records, not the slot index; raw
 // records still decode into the shared slab. The views alias buf, which the
 // caller must keep alive and unmodified for as long as the page is used.
-// The engine never parses lazily; this is the comparator of the parse
-// micro-benchmark and of the compressed-domain kernels.
+// No reader of the page file parses lazily; this is the comparator of the
+// parse micro-benchmark and of the compressed-domain kernels.
 func ParsePageLazy(buf []byte) (*Page, error) {
 	p := &Page{}
 	if err := p.parse(buf, parseLazy); err != nil {
@@ -359,27 +318,36 @@ func ParsePageLazy(buf []byte) (*Page, error) {
 	return p, nil
 }
 
-// ParsePageInto parses a page image into p, reusing its memory — the buffer
-// pool's read path. It validates and decodes exactly as ParsePage does, but
-// builds only the slot index, its chunk bits and the compressed totals, no
-// Records, and the decode slab is allocated only when the image needs more
-// than p's holds. The records must be a dense ascending vertex-ID run (the
-// builder writes one record per vertex per page), since the index is
-// addressed by vertex: a page that is not is rejected as corrupt. Whatever
-// was read from p before is overwritten, and on error p holds nothing
-// usable until a parse succeeds.
+// ParsePageInto parses a page image into p, reusing its memory — the parse
+// of every reader of the page file: the buffer pool, verification,
+// statistics, LoadGraph and compaction. Each compressed record is validated
+// and decoded in one walk (graph.DecodeCompressed: every check
+// ParseCompressed makes), straight into the page's slab, whose spare
+// capacity holds the slot index and its chunk bits; the page also totals its
+// compressed records (Compressed) and aliases nothing of buf. The slab is
+// allocated only when the image needs more than p's holds. The records must
+// be a dense ascending vertex-ID run (the builder writes one record per
+// vertex per page), since the index is addressed by vertex: a page that is
+// not is rejected as corrupt, by every parse. Whatever was read from p before
+// is overwritten, and on error p holds nothing usable until a parse succeeds.
 func ParsePageInto(p *Page, buf []byte) error { return p.parse(buf, parseIndex) }
 
 // parseMode selects what parse builds besides the checks every mode makes.
 type parseMode uint8
 
 const (
-	parseIndex   parseMode = iota // slot index only, dense run required (ParsePageInto)
-	parseRecords                  // slot index and Records (ParsePage)
-	parseLazy                     // Records with compressed views, no index (ParsePageLazy)
+	parseIndex parseMode = iota // the slot index (ParsePageInto)
+	parseLazy                   // Records with compressed views, no index (ParsePageLazy)
 )
 
-// parse is the one decode loop of every parse mode.
+// slotRecord returns the offset and length of slot i's record in a page
+// image.
+func slotRecord(buf []byte, i int) (off, length int) {
+	slot := len(buf) - (i+1)*slotSize
+	return int(binary.LittleEndian.Uint16(buf[slot:])), int(binary.LittleEndian.Uint16(buf[slot+2:]))
+}
+
+// parse is the one decode loop of both parse modes.
 func (p *Page) parse(buf []byte, mode parseMode) error {
 	if len(buf) < MinPageSize {
 		return fmt.Errorf("storage: page buffer %d bytes, below minimum %d", len(buf), MinPageSize)
@@ -399,9 +367,7 @@ func (p *Page) parse(buf []byte, mode parseMode) error {
 	// will materialize as []VertexID (raw always; compressed unless lazy).
 	total := 0
 	for i := 0; i < nrec; i++ {
-		slotOff := len(buf) - (i+1)*slotSize
-		off := int(binary.LittleEndian.Uint16(buf[slotOff:]))
-		length := int(binary.LittleEndian.Uint16(buf[slotOff+2:]))
+		off, length := slotRecord(buf, i)
 		if off+length > slotBase || off < pageHeaderSize || length < recordHeaderSize {
 			return &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d out of bounds (off=%d len=%d)", i, off, length)}
 		}
@@ -422,60 +388,56 @@ func (p *Page) parse(buf []byte, mode parseMode) error {
 			if count > length-recordHeaderSize {
 				return &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d: %d entries claimed in a %d-byte payload", i, count, length-recordHeaderSize)}
 			}
-			if mode != parseLazy {
+			if mode == parseIndex {
 				total += count
 			}
 		}
 	}
 	words := total
-	if mode != parseLazy {
+	if mode == parseIndex {
 		words += indexWords(nrec)
 	}
 	slab := p.slab[:0]
 	if cap(slab) < words {
 		slab = make([]graph.VertexID, 0, words)
 	}
-	var index []graph.VertexID // the slot index, in the slab's spare capacity
-	if mode != parseLazy {
-		index = slab[total:words]
-	}
+	index := slab[total:words]                // the slot index, in the slab's spare capacity
 	p.Records, p.index, p.first = nil, nil, 0 // resolves nothing until it succeeds
 	p.slab = slab                             // kept for the next parse if this one fails
-	if mode != parseIndex {
+	if mode == parseLazy {
 		p.Records = make([]Record, 0, nrec)
 	}
 	p.compRecs, p.compBytes = 0, 0
 	for i := 0; i < nrec; i++ {
-		slotOff := len(buf) - (i+1)*slotSize
-		off := int(binary.LittleEndian.Uint16(buf[slotOff:]))
-		length := int(binary.LittleEndian.Uint16(buf[slotOff+2:]))
+		off, length := slotRecord(buf, i)
 		v := graph.VertexID(binary.LittleEndian.Uint32(buf[off:]))
 		if i == 0 {
 			p.first = v
-		} else if mode == parseIndex && v != p.first+graph.VertexID(i) {
+		} else if v != p.first+graph.VertexID(i) {
 			return &CorruptPageError{Page: p.ID,
 				Reason: fmt.Sprintf("slot %d holds vertex %d: records are not a dense vertex-ID run from %d", i, v, p.first)}
 		}
 		flags := buf[off+4]
 		continues, continuation := flags&flagContinues != 0, flags&flagContinuation != 0
 		count := int(binary.LittleEndian.Uint16(buf[off+6:]))
-		rec := Record{Vertex: v, Continues: continues, Continuation: continuation}
 		start, split := len(slab), 0
 		payload := buf[off+recordHeaderSize : off+length]
+		var comp graph.CompressedAdj
+		compBytes := 0
 		if flags&flagCompressed != 0 {
 			skips := flags&flagSkips != 0
 			var err error
 			if mode == parseLazy {
-				rec.Comp, err = graph.ParseCompressed(payload, count, skips)
+				comp, err = graph.ParseCompressed(payload, count, skips)
 			} else {
 				slab, split, err = graph.DecodeCompressed(slab, payload, count, skips, v)
 			}
 			if err != nil {
 				return &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("slot %d: %v", i, err)}
 			}
-			if rec.CompBytes = len(payload); rec.CompBytes > 0 {
+			if compBytes = len(payload); compBytes > 0 {
 				p.compRecs++ // counted as Record.CompBytes tells them: a payload
-				p.compBytes += rec.CompBytes
+				p.compBytes += compBytes
 			}
 		} else {
 			for q := 0; q+4 <= len(payload); q += 4 {
@@ -486,30 +448,19 @@ func (p *Page) parse(buf []byte, mode parseMode) error {
 				slab = append(slab, x)
 			}
 		}
-		if mode != parseLazy {
+		if mode == parseIndex {
 			setSlot(index, i, start, split, continues, continuation)
+			continue
 		}
-		if mode != parseIndex {
-			if rec.CompBytes == 0 || mode != parseLazy {
-				rec.Adj = slab[start:len(slab):len(slab)]
-			}
-			p.Records = append(p.Records, rec)
+		rec := Record{Vertex: v, Comp: comp, CompBytes: compBytes, Continues: continues, Continuation: continuation}
+		if compBytes == 0 {
+			rec.Adj = slab[start:len(slab):len(slab)]
 		}
+		p.Records = append(p.Records, rec)
 	}
-	if mode != parseLazy {
-		p.attachIndex(slab, index)
+	if mode == parseIndex {
+		index[len(index)-1] = graph.VertexID(len(slab))
+		p.slab, p.index = slab, index
 	}
 	return nil
-}
-
-// Vertices returns the distinct vertices that have a record on the page, in
-// record order.
-func (p *Page) Vertices() []graph.VertexID {
-	out := make([]graph.VertexID, 0, len(p.Records))
-	for _, r := range p.Records {
-		if len(out) == 0 || out[len(out)-1] != r.Vertex {
-			out = append(out, r.Vertex)
-		}
-	}
-	return out
 }

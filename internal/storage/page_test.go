@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -42,8 +43,8 @@ func TestPageWriterRoundTrip(t *testing.T) {
 	if !p.Records[2].Continues || p.Records[2].Continuation {
 		t.Fatalf("record 2 flags = %+v", p.Records[2])
 	}
-	if got := p.Vertices(); !reflect.DeepEqual(got, []graph.VertexID{1, 2, 3}) {
-		t.Fatalf("Vertices = %v", got)
+	if p.First() != 1 || p.Slots() != 3 {
+		t.Fatalf("index of %d slots from vertex %d, want 3 from 1", p.Slots(), p.First())
 	}
 }
 
@@ -116,49 +117,78 @@ func TestParsePageRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestPageRoundTripQuick writes random records and parses them back. A
+// valid draw is a dense ascending vertex-ID run from a random first vertex,
+// and every parse must return it whole; the same records with one vertex
+// moved off the run (the checksum written over them as for any page) must be
+// rejected by every parse as a CorruptPageError.
 func TestPageRoundTripQuick(t *testing.T) {
-	f := func(vs []uint16, adjLen uint8) bool {
-		w := NewPageWriter(4096, 3)
-		var want []Record
-		for i, raw := range vs {
-			if i >= 8 {
-				break
-			}
-			adj := make([]graph.VertexID, int(adjLen)%20)
-			for j := range adj {
-				adj[j] = graph.VertexID(uint32(raw) + uint32(j))
-			}
-			if !w.Add(graph.VertexID(raw), adj, i%2 == 0, i%3 == 0) {
-				return false
-			}
-			want = append(want, Record{Vertex: graph.VertexID(raw), Adj: adj, Continues: i%2 == 0, Continuation: i%3 == 0})
+	f := func(first uint16, n, adjLen, skew uint8) bool {
+		type rec struct {
+			v                       graph.VertexID
+			adj                     []graph.VertexID
+			continues, continuation bool
 		}
-		p, err := ParsePage(w.Bytes())
-		if err != nil {
-			return false
-		}
-		if len(p.Records) != len(want) {
-			return false
-		}
-		for i := range want {
-			g, w := p.Records[i], want[i]
-			if g.Vertex != w.Vertex || g.Continues != w.Continues || g.Continuation != w.Continuation {
-				return false
-			}
-			if len(g.Adj) != len(w.Adj) {
-				return false
-			}
-			for j := range g.Adj {
-				if g.Adj[j] != w.Adj[j] {
-					return false
+		write := func(recs []rec) []byte {
+			w := NewPageWriter(4096, 3)
+			for _, r := range recs {
+				if !w.Add(r.v, r.adj, r.continues, r.continuation) {
+					t.Fatalf("%d records of up to 19 entries do not fit a 4096-byte page", len(recs))
 				}
 			}
+			return append([]byte(nil), w.Bytes()...)
 		}
-		return true
+		recs := make([]rec, 1+int(n)%8)
+		for i := range recs {
+			v := graph.VertexID(first) + graph.VertexID(i)
+			adj := make([]graph.VertexID, int(adjLen)%20)
+			for j := range adj {
+				adj[j] = v + graph.VertexID(j) + 1
+			}
+			recs[i] = rec{v, adj, i%2 == 0, i%3 == 0}
+		}
+		p, err := ParsePage(write(recs))
+		if err != nil || len(p.Records) != len(recs) || p.First() != recs[0].v || p.Slots() != len(recs) {
+			return false
+		}
+		for i, want := range recs {
+			g := p.Records[i]
+			adj, _, _ := p.List(i)
+			if g.Vertex != want.v || g.Continues != want.continues || g.Continuation != want.continuation ||
+				!slices.Equal(g.Adj, want.adj) || !slices.Equal(adj, want.adj) {
+				return false
+			}
+		}
+		if len(recs) < 2 {
+			return true
+		}
+		// Move one vertex off the run: a gap, a repeat or a step back.
+		i := 1 + int(skew)%(len(recs)-1)
+		recs[i].v = recs[i-1].v + graph.VertexID([]int{2, 0, -1}[int(skew)%3])
+		return rejectedByEveryParse(t, write(recs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rejectedByEveryParse reports whether ParsePage, ParsePageLazy and
+// ParsePageInto (into a page that held a valid image) all reject img as a
+// CorruptPageError.
+func rejectedByEveryParse(t *testing.T, img []byte) bool {
+	t.Helper()
+	into := &Page{}
+	w := NewPageWriter(MinPageSize, 9)
+	w.Add(1, []graph.VertexID{0, 2}, false, false)
+	if err := ParsePageInto(into, w.Bytes()); err != nil {
+		t.Fatalf("ParsePageInto of a valid page: %v", err)
+	}
+	var ce *CorruptPageError
+	_, err := ParsePage(img)
+	ok := errors.As(err, &ce)
+	_, err = ParsePageLazy(img)
+	ok = ok && errors.As(err, &ce)
+	return ok && errors.As(ParsePageInto(into, img), &ce) && into.Slots() == 0
 }
 
 func TestChecksumDetectsCorruption(t *testing.T) {
@@ -181,20 +211,31 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestChecksumQuick: any single bit flip outside the checksum field of a
+// valid page (random lists on a dense vertex-ID run) is detected, and the
+// same page with its vertices drawn at random instead — checksum intact —
+// is rejected unless the draw happens to be a dense run.
 func TestChecksumQuick(t *testing.T) {
 	f := func(seed int64, flip uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		w := NewPageWriter(512, PageID(rng.Intn(100)))
-		for i := 0; i < 5; i++ {
-			adj := make([]graph.VertexID, rng.Intn(10))
-			for j := range adj {
-				adj[j] = graph.VertexID(rng.Intn(1000))
+		first := graph.VertexID(rng.Intn(1000))
+		write := func(vertex func(i int) graph.VertexID) ([]byte, bool) {
+			w := NewPageWriter(512, PageID(rng.Intn(100)))
+			dense := true
+			for i := 0; i < 5; i++ {
+				adj := make([]graph.VertexID, rng.Intn(10))
+				for j := range adj {
+					adj[j] = graph.VertexID(rng.Intn(1000))
+				}
+				v := vertex(i)
+				if !w.Add(v, adj, false, false) {
+					break
+				}
+				dense = dense && v == vertex(0)+graph.VertexID(i)
 			}
-			if !w.Add(graph.VertexID(rng.Intn(1000)), adj, false, false) {
-				break
-			}
+			return append([]byte(nil), w.Bytes()...), dense
 		}
-		img := append([]byte(nil), w.Bytes()...)
+		img, _ := write(func(i int) graph.VertexID { return first + graph.VertexID(i) })
 		if _, err := ParsePage(img); err != nil {
 			return false
 		}
@@ -204,73 +245,87 @@ func TestChecksumQuick(t *testing.T) {
 			pos = checksumOffset + 4
 		}
 		img[pos] ^= 0x40
-		_, err := ParsePage(img)
-		return err != nil
+		if _, err := ParsePage(img); err == nil {
+			return false
+		}
+		drawn := make([]graph.VertexID, 5)
+		for i := range drawn {
+			drawn[i] = graph.VertexID(rng.Intn(1000))
+		}
+		img, dense := write(func(i int) graph.VertexID { return drawn[i] })
+		if dense {
+			_, err := ParsePage(img)
+			return err == nil
+		}
+		return rejectedByEveryParse(t, img)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// checkIndex fails t unless p's slot index agrees with its records: every
-// slot resolves to exactly its record's list, aliasing the same slab and
-// capped at its end; its split is the index of the first neighbour above
-// the record's vertex (where the list ascends without holding that vertex,
-// as every built list does); its chunk mark — the "not held" answer — is
-// set exactly on a chunk of a multi-page vertex; and, where the records are
-// a dense vertex-ID run, each vertex's slot is its record's and the IDs
-// beside the run have none. It reports whether the run is dense.
-func checkIndex(t *testing.T, p *Page) bool {
+// checkIndex fails t unless p's slot index agrees with the records lazy
+// parsed from the same image (ParsePageLazy, which builds no index): the
+// slots are the records' dense vertex-ID run from First, each vertex's slot
+// is its record's and the IDs beside the run have none; every slot resolves
+// exactly its record's decoded list, capped at its end; its split is the
+// index of the first neighbour above the record's vertex (where the list
+// ascends without holding that vertex, as every built list does); its chunk
+// bits are the record's flags, and its chunk mark — the "not held" answer —
+// is set exactly on a chunk of a multi-page vertex; and Compressed counts the
+// records with a compressed payload and their bytes.
+func checkIndex(t *testing.T, p, lazy *Page) {
 	t.Helper()
-	if p.Slots() != len(p.Records) {
-		t.Fatalf("page %d: %d slots for %d records", p.ID, p.Slots(), len(p.Records))
+	if p.ID != lazy.ID || p.Slots() != len(lazy.Records) {
+		t.Fatalf("page %d with %d slots, lazily page %d with %d records", p.ID, p.Slots(), lazy.ID, len(lazy.Records))
 	}
-	dense := true
-	for i := range p.Records {
-		rec := &p.Records[i]
+	recs, bytes := 0, 0
+	for i := range lazy.Records {
+		rec := &lazy.Records[i]
+		want := rec.Adj
+		if rec.CompBytes > 0 {
+			want = rec.Comp.AppendTo(nil)
+			recs++
+			bytes += rec.CompBytes
+		}
+		if s, ok := p.Slot(rec.Vertex); !ok || s != i || p.First()+graph.VertexID(i) != rec.Vertex {
+			t.Fatalf("page %d: vertex %d resolves to slot %d (%v), want %d", p.ID, rec.Vertex, s, ok, i)
+		}
 		adj, split, chunk := p.List(i)
-		if !slices.Equal(adj, rec.Adj) || cap(adj) != len(adj) || (len(adj) > 0 && &adj[0] != &rec.Adj[0]) {
-			t.Fatalf("page %d slot %d: index resolves %v (cap %d), record holds %v", p.ID, i, adj, cap(adj), rec.Adj)
+		if !slices.Equal(adj, want) || cap(adj) != len(adj) {
+			t.Fatalf("page %d slot %d: index resolves %v (cap %d), record holds %v", p.ID, i, adj, cap(adj), want)
 		}
 		if c, cn := p.Chunk(i); chunk != (rec.Continues || rec.Continuation) || c != rec.Continues || cn != rec.Continuation {
 			t.Fatalf("page %d slot %d: chunk mark %v (bits %v, %v) on a record continues=%v continuation=%v",
 				p.ID, i, chunk, c, cn, rec.Continues, rec.Continuation)
 		}
 		if slices.IsSorted(adj) && !slices.Contains(adj, rec.Vertex) {
-			above := 0
-			for above < len(adj) && adj[above] < rec.Vertex {
-				above++
-			}
-			if split != above {
+			if above, _ := slices.BinarySearch(adj, rec.Vertex); split != above {
 				t.Fatalf("page %d slot %d: split %d, first neighbour above vertex %d at %d of %v",
 					p.ID, i, split, rec.Vertex, above, adj)
 			}
 		}
-		dense = dense && rec.Vertex == p.Records[0].Vertex+graph.VertexID(i)
 	}
-	if !dense || len(p.Records) == 0 {
-		return dense
+	if r, b := p.Compressed(); r != recs || b != bytes {
+		t.Fatalf("page %d counts %d compressed records of %d bytes, the records %d of %d", p.ID, r, b, recs, bytes)
 	}
-	for i := range p.Records {
-		if s, ok := p.Slot(p.Records[i].Vertex); !ok || s != i {
-			t.Fatalf("page %d: vertex %d resolves to slot %d (%v), want %d", p.ID, p.Records[i].Vertex, s, ok, i)
-		}
+	if p.Slots() == 0 {
+		return
 	}
 	first := p.First()
-	if _, ok := p.Slot(first + graph.VertexID(len(p.Records))); ok {
+	if _, ok := p.Slot(first + graph.VertexID(p.Slots())); ok {
 		t.Fatalf("page %d: the vertex past its run has a slot", p.ID)
 	}
 	if _, ok := p.Slot(first - 1); ok && first > 0 {
 		t.Fatalf("page %d: the vertex before its run has a slot", p.ID)
 	}
-	return true
 }
 
 // TestPageIndexBuilds checks the slot index of every page of a plain and a
-// compressed build in which hubs span several pages, as parsed (ParsePage)
-// and as rebuilt from the same records (NewPage, the constructor of
-// hand-built pages): the builder writes dense vertex-ID runs, so every
-// vertex resolves to its own slot, and every chunk is marked.
+// compressed build in which hubs span several pages, as the file's readers
+// parse it (ParsePageInto, into one page reused for the whole file), against
+// the lazy parse of the same image: the builder writes dense vertex-ID runs,
+// so every vertex resolves to its own slot, and every chunk is marked.
 func TestPageIndexBuilds(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		dir := t.TempDir()
@@ -283,22 +338,24 @@ func TestPageIndexBuilds(t *testing.T) {
 			t.Fatal(err)
 		}
 		chunks := 0
+		buf, p := make([]byte, db.PageSize()), &Page{}
 		for pid := 0; pid < db.NumPages(); pid++ {
-			p, err := db.ReadPage(PageID(pid))
+			if err := db.ReadPageInto(PageID(pid), buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := ParsePageInto(p, buf); err != nil {
+				t.Fatalf("compress=%v page %d: %v", compress, pid, err)
+			}
+			lazy, err := ParsePageLazy(buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !checkIndex(t, p) {
-				t.Fatalf("compress=%v page %d: records are not a dense vertex-ID run", compress, pid)
-			}
-			recs := slices.Clone(p.Records)
-			for i := range recs {
-				recs[i].Adj = slices.Clone(recs[i].Adj)
-				if recs[i].Continues || recs[i].Continuation {
+			checkIndex(t, p, lazy)
+			for i := 0; i < p.Slots(); i++ {
+				if _, _, chunk := p.List(i); chunk {
 					chunks++
 				}
 			}
-			checkIndex(t, NewPage(p.ID, recs))
 		}
 		db.Close()
 		if chunks == 0 {

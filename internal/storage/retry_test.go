@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,12 +86,12 @@ func TestRetryReaderPassThrough(t *testing.T) {
 	if err := r.ReadPageInto(7, buf); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ParsePage(buf)
-	if err != nil {
+	p := &Page{}
+	if err := ParsePageInto(p, buf); err != nil {
 		t.Fatal(err)
 	}
-	if p.ID != 7 || len(p.Records) != 1 {
-		t.Fatalf("parsed page %d with %d records", p.ID, len(p.Records))
+	if p.ID != 7 || p.Slots() != 1 {
+		t.Fatalf("parsed page %d with %d slots", p.ID, p.Slots())
 	}
 	st := r.Stats()
 	if st.Reads != 1 || st.Retries != 0 || st.Recovered != 0 || st.Exhausted != 0 {
@@ -448,5 +450,130 @@ func flipByteInPage(t *testing.T, path string, pageSize int, pid PageID) {
 	b[0] ^= 0x20
 	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rewritePage applies mut to data page pid of the file at path and writes
+// the page checksum over the result, so only the structural checks stand
+// between the damage and a reader. It returns the rewritten image.
+func rewritePage(t *testing.T, path string, pageSize int, pid PageID, mut func(img []byte)) []byte {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	img := make([]byte, pageSize)
+	off := int64(pageSize) * (int64(pid) + 1)
+	if _, err := f.ReadAt(img, off); err != nil {
+		t.Fatal(err)
+	}
+	mut(img)
+	rewriteChecksum(img)
+	if _, err := f.WriteAt(img, off); err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestVerifyReportsNonDenseRun: a page whose records are not a dense
+// vertex-ID run — here the second record renamed to the vertex after it,
+// checksum intact — is rejected by every parse, and reported with that
+// reason by VerifyPages, as the only failure (the cross-page checks do not
+// echo it), and by VerifyIntegrity.
+func TestVerifyReportsNonDenseRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	db, _ := buildTemp(t, randomTestGraph(rng, 200, 600), BuildOptions{PageSize: 256})
+	const pid = 2
+	p, err := readPage(db, pid)
+	if err != nil || p.Slots() < 3 {
+		t.Fatalf("page %d: %d slots, err %v; want at least 3", pid, p.Slots(), err)
+	}
+	img := rewritePage(t, db.Path(), db.PageSize(), pid, func(img []byte) {
+		off, _ := slotRecord(img, 1)
+		binary.LittleEndian.PutUint32(img[off:], binary.LittleEndian.Uint32(img[off:])+1)
+	})
+	if !rejectedByEveryParse(t, img) {
+		t.Fatal("a page that is not a dense vertex-ID run parses")
+	}
+	rep := db.VerifyPages()
+	if len(rep.Corrupt) != 1 || len(rep.IOErrors) != 0 || rep.Corrupt[0].Page != pid ||
+		!strings.Contains(rep.Corrupt[0].Reason, "not a dense vertex-ID run") || rep.PagesScanned != db.NumPages() {
+		t.Fatalf("VerifyPages: scanned %d of %d pages, corrupt %v, unreadable %v; want page %d alone, as not a dense run",
+			rep.PagesScanned, db.NumPages(), rep.Corrupt, rep.IOErrors, pid)
+	}
+	if ce, ok := IsCorrupt(db.VerifyIntegrity()); !ok || ce.Page != pid {
+		t.Fatalf("VerifyIntegrity: %v, want page %d corrupt", db.VerifyIntegrity(), pid)
+	}
+}
+
+// TestVerifyStructuralChecks: pages that parse but disagree with the
+// directory or with the pages before them are reported by the same scan,
+// each as a CorruptPageError with its reason — a vertex outside the
+// directory, a page claiming another page's ID, a list shorter than the
+// directory's degree.
+func TestVerifyStructuralChecks(t *testing.T) {
+	for _, tc := range []struct {
+		reason string
+		mut    func(db *DB, img []byte)
+	}{
+		{"outside the directory", func(db *DB, img []byte) {
+			for i := 0; i < int(binary.LittleEndian.Uint16(img[4:])); i++ {
+				off, _ := slotRecord(img, i)
+				binary.LittleEndian.PutUint32(img[off:], uint32(db.NumVertices()+i))
+			}
+		}},
+		{"page claims ID", func(_ *DB, img []byte) { binary.LittleEndian.PutUint32(img[0:], 0) }},
+		{"entries on disk, directory says", func(_ *DB, img []byte) {
+			// The first non-empty (raw) list loses its last entry.
+			for i := 0; ; i++ {
+				off, length := slotRecord(img, i)
+				if count := binary.LittleEndian.Uint16(img[off+6:]); count > 0 {
+					binary.LittleEndian.PutUint16(img[off+6:], count-1)
+					binary.LittleEndian.PutUint16(img[len(img)-(i+1)*slotSize+2:], uint16(length-4))
+					return
+				}
+			}
+		}},
+	} {
+		rng := rand.New(rand.NewSource(41))
+		g := randomTestGraph(rng, 120, 300)
+		db, _ := buildTemp(t, g, BuildOptions{PageSize: 256})
+		rewritePage(t, db.Path(), db.PageSize(), 1, func(img []byte) { tc.mut(db, img) })
+		rep := db.VerifyPages()
+		if len(rep.Corrupt) != 1 || !strings.Contains(rep.Corrupt[0].Reason, tc.reason) {
+			t.Fatalf("%s: VerifyPages reports %v", tc.reason, rep.Corrupt)
+		}
+		if _, ok := IsCorrupt(db.VerifyIntegrity()); !ok {
+			t.Fatalf("%s: VerifyIntegrity: %v", tc.reason, db.VerifyIntegrity())
+		}
+	}
+}
+
+// TestWholeFileScanAllocs: a whole-file scan allocates per file, not per
+// page — VerifyPages and Stats make as many allocations on a file of about
+// twice the pages.
+func TestWholeFileScanAllocs(t *testing.T) {
+	allocs := func(n int) (pages int, verify, stats float64) {
+		db, _ := buildTemp(t, randomTestGraph(rand.New(rand.NewSource(42)), n, 4*n), BuildOptions{PageSize: 256})
+		verify = testing.AllocsPerRun(3, func() {
+			if err := db.VerifyPages().Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		stats = testing.AllocsPerRun(3, func() {
+			if _, err := db.Stats(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return db.NumPages(), verify, stats
+	}
+	p1, v1, s1 := allocs(300)
+	p2, v2, s2 := allocs(600)
+	if p2 < 2*p1-2 {
+		t.Fatalf("fixtures of %d and %d pages", p1, p2)
+	}
+	if v1 != v2 || s1 != s2 {
+		t.Fatalf("allocations on %d pages: VerifyPages %.0f, Stats %.0f; on %d pages: %.0f, %.0f", p1, v1, s1, p2, v2, s2)
 	}
 }
