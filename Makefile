@@ -7,7 +7,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null)
 LDFLAGS := -X dualsim/internal/buildinfo.Version=$(VERSION) \
            -X dualsim/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: build test race stress vet fmt lint check bench-module bench metrics-doc metrics-doc-check smoke-serve soak clean
+.PHONY: build test race stress vet fmt lint check bench-module bench scale metrics-doc metrics-doc-check smoke-serve soak clean
 
 build:
 	$(GO) build -ldflags "$(LDFLAGS)" ./...
@@ -65,7 +65,12 @@ fmt:
 # compaction is one sequential rewrite, never a rebuild: non-test
 # internal/storage/compact.go calls neither Build nor StampEpoch and names no
 # EdgeSource (one walk of the base file feeds the page writer, and the
-# superblock it writes already carries the epoch).
+# superblock it writes already carries the epoch). And no per-vertex
+# directory: the database's one directory is the page-first array, one entry
+# a page, which the engine walks with a cursor in step with ascending
+# vertices (storage.PageCursor) and resolves lists through each window's own
+# table (vertexTable), so non-test internal/core calls no PageOf, SpanOf or
+# Degree on its database.
 lint: vet metrics-doc-check
 	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l . >&2; echo "gofmt: the files above are not formatted" >&2; exit 1; fi
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
@@ -96,6 +101,8 @@ lint: vet metrics-doc-check
 		echo "a compaction waits on the old generation's requests: no time.Sleep in non-test internal/server" >&2; exit 1; fi
 	@if grep -nE 'Build\(|StampEpoch\(|EdgeSource' internal/storage/compact.go; then \
 		echo "a compaction is one sequential rewrite, never a rebuild: no Build, StampEpoch or EdgeSource in internal/storage/compact.go" >&2; exit 1; fi
+	@if grep -nE '\b(PageOf|SpanOf|Degree)\(' $$(ls internal/core/*.go | grep -v _test.go); then \
+		echo "no per-vertex directory: internal/core walks the page-first array with a storage.PageCursor and resolves lists through each window's vertexTable (no PageOf, SpanOf or Degree)" >&2; exit 1; fi
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
 # (every counter/gauge/histogram the server registers, plus the paper
@@ -147,9 +154,18 @@ bench-module:
 
 # bench runs every benchmark once — a smoke test that the benchmark harness
 # still compiles and executes, not a measurement (use -benchtime 3x and a
-# quiet machine for real numbers).
+# quiet machine for real numbers) — but the scale tier, which `make scale`
+# runs.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench . -skip 'Scale' -benchtime 1x ./...
+
+# scale runs the scale tier once: q1 on gen.RMAT(20, 8 000 000) built
+# compressed (2^20 vertices, about 7.7 M edges, a few seconds to build), one
+# engine at a 5 % buffer, reporting pages and device requests per run and the
+# heap that opening the database and its engine keep live. It is in neither
+# tier-1 nor check.
+scale:
+	$(GO) test -run '^$$' -bench 'Scale' -benchtime 1x -count 1 -timeout 30m .
 
 # smoke-serve exercises the query service end to end: build, serve the
 # karate-club database on a free port, query it over HTTP, SIGTERM, and

@@ -9,7 +9,10 @@ package dualsim
 import (
 	"context"
 	"io"
+	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -173,6 +176,75 @@ func benchResident(b *testing.B, q *graph.Query) {
 			b.Fatalf("count %d, first run %d", res.Count, want.Count)
 		}
 	}
+}
+
+// scaleTier is the scale tier's database: gen.RMAT(20, 8 000 000, 0.57,
+// 0.19, 0.19, 1) — 2^20 vertices, about 7.7 M edges — built compressed once
+// per process into a temporary directory that TestMain removes.
+var scaleTier struct {
+	once      sync.Once
+	dir, path string
+	err       error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if scaleTier.dir != "" {
+		os.RemoveAll(scaleTier.dir)
+	}
+	os.Exit(code)
+}
+
+// BenchmarkScaleQ1 runs q1 on the scale tier with one engine at a 5 %
+// buffer (2 threads): a graph far beyond the cache, where what grows with
+// |V| shows. It reports the pages and device requests per run, the heap
+// that opening the database and its engine keep live, and the file's pages. `make scale` runs it;
+// it is in neither tier-1 nor `make check`.
+func BenchmarkScaleQ1(b *testing.B) {
+	scaleTier.once.Do(func() {
+		if scaleTier.dir, scaleTier.err = os.MkdirTemp("", "dualsim-scale-"); scaleTier.err == nil {
+			scaleTier.path = filepath.Join(scaleTier.dir, "rmat20.db")
+			_, scaleTier.err = storage.BuildFromGraph(scaleTier.path, gen.RMAT(20, 8_000_000, 0.57, 0.19, 0.19, 1),
+				storage.BuildOptions{Compress: true, TempDir: scaleTier.dir})
+		}
+	})
+	if scaleTier.err != nil {
+		b.Fatal(scaleTier.err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db, err := storage.Open(scaleTier.path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	eng, err := core.NewEngine(db, core.Options{Threads: 2, BufferFraction: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	p, err := plan.Prepare(graph.Triangle(), plan.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pages, requests uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.RunPlanContext(context.Background(), p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// A coalesced run of n pages is one device request.
+		pages += res.IO.PhysicalReads
+		requests += res.IO.PhysicalReads - res.IO.CoalescedPages + res.IO.CoalescedRuns
+	}
+	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+	b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
+	b.ReportMetric(float64(after.HeapAlloc)-float64(before.HeapAlloc), "open-heap-B")
+	b.ReportMetric(float64(db.NumPages()), "file-pages")
 }
 
 func BenchmarkResidentQ1(b *testing.B) { benchResident(b, graph.Triangle()) }

@@ -370,11 +370,11 @@ func cmdVerify(args []string) error {
 	}
 	defer db.Close()
 
-	// One pass: every page is read and validated — checksum, framing, a
-	// dense vertex-ID run — and checked against the pages before it and the
-	// directory. ALL unreadable or corrupt pages are reported (not just the
-	// first), each with its own reason, so an operator sees the full extent
-	// of the damage in one run.
+	// One pass: every page is read and validated — checksum, its own ID,
+	// framing, a dense vertex-ID run — and checked against the page-first
+	// array and the pages before it. ALL unreadable or corrupt pages are
+	// reported (not just the first), each with its own reason, so an
+	// operator sees the full extent of the damage in one run.
 	rep := db.VerifyPages()
 	fmt.Printf("scanned %d pages\n", rep.PagesScanned)
 	for _, ce := range rep.Corrupt {

@@ -219,15 +219,12 @@ func (d *DB) NumPages() int { return d.db.NumPages() }
 // PageSize returns the page size in bytes.
 func (d *DB) PageSize() int { return d.db.PageSize() }
 
-// Degree returns d(v).
-func (d *DB) Degree(v VertexID) int { return d.db.Degree(v) }
-
 // Verify checks the whole database as VerifyPages does and returns its first
 // failure, or nil.
 func (d *DB) Verify() error { return d.db.VerifyIntegrity() }
 
 // VerifyPages reads every page once, validates it and checks it against the
-// pages before it and the directory, collecting all failures by family
+// pages before it and the page-first array, collecting all failures by family
 // (corruption vs I/O) instead of stopping at the first.
 func (d *DB) VerifyPages() *VerifyReport { return d.db.VerifyPages() }
 

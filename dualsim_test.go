@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"dualsim/internal/gen"
 	"dualsim/internal/graph"
 )
 
@@ -244,23 +245,79 @@ func TestNewQueryValidation(t *testing.T) {
 	}
 }
 
+// TestDBAccessors: the file's shape, and its degrees as the engine sees them:
+// the 3-vertex path's count is Σ C(d(v), 2) over the in-memory graph's
+// degrees.
 func TestDBAccessors(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 50
-	edges := randomEdges(rng, n, 200)
-	db := buildAndOpen(t, n, edges, BuildOptions{PageSize: 256})
-	if db.NumVertices() != n {
-		t.Errorf("NumVertices = %d", db.NumVertices())
+	g := gen.ChungLu(2000, 8000, 2.8, 1)
+	n := g.NumVertices()
+	db := buildAndOpen(t, n, g.EdgeList(), BuildOptions{PageSize: 256})
+	if db.NumVertices() != n || db.NumEdges() != uint64(g.NumEdges()) {
+		t.Errorf("NumVertices = %d, NumEdges = %d", db.NumVertices(), db.NumEdges())
 	}
 	if db.NumPages() == 0 || db.PageSize() != 256 {
 		t.Errorf("pages=%d pageSize=%d", db.NumPages(), db.PageSize())
 	}
-	total := 0
+	var want uint64
 	for v := 0; v < n; v++ {
-		total += db.Degree(VertexID(v))
+		d := uint64(g.Degree(VertexID(v)))
+		want += d * (d - 1) / 2
 	}
-	if uint64(total) != 2*db.NumEdges() {
-		t.Errorf("degree sum %d, want %d", total, 2*db.NumEdges())
+	eng, err := db.NewEngine(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if got, err := eng.Count(Path("wedge", 3)); err != nil || got != want {
+		t.Errorf("3-path count %d (%v), want Σ C(d, 2) = %d", got, err, want)
+	}
+}
+
+// TestMisplacedPageFailsRun: a page whose image is another page's — a
+// misdirected write, which its checksum cannot see — fails a run with the
+// retry layer on, naming the page it was read as, and never ends in a count;
+// verification names it too.
+func TestMisplacedPageFailsRun(t *testing.T) {
+	const pageSize = 512
+	g := gen.ChungLu(2000, 8000, 2.8, 1)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.db")
+	if _, err := BuildFromEdges(path, g.NumVertices(), g.EdgeList(), BuildOptions{PageSize: pageSize, TempDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	// q1 opens the file afresh and counts triangles, the retry layer on.
+	q1 := func() (*DB, uint64, error) {
+		db, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		eng, err := db.NewEngine(Options{Retry: &RetryPolicy{Sleep: func(time.Duration) {}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		n, err := eng.Count(Triangle())
+		return db, n, err
+	}
+	if db, n, err := q1(); err != nil || n != 1018 || db.NumPages() < 96 {
+		t.Fatalf("pristine file of %d pages: q1 = %d (%v), want 1018 on 96 pages or more", db.NumPages(), n, err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Page p lives at pageSize × (p + 1): the superblock takes the first frame.
+	copy(img[pageSize*95:pageSize*96], img[pageSize*94:pageSize*95])
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, n, err := q1()
+	if ce, ok := IsCorrupt(err); !ok || ce.Page != 94 || IsTransient(err) {
+		t.Fatalf("q1 with page 93's image read as page 94: count %d, err %v; want a permanent corruption of page 94", n, err)
+	}
+	if ce, ok := IsCorrupt(db.Verify()); !ok || ce.Page != 94 {
+		t.Fatalf("Verify: %v, want page 94 corrupt", db.Verify())
 	}
 }
 

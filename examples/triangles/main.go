@@ -52,12 +52,13 @@ func main() {
 	}
 	triangles := res.Count
 
-	// Wedge (open triple) count from degrees: sum over v of C(d(v), 2).
-	var wedges uint64
-	for v := 0; v < db.NumVertices(); v++ {
-		d := uint64(db.Degree(dualsim.VertexID(v)))
-		wedges += d * (d - 1) / 2
+	// Wedge (open or closed triple) count: the 3-vertex path's occurrences,
+	// sum over v of C(d(v), 2), from the same engine.
+	wres, err := eng.Run(dualsim.Path("wedge", 3))
+	if err != nil {
+		log.Fatal(err)
 	}
+	wedges := wres.Count
 
 	// Global clustering coefficient: 3*triangles / wedges.
 	cc := 3 * float64(triangles) / float64(wedges)

@@ -73,10 +73,7 @@ func Decompose(q *graph.Query) ([]Twig, error) {
 					continue
 				}
 			}
-			score := len(u)
-			if score > 2 {
-				score = 2
-			}
+			score := min(len(u), 2)
 			// Prefer larger twigs, then higher query degree.
 			score = score*100 + q.Degree(v)
 			if score > bestScore {
@@ -145,9 +142,7 @@ func Run(g *graph.Graph, q *graph.Query, opt Options) (uint64, *Stats, error) {
 	if opt.TempDir == "" {
 		return 0, nil, fmt.Errorf("ttj: TempDir required")
 	}
-	if opt.Workers < 1 {
-		opt.Workers = 1
-	}
+	opt.Workers = max(opt.Workers, 1)
 	po := graph.SymmetryBreak(q)
 	twigs, err := Decompose(q)
 	if err != nil {

@@ -29,9 +29,7 @@ func Allocate(total, levels, threads, pages int) ([]int, error) {
 	if levels < 1 {
 		return nil, fmt.Errorf("buffer: need at least 1 level, got %d", levels)
 	}
-	if threads < 1 {
-		threads = 1
-	}
+	threads = max(threads, 1)
 	if total < levels {
 		return nil, fmt.Errorf("buffer: %d frames cannot serve %d levels", total, levels)
 	}
@@ -55,19 +53,14 @@ func Allocate(total, levels, threads, pages int) ([]int, error) {
 	if last > total-(levels-1) {
 		last = total - (levels - 1) // leave one frame per earlier level
 	}
-	if last < 1 {
-		last = 1
-	}
+	last = max(last, 1)
 	alloc[levels-1] = last
 	remaining := total - last
 	if levels == 2 {
 		alloc[0] = remaining
 		return alloc, nil
 	}
-	first := remaining * 2 / 3
-	if first < 1 {
-		first = 1
-	}
+	first := max(remaining*2/3, 1)
 	middleLevels := levels - 2
 	middle := remaining - first
 	if middle < middleLevels {

@@ -18,12 +18,9 @@ import (
 	"dualsim/internal/storage"
 )
 
-// PageReader supplies raw page images; *storage.DB implements it.
-type PageReader interface {
-	ReadPageInto(pid storage.PageID, buf []byte) error
-	PageSize() int
-	NumPages() int
-}
+// PageReader supplies raw page images: *storage.DB implements it, and so
+// does the storage.RetryReader that wraps one.
+type PageReader = storage.PageSource
 
 // RunReader is optionally implemented by PageReaders that can fetch a run
 // of consecutive pages in one request; *storage.DB (single positional read)
@@ -399,10 +396,7 @@ func (p *Pool) enqueue(req ioRequest) bool {
 // pinned, as with Pin: its frame's next load overwrites it after Unpin.
 func (p *Pool) AsyncReadRunContext(ctx context.Context, first storage.PageID, n int, wg *sync.WaitGroup, cb func(storage.PageID, *storage.Page, error)) {
 	for n > 0 {
-		chunk := n
-		if chunk > p.opts.MaxRun {
-			chunk = p.opts.MaxRun
-		}
+		chunk := min(n, p.opts.MaxRun)
 		if !p.enqueue(ioRequest{ctx: ctx, pid: first, n: chunk, cb: cb, wg: wg}) {
 			for i := 0; i < n; i++ {
 				if cb != nil {
@@ -595,10 +589,11 @@ func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []ru
 	}
 }
 
-// parse parses a page image into the frame's own memory and, on success,
+// parse parses the image read for the frame's page into the frame's own
+// memory — an image of any other page is corrupt — and, on success,
 // publishes it as the frame's page. The caller owns the frame's load.
 func (f *frame) parse(img []byte) error {
-	if err := storage.ParsePageInto(&f.mem, img); err != nil {
+	if err := storage.ParsePageInto(&f.mem, img, f.pid); err != nil {
 		return err
 	}
 	f.page = &f.mem

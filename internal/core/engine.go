@@ -121,14 +121,15 @@ type Result struct {
 }
 
 // Database is the storage interface the engine consumes. *storage.DB
-// implements it; tests wrap it to inject I/O failures.
+// implements it; tests wrap it to inject I/O failures. Its one directory is
+// the page-first array: the engine walks it with cursors in step with
+// ascending vertices and resolves lists through each window's own table,
+// never with a per-vertex lookup.
 type Database interface {
 	buffer.PageReader
 	NumVertices() int
 	NumEdges() uint64
-	PageOf(v graph.VertexID) storage.PageID
-	SpanOf(v graph.VertexID) (first, last storage.PageID)
-	Degree(v graph.VertexID) int
+	PageFirsts() storage.PageFirsts
 }
 
 // ErrEngineBusy reports an overlapping Run/RunContext on one Engine. The
@@ -145,8 +146,9 @@ type Engine struct {
 	retry   *storage.RetryReader // non-nil when Options.Retry is set
 	opts    Options
 	frames  int
-	all     []graph.VertexID // every vertex ID, ascending (shared, read-only)
-	maxSpan int              // pages of the largest adjacency list
+	all     []graph.VertexID   // every vertex ID, ascending (shared, read-only)
+	pages   storage.PageFirsts // the database's page-first array (shared, read-only)
+	maxSpan int                // pages of the largest adjacency list
 
 	running atomic.Bool // guards against overlapping runs
 
@@ -169,12 +171,9 @@ func NewEngine(db Database, opts Options) (*Engine, error) {
 		frames = int(float64(db.NumPages()) * opts.BufferFraction)
 	}
 	// Floor: enough frames for the deepest supported plan plus async slack.
-	min := 2*opts.Threads + 8
-	if frames < min {
-		frames = min
-	}
-	// The retry layer wraps only the page read path handed to the pool;
-	// directory lookups (PageOf/SpanOf/Degree) are in-memory and need none.
+	frames = max(frames, 2*opts.Threads+8)
+	// The retry layer wraps only the page read path handed to the pool; the
+	// page-first array is in memory and needs none.
 	var reader buffer.PageReader = db
 	var retry *storage.RetryReader
 	if opts.Retry != nil {
@@ -203,19 +202,13 @@ func NewEngine(db Database, opts Options) (*Engine, error) {
 	for i := range all {
 		all[i] = graph.VertexID(i)
 	}
-	maxSpan := 1
-	for v := 0; v < db.NumVertices(); v++ {
-		first, last := db.SpanOf(graph.VertexID(v))
-		if s := int(last-first) + 1; s > maxSpan {
-			maxSpan = s
-		}
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	return &Engine{
-		db: db, pool: pool, retry: retry, opts: opts, frames: frames, all: all, maxSpan: maxSpan,
+		db: db, pool: pool, retry: retry, opts: opts, frames: frames, all: all,
+		pages: db.PageFirsts(), maxSpan: db.PageFirsts().MaxSpan(),
 		reg: reg, em: registerEngineMetrics(reg), tracer: opts.Tracer,
 	}, nil
 }
@@ -386,6 +379,7 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 		cand:         make([][]candSeq, len(p.Groups)),
 		candBuf:      make([][][]graph.VertexID, len(p.Groups)),
 		winData:      make([]*levelWindow, p.K),
+		tables:       make([]vertexTable, p.K),
 		pathPinned:   make(map[storage.PageID]int),
 		onRows:       spec.OnRows,
 		onCheckpoint: spec.OnCheckpoint,
@@ -446,10 +440,7 @@ func ensureSpanBudget(alloc []int, total, maxSpan int) error {
 				return fmt.Errorf("core: cannot give level %d of %d a %d-page window budget from %d frames; increase the buffer size",
 					l+1, len(alloc), maxSpan, total)
 			}
-			take := alloc[richest] - maxSpan
-			if take > maxSpan-alloc[l] {
-				take = maxSpan - alloc[l]
-			}
+			take := min(alloc[richest]-maxSpan, maxSpan-alloc[l])
 			alloc[richest] -= take
 			alloc[l] += take
 		}
@@ -489,6 +480,9 @@ type run struct {
 	candBuf [][][]graph.VertexID
 	// winData[l] describes the currently loaded window at level l.
 	winData []*levelWindow
+	// tables[l] is the memory level l's window builds its vertex table in,
+	// reused by the level's next window (one is loaded at a time).
+	tables []vertexTable
 	// pathPinned tracks pages pinned by the current recursion path (page ->
 	// pin count). Maintained by the orchestrating goroutine only.
 	pathPinned map[storage.PageID]int

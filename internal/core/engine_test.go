@@ -165,11 +165,12 @@ func TestMergedCandidatesOrdering(t *testing.T) {
 	if _, err := e.Run(graph.Triangle()); err != nil {
 		t.Fatal(err)
 	}
-	// Sanity: degree order means PageOf is monotone, so ascending vertex
+	// Sanity: degree order means P(v) is monotone, so ascending vertex
 	// windows imply ascending page requests.
 	for v := 1; v < db.NumVertices(); v++ {
-		if db.PageOf(graph.VertexID(v)) < db.PageOf(graph.VertexID(v-1)) {
-			t.Fatal("PageOf not monotone")
+		prev, _ := db.SpanOf(graph.VertexID(v - 1))
+		if first, _ := db.SpanOf(graph.VertexID(v)); first < prev {
+			t.Fatal("P(v) not monotone")
 		}
 	}
 	sortCheck := sort.SliceIsSorted(e.all, func(i, j int) bool { return e.all[i] < e.all[j] })

@@ -42,7 +42,7 @@ type matcher struct {
 	// posAdj[p] is the resolved adjacency list of position p's vertex while
 	// adjMask has bit p, and posSplit[p] its forward split: filled on first
 	// use (clipPos), dropped when p is assigned anew or the task takes a new
-	// root, so the directory → ordinal → slot walk runs once per assignment.
+	// root, so the table → ordinal → slot walk runs once per assignment.
 	// The lists alias pinned pages and never outlive the task — a matcher
 	// leaves the pool with adjMask clear: a page's lists are its buffer
 	// frame's memory, which the frame's next load overwrites once unpinned.
@@ -167,14 +167,13 @@ func (m *matcher) resolve(v graph.VertexID) ([]graph.VertexID, int) {
 	if !m.internal && v == m.lastV {
 		return m.lastAdj, m.lastSplit
 	}
-	pid := m.r.e.db.PageOf(v)
 	if m.internal {
-		adj, split, _ := m.lw.adjOf(pid, v)
+		adj, split, _ := m.lw.adjOf(v)
 		return adj, split
 	}
 	for l := 0; l < m.r.k-1; l++ {
 		if wd := m.r.winData[l]; wd != nil {
-			if adj, split, ok := wd.adjOf(pid, v); ok {
+			if adj, split, ok := wd.adjOf(v); ok {
 				return adj, split
 			}
 		}

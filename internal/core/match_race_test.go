@@ -8,15 +8,6 @@ import (
 	"dualsim/internal/storage"
 )
 
-// firstPages is a Database that answers only the directory lookup the
-// window index starts from.
-type firstPages struct {
-	Database
-	of map[graph.VertexID]storage.PageID
-}
-
-func (d firstPages) PageOf(v graph.VertexID) storage.PageID { return d.of[v] }
-
 // adjOfData is the list matcher.resolve returns for v, without its split.
 func (m *matcher) adjOfData(v graph.VertexID) []graph.VertexID {
 	adj, _ := m.resolve(v)
@@ -38,7 +29,7 @@ func TestAdjOfDataStreamPageContract(t *testing.T) {
 			w.Add(first+graph.VertexID(i), adj, false, false)
 		}
 		p := &storage.Page{}
-		if err := storage.ParsePageInto(p, w.Bytes()); err != nil {
+		if err := storage.ParsePageInto(p, w.Bytes(), id); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -46,14 +37,14 @@ func TestAdjOfDataStreamPageContract(t *testing.T) {
 	outer := &levelWindow{pages: []storage.PageID{0}, loaded: []windowPage{
 		{page: page(0, 7, []graph.VertexID{1, 2})},
 	}}
+	outer.tab.build(outer.loaded)
 	// The task's own page: vertex 3 overlay-merged (one neighbour added),
 	// vertex 4 tombstoned to empty, vertex 5 untouched.
 	own := page(1, 3, []graph.VertexID{4, 5}, []graph.VertexID{6}, []graph.VertexID{3})
 	lw := &levelWindow{pages: []storage.PageID{1, 2}, loaded: []windowPage{{page: own, lists: []slotList{
 		{adj: []graph.VertexID{4, 5, 8}, set: true}, {set: true}, {},
 	}}, {}}}
-	db := firstPages{of: map[graph.VertexID]storage.PageID{7: 0, 3: 1, 4: 1, 5: 1, 9: 1, 42: 2}}
-	r := &run{e: &Engine{db: db}, k: 2, winData: []*levelWindow{outer, lw}}
+	r := &run{k: 2, winData: []*levelWindow{outer, lw}}
 	m := &matcher{
 		r:       r,
 		lw:      lw,

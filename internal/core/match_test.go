@@ -165,7 +165,7 @@ func TestMatcherPooled(t *testing.T) {
 	defer s.Release(w)
 	// The rider-local view of the window, as ProcessWindow builds it.
 	lw := &levelWindow{verts: [][]graph.VertexID{e.all}, lo: w.lw.lo, hi: w.lw.hi,
-		pages: w.lw.pages, loaded: w.lw.loaded, side: w.lw.side}
+		pages: w.lw.pages, loaded: w.lw.loaded, tab: w.lw.tab, side: w.lw.side}
 	tasks := func() {
 		for i := range e.all {
 			rd.r.internalEnumerate(0, e.all[i:i+1], lw)

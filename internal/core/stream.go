@@ -117,14 +117,16 @@ func (r *run) streamPass(l, ord int, merged []graph.VertexID) (*levelWindow, err
 // some outer window path-pins is resident anyway and takes no frame.
 func (s *stream) budgeted(o int) bool { return s.r.pathPinned[s.lw.pages[o]] == 0 }
 
-// plan lists the pass's pages and its multi-page candidates.
+// plan lists the pass's pages and its multi-page candidates, located by one
+// cursor over the page-first array.
 func (s *stream) plan(merged []graph.VertexID) {
 	lw := s.lw
 	lw.pages = s.r.pageList(merged)
+	cur := s.r.e.pages.Cursor()
 	for _, v := range merged {
-		if first, last := s.r.e.db.SpanOf(v); first < last {
-			s.spans = append(s.spans, streamSpan{v: v, first: lw.ordinalOf(first), last: lw.ordinalOf(last),
-				missing: int(last-first) + 1})
+		if first, last := cur.Span(v); first < last {
+			o, _ := slices.BinarySearch(lw.pages, first)
+			s.spans = append(s.spans, streamSpan{v: v, first: o, last: o + int(last-first), missing: int(last-first) + 1})
 		}
 	}
 	lw.loaded = make([]windowPage, len(lw.pages))
@@ -217,7 +219,7 @@ func (s *stream) receive() streamEvent {
 // hears of a page before it hears of its task's end.
 func (s *stream) onPage(pid storage.PageID, page *storage.Page, err error) {
 	r, lw := s.r, s.lw
-	o := lw.ordinalOf(pid)
+	o, _ := slices.BinarySearch(lw.pages, pid)
 	wp := &lw.loaded[o]
 	if err == nil {
 		wp.page = page
@@ -292,7 +294,7 @@ func (s *stream) root(i int) {
 	}
 	if len(span.side) != 1 || span.side[0].v != sp.v {
 		r.fail(&storage.CorruptPageError{Page: lw.pages[sp.first],
-			Reason: fmt.Sprintf("pages %d-%d do not hold the adjacency list of vertex %d the directory spreads over them",
+			Reason: fmt.Sprintf("pages %d-%d do not hold the adjacency list of vertex %d the page-first array spreads over them",
 				lw.pages[sp.first], lw.pages[sp.last], sp.v)})
 		return
 	}

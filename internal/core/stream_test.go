@@ -58,7 +58,9 @@ func streamDB(t *testing.T, g *graph.Graph, pageSize int, compress bool) (db *st
 	shared := false
 	for _, h := range streamHubs {
 		first, last := db.SpanOf(h)
-		shared = shared || first < last && db.PageOf(h-1) == first && db.PageOf(h+1) == last
+		before, _ := db.SpanOf(h - 1)
+		after, _ := db.SpanOf(h + 1)
+		shared = shared || first < last && before == first && after == last
 	}
 	if !shared {
 		t.Fatalf("pageSize=%d compress=%v: no hub's span starts and ends on pages it shares with complete records",
@@ -141,9 +143,12 @@ func streamFaultTarget(t *testing.T, db *storage.DB, q *graph.Query, opts Option
 		t.Fatal(err)
 	}
 	_, target = db.SpanOf(streamHubs[len(streamHubs)-1])
-	if len(cps) < 2 || db.PageOf(graph.VertexID(cps[0].Cursor-1)) >= target {
-		t.Fatalf("fixture: %d level-1 windows, the first ending on page %d, target page %d: the target must lie beyond the first window",
-			len(cps), db.PageOf(graph.VertexID(cps[0].Cursor-1)), target)
+	if len(cps) < 2 {
+		t.Fatalf("fixture: %d level-1 windows, want 2 or more", len(cps))
+	}
+	if end, _ := db.SpanOf(graph.VertexID(cps[0].Cursor - 1)); end >= target {
+		t.Fatalf("fixture: the first level-1 window ends on page %d, target page %d: the target must lie beyond the first window",
+			end, target)
 	}
 	return res.Count, target
 }

@@ -191,9 +191,7 @@ func (c cohortBudget) deal(depths []int) ([][]int, error) {
 // is identical across sweeps of the same engine and independent of any
 // rider's plan or deal — the property late-join correctness rests on.
 func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
-	if opts.MaxRiders < 1 {
-		opts.MaxRiders = 1
-	}
+	opts.MaxRiders = max(opts.MaxRiders, 1)
 	if !e.running.CompareAndSwap(false, true) {
 		return nil, ErrEngineBusy
 	}
@@ -221,7 +219,7 @@ func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 // until release.
 func (e *Engine) newSweep(r *run, start int) (*Sweep, error) {
 	s := &Sweep{r: r, ordBase: r.windowsPer[0]}
-	it := windowIterator{r: r, merged: e.all, start: start}
+	it := windowIterator{r: r, merged: e.all, cur: e.pages.Cursor(), start: start}
 	for it.next() {
 		s.bounds = append(s.bounds, windowBounds{lo: it.curLo, hi: it.curHi})
 	}
@@ -441,6 +439,7 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 		hi:     src.hi,
 		pages:  src.pages,
 		loaded: src.loaded,
+		tab:    src.tab,
 		side:   src.side,
 	}
 	for g := range r.p.Groups {

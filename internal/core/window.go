@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -18,7 +19,8 @@ import (
 // a flat index over its pinned pages. The builder writes one record per
 // vertex per page in vertex-ID order (isolated vertices included), so a
 // page's records are a dense run of IDs and a vertex resolves without
-// hashing — directory (db.PageOf) → page ordinal (ordinalOf) → slot
+// hashing and without a per-vertex directory — the window's own table (tab:
+// the ordinal of the last window page beginning at or below v) → slot
 // (v − page.First()) → the page's slot index (storage.Page.List), which
 // gives the list and its forward split in one read of the index — with side
 // for the few lists no single record holds. Every resolved list carries its
@@ -39,6 +41,10 @@ type levelWindow struct {
 	// covers all of a loaded window's); loaded is parallel to it.
 	pages  []storage.PageID
 	loaded []windowPage
+	// tab resolves a vertex to its ordinal; built once the pages have landed,
+	// in the run's memory for the level (empty in a pass, which resolves
+	// through each task's own page).
+	tab vertexTable
 	// side lists, ascending by vertex, the adjacency lists no single record
 	// holds: multi-page vertices, their chunks concatenated and the run's
 	// overlay applied (buildSide). Most windows have none, and a last-level
@@ -102,26 +108,61 @@ func forwardSplit(adj []graph.VertexID, v graph.VertexID) int {
 	return i
 }
 
-// ordinalOf returns pid's index in lw.pages, or -1. Windows are mostly
-// contiguous page runs, so pid's offset from the first page is tried before
-// the binary search.
-func (lw *levelWindow) ordinalOf(pid storage.PageID) int {
-	if len(lw.pages) == 0 || pid < lw.pages[0] {
-		return -1
-	}
-	if o := int(pid - lw.pages[0]); o < len(lw.pages) && lw.pages[o] == pid {
-		return o
-	}
-	if o, ok := slices.BinarySearch(lw.pages, pid); ok {
-		return o
-	}
-	return -1
+// vertexTable maps a vertex to the ordinal of the window page that holds its
+// record: the last page beginning at or below it. The IDs from the window's
+// first vertex to its last are cut into at most 16 × pages buckets of
+// 2^shift, each holding the last ordinal beginning at or below its start, so
+// a lookup reads one bucket and steps past the few pages that begin inside it
+// (most buckets have none). It is sized by the window's pages, never by its
+// ID range, and built in the run's memory for its level (run.tables), which
+// the level's next window reuses.
+type vertexTable struct {
+	firsts []graph.VertexID // by ordinal, its page's first vertex; then a sentinel above every vertex
+	bucket []uint32         // bucket[b]: the last ordinal beginning at or below base + b<<shift
+	base   graph.VertexID   // the first page's first vertex: bucket 0's start
+	shift  uint
 }
 
-// adjOf resolves the full adjacency list of v, whose first page is pid, in
-// a loaded window, and its forward split; ok is false when the window does
-// not hold it.
-func (lw *levelWindow) adjOf(pid storage.PageID, v graph.VertexID) (adj []graph.VertexID, split int, ok bool) {
+// build fills the table from a window's loaded pages.
+func (t *vertexTable) build(loaded []windowPage) {
+	t.firsts, t.bucket = t.firsts[:0], t.bucket[:0]
+	for i := range loaded {
+		t.firsts = append(t.firsts, loaded[i].page.First())
+	}
+	n := len(t.firsts)
+	if n == 0 {
+		return
+	}
+	t.firsts = append(t.firsts, math.MaxUint32)
+	last := loaded[n-1].page
+	t.base = t.firsts[0]
+	span := uint64(last.First()) + uint64(max(last.Slots(), 1)) - 1 - uint64(t.base)
+	t.shift = uint(bits.Len64(span / uint64(16*n)))
+	for b, o := uint64(0), uint32(0); b <= span>>t.shift; b++ {
+		for uint64(t.firsts[o+1]) <= uint64(t.base)+b<<t.shift {
+			o++
+		}
+		t.bucket = append(t.bucket, o)
+	}
+}
+
+// ordinal returns the ordinal of the last page beginning at or below v, or
+// -1 when v lies outside the window's pages.
+func (t *vertexTable) ordinal(v graph.VertexID) int {
+	b := (uint64(v) - uint64(t.base)) >> t.shift // huge below base
+	if b >= uint64(len(t.bucket)) {
+		return -1
+	}
+	o := int(t.bucket[b])
+	for t.firsts[o+1] <= v {
+		o++
+	}
+	return o
+}
+
+// adjOf resolves the full adjacency list of v in a loaded window, and its
+// forward split; ok is false when the window does not hold it.
+func (lw *levelWindow) adjOf(v graph.VertexID) (adj []graph.VertexID, split int, ok bool) {
 	if len(lw.side) > 0 {
 		if i, ok := slices.BinarySearchFunc(lw.side, v, func(e sideEntry, v graph.VertexID) int {
 			return cmp.Compare(e.v, v)
@@ -129,7 +170,7 @@ func (lw *levelWindow) adjOf(pid storage.PageID, v graph.VertexID) (adj []graph.
 			return lw.side[i].adj, lw.side[i].split, true
 		}
 	}
-	o := lw.ordinalOf(pid)
+	o := lw.tab.ordinal(v)
 	if o < 0 {
 		return nil, 0, false
 	}
@@ -176,7 +217,7 @@ func (r *run) processLevel(l int) error {
 	if l == r.k-1 {
 		return r.streamLevel()
 	}
-	iter := windowIterator{r: r, level: l, merged: r.mergedCandidates(l)}
+	iter := windowIterator{r: r, level: l, merged: r.mergedCandidates(l), cur: r.e.pages.Cursor()}
 	defer r.openLevel(l)()
 	for iter.next() {
 		// Cancellation gate: every window iteration at every level checks
@@ -395,6 +436,7 @@ type windowIterator struct {
 	r      *run
 	level  int
 	merged []graph.VertexID
+	cur    storage.PageCursor // walks the page-first array in step with merged
 	start  int
 	curLo  int
 	curHi  int // window is merged[curLo:curHi]
@@ -413,7 +455,7 @@ func (it *windowIterator) next() bool {
 	i := it.start
 	for i < len(it.merged) {
 		v := it.merged[i]
-		first, last := r.e.db.SpanOf(v)
+		first, last := it.cur.Span(v)
 		// Count pages this vertex adds beyond the path-pinned set and the
 		// window's own set.
 		added := 0
@@ -447,12 +489,13 @@ func (it *windowIterator) windowVerts() []graph.VertexID {
 // processLevel, level 1 from Sweep.Load on the sweep's run: it pins every
 // page needed by the window's vertices, builds the window's index — each page
 // callback its own ordinal, the run's overlay merged into the records it
-// touches, without a lock; then the side table of multi-page vertices — and
+// touches, without a lock; then its vertex table and the side table of
+// multi-page vertices — and
 // splits the window per group. What callers differ in arrives as state of the
-// run it is called on: the error sink (run.err) and the pinned overlay
-// snapshot. A read error here has already outlived the read path's retry
-// budget (Options.Retry) and fails the run; on error the window is already
-// unloaded.
+// run it is called on: the error sink (run.err), the pinned overlay snapshot
+// and the memory of the level's vertex table. A read error here has already
+// outlived the read path's retry budget (Options.Retry) and fails the run; on
+// error the window is already unloaded.
 func (r *run) loadWindow(l int, verts []graph.VertexID, ord int) (*levelWindow, error) {
 	lw := &levelWindow{verts: make([][]graph.VertexID, len(r.p.Groups))}
 	if len(verts) > 0 {
@@ -474,7 +517,8 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, ord int) (*levelWindow, 
 			r.fail(err)
 			return
 		}
-		wp := &lw.loaded[lw.ordinalOf(pid)]
+		o, _ := slices.BinarySearch(lw.pages, pid)
+		wp := &lw.loaded[o]
 		wp.page = page
 		r.indexPage(wp)
 	}
@@ -490,19 +534,23 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, ord int) (*levelWindow, 
 		r.unloadWindow(lw)
 		return nil, err
 	}
+	r.tables[l].build(lw.loaded)
+	lw.tab = r.tables[l]
 	r.buildSide(lw)
 	return lw, nil
 }
 
 // pageList returns the pages holding the adjacency lists of verts: the union
-// of the vertex spans. verts ascend and spans are monotone in the vertex ID,
-// so the list comes out ascending (sequential issue order) with the first
-// page not yet listed as the only state.
+// of the vertex spans, located by one cursor over the page-first array.
+// verts ascend and spans are monotone in the vertex ID, so the list comes
+// out ascending (sequential issue order) with the first page not yet listed
+// as the only state.
 func (r *run) pageList(verts []graph.VertexID) []storage.PageID {
 	var pages []storage.PageID
 	var next storage.PageID
+	cur := r.e.pages.Cursor()
 	for _, v := range verts {
-		first, last := r.e.db.SpanOf(v)
+		first, last := cur.Span(v)
 		for p := max(first, next); p <= last; p++ {
 			pages = append(pages, p)
 		}
@@ -593,9 +641,13 @@ func (r *run) indexPage(wp *windowPage) {
 // pages holding chunks of multi-page vertices, between the last page callback
 // and the seal. The chunks are concatenated into a list of the window's own —
 // window chopping keeps a vertex's span inside one window, so all of them are
-// present — and the run's overlay applied to the whole list.
+// present — and the run's overlay applied to the whole list. A list is whole
+// when its first chunk here starts it (is no continuation), each later one
+// lies on the next page, and its last one continues nowhere; any other run of
+// chunks belongs to a vertex whose span leaves the window, never matched here.
 func (r *run) buildSide(lw *levelWindow) {
 	var cur sideEntry // the multi-page vertex being assembled
+	whole, at := false, storage.InvalidPage
 	for o := range lw.loaded {
 		wp := &lw.loaded[o]
 		if !wp.chunked {
@@ -609,13 +661,11 @@ func (r *run) buildSide(lw *levelWindow) {
 			}
 			continues, continuation := p.Chunk(i)
 			v := p.First() + graph.VertexID(i)
-			if cur.v != v || !continuation {
-				cur = sideEntry{v: v}
+			if cur.v != v || !continuation || p.ID != at+1 {
+				cur, whole = sideEntry{v: v}, !continuation
 			}
-			cur.adj = append(cur.adj, adj...)
-			if continues || len(cur.adj) != r.e.db.Degree(v) {
-				// More chunks follow, or the list starts on a page outside
-				// the window — then so does the vertex, never matched here.
+			cur.adj, at = append(cur.adj, adj...), p.ID
+			if continues || !whole {
 				continue
 			}
 			if r.overlay != nil && r.overlay.Of(v) != nil {
@@ -659,7 +709,7 @@ func (r *run) computeChildCandidates(l int) {
 			posParent := r.p.MatchingOrder[l]
 			posChild := r.p.MatchingOrder[childLevel]
 			for _, v := range lw.verts[g] {
-				adj, i, _ := lw.adjOf(r.e.db.PageOf(v), v)
+				adj, i, _ := lw.adjOf(v)
 				if posChild > posParent {
 					set.add(adj[i:])
 				} else {
@@ -703,17 +753,10 @@ func (r *run) dispatchInternal(lw *levelWindow) {
 		if len(verts) == 0 {
 			continue
 		}
-		chunks := r.e.opts.Threads
-		if chunks > len(verts) {
-			chunks = len(verts)
-		}
+		chunks := min(r.e.opts.Threads, len(verts))
 		size := (len(verts) + chunks - 1) / chunks
 		for lo := 0; lo < len(verts); lo += size {
-			hi := lo + size
-			if hi > len(verts) {
-				hi = len(verts)
-			}
-			g, lo, hi := g, lo, hi
+			hi := min(lo+size, len(verts))
 			r.workers.submit(func() { r.internalEnumerate(g, verts[lo:hi], lw) })
 		}
 	}

@@ -37,9 +37,7 @@ type workerPool struct {
 // non-nil, receive the pool's task accounting (pass registry counters to
 // expose them); nil creates unregistered counters.
 func newWorkerPool(threads int, submitted, completed *obs.Counter) *workerPool {
-	if threads < 1 {
-		threads = 1
-	}
+	threads = max(threads, 1)
 	if submitted == nil {
 		submitted = &obs.Counter{}
 	}

@@ -32,10 +32,7 @@ type Spec struct {
 }
 
 func scaled(base int, scale float64) int {
-	n := int(float64(base) * scale)
-	if n < 16 {
-		n = 16
-	}
+	n := max(int(float64(base)*scale), 16)
 	return n
 }
 

@@ -30,10 +30,7 @@ func TableFailureBoundary(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		budget := int64(96) * int64(g.NumEdges()) / int64(e.Cfg.ClusterWorkers)
-		if budget < 1024 {
-			budget = 1024
-		}
+		budget := max(int64(96)*int64(g.NumEdges())/int64(e.Cfg.ClusterWorkers), 1024)
 		for _, q := range graph.PaperQueries() {
 			ds, err := e.DualSim(name, q)
 			if err != nil {

@@ -496,10 +496,7 @@ func Fig17VsOPT(e *Env) (*Table, error) {
 		// the allocation strategies are actually distinguishable: with the
 		// paper's strategy a 2-level plan gives all but 2 frames to the
 		// internal area, while OPT halves the buffer.
-		frames := db.NumPages() * 15 / 100
-		if frames < 10 {
-			frames = 10
-		}
+		frames := max(db.NumPages()*15/100, 10)
 		hdd := core.Options{
 			Threads:        1,
 			BufferFrames:   frames,

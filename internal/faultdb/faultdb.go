@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dualsim/internal/graph"
 	"dualsim/internal/storage"
 )
 
@@ -21,14 +20,10 @@ import (
 // core.Database without importing it, so core's own tests can use this
 // package). *storage.DB implements it.
 type Database interface {
-	ReadPageInto(pid storage.PageID, buf []byte) error
-	PageSize() int
-	NumPages() int
+	storage.PageSource
 	NumVertices() int
 	NumEdges() uint64
-	PageOf(v graph.VertexID) storage.PageID
-	SpanOf(v graph.VertexID) (first, last storage.PageID)
-	Degree(v graph.VertexID) int
+	PageFirsts() storage.PageFirsts
 }
 
 // ErrInjected is the default cause wrapped by injected faults.
@@ -52,12 +47,13 @@ type Stats struct {
 	Delayed  int64 // reads that served a latency spike
 }
 
-// DB wraps an inner Database with a fault schedule. All methods are safe
-// for concurrent use; schedule mutations may race with reads only in the
-// sense that a concurrent read sees either the old or the new schedule.
+// DB wraps an inner Database with a fault schedule; every method but
+// ReadPageInto is the inner database's. All methods are safe for concurrent
+// use; schedule mutations may race with reads only in the sense that a
+// concurrent read sees either the old or the new schedule.
 type DB struct {
-	inner Database
-	opts  Options
+	Database
+	opts Options
 
 	reads atomic.Int64
 
@@ -99,15 +95,15 @@ func Wrap(inner Database, opts Options) *DB {
 		opts.Seed = 1
 	}
 	return &DB{
-		inner:   inner,
-		opts:    opts,
-		rng:     &randSource{s: uint64(opts.Seed)},
-		perPage: make(map[storage.PageID]int64),
+		Database: inner,
+		opts:     opts,
+		rng:      &randSource{s: uint64(opts.Seed)},
+		perPage:  make(map[storage.PageID]int64),
 	}
 }
 
 // Inner returns the wrapped database.
-func (f *DB) Inner() Database { return f.inner }
+func (f *DB) Inner() Database { return f.Database }
 
 // Stats returns a snapshot of the activity counters.
 func (f *DB) Stats() Stats {
@@ -157,9 +153,7 @@ func (f *DB) ReadPageInto(pid storage.PageID, buf []byte) error {
 	var delay time.Duration
 	for _, r := range rules {
 		err, fl, d := r.apply(f, n, pid, pageReads)
-		if d > delay {
-			delay = d
-		}
+		delay = max(delay, d)
 		if err != nil {
 			if delay > 0 {
 				f.delayed.Add(1)
@@ -174,7 +168,7 @@ func (f *DB) ReadPageInto(pid storage.PageID, buf []byte) error {
 		f.delayed.Add(1)
 		time.Sleep(delay)
 	}
-	if err := f.inner.ReadPageInto(pid, buf); err != nil {
+	if err := f.Database.ReadPageInto(pid, buf); err != nil {
 		return err
 	}
 	if flip {
@@ -185,27 +179,6 @@ func (f *DB) ReadPageInto(pid storage.PageID, buf []byte) error {
 	}
 	return nil
 }
-
-// PageSize implements Database.
-func (f *DB) PageSize() int { return f.inner.PageSize() }
-
-// NumPages implements Database.
-func (f *DB) NumPages() int { return f.inner.NumPages() }
-
-// NumVertices implements Database.
-func (f *DB) NumVertices() int { return f.inner.NumVertices() }
-
-// NumEdges implements Database.
-func (f *DB) NumEdges() uint64 { return f.inner.NumEdges() }
-
-// PageOf implements Database.
-func (f *DB) PageOf(v graph.VertexID) storage.PageID { return f.inner.PageOf(v) }
-
-// SpanOf implements Database.
-func (f *DB) SpanOf(v graph.VertexID) (first, last storage.PageID) { return f.inner.SpanOf(v) }
-
-// Degree implements Database.
-func (f *DB) Degree(v graph.VertexID) int { return f.inner.Degree(v) }
 
 // --- schedule entries -------------------------------------------------------
 

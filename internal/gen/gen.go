@@ -32,9 +32,7 @@ func ErdosRenyi(n, m int, seed int64) *graph.Graph {
 // proportional to (i+1)^(-1/(exponent-1)), and m edges are sampled with
 // endpoint probability proportional to weight.
 func ChungLu(n, m int, exponent float64, seed int64) *graph.Graph {
-	if exponent <= 1.5 {
-		exponent = 1.5
-	}
+	exponent = max(exponent, 1.5)
 	rng := rand.New(rand.NewSource(seed))
 	alpha := 1 / (exponent - 1)
 	cum := make([]float64, n+1)
@@ -64,12 +62,8 @@ func ChungLu(n, m int, exponent float64, seed int64) *graph.Graph {
 // attaches k edges to existing vertices with probability proportional to
 // degree.
 func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
-	if k < 1 {
-		k = 1
-	}
-	if n < k+1 {
-		n = k + 1
-	}
+	k = max(k, 1)
+	n = max(n, k+1)
 	rng := rand.New(rand.NewSource(seed))
 	var edges [][2]graph.VertexID
 	// repeated-endpoint list: vertex appears once per incident edge.

@@ -392,10 +392,7 @@ func IntersectCompressed(a []VertexID, c CompressedAdj, dst []VertexID, stats *I
 			for lo+step < len(a) && a[lo+step] < v {
 				step <<= 1
 			}
-			hi := lo + step
-			if hi > len(a) {
-				hi = len(a)
-			}
+			hi := min(lo+step, len(a))
 			i, j := lo, hi
 			for i < j {
 				m := int(uint(i+j) >> 1)

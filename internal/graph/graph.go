@@ -114,13 +114,11 @@ func (g *Graph) HasEdge(u, v VertexID) bool {
 
 // MaxDegree returns the largest vertex degree, or 0 for an empty graph.
 func (g *Graph) MaxDegree() int {
-	max := 0
+	m := 0
 	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.Degree(VertexID(v)); d > max {
-			max = d
-		}
+		m = max(m, g.Degree(VertexID(v)))
 	}
-	return max
+	return m
 }
 
 // EdgeList returns every undirected edge once, as (u, v) with u < v, in

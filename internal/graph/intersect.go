@@ -92,10 +92,7 @@ func IntersectSortedGallop(a, b []VertexID, dst []VertexID) []VertexID {
 		for lo+step < len(b) && b[lo+step] < v {
 			step <<= 1
 		}
-		hi := lo + step
-		if hi > len(b) {
-			hi = len(b)
-		}
+		hi := min(lo+step, len(b))
 		// Binary search within the window.
 		i, j := lo, hi
 		for i < j {

@@ -28,12 +28,7 @@ func ParseQuerySpec(spec string) (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
-		if u > maxV {
-			maxV = u
-		}
-		if v > maxV {
-			maxV = v
-		}
+		maxV = max(maxV, u, v)
 		edges = append(edges, [2]int{u, v})
 	}
 	return NewQuery("custom", maxV+1, edges)

@@ -116,9 +116,7 @@ func readRecord(r *bufio.Reader, buf []byte) ([]byte, error) {
 
 // CreateDataset materializes records into partitions under dir.
 func CreateDataset(dir, name string, partitions int, records [][]byte) (*Dataset, error) {
-	if partitions < 1 {
-		partitions = 1
-	}
+	partitions = max(partitions, 1)
 	d := &Dataset{}
 	writers := make([]*bufio.Writer, partitions)
 	files := make([]*os.File, partitions)
@@ -208,9 +206,7 @@ var jobSeq atomic.Uint64
 // Run executes a job over the inputs and returns the output dataset. All
 // inputs are mapped; the union of map output is shuffled and reduced.
 func Run(cfg Config, job Job, inputs ...*Dataset) (*Dataset, Counters, error) {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
+	cfg.Workers = max(cfg.Workers, 1)
 	if cfg.TempDir == "" {
 		return nil, Counters{}, fmt.Errorf("mr: TempDir required")
 	}

@@ -45,9 +45,7 @@ type cacheEntry struct {
 
 // NewCache returns a cache holding at most capacity plans (minimum 1).
 func NewCache(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
+	capacity = max(capacity, 1)
 	return &Cache{
 		cap:     capacity,
 		entries: make(map[string]*list.Element),

@@ -55,9 +55,7 @@ type Engine struct {
 
 // NewEngine creates an engine for g running compute.
 func NewEngine(g *graph.Graph, compute Compute, cfg Config) *Engine {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
+	cfg.Workers = max(cfg.Workers, 1)
 	if cfg.MaxSupersteps <= 0 {
 		cfg.MaxSupersteps = 64
 	}
@@ -178,9 +176,7 @@ func (e *Engine) Run() (*Stats, error) {
 			return stats, v.(error)
 		}
 		for w := 0; w < workers; w++ {
-			if nextBytes[w] > stats.MaxWorkerBytes {
-				stats.MaxWorkerBytes = nextBytes[w]
-			}
+			stats.MaxWorkerBytes = max(stats.MaxWorkerBytes, nextBytes[w])
 			if e.cfg.MemoryPerWorker > 0 && nextBytes[w] > e.cfg.MemoryPerWorker {
 				return stats, fmt.Errorf("%w: worker %d queued %d bytes (limit %d) at superstep %d",
 					ErrMemoryOverrun, w, nextBytes[w], e.cfg.MemoryPerWorker, step)

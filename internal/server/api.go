@@ -131,10 +131,7 @@ func (s *Server) reject(w http.ResponseWriter, reason string) {
 }
 
 func (s *Server) rejectAfter(w http.ResponseWriter, retryAfter time.Duration, reason string) {
-	retry := int(retryAfter / time.Second)
-	if retry < 1 {
-		retry = 1
-	}
+	retry := max(int(retryAfter/time.Second), 1)
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
 	writeError(w, http.StatusTooManyRequests, "saturated: %s", reason)
 }

@@ -136,9 +136,7 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Engine.Threads <= 0 {
 		c.Engine.Threads = runtime.GOMAXPROCS(0) / c.Engines
-		if c.Engine.Threads < 1 {
-			c.Engine.Threads = 1
-		}
+		c.Engine.Threads = max(c.Engine.Threads, 1)
 	}
 	return c
 }

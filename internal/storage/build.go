@@ -52,7 +52,8 @@ type BuildStats struct {
 // Build preprocesses the edges of src into a DUALSIM database file at path:
 // it relabels vertices by the degree-based total order, externally sorts the
 // directed edge pairs, and writes adjacency lists into slotted pages with a
-// trailing vertex directory. This is the paper's Table 3 preprocessing.
+// trailing page-first array (PageFirsts). This is the paper's Table 3
+// preprocessing.
 func Build(path string, src EdgeSource, opt BuildOptions) (*BuildStats, error) {
 	start := time.Now()
 	if opt.PageSize == 0 {
@@ -65,8 +66,8 @@ func Build(path string, src EdgeSource, opt BuildOptions) (*BuildStats, error) {
 		return nil, fmt.Errorf("storage: page size %d above the format's limit of %d (slot offsets and lengths are uint16)", opt.PageSize, MaxPageSize)
 	}
 	n := src.NumVertices()
-	if n <= 0 {
-		return nil, fmt.Errorf("storage: source has no vertices")
+	if n <= 0 || n >= contBit {
+		return nil, fmt.Errorf("storage: source has %d vertices, want 1 to %d", n, contBit-1)
 	}
 
 	// Pass 1: degree counting for the total order.
@@ -168,17 +169,11 @@ func buildPerm(deg []uint32, opt BuildOptions) []graph.VertexID {
 	return perm
 }
 
-// vertexLoc is one directory entry.
-type vertexLoc struct {
-	FirstPage PageID
-	Span      uint32
-	Degree    uint32
-}
-
 // dbPageWriter packs adjacency lists, in vertex order, into the pages of a
 // new database file, emitting empty records for isolated vertices so every
-// vertex has a directory entry. Build feeds it edge by edge (addEdge),
-// Compact list by list (writeVertex); commit finishes the file.
+// vertex has a record, and notes each page's first record in the page-first
+// array. Build feeds it edge by edge (addEdge), Compact list by list
+// (writeVertex); commit finishes the file.
 type dbPageWriter struct {
 	f               *os.File
 	w               *bufio.Writer
@@ -186,7 +181,7 @@ type dbPageWriter struct {
 	pageSize        int
 	compress        bool
 	n               int
-	dir             []vertexLoc
+	firsts          []uint32 // the page-first array as written: first vertex | contBit
 	numPages        int
 	maxDegree       int
 	directedRecords uint64
@@ -215,7 +210,6 @@ func createDB(path string, pageSize, n int, compress bool) (*dbPageWriter, error
 		pageSize: pageSize,
 		compress: compress,
 		n:        n,
-		dir:      make([]vertexLoc, n),
 		cur:      graph.VertexID(n), // sentinel: nothing accumulated
 	}, nil
 }
@@ -258,7 +252,6 @@ func (b *dbPageWriter) fillIsolated(upto int) error {
 func (b *dbPageWriter) writeVertex(v graph.VertexID, adj []graph.VertexID) error {
 	b.maxDegree = max(b.maxDegree, len(adj))
 	b.directedRecords += uint64(len(adj))
-	b.dir[v].Degree = uint32(len(adj))
 	b.nextVertex = int(v) + 1
 	if b.compress {
 		return b.writeVertexCompressed(v, adj)
@@ -281,10 +274,7 @@ func (b *dbPageWriter) writeVertex(v graph.VertexID, adj []graph.VertexID) error
 			}
 			continue
 		}
-		take := len(remaining)
-		if take > capEntries {
-			take = capEntries
-		}
+		take := min(len(remaining), capEntries)
 		continues := take < len(remaining)
 		if !b.pw.Add(v, remaining[:take], continues, !first) {
 			if err := b.flushPage(); err != nil {
@@ -292,11 +282,8 @@ func (b *dbPageWriter) writeVertex(v graph.VertexID, adj []graph.VertexID) error
 			}
 			continue
 		}
-		if first {
-			b.dir[v].FirstPage = PageID(b.numPages)
-			first = false
-		}
-		b.dir[v].Span = uint32(b.numPages) - uint32(b.dir[v].FirstPage) + 1
+		b.added(v, !first)
+		first = false
 		remaining = remaining[take:]
 		if len(remaining) == 0 {
 			return nil
@@ -322,8 +309,7 @@ func (b *dbPageWriter) writeVertexCompressed(v graph.VertexID, adj []graph.Verte
 				return fmt.Errorf("storage: record for vertex %d does not fit an empty page", v)
 			}
 		}
-		b.dir[v].FirstPage = PageID(b.numPages)
-		b.dir[v].Span = 1
+		b.added(v, false)
 		return nil
 	}
 	first := true
@@ -343,11 +329,8 @@ func (b *dbPageWriter) writeVertexCompressed(v graph.VertexID, adj []graph.Verte
 			}
 			continue
 		}
-		if first {
-			b.dir[v].FirstPage = PageID(b.numPages)
-			first = false
-		}
-		b.dir[v].Span = uint32(b.numPages) - uint32(b.dir[v].FirstPage) + 1
+		b.added(v, !first)
+		first = false
 		remaining = remaining[take:]
 		if len(remaining) == 0 {
 			return nil
@@ -355,6 +338,17 @@ func (b *dbPageWriter) writeVertexCompressed(v graph.VertexID, adj []graph.Verte
 		if err := b.flushPage(); err != nil {
 			return err
 		}
+	}
+}
+
+// added notes a record of v just added to the page: the page's first one
+// is its entry in the page-first array.
+func (b *dbPageWriter) added(v graph.VertexID, continuation bool) {
+	if e := uint32(v); b.pw.NumRecords() == 1 {
+		if continuation {
+			e |= contBit
+		}
+		b.firsts = append(b.firsts, e)
 	}
 }
 
@@ -371,7 +365,7 @@ func (b *dbPageWriter) flushPage() error {
 }
 
 // commit writes the vertex addEdge is accumulating, empty records for the
-// vertices not yet written, the last page, the vertex directory and the
+// vertices not yet written, the last page, the page-first array and the
 // superblock, stamped with epoch, then syncs the file once.
 func (b *dbPageWriter) commit(epoch uint64, start time.Time) (*BuildStats, error) {
 	if err := b.flushVertex(); err != nil {
@@ -383,12 +377,9 @@ func (b *dbPageWriter) commit(epoch uint64, start time.Time) (*BuildStats, error
 	if err := b.flushPage(); err != nil {
 		return nil, err
 	}
-	var rec [12]byte
-	for _, loc := range b.dir {
-		binary.LittleEndian.PutUint32(rec[0:], uint32(loc.FirstPage))
-		binary.LittleEndian.PutUint32(rec[4:], loc.Span)
-		binary.LittleEndian.PutUint32(rec[8:], loc.Degree)
-		if _, err := b.w.Write(rec[:]); err != nil {
+	var rec [4]byte
+	for _, e := range b.firsts {
+		if _, err := b.w.Write(binary.LittleEndian.AppendUint32(rec[:0], e)); err != nil {
 			return nil, err
 		}
 	}

@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"dualsim/internal/gen"
 	"dualsim/internal/graph"
 )
 
@@ -101,21 +103,33 @@ func TestBuildDegreeOrdered(t *testing.T) {
 	g := randomTestGraph(rng, 80, 200)
 	db, _ := buildTemp(t, g, BuildOptions{PageSize: 256})
 	for v := 1; v < db.NumVertices(); v++ {
-		if db.Degree(graph.VertexID(v)) < db.Degree(graph.VertexID(v-1)) {
-			t.Fatalf("degree order violated at %d: %d < %d", v,
-				db.Degree(graph.VertexID(v)), db.Degree(graph.VertexID(v-1)))
+		if d, prev := degreeOf(t, db, graph.VertexID(v)), degreeOf(t, db, graph.VertexID(v-1)); d < prev {
+			t.Fatalf("degree order violated at %d: %d < %d", v, d, prev)
 		}
 	}
 }
 
+// TestBuildPageOfMonotone: P(v) is monotone in v (Lemma 1), and the
+// page-first array names each page's first record and whether it continues
+// the previous page's list.
 func TestBuildPageOfMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomTestGraph(rng, 120, 500)
 	db, _ := buildTemp(t, g, BuildOptions{PageSize: 128})
 	for v := 1; v < db.NumVertices(); v++ {
-		if db.PageOf(graph.VertexID(v)) < db.PageOf(graph.VertexID(v-1)) {
-			t.Fatalf("Lemma 1 violated: P(%d)=%d < P(%d)=%d", v,
-				db.PageOf(graph.VertexID(v)), v-1, db.PageOf(graph.VertexID(v-1)))
+		prev, _ := db.SpanOf(graph.VertexID(v - 1))
+		if first, _ := db.SpanOf(graph.VertexID(v)); first < prev {
+			t.Fatalf("Lemma 1 violated: P(%d)=%d < P(%d)=%d", v, first, v-1, prev)
+		}
+	}
+	for pid := PageID(0); int(pid) < db.NumPages(); pid++ {
+		p, err := readPage(db, pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, cont := db.PageFirsts().First(pid)
+		if _, c := p.Chunk(0); p.First() != v || c != cont {
+			t.Fatalf("page %d begins with vertex %d (continuation %t), the page array says %d (%t)", pid, p.First(), c, v, cont)
 		}
 	}
 }
@@ -153,9 +167,6 @@ func TestBuildLargeAdjacencySpansPages(t *testing.T) {
 	g := graph.MustNewGraph(201, edges)
 	db, _ := buildTemp(t, g, BuildOptions{PageSize: 64})
 	hub := graph.VertexID(200) // hub has max degree, so highest new ID
-	if db.Degree(hub) != 200 {
-		t.Fatalf("hub degree = %d", db.Degree(hub))
-	}
 	first, last := db.SpanOf(hub)
 	if last <= first {
 		t.Fatalf("hub should span multiple pages: [%d,%d]", first, last)
@@ -196,7 +207,7 @@ func TestBuildIsolatedVertices(t *testing.T) {
 	}
 	iso := 0
 	for v := 0; v < db.NumVertices(); v++ {
-		if db.Degree(graph.VertexID(v)) == 0 {
+		if degreeOf(t, db, graph.VertexID(v)) == 0 {
 			iso++
 			if adj, err := adjacencyOf(db, graph.VertexID(v)); err != nil || len(adj) != 0 {
 				t.Fatalf("isolated vertex %d: adj=%v err=%v", v, adj, err)
@@ -231,8 +242,8 @@ func TestBuildSkipReorder(t *testing.T) {
 	g := graph.MustNewGraph(4, [][2]graph.VertexID{{0, 1}, {0, 2}, {0, 3}})
 	db, _ := buildTemp(t, g, BuildOptions{PageSize: 128, SkipReorder: true})
 	// With SkipReorder the hub keeps ID 0.
-	if db.Degree(0) != 3 {
-		t.Fatalf("Degree(0) = %d, want 3 (no reorder)", db.Degree(0))
+	if d := degreeOf(t, db, 0); d != 3 {
+		t.Fatalf("degree of vertex 0 = %d, want 3 (no reorder)", d)
 	}
 }
 
@@ -327,16 +338,18 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
-// TestOpenValidatesDirectory: Open refuses a superblock or directory it
-// cannot trust — a page size outside [MinPageSize, MaxPageSize], a directory
-// that overruns the file (checked before it is allocated), a zero span, a
-// span past the last page — instead of handing readers a vertex whose pages
-// do not exist.
+// TestOpenValidatesDirectory: Open refuses a superblock or page-first array
+// it cannot trust — a page size outside [MinPageSize, MaxPageSize], pages or
+// an array that overrun the file (checked before the array is allocated), a
+// first page that is not vertex 0's start, entries that decrease or repeat
+// other than as a hub's continuation, a vertex beyond the file's count, a
+// vertex count the last page cannot hold — instead of handing readers a
+// vertex whose pages do not exist.
 func TestOpenValidatesDirectory(t *testing.T) {
 	g := graph.MustNewGraph(6, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})
 	dir := t.TempDir()
 	pristine := filepath.Join(dir, "pristine.db")
-	if _, err := BuildFromGraph(pristine, g, BuildOptions{PageSize: 128, TempDir: dir}); err != nil {
+	if _, err := BuildFromGraph(pristine, g, BuildOptions{PageSize: 64, TempDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	image, err := os.ReadFile(pristine)
@@ -344,7 +357,12 @@ func TestOpenValidatesDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirOffset := int(binary.LittleEndian.Uint64(image[32:]))
-	numPages := binary.LittleEndian.Uint32(image[24:])
+	if numPages := binary.LittleEndian.Uint32(image[24:]); numPages < 3 {
+		t.Fatalf("fixture has %d pages, want 3 or more", numPages)
+	}
+	entry := func(p int, e uint32) func(img []byte) []byte {
+		return func(img []byte) []byte { binary.LittleEndian.PutUint32(img[dirOffset+4*p:], e); return img }
+	}
 	for _, tc := range []struct {
 		name string
 		mut  func(img []byte) []byte
@@ -354,23 +372,24 @@ func TestOpenValidatesDirectory(t *testing.T) {
 			return img
 		}},
 		{"page size 0", func(img []byte) []byte { binary.LittleEndian.PutUint32(img[8:], 0); return img }},
-		{"truncated directory", func(img []byte) []byte { return img[:len(img)-5] }},
-		{"directory past the file", func(img []byte) []byte {
+		{"truncated page array", func(img []byte) []byte { return img[:len(img)-5] }},
+		{"page array past the file", func(img []byte) []byte {
 			binary.LittleEndian.PutUint64(img[32:], uint64(len(img)))
 			return img
 		}},
-		{"vertex count beyond the directory", func(img []byte) []byte {
+		{"pages past the file", func(img []byte) []byte {
+			binary.LittleEndian.PutUint32(img[24:], uint32(len(img)))
+			return img
+		}},
+		{"vertex count beyond the last page", func(img []byte) []byte {
 			binary.LittleEndian.PutUint32(img[12:], 1<<30)
 			return img
 		}},
-		{"zero span", func(img []byte) []byte {
-			binary.LittleEndian.PutUint32(img[dirOffset+12*3+4:], 0)
-			return img
-		}},
-		{"span past the last page", func(img []byte) []byte {
-			binary.LittleEndian.PutUint32(img[dirOffset+12*5:], numPages)
-			return img
-		}},
+		{"page 0 begins past vertex 0", entry(0, 1)},
+		{"page 0 begins with a continuation", entry(0, contBit)},
+		{"entries decrease", entry(2, 1|contBit)},
+		{"a repeat that is not a continuation", entry(2, binary.LittleEndian.Uint32(image[dirOffset+4:]))},
+		{"a vertex beyond the count", entry(2, 6)},
 	} {
 		path := filepath.Join(dir, "bad.db")
 		if err := os.WriteFile(path, tc.mut(slices.Clone(image)), 0o644); err != nil {
@@ -386,6 +405,77 @@ func TestOpenValidatesDirectory(t *testing.T) {
 		t.Fatalf("pristine file: %v", err)
 	}
 	db.Close()
+}
+
+// TestOpenAllocatesPerPage: Open reads the page-first array, one entry a
+// page, and nothing a vertex. On a file of about 78 vertices a page it
+// allocates at most 16 bytes a page beyond a constant for the file handle
+// and the array's read buffer — a per-vertex directory would be 12 bytes a
+// vertex, about 120 KB here.
+func TestOpenAllocatesPerPage(t *testing.T) {
+	db, _ := buildTemp(t, gen.ChungLu(10000, 50000, 2.8, 1), BuildOptions{PageSize: 4096})
+	if perPage := db.NumVertices() / db.NumPages(); perPage < 50 {
+		t.Fatalf("fixture: %d vertices on %d pages, want many vertices a page", db.NumVertices(), db.NumPages())
+	}
+	const opens = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < opens; i++ {
+		o, err := Open(db.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Close()
+	}
+	runtime.ReadMemStats(&after)
+	bytes, limit := (after.TotalAlloc-before.TotalAlloc)/opens, uint64(16*db.NumPages()+8192)
+	t.Logf("Open allocates %d bytes on %d pages, %d vertices", bytes, db.NumPages(), db.NumVertices())
+	if bytes > limit {
+		t.Errorf("Open allocates %d bytes on a file of %d pages and %d vertices, want at most %d", bytes, db.NumPages(), db.NumVertices(), limit)
+	}
+}
+
+// TestPageFirstsSpans: the cursor and SpanOf locate every list of files
+// whose hubs start at a page's head, mid-page and on consecutive pages, as a
+// scan of the pages' first records does, and MaxSpan is the longest span.
+func TestPageFirstsSpans(t *testing.T) {
+	for _, tc := range []struct {
+		g        *graph.Graph
+		pageSize int
+		compress bool
+	}{
+		{gen.PlantedHubs(600, 4, 400, 38), 256, false},
+		{gen.PlantedHubs(600, 4, 400, 38), 256, true},
+		{gen.ChungLu(2000, 8000, 2.8, 1), 128, false},
+	} {
+		db, _ := buildTemp(t, tc.g, BuildOptions{PageSize: tc.pageSize, Compress: tc.compress})
+		// The reference: every page's records, read one by one.
+		first, last := make([]PageID, db.NumVertices()), make([]PageID, db.NumVertices())
+		for pid := PageID(0); int(pid) < db.NumPages(); pid++ {
+			p, err := readPage(db, pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < p.Slots(); i++ {
+				v := p.First() + graph.VertexID(i)
+				if _, continuation := p.Chunk(i); !continuation {
+					first[v] = pid
+				}
+				last[v] = pid
+			}
+		}
+		cur, maxSpan := db.PageFirsts().Cursor(), 0
+		for v := graph.VertexID(0); int(v) < db.NumVertices(); v++ {
+			f, l := cur.Span(v)
+			if sf, sl := db.SpanOf(v); f != first[v] || l != last[v] || sf != f || sl != l {
+				t.Fatalf("vertex %d: cursor [%d,%d], SpanOf [%d,%d], pages [%d,%d]", v, f, l, sf, sl, first[v], last[v])
+			}
+			maxSpan = max(maxSpan, int(l-f)+1)
+		}
+		if maxSpan < 2 || db.PageFirsts().MaxSpan() != maxSpan {
+			t.Fatalf("MaxSpan %d, longest span %d", db.PageFirsts().MaxSpan(), maxSpan)
+		}
+	}
 }
 
 func TestReadPageErrors(t *testing.T) {
@@ -450,13 +540,12 @@ func readPage(db *DB, pid PageID) (*Page, error) {
 	if err := db.ReadPageInto(pid, buf); err != nil {
 		return nil, err
 	}
-	return p, ParsePageInto(p, buf)
+	return p, ParsePageInto(p, buf, pid)
 }
 
 // adjacencyOf reads v's full adjacency list the slow, obviously correct way
-// — every page of its span read on its own, v's slot on each, checked
-// against the directory's degree — as the reference the builder and the
-// compactor are tested against.
+// — every page of its span read on its own, each required to hold a record
+// of v — as the reference the builder and the compactor are tested against.
 func adjacencyOf(db *DB, v graph.VertexID) ([]graph.VertexID, error) {
 	first, last := db.SpanOf(v)
 	var out []graph.VertexID
@@ -465,13 +554,22 @@ func adjacencyOf(db *DB, v graph.VertexID) ([]graph.VertexID, error) {
 		if err != nil {
 			return nil, err
 		}
-		if i, ok := p.Slot(v); ok {
-			list, _, _ := p.List(i)
-			out = append(out, list...)
+		i, ok := p.Slot(v)
+		if !ok {
+			return nil, fmt.Errorf("storage: page %d of vertex %d's span [%d,%d] holds no record of it", pid, v, first, last)
 		}
-	}
-	if len(out) != db.Degree(v) {
-		return nil, fmt.Errorf("storage: vertex %d adjacency %d entries, directory says %d", v, len(out), db.Degree(v))
+		list, _, _ := p.List(i)
+		out = append(out, list...)
 	}
 	return out, nil
+}
+
+// degreeOf is the length of adjacencyOf(db, v).
+func degreeOf(t *testing.T, db *DB, v graph.VertexID) int {
+	t.Helper()
+	adj, err := adjacencyOf(db, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(adj)
 }

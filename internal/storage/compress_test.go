@@ -326,10 +326,10 @@ func parsersAgree(t *testing.T, buf []byte) *Page {
 	w.Add(1, []graph.VertexID{0, 2}, false, false)
 	w.Add(2, []graph.VertexID{1}, false, false)
 	into := &Page{}
-	if err := ParsePageInto(into, w.Bytes()); err != nil {
+	if err := ParsePageInto(into, w.Bytes(), 9); err != nil {
 		t.Fatalf("ParsePageInto of a valid page: %v", err)
 	}
-	ierr := ParsePageInto(into, buf)
+	ierr := ParsePageInto(into, buf, InvalidPage)
 	if (eerr == nil) != (lerr == nil) || (eerr == nil) != (ierr == nil) {
 		t.Fatalf("ParsePage err=%v, ParsePageLazy err=%v, ParsePageInto err=%v: one parse accepts what another rejects", eerr, lerr, ierr)
 	}
@@ -442,7 +442,7 @@ func TestParsePageAllocs(t *testing.T) {
 	}
 	into := &Page{}
 	if avg := testing.AllocsPerRun(50, func() {
-		if err := ParsePageInto(into, buf); err != nil {
+		if err := ParsePageInto(into, buf, InvalidPage); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {

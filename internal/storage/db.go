@@ -1,11 +1,14 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"sort"
 
 	"dualsim/internal/graph"
 )
@@ -13,11 +16,12 @@ import (
 const (
 	dbMagic = 0x42445344 // "DSDB" little endian
 	// dbVersion is the format version Build writes. v2 added CRC-32 page
-	// checksums; v3 added skip tables to compressed records (flagSkips).
-	// The change is purely additive — records self-describe via flags —
-	// so Open also accepts v2 files (minReadableVersion) and reads them
-	// bit-identically. See docs/STORAGE.md for the compatibility rules.
-	dbVersion          = 3
+	// checksums; v3 added skip tables to compressed records (flagSkips),
+	// which records self-describe; v4 replaced the 12-byte vertex directory
+	// with the page-first array (PageFirsts). Open reads v2 and v3 files too
+	// (minReadableVersion), converting their directory into the array as it
+	// streams it in. See docs/STORAGE.md for the compatibility rules.
+	dbVersion          = 4
 	minReadableVersion = 2
 )
 
@@ -41,6 +45,7 @@ type superblock struct {
 	maxDegree   uint32
 	dirOffset   uint64
 	epoch       uint64
+	version     uint32
 }
 
 func (sb *superblock) writeTo(f *os.File) error {
@@ -66,10 +71,12 @@ func readSuperblock(f *os.File) (*superblock, error) {
 	if binary.LittleEndian.Uint32(buf[0:]) != dbMagic {
 		return nil, fmt.Errorf("storage: bad magic (not a dualsim database)")
 	}
-	if v := binary.LittleEndian.Uint32(buf[4:]); v < minReadableVersion || v > dbVersion {
+	v := binary.LittleEndian.Uint32(buf[4:])
+	if v < minReadableVersion || v > dbVersion {
 		return nil, fmt.Errorf("storage: unsupported version %d (readable: %d..%d)", v, minReadableVersion, dbVersion)
 	}
 	return &superblock{
+		version:     v,
 		pageSize:    binary.LittleEndian.Uint32(buf[8:]),
 		numVertices: binary.LittleEndian.Uint32(buf[12:]),
 		numEdges:    binary.LittleEndian.Uint64(buf[16:]),
@@ -107,16 +114,126 @@ func StampEpoch(path string, epoch uint64) error {
 // DB is a read-only handle to a built database. It is safe for concurrent
 // use: page reads use positional I/O.
 type DB struct {
-	f   *os.File
-	sb  superblock
-	dir []vertexLoc
+	f     *os.File
+	sb    superblock
+	pages PageFirsts
+}
+
+// PageFirsts is the page-first array, the database's directory: one entry
+// per page, its key — the page's first vertex times two, plus one when that
+// record continues the previous page's list (a hub's chunk). Pages hold
+// ascending dense vertex runs (Lemma 1: P(v) is monotone in v), so keys never
+// decrease and one per page locates every list: v's starts on the last page
+// whose key is at most 2v — the page that begins with v, not as a
+// continuation, when there is one — and ends on the last page whose key is at
+// most 2v+1. On disk an entry is the vertex with contBit for the
+// continuation.
+type PageFirsts []uint32
+
+// contBit marks a page-first entry on disk whose page begins with a
+// continuation chunk. Build refuses 2^31 or more vertices, so no vertex ID
+// reaches it.
+const contBit = 1 << 31
+
+// First returns the first vertex of page pid and whether its record
+// continues the previous page's list.
+func (f PageFirsts) First(pid PageID) (graph.VertexID, bool) {
+	return graph.VertexID(f[pid] >> 1), f[pid]&1 != 0
+}
+
+// upper returns the first page at or after p whose key exceeds k, len(f)
+// when none does: a gallop from p, then a binary search of its last stride.
+func (f PageFirsts) upper(p int, k uint32) int {
+	step := 1
+	for ; p+step <= len(f) && f[p+step-1] <= k; step *= 2 {
+		p += step
+	}
+	return p + sort.Search(min(step, len(f)-p), func(i int) bool { return f[p+i] > k })
+}
+
+// MaxSpan returns the pages of the longest adjacency list: one more than the
+// longest run of one vertex's continuation entries.
+func (f PageFirsts) MaxSpan() int {
+	span := 1
+	for p := 0; p < len(f); p++ {
+		if f[p]&1 != 0 {
+			q := f.upper(p, f[p]) // the run ends where the key grows
+			span, p = max(span, q-p+1), q-1
+		}
+	}
+	return span
+}
+
+// PageCursor locates the lists of ascending vertices: it walks the array in
+// step with them, in amortized O(1) per vertex where they are dense and a
+// gallop where they skip pages. A vertex below the last one asked for
+// restarts it from page 0.
+type PageCursor struct {
+	f       PageFirsts
+	p, last int            // the span of the last vertex asked for
+	lo, hi  graph.VertexID // the vertices whose list lies on page p alone: [lo, hi)
+}
+
+// Cursor returns a cursor at page 0.
+func (f PageFirsts) Cursor() PageCursor { return PageCursor{f: f} }
+
+// Span returns the first and last page of v's list. A list that starts and
+// ends on the cursor's page costs two comparisons.
+func (c *PageCursor) Span(v graph.VertexID) (first, last PageID) {
+	if v < c.lo || v >= c.hi {
+		c.seek(v)
+	}
+	return PageID(c.p), PageID(c.last)
+}
+
+// seek moves the cursor onto v's list: its first page is the last whose key
+// is at most 2v, its last page the last whose key is at most 2v+1.
+func (c *PageCursor) seek(v graph.VertexID) {
+	k := 2 * uint32(v)
+	if c.f[c.p] > k {
+		c.p = 0
+	}
+	c.p = c.f.upper(c.p+1, k) - 1
+	c.last = c.f.upper(c.p+1, k+1) - 1
+	// Page p alone holds the lists from its first vertex on (past it when
+	// that is a continuation) to before the next page's first vertex, which
+	// may continue there — none after a list that spans pages.
+	c.lo, c.hi = graph.VertexID(c.f[c.p]+1)/2, math.MaxUint32
+	if c.last > c.p {
+		c.hi = 0
+	} else if c.p+1 < len(c.f) {
+		c.hi = graph.VertexID(c.f[c.p+1] / 2)
+	}
+}
+
+// check holds the array to what Build writes and the superblock says: an
+// entry per page; page 0 begins with vertex 0, not a continuation; entries
+// never decrease and repeat only as a hub's continuation pages; every vertex
+// is below the vertex count, and the vertices from the last page's first one
+// on fit in that page.
+func (f PageFirsts) check(sb *superblock) error {
+	n := sb.numVertices
+	for p := range f {
+		v, cont := f.First(PageID(p))
+		if p == 0 && (v != 0 || cont) || p > 0 && (f[p] < f[p-1] || f[p] == f[p-1] && !cont) || uint32(v) >= n {
+			return fmt.Errorf("storage: corrupt page array: page %d begins with vertex %d (continuation %t) in a file of %d vertices", p, v, cont, n)
+		}
+	}
+	if len(f) == 0 || len(f) != int(sb.numPages) {
+		return fmt.Errorf("storage: corrupt directory: %d of %d pages begun", len(f), sb.numPages)
+	}
+	if last, _ := f.First(PageID(len(f) - 1)); int(n-uint32(last)) > (int(sb.pageSize)-pageHeaderSize)/(recordHeaderSize+slotSize) {
+		return fmt.Errorf("storage: corrupt superblock: %d vertices, but the last page begins with vertex %d", n, last)
+	}
+	return nil
 }
 
 // Open opens a database file built with Build. It checks the superblock and
-// the directory before trusting them: the page size within
-// [MinPageSize, MaxPageSize], the directory inside the file (before
-// allocating it), and every entry's span at least one page, ending before
-// the last data page.
+// the page-first array before trusting them: the page size within
+// [MinPageSize, MaxPageSize], the pages and the directory inside the file
+// (before allocating it), and the array as PageFirsts.check states. A v2 or
+// v3 file's 12-byte vertex directory is converted into the array in the same
+// streamed read.
 func Open(path string) (*DB, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -142,29 +259,42 @@ func open(f *os.File) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: open db: %w", err)
 	}
-	dirLen := 12 * uint64(sb.numVertices)
-	if size := uint64(fi.Size()); sb.dirOffset > size || dirLen > size-sb.dirOffset {
-		return nil, fmt.Errorf("storage: directory of %d vertices at offset %d overruns the %d-byte file", sb.numVertices, sb.dirOffset, size)
+	entry, n := uint64(4), uint64(sb.numPages) // the page-first array
+	if sb.version < 4 {
+		entry, n = 12, uint64(sb.numVertices) // a vertex directory
 	}
-	dirBytes := make([]byte, dirLen)
-	if _, err := f.ReadAt(dirBytes, int64(sb.dirOffset)); err != nil {
-		return nil, fmt.Errorf("storage: read directory: %w", err)
+	size := uint64(fi.Size())
+	if uint64(sb.pageSize)*(uint64(sb.numPages)+1) > size || sb.dirOffset > size || entry*n > size-sb.dirOffset {
+		return nil, fmt.Errorf("storage: %d pages of %d bytes and a directory of %d entries at offset %d overrun the %d-byte file",
+			sb.numPages, sb.pageSize, n, sb.dirOffset, size)
 	}
-	dir := make([]vertexLoc, sb.numVertices)
-	for v := range dir {
-		o := 12 * v
-		loc := vertexLoc{
-			FirstPage: PageID(binary.LittleEndian.Uint32(dirBytes[o:])),
-			Span:      binary.LittleEndian.Uint32(dirBytes[o+4:]),
-			Degree:    binary.LittleEndian.Uint32(dirBytes[o+8:]),
+	r := bufio.NewReader(io.NewSectionReader(f, int64(sb.dirOffset), int64(entry*n)))
+	pages := make(PageFirsts, 0, sb.numPages)
+	var rec [12]byte
+	for i := uint32(0); uint64(i) < n; i++ {
+		if _, err := io.ReadFull(r, rec[:entry]); err != nil {
+			return nil, fmt.Errorf("storage: read directory: %w", err)
 		}
-		if loc.Span == 0 || uint64(loc.FirstPage)+uint64(loc.Span) > uint64(sb.numPages) {
-			return nil, fmt.Errorf("storage: corrupt directory entry for vertex %d: span %d from page %d in a file of %d pages",
-				v, loc.Span, loc.FirstPage, sb.numPages)
+		if e := binary.LittleEndian.Uint32(rec[:]); entry == 4 {
+			pages = append(pages, e<<1|e>>31) // the key: the vertex doubled, the continuation bit in
+			continue
 		}
-		dir[v] = loc
+		// Vertex i's entry (first page, span, degree): i begins every page of
+		// its span that no vertex before it began, as a continuation past the
+		// first.
+		first, span := binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:])
+		if span == 0 || uint64(first)+uint64(span) > uint64(sb.numPages) || first > uint32(len(pages)) {
+			return nil, fmt.Errorf("storage: corrupt directory entry for vertex %d: span %d from page %d, %d pages begun, in a file of %d pages",
+				i, span, first, len(pages), sb.numPages)
+		}
+		for p := max(first, uint32(len(pages))); p < first+span; p++ {
+			pages = append(pages, i<<1|min(p-first, 1))
+		}
 	}
-	return &DB{f: f, sb: *sb, dir: dir}, nil
+	if err := pages.check(sb); err != nil {
+		return nil, err
+	}
+	return &DB{f: f, sb: *sb, pages: pages}, nil
 }
 
 // Close releases the underlying file.
@@ -185,25 +315,19 @@ func (db *DB) NumEdges() uint64 { return db.sb.numEdges }
 // NumPages returns the number of data pages.
 func (db *DB) NumPages() int { return int(db.sb.numPages) }
 
-// MaxDegree returns the largest vertex degree.
-func (db *DB) MaxDegree() int { return int(db.sb.maxDegree) }
-
 // Epoch returns the data epoch stamped into the superblock: 0 for a file
 // that has never taken a mutation, otherwise the epoch of the last batch
 // persisted via StampEpoch (or preserved by Compact).
 func (db *DB) Epoch() uint64 { return db.sb.epoch }
 
-// PageOf returns P(v): the first page holding v's adjacency list.
-func (db *DB) PageOf(v graph.VertexID) PageID { return db.dir[v].FirstPage }
+// PageFirsts returns the page-first array, shared and read-only.
+func (db *DB) PageFirsts() PageFirsts { return db.pages }
 
-// SpanOf returns the first and last page of v's adjacency sublists.
+// SpanOf returns the first and last page of v's list, in O(log pages).
 func (db *DB) SpanOf(v graph.VertexID) (first, last PageID) {
-	loc := db.dir[v]
-	return loc.FirstPage, loc.FirstPage + PageID(loc.Span) - 1
+	c := db.pages.Cursor()
+	return c.Span(v)
 }
-
-// Degree returns d(v) from the directory without touching data pages.
-func (db *DB) Degree(v graph.VertexID) int { return int(db.dir[v].Degree) }
 
 // ReadPageInto reads the raw image of page pid into buf, which must be
 // PageSize() bytes. It uses positional I/O and is safe for concurrent use.
@@ -243,18 +367,31 @@ func (db *DB) ReadPagesInto(first PageID, buf []byte) error {
 	return nil
 }
 
-// scan reads and parses every page in order, each into one buffer and one
-// page allocated once for the whole scan (ParsePageInto), and hands visit the
-// page, its raw image and the read or parse error; the page holds nothing
+// load reads page pid into buf with read and parses it into p, which
+// checks the page's ID, then holds its first record to the page-first array.
+func (db *DB) load(read func(PageID, []byte) error, pid PageID, buf []byte, p *Page) error {
+	if err := read(pid, buf); err != nil {
+		return err
+	}
+	if err := ParsePageInto(p, buf, pid); err != nil {
+		return err
+	}
+	v, cont := db.pages.First(pid)
+	if c := p.Slots() > 0 && p.index[1]&metaContinuation != 0; p.Slots() == 0 || p.First() != v || c != cont {
+		return &CorruptPageError{Page: pid, Reason: fmt.Sprintf("page begins with vertex %d (continuation %t, %d records), the page array says %d (continuation %t)",
+			p.First(), c, p.Slots(), v, cont)}
+	}
+	return nil
+}
+
+// scan reads and parses every page in order (load), each into one buffer and
+// one page allocated once for the whole scan, and hands visit the page, its
+// raw image and the read, parse or page-array error; the page holds nothing
 // usable when err is set. The scan stops at the first error visit returns.
 func (db *DB) scan(visit func(pid PageID, p *Page, buf []byte, err error) error) error {
 	buf, p := make([]byte, db.PageSize()), pageFor(db.PageSize())
 	for pid := PageID(0); int(pid) < db.NumPages(); pid++ {
-		err := db.ReadPageInto(pid, buf)
-		if err == nil {
-			err = ParsePageInto(p, buf)
-		}
-		if err := visit(pid, p, buf, err); err != nil {
+		if err := visit(pid, p, buf, db.load(db.ReadPageInto, pid, buf, p)); err != nil {
 			return err
 		}
 	}
@@ -314,40 +451,35 @@ func (r *VerifyReport) Err() error {
 	return nil
 }
 
-// VerifyPages reads every page once and checks it: it must be readable and
-// parse (ParsePageInto: checksum, framing, a dense vertex-ID run), carry its
-// own ID, and agree with the pages before it and the directory — vertices
-// ascend across pages, a vertex's first record is on the page the directory
-// names, and its entries sum to its directory degree. Every page that cannot
-// be read or parsed is reported, so a corrupt page does not hide later ones.
-// The cross-page checks stop at the first failure of any kind (after it they
-// would only echo it) and report theirs as a CorruptPageError naming the page
-// they found it on, the directory's first page of the vertex for a degree.
+// VerifyPages reads every page once and checks it: it must be readable,
+// parse (ParsePageInto: checksum, its own ID, framing, a dense vertex-ID
+// run) and begin as the page-first array says (load), and agree with the
+// pages before it — vertices ascend across pages, and stay below the file's
+// vertex count — and all lists together must hold 2 × NumEdges entries.
+// Every page that cannot be read or parsed is reported, so a corrupt page
+// does not hide later ones. The cross-page checks stop at the first failure
+// of any kind (after it they would only echo it) and report theirs as a
+// CorruptPageError naming the page they found it on, the last page for the
+// entry total.
 func (db *DB) VerifyPages() *VerifyReport {
 	rep := &VerifyReport{}
-	degrees := make([]uint32, db.NumVertices())
+	var entries uint64
 	prev, whole := graph.VertexID(0), true // whole: no failure yet, the cross-page checks stand
 	corrupt := func(pid PageID, format string, args ...any) *CorruptPageError {
 		return &CorruptPageError{Page: pid, Reason: fmt.Sprintf(format, args...)}
 	}
 	db.scan(func(pid PageID, p *Page, _ []byte, err error) error {
 		rep.PagesScanned++
-		if err == nil && p.ID != pid {
-			err = corrupt(pid, "page claims ID %d", p.ID)
-		}
 		for i := 0; err == nil && whole && i < p.Slots(); i++ {
 			v := p.First() + graph.VertexID(i)
-			_, continuation := p.Chunk(i)
 			switch {
-			case int(v) >= len(degrees):
-				err = corrupt(pid, "vertex %d outside the directory's %d vertices", v, len(degrees))
+			case int(v) >= db.NumVertices():
+				err = corrupt(pid, "vertex %d outside the file's %d vertices", v, db.NumVertices())
 			case v < prev:
 				err = corrupt(pid, "vertex order violated (%d after %d)", v, prev)
-			case !continuation && db.PageOf(v) != pid:
-				err = corrupt(pid, "directory says P(%d)=%d but its record starts here", v, db.PageOf(v))
 			default:
 				list, _, _ := p.List(i)
-				degrees[v] += uint32(len(list))
+				entries += uint64(len(list))
 				prev = v
 			}
 		}
@@ -367,12 +499,9 @@ func (db *DB) VerifyPages() *VerifyReport {
 		}
 		return nil
 	})
-	for v := 0; whole && v < len(degrees); v++ {
-		if want := db.dir[v].Degree; degrees[v] != want {
-			rep.Corrupt = append(rep.Corrupt, corrupt(db.dir[v].FirstPage,
-				"vertex %d has %d entries on disk, directory says %d", v, degrees[v], want))
-			break
-		}
+	if whole && entries != 2*db.NumEdges() {
+		rep.Corrupt = append(rep.Corrupt, corrupt(PageID(db.NumPages()-1),
+			"the lists hold %d entries, not twice the superblock's %d edges", entries, db.NumEdges()))
 	}
 	return rep
 }

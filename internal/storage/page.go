@@ -1,8 +1,9 @@
 // Package storage implements the disk format of the DUALSIM reproduction:
 // adjacency lists stored as (v, adj(v)) records in slotted pages, a page
-// file with a vertex directory, and the degree-ordering preprocessing step
-// (an external merge sort, as in Table 3 of the paper). Adjacency lists
-// larger than a page are broken into sublists stored on consecutive pages.
+// file with one directory entry per page (PageFirsts), and the
+// degree-ordering preprocessing step (an external merge sort, as in Table 3
+// of the paper). Adjacency lists larger than a page are broken into sublists
+// stored on consecutive pages.
 package storage
 
 import (
@@ -287,7 +288,7 @@ func (w *PageWriter) Bytes() []byte {
 // slab, not buf, which the caller may reuse at once.
 func ParsePage(buf []byte) (*Page, error) {
 	p := &Page{}
-	if err := ParsePageInto(p, buf); err != nil {
+	if err := p.parse(buf, parseIndex, InvalidPage); err != nil {
 		return nil, err
 	}
 	p.Records = make([]Record, p.Slots())
@@ -312,15 +313,18 @@ func ParsePage(buf []byte) (*Page, error) {
 // parse micro-benchmark and of the compressed-domain kernels.
 func ParsePageLazy(buf []byte) (*Page, error) {
 	p := &Page{}
-	if err := p.parse(buf, parseLazy); err != nil {
+	if err := p.parse(buf, parseLazy, InvalidPage); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// ParsePageInto parses a page image into p, reusing its memory — the parse
-// of every reader of the page file: the buffer pool, verification,
-// statistics, LoadGraph and compaction. Each compressed record is validated
+// ParsePageInto parses the image of page pid into p, reusing its memory —
+// the parse of every reader of the page file: the buffer pool, verification,
+// statistics, LoadGraph and compaction. An image whose header names another
+// page — a misdirected read or write, which its checksum cannot see — is
+// rejected as corrupt, naming pid (InvalidPage checks no ID: an image that
+// was never read from a file). Each compressed record is validated
 // and decoded in one walk (graph.DecodeCompressed: every check
 // ParseCompressed makes), straight into the page's slab, whose spare
 // capacity holds the slot index and its chunk bits; the page also totals its
@@ -330,7 +334,7 @@ func ParsePageLazy(buf []byte) (*Page, error) {
 // vertex per page), since the index is addressed by vertex: a page that is
 // not is rejected as corrupt, by every parse. Whatever was read from p before
 // is overwritten, and on error p holds nothing usable until a parse succeeds.
-func ParsePageInto(p *Page, buf []byte) error { return p.parse(buf, parseIndex) }
+func ParsePageInto(p *Page, buf []byte, pid PageID) error { return p.parse(buf, parseIndex, pid) }
 
 // parseMode selects what parse builds besides the checks every mode makes.
 type parseMode uint8
@@ -347,8 +351,9 @@ func slotRecord(buf []byte, i int) (off, length int) {
 	return int(binary.LittleEndian.Uint16(buf[slot:])), int(binary.LittleEndian.Uint16(buf[slot+2:]))
 }
 
-// parse is the one decode loop of both parse modes.
-func (p *Page) parse(buf []byte, mode parseMode) error {
+// parse is the one decode loop of both parse modes; want is the page the
+// image was read as, InvalidPage when the caller did not read it from a file.
+func (p *Page) parse(buf []byte, mode parseMode, want PageID) error {
 	if len(buf) < MinPageSize {
 		return fmt.Errorf("storage: page buffer %d bytes, below minimum %d", len(buf), MinPageSize)
 	}
@@ -356,6 +361,9 @@ func (p *Page) parse(buf []byte, mode parseMode) error {
 	stored := binary.LittleEndian.Uint32(buf[checksumOffset:])
 	if sum := pageChecksum(buf); sum != stored {
 		return &CorruptPageError{Page: p.ID, StoredCRC: stored, ComputedCRC: sum, Reason: "checksum mismatch"}
+	}
+	if want != InvalidPage && p.ID != want {
+		return &CorruptPageError{Page: want, Reason: fmt.Sprintf("page claims ID %d", p.ID)}
 	}
 	nrec := int(binary.LittleEndian.Uint16(buf[4:]))
 	freeStart := int(binary.LittleEndian.Uint16(buf[6:]))

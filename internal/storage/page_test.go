@@ -180,7 +180,7 @@ func rejectedByEveryParse(t *testing.T, img []byte) bool {
 	into := &Page{}
 	w := NewPageWriter(MinPageSize, 9)
 	w.Add(1, []graph.VertexID{0, 2}, false, false)
-	if err := ParsePageInto(into, w.Bytes()); err != nil {
+	if err := ParsePageInto(into, w.Bytes(), 9); err != nil {
 		t.Fatalf("ParsePageInto of a valid page: %v", err)
 	}
 	var ce *CorruptPageError
@@ -188,7 +188,7 @@ func rejectedByEveryParse(t *testing.T, img []byte) bool {
 	ok := errors.As(err, &ce)
 	_, err = ParsePageLazy(img)
 	ok = ok && errors.As(err, &ce)
-	return ok && errors.As(ParsePageInto(into, img), &ce) && into.Slots() == 0
+	return ok && errors.As(ParsePageInto(into, img, InvalidPage), &ce) && into.Slots() == 0
 }
 
 func TestChecksumDetectsCorruption(t *testing.T) {
@@ -343,7 +343,7 @@ func TestPageIndexBuilds(t *testing.T) {
 			if err := db.ReadPageInto(PageID(pid), buf); err != nil {
 				t.Fatal(err)
 			}
-			if err := ParsePageInto(p, buf); err != nil {
+			if err := ParsePageInto(p, buf, PageID(pid)); err != nil {
 				t.Fatalf("compress=%v page %d: %v", compress, pid, err)
 			}
 			lazy, err := ParsePageLazy(buf)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -87,7 +88,7 @@ func TestRetryReaderPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Page{}
-	if err := ParsePageInto(p, buf); err != nil {
+	if err := ParsePageInto(p, buf, 7); err != nil {
 		t.Fatal(err)
 	}
 	if p.ID != 7 || p.Slots() != 1 {
@@ -508,23 +509,24 @@ func TestVerifyReportsNonDenseRun(t *testing.T) {
 }
 
 // TestVerifyStructuralChecks: pages that parse but disagree with the
-// directory or with the pages before them are reported by the same scan,
-// each as a CorruptPageError with its reason — a vertex outside the
-// directory, a page claiming another page's ID, a list shorter than the
-// directory's degree.
+// page-first array or with the superblock are reported by the same scan,
+// each as a CorruptPageError with its reason — vertices other than the
+// array says the page begins with, a page claiming another page's ID, a list
+// shorter than the superblock's edge count allows. A compaction over the
+// file fails on each as well.
 func TestVerifyStructuralChecks(t *testing.T) {
 	for _, tc := range []struct {
 		reason string
 		mut    func(db *DB, img []byte)
 	}{
-		{"outside the directory", func(db *DB, img []byte) {
+		{"the page array says", func(db *DB, img []byte) {
 			for i := 0; i < int(binary.LittleEndian.Uint16(img[4:])); i++ {
 				off, _ := slotRecord(img, i)
 				binary.LittleEndian.PutUint32(img[off:], uint32(db.NumVertices()+i))
 			}
 		}},
 		{"page claims ID", func(_ *DB, img []byte) { binary.LittleEndian.PutUint32(img[0:], 0) }},
-		{"entries on disk, directory says", func(_ *DB, img []byte) {
+		{"the lists hold", func(_ *DB, img []byte) {
 			// The first non-empty (raw) list loses its last entry.
 			for i := 0; ; i++ {
 				off, length := slotRecord(img, i)
@@ -546,6 +548,10 @@ func TestVerifyStructuralChecks(t *testing.T) {
 		}
 		if _, ok := IsCorrupt(db.VerifyIntegrity()); !ok {
 			t.Fatalf("%s: VerifyIntegrity: %v", tc.reason, db.VerifyIntegrity())
+		}
+		keep := func(_ graph.VertexID, base []graph.VertexID) []graph.VertexID { return base }
+		if _, err := Compact(filepath.Join(t.TempDir(), "out.db"), db, keep, 0, BuildOptions{}); err == nil {
+			t.Fatalf("%s: a compaction over the file succeeded", tc.reason)
 		}
 	}
 }

@@ -208,12 +208,7 @@ func ScanEdgeFile(path string) (n int, edges int, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		if int(u) > maxID {
-			maxID = int(u)
-		}
-		if int(v) > maxID {
-			maxID = int(v)
-		}
+		maxID = max(maxID, int(u), int(v))
 		edges++
 	}
 	return maxID + 1, edges, nil
