@@ -173,21 +173,24 @@ scale:
 smoke-serve:
 	./scripts/serve_smoke.sh
 
-# soak runs both oracles on fresh seeds under -race for SOAK_SECONDS each:
-# the serving oracle draws whole server configurations and concurrent HTTP
-# schedules — faults, live ingest, compactions, resumes — and checks every
-# reply against brute force at its data epoch (TestServingOracle); the
+# soak runs the three oracles on fresh seeds under -race for SOAK_SECONDS
+# each: the serving oracle draws whole server configurations and concurrent
+# HTTP schedules — faults, live ingest, compactions, resumes — and checks
+# every reply against brute force at its data epoch (TestServingOracle); the
 # differential oracle draws whole execution configurations of the engine
-# (TestDifferentialAllModes). Failures print the offending seed; reproduce
-# one with
+# (TestDifferentialAllModes); the storage oracle draws a graph, a build, a
+# base file and a corruption, and holds every reader of the page file to the
+# graph (TestStorageOracle). Each logs its seed range, and failures print the
+# offending seed; reproduce one with
 #   go test ./internal/server -run 'TestServingOracle/seed=N$$'
 #   go test ./internal/core -run 'TestDifferentialAllModes/seed=N$$'
+#   go test ./internal/storage -run 'TestStorageOracle/seed=N$$'
 # Tune the time box with SOAK_SECONDS (default 20 here).
 SOAK_SECONDS ?= 20
 soak:
 	SOAK_SECONDS=$(SOAK_SECONDS) $(GO) test -race -count=1 -v \
-		-run 'TestServingOracle|TestDifferentialAllModes' \
-		./internal/server ./internal/core
+		-run 'TestServingOracle|TestDifferentialAllModes|TestStorageOracle' \
+		./internal/server ./internal/core ./internal/storage
 
 clean:
 	$(GO) clean ./...

@@ -87,6 +87,7 @@ type draw struct {
 	worst      bool           // the plan's matching order maximizes Cartesian products
 	equal      bool           // the engine splits its buffer equally among levels
 	six        *graph.Query   // a random 6-vertex query run on the same draw after q
+	misdirect  bool           // a last run reads another page's valid image for one page
 }
 
 func (d draw) String() string {
@@ -99,10 +100,10 @@ func (d draw) String() string {
 	}
 	return fmt.Sprintf("seed=%d graph=%s(n=%d m=%d) query=%s%v compress=%v page=%d reorder=%v threads=%d "+
 		"frames=%d/%.2f mode=%s killAt=%d resume=%.2f companions=%v joinAfter=%d cancelOne=%v "+
-		"ingest=%v/%d fault=%q@%d rows=%v repeat=%v cover=%v worst=%v equal=%v",
+		"ingest=%v/%d fault=%q@%d rows=%v repeat=%v cover=%v worst=%v equal=%v misdirect=%v",
 		d.seed, d.kind, d.g.NumVertices(), d.g.NumEdges(), d.q.Name(), d.q.Edges(), d.compress, d.pageSize,
 		d.reorder, d.threads, d.frames, d.frameFrac, d.mode, d.killAt, d.resumeFrac, comp, d.joinAfter,
-		d.cancelOne, d.ingest, d.batches, d.fault, d.faultAt, d.rows, d.repeat, d.cover, d.worst, d.equal)
+		d.cancelOne, d.ingest, d.batches, d.fault, d.faultAt, d.rows, d.repeat, d.cover, d.worst, d.equal, d.misdirect)
 }
 
 // maxEmbeddings bounds a draw's brute-force work: a query with more
@@ -186,6 +187,8 @@ func drawConfig(seed int64) draw {
 	if q := randomConnectedQuery(rng, 6); rng.Intn(6) == 0 && !exceeds(d.g, q) {
 		d.six = q
 	}
+	// Drawn after every other dimension, so each keeps its seed's value.
+	d.misdirect = rng.Intn(4) == 0
 	return d
 }
 
@@ -627,6 +630,25 @@ func (o *oracle) runRider(frames int) {
 	}
 }
 
+// runMisdirected runs the draw once more with every read of a drawn page p
+// served another page's valid image — a misdirected read, which no checksum
+// sees: the run must fail as a permanent corruption of p, never count.
+func (o *oracle) runMisdirected(rng *rand.Rand) {
+	o.t.Helper()
+	o.fdb.Heal()
+	p := rng.Intn(o.pages)
+	o.fdb.Misdirect(storage.PageID(p), storage.PageID((p+1+rng.Intn(o.pages-1))%o.pages))
+	e := o.engine(o.d.frames)
+	res, err := e.RunSpecContext(context.Background(), core.RunSpec{Plan: o.p, Overlay: o.snap})
+	if ce, ok := storage.IsCorrupt(err); !ok || ce.Page != storage.PageID(p) || storage.IsTransient(err) {
+		o.fatalf("page %d read as another page's image: result %+v, err %v; want a permanent corruption of page %d", p, res, err, p)
+	}
+	if pinned := e.PinnedFrames(); pinned != 0 {
+		o.fatalf("%d frames still pinned after a misdirected read", pinned)
+	}
+	o.cov.add("misdirected read")
+}
+
 // check runs one draw and everything it must satisfy, counting what it
 // reached into cov.
 func check(t *testing.T, d draw, cov *coverage) {
@@ -716,6 +738,9 @@ func check(t *testing.T, d draw, cov *coverage) {
 		o.runRider(o.d.frames)
 	} else {
 		o.runSolo(o.d.frames)
+	}
+	if d.misdirect && o.pages > 1 {
+		o.runMisdirected(rng)
 	}
 	if o.transient() {
 		var rs storage.RetryStats
@@ -851,6 +876,6 @@ func TestDifferentialAllModes(t *testing.T) {
 			"random 6-vertex query",
 			"overlay empty=false", "overlay empty=true", "rode", "rode beside companions", "refused rider",
 			"resumed:kill/", "resumed:solo/permanent", "faulted cohort",
-			"absorbed "+pages, "absorbed "+storm, "absorbed "+torn)
+			"absorbed "+pages, "absorbed "+storm, "absorbed "+torn, "misdirected read")
 	}
 }

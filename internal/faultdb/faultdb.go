@@ -61,6 +61,7 @@ type DB struct {
 	rng      *randSource
 	perPage  map[storage.PageID]int64
 	rules    []rule
+	served   map[storage.PageID]storage.PageID // Misdirect: the page whose image a read of the key gets
 	injected atomic.Int64
 	flipped  atomic.Int64
 	delayed  atomic.Int64
@@ -128,7 +129,7 @@ func (f *DB) PageReads(pid storage.PageID) int64 {
 // Heal clears the entire fault schedule; subsequent reads pass through.
 func (f *DB) Heal() {
 	f.mu.Lock()
-	f.rules = nil
+	f.rules, f.served = nil, nil
 	f.mu.Unlock()
 }
 
@@ -145,7 +146,11 @@ func (f *DB) ReadPageInto(pid storage.PageID, buf []byte) error {
 	f.perPage[pid]++
 	pageReads := f.perPage[pid]
 	rules := f.rules
+	src, misdirected := f.served[pid]
 	f.mu.Unlock()
+	if !misdirected {
+		src = pid
+	}
 	if f.opts.OnRead != nil {
 		f.opts.OnRead(n, pid)
 	}
@@ -168,7 +173,7 @@ func (f *DB) ReadPageInto(pid storage.PageID, buf []byte) error {
 		f.delayed.Add(1)
 		time.Sleep(delay)
 	}
-	if err := f.Database.ReadPageInto(pid, buf); err != nil {
+	if err := f.Database.ReadPageInto(src, buf); err != nil {
 		return err
 	}
 	if flip {
@@ -178,6 +183,19 @@ func (f *DB) ReadPageInto(pid storage.PageID, buf []byte) error {
 		f.flipped.Add(1)
 	}
 	return nil
+}
+
+// Misdirect serves page q's image on every read of page p — a misdirected
+// read, which the image's checksum cannot see: the image is q's, intact.
+// Heal clears it with the rest of the schedule.
+func (f *DB) Misdirect(p, q storage.PageID) *DB {
+	f.mu.Lock()
+	if f.served == nil {
+		f.served = map[storage.PageID]storage.PageID{}
+	}
+	f.served[p] = q
+	f.mu.Unlock()
+	return f
 }
 
 // --- schedule entries -------------------------------------------------------

@@ -158,6 +158,26 @@ func TestBitFlipTripsChecksum(t *testing.T) {
 	}
 }
 
+// TestMisdirect: a read of page p serves page q's image with its checksum
+// intact, so only a parse told which page it reads rejects it, as a permanent
+// corruption of p; Heal serves p again.
+func TestMisdirect(t *testing.T) {
+	db := testDB(t)
+	f := Wrap(db, Options{}).Misdirect(1, 2)
+	buf, want := make([]byte, f.PageSize()), make([]byte, f.PageSize())
+	if err := f.ReadPageInto(1, buf); err != nil || db.ReadPageInto(2, want) != nil || !slices.Equal(buf, want) {
+		t.Fatalf("read of page 1: %v, or not page 2's image", err)
+	}
+	err := storage.ParsePageInto(&storage.Page{}, buf, 1)
+	if ce, ok := storage.IsCorrupt(err); !ok || ce.Page != 1 || storage.IsTransient(err) {
+		t.Fatalf("parse of page 2's image read as page 1: %v, want a permanent corruption of page 1", err)
+	}
+	f.Heal()
+	if err := f.ReadPageInto(1, buf); err != nil || storage.ParsePageInto(&storage.Page{}, buf, 1) != nil {
+		t.Fatalf("after Heal, page 1 reads or parses with an error: %v", err)
+	}
+}
+
 func TestBitFlipOnceHeals(t *testing.T) {
 	db := testDB(t)
 	f := Wrap(db, Options{}).BitFlipOnce(0)

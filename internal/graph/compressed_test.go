@@ -42,8 +42,14 @@ func mustParse(t *testing.T, adj []VertexID) CompressedAdj {
 
 func TestCompressedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	// Lists around the skip interval; single entries; deltas of one to five
+	// varint bytes; and IDs drawn from the whole 32-bit range.
+	lists := [][]VertexID{{0}, {5}, {0, 1000000, 1000001}, {7, 7 + 127, 7 + 127 + 128, 1 << 30}, sortedRandom(rng, 300, 1<<32-1)}
 	for _, n := range []int{0, 1, 2, SkipInterval - 1, SkipInterval, SkipInterval + 1, 100, 1000} {
-		adj := sortedRandom(rng, n, 10*n+10)
+		lists = append(lists, sortedRandom(rng, n, 10*n+10))
+	}
+	for _, adj := range lists {
+		n := len(adj)
 		c := mustParse(t, adj)
 		payload, withSkips := AppendCompressed(nil, adj)
 		fused, _, err := DecodeCompressed([]VertexID{7}, payload, n, withSkips, 0)
@@ -60,12 +66,16 @@ func TestCompressedRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if (len(c.Skips) > 0) != (n > SkipInterval) {
-			t.Fatalf("n=%d: skip table presence = %v", n, len(c.Skips) > 0)
+		if (len(c.Skips) > 0) != (n > SkipInterval) || len(payload) > 5*n+skipTableBytes(n) {
+			t.Fatalf("n=%d: skip table presence = %v, %d payload bytes", n, len(c.Skips) > 0, len(payload))
 		}
 		// The count below a vertex, taken while decoding, is its insertion
 		// point: the forward split of a list that does not hold it.
-		for _, v := range []VertexID{0, VertexID(rng.Intn(10*n + 11)), VertexID(10*n + 10)} {
+		top := 0
+		if n > 0 {
+			top = int(adj[n-1])
+		}
+		for _, v := range []VertexID{0, VertexID(rng.Intn(top + 1)), VertexID(top + 1)} {
 			_, below, err := DecodeCompressed(nil, payload, n, withSkips, v)
 			if want, _ := slices.BinarySearch(adj, v); err != nil || below != want {
 				t.Fatalf("n=%d: %d entries below %d (err %v), want %d", n, below, v, err, want)
@@ -156,6 +166,11 @@ func TestParseCompressedRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ParseCompressed(payload, len(adj)+1, true); err == nil {
 		t.Fatal("wrong count accepted")
+	}
+	for _, p := range [][]byte{{0x80}, {1, 1}} { // without a skip table: a truncated varint, a trailing byte
+		if _, err := ParseCompressed(p, 1, false); err == nil {
+			t.Fatalf("payload %v of one entry accepted", p)
+		}
 	}
 	short := sortedRandom(rng, 5, 100)
 	shortPayload, _ := AppendCompressed(nil, short)
@@ -249,20 +264,22 @@ func TestIntersectCompressedInPlace(t *testing.T) {
 
 func TestMaxCompressedEntriesMatchesEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	adj := sortedRandom(rng, 400, 8000)
-	for _, maxBytes := range []int{0, 1, 3, 10, 40, 100, 300, 1000, 1 << 16} {
-		n, bytes := MaxCompressedEntries(adj, maxBytes)
-		payload, _ := AppendCompressed(nil, adj[:n])
-		if len(payload) != bytes {
-			t.Fatalf("maxBytes=%d: reported %d bytes, encoder wrote %d", maxBytes, bytes, len(payload))
-		}
-		if bytes > maxBytes {
-			t.Fatalf("maxBytes=%d: %d entries need %d bytes", maxBytes, n, bytes)
-		}
-		if n < len(adj) {
-			more, _ := AppendCompressed(nil, adj[:n+1])
-			if len(more) <= maxBytes {
-				t.Fatalf("maxBytes=%d: splitter stopped at %d but %d fits in %d bytes", maxBytes, n, n+1, len(more))
+	// A random list, and one whose fourth entry takes a two-byte varint.
+	for _, adj := range [][]VertexID{sortedRandom(rng, 400, 8000), {1, 2, 3, 300, 301}} {
+		for _, maxBytes := range []int{0, 1, 3, 4, 5, 10, 40, 100, 300, 1000, 1 << 16} {
+			n, bytes := MaxCompressedEntries(adj, maxBytes)
+			payload, _ := AppendCompressed(nil, adj[:n])
+			if len(payload) != bytes {
+				t.Fatalf("%d entries, maxBytes=%d: reported %d bytes, encoder wrote %d", len(adj), maxBytes, bytes, len(payload))
+			}
+			if bytes > maxBytes {
+				t.Fatalf("%d entries, maxBytes=%d: %d entries need %d bytes", len(adj), maxBytes, n, bytes)
+			}
+			if n < len(adj) {
+				more, _ := AppendCompressed(nil, adj[:n+1])
+				if len(more) <= maxBytes {
+					t.Fatalf("%d entries, maxBytes=%d: splitter stopped at %d but %d fits in %d bytes", len(adj), maxBytes, n, n+1, len(more))
+				}
 			}
 		}
 	}

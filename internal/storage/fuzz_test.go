@@ -1,39 +1,42 @@
 package storage
 
 import (
-	"math/rand"
-	"path/filepath"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"dualsim/internal/gen"
 	"dualsim/internal/graph"
 )
 
-// FuzzParsePage hardens the page parser against arbitrary bytes: it must
-// either return an error or a structurally valid page — never panic or
-// over-read — and the fused walk (ParsePage) must accept exactly what the
-// lazy one (ParsePageLazy) accepts, decoding what it would decode.
+// FuzzParsePage hardens the page parser against arbitrary bytes and page
+// IDs: ParsePage, ParsePageLazy and ParsePageInto must each return an error
+// or a structurally valid page — never panic or over-read — and accept and
+// decode the same images (parsersAgree). Told the page it reads, pid,
+// ParsePageInto must reject exactly the images that parse otherwise but whose
+// header names another page, as a permanent corruption naming pid.
 func FuzzParsePage(f *testing.F) {
-	// Seed with valid pages of both encodings.
+	// Valid pages of both encodings, asked for as the page they are or another.
 	w := NewPageWriter(256, 1)
 	w.Add(3, []graph.VertexID{4, 5, 6}, false, false)
-	f.Add(append([]byte(nil), w.Bytes()...))
+	f.Add(slices.Clone(w.Bytes()), uint32(1))
 	w.Reset(2)
 	w.AddCompressed(7, []graph.VertexID{8, 1000, 1000000}, true, false)
-	f.Add(append([]byte(nil), w.Bytes()...))
+	f.Add(slices.Clone(w.Bytes()), uint32(3))
 	ws := NewPageWriter(1024, 3)
 	ws.AddCompressed(9, longTestAdj(120), false, false) // skip-listed record
-	f.Add(append([]byte(nil), ws.Bytes()...))
-	// Full compressed pages: random mixed records, and pages of a built
-	// compressed file.
-	rng := rand.New(rand.NewSource(28))
-	for _, size := range []int{512, 1024} {
-		img, _ := mixedPage(rng, size)
-		f.Add(img)
+	f.Add(slices.Clone(ws.Bytes()), uint32(3))
+	// Both encodings on one page, and pages of a built compressed file.
+	for i, size := range []int{512, 1024} {
+		w := NewPageWriter(size, PageID(i))
+		w.Add(20, longTestAdj(30), false, true)
+		w.AddCompressed(21, longTestAdj(70+i), false, false)
+		w.Add(22, nil, false, false)
+		w.AddCompressed(23, []graph.VertexID{0, 1 << 20, 1<<30 + 7}, true, false)
+		f.Add(slices.Clone(w.Bytes()), uint32(i+1))
 	}
-	dir := f.TempDir()
-	path := filepath.Join(dir, "seed.db")
-	if _, err := BuildFromGraph(path, gen.PlantedHubs(300, 4, 120, 28), BuildOptions{PageSize: 256, Compress: true, TempDir: dir}); err != nil {
+	path := scratch(f, "seed.db")
+	if _, err := BuildFromGraph(path, gen.PlantedHubs(300, 4, 120, 28), BuildOptions{PageSize: 256, Compress: true}); err != nil {
 		f.Fatal(err)
 	}
 	db, err := Open(path)
@@ -46,13 +49,22 @@ func FuzzParsePage(f *testing.F) {
 		if err := db.ReadPageInto(PageID(pid), img); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(img)
+		f.Add(img, uint32(pid+pid%2))
 	}
-	f.Add(make([]byte, 256))
-	f.Add([]byte{1, 2, 3})
+	f.Add(make([]byte, 256), uint32(0))
+	f.Add([]byte{1, 2, 3}, uint32(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		parsersAgree(t, data)
+	f.Fuzz(func(t *testing.T, data []byte, pid uint32) {
+		parses := parsersAgree(t, data) != nil
+		if PageID(pid) == InvalidPage {
+			return // asks for no ID
+		}
+		err := ParsePageInto(&Page{}, data, PageID(pid))
+		ce, corrupt := IsCorrupt(err)
+		if claims := parses && binary.LittleEndian.Uint32(data) != pid; claims && (!corrupt || ce.Page != PageID(pid) || IsTransient(err)) ||
+			!claims && parses != (err == nil) {
+			t.Fatalf("page %d asked for: %v (the image parses: %v)", pid, err, parses)
+		}
 	})
 }
 
@@ -128,4 +140,13 @@ func FuzzSkipRoundTrip(f *testing.F) {
 			t.Fatal("cursor yields entries past the end")
 		}
 	})
+}
+
+// longTestAdj returns an ascending list long enough to carry a skip table.
+func longTestAdj(n int) []graph.VertexID {
+	adj := make([]graph.VertexID, n)
+	for i := range adj {
+		adj[i] = graph.VertexID(3*i + 1)
+	}
+	return adj
 }

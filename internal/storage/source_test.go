@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,5 +195,34 @@ func TestScanEdgeFilePropagatesErrors(t *testing.T) {
 	}
 	if _, _, err := ScanEdgeFile(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
 		t.Fatal("scan accepted missing file")
+	}
+}
+
+func TestFileSource(t *testing.T) {
+	path := writeEdgeFile(t, "# comment\n0 1\n1 2\n\n2 3\n")
+	n, m, err := ScanEdgeFile(path)
+	if err != nil || n != 4 || m != 3 {
+		t.Fatalf("scan: n=%d m=%d err=%v", n, m, err)
+	}
+	src := NewFileSource(path, n)
+	defer src.Close()
+	for pass := 0; pass < 2; pass++ { // a pass after Reset reads the same edges
+		if err := src.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := drain(src); err != nil || !slices.Equal(got, [][2]graph.VertexID{{0, 1}, {1, 2}, {2, 3}}) {
+			t.Fatalf("pass %d: edges %v, err %v", pass, got, err)
+		}
+	}
+}
+
+func TestFileSourceMalformed(t *testing.T) {
+	src := NewFileSource(writeEdgeFile(t, "0 x\n"), 2)
+	defer src.Close()
+	if err := src.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := src.Next(); err == nil {
+		t.Fatal("malformed line accepted")
 	}
 }
