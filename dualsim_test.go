@@ -3,8 +3,10 @@ package dualsim
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
@@ -274,8 +276,9 @@ func TestDBAccessors(t *testing.T) {
 }
 
 // TestMisplacedPageFailsRun: a page whose image is another page's — a
-// misdirected write, which its checksum cannot see — fails a run with the
-// retry layer on, naming the page it was read as, and never ends in a count;
+// misdirected write, which its checksum cannot see — or whose records were
+// renamed one vertex up under a rewritten checksum fails a run with the retry
+// layer on, naming the page it was read as, and never ends in a count;
 // verification names it too.
 func TestMisplacedPageFailsRun(t *testing.T) {
 	const pageSize = 512
@@ -303,21 +306,37 @@ func TestMisplacedPageFailsRun(t *testing.T) {
 	if db, n, err := q1(); err != nil || n != 1018 || db.NumPages() < 96 {
 		t.Fatalf("pristine file of %d pages: q1 = %d (%v), want 1018 on 96 pages or more", db.NumPages(), n, err)
 	}
-	img, err := os.ReadFile(path)
+	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Page p lives at pageSize × (p + 1): the superblock takes the first frame.
-	copy(img[pageSize*95:pageSize*96], img[pageSize*94:pageSize*95])
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db, n, err := q1()
-	if ce, ok := IsCorrupt(err); !ok || ce.Page != 94 || IsTransient(err) {
-		t.Fatalf("q1 with page 93's image read as page 94: count %d, err %v; want a permanent corruption of page 94", n, err)
-	}
-	if ce, ok := IsCorrupt(db.Verify()); !ok || ce.Page != 94 {
-		t.Fatalf("Verify: %v, want page 94 corrupt", db.Verify())
+	for _, c := range []struct {
+		name   string
+		damage func(img []byte) // page p lives at pageSize × (p + 1): the superblock takes the first frame
+	}{
+		{"page 93's image read as page 94", func(img []byte) { copy(img[pageSize*95:pageSize*96], img[pageSize*94:pageSize*95]) }},
+		{"page 94's records renamed one vertex up", func(img []byte) {
+			pg := img[pageSize*95 : pageSize*96]
+			for i := range int(binary.LittleEndian.Uint16(pg[4:])) {
+				off := binary.LittleEndian.Uint16(pg[pageSize-4*(i+1):])
+				binary.LittleEndian.PutUint32(pg[off:], binary.LittleEndian.Uint32(pg[off:])+1)
+			}
+			binary.LittleEndian.PutUint32(pg[8:], 0) // the checksum covers the page with its own field zeroed
+			binary.LittleEndian.PutUint32(pg[8:], crc32.ChecksumIEEE(pg))
+		}},
+	} {
+		img := slices.Clone(pristine)
+		c.damage(img)
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, n, err := q1()
+		if ce, ok := IsCorrupt(err); !ok || ce.Page != 94 || IsTransient(err) {
+			t.Fatalf("q1 with %s: count %d, err %v; want a permanent corruption of page 94", c.name, n, err)
+		}
+		if ce, ok := IsCorrupt(db.Verify()); !ok || ce.Page != 94 {
+			t.Fatalf("Verify with %s: %v, want page 94 corrupt", c.name, db.Verify())
+		}
 	}
 }
 

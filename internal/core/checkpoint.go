@@ -27,10 +27,9 @@ type Checkpoint struct {
 	// K is the plan's red vertex count; a resume is rejected unless it
 	// matches the plan it resumes.
 	K int `json:"k"`
-	// Cursor is the index into the level-1 merged candidate sequence
-	// (always the full ascending vertex range — level 1 is a forest root)
-	// where enumeration resumes. Cursor == NumVertices marks a finished
-	// run.
+	// Cursor is the vertex ID where the next level-1 window starts (level 1
+	// is a forest root: its windows cut the whole vertex range) and
+	// enumeration resumes. Cursor == NumVertices marks a finished run.
 	Cursor int `json:"cursor"`
 	// Windows is the number of level-1 windows completed before the
 	// cursor.
@@ -103,8 +102,8 @@ func (e *Engine) validateResume(cp *Checkpoint, p *plan.Plan) error {
 	if cp.K != p.K {
 		return fmt.Errorf("%w: checkpoint K=%d, plan K=%d", ErrBadCheckpoint, cp.K, p.K)
 	}
-	if cp.Cursor < 0 || cp.Cursor > len(e.all) {
-		return fmt.Errorf("%w: cursor %d outside [0, %d]", ErrBadCheckpoint, cp.Cursor, len(e.all))
+	if n := e.db.NumVertices(); cp.Cursor < 0 || cp.Cursor > n {
+		return fmt.Errorf("%w: cursor %d outside [0, %d]", ErrBadCheckpoint, cp.Cursor, n)
 	}
 	if cp.Windows < 0 {
 		return fmt.Errorf("%w: negative window count %d", ErrBadCheckpoint, cp.Windows)

@@ -14,8 +14,9 @@
 // Sweep.Load, Rider.ProcessWindow and Sweep.Release:
 //
 //	Lines 1-5  (preparation)            -> plan.Prepare (package plan)
-//	Line 6     (init candidate seqs)    -> newRun's candSeq{full:true} for
-//	                                       every forest root
+//	Line 6     (init candidate seqs)    -> none stored: a forest root's
+//	                                       (run.root) are every vertex, in a
+//	                                       window its ID range lo..hi
 //	Lines 7-10 (async level-1 window)   -> Sweep.Load -> run.loadWindow:
 //	                                       one coalesced AsyncReadRun per
 //	                                       page stretch; the callback merges
@@ -38,7 +39,7 @@
 //
 // Algorithm 2 (DELEGATEEXTERNALSUBGRAPHENUMERATION) is processLevel for
 // l >= 1: iterate merged windows and recurse; the last level is not chopped
-// into windows but streamed (streamLevel) — one pass over its merged
+// into windows but streamed (streamPass) — one pass over its merged
 // candidate pages per window of the level above, each page matched by its
 // own task as it lands and unpinned when that task ends, within the 2 ×
 // threads frames the paper's allocation gives a level that streams.
@@ -71,7 +72,9 @@
 // I/O accounting invariants:
 //
 //   - windowIterator sizes windows so that pages not pinned by an outer
-//     window never exceed the level's frame budget (buffer.Allocate for a
+//     window never exceed the level's frame budget — walking a candidate
+//     list's vertices, or for the full range (a root's) the page-first
+//     array alone, which cuts the same windows (buffer.Allocate for a
 //     solo run; for a cohort rider what the last window boundary dealt it,
 //     the deals of one boundary summing to no more than the cohort's deep
 //     pool — cohortBudget). With nothing

@@ -146,7 +146,6 @@ type Engine struct {
 	retry   *storage.RetryReader // non-nil when Options.Retry is set
 	opts    Options
 	frames  int
-	all     []graph.VertexID   // every vertex ID, ascending (shared, read-only)
 	pages   storage.PageFirsts // the database's page-first array (shared, read-only)
 	maxSpan int                // pages of the largest adjacency list
 
@@ -198,16 +197,12 @@ func NewEngine(db Database, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	all := make([]graph.VertexID, db.NumVertices())
-	for i := range all {
-		all[i] = graph.VertexID(i)
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	return &Engine{
-		db: db, pool: pool, retry: retry, opts: opts, frames: frames, all: all,
+		db: db, pool: pool, retry: retry, opts: opts, frames: frames,
 		pages: db.PageFirsts(), maxSpan: db.PageFirsts().MaxSpan(),
 		reg: reg, em: registerEngineMetrics(reg), tracer: opts.Tracer,
 	}, nil
@@ -376,8 +371,7 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 		p:            p,
 		k:            p.K,
 		winBudget:    alloc,
-		cand:         make([][]candSeq, len(p.Groups)),
-		candBuf:      make([][][]graph.VertexID, len(p.Groups)),
+		cand:         make([][][]graph.VertexID, len(p.Groups)),
 		winData:      make([]*levelWindow, p.K),
 		tables:       make([]vertexTable, p.K),
 		pathPinned:   make(map[storage.PageID]int),
@@ -406,17 +400,15 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 	}
 	r.matchers.New = r.allocMatcher
 	for g := range r.cand {
-		r.cand[g] = make([]candSeq, p.K)
-		r.candBuf[g] = make([][]graph.VertexID, p.K)
-		f := p.Groups[g].Forest
-		for l := 0; l < p.K; l++ {
-			if f.Parent[l] < 0 {
-				r.cand[g][l] = candSeq{full: true} // roots start with every vertex
-			}
-		}
+		r.cand[g] = make([][]graph.VertexID, p.K)
 	}
 	return r
 }
+
+// root reports whether group g's node at level l is a forest root, whose
+// candidates are every vertex (Algorithm 1 line 6): in a window, its ID range.
+// The run stores candidates for the other nodes alone.
+func (r *run) root(g, l int) bool { return r.p.Groups[g].Forest.Parent[l] < 0 }
 
 // ensureSpanBudget raises every level's frame budget to maxSpan, the
 // largest adjacency-list span (windows load whole vertices, so a level must
@@ -469,15 +461,13 @@ type run struct {
 	winBudget []int
 
 	// cand[g][l] is the candidate vertex sequence of group g's node at
-	// level l, valid while its parent's current window is set.
-	cand [][]candSeq
+	// level l when that node is no forest root (root): computed into its own
+	// memory by each window of its parent's level (computeChildCandidates)
+	// and truncated when that window is done (clearChildCandidates).
+	cand [][][]graph.VertexID
 	// set is the scratch the candidate sequences are unioned through
 	// (candSet).
 	set vertexSet
-	// candBuf[g][l] is the memory cand[g][l]'s list is drained into when a
-	// window of its parent's level computes it (computeChildCandidates), and
-	// handed back when that window is done (clearChildCandidates).
-	candBuf [][][]graph.VertexID
 	// winData[l] describes the currently loaded window at level l.
 	winData []*levelWindow
 	// tables[l] is the memory level l's window builds its vertex table in,
@@ -573,19 +563,3 @@ func (r *run) firstErr() error {
 	}
 	return nil
 }
-
-// candSeq is a candidate vertex sequence: either the full vertex range or an
-// explicit sorted list.
-type candSeq struct {
-	full bool
-	list []graph.VertexID
-}
-
-func (c candSeq) slice(all []graph.VertexID) []graph.VertexID {
-	if c.full {
-		return all
-	}
-	return c.list
-}
-
-func (c candSeq) empty() bool { return !c.full && len(c.list) == 0 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"testing"
 	"time"
 
@@ -173,9 +172,22 @@ func TestMergedCandidatesOrdering(t *testing.T) {
 			t.Fatal("P(v) not monotone")
 		}
 	}
-	sortCheck := sort.SliceIsSorted(e.all, func(i, j int) bool { return e.all[i] < e.all[j] })
-	if !sortCheck {
-		t.Fatal("all-vertices slice not sorted")
+	// The level-1 candidates, every vertex, are cut into windows that ascend
+	// in vertex and page, back to back.
+	s, err := e.NewSweep(SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	next, page := graph.VertexID(0), storage.PageID(0)
+	for _, b := range s.bounds {
+		if b.lo != next || b.hi < b.lo || b.first < page || b.last < b.first {
+			t.Fatalf("level-1 windows %v: %v does not follow vertex %d, page %d", s.bounds, b, next, page)
+		}
+		next, page = b.hi+1, b.last
+	}
+	if len(s.bounds) < 2 || int(next) != db.NumVertices() {
+		t.Fatalf("level-1 windows %v do not cut [0, %d)", s.bounds, db.NumVertices())
 	}
 }
 

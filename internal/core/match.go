@@ -291,19 +291,23 @@ func (r *run) extMapVertex(e sideEntry, lw *levelWindow) {
 	m.flush()
 }
 
-// seek places every group's cursor at the first of its pass candidates not
-// below v, the first vertex the task roots.
+// seek places every group's cursor at the first of its pass candidates — the
+// level's candidate sequence — not below v, the first vertex the task roots.
 func (m *matcher) seek(v graph.VertexID) {
 	for g := range m.cursor {
-		m.cursor[g], _ = slices.BinarySearch(m.lw.verts[g], v)
+		m.cursor[g], _ = slices.BinarySearch(m.r.cand[g][m.r.k-1], v)
 	}
 }
 
-// inGroup reports whether v is one of group g's pass candidates, moving the
-// group's cursor forward to it: a task roots its records in ascending vertex
-// order from where seek placed the cursors, so no call searches.
+// inGroup reports whether v is one of group g's pass candidates — every
+// vertex is a root's — moving the group's cursor forward to it: a task roots
+// its records in ascending vertex order from where seek placed the cursors,
+// so no call searches.
 func (m *matcher) inGroup(g int, v graph.VertexID) bool {
-	verts, c := m.lw.verts[g], m.cursor[g]
+	if m.r.root(g, m.r.k-1) {
+		return true
+	}
+	verts, c := m.r.cand[g][m.r.k-1], m.cursor[g]
 	for c < len(verts) && verts[c] < v {
 		c++
 	}
@@ -371,12 +375,20 @@ func (r *run) extDescend(m *matcher, level int) {
 		}
 		lists = append(lists, m.clipPos(p, lo, hi))
 	}
-	// With no assigned neighbor the node's whole current window is scanned.
-	if len(lists) == 0 || !r.cand[m.g][level].full {
+	if !r.root(m.g, level) {
 		lists = append(lists, clip(wd.verts[m.g], lo, hi))
+	} else if len(lists) == 0 {
+		// A root no assigned position is connected to: every vertex of the
+		// interval qualifies.
+		for v := lo; v <= hi; v++ {
+			m.assign(pos, graph.VertexID(v))
+			r.extDescend(m, level-1)
+			m.unassign(pos)
+		}
+		return
 	}
-	cands := m.arena.IntersectK(level, lists) // a single list is returned as it is
-	for _, v := range cands {
+	// A single list is returned as it is.
+	for _, v := range m.arena.IntersectK(level, lists) {
 		m.assign(pos, v)
 		r.extDescend(m, level-1)
 		m.unassign(pos)
@@ -401,13 +413,13 @@ func (m *matcher) unassign(pos int) {
 const minStealSpan = 2
 
 // internalEnumerate finds internal subgraphs: red matches entirely inside
-// the level-0 window (Algorithm 1's INTSUBGRAPHMAPPING). verts is this
-// task's chunk of first-level candidates. While iterating, the task
+// the level-0 window (Algorithm 1's INTSUBGRAPHMAPPING). The vertices lo..hi−1
+// are this task's chunk of first-level candidates. While iterating, the task
 // participates in bounded work-stealing: whenever the pool's queue drains
 // and a worker sits idle, the task splits off the second half of its
 // remaining range as a new task, so one skewed high-degree candidate region
 // cannot stall the window on a single worker.
-func (r *run) internalEnumerate(g int, verts []graph.VertexID, lw *levelWindow) {
+func (r *run) internalEnumerate(g int, lo, hi graph.VertexID, lw *levelWindow) {
 	if r.firstErr() != nil {
 		return
 	}
@@ -415,22 +427,19 @@ func (r *run) internalEnumerate(g int, verts []graph.VertexID, lw *levelWindow) 
 	m.g = g
 	pos0 := r.p.MatchingOrder[0]
 	done := r.ctx.Done()
-	for i := 0; i < len(verts); i++ {
+	for v := lo; v < hi; v++ {
 		if canceled(done) {
 			break // cancellation: abandon the rest of the chunk
 		}
-		if len(verts)-i >= minStealSpan && r.workers.hungry() {
-			mid := i + (len(verts)-i)/2
-			if mid > i {
-				rest := verts[mid:]
-				if r.workers.trySubmit(func() { r.internalEnumerate(g, rest, lw) }) {
-					r.em.stealSplits.Inc()
-					r.scope.StealSplits.Add(1)
-					verts = verts[:mid]
-				}
+		if hi-v >= minStealSpan && r.workers.hungry() {
+			mid, end := v+(hi-v)/2, hi
+			if r.workers.trySubmit(func() { r.internalEnumerate(g, mid, end, lw) }) {
+				r.em.stealSplits.Inc()
+				r.scope.StealSplits.Add(1)
+				hi = mid
 			}
 		}
-		m.pos2v[pos0] = verts[i]
+		m.pos2v[pos0] = v
 		m.posMask, m.adjMask = 1<<uint(pos0), 0
 		r.intDescend(m, 1)
 	}
@@ -466,14 +475,17 @@ func (r *run) intDescend(m *matcher, level int) {
 		// every input, so clipping each list clips the result.
 		lists = append(lists, m.clipPos(p, lo, hi))
 	}
-	// With no assigned neighbor the whole internal window is scanned.
-	var cands []graph.VertexID
-	if len(lists) > 0 {
-		cands = m.arena.IntersectK(level, lists)
-	} else {
-		cands = clip(m.lw.verts[m.g], lo, hi)
+	if len(lists) == 0 {
+		// A root no assigned position is connected to: every vertex of the
+		// interval qualifies.
+		for v := lo; v <= hi; v++ {
+			m.assign(pos, graph.VertexID(v))
+			r.intDescend(m, level+1)
+			m.unassign(pos)
+		}
+		return
 	}
-	for _, v := range cands {
+	for _, v := range m.arena.IntersectK(level, lists) {
 		m.assign(pos, v)
 		r.intDescend(m, level+1)
 		m.unassign(pos)

@@ -73,6 +73,16 @@ func TestEngineHighSkewGraph(t *testing.T) {
 	pin(t, pinned(gen.PlantedHubs(150, 2, 120, 58), graph.Clique4(), 128, 4, 40), "multi-window")
 }
 
+// TestEngineRootPassOverHubs: under MVC q2's two red vertices are not
+// adjacent, so its last level is a forest root as well as its first: every
+// pass streams every page, its multi-page vertices (the hubs, a dozen pages
+// each) read off the page-first array.
+func TestEngineRootPassOverHubs(t *testing.T) {
+	d := pinned(gen.PlantedHubs(150, 2, 120, 58), graph.Square(), 64, 2, 40)
+	d.cover = rbi.MVC
+	pin(t, d, "multi-window")
+}
+
 func TestEngineBipartiteNoOddQueries(t *testing.T) {
 	pin(t, pinned(gen.Bipartite(20, 20, 300, 1), graph.Square(), 256, 2, 32))
 }

@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dualsim/internal/gen"
 	"dualsim/internal/graph"
+	"dualsim/internal/plan"
+	"dualsim/internal/rbi"
 )
 
 // scheduleKey names one golden run: query, base-file encoding, and buffer
@@ -205,6 +208,44 @@ func TestWindowScheduleGolden(t *testing.T) {
 					t.Errorf("%+v resumed: internal/external %v, golden %v", k, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestRootWindowSchedule pins the windows of a middle level that a forest
+// root makes the whole vertex range: q2 with every vertex red, whose second
+// and third levels are roots of some groups and children in others. Those
+// windows are cut from the page-first array, the pages the outer windows
+// pin taking none of the budget; the windows per level and the page requests
+// were recorded on the commit whose iterator walked every vertex.
+func TestRootWindowSchedule(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(23)), 400, 2400)
+	p, err := plan.Prepare(graph.Square(), plan.Options{CoverMode: rbi.AllRed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pageSize int
+		compress bool
+		perLevel string
+		requests uint64
+	}{
+		{256, false, "[6 93 1035 1035]", 73313},
+		{128, true, "[6 93 1104 1104]", 68599},
+	} {
+		db := buildDBOpts(t, g, c.pageSize, c.compress)
+		e, err := NewEngine(db, Options{Threads: 2, BufferFrames: db.NumPages() / 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: p})
+		e.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.WindowsPerLevel); got != c.perLevel || res.IO.LogicalReads != c.requests || res.Count != graph.CountOccurrences(g, graph.Square()) {
+			t.Errorf("page=%d compress=%v: windows %s, %d requests, count %d; recorded %s, %d requests",
+				c.pageSize, c.compress, got, res.IO.LogicalReads, res.Count, c.perLevel, c.requests)
 		}
 	}
 }

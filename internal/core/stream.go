@@ -20,29 +20,42 @@ import (
 // matched by its own task as it lands and unpinned when that task ends, with
 // at most the level's frame budget pinned at any moment.
 
-// streamLevel runs the last level under the current windows of all earlier
-// levels: one streamed pass over the merged candidate sequence (Algorithm 2's
-// last iteration with EXTVERTEXMAPPING as the page callback). It counts and
-// traces as one window of the level.
-func (r *run) streamLevel() error {
+// streamPass runs the last level under the current windows of all earlier
+// levels: one streamed pass over the merged candidate sequence, or over every
+// vertex when some group's node there is a forest root (Algorithm 2's last
+// iteration with EXTVERTEXMAPPING as the page callback). It counts and traces
+// as one window of the level. A read error has already outlived the read
+// path's retry budget (Options.Retry) and fails the run: on failure
+// everything the pass issued has landed, every task it queued has ended and
+// nothing stays pinned.
+func (r *run) streamPass() error {
 	l := r.k - 1
-	merged := r.mergedCandidates(l)
+	merged, full := r.mergedCandidates(l)
+	b := windowBounds{n: len(merged)}
+	if full {
+		b.n, b.hi = r.e.db.NumVertices(), graph.VertexID(r.e.db.NumVertices()-1)
+	} else if b.n > 0 {
+		b.lo, b.hi = merged[0], merged[b.n-1]
+	}
 	defer r.openLevel(l)()
 	if err := r.gate(); err != nil {
 		return err
 	}
 	ord := r.windowsPer[l] + 1
-	r.openWindow(l, ord, merged)
-	lw, err := r.streamPass(l, ord, merged)
+	r.openWindow(l, ord, b)
+	s := &stream{r: r, lw: &levelWindow{}, free: r.winBudget[l]}
+	s.plan(merged, full)
+	err := s.run()
+	r.bookLoad(l, ord, len(s.lw.pages), s.wait)
 	if err != nil {
 		return err
 	}
 	r.countWindow(l)
 	if r.tracer != nil {
-		r.emit(obs.Event{Event: "external_enum", Level: l + 1, Window: ord, Verts: len(merged),
+		r.emit(obs.Event{Event: "external_enum", Level: l + 1, Window: ord, Verts: b.n,
 			DurUS: time.Since(r.winStart[l]).Microseconds(), Span: r.winSpan[l]})
 	}
-	r.settleWindowCounts(lw)
+	r.settleWindowCounts(s.lw)
 	r.closeWindow(l, ord)
 	return r.firstErr()
 }
@@ -53,7 +66,7 @@ func (r *run) streamLevel() error {
 // no lock and no atomic.
 type stream struct {
 	r  *run
-	lw *levelWindow // the pass: per-group candidates, page list, tallies
+	lw *levelWindow // the pass: page list, index and tallies
 	// spans are the multi-page candidates, ascending. No single record holds
 	// such a vertex's list, so its pages stay pinned until the last chunk has
 	// landed; then it is rooted once, from the concatenation.
@@ -94,40 +107,36 @@ type streamEvent struct {
 	task func()
 }
 
-// streamPass is the pass over merged. A read error has already outlived the
-// read path's retry budget (Options.Retry) and fails the run: on failure
-// everything the pass issued has landed, every task it queued has ended and
-// nothing stays pinned.
-func (r *run) streamPass(l, ord int, merged []graph.VertexID) (*levelWindow, error) {
-	lw := &levelWindow{verts: make([][]graph.VertexID, len(r.p.Groups))}
-	for g := range r.p.Groups {
-		lw.verts[g] = r.cand[g][l].slice(r.e.all)
-	}
-	s := &stream{r: r, lw: lw, free: r.winBudget[l]}
-	s.plan(merged)
-	err := s.run()
-	r.bookLoad(l, ord, len(lw.pages), s.wait)
-	if err != nil {
-		return nil, err
-	}
-	return lw, nil
-}
-
 // budgeted reports whether page o counts against the level's budget: a page
 // some outer window path-pins is resident anyway and takes no frame.
 func (s *stream) budgeted(o int) bool { return s.r.pathPinned[s.lw.pages[o]] == 0 }
 
 // plan lists the pass's pages and its multi-page candidates, located by one
-// cursor over the page-first array.
-func (s *stream) plan(merged []graph.VertexID) {
-	lw := s.lw
-	lw.pages = s.r.pageList(merged)
-	cur := s.r.e.pages.Cursor()
-	for _, v := range merged {
-		if first, last := cur.Span(v); first < last {
-			o, _ := slices.BinarySearch(lw.pages, first)
-			s.spans = append(s.spans, streamSpan{v: v, first: o, last: o + int(last-first), missing: int(last-first) + 1})
+// cursor over the page-first array: in one walk of merged's vertices, or,
+// when full, of the vertices that begin a page. Every page begins with one,
+// and so does a continuation page of every multi-page vertex; a vertex's
+// other continuation pages are skipped.
+func (s *stream) plan(merged []graph.VertexID, full bool) {
+	lw, f := s.lw, s.r.e.pages
+	cur := f.Cursor()
+	var next storage.PageID
+	add := func(v graph.VertexID) storage.PageID {
+		first, last := cur.Span(v)
+		for p := max(first, next); p <= last; p++ {
+			lw.pages = append(lw.pages, p)
 		}
+		if next = max(next, last+1); first < last {
+			o := len(lw.pages) - 1 // last's ordinal
+			s.spans = append(s.spans, streamSpan{v: v, first: o - int(last-first), last: o, missing: int(last-first) + 1})
+		}
+		return last
+	}
+	for _, v := range merged {
+		add(v)
+	}
+	for p := storage.PageID(0); full && int(p) < len(f); p++ {
+		v, _ := f.First(p)
+		p = add(v)
 	}
 	lw.loaded = make([]windowPage, len(lw.pages))
 	s.holds = make([]int32, len(lw.pages))
@@ -223,10 +232,9 @@ func (s *stream) onPage(pid storage.PageID, page *storage.Page, err error) {
 	wp := &lw.loaded[o]
 	if err == nil {
 		wp.page = page
-		r.indexPage(wp)
-	} else {
-		r.fail(err)
+		err = r.indexPage(wp)
 	}
+	r.fail(err)
 	s.events <- streamEvent{ord: o, ok: err == nil}
 	if err != nil {
 		return

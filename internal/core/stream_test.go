@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -225,6 +229,45 @@ func TestStreamFaultMidPass(t *testing.T) {
 		res, err := e.Run(q)
 		if err != nil || res.Count != want {
 			t.Errorf("after healing: count %d, err %v; want %d", res.Count, err, want)
+		}
+	})
+
+	t.Run("renamed", func(t *testing.T) {
+		// The same page's records renamed one vertex up under a rewritten
+		// checksum: the pass that reads it first fails the run naming it,
+		// before the first level-1 window closes, with nothing left pinned.
+		img, err := os.ReadFile(db.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg := img[db.PageSize()*(int(target)+1) : db.PageSize()*(int(target)+2)]
+		for i := range int(binary.LittleEndian.Uint16(pg[4:])) {
+			off := binary.LittleEndian.Uint16(pg[len(pg)-4*(i+1):])
+			binary.LittleEndian.PutUint32(pg[off:], binary.LittleEndian.Uint32(pg[off:])+1)
+		}
+		binary.LittleEndian.PutUint32(pg[8:], 0) // the checksum covers the page with its own field zeroed
+		binary.LittleEndian.PutUint32(pg[8:], crc32.ChecksumIEEE(pg))
+		path := filepath.Join(t.TempDir(), "renamed.db")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bad, err := storage.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bad.Close()
+		e, err := NewEngine(bad, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		windows := 0
+		_, err = e.RunSpecContext(context.Background(), RunSpec{Plan: mustPlan(t, q), OnCheckpoint: func(Checkpoint) { windows++ }})
+		if ce, ok := storage.IsCorrupt(err); !ok || ce.Page != target || storage.IsTransient(err) || windows > 0 {
+			t.Fatalf("run error %v after %d level-1 windows, want a permanent corruption of page %d in the first", err, windows, target)
+		}
+		if n := e.PinnedFrames(); n != 0 {
+			t.Errorf("%d frames still pinned after a failed pass", n)
 		}
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dualsim/internal/buffer"
-	"dualsim/internal/graph"
 	"dualsim/internal/obs"
 	"dualsim/internal/plan"
 )
@@ -44,10 +43,6 @@ import (
 // leave a rider whose seats are all taken by plans as deep (cohortBudget).
 // Callers fall back to a solo engine; nothing about the query is wrong.
 var ErrRiderNotEligible = errors.New("core: query not eligible for the shared sweep; run it solo")
-
-// windowBounds is one level-1 window of the sweep's partition: vertex
-// indices [lo, hi) into the ascending full range.
-type windowBounds struct{ lo, hi int }
 
 // SweepOptions configures Engine.NewSweep.
 type SweepOptions struct {
@@ -86,9 +81,9 @@ var scanOnly = &plan.Plan{K: 1}
 // Close are not concurrently safe. Riders process delivered windows from
 // their own goroutines.
 type Sweep struct {
-	r       *run // the sweep's run; r.e is the engine
-	bounds  []windowBounds
-	ordBase int // level-1 windows completed before bounds[0] (resume)
+	r       *run           // the sweep's run; r.e is the engine
+	bounds  []windowBounds // the partition: the vertex range and page run of each window
+	ordBase int            // level-1 windows completed before bounds[0] (resume)
 
 	// budget deals the frames below level 1 among riders, the cohort's riders
 	// on board in boarding order (both zero on a solo run's sweep of one, whose
@@ -213,15 +208,15 @@ func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 }
 
 // newSweep builds the sweep whose loads run on r, partitioning the vertex
-// range from index start against r's level-1 window budget: the window
-// iterator with an empty path-pin set is the partition. The caller holds
-// the engine's run guard. r's scope becomes the pool's attribution sink
-// until release.
+// range from vertex start against r's level-1 window budget: the window
+// iterator over the full range with an empty path-pin set is the partition,
+// kept as each window's vertices and page run. The caller holds the engine's
+// run guard. r's scope becomes the pool's attribution sink until release.
 func (e *Engine) newSweep(r *run, start int) (*Sweep, error) {
 	s := &Sweep{r: r, ordBase: r.windowsPer[0]}
-	it := windowIterator{r: r, merged: e.all, cur: e.pages.Cursor(), start: start}
+	it := windowIterator{r: r, full: true, cur: e.pages.Cursor(), start: start}
 	for it.next() {
-		s.bounds = append(s.bounds, windowBounds{lo: it.curLo, hi: it.curHi})
+		s.bounds = append(s.bounds, it.windowBounds)
 	}
 	if err := r.firstErr(); err != nil {
 		return nil, err
@@ -241,7 +236,6 @@ type SweepWindow struct {
 	lw    *levelWindow
 	index int
 	ord   int // 1-based trace ordinal
-	verts []graph.VertexID
 }
 
 // Index returns the window's partition index.
@@ -268,9 +262,9 @@ func (s *Sweep) Load(ctx context.Context, idx, _ int) (*SweepWindow, error) {
 	}
 	s.deal()
 	b := s.bounds[idx]
-	w := &SweepWindow{index: idx, ord: s.ordBase + idx + 1, verts: r.e.all[b.lo:b.hi]}
-	r.openWindow(0, w.ord, w.verts)
-	lw, err := r.loadWindow(0, w.verts, w.ord)
+	w := &SweepWindow{index: idx, ord: s.ordBase + idx + 1}
+	r.openWindow(0, w.ord, b)
+	lw, err := r.loadWindow(0, w.ord, b.lo, b.hi, pageRun(b.first, b.last))
 	if err != nil {
 		return nil, err
 	}
@@ -429,21 +423,18 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 	if rd.joinIndex < 0 {
 		rd.joinIndex = w.index
 	}
-	// Rider-local view: the shared read-only index, own group membership,
-	// own window-local tallies. It is never unloaded — the sweep owns the
-	// buffer pins.
+	// Rider-local view: the shared read-only index, own window-local
+	// tallies. Every group's level-1 node is a root, whose candidates are the
+	// window's range: no group lists any. It is never unloaded — the sweep
+	// owns the buffer pins.
 	src := w.lw
 	lw := &levelWindow{
-		verts:  make([][]graph.VertexID, len(r.p.Groups)),
 		lo:     src.lo,
 		hi:     src.hi,
 		pages:  src.pages,
 		loaded: src.loaded,
 		tab:    src.tab,
 		side:   src.side,
-	}
-	for g := range r.p.Groups {
-		lw.verts[g] = sliceRange(r.cand[g][0].slice(r.e.all), lw.lo, lw.hi)
 	}
 	// Path-pin accounting: deep-level windows treat the level-1 pages as
 	// free budget. (On a sweep of one the loader counted them on this same
@@ -465,14 +456,14 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 	// consumption. A solo rider's window was opened and read by its own run.
 	ord, shared := r.windowsPer[0]+1, r != rd.s.r
 	if shared {
-		r.openWindow(0, ord, w.verts)
+		r.openWindow(0, ord, rd.s.bounds[w.index])
 		r.scope.SharedPages.Add(uint64(len(lw.pages)))
 	}
 	r.countWindow(0)
 	r.em.windowsLevel1.Inc()
 	r.scope.WindowsLevel1.Add(1)
 
-	if r.k == 1 || len(w.verts) == len(r.e.all) {
+	if r.k == 1 || rd.s.bounds[w.index].n == r.e.db.NumVertices() {
 		// The whole window is the internal area — a single-level plan, or a
 		// window spanning the entire vertex range, outside of which no red
 		// vertex can lie: nothing is external, so no deeper level is visited.
@@ -513,7 +504,7 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 		// pool is drained, counts are merged, and the consumed prefix is
 		// exactly what a solo run from the sweep's start would have
 		// completed. This boundary is the run's recovery point.
-		r.emitCheckpoint(rd.s.bounds[w.index].hi)
+		r.emitCheckpoint(int(rd.s.bounds[w.index].hi) + 1)
 	}
 	return nil
 }

@@ -30,9 +30,11 @@ import (
 // streams through, of which only a budget's worth is loaded at any moment
 // and each is read by its own task alone.
 type levelWindow struct {
-	// verts[g] is group g's current vertex window (sorted): the slice of
-	// its candidate sequence falling inside the merged window (all of it, in
-	// a pass).
+	// verts[g] is group g's current vertex window (sorted) when its node is
+	// no forest root: the slice of its candidate sequence falling inside the
+	// merged window. A root's is the window's ID range lo..hi itself, listed
+	// nowhere. A pass has none: its candidates are the level's whole
+	// sequences (matcher.inGroup), a root's every vertex.
 	verts [][]graph.VertexID
 	// lo..hi is the merged window's vertex ID range (unset in a pass, which
 	// nothing descends from).
@@ -210,14 +212,15 @@ func (wp *windowPage) list(i int) (adj []graph.VertexID, split int, ok bool) {
 // A middle level iterates merged windows nested inside the current windows
 // of all earlier levels, computing the next level's candidates from each;
 // the last level is not chopped into windows at all — it streams, one pass
-// per window of the level above (streamLevel). Level 1 is not iterated
+// per window of the level above (streamPass). Level 1 is not iterated
 // here: its windows arrive pinned from the run's Sweep (Algorithm 1 lines
 // 7-16 are Sweep.Load, Rider.ProcessWindow and Sweep.Release).
 func (r *run) processLevel(l int) error {
 	if l == r.k-1 {
-		return r.streamLevel()
+		return r.streamPass()
 	}
-	iter := windowIterator{r: r, level: l, merged: r.mergedCandidates(l), cur: r.e.pages.Cursor()}
+	merged, full := r.mergedCandidates(l)
+	iter := windowIterator{r: r, level: l, merged: merged, full: full, cur: r.e.pages.Cursor()}
 	defer r.openLevel(l)()
 	for iter.next() {
 		// Cancellation gate: every window iteration at every level checks
@@ -226,10 +229,9 @@ func (r *run) processLevel(l int) error {
 		if err := r.gate(); err != nil {
 			return err
 		}
-		verts := iter.windowVerts()
 		ord := r.windowsPer[l] + 1 // 1-based window ordinal at this level
-		r.openWindow(l, ord, verts)
-		lw, err := r.loadWindow(l, verts, ord)
+		r.openWindow(l, ord, iter.windowBounds)
+		lw, err := r.loadWindow(l, ord, iter.lo, iter.hi, iter.pages)
 		if err != nil {
 			return err
 		}
@@ -278,20 +280,13 @@ func (r *run) openLevel(l int) func() {
 	}
 }
 
-// openWindow mints the span of level l's window ord and traces window_open;
-// closeWindow traces the matching window_close.
-func (r *run) openWindow(l, ord int, verts []graph.VertexID) {
+// openWindow mints the span of level l's window ord, b, and traces
+// window_open; closeWindow traces the matching window_close.
+func (r *run) openWindow(l, ord int, b windowBounds) {
 	r.winSpan[l] = r.scope.NextSpanID()
 	r.winStart[l] = time.Now()
-	if r.tracer == nil {
-		return
-	}
-	ev := obs.Event{Event: "window_open", Level: l + 1, Window: ord, Verts: len(verts),
-		Span: r.winSpan[l], Parent: r.levelSpan[l]}
-	if len(verts) > 0 {
-		ev.Lo, ev.Hi = uint64(verts[0]), uint64(verts[len(verts)-1])
-	}
-	r.emit(ev)
+	r.emit(obs.Event{Event: "window_open", Level: l + 1, Window: ord, Verts: b.n, Lo: uint64(b.lo), Hi: uint64(b.hi),
+		Span: r.winSpan[l], Parent: r.levelSpan[l]})
 }
 
 func (r *run) closeWindow(l, ord int) {
@@ -324,8 +319,8 @@ func (r *run) settleWindowCounts(lw *levelWindow) {
 }
 
 // emitCheckpoint delivers the current frontier to the run's checkpoint
-// callback (orchestrator goroutine only; cursor is the level-1 candidate
-// index the next window starts at).
+// callback (orchestrator goroutine only; cursor is the vertex ID the next
+// level-1 window starts at).
 func (r *run) emitCheckpoint(cursor int) {
 	if r.onCheckpoint == nil {
 		return
@@ -342,30 +337,28 @@ func (r *run) emitCheckpoint(cursor int) {
 }
 
 // mergedCandidates returns the merged candidate vertex sequence for level l:
-// the sorted union of every group's candidate sequence, taken through the
-// run's scratch set when more than one group has any.
-func (r *run) mergedCandidates(l int) []graph.VertexID {
+// every vertex (full) when some group's node there is a forest root, else
+// the sorted union of every group's candidate sequence — the one list
+// itself when only one group has any, else taken through the run's scratch
+// set (which computeChildCandidates has made by then).
+func (r *run) mergedCandidates(l int) (merged []graph.VertexID, full bool) {
 	var lists [][]graph.VertexID
 	for g := range r.cand {
-		c := r.cand[g][l]
-		if c.full {
-			return r.e.all
+		if r.root(g, l) {
+			return nil, true
 		}
-		if len(c.list) > 0 {
-			lists = append(lists, c.list)
+		if c := r.cand[g][l]; len(c) > 0 {
+			lists = append(lists, c)
 		}
 	}
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
+	if len(lists) == 1 {
+		return lists[0], false
 	}
 	set := r.candSet()
 	for _, list := range lists {
 		set.add(list)
 	}
-	return set.drain(nil)
+	return set.drain(nil), false
 }
 
 // vertexSet is the run's scratch set over the vertex IDs, one bit each: the
@@ -389,7 +382,7 @@ func newVertexSet(n int) vertexSet {
 // candSet returns the run's scratch set, empty, made on first use.
 func (r *run) candSet() *vertexSet {
 	if r.set.words == nil {
-		r.set = newVertexSet(len(r.e.all))
+		r.set = newVertexSet(r.e.db.NumVertices())
 	}
 	return &r.set
 }
@@ -428,61 +421,121 @@ func (s *vertexSet) drain(dst []graph.VertexID) []graph.VertexID {
 	return out
 }
 
-// windowIterator chops a merged candidate sequence into consecutive windows
-// whose un-pinned page footprint fits the level's frame budget. Pages
-// already pinned by outer windows do not consume budget, so windows are
-// variably sized, exactly as in Section 5.1.
+// windowIterator chops a level's merged candidates into consecutive
+// windows whose un-pinned page footprint fits the level's frame budget.
+// Pages already pinned by outer windows do not consume budget, so windows
+// are variably sized, exactly as in Section 5.1. The candidates are a list,
+// or every vertex (full), which is cut from the page-first array without a
+// look at the vertices in between (nextRange).
 type windowIterator struct {
 	r      *run
 	level  int
-	merged []graph.VertexID
-	cur    storage.PageCursor // walks the page-first array in step with merged
-	start  int
-	curLo  int
-	curHi  int // window is merged[curLo:curHi]
+	merged []graph.VertexID   // the candidates, unless full
+	full   bool               // the candidates are every vertex
+	cur    storage.PageCursor // walks the page-first array in step with the windows
+	// start is where the next window starts: an index into merged, or a
+	// vertex ID when full.
+	start int
+	// The current window, and its pages, ascending.
+	windowBounds
+	pages []storage.PageID
+}
+
+// windowBounds is a window of n candidates from vertex lo to vertex hi; a
+// window of the full range lies on the pages first..last.
+type windowBounds struct {
+	n           int
+	lo, hi      graph.VertexID
+	first, last storage.PageID
 }
 
 func (it *windowIterator) next() bool {
+	if it.full {
+		return it.nextRange()
+	}
 	if it.start >= len(it.merged) {
 		return false
 	}
-	r := it.r
-	budget := r.winBudget[it.level]
 	// merged ascends and spans are monotone in the vertex ID, so the window's
-	// own page set is a count plus the first page not yet considered.
+	// own page set is the pages listed, ascending, with the first page not
+	// yet listed as the only state.
 	count := 0
 	var next storage.PageID
+	it.pages = nil
 	i := it.start
-	for i < len(it.merged) {
+	for ; i < len(it.merged); i++ {
 		v := it.merged[i]
 		first, last := it.cur.Span(v)
-		// Count pages this vertex adds beyond the path-pinned set and the
-		// window's own set.
-		added := 0
+		// List the pages this vertex adds to the window's own set, counting
+		// those outside the path-pinned set.
+		listed := len(it.pages)
 		for p := max(first, next); p <= last; p++ {
-			if r.pathPinned[p] == 0 {
-				added++
+			it.pages = append(it.pages, p)
+			if it.r.pathPinned[p] == 0 {
+				count++
 			}
 		}
-		if count+added > budget {
+		if count > it.r.winBudget[it.level] {
+			it.pages = it.pages[:listed]
 			if i == it.start {
-				r.fail(fmt.Errorf("core: vertex %d spans %d pages, exceeding the %d-frame budget of level %d; increase the buffer size",
-					v, last-first+1, budget, it.level+1))
-				return false
+				return it.tooWide(v, first, last)
 			}
 			break
 		}
-		count += added
 		next = max(next, last+1)
-		i++
 	}
-	it.curLo, it.curHi = it.start, i
+	it.windowBounds = windowBounds{n: i - it.start, lo: it.merged[it.start], hi: it.merged[i-1]}
 	it.start = i
 	return true
 }
 
-func (it *windowIterator) windowVerts() []graph.VertexID {
-	return it.merged[it.curLo:it.curHi]
+// nextRange cuts the next window of the full vertex range. From the first
+// page of the window's first vertex s, q is the first page at which the
+// un-pinned pages counted would exceed the budget. Every vertex below
+// First(q) ends before q and First(q) does not, whether or not q begins with
+// a continuation, so the window is s..First(q)−1 — what a walk of the
+// vertices would take — on the pages up to the last of First(q)−1; First(q)
+// = s is a vertex wider than the budget.
+func (it *windowIterator) nextRange() bool {
+	r, f := it.r, it.r.e.pages
+	s, end := graph.VertexID(it.start), graph.VertexID(r.e.db.NumVertices())
+	if s >= end {
+		return false
+	}
+	first, last := it.cur.Span(s)
+	for q, count := first, 0; int(q) < len(f); q++ {
+		if r.pathPinned[q] > 0 {
+			continue
+		}
+		if count++; count > r.winBudget[it.level] {
+			end, _ = f.First(q)
+			break
+		}
+	}
+	if end <= s {
+		return it.tooWide(s, first, last)
+	}
+	_, last = it.cur.Span(end - 1)
+	it.windowBounds = windowBounds{n: int(end - s), lo: s, hi: end - 1, first: first, last: last}
+	it.pages, it.start = pageRun(first, last), int(end)
+	return true
+}
+
+// tooWide fails the run on vertex v, whose list alone exceeds the level's
+// budget.
+func (it *windowIterator) tooWide(v graph.VertexID, first, last storage.PageID) bool {
+	it.r.fail(fmt.Errorf("core: vertex %d spans %d pages, exceeding the %d-frame budget of level %d; increase the buffer size",
+		v, last-first+1, it.r.winBudget[it.level], it.level+1))
+	return false
+}
+
+// pageRun lists the pages first..last.
+func pageRun(first, last storage.PageID) []storage.PageID {
+	pages := make([]storage.PageID, 0, last-first+1)
+	for p := first; p <= last; p++ {
+		pages = append(pages, p)
+	}
+	return pages
 }
 
 // loadWindow loads a window of a level above the last — deep levels from
@@ -491,36 +544,31 @@ func (it *windowIterator) windowVerts() []graph.VertexID {
 // callback its own ordinal, the run's overlay merged into the records it
 // touches, without a lock; then its vertex table and the side table of
 // multi-page vertices — and
-// splits the window per group. What callers differ in arrives as state of the
-// run it is called on: the error sink (run.err), the pinned overlay snapshot
-// and the memory of the level's vertex table. A read error here has already
-// outlived the read path's retry budget (Options.Retry) and fails the run; on
-// error the window is already unloaded.
-func (r *run) loadWindow(l int, verts []graph.VertexID, ord int) (*levelWindow, error) {
-	lw := &levelWindow{verts: make([][]graph.VertexID, len(r.p.Groups))}
-	if len(verts) > 0 {
-		lw.lo, lw.hi = verts[0], verts[len(verts)-1]
-	}
-	lw.pages = r.pageList(verts)
-	pages := lw.pages
-	lw.loaded = make([]windowPage, len(pages))
-
-	// Window membership per group: the intersection of the group's candidate
-	// sequence with the merged window range.
+// splits the window per group. The window is the vertices lo..hi on pages,
+// which ascend (windowIterator). What callers differ in arrives as state of
+// the run it is called on: the error sink (run.err), the pinned overlay
+// snapshot and the memory of the level's vertex table. A read error here has
+// already outlived the read path's retry budget (Options.Retry) and fails the
+// run; on error the window is already unloaded.
+func (r *run) loadWindow(l, ord int, lo, hi graph.VertexID, pages []storage.PageID) (*levelWindow, error) {
+	lw := &levelWindow{verts: make([][]graph.VertexID, len(r.p.Groups)), lo: lo, hi: hi,
+		pages: pages, loaded: make([]windowPage, len(pages))}
+	// Window membership per group: a root's is the window's range itself,
+	// any other node's the part of its candidate sequence inside it.
 	for g := range r.p.Groups {
-		lw.verts[g] = sliceRange(r.cand[g][l].slice(r.e.all), lw.lo, lw.hi)
+		if !r.root(g, l) {
+			lw.verts[g] = sliceRange(r.cand[g][l], lo, hi)
+		}
 	}
 
 	var wg sync.WaitGroup
 	onPage := func(pid storage.PageID, page *storage.Page, err error) {
-		if err != nil {
-			r.fail(err)
-			return
+		if err == nil {
+			o, _ := slices.BinarySearch(lw.pages, pid)
+			lw.loaded[o].page = page
+			err = r.indexPage(&lw.loaded[o])
 		}
-		o, _ := slices.BinarySearch(lw.pages, pid)
-		wp := &lw.loaded[o]
-		wp.page = page
-		r.indexPage(wp)
+		r.fail(err)
 	}
 	for _, pid := range pages {
 		r.pathPinned[pid]++
@@ -538,25 +586,6 @@ func (r *run) loadWindow(l int, verts []graph.VertexID, ord int) (*levelWindow, 
 	lw.tab = r.tables[l]
 	r.buildSide(lw)
 	return lw, nil
-}
-
-// pageList returns the pages holding the adjacency lists of verts: the union
-// of the vertex spans, located by one cursor over the page-first array.
-// verts ascend and spans are monotone in the vertex ID, so the list comes
-// out ascending (sequential issue order) with the first page not yet listed
-// as the only state.
-func (r *run) pageList(verts []graph.VertexID) []storage.PageID {
-	var pages []storage.PageID
-	var next storage.PageID
-	cur := r.e.pages.Cursor()
-	for _, v := range verts {
-		first, last := cur.Span(v)
-		for p := max(first, next); p <= last; p++ {
-			pages = append(pages, p)
-		}
-		next = max(next, last+1)
-	}
-	return pages
 }
 
 // issueRuns is the engine's one issuer of reads: it schedules pages, which
@@ -589,7 +618,9 @@ func (r *run) bookLoad(l, ord, pages int, wait time.Duration) {
 	}
 }
 
-// indexPage notes whether any of the page's records is a chunk of a
+// indexPage holds the page to the page-first array (a page whose records
+// were renamed under a valid checksum fails the run, its pin released with
+// its window's), notes whether any of its records is a chunk of a
 // multi-page vertex and fills wp.lists: (base ∪ adds) \ tombstones for every
 // complete record the run's overlay touches, in the vertex window or not —
 // descent-time lookups resolve any indexed vertex, and all of them must agree
@@ -599,8 +630,11 @@ func (r *run) bookLoad(l, ord, pages int, wait time.Duration) {
 // page is complete before any task can see it, and books the page's
 // compressed records and merged vertices. The merged lists are copies: like
 // every list taken from a page, the page's own are valid only while pinned.
-func (r *run) indexPage(wp *windowPage) {
+func (r *run) indexPage(wp *windowPage) error {
 	p := wp.page
+	if err := r.e.pages.CheckPage(p); err != nil {
+		return err
+	}
 	if crecs, cbytes := p.Compressed(); crecs > 0 {
 		r.em.compressedRecs.Add(uint64(crecs))
 		r.em.compressedBytes.Add(uint64(cbytes))
@@ -620,7 +654,7 @@ func (r *run) indexPage(wp *windowPage) {
 		}
 	}
 	if mutated == 0 {
-		return
+		return nil
 	}
 	r.em.overlayVertices.Add(mutated)
 	slab := make([]graph.VertexID, 0, total)
@@ -635,6 +669,7 @@ func (r *run) indexPage(wp *windowPage) {
 			wp.lists[i] = slotList{adj: merged, split: forwardSplit(merged, v), set: true}
 		}
 	}
+	return nil
 }
 
 // buildSide fills the window's side table in one ascending pass over the
@@ -696,68 +731,63 @@ func (r *run) unloadWindow(lw *levelWindow) {
 }
 
 // computeChildCandidates fills cand[g][child] for every child of each
-// group's node at level l from the group's current vertex window, applying
-// the total-order pruning of Lemma 1: if the child's position follows
-// (precedes) the parent's, only larger (smaller) neighbors qualify. The
-// qualifying neighbours are marked in the run's scratch set and read out
-// ascending: no sort, no duplicates to drop.
+// group's node at level l from the group's current vertex window (a root's:
+// the window's ID range), applying the total-order pruning of Lemma 1: if
+// the child's position follows (precedes) the parent's, only larger
+// (smaller) neighbors qualify. The qualifying neighbours are marked in the
+// run's scratch set and read out ascending into the child's own memory: no
+// sort, no duplicates to drop.
 func (r *run) computeChildCandidates(l int) {
 	lw := r.winData[l]
 	set := r.candSet()
 	for g, vg := range r.p.Groups {
-		for _, childLevel := range vg.Forest.Children[l] {
-			posParent := r.p.MatchingOrder[l]
-			posChild := r.p.MatchingOrder[childLevel]
-			for _, v := range lw.verts[g] {
-				adj, i, _ := lw.adjOf(v)
-				if posChild > posParent {
+		for _, child := range vg.Forest.Children[l] {
+			forward := r.p.MatchingOrder[child] > r.p.MatchingOrder[l]
+			add := func(v graph.VertexID) {
+				if adj, i, _ := lw.adjOf(v); forward {
 					set.add(adj[i:])
 				} else {
 					set.add(adj[:i])
 				}
 			}
-			out := set.drain(r.candBuf[g][childLevel])
-			r.em.candSize.Observe(int64(len(out)))
-			r.cand[g][childLevel] = candSeq{list: out}
+			if r.root(g, l) {
+				for v := lw.lo; v <= lw.hi; v++ {
+					add(v)
+				}
+			} else {
+				for _, v := range lw.verts[g] {
+					add(v)
+				}
+			}
+			r.cand[g][child] = set.drain(r.cand[g][child])
+			r.em.candSize.Observe(int64(len(r.cand[g][child])))
 		}
 	}
 }
 
-// clearChildCandidates resets the candidate sequences computed by
-// computeChildCandidates(l) and hands their memory back to the run, for the
-// next window's.
+// clearChildCandidates empties the candidate sequences computed by
+// computeChildCandidates(l), keeping their memory for the next window's.
 func (r *run) clearChildCandidates(l int) {
 	for g, vg := range r.p.Groups {
-		for _, childLevel := range vg.Forest.Children[l] {
-			r.candBuf[g][childLevel] = r.cand[g][childLevel].list[:0]
-			r.cand[g][childLevel] = candSeq{}
+		for _, child := range vg.Forest.Children[l] {
+			r.cand[g][child] = r.cand[g][child][:0]
 		}
 	}
 }
 
 // dispatchInternal schedules internal subgraph enumeration over the level-0
-// window, chunked so workers share it. Chunks are coarse — one per thread per
-// group — because running tasks re-split whenever the queue drains (see
-// internalEnumerate).
+// window — every group's level-1 node is a root, so its candidates are the
+// window's ID range — chunked so workers share it. Chunks are coarse — one
+// per thread per group — because running tasks re-split whenever the queue
+// drains (see internalEnumerate).
 func (r *run) dispatchInternal(lw *levelWindow) {
-	if r.tracer != nil {
-		verts := 0
-		for g := range r.p.Groups {
-			verts += len(lw.verts[g])
-		}
-		r.emit(obs.Event{Event: "internal_enum", Level: 1, Window: r.windowsPer[0], Verts: verts,
-			Span: r.winSpan[0]})
-	}
+	r.emit(obs.Event{Event: "internal_enum", Level: 1, Window: r.windowsPer[0], Verts: int(lw.hi-lw.lo+1) * len(r.p.Groups),
+		Span: r.winSpan[0]})
+	threads := graph.VertexID(r.e.opts.Threads)
+	size := (lw.hi - lw.lo + threads) / threads // ⌈window / threads⌉
 	for g := range r.p.Groups {
-		verts := lw.verts[g]
-		if len(verts) == 0 {
-			continue
-		}
-		chunks := min(r.e.opts.Threads, len(verts))
-		size := (len(verts) + chunks - 1) / chunks
-		for lo := 0; lo < len(verts); lo += size {
-			hi := min(lo+size, len(verts))
-			r.workers.submit(func() { r.internalEnumerate(g, verts[lo:hi], lw) })
+		for lo := lw.lo; lo <= lw.hi; lo += size {
+			r.workers.submit(func() { r.internalEnumerate(g, lo, min(lo+size, lw.hi+1), lw) })
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dualsim/internal/delta"
+	"dualsim/internal/gen"
 	"dualsim/internal/graph"
 )
 
@@ -211,6 +212,28 @@ func TestWindowReloadAllocs(t *testing.T) {
 		}
 		s.Close()
 		e.Close()
+	}
+}
+
+// TestNewEngineAllocs: an engine holds no per-vertex state. Opening one over
+// 2^16 vertices allocates its pool's frame bookkeeping and constants (about
+// 25 KB here), bounded by 256 B a frame, 16 B a page and 32 KB; an identity
+// array of every vertex ID would add 256 KB.
+func TestNewEngineAllocs(t *testing.T) {
+	db := buildDBOpts(t, gen.ChungLu(1<<16, 1<<17, 2.8, 1), 4096, false)
+	const frames = 64
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := NewEngine(db, Options{Threads: 1, BufferFrames: frames})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if bytes, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*frames+16*db.NumPages()+32<<10); bytes > limit {
+		t.Errorf("NewEngine allocated %d bytes for %d vertices on %d pages and %d frames, limit %d",
+			bytes, db.NumVertices(), db.NumPages(), frames, limit)
 	}
 }
 

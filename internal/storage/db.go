@@ -206,6 +206,20 @@ func (c *PageCursor) seek(v graph.VertexID) {
 	}
 }
 
+// CheckPage holds a parsed page's first record to the array: p must begin
+// with the vertex of its entry, as a continuation exactly when the entry says
+// so. A page that does not — records renamed under a valid checksum — is a
+// permanent CorruptPageError naming it. Every reader of the file applies it
+// to each page it reads: DB.load, and the engine as it indexes a page.
+func (f PageFirsts) CheckPage(p *Page) error {
+	v, cont := f.First(p.ID)
+	if c := p.Slots() > 0 && p.index[1]&metaContinuation != 0; p.Slots() == 0 || p.First() != v || c != cont {
+		return &CorruptPageError{Page: p.ID, Reason: fmt.Sprintf("page begins with vertex %d (continuation %t, %d records), the page array says %d (continuation %t)",
+			p.First(), c, p.Slots(), v, cont)}
+	}
+	return nil
+}
+
 // check holds the array to what Build writes and the superblock says: an
 // entry per page; page 0 begins with vertex 0, not a continuation; entries
 // never decrease and repeat only as a hub's continuation pages; every vertex
@@ -376,12 +390,7 @@ func (db *DB) load(read func(PageID, []byte) error, pid PageID, buf []byte, p *P
 	if err := ParsePageInto(p, buf, pid); err != nil {
 		return err
 	}
-	v, cont := db.pages.First(pid)
-	if c := p.Slots() > 0 && p.index[1]&metaContinuation != 0; p.Slots() == 0 || p.First() != v || c != cont {
-		return &CorruptPageError{Page: pid, Reason: fmt.Sprintf("page begins with vertex %d (continuation %t, %d records), the page array says %d (continuation %t)",
-			p.First(), c, p.Slots(), v, cont)}
-	}
-	return nil
+	return db.pages.CheckPage(p)
 }
 
 // scan reads and parses every page in order (load), each into one buffer and
@@ -520,7 +529,9 @@ type FileStats struct {
 	Records int
 	// SplitVertices counts vertices whose adjacency spans pages.
 	SplitVertices int
-	// CompressedRecs counts records stored delta-varint compressed.
+	// CompressedRecs counts the compressed records that carry a payload: an
+	// isolated vertex's empty record is left out even when its compressed
+	// flag is set (Page.Compressed).
 	CompressedRecs int
 	// AdjBytes is the on-disk adjacency payload: compressed records
 	// contribute their encoded size (skip table included), raw records 4

@@ -37,7 +37,7 @@ import (
 // content, not its directory): every reader that reads p must reject it as a
 // permanent *CorruptPageError naming p for the damage's reason.
 const (
-	bitflip   = "bitflip"   // one bit past the page ID flipped on p and, drawn, on a second page
+	bitflip   = "bitflip"   // one bit flipped on p and, drawn, on a second page
 	misdirect = "misdirect" // page q's valid image written over p
 	renamed   = "renamed"   // p's records renamed, checksum rewritten: not a dense run, or not the run the array says
 	truncated = "truncated" // the file cut short: Open refuses it
@@ -316,9 +316,16 @@ func (o *oracle) corrupt() string {
 	switch o.fault {
 	case bitflip:
 		o.reason = "checksum mismatch"
-		// Not the page ID: a mismatch is reported under the ID the header
-		// claims (ROADMAP item 14(d)).
-		flip := func(p int) { page(p)[4+rng.Intn(ps-4)] ^= 1 << rng.Intn(8) }
+		// Any bit, in the 4-byte page ID in half the draws: a mismatch names
+		// the page read, whichever page the damaged header claims.
+		flip := func(p int) {
+			at := rng.Intn(ps)
+			if rng.Intn(2) == 0 {
+				at = rng.Intn(4)
+				o.cov["bitflip:page ID"]++
+			}
+			page(p)[at] ^= 1 << rng.Intn(8)
+		}
 		flip(p)
 		if q := rng.Intn(np); q != p && rng.Intn(2) == 0 {
 			flip(q)
@@ -734,7 +741,7 @@ func TestStorageOracle(t *testing.T) {
 			"compress=true", "compress=false", "page=64", "page=4096", "reorder:full", "reorder:skip", "reorder:append",
 			"sort runs>=2", "base:build", "base:compact", "base:"+v2Fixtures[0], "base:"+v2Fixtures[1],
 			"fault:", "fault:"+bitflip, "fault:"+misdirect, "fault:"+renamed, "fault:"+truncated, "fault:"+firsts, "fault:"+edges,
-			"bitflip:2 pages", "reason:not a dense vertex-ID run", "reason:the page array says", "firsts:repeat",
+			"bitflip:2 pages", "bitflip:page ID", "reason:not a dense vertex-ID run", "reason:the page array says", "firsts:repeat",
 			"span>=3", "empty record", "full page", "skip table", "tamper accepted=true", "tamper accepted=false",
 			"truncated record", "tampered skip table", "compact: empty first record")
 	}

@@ -359,10 +359,14 @@ func (p *Page) parse(buf []byte, mode parseMode, want PageID) error {
 	}
 	p.ID = PageID(binary.LittleEndian.Uint32(buf[0:]))
 	stored := binary.LittleEndian.Uint32(buf[checksumOffset:])
-	if sum := pageChecksum(buf); sum != stored {
-		return &CorruptPageError{Page: p.ID, StoredCRC: stored, ComputedCRC: sum, Reason: "checksum mismatch"}
+	if want == InvalidPage { // not read from a file: the page is the one it claims
+		want = p.ID
 	}
-	if want != InvalidPage && p.ID != want {
+	// A damaged header may claim any page: a mismatch names the one asked for.
+	if sum := pageChecksum(buf); sum != stored {
+		return &CorruptPageError{Page: want, StoredCRC: stored, ComputedCRC: sum, Reason: "checksum mismatch"}
+	}
+	if p.ID != want {
 		return &CorruptPageError{Page: want, Reason: fmt.Sprintf("page claims ID %d", p.ID)}
 	}
 	nrec := int(binary.LittleEndian.Uint16(buf[4:]))
