@@ -58,7 +58,9 @@ fmt:
 # an attribution scope, so internal/core tests none for nil, and the pool and
 # retry counters are registry counters every engine settles into, so no
 # CounterFunc reads them off one engine's pool (nor off one scheduler's sweep
-# for the cohort family). And one engine generation per database file:
+# for the cohort family); what a query owns has one book, its scope: no engine
+# counter mirroring a scope field is touched outside internal/core/metrics.go,
+# and the pool keeps no atomic counter but evictions. And one engine generation per database file:
 # non-test internal/server builds engines at one call site (the generation's
 # constructor) and sleeps nowhere, so a compaction swaps a whole generation
 # and waits on its requests, never polls engines over one at a time. Last, a

@@ -244,8 +244,8 @@ func benchScale(b *testing.B, q *graph.Query, fraction float64) {
 			b.Fatal(err)
 		}
 		// A coalesced run of n pages is one device request.
-		pages += res.IO.PhysicalReads
-		requests += res.IO.PhysicalReads - res.IO.CoalescedPages + res.IO.CoalescedRuns
+		pages += res.Profile.PagesRead
+		requests += res.Profile.PagesRead - res.Profile.CoalescedPages + res.Profile.CoalescedRuns
 	}
 	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 	b.ReportMetric(float64(requests)/float64(b.N), "requests/op")

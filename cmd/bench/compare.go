@@ -70,7 +70,7 @@ func cmdCompare(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%-14s %12s  count=%d  (preprocess %v, %d page reads, %d-frame buffer)\n",
 		"DUALSIM", res.ExecTime.Round(time.Microsecond), res.Count, buildTime.Round(time.Millisecond),
-		res.IO.PhysicalReads, res.BufferFrames)
+		res.Profile.PagesRead, res.BufferFrames)
 
 	// Baselines run on the reordered in-memory graph.
 	g, err := db.LoadGraph()

@@ -430,8 +430,8 @@ func publicResult(res *core.Result) *Result {
 		External:      res.External,
 		PrepTime:      res.PrepTime,
 		ExecTime:      res.ExecTime,
-		PhysicalReads: res.IO.PhysicalReads,
-		LogicalReads:  res.IO.LogicalReads,
+		PhysicalReads: res.Profile.PagesRead,
+		LogicalReads:  res.Profile.LogicalReads,
 		BufferFrames:  res.BufferFrames,
 		Level1Windows: res.Level1Windows,
 		RedVertices:   res.Plan.K,

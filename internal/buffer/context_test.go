@@ -17,6 +17,7 @@ func TestPinContextPreCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	sc := attribute(p)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -26,8 +27,8 @@ func TestPinContextPreCanceled(t *testing.T) {
 	if p.PinnedCount() != 0 {
 		t.Fatalf("canceled pin left %d pinned frames", p.PinnedCount())
 	}
-	if st := p.Stats(); st.PhysicalReads != 0 {
-		t.Fatalf("canceled pin performed %d physical reads", st.PhysicalReads)
+	if st := sc.Profile(); st.PagesRead != 0 {
+		t.Fatalf("canceled pin performed %d physical reads", st.PagesRead)
 	}
 	// The pool stays usable.
 	if _, err := p.Pin(0); err != nil {
@@ -142,6 +143,7 @@ func TestAsyncReadContextCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	sc := attribute(p)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -168,8 +170,8 @@ func TestAsyncReadContextCanceled(t *testing.T) {
 	if p.PinnedCount() != 0 {
 		t.Fatalf("canceled async reads left %d pinned frames", p.PinnedCount())
 	}
-	if st := p.Stats(); st.PhysicalReads != 0 {
-		t.Fatalf("canceled async reads performed %d physical reads", st.PhysicalReads)
+	if st := sc.Profile(); st.PagesRead != 0 {
+		t.Fatalf("canceled async reads performed %d physical reads", st.PagesRead)
 	}
 }
 

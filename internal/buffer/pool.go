@@ -1,9 +1,9 @@
 // Package buffer implements the memory buffer manager used by the DUALSIM
 // engine: a fixed pool of page frames with pin/unpin semantics, an
 // asynchronous scheduler of coalesced page runs with completion callbacks
-// (the paper's AsyncRead), I/O statistics, and the buffer allocation
-// strategies from Section 5 (paper strategy and the equal split used by
-// OPT). Every read, synchronous or not, is served by serveRun.
+// (the paper's AsyncRead) counting into the installed query scope, and the
+// buffer allocation strategies from Section 5 (paper strategy and the equal
+// split used by OPT). Every read, synchronous or not, is served by serveRun.
 package buffer
 
 import (
@@ -37,9 +37,10 @@ type RunReader interface {
 // indicates a planning bug or a too-small buffer.
 var ErrNoFreeFrame = errors.New("buffer: all frames pinned")
 
-// DefaultMaxRun is the run-coalescing cap applied when Options.MaxRun is
-// zero: the page count one I/O request serves with a single simulated
-// seek.
+// DefaultMaxRun is the run-coalescing cap: the most pages one I/O request
+// serves with a single simulated seek. Longer AsyncReadRunContext runs are
+// split so a single run cannot monopolize an I/O worker while the others
+// sit idle.
 const DefaultMaxRun = 8
 
 // Options configures a Pool.
@@ -53,28 +54,6 @@ type Options struct {
 	// SeekLatency is added when a physical read is not sequential with the
 	// pool's previous physical read (an HDD-style seek penalty).
 	SeekLatency time.Duration
-	// MaxRun caps the pages served by one coalesced run request (default 8).
-	// Longer AsyncReadRunContext runs are split so a single run cannot
-	// monopolize an I/O worker while the others sit idle.
-	MaxRun int
-}
-
-// Stats counts buffer activity. Retrieved with Pool.Stats.
-type Stats struct {
-	LogicalReads  uint64 // Pin calls satisfied (hit or miss)
-	PhysicalReads uint64 // pages actually read from the reader
-	Hits          uint64 // Pin calls satisfied without I/O
-	Evictions     uint64 // frames recycled
-	// PinWaitNanos is time pinners spent blocked on a page another
-	// goroutine was already loading — contention the async scheduler
-	// failed to hide.
-	PinWaitNanos uint64
-	// CoalescedRuns counts multi-page stretches served by the run
-	// scheduler with a single simulated seek (one device request when the
-	// reader implements RunReader).
-	CoalescedRuns uint64
-	// CoalescedPages counts the pages those stretches covered.
-	CoalescedPages uint64
 }
 
 // frame holds one parsed page. It keeps no page image: the parse decodes
@@ -117,20 +96,13 @@ type Pool struct {
 	free      []int
 	evictable []int // candidate frame indexes with pins == 0 (lazily validated)
 
-	logical   atomic.Uint64
-	physical  atomic.Uint64
-	hits      atomic.Uint64
-	evictions atomic.Uint64
-	pinWait   atomic.Uint64
-	runs      atomic.Uint64
-	runPages  atomic.Uint64
-	lastRead  atomic.Int64 // previous physical pid, for seek simulation
+	evictions atomic.Uint64 // frames recycled: no query owns an eviction
+	lastRead  atomic.Int64  // previous physical pid, for seek simulation
 
-	// attr is the active query's attribution scope, installed by the
-	// engine for the duration of a run (the engine runs one query at a
-	// time and owns this pool exclusively, so a single slot suffices).
-	// Stat increments mirror into it when non-nil; it is nil between runs,
-	// when pins outside any run are counted by the pool alone.
+	// attr is the scope every pin and read counts into: the active query's,
+	// installed by the engine for the duration of a run (the engine runs one
+	// query at a time and owns this pool exclusively, so a single slot
+	// suffices), and between runs a scope nobody reads.
 	attr atomic.Pointer[obs.Scope]
 
 	ioq    chan ioRequest
@@ -159,9 +131,6 @@ func NewPool(reader PageReader, opts Options) (*Pool, error) {
 	if opts.IOWorkers <= 0 {
 		opts.IOWorkers = 4
 	}
-	if opts.MaxRun <= 0 {
-		opts.MaxRun = DefaultMaxRun
-	}
 	p := &Pool{
 		reader:  reader,
 		opts:    opts,
@@ -172,6 +141,7 @@ func NewPool(reader PageReader, opts Options) (*Pool, error) {
 		runBufs: make(chan []byte, opts.IOWorkers+1),
 	}
 	p.runReader, _ = reader.(RunReader)
+	p.SetAttribution(nil)
 	p.lastRead.Store(-2)
 	for i := opts.Frames - 1; i >= 0; i-- {
 		p.free = append(p.free, i)
@@ -195,40 +165,20 @@ func (p *Pool) Close() {
 	p.ioWG.Wait()
 }
 
-// SetAttribution installs (or with nil clears) the query attribution
-// scope that pin/read stats mirror into. The engine calls it at run
-// start/end; because one run owns the pool at a time and every physical
-// read settles before the run returns, attributed counts partition the
-// global ones exactly.
-func (p *Pool) SetAttribution(sc *obs.Scope) { p.attr.Store(sc) }
-
-// Stats returns a snapshot of the pool counters. Every counter is an
-// atomic, so snapshots are race-free against concurrent pinners and I/O
-// workers without taking Pool.mu (verified by TestStatsRaceFree under
-// -race); the fields are loaded independently, so a snapshot is not a
-// single linearization point across counters.
-func (p *Pool) Stats() Stats {
-	return Stats{
-		LogicalReads:   p.logical.Load(),
-		PhysicalReads:  p.physical.Load(),
-		Hits:           p.hits.Load(),
-		Evictions:      p.evictions.Load(),
-		PinWaitNanos:   p.pinWait.Load(),
-		CoalescedRuns:  p.runs.Load(),
-		CoalescedPages: p.runPages.Load(),
+// SetAttribution installs the query scope every pin and read counts into,
+// or with nil one that nobody reads. The engine calls it at run start and
+// end; because one run owns the pool at a time and every physical read
+// settles before the run returns, each count lands in the scope of the run
+// that caused it.
+func (p *Pool) SetAttribution(sc *obs.Scope) {
+	if sc == nil {
+		sc = obs.NewScope("")
 	}
+	p.attr.Store(sc)
 }
 
-// ResetStats zeroes the counters.
-func (p *Pool) ResetStats() {
-	p.logical.Store(0)
-	p.physical.Store(0)
-	p.hits.Store(0)
-	p.evictions.Store(0)
-	p.pinWait.Store(0)
-	p.runs.Store(0)
-	p.runPages.Store(0)
-}
+// Evictions returns the frames the pool has recycled since it was created.
+func (p *Pool) Evictions() uint64 { return p.evictions.Load() }
 
 // Resident reports whether pid is currently buffered (loaded or loading).
 func (p *Pool) Resident(pid storage.PageID) bool {
@@ -389,14 +339,14 @@ func (p *Pool) enqueue(req ioRequest) bool {
 // on cancellation. Contiguous non-resident stretches are read with a single
 // simulated seek — and a single device request when the reader implements
 // RunReader — so a sequential window load pays one positioning delay
-// instead of n. Runs longer than Options.MaxRun are split across several
+// instead of n. Runs longer than DefaultMaxRun are split across several
 // requests (possibly served by different workers). wg, if non-nil, must
 // have been Add(n)'d; it is Done once per page. After Close every callback
 // fires immediately with ErrPoolClosed. A delivered page is valid only while
 // pinned, as with Pin: its frame's next load overwrites it after Unpin.
 func (p *Pool) AsyncReadRunContext(ctx context.Context, first storage.PageID, n int, wg *sync.WaitGroup, cb func(storage.PageID, *storage.Page, error)) {
 	for n > 0 {
-		chunk := min(n, p.opts.MaxRun)
+		chunk := min(n, DefaultMaxRun)
 		if !p.enqueue(ioRequest{ctx: ctx, pid: first, n: chunk, cb: cb, wg: wg}) {
 			for i := 0; i < n; i++ {
 				if cb != nil {
@@ -440,12 +390,8 @@ type runSlot struct {
 // context's error, and no pin, for the pages it loaded. A page that cannot
 // be loaded is delivered with its error and no pin.
 func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sync.WaitGroup, cb func(storage.PageID, *storage.Page, error)) {
-	// A request is at most MaxRun pages; the default fits the stack.
-	var stack [DefaultMaxRun]runSlot
-	slots := stack[:min(n, len(stack))]
-	if n > len(stack) {
-		slots = make([]runSlot, n)
-	}
+	var stack [DefaultMaxRun]runSlot // a request is at most DefaultMaxRun pages
+	slots := stack[:n]
 	ctxErr := ctx.Err()
 	sc := p.attr.Load()
 	p.mu.Lock()
@@ -455,10 +401,7 @@ func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sy
 			slots[i].err = ctxErr
 			continue
 		}
-		p.logical.Add(1)
-		if sc != nil {
-			sc.LogicalReads.Add(1)
-		}
+		sc.LogicalReads.Add(1)
 		if idx, ok := p.table[pid]; ok {
 			p.frames[idx].pins++
 			slots[i] = runSlot{idx: idx, hit: true}
@@ -506,17 +449,10 @@ func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sy
 				default:
 					waitStart := time.Now()
 					<-f.ready
-					d := uint64(time.Since(waitStart))
-					p.pinWait.Add(d)
-					if sc != nil {
-						sc.PinWaitNanos.Add(d)
-					}
+					sc.PinWaitNanos.Add(uint64(time.Since(waitStart)))
 				}
 				if f.err == nil {
-					p.hits.Add(1)
-					if sc != nil {
-						sc.BufferHits.Add(1)
-					}
+					sc.BufferHits.Add(1)
 				}
 			}
 			page, err = f.page, f.err
@@ -542,17 +478,14 @@ func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sy
 // one device request with a RunReader, otherwise pages read back to back.
 // Each page is parsed straight out of the scratch into its frame's own
 // memory (frame.parse); its frame's err/page is set and its ready channel
-// closed.
+// closed. A page counts as read once the device returned its bytes, whether
+// or not they parse; a device error reads nothing.
 func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []runSlot) {
 	n := len(slots)
 	sc := p.attr.Load()
 	if n > 1 {
-		p.runs.Add(1)
-		p.runPages.Add(uint64(n))
-		if sc != nil {
-			sc.CoalescedRuns.Add(1)
-			sc.CoalescedPages.Add(uint64(n))
-		}
+		sc.CoalescedRuns.Add(1)
+		sc.CoalescedPages.Add(uint64(n))
 	}
 	p.simulateRunLatency(ctx, first, n)
 	ps := p.reader.PageSize()
@@ -564,25 +497,17 @@ func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []ru
 			f := &p.frames[slots[i].idx]
 			if f.err = err; err == nil {
 				f.err = f.parse(buf[i*ps : (i+1)*ps])
-				p.physical.Add(1)
+				sc.PagesRead.Add(1)
 			}
 			close(f.ready)
-		}
-		if sc != nil && err == nil {
-			sc.PagesRead.Add(uint64(n))
 		}
 		return
 	}
 	img := buf[:ps]
 	for i := range slots {
 		f := &p.frames[slots[i].idx]
-		rerr := p.reader.ReadPageInto(first+storage.PageID(i), img)
-		if rerr == nil {
-			rerr = f.parse(img)
-		}
-		f.err = rerr
-		p.physical.Add(1)
-		if sc != nil {
+		if f.err = p.reader.ReadPageInto(first+storage.PageID(i), img); f.err == nil {
+			f.err = f.parse(img)
 			sc.PagesRead.Add(1)
 		}
 		close(f.ready)
@@ -610,7 +535,7 @@ func (p *Pool) takeRunBuf(size int) []byte {
 		}
 	default:
 	}
-	return make([]byte, size, max(size, p.opts.MaxRun*p.reader.PageSize()))
+	return make([]byte, size, DefaultMaxRun*p.reader.PageSize())
 }
 
 // putRunBuf returns a scratch buffer to runBufs, or drops it when they are

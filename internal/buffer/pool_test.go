@@ -10,10 +10,20 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dualsim/internal/graph"
+	"dualsim/internal/obs"
 	"dualsim/internal/storage"
 )
+
+// attribute installs a fresh scope on p, which every later pin and read of
+// p counts into.
+func attribute(p *Pool) *obs.Scope {
+	sc := obs.NewScope("")
+	p.SetAttribution(sc)
+	return sc
+}
 
 // testDB builds a small database in a temp dir and opens it.
 func testDB(t *testing.T, n, m, pageSize int, seed int64) *storage.DB {
@@ -46,6 +56,7 @@ func TestPinUnpinBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	sc := attribute(p)
 
 	page, err := p.Pin(0)
 	if err != nil {
@@ -57,16 +68,16 @@ func TestPinUnpinBasic(t *testing.T) {
 	if !p.Resident(0) {
 		t.Fatal("page 0 should be resident")
 	}
-	st := p.Stats()
-	if st.PhysicalReads != 1 || st.LogicalReads != 1 {
+	st := sc.Profile()
+	if st.PagesRead != 1 || st.LogicalReads != 1 {
 		t.Fatalf("stats after miss: %+v", st)
 	}
 	// Second pin: hit.
 	if _, err := p.Pin(0); err != nil {
 		t.Fatal(err)
 	}
-	st = p.Stats()
-	if st.PhysicalReads != 1 || st.Hits != 1 {
+	st = sc.Profile()
+	if st.PagesRead != 1 || st.BufferHits != 1 {
 		t.Fatalf("stats after hit: %+v", st)
 	}
 	p.Unpin(0)
@@ -105,8 +116,8 @@ func TestEvictionRespectsPins(t *testing.T) {
 	if !p.Resident(0) || !p.Resident(2) {
 		t.Fatal("pages 0 and 2 should be resident")
 	}
-	if st := p.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	if ev := p.Evictions(); ev != 1 {
+		t.Fatalf("evictions = %d, want 1", ev)
 	}
 	p.Unpin(0)
 	p.Unpin(2)
@@ -198,6 +209,7 @@ func TestConcurrentPinSamePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	sc := attribute(p)
 
 	const workers = 16
 	var wg sync.WaitGroup
@@ -221,8 +233,8 @@ func TestConcurrentPinSamePage(t *testing.T) {
 	wg.Wait()
 	// All that concurrency must cost at most a handful of physical reads
 	// (one unless the page got evicted, which it can't: pool never fills).
-	if st := p.Stats(); st.PhysicalReads != 1 {
-		t.Fatalf("physical reads = %d, want 1", st.PhysicalReads)
+	if st := sc.Profile(); st.PagesRead != 1 {
+		t.Fatalf("physical reads = %d, want 1", st.PagesRead)
 	}
 }
 
@@ -446,4 +458,41 @@ func TestAsyncReadAfterClose(t *testing.T) {
 	}
 	// Close is idempotent.
 	p.Close()
+}
+
+// TestPinWaitNanos forces two pinners onto the same slow page: the second
+// must block on the in-flight load and account its wait.
+func TestPinWaitNanos(t *testing.T) {
+	db := testDB(t, 100, 300, 256, 7)
+	p, err := NewPool(db, Options{Frames: 4, PerPageLatency: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	sc := attribute(p)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := p.Pin(0); err != nil {
+			t.Error(err)
+			return
+		}
+		p.Unpin(0)
+	}()
+	// Give the loader a head start so this pin lands mid-load.
+	time.Sleep(2 * time.Millisecond)
+	if _, err := p.Pin(0); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(0)
+	wg.Wait()
+	st := sc.Profile()
+	if st.PagesRead != 1 {
+		t.Fatalf("physical reads = %d, want 1 (second pin rides the in-flight load)", st.PagesRead)
+	}
+	if st.PinWaitNS == 0 {
+		t.Error("PinWaitNS = 0, want > 0 for a pin blocked on a 20ms load")
+	}
 }

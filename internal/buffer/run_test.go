@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dualsim/internal/obs"
 	"dualsim/internal/storage"
 )
 
@@ -20,21 +21,23 @@ func needPages(t *testing.T, db *storage.DB, n int) {
 }
 
 func TestAsyncReadRunOrderAndCounters(t *testing.T) {
+	const n = 2 * DefaultMaxRun
 	db := testDB(t, 400, 2000, 128, 20)
-	needPages(t, db, 8)
+	needPages(t, db, n)
 	// One worker: requests are served FIFO and pages within a request in
 	// ascending order, so the delivery order is fully deterministic.
-	p, err := NewPool(db, Options{Frames: 8, IOWorkers: 1, MaxRun: 4})
+	p, err := NewPool(db, Options{Frames: n, IOWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	sc := attribute(p)
 
 	var mu sync.Mutex
 	var order []storage.PageID
 	var wg sync.WaitGroup
-	wg.Add(8)
-	p.AsyncReadRunContext(context.Background(), 0, 8, &wg, func(pid storage.PageID, page *storage.Page, err error) {
+	wg.Add(n)
+	p.AsyncReadRunContext(context.Background(), 0, n, &wg, func(pid storage.PageID, page *storage.Page, err error) {
 		if err != nil {
 			t.Errorf("page %d: %v", pid, err)
 			return
@@ -48,24 +51,24 @@ func TestAsyncReadRunOrderAndCounters(t *testing.T) {
 	})
 	wg.Wait()
 
-	if len(order) != 8 {
-		t.Fatalf("delivered %d pages, want 8", len(order))
+	if len(order) != n {
+		t.Fatalf("delivered %d pages, want %d", len(order), n)
 	}
 	for i, pid := range order {
 		if pid != storage.PageID(i) {
 			t.Fatalf("delivery order %v not ascending", order)
 		}
 	}
-	// 8 non-resident pages with MaxRun 4 split into two coalesced requests,
-	// each one contiguous load stretch.
-	st := p.Stats()
-	if st.CoalescedRuns != 2 || st.CoalescedPages != 8 {
-		t.Fatalf("coalesced runs/pages = %d/%d, want 2/8", st.CoalescedRuns, st.CoalescedPages)
+	// Twice DefaultMaxRun non-resident pages split into two coalesced
+	// requests, each one contiguous load stretch.
+	st := sc.Profile()
+	if st.CoalescedRuns != 2 || st.CoalescedPages != n {
+		t.Fatalf("coalesced runs/pages = %d/%d, want 2/%d", st.CoalescedRuns, st.CoalescedPages, n)
 	}
-	if st.PhysicalReads != 8 || st.LogicalReads != 8 || st.Hits != 0 {
+	if st.PagesRead != n || st.LogicalReads != n || st.BufferHits != 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	for pid := storage.PageID(0); pid < 8; pid++ {
+	for pid := storage.PageID(0); pid < n; pid++ {
 		p.Unpin(pid)
 	}
 	if p.PinnedCount() != 0 {
@@ -76,7 +79,7 @@ func TestAsyncReadRunOrderAndCounters(t *testing.T) {
 func TestRunMixedHitAndLoad(t *testing.T) {
 	db := testDB(t, 400, 2000, 128, 21)
 	needPages(t, db, 5)
-	p, err := NewPool(db, Options{Frames: 6, IOWorkers: 1, MaxRun: 8})
+	p, err := NewPool(db, Options{Frames: 6, IOWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestRunMixedHitAndLoad(t *testing.T) {
 	if _, err := p.Pin(2); err != nil {
 		t.Fatal(err)
 	}
-	p.ResetStats()
+	sc := attribute(p)
 
 	var wg sync.WaitGroup
 	wg.Add(5)
@@ -98,16 +101,16 @@ func TestRunMixedHitAndLoad(t *testing.T) {
 	})
 	wg.Wait()
 
-	st := p.Stats()
-	if st.Hits != 1 {
-		t.Fatalf("hits = %d, want 1 (pre-pinned middle page)", st.Hits)
+	st := sc.Profile()
+	if st.BufferHits != 1 {
+		t.Fatalf("hits = %d, want 1 (pre-pinned middle page)", st.BufferHits)
 	}
 	if st.CoalescedRuns != 2 || st.CoalescedPages != 4 {
 		t.Fatalf("coalesced runs/pages = %d/%d, want 2/4 (stretches [0,2) and [3,5))",
 			st.CoalescedRuns, st.CoalescedPages)
 	}
-	if st.PhysicalReads != 4 {
-		t.Fatalf("physical reads = %d, want 4", st.PhysicalReads)
+	if st.PagesRead != 4 {
+		t.Fatalf("physical reads = %d, want 4", st.PagesRead)
 	}
 	for pid := storage.PageID(0); pid < 5; pid++ {
 		p.Unpin(pid)
@@ -205,6 +208,7 @@ func TestRunPerPageFallbackWithoutRunReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	sc := attribute(p)
 
 	var wg sync.WaitGroup
 	wg.Add(4)
@@ -218,7 +222,7 @@ func TestRunPerPageFallbackWithoutRunReader(t *testing.T) {
 	wg.Wait()
 	// Still one coalesced stretch (the latency amortization applies even
 	// without a multi-page device request).
-	if st := p.Stats(); st.CoalescedRuns != 1 || st.CoalescedPages != 4 {
+	if st := sc.Profile(); st.CoalescedRuns != 1 || st.CoalescedPages != 4 {
 		t.Fatalf("coalesced runs/pages = %d/%d, want 1/4", st.CoalescedRuns, st.CoalescedPages)
 	}
 	for pid := storage.PageID(0); pid < 4; pid++ {
@@ -308,15 +312,16 @@ func TestCloseAsyncReadStress(t *testing.T) {
 // stress: AsyncReadRunContext enqueues several chunks, so Close can land
 // between chunks and the remainder must be rejected page by page.
 func TestCloseAsyncRunStress(t *testing.T) {
+	const n = 4 * DefaultMaxRun
 	db := testDB(t, 400, 2000, 128, 26)
-	needPages(t, db, 8)
+	needPages(t, db, n)
 	for iter := 0; iter < 30; iter++ {
-		p, err := NewPool(db, Options{Frames: 16, IOWorkers: 2, MaxRun: 2, PerPageLatency: 100 * time.Microsecond})
+		p, err := NewPool(db, Options{Frames: 2 * n, IOWorkers: 2, PerPageLatency: 100 * time.Microsecond})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
-		wg.Add(8 * 2)
+		wg.Add(n * 2)
 		var mu sync.Mutex
 		delivered := 0
 		pins := map[storage.PageID]int{}
@@ -335,14 +340,14 @@ func TestCloseAsyncRunStress(t *testing.T) {
 		for s := 0; s < 2; s++ {
 			go func() {
 				defer sendersDone.Done()
-				p.AsyncReadRunContext(context.Background(), 0, 8, &wg, cb)
+				p.AsyncReadRunContext(context.Background(), 0, n, &wg, cb)
 			}()
 		}
 		p.Close()
 		sendersDone.Wait()
 		wg.Wait()
-		if delivered != 16 {
-			t.Fatalf("iter %d: %d callbacks, want 16", iter, delivered)
+		if delivered != 2*n {
+			t.Fatalf("iter %d: %d callbacks, want %d", iter, delivered, 2*n)
 		}
 		for pid, n := range pins {
 			for i := 0; i < n; i++ {
@@ -367,6 +372,7 @@ func TestAcquireFrameSkipsRePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	sc := attribute(p)
 
 	if _, err := p.Pin(0); err != nil {
 		t.Fatal(err)
@@ -379,15 +385,15 @@ func TestAcquireFrameSkipsRePinned(t *testing.T) {
 	if _, err := p.Pin(0); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Hits != 1 {
+	if st := sc.Profile(); st.BufferHits != 1 {
 		t.Fatalf("re-pin was not a hit: %+v", st)
 	}
 	// Both frames pinned; the stale entry must be skipped, not evicted.
 	if _, err := p.Pin(2); !errors.Is(err, ErrNoFreeFrame) {
 		t.Fatalf("want ErrNoFreeFrame, got %v", err)
 	}
-	if st := p.Stats(); st.Evictions != 0 {
-		t.Fatalf("evictions = %d, want 0 (nothing was evictable)", st.Evictions)
+	if ev := p.Evictions(); ev != 0 {
+		t.Fatalf("evictions = %d, want 0 (nothing was evictable)", ev)
 	}
 	if !p.Resident(0) || !p.Resident(1) {
 		t.Fatal("pinned pages went missing")
@@ -422,8 +428,8 @@ func TestAcquireFrameDuplicateEntries(t *testing.T) {
 	if _, err := p.Pin(1); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	if ev := p.Evictions(); ev != 1 {
+		t.Fatalf("evictions = %d, want 1", ev)
 	}
 	// The duplicate entry now references the frame holding pinned page 1 —
 	// acquiring must skip it and fail, not evict a pinned page.
@@ -438,8 +444,8 @@ func TestAcquireFrameDuplicateEntries(t *testing.T) {
 	if _, err := p.Pin(2); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", st.Evictions)
+	if ev := p.Evictions(); ev != 2 {
+		t.Fatalf("evictions = %d, want 2", ev)
 	}
 	p.Unpin(2)
 }
@@ -478,8 +484,8 @@ func TestAcquireFrameSlowRescan(t *testing.T) {
 	if p.Resident(0) {
 		t.Fatal("page 0 should have been evicted by the rescan")
 	}
-	if st := p.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	if ev := p.Evictions(); ev != 1 {
+		t.Fatalf("evictions = %d, want 1", ev)
 	}
 	p.Unpin(1)
 	p.Unpin(2)
@@ -508,8 +514,8 @@ func TestFailedLoadFreesFrame(t *testing.T) {
 	if _, err := p.Pin(0); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Evictions != 0 {
-		t.Fatalf("evictions = %d, want 0 (failed load frees, not evicts)", st.Evictions)
+	if ev := p.Evictions(); ev != 0 {
+		t.Fatalf("evictions = %d, want 0 (failed load frees, not evicts)", ev)
 	}
 	p.Unpin(0)
 }
@@ -530,7 +536,7 @@ func TestPinIsRunOfOne(t *testing.T) {
 		}
 	}
 	type outcome struct {
-		stats  Stats
+		stats  obs.CostProfile
 		pinned int
 		page   storage.PageID
 		err    error
@@ -553,19 +559,19 @@ func TestPinIsRunOfOne(t *testing.T) {
 		want    outcome
 	}{
 		{"miss", context.Background(), func(*Pool) {},
-			outcome{Stats{LogicalReads: 1, PhysicalReads: 1}, 1, 0, nil}},
+			outcome{obs.CostProfile{LogicalReads: 1, PagesRead: 1}, 1, 0, nil}},
 		{"hit", context.Background(), func(p *Pool) {
 			if _, err := p.Pin(0); err != nil {
 				t.Fatal(err)
 			}
 			p.Unpin(0)
-		}, outcome{Stats{LogicalReads: 1, Hits: 1}, 1, 0, nil}},
+		}, outcome{obs.CostProfile{LogicalReads: 1, BufferHits: 1}, 1, 0, nil}},
 		{"no free frame", context.Background(), pinOther,
-			outcome{Stats{LogicalReads: 1}, 2, none, ErrNoFreeFrame}},
+			outcome{obs.CostProfile{LogicalReads: 1}, 2, none, ErrNoFreeFrame}},
 		{"canceled", canceled, func(*Pool) {},
-			outcome{Stats{}, 0, none, context.Canceled}},
+			outcome{obs.CostProfile{}, 0, none, context.Canceled}},
 		{"closed", context.Background(), (*Pool).Close,
-			outcome{Stats{}, 0, none, ErrPoolClosed}},
+			outcome{obs.CostProfile{}, 0, none, ErrPoolClosed}},
 	} {
 		for name, read := range entries {
 			p, err := NewPool(db, Options{Frames: 2})
@@ -573,15 +579,79 @@ func TestPinIsRunOfOne(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.prepare(p)
-			p.ResetStats()
+			sc := attribute(p)
 			got := outcome{page: none}
 			page, err := read(p, c.ctx)
 			if page != nil {
 				got.page = page.ID
 			}
-			got.stats, got.pinned, got.err = p.Stats(), p.PinnedCount(), err
+			got.stats, got.pinned, got.err = sc.Profile(), p.PinnedCount(), err
 			if got != c.want {
 				t.Errorf("%s via %s: %+v, want %+v", c.name, name, got, c.want)
+			}
+			p.Close()
+		}
+	}
+}
+
+var errDevice = errors.New("device error")
+
+// failingReader serves db's page size and count through a device that fails
+// every read or, with garbage set, returns zeroed bytes that do not parse.
+type failingReader struct {
+	pageOnlyReader
+	garbage bool
+}
+
+func (r failingReader) ReadPageInto(_ storage.PageID, buf []byte) error {
+	if clear(buf); r.garbage {
+		return nil
+	}
+	return errDevice
+}
+
+// failingRuns is failingReader with the multi-page device request.
+type failingRuns struct{ failingReader }
+
+func (r failingRuns) ReadPagesInto(pid storage.PageID, buf []byte) error {
+	return r.ReadPageInto(pid, buf)
+}
+
+// TestFailedReadCounts holds both branches of readStretch to one rule: a page
+// counts as read once the device returned its bytes, whether or not they
+// parse, and a device error reads nothing — for a run reader's stretches of
+// 1, 2 and 4 pages and for a reader of single pages.
+func TestFailedReadCounts(t *testing.T) {
+	db := testDB(t, 200, 800, 128, 31)
+	needPages(t, db, 4)
+	for _, c := range []struct {
+		r    PageReader
+		read bool
+	}{
+		{failingRuns{failingReader{pageOnlyReader{db}, false}}, false},
+		{failingReader{pageOnlyReader{db}, false}, false},
+		{failingRuns{failingReader{pageOnlyReader{db}, true}}, true},
+	} {
+		for _, n := range []int{1, 2, 4} {
+			p, err := NewPool(c.r, Options{Frames: 4, IOWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, failed := attribute(p), 0
+			var wg sync.WaitGroup
+			wg.Add(n)
+			p.AsyncReadRunContext(context.Background(), 0, n, &wg, func(_ storage.PageID, _ *storage.Page, err error) {
+				if err != nil {
+					failed++
+				}
+			})
+			wg.Wait()
+			want := 0
+			if c.read {
+				want = n
+			}
+			if got := sc.PagesRead.Load(); got != uint64(want) || failed != n || p.PinnedCount() != 0 {
+				t.Errorf("%+v, %d pages: %d read (want %d), %d of %d failed, %d pinned", c.r, n, got, want, failed, n, p.PinnedCount())
 			}
 			p.Close()
 		}

@@ -79,11 +79,11 @@ type RunSpec struct {
 	// at a time, never concurrently). The value is safe to retain.
 	OnCheckpoint func(Checkpoint)
 	// Scope attributes this run's cost (pages read, I/O wait, kernel mix,
-	// ...) to one query: every hot-path counter mirrors into it alongside
-	// the global registry, trace events carry its trace ID and span
-	// hierarchy, and Result.Profile and Result.IO report the rendered
-	// total. The serving layer creates one per request at HTTP admission;
-	// when nil, the run mints its own.
+	// ...) to one query: every hot-path counter counts into it alone and the
+	// registry is fed from its settles, trace events carry its trace ID and
+	// span hierarchy, and Result.Profile reports the rendered total. The
+	// serving layer creates one per request at HTTP admission; when nil, the
+	// run mints its own.
 	Scope *obs.Scope
 	// Overlay, when non-nil and non-empty, runs the enumeration against
 	// the mutated graph (base page file + live-ingest delta): every

@@ -78,11 +78,11 @@ func TestCostModelTracksMeasuredReads(t *testing.T) {
 		}
 		model := e.ModelFor(res.Plan.K, nil)
 		predicted := model.PredictedReads()
-		if float64(res.IO.PhysicalReads) > predicted*4 {
+		if float64(res.Profile.PagesRead) > predicted*4 {
 			// Allow slack: page fragmentation and span-atomic windows cost
 			// a constant factor the word-level model ignores.
 			t.Errorf("%s: measured %d reads exceeds model bound %.0f",
-				q.Name(), res.IO.PhysicalReads, predicted)
+				q.Name(), res.Profile.PagesRead, predicted)
 		}
 	}
 }

@@ -86,11 +86,6 @@ type Result struct {
 	PrepTime time.Duration
 	// ExecTime is the enumeration phase duration.
 	ExecTime time.Duration
-	// IO holds the buffer activity attributed to the run's scope. A cohort
-	// rider's reads are its sweep's, so its IO is zero. Evictions reads 0:
-	// an eviction cannot be attributed to one query, and no caller reads it
-	// (dualsim_buffer_evictions_total counts them).
-	IO buffer.Stats
 	// Level1Windows counts iterations of the outermost (internal area)
 	// window loop.
 	Level1Windows int
@@ -103,11 +98,6 @@ type Result struct {
 	WindowsPerLevel []int
 	// BufferFrames is the pool capacity used.
 	BufferFrames int
-	// IOWait is orchestrator time blocked on page loads — the I/O cost not
-	// hidden behind enumeration work (the paper's overlap target). Inside a
-	// last-level pass that is time blocked while a read is outstanding; a
-	// pass waiting for matching tasks alone is not waiting for I/O.
-	IOWait time.Duration
 	// Resumed reports that the run replayed from a Checkpoint; Count then
 	// includes the checkpoint's settled totals.
 	Resumed bool
@@ -116,7 +106,12 @@ type Result struct {
 	Metrics *obs.Snapshot
 	// Profile is this run's attributed cost profile — the per-query slice
 	// of the global counters plus the time breakdown, read from the run's
-	// scope (RunSpec.Scope, or one the run minted). Never nil.
+	// scope (RunSpec.Scope, or one the run minted). Never nil. Its pages and
+	// pins are the buffer activity the run caused: a cohort rider's reads
+	// are its sweep's, so its PagesRead is zero. IOWaitNS is orchestrator
+	// time blocked on page loads — the I/O cost not hidden behind
+	// enumeration work (the paper's overlap target); inside a last-level
+	// pass that is time blocked while a read is outstanding.
 	Profile *obs.CostProfile
 }
 
@@ -222,11 +217,6 @@ func (e *Engine) RetryStats() storage.RetryStats {
 	return e.retry.Stats()
 }
 
-// settle moves what the engine's pool and retry reader counted since the
-// last settle into the registry. Called under the run guard, at every
-// level-1 window boundary and at the end of every run or sweep.
-func (e *Engine) settle() { e.em.settle(e.pool.Stats(), e.RetryStats()) }
-
 // Close releases the engine's buffer pool and flushes the tracer (if the
 // configured Tracer buffers, e.g. obs.JSONLTracer), so the final spans of
 // the engine's last run reach their sink.
@@ -318,14 +308,14 @@ func (e *Engine) RunSpecContext(ctx context.Context, spec RunSpec) (*Result, err
 	}
 	r := e.newRun(ctx, spec, alloc)
 	// Attribution rides on the sweep: its run's scope is installed on the
-	// buffer pool until release — the engine owns the pool and runs one query
-	// at a time, and all reads settle before the run returns, so attributed
-	// pages partition the global count exactly.
+	// buffer pool until the sweep closes — the engine owns the pool and runs
+	// one query at a time, and all reads settle before the run returns, so
+	// attributed pages partition the global count exactly.
 	s, err := e.newSweep(r, cursor)
 	if err != nil {
 		return nil, err
 	}
-	defer s.release()
+	defer s.Close()
 	rd := (&Rider{s: s, r: r, frames: e.frames}).board()
 	defer rd.Close()
 

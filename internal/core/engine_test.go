@@ -83,8 +83,8 @@ func TestEngineIOStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	g := randomGraph(rng, 200, 1200)
 	res := runOnce(t, g, graph.Triangle(), Options{Threads: 2, BufferFrames: 16}, 128)
-	if res.IO.PhysicalReads == 0 || res.IO.LogicalReads == 0 {
-		t.Errorf("I/O stats empty: %+v", res.IO)
+	if res.Profile.PagesRead == 0 || res.Profile.LogicalReads == 0 {
+		t.Errorf("I/O stats empty: %+v", res.Profile)
 	}
 	if res.ExecTime <= 0 || res.PrepTime <= 0 {
 		t.Errorf("timings missing: exec=%v prep=%v", res.ExecTime, res.PrepTime)
@@ -105,7 +105,7 @@ func TestEngineSmallBufferReadsMoreThanLarge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.IO.PhysicalReads
+		return res.Profile.PagesRead
 	}
 	small := reads(14)
 	large := reads(4 * db.NumPages())
@@ -204,11 +204,8 @@ func TestIOWaitReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.IOWait <= 0 {
-		t.Errorf("IOWait = %v, want > 0 with simulated latency", res.IOWait)
-	}
-	if res.IOWait > res.ExecTime {
-		t.Errorf("IOWait %v exceeds ExecTime %v", res.IOWait, res.ExecTime)
+	if wait := time.Duration(res.Profile.IOWaitNS); wait <= 0 || wait > res.ExecTime {
+		t.Errorf("IOWait = %v, want > 0 with simulated latency and at most ExecTime %v", wait, res.ExecTime)
 	}
 }
 

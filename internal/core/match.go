@@ -112,8 +112,8 @@ func (m *matcher) handRows() {
 
 // flush hands over the rows the task still holds, publishes its local
 // counters into its window's accumulators (merged into the run totals and
-// engine metrics only when the window completes — see settleWindowCounts)
-// and the arena's kernel-selection counts into the registry, then returns
+// scope only when the window completes — see settleWindowCounts) and the
+// arena's kernel-selection counts into the run's scope, then returns
 // the matcher to the pool. Batching per task keeps the per-embedding hot path
 // free of shared-cacheline traffic.
 func (m *matcher) flush() {
@@ -126,15 +126,12 @@ func (m *matcher) flush() {
 	st := m.arena.TakeStats()
 	sc := m.r.scope
 	if st.Linear > 0 {
-		m.r.em.intersectLinear.Add(st.Linear)
 		sc.IntersectLin.Add(st.Linear)
 	}
 	if st.Gallop > 0 {
-		m.r.em.intersectGallop.Add(st.Gallop)
 		sc.IntersectGal.Add(st.Gallop)
 	}
 	if st.KWay > 0 {
-		m.r.em.intersectKWay.Add(st.KWay)
 		sc.IntersectKWay.Add(st.KWay)
 	}
 	m.r.matchers.Put(m)
@@ -434,7 +431,6 @@ func (r *run) internalEnumerate(g int, lo, hi graph.VertexID, lw *levelWindow) {
 		if hi-v >= minStealSpan && r.workers.hungry() {
 			mid, end := v+(hi-v)/2, hi
 			if r.workers.trySubmit(func() { r.internalEnumerate(g, mid, end, lw) }) {
-				r.em.stealSplits.Inc()
 				r.scope.StealSplits.Add(1)
 				hi = mid
 			}

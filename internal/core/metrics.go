@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dualsim/internal/buffer"
 	"dualsim/internal/obs"
 	"dualsim/internal/storage"
 )
@@ -10,10 +9,12 @@ import (
 // cumulative and live in the registry, so every engine on one registry (a
 // server's pool, its cohort engine, their replacements after a compaction or
 // a recycle) counts into the same ones; Result.Metrics snapshots them at the
-// end of each run. Hot-path increments happen at window granularity or
-// batched per worker task. The buffer pool and the retry reader keep their
-// own atomics; settle moves what they counted into the registry at every
-// level-1 window boundary and at the end of every run or sweep.
+// end of each run. What a query owns is counted only into its run's scope
+// (obs.Scope): the counters that mirror a scope field are fed by the
+// engine's settle, at every level-1 window release and the end of every run,
+// rider or sweep. The pool's evictions and the retry reader's counts, which
+// no query owns, settle beside them. The rest are counted straight into the
+// registry.
 type engineMetrics struct {
 	runs          *obs.Counter
 	windows       *obs.Counter
@@ -57,10 +58,11 @@ type engineMetrics struct {
 	pagesRead, logicalReads, bufferHits, evictions, pinWaitNanos *obs.Counter
 	coalescedRuns, coalescedPages                                *obs.Counter
 	retries, crcRereads, recovered, exhausted                    *obs.Counter
-	// settledPool and settledRetry are this engine's pool and retry reader
-	// counts as of its last settle. Written under the engine's run guard.
-	settledPool  buffer.Stats
-	settledRetry storage.RetryStats
+	// settledEvictions and settledRetry are this engine's pool evictions and
+	// retry reader counts as of its last settle. Written under the engine's
+	// run guard.
+	settledEvictions uint64
+	settledRetry     storage.RetryStats
 }
 
 // registerEngineMetrics wires the engine's metrics into reg, sharing any that
@@ -68,13 +70,13 @@ type engineMetrics struct {
 func registerEngineMetrics(reg *obs.Registry) *engineMetrics {
 	em := &engineMetrics{
 		runs:          reg.Counter("dualsim_runs_total", "enumeration runs started"),
-		windows:       reg.Counter("dualsim_windows_total", "merged vertex/page windows processed across all levels (the last level counts one streamed pass per window above it)"),
-		windowsLevel1: reg.Counter("dualsim_windows_level1_total", "level-1 (internal area) window iterations"),
-		embInternal:   reg.Counter("dualsim_embeddings_internal_total", "embeddings whose red match was entirely inside the internal area"),
-		embExternal:   reg.Counter("dualsim_embeddings_external_total", "embeddings found by the external traversal"),
-		ioWaitNanos:   reg.Counter("dualsim_io_wait_nanos_total", "orchestrator time blocked on page loads — a window's, or a last-level pass's while one of its reads is outstanding: device reads, pin waits and per-page indexing not hidden by overlap; page callbacks never wait for an enumeration worker and a pass blocked on matching alone is not counted, so no matching time is in it"),
+		windows:       reg.Counter("dualsim_windows_total", "merged vertex/page windows processed across all levels (the last level counts one streamed pass per window above it), settled at level-1 window boundaries"),
+		windowsLevel1: reg.Counter("dualsim_windows_level1_total", "level-1 (internal area) window iterations, settled at level-1 window boundaries"),
+		embInternal:   reg.Counter("dualsim_embeddings_internal_total", "embeddings whose red match was entirely inside the internal area, settled at level-1 window boundaries"),
+		embExternal:   reg.Counter("dualsim_embeddings_external_total", "embeddings found by the external traversal, settled at level-1 window boundaries"),
+		ioWaitNanos:   reg.Counter("dualsim_io_wait_nanos_total", "orchestrator time blocked on page loads — a window's, or a last-level pass's while one of its reads is outstanding: device reads, pin waits and per-page indexing not hidden by overlap; page callbacks never wait for an enumeration worker and a pass blocked on matching alone is not counted, so no matching time is in it; settled at level-1 window boundaries"),
 
-		checkpoints: reg.Counter("dualsim_checkpoints_taken_total", "window-boundary checkpoints delivered to run callbacks"),
+		checkpoints: reg.Counter("dualsim_checkpoints_taken_total", "window-boundary checkpoints delivered to run callbacks, settled at level-1 window boundaries"),
 
 		windowLoadUS: reg.Histogram("dualsim_window_load_us", "per-window (last level: per-pass) I/O wait to pin all pages, microseconds"),
 		windowPages:  reg.Histogram("dualsim_window_pages", "pages per merged window (last level: per streamed pass)"),
@@ -83,10 +85,10 @@ func registerEngineMetrics(reg *obs.Registry) *engineMetrics {
 		workerSubmitted: reg.Counter("dualsim_worker_tasks_submitted_total", "enumeration tasks submitted to the worker pool"),
 		workerCompleted: reg.Counter("dualsim_worker_tasks_completed_total", "enumeration tasks completed by the worker pool"),
 
-		intersectLinear: reg.Counter("dualsim_intersect_linear_total", "pairwise intersections run on the linear-merge kernel"),
-		intersectGallop: reg.Counter("dualsim_intersect_gallop_total", "pairwise intersections run on the galloping kernel (skewed list lengths)"),
-		intersectKWay:   reg.Counter("dualsim_intersect_kway_total", "smallest-first k-way (>=3 list) intersections"),
-		stealSplits:     reg.Counter("dualsim_steal_splits_total", "work-stealing range splits (each spawns one stolen enumeration task)"),
+		intersectLinear: reg.Counter("dualsim_intersect_linear_total", "pairwise intersections run on the linear-merge kernel, settled at level-1 window boundaries"),
+		intersectGallop: reg.Counter("dualsim_intersect_gallop_total", "pairwise intersections run on the galloping kernel (skewed list lengths), settled at level-1 window boundaries"),
+		intersectKWay:   reg.Counter("dualsim_intersect_kway_total", "smallest-first k-way (>=3 list) intersections, settled at level-1 window boundaries"),
+		stealSplits:     reg.Counter("dualsim_steal_splits_total", "work-stealing range splits (each spawns one stolen enumeration task), settled at level-1 window boundaries"),
 
 		compressedRecs:  reg.Counter("dualsim_compressed_records_total", "compressed adjacency records loaded into windows (counted per window load)"),
 		compressedBytes: reg.Counter("dualsim_compressed_bytes_total", "on-disk bytes of compressed adjacency payloads loaded into windows"),
@@ -122,20 +124,35 @@ func registerEngineMetrics(reg *obs.Registry) *engineMetrics {
 	return em
 }
 
-// settle adds what the engine's pool and retry reader counted since the
-// last settle to the registry's counters.
-func (em *engineMetrics) settle(st buffer.Stats, rt storage.RetryStats) {
-	was, wasRetry := em.settledPool, em.settledRetry
-	em.pagesRead.Add(st.PhysicalReads - was.PhysicalReads)
-	em.logicalReads.Add(st.LogicalReads - was.LogicalReads)
-	em.bufferHits.Add(st.Hits - was.Hits)
-	em.evictions.Add(st.Evictions - was.Evictions)
-	em.pinWaitNanos.Add(st.PinWaitNanos - was.PinWaitNanos)
-	em.coalescedRuns.Add(st.CoalescedRuns - was.CoalescedRuns)
-	em.coalescedPages.Add(st.CoalescedPages - was.CoalescedPages)
-	em.retries.Add(rt.Retries - wasRetry.Retries)
-	em.crcRereads.Add(rt.CRCRereads - wasRetry.CRCRereads)
-	em.recovered.Add(rt.Recovered - wasRetry.Recovered)
-	em.exhausted.Add(rt.Exhausted - wasRetry.Exhausted)
-	em.settledPool, em.settledRetry = st, rt
+// settle moves what sc counted since its last settle into the counters
+// that mirror its fields, and the pool's evictions and the retry reader's
+// counts since the engine's last settle into theirs, and returns sc's delta.
+// Called under the run guard, at every level-1 window boundary and at the end
+// of every run, rider or sweep.
+func (e *Engine) settle(sc *obs.Scope) obs.CostProfile {
+	em, d := e.em, sc.Settle()
+	em.pagesRead.Add(d.PagesRead)
+	em.logicalReads.Add(d.LogicalReads)
+	em.bufferHits.Add(d.BufferHits)
+	em.pinWaitNanos.Add(uint64(d.PinWaitNS))
+	em.coalescedRuns.Add(d.CoalescedRuns)
+	em.coalescedPages.Add(d.CoalescedPages)
+	em.ioWaitNanos.Add(uint64(d.IOWaitNS))
+	em.windows.Add(d.Windows)
+	em.windowsLevel1.Add(d.WindowsLevel1)
+	em.intersectLinear.Add(d.IntersectLinear)
+	em.intersectGallop.Add(d.IntersectGallop)
+	em.intersectKWay.Add(d.IntersectKWay)
+	em.stealSplits.Add(d.StealSplits)
+	em.checkpoints.Add(d.Checkpoints)
+	em.embInternal.Add(d.EmbInternal)
+	em.embExternal.Add(d.EmbExternal)
+	ev, rt, was := e.pool.Evictions(), e.RetryStats(), em.settledRetry
+	em.evictions.Add(ev - em.settledEvictions)
+	em.retries.Add(rt.Retries - was.Retries)
+	em.crcRereads.Add(rt.CRCRereads - was.CRCRereads)
+	em.recovered.Add(rt.Recovered - was.Recovered)
+	em.exhausted.Add(rt.Exhausted - was.Exhausted)
+	em.settledEvictions, em.settledRetry = ev, rt
+	return d
 }

@@ -212,7 +212,7 @@ func TestSharedRegistryAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages += res.IO.PhysicalReads
+		pages += res.Profile.PagesRead
 		e.Close()
 	}
 	if got := reg.Snapshot().Counters["dualsim_runs_total"]; got != 2 {
@@ -231,8 +231,8 @@ func TestSharedRegistryAcrossEngines(t *testing.T) {
 }
 
 // TestDirectRunAttributed: a direct run, handed no scope, is attributed
-// all the same — its Result.Profile is set, its pages are the run's
-// physical reads, and those are what dualsim_pages_read_total moved by.
+// all the same — its Result.Profile is set, and its pages, logical reads
+// and I/O wait are what the registry's counters moved by during the run.
 func TestDirectRunAttributed(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := buildDB(t, randomGraph(rng, 150, 700), 128)
@@ -241,8 +241,9 @@ func TestDirectRunAttributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	names := []string{"dualsim_pages_read_total", "dualsim_logical_reads_total", "dualsim_io_wait_nanos_total"}
 	for run := 0; run < 2; run++ {
-		before := e.Registry().Snapshot().Counters["dualsim_pages_read_total"]
+		before := e.Registry().Snapshot().Counters
 		res, err := e.Run(graph.Triangle())
 		if err != nil {
 			t.Fatal(err)
@@ -250,13 +251,15 @@ func TestDirectRunAttributed(t *testing.T) {
 		if res.Profile == nil {
 			t.Fatalf("run %d: Result.Profile is nil", run)
 		}
-		delta := e.Registry().Snapshot().Counters["dualsim_pages_read_total"] - before
-		if p := res.Profile.PagesRead; p == 0 || p != res.IO.PhysicalReads || p != delta {
-			t.Errorf("run %d: profile pages_read %d, IO.PhysicalReads %d, dualsim_pages_read_total delta %d",
-				run, p, res.IO.PhysicalReads, delta)
+		after := e.Registry().Snapshot().Counters
+		p := res.Profile
+		if p.PagesRead == 0 {
+			t.Errorf("run %d: profile pages_read is 0", run)
 		}
-		if res.Profile.LogicalReads != res.IO.LogicalReads || res.Profile.IOWaitNS != res.IOWait.Nanoseconds() {
-			t.Errorf("run %d: profile %+v disagrees with IO %+v / IOWait %v", run, *res.Profile, res.IO, res.IOWait)
+		for i, want := range []uint64{p.PagesRead, p.LogicalReads, uint64(p.IOWaitNS)} {
+			if delta := after[names[i]] - before[names[i]]; delta != want {
+				t.Errorf("run %d: %s moved by %d, the profile holds %d", run, names[i], delta, want)
+			}
 		}
 	}
 }

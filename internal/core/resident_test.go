@@ -80,8 +80,8 @@ func TestResidentAllocation(t *testing.T) {
 					t.Errorf("%+v: windows per level %v, external %d; want one level-1 window and nothing else",
 						k, res.WindowsPerLevel, res.External)
 				}
-				if res.IO.PhysicalReads != uint64(pages) {
-					t.Errorf("%+v: %d physical reads of %d pages", k, res.IO.PhysicalReads, pages)
+				if res.Profile.PagesRead != uint64(pages) {
+					t.Errorf("%+v: %d physical reads of %d pages", k, res.Profile.PagesRead, pages)
 				}
 			}
 		}

@@ -31,7 +31,7 @@ type schedule struct {
 }
 
 func scheduleOf(res *Result) schedule {
-	return schedule{res.Level1Windows, fmt.Sprint(res.WindowsPerLevel), res.IO.LogicalReads, res.IO.PhysicalReads}
+	return schedule{res.Level1Windows, fmt.Sprint(res.WindowsPerLevel), res.Profile.LogicalReads, res.Profile.PagesRead}
 }
 
 // within reports whether the run kept to the golden schedule: the same
@@ -243,9 +243,9 @@ func TestRootWindowSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprint(res.WindowsPerLevel); got != c.perLevel || res.IO.LogicalReads != c.requests || res.Count != graph.CountOccurrences(g, graph.Square()) {
+		if got := fmt.Sprint(res.WindowsPerLevel); got != c.perLevel || res.Profile.LogicalReads != c.requests || res.Count != graph.CountOccurrences(g, graph.Square()) {
 			t.Errorf("page=%d compress=%v: windows %s, %d requests, count %d; recorded %s, %d requests",
-				c.pageSize, c.compress, got, res.IO.LogicalReads, res.Count, c.perLevel, c.requests)
+				c.pageSize, c.compress, got, res.Profile.LogicalReads, res.Count, c.perLevel, c.requests)
 		}
 	}
 }

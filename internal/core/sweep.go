@@ -211,7 +211,7 @@ func (e *Engine) NewSweep(opts SweepOptions) (*Sweep, error) {
 // range from vertex start against r's level-1 window budget: the window
 // iterator over the full range with an empty path-pin set is the partition,
 // kept as each window's vertices and page run. The caller holds the engine's
-// run guard. r's scope becomes the pool's attribution sink until release.
+// run guard. r's scope becomes the pool's attribution sink until Close.
 func (e *Engine) newSweep(r *run, start int) (*Sweep, error) {
 	s := &Sweep{r: r, ordBase: r.windowsPer[0]}
 	it := windowIterator{r: r, full: true, cur: e.pages.Cursor(), start: start}
@@ -302,29 +302,36 @@ func sum(xs []int) (n int) {
 // Release unpins a delivered window. Every rider must have returned from
 // ProcessWindow first — their adjacency reads are only valid while the
 // sweep's pins hold the pages resident. The window boundary is where the
-// pool's and the retry layer's counts settle into the registry.
-func (s *Sweep) Release(w *SweepWindow) {
+// sweep's scope and every rider's settle into the registry; Release returns
+// the cohort's share of that settle: the pages the sweep read and the shared
+// pages its riders consumed since the last one.
+func (s *Sweep) Release(w *SweepWindow) (read, shared uint64) {
 	s.r.unloadWindow(w.lw)
 	s.r.closeWindow(0, w.ord)
-	s.r.e.settle()
+	return s.settle()
 }
 
-// release returns the pool's attribution slot and settles the counts of the
-// run's last reads.
-func (s *Sweep) release() {
-	s.r.e.pool.SetAttribution(nil)
-	s.r.e.settle()
+// settle settles the sweep's scope and each rider's (see Release).
+func (s *Sweep) settle() (read, shared uint64) {
+	read = s.r.e.settle(s.r.scope).PagesRead
+	for _, rd := range s.riders {
+		shared += s.r.e.settle(rd.r.scope).SharedPages
+	}
+	return read, shared
 }
 
-// Close ends a cohort sweep: the pool's attribution slot released, the
-// engine's run guard returned. The sweep is unusable afterwards.
-func (s *Sweep) Close() {
+// Close ends a sweep, a cohort's or a solo run's: the pool's attribution
+// slot released, the engine's run guard returned, and what was counted since
+// the last Release settled, returned as Release returns it. The sweep is
+// unusable afterwards.
+func (s *Sweep) Close() (read, shared uint64) {
 	if s.closed {
-		return
+		return 0, 0
 	}
 	s.closed = true
-	s.release()
-	s.r.e.running.Store(false)
+	s.r.e.pool.SetAttribution(nil)
+	defer s.r.e.running.Store(false)
+	return s.settle()
 }
 
 // Rider is one query riding a Sweep: a full run state (own worker pool,
@@ -405,11 +412,6 @@ func (rd *Rider) board() *Rider {
 // Done reports that the rider has consumed every partition window.
 func (rd *Rider) Done() bool { return rd.processed >= len(rd.s.bounds) }
 
-// SharedPages returns the pages of shared windows attributed to this rider's
-// scope (logical consumption; the physical reads are charged to the sweep).
-// Zero for a solo run, whose reads are its own.
-func (rd *Rider) SharedPages() uint64 { return rd.r.scope.SharedPages.Load() }
-
 // ProcessWindow evaluates the rider's plan against one delivered window
 // (Algorithm 1 lines 11-16): child candidates, internal enumeration
 // overlapped with the external traversal of the deeper levels, settle. On
@@ -460,7 +462,6 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 		r.scope.SharedPages.Add(uint64(len(lw.pages)))
 	}
 	r.countWindow(0)
-	r.em.windowsLevel1.Inc()
 	r.scope.WindowsLevel1.Add(1)
 
 	if r.k == 1 || rd.s.bounds[w.index].n == r.e.db.NumVertices() {
@@ -510,10 +511,11 @@ func (rd *Rider) ProcessWindow(w *SweepWindow) error {
 }
 
 // Finish settles the rider into a Result — the engine's one Result
-// constructor. IO, IOWait and Profile are read from the run's scope: a solo
-// run's scope is the pool's attribution sink for the whole run, a cohort
-// rider's is not (the sweep's scope pays the physical reads, the rider's
-// consumption is SharedPages), so its IO is zero.
+// constructor. Profile is read from the run's scope: a solo run's scope is
+// the pool's attribution sink for the whole run, a cohort rider's is not
+// (the sweep's scope pays the physical reads, the rider's consumption is
+// SharedPages), so its PagesRead is zero. Every window the rider processed
+// was settled at its release, so Metrics holds the run's own counts.
 func (rd *Rider) Finish() (*Result, error) {
 	r := rd.r
 	if err := r.firstErr(); err != nil {
@@ -541,17 +543,8 @@ func (rd *Rider) Finish() (*Result, error) {
 		Level1Windows:   r.windowsPer[0],
 		WindowsPerLevel: r.windowsPer,
 		BufferFrames:    rd.frames,
-		IO: buffer.Stats{
-			LogicalReads:   pr.LogicalReads,
-			PhysicalReads:  pr.PagesRead,
-			Hits:           pr.BufferHits,
-			PinWaitNanos:   uint64(pr.PinWaitNS),
-			CoalescedRuns:  pr.CoalescedRuns,
-			CoalescedPages: pr.CoalescedPages,
-		},
-		IOWait:  time.Duration(pr.IOWaitNS),
-		Metrics: rd.r.e.reg.Snapshot(),
-		Profile: &pr,
+		Metrics:         r.e.reg.Snapshot(),
+		Profile:         &pr,
 	}, nil
 }
 
@@ -563,8 +556,11 @@ func (rd *Rider) endLevel() {
 }
 
 // Close releases the rider's worker pool (and closes its level-1 span if
-// Finish never did) and takes a cohort rider off its sweep's list. Idempotent;
-// call after Finish or after abandoning a failed rider.
+// Finish never did), settles its scope — a rider that failed or was
+// abandoned is settled here; the cohort's shared pages are what Release
+// returns, so close a rider after the release of its last window to have
+// them in that ledger — and takes a cohort rider off its sweep's list.
+// Idempotent; call after Finish or after abandoning a failed rider.
 func (rd *Rider) Close() {
 	if rd.closed {
 		return
@@ -572,6 +568,7 @@ func (rd *Rider) Close() {
 	rd.closed = true
 	rd.endLevel()
 	rd.r.workers.close()
+	rd.r.e.settle(rd.r.scope)
 	if i := slices.Index(rd.s.riders, rd); i >= 0 {
 		rd.s.riders = slices.Delete(rd.s.riders, i, i+1) // off board: the next deal divides its frames
 	}

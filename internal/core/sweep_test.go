@@ -190,6 +190,10 @@ func TestSweepLateJoinEarlyFinish(t *testing.T) {
 	if n := e.PinnedFrames(); n != 0 {
 		t.Errorf("%d frames still pinned", n)
 	}
+	// Every rider's windows reach the registry, the abandoned one's at its Close.
+	if got := e.reg.Snapshot().Counters["dualsim_windows_level1_total"]; got != uint64(3*w+1) {
+		t.Errorf("dualsim_windows_level1_total = %d after %d rider windows", got, 3*w+1)
+	}
 }
 
 // TestSweepRiderEligibility: resume specs bounce with ErrRiderNotEligible

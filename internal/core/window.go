@@ -300,21 +300,17 @@ func (r *run) closeWindow(l, ord int) {
 // countWindow books one window iteration at level l.
 func (r *run) countWindow(l int) {
 	r.windowsPer[l]++
-	r.em.windows.Inc()
 	r.scope.Windows.Add(1)
 }
 
 // settleWindowCounts merges a completed window's task-local counts into the
-// run totals and the engine's cumulative metrics. A window that failed is
-// never settled.
+// run totals and the run's scope. A window that failed is never settled.
 func (r *run) settleWindowCounts(lw *levelWindow) {
 	in, ex := lw.internal.Swap(0), lw.external.Swap(0)
 	if !addCount(&r.internalCount, in) || !addCount(&r.externalCount, ex) {
 		r.fail(r.countOverflow(""))
 	}
-	r.em.embInternal.Add(in)
 	r.scope.EmbInternal.Add(in)
-	r.em.embExternal.Add(ex)
 	r.scope.EmbExternal.Add(ex)
 }
 
@@ -325,7 +321,6 @@ func (r *run) emitCheckpoint(cursor int) {
 	if r.onCheckpoint == nil {
 		return
 	}
-	r.em.checkpoints.Inc()
 	r.scope.Checkpoints.Add(1)
 	r.onCheckpoint(Checkpoint{
 		K:        r.k,
@@ -608,7 +603,6 @@ func (r *run) issueRuns(pages []storage.PageID, wg *sync.WaitGroup, cb func(stor
 // bookLoad accounts one window load (or last-level pass) of the given page
 // count during which the orchestrator spent wait blocked on reads.
 func (r *run) bookLoad(l, ord, pages int, wait time.Duration) {
-	r.em.ioWaitNanos.Add(uint64(wait.Nanoseconds()))
 	r.scope.IOWaitNanos.Add(uint64(wait.Nanoseconds()))
 	r.em.windowLoadUS.Observe(wait.Microseconds())
 	r.em.windowPages.Observe(int64(pages))

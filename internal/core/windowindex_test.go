@@ -57,9 +57,9 @@ func TestResidentWindowInternalOnly(t *testing.T) {
 						break
 					}
 				}
-				if res.IO.PhysicalReads != uint64(db.NumPages()) {
+				if res.Profile.PagesRead != uint64(db.NumPages()) {
 					t.Errorf("%s compress=%v overlay=%v: %d physical reads of %d pages",
-						q, compress, overlay, res.IO.PhysicalReads, db.NumPages())
+						q, compress, overlay, res.Profile.PagesRead, db.NumPages())
 				}
 			}
 		}
@@ -186,14 +186,14 @@ func TestWindowReloadAllocs(t *testing.T) {
 		}
 		cycle() // every frame has held a page
 		const rounds = 5
-		reads0 := e.pool.Stats().PhysicalReads
+		reads0 := s.r.scope.PagesRead.Load()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < rounds; i++ {
 			cycle()
 		}
 		runtime.ReadMemStats(&after)
-		reads := float64(e.pool.Stats().PhysicalReads - reads0)
+		reads := float64(s.r.scope.PagesRead.Load() - reads0)
 		if pages := float64(rounds * db.NumPages()); reads < pages {
 			t.Fatalf("compress=%v: %.0f physical reads in %d cycles over %.0f pages, want every page re-read", compress, reads, rounds, pages/rounds)
 		}

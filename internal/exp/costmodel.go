@@ -43,9 +43,9 @@ func TableCostModel(e *Env) (*Table, error) {
 			model := eng.ModelFor(res.Plan.K, nil)
 			eng.Close()
 			bound := model.PredictedReads()
-			ratio := float64(res.IO.PhysicalReads) / bound
+			ratio := float64(res.Profile.PagesRead) / bound
 			t.AddRow(q.Name(), fmt.Sprintf("%.0f%%", frac*100),
-				fmtCount(res.IO.PhysicalReads), fmt.Sprintf("%.0f", bound), fmt.Sprintf("%.2f", ratio))
+				fmtCount(res.Profile.PagesRead), fmt.Sprintf("%.0f", bound), fmt.Sprintf("%.2f", ratio))
 		}
 	}
 	return t, nil

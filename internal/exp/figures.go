@@ -519,7 +519,7 @@ func Fig17VsOPT(e *Env) (*Table, error) {
 		t.AddRow(name,
 			fmtDur(ds.ExecTime), fmt.Sprintf("%d", ds.Level1Windows),
 			fmtDur(opt.ExecTime), fmt.Sprintf("%d", opt.Level1Windows),
-			fmtCount(ds.IO.PhysicalReads), fmtCount(opt.IO.PhysicalReads))
+			fmtCount(ds.Profile.PagesRead), fmtCount(opt.Profile.PagesRead))
 	}
 	return t, nil
 }

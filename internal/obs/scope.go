@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -10,14 +11,12 @@ import (
 // Scope is a per-query attribution sink. Every run has one — the caller's
 // (the server mints one per request) or one the run mints for itself — and
 // the engine installs it on its buffer pool for the duration of the run.
-// Every hot-path counter increments the scope beside the process-global
-// registry, so cost (pages read, I/O wait, kernel mix, ...) is attributed
-// to the query that incurred it rather than to the process.
+// It is the one place the engine and the pool count what a query costs
+// (pages read, I/O wait, kernel mix, ...): the registry's counters of the
+// same quantities are fed from scopes alone, each delta once (Settle).
 //
 // All fields are atomics: the buffer pool's I/O workers and the
-// enumeration workers increment concurrently with the orchestrator. The
-// pool, which also serves pins outside any run, mirrors into its scope only
-// while one is installed.
+// enumeration workers increment concurrently with the orchestrator.
 //
 // The engine runs one query at a time and owns its pool exclusively, and
 // all physical reads settle before a run returns; together these guarantee
@@ -29,7 +28,7 @@ type Scope struct {
 	spanSeq atomic.Uint64
 	root    atomic.Uint64 // span the engine's run span parents on
 
-	// Buffer-pool attribution (mirrors Pool.Stats counters).
+	// Buffer-pool attribution.
 	PagesRead      atomic.Uint64 // physical page reads
 	LogicalReads   atomic.Uint64 // pin requests
 	BufferHits     atomic.Uint64 // pins served from resident frames
@@ -37,7 +36,7 @@ type Scope struct {
 	CoalescedRuns  atomic.Uint64 // contiguous read stretches issued
 	CoalescedPages atomic.Uint64 // pages covered by those stretches
 
-	// Core enumeration attribution (mirrors engineMetrics counters).
+	// Core enumeration attribution.
 	IOWaitNanos   atomic.Uint64 // orchestrator wait for window pins
 	Windows       atomic.Uint64 // windows processed, all levels
 	WindowsLevel1 atomic.Uint64 // level-1 (outermost) windows
@@ -55,6 +54,11 @@ type Scope struct {
 	// invariant becomes sum(per-query PagesRead) + sweep PagesRead = global
 	// delta.
 	SharedPages atomic.Uint64
+
+	// settleMu guards settled, the scope's watermark: its counts as of the
+	// last Settle.
+	settleMu sync.Mutex
+	settled  CostProfile
 }
 
 // NewScope returns a scope for one query. traceID may be empty (CLI runs
@@ -149,6 +153,36 @@ func (s *Scope) Profile() CostProfile {
 		EmbInternal:     s.EmbInternal.Load(),
 		EmbExternal:     s.EmbExternal.Load(),
 		SharedPages:     s.SharedPages.Load(),
+	}
+}
+
+// Settle returns what the scope counted since its last Settle and moves its
+// watermark to now. The watermark lives in the scope, so however many runs
+// share a scope (a rider bounced to a solo rerun) and however often they
+// settle it, each count is handed out once.
+func (s *Scope) Settle() CostProfile {
+	s.settleMu.Lock()
+	defer s.settleMu.Unlock()
+	now, was := s.Profile(), s.settled
+	s.settled = now
+	return CostProfile{
+		IOWaitNS:        now.IOWaitNS - was.IOWaitNS,
+		PinWaitNS:       now.PinWaitNS - was.PinWaitNS,
+		PagesRead:       now.PagesRead - was.PagesRead,
+		LogicalReads:    now.LogicalReads - was.LogicalReads,
+		BufferHits:      now.BufferHits - was.BufferHits,
+		CoalescedRuns:   now.CoalescedRuns - was.CoalescedRuns,
+		CoalescedPages:  now.CoalescedPages - was.CoalescedPages,
+		Windows:         now.Windows - was.Windows,
+		WindowsLevel1:   now.WindowsLevel1 - was.WindowsLevel1,
+		IntersectLinear: now.IntersectLinear - was.IntersectLinear,
+		IntersectGallop: now.IntersectGallop - was.IntersectGallop,
+		IntersectKWay:   now.IntersectKWay - was.IntersectKWay,
+		StealSplits:     now.StealSplits - was.StealSplits,
+		Checkpoints:     now.Checkpoints - was.Checkpoints,
+		EmbInternal:     now.EmbInternal - was.EmbInternal,
+		EmbExternal:     now.EmbExternal - was.EmbExternal,
+		SharedPages:     now.SharedPages - was.SharedPages,
 	}
 }
 

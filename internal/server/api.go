@@ -416,7 +416,7 @@ func (a *queryAttribution) reply(query string, cached bool, res *core.Result) Qu
 		PrepNS:           res.PrepTime.Nanoseconds(),
 		ExecNS:           res.ExecTime.Nanoseconds(),
 		QueueNS:          a.queueNS,
-		PhysicalReads:    res.IO.PhysicalReads,
+		PhysicalReads:    res.Profile.PagesRead,
 		Resumed:          res.Resumed,
 		SharedPages:      a.scope.SharedPages.Load(),
 		DataEpoch:        a.epoch,

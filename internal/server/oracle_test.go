@@ -87,6 +87,7 @@ type sdraw struct {
 	fault             string
 	faultAt           int64
 	latency           time.Duration // per page read, so a rider outlives a compaction
+	misdirect         bool          // a fault schedule's draw ends on a misdirected read
 	queries           []*graph.Query
 	specs             []string // each query's own spelling
 	clients           [][]sop
@@ -95,10 +96,10 @@ type sdraw struct {
 
 func (d sdraw) String() string {
 	return fmt.Sprintf("seed=%d graph=%s(n=%d m=%d) specs=%q compress=%v reorder=%v page=%d engines=%d threads=%d "+
-		"frames=%d/%.2f shareScan=%v riders=%d mutable=%v compactEvery=%d fault=%s@%d latency=%v clients=%v steps=%v",
+		"frames=%d/%.2f shareScan=%v riders=%d mutable=%v compactEvery=%d fault=%s@%d latency=%v misdirect=%v clients=%v steps=%v",
 		d.seed, d.kind, d.g.NumVertices(), d.g.NumEdges(), d.specs, d.compress, d.reorder, d.pageSize, d.engines,
 		d.threads, d.frames, d.frameFrac, d.shareScan, d.riders, d.mutable, d.compactEvery, d.fault, d.faultAt,
-		d.latency, d.clients, d.steps)
+		d.latency, d.misdirect, d.clients, d.steps)
 }
 
 // edgeSpec spells q as an edge list, its vertices renamed by perm (nil: kept).
@@ -230,6 +231,7 @@ func drawServing(seed int64) sdraw {
 		}
 		d.steps = append(d.steps, steps[rng.Intn(len(steps))])
 	}
+	d.misdirect = d.fault != noFault && rng.Intn(2) == 0
 	return d
 }
 
@@ -959,6 +961,9 @@ func runServing(t *testing.T, d sdraw, cov *coverage) *soracle {
 			t.Fatalf("%v:\n  the file on disk is at epoch %d, the schedule at %d: %v", d, re.Epoch(), o.epoch, err)
 		}
 	}
+	if d.misdirect && db.NumPages() > 1 {
+		o.misdirected(db.NumPages(), opts)
+	}
 	if o.s.sm.cohortFallbacks.Value() > 0 {
 		cov.add("bounced rider")
 	}
@@ -968,6 +973,28 @@ func runServing(t *testing.T, d sdraw, cov *coverage) *soracle {
 		cov.add(k)
 	}
 	return o
+}
+
+// misdirected serves one count from a fresh server, nothing resident, whose
+// every read of a drawn page p gets another page's intact image, which no
+// checksum sees: the reply must be a 500 naming page p, never a count.
+func (o *soracle) misdirected(pages int, opts core.Options) {
+	rng := rand.New(rand.NewSource(^o.d.seed))
+	p := rng.Intn(pages)
+	o.fdb.Heal()
+	o.fdb.Misdirect(storage.PageID(p), storage.PageID((p+1+rng.Intn(pages-1))%pages))
+	s := newFaultServer(o.t, o.fdb, Config{Engines: 1, Engine: opts})
+	resp, err := postQuery(o.t, s.Addr(), QueryRequest{Query: o.d.specs[0]})
+	if err != nil {
+		o.t.Fatalf("%v: misdirected query: %v", o.d, err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), fmt.Sprintf("page %d corrupt", p)) {
+		o.t.Fatalf("%v:\n  page %d read as another page's image: status %d %s; want a 500 naming page %d",
+			o.d, p, resp.StatusCode, body, p)
+	}
+	o.cov.add("misdirected read")
 }
 
 // coverage counts the dimensions draws reached.
@@ -1013,7 +1040,8 @@ var servingRaceSeeds = []int64{1, 2, 4, 11, 16, 22, 31, 34, 37, 48}
 // buffer from the floor to past the page count, a cohort of 1–4 riders or
 // none, live ingest with or without background compaction) and a fault
 // schedule (none, transient pages or a read storm under a retry budget, or a
-// permanent device loss healed at its first failure), then 2–6 clients
+// permanent device loss healed at its first failure; half the faulted draws
+// end on a fresh server whose reads of one page are misdirected), then 2–6 clients
 // sending counts, whole streams, streams cut at a limit and resumed — some
 // across a writer's batch or compaction — and cohort counts the writer
 // ingests and compacts under, half of them spelled as relabelled edge lists,
@@ -1071,6 +1099,7 @@ func TestServingOracle(t *testing.T) {
 			"threads=1", "threads=2", "compress=true", "compress=false", "shareScan=true", "shareScan=false",
 			"mutable=true", "mutable=false", "compactEvery>0=true", "resident", "relabelled spelling",
 			"cut and resumed", "409 resume", "resumed across a compaction", "invalid batch",
-			"explicit compaction mid-load", "background compaction mid-load", "rider across compaction", "bounced rider")
+			"explicit compaction mid-load", "background compaction mid-load", "rider across compaction", "bounced rider",
+			"misdirected read")
 	}
 }

@@ -68,16 +68,14 @@ type Scheduler struct {
 
 	// The cohort family lives in the registry, shared by every scheduler on
 	// it, so a server's counters survive the schedulers a compaction
-	// replaces, and riders of a retiring one still count in active.
+	// replaces, and riders of a retiring one still count in active. The
+	// shared and sweep pages are what the engine's settles return (ledger).
 	active         *obs.Gauge
 	sweeps         *obs.Counter
 	sharedWindows  *obs.Counter
 	sharedPages    *obs.Counter
 	ridersTotal    *obs.Counter
 	sweepPagesRead *obs.Counter
-	// settledPages is sweepScope's PagesRead as of the last settle. Written
-	// by the sweep loop only.
-	settledPages uint64
 }
 
 // Stats is a point-in-time cohort snapshot for GET /stats.
@@ -125,7 +123,7 @@ func New(eng *core.Engine, opts Options) *Scheduler {
 		sharedWindows: reg.Counter("dualsim_shared_windows_total",
 			"level-1 windows loaded once by the shared sweep and served to every attached rider"),
 		sharedPages: reg.Counter("dualsim_shared_pages_total",
-			"shared-window pages attributed to riders (resident consumption; the physical reads are the sweep's)"),
+			"shared-window pages attributed to riders (resident consumption; the physical reads are the sweep's), settled at window releases"),
 		ridersTotal: reg.Counter("dualsim_cohort_riders_total",
 			"queries admitted into a shared-scan cohort"),
 		sweepPagesRead: reg.Counter("dualsim_sweep_pages_read_total",
@@ -148,12 +146,11 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// settle adds the sweep's physical reads since the last settle to the
-// registry, after each window release and at each sweep's end.
-func (s *Scheduler) settle() {
-	now := s.sweepScope.PagesRead.Load()
-	s.sweepPagesRead.Add(now - s.settledPages)
-	s.settledPages = now
+// ledger adds what one of the engine's settles returned — at each window
+// release and each sweep's end — to the cohort's page counters.
+func (s *Scheduler) ledger(read, shared uint64) {
+	s.sweepPagesRead.Add(read)
+	s.sharedPages.Add(shared)
 }
 
 type outcome struct {
@@ -175,8 +172,6 @@ type activeRider struct {
 	pr    *pendingRider
 	rider *core.Rider
 	err   error
-	// booked is the rider's SharedPages already added to the cohort ledger.
-	booked uint64
 }
 
 // Run executes spec as a cohort rider and blocks until the rider's cycle
@@ -244,8 +239,7 @@ func (s *Scheduler) sweepLoop() {
 		} else {
 			s.sweeps.Inc()
 			s.runSweep(sweep)
-			sweep.Close()
-			s.settle()
+			s.ledger(sweep.Close())
 		}
 		s.mu.Lock()
 		if len(s.pending) == 0 || s.closed {
@@ -298,15 +292,7 @@ func (s *Scheduler) runSweep(sweep *core.Sweep) {
 			}()
 		}
 		wg.Wait()
-		// The ledger is what the riders booked: one that returned at its gate
-		// (cancelled, or failed already) consumed nothing of this window.
-		for _, ar := range riders {
-			now := ar.rider.SharedPages()
-			s.sharedPages.Add(now - ar.booked)
-			ar.booked = now
-		}
-		sweep.Release(sw)
-		s.settle()
+		s.ledger(sweep.Release(sw))
 		kept := riders[:0]
 		for _, ar := range riders {
 			switch {
