@@ -72,7 +72,11 @@ fmt:
 # a page, which the engine walks with a cursor in step with ascending
 # vertices (storage.PageCursor) and resolves lists through each window's own
 # table (vertexTable), so non-test internal/core calls no PageOf, SpanOf or
-# Degree on its database.
+# Degree on its database. And a buffer pool whose state is fixed at creation:
+# frames, their table and one clock hand, so non-test internal/buffer/pool.go
+# appends to no pool field (nothing grows with the pins it serves), and one
+# read arm, storage.PageSource.ReadPagesInto (a page is a run of one), so
+# non-test internal/buffer names no ReadPageInto.
 lint: vet metrics-doc-check
 	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l . >&2; echo "gofmt: the files above are not formatted" >&2; exit 1; fi
 	$(GO) run ./cmd/lintdoc ./internal/graph ./internal/core ./internal/buffer ./internal/sharedscan ./internal/storage ./internal/delta
@@ -105,6 +109,10 @@ lint: vet metrics-doc-check
 		echo "a compaction is one sequential rewrite, never a rebuild: no Build, StampEpoch or EdgeSource in internal/storage/compact.go" >&2; exit 1; fi
 	@if grep -nE '\b(PageOf|SpanOf|Degree)\(' $$(ls internal/core/*.go | grep -v _test.go); then \
 		echo "no per-vertex directory: internal/core walks the page-first array with a storage.PageCursor and resolves lists through each window's vertexTable (no PageOf, SpanOf or Degree)" >&2; exit 1; fi
+	@if grep -nF 'append(p.' internal/buffer/pool.go; then \
+		echo "the pool's state is fixed at creation (frames, their table, one clock hand): no append to a pool field in internal/buffer/pool.go" >&2; exit 1; fi
+	@if grep -nF 'ReadPageInto' $$(ls internal/buffer/*.go | grep -v _test.go); then \
+		echo "one read arm: the pool reads every stretch with storage.PageSource.ReadPagesInto, a page as a run of one (no ReadPageInto in non-test internal/buffer)" >&2; exit 1; fi
 
 # metrics-doc regenerates docs/METRICS.md from the live metric registry
 # (every counter/gauge/histogram the server registers, plus the paper
@@ -123,7 +131,10 @@ metrics-doc-check:
 check: lint bench-module race stress
 
 # stress is the -race -count=20 pass, and STRESS_RUN its one test set (CI's
-# race job runs this target). The two oracles lead it. The serving oracle's
+# race job runs this target). The three concurrent oracles lead it. The pool
+# oracle's seeds race clients that pin, unpin, read runs and cancel them
+# against the I/O workers, a waiter against a cancelled loader, and a Close
+# against requests in flight. The serving oracle's
 # race seeds put concurrent HTTP clients, a writer, compactions that swap the
 # engine generation under running requests (a riding count among them) and
 # device faults through one server. The differential oracle: every draw
@@ -143,9 +154,9 @@ check: lint bench-module race stress
 # hook's order against checkpoints, the library's one-caller Enumerate, the
 # server's limit cut and flushes, the sublinear-pages pins (concurrent
 # riders share a sweep only by late join) and the faulted scheduler.
-STRESS_RUN = TestServingOracle|TestDifferentialAllModes|TestFrameReuseRidersAtFloor|TestWindowIndex|TestResidentWindowInternalOnly|TestOverlayStreamDispatch|TestStreamFaultMidPass|TestStreamCancelMidPass|TestDealSplit|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestCohortDealExactBudget|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestEnumerateContract|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestStreamCoalescedFlushes|TestE2ESharedScanSublinearPages
+STRESS_RUN = TestServingOracle|TestDifferentialAllModes|TestPoolOracle|TestFrameReuseRidersAtFloor|TestWindowIndex|TestResidentWindowInternalOnly|TestOverlayStreamDispatch|TestStreamFaultMidPass|TestStreamCancelMidPass|TestDealSplit|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestCohortDealExactBudget|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestEnumerateContract|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestStreamCoalescedFlushes|TestE2ESharedScanSublinearPages
 stress:
-	$(GO) test -race -count=20 -run '$(STRESS_RUN)' ./internal/core ./internal/sharedscan ./internal/server .
+	$(GO) test -race -count=20 -run '$(STRESS_RUN)' ./internal/buffer ./internal/core ./internal/sharedscan ./internal/server .
 
 # bench-module vets and tests benchmark/, which is its own Go module
 # (replace dualsim => ../): the root ./... patterns never compile it, so
@@ -164,9 +175,10 @@ bench:
 # scale runs the scale tier once: q1 and q4 on gen.RMAT(20, 8 000 000)
 # built compressed (2^20 vertices, about 7.7 M edges, a few seconds to
 # build), one engine each, q1 at a 5 % buffer and q4 at 10 % (under a minute
-# a run on two cores), reporting pages and device requests per run and the
-# heap that opening the database and its engine keep live. It is in neither
-# tier-1 nor check.
+# a run on two cores), reporting pages and device requests per run, the
+# heap that opening the database and its engine keep live, the windows per
+# level, and the pages read over Equation 1 and over Silvestri's bound. It is
+# in neither tier-1 nor check.
 scale:
 	$(GO) test -run '^$$' -bench 'Scale' -benchtime 1x -count 1 -timeout 30m .
 
@@ -176,24 +188,27 @@ scale:
 smoke-serve:
 	./scripts/serve_smoke.sh
 
-# soak runs the three oracles on fresh seeds under -race for SOAK_SECONDS
+# soak runs the four oracles on fresh seeds under -race for SOAK_SECONDS
 # each: the serving oracle draws whole server configurations and concurrent
 # HTTP schedules — faults, live ingest, compactions, resumes — and checks
 # every reply against brute force at its data epoch (TestServingOracle); the
 # differential oracle draws whole execution configurations of the engine
 # (TestDifferentialAllModes); the storage oracle draws a graph, a build, a
 # base file and a corruption, and holds every reader of the page file to the
-# graph (TestStorageOracle). Each logs its seed range, and failures print the
-# offending seed; reproduce one with
+# graph (TestStorageOracle); the pool oracle draws a database, a pool, a
+# faulted or retried reader and concurrent clients, and holds every answer of
+# the buffer pool to the file (TestPoolOracle). Each logs its seed range, and
+# failures print the offending seed; reproduce one with
 #   go test ./internal/server -run 'TestServingOracle/seed=N$$'
 #   go test ./internal/core -run 'TestDifferentialAllModes/seed=N$$'
 #   go test ./internal/storage -run 'TestStorageOracle/seed=N$$'
+#   go test ./internal/buffer -run 'TestPoolOracle/seed=N$$'
 # Tune the time box with SOAK_SECONDS (default 20 here).
 SOAK_SECONDS ?= 20
 soak:
 	SOAK_SECONDS=$(SOAK_SECONDS) $(GO) test -race -count=1 -v \
-		-run 'TestServingOracle|TestDifferentialAllModes|TestStorageOracle' \
-		./internal/server ./internal/core ./internal/storage
+		-run 'TestServingOracle|TestDifferentialAllModes|TestStorageOracle|TestPoolOracle' \
+		./internal/server ./internal/core ./internal/storage ./internal/buffer
 
 clean:
 	$(GO) clean ./...

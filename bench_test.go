@@ -8,7 +8,9 @@ package dualsim
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -200,7 +202,9 @@ func TestMain(m *testing.M) {
 // keeps one q4 run under a minute (36 s on a 2-core AMD EPYC; 48 s at 5 %):
 // a graph far beyond the cache, where what grows with |V| shows. Each reports
 // the pages and device requests per run, the heap that opening the database
-// and its engine keep live, and the file's pages. `make scale` runs them;
+// and its engine keep live, the file's pages, the windows per level
+// (windows-lN), and the pages read over Equation 1's prediction and over
+// Silvestri's bound (equation1-ratio, silvestri-ratio). `make scale` runs them;
 // they are in neither tier-1 nor `make check`.
 func BenchmarkScaleQ1(b *testing.B) { benchScale(b, graph.Triangle(), 0.05) }
 func BenchmarkScaleQ4(b *testing.B) { benchScale(b, graph.Clique4(), 0.10) }
@@ -237,6 +241,7 @@ func benchScale(b *testing.B, q *graph.Query, fraction float64) {
 		b.Fatal(err)
 	}
 	var pages, requests uint64
+	var windows []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := eng.RunPlanContext(context.Background(), p)
@@ -246,11 +251,26 @@ func benchScale(b *testing.B, q *graph.Query, fraction float64) {
 		// A coalesced run of n pages is one device request.
 		pages += res.Profile.PagesRead
 		requests += res.Profile.PagesRead - res.Profile.CoalescedPages + res.Profile.CoalescedRuns
+		windows = res.WindowsPerLevel
 	}
-	b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+	perOp := float64(pages) / float64(b.N)
+	b.ReportMetric(perOp, "pages/op")
 	b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
 	b.ReportMetric(float64(after.HeapAlloc)-float64(before.HeapAlloc), "open-heap-B")
 	b.ReportMetric(float64(db.NumPages()), "file-pages")
+	for l, w := range windows {
+		b.ReportMetric(float64(w), fmt.Sprintf("windows-l%d", l+1))
+	}
+	// Pages read against the paper's Equation 1 and, q1 and q4 being
+	// cliques, Silvestri's I/O bound for k-clique enumeration,
+	// E^(k/2) / (B * M^(k/2-1)), floored at one scan: the benchmark's model
+	// distances (benchmark/run.go, modelDistances), in edge words.
+	pageWords, edgeWords, k := float64(db.PageSize())/4, 2*float64(db.NumEdges()), float64(q.NumVertices())
+	bufferWords := float64(eng.BufferFrames()) * pageWords
+	predicted := core.CostModel{Edges: edgeWords, BufferWords: bufferWords, PageWords: pageWords, Levels: q.NumVertices() - 1}.PredictedReads()
+	bound := math.Max(edgeWords/pageWords, math.Pow(edgeWords, k/2)/(pageWords*math.Pow(bufferWords, k/2-1)))
+	b.ReportMetric(perOp/predicted, "equation1-ratio")
+	b.ReportMetric(perOp/bound, "silvestri-ratio")
 }
 
 func BenchmarkResidentQ1(b *testing.B) { benchResident(b, graph.Triangle()) }

@@ -18,19 +18,12 @@ import (
 	"dualsim/internal/storage"
 )
 
-// PageReader supplies raw page images: *storage.DB implements it, and so
-// does the storage.RetryReader that wraps one.
+// PageReader supplies raw page images a run of consecutive pages at a
+// time: *storage.DB implements it with one positional read, and so does the
+// storage.RetryReader that wraps one, page by page under its retries. The
+// pool issues one device request per contiguous non-resident stretch of a
+// coalesced run; a page alone is a run of one.
 type PageReader = storage.PageSource
-
-// RunReader is optionally implemented by PageReaders that can fetch a run
-// of consecutive pages in one request; *storage.DB (single positional read)
-// and *storage.RetryReader (per-page retries, still one simulated seek)
-// both do. When the pool's reader implements it, the I/O scheduler issues
-// one device request per contiguous non-resident stretch of a coalesced
-// run instead of one per page.
-type RunReader interface {
-	ReadPagesInto(first storage.PageID, buf []byte) error
-}
 
 // ErrNoFreeFrame is returned when every frame is pinned and a new page is
 // requested. The engine sizes its windows to the pool, so seeing this error
@@ -84,17 +77,17 @@ type ioRequest struct {
 }
 
 // Pool is a fixed-capacity page buffer. All methods are safe for concurrent
-// use.
+// use. Its state is fixed at creation: frames, the table of the pages they
+// hold (at most one entry a frame) and the clock hand; nothing grows with
+// the pins or reads it serves.
 type Pool struct {
-	reader    PageReader
-	runReader RunReader // reader's optional multi-page path; nil if unsupported
-	opts      Options
+	reader PageReader
+	opts   Options
 
-	mu        sync.Mutex
-	frames    []frame
-	table     map[storage.PageID]int
-	free      []int
-	evictable []int // candidate frame indexes with pins == 0 (lazily validated)
+	mu     sync.Mutex
+	frames []frame
+	table  map[storage.PageID]int
+	hand   int // the frame the next acquireFrameLocked looks at first
 
 	evictions atomic.Uint64 // frames recycled: no query owns an eviction
 	lastRead  atomic.Int64  // previous physical pid, for seek simulation
@@ -136,16 +129,11 @@ func NewPool(reader PageReader, opts Options) (*Pool, error) {
 		opts:    opts,
 		frames:  make([]frame, opts.Frames),
 		table:   make(map[storage.PageID]int, opts.Frames),
-		free:    make([]int, 0, opts.Frames),
 		ioq:     make(chan ioRequest, 4*opts.IOWorkers),
 		runBufs: make(chan []byte, opts.IOWorkers+1),
 	}
-	p.runReader, _ = reader.(RunReader)
 	p.SetAttribution(nil)
 	p.lastRead.Store(-2)
-	for i := opts.Frames - 1; i >= 0; i-- {
-		p.free = append(p.free, i)
-	}
 	for i := 0; i < opts.IOWorkers; i++ {
 		p.ioWG.Add(1)
 		go p.ioWorker()
@@ -180,14 +168,6 @@ func (p *Pool) SetAttribution(sc *obs.Scope) {
 // Evictions returns the frames the pool has recycled since it was created.
 func (p *Pool) Evictions() uint64 { return p.evictions.Load() }
 
-// Resident reports whether pid is currently buffered (loaded or loading).
-func (p *Pool) Resident(pid storage.PageID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.table[pid]
-	return ok
-}
-
 // PinnedCount returns the number of frames with at least one pin. For tests.
 func (p *Pool) PinnedCount() int {
 	p.mu.Lock()
@@ -206,25 +186,25 @@ func (p *Pool) PinnedCount() int {
 // It is valid only while pinned: the page, and every slice taken from it
 // (Page.List), is its frame's memory, which the frame's next load
 // overwrites once the last pin is gone. Copy what must outlive the pin.
-func (p *Pool) Pin(pid storage.PageID) (*storage.Page, error) {
-	return p.PinContext(context.Background(), pid)
-}
-
-// PinContext is Pin observing cancellation. It is AsyncReadRunContext for a
-// run of one, served on the caller's goroutine instead of an I/O worker's:
-// same counters, same pin, same errors (ErrPoolClosed after Close included).
-func (p *Pool) PinContext(ctx context.Context, pid storage.PageID) (page *storage.Page, err error) {
+//
+// Pin is AsyncReadRunContext for a run of one, served on the caller's
+// goroutine instead of an I/O worker's: same counters, same pin, same errors
+// (ErrPoolClosed after Close included).
+func (p *Pool) Pin(pid storage.PageID) (page *storage.Page, err error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
-	p.serveRun(ctx, pid, 1, nil, func(_ storage.PageID, pg *storage.Page, e error) {
+	p.serveRun(context.Background(), pid, 1, nil, func(_ storage.PageID, pg *storage.Page, e error) {
 		page, err = pg, e
 	})
 	return page, err
 }
 
 // Unpin releases one pin on pid. Unpinning a page that is not resident or
-// not pinned panics: it is always a caller bug.
+// not pinned panics: it is always a caller bug. The last pin off a page
+// whose load failed drops it from the table, so the next request reads it
+// again; an unpinned resident page stays until the clock hand takes its
+// frame.
 func (p *Pool) Unpin(pid storage.PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -236,50 +216,29 @@ func (p *Pool) Unpin(pid storage.PageID) {
 	if f.pins <= 0 {
 		panic(fmt.Sprintf("buffer: unpin of unpinned page %d", pid))
 	}
-	f.pins--
-	if f.pins == 0 {
-		if f.err != nil {
-			// Drop failed loads immediately so they are retried next time.
-			delete(p.table, pid)
-			p.free = append(p.free, idx)
-			return
-		}
-		p.evictable = append(p.evictable, idx)
+	if f.pins--; f.pins == 0 && f.err != nil {
+		delete(p.table, pid)
 	}
 }
 
-// acquireFrameLocked returns a frame index ready for reuse. Caller holds mu.
+// acquireFrameLocked returns a frame ready for a load: the first at or after
+// the clock hand that nobody pins, with the hand moved past it. A frame that
+// still holds a page gives it up (an eviction), so frames are reused in slot
+// order, skipping the pinned ones — first loaded, first evicted. Caller
+// holds mu.
 func (p *Pool) acquireFrameLocked() (int, error) {
-	if n := len(p.free); n > 0 {
-		idx := p.free[n-1]
-		p.free = p.free[:n-1]
-		return idx, nil
-	}
-	for len(p.evictable) > 0 {
-		idx := p.evictable[0]
-		p.evictable = p.evictable[1:]
+	for i := range p.frames {
+		idx := (p.hand + i) % len(p.frames)
 		f := &p.frames[idx]
-		if f.pins != 0 {
-			continue // re-pinned since enqueued
+		if f.pins > 0 {
+			continue
 		}
-		if cur, ok := p.table[f.pid]; !ok || cur != idx {
-			continue // stale entry
+		p.hand = (idx + 1) % len(p.frames)
+		if cur, ok := p.table[f.pid]; ok && cur == idx {
+			delete(p.table, f.pid)
+			p.evictions.Add(1)
 		}
-		delete(p.table, f.pid)
-		p.evictions.Add(1)
 		return idx, nil
-	}
-	// Slow fallback: the evictable queue can miss frames when entries were
-	// skipped as stale; rescan.
-	for idx := range p.frames {
-		f := &p.frames[idx]
-		if f.pins == 0 {
-			if cur, ok := p.table[f.pid]; ok && cur == idx {
-				delete(p.table, f.pid)
-				p.evictions.Add(1)
-				return idx, nil
-			}
-		}
 	}
 	return 0, ErrNoFreeFrame
 }
@@ -336,11 +295,10 @@ func (p *Pool) enqueue(req ioRequest) bool {
 // callback processes one page while further reads proceed. A request whose
 // context is already canceled when a worker dequeues it is not read: its
 // callbacks fire with ctx.Err() and no page, draining queued I/O promptly
-// on cancellation. Contiguous non-resident stretches are read with a single
-// simulated seek — and a single device request when the reader implements
-// RunReader — so a sequential window load pays one positioning delay
-// instead of n. Runs longer than DefaultMaxRun are split across several
-// requests (possibly served by different workers). wg, if non-nil, must
+// on cancellation. Each contiguous non-resident stretch is one device
+// request with a single simulated seek, so a sequential window load pays one
+// positioning delay instead of n. Runs longer than DefaultMaxRun are split
+// across several requests (possibly served by different workers). wg, if non-nil, must
 // have been Add(n)'d; it is Done once per page. After Close every callback
 // fires immediately with ErrPoolClosed. A delivered page is valid only while
 // pinned, as with Pin: its frame's next load overwrites it after Unpin.
@@ -474,12 +432,12 @@ func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sy
 }
 
 // readStretch physically loads the consecutive pages claimed by slots (all
-// marked load), charging one seek for the whole stretch, into pooled scratch:
-// one device request with a RunReader, otherwise pages read back to back.
-// Each page is parsed straight out of the scratch into its frame's own
-// memory (frame.parse); its frame's err/page is set and its ready channel
-// closed. A page counts as read once the device returned its bytes, whether
-// or not they parse; a device error reads nothing.
+// marked load) with one device request into pooled scratch, charging one
+// seek for the whole stretch. Each page is parsed straight out of the
+// scratch into its frame's own memory (frame.parse); its frame's err/page is
+// set and its ready channel closed. A page counts as read once the device
+// returned its bytes, whether or not they parse; a device error fails the
+// whole stretch and reads nothing.
 func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []runSlot) {
 	n := len(slots)
 	sc := p.attr.Load()
@@ -491,23 +449,11 @@ func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []ru
 	ps := p.reader.PageSize()
 	buf := p.takeRunBuf(n * ps)
 	defer p.putRunBuf(buf)
-	if n > 1 && p.runReader != nil {
-		err := p.runReader.ReadPagesInto(first, buf)
-		for i := range slots {
-			f := &p.frames[slots[i].idx]
-			if f.err = err; err == nil {
-				f.err = f.parse(buf[i*ps : (i+1)*ps])
-				sc.PagesRead.Add(1)
-			}
-			close(f.ready)
-		}
-		return
-	}
-	img := buf[:ps]
+	err := p.reader.ReadPagesInto(first, buf)
 	for i := range slots {
 		f := &p.frames[slots[i].idx]
-		if f.err = p.reader.ReadPageInto(first+storage.PageID(i), img); f.err == nil {
-			f.err = f.parse(img)
+		if f.err = err; err == nil {
+			f.err = f.parse(buf[i*ps : (i+1)*ps])
 			sc.PagesRead.Add(1)
 		}
 		close(f.ready)

@@ -557,19 +557,21 @@ func (rd *Rider) endLevel() {
 
 // Close releases the rider's worker pool (and closes its level-1 span if
 // Finish never did), settles its scope — a rider that failed or was
-// abandoned is settled here; the cohort's shared pages are what Release
-// returns, so close a rider after the release of its last window to have
-// them in that ledger — and takes a cohort rider off its sweep's list.
-// Idempotent; call after Finish or after abandoning a failed rider.
-func (rd *Rider) Close() {
+// abandoned is settled here — and takes a cohort rider off its sweep's list.
+// It returns the shared pages that settle booked: those of a window the
+// rider processed but no Release settled yet, which the cohort's ledger adds
+// beside what Release returns. Idempotent (a second Close returns 0); call
+// after Finish or after abandoning a failed rider.
+func (rd *Rider) Close() (shared uint64) {
 	if rd.closed {
-		return
+		return 0
 	}
 	rd.closed = true
 	rd.endLevel()
 	rd.r.workers.close()
-	rd.r.e.settle(rd.r.scope)
+	shared = rd.r.e.settle(rd.r.scope).SharedPages
 	if i := slices.Index(rd.s.riders, rd); i >= 0 {
 		rd.s.riders = slices.Delete(rd.s.riders, i, i+1) // off board: the next deal divides its frames
 	}
+	return shared
 }

@@ -196,6 +196,44 @@ func TestSweepLateJoinEarlyFinish(t *testing.T) {
 	}
 }
 
+// TestRiderCloseBeforeReleaseBooksShared: two riders process one window and
+// one is closed before the sweep's Release. The window's shared pages are
+// booked once per rider all the same — Release returns the rider still on
+// board, the early Close returns its own — so a scheduler's ledger, which
+// adds both, loses none.
+func TestRiderCloseBeforeReleaseBooksShared(t *testing.T) {
+	tri := graph.Triangle()
+	e, _ := sweepFixture(t, 96, []*graph.Query{tri})
+	s, err := e.NewSweep(SweepOptions{MaxRiders: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	var riders [2]*Rider
+	for i := range riders {
+		if riders[i], err = s.NewRider(ctx, RunSpec{Plan: mustPlan(t, tri)}); err != nil {
+			t.Fatal(err)
+		}
+		defer riders[i].Close()
+	}
+	sw, err := s.Load(ctx, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rd := range riders {
+		if err := rd.ProcessWindow(sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := uint64(sw.Pages())
+	early := riders[0].Close()
+	_, released := s.Release(sw)
+	if pages == 0 || early+released != 2*pages {
+		t.Errorf("shared pages: early Close %d + Release %d, want twice the window's %d pages", early, released, pages)
+	}
+}
+
 // TestSweepRiderEligibility: resume specs bounce with ErrRiderNotEligible
 // and a busy engine refuses a second sweep (and solo runs) until Close.
 func TestSweepRiderEligibility(t *testing.T) {

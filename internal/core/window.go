@@ -585,8 +585,8 @@ func (r *run) loadWindow(l, ord int, lo, hi graph.VertexID, pages []storage.Page
 
 // issueRuns is the engine's one issuer of reads: it schedules pages, which
 // ascend, as maximal contiguous runs — the pool serves each with one
-// simulated seek (one device request under a RunReader) and delivers its
-// pages in order to cb on an I/O worker, pinned. Both callers read for the
+// simulated seek and one device request per non-resident stretch, and
+// delivers its pages in order to cb on an I/O worker, pinned. Both callers read for the
 // window that is open and nothing else: loadWindow all of a window's pages at
 // once, streamPass a last-level pass's pages as its frame budget frees up.
 func (r *run) issueRuns(pages []storage.PageID, wg *sync.WaitGroup, cb func(storage.PageID, *storage.Page, error)) {

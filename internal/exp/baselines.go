@@ -78,15 +78,6 @@ func (e *Env) PSgLCluster(g *graph.Graph, q *graph.Query) (uint64, *psgl.Stats, 
 	})
 }
 
-// PSgLSingle runs PSgL on one simulated machine — the configuration the
-// paper reports as failing "in most experiments due to memory overruns".
-func (e *Env) PSgLSingle(g *graph.Graph, q *graph.Query) (uint64, *psgl.Stats, error) {
-	return psgl.Run(g, q, psgl.Options{
-		Workers:         1,
-		MemoryPerWorker: e.Cfg.SingleMemory,
-	})
-}
-
 // graphByName fetches the cached reordered graph or errors.
 func (e *Env) graphByName(name string) (*graph.Graph, error) {
 	g, err := e.Graph(name)

@@ -182,17 +182,6 @@ func (e *Env) Graph(name string) (*graph.Graph, error) {
 	return rg, nil
 }
 
-// GraphScaled generates a dataset at an explicit scale (not cached).
-func (e *Env) GraphScaled(name string, scale float64) (*graph.Graph, error) {
-	spec, err := dataset.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	g := spec.Generate(scale)
-	rg, _ := graph.ReorderByDegree(g)
-	return rg, nil
-}
-
 // DB builds (or returns the cached) disk database for the dataset.
 func (e *Env) DB(name string) (*storage.DB, *storage.BuildStats, error) {
 	if db, ok := e.dbs[name]; ok {

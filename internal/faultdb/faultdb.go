@@ -33,7 +33,7 @@ var ErrInjected = errors.New("faultdb: injected fault")
 type Options struct {
 	// Seed drives the probabilistic rules (FailRandom); 0 means 1.
 	Seed int64
-	// OnRead, when non-nil, observes every read before any fault is
+	// OnRead, when non-nil, observes every page read before any fault is
 	// applied: n is the 1-based global read index. Useful to trigger
 	// cancellation or schedule changes at an exact point.
 	OnRead func(n int64, pid storage.PageID)
@@ -41,14 +41,14 @@ type Options struct {
 
 // Stats counts the wrapped database's activity.
 type Stats struct {
-	Reads    int64 // ReadPageInto calls observed
+	Reads    int64 // page reads observed
 	Injected int64 // reads that returned an injected error
 	Flipped  int64 // reads whose payload was bit-flipped
 	Delayed  int64 // reads that served a latency spike
 }
 
 // DB wraps an inner Database with a fault schedule; every method but
-// ReadPageInto is the inner database's. All methods are safe for concurrent
+// ReadPagesInto is the inner database's. All methods are safe for concurrent
 // use; schedule mutations may race with reads only in the sense that a
 // concurrent read sees either the old or the new schedule.
 type DB struct {
@@ -103,9 +103,6 @@ func Wrap(inner Database, opts Options) *DB {
 	}
 }
 
-// Inner returns the wrapped database.
-func (f *DB) Inner() Database { return f.Database }
-
 // Stats returns a snapshot of the activity counters.
 func (f *DB) Stats() Stats {
 	return Stats{
@@ -116,7 +113,7 @@ func (f *DB) Stats() Stats {
 	}
 }
 
-// Reads returns the number of ReadPageInto calls observed so far.
+// Reads returns the number of page reads observed so far.
 func (f *DB) Reads() int64 { return f.reads.Load() }
 
 // PageReads returns how many reads targeted pid.
@@ -139,8 +136,25 @@ func (f *DB) addRule(r rule) {
 	f.mu.Unlock()
 }
 
-// ReadPageInto applies the fault schedule around the inner read.
-func (f *DB) ReadPageInto(pid storage.PageID, buf []byte) error {
+// ReadPagesInto serves a run of consecutive pages page by page, each a read
+// of its own under the fault schedule (readPage), and fails the run with the
+// first page's error: a run of n pages is n reads, as the schedule counts
+// them, up to the first that fails.
+func (f *DB) ReadPagesInto(first storage.PageID, buf []byte) error {
+	ps := f.PageSize()
+	if len(buf) == 0 || len(buf)%ps != 0 {
+		return f.Database.ReadPagesInto(first, buf) // the inner database's refusal
+	}
+	for i := 0; i*ps < len(buf); i++ {
+		if err := f.readPage(first+storage.PageID(i), buf[i*ps:(i+1)*ps]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readPage applies the fault schedule around the inner read of one page.
+func (f *DB) readPage(pid storage.PageID, buf []byte) error {
 	n := f.reads.Add(1)
 	f.mu.Lock()
 	f.perPage[pid]++
@@ -173,7 +187,7 @@ func (f *DB) ReadPageInto(pid storage.PageID, buf []byte) error {
 		f.delayed.Add(1)
 		time.Sleep(delay)
 	}
-	if err := f.Database.ReadPageInto(src, buf); err != nil {
+	if err := f.Database.ReadPagesInto(src, buf); err != nil {
 		return err
 	}
 	if flip {
@@ -351,81 +365,6 @@ func (f *DB) BitFlipOnce(pages ...storage.PageID) *DB {
 	}
 	f.addRule(bitFlip{pages: set, times: 1})
 	return f
-}
-
-// ChaosSchedule is a seeded mid-query fault profile for soak harnesses:
-// a background transient-fault rate that spikes during periodic read
-// bursts, torn reads (one-read bit flips a re-read heals), and slow pages.
-// All probabilistic draws come from the wrapped DB's seeded PRNG, so a
-// given (seed, schedule) pair replays identically for the same read
-// sequence — print the seed on failure and the storm is reproducible.
-type ChaosSchedule struct {
-	// FaultRate is the background probability that a read fails with a
-	// transient *storage.IOError.
-	FaultRate float64
-	// BurstEvery and BurstLen shape fault bursts: within every period of
-	// BurstEvery global reads, the first BurstLen reads fail with
-	// BurstRate instead of FaultRate (zero BurstEvery disables bursts).
-	BurstEvery int64
-	BurstLen   int64
-	BurstRate  float64
-	// TornRate is the probability a read returns a torn page (one payload
-	// bit flipped, tripping the CRC); the next read of the page re-rolls,
-	// so a single re-read usually heals it.
-	TornRate float64
-	// SlowRate is the probability a read serves a latency spike of
-	// SlowDelay.
-	SlowRate  float64
-	SlowDelay time.Duration
-}
-
-type chaosRule struct{ cs ChaosSchedule }
-
-func (r chaosRule) apply(f *DB, n int64, pid storage.PageID, _ int64) (error, bool, time.Duration) {
-	f.mu.Lock()
-	fault, torn, slow := f.rng.float64(), f.rng.float64(), f.rng.float64()
-	f.mu.Unlock()
-	var delay time.Duration
-	if r.cs.SlowRate > 0 && slow < r.cs.SlowRate {
-		delay = r.cs.SlowDelay
-	}
-	p := r.cs.FaultRate
-	if r.cs.BurstEvery > 0 && (n-1)%r.cs.BurstEvery < r.cs.BurstLen {
-		p = r.cs.BurstRate
-	}
-	if p > 0 && fault < p {
-		return storage.NewTransientError(pid, ErrInjected), false, delay
-	}
-	return nil, r.cs.TornRate > 0 && torn < r.cs.TornRate, delay
-}
-
-// Chaos installs a seeded chaos schedule (see ChaosSchedule).
-func (f *DB) Chaos(cs ChaosSchedule) *DB {
-	f.addRule(chaosRule{cs: cs})
-	return f
-}
-
-// SlowPages makes every read of the given pages serve a latency spike of d
-// — the stuck-sector schedule.
-func (f *DB) SlowPages(d time.Duration, pages ...storage.PageID) *DB {
-	set := make(map[storage.PageID]bool, len(pages))
-	for _, p := range pages {
-		set[p] = true
-	}
-	f.addRule(slowPages{pages: set, d: d})
-	return f
-}
-
-type slowPages struct {
-	pages map[storage.PageID]bool
-	d     time.Duration
-}
-
-func (r slowPages) apply(_ *DB, _ int64, pid storage.PageID, _ int64) (error, bool, time.Duration) {
-	if r.pages[pid] {
-		return nil, false, r.d
-	}
-	return nil, false, 0
 }
 
 type latency struct {

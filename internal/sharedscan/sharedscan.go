@@ -342,10 +342,11 @@ func (s *Scheduler) admit(sweep *core.Sweep, current int) []*activeRider {
 	return out
 }
 
-// finishRider settles one rider: worker pool closed, gauge decremented,
-// outcome delivered to the waiting Run call.
+// finishRider settles one rider: worker pool closed and the shared pages its
+// Close settled added to the ledger, gauge decremented, outcome delivered to
+// the waiting Run call.
 func (s *Scheduler) finishRider(ar *activeRider, res *core.Result, err error) {
-	ar.rider.Close()
+	s.ledger(0, ar.rider.Close())
 	s.active.Add(-1)
 	ar.pr.done <- outcome{res, err}
 }

@@ -8,10 +8,12 @@ import (
 	"time"
 )
 
-// PageSource is the minimal page-fetch interface RetryReader wraps.
-// *DB implements it, as does any fault-injecting test double.
+// PageSource is the page-fetch interface the buffer pool reads through and
+// RetryReader wraps: ReadPagesInto reads len(buf)/PageSize() consecutive
+// pages starting at first into buf, a page alone being a run of one. *DB
+// implements it, as do RetryReader and any fault-injecting test double.
 type PageSource interface {
-	ReadPageInto(pid PageID, buf []byte) error
+	ReadPagesInto(first PageID, buf []byte) error
 	PageSize() int
 	NumPages() int
 }
@@ -75,7 +77,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 
 // RetryStats counts a RetryReader's recovery activity.
 type RetryStats struct {
-	// Reads is the number of ReadPageInto calls served.
+	// Reads is the number of pages read, each under its own retry budget.
 	Reads uint64
 	// Retries is the number of transient-failure re-attempts issued.
 	Retries uint64
@@ -154,9 +156,10 @@ func (r *RetryReader) event(kind string, pid PageID, attempt int) {
 	}
 }
 
-// ReadPagesInto reads the consecutive pages starting at first into buf (a
-// positive multiple of PageSize() bytes), page by page through the retrying
-// ReadPageInto. Unlike *DB.ReadPagesInto the run is not one device request:
+// ReadPagesInto implements PageSource: it reads the consecutive pages
+// starting at first into buf (a positive multiple of PageSize() bytes) page
+// by page, each a run of one of the source's under its own retries
+// (readPage). Unlike *DB.ReadPagesInto the run is not one device request:
 // retry and checksum recovery are per page, so a single flaky page costs
 // only its own budget instead of failing the whole run. The buffer pool
 // still charges the run a single simulated seek, so coalescing keeps its
@@ -167,22 +170,22 @@ func (r *RetryReader) ReadPagesInto(first PageID, buf []byte) error {
 		return fmt.Errorf("storage: run buffer %d bytes, want a positive multiple of %d", len(buf), ps)
 	}
 	for i := 0; i*ps < len(buf); i++ {
-		if err := r.ReadPageInto(first+PageID(i), buf[i*ps:(i+1)*ps]); err != nil {
+		if err := r.readPage(first+PageID(i), buf[i*ps:(i+1)*ps]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReadPageInto implements PageSource: it fetches pid into buf, verifying
-// the page checksum, retrying per the policy.
-func (r *RetryReader) ReadPageInto(pid PageID, buf []byte) error {
+// readPage fetches pid into buf, verifying the page checksum, retrying per
+// the policy.
+func (r *RetryReader) readPage(pid PageID, buf []byte) error {
 	r.reads.Add(1)
 	transientTries := 0
 	crcTries := 0
 	failed := false
 	for {
-		err := r.src.ReadPageInto(pid, buf)
+		err := r.src.ReadPagesInto(pid, buf)
 		if err == nil {
 			cerr := VerifyPageChecksum(buf)
 			if cerr == nil {

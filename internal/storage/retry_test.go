@@ -33,7 +33,7 @@ func newScriptedSource(t *testing.T) *scriptedSource {
 	return &scriptedSource{pageSize: MinPageSize, numPages: 8, image: img}
 }
 
-func (s *scriptedSource) ReadPageInto(pid PageID, buf []byte) error {
+func (s *scriptedSource) ReadPagesInto(pid PageID, buf []byte) error {
 	s.mu.Lock()
 	i := s.reads
 	s.reads++
@@ -84,7 +84,7 @@ func (s *scriptedSource) read(policy RetryPolicy) ([]byte, RetryStats, error) {
 		policy.Sleep = noSleep
 	}
 	r, buf := NewRetryReader(s, policy), make([]byte, s.PageSize())
-	err := r.ReadPageInto(7, buf)
+	err := r.ReadPagesInto(7, buf)
 	return buf, r.Stats(), err
 }
 
