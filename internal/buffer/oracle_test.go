@@ -123,9 +123,10 @@ func (c *coverage) require(t *testing.T, keys ...string) {
 	}
 }
 
-// countingReader is the pool's reader, counted: the pages asked of it, the
-// pages it returned bytes for and those that parse as the page asked for,
-// and the multi-page stretches and their pages.
+// countingReader is the pool's reader, counted: the pages it answered — the
+// pages it filled and the one it failed at; the rest of the run is asked
+// again —, the pages it returned bytes for and those that parse as the page
+// asked for, and the multi-page requests and their pages.
 type countingReader struct {
 	PageReader
 	mu                                sync.Mutex
@@ -133,21 +134,24 @@ type countingReader struct {
 	scratch                           storage.Page
 }
 
-func (c *countingReader) ReadPagesInto(first storage.PageID, buf []byte) error {
-	err := c.PageReader.ReadPagesInto(first, buf)
+func (c *countingReader) ReadPagesInto(first storage.PageID, buf []byte) (int, error) {
+	filled, err := c.PageReader.ReadPagesInto(first, buf)
 	ps, n := c.PageSize(), len(buf)/c.PageSize()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.asked += uint64(n); n > 1 {
+	if n > 1 {
 		c.runs, c.runPages = c.runs+1, c.runPages+uint64(n)
 	}
-	for i := 0; err == nil && i < n; i++ {
+	if c.asked += uint64(n); err != nil {
+		c.asked -= uint64(n - filled - 1)
+	}
+	for i := 0; i < filled; i++ {
 		c.read++
 		if storage.ParsePageInto(&c.scratch, buf[i*ps:(i+1)*ps], first+storage.PageID(i)) == nil {
 			c.good++
 		}
 	}
-	return err
+	return filled, err
 }
 
 // oracle is one draw's pool and what the file says it must answer.
@@ -246,7 +250,7 @@ func TestPoolOracle(t *testing.T) {
 			"fault:", "fault:"+transient, "fault:"+failPages, "fault:"+bitFlip, "fault:"+misdirect, "fault:"+failNth,
 			"model", "model: hits and loads in one request", "hit", "eviction", "stretch>1", "run of 2 chunks", "pin wait",
 			"saturate", "no free frame", "cancel:b", "cancel:d", "closed", "out of range", "corrupt: the page asked for",
-			"corrupt: its stretch failed", "device error: "+failPages, "device error: "+failNth, "device error: "+transient)
+			"delivered after a failed page", "device error: "+failPages, "device error: "+failNth, "device error: "+transient)
 	}
 }
 
@@ -490,6 +494,7 @@ func (o *oracle) settle(cl *client, before counts, rs ...*request) {
 		if r.n > DefaultMaxRun {
 			o.cov.add("run of 2 chunks")
 		}
+		faulted := false // a page before this one failed with a fault
 		for i, err := range r.errs {
 			pid, page := r.first+storage.PageID(i), r.pages[i]
 			switch {
@@ -502,6 +507,9 @@ func (o *oracle) settle(cl *client, before counts, rs ...*request) {
 				}
 				cl.held = append(cl.held, heldPin{pid, page})
 				o.sure.Add(1)
+				if faulted {
+					o.cov.add("delivered after a failed page")
+				}
 			case errors.Is(err, ErrPoolClosed):
 				o.expect(pid, err, o.closing.Load(), "closed")
 			case r.after || r.cancel == 'b' && !errors.Is(err, context.Canceled):
@@ -521,6 +529,7 @@ func (o *oracle) settle(cl *client, before counts, rs ...*request) {
 				key := o.faultOf(pid, err)
 				o.expect(pid, err, key != "", key)
 				o.sure.Add(1)
+				faulted = true
 			}
 		}
 	}
@@ -536,30 +545,19 @@ func (o *oracle) expect(pid storage.PageID, err error, ok bool, key string) {
 }
 
 // faultOf names the fault that explains err on pid, or "" if none does. A
-// stretch is read as one request, so a device error fails every page of it:
-// a page fails with the fault of any page at most DefaultMaxRun-1 away.
+// stretch is read as far as the device gets and the rest asked for again, so
+// a page fails only with its own fault.
 func (o *oracle) faultOf(pid storage.PageID, err error) string {
-	near := func(bad func(storage.PageID) bool) bool {
-		for j := max(int(pid)-DefaultMaxRun+1, 0); j < int(pid)+DefaultMaxRun; j++ {
-			if bad(storage.PageID(j)) {
-				return true
-			}
-		}
-		return false
-	}
-	faulty := func(j storage.PageID) bool { return o.faulty[j] }
 	var ce *storage.CorruptPageError
 	var ioe *storage.IOError
 	switch f := o.d.fault; {
 	case errors.As(err, &ce) && ce.Page == pid && o.bad[pid] && (f == bitFlip || f == misdirect):
 		return "corrupt: the page asked for"
-	case errors.As(err, &ce) && f == bitFlip && o.d.retry && o.faulty[ce.Page] && near(func(j storage.PageID) bool { return j == ce.Page }):
-		return "corrupt: its stretch failed"
-	case errors.Is(err, faultdb.ErrInjected) && (f == failNth || f == failPages && near(faulty)):
+	case errors.Is(err, faultdb.ErrInjected) && (f == failNth || f == failPages && o.faulty[pid]):
 		return "device error: " + f
-	case errors.As(err, &ioe) && ioe.Transient && f == transient && !o.d.retry && near(faulty):
+	case errors.As(err, &ioe) && ioe.Transient && ioe.Page == pid && f == transient && !o.d.retry && o.faulty[pid]:
 		return "device error: " + f
-	case errors.As(err, &ioe) && !ioe.Transient && near(func(j storage.PageID) bool { return int(j) >= len(o.ref) }):
+	case errors.As(err, &ioe) && !ioe.Transient && ioe.Page == pid && int(pid) >= len(o.ref):
 		return "out of range"
 	}
 	return ""

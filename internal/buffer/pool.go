@@ -432,31 +432,42 @@ func (p *Pool) serveRun(ctx context.Context, first storage.PageID, n int, wg *sy
 }
 
 // readStretch physically loads the consecutive pages claimed by slots (all
-// marked load) with one device request into pooled scratch, charging one
-// seek for the whole stretch. Each page is parsed straight out of the
-// scratch into its frame's own memory (frame.parse); its frame's err/page is
-// set and its ready channel closed. A page counts as read once the device
-// returned its bytes, whether or not they parse; a device error fails the
-// whole stretch and reads nothing.
+// marked load) into pooled scratch, charging one seek for the whole stretch.
+// One device request reads as far as it gets: each page it filled is parsed
+// straight out of the scratch into its frame's own memory (frame.parse),
+// the page it stopped at fails with its error alone, and the pages after
+// that are asked for again. A multi-page request counts as one coalesced
+// run; a page counts as read once the device returned its bytes, whether or
+// not they parse. Each frame's err/page is set and its ready channel closed.
 func (p *Pool) readStretch(ctx context.Context, first storage.PageID, slots []runSlot) {
-	n := len(slots)
 	sc := p.attr.Load()
-	if n > 1 {
-		sc.CoalescedRuns.Add(1)
-		sc.CoalescedPages.Add(uint64(n))
-	}
-	p.simulateRunLatency(ctx, first, n)
+	p.simulateRunLatency(ctx, first, len(slots))
 	ps := p.reader.PageSize()
-	buf := p.takeRunBuf(n * ps)
+	buf := p.takeRunBuf(len(slots) * ps)
 	defer p.putRunBuf(buf)
-	err := p.reader.ReadPagesInto(first, buf)
-	for i := range slots {
-		f := &p.frames[slots[i].idx]
-		if f.err = err; err == nil {
+	for i := 0; i < len(slots); {
+		n := len(slots) - i
+		if n > 1 {
+			sc.CoalescedRuns.Add(1)
+			sc.CoalescedPages.Add(uint64(n))
+		}
+		filled, err := p.reader.ReadPagesInto(first+storage.PageID(i), buf[i*ps:])
+		if err == nil {
+			filled = n
+		}
+		filled = min(filled, n)
+		for end := i + filled; i < end; i++ {
+			f := &p.frames[slots[i].idx]
 			f.err = f.parse(buf[i*ps : (i+1)*ps])
 			sc.PagesRead.Add(1)
+			close(f.ready)
 		}
-		close(f.ready)
+		if err != nil && i < len(slots) {
+			f := &p.frames[slots[i].idx]
+			f.err = err
+			close(f.ready)
+			i++
+		}
 	}
 }
 

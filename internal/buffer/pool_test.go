@@ -95,7 +95,7 @@ func TestRunMixedHitAndLoad(t *testing.T) {
 	pin(t, pinned(6, 0, ops(pinOp(2), run(0, 5, 0))), "model", "model: hits and loads in one request", "stretch>1")
 }
 func TestRunOutOfRangeLeaksNothing(t *testing.T) {
-	pin(t, pinned(8, 0, ops(run(0, 2*DefaultMaxRun, 0)), func(d *draw) { d.n, d.m, d.pageSize = 40, 80, 1024 }), "model", "out of range")
+	pin(t, pinned(2*DefaultMaxRun, 0, ops(run(0, 2*DefaultMaxRun, 0)), func(d *draw) { d.n, d.m, d.pageSize = 40, 80, 1024 }), "model", "out of range")
 }
 
 // TestRunPerPageFallbackWithoutRunReader: a reader that serves a run page
@@ -128,13 +128,18 @@ func TestAcquireFrameSlowRescan(t *testing.T) {
 	pin(t, pinned(2, 0, ops(pinOp(0), pinOp(1), unpinOp(0), pinOp(2))), "model", "eviction")
 }
 
-// TestFailedReadCounts: a device error fails the whole stretch and reads
-// nothing; an image that does not parse was read all the same.
+// TestFailedReadCounts: runs [0,4) and [4,5) with pages 2 and 4 failing. A
+// device error fails its page alone: the pages before it in the stretch
+// were read, the page after it is asked for again and delivered. An image
+// that does not parse was read all the same, and so was one the retry layer
+// gave up on — there the rest of the stretch is read too.
 func TestFailedReadCounts(t *testing.T) {
 	d := pinned(8, 0, ops(run(0, 4, 0), run(4, 1, 0)), func(d *draw) { d.fault, d.faultPages = failPages, []storage.PageID{2, 4} })
-	pin(t, d, "device error: "+failPages, "stretch>1")
+	pin(t, d, "device error: "+failPages, "stretch>1", "delivered after a failed page")
 	d.fault = bitFlip
-	pin(t, d, "corrupt: the page asked for", "stretch>1")
+	pin(t, d, "corrupt: the page asked for", "stretch>1", "delivered after a failed page")
+	d.retry = true
+	pin(t, d, "corrupt: the page asked for", "retry", "stretch>1", "delivered after a failed page")
 }
 func TestFailedLoadFreesFrame(t *testing.T) {
 	pin(t, pinned(1, 0, ops(pinOp(0), pinOp(0)), func(d *draw) { d.fault, d.faultPages = transient, []storage.PageID{0} }), "device error: transient")

@@ -51,23 +51,27 @@
 // its parent's position only admits larger neighbors, and vice versa).
 //
 // Algorithms 4-5 (EXTVERTEXMAPPING / RECEXTVERTEXMAPPING) are extMapPage /
-// extDescend in match.go: the last level's vertex comes from the freshly
+// descend in match.go: the last level's vertex comes from the freshly
 // loaded page, the remaining levels are matched in descending level order
-// using one k-way intersection (graph.Arena) of the node's current window
-// with already-assigned vertices' adjacency lists, each clipped beforehand
-// to what the total order and the window's ID range leave open. A complete position assignment expands into
-// one embedding per full-order query sequence of the v-group
-// (expandSequences), after which matchNonRed assigns black vertices by
-// scanning one red adjacency list and ivory vertices by intersecting
-// several — no I/O, since every needed list is pinned. Without a row hook
-// the plan's tail of interchangeable non-red vertices is counted with one
-// binomial instead of enumerated (countTail).
+// by intersecting the node's current window with already-assigned
+// vertices' adjacency lists, each clipped beforehand to what the total order
+// and the window's ID range leave open. The internal enumeration descends
+// in the same order from a vertex of its chunk, inside the level-0 window.
+// A complete position assignment expands into one embedding per full-order
+// query sequence of the v-group (expandSequences), after which matchNonRed
+// assigns black vertices by scanning one red adjacency list and ivory
+// vertices by intersecting several — no I/O, since every needed list is
+// pinned. Every candidate list is built by matcher.candidates: the list of
+// the earliest-assigned connected position is marked once in a bit set
+// (graph.Marks) and the intersection of the others (graph.Arena) probed
+// against it. Without a row hook the plan's tail of interchangeable non-red
+// vertices is counted with one binomial instead of enumerated (countTail).
 //
 // Deduplication between internal and external enumeration follows the
 // paper: level-1 candidate sequences cover all vertices, so the level-1
 // window is an ID interval [lo,hi]; a red match whose positions all fall in
-// that interval is counted by the internal pass and skipped by extDescend
-// (matcher.allInternal).
+// that interval is counted by the internal pass and skipped by the external
+// descent (matcher.allInternal).
 //
 // I/O accounting invariants:
 //

@@ -41,7 +41,7 @@ type matcher struct {
 	posMask uint32 // assigned positions
 	// posAdj[p] is the resolved adjacency list of position p's vertex while
 	// adjMask has bit p, and posSplit[p] its forward split: filled on first
-	// use (clipPos), dropped when p is assigned anew or the task takes a new
+	// use (adjPos), dropped when p is assigned anew or the task takes a new
 	// root, so the table → ordinal → slot walk runs once per assignment.
 	// The lists alias pinned pages and never outlive the task — a matcher
 	// leaves the pool with adjMask clear: a page's lists are its buffer
@@ -55,8 +55,12 @@ type matcher struct {
 	qPos    []int            // red query vertex -> its position in the sequence being expanded
 
 	// arena is the matcher's intersection scratch (depth-indexed, no
-	// per-candidate allocation).
+	// per-candidate allocation); marks holds the list of the position whose
+	// vertex the sibling intersections below it share (candidates). Its
+	// list aliases a pinned page like posAdj's, so flush clears it while the
+	// task's pages are still pinned: a pooled matcher holds no marks.
 	arena *graph.Arena
+	marks graph.Marks
 
 	localInternal uint64
 	localExternal uint64
@@ -123,6 +127,7 @@ func (m *matcher) flush() {
 	if !addCount(&m.lw.internal, m.localInternal) || !addCount(&m.lw.external, m.localExternal) {
 		m.r.fail(m.r.countOverflow(" in a window"))
 	}
+	m.marks.Clear()
 	st := m.arena.TakeStats()
 	sc := m.r.scope
 	if st.Linear > 0 {
@@ -134,6 +139,9 @@ func (m *matcher) flush() {
 	if st.KWay > 0 {
 		sc.IntersectKWay.Add(st.KWay)
 	}
+	if st.Probe > 0 {
+		sc.IntersectProbe.Add(st.Probe)
+	}
 	m.r.matchers.Put(m)
 }
 
@@ -144,17 +152,70 @@ func (m *matcher) flush() {
 // their vertices, so a descent's own bounds always lie on one side, and a
 // clip at the vertex itself costs no search at all.
 func (m *matcher) clipPos(pos int, lo, hi int64) []graph.VertexID {
-	if bit := uint32(1) << uint(pos); m.adjMask&bit == 0 {
-		m.posAdj[pos], m.posSplit[pos] = m.resolve(m.pos2v[pos])
-		m.adjMask |= bit
-	}
-	list := m.posAdj[pos]
+	list := m.adjPos(pos)
 	if own := int64(m.pos2v[pos]); lo > own {
 		list = list[m.posSplit[pos]:]
 	} else if hi < own {
 		list = list[:m.posSplit[pos]]
 	}
 	return clip(list, lo, hi)
+}
+
+// adjPos returns the whole adjacency list of the data vertex assigned to
+// position pos, resolved on the first request after the assignment.
+func (m *matcher) adjPos(pos int) []graph.VertexID {
+	if bit := uint32(1) << uint(pos); m.adjMask&bit == 0 {
+		m.posAdj[pos], m.posSplit[pos] = m.resolve(m.pos2v[pos])
+		m.adjMask |= bit
+	}
+	return m.posAdj[pos]
+}
+
+// candidates returns the candidates of a node clipped to [lo, hi], a
+// non-empty interval: the intersection of the adjacency lists of the
+// assigned positions in conn and, where the node keeps one, of window, its
+// window's list already clipped (nil for none; conn and window are not both
+// empty). The result lives in the arena at depth. This is the one way every
+// candidate list is built — a red level's (descend) and a non-red vertex's
+// (matchNonRed) alike.
+//
+// Of conn, the position assigned at the highest level is assigned earliest,
+// so its vertex changes least often: every sibling intersection below it
+// shares its list. That list is marked in m.marks — whole, re-marked only
+// when the position's vertex changes — and the intersection of the other
+// operands, clipped, is probed against it, which needs no clip of the marked
+// list at all. Where the probed list is far longer than the marked one, or
+// the marked list's span is past the bit set's cap (Arena.Probe), the clipped
+// list joins a pairwise kernel instead. A single list is returned as it is.
+func (m *matcher) candidates(depth int, conn uint32, window []graph.VertexID, lo, hi int64) []graph.VertexID {
+	if conn == 0 {
+		return window
+	}
+	level := m.r.p.LevelOfPos
+	mp := bits.TrailingZeros32(conn)
+	for c := conn & (conn - 1); c != 0; c &= c - 1 {
+		if p := bits.TrailingZeros32(c); level[p] > level[mp] {
+			mp = p
+		}
+	}
+	lists := m.arena.Lists(depth, bits.OnesCount32(conn))
+	for c := conn &^ (1 << uint(mp)); c != 0; c &= c - 1 {
+		lists = append(lists, m.clipPos(bits.TrailingZeros32(c), lo, hi))
+	}
+	if window != nil {
+		lists = append(lists, window)
+	}
+	if len(lists) == 0 {
+		return m.clipPos(mp, lo, hi)
+	}
+	probed := m.arena.IntersectK(depth, lists)
+	if len(probed) == 0 {
+		return probed
+	}
+	if out, ok := m.arena.Probe(depth, &m.marks, m.adjPos(mp), probed); ok {
+		return out
+	}
+	return m.arena.Intersect(depth, probed, m.clipPos(mp, lo, hi))
 }
 
 // resolve returns the adjacency list of an assigned (hence resident) data
@@ -326,68 +387,73 @@ func (r *run) extMapRecord(m *matcher, v graph.VertexID, adj []graph.VertexID, s
 		m.lastV, m.lastAdj, m.lastSplit = v, adj, split
 		m.pos2v[pos] = v
 		m.posMask, m.adjMask = 1<<uint(pos), 0
-		r.extDescend(m, last-1)
+		r.descend(m, last-1)
 	}
 }
 
-// extDescend assigns the node at the given level (descending to 0) and
-// recurses; at level < 0 the red match is complete (Algorithm 2's
-// EXTVERTEXMAPPING). The candidates for pos are materialized once per parent
-// assignment as the k-way intersection of the node's window with every
-// connected position's adjacency list, each first clipped to the interval the
-// total order leaves open inside the window's ID range — what a post-filter
-// would discard, and what the window cannot hold, is never intersected. The
-// window of a forest root (level 1 always) is that ID range itself, every
-// vertex of it: a list clipped to the interval already is its intersection
-// with the window, which then is no operand at all.
-func (r *run) extDescend(m *matcher, level int) {
+// descend assigns the node at the given level (descending to 0) and
+// recurses; at level < 0 the red match is complete. Both enumerations assign
+// in this one order, the last level first: the external one from a
+// last-level record (Algorithm 2's EXTVERTEXMAPPING), the internal one from
+// a vertex of its chunk (Algorithm 1's INTSUBGRAPHMAPPING), so the list a
+// level's siblings share is the one of the position assigned above them in
+// both (candidates). A node's candidates are materialized once per parent
+// assignment: the intersection of every connected position's adjacency list,
+// each clipped to the interval the total order leaves open inside the
+// window's ID range — what a post-filter would discard, and what the window
+// cannot hold, is never intersected — and of the window's own list. An
+// internal task's window is the level-0 window at every level, an ID range
+// whose every vertex qualifies; so is the window of an external forest root
+// (level 1 always). Such a window is no operand: a list clipped to the
+// interval already is its intersection with it.
+func (r *run) descend(m *matcher, level int) {
 	if level < 0 {
-		r.expandSequences(m, false)
+		r.expandSequences(m, m.internal)
 		return
 	}
-	if level == 0 && m.allInternal() {
-		// Every deeper position is inside the internal area and a level-1
-		// candidate always is: whatever this subtree completes, the internal
-		// enumeration of this window counts. Stop before intersecting.
-		return
+	wd := m.lw
+	if !m.internal {
+		if level == 0 && m.allInternal() {
+			// Every deeper position is inside the internal area and a
+			// level-1 candidate always is: whatever this subtree
+			// completes, the internal enumeration of this window counts.
+			// Stop before intersecting.
+			return
+		}
+		wd = r.winData[level]
 	}
 	pos := r.p.MatchingOrder[level]
-	wd := r.winData[level]
 	lo, hi := m.posBounds(pos)
 	lo, hi = max(lo, int64(wd.lo)), min(hi, int64(wd.hi))
 	if lo > hi {
 		return
 	}
 	vg := r.p.Groups[m.g]
-
-	// The U_CON lists, and the window unless they stand in for it, form one
-	// k-way intersection.
-	lists := m.arena.Lists(level, r.k+1)
-	for p := 0; p < r.k; p++ {
-		if m.posMask&(1<<uint(p)) == 0 {
-			continue
+	var conn uint32
+	for c := m.posMask; c != 0; c &= c - 1 {
+		if p := bits.TrailingZeros32(c); vg.HasTopologyEdge(p, pos) {
+			conn |= 1 << uint(p)
 		}
-		if !vg.HasTopologyEdge(p, pos) {
-			continue
-		}
-		lists = append(lists, m.clipPos(p, lo, hi))
 	}
-	if !r.root(m.g, level) {
-		lists = append(lists, clip(wd.verts[m.g], lo, hi))
-	} else if len(lists) == 0 {
+	var window []graph.VertexID
+	if !m.internal && !r.root(m.g, level) {
+		if window = clip(wd.verts[m.g], lo, hi); len(window) == 0 {
+			return
+		}
+	}
+	if conn == 0 && window == nil {
 		// A root no assigned position is connected to: every vertex of the
 		// interval qualifies.
 		for v := lo; v <= hi; v++ {
 			m.assign(pos, graph.VertexID(v))
-			r.extDescend(m, level-1)
+			r.descend(m, level-1)
 			m.unassign(pos)
 		}
 		return
 	}
-	// A single list is returned as it is.
-	for _, v := range m.arena.IntersectK(level, lists) {
+	for _, v := range m.candidates(level, conn, window, lo, hi) {
 		m.assign(pos, v)
-		r.extDescend(m, level-1)
+		r.descend(m, level-1)
 		m.unassign(pos)
 	}
 }
@@ -411,7 +477,8 @@ const minStealSpan = 2
 
 // internalEnumerate finds internal subgraphs: red matches entirely inside
 // the level-0 window (Algorithm 1's INTSUBGRAPHMAPPING). The vertices lo..hi−1
-// are this task's chunk of first-level candidates. While iterating, the task
+// are this task's chunk of the window, the candidates of the last level's
+// position, which the descent assigns first. While iterating, the task
 // participates in bounded work-stealing: whenever the pool's queue drains
 // and a worker sits idle, the task splits off the second half of its
 // remaining range as a new task, so one skewed high-degree candidate region
@@ -422,7 +489,8 @@ func (r *run) internalEnumerate(g int, lo, hi graph.VertexID, lw *levelWindow) {
 	}
 	m := r.newMatcher(lw, true)
 	m.g = g
-	pos0 := r.p.MatchingOrder[0]
+	last := r.k - 1
+	pos := r.p.MatchingOrder[last]
 	done := r.ctx.Done()
 	for v := lo; v < hi; v++ {
 		if canceled(done) {
@@ -435,57 +503,11 @@ func (r *run) internalEnumerate(g int, lo, hi graph.VertexID, lw *levelWindow) {
 				hi = mid
 			}
 		}
-		m.pos2v[pos0] = v
-		m.posMask, m.adjMask = 1<<uint(pos0), 0
-		r.intDescend(m, 1)
+		m.pos2v[pos] = v
+		m.posMask, m.adjMask = 1<<uint(pos), 0
+		r.descend(m, last-1)
 	}
 	m.flush()
-}
-
-// intDescend assigns levels 1..k-1 in ascending order, restricted to the
-// internal window. The candidates for pos are the intersection of the
-// connected positions' adjacency lists, each first clipped to the window's
-// ID range narrowed by the total order (posBounds).
-func (r *run) intDescend(m *matcher, level int) {
-	if level == r.k {
-		r.expandSequences(m, true)
-		return
-	}
-	pos := r.p.MatchingOrder[level]
-	vg := r.p.Groups[m.g]
-	lo, hi := m.posBounds(pos)
-	lo, hi = max(lo, int64(m.lw.lo)), min(hi, int64(m.lw.hi))
-	if lo > hi {
-		return
-	}
-
-	lists := m.arena.Lists(level, r.k)
-	for p := 0; p < r.k; p++ {
-		if m.posMask&(1<<uint(p)) == 0 {
-			continue
-		}
-		if !vg.HasTopologyEdge(p, pos) {
-			continue
-		}
-		// Clip to the internal window: the intersection is a subset of
-		// every input, so clipping each list clips the result.
-		lists = append(lists, m.clipPos(p, lo, hi))
-	}
-	if len(lists) == 0 {
-		// A root no assigned position is connected to: every vertex of the
-		// interval qualifies.
-		for v := lo; v <= hi; v++ {
-			m.assign(pos, graph.VertexID(v))
-			r.intDescend(m, level+1)
-			m.unassign(pos)
-		}
-		return
-	}
-	for _, v := range m.arena.IntersectK(level, lists) {
-		m.assign(pos, v)
-		r.intDescend(m, level+1)
-		m.unassign(pos)
-	}
 }
 
 // --- sequence expansion and non-red matching --------------------------------
@@ -510,9 +532,11 @@ func (r *run) expandSequences(m *matcher, internal bool) {
 // intersect the lists of their red neighbors (§5.2), read through the
 // neighbors' positions (clipPos) and clipped to what the partial orders
 // leave open (poBounds). No I/O is performed — every needed adjacency list is
-// already in the buffer. The kernel shape follows the red-neighbour count the
-// plan fixed: one list is scanned, two or more intersected. A task without a row hook stops at the plan's tail and
-// counts it (countTail); rows are enumerated to the last vertex.
+// already in the buffer. The candidates are built as a red level's are
+// (candidates): a black vertex's one list is scanned as it is, an ivory
+// vertex's lists intersected, the earliest-assigned red's list marked once
+// for every red match below it. A task without a row hook stops at the plan's
+// tail and counts it (countTail); rows are enumerated to the last vertex.
 func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 	if idx == len(r.p.RBI.NonRed) {
 		if internal {
@@ -529,25 +553,16 @@ func (r *run) matchNonRed(m *matcher, idx int, internal bool) {
 		return
 	}
 	u := r.p.RBI.NonRed[idx]
-	reds := r.p.RBI.RedNeighbors[u]
 	lo, hi := m.poBounds(idx)
 	if lo > hi {
 		return
 	}
 
-	var cands []graph.VertexID
-	if len(reds) == 1 {
-		// Black vertex: candidates are the one red neighbor's list.
-		cands = m.clipPos(m.qPos[reds[0]], lo, hi)
-	} else {
-		// Ivory vertex: pairwise or k-way adaptive intersection.
-		depth := r.k + idx
-		lists := m.arena.Lists(depth, len(reds))
-		for _, rq := range reds {
-			lists = append(lists, m.clipPos(m.qPos[rq], lo, hi))
-		}
-		cands = m.arena.IntersectK(depth, lists)
+	var conn uint32
+	for _, rq := range r.p.RBI.RedNeighbors[u] {
+		conn |= 1 << uint(m.qPos[rq])
 	}
+	cands := m.candidates(r.k+idx, conn, nil, lo, hi)
 	// An empty list needs no count: the loop below adds nothing either.
 	if !m.deliver && len(cands) > 0 && idx == len(r.p.RBI.NonRed)-r.p.Tail {
 		r.countTail(m, u, cands, internal)

@@ -135,11 +135,12 @@ func TestOrderBoundsMatchPostFilters(t *testing.T) {
 	}
 }
 
-// TestMatcherPooled: a task borrows its matcher — struct, slices, arena and
-// the per-assignment list cache — from the run's pool, so in steady state a
-// task allocates nothing and a run's allocations do not grow with the number
-// of tasks its windows are cut into. Measured on a resident q1 run's real
-// task body, one root per task.
+// TestMatcherPooled: a task borrows its matcher — struct, slices, arena, the
+// per-assignment list cache and the bit set that marks hub lists — from the
+// run's pool, so in steady state a task allocates nothing and a run's
+// allocations do not grow with the number of tasks its windows are cut into.
+// Measured on resident q1 and q3 runs' real task body, one root per task:
+// q3's ivory pair marks each root's list and probes its neighbours' lists.
 func TestMatcherPooled(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(194)), 400, 2400)
 	db := buildDB(t, g, 512)
@@ -148,67 +149,63 @@ func TestMatcherPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	s, err := e.NewSweep(SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rd, err := s.NewRider(context.Background(), RunSpec{Plan: mustPlan(t, graph.Triangle())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	w, err := s.Load(context.Background(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Release(w)
-	// The rider-local view of the window, as ProcessWindow builds it.
-	lw := &levelWindow{lo: w.lw.lo, hi: w.lw.hi, pages: w.lw.pages, loaded: w.lw.loaded, tab: w.lw.tab, side: w.lw.side}
-	n := graph.VertexID(db.NumVertices())
-	tasks := func() {
-		for v := graph.VertexID(0); v < n; v++ {
-			rd.r.internalEnumerate(0, v, v+1, lw)
+	for i, q := range []*graph.Query{graph.Triangle(), graph.ChordalSquare()} {
+		s, err := e.NewSweep(SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	tasks() // grow the arena once
-	if lw.internal.Load() != graph.CountOccurrences(g, graph.Triangle()) {
-		t.Fatalf("%d triangles from %d single-root tasks, brute force %d",
-			lw.internal.Load(), n, graph.CountOccurrences(g, graph.Triangle()))
-	}
-	if allocs := testing.AllocsPerRun(5, tasks); allocs != 0 && !RaceEnabled {
-		t.Errorf("%.0f allocations over %d tasks, want none", allocs, n)
+		rd, err := s.NewRider(context.Background(), RunSpec{Plan: mustPlan(t, q)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := s.Load(context.Background(), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The rider-local view of the window, as ProcessWindow builds it.
+		lw := &levelWindow{lo: w.lw.lo, hi: w.lw.hi, pages: w.lw.pages, loaded: w.lw.loaded, tab: w.lw.tab, side: w.lw.side}
+		n := graph.VertexID(db.NumVertices())
+		tasks := func() {
+			for v := graph.VertexID(0); v < n; v++ {
+				rd.r.internalEnumerate(0, v, v+1, lw)
+			}
+		}
+		tasks() // grow the arena and the bit set once
+		if want := graph.CountOccurrences(g, q); lw.internal.Load() != want {
+			t.Fatalf("%s: %d embeddings from %d single-root tasks, brute force %d", q.Name(), lw.internal.Load(), n, want)
+		}
+		if allocs := testing.AllocsPerRun(5, tasks); allocs != 0 && !RaceEnabled {
+			t.Errorf("%s: %.0f allocations over %d tasks, want none", q.Name(), allocs, n)
+		}
+		if probes := rd.r.scope.IntersectProbe.Load(); i == 1 && probes == 0 {
+			t.Errorf("%s: no list was probed against a marked one", q.Name())
+		}
+		s.Release(w)
+		rd.Close()
+		s.Close()
 	}
 }
 
-// TestForestRootWindowNotIntersected covers the operand extDescend leaves out:
+// TestForestRootWindowNotIntersected covers the operand descend leaves out:
 // the window of a node whose candidates are every vertex — level 1 always, a
-// deeper forest root too — is an ID interval, so the clipped lists of the
-// connected positions stand in for it. Below the buffer, plain and compressed,
-// over plans with each shape the elision meets: a connected level-1 node (q1,
-// q5), a level-1 node nothing is
-// connected to (q2's two red vertices under MVC are not adjacent: the window
-// is scanned as before) and a full middle-level root beside groups where that
-// level has a parent (q2 with every vertex red). Counts equal brute force, and
-// the galloping kernel runs strictly less often than it did on the parent
-// commit, whose counts on this fixture are recorded here — exactly as often
-// where the window stays an operand. The kept case runs with a row hook: a
-// count run stops at q2/MVC's two-vertex tail (plan.Plan.Tail) and makes 2 101
-// galloping intersections on both layouts, the enumeration path the elision
-// is about makes the parent's 5 480.
+// deeper forest root too — is an ID interval and lists no vertex
+// (loadWindow), so the clipped lists of the connected positions stand in for
+// it. Were it an operand, its empty list would empty the candidates of every
+// external subtree through it, and the run would find no external embedding.
+// Below the buffer, plain and compressed, over plans with each shape the
+// elision meets — a connected level-1 node (q1, q5), a level-1 node nothing
+// is connected to (q2's two red vertices under MVC are not adjacent) and a
+// full middle-level root beside groups where that level has a parent (q2
+// with every vertex red) — counting and enumerating rows, the counts equal
+// brute force, the run crosses windows and finds external embeddings.
 func TestForestRootWindowNotIntersected(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(23)), 400, 2400)
 	for _, layout := range []struct {
-		pageSize     int
-		compress     bool
-		parentGallop []uint64 // per case, at fe017a0
-		kept         []bool   // the window stays an operand: nothing may change
-	}{
-		{256, false, []uint64{1046, 30589, 5480, 147824}, []bool{false, false, true, false}},
-		{128, true, []uint64{605, 27160, 5480, 125326}, []bool{false, false, true, false}},
-	} {
+		pageSize int
+		compress bool
+	}{{256, false}, {128, true}} {
 		db := buildDBOpts(t, g, layout.pageSize, layout.compress)
-		for i, c := range []struct {
+		for _, c := range []struct {
 			q    *graph.Query
 			mode rbi.CoverMode
 		}{
@@ -221,30 +218,29 @@ func TestForestRootWindowNotIntersected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := NewEngine(db, Options{Threads: 2, BufferFrames: db.NumPages() / 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := RunSpec{Plan: p}
-			if layout.kept[i] {
-				spec.OnRows = func([]graph.VertexID, int) {}
-			}
-			res, err := e.RunSpecContext(context.Background(), spec)
-			e.Close()
-			if err != nil {
-				t.Fatalf("%s/%v compress=%v: %v", c.q.Name(), c.mode, layout.compress, err)
-			}
-			if want := graph.CountOccurrences(g, c.q); res.Count != want {
-				t.Errorf("%s/%v compress=%v: count %d, brute force %d", c.q.Name(), c.mode, layout.compress, res.Count, want)
-			}
-			if res.WindowsPerLevel[0] < 2 || res.External == 0 {
-				t.Errorf("%s/%v compress=%v: windows %v, %d external: the run never left the buffer",
-					c.q.Name(), c.mode, layout.compress, res.WindowsPerLevel, res.External)
-			}
-			gallop, parent := res.Metrics.Counters["dualsim_intersect_gallop_total"], layout.parentGallop[i]
-			if layout.kept[i] && gallop != parent || !layout.kept[i] && gallop >= parent {
-				t.Errorf("%s/%v compress=%v: %d galloping intersections, the parent made %d (window kept: %v)",
-					c.q.Name(), c.mode, layout.compress, gallop, parent, layout.kept[i])
+			want := graph.CountOccurrences(g, c.q)
+			for _, rows := range []bool{false, true} {
+				what := fmt.Sprintf("%s/%v compress=%v rows=%v", c.q.Name(), c.mode, layout.compress, rows)
+				e, err := NewEngine(db, Options{Threads: 2, BufferFrames: db.NumPages() / 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec := RunSpec{Plan: p}
+				if rows {
+					spec.OnRows = func([]graph.VertexID, int) {}
+				}
+				res, err := e.RunSpecContext(context.Background(), spec)
+				e.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if res.Count != want {
+					t.Errorf("%s: count %d, brute force %d", what, res.Count, want)
+				}
+				if res.WindowsPerLevel[0] < 2 || res.External == 0 {
+					t.Errorf("%s: windows %v, %d external: no external embedding was found",
+						what, res.WindowsPerLevel, res.External)
+				}
 			}
 		}
 	}

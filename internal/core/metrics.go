@@ -39,6 +39,7 @@ type engineMetrics struct {
 	intersectLinear *obs.Counter
 	intersectGallop *obs.Counter
 	intersectKWay   *obs.Counter
+	intersectProbe  *obs.Counter
 	// Records/bytes of compressed adjacency loaded into windows (counted per
 	// window load).
 	compressedRecs  *obs.Counter
@@ -88,6 +89,7 @@ func registerEngineMetrics(reg *obs.Registry) *engineMetrics {
 		intersectLinear: reg.Counter("dualsim_intersect_linear_total", "pairwise intersections run on the linear-merge kernel, settled at level-1 window boundaries"),
 		intersectGallop: reg.Counter("dualsim_intersect_gallop_total", "pairwise intersections run on the galloping kernel (skewed list lengths), settled at level-1 window boundaries"),
 		intersectKWay:   reg.Counter("dualsim_intersect_kway_total", "smallest-first k-way (>=3 list) intersections, settled at level-1 window boundaries"),
+		intersectProbe:  reg.Counter("dualsim_intersect_probe_total", "lists probed against the marked list of the position their sibling intersections share, settled at level-1 window boundaries"),
 		stealSplits:     reg.Counter("dualsim_steal_splits_total", "work-stealing range splits (each spawns one stolen enumeration task), settled at level-1 window boundaries"),
 
 		compressedRecs:  reg.Counter("dualsim_compressed_records_total", "compressed adjacency records loaded into windows (counted per window load)"),
@@ -143,6 +145,7 @@ func (e *Engine) settle(sc *obs.Scope) obs.CostProfile {
 	em.intersectLinear.Add(d.IntersectLinear)
 	em.intersectGallop.Add(d.IntersectGallop)
 	em.intersectKWay.Add(d.IntersectKWay)
+	em.intersectProbe.Add(d.IntersectProbe)
 	em.stealSplits.Add(d.StealSplits)
 	em.checkpoints.Add(d.Checkpoints)
 	em.embInternal.Add(d.EmbInternal)

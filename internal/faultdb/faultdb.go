@@ -137,20 +137,20 @@ func (f *DB) addRule(r rule) {
 }
 
 // ReadPagesInto serves a run of consecutive pages page by page, each a read
-// of its own under the fault schedule (readPage), and fails the run with the
-// first page's error: a run of n pages is n reads, as the schedule counts
-// them, up to the first that fails.
-func (f *DB) ReadPagesInto(first storage.PageID, buf []byte) error {
+// of its own under the fault schedule (readPage), and stops at the first
+// page that fails, reporting the pages read before it: a run of n pages is
+// n reads, as the schedule counts them, up to the first that fails.
+func (f *DB) ReadPagesInto(first storage.PageID, buf []byte) (int, error) {
 	ps := f.PageSize()
 	if len(buf) == 0 || len(buf)%ps != 0 {
 		return f.Database.ReadPagesInto(first, buf) // the inner database's refusal
 	}
 	for i := 0; i*ps < len(buf); i++ {
 		if err := f.readPage(first+storage.PageID(i), buf[i*ps:(i+1)*ps]); err != nil {
-			return err
+			return i, err
 		}
 	}
-	return nil
+	return len(buf) / ps, nil
 }
 
 // readPage applies the fault schedule around the inner read of one page.
@@ -187,7 +187,7 @@ func (f *DB) readPage(pid storage.PageID, buf []byte) error {
 		f.delayed.Add(1)
 		time.Sleep(delay)
 	}
-	if err := f.Database.ReadPagesInto(src, buf); err != nil {
+	if _, err := f.Database.ReadPagesInto(src, buf); err != nil {
 		return err
 	}
 	if flip {

@@ -38,7 +38,8 @@ func testDB(t *testing.T) *storage.DB {
 func readPage(t *testing.T, f *DB, pid storage.PageID) error {
 	t.Helper()
 	buf := make([]byte, f.PageSize())
-	return f.ReadPagesInto(pid, buf)
+	_, err := f.ReadPagesInto(pid, buf)
+	return err
 }
 
 func TestWrapPassThrough(t *testing.T) {
@@ -46,7 +47,7 @@ func TestWrapPassThrough(t *testing.T) {
 	f := Wrap(db, Options{})
 	buf := make([]byte, f.PageSize())
 	for pid := 0; pid < f.NumPages(); pid++ {
-		if err := f.ReadPagesInto(storage.PageID(pid), buf); err != nil {
+		if _, err := f.ReadPagesInto(storage.PageID(pid), buf); err != nil {
 			t.Fatalf("page %d: %v", pid, err)
 		}
 		if err := storage.VerifyPageChecksum(buf); err != nil {
@@ -146,7 +147,7 @@ func TestBitFlipTripsChecksum(t *testing.T) {
 	f := Wrap(db, Options{}).BitFlip(0)
 	buf := make([]byte, f.PageSize())
 	for i := 0; i < 3; i++ {
-		if err := f.ReadPagesInto(0, buf); err != nil {
+		if _, err := f.ReadPagesInto(0, buf); err != nil {
 			t.Fatalf("bit flip must not fail the read itself: %v", err)
 		}
 		if _, ok := storage.IsCorrupt(storage.VerifyPageChecksum(buf)); !ok {
@@ -165,7 +166,7 @@ func TestMisdirect(t *testing.T) {
 	db := testDB(t)
 	f := Wrap(db, Options{}).Misdirect(1, 2)
 	buf, want := make([]byte, f.PageSize()), make([]byte, f.PageSize())
-	if err := f.ReadPagesInto(1, buf); err != nil || db.ReadPageInto(2, want) != nil || !slices.Equal(buf, want) {
+	if _, err := f.ReadPagesInto(1, buf); err != nil || db.ReadPageInto(2, want) != nil || !slices.Equal(buf, want) {
 		t.Fatalf("read of page 1: %v, or not page 2's image", err)
 	}
 	err := storage.ParsePageInto(&storage.Page{}, buf, 1)
@@ -173,7 +174,7 @@ func TestMisdirect(t *testing.T) {
 		t.Fatalf("parse of page 2's image read as page 1: %v, want a permanent corruption of page 1", err)
 	}
 	f.Heal()
-	if err := f.ReadPagesInto(1, buf); err != nil || storage.ParsePageInto(&storage.Page{}, buf, 1) != nil {
+	if _, err := f.ReadPagesInto(1, buf); err != nil || storage.ParsePageInto(&storage.Page{}, buf, 1) != nil {
 		t.Fatalf("after Heal, page 1 reads or parses with an error: %v", err)
 	}
 }
@@ -182,13 +183,13 @@ func TestBitFlipOnceHeals(t *testing.T) {
 	db := testDB(t)
 	f := Wrap(db, Options{}).BitFlipOnce(0)
 	buf := make([]byte, f.PageSize())
-	if err := f.ReadPagesInto(0, buf); err != nil {
+	if _, err := f.ReadPagesInto(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if storage.VerifyPageChecksum(buf) == nil {
 		t.Fatal("first read should be torn")
 	}
-	if err := f.ReadPagesInto(0, buf); err != nil {
+	if _, err := f.ReadPagesInto(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := storage.VerifyPageChecksum(buf); err != nil {

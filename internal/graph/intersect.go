@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Adaptive sorted-set intersection kernels.
 //
 // Ivory query vertices (paper §3, Definition 7) are matched by intersecting
@@ -13,7 +15,14 @@ package graph
 //   - galloping (exponential probe + binary search) when one list is at
 //     least gallopRatio times longer — O(|small| * log(|large|/|small|)),
 //   - smallest-first progressive k-way intersection for m >= 3 lists, so
-//     the running intersection only ever shrinks.
+//     the running intersection only ever shrinks,
+//   - mark and probe (Marks, Arena.Probe) when one operand is shared by
+//     many sibling intersections: it is marked once in a bit set over its
+//     ID span, and each sibling's list is probed against the bits without
+//     a data-dependent branch — O(|probed|) per sibling, where the merge
+//     re-walks the shared list every time (Kimmig et al.'s marked
+//     neighbourhoods). The caller picks it by length: a probed list
+//     gallopRatio times the marked one gallops instead.
 //
 // The Arena gives each enumeration task reusable, depth-indexed scratch so
 // the hot path performs no per-candidate allocation, and counts which
@@ -130,6 +139,8 @@ type IntersectStats struct {
 	// KWay counts k-way (>= 3 list) intersections; their internal pairwise
 	// steps are also counted in Linear/Gallop.
 	KWay uint64
+	// Probe counts lists probed against a Marks bit set (Arena.Probe).
+	Probe uint64
 	// Compressed counts intersections that consumed a compressed operand
 	// without full decode (IntersectCompressed); the kernel
 	// they dispatched to is also counted in Linear/Gallop.
@@ -144,6 +155,7 @@ func (s *IntersectStats) Add(o IntersectStats) {
 	s.Linear += o.Linear
 	s.Gallop += o.Gallop
 	s.KWay += o.KWay
+	s.Probe += o.Probe
 	s.Compressed += o.Compressed
 	s.SkipSeeks += o.SkipSeeks
 }
@@ -254,4 +266,115 @@ func (ar *Arena) IntersectK(depth int, lists [][]VertexID) []VertexID {
 		cur, out = out, cur
 	}
 	return cur
+}
+
+// probeRatio is the length skew past which a list is galloped through the
+// shared operand rather than probed against its marks: probing costs one
+// load per element of the probed list, galloping ~2 log2(gap) per element of
+// the marked one, clipped — the same crossover as gallopRatio.
+const probeRatio = gallopRatio
+
+// Probe intersects the sorted duplicate-free list b with marked, the shared
+// operand of b's siblings, through mk: it marks marked (nothing when it is
+// the list marked already) and probes b against the bits, into depth's
+// scratch, valid until the next Intersect/IntersectK/Probe at the same
+// depth. b may be depth's last result: the probe writes it in place. It
+// reports false and does nothing when b is probeRatio times marked or longer,
+// or marked's span is past MarksCap: the caller intersects b with a pairwise
+// kernel instead. The choice depends only on the lengths and the span.
+func (ar *Arena) Probe(depth int, mk *Marks, marked, b []VertexID) ([]VertexID, bool) {
+	if len(b) >= probeRatio*len(marked) || !mk.Mark(marked) {
+		return nil, false
+	}
+	ar.Stats.Probe++
+	lv := ar.level(depth)
+	lv.a = mk.Probe(b, lv.a)
+	return lv.a, true
+}
+
+// MarksCap is the most bytes a Marks spends on one list: a list whose ID span
+// needs more bits (over 2^20 IDs) is not marked, and its intersections merge.
+// It is one bit per vertex of a 2^20-vertex graph — no worse than the span of
+// a hub there — and stays inside a core's L2 cache.
+const MarksCap = 128 << 10
+
+// Marks is a bit set over the ID span of one sorted list, the shared operand
+// of sibling intersections: Mark sets its bits once, Probe reads them for
+// each sibling list. It covers only the words from the list's first ID to its
+// last and grows on demand up to MarksCap, so its memory follows the longest
+// span marked, not the graph. The marked list is kept, not copied, and its
+// bits are cleared by walking it: the caller must Clear (or mark another
+// list) while the marked list's memory is still valid. A Marks is not safe
+// for concurrent use; each enumeration task holds one.
+type Marks struct {
+	words []uint64
+	base  VertexID   // ID of words[0]'s lowest bit, a multiple of 64
+	list  []VertexID // the marked list; no bit is set outside it
+}
+
+// Mark marks list, a sorted duplicate-free list, clearing the list marked
+// before. Marking the list already marked — the same memory, the same
+// length — costs nothing. It reports false, leaving the old marks in place,
+// when list's ID span needs more than MarksCap bytes.
+func (mk *Marks) Mark(list []VertexID) bool {
+	if len(list) == len(mk.list) && (len(list) == 0 || &list[0] == &mk.list[0]) {
+		return true
+	}
+	if len(list) == 0 {
+		mk.Clear()
+		return true
+	}
+	base := list[0] &^ 63
+	n := int((list[len(list)-1]-base)>>6) + 1
+	if n*8 > MarksCap {
+		return false
+	}
+	mk.Clear()
+	if cap(mk.words) < n {
+		// Doubling: a task that marks ever wider spans allocates a few times.
+		mk.words = make([]uint64, max(n, min(2*cap(mk.words), MarksCap/8)))
+	}
+	mk.words, mk.base, mk.list = mk.words[:n], base, list
+	for _, v := range list {
+		i := v - base
+		mk.words[i>>6] |= 1 << (i & 63)
+	}
+	return true
+}
+
+// Clear unmarks the marked list by walking it: no bit is left set.
+func (mk *Marks) Clear() {
+	for _, v := range mk.list {
+		i := v - mk.base
+		mk.words[i>>6] = 0
+	}
+	mk.list = nil
+}
+
+// Probe writes the members of the sorted duplicate-free list b that are
+// marked into dst and returns it. Only b's part inside the marked list's
+// first and last IDs is probed, each element by a load and a shift: the
+// element is written unconditionally and the write position advances by its
+// bit. Backing-array and aliasing semantics are those of IntersectSorted: dst
+// may alias b, and Probe(b, b[:0]) probes in place.
+func (mk *Marks) Probe(b, dst []VertexID) []VertexID {
+	if len(mk.list) == 0 {
+		return dst[:0]
+	}
+	lo, hi := mk.list[0], mk.list[len(mk.list)-1]
+	if len(b) > 0 && b[0] < lo {
+		i, _ := slices.BinarySearch(b, lo)
+		b = b[i:]
+	}
+	dst = slices.Grow(dst[:0], len(b))[:len(b)]
+	words, base, n := mk.words, mk.base, 0
+	for _, v := range b {
+		if v > hi { // b ascends: taken once
+			break
+		}
+		i := v - base
+		dst[n] = v
+		n += int(words[i>>6] >> (i & 63) & 1)
+	}
+	return dst[:n]
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -56,6 +57,108 @@ var kernels = []struct {
 	{"arena", func(a, b, dst []VertexID) []VertexID {
 		return NewArena().Intersect(0, a, b)
 	}},
+	{"mark-probe", func(a, b, dst []VertexID) []VertexID {
+		var mk Marks
+		if !mk.Mark(a) { // a span past MarksCap: mark the other list
+			a, b = b, a
+			mk.Mark(a)
+		}
+		return markProbe(&mk, a, b)
+	}},
+}
+
+// markProbe marks a in mk, which may hold another list, and probes b.
+func markProbe(mk *Marks, a, b []VertexID) []VertexID {
+	if !mk.Mark(a) {
+		panic("span past MarksCap")
+	}
+	return mk.Probe(b, nil)
+}
+
+// marksHold reports whether mk's set bits are exactly list's.
+func marksHold(mk *Marks, list []VertexID) bool {
+	set := 0
+	for _, w := range mk.words {
+		set += bits.OnesCount64(w)
+	}
+	for _, v := range list {
+		if i := v - mk.base; mk.words[i>>6]>>(i&63)&1 == 0 {
+			return false
+		}
+	}
+	return set == len(list)
+}
+
+// TestMarksRemark: marking a list clears the one marked before, whatever
+// their spans — shorter, longer, disjoint, crossing word boundaries, at
+// either end of the ID space, empty — so no old bit survives a re-mark or a
+// Clear, and every probe agrees with the linear merge.
+func TestMarksRemark(t *testing.T) {
+	const top = ^VertexID(0)
+	lists := []struct {
+		name string
+		list []VertexID
+	}{
+		{"word-boundaries", vids(63, 64, 127, 128, 191, 192, 200)},
+		{"shorter", vids(64, 128)},
+		{"longer", seq(1, 3, 400)},
+		{"disjoint", seq(5000, 64, 40)},
+		{"at-zero", vids(0, 1, 63, 65)},
+		{"empty", nil},
+		{"near-top", []VertexID{top - 130, top - 64, top - 63, top - 1, top}},
+		{"one", vids(77)},
+		{"full-top-word", seq(int(top-63), 1, 64)},
+		{"at-zero-again", vids(0)},
+	}
+	probes := [][]VertexID{nil, vids(0), seq(0, 1, 300), seq(0, 7, 2000), seq(4990, 1, 2600),
+		{top - 200, top - 130, top - 63, top - 62, top}, seq(int(top-100), 1, 101)}
+	var mk Marks
+	ar := NewArena()
+	for _, l := range lists {
+		if !mk.Mark(l.list) {
+			t.Fatalf("%s: not marked", l.name)
+		}
+		if !marksHold(&mk, l.list) {
+			t.Fatalf("%s: the bits are not the list's: an old bit survived the re-mark", l.name)
+		}
+		for i, b := range probes {
+			want := IntersectSortedLinear(l.list, b, nil)
+			if got := mk.Probe(b, nil); !equalVIDs(got, want) {
+				t.Errorf("%s, probe %d: got %v, want %v", l.name, i, got, want)
+			}
+			// In place: the probe overwrites its input.
+			in := append([]VertexID(nil), b...)
+			if got := mk.Probe(in, in[:0]); !equalVIDs(got, want) {
+				t.Errorf("%s, probe %d in place: got %v, want %v", l.name, i, got, want)
+			}
+			if got, ok := ar.Probe(0, &mk, l.list, b); ok && !equalVIDs(got, want) {
+				t.Errorf("%s, probe %d in the arena: got %v, want %v", l.name, i, got, want)
+			}
+		}
+		if !mk.Mark(l.list) || !marksHold(&mk, l.list) {
+			t.Fatalf("%s: marking the marked list again changed it", l.name)
+		}
+	}
+	mk.Clear()
+	if !marksHold(&mk, nil) {
+		t.Fatal("Clear left bits set")
+	}
+	// A span past the cap is refused and leaves the marks as they were.
+	mk.Mark(vids(3, 9))
+	if mk.Mark(vids(0, MarksCap*8)) || !marksHold(&mk, vids(3, 9)) {
+		t.Fatal("a span past MarksCap was marked, or cleared the old marks")
+	}
+	if !mk.Mark(vids(0, MarksCap*8-1)) {
+		t.Fatal("a span of exactly MarksCap bytes was refused")
+	}
+	// The arena probes only below probeRatio times the marked list.
+	ar = NewArena()
+	if _, ok := ar.Probe(0, &mk, vids(1, 2), seq(0, 1, 2*probeRatio)); ok || ar.Stats.Probe != 0 {
+		t.Error("a list probeRatio times the marked one was probed")
+	}
+	if _, ok := ar.Probe(0, &mk, vids(1, 2), seq(0, 1, 2*probeRatio-1)); !ok || ar.Stats.Probe != 1 {
+		t.Error("a list under probeRatio times the marked one was not probed")
+	}
 }
 
 func TestIntersectKernelsTable(t *testing.T) {
@@ -224,6 +327,7 @@ func randSorted(rng *rand.Rand, n, space int) []VertexID {
 func TestIntersectRandomizedCross(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ar := NewArena()
+	var mk Marks
 	for trial := 0; trial < 300; trial++ {
 		na, nb := rng.Intn(200), rng.Intn(200)
 		if trial%3 == 0 { // force heavy skew a third of the time
@@ -248,12 +352,21 @@ func TestIntersectRandomizedCross(t *testing.T) {
 		if got := ar.IntersectK(trial%4, [][]VertexID{a, b}); !equalVIDs(got, want) {
 			t.Fatalf("trial %d: IntersectK disagrees with linear", trial)
 		}
+		// One bit set re-marked trial after trial, each list marked in turn.
+		if got := markProbe(&mk, a, b); !equalVIDs(got, want) {
+			t.Fatalf("trial %d: probing b against a disagrees with linear: got %v, want %v", trial, got, want)
+		}
+		if got := markProbe(&mk, b, a); !equalVIDs(got, want) {
+			t.Fatalf("trial %d: probing a against b disagrees with linear: got %v, want %v", trial, got, want)
+		}
 	}
 }
 
 // FuzzIntersectKernels feeds arbitrary byte strings decoded into sorted
-// lists through the galloping and adaptive kernels and requires exact
-// agreement with the linear merge (the seed-era reference kernel).
+// lists through the galloping, adaptive and mark/probe kernels and requires
+// exact agreement with the linear merge (the seed-era reference kernel). The
+// mark/probe kernel also sees both lists moved to the top of the ID space,
+// re-marked in the bit set the low lists used.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{}, []byte{0, 0, 0, 9})
@@ -281,6 +394,31 @@ func FuzzIntersectKernels(f *testing.F) {
 		}
 		if got := NewArena().IntersectK(0, [][]VertexID{a, b}); !equalVIDs(got, want) {
 			t.Fatalf("arena k-way: got %v, want %v (a=%v b=%v)", got, want, a, b)
+		}
+		var mk Marks
+		if got := markProbe(&mk, a, b); !equalVIDs(got, want) {
+			t.Fatalf("mark/probe: got %v, want %v (a=%v b=%v)", got, want, a, b)
+		}
+		// The largest ID either list holds moves to 2^32−1.
+		var last VertexID
+		for _, l := range [][]VertexID{a, b} {
+			if len(l) > 0 {
+				last = max(last, l[len(l)-1])
+			}
+		}
+		up := func(l []VertexID) []VertexID {
+			out := make([]VertexID, len(l))
+			for i, v := range l {
+				out[i] = v + (^VertexID(0) - last)
+			}
+			return out
+		}
+		ua, ub := up(a), up(b)
+		if got := markProbe(&mk, ub, ua); !equalVIDs(got, up(want)) {
+			t.Fatalf("mark/probe at the top: got %v, want %v (a=%v b=%v)", got, up(want), ua, ub)
+		}
+		if !marksHold(&mk, ub) {
+			t.Fatalf("re-marking left a bit of %v set", a)
 		}
 	})
 }

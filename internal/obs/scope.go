@@ -37,16 +37,17 @@ type Scope struct {
 	CoalescedPages atomic.Uint64 // pages covered by those stretches
 
 	// Core enumeration attribution.
-	IOWaitNanos   atomic.Uint64 // orchestrator wait for window pins
-	Windows       atomic.Uint64 // windows processed, all levels
-	WindowsLevel1 atomic.Uint64 // level-1 (outermost) windows
-	IntersectLin  atomic.Uint64 // linear-merge kernel invocations
-	IntersectGal  atomic.Uint64 // galloping kernel invocations
-	IntersectKWay atomic.Uint64 // k-way kernel invocations
-	StealSplits   atomic.Uint64
-	Checkpoints   atomic.Uint64
-	EmbInternal   atomic.Uint64 // embeddings found in internal areas
-	EmbExternal   atomic.Uint64 // embeddings found across windows
+	IOWaitNanos    atomic.Uint64 // orchestrator wait for window pins
+	Windows        atomic.Uint64 // windows processed, all levels
+	WindowsLevel1  atomic.Uint64 // level-1 (outermost) windows
+	IntersectLin   atomic.Uint64 // linear-merge kernel invocations
+	IntersectGal   atomic.Uint64 // galloping kernel invocations
+	IntersectKWay  atomic.Uint64 // k-way kernel invocations
+	IntersectProbe atomic.Uint64 // lists probed against a marked shared operand
+	StealSplits    atomic.Uint64
+	Checkpoints    atomic.Uint64
+	EmbInternal    atomic.Uint64 // embeddings found in internal areas
+	EmbExternal    atomic.Uint64 // embeddings found across windows
 
 	// SharedPages counts pages of shared sweep windows this query consumed
 	// as a cohort rider. The physical reads behind them are charged to the
@@ -119,6 +120,7 @@ type CostProfile struct {
 	IntersectLinear uint64 `json:"intersect_linear,omitempty"`
 	IntersectGallop uint64 `json:"intersect_gallop,omitempty"`
 	IntersectKWay   uint64 `json:"intersect_kway,omitempty"`
+	IntersectProbe  uint64 `json:"intersect_probe,omitempty"`
 	StealSplits     uint64 `json:"steal_splits,omitempty"`
 	Checkpoints     uint64 `json:"checkpoints,omitempty"`
 
@@ -148,6 +150,7 @@ func (s *Scope) Profile() CostProfile {
 		IntersectLinear: s.IntersectLin.Load(),
 		IntersectGallop: s.IntersectGal.Load(),
 		IntersectKWay:   s.IntersectKWay.Load(),
+		IntersectProbe:  s.IntersectProbe.Load(),
 		StealSplits:     s.StealSplits.Load(),
 		Checkpoints:     s.Checkpoints.Load(),
 		EmbInternal:     s.EmbInternal.Load(),
@@ -178,6 +181,7 @@ func (s *Scope) Settle() CostProfile {
 		IntersectLinear: now.IntersectLinear - was.IntersectLinear,
 		IntersectGallop: now.IntersectGallop - was.IntersectGallop,
 		IntersectKWay:   now.IntersectKWay - was.IntersectKWay,
+		IntersectProbe:  now.IntersectProbe - was.IntersectProbe,
 		StealSplits:     now.StealSplits - was.StealSplits,
 		Checkpoints:     now.Checkpoints - was.Checkpoints,
 		EmbInternal:     now.EmbInternal - was.EmbInternal,
@@ -212,8 +216,8 @@ func (p *CostProfile) WriteReport(w io.Writer) {
 		fmt.Fprintf(w, "coalesced runs   %d covering %d pages\n", p.CoalescedRuns, p.CoalescedPages)
 	}
 	fmt.Fprintf(w, "windows          %d  (level-1 %d)\n", p.Windows, p.WindowsLevel1)
-	fmt.Fprintf(w, "kernel mix       linear %d, gallop %d, k-way %d  (steal splits %d)\n",
-		p.IntersectLinear, p.IntersectGallop, p.IntersectKWay, p.StealSplits)
+	fmt.Fprintf(w, "kernel mix       linear %d, gallop %d, k-way %d, probe %d  (steal splits %d)\n",
+		p.IntersectLinear, p.IntersectGallop, p.IntersectKWay, p.IntersectProbe, p.StealSplits)
 	if p.Checkpoints > 0 {
 		fmt.Fprintf(w, "resilience       checkpoints %d\n", p.Checkpoints)
 	}

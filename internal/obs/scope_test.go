@@ -73,6 +73,7 @@ func TestScopeProfile(t *testing.T) {
 	sc.IntersectLin.Add(6)
 	sc.IntersectGal.Add(7)
 	sc.IntersectKWay.Add(1)
+	sc.IntersectProbe.Add(4)
 	sc.StealSplits.Add(2)
 	sc.Checkpoints.Add(3)
 	sc.EmbInternal.Add(40)
@@ -84,7 +85,7 @@ func TestScopeProfile(t *testing.T) {
 		PagesRead: 10, LogicalReads: 20, BufferHits: 12,
 		CoalescedRuns: 2, CoalescedPages: 8,
 		Windows: 5, WindowsLevel1: 3,
-		IntersectLinear: 6, IntersectGallop: 7, IntersectKWay: 1,
+		IntersectLinear: 6, IntersectGallop: 7, IntersectKWay: 1, IntersectProbe: 4,
 		StealSplits: 2, Checkpoints: 3,
 		EmbInternal: 40, EmbExternal: 2,
 	}
@@ -103,7 +104,7 @@ func TestCostProfileWriteReport(t *testing.T) {
 		PagesRead: 100, LogicalReads: 400, BufferHits: 300,
 		CoalescedRuns: 5, CoalescedPages: 50,
 		Windows: 9, WindowsLevel1: 3,
-		IntersectLinear: 1, IntersectGallop: 2, IntersectKWay: 3,
+		IntersectLinear: 1, IntersectGallop: 2, IntersectKWay: 3, IntersectProbe: 5,
 		Checkpoints: 4,
 		EmbInternal: 7, EmbExternal: 8,
 	}
@@ -113,7 +114,7 @@ func TestCostProfileWriteReport(t *testing.T) {
 	for _, want := range []string{
 		"deadbeef", "queue wait", "2ms", "prep", "1s",
 		"pages read       100", "75.0%", "coalesced runs   5",
-		"windows          9", "linear 1, gallop 2, k-way 3",
+		"windows          9", "linear 1, gallop 2, k-way 3, probe 5",
 		"resilience       checkpoints 4", "internal 7, external 8",
 	} {
 		if !strings.Contains(out, want) {

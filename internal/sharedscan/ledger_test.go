@@ -20,13 +20,13 @@ var mirrored = []string{"dualsim_pages_read_total", "dualsim_logical_reads_total
 	"dualsim_buffer_pin_wait_nanos_total", "dualsim_coalesced_runs_total", "dualsim_coalesced_pages_total",
 	"dualsim_io_wait_nanos_total", "dualsim_windows_total", "dualsim_windows_level1_total",
 	"dualsim_intersect_linear_total", "dualsim_intersect_gallop_total", "dualsim_intersect_kway_total",
-	"dualsim_steal_splits_total", "dualsim_checkpoints_taken_total", "dualsim_embeddings_internal_total",
+	"dualsim_intersect_probe_total", "dualsim_steal_splits_total", "dualsim_checkpoints_taken_total", "dualsim_embeddings_internal_total",
 	"dualsim_embeddings_external_total", "dualsim_shared_pages_total"}
 
 func fields(p obs.CostProfile) []uint64 {
 	return []uint64{p.PagesRead, p.LogicalReads, p.BufferHits, uint64(p.PinWaitNS), p.CoalescedRuns,
 		p.CoalescedPages, uint64(p.IOWaitNS), p.Windows, p.WindowsLevel1, p.IntersectLinear, p.IntersectGallop,
-		p.IntersectKWay, p.StealSplits, p.Checkpoints, p.EmbInternal, p.EmbExternal, p.SharedPages}
+		p.IntersectKWay, p.IntersectProbe, p.StealSplits, p.Checkpoints, p.EmbInternal, p.EmbExternal, p.SharedPages}
 }
 
 // TestRegistryIsScopeSum: what a query owns is counted into its scope alone,

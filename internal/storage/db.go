@@ -362,23 +362,26 @@ func (db *DB) ReadPageInto(pid PageID, buf []byte) error {
 // ReadPagesInto reads the raw images of len(buf)/PageSize() consecutive
 // pages starting at first into buf with a single positional read — the
 // device-level half of the buffer pool's sequential run coalescing: one
-// request (and on spinning media one seek) covers the whole run. buf must
-// be a positive multiple of PageSize() bytes and the run must lie inside
-// [0, NumPages()). Safe for concurrent use.
-func (db *DB) ReadPagesInto(first PageID, buf []byte) error {
+// request (and on spinning media one seek) covers the whole run — and
+// returns the pages filled (PageSource). buf must be a positive multiple of
+// PageSize() bytes. The part of the run inside [0, NumPages()) is read; the
+// first page past it fails as out of range, and a short read fails the page
+// it stopped in. Safe for concurrent use.
+func (db *DB) ReadPagesInto(first PageID, buf []byte) (int, error) {
 	ps := db.PageSize()
 	if len(buf) == 0 || len(buf)%ps != 0 {
-		return fmt.Errorf("storage: run buffer %d bytes, want a positive multiple of %d", len(buf), ps)
+		return 0, fmt.Errorf("storage: run buffer %d bytes, want a positive multiple of %d", len(buf), ps)
 	}
 	n := len(buf) / ps
-	if int(first)+n > db.NumPages() {
-		return &IOError{Page: first, Op: "read", Err: fmt.Errorf("run [%d,%d) out of range [0,%d)", first, int(first)+n, db.NumPages())}
-	}
+	in := min(n, max(db.NumPages()-int(first), 0))
 	off := int64(db.sb.pageSize) * (int64(first) + 1)
-	if _, err := db.f.ReadAt(buf, off); err != nil {
-		return &IOError{Page: first, Op: "read", Err: err, Transient: transientSyscall(err)}
+	if read, err := db.f.ReadAt(buf[:in*ps], off); err != nil {
+		return read / ps, &IOError{Page: first + PageID(read/ps), Op: "read", Err: err, Transient: transientSyscall(err)}
 	}
-	return nil
+	if in < n {
+		return in, &IOError{Page: first + PageID(in), Op: "read", Err: fmt.Errorf("run [%d,%d) out of range [0,%d)", first, int(first)+n, db.NumPages())}
+	}
+	return n, nil
 }
 
 // load reads page pid into buf with read and parses it into p, which

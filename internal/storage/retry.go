@@ -10,10 +10,13 @@ import (
 
 // PageSource is the page-fetch interface the buffer pool reads through and
 // RetryReader wraps: ReadPagesInto reads len(buf)/PageSize() consecutive
-// pages starting at first into buf, a page alone being a run of one. *DB
-// implements it, as do RetryReader and any fault-injecting test double.
+// pages starting at first into buf, a page alone being a run of one, and
+// returns how many leading pages it filled. On error that count is short of
+// the run: the page after the filled ones is the page that failed, and the
+// pages after it were not read. *DB implements it, as do RetryReader and any
+// fault-injecting test double.
 type PageSource interface {
-	ReadPagesInto(first PageID, buf []byte) error
+	ReadPagesInto(first PageID, buf []byte) (int, error)
 	PageSize() int
 	NumPages() int
 }
@@ -159,22 +162,23 @@ func (r *RetryReader) event(kind string, pid PageID, attempt int) {
 // ReadPagesInto implements PageSource: it reads the consecutive pages
 // starting at first into buf (a positive multiple of PageSize() bytes) page
 // by page, each a run of one of the source's under its own retries
-// (readPage). Unlike *DB.ReadPagesInto the run is not one device request:
-// retry and checksum recovery are per page, so a single flaky page costs
-// only its own budget instead of failing the whole run. The buffer pool
-// still charges the run a single simulated seek, so coalescing keeps its
-// latency benefit under the retry layer.
-func (r *RetryReader) ReadPagesInto(first PageID, buf []byte) error {
+// (readPage), and stops at the first page that exhausts them, reporting the
+// pages read before it. Unlike *DB.ReadPagesInto the run is not one device
+// request: retry and checksum recovery are per page, so a single flaky page
+// costs only its own budget instead of failing the whole run. The buffer
+// pool still charges the run a single simulated seek, so coalescing keeps
+// its latency benefit under the retry layer.
+func (r *RetryReader) ReadPagesInto(first PageID, buf []byte) (int, error) {
 	ps := r.PageSize()
 	if len(buf) == 0 || len(buf)%ps != 0 {
-		return fmt.Errorf("storage: run buffer %d bytes, want a positive multiple of %d", len(buf), ps)
+		return 0, fmt.Errorf("storage: run buffer %d bytes, want a positive multiple of %d", len(buf), ps)
 	}
 	for i := 0; i*ps < len(buf); i++ {
 		if err := r.readPage(first+PageID(i), buf[i*ps:(i+1)*ps]); err != nil {
-			return err
+			return i, err
 		}
 	}
-	return nil
+	return len(buf) / ps, nil
 }
 
 // readPage fetches pid into buf, verifying the page checksum, retrying per
@@ -185,7 +189,7 @@ func (r *RetryReader) readPage(pid PageID, buf []byte) error {
 	crcTries := 0
 	failed := false
 	for {
-		err := r.src.ReadPagesInto(pid, buf)
+		_, err := r.src.ReadPagesInto(pid, buf)
 		if err == nil {
 			cerr := VerifyPageChecksum(buf)
 			if cerr == nil {

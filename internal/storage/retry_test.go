@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dualsim/internal/gen"
 	"dualsim/internal/graph"
 )
 
@@ -33,7 +34,7 @@ func newScriptedSource(t *testing.T) *scriptedSource {
 	return &scriptedSource{pageSize: MinPageSize, numPages: 8, image: img}
 }
 
-func (s *scriptedSource) ReadPagesInto(pid PageID, buf []byte) error {
+func (s *scriptedSource) ReadPagesInto(pid PageID, buf []byte) (int, error) {
 	s.mu.Lock()
 	i := s.reads
 	s.reads++
@@ -43,10 +44,13 @@ func (s *scriptedSource) ReadPagesInto(pid PageID, buf []byte) error {
 	}
 	s.mu.Unlock()
 	if step != nil {
-		return step(buf)
+		if err := step(buf); err != nil {
+			return 0, err
+		}
+		return 1, nil
 	}
 	copy(buf, s.image)
-	return nil
+	return 1, nil
 }
 
 func (s *scriptedSource) PageSize() int { return s.pageSize }
@@ -84,7 +88,7 @@ func (s *scriptedSource) read(policy RetryPolicy) ([]byte, RetryStats, error) {
 		policy.Sleep = noSleep
 	}
 	r, buf := NewRetryReader(s, policy), make([]byte, s.PageSize())
-	err := r.ReadPagesInto(7, buf)
+	_, err := r.ReadPagesInto(7, buf)
 	return buf, r.Stats(), err
 }
 
@@ -127,6 +131,30 @@ func TestRetryReaderFailsFastOnPermanent(t *testing.T) {
 	var ioe *IOError
 	if !errors.As(err, &ioe) || ioe.Transient || src.totalReads() != 1 || st != (RetryStats{Reads: 1}) {
 		t.Fatalf("%v after %d source reads, %+v; want the permanent IOError back, not retried", err, src.totalReads(), st)
+	}
+}
+
+// TestReadPagesIntoReportsFilled: a run stops at the page that fails and
+// reports the pages it filled before it, so a caller can deliver those and
+// fail that page alone. The retry layer reads no page past the failed one; a
+// file's run crossing its end reads the pages inside and fails the first
+// page past it.
+func TestReadPagesIntoReportsFilled(t *testing.T) {
+	src := newScriptedSource(t)
+	bad := &IOError{Page: 9, Op: "read", Err: errors.New("bad sector")}
+	src.script = []func([]byte) error{src.ok, src.ok, failWith(bad)}
+	r := NewRetryReader(src, RetryPolicy{Sleep: noSleep})
+	filled, err := r.ReadPagesInto(7, make([]byte, 4*src.PageSize()))
+	if filled != 2 || !errors.Is(err, bad) || src.totalReads() != 3 {
+		t.Fatalf("retry layer: %d pages filled, %v after %d source reads; want 2, page 9's error, 3 reads", filled, err, src.totalReads())
+	}
+	db := buildTemp(t, gen.ChungLu(60, 240, 2.5, 3), BuildOptions{PageSize: 128})
+	n := db.NumPages()
+	buf := make([]byte, 3*db.PageSize())
+	filled, err = db.ReadPagesInto(PageID(n-1), buf)
+	var ioe *IOError
+	if !errors.As(err, &ioe) || ioe.Page != PageID(n) || filled != 1 || ParsePageInto(&Page{}, buf[:db.PageSize()], PageID(n-1)) != nil {
+		t.Fatalf("run [%d,%d) of a %d-page file: %d pages filled, %v; want the last page, then page %d out of range", n-1, n+2, n, filled, err, n)
 	}
 }
 

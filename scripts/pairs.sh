@@ -2,7 +2,7 @@
 # pairs.sh — compares two commits on the benchmark in alternating pairs.
 #
 #   scripts/pairs.sh <parent> <change> [--pairs N] [--workload w[,w...]]
-#                    [--seed s] [--json FILE]
+#                    [--seed s] [--json FILE] [--bench REGEX]
 #
 # Each commit is `git archive`d into benchmark/out/pairs/<commit>/ and runs
 # through its own benchmark/run.sh (untraced, one workload per run), so what
@@ -27,6 +27,15 @@
 # to the --json file (default benchmark/out/pairs/pairs.json). Runs take
 # about run_seconds + 10 s each; the raw results stay in
 # benchmark/out/pairs/runs/.
+#
+# With --bench the pairs are in-process: each tree's root test binary is
+# built once and run as `-test.bench REGEX -test.count 1 -test.benchtime 2s`
+# (no HTTP, no server: BenchmarkResident* isolates the matching path), the
+# parent first in odd pairs. Every benchmark the regex matches is a
+# "workload" of the --json file, every unit it reports (ns/op, pages/op, …)
+# a metric, lower being better, judged by the same verdict with the bound of
+# BENCHMARK.json's q1_p50_ms. A benchmark that fails counts as a failed
+# operation. Each run takes a few seconds per benchmark.
 set -euo pipefail
 
 usage() {
@@ -40,7 +49,7 @@ cd "$root"
 parent=$(git rev-parse --verify "$1^{commit}")
 change=$(git rev-parse --verify "$2^{commit}")
 shift 2
-pairs=10 workloads="" seed=1 json=benchmark/out/pairs/pairs.json
+pairs=10 workloads="" seed=1 json=benchmark/out/pairs/pairs.json bench=""
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case "$1" in
@@ -48,14 +57,18 @@ while [ $# -gt 0 ]; do
     --workload) workloads=$2 ;;
     --seed) seed=$2 ;;
     --json) json=$2 ;;
+    --bench) bench=$2 ;;
     *) usage ;;
     esac
     shift 2
 done
-if [ -z "$workloads" ]; then
+if [ -n "$bench" ]; then
+    workloads=inprocess
+elif [ -z "$workloads" ]; then
     workloads=$(python3 -c 'import json,sys; print(",".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' BENCHMARK.json)
 fi
 seconds=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' BENCHMARK.json)
+[ -z "$bench" ] || seconds=2
 
 out=benchmark/out/pairs
 runs=$out/runs
@@ -76,12 +89,22 @@ tree() {
 parentDir=$(tree "$parent")
 changeDir=$(tree "$change")
 
-# bench runs one workload on one tree and keeps its one-line result.
+# bench runs one workload on one tree and keeps its result: the one-line JSON
+# of benchmark/run.sh, or in-process the test binary's benchmark lines.
 bench() { # dir workload seconds result-file
     echo "pairs: $(basename "$1") $2 ${3}s -> $4" >&2
-    bash "$1/benchmark/run.sh" --workload "$2" --seed "$seed" --seconds "$3" --trace 0 >"$4"
+    if [ -n "$bench" ]; then
+        (cd "$1" && ./root.test -test.run '^$' -test.bench "$bench" -test.count 1 -test.benchtime "${3}s") >"$4" || true
+    else
+        bash "$1/benchmark/run.sh" --workload "$2" --seed "$seed" --seconds "$3" --trace 0 >"$4"
+    fi
 }
 
+if [ -n "$bench" ]; then
+    for dir in "$parentDir" "$changeDir"; do
+        [ -x "$dir/root.test" ] || (cd "$dir" && go test -c -o root.test .)
+    done
+fi
 IFS=, read -r -a wl <<<"$workloads"
 bench "$changeDir" "${wl[0]}" 5 "$runs/throwaway.json"
 for ((i = 1; i <= pairs; i++)); do
@@ -97,12 +120,47 @@ for ((i = 1; i <= pairs; i++)); do
 done
 
 mkdir -p "$(dirname "$json")"
-python3 - "$changeDir/BENCHMARK.json" "$runs" "$json" "$parent" "$change" "$seed" "$seconds" "$pairs" "${wl[@]}" <<'EOF'
-import json, sys
+python3 - "$changeDir/BENCHMARK.json" "$runs" "$json" "$parent" "$change" "$seed" "$seconds" "$pairs" "$bench" "${wl[@]}" <<'EOF'
+import json, re, sys
 
-spec_path, runs, out, parent, change, seed, seconds, pairs = sys.argv[1:9]
-workloads, pairs = sys.argv[9:], int(pairs)
-metrics = json.load(open(spec_path))["end_to_end"]
+spec_path, runs, out, parent, change, seed, seconds, pairs, bench = sys.argv[1:10]
+workloads, pairs = sys.argv[10:], int(pairs)
+spec = json.load(open(spec_path))
+sides = ("parent", "change")
+
+
+def load(w):
+    """Every run of workload w on both sides, and the metrics to judge."""
+    if not bench:
+        return ({side: [json.load(open(f"{runs}/{w}.{side}.{i}.json")) for i in range(1, pairs + 1)]
+                 for side in sides}, spec["end_to_end"])
+    # In-process: "BenchmarkX-2  N  v1 unit1  v2 unit2 ..." lines, one run
+    # per benchmark and pair; a benchmark missing from a run failed there.
+    lines = {side: [open(f"{runs}/{w}.{side}.{i}.json").read() for i in range(1, pairs + 1)] for side in sides}
+    def benchmarks(text):
+        out = {}
+        for m in re.finditer(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$", text, re.M):
+            toks = m.group(2).split()
+            out[m.group(1)] = {toks[i + 1]: float(toks[i]) for i in range(0, len(toks) - 1, 2)}
+        return out
+
+    parsed = {side: [benchmarks(text) for text in lines[side]] for side in sides}
+    return parsed, None
+
+
+def inprocess_workloads(parsed):
+    """Splits in-process runs into one workload per benchmark, in the
+    run-JSON shape of benchmark/run.sh, with one metric per unit."""
+    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "q1_p50_ms")
+    names = sorted({b for side in sides for run in parsed[side] for b in run})
+    out = {}
+    for b in names:
+        units = sorted({u for side in sides for run in parsed[side] for u in run.get(b, {})})
+        res = {side: [{"correct": b in run, "attempted": 1, "failed": int(b not in run),
+                       "metrics": {u: {"value": run.get(b, {}).get(u, float("nan"))} for u in units}}
+                      for run in parsed[side]] for side in sides}
+        out[b] = (res, [{"name": u, "better": "lower", "bound": bound} for u in units])
+    return out
 
 
 def quartiles(xs):
@@ -119,9 +177,11 @@ def quartiles(xs):
 
 doc = {"parent": parent, "change": change, "seed": int(seed), "seconds": float(seconds),
        "pairs": pairs, "order": "pair i runs the parent first when i is odd", "workloads": {}}
+todo = {}
 for w in workloads:
-    res = {side: [json.load(open(f"{runs}/{w}.{side}.{i}.json")) for i in range(1, pairs + 1)]
-           for side in ("parent", "change")}
+    res, metrics = load(w)
+    todo.update(inprocess_workloads(res) if bench else {w: (res, metrics)})
+for w, (res, metrics) in todo.items():
     wd = {side: {"correct": all(r["correct"] for r in rs),
                  "attempted": sum(r["attempted"] for r in rs),
                  "failed": sum(r["failed"] for r in rs)} for side, rs in res.items()}
