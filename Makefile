@@ -7,7 +7,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null)
 LDFLAGS := -X dualsim/internal/buildinfo.Version=$(VERSION) \
            -X dualsim/internal/buildinfo.Commit=$(COMMIT)
 
-.PHONY: build test race stress vet fmt lint check bench-module bench scale metrics-doc metrics-doc-check smoke-serve soak clean
+.PHONY: build test race stress vet fmt lint check bench-module bench scale metrics-doc metrics-doc-check smoke-serve soak lines clean
 
 build:
 	$(GO) build -ldflags "$(LDFLAGS)" ./...
@@ -148,12 +148,13 @@ check: lint bench-module race stress
 # permanent-fault rider draws fail a cohort while its tasks are matching.
 # A pinned rider draw at the engine's frame floor has frames parse page after
 # page into the memory they keep while riders pin and unpin around them.
-# Beside it ride what the oracle does not draw: the window-index contracts,
-# the overlay stream dispatch of a hub, a fault and a cancel inside a
-# streamed pass, the deal's tables, late join with early finish, the row
-# hook's order against checkpoints, the library's one-caller Enumerate, the
-# server's limit cut and flushes, the sublinear-pages pins (concurrent
-# riders share a sweep only by late join) and the faulted scheduler.
+# Beside it ride its pinned draws of the concurrent window-index build, the
+# overlay stream dispatch of a hub, a fault and a cancel inside a streamed
+# pass, late join and the row hook's order against checkpoints, and what the
+# oracle does not draw: the window-index allocation gates, the deal's
+# tables, the library's one-caller Enumerate, the server's limit cut and
+# flushes, the sublinear-pages pins (concurrent riders share a sweep only by
+# late join) and the faulted scheduler.
 STRESS_RUN = TestServingOracle|TestDifferentialAllModes|TestPoolOracle|TestFrameReuseRidersAtFloor|TestWindowIndex|TestResidentWindowInternalOnly|TestOverlayStreamDispatch|TestStreamFaultMidPass|TestStreamCancelMidPass|TestDealSplit|TestSweepLateJoinEarlyFinish|TestRowsPrecedeCheckpoint|TestCohortDealExactBudget|TestSchedulerSharedReadsSublinear|TestSchedulerFaults|TestEnumerateContract|TestStreamLimitCutsInsideBatch|TestStreamEmitAllocs|TestStreamCoalescedFlushes|TestE2ESharedScanSublinearPages
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS_RUN)' ./internal/buffer ./internal/core ./internal/sharedscan ./internal/server .
@@ -209,6 +210,13 @@ soak:
 	SOAK_SECONDS=$(SOAK_SECONDS) $(GO) test -race -count=1 -v \
 		-run 'TestServingOracle|TestDifferentialAllModes|TestStorageOracle|TestPoolOracle' \
 		./internal/server ./internal/core ./internal/storage ./internal/buffer
+
+# lines prints each package's product and test lines as ROADMAP.md counts
+# them (no blank or comment lines, benchmark/ excluded) and the test/product
+# ratio; name directories to print only theirs:
+#   make lines DIRS='internal/core internal/server'
+lines:
+	@./scripts/lines.sh $(DIRS)
 
 clean:
 	$(GO) clean ./...

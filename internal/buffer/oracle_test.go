@@ -5,15 +5,11 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"regexp"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +18,7 @@ import (
 	"dualsim/internal/faultdb"
 	"dualsim/internal/gen"
 	"dualsim/internal/obs"
+	"dualsim/internal/oracletest"
 	"dualsim/internal/storage"
 )
 
@@ -98,31 +95,6 @@ func drawConfig(seed int64) draw {
 	return d
 }
 
-// coverage counts the dimensions draws reached.
-type coverage struct {
-	sync.Mutex
-	n map[string]int
-}
-
-func (c *coverage) add(keys ...string) {
-	c.Lock()
-	defer c.Unlock()
-	for _, k := range keys {
-		c.n[k]++
-	}
-}
-
-// require fails t unless every key was reached: a seed set or a pinned draw
-// that stops reaching a dimension proves less than it claims.
-func (c *coverage) require(t *testing.T, keys ...string) {
-	t.Helper()
-	for _, k := range keys {
-		if c.n[k] == 0 {
-			t.Errorf("no draw reached %q (coverage %v)", k, c.n)
-		}
-	}
-}
-
 // countingReader is the pool's reader, counted: the pages it answered — the
 // pages it filled and the one it failed at; the rest of the run is asked
 // again —, the pages it returned bytes for and those that parse as the page
@@ -158,7 +130,7 @@ func (c *countingReader) ReadPagesInto(first storage.PageID, buf []byte) (int, e
 type oracle struct {
 	t                   *testing.T
 	d                   draw
-	cov                 *coverage
+	cov                 *oracletest.Coverage
 	ref                 []*storage.Page // the intact file's pages
 	p                   *Pool
 	sc                  *obs.Scope
@@ -197,10 +169,6 @@ func (r *request) deliver(pid storage.PageID, page *storage.Page, err error) {
 // set, fresh seeds run until the time box closes.
 const oracleSeeds = 28
 
-// namedSeed matches a seed named in -run, so that any seed — a soak's
-// included — reproduces by its subtest name.
-var namedSeed = regexp.MustCompile(`seed=(\d+)`)
-
 // TestPoolOracle is the pool oracle (see the top of this file). Each seed
 // draws a Chung-Lu graph built on 128- to 1024-byte pages, plain or
 // compressed; 1 to pages+4 frames; 1 to 4 I/O workers, with simulated
@@ -213,45 +181,16 @@ var namedSeed = regexp.MustCompile(`seed=(\d+)`)
 //
 //	go test ./internal/buffer -run 'TestPoolOracle/seed=N$'
 func TestPoolOracle(t *testing.T) {
-	var seeds []int64
-	for _, m := range namedSeed.FindAllStringSubmatch(flag.Lookup("test.run").Value.String(), -1) {
-		s, _ := strconv.ParseInt(m[1], 10, 64)
-		seeds = append(seeds, s)
+	cov := &oracletest.Coverage{}
+	if !oracletest.Run(t, oracletest.Seeds(oracleSeeds), func(t *testing.T, s int64) { check(t, drawConfig(s), cov) }) {
+		return
 	}
-	soak, err := strconv.Atoi(cmp.Or(os.Getenv("SOAK_SECONDS"), "0"))
-	if err != nil {
-		t.Fatalf("bad SOAK_SECONDS: %v", err)
-	}
-	cov := &coverage{n: map[string]int{}}
-	run := func(s int64) bool {
-		return t.Run(fmt.Sprintf("seed=%d", s), func(t *testing.T) { check(t, drawConfig(s), cov) })
-	}
-	switch {
-	case len(seeds) > 0:
-		for _, s := range seeds {
-			run(s)
-		}
-	case soak > 0:
-		deadline := time.Now().Add(time.Duration(soak) * time.Second)
-		base := oracleSeeds + 1 + time.Now().UnixNano()%1_000_000*1000
-		s := base
-		for ; time.Now().Before(deadline) && run(s); s++ {
-		}
-		t.Logf("soak: seeds %d..%d", base, s)
-	default:
-		for s := int64(1); s <= oracleSeeds; s++ {
-			run(s)
-		}
-		if t.Failed() {
-			return
-		}
-		t.Logf("coverage over %d seeds: %v", oracleSeeds, cov.n)
-		cov.require(t, "page=128", "page=1024", "compress", "retry", "latency", "clients>1", "workers>1", "frames>pages", "frames<8",
-			"fault:", "fault:"+transient, "fault:"+failPages, "fault:"+bitFlip, "fault:"+misdirect, "fault:"+failNth,
-			"model", "model: hits and loads in one request", "hit", "eviction", "stretch>1", "run of 2 chunks", "pin wait",
-			"saturate", "no free frame", "cancel:b", "cancel:d", "closed", "out of range", "corrupt: the page asked for",
-			"delivered after a failed page", "device error: "+failPages, "device error: "+failNth, "device error: "+transient)
-	}
+	t.Logf("coverage over %d seeds: %v", oracleSeeds, cov)
+	cov.Require(t, "page=128", "page=1024", "compress", "retry", "latency", "clients>1", "workers>1", "frames>pages", "frames<8",
+		"fault:", "fault:"+transient, "fault:"+failPages, "fault:"+bitFlip, "fault:"+misdirect, "fault:"+failNth,
+		"model", "model: hits and loads in one request", "hit", "eviction", "stretch>1", "run of 2 chunks", "pin wait",
+		"saturate", "no free frame", "cancel:b", "cancel:d", "closed", "out of range", "corrupt: the page asked for",
+		"delivered after a failed page", "device error: "+failPages, "device error: "+failNth, "device error: "+transient)
 }
 
 // buildDB builds and opens d's database.
@@ -267,7 +206,7 @@ func buildDB(t *testing.T, d draw) *storage.DB {
 }
 
 // check runs draw d and holds the pool to the file.
-func check(t *testing.T, d draw, cov *coverage) {
+func check(t *testing.T, d draw, cov *oracletest.Coverage) {
 	db := buildDB(t, d)
 	pages, rng, buf := db.NumPages(), rand.New(rand.NewSource(d.seed+1)), make([]byte, db.PageSize())
 	o := &oracle{t: t, cov: cov, ref: make([]*storage.Page, pages), sc: obs.NewScope(""), faulty: map[storage.PageID]bool{}, bad: map[storage.PageID]bool{}}
@@ -360,11 +299,11 @@ func check(t *testing.T, d draw, cov *coverage) {
 	}
 	group.Wait()
 	o.quiescent()
-	cov.add(fmt.Sprintf("page=%d", d.pageSize), "fault:"+d.fault)
+	cov.Add(fmt.Sprintf("page=%d", d.pageSize), "fault:"+d.fault)
 	for key, on := range map[string]bool{"compress": d.compress, "retry": d.retry, "latency": d.latency > 0, "clients>1": d.clients > 1,
 		"workers>1": d.workers > 1, "frames>pages": d.frames > pages, "frames<8": d.frames < 8, "saturate": d.saturate, "model": o.model != nil} {
 		if on {
-			cov.add(key)
+			cov.Add(key)
 		}
 	}
 }
@@ -450,7 +389,7 @@ func (o *oracle) do(cl *client, x op) {
 	cancel()
 	<-done
 	if wg.Wait(); errors.Is(r.errs[0], context.Canceled) && w.errs[0] == nil {
-		o.cov.add("waiter spared")
+		o.cov.Add("waiter spared")
 	}
 	o.settle(cl, before, r, w)
 }
@@ -492,7 +431,7 @@ func (o *oracle) settle(cl *client, before counts, rs ...*request) {
 			last[chunk] = pid
 		}
 		if r.n > DefaultMaxRun {
-			o.cov.add("run of 2 chunks")
+			o.cov.Add("run of 2 chunks")
 		}
 		faulted := false // a page before this one failed with a fault
 		for i, err := range r.errs {
@@ -508,7 +447,7 @@ func (o *oracle) settle(cl *client, before counts, rs ...*request) {
 				cl.held = append(cl.held, heldPin{pid, page})
 				o.sure.Add(1)
 				if faulted {
-					o.cov.add("delivered after a failed page")
+					o.cov.Add("delivered after a failed page")
 				}
 			case errors.Is(err, ErrPoolClosed):
 				o.expect(pid, err, o.closing.Load(), "closed")
@@ -541,7 +480,7 @@ func (o *oracle) expect(pid storage.PageID, err error, ok bool, key string) {
 	if !ok {
 		o.t.Errorf("page %d: unexpected %v", pid, err)
 	}
-	o.cov.add(key)
+	o.cov.Add(key)
 }
 
 // faultOf names the fault that explains err on pid, or "" if none does. A
@@ -606,7 +545,7 @@ func (o *oracle) quiescent() {
 	}
 	for key, on := range map[string]bool{"pin wait": pr.PinWaitNS > 0, "eviction": p.Evictions() > 0, "stretch>1": cr.runs > 0, "hit": pr.BufferHits > 0} {
 		if on {
-			o.cov.add(key)
+			o.cov.Add(key)
 		}
 	}
 }
@@ -703,6 +642,6 @@ func (o *oracle) modelCheck(before counts, rs ...*request) {
 			after.logical-before.logical, after.hits-before.hits, after.asked-before.asked, len(kinds), hits, loads, kinds)
 	}
 	if hits > 0 && loads > 0 {
-		o.cov.add("model: hits and loads in one request")
+		o.cov.Add("model: hits and loads in one request")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"dualsim/internal/oracletest"
 	"dualsim/internal/storage"
 )
 
@@ -29,9 +30,9 @@ func pinned(frames, ops int, script []op, set ...func(*draw)) draw {
 // pin checks d and requires it to reach every coverage key.
 func pin(t *testing.T, d draw, keys ...string) {
 	t.Helper()
-	cov := &coverage{n: map[string]int{}}
+	cov := &oracletest.Coverage{}
 	check(t, d, cov)
-	cov.require(t, keys...)
+	cov.Require(t, keys...)
 }
 
 func ops(xs ...op) []op { return xs }

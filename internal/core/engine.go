@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -145,6 +144,8 @@ type Engine struct {
 	maxSpan int                // pages of the largest adjacency list
 
 	running atomic.Bool // guards against overlapping runs
+	// matchersMade counts the matchers the engine's runs allocated.
+	matchersMade atomic.Uint64
 
 	reg    *obs.Registry
 	em     *engineMetrics
@@ -374,6 +375,7 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 		winSpan:      make([]uint64, p.K),
 		winStart:     make([]time.Time, p.K),
 		windowsPer:   make([]int, p.K),
+		matchers:     make(chan *matcher, e.opts.Threads),
 	}
 	if spec.Overlay != nil && !spec.Overlay.Empty() {
 		r.overlay = spec.Overlay
@@ -388,7 +390,6 @@ func (e *Engine) newRun(ctx context.Context, spec RunSpec, alloc []int) *run {
 		r.externalCount.Store(cp.External)
 		r.windowsPer[0] = cp.Windows
 	}
-	r.matchers.New = r.allocMatcher
 	for g := range r.cand {
 		r.cand[g] = make([][]graph.VertexID, p.K)
 	}
@@ -489,10 +490,11 @@ type run struct {
 	winSpan   []uint64
 	winStart  []time.Time // open time of each level's current window
 
-	// matchers recycles matchers — slices and intersection arena included —
-	// across enumeration tasks, so steady state performs no per-task
-	// allocation.
-	matchers sync.Pool
+	// matchers is the run's free list of matchers — slices, intersection
+	// arena, list cache and bit set included — so steady state performs no
+	// per-task allocation. It holds one per worker, as many as can run at
+	// once, and unlike a sync.Pool a garbage collection does not empty it.
+	matchers chan *matcher
 
 	internalCount atomic.Uint64
 	externalCount atomic.Uint64

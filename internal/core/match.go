@@ -12,8 +12,8 @@ import (
 // matcher carries the per-task state of vertex-level mapping: the data
 // vertex assigned to each position, the query-vertex mapping being expanded,
 // the task's intersection arena, and local counters flushed when the task
-// ends. Matchers are pooled per run (run.matchers): a task borrows one,
-// slices and arena included, until flush.
+// ends. Each run keeps a free list of them (run.matchers): a task borrows
+// one, slices and arena included, until flush.
 type matcher struct {
 	r  *run
 	lw *levelWindow // level-0 window (internal) or last-level window (external)
@@ -44,8 +44,9 @@ type matcher struct {
 	// use (adjPos), dropped when p is assigned anew or the task takes a new
 	// root, so the table → ordinal → slot walk runs once per assignment.
 	// The lists alias pinned pages and never outlive the task — a matcher
-	// leaves the pool with adjMask clear: a page's lists are its buffer
-	// frame's memory, which the frame's next load overwrites once unpinned.
+	// returns to the free list with adjMask clear: a page's lists are its
+	// buffer frame's memory, which the frame's next load overwrites once
+	// unpinned.
 	posAdj   [][]graph.VertexID
 	posSplit []int
 	adjMask  uint32
@@ -58,7 +59,7 @@ type matcher struct {
 	// per-candidate allocation); marks holds the list of the position whose
 	// vertex the sibling intersections below it share (candidates). Its
 	// list aliases a pinned page like posAdj's, so flush clears it while the
-	// task's pages are still pinned: a pooled matcher holds no marks.
+	// task's pages are still pinned: a matcher on the free list holds no marks.
 	arena *graph.Arena
 	marks graph.Marks
 
@@ -68,7 +69,7 @@ type matcher struct {
 	// deliver says the task's embeddings go to the run's row hook: the run
 	// has one. rows then collects them, back to back, until it holds rowCap
 	// of them or the task ends. rowCap doubles from one row to rowBatch with
-	// every handover and stays with the pooled matcher, so a run's first row
+	// every handover and stays with the matcher, so a run's first row
 	// leaves alone and its steady state is full batches.
 	deliver bool
 	rows    []graph.VertexID
@@ -81,17 +82,24 @@ type matcher struct {
 // stays in cache and a consumer never waits long for rows that exist.
 const rowBatch = 512
 
-// newMatcher borrows a matcher from the run's pool for one task over lw.
+// newMatcher borrows a matcher from the run's free list for one task over
+// lw, and makes one when the list is empty.
 func (r *run) newMatcher(lw *levelWindow, internal bool) *matcher {
-	m := r.matchers.Get().(*matcher)
+	var m *matcher
+	select {
+	case m = <-r.matchers:
+	default:
+		m = r.allocMatcher()
+	}
 	m.lw, m.internal, m.own, m.adjMask = lw, internal, nil, 0
 	m.localInternal, m.localExternal = 0, 0
 	m.deliver = r.onRows != nil
 	return m
 }
 
-// allocMatcher is the pool's constructor.
-func (r *run) allocMatcher() any {
+// allocMatcher makes a matcher for the run.
+func (r *run) allocMatcher() *matcher {
+	r.e.matchersMade.Add(1)
 	n := r.p.Query.NumVertices()
 	return &matcher{
 		r:        r,
@@ -117,9 +125,9 @@ func (m *matcher) handRows() {
 // flush hands over the rows the task still holds, publishes its local
 // counters into its window's accumulators (merged into the run totals and
 // scope only when the window completes — see settleWindowCounts) and the
-// arena's kernel-selection counts into the run's scope, then returns
-// the matcher to the pool. Batching per task keeps the per-embedding hot path
-// free of shared-cacheline traffic.
+// arena's kernel-selection counts into the run's scope, then returns the
+// matcher to the run's free list. Batching per task keeps the per-embedding
+// hot path free of shared-cacheline traffic.
 func (m *matcher) flush() {
 	if len(m.rows) > 0 {
 		m.handRows()
@@ -142,7 +150,10 @@ func (m *matcher) flush() {
 	if st.Probe > 0 {
 		sc.IntersectProbe.Add(st.Probe)
 	}
-	m.r.matchers.Put(m)
+	select {
+	case m.r.matchers <- m:
+	default: // the list holds one per worker already
+	}
 }
 
 // clipPos returns the adjacency list of the data vertex assigned to

@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"dualsim/internal/gen"
 	"dualsim/internal/graph"
-	"dualsim/internal/plan"
-	"dualsim/internal/rbi"
 )
 
 // orderOKOracle and poOKOracle are the post-filters the matcher applied to
@@ -186,142 +184,36 @@ func TestMatcherPooled(t *testing.T) {
 	}
 }
 
-// TestForestRootWindowNotIntersected covers the operand descend leaves out:
-// the window of a node whose candidates are every vertex — level 1 always, a
-// deeper forest root too — is an ID interval and lists no vertex
-// (loadWindow), so the clipped lists of the connected positions stand in for
-// it. Were it an operand, its empty list would empty the candidates of every
-// external subtree through it, and the run would find no external embedding.
-// Below the buffer, plain and compressed, over plans with each shape the
-// elision meets — a connected level-1 node (q1, q5), a level-1 node nothing
-// is connected to (q2's two red vertices under MVC are not adjacent) and a
-// full middle-level root beside groups where that level has a parent (q2
-// with every vertex red) — counting and enumerating rows, the counts equal
-// brute force, the run crosses windows and finds external embeddings.
-func TestForestRootWindowNotIntersected(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(23)), 400, 2400)
-	for _, layout := range []struct {
-		pageSize int
-		compress bool
-	}{{256, false}, {128, true}} {
-		db := buildDBOpts(t, g, layout.pageSize, layout.compress)
-		for _, c := range []struct {
-			q    *graph.Query
-			mode rbi.CoverMode
-		}{
-			{graph.Triangle(), rbi.MCVC},
-			{graph.House(), rbi.MCVC},
-			{graph.Square(), rbi.MVC},
-			{graph.Square(), rbi.AllRed},
-		} {
-			p, err := plan.Prepare(c.q, plan.Options{CoverMode: c.mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := graph.CountOccurrences(g, c.q)
-			for _, rows := range []bool{false, true} {
-				what := fmt.Sprintf("%s/%v compress=%v rows=%v", c.q.Name(), c.mode, layout.compress, rows)
-				e, err := NewEngine(db, Options{Threads: 2, BufferFrames: db.NumPages() / 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				spec := RunSpec{Plan: p}
-				if rows {
-					spec.OnRows = func([]graph.VertexID, int) {}
-				}
-				res, err := e.RunSpecContext(context.Background(), spec)
-				e.Close()
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				if res.Count != want {
-					t.Errorf("%s: count %d, brute force %d", what, res.Count, want)
-				}
-				if res.WindowsPerLevel[0] < 2 || res.External == 0 {
-					t.Errorf("%s: windows %v, %d external: no external embedding was found",
-						what, res.WindowsPerLevel, res.External)
-				}
-			}
-		}
+// TestMatchersSurviveGC: a run keeps its matchers — arenas, list caches and
+// bit sets — across garbage collections. Pairs of collections forced from the
+// row hook in the middle of a run would empty a sync.Pool each time; the
+// run's free list keeps them, so the run makes no more matchers than its
+// workers hold at once, plus one.
+func TestMatchersSurviveGC(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(195)), 400, 3200)
+	db := buildDB(t, g, 256)
+	const threads = 2
+	e, err := NewEngine(db, Options{Threads: threads, BufferFrames: db.NumPages() / 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestTailCounted: a count run adds C(n, Tail) where the plan's tail starts
-// (countTail), a run with a row hook enumerates the tail's rows. On planted
-// hubs, over the plans with the longest tails — Star(3) (three black leaves),
-// the 3-page book (three ivory pages on one spine) and K2,3 under MCVC (a
-// two-vertex tail) and MVC (three) — plain and compressed, resident and below
-// the buffer, both count what brute force counts, and the rows are the
-// brute-force embeddings, each once.
-func TestTailCounted(t *testing.T) {
-	g := gen.PlantedHubs(300, 4, 40, 36)
-	book := graph.MustNewQuery("book3", 5, [][2]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}, {0, 4}, {1, 4}})
-	k23 := graph.MustNewQuery("k2,3", 5, [][2]int{{0, 2}, {0, 3}, {0, 4}, {1, 2}, {1, 3}, {1, 4}})
-	type query struct {
-		q    *graph.Query
-		mode rbi.CoverMode
-	}
-	for _, c := range []query{{graph.Star("s3", 3), rbi.MCVC}, {book, rbi.MCVC}, {k23, rbi.MCVC}, {k23, rbi.MVC}} {
-		p, err := plan.Prepare(c.q, plan.Options{CoverMode: c.mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Tail < 2 {
-			t.Fatalf("%s/%v: tail %d, want at least 2", c.q.Name(), c.mode, p.Tail)
-		}
-		want := map[string]bool{}
-		graph.BruteForceEnumerate(g, c.q, graph.SymmetryBreak(c.q), func(m []graph.VertexID) bool {
-			want[fmt.Sprint(m)] = true
-			return true
-		})
-		if len(want) == 0 {
-			t.Fatalf("%s: no embedding in the fixture", c.q.Name())
-		}
-		t.Logf("%s/%v: tail %d, %d embeddings", c.q.Name(), c.mode, p.Tail, len(want))
-		for _, compress := range []bool{false, true} {
-			db := buildDBOpts(t, g, 256, compress)
-			for _, resident := range []bool{false, true} {
-				for _, rows := range []bool{false, true} {
-					what := fmt.Sprintf("%s/%v compress=%v resident=%v rows=%v", c.q.Name(), c.mode, compress, resident, rows)
-					frames := db.NumPages() / 3
-					if resident {
-						frames = 4 * db.NumPages()
-					}
-					e, err := NewEngine(db, Options{Threads: 2, BufferFrames: frames})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var mu sync.Mutex
-					seen := map[string]bool{}
-					spec := RunSpec{Plan: p}
-					if rows {
-						spec.OnRows = func(batch []graph.VertexID, width int) {
-							mu.Lock()
-							defer mu.Unlock()
-							for ; len(batch) > 0; batch = batch[width:] {
-								k := fmt.Sprint(batch[:width])
-								if !want[k] || seen[k] {
-									t.Errorf("%s: row %s handed over twice or not an embedding", what, k)
-								}
-								seen[k] = true
-							}
-						}
-					}
-					res, err := e.RunSpecContext(context.Background(), spec)
-					e.Close()
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					if res.Count != uint64(len(want)) || rows && len(seen) != len(want) {
-						t.Errorf("%s: count %d, %d rows, brute force %d", what, res.Count, len(seen), len(want))
-					}
-					// Star(3) has one red vertex, so nothing of it is external.
-					if left := res.WindowsPerLevel[0] >= 2 && (p.K == 1 || res.External > 0); left == resident {
-						t.Errorf("%s: windows %v, %d external", what, res.WindowsPerLevel, res.External)
-					}
-				}
+	defer e.Close()
+	var calls atomic.Int64
+	res, err := e.RunSpecContext(context.Background(), RunSpec{Plan: mustPlan(t, graph.House()),
+		OnRows: func([]graph.VertexID, int) {
+			if calls.Add(1)%32 == 0 {
+				runtime.GC()
+				runtime.GC()
 			}
-		}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() < 64 || res.Level1Windows < 2 {
+		t.Fatalf("%d row handovers over %d level-1 windows: the fixture collects too rarely", calls.Load(), res.Level1Windows)
+	}
+	if made := e.matchersMade.Load(); made > threads+1 {
+		t.Errorf("%d matchers made by a run on %d workers across %d forced collections", made, threads, calls.Load()/32*2)
 	}
 }
 

@@ -2,8 +2,6 @@
 
 package core
 
-// RaceEnabled reports a -race build: there sync.Pool drops a quarter of its
-// Puts on purpose, so "a pooled object is never reallocated" cannot be
-// asserted by counting allocations, and the differential oracle runs its
-// shorter seed set.
+// RaceEnabled reports a -race build, where the differential oracle runs its
+// shorter seed set and TestMatcherPooled does not count allocations.
 const RaceEnabled = true

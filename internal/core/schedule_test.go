@@ -88,6 +88,20 @@ var (
 		{"q3-chordalsquare", true, 4096}:  {1, "[1 0]", 122, 122},
 		{"q4-clique4", true, 4096}:        {1, "[1 0 0]", 122, 122},
 		{"q5-house", true, 4096}:          {1, "[1 0 0]", 122, 122},
+		// One frame short of the resident threshold (pages + one maximal
+		// vertex per deeper level): the paper's split, recorded before
+		// buffer.Allocate learned the page count. The last level's passes
+		// and the requests were re-recorded when it became a stream.
+		{"q1-triangle", false, 273}:      {2, "[2 2]", 501, 267},
+		{"q2-square", false, 280}:        {2, "[2 2 2]", 871, 267},
+		{"q3-chordalsquare", false, 273}: {2, "[2 2]", 501, 267},
+		{"q4-clique4", false, 280}:       {2, "[2 2 2]", 819, 267},
+		{"q5-house", false, 280}:         {2, "[2 2 2]", 1089, 267},
+		{"q1-triangle", true, 123}:       {2, "[2 2]", 228, 122},
+		{"q2-square", true, 125}:         {2, "[2 3 3]", 510, 122},
+		{"q3-chordalsquare", true, 123}:  {2, "[2 2]", 228, 122},
+		{"q4-clique4", true, 125}:        {2, "[2 3 3]", 374, 122},
+		{"q5-house", true, 125}:          {2, "[2 3 3]", 616, 122},
 	}
 	// Resumed from the second level-1 checkpoint on a fresh engine;
 	// configurations with fewer than three level-1 windows have no entry.
@@ -146,14 +160,26 @@ var goldenTally = map[scheduleKey][2]uint64{
 	{"q3-chordalsquare", true, 4096}:  {8257, 0},
 	{"q4-clique4", true, 4096}:        {286, 0},
 	{"q5-house", true, 4096}:          {260536, 0},
+	// One frame short of the resident threshold, recorded later (ac3c644).
+	{"q1-triangle", false, 273}:      {972, 0},
+	{"q2-square", false, 280}:        {3841, 9014},
+	{"q3-chordalsquare", false, 273}: {4278, 3979},
+	{"q4-clique4", false, 280}:       {209, 77},
+	{"q5-house", false, 280}:         {152099, 108437},
+	{"q1-triangle", true, 123}:       {939, 33},
+	{"q2-square", true, 125}:         {6571, 6284},
+	{"q3-chordalsquare", true, 123}:  {3612, 4645},
+	{"q4-clique4", true, 125}:        {250, 36},
+	{"q5-house", true, 125}:          {196323, 64213},
 }
 
 // TestWindowScheduleGolden pins the exact window/page schedule of solo
 // runs — not just the embedding counts; see schedule.within for what exact
 // means for physical reads — on a deterministic gen fixture:
 // the five paper queries × {plain, compressed} × a starved buffer (level 1
-// needs >= 3 windows), a mid-sized one, and a roomy one (level 1 fits in one window, which is
-// then all internal area: no deeper level is visited); plus,
+// needs >= 3 windows), a mid-sized one, a roomy one (level 1 fits in one window, which is
+// then all internal area: no deeper level is visited) and one frame short of
+// the resident threshold (the paper's split, two level-1 windows); plus,
 // wherever level 1 has >= 3 windows, a run resumed from the second window
 // boundary. "The solo partition through Sweep == the solo iterator" means
 // the level-1 constants never change.
@@ -164,10 +190,14 @@ func TestWindowScheduleGolden(t *testing.T) {
 		if compressed {
 			db = buildCompressedDB(t, g, 128)
 		}
-		for _, frames := range []int{40, 96, 4096} {
+		for _, size := range []int{40, 96, 4096, -1} {
 			for _, q := range graph.PaperQueries() {
-				k := scheduleKey{q.Name(), compressed, frames}
 				p := mustPlan(t, q)
+				frames := size
+				if size < 0 { // one frame short of the resident threshold
+					frames = db.NumPages() + (p.K-1)*db.PageFirsts().MaxSpan() - 1
+				}
+				k := scheduleKey{q.Name(), compressed, frames}
 				opts := Options{Threads: 2, IOWorkers: 1, BufferFrames: frames}
 				run := func(spec RunSpec) *Result {
 					t.Helper()

@@ -1,264 +1,10 @@
 package core
 
 import (
-	"context"
-	"errors"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
-
-	"dualsim/internal/graph"
-	"dualsim/internal/plan"
 )
-
-// sweepFixture builds a database with enough pages for a multi-window
-// sweep, plus solo baselines for the given queries on an independent
-// engine with the same frame budget.
-func sweepFixture(t *testing.T, frames int, queries []*graph.Query) (*Engine, map[string]uint64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(42))
-	g := randomGraph(rng, 2000, 8000)
-	db := buildDB(t, g, 256)
-
-	solo := make(map[string]uint64)
-	se, err := NewEngine(db, Options{Threads: 2, BufferFrames: frames})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		res, err := se.Run(q)
-		if err != nil {
-			t.Fatalf("solo %s: %v", q.Name(), err)
-		}
-		solo[q.Name()] = res.Count
-	}
-	se.Close()
-
-	e, err := NewEngine(db, Options{Threads: 4, BufferFrames: frames})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	return e, solo
-}
-
-func mustPlan(t *testing.T, q *graph.Query) *plan.Plan {
-	t.Helper()
-	p, err := plan.Prepare(q, plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// TestSweepLateJoinEarlyFinish exercises the merry-go-round lifecycle: a
-// rider that boards at window 1 consumes 1..w-1 then wraps to 0, the
-// window-0 rider detaches one boundary earlier, and both totals are
-// bit-identical to solo. Checkpoint emission follows the join rule: only
-// the window-0 rider has a solo-meaningful cursor. Then a rider with a middle
-// level rides the same sweep alone, beside a two-level rider, and alone
-// again: every boundary deals it what the table says for who is on board,
-// and its count is the solo run's whatever schedule that made.
-func TestSweepLateJoinEarlyFinish(t *testing.T) {
-	tri, clique := graph.Triangle(), graph.Clique4()
-	e, solo := sweepFixture(t, 96, []*graph.Query{tri, clique})
-
-	s, err := e.NewSweep(SweepOptions{MaxRiders: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	w := s.Windows()
-	if w < 3 {
-		t.Fatalf("fixture too small: %d level-1 windows, want >= 3", w)
-	}
-
-	ctx := context.Background()
-	var cpA, cpB int
-	a, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, tri), OnCheckpoint: func(Checkpoint) { cpA++ }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, tri), OnCheckpoint: func(Checkpoint) { cpB++ }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serve := func(idx int, riders ...*Rider) {
-		t.Helper()
-		sw, err := s.Load(ctx, idx, 0)
-		if err != nil {
-			t.Fatalf("Load(%d): %v", idx, err)
-		}
-		for _, rd := range riders {
-			if err := rd.ProcessWindow(sw); err != nil {
-				t.Fatalf("ProcessWindow(%d): %v", idx, err)
-			}
-		}
-		s.Release(sw)
-	}
-	serve(0, a) // A boards alone at window 0
-	for i := 1; i < w; i++ {
-		serve(i, a, b) // B late-joins at the next boundary
-	}
-	if !a.Done() {
-		t.Fatal("A not done after a full cycle")
-	}
-	if b.Done() {
-		t.Fatal("B done before wrapping to window 0")
-	}
-	resA, err := a.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Close() // early finish: A detaches, the sweep keeps cycling for B
-	serve(0, b)
-	if !b.Done() {
-		t.Fatal("B not done after its wrap-around window")
-	}
-	resB, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-
-	want := solo[tri.Name()]
-	if resA.Count != want || resB.Count != want {
-		t.Errorf("counts A=%d B=%d, solo %d", resA.Count, resB.Count, want)
-	}
-	// A consumed the partition as a solo iterator would: one checkpoint per
-	// window. B's prefix starts mid-range — no solo-meaningful cursor.
-	if cpA != w {
-		t.Errorf("window-0 rider emitted %d checkpoints, want %d", cpA, w)
-	}
-	if cpB != 0 {
-		t.Errorf("late joiner emitted %d checkpoints, want 0", cpB)
-	}
-
-	// 96 frames, 2 seats, 4 threads, single-page vertices: a pool of 48, a
-	// stream of 4.
-	if e.maxSpan != 1 {
-		t.Fatalf("fixture has %d-page vertices; the budgets below assume 1", e.maxSpan)
-	}
-	alone, beside := []int{0, 44, 4}, []int{0, 40, 4}
-	d, err := s.NewRider(ctx, RunSpec{Plan: mustPlan(t, clique)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	var two *Rider
-	for i := 0; i < w; i++ {
-		want := alone
-		if i == 1 {
-			// A two-level rider boards for one window and is abandoned.
-			if two, err = s.NewRider(ctx, RunSpec{Plan: mustPlan(t, tri)}); err != nil {
-				t.Fatal(err)
-			}
-			want = beside
-		}
-		sw, err := s.Load(ctx, i, 0)
-		if err != nil {
-			t.Fatalf("Load(%d): %v", i, err)
-		}
-		if got := d.r.winBudget; !slices.Equal(got, want) {
-			t.Errorf("window %d: the deep rider was dealt %v, want %v", i, got, want)
-		}
-		if i == 1 {
-			if got := two.r.winBudget; !slices.Equal(got, []int{0, 4}) {
-				t.Errorf("window %d: the two-level rider was dealt %v beside a middle level, want [0 4]", i, got)
-			}
-			if err := two.ProcessWindow(sw); err != nil {
-				t.Fatal(err)
-			}
-			two.Close()
-		}
-		if err := d.ProcessWindow(sw); err != nil {
-			t.Fatalf("ProcessWindow(%d): %v", i, err)
-		}
-		s.Release(sw)
-	}
-	resD, err := d.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resD.Count != solo[clique.Name()] {
-		t.Errorf("dealt rider counted %d, solo %d", resD.Count, solo[clique.Name()])
-	}
-	if resD.BufferFrames != 48 {
-		t.Errorf("dealt rider reports %d frames, want its largest deal, 48", resD.BufferFrames)
-	}
-	if n := e.PinnedFrames(); n != 0 {
-		t.Errorf("%d frames still pinned", n)
-	}
-	// Every rider's windows reach the registry, the abandoned one's at its Close.
-	if got := e.reg.Snapshot().Counters["dualsim_windows_level1_total"]; got != uint64(3*w+1) {
-		t.Errorf("dualsim_windows_level1_total = %d after %d rider windows", got, 3*w+1)
-	}
-}
-
-// TestRiderCloseBeforeReleaseBooksShared: two riders process one window and
-// one is closed before the sweep's Release. The window's shared pages are
-// booked once per rider all the same — Release returns the rider still on
-// board, the early Close returns its own — so a scheduler's ledger, which
-// adds both, loses none.
-func TestRiderCloseBeforeReleaseBooksShared(t *testing.T) {
-	tri := graph.Triangle()
-	e, _ := sweepFixture(t, 96, []*graph.Query{tri})
-	s, err := e.NewSweep(SweepOptions{MaxRiders: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ctx := context.Background()
-	var riders [2]*Rider
-	for i := range riders {
-		if riders[i], err = s.NewRider(ctx, RunSpec{Plan: mustPlan(t, tri)}); err != nil {
-			t.Fatal(err)
-		}
-		defer riders[i].Close()
-	}
-	sw, err := s.Load(ctx, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rd := range riders {
-		if err := rd.ProcessWindow(sw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pages := uint64(sw.Pages())
-	early := riders[0].Close()
-	_, released := s.Release(sw)
-	if pages == 0 || early+released != 2*pages {
-		t.Errorf("shared pages: early Close %d + Release %d, want twice the window's %d pages", early, released, pages)
-	}
-}
-
-// TestSweepRiderEligibility: resume specs bounce with ErrRiderNotEligible
-// and a busy engine refuses a second sweep (and solo runs) until Close.
-func TestSweepRiderEligibility(t *testing.T) {
-	tri := graph.Triangle()
-	e, _ := sweepFixture(t, 96, []*graph.Query{tri})
-
-	s, err := e.NewSweep(SweepOptions{MaxRiders: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.NewRider(context.Background(),
-		RunSpec{Plan: mustPlan(t, tri), Resume: &Checkpoint{}}); !errors.Is(err, ErrRiderNotEligible) {
-		t.Fatalf("resume spec: err = %v, want ErrRiderNotEligible", err)
-	}
-	if _, err := e.NewSweep(SweepOptions{}); !errors.Is(err, ErrEngineBusy) {
-		t.Fatalf("second sweep: err = %v, want ErrEngineBusy", err)
-	}
-	if _, err := e.Run(tri); !errors.Is(err, ErrEngineBusy) {
-		t.Fatalf("solo run during sweep: err = %v, want ErrEngineBusy", err)
-	}
-	s.Close()
-	if _, err := e.Run(tri); err != nil {
-		t.Fatalf("solo run after sweep close: %v", err)
-	}
-}
 
 // TestDealSplit pins the cohort deal as a pure function: the rows the issue
 // sized it on, then its invariants over every admissible cohort of

@@ -1,45 +1,23 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"dualsim/internal/graph"
 )
 
-// unionSortedSeed is the seed's union: repeatedly scan every list head for
-// the global minimum — O(n·k) for k lists of n total elements. Kept as the
-// reference the scratch-set read-out is checked against.
-func unionSortedSeed(lists [][]graph.VertexID) []graph.VertexID {
-	total := 0
+// unionRef is the union the scratch-set read-out must equal: every listed
+// ID once, ascending; nil when there is none.
+func unionRef(lists [][]graph.VertexID) []graph.VertexID {
+	var out []graph.VertexID
 	for _, l := range lists {
-		total += len(l)
+		out = append(out, l...)
 	}
-	out := make([]graph.VertexID, 0, total)
-	idx := make([]int, len(lists))
-	for {
-		best := -1
-		var bv graph.VertexID
-		for i, l := range lists {
-			if idx[i] >= len(l) {
-				continue
-			}
-			if best < 0 || l[idx[i]] < bv {
-				best, bv = i, l[idx[i]]
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		if len(out) == 0 || out[len(out)-1] != bv {
-			out = append(out, bv)
-		}
-		idx[best]++
-	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // randomSortedLists builds k sorted deduplicated lists with overlapping
@@ -56,7 +34,7 @@ func randomSortedLists(rng *rand.Rand, k, maxLen, valRange int) [][]graph.Vertex
 		for v := range seen {
 			l = append(l, v)
 		}
-		sort.Slice(l, func(a, b int) bool { return l[a] < l[b] })
+		slices.Sort(l)
 		lists[i] = l
 	}
 	return lists
@@ -71,7 +49,7 @@ func unionSorted(set *vertexSet, lists [][]graph.VertexID) []graph.VertexID {
 	return set.drain(nil)
 }
 
-// TestUnionSortedMatchesSeed checks the read-out against the seed's scan on
+// TestUnionSortedMatchesSeed checks the read-out against the reference on
 // random overlapping lists, through one set reused across all trials: a
 // drain that left a mark behind would surface in the next union.
 func TestUnionSortedMatchesSeed(t *testing.T) {
@@ -80,7 +58,7 @@ func TestUnionSortedMatchesSeed(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		k := 2 + rng.Intn(9)
 		lists := randomSortedLists(rng, k, 40, 60)
-		want := unionSortedSeed(lists)
+		want := unionRef(lists)
 		got := unionSorted(&set, lists)
 		if len(want) == 0 && len(got) == 0 {
 			continue
@@ -135,7 +113,7 @@ func TestUnionSortedOverlayCases(t *testing.T) {
 				before[i] = slices.Clone(l)
 			}
 			set := newVertexSet(tc.n)
-			want := unionSortedSeed(tc.lists)
+			want := unionRef(tc.lists)
 			got := unionSorted(&set, tc.lists)
 			if len(want) == 0 {
 				if got != nil {
@@ -160,26 +138,6 @@ func TestUnionSortedOverlayCases(t *testing.T) {
 			}
 			if again := set.drain(nil); again != nil {
 				t.Fatalf("the set still held %v after the read-out", again)
-			}
-		})
-	}
-}
-
-// BenchmarkUnionSorted compares the scratch-set read-out against the seed
-// scan as the group count grows.
-func BenchmarkUnionSorted(b *testing.B) {
-	rng := rand.New(rand.NewSource(32))
-	for _, k := range []int{2, 4, 8, 16} {
-		lists := randomSortedLists(rng, k, 2000, 10000)
-		set := newVertexSet(10000)
-		b.Run(fmt.Sprintf("set/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				unionSorted(&set, lists)
-			}
-		})
-		b.Run(fmt.Sprintf("seed/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				unionSortedSeed(lists)
 			}
 		})
 	}

@@ -5,116 +5,9 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
-	"dualsim/internal/delta"
 	"dualsim/internal/gen"
-	"dualsim/internal/graph"
 )
-
-// TestResidentWindowInternalOnly pins the resident regime: when level 1's
-// share of the buffer holds the whole graph, it is one window spanning every
-// vertex, so every embedding is internal and the engine visits no deeper
-// level at all — no child candidates, no second window over the same pages —
-// while counts stay bit-identical to brute force and every page is read
-// exactly once. Paper queries plus three random connected ones, plain and
-// compressed base files, with and without a live-ingest overlay.
-func TestResidentWindowInternalOnly(t *testing.T) {
-	rng := rand.New(rand.NewSource(181))
-	base := randomGraph(rng, 70, 320)
-	queries := graph.PaperQueries()
-	for i := 0; i < 3; i++ {
-		queries = append(queries, randomConnectedQuery(rng, 3+rng.Intn(3)))
-	}
-	for _, compress := range []bool{false, true} {
-		for _, overlay := range []bool{false, true} {
-			db := buildDBOpts(t, base, 128, compress)
-			want, spec := base, RunSpec{}
-			if overlay {
-				st := delta.NewStore(base.NumVertices(), db.Epoch())
-				want = mutateRandom(t, st, base, rng, 1, "mixed")
-				spec.Overlay = st.Snapshot()
-			}
-			for _, q := range queries {
-				e, err := NewEngine(db, Options{Threads: 2, BufferFrames: 4 * db.NumPages()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				spec.Plan = mustPlan(t, q)
-				res, err := e.RunSpecContext(context.Background(), spec)
-				e.Close()
-				if err != nil {
-					t.Fatalf("%s compress=%v overlay=%v: %v", q, compress, overlay, err)
-				}
-				if count := graph.CountOccurrences(want, q); res.Count != count || res.External != 0 {
-					t.Errorf("%s compress=%v overlay=%v: count %d (external %d), brute force %d",
-						q, compress, overlay, res.Count, res.External, count)
-				}
-				for l, n := range res.WindowsPerLevel {
-					if (l == 0) != (n == 1) || (l > 0 && n != 0) {
-						t.Errorf("%s compress=%v overlay=%v: windows per level %v, want one at level 1 only",
-							q, compress, overlay, res.WindowsPerLevel)
-						break
-					}
-				}
-				if res.Profile.PagesRead != uint64(db.NumPages()) {
-					t.Errorf("%s compress=%v overlay=%v: %d physical reads of %d pages",
-						q, compress, overlay, res.Profile.PagesRead, db.NumPages())
-				}
-			}
-		}
-	}
-}
-
-// TestWindowIndexConcurrentBuild stresses the lock-free index build: four
-// I/O workers deliver a window's pages concurrently, each callback writing
-// its own ordinal while last-level page tasks already match against theirs;
-// 128-byte pages split every hub across many pages, so the side table, the
-// hand-over of refused tasks, the rooting of multi-page candidates inside a
-// pass and the page tasks' own-page restriction are all on the path, with
-// and without an overlay. Counts must equal brute force. Run with -race
-// -count=20 (make check does).
-func TestWindowIndexConcurrentBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(182))
-	base := skewedGraph(rng, 260, 5, 90)
-	queries := []*graph.Query{graph.Triangle(), graph.PaperQueries()[3]} // q1, q4
-	for _, compress := range []bool{false, true} {
-		for _, overlay := range []bool{false, true} {
-			db := buildDBOpts(t, base, 128, compress)
-			want, spec := base, RunSpec{}
-			if overlay {
-				st := delta.NewStore(base.NumVertices(), db.Epoch())
-				want = mutateRandom(t, st, base, rng, 6, "mixed")
-				spec.Overlay = st.Snapshot()
-			}
-			e, err := NewEngine(db, Options{
-				Threads:        3,
-				IOWorkers:      4,
-				BufferFrames:   db.NumPages() / 3,
-				PerPageLatency: 5 * time.Microsecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range queries {
-				spec.Plan = mustPlan(t, q)
-				res, err := e.RunSpecContext(context.Background(), spec)
-				if err != nil {
-					t.Fatalf("%s compress=%v overlay=%v: %v", q.Name(), compress, overlay, err)
-				}
-				if res.WindowsPerLevel[0] < 2 {
-					t.Fatalf("%s compress=%v overlay=%v: %v windows per level, want a multi-window run",
-						q.Name(), compress, overlay, res.WindowsPerLevel)
-				}
-				if count := graph.CountOccurrences(want, q); res.Count != count {
-					t.Errorf("%s compress=%v overlay=%v: count %d, brute force %d",
-						q.Name(), compress, overlay, res.Count, count)
-				}
-			}
-			e.Close()
-		}
-	}
-}
 
 // TestWindowIndexLoadAllocs: loading a resident level-1 window allocates per
 // page (the ordinal array, a decode slab per compressed page), never per
@@ -234,40 +127,5 @@ func TestNewEngineAllocs(t *testing.T) {
 	if bytes, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*frames+16*db.NumPages()+32<<10); bytes > limit {
 		t.Errorf("NewEngine allocated %d bytes for %d vertices on %d pages and %d frames, limit %d",
 			bytes, db.NumVertices(), db.NumPages(), frames, limit)
-	}
-}
-
-// TestExtMapPageLoadRace is the regression test for a data race between
-// loading and matching: on the last level, extMapPage tasks are submitted as
-// soon as their page lands, while later pages' load callbacks are still
-// writing their ordinals of the pass's index. A page task restricts itself
-// to its own page's complete records. Multiple I/O workers plus per-page
-// latency stagger the callbacks so the overlap actually happens. Run with
-// -race.
-func TestExtMapPageLoadRace(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := skewedGraph(rng, 500, 6, 150)
-	db := buildDB(t, g, 256) // small pages: many load callbacks per window
-	rg, _ := graph.ReorderByDegree(g)
-	want := graph.CountOccurrences(rg, graph.Triangle())
-
-	e, err := NewEngine(db, Options{
-		Threads:        4,
-		IOWorkers:      4,
-		BufferFrames:   96,
-		PerPageLatency: 20 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	for i := 0; i < 5; i++ {
-		got, err := e.Count(graph.Triangle())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("run %d: engine %d, brute force %d", i, got, want)
-		}
 	}
 }

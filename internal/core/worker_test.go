@@ -4,30 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"dualsim/internal/obs"
 )
-
-func TestWorkerPoolRunsEveryTask(t *testing.T) {
-	p := newWorkerPool(4, nil, nil)
-	defer p.close()
-	var ran atomic.Int64
-	const n = 500
-	for i := 0; i < n; i++ {
-		p.submit(func() { ran.Add(1) })
-	}
-	p.drain()
-	if got := ran.Load(); got != n {
-		t.Fatalf("ran %d tasks, want %d", got, n)
-	}
-	s, c := p.stats()
-	if s != n || c != n {
-		t.Fatalf("stats = (%d submitted, %d completed), want (%d, %d)", s, c, n, n)
-	}
-	if d := p.queueDepth(); d != 0 {
-		t.Fatalf("queue depth after drain = %d, want 0", d)
-	}
-}
 
 func TestWorkerPoolQueueDepth(t *testing.T) {
 	p := newWorkerPool(2, nil, nil)
@@ -53,26 +30,6 @@ func TestWorkerPoolQueueDepth(t *testing.T) {
 	p.drain()
 	if d := p.queueDepth(); d != 0 {
 		t.Errorf("queue depth after drain = %d, want 0", d)
-	}
-}
-
-// TestWorkerPoolRegistryCounters checks engine-style wiring: counters from
-// a registry receive the pool's accounting.
-func TestWorkerPoolRegistryCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	sub := reg.Counter("dualsim_worker_tasks_submitted_total", "")
-	com := reg.Counter("dualsim_worker_tasks_completed_total", "")
-	p := newWorkerPool(3, sub, com)
-	for i := 0; i < 50; i++ {
-		p.submit(func() {})
-	}
-	p.close()
-	if sub.Value() != 50 || com.Value() != 50 {
-		t.Fatalf("registry counters = (%d, %d), want (50, 50)", sub.Value(), com.Value())
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["dualsim_worker_tasks_submitted_total"] != 50 {
-		t.Fatalf("snapshot missing worker counters: %+v", snap.Counters)
 	}
 }
 
@@ -104,4 +61,28 @@ func TestWorkerPoolCloseDrains(t *testing.T) {
 	if got := ran.Load(); got != 400 {
 		t.Fatalf("close lost tasks: ran %d, want 400", got)
 	}
+}
+
+// TestWorkerPoolTrySubmit pins trySubmit's non-blocking contract: it must
+// refuse (not block) when the channel is full, and succeed otherwise.
+func TestWorkerPoolTrySubmit(t *testing.T) {
+	p := newWorkerPool(1, nil, nil)
+	defer p.close()
+	release := make(chan struct{})
+	var entered sync.WaitGroup
+	entered.Add(1)
+	p.submit(func() { entered.Done(); <-release })
+	entered.Wait()
+	// Fill the queue (capacity 4*threads = 4), then one more must refuse.
+	accepted := 0
+	for i := 0; i < 10; i++ {
+		if p.trySubmit(func() {}) {
+			accepted++
+		}
+	}
+	if accepted == 0 || accepted >= 10 {
+		t.Fatalf("trySubmit accepted %d of 10 with a blocked pool; want some refused", accepted)
+	}
+	close(release)
+	p.drain()
 }

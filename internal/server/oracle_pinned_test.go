@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dualsim/internal/graph"
+	"dualsim/internal/oracletest"
 )
 
 // Pinned schedules: each test below was a hand-written scenario of the
@@ -45,9 +46,9 @@ func pinnedServing(g *graph.Graph, pageSize, engines, frames int, specs ...strin
 // pinServing runs d and requires it to reach every coverage key.
 func pinServing(t *testing.T, d sdraw, keys ...string) *soracle {
 	t.Helper()
-	cov := &coverage{}
+	cov := &oracletest.Coverage{}
 	o := runServing(t, d, cov)
-	cov.require(t, keys...)
+	cov.Require(t, keys...)
 	return o
 }
 

@@ -5,12 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"os"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -25,6 +23,7 @@ import (
 	"dualsim/internal/faultdb"
 	"dualsim/internal/gen"
 	"dualsim/internal/graph"
+	"dualsim/internal/oracletest"
 	"dualsim/internal/plan"
 	"dualsim/internal/storage"
 )
@@ -253,7 +252,7 @@ type sreply struct {
 type soracle struct {
 	t       *testing.T
 	d       sdraw
-	cov     *coverage
+	cov     *oracletest.Coverage
 	s       *Server
 	fdb     *faultdb.DB
 	base    *graph.Graph // the file's graph, in file IDs
@@ -350,7 +349,7 @@ func (o *soracle) ride(op sop) {
 		}
 		o.take(rng, stepBatch+"+"+stepCompact)
 		if r := <-done; r.status == http.StatusOK && o.s.current() != g0 {
-			o.cov.add("rider across compaction")
+			o.cov.Add("rider across compaction")
 		}
 	})
 }
@@ -374,9 +373,9 @@ func (o *soracle) stream(op sop, between func()) {
 		switch {
 		case r.status == http.StatusOK && r.stream.done && !r.qr.Truncated:
 			if req.ResumeToken != "" {
-				o.cov.add(how)
+				o.cov.Add(how)
 				if o.s.compactions.Load() > c0 {
-					o.cov.add("resumed across a compaction")
+					o.cov.Add("resumed across a compaction")
 				}
 			}
 			return
@@ -387,7 +386,7 @@ func (o *soracle) stream(op sop, between func()) {
 				between = nil
 			}
 		case r.status == http.StatusConflict && req.ResumeToken != "":
-			o.cov.add("409 resume")
+			o.cov.Add("409 resume")
 			req.ResumeToken = ""
 		case o.failed(r):
 			if r.stream.lastToken != "" {
@@ -471,10 +470,10 @@ func (o *soracle) take(rng *rand.Rand, step string) {
 			case cr.Compacted:
 				o.explicit++
 				if !o.done() {
-					o.cov.add("explicit compaction mid-load")
+					o.cov.Add("explicit compaction mid-load")
 				}
 			default:
-				o.cov.add("empty compaction")
+				o.cov.Add("empty compaction")
 			}
 			if status == http.StatusOK {
 				o.delta = 0
@@ -500,7 +499,7 @@ func (o *soracle) take(rng *rand.Rand, step string) {
 				if resp.StatusCode != http.StatusBadRequest || o.s.dataEpoch() != o.epoch {
 					o.errorf("invalid batch %v: status %d, epoch %d -> %d", ops, resp.StatusCode, o.epoch, o.s.dataEpoch())
 				}
-				o.cov.add("invalid batch")
+				o.cov.Add("invalid batch")
 				continue
 			}
 			resp := postEdges(o.t, o.s.Addr(), ops)
@@ -522,7 +521,7 @@ func (o *soracle) take(rng *rand.Rand, step string) {
 // clients run.
 func (o *soracle) sawBackground() {
 	if o.s.compactions.Load() > o.explicit && !o.done() {
-		o.cov.add("background compaction mid-load")
+		o.cov.Add("background compaction mid-load")
 	}
 }
 
@@ -692,10 +691,10 @@ func (o *soracle) check() {
 		case r.status == http.StatusOK && r.qr.Done:
 			want := o.wantCount(r.qr.DataEpoch, r.op.query)
 			if r.qr.DataEpoch > 0 {
-				o.cov.add("answered a later epoch")
+				o.cov.Add("answered a later epoch")
 			}
 			if r.qr.SharedPages > 0 {
-				o.cov.add("rode the cohort")
+				o.cov.Add("rode the cohort")
 			}
 			switch {
 			case r.qr.Truncated:
@@ -757,7 +756,7 @@ func (o *soracle) check() {
 // runServing builds the draw's database and server, runs the schedule and
 // checks it, the page ledger, the plan cache, the server's books, the file
 // left on disk and a clean shutdown.
-func runServing(t *testing.T, d sdraw, cov *coverage) *soracle {
+func runServing(t *testing.T, d sdraw, cov *oracletest.Coverage) *soracle {
 	t.Helper()
 	o := &soracle{t: t, d: d, cov: cov, nudges: make(chan nudge), running: make(chan struct{}),
 		batches: map[uint64][]EdgeOp{}, graphs: map[uint64]*graph.Graph{}, want: map[[2]uint64]uint64{}}
@@ -800,7 +799,7 @@ func runServing(t *testing.T, d sdraw, cov *coverage) *soracle {
 		d.frames = d.engines * (floor + int(d.frameFrac*float64(max(0, db.NumPages()+maxK*maxSpan-floor))))
 	}
 	if d.frames/d.engines-db.NumPages() >= (maxK-1)*maxSpan {
-		cov.add("resident")
+		cov.Add("resident")
 	}
 	o.d = d // as resolved, for failure messages
 	var base core.Database = db
@@ -853,7 +852,7 @@ func runServing(t *testing.T, d sdraw, cov *coverage) *soracle {
 			defer clients.Done()
 			for _, op := range ops {
 				if op.spec != d.specs[op.query] {
-					cov.add("relabelled spelling")
+					cov.Add("relabelled spelling")
 				}
 				switch op.kind {
 				case opCount:
@@ -965,12 +964,12 @@ func runServing(t *testing.T, d sdraw, cov *coverage) *soracle {
 		o.misdirected(db.NumPages(), opts)
 	}
 	if o.s.sm.cohortFallbacks.Value() > 0 {
-		cov.add("bounced rider")
+		cov.Add("bounced rider")
 	}
 	for _, k := range []string{"graph:" + d.kind, "fault:" + d.fault, fmt.Sprintf("engines=%d", d.engines),
 		fmt.Sprintf("threads=%d", d.threads), fmt.Sprintf("compress=%v", d.compress), fmt.Sprintf("shareScan=%v", d.shareScan),
 		fmt.Sprintf("mutable=%v", d.mutable), fmt.Sprintf("compactEvery>0=%v", d.compactEvery > 0)} {
-		cov.add(k)
+		cov.Add(k)
 	}
 	return o
 }
@@ -994,32 +993,7 @@ func (o *soracle) misdirected(pages int, opts core.Options) {
 		o.t.Fatalf("%v:\n  page %d read as another page's image: status %d %s; want a 500 naming page %d",
 			o.d, p, resp.StatusCode, body, p)
 	}
-	o.cov.add("misdirected read")
-}
-
-// coverage counts the dimensions draws reached.
-type coverage struct {
-	mu sync.Mutex
-	m  map[string]int
-}
-
-func (c *coverage) add(k string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = map[string]int{}
-	}
-	c.m[k]++
-}
-
-// require fails t unless every key was reached.
-func (c *coverage) require(t *testing.T, keys ...string) {
-	t.Helper()
-	for _, k := range keys {
-		if c.m[k] == 0 {
-			t.Errorf("no draw reached %q (coverage %v)", k, c.m)
-		}
-	}
+	o.cov.Add("misdirected read")
 }
 
 // Seed sets: tier-1 runs seeds 1..servingSeeds and must reach every coverage
@@ -1051,55 +1025,20 @@ var servingRaceSeeds = []int64{1, 2, 4, 11, 16, 22, 31, 34, 37, 48}
 //
 //	go test ./internal/server -run 'TestServingOracle/seed=N$'
 func TestServingOracle(t *testing.T) {
-	soak := 0
-	if v := os.Getenv("SOAK_SECONDS"); v != "" {
-		var err error
-		if soak, err = strconv.Atoi(v); err != nil {
-			t.Fatalf("bad SOAK_SECONDS %q: %v", v, err)
-		}
-	}
-	var seeds []int64
-	for _, m := range regexp.MustCompile(`seed=(\d+)`).FindAllStringSubmatch(flag.Lookup("test.run").Value.String(), -1) {
-		n, _ := strconv.ParseInt(m[1], 10, 64)
-		seeds = append(seeds, n)
-	}
-	cov := &coverage{}
-	run := func(s int64) bool {
-		return t.Run(fmt.Sprintf("seed=%d", s), func(t *testing.T) { runServing(t, drawServing(s), cov) })
-	}
-	switch {
-	case len(seeds) > 0:
-		for _, s := range seeds {
-			run(s)
-		}
-	case soak > 0:
-		deadline := time.Now().Add(time.Duration(soak) * time.Second)
-		base := servingSeeds + 1 + time.Now().UnixNano()%1_000_000*1000
-		s := base
-		for ; time.Now().Before(deadline) && run(s); s++ {
-		}
-		t.Logf("soak: seeds %d..%d", base, s)
-	default:
+	seeds := oracletest.Seeds(servingSeeds)
+	if raceEnabled {
 		seeds = servingRaceSeeds
-		if !raceEnabled {
-			seeds = nil
-			for s := int64(1); s <= servingSeeds; s++ {
-				seeds = append(seeds, s)
-			}
-		}
-		for _, s := range seeds {
-			run(s)
-		}
-		if t.Failed() || raceEnabled {
-			return
-		}
-		t.Logf("coverage over %d seeds: %v", len(seeds), cov.m)
-		cov.require(t, "graph:random", "graph:hubs", "graph:bipartite", "graph:chunglu", "graph:tiny",
-			"fault:none", "fault:"+pages, "fault:"+storm, "fault:"+permanent, "engines=1", "engines=2", "engines=3",
-			"threads=1", "threads=2", "compress=true", "compress=false", "shareScan=true", "shareScan=false",
-			"mutable=true", "mutable=false", "compactEvery>0=true", "resident", "relabelled spelling",
-			"cut and resumed", "409 resume", "resumed across a compaction", "invalid batch",
-			"explicit compaction mid-load", "background compaction mid-load", "rider across compaction", "bounced rider",
-			"misdirected read")
 	}
+	cov := &oracletest.Coverage{}
+	if !oracletest.Run(t, seeds, func(t *testing.T, s int64) { runServing(t, drawServing(s), cov) }) || raceEnabled {
+		return
+	}
+	t.Logf("coverage over %d seeds: %v", len(seeds), cov)
+	cov.Require(t, "graph:random", "graph:hubs", "graph:bipartite", "graph:chunglu", "graph:tiny",
+		"fault:none", "fault:"+pages, "fault:"+storm, "fault:"+permanent, "engines=1", "engines=2", "engines=3",
+		"threads=1", "threads=2", "compress=true", "compress=false", "shareScan=true", "shareScan=false",
+		"mutable=true", "mutable=false", "compactEvery>0=true", "resident", "relabelled spelling",
+		"cut and resumed", "409 resume", "resumed across a compaction", "invalid batch",
+		"explicit compaction mid-load", "background compaction mid-load", "rider across compaction", "bounced rider",
+		"misdirected read")
 }

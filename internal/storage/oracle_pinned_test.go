@@ -5,6 +5,7 @@ import (
 
 	"dualsim/internal/gen"
 	"dualsim/internal/graph"
+	"dualsim/internal/oracletest"
 )
 
 // Pinned draws: each test below was a hand-written round-trip, per-reader or
@@ -30,9 +31,9 @@ func (d draw) damaged(fault string, seed int64) draw { d.fault, d.seed = fault, 
 // pin checks d and requires it to reach every coverage key.
 func pin(t *testing.T, d draw, keys ...string) {
 	t.Helper()
-	cov := coverage{}
+	cov := &oracletest.Coverage{}
 	check(t, d, cov)
-	cov.require(t, keys...)
+	cov.Require(t, keys...)
 }
 
 // star is vertex 0 joined to leaves vertices, then isolated vertices.

@@ -2,25 +2,21 @@ package storage
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
-	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"regexp"
 	"slices"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dualsim/internal/delta"
 	"dualsim/internal/gen"
 	"dualsim/internal/graph"
+	"dualsim/internal/oracletest"
 )
 
 // The storage oracle. A database file depends only on its graph and its
@@ -167,25 +163,11 @@ func fold(t *testing.T, rng *rand.Rand, g *graph.Graph, batches int) (*delta.Sna
 	return snap, graph.MustNewGraph(n, edges)
 }
 
-// coverage counts the dimensions draws reached.
-type coverage map[string]int
-
-// require fails t unless every key was reached: a seed set or a pinned draw
-// that stops reaching a dimension proves less than it claims.
-func (c coverage) require(t *testing.T, keys ...string) {
-	t.Helper()
-	for _, k := range keys {
-		if c[k] == 0 {
-			t.Errorf("no draw reached %q (coverage %v)", k, c)
-		}
-	}
-}
-
 // oracle is one draw's file and what its graph says every reader returns.
 type oracle struct {
 	t     *testing.T
 	d     draw
-	cov   coverage
+	cov   *oracletest.Coverage
 	rng   *rand.Rand   // the file's overlay and damage
 	want  *graph.Graph // the graph the file holds
 	epoch uint64
@@ -218,14 +200,14 @@ func (o *oracle) build(name string, g, want *graph.Graph, opt BuildOptions) stri
 		o.fatalf("build stats %+v for %d vertices, %d edges, maximum degree %d", *st, want.NumVertices(), want.NumEdges(), want.MaxDegree())
 	}
 	if st.SortRuns >= 2 {
-		o.cov["sort runs>=2"]++
+		o.cov.Add("sort runs>=2")
 	}
 	return path
 }
 
 // check writes d's file, damages it as drawn, and holds every reader to the
 // graph, counting what it reached into cov.
-func check(t *testing.T, d draw, cov coverage) {
+func check(t *testing.T, d draw, cov *oracletest.Coverage) {
 	t.Helper()
 	o := &oracle{t: t, d: d, cov: cov, rng: rand.New(rand.NewSource(^d.seed))}
 	o.want = fileGraph(d.g, d.opt)
@@ -235,7 +217,7 @@ func check(t *testing.T, d draw, cov coverage) {
 		path = o.build("base.db", d.g, o.want, d.opt)
 	case "compact":
 		if o.want.Degree(0) == 0 { // the base's encoding is read off an empty record
-			cov["compact: empty first record"]++
+			cov.Add("compact: empty first record")
 		}
 		pre, err := Open(o.build("pre.db", d.g, o.want, d.opt))
 		if err != nil {
@@ -259,10 +241,10 @@ func check(t *testing.T, d draw, cov coverage) {
 	}
 	for _, k := range []string{"graph:" + d.kind, fmt.Sprintf("compress=%v", d.opt.Compress), "base:" + d.base,
 		fmt.Sprintf("page=%d", d.opt.PageSize), "reorder:" + reorder} {
-		cov[k]++
+		cov.Add(k)
 	}
 	if n := o.want.NumVertices(); o.want.Degree(graph.VertexID(n-1)) == 0 {
-		cov["isolated tail"]++
+		cov.Add("isolated tail")
 	}
 	o.image = o.read(path)
 	o.written = o.image
@@ -299,7 +281,7 @@ func (o *oracle) open(path string) {
 		defer db.Close()
 		o.readers(db)
 	}
-	o.cov["fault:"+o.fault]++
+	o.cov.Add("fault:" + o.fault)
 }
 
 // corrupt writes a copy of the file damaged as o.fault says, records what
@@ -322,7 +304,7 @@ func (o *oracle) corrupt() string {
 			at := rng.Intn(ps)
 			if rng.Intn(2) == 0 {
 				at = rng.Intn(4)
-				o.cov["bitflip:page ID"]++
+				o.cov.Add("bitflip:page ID")
 			}
 			page(p)[at] ^= 1 << rng.Intn(8)
 		}
@@ -330,7 +312,7 @@ func (o *oracle) corrupt() string {
 		if q := rng.Intn(np); q != p && rng.Intn(2) == 0 {
 			flip(q)
 			o.bad = []PageID{PageID(min(p, q)), PageID(max(p, q))}
-			o.cov["bitflip:2 pages"]++
+			o.cov.Add("bitflip:2 pages")
 		}
 	case misdirect:
 		q := (p + 1 + rng.Intn(max(np-1, 1))) % np
@@ -353,7 +335,7 @@ func (o *oracle) corrupt() string {
 			binary.LittleEndian.PutUint32(pg[off:], binary.LittleEndian.Uint32(pg[off:])+uint32(k))
 		}
 		rewriteChecksum(pg)
-		o.cov["reason:"+o.reason]++
+		o.cov.Add("reason:" + o.reason)
 	case truncated:
 		img = img[:rng.Intn(len(img))]
 	case firsts:
@@ -367,7 +349,7 @@ func (o *oracle) corrupt() string {
 		at, e := dir+4*p, uint32(contBit)
 		if p > 0 {
 			e = binary.LittleEndian.Uint32(img[at-4:]) &^ contBit
-			o.cov["firsts:repeat"]++
+			o.cov.Add("firsts:repeat")
 		}
 		binary.LittleEndian.PutUint32(img[at:], e)
 	case edges:
@@ -473,11 +455,11 @@ func (o *oracle) readers(db *DB) {
 				if skips && o.d.v2() { // skip tables came with v3
 					enc = enc[2+6*((len(chunk)-1)/graph.SkipInterval):]
 				} else if skips {
-					o.cov["skip table"]++
+					o.cov.Add("skip table")
 				}
 				stats.AdjBytes += int64(len(enc))
 			} else if len(chunk) == MaxEntriesPerPage(ps) {
-				o.cov["full page"]++
+				o.cov.Add("full page")
 			}
 		}
 		above, _ := slices.BinarySearch(want.Adj(v), v)
@@ -485,11 +467,11 @@ func (o *oracle) readers(db *DB) {
 			o.fatalf("vertex %d: list %v split %d, the graph's %v split %d", v, list, split, want.Adj(v), above)
 		}
 		if want.Degree(v) == 0 {
-			o.cov["empty record"]++
+			o.cov.Add("empty record")
 		}
 	}
 	if maxSpan >= 3 {
-		o.cov["span>=3"]++
+		o.cov.Add("span>=3")
 	}
 	if got := db.PageFirsts().MaxSpan(); got != maxSpan {
 		o.fatalf("MaxSpan %d, the longest span %d", got, maxSpan)
@@ -564,7 +546,7 @@ func (o *oracle) page(db *DB, pid PageID, buf []byte) *Page {
 		return parsersAgree(o.t, img) != nil
 	}
 	at := pageHeaderSize + o.rng.Intn(int(binary.LittleEndian.Uint16(buf[6:]))-pageHeaderSize)
-	o.cov[fmt.Sprintf("tamper accepted=%v", accepted(func(img []byte) { img[at] ^= byte(1 + o.rng.Intn(255)) }))]++
+	o.cov.Add(fmt.Sprintf("tamper accepted=%v", accepted(func(img []byte) { img[at] ^= byte(1 + o.rng.Intn(255)) })))
 	swept := false
 	for i := range pg.Slots() {
 		off, length := slotRecord(buf, i)
@@ -574,7 +556,7 @@ func (o *oracle) page(db *DB, pid PageID, buf []byte) *Page {
 		if accepted(func(img []byte) { binary.LittleEndian.PutUint16(img[len(img)-(i+1)*slotSize+2:], uint16(length-1)) }) {
 			o.fatalf("page %d: slot %d's compressed record cut one byte short parses", pid, i)
 		}
-		o.cov["truncated record"]++
+		o.cov.Add("truncated record")
 		if buf[off+4]&flagSkips == 0 || swept {
 			continue
 		}
@@ -585,7 +567,7 @@ func (o *oracle) page(db *DB, pid PageID, buf []byte) *Page {
 				o.fatalf("page %d: slot %d's skip table changed at byte %d parses", pid, i, b)
 			}
 		}
-		o.cov["tampered skip table"]++
+		o.cov.Add("tampered skip table")
 	}
 	return pg
 }
@@ -690,10 +672,6 @@ func TestMain(m *testing.M) {
 // set, fresh seeds run until the time box closes.
 const oracleSeeds = 32
 
-// namedSeed matches a seed named in -run, so that any seed — a soak's
-// included — reproduces by its subtest name.
-var namedSeed = regexp.MustCompile(`seed=(\d+)`)
-
 // TestStorageOracle is the storage oracle (see the top of this file). Each
 // seed draws a graph (random, planted hubs, bipartite or Chung-Lu, with or
 // without an isolated tail), a build (64- to 4096-byte pages, plain or
@@ -704,45 +682,16 @@ var namedSeed = regexp.MustCompile(`seed=(\d+)`)
 //
 //	go test ./internal/storage -run 'TestStorageOracle/seed=N$'
 func TestStorageOracle(t *testing.T) {
-	var seeds []int64
-	for _, m := range namedSeed.FindAllStringSubmatch(flag.Lookup("test.run").Value.String(), -1) {
-		s, _ := strconv.ParseInt(m[1], 10, 64)
-		seeds = append(seeds, s)
+	cov := &oracletest.Coverage{}
+	if !oracletest.Run(t, oracletest.Seeds(oracleSeeds), func(t *testing.T, s int64) { check(t, drawConfig(s), cov) }) {
+		return
 	}
-	soak, err := strconv.Atoi(cmp.Or(os.Getenv("SOAK_SECONDS"), "0"))
-	if err != nil {
-		t.Fatalf("bad SOAK_SECONDS: %v", err)
-	}
-	cov := coverage{}
-	run := func(s int64) bool {
-		return t.Run(fmt.Sprintf("seed=%d", s), func(t *testing.T) { check(t, drawConfig(s), cov) })
-	}
-	switch {
-	case len(seeds) > 0:
-		for _, s := range seeds {
-			run(s)
-		}
-	case soak > 0:
-		deadline := time.Now().Add(time.Duration(soak) * time.Second)
-		base := oracleSeeds + 1 + time.Now().UnixNano()%1_000_000*1000
-		s := base
-		for ; time.Now().Before(deadline) && run(s); s++ {
-		}
-		t.Logf("soak: seeds %d..%d", base, s)
-	default:
-		for s := int64(1); s <= oracleSeeds; s++ {
-			run(s)
-		}
-		if t.Failed() {
-			return
-		}
-		t.Logf("coverage over %d seeds: %v", oracleSeeds, cov)
-		cov.require(t, "graph:random", "graph:hubs", "graph:bipartite", "graph:chunglu", "graph:v2", "isolated tail",
-			"compress=true", "compress=false", "page=64", "page=4096", "reorder:full", "reorder:skip", "reorder:append",
-			"sort runs>=2", "base:build", "base:compact", "base:"+v2Fixtures[0], "base:"+v2Fixtures[1],
-			"fault:", "fault:"+bitflip, "fault:"+misdirect, "fault:"+renamed, "fault:"+truncated, "fault:"+firsts, "fault:"+edges,
-			"bitflip:2 pages", "bitflip:page ID", "reason:not a dense vertex-ID run", "reason:the page array says", "firsts:repeat",
-			"span>=3", "empty record", "full page", "skip table", "tamper accepted=true", "tamper accepted=false",
-			"truncated record", "tampered skip table", "compact: empty first record")
-	}
+	t.Logf("coverage over %d seeds: %v", oracleSeeds, cov)
+	cov.Require(t, "graph:random", "graph:hubs", "graph:bipartite", "graph:chunglu", "graph:v2", "isolated tail",
+		"compress=true", "compress=false", "page=64", "page=4096", "reorder:full", "reorder:skip", "reorder:append",
+		"sort runs>=2", "base:build", "base:compact", "base:"+v2Fixtures[0], "base:"+v2Fixtures[1],
+		"fault:", "fault:"+bitflip, "fault:"+misdirect, "fault:"+renamed, "fault:"+truncated, "fault:"+firsts, "fault:"+edges,
+		"bitflip:2 pages", "bitflip:page ID", "reason:not a dense vertex-ID run", "reason:the page array says", "firsts:repeat",
+		"span>=3", "empty record", "full page", "skip table", "tamper accepted=true", "tamper accepted=false",
+		"truncated record", "tampered skip table", "compact: empty first record")
 }
